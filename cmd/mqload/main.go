@@ -38,7 +38,7 @@
 //	             all-client scheme as a degraded mode)
 //	-serverstats pull and print the server's metrics snapshot at the end;
 //	             against a sharded server this adds the per-run shard report
-//	             (mean fan-out, scatter fraction, NN shards visited/pruned)
+//	             (mean fan-out, NN shards visited/pruned)
 //	-router      the target is an mqrouter coordinator: append its fan-out,
 //	             failover, and per-backend leg report (the workload itself
 //	             is unchanged — the router speaks the same protocol)
@@ -675,7 +675,7 @@ func printSchemeReport(snap obs.Snapshot) {
 	}
 }
 
-// printShardReport summarizes the server's scatter-gather behavior over this
+// printShardReport summarizes the server's shard-walk behavior over this
 // run — counter deltas between the pre-measurement and final snapshots — when
 // the server runs a sharded pool (shard_count gauge present). Fan-out is the
 // mean number of shards a range/point query touched after MBR pruning;
@@ -685,18 +685,16 @@ func printShardReport(pre, post obs.Snapshot) {
 	if shards <= 0 {
 		return
 	}
-	scatter := counterDelta(pre, post, "shard_scatter_total")
-	inline := counterDelta(pre, post, "shard_inline_total")
+	queries := counterDelta(pre, post, "shard_inline_total")
 	fanout := counterDelta(pre, post, "shard_fanout_shards_total")
 	nn := counterDelta(pre, post, "shard_nn_total")
 	visited := counterDelta(pre, post, "shard_nn_shards_visited_total")
 	pruned := counterDelta(pre, post, "shard_nn_shards_pruned_total")
 
-	fmt.Printf("  shards    %.0f shards, %.0f scatter lanes\n",
-		shards, gaugeValue(post, "shard_workers"))
-	if q := scatter + inline; q > 0 {
-		fmt.Printf("            range/point: %.0f queries, mean fan-out %.2f shards, %.1f%% scattered\n",
-			q, fanout/q, 100*scatter/q)
+	fmt.Printf("  shards    %.0f shards\n", shards)
+	if queries > 0 {
+		fmt.Printf("            range/point: %.0f queries, mean fan-out %.2f shards\n",
+			queries, fanout/queries)
 	}
 	if nn > 0 {
 		fmt.Printf("            nn/k-nn:     %.0f queries, mean %.2f shards visited, %.2f pruned\n",

@@ -1,7 +1,8 @@
 // Command mqserve runs the networked spatial-query server: the repository's
 // simulated "server" machine made real — a TCP service answering point,
-// range, and NN queries against a shared packed R-tree through the parallel
-// worker pool, and shipping budgeted sub-indexes to memory-limited clients.
+// range, and NN queries against a shared packed R-tree (each query runs on
+// the goroutine that admitted it; -inflight is the concurrency control), and
+// shipping budgeted sub-indexes to memory-limited clients.
 //
 // Usage:
 //
@@ -11,11 +12,11 @@
 //
 //	-addr       listen address (default :7070)
 //	-dataset    pa | nyc (default pa)
-//	-workers    refinement workers (0 = GOMAXPROCS)
-//	-shards     spatial shards for scatter-gather execution (0 = monolithic
-//	            single tree; N > 0 = Hilbert-sharded pool, one packed R-tree
-//	            per shard, each query fanned across the worker lanes)
-//	-inflight   admission-control cap on concurrent requests (0 = 4x workers)
+//	-shards     spatial shards (0 = monolithic single tree; N > 0 =
+//	            Hilbert-sharded pool, one packed R-tree per shard, each query
+//	            walking only the shards its window or point touches)
+//	-inflight   admission-control cap on concurrent requests (0 = 4x
+//	            GOMAXPROCS)
 //	-obs        observability HTTP address serving /metrics (Prometheus),
 //	            /traces (JSON spans), and /debug/pprof ("" = disabled)
 //	-partition  i/N: run as cluster backend i of N, indexing only the
@@ -82,9 +83,8 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("mqserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":7070", "listen address")
 	dsName := fs.String("dataset", "pa", "dataset: pa | nyc")
-	workers := fs.Int("workers", 0, "refinement workers (0 = GOMAXPROCS)")
 	shards := fs.Int("shards", 0, "spatial shards (0 = monolithic)")
-	inflight := fs.Int("inflight", 0, "max concurrent requests (0 = 4x workers)")
+	inflight := fs.Int("inflight", 0, "max concurrent requests (0 = 4x GOMAXPROCS)")
 	obsAddr := fs.String("obs", "", "observability HTTP address (\"\" = disabled)")
 	partition := fs.String("partition", "", "i/N: cluster backend i of N Hilbert ranges (\"\" = whole dataset)")
 	replicas := fs.Int("replicas", 1, "R-way replication under rotation placement (with -partition)")
@@ -115,8 +115,8 @@ func run(args []string) error {
 
 	// The master tree always stays monolithic — shipments carve sub-indexes
 	// from it — but query execution is either the monolithic parallel pool,
-	// the Hilbert-sharded scatter-gather pool, or (with -partition) a
-	// sharded pool over only the cluster ranges this backend holds.
+	// the Hilbert-sharded pool, or (with -partition) a sharded pool over
+	// only the cluster ranges this backend holds.
 	var pool serve.Executor
 	var held []proto.RangeInfo
 	numRanges := 0
@@ -130,7 +130,7 @@ func run(args []string) error {
 	}
 	if *partition != "" {
 		var err error
-		held, numRanges, pool, err = partitionPool(ds, *partition, *replicas, *shards, *workers, *mut, hub)
+		held, numRanges, pool, err = partitionPool(ds, *partition, *replicas, *shards, *mut, hub)
 		if err != nil {
 			return err
 		}
@@ -140,7 +140,7 @@ func run(args []string) error {
 			n = 4
 		}
 		mp, err := mutable.NewFromDataset(ds, n, mutable.Config{
-			Workers: *workers, Obs: hub,
+			Obs:      hub,
 			Adaptive: mutable.AdaptiveConfig{Enabled: *adaptive},
 		})
 		if err != nil {
@@ -155,16 +155,15 @@ func run(args []string) error {
 		}
 		pool = mp
 	} else if *shards > 0 {
-		sp, err := shard.New(ds, shard.Config{Shards: *shards, Workers: *workers, Obs: hub.Reg})
+		sp, err := shard.New(ds, shard.Config{Shards: *shards, Obs: hub.Reg})
 		if err != nil {
 			return err
 		}
-		defer sp.Close()
-		fmt.Printf("mqserve: %d shards x ~%d segments, %d scatter lanes\n",
-			sp.Shards(), (sp.Len()+sp.Shards()-1)/sp.Shards(), sp.Workers())
+		fmt.Printf("mqserve: %d shards x ~%d segments\n",
+			sp.Shards(), (sp.Len()+sp.Shards()-1)/sp.Shards())
 		pool = sp
 	} else {
-		mp, err := parallel.New(ds, tree, *workers)
+		mp, err := parallel.New(ds, tree, 0)
 		if err != nil {
 			return err
 		}
@@ -237,7 +236,7 @@ func run(args []string) error {
 // deterministic dataset is partitioned into n contiguous Hilbert ranges
 // (bit-identical in every process), and this backend indexes the ranges
 // rotation placement assigns it. Item ids stay cluster-global.
-func partitionPool(ds *dataset.Dataset, spec string, replicas, shards, workers int, mut bool, hub *obs.Hub) ([]proto.RangeInfo, int, serve.Executor, error) {
+func partitionPool(ds *dataset.Dataset, spec string, replicas, shards int, mut bool, hub *obs.Hub) ([]proto.RangeInfo, int, serve.Executor, error) {
 	var idx, n int
 	if c, err := fmt.Sscanf(spec, "%d/%d", &idx, &n); err != nil || c != 2 {
 		return nil, 0, nil, fmt.Errorf("bad -partition %q (want i/N)", spec)
@@ -275,14 +274,14 @@ func partitionPool(ds *dataset.Dataset, spec string, replicas, shards, workers i
 		}
 		mp, err := mutable.New(mutable.Config{
 			Dataset: ds, Ranges: heldRanges, Cuts: cuts, GlobalIndex: idxs,
-			Bounds: bounds, Workers: workers, Obs: hub,
+			Bounds: bounds, Obs: hub,
 		})
 		if err != nil {
 			return nil, 0, nil, err
 		}
 		pool = mp
 	} else {
-		sp, err := shard.New(ds, shard.Config{Shards: shards, Workers: workers, Items: sub, Obs: hub.Reg})
+		sp, err := shard.New(ds, shard.Config{Shards: shards, Items: sub, Obs: hub.Reg})
 		if err != nil {
 			return nil, 0, nil, err
 		}

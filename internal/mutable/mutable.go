@@ -93,10 +93,6 @@ type Config struct {
 	// the default.
 	Order uint
 
-	// Workers sizes the admission width the serving layer derives from
-	// the executor; defaults to GOMAXPROCS.
-	Workers int
-
 	// NodeBytes sizes packed base nodes (rtree.Config.NodeBytes);
 	// 0 means the rtree default.
 	NodeBytes int
@@ -133,9 +129,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	if c.CompactThreshold <= 0 {
 		c.CompactThreshold = 256
 	}
@@ -181,17 +174,23 @@ type topology struct {
 }
 
 // rangeHi returns global range g's inclusive Hi key under this cut table.
+// Equal adjacent cuts are legal (a range owning no key); such a range
+// reports Hi = Lo so its summary row never carries an inverted span.
 func (t *topology) rangeHi(g int) uint64 {
-	if g+1 < len(t.cuts) {
-		return t.cuts[g+1] - 1
+	if g+1 >= len(t.cuts) {
+		return math.MaxUint64
 	}
-	return math.MaxUint64
+	if t.cuts[g+1] <= t.cuts[g] {
+		return t.cuts[g]
+	}
+	return t.cuts[g+1] - 1
 }
 
 // Pool is an updatable sharded spatial index. It implements the serving
 // tier's executor surface (range/point/NN queries), its Updatable surface
-// (ApplyInsert/ApplyDelete/ApplyMove), and SegOf for data-mode responses
-// over ids the base dataset has never heard of.
+// (ApplyInsert/ApplyDelete/ApplyMove, plus SegOf for data-mode responses
+// over ids the base dataset has never heard of), its live summary
+// (SummaryRanges), and the result cache's validity view (qcache.Source).
 type Pool struct {
 	cfg Config
 	ds  *dataset.Dataset
@@ -367,8 +366,9 @@ func (p *Pool) Close() {
 	})
 }
 
-// Workers reports the configured admission width.
-func (p *Pool) Workers() int { return p.cfg.Workers }
+// Workers returns GOMAXPROCS — the width the server sizes its admission
+// window from, mirroring parallel.Pool.Workers.
+func (p *Pool) Workers() int { return runtime.GOMAXPROCS(0) }
 
 // Dataset returns the base dataset (canonical geometry of original ids).
 func (p *Pool) Dataset() *dataset.Dataset { return p.ds }
@@ -437,23 +437,6 @@ func (p *Pool) ShardBounds(i int) geom.Rect {
 	return geom.EmptyRect()
 }
 
-// ShardItems returns the number of live objects shard i currently owns —
-// the per-range item count a live registration summary reports.
-func (p *Pool) ShardItems(i int) int {
-	if t := p.topo.Load(); i >= 0 && i < len(t.shards) {
-		return int(t.shards[i].count.Load())
-	}
-	return 0
-}
-
-// ShardHeat returns shard i's EWMA query rate in queries per second, folding
-// any accumulated raw counts first.
-func (p *Pool) ShardHeat(i int) float64 {
-	t := p.topo.Load()
-	t.heat.Fold()
-	return t.heat.Rate(i)
-}
-
 // Gen returns the topology generation (the number of repartitions applied).
 func (p *Pool) Gen() uint64 { return p.topo.Load().gen }
 
@@ -463,47 +446,29 @@ func (p *Pool) Splits() uint64 { return p.splits.Load() }
 // Merges returns the number of shard merges applied.
 func (p *Pool) Merges() uint64 { return p.merges.Load() }
 
-// LocalShard maps a cluster-wide range index to this pool's local shard
-// index, or -1 when the pool does not hold that range. The inverse of
-// Config.GlobalIndex, for callers (the serving layer's summary builder)
-// that enumerate ranges in cluster terms.
-func (p *Pool) LocalShard(global int) int {
-	if li, ok := p.topo.Load().local[global]; ok {
-		return li
-	}
-	return -1
-}
-
-// LiveRangesEnabled reports whether this pool's range layout can change at
-// runtime (serve.LiveRangeSet): a server fronting an adaptive pool must
-// rebuild its summary's range table per request instead of patching a
-// fixed-length registration template.
-func (p *Pool) LiveRangesEnabled() bool { return p.cfg.Adaptive.Enabled }
-
-// SummaryRanges appends the pool's current per-range summary rows to dst and
-// returns the cluster-wide range count, all from one topology snapshot. Each
-// row carries the range's cut-table key span, live item count, generation-
-// prefixed version, current MBR, and EWMA heat.
+// SummaryRanges appends the summary rows this pool advertises to a cluster
+// and returns the cluster-wide range count, all from one topology snapshot.
+// Each row carries the range's cut-table key span, live item count,
+// generation-prefixed version, current MBR, and EWMA heat. A partitioned
+// pool reports the cluster ranges it holds; an adaptive pool reports its
+// current cuts, so a router polling summaries follows every split and
+// merge. A monolithic pool whose cuts never move keeps them private: its
+// rows fold into one range spanning the key space, whose version — the sum
+// of the shard versions — is monotone and advances exactly when any
+// shard's visible state changes.
 func (p *Pool) SummaryRanges(dst []proto.RangeInfo) ([]proto.RangeInfo, int) {
 	t := p.topo.Load()
 	t.heat.Fold()
+	base := len(dst)
 	for g := range t.cuts {
 		li, ok := t.local[g]
 		if !ok || li >= len(t.shards) {
 			continue
 		}
 		s := t.shards[li]
-		n := s.count.Load()
-		if n < 0 {
-			n = 0
-		}
-		items := uint32(math.MaxUint32)
-		if n < math.MaxUint32 {
-			items = uint32(n)
-		}
 		dst = append(dst, proto.RangeInfo{
 			Index:   uint32(g),
-			Items:   items,
+			Items:   clampItems(s.count.Load()),
 			Lo:      t.cuts[g],
 			Hi:      t.rangeHi(g),
 			Version: t.gen<<versGenShift | s.version.Load(),
@@ -511,7 +476,30 @@ func (p *Pool) SummaryRanges(dst []proto.RangeInfo) ([]proto.RangeInfo, int) {
 			Heat:    t.heat.Rate(li),
 		})
 	}
-	return dst, len(t.cuts)
+	if p.cfg.GlobalIndex != nil || p.cfg.Adaptive.Enabled {
+		return dst, len(t.cuts)
+	}
+	one := proto.RangeInfo{Hi: math.MaxUint64, MBR: geom.EmptyRect()}
+	var items int64
+	for _, r := range dst[base:] {
+		items += int64(r.Items)
+		one.Version += r.Version
+		one.MBR = one.MBR.Union(r.MBR)
+		one.Heat += r.Heat
+	}
+	one.Items = clampItems(items)
+	return append(dst[:base], one), 1
+}
+
+// clampItems clamps a live item count into the wire's uint32 field.
+func clampItems(n int64) uint32 {
+	if n < 0 {
+		return 0
+	}
+	if n > math.MaxUint32 {
+		return math.MaxUint32
+	}
+	return uint32(n)
 }
 
 // SegOf returns the live geometry of id, falling back to the base dataset

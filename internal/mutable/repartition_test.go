@@ -69,7 +69,11 @@ func TestRepartitionOnceSplitsHotShard(t *testing.T) {
 			v, v>>versGenShift, v0)
 	}
 	// Heat survives the swap: the children inherit the parent's rate.
-	if h := p.ShardHeat(0) + p.ShardHeat(1); h <= 0 {
+	rows, num := p.SummaryRanges(nil)
+	if num != 2 || len(rows) != 2 {
+		t.Fatalf("SummaryRanges after split = %d rows of %d, want 2 of 2", len(rows), num)
+	}
+	if h := rows[0].Heat + rows[1].Heat; h <= 0 {
 		t.Fatalf("children inherited no heat (%v)", h)
 	}
 

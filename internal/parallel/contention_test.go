@@ -160,52 +160,6 @@ func TestMixedQueriesUnderContention(t *testing.T) {
 	}
 }
 
-// TestBatchAndSingleQueryInterleaved runs the batch API (which spawns its
-// own worker goroutines) concurrently with single-query callers on the same
-// pool — the mqsim-style harness and the server sharing one index.
-func TestBatchAndSingleQueryInterleaved(t *testing.T) {
-	ds, pool := contentionDataset(t)
-	ext := ds.Extent
-
-	rng := rand.New(rand.NewSource(7))
-	windows := make([]geom.Rect, 64)
-	points := make([]geom.Point, 64)
-	for i := range windows {
-		cx := ext.Min.X + rng.Float64()*ext.Width()
-		cy := ext.Min.Y + rng.Float64()*ext.Height()
-		points[i] = geom.Point{X: cx, Y: cy}
-		windows[i] = geom.Rect{
-			Min: geom.Point{X: cx - 800, Y: cy - 800},
-			Max: geom.Point{X: cx + 800, Y: cy + 800},
-		}
-	}
-	wantRange := pool.RangeAll(windows)
-
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got := pool.RangeAll(windows)
-			for i := range got {
-				if !sameIDs(got[i], wantRange[i]) {
-					t.Error("batch range answer diverged")
-					return
-				}
-			}
-		}()
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, p := range points {
-				pool.Nearest(p)
-				pool.Point(p, 2.0)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 func sameIDs(a, b []uint32) bool {
 	if len(a) != len(b) {
 		return false

@@ -1,18 +1,14 @@
-// Package parallel executes spatial query workloads concurrently over a
-// shared read-only index — the server side of the paper's architecture run
-// as a real Go library rather than a simulated machine. Index traversals
-// are pure reads, so one packed R-tree serves any number of goroutines; the
-// pool fans queries out over workers and preserves input order in the
-// results.
-//
-// This is also the repository's throughput harness: the scaling benchmarks
-// measure queries/second against worker count on the full PA dataset.
+// Package parallel answers spatial queries over a shared read-only index —
+// the server side of the paper's architecture run as a real Go library
+// rather than a simulated machine. Index traversals are pure reads, so one
+// packed R-tree serves any number of goroutines; each query runs on the
+// goroutine that called it, and concurrency comes from the callers (the
+// networked server's admission window).
 package parallel
 
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
@@ -21,7 +17,9 @@ import (
 	"mobispatial/internal/rtree"
 )
 
-// Pool is a fixed-width worker pool over one dataset and one access method.
+// Pool is one dataset and one access method behind the serving tier's query
+// surface. workers only sizes Workers(), the width the server derives its
+// admission window from.
 type Pool struct {
 	ds      *dataset.Dataset
 	idx     index.Index
@@ -39,14 +37,11 @@ func New(ds *dataset.Dataset, idx index.Index, workers int) (*Pool, error) {
 	return &Pool{ds: ds, idx: idx, workers: workers}, nil
 }
 
-// Workers returns the pool width.
+// Workers returns the configured width.
 func (p *Pool) Workers() int { return p.workers }
 
 // Dataset returns the pool's dataset.
 func (p *Pool) Dataset() *dataset.Dataset { return p.ds }
-
-// Index returns the pool's access method.
-func (p *Pool) Index() index.Index { return p.idx }
 
 // Len returns the number of indexed items — the serve summary's item count.
 func (p *Pool) Len() int { return p.idx.Len() }
@@ -66,82 +61,11 @@ func (p *Pool) Bounds() geom.Rect {
 	return r
 }
 
-// forEach runs fn(i) for every i in [0, n) across the pool's workers.
-//
-// Width invariant: the number of goroutines spawned is min(p.workers, n) —
-// never more workers than items (a worker with no item would park on the
-// channel until close, pure overhead) and never more than the pool width
-// (the pool's concurrency promise to its caller: internal/serve sizes its
-// admission window as a multiple of Workers(), and internal/shard sizes its
-// scatter lanes to the same bound). n < 0 is a caller bug and panics via
-// the explicit check rather than silently spawning p.workers goroutines
-// that then race to receive from a channel nothing ever feeds.
-func (p *Pool) forEach(n int, fn func(i int)) {
-	if n < 0 {
-		panic(fmt.Sprintf("parallel: forEach over negative item count %d", n))
-	}
-	if n == 0 {
-		return
-	}
-	workers := p.workers
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-}
-
-// RangeAll answers every window query (filter + exact refinement) and
-// returns the matching ids per query, in input order.
-func (p *Pool) RangeAll(windows []geom.Rect) [][]uint32 {
-	out := make([][]uint32, len(windows))
-	p.forEach(len(windows), func(i int) {
-		out[i] = p.rangeOne(windows[i])
-	})
-	return out
-}
-
-func (p *Pool) rangeOne(w geom.Rect) []uint32 { return p.RangeAppend(nil, w) }
-
-// PointAll answers every point query with the given incidence tolerance.
-func (p *Pool) PointAll(points []geom.Point, eps float64) [][]uint32 {
-	out := make([][]uint32, len(points))
-	p.forEach(len(points), func(i int) {
-		out[i] = p.pointOne(points[i], eps)
-	})
-	return out
-}
-
-func (p *Pool) pointOne(pt geom.Point, eps float64) []uint32 { return p.PointAppend(nil, pt, eps) }
-
 // NearestResult is one NN answer.
 type NearestResult struct {
 	ID   uint32
 	Dist float64
 	OK   bool
-}
-
-// NearestAll answers every nearest-neighbor query.
-func (p *Pool) NearestAll(points []geom.Point) []NearestResult {
-	out := make([]NearestResult, len(points))
-	p.forEach(len(points), func(i int) {
-		out[i] = p.Nearest(points[i])
-	})
-	return out
 }
 
 // The single-query API. Index traversals are pure reads, so these methods
@@ -150,10 +74,10 @@ func (p *Pool) NearestAll(points []geom.Point) []NearestResult {
 // with the pool width acting as the server's natural parallelism.
 
 // Range answers one window query (filter + exact refinement).
-func (p *Pool) Range(w geom.Rect) []uint32 { return p.rangeOne(w) }
+func (p *Pool) Range(w geom.Rect) []uint32 { return p.RangeAppend(nil, w) }
 
 // Point answers one point query with the given incidence tolerance.
-func (p *Pool) Point(pt geom.Point, eps float64) []uint32 { return p.pointOne(pt, eps) }
+func (p *Pool) Point(pt geom.Point, eps float64) []uint32 { return p.PointAppend(nil, pt, eps) }
 
 // FilterRange runs only the filtering step of a window query and returns the
 // candidate ids — the server half of the filter-server/refine-client scheme.

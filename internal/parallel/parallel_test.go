@@ -40,70 +40,16 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	ds, tree := fixture(t)
-	windows := dataset.RangeQueries(ds, 60, 7)
-	points := dataset.PointQueries(ds, 60, 8)
-	nnPts := dataset.NNQueries(ds, 60, 9)
-
-	seq, err := New(ds, tree, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := New(ds, tree, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	a, b := seq.RangeAll(windows), par.RangeAll(windows)
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			t.Fatalf("range query %d: %d vs %d hits", i, len(a[i]), len(b[i]))
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatalf("range query %d: order differs at %d", i, j)
-			}
-		}
-	}
-	pa, pb := seq.PointAll(points, 2), par.PointAll(points, 2)
-	for i := range pa {
-		if len(pa[i]) != len(pb[i]) {
-			t.Fatalf("point query %d differs", i)
-		}
-	}
-	na, nb := seq.NearestAll(nnPts), par.NearestAll(nnPts)
-	for i := range na {
-		if na[i] != nb[i] {
-			t.Fatalf("NN query %d differs: %+v vs %+v", i, na[i], nb[i])
-		}
-	}
-}
-
-func TestEmptyBatches(t *testing.T) {
-	ds, tree := fixture(t)
-	p, err := New(ds, tree, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := p.RangeAll(nil); len(got) != 0 {
-		t.Fatal("empty range batch returned results")
-	}
-	if got := p.NearestAll(nil); len(got) != 0 {
-		t.Fatal("empty NN batch returned results")
-	}
-}
-
 func TestRefinementActuallyFilters(t *testing.T) {
 	ds, tree := fixture(t)
 	p, err := New(ds, tree, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	windows := dataset.RangeQueries(ds, 30, 11)
-	hits := p.RangeAll(windows)
-	for i, w := range windows {
-		for _, id := range hits[i] {
+	var hits []uint32
+	for i, w := range dataset.RangeQueries(ds, 30, 11) {
+		hits = p.RangeAppend(hits[:0], w)
+		for _, id := range hits {
 			if !ds.Seg(id).IntersectsRect(w) {
 				t.Fatalf("query %d: id %d does not intersect the window", i, id)
 			}
@@ -114,7 +60,7 @@ func TestRefinementActuallyFilters(t *testing.T) {
 			if s.IntersectsRect(w) {
 				n++
 				found := false
-				for _, id := range hits[i] {
+				for _, id := range hits {
 					if id == uint32(sid) {
 						found = true
 						break
@@ -125,36 +71,8 @@ func TestRefinementActuallyFilters(t *testing.T) {
 				}
 			}
 		}
-		if n != len(hits[i]) {
-			t.Fatalf("query %d: %d hits, brute force %d", i, len(hits[i]), n)
+		if n != len(hits) {
+			t.Fatalf("query %d: %d hits, brute force %d", i, len(hits), n)
 		}
 	}
 }
-
-func benchWorkers(b *testing.B, workers int) {
-	cfg := dataset.NYCConfig()
-	ds, err := dataset.Generate(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := New(ds, tree, workers)
-	if err != nil {
-		b.Fatal(err)
-	}
-	windows := dataset.RangeQueries(ds, 256, 21)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.RangeAll(windows)
-	}
-	b.ReportMetric(float64(len(windows)*b.N)/b.Elapsed().Seconds(), "queries/s")
-}
-
-func BenchmarkThroughput1(b *testing.B)  { benchWorkers(b, 1) }
-func BenchmarkThroughput2(b *testing.B)  { benchWorkers(b, 2) }
-func BenchmarkThroughput4(b *testing.B)  { benchWorkers(b, 4) }
-func BenchmarkThroughput8(b *testing.B)  { benchWorkers(b, 8) }
-func BenchmarkThroughput16(b *testing.B) { benchWorkers(b, 16) }

@@ -207,8 +207,8 @@ func (r *Router) pointWindow(pt geom.Point, eps float64) geom.Rect {
 	return geom.Rect{Min: pt, Max: pt}.Expand(eps)
 }
 
-// The serve.DeadlineExecutor surface — the forms the serve layer drives
-// when the pool is a Router.
+// The serve.DeadlineExecutor surface — the only forms the serve layer
+// drives on a Router.
 
 // RangeAppendUntil answers a refined window query across the cluster.
 func (r *Router) RangeAppendUntil(dst []uint32, w geom.Rect, deadline time.Time) ([]uint32, error) {
@@ -239,11 +239,13 @@ func (r *Router) FilterPointAppendUntil(dst []uint32, pt geom.Point, deadline ti
 	})
 }
 
-// The plain serve.Executor surface. The serve layer never drives these on a
-// Router (it prefers the deadline forms), but the interface keeps a Router
-// drop-in wherever an Executor fits (tests, tools). Fan-out failures
-// degrade to the empty/partial answer here because the plain surface has no
-// error channel.
+// The plain serve.Executor surface: these four and NearestWith/KNearestAppend
+// in nn.go. They have no error channel, so a fan-out failure is swallowed
+// (`dst, _ =`) and degrades to the empty or partial answer. Nothing in
+// internal/serve can reach them — a Server drives a Router only through the
+// deadline forms above, and serve.New rejects a fan-out pool that lacks them —
+// they are kept only so a Router satisfies serve.Executor, the type of
+// serve.Config.Pool and of the bench ladder's executor rungs.
 
 // FilterRangeAppend implements serve.Executor.
 func (r *Router) FilterRangeAppend(dst []uint32, w geom.Rect) []uint32 {

@@ -99,7 +99,7 @@ func startCluster(t testing.TB, ds *dataset.Dataset, nBackends, replicas int) *t
 				MBR:   rg.MBR,
 			})
 		}
-		pool, err := shard.New(ds, shard.Config{Shards: 4, Workers: 2, Items: sub})
+		pool, err := shard.New(ds, shard.Config{Shards: 4, Items: sub})
 		if err != nil {
 			t.Fatalf("backend %d pool: %v", b, err)
 		}
@@ -479,7 +479,7 @@ func TestRouterDeadlineCapsStalledLeg(t *testing.T) {
 	// Backend 0 is real and holds range 0; backend 1 claims range 1 but
 	// stalls every query.
 	sub := append([]rtree.Item(nil), ranges[0].Items...)
-	pool, err := shard.New(ds, shard.Config{Shards: 2, Workers: 2, Items: sub})
+	pool, err := shard.New(ds, shard.Config{Shards: 2, Items: sub})
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}

@@ -26,9 +26,9 @@ import (
 	"mobispatial/internal/shard"
 )
 
-// Router implements serve.Updatable and serve.SegResolver, so cmd/mqrouter's
-// serve.Server accepts update messages and resolves live geometry in
-// data-mode responses without any extra wiring.
+// Router implements serve.Updatable, so cmd/mqrouter's serve.Server accepts
+// update messages and resolves live geometry in data-mode responses without
+// any extra wiring.
 
 // ApplyInsert routes an upsert to every holder of the owning range. Insert
 // is the fresh-object path: it does not hunt down copies of id elsewhere in
@@ -110,7 +110,7 @@ func (r *Router) ApplyDelete(id uint32) (uint64, bool, bool, error) {
 	return epoch, existed, owned, err
 }
 
-// SegOf implements serve.SegResolver: live-written geometry wins over the
+// SegOf is the geometry half of serve.Updatable: live-written geometry wins over the
 // base dataset; an unknown id beyond the dataset resolves to the zero
 // segment rather than a panic.
 func (r *Router) SegOf(id uint32) geom.Segment {

@@ -16,10 +16,7 @@ import (
 )
 
 // The router is also a write-capable pool for the serve layer.
-var (
-	_ serve.Updatable   = (*Router)(nil)
-	_ serve.SegResolver = (*Router)(nil)
-)
+var _ serve.Updatable = (*Router)(nil)
 
 // startMutableCluster is startCluster over updatable backends: each backend
 // serves a mutable.Pool holding its ReplicaRanges, sharing the cluster-wide

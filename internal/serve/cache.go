@@ -32,12 +32,10 @@
 package serve
 
 import (
-	"fmt"
 	"math"
 	"time"
 
 	"mobispatial/internal/geom"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/qcache"
 	"mobispatial/internal/rtree"
@@ -53,10 +51,10 @@ var nnRegion = geom.Rect{
 // epochHint fingerprints the live index state for reply stamping; 0 when the
 // server has no validity view (distributed pools).
 func (s *Server) epochHint() uint64 {
-	if s.qsrc == nil {
+	if s.caps.view == nil {
 		return 0
 	}
-	return qcache.HintOf(s.qsrc)
+	return qcache.HintOf(s.caps.view)
 }
 
 // CacheStats returns the query-result cache counters; the zero Stats when
@@ -95,10 +93,10 @@ func (s *Server) noteHit() {
 
 // runQueryCached answers one QueryMsg through the cache. handled=false means
 // the query shape is uncacheable (the caller falls through to the uncached
-// path); otherwise ids (and the aligned segs) are the exact refined answer,
-// or code/text the error. Returned slices alias sc's cache buffers and are
-// valid until the scratch is reused.
-func (s *Server) runQueryCached(q *proto.QueryMsg, sc *reqScratch, deadline time.Time) (ids []uint32, segs []geom.Segment, code proto.ErrCode, text string, handled bool) {
+// path); otherwise ids (and the aligned segs) are the exact refined answer.
+// Returned slices alias sc's cache buffers and are valid until the scratch
+// is reused.
+func (s *Server) runQueryCached(q *proto.QueryMsg, sc *reqScratch, deadline time.Time) (ids []uint32, segs []geom.Segment, handled bool, err error) {
 	var (
 		key   qcache.Key
 		super geom.Rect
@@ -112,138 +110,94 @@ func (s *Server) runQueryCached(q *proto.QueryMsg, sc *reqScratch, deadline time
 	case proto.KindPoint:
 		key, super, ok = qcache.PointKey(q.Point, cell)
 	case proto.KindNN:
-		k = int(q.K)
-		if k <= 0 {
-			k = 1
-		}
-		if k > s.cfg.MaxKNN {
-			return nil, nil, proto.CodeBadRequest,
-				fmt.Sprintf("k=%d exceeds limit %d", k, s.cfg.MaxKNN), true
+		k = max(int(q.K), 1)
+		if err := s.checkK(k); err != nil {
+			return nil, nil, true, err
 		}
 		key, ok = qcache.NNKey(q.Point, k)
 		super = nnRegion
 	default:
-		return nil, nil, proto.CodeBadRequest, "unknown query kind", true
+		return nil, nil, true, badRequest("unknown query kind")
 	}
 	if !ok {
 		s.qc.Bypass()
-		return nil, nil, 0, "", false
+		return nil, nil, false, nil
 	}
-	if code, text, ok := s.lookupOrFill(key, super, q.Point, k, sc, deadline); !ok {
-		return nil, nil, code, text, code != 0
+	if err := s.lookupOrFill(key, super, q.Point, k, sc, deadline); err != nil {
+		return nil, nil, true, err
 	}
 	eps := q.Eps
 	if eps <= 0 {
 		eps = s.cfg.PointEps
 	}
 	ids, segs = refineCached(key.Kind(), q, eps, sc.cids, sc.csegs)
-	return ids, segs, 0, "", true
+	return ids, segs, true, nil
 }
 
 // cachedNN answers one router NN leg (unbounded only) through the cache,
 // sharing the KindNN key space with single-query NN traffic. The returned
 // slices alias sc's cache buffers.
-func (s *Server) cachedNN(pt geom.Point, k int, sc *reqScratch, deadline time.Time) (ids []uint32, dists []float64, code proto.ErrCode, text string, handled bool) {
+func (s *Server) cachedNN(pt geom.Point, k int, sc *reqScratch, deadline time.Time) (ids []uint32, dists []float64, handled bool, err error) {
 	key, ok := qcache.NNKey(pt, k)
 	if !ok {
 		s.qc.Bypass()
-		return nil, nil, 0, "", false
+		return nil, nil, false, nil
 	}
-	if code, text, ok := s.lookupOrFill(key, nnRegion, pt, k, sc, deadline); !ok {
-		return nil, nil, code, text, code != 0
+	if err := s.lookupOrFill(key, nnRegion, pt, k, sc, deadline); err != nil {
+		return nil, nil, true, err
 	}
-	return sc.cids, sc.cdists, 0, "", true
+	return sc.cids, sc.cdists, true, nil
 }
 
 // lookupOrFill is the shared hit/miss engine: build the pre view, probe the
-// cache, and on a miss execute the superset, revalidate, and store. On
-// return with ok=true, sc.cids/csegs/cdists hold the superset payload.
-// ok=false with code=0 means the superset execution was declined (fall
-// through to the uncached path); with code!=0, a hard error.
-func (s *Server) lookupOrFill(key qcache.Key, region geom.Rect, pt geom.Point, k int, sc *reqScratch, deadline time.Time) (code proto.ErrCode, text string, ok bool) {
-	qcache.BuildView(s.qsrc, region, &sc.pre)
+// cache, and on a miss execute the superset, revalidate, and store. On a nil
+// return sc.cids/csegs/cdists hold the superset payload.
+func (s *Server) lookupOrFill(key qcache.Key, region geom.Rect, pt geom.Point, k int, sc *reqScratch, deadline time.Time) error {
+	qcache.BuildView(s.caps.view, region, &sc.pre)
 	var hit bool
 	sc.cids, sc.csegs, sc.cdists, hit = s.qc.Get(key, &sc.pre, sc.cids[:0], sc.csegs[:0], sc.cdists[:0])
 	if hit {
 		s.noteHit()
-		return 0, "", true
+		return nil
 	}
 	start := time.Now()
-	if code, text, ok = s.runSuperset(key, region, pt, k, sc, deadline); !ok || code != 0 {
-		return code, text, false
+	if err := s.runSuperset(key, region, pt, k, sc, deadline); err != nil {
+		return err
 	}
 	s.noteMiss(time.Since(start))
-	qcache.BuildView(s.qsrc, region, &sc.post)
+	qcache.BuildView(s.caps.view, region, &sc.post)
 	s.qc.Put(key, &sc.pre, &sc.post, sc.cids, sc.csegs, sc.cdists)
-	return 0, "", true
+	return nil
 }
 
-// runSuperset executes the snapped superset query into sc.cids/csegs/cdists.
-// ok=false (with code=0) means the pool declined the shape. A deadline-
-// capable pool (the router) runs through its fallible surface: a fan-out
-// error fails the fill instead of silently storing a partial answer — a
-// cache poisoned with a degraded result would keep serving it after the
-// cluster recovered.
-func (s *Server) runSuperset(key qcache.Key, super geom.Rect, pt geom.Point, k int, sc *reqScratch, deadline time.Time) (code proto.ErrCode, text string, ok bool) {
-	pool := s.cfg.Pool
+// runSuperset executes the snapped superset query into sc.cids/csegs/cdists
+// through the engine. An engine error fails the fill instead of silently
+// storing a partial answer — a cache poisoned with a degraded result would
+// keep serving it after the cluster recovered.
+func (s *Server) runSuperset(key qcache.Key, super geom.Rect, pt geom.Point, k int, sc *reqScratch, deadline time.Time) error {
 	sc.cids, sc.csegs, sc.cdists = sc.cids[:0], sc.csegs[:0], sc.cdists[:0]
 	var err error
 	switch key.Kind() {
 	case qcache.KindRange:
-		if s.dx != nil {
-			sc.cids, err = s.dx.RangeAppendUntil(sc.cids, super, deadline)
-		} else {
-			sc.cids = pool.RangeAppend(sc.cids, super)
-		}
+		sc.cids, err = s.eng.RangeAppendUntil(sc.cids, super, deadline)
 	case qcache.KindRangeFilter, qcache.KindCell:
-		if s.dx != nil {
-			sc.cids, err = s.dx.FilterRangeAppendUntil(sc.cids, super, deadline)
-		} else {
-			sc.cids = pool.FilterRangeAppend(sc.cids, super)
-		}
+		sc.cids, err = s.eng.FilterRangeAppendUntil(sc.cids, super, deadline)
 	case qcache.KindNN:
-		switch {
-		case k > 1 && s.dx != nil:
-			var nbs []rtree.Neighbor
-			nbs, err = s.dx.KNearestAppendUntil(sc.nbs[:0], pt, k, &sc.psc, deadline)
-			sc.nbs = nbs
-			for _, nb := range nbs {
-				sc.cids = append(sc.cids, nb.ID)
-				sc.cdists = append(sc.cdists, nb.Dist)
-			}
-		case k > 1:
-			nbs, kok := pool.KNearestAppend(sc.nbs[:0], pt, k, &sc.psc)
-			sc.nbs = nbs
-			if !kok {
-				return proto.CodeUnsupported, "access method does not support k-NN", false
-			}
-			for _, nb := range nbs {
-				sc.cids = append(sc.cids, nb.ID)
-				sc.cdists = append(sc.cdists, nb.Dist)
-			}
-		case s.dx != nil:
-			var nn parallel.NearestResult
-			nn, err = s.dx.NearestUntil(pt, &sc.psc, deadline)
-			if err == nil && nn.OK {
-				sc.cids = append(sc.cids, nn.ID)
-				sc.cdists = append(sc.cdists, nn.Dist)
-			}
-		default:
-			if nn := pool.NearestWith(pt, &sc.psc); nn.OK {
-				sc.cids = append(sc.cids, nn.ID)
-				sc.cdists = append(sc.cdists, nn.Dist)
-			}
+		var nbs []rtree.Neighbor
+		nbs, err = s.nearest(pt, k, sc, deadline)
+		for _, nb := range nbs {
+			sc.cids = append(sc.cids, nb.ID)
+			sc.cdists = append(sc.cdists, nb.Dist)
 		}
 	}
 	if err != nil {
-		code, text = errToCode(err)
-		return code, text, false
+		return err
 	}
-	ds := pool.Dataset()
+	ds := s.cfg.Pool.Dataset()
 	for _, id := range sc.cids {
 		sc.csegs = append(sc.csegs, s.segOf(ds, id))
 	}
-	return 0, "", true
+	return nil
 }
 
 // segMBR is Segment.MBR with plain comparisons. math.Min/Max carry NaN/±0

@@ -1,0 +1,240 @@
+package serve
+
+import (
+	"math"
+	"testing"
+	"time"
+
+	"mobispatial/internal/dataset"
+	"mobispatial/internal/geom"
+	"mobispatial/internal/mutable"
+	"mobispatial/internal/parallel"
+	"mobispatial/internal/proto"
+	"mobispatial/internal/shard"
+)
+
+// partitionedMutable builds cluster backend be of n at R=replicas the way
+// cmd/mqserve -partition -mutable does: one updatable shard per held Hilbert
+// range, keyed by the cluster-wide cuts. It returns the pool and the range
+// rows the backend registers with.
+func partitionedMutable(t testing.TB, ds *dataset.Dataset, be, n, replicas int) (*mutable.Pool, []proto.RangeInfo) {
+	t.Helper()
+	ranges, bounds := shard.PartitionHilbert(ds.Items(), n, 0)
+	cuts := make([]uint64, len(ranges))
+	for i, rg := range ranges {
+		cuts[i] = rg.Lo
+	}
+	idxs, err := shard.ReplicaRanges(be, n, replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []shard.Range
+	var infos []proto.RangeInfo
+	for _, ri := range idxs {
+		rg := ranges[ri]
+		held = append(held, rg)
+		infos = append(infos, proto.RangeInfo{
+			Index: uint32(rg.Index), Items: uint32(len(rg.Items)),
+			Lo: rg.Lo, Hi: rg.Hi, MBR: rg.MBR,
+		})
+	}
+	pool, err := mutable.New(mutable.Config{
+		Dataset: ds, Ranges: held, Cuts: cuts, GlobalIndex: idxs,
+		Bounds: bounds, CompactInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+	return pool, infos
+}
+
+// monolithicMutable builds the pool cmd/mqserve -mutable [-adaptive] does.
+func monolithicMutable(t testing.TB, ds *dataset.Dataset, adaptive bool) *mutable.Pool {
+	t.Helper()
+	pool, err := mutable.NewFromDataset(ds, 4, mutable.Config{
+		CompactInterval: -1,
+		Adaptive:        mutable.AdaptiveConfig{Enabled: adaptive, Interval: -1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+	return pool
+}
+
+// TestPoolCapabilities builds every pool kind a Server can front and pins
+// the capability struct New resolves for each — the DESIGN.md pool ×
+// capability table, as a test.
+func TestPoolCapabilities(t *testing.T) {
+	ds, tree := testDataset(t)
+	par, err := parallel.New(ds, tree, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := shard.New(ds, shard.Config{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, partRanges := partitionedMutable(t, ds, 0, 3, 2)
+
+	type want struct {
+		updates, liveSummary, boundedNN, batchRouting, validityView, distributed bool
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		want want
+	}{
+		{"parallel", Config{Pool: par}, want{validityView: true}},
+		{"shard", Config{Pool: sp}, want{boundedNN: true, validityView: true}},
+		{"mutable monolithic", Config{Pool: monolithicMutable(t, ds, false)},
+			want{updates: true, liveSummary: true, validityView: true}},
+		{"mutable partitioned", Config{Pool: part, Ranges: partRanges, NumRanges: 3},
+			want{updates: true, liveSummary: true, validityView: true}},
+		{"mutable adaptive", Config{Pool: monolithicMutable(t, ds, true)},
+			want{updates: true, liveSummary: true, validityView: true}},
+		{"router", Config{Pool: startRouterBench(t, ds, 3, 2)},
+			want{updates: true, batchRouting: true, validityView: true, distributed: true}},
+	}
+	for _, tc := range cases {
+		srv, err := New(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: New: %v", tc.name, err)
+		}
+		c := srv.caps
+		got := want{
+			updates:      c.upd != nil,
+			liveSummary:  c.live != nil,
+			boundedNN:    c.bnn != nil,
+			batchRouting: c.bx != nil,
+			validityView: c.view != nil,
+			distributed:  c.distributed,
+		}
+		if got != tc.want {
+			t.Errorf("%s: capabilities %+v, want %+v", tc.name, got, tc.want)
+		}
+		if _, local := srv.eng.(localEngine); local == tc.want.distributed {
+			t.Errorf("%s: engine %T, distributed=%v", tc.name, srv.eng, tc.want.distributed)
+		}
+	}
+}
+
+// batchOnlyPool routes batches but has no fallible query surface.
+type batchOnlyPool struct{ Executor }
+
+func (batchOnlyPool) RunQueryBatch([]proto.QueryMsg, []proto.BatchItem, time.Time) {}
+
+// TestNewRejectsFanOutWithoutDeadlineSurface: a pool that fans out (it
+// routes batches) must bring the fallible surface; New refuses to fall back
+// to Executor methods that would swallow a failed leg.
+func TestNewRejectsFanOutWithoutDeadlineSurface(t *testing.T) {
+	ds, tree := testDataset(t)
+	par, err := parallel.New(ds, tree, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Pool: batchOnlyPool{par}}); err == nil {
+		t.Fatal("New accepted a batch-routing pool without DeadlineExecutor")
+	}
+}
+
+// TestLiveSummaryShapes: all three mutable shapes answer MsgSummary from
+// SummaryRanges. Each reply validates, carries the shape's range table, and
+// a write moves the owning row's Version, Items, and MBR (and the header
+// totals with them).
+func TestLiveSummaryShapes(t *testing.T) {
+	ds, _ := testDataset(t)
+	mono := monolithicMutable(t, ds, false)
+	part, partRanges := partitionedMutable(t, ds, 0, 3, 2)
+	adaptive := monolithicMutable(t, ds, true)
+
+	cases := []struct {
+		name     string
+		pool     *mutable.Pool
+		cfg      Config
+		wantNum  uint32
+		wantRows int
+		anchor   uint32 // an id the pool owns: the write lands on its range
+	}{
+		{"monolithic", mono, Config{Pool: mono}, 1, 1, 0},
+		{"partitioned", part, Config{Pool: part, Ranges: partRanges, NumRanges: 3}, 3, len(partRanges), firstHeldID(t, ds, 0, 3, 2)},
+		{"adaptive", adaptive, Config{Pool: adaptive}, 4, 4, 0},
+	}
+	for _, tc := range cases {
+		srv, err := New(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: New: %v", tc.name, err)
+		}
+		before := srv.summaryReply(7)
+		if err := before.Validate(); err != nil {
+			t.Fatalf("%s: summary invalid: %v", tc.name, err)
+		}
+		if before.ID != 7 || before.NumRanges != tc.wantNum || len(before.Ranges) != tc.wantRows {
+			t.Fatalf("%s: summary id=%d num=%d rows=%d, want 7/%d/%d",
+				tc.name, before.ID, before.NumRanges, len(before.Ranges), tc.wantNum, tc.wantRows)
+		}
+		if tc.name == "monolithic" {
+			var sum uint64
+			for i := 0; i < tc.pool.NumShards(); i++ {
+				sum += tc.pool.Version(i)
+			}
+			if r := before.Ranges[0]; r.Index != 0 || r.Lo != 0 || r.Hi != math.MaxUint64 || r.Version != sum {
+				t.Fatalf("monolithic row %+v, want the whole key space at version %d", r, sum)
+			}
+		}
+		if tc.name == "partitioned" {
+			for i, r := range before.Ranges {
+				if r.Index != partRanges[i].Index || r.Lo != partRanges[i].Lo || r.Items != partRanges[i].Items {
+					t.Fatalf("partitioned row %d = %+v, registered as %+v", i, r, partRanges[i])
+				}
+			}
+		}
+
+		// A long segment centred on an owned object keeps that object's
+		// Hilbert key (so the same range owns it) and sticks out of every MBR.
+		c := ds.Seg(tc.anchor).MBR().Center()
+		d := ds.Extent.Width() + ds.Extent.Height()
+		seg := geom.Segment{A: geom.Point{X: c.X - d, Y: c.Y - d}, B: geom.Point{X: c.X + d, Y: c.Y + d}}
+		if _, _, owned, err := tc.pool.ApplyInsert(uint32(ds.Len()+1), seg); err != nil || !owned {
+			t.Fatalf("%s: insert owned=%v err=%v", tc.name, owned, err)
+		}
+
+		after := srv.summaryReply(8)
+		if err := after.Validate(); err != nil {
+			t.Fatalf("%s: summary after write invalid: %v", tc.name, err)
+		}
+		if after.Items != before.Items+1 {
+			t.Errorf("%s: header items %d -> %d, want +1", tc.name, before.Items, after.Items)
+		}
+		if !after.Bounds.ContainsRect(seg.MBR()) || before.Bounds.ContainsRect(seg.MBR()) {
+			t.Errorf("%s: header bounds did not grow over the write: %v -> %v", tc.name, before.Bounds, after.Bounds)
+		}
+		moved := 0
+		for i, r := range after.Ranges {
+			b := before.Ranges[i]
+			if r.Version == b.Version {
+				continue
+			}
+			moved++
+			if r.Version < b.Version || r.Items != b.Items+1 || !r.MBR.ContainsRect(seg.MBR()) {
+				t.Errorf("%s: written row %+v, was %+v", tc.name, r, b)
+			}
+		}
+		if moved != 1 {
+			t.Errorf("%s: %d rows moved version after one write, want 1", tc.name, moved)
+		}
+	}
+}
+
+// firstHeldID returns the id of an object in the first range backend be of n
+// holds at R=replicas.
+func firstHeldID(t testing.TB, ds *dataset.Dataset, be, n, replicas int) uint32 {
+	t.Helper()
+	ranges, _ := shard.PartitionHilbert(ds.Items(), n, 0)
+	idxs, err := shard.ReplicaRanges(be, n, replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ranges[idxs[0]].Items[0].ID
+}

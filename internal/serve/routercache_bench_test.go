@@ -7,65 +7,27 @@ package serve
 // results/BENCH_routercache.json records the off/on ratio and hit rate.
 
 import (
-	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mobispatial/internal/dataset"
-	"mobispatial/internal/mutable"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/qcache"
 	"mobispatial/internal/router"
-	"mobispatial/internal/shard"
 )
 
 // startRouterBench builds the full distributed tier in-process: nBackends
 // mutable loopback backends over a Hilbert partition of ds at R=replicas,
 // and a coordinating Router registered against them (live refresh on, at
 // its default period, as mqrouter runs it).
-func startRouterBench(b *testing.B, ds *dataset.Dataset, nBackends, replicas int) *router.Router {
+func startRouterBench(b testing.TB, ds *dataset.Dataset, nBackends, replicas int) *router.Router {
 	b.Helper()
-	ranges, bounds := shard.PartitionHilbert(ds.Items(), nBackends, 0)
-	cuts := make([]uint64, len(ranges))
-	for i, rg := range ranges {
-		cuts[i] = rg.Lo
-	}
 	var addrs []string
 	for be := 0; be < nBackends; be++ {
-		idxs, err := shard.ReplicaRanges(be, nBackends, replicas)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var held []shard.Range
-		var infos []proto.RangeInfo
-		for _, ri := range idxs {
-			rg := ranges[ri]
-			held = append(held, rg)
-			infos = append(infos, proto.RangeInfo{
-				Index: uint32(rg.Index), Items: uint32(len(rg.Items)),
-				Lo: rg.Lo, Hi: rg.Hi, MBR: rg.MBR,
-			})
-		}
-		pool, err := mutable.New(mutable.Config{
-			Dataset: ds, Ranges: held, Cuts: cuts, GlobalIndex: idxs,
-			Bounds: bounds, CompactInterval: -1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { pool.Close() })
-		srv, err := New(Config{Pool: pool, Ranges: infos, NumRanges: nBackends})
-		if err != nil {
-			b.Fatal(err)
-		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		go srv.Serve(lis)
-		b.Cleanup(func() { srv.Close() })
-		addrs = append(addrs, lis.Addr().String())
+		pool, infos := partitionedMutable(b, ds, be, nBackends, replicas)
+		_, addr := startServer(b, Config{Pool: pool, Ranges: infos, NumRanges: nBackends})
+		addrs = append(addrs, addr)
 	}
 	r, err := router.New(router.Config{
 		Backends: addrs, Dataset: ds, RegisterTimeout: 15 * time.Second,

@@ -42,14 +42,19 @@ import (
 // in map units.
 const DefaultPointEps = 2.0
 
-// Executor is the query-execution engine a Server drives: the append-first
-// query surface shared by *parallel.Pool (one monolithic index, parallelism
-// across requests only) and *shard.Pool (Hilbert-sharded scatter-gather,
-// parallelism inside each request too). Every method must be safe for any
-// number of concurrent callers, and the append methods must honor the
+// Executor is the in-process query surface a pool offers: the append-first
+// methods shared by *parallel.Pool (one monolithic index), *shard.Pool
+// (Hilbert shards walked inline), and *mutable.Pool (updatable shards). A
+// query runs on the goroutine that calls it; the server's admission window
+// is the only concurrency control. Every method must be safe for any number
+// of concurrent callers, and the append methods must honor the
 // zero-allocation contract: write into dst's spare capacity, return the
-// extended slice. Workers is the engine's concurrency width — the server
-// sizes its admission window as a multiple of it.
+// extended slice. Workers is the width the server sizes its admission window
+// from (MaxInFlight defaults to 4× it).
+//
+// The server itself never calls the query methods directly: New wraps a
+// local pool once so that every pool — local or distributed — is driven
+// through DeadlineExecutor.
 type Executor interface {
 	Workers() int
 	Dataset() *dataset.Dataset
@@ -61,15 +66,13 @@ type Executor interface {
 	KNearestAppend(dst []rtree.Neighbor, pt geom.Point, k int, sc *parallel.Scratch) ([]rtree.Neighbor, bool)
 }
 
-// DeadlineExecutor is the optional fallible query surface a distributed
-// executor (internal/router) adds to Executor. Local pools never fail and
-// never block on a peer, so Executor's methods return no errors and take no
-// deadlines; a pool that fans out over the network can do both — a leg can
-// find no healthy replica, and the request deadline must cap the slowest
-// backend leg rather than being re-applied per hop. When the configured
-// Pool implements DeadlineExecutor the server threads each request's
-// deadline into these variants and maps returned errors onto wire codes
-// (via the ErrCode() method when the error carries one).
+// DeadlineExecutor is the one fallible, deadline-taking query surface the
+// request path drives. A distributed pool (internal/router) implements it
+// itself: a leg can find no healthy replica, and the request deadline must
+// cap the slowest backend leg rather than being re-applied per hop. A local
+// pool never fails and never blocks on a peer, so New adapts it (localEngine:
+// the deadline is ignored, the error is nil). Returned errors map onto wire
+// codes via their ErrCode() method when they carry one.
 type DeadlineExecutor interface {
 	FilterRangeAppendUntil(dst []uint32, w geom.Rect, deadline time.Time) ([]uint32, error)
 	FilterPointAppendUntil(dst []uint32, pt geom.Point, deadline time.Time) ([]uint32, error)
@@ -91,69 +94,33 @@ type BoundedNN interface {
 
 // Updatable is the optional live-update surface behind MsgInsert, MsgDelete,
 // and MsgMove (mutable.Pool implements it; the router re-implements it as
-// replicated fan-out). Each call applies one idempotent write and returns
-// the owning shard's base epoch at apply time (the ack's staleness anchor:
-// the write folds into base epoch+1 or later), whether a previous version of
-// the object was visible, and whether the executor owns the object's
-// position (false when a replicated write merely cleared a stale copy). A
-// pool without this surface answers update messages with CodeUnsupported.
+// replicated fan-out). Each Apply call performs one idempotent write and
+// returns the owning shard's base epoch at apply time (the ack's staleness
+// anchor: the write folds into base epoch+1 or later), whether a previous
+// version of the object was visible, and whether the executor owns the
+// object's position (false when a replicated write merely cleared a stale
+// copy). SegOf is the geometry half: data-mode responses need segments for
+// ids the base dataset has never heard of (inserted objects sit at or above
+// Dataset().Len(), where Dataset().Seg would be out of range) and current
+// geometry for moved ones. A pool without this surface answers update
+// messages with CodeUnsupported and resolves records through the dataset.
 type Updatable interface {
 	ApplyInsert(id uint32, seg geom.Segment) (epoch uint64, existed, owned bool, err error)
 	ApplyDelete(id uint32) (epoch uint64, existed, owned bool, err error)
 	ApplyMove(id uint32, seg geom.Segment) (epoch uint64, existed, owned bool, err error)
-}
-
-// SegResolver is the optional geometry surface an updatable executor adds:
-// data-mode responses need segments for ids the base dataset has never
-// heard of (inserted objects sit at or above Dataset().Len(), where
-// Dataset().Seg would be out of range) and current geometry for moved ones.
-// Executors without it resolve records through the dataset as before.
-type SegResolver interface {
 	SegOf(id uint32) geom.Segment
 }
 
-// RangeReporter is the optional live-summary surface a mutable pool adds
-// (mutable.Pool implements it): per-shard version counters and current
-// bounds (the qcache.Source half), plus live item counts and the cluster
-// range → local shard mapping. A server whose pool reports ranges rebuilds
-// its MsgSummary reply from the live state on every request, so a router
-// polling summaries sees writes move the per-range (version, MBR, items)
-// instead of the frozen registration snapshot. Pools without it keep the
-// precomputed static summary.
-type RangeReporter interface {
-	qcache.Source
-	// LocalShard maps a cluster-wide range index to the pool's local shard
-	// index (-1 when the range is not held).
-	LocalShard(global int) int
-	// ShardItems returns the live object count of local shard i.
-	ShardItems(i int) int
-	// Len and Bounds are the pool-wide totals the summary header carries.
-	Len() int
-	Bounds() geom.Rect
-}
-
-// LiveRangeSet is the optional surface an adaptive pool adds on top of
-// RangeReporter (a mutable pool with repartitioning enabled implements it):
-// the range LAYOUT itself — the cut table, not just per-range state — can
-// change at runtime, so MsgSummary replies must be rebuilt wholesale from
-// the pool's current topology instead of patching a fixed-length
-// registration template. LiveRangesEnabled gates the behavior: a pool that
-// implements the methods but reports false keeps the template path, so a
-// non-adaptive mutable pool serves summaries exactly as before.
-type LiveRangeSet interface {
-	LiveRangesEnabled() bool
-	// SummaryRanges appends the pool's current per-range summary rows
-	// (key span, items, version, MBR, heat) to dst and returns the
-	// cluster-wide range count.
+// LiveSummary is the optional live-summary surface (mutable.Pool implements
+// it): SummaryRanges appends the pool's current per-range rows — key span,
+// live item count, write version, MBR, query heat, all from one snapshot —
+// and returns the cluster-wide range count. A server whose pool has it
+// builds every MsgSummary reply from those rows, so a router polling
+// summaries sees writes move the per-range (version, MBR, items) and an
+// adaptive pool's cuts move, instead of the frozen registration snapshot.
+// Pools without it keep the precomputed static summary.
+type LiveSummary interface {
 	SummaryRanges(dst []proto.RangeInfo) ([]proto.RangeInfo, int)
-}
-
-// HeatReporter is the optional per-shard query-heat surface (mutable.Pool
-// implements it): the EWMA query rate the adaptive repartitioner splits and
-// merges on, exported through summaries so routers and dashboards can watch
-// the workload move.
-type HeatReporter interface {
-	ShardHeat(i int) float64
 }
 
 // BatchExecutor is the optional batch-aware surface a distributed executor
@@ -169,10 +136,89 @@ type BatchExecutor interface {
 	RunQueryBatch(qs []proto.QueryMsg, items []proto.BatchItem, deadline time.Time)
 }
 
+// capabilities is everything New resolved from Config.Pool, once, so the
+// request path never repeats a type assertion: the optional surfaces (nil
+// when the pool lacks one) and whether the pool is distributed.
+type capabilities struct {
+	// distributed reports the pool brought its own DeadlineExecutor — it
+	// fans out over the network instead of walking a local index.
+	distributed bool
+	// bnn enables bound-carrying NN legs (the sharded pool).
+	bnn BoundedNN
+	// upd serves the live write path (nil answers CodeUnsupported) and
+	// resolves data-mode geometry for ids the base dataset does not cover.
+	upd Updatable
+	// live rebuilds MsgSummary replies from the pool's current state.
+	live LiveSummary
+	// bx routes whole batches (one leg per owning backend) instead of the
+	// per-item loop whenever the result cache is off.
+	bx BatchExecutor
+	// view is the validity view result-cache entries are checked against.
+	// It is resolved even without a cache: it also feeds the epoch hints
+	// stamped on replies, which the client's semantic cache validates
+	// shipped sub-indexes with. A pool that is its own qcache.Source (a
+	// mutable pool's shard versions, the router's cluster version vector)
+	// supplies it; any other local pool gets one frozen pseudo-shard; a
+	// distributed pool without a Source has none.
+	view qcache.Source
+}
+
+// localEngine adapts an in-process Executor to DeadlineExecutor: a local
+// index walk never blocks on a peer and never fails, so every method ignores
+// the deadline and returns a nil error (k-NN on an access method without it
+// is the one exception, reported as errNoKNN).
+type localEngine struct{ Executor }
+
+func (l localEngine) FilterRangeAppendUntil(dst []uint32, w geom.Rect, _ time.Time) ([]uint32, error) {
+	return l.FilterRangeAppend(dst, w), nil
+}
+
+func (l localEngine) FilterPointAppendUntil(dst []uint32, pt geom.Point, _ time.Time) ([]uint32, error) {
+	return l.FilterPointAppend(dst, pt), nil
+}
+
+func (l localEngine) RangeAppendUntil(dst []uint32, w geom.Rect, _ time.Time) ([]uint32, error) {
+	return l.RangeAppend(dst, w), nil
+}
+
+func (l localEngine) PointAppendUntil(dst []uint32, pt geom.Point, eps float64, _ time.Time) ([]uint32, error) {
+	return l.PointAppend(dst, pt, eps), nil
+}
+
+func (l localEngine) NearestUntil(pt geom.Point, sc *parallel.Scratch, _ time.Time) (parallel.NearestResult, error) {
+	return l.NearestWith(pt, sc), nil
+}
+
+func (l localEngine) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, sc *parallel.Scratch, _ time.Time) ([]rtree.Neighbor, error) {
+	return knnResult(l.KNearestAppend(dst, pt, k, sc))
+}
+
+// knnResult turns a local k-NN answer's "access method supports k-NN" bool
+// into the engine surface's error.
+func knnResult(nbs []rtree.Neighbor, ok bool) ([]rtree.Neighbor, error) {
+	if !ok {
+		return nbs, errNoKNN
+	}
+	return nbs, nil
+}
+
+// codedError is an executor error that names its own wire code.
+type codedError struct {
+	code proto.ErrCode
+	text string
+}
+
+func (e *codedError) Error() string          { return e.text }
+func (e *codedError) ErrCode() proto.ErrCode { return e.code }
+
+func unsupported(text string) error { return &codedError{proto.CodeUnsupported, text} }
+
+var errNoKNN = unsupported("access method does not support k-NN")
+
 // Config parameterizes a Server.
 type Config struct {
-	// Pool executes the queries; required. *parallel.Pool serves one
-	// monolithic index; *shard.Pool scatter-gathers across spatial shards.
+	// Pool executes the queries; required. DESIGN.md's pool × capability
+	// table lists what each of the four pool kinds adds to Executor.
 	Pool Executor
 	// Master enables MsgShipmentReq (Fig. 2 subset extraction); nil
 	// disables shipments with CodeUnsupported.
@@ -198,7 +244,7 @@ type Config struct {
 	// Obs enables observability: per-kind execution histograms, sampled
 	// spans, and the MsgStatsReq snapshot carry this hub's metrics. Nil
 	// disables instrumentation (the snapshot then carries only the core
-	// counters).
+	// counters, kept in a registry private to the server).
 	Obs *obs.Hub
 	// Ranges declares the Hilbert key ranges this server holds, reported to
 	// routers via MsgSummaryReq. Empty means a monolithic deployment: the
@@ -253,7 +299,9 @@ func (c *Config) fill() error {
 	return nil
 }
 
-// Stats are cumulative server counters, safe to read at any time.
+// Stats are cumulative server counters, safe to read at any time. They are
+// the serve_*_total series of the server's registry, so servers sharing one
+// Config.Obs hub share them.
 type Stats struct {
 	// Conns is the number of connections accepted.
 	Conns uint64
@@ -281,43 +329,17 @@ type Stats struct {
 type Server struct {
 	cfg   Config
 	start time.Time
-	// dx and bnn are the optional executor surfaces, asserted once at New so
-	// the per-request path never repeats the type assertion. Either may be
-	// nil: dx enables deadline threading and fallible queries (the router),
-	// bnn enables bound-carrying NN legs (the sharded pool).
-	dx  DeadlineExecutor
-	bnn BoundedNN
-	// upd and sr are the optional update surfaces: upd serves the live
-	// write path (nil answers CodeUnsupported), sr resolves data-mode
-	// geometry for ids the base dataset does not cover.
-	upd Updatable
-	sr  SegResolver
-	// rr is the optional live-summary surface: when the pool reports
-	// per-range state, MsgSummary replies are rebuilt live instead of
-	// served from the frozen registration snapshot.
-	rr RangeReporter
-	// lrs is the optional live-range-SET surface: non-nil only when the
-	// pool's range layout can change at runtime (adaptive repartitioning),
-	// in which case summaries rebuild their whole range table per request.
-	lrs LiveRangeSet
-	// hr is the optional per-shard heat surface feeding summary heat.
-	hr HeatReporter
-	// bx is the optional batch-aware executor surface: batches route
-	// through it (one leg per owning backend) instead of the per-item
-	// loop whenever the result cache is off.
-	bx BatchExecutor
+	// eng is the one query surface the request path drives: the pool's own
+	// DeadlineExecutor when it is distributed, localEngine{pool} otherwise.
+	eng  DeadlineExecutor
+	caps capabilities
 	// summary is the precomputed MsgSummaryReq reply (ID filled per request;
-	// Ranges shared read-only across replies, and used as the template the
-	// live rebuild fills when rr is set).
+	// Ranges shared read-only across replies). A pool with a live summary
+	// replaces its range table per request.
 	summary proto.SummaryMsg
-	// qc is the result cache (nil = caching off) and qsrc the validity view
-	// its entries are checked against. qsrc is resolved even without a
-	// cache: it also feeds the epoch hints stamped on replies, which the
-	// client's semantic cache validates shipped sub-indexes with. A
-	// DeadlineExecutor pool gets them only by implementing qcache.Source
-	// itself (the router's cluster version vector).
-	qc   *qcache.Cache
-	qsrc qcache.Source
+	// qc is the result cache (nil = caching off), validated against
+	// caps.view.
+	qc *qcache.Cache
 	// em prices cache hits: a hit saves roughly one mean miss execution,
 	// accumulated in savedNanos from the missNanos/missCount running mean.
 	em         obs.EnergyModel
@@ -334,9 +356,6 @@ type Server struct {
 
 	connWG sync.WaitGroup // one per live connection
 
-	nConns, nServed, nOverload, nDeadline, nErrors, nShipments atomic.Uint64
-	nBatches, nBatchQueries, nUpdates                          atomic.Uint64
-
 	// scratch pools per-request query state (result slices, traversal
 	// buffers, response message shells) so a warm request allocates nothing.
 	scratch sync.Pool
@@ -351,6 +370,7 @@ type Server struct {
 type reqScratch struct {
 	ids     []uint32
 	nbs     []rtree.Neighbor
+	nn1     [1]rtree.Neighbor
 	psc     parallel.Scratch
 	idMsg   proto.IDListMsg
 	dataMsg proto.DataListMsg
@@ -395,9 +415,15 @@ func (s *Server) putScratch(sc *reqScratch) {
 }
 
 // serveMetrics holds the obs handles the hot path uses, resolved once at New
-// so request goroutines never touch the registry maps. All handles are
-// nil (no-op) when Config.Obs is nil.
+// so request goroutines never touch the registry maps. The Stats counters
+// always exist; every other handle is nil (no-op) when Config.Obs is nil.
 type serveMetrics struct {
+	// core is the registry holding the Stats counters: the hub's when there
+	// is one (so /metrics sees them), else one private to this server.
+	core *obs.Registry
+	// The Stats counters — the only copy; Stats() reads them back.
+	conns, served, overloads, deadlines, errors, shipments *obs.Counter
+	batches, batchQueries, updates                         *obs.Counter
 	// execHist[kind][mode] is the execution-time histogram of one query
 	// shape; shipHist covers shipments, admitHist the admission wait,
 	// writeHist the response serialization + write.
@@ -411,17 +437,12 @@ type serveMetrics struct {
 	// frames they carried — their ratio is the flush-coalescing factor.
 	writes      *obs.Counter
 	writeFrames *obs.Counter
-	// Registry mirrors of the core Stats counters, so /metrics sees them
-	// without reaching into the Server.
-	conns, served, overloads, deadlines, errors, shipments *obs.Counter
-	batches, batchQueries                                  *obs.Counter
 	// nnLegHist covers MsgNNQuery legs, kept apart from execHist so the
 	// per-kind client-query histograms stay comparable across deployments.
 	nnLegHist *obs.Histogram
 	// updateHist[kind] is the execution-time histogram of one update shape
-	// (insert, delete, move); updates mirrors Stats.Updates.
+	// (insert, delete, move).
 	updateHist [3]*obs.Histogram
-	updates    *obs.Counter
 	// cacheSavedJ is the modeled server-compute Joules the result cache has
 	// saved: each hit is priced as one mean miss execution.
 	cacheSavedJ *obs.Gauge
@@ -430,37 +451,40 @@ type serveMetrics struct {
 var kindNames = [3]string{"point", "range", "nn"}
 
 func newServeMetrics(h *obs.Hub) serveMetrics {
-	var m serveMetrics
-	if h == nil {
-		return m
+	// reg is nil without a hub, and a nil registry hands out no-op handles.
+	var reg *obs.Registry
+	core := obs.NewRegistry()
+	if h != nil {
+		reg, core = h.Reg, h.Reg
 	}
+	m := serveMetrics{core: core}
+	m.conns = core.Counter("serve_conns_total")
+	m.served = core.Counter("serve_served_total")
+	m.overloads = core.Counter("serve_overloads_total")
+	m.deadlines = core.Counter("serve_deadlines_total")
+	m.errors = core.Counter("serve_errors_total")
+	m.shipments = core.Counter("serve_shipments_total")
+	m.batches = core.Counter("serve_batches_total")
+	m.batchQueries = core.Counter("serve_batch_queries_total")
+	m.updates = core.Counter("serve_updates_total")
 	for k, kindName := range kindNames {
 		for mo, mode := range [3]proto.Mode{proto.ModeData, proto.ModeIDs, proto.ModeFilter} {
-			m.execHist[k][mo] = h.Reg.Histogram(
+			m.execHist[k][mo] = reg.Histogram(
 				obs.Name("serve_exec_seconds", "kind", kindName, "mode", mode.String()))
 		}
 	}
-	m.shipHist = h.Reg.Histogram("serve_shipment_seconds")
-	m.admitHist = h.Reg.Histogram("serve_admit_wait_seconds")
-	m.writeHist = h.Reg.Histogram("serve_write_seconds")
-	m.rxBytes = h.Reg.Counter("serve_rx_bytes_total")
-	m.txBytes = h.Reg.Counter("serve_tx_bytes_total")
-	m.conns = h.Reg.Counter("serve_conns_total")
-	m.served = h.Reg.Counter("serve_served_total")
-	m.overloads = h.Reg.Counter("serve_overloads_total")
-	m.deadlines = h.Reg.Counter("serve_deadlines_total")
-	m.errors = h.Reg.Counter("serve_errors_total")
-	m.shipments = h.Reg.Counter("serve_shipments_total")
-	m.batches = h.Reg.Counter("serve_batches_total")
-	m.batchQueries = h.Reg.Counter("serve_batch_queries_total")
-	m.writes = h.Reg.Counter("serve_writes_total")
-	m.writeFrames = h.Reg.Counter("serve_write_frames_total")
-	m.nnLegHist = h.Reg.Histogram("serve_nnleg_seconds")
+	m.shipHist = reg.Histogram("serve_shipment_seconds")
+	m.admitHist = reg.Histogram("serve_admit_wait_seconds")
+	m.writeHist = reg.Histogram("serve_write_seconds")
+	m.rxBytes = reg.Counter("serve_rx_bytes_total")
+	m.txBytes = reg.Counter("serve_tx_bytes_total")
+	m.writes = reg.Counter("serve_writes_total")
+	m.writeFrames = reg.Counter("serve_write_frames_total")
+	m.nnLegHist = reg.Histogram("serve_nnleg_seconds")
 	for k, kindName := range updateKindNames {
-		m.updateHist[k] = h.Reg.Histogram(obs.Name("serve_update_seconds", "kind", kindName))
+		m.updateHist[k] = reg.Histogram(obs.Name("serve_update_seconds", "kind", kindName))
 	}
-	m.updates = h.Reg.Counter("serve_updates_total")
-	m.cacheSavedJ = h.Reg.Gauge("qcache_saved_joules")
+	m.cacheSavedJ = reg.Gauge("qcache_saved_joules")
 	return m
 }
 
@@ -478,54 +502,47 @@ func New(cfg Config) (*Server, error) {
 		conns:   make(map[net.Conn]struct{}),
 		metrics: newServeMetrics(cfg.Obs),
 	}
-	s.dx, _ = cfg.Pool.(DeadlineExecutor)
-	s.bnn, _ = cfg.Pool.(BoundedNN)
-	s.upd, _ = cfg.Pool.(Updatable)
-	s.sr, _ = cfg.Pool.(SegResolver)
-	s.rr, _ = cfg.Pool.(RangeReporter)
-	if lrs, ok := cfg.Pool.(LiveRangeSet); ok && lrs.LiveRangesEnabled() {
-		if s.rr == nil {
-			return nil, fmt.Errorf("serve: pool %T reports live ranges without RangeReporter", cfg.Pool)
-		}
-		s.lrs = lrs
+	if dx, ok := cfg.Pool.(DeadlineExecutor); ok {
+		s.eng, s.caps.distributed = dx, true
+	} else {
+		s.eng = localEngine{cfg.Pool}
 	}
-	s.hr, _ = cfg.Pool.(HeatReporter)
-	s.bx, _ = cfg.Pool.(BatchExecutor)
+	s.caps.bnn, _ = cfg.Pool.(BoundedNN)
+	s.caps.upd, _ = cfg.Pool.(Updatable)
+	s.caps.live, _ = cfg.Pool.(LiveSummary)
+	s.caps.bx, _ = cfg.Pool.(BatchExecutor)
+	if s.caps.bx != nil && !s.caps.distributed {
+		// Batch routing means fan-out over the network, and a fan-out can
+		// fail: without the fallible surface the server would drive the
+		// pool's plain Executor methods, which have nowhere to report a
+		// failed leg.
+		return nil, fmt.Errorf("serve: pool %T routes batches but is not a DeadlineExecutor", cfg.Pool)
+	}
 	s.em = obs.DefaultEnergyModel()
 	if cfg.Obs != nil {
 		s.em = cfg.Obs.Energy
-	}
-	// Resolve the validity view. A pool that is its own qcache.Source (a
-	// mutable pool's shard versions, or the router's cluster-wide per-range
-	// version vector) supplies it directly; any other local pool gets a
-	// single frozen pseudo-shard. A distributed pool without a Source has
-	// no view at all — it can neither cache nor stamp epoch hints.
-	if src, ok := cfg.Pool.(qcache.Source); ok {
-		s.qsrc = src
-	} else if s.dx == nil {
-		rect := geom.Rect{
-			Min: geom.Point{X: math.Inf(-1), Y: math.Inf(-1)},
-			Max: geom.Point{X: math.Inf(1), Y: math.Inf(1)},
-		}
-		if b, ok := cfg.Pool.(interface{ Bounds() geom.Rect }); ok {
-			if bb := b.Bounds(); !bb.IsEmpty() {
-				rect = bb
-			}
-		}
-		s.qsrc = qcache.Static{Rect: rect}
-	}
-	if cfg.Cache != nil {
-		if s.qsrc == nil {
-			return nil, fmt.Errorf(
-				"serve: Config.Cache set but pool %T has no validity view (qcache.Source) to invalidate against", cfg.Pool)
-		}
-		s.qc = cfg.Cache
 	}
 	summary, err := buildSummary(&cfg)
 	if err != nil {
 		return nil, err
 	}
 	s.summary = summary
+	if src, ok := cfg.Pool.(qcache.Source); ok {
+		s.caps.view = src
+	} else if !s.caps.distributed {
+		rect := nnRegion
+		if !summary.Bounds.IsEmpty() {
+			rect = summary.Bounds
+		}
+		s.caps.view = qcache.Static{Rect: rect}
+	}
+	if cfg.Cache != nil {
+		if s.caps.view == nil {
+			return nil, fmt.Errorf(
+				"serve: Config.Cache set but pool %T has no validity view (qcache.Source) to invalidate against", cfg.Pool)
+		}
+		s.qc = cfg.Cache
+	}
 	s.scratch.New = func() any { return &reqScratch{} }
 	return s, nil
 }
@@ -563,102 +580,44 @@ func buildSummary(cfg *Config) (proto.SummaryMsg, error) {
 
 // summaryReply builds one MsgSummary response. For a frozen pool it is a
 // shallow copy of the precomputed summary with the request id filled in (the
-// Ranges slice shared read-only across replies). When the pool reports live
-// range state, the reply is rebuilt from it — per-range version counters,
-// current MBRs, and live item counts — so a router's refresh poll observes
-// writes instead of the registration-time snapshot. The rebuild allocates a
-// fresh Ranges slice per request, which is fine: summaries flow only at
-// registration and on the refresh poll, a few per second at most.
+// Ranges slice shared read-only across replies). When the pool has a live
+// summary the range table — count included — is the pool's current rows, so
+// a router's refresh poll observes writes and moving cuts instead of the
+// registration-time snapshot; the header totals are the fold of the rows.
+// That allocates a fresh Ranges slice per request, which is fine: summaries
+// flow only at registration and on the refresh poll, a few per second at
+// most.
 func (s *Server) summaryReply(id uint32) *proto.SummaryMsg {
 	m := s.summary
 	m.ID = id
-	if s.rr == nil {
+	if s.caps.live == nil {
 		return &m
 	}
-	if s.lrs != nil {
-		// Adaptive pool: the cut table itself moves (splits and merges), so
-		// the whole range table — count included — rebuilds from the pool's
-		// current topology. A router polling summaries picks the new cuts up
-		// within one refresh interval.
-		ranges, num := s.lrs.SummaryRanges(make([]proto.RangeInfo, 0, len(s.summary.Ranges)+2))
-		n := s.rr.Len()
-		m.NumRanges = uint32(num)
-		m.Items = uint64(n)
-		m.Bounds = s.rr.Bounds()
-		m.Ranges = ranges
-		return &m
-	}
-	ranges := make([]proto.RangeInfo, len(s.summary.Ranges))
-	copy(ranges, s.summary.Ranges)
-	if len(s.cfg.Ranges) == 0 {
-		// Monolithic deployment: one synthetic range covering the whole key
-		// space. Its version is the sum of the shard versions — monotone,
-		// and it advances exactly when any shard's visible state changes.
-		var ver uint64
-		var heat float64
-		for i := 0; i < s.rr.NumShards(); i++ {
-			ver += s.rr.Version(i)
-			if s.hr != nil {
-				heat += s.hr.ShardHeat(i)
-			}
-		}
-		n := s.rr.Len()
-		b := s.rr.Bounds()
-		ranges[0].Items = clampItems(n)
-		ranges[0].Version = ver
-		ranges[0].MBR = b
-		ranges[0].Heat = heat
-		m.Items = uint64(n)
-		m.Bounds = b
-	} else {
-		bounds := geom.EmptyRect()
-		var total uint64
-		for i := range ranges {
-			li := s.rr.LocalShard(int(ranges[i].Index))
-			if li < 0 {
-				continue
-			}
-			n := s.rr.ShardItems(li)
-			mbr := s.rr.ShardBounds(li)
-			ranges[i].Items = clampItems(n)
-			ranges[i].Version = s.rr.Version(li)
-			ranges[i].MBR = mbr
-			if s.hr != nil {
-				ranges[i].Heat = s.hr.ShardHeat(li)
-			}
-			total += uint64(n)
-			bounds = bounds.Union(mbr)
-		}
-		m.Items = total
-		m.Bounds = bounds
-	}
+	ranges, num := s.caps.live.SummaryRanges(nil)
+	m.NumRanges = uint32(num)
 	m.Ranges = ranges
+	m.Items = 0
+	m.Bounds = geom.EmptyRect()
+	for i := range ranges {
+		m.Items += uint64(ranges[i].Items)
+		m.Bounds = m.Bounds.Union(ranges[i].MBR)
+	}
 	return &m
-}
-
-// clampItems clamps a live item count into the wire's uint32 field.
-func clampItems(n int) uint32 {
-	if n < 0 {
-		return 0
-	}
-	if n > math.MaxUint32 {
-		return math.MaxUint32
-	}
-	return uint32(n)
 }
 
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() Stats {
+	m := &s.metrics
 	return Stats{
-		Conns:        s.nConns.Load(),
-		Served:       s.nServed.Load(),
-		Overloads:    s.nOverload.Load(),
-		Deadlines:    s.nDeadline.Load(),
-		Errors:       s.nErrors.Load(),
-		Shipments:    s.nShipments.Load(),
-		Batches:      s.nBatches.Load(),
-		BatchQueries: s.nBatchQueries.Load(),
-		Updates:      s.nUpdates.Load(),
+		Conns:        m.conns.Value(),
+		Served:       m.served.Value(),
+		Overloads:    m.overloads.Value(),
+		Deadlines:    m.deadlines.Value(),
+		Errors:       m.errors.Value(),
+		Shipments:    m.shipments.Value(),
+		Batches:      m.batches.Value(),
+		BatchQueries: m.batchQueries.Value(),
+		Updates:      m.updates.Value(),
 	}
 }
 
@@ -698,7 +657,6 @@ func (s *Server) Serve(lis net.Listener) error {
 		s.conns[nc] = struct{}{}
 		s.connWG.Add(1)
 		s.mu.Unlock()
-		s.nConns.Add(1)
 		s.metrics.conns.Inc()
 		go s.serveConn(nc)
 	}
@@ -861,7 +819,6 @@ func (s *Server) serveConn(nc net.Conn) {
 		case *proto.MoveMsg:
 			c.dispatch(m, arrived, m.TimeoutMicros)
 		default:
-			s.nErrors.Add(1)
 			s.metrics.errors.Inc()
 			c.write(&proto.ErrorMsg{ID: msg.RequestID(), Code: proto.CodeBadRequest,
 				Text: fmt.Sprintf("unexpected %v message", msg.Type())})
@@ -894,7 +851,6 @@ func (c *conn) dispatch(req proto.Message, arrived time.Time, timeoutMicros uint
 		case s.sem <- struct{}{}:
 			timer.Stop()
 		case <-timer.C:
-			s.nOverload.Add(1)
 			s.metrics.overloads.Inc()
 			c.write(&proto.ErrorMsg{ID: req.RequestID(), Code: proto.CodeOverload,
 				Text: "admission queue full"})
@@ -923,19 +879,16 @@ func (c *conn) dispatch(req proto.Message, arrived time.Time, timeoutMicros uint
 		execSec := time.Since(execStart).Seconds()
 		s.observeExec(req, execSec)
 		if time.Now().After(deadline) {
-			s.nDeadline.Add(1)
 			s.metrics.deadlines.Inc()
 			resp = &proto.ErrorMsg{ID: req.RequestID(), Code: proto.CodeDeadline,
 				Text: fmt.Sprintf("request exceeded %v deadline", timeout)}
 		}
 		if _, ok := resp.(*proto.ErrorMsg); ok {
 			if resp.(*proto.ErrorMsg).Code != proto.CodeDeadline {
-				s.nErrors.Add(1)
 				s.metrics.errors.Inc()
 			}
 			sp.SetErr()
 		} else {
-			s.nServed.Add(1)
 			s.metrics.served.Inc()
 		}
 		sp.Begin(obs.StageSerialize)
@@ -1026,7 +979,6 @@ func (c *conn) write(m proto.Message) {
 	if c.wbuf, err = proto.AppendFrame(c.wbuf, m); err != nil {
 		// Server-built replies always validate; this is defensive.
 		c.wmu.Unlock()
-		s.nErrors.Add(1)
 		s.metrics.errors.Inc()
 		return
 	}
@@ -1066,33 +1018,17 @@ func (c *conn) write(m proto.Message) {
 	c.wmu.Unlock()
 }
 
-// statsSnapshot builds the in-protocol stats reply. With obs enabled the
-// registry snapshot already mirrors the core counters; with obs disabled the
-// core counters are synthesized from the Server's atomics, so the snapshot
-// is never empty.
+// statsSnapshot builds the in-protocol stats reply from the registry
+// snapshot. Without a hub that is the private registry's core counters, so
+// the snapshot is never empty.
 func (s *Server) statsSnapshot(id uint32) *proto.StatsMsg {
-	uptime := uint64(time.Since(s.start).Microseconds())
-	if h := s.cfg.Obs; h != nil {
-		return obs.ToStatsMsg(id, uptime, h.Reg.Snapshot())
-	}
-	st := s.Stats()
-	counters := []obs.CounterValue{
-		{Name: "serve_conns_total", Value: st.Conns},
-		{Name: "serve_deadlines_total", Value: st.Deadlines},
-		{Name: "serve_errors_total", Value: st.Errors},
-		{Name: "serve_overloads_total", Value: st.Overloads},
-		{Name: "serve_served_total", Value: st.Served},
-		{Name: "serve_shipments_total", Value: st.Shipments},
-		{Name: "serve_batches_total", Value: st.Batches},
-		{Name: "serve_batch_queries_total", Value: st.BatchQueries},
-		{Name: "serve_updates_total", Value: st.Updates},
-	}
-	if s.qc != nil {
-		// With obs enabled the registry snapshot above already carries the
-		// qcache_* series; synthesize them here so an obs-less server still
-		// reports its cache to mqtop.
+	snap := s.metrics.core.Snapshot()
+	if s.cfg.Obs == nil && s.qc != nil {
+		// With obs enabled the registry already carries the qcache_* series;
+		// synthesize them here so an obs-less server still reports its cache
+		// to mqtop.
 		cs := s.qc.Stats()
-		counters = append(counters,
+		snap.Counters = append(snap.Counters,
 			obs.CounterValue{Name: "qcache_hits_total", Value: cs.Hits},
 			obs.CounterValue{Name: "qcache_misses_total", Value: cs.Misses},
 			obs.CounterValue{Name: "qcache_invalidations_total", Value: cs.Invalidations},
@@ -1100,7 +1036,7 @@ func (s *Server) statsSnapshot(id uint32) *proto.StatsMsg {
 			obs.CounterValue{Name: "qcache_bypass_total", Value: cs.Bypasses},
 		)
 	}
-	return obs.ToStatsMsg(id, uptime, obs.Snapshot{Counters: counters})
+	return obs.ToStatsMsg(id, uint64(time.Since(s.start).Microseconds()), snap)
 }
 
 // safeExecute runs execute with panic containment: a panicking query
@@ -1136,6 +1072,24 @@ func errToCode(err error) (proto.ErrCode, string) {
 	return proto.CodeInternal, truncText(err.Error())
 }
 
+// errorReply builds the ErrorMsg that answers request id with err.
+func errorReply(id uint32, err error) *proto.ErrorMsg {
+	code, text := errToCode(err)
+	return &proto.ErrorMsg{ID: id, Code: code, Text: text}
+}
+
+func badRequest(format string, args ...any) error {
+	return &codedError{proto.CodeBadRequest, fmt.Sprintf(format, args...)}
+}
+
+// checkK rejects a k-NN k past the server's limit.
+func (s *Server) checkK(k int) error {
+	if k > s.cfg.MaxKNN {
+		return badRequest("k=%d exceeds limit %d", k, s.cfg.MaxKNN)
+	}
+	return nil
+}
+
 // execute runs one admitted request and builds its response message. The
 // response may alias sc's buffers; it must be serialized (conn.write does
 // this before returning) before sc is reused.
@@ -1161,9 +1115,9 @@ func (s *Server) execute(req proto.Message, sc *reqScratch, deadline time.Time) 
 // executeUpdate applies one write through the Updatable surface and builds
 // its epoch-carrying ack into the scratch.
 func (s *Server) executeUpdate(req proto.Message, sc *reqScratch) proto.Message {
-	if s.upd == nil {
-		return &proto.ErrorMsg{ID: req.RequestID(), Code: proto.CodeUnsupported,
-			Text: "this server's pool is not updatable"}
+	upd := s.caps.upd
+	if upd == nil {
+		return errorReply(req.RequestID(), unsupported("this server's pool is not updatable"))
 	}
 	var (
 		reqID, objID   uint32
@@ -1174,258 +1128,198 @@ func (s *Server) executeUpdate(req proto.Message, sc *reqScratch) proto.Message 
 	switch m := req.(type) {
 	case *proto.InsertMsg:
 		reqID, objID = m.ID, m.ObjID
-		epoch, existed, owned, err = s.upd.ApplyInsert(m.ObjID, m.Seg)
+		epoch, existed, owned, err = upd.ApplyInsert(m.ObjID, m.Seg)
 	case *proto.DeleteMsg:
 		reqID, objID = m.ID, m.ObjID
-		epoch, existed, owned, err = s.upd.ApplyDelete(m.ObjID)
+		epoch, existed, owned, err = upd.ApplyDelete(m.ObjID)
 	case *proto.MoveMsg:
 		reqID, objID = m.ID, m.ObjID
-		epoch, existed, owned, err = s.upd.ApplyMove(m.ObjID, m.Seg)
+		epoch, existed, owned, err = upd.ApplyMove(m.ObjID, m.Seg)
 	}
 	if err != nil {
-		code, text := errToCode(err)
-		return &proto.ErrorMsg{ID: reqID, Code: code, Text: text}
+		return errorReply(reqID, err)
 	}
-	s.nUpdates.Add(1)
 	s.metrics.updates.Inc()
 	sc.ackMsg = proto.UpdateAckMsg{ID: reqID, ObjID: objID, Epoch: epoch, Existed: existed, Owned: owned}
 	return &sc.ackMsg
 }
 
-// runQuery answers one query, appending the matching ids to dst. On error
-// it returns dst untouched plus the error code and text. This is the single
-// traversal entry both the single-query and batch paths share. When the
-// pool is a DeadlineExecutor the request deadline is threaded into the
-// traversal so a fanned-out query caps its slowest leg.
-func (s *Server) runQuery(q *proto.QueryMsg, sc *reqScratch, dst []uint32, deadline time.Time) ([]uint32, proto.ErrCode, string) {
+// runQuery answers one query, appending the matching ids to dst; on error dst
+// is not to be used. This is the single traversal entry the single-query and
+// batch paths share; the request deadline rides into the engine so a
+// fanned-out query caps its slowest leg (a local engine ignores it).
+func (s *Server) runQuery(q *proto.QueryMsg, sc *reqScratch, dst []uint32, deadline time.Time) ([]uint32, error) {
 	eps := q.Eps
 	if eps <= 0 {
 		eps = s.cfg.PointEps
 	}
-	if s.dx != nil {
-		return s.runQueryUntil(q, sc, dst, eps, deadline)
-	}
-	pool := s.cfg.Pool
 	switch q.Kind {
 	case proto.KindPoint:
 		if q.Mode == proto.ModeFilter {
-			return pool.FilterPointAppend(dst, q.Point), 0, ""
+			return s.eng.FilterPointAppendUntil(dst, q.Point, deadline)
 		}
-		return pool.PointAppend(dst, q.Point, eps), 0, ""
+		return s.eng.PointAppendUntil(dst, q.Point, eps, deadline)
 	case proto.KindRange:
 		if q.Mode == proto.ModeFilter {
-			return pool.FilterRangeAppend(dst, q.Window), 0, ""
+			return s.eng.FilterRangeAppendUntil(dst, q.Window, deadline)
 		}
-		return pool.RangeAppend(dst, q.Window), 0, ""
+		return s.eng.RangeAppendUntil(dst, q.Window, deadline)
 	case proto.KindNN:
-		k := int(q.K)
-		if k > s.cfg.MaxKNN {
-			return dst, proto.CodeBadRequest, fmt.Sprintf("k=%d exceeds limit %d", k, s.cfg.MaxKNN)
+		nbs, err := s.nearest(q.Point, int(q.K), sc, deadline)
+		for _, nb := range nbs {
+			dst = append(dst, nb.ID)
 		}
-		if k > 1 {
-			nbs, ok := pool.KNearestAppend(sc.nbs[:0], q.Point, k, &sc.psc)
-			sc.nbs = nbs
-			if !ok {
-				return dst, proto.CodeUnsupported, "access method does not support k-NN"
-			}
-			for _, nb := range nbs {
-				dst = append(dst, nb.ID)
-			}
-			return dst, 0, ""
-		}
-		if nn := pool.NearestWith(q.Point, &sc.psc); nn.OK {
-			dst = append(dst, nn.ID)
-		}
-		return dst, 0, ""
+		return dst, err
 	}
-	return dst, proto.CodeBadRequest, "unknown query kind"
+	return dst, badRequest("unknown query kind")
 }
 
-// runQueryUntil is runQuery over the DeadlineExecutor surface.
-func (s *Server) runQueryUntil(q *proto.QueryMsg, sc *reqScratch, dst []uint32, eps float64, deadline time.Time) ([]uint32, proto.ErrCode, string) {
-	var err error
-	switch q.Kind {
-	case proto.KindPoint:
-		if q.Mode == proto.ModeFilter {
-			dst, err = s.dx.FilterPointAppendUntil(dst, q.Point, deadline)
-		} else {
-			dst, err = s.dx.PointAppendUntil(dst, q.Point, eps, deadline)
-		}
-	case proto.KindRange:
-		if q.Mode == proto.ModeFilter {
-			dst, err = s.dx.FilterRangeAppendUntil(dst, q.Window, deadline)
-		} else {
-			dst, err = s.dx.RangeAppendUntil(dst, q.Window, deadline)
-		}
-	case proto.KindNN:
-		k := int(q.K)
-		if k > s.cfg.MaxKNN {
-			return dst, proto.CodeBadRequest, fmt.Sprintf("k=%d exceeds limit %d", k, s.cfg.MaxKNN)
-		}
-		if k > 1 {
-			var nbs []rtree.Neighbor
-			nbs, err = s.dx.KNearestAppendUntil(sc.nbs[:0], q.Point, k, &sc.psc, deadline)
-			sc.nbs = nbs
-			if err == nil {
-				for _, nb := range nbs {
-					dst = append(dst, nb.ID)
-				}
-			}
-		} else {
-			var nn parallel.NearestResult
-			nn, err = s.dx.NearestUntil(q.Point, &sc.psc, deadline)
-			if err == nil && nn.OK {
-				dst = append(dst, nn.ID)
-			}
-		}
-	default:
-		return dst, proto.CodeBadRequest, "unknown query kind"
+// nearest answers one NN (k <= 1) or k-NN query through the engine,
+// ascending by distance. The answer aliases sc (nbs, or nn1 for a single
+// neighbor, so the NN path never grows a slice).
+func (s *Server) nearest(pt geom.Point, k int, sc *reqScratch, deadline time.Time) ([]rtree.Neighbor, error) {
+	if err := s.checkK(k); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		code, text := errToCode(err)
-		return dst, code, text
+	if k > 1 {
+		var err error
+		sc.nbs, err = s.eng.KNearestAppendUntil(sc.nbs[:0], pt, k, &sc.psc, deadline)
+		return sc.nbs, err
 	}
-	return dst, 0, ""
+	nn, err := s.eng.NearestUntil(pt, &sc.psc, deadline)
+	if err != nil || !nn.OK {
+		return nil, err
+	}
+	sc.nn1[0] = rtree.Neighbor{ID: nn.ID, Dist: nn.Dist}
+	return sc.nn1[:], nil
 }
 
 // executeNN answers one router NN leg (MsgNNQuery): a k-NN query carrying
 // the router's running k-th-neighbor bound, answered with exact distances.
-// Preference order: the bound-aware surface when the pool has one, the
-// deadline surface when the pool is distributed (the bound is only a hint,
-// dropping it never costs correctness), the plain unbounded path otherwise.
+// The bound-aware surface answers when the pool has one; otherwise the
+// engine's unbounded k-NN does (the bound is only a hint, dropping it never
+// costs correctness).
 func (s *Server) executeNN(m *proto.NNQueryMsg, sc *reqScratch, deadline time.Time) proto.Message {
-	k := int(m.K)
-	if k <= 0 {
-		k = 1
-	}
-	if k > s.cfg.MaxKNN {
-		return &proto.ErrorMsg{ID: m.ID, Code: proto.CodeBadRequest,
-			Text: fmt.Sprintf("k=%d exceeds limit %d", k, s.cfg.MaxKNN)}
+	k := max(int(m.K), 1)
+	if err := s.checkK(k); err != nil {
+		return errorReply(m.ID, err)
 	}
 	bound := m.Bound
 	if bound <= 0 {
 		bound = math.Inf(1)
 	}
+	out := sc.nbrMsg.Neighbors[:0]
+	cached := false
 	if s.qc != nil {
 		if math.IsInf(bound, 1) {
 			// Only unbounded legs are cacheable: the router's running bound
 			// is not part of the key space, and a bounded answer is a
 			// truncation no later query could safely refine from.
-			ids, dists, code, text, handled := s.cachedNN(m.Point, k, sc, deadline)
-			if handled {
-				if code != 0 {
-					return &proto.ErrorMsg{ID: m.ID, Code: code, Text: text}
-				}
-				out := sc.nbrMsg.Neighbors[:0]
-				for i, id := range ids {
-					out = append(out, proto.Neighbor{ID: id, Dist: dists[i]})
-				}
-				sc.nbrMsg = proto.NeighborsMsg{ID: m.ID, Neighbors: out}
-				return &sc.nbrMsg
+			ids, dists, handled, err := s.cachedNN(m.Point, k, sc, deadline)
+			if err != nil {
+				return errorReply(m.ID, err)
 			}
+			for i, id := range ids {
+				out = append(out, proto.Neighbor{ID: id, Dist: dists[i]})
+			}
+			cached = handled
 		} else {
 			s.qc.Bypass()
 		}
 	}
-	var (
-		nbs []rtree.Neighbor
-		ok  = true
-		err error
-	)
-	switch {
-	case s.bnn != nil:
-		nbs, ok = s.bnn.KNearestBoundedAppend(sc.nbs[:0], m.Point, k, bound, &sc.psc)
-	case s.dx != nil:
-		nbs, err = s.dx.KNearestAppendUntil(sc.nbs[:0], m.Point, k, &sc.psc, deadline)
-	default:
-		nbs, ok = s.cfg.Pool.KNearestAppend(sc.nbs[:0], m.Point, k, &sc.psc)
-	}
-	sc.nbs = nbs
-	if err != nil {
-		code, text := errToCode(err)
-		return &proto.ErrorMsg{ID: m.ID, Code: code, Text: text}
-	}
-	if !ok {
-		return &proto.ErrorMsg{ID: m.ID, Code: proto.CodeUnsupported,
-			Text: "access method does not support k-NN"}
-	}
-	out := sc.nbrMsg.Neighbors[:0]
-	for _, nb := range nbs {
-		out = append(out, proto.Neighbor{ID: nb.ID, Dist: nb.Dist})
+	if !cached {
+		var err error
+		if s.caps.bnn != nil {
+			sc.nbs, err = knnResult(s.caps.bnn.KNearestBoundedAppend(sc.nbs[:0], m.Point, k, bound, &sc.psc))
+		} else {
+			sc.nbs, err = s.eng.KNearestAppendUntil(sc.nbs[:0], m.Point, k, &sc.psc, deadline)
+		}
+		if err != nil {
+			return errorReply(m.ID, err)
+		}
+		for _, nb := range sc.nbs {
+			out = append(out, proto.Neighbor{ID: nb.ID, Dist: nb.Dist})
+		}
 	}
 	sc.nbrMsg = proto.NeighborsMsg{ID: m.ID, Neighbors: out}
 	return &sc.nbrMsg
 }
 
-// segOf resolves one record's geometry: through the pool's SegResolver when
-// it has one (live geometry, inserted ids included), else the base dataset.
+// segOf resolves one record's geometry: through an updatable pool's SegOf
+// (live geometry, inserted ids included), else the base dataset.
 func (s *Server) segOf(ds *dataset.Dataset, id uint32) geom.Segment {
-	if s.sr != nil {
-		return s.sr.SegOf(id)
+	if s.caps.upd != nil {
+		return s.caps.upd.SegOf(id)
 	}
 	return ds.Seg(id)
 }
 
-func (s *Server) executeQuery(q *proto.QueryMsg, sc *reqScratch, deadline time.Time) proto.Message {
-	var (
-		ids       []uint32
-		segs      []geom.Segment // aligned with ids when fromCache
-		fromCache bool
-	)
+// appendRecs materializes ids as data-mode records.
+func (s *Server) appendRecs(recs []proto.Record, ids []uint32) []proto.Record {
+	ds := s.cfg.Pool.Dataset()
+	for _, id := range ids {
+		recs = append(recs, proto.Record{ID: id, Seg: s.segOf(ds, id)})
+	}
+	return recs
+}
+
+// answer runs one query — through the result cache when it is on — and
+// appends the answer to the caller's buffers: records to recs for a
+// data-mode query, ids to ids otherwise. On error the buffers come back as
+// they were passed.
+func (s *Server) answer(q *proto.QueryMsg, sc *reqScratch, ids []uint32, recs []proto.Record, deadline time.Time) ([]uint32, []proto.Record, error) {
+	data := q.Mode == proto.ModeData
 	if s.qc != nil {
-		cids, csegs, code, text, handled := s.runQueryCached(q, sc, deadline)
+		cids, csegs, handled, err := s.runQueryCached(q, sc, deadline)
+		if err != nil {
+			return ids, recs, err
+		}
 		if handled {
-			if code != 0 {
-				return &proto.ErrorMsg{ID: q.ID, Code: code, Text: text}
+			if !data {
+				return append(ids, cids...), recs, nil
 			}
-			ids, segs, fromCache = cids, csegs, true
-		}
-	}
-	if !fromCache {
-		var code proto.ErrCode
-		var text string
-		ids, code, text = s.runQuery(q, sc, sc.ids[:0], deadline)
-		sc.ids = ids
-		if code != 0 {
-			return &proto.ErrorMsg{ID: q.ID, Code: code, Text: text}
-		}
-	}
-	if q.Mode == proto.ModeData {
-		recs := sc.dataMsg.Records[:0]
-		if fromCache {
 			// The cached entry carries its geometry: no per-id SegOf (and no
 			// pool-level owner-table lock) on the hit path.
-			for i, id := range ids {
-				recs = append(recs, proto.Record{ID: id, Seg: segs[i]})
+			for i, id := range cids {
+				recs = append(recs, proto.Record{ID: id, Seg: csegs[i]})
 			}
-		} else {
-			ds := s.cfg.Pool.Dataset()
-			for _, id := range ids {
-				recs = append(recs, proto.Record{ID: id, Seg: s.segOf(ds, id)})
-			}
+			return ids, recs, nil
 		}
+	}
+	if !data {
+		out, err := s.runQuery(q, sc, ids, deadline)
+		if err != nil {
+			return ids, recs, err
+		}
+		return out, recs, nil
+	}
+	var err error
+	if sc.ids, err = s.runQuery(q, sc, sc.ids[:0], deadline); err != nil {
+		return ids, recs, err
+	}
+	return ids, s.appendRecs(recs, sc.ids), nil
+}
+
+func (s *Server) executeQuery(q *proto.QueryMsg, sc *reqScratch, deadline time.Time) proto.Message {
+	ids, recs, err := s.answer(q, sc, sc.ids[:0], sc.dataMsg.Records[:0], deadline)
+	if err != nil {
+		return errorReply(q.ID, err)
+	}
+	if q.Mode == proto.ModeData {
 		sc.dataMsg = proto.DataListMsg{ID: q.ID, Epoch: s.epochHint(), Records: recs}
 		return &sc.dataMsg
 	}
+	sc.ids = ids
 	sc.idMsg = proto.IDListMsg{ID: q.ID, Epoch: s.epochHint(), IDs: ids}
 	return &sc.idMsg
 }
 
-// executeBatch answers every query of a batch into one reply message. Item
-// slices are reused from the scratch's previous batch, so a warm batch of
-// already-seen shape allocates nothing. Per-item failures (e.g. an over-limit
-// k mid-batch) become per-item errors; the rest of the batch still answers.
-func (s *Server) executeBatch(m *proto.BatchQueryMsg, sc *reqScratch, deadline time.Time) proto.Message {
-	if s.bx != nil && s.qc == nil {
-		// Batch-aware pool (the router): hand the whole batch over so it
-		// issues one leg per owning backend instead of one fan-out per
-		// sub-query. With the result cache on, the per-item loop below is
-		// kept instead — the cache probes and fills per sub-query, and a
-		// hot batch answering mostly from cache beats a grouped fan-out.
-		return s.executeBatchGrouped(m, sc, deadline)
-	}
+// batchItems returns one reset reply slot per query, reusing the slices of
+// the scratch's previous batch so a warm batch of already-seen shape
+// allocates nothing.
+func batchItems(sc *reqScratch, n int) []proto.BatchItem {
 	items := sc.batch.Items[:0]
-	for i := range m.Queries {
+	for i := 0; i < n; i++ {
 		if i < cap(items) {
 			items = items[:i+1]
 		} else {
@@ -1433,59 +1327,43 @@ func (s *Server) executeBatch(m *proto.BatchQueryMsg, sc *reqScratch, deadline t
 		}
 		it := &items[i]
 		it.IDs, it.Recs, it.Err, it.Text = it.IDs[:0], it.Recs[:0], 0, ""
-
-		q := &m.Queries[i]
-		start := time.Now()
-		handled := false
-		if s.qc != nil {
-			var cids []uint32
-			var csegs []geom.Segment
-			var code proto.ErrCode
-			var text string
-			if cids, csegs, code, text, handled = s.runQueryCached(q, sc, deadline); handled {
-				switch {
-				case code != 0:
-					it.Err, it.Text = code, text
-				case q.Mode == proto.ModeData:
-					for j, id := range cids {
-						it.Recs = append(it.Recs, proto.Record{ID: id, Seg: csegs[j]})
-					}
-				default:
-					it.IDs = append(it.IDs, cids...)
-				}
-			}
-		}
-		if !handled {
-			if q.Mode == proto.ModeData {
-				ids, code, text := s.runQuery(q, sc, sc.ids[:0], deadline)
-				sc.ids = ids
-				if code != 0 {
-					it.Err, it.Text = code, text
-				} else {
-					ds := s.cfg.Pool.Dataset()
-					for _, id := range ids {
-						it.Recs = append(it.Recs, proto.Record{ID: id, Seg: s.segOf(ds, id)})
-					}
-				}
-			} else {
-				ids, code, text := s.runQuery(q, sc, it.IDs, deadline)
-				if code != 0 {
-					it.Err, it.Text = code, text
-				} else {
-					it.IDs = ids
-				}
-			}
-		}
-		s.observeExecQuery(q, time.Since(start).Seconds())
 	}
+	return items
+}
+
+// batchReply fills the scratch's reply shell with the answered items.
+func (s *Server) batchReply(m *proto.BatchQueryMsg, sc *reqScratch, items []proto.BatchItem) proto.Message {
 	sc.batch.ID = m.ID
 	sc.batch.Epoch = s.epochHint()
 	sc.batch.Items = items
-	s.nBatches.Add(1)
-	s.nBatchQueries.Add(uint64(len(m.Queries)))
 	s.metrics.batches.Inc()
 	s.metrics.batchQueries.Add(uint64(len(m.Queries)))
 	return &sc.batch
+}
+
+// executeBatch answers every query of a batch into one reply message.
+// Per-item failures (e.g. an over-limit k mid-batch) become per-item errors;
+// the rest of the batch still answers.
+func (s *Server) executeBatch(m *proto.BatchQueryMsg, sc *reqScratch, deadline time.Time) proto.Message {
+	if s.caps.bx != nil && s.qc == nil {
+		// Batch-aware pool (the router): hand the whole batch over so it
+		// issues one leg per owning backend instead of one fan-out per
+		// sub-query. With the result cache on, the per-item loop below is
+		// kept instead — the cache probes and fills per sub-query, and a
+		// hot batch answering mostly from cache beats a grouped fan-out.
+		return s.executeBatchGrouped(m, sc, deadline)
+	}
+	items := batchItems(sc, len(m.Queries))
+	for i := range m.Queries {
+		it, q := &items[i], &m.Queries[i]
+		start := time.Now()
+		var err error
+		if it.IDs, it.Recs, err = s.answer(q, sc, it.IDs, it.Recs, deadline); err != nil {
+			it.Err, it.Text = errToCode(err)
+		}
+		s.observeExecQuery(q, time.Since(start).Seconds())
+	}
+	return s.batchReply(m, sc, items)
 }
 
 // executeBatchGrouped is the locality-aware batch path: the pool's
@@ -1494,56 +1372,38 @@ func (s *Server) executeBatch(m *proto.BatchQueryMsg, sc *reqScratch, deadline t
 // here. Per-item k limits are enforced before the handoff; pre-set Err slots
 // are the executor's contract to skip.
 func (s *Server) executeBatchGrouped(m *proto.BatchQueryMsg, sc *reqScratch, deadline time.Time) proto.Message {
-	items := sc.batch.Items[:0]
+	items := batchItems(sc, len(m.Queries))
 	for i := range m.Queries {
-		if i < cap(items) {
-			items = items[:i+1]
-		} else {
-			items = append(items, proto.BatchItem{})
-		}
-		it := &items[i]
-		it.IDs, it.Recs, it.Err, it.Text = it.IDs[:0], it.Recs[:0], 0, ""
-		if q := &m.Queries[i]; q.Kind == proto.KindNN && int(q.K) > s.cfg.MaxKNN {
-			it.Err = proto.CodeBadRequest
-			it.Text = fmt.Sprintf("k=%d exceeds limit %d", q.K, s.cfg.MaxKNN)
+		if q := &m.Queries[i]; q.Kind == proto.KindNN {
+			if err := s.checkK(int(q.K)); err != nil {
+				items[i].Err, items[i].Text = errToCode(err)
+			}
 		}
 	}
 	start := time.Now()
-	s.bx.RunQueryBatch(m.Queries, items, deadline)
+	s.caps.bx.RunQueryBatch(m.Queries, items, deadline)
 	var per float64
 	if len(m.Queries) > 0 {
 		per = time.Since(start).Seconds() / float64(len(m.Queries))
 	}
-	ds := s.cfg.Pool.Dataset()
 	for i := range m.Queries {
 		q := &m.Queries[i]
 		it := &items[i]
 		if it.Err == 0 && q.Mode == proto.ModeData {
-			for _, id := range it.IDs {
-				it.Recs = append(it.Recs, proto.Record{ID: id, Seg: s.segOf(ds, id)})
-			}
+			it.Recs = s.appendRecs(it.Recs, it.IDs)
 			it.IDs = it.IDs[:0]
 		}
 		s.observeExecQuery(q, per)
 	}
-	sc.batch.ID = m.ID
-	sc.batch.Epoch = s.epochHint()
-	sc.batch.Items = items
-	s.nBatches.Add(1)
-	s.nBatchQueries.Add(uint64(len(m.Queries)))
-	s.metrics.batches.Inc()
-	s.metrics.batchQueries.Add(uint64(len(m.Queries)))
-	return &sc.batch
+	return s.batchReply(m, sc, items)
 }
 
 func (s *Server) executeShipment(m *proto.ShipmentReqMsg) proto.Message {
 	if s.cfg.Master == nil {
-		return &proto.ErrorMsg{ID: m.ID, Code: proto.CodeUnsupported,
-			Text: "server has no master index for shipments"}
+		return errorReply(m.ID, unsupported("server has no master index for shipments"))
 	}
 	if int(m.BudgetBytes) > s.cfg.MaxShipmentBudget {
-		return &proto.ErrorMsg{ID: m.ID, Code: proto.CodeBadRequest,
-			Text: fmt.Sprintf("budget %d exceeds limit %d", m.BudgetBytes, s.cfg.MaxShipmentBudget)}
+		return errorReply(m.ID, badRequest("budget %d exceeds limit %d", m.BudgetBytes, s.cfg.MaxShipmentBudget))
 	}
 	window := m.Window
 	if window.IsEmpty() {
@@ -1556,22 +1416,21 @@ func (s *Server) executeShipment(m *proto.ShipmentReqMsg) proto.Message {
 		RecordBytes: int(m.RecordBytes),
 	}, ops.Null{})
 	if err != nil {
-		return &proto.ErrorMsg{ID: m.ID, Code: proto.CodeBadRequest, Text: err.Error()}
+		return errorReply(m.ID, badRequest("%v", err))
 	}
 	ds := s.cfg.Pool.Dataset()
 	recs := make([]proto.Record, len(ship.Items))
 	for i, it := range ship.Items {
 		recs[i] = proto.Record{ID: it.ID, Seg: ds.Seg(it.ID)}
 	}
-	s.nShipments.Add(1)
 	s.metrics.shipments.Inc()
 	// A shipment is cut from the master tree — the frozen seed state. It may
 	// claim currency (carry a non-zero epoch hint the client's semantic cache
 	// can validate against) only while the live index has never been written:
 	// after the first write the master no longer reflects the live index.
 	var epoch uint64
-	if s.qsrc != nil && qcache.Unwritten(s.qsrc) {
-		epoch = qcache.HintOf(s.qsrc)
+	if v := s.caps.view; v != nil && qcache.Unwritten(v) {
+		epoch = qcache.HintOf(v)
 	}
 	return &proto.ShipmentMsg{ID: m.ID, Epoch: epoch, Coverage: ship.Coverage, Records: recs}
 }

@@ -98,11 +98,11 @@ func testWorld(t testing.TB, mutate func(*Config)) (*dataset.Dataset, *parallel.
 }
 
 // testWorldSharded is testWorld with a shard.Pool executor: the same dataset
-// and master tree, served through the scatter-gather path.
+// and master tree, served through the sharded pool.
 func testWorldSharded(t testing.TB, shards int, mutate func(*Config)) (*dataset.Dataset, *shard.Pool, *Server, string) {
 	t.Helper()
 	ds, tree := testDataset(t)
-	pool, err := shard.New(ds, shard.Config{Shards: shards, Workers: 4})
+	pool, err := shard.New(ds, shard.Config{Shards: shards})
 	if err != nil {
 		t.Fatalf("shard pool: %v", err)
 	}

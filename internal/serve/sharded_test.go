@@ -74,14 +74,14 @@ func TestShardedServeMatchesMonolithic(t *testing.T) {
 
 // TestShardedExecuteQueryZeroAlloc extends the hot-path allocation contract
 // to the sharded executor: warm range, point, and k-NN queries through
-// executeQuery must not allocate even when they scatter across lanes.
+// executeQuery must not allocate even when they walk many shards.
 func TestShardedExecuteQueryZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	ds, _, srv, _ := testWorldSharded(t, 8, nil)
 	center := ds.Extent.Center()
-	wide := geom.Rect{ // spans many shards: forces the scatter path
+	wide := geom.Rect{ // spans many shards
 		Min: geom.Point{X: center.X - 15000, Y: center.Y - 15000},
 		Max: geom.Point{X: center.X + 15000, Y: center.Y + 15000},
 	}
@@ -105,10 +105,10 @@ func TestShardedExecuteQueryZeroAlloc(t *testing.T) {
 }
 
 // TestShardedServeContention drives a sharded server from many concurrent
-// client connections — scatter-gather inside the server while the admission
-// gate multiplexes requests across lanes. Under -race this exercises the
-// full network + scatter stack for data races; everywhere it checks answers
-// against the monolithic pool.
+// client connections — the admission gate multiplexes their requests over
+// the shared shard set. Under -race this exercises the full network + shard
+// stack for data races; everywhere it checks answers against the monolithic
+// pool.
 func TestShardedServeContention(t *testing.T) {
 	ds, _, _, addr := testWorldSharded(t, 8, nil)
 	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})

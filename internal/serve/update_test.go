@@ -12,7 +12,7 @@ import (
 )
 
 // TestUpdateRoundTrip drives the full write path over the wire: insert,
-// data-mode read of the inserted object (SegResolver geometry for an id the
+// data-mode read of the inserted object (Updatable.SegOf geometry for an id the
 // base dataset has never heard of), move, delete, idempotent re-delete —
 // against a server whose pool is an updatable shard pool.
 func TestUpdateRoundTrip(t *testing.T) {

@@ -10,14 +10,14 @@ import (
 
 // Warm-path allocation regression tests, mirroring internal/serve's
 // hot-path discipline: after warm-up, the sharded range, point, and k-NN
-// paths must not allocate — gathers, per-shard result buffers, NN order
-// buffers, and distance closures are all pooled or caller-owned. Metrics are
+// paths must not allocate — result buffers are caller-owned, NN order
+// buffers and distance closures pooled or caller-owned. Metrics are
 // enabled on purpose: the obs handles must not allocate either.
 
 func allocPool(t *testing.T) (*dataset.Dataset, *Pool) {
 	t.Helper()
 	ds := fixture(t, 8000)
-	p, err := New(ds, Config{Shards: 8, Workers: 4, Obs: obs.NewRegistry()})
+	p, err := New(ds, Config{Shards: 8, Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestShardedRangeZeroAlloc(t *testing.T) {
 	ds, p := allocPool(t)
 	windows := dataset.RangeQueries(ds, 16, 5)
 	dst := make([]uint32, 0, 1<<16)
-	for i := 0; i < 4; i++ { // warm every window's gather/part buffers
+	for i := 0; i < 4; i++ { // warm the caller's result buffer
 		for _, w := range windows {
 			dst = p.RangeAppend(dst[:0], w)
 		}

@@ -1,27 +1,14 @@
 package shard
 
 import (
-	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
 	"mobispatial/internal/dataset"
-	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
 	"mobispatial/internal/parallel"
 	"mobispatial/internal/rtree"
 )
-
-// The scaling benchmark: one caller issuing wide window queries, monolithic
-// single-tree execution vs the sharded scatter-gather pool. Run with
-//
-//	go test ./internal/shard -bench ShardScaling -cpu 1,2,4
-//
-// The monolithic path executes a query on one goroutine regardless of -cpu;
-// the sharded path fans each query across min(GOMAXPROCS, shards touched)
-// lanes, so its per-query latency should drop as -cpu grows. Results are
-// recorded in results/BENCH_shard.json.
 
 var (
 	benchOnce sync.Once
@@ -40,60 +27,6 @@ func benchFixture(b *testing.B) (*dataset.Dataset, *rtree.Tree) {
 		benchTree = t
 	})
 	return benchDS, benchTree
-}
-
-// benchWindows builds wide windows (~12 km half-width on PA's 100x80 km
-// extent) centered on random segments — each one crosses many Hilbert shards
-// and returns thousands of ids, which is the regime scatter-gather targets.
-func benchWindows(ds *dataset.Dataset, n int) []geom.Rect {
-	rng := rand.New(rand.NewSource(77))
-	const half = 12_000.0
-	ws := make([]geom.Rect, n)
-	for i := range ws {
-		c := ds.Seg(uint32(rng.Intn(ds.Len()))).A
-		ws[i] = geom.Rect{
-			Min: geom.Point{X: c.X - half, Y: c.Y - half},
-			Max: geom.Point{X: c.X + half, Y: c.Y + half},
-		}
-	}
-	return ws
-}
-
-func BenchmarkShardScaling(b *testing.B) {
-	ds, tree := benchFixture(b)
-	windows := benchWindows(ds, 64)
-
-	b.Run("monolithic", func(b *testing.B) {
-		mono, err := parallel.New(ds, tree, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst := make([]uint32, 0, 1<<18)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dst = mono.RangeAppend(dst[:0], windows[i%len(windows)])
-		}
-		reportQPS(b)
-	})
-
-	b.Run("sharded", func(b *testing.B) {
-		p, err := New(ds, Config{Shards: 32, Workers: runtime.GOMAXPROCS(0)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer p.Close()
-		dst := make([]uint32, 0, 1<<18)
-		for _, w := range windows { // warm the pooled gather buffers
-			dst = p.RangeAppend(dst[:0], w)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			dst = p.RangeAppend(dst[:0], windows[i%len(windows)])
-		}
-		reportQPS(b)
-	})
 }
 
 // BenchmarkShardKNN pins the best-first NN scheduling cost: k-NN across
@@ -119,7 +52,7 @@ func BenchmarkShardKNN(b *testing.B) {
 	})
 
 	b.Run("sharded", func(b *testing.B) {
-		p, err := New(ds, Config{Shards: 32, Workers: runtime.GOMAXPROCS(0)})
+		p, err := New(ds, Config{Shards: 32})
 		if err != nil {
 			b.Fatal(err)
 		}

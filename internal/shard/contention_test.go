@@ -10,11 +10,11 @@ import (
 	"mobispatial/internal/rtree"
 )
 
-// TestScatterGatherContention hammers one sharded pool from many concurrent
-// callers — the case the static lane-ownership design exists for — and
-// checks every answer against the precomputed monolithic result. Run under
-// -race this doubles as the data-race proof for the pooled gather state.
-func TestScatterGatherContention(t *testing.T) {
+// TestConcurrentReaders hammers one sharded pool from many concurrent
+// callers and checks every answer against the precomputed monolithic
+// result. Run under -race this doubles as the data-race proof for the
+// shared shard set and the pooled NN state.
+func TestConcurrentReaders(t *testing.T) {
 	ds := fixture(t, 6000)
 	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
 	if err != nil {
@@ -24,7 +24,7 @@ func TestScatterGatherContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(ds, Config{Shards: 12, Workers: 4})
+	p, err := New(ds, Config{Shards: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +100,10 @@ func TestScatterGatherContention(t *testing.T) {
 	}
 }
 
-// TestCloseIdempotent: Close twice is safe; queries before Close all finish.
+// TestCloseIdempotent: Close is a no-op kept for callers; twice is safe.
 func TestCloseIdempotent(t *testing.T) {
 	ds := fixture(t, 500)
-	p, err := New(ds, Config{Shards: 4, Workers: 2})
+	p, err := New(ds, Config{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

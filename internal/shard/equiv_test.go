@@ -14,8 +14,8 @@ import (
 )
 
 // TestEquivalenceQuick property-tests the sharded executor against the
-// monolithic parallel.Pool over randomized small datasets, shard counts, and
-// lane counts. Range/point answers must be identical as id sets; NN/k-NN
+// monolithic parallel.Pool over randomized small datasets and shard
+// counts. Range/point answers must be identical as id sets; NN/k-NN
 // answers must report identical distances (tie *ids* may differ, so ~10% of
 // segments are exact duplicates to force ties). Empty and inverted windows
 // must come back empty on both paths.
@@ -32,7 +32,7 @@ func TestEquivalenceQuick(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sharded, err := New(ds, Config{Shards: 1 + rng.Intn(10), Workers: 1 + rng.Intn(4)})
+		sharded, err := New(ds, Config{Shards: 1 + rng.Intn(10)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,183 +1,60 @@
 package shard
 
 import (
-	"sync"
-
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
 )
 
-// workQueueDepth bounds each lane's pending-query queue. A full queue makes
-// the scattering caller block on the channel send — backpressure toward the
-// server's admission control, never a drop.
-const workQueueDepth = 256
-
-// maxPartIDs caps the retained capacity of one pooled per-shard result
-// buffer, mirroring internal/serve's scratch retention: a query that
-// produced an outsized shard answer releases the buffer instead of pinning
-// it in the pool forever.
-const maxPartIDs = 64 << 10
-
-// gather query kinds.
-const (
-	gFilterRange = iota
-	gRange
-	gFilterPoint
-	gPoint
-)
-
-// gather is the per-query scatter-gather state: the query parameters the
-// lanes read, the participant shard list, one result buffer per
-// participant, and the completion WaitGroup. Pooled; a warm query reuses
-// every slice.
-type gather struct {
-	kind   uint8
-	window geom.Rect
-	pt     geom.Point
-	eps    float64
-
-	// participants holds the shard indices this query touches, ascending.
-	// parts[j] receives shard participants[j]'s answer; len(parts) is fixed
-	// at the pool's shard count so lanes index it without bounds growth.
-	participants []int32
-	parts        [][]uint32
-
-	// wg counts unfinished participant shards. The caller Adds the full
-	// participant count before any lane send; each lane banks its shards'
-	// completions in one Add(-n) after its final read of this struct, so
-	// Wait returns exactly when all per-shard answers are in place and no
-	// lane still holds the pointer.
-	wg sync.WaitGroup
-}
-
-// worker is one resident scatter lane. Lane w statically owns every shard
-// i with i%workers == w; for each incoming gather it runs exactly its own
-// participants. Static ownership is what makes pooled gathers safe: each
-// participating lane receives the gather pointer once, and it banks all of
-// its Dones in a single Add(-n) AFTER its last read of the gather — the
-// caller's Wait can only return (and the gather only be recycled) once every
-// lane has stopped touching it. Done-ing per shard inside the loop would
-// race: the lane still scans the tail of participants for ownership checks
-// after its last owned shard completes.
-func (p *Pool) worker(w int) {
-	for gs := range p.work[w] {
-		ran := 0
-		for j, si := range gs.participants {
-			if int(si)%p.workers == w {
-				gs.parts[j] = p.runShard(gs, int(si), gs.parts[j][:0])
-				ran++
-			}
+// rangeWalk answers one window query on the caller's goroutine: every shard
+// whose MBR intersects w is searched in shard order, appending into dst.
+// With refine set the filter candidates are compacted in place to the exact
+// answer, exactly as parallel.Pool does, so per-shard answers are
+// bit-identical to the monolithic path restricted to that shard's items.
+func (p *Pool) rangeWalk(dst []uint32, w geom.Rect, refine bool) []uint32 {
+	n := 0
+	for i, t := range p.trees {
+		if !p.mbrs[i].Intersects(w) {
+			continue
 		}
-		gs.wg.Add(-ran)
-	}
-}
-
-// runShard answers gs's query against one shard, appending into dst and
-// returning the extended slice. Range and point kinds refine in place over
-// the filter candidates, exactly as parallel.Pool does, so per-shard
-// answers are bit-identical to the monolithic path restricted to that
-// shard's items.
-func (p *Pool) runShard(gs *gather, si int, dst []uint32) []uint32 {
-	t := p.shards[si].tree
-	switch gs.kind {
-	case gFilterRange:
-		return t.AppendSearch(dst, gs.window, ops.Null{})
-	case gFilterPoint:
-		return t.AppendSearchPoint(dst, gs.pt, ops.Null{})
-	case gRange:
+		n++
 		base := len(dst)
-		dst = t.AppendSearch(dst, gs.window, ops.Null{})
-		hits := dst[:base]
-		for _, id := range dst[base:] {
-			if p.ds.Seg(id).IntersectsRect(gs.window) {
-				hits = append(hits, id)
+		dst = t.AppendSearch(dst, w, ops.Null{})
+		if refine {
+			hits := dst[:base]
+			for _, id := range dst[base:] {
+				if p.ds.Seg(id).IntersectsRect(w) {
+					hits = append(hits, id)
+				}
 			}
+			dst = hits
 		}
-		return hits
-	default: // gPoint
+	}
+	p.observeFanout(n)
+	return dst
+}
+
+// pointWalk is rangeWalk for a point query: shards whose MBR contains pt,
+// refined by incidence within eps.
+func (p *Pool) pointWalk(dst []uint32, pt geom.Point, eps float64, refine bool) []uint32 {
+	n := 0
+	for i, t := range p.trees {
+		if !p.mbrs[i].ContainsPoint(pt) {
+			continue
+		}
+		n++
 		base := len(dst)
-		dst = t.AppendSearchPoint(dst, gs.pt, ops.Null{})
-		hits := dst[:base]
-		for _, id := range dst[base:] {
-			if p.ds.Seg(id).ContainsPoint(gs.pt, gs.eps) {
-				hits = append(hits, id)
+		dst = t.AppendSearchPoint(dst, pt, ops.Null{})
+		if refine {
+			hits := dst[:base]
+			for _, id := range dst[base:] {
+				if p.ds.Seg(id).ContainsPoint(pt, eps) {
+					hits = append(hits, id)
+				}
 			}
-		}
-		return hits
-	}
-}
-
-func (p *Pool) getGather() *gather { return p.gathers.Get().(*gather) }
-func (p *Pool) putGather(gs *gather) {
-	for j := range gs.parts {
-		if cap(gs.parts[j]) > maxPartIDs {
-			gs.parts[j] = nil
+			dst = hits
 		}
 	}
-	p.gathers.Put(gs)
-}
-
-// run executes one range/point-family query: select participants by shard
-// MBR, then answer inline (single shard, or a single-lane pool where
-// handoff buys nothing) or scatter across the lanes and gather into dst in
-// shard order.
-func (p *Pool) run(kind uint8, window geom.Rect, pt geom.Point, eps float64, dst []uint32) []uint32 {
-	gs := p.getGather()
-	gs.kind, gs.window, gs.pt, gs.eps = kind, window, pt, eps
-
-	gs.participants = gs.participants[:0]
-	switch kind {
-	case gFilterRange, gRange:
-		for i := range p.shards {
-			if p.shards[i].mbr.Intersects(window) {
-				gs.participants = append(gs.participants, int32(i))
-			}
-		}
-	default:
-		for i := range p.shards {
-			if p.shards[i].mbr.ContainsPoint(pt) {
-				gs.participants = append(gs.participants, int32(i))
-			}
-		}
-	}
-
-	n := len(gs.participants)
-	p.metrics.fanoutTotal.Add(uint64(n))
-	p.metrics.fanoutHist.Observe(float64(n))
-	if n == 0 {
-		p.metrics.inline.Inc()
-		p.putGather(gs)
-		return dst
-	}
-	if n == 1 || p.workers == 1 {
-		p.metrics.inline.Inc()
-		for _, si := range gs.participants {
-			dst = p.runShard(gs, int(si), dst)
-		}
-		p.putGather(gs)
-		return dst
-	}
-
-	// Scatter: one send per distinct owning lane (the lane mask dedupes),
-	// one Done per shard. The caller parks in Wait — its CPU share goes to
-	// the lanes — then gathers the per-shard answers in shard order.
-	var lanes uint64
-	for _, si := range gs.participants {
-		lanes |= 1 << (int(si) % p.workers)
-	}
-	gs.wg.Add(n)
-	p.metrics.scatter.Inc()
-	for w := 0; lanes != 0; w++ {
-		if lanes&(1<<w) != 0 {
-			lanes &^= 1 << w
-			p.work[w] <- gs
-		}
-	}
-	gs.wg.Wait()
-	for j := 0; j < n; j++ {
-		dst = append(dst, gs.parts[j]...)
-	}
-	p.putGather(gs)
+	p.observeFanout(n)
 	return dst
 }
 
@@ -188,22 +65,22 @@ func (p *Pool) run(kind uint8, window geom.Rect, pt geom.Point, eps float64, dst
 
 // FilterRangeAppend appends the candidate ids of a window query to dst.
 func (p *Pool) FilterRangeAppend(dst []uint32, w geom.Rect) []uint32 {
-	return p.run(gFilterRange, w, geom.Point{}, 0, dst)
+	return p.rangeWalk(dst, w, false)
 }
 
 // RangeAppend appends the exact answer of a window query to dst.
 func (p *Pool) RangeAppend(dst []uint32, w geom.Rect) []uint32 {
-	return p.run(gRange, w, geom.Point{}, 0, dst)
+	return p.rangeWalk(dst, w, true)
 }
 
 // FilterPointAppend appends the candidate ids of a point query to dst.
 func (p *Pool) FilterPointAppend(dst []uint32, pt geom.Point) []uint32 {
-	return p.run(gFilterPoint, geom.Rect{}, pt, 0, dst)
+	return p.pointWalk(dst, pt, 0, false)
 }
 
 // PointAppend appends the exact answer of a point query to dst.
 func (p *Pool) PointAppend(dst []uint32, pt geom.Point, eps float64) []uint32 {
-	return p.run(gPoint, geom.Rect{}, pt, eps, dst)
+	return p.pointWalk(dst, pt, eps, true)
 }
 
 // Range answers one window query (filter + exact refinement).

@@ -9,24 +9,20 @@ import "mobispatial/internal/obs"
 // Exported metric names:
 //
 //	shard_count                    gauge: shards in the pool
-//	shard_workers                  gauge: scatter lanes
 //	shard_fanout                   histogram: participating shards per
 //	                               range/point query (after MBR pruning)
 //	shard_fanout_shards_total      counter: sum of the fan-outs
-//	shard_scatter_total            counter: queries that fanned out to lanes
-//	shard_inline_total             counter: queries answered on the caller
-//	                               (0 or 1 shards, or a 1-lane pool)
+//	shard_inline_total             counter: range/point queries answered —
+//	                               every one runs inline on its caller
 //	shard_nn_total                 counter: NN/k-NN queries
 //	shard_nn_shards_visited_total  counter: shards actually searched
 //	shard_nn_shards_pruned_total   counter: shards skipped by the bound
 //	shard_nn_pruned                histogram: shards pruned per NN query
 type metrics struct {
-	shardCount   *obs.Gauge
-	shardWorkers *obs.Gauge
+	shardCount *obs.Gauge
 
 	fanoutHist  *obs.Histogram
 	fanoutTotal *obs.Counter
-	scatter     *obs.Counter
 	inline      *obs.Counter
 
 	nnQueries    *obs.Counter
@@ -36,21 +32,23 @@ type metrics struct {
 }
 
 func newMetrics(r *obs.Registry) metrics {
-	if r == nil {
-		return metrics{}
-	}
 	return metrics{
 		shardCount:   r.Gauge("shard_count"),
-		shardWorkers: r.Gauge("shard_workers"),
 		fanoutHist:   r.Histogram("shard_fanout"),
 		fanoutTotal:  r.Counter("shard_fanout_shards_total"),
-		scatter:      r.Counter("shard_scatter_total"),
 		inline:       r.Counter("shard_inline_total"),
 		nnQueries:    r.Counter("shard_nn_total"),
 		nnVisited:    r.Counter("shard_nn_shards_visited_total"),
 		nnPruned:     r.Counter("shard_nn_shards_pruned_total"),
 		nnPrunedHist: r.Histogram("shard_nn_pruned"),
 	}
+}
+
+// observeFanout records one range/point query that searched n shards.
+func (p *Pool) observeFanout(n int) {
+	p.metrics.fanoutTotal.Add(uint64(n))
+	p.metrics.fanoutHist.Observe(float64(n))
+	p.metrics.inline.Inc()
 }
 
 // observeNN records one best-first NN visit: how many shards were searched

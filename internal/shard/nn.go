@@ -10,8 +10,8 @@ import (
 	"mobispatial/internal/rtree"
 )
 
-// Nearest-neighbor queries are not scattered: they run best-first *across*
-// shards on the caller's goroutine. Shards are visited in ascending order
+// Nearest-neighbor queries run best-first *across* shards, like every query
+// on the caller's goroutine. Shards are visited in ascending order
 // of MBR min-distance to the query point; the best distance found so far is
 // carried into every later shard's traversal (rtree.NearestWithin /
 // KNearestCollect), and the visit loop stops the moment the next shard's
@@ -27,23 +27,18 @@ type nnState struct {
 	psc   parallel.Scratch
 }
 
-func (p *Pool) getNNState() *nnState   { return p.nnStates.Get().(*nnState) }
-func (p *Pool) putNNState(ns *nnState) { p.nnStates.Put(ns) }
-
-// orderShards fills ns.order with every shard's MBR min-distance to pt,
-// ascending, via the exported OrderByMinDist helper (partition.go) — the
-// same scheduling the router applies across servers.
-func (p *Pool) orderShards(ns *nnState, pt geom.Point) {
+// nnBegin takes a pooled state and prepares one NN query: ns.order gets
+// every shard's MBR min-distance to pt, ascending (OrderByMinDist — the same
+// scheduling the router applies across servers), and the distance closure
+// and traversal scratch come from the caller's scratch when present, the
+// pooled state's otherwise. The caller returns ns with p.nnStates.Put.
+func (p *Pool) nnBegin(pt geom.Point, sc *parallel.Scratch) (*nnState, index.DistFunc, *rtree.NNScratch) {
+	ns := p.nnStates.Get().(*nnState)
 	ns.order = OrderByMinDist(ns.order[:0], p.mbrs, pt)
-}
-
-// nnArgs resolves the distance closure and traversal scratch for one NN
-// query: the caller's scratch when present, the pooled state's otherwise.
-func (p *Pool) nnArgs(ns *nnState, pt geom.Point, sc *parallel.Scratch) (index.DistFunc, *rtree.NNScratch) {
 	if sc == nil {
 		sc = &ns.psc
 	}
-	return sc.DistTo(p.ds, pt), &sc.NN
+	return ns, sc.DistTo(p.ds, pt), &sc.NN
 }
 
 // Nearest answers one nearest-neighbor query.
@@ -54,9 +49,7 @@ func (p *Pool) Nearest(pt geom.Point) parallel.NearestResult {
 // NearestWith answers one nearest-neighbor query reusing sc's traversal
 // buffers; sc may be nil.
 func (p *Pool) NearestWith(pt geom.Point, sc *parallel.Scratch) parallel.NearestResult {
-	ns := p.getNNState()
-	df, nnsc := p.nnArgs(ns, pt, sc)
-	p.orderShards(ns, pt)
+	ns, df, nnsc := p.nnBegin(pt, sc)
 
 	var res parallel.NearestResult
 	visited := 0
@@ -65,12 +58,12 @@ func (p *Pool) NearestWith(pt geom.Point, sc *parallel.Scratch) parallel.Nearest
 			break
 		}
 		visited++
-		if id, d, ok := p.shards[sd.Index].tree.NearestWithin(pt, nnBound(res), df, ops.Null{}, nnsc); ok {
+		if id, d, ok := p.trees[sd.Index].NearestWithin(pt, nnBound(res), df, ops.Null{}, nnsc); ok {
 			res = parallel.NearestResult{ID: id, Dist: d, OK: true}
 		}
 	}
 	p.observeNN(visited, len(ns.order)-visited)
-	p.putNNState(ns)
+	p.nnStates.Put(ns)
 	return res
 }
 
@@ -111,9 +104,7 @@ func (p *Pool) KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int,
 	if bound <= 0 {
 		bound = math.Inf(1)
 	}
-	ns := p.getNNState()
-	df, nnsc := p.nnArgs(ns, pt, sc)
-	p.orderShards(ns, pt)
+	ns, df, nnsc := p.nnBegin(pt, sc)
 
 	nnsc.ResetKNN()
 	visited := 0
@@ -130,10 +121,10 @@ func (p *Pool) KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int,
 			break
 		}
 		visited++
-		p.shards[sd.Index].tree.KNearestCollect(pt, k, df, ops.Null{}, nnsc)
+		p.trees[sd.Index].KNearestCollect(pt, k, df, ops.Null{}, nnsc)
 	}
 	p.observeNN(visited, len(ns.order)-visited)
 	dst = nnsc.DrainKNNAppend(dst)
-	p.putNNState(ns)
+	p.nnStates.Put(ns)
 	return dst, true
 }

@@ -31,11 +31,12 @@ type Range struct {
 }
 
 // PartitionHilbert sorts items in place by the Hilbert value of their MBR
-// centroid (the same linearization shard.New and the packed R-tree bulk
-// loader use) and cuts the order into n contiguous, near-equal runs. The
-// cut formula matches shard.New's, so every process partitioning the same
-// item slice — mqserve backends and the router's equivalence tests build
-// from the same deterministic dataset — derives bit-identical ranges.
+// centroid (the same linearization the packed R-tree bulk loader uses) and
+// cuts the order into n contiguous, near-equal runs (ceiling division keeps
+// every run non-empty). shard.New cuts its local shards with it too, and
+// every process partitioning the same item slice — mqserve backends and the
+// router's equivalence tests build from the same deterministic dataset —
+// derives bit-identical ranges.
 // order 0 means the default Hilbert order. n is clamped to the item count;
 // an empty input yields no ranges.
 func PartitionHilbert(items []rtree.Item, n int, order uint) ([]Range, geom.Rect) {

@@ -140,7 +140,7 @@ func TestOrderByMinDist(t *testing.T) {
 // the unbounded one; with bound +Inf they are identical by construction.
 func TestKNearestBoundedAppend(t *testing.T) {
 	ds := dataset.PA()
-	p, err := New(ds, Config{Shards: 8, Workers: 1})
+	p, err := New(ds, Config{Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,14 +8,12 @@
 // (k-)NN query visits shards best-first by MBR min-distance and stops once
 // the running k-th-neighbor bound beats the next shard's lower bound.
 //
-// Queries that touch several shards are scattered across a fixed set of
-// resident worker goroutines — parallelism *within* one query, where
-// internal/parallel only parallelizes across queries — and gathered into the
-// caller's dst slice. The executor preserves the serve path's
-// zero-allocation discipline: per-query gather state (participant lists,
-// per-shard result buffers, NN scratch) is pooled, task handoff is a
-// pointer send on a pre-sized channel, and the warm scatter path performs
-// no heap allocation (see alloc_test.go).
+// A query runs on the goroutine that called it: the participating shards
+// are walked inline in shard order, each appending straight into the
+// caller's dst slice, so the warm path performs no heap allocation (see
+// alloc_test.go). Hilbert-coherent cuts keep the fan-out near one shard per
+// query, so parallelism belongs across queries — the serving tier's
+// admission window — not inside one.
 //
 // Pool implements the same append-first query surface as parallel.Pool, so
 // internal/serve drives either through one Executor interface.
@@ -24,12 +22,10 @@ package shard
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
-	"mobispatial/internal/hilbert"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/ops"
 	"mobispatial/internal/rtree"
@@ -37,14 +33,8 @@ import (
 
 // DefaultShards is the shard count when Config.Shards is unset: small
 // enough that per-shard trees stay several levels deep on the paper's
-// datasets, large enough that wide window queries fan out past any
-// realistic core count.
+// datasets, large enough that the shard MBRs prune most of the map.
 const DefaultShards = 16
-
-// maxWorkers caps the scatter lane count; the shard→worker assignment uses
-// a 64-bit lane mask, and machines past 64 cores gain nothing from more
-// lanes per query anyway.
-const maxWorkers = 64
 
 // shardRegionBytes is the simulated-address stride between per-shard tree
 // regions: each shard's nodes are laid out in their own slice of the index
@@ -57,14 +47,11 @@ type Config struct {
 	// Shards is the number of spatial partitions; DefaultShards when <= 0.
 	// Clamped to the item count so every shard holds at least one item.
 	Shards int
-	// Workers is the scatter lane count — resident goroutines that execute
-	// per-shard sub-queries; GOMAXPROCS when <= 0, capped at 64.
-	Workers int
 	// Tree is the per-shard packed R-tree layout; each shard overrides
 	// BaseAddr with its own address region.
 	Tree rtree.Config
-	// Obs receives the shard metrics (fan-out and pruning histograms,
-	// scatter/inline counters, shard_count gauge); nil disables them.
+	// Obs receives the shard metrics (fan-out and pruning histograms, the
+	// query counter, shard_count gauge); nil disables them.
 	Obs *obs.Registry
 	// Items, when non-nil, is the item subset to index instead of the full
 	// ds.Items() — how a partitioned backend (cmd/mqserve -partition)
@@ -74,45 +61,25 @@ type Config struct {
 	Items []rtree.Item
 }
 
-// shardT is one spatial partition: a packed R-tree over a contiguous
-// Hilbert run of items, plus its MBR summary for participant selection.
-type shardT struct {
-	tree *rtree.Tree
-	mbr  geom.Rect
-}
-
-// Pool is a sharded, scatter-gather query executor over one dataset. All
-// query methods are safe for any number of concurrent callers; the resident
-// workers are shared across callers and never issue queries themselves
-// (re-entrant scatter would deadlock the lanes, and is therefore forbidden
-// by construction — nothing inside this package queries the pool).
+// Pool is a sharded query executor over one dataset. The shards are
+// immutable after New, so all query methods are safe for any number of
+// concurrent callers.
 type Pool struct {
-	ds     *dataset.Dataset
-	shards []shardT
-	// mbrs mirrors the per-shard MBR summaries as a flat slice for the
-	// exported MINDIST ordering helper (partition.go).
-	mbrs    []geom.Rect
-	bounds  geom.Rect
-	workers int
+	ds *dataset.Dataset
+	// trees[i] is shard i's packed R-tree over one contiguous Hilbert run
+	// of items; mbrs[i] is its MBR summary, the participant-selection and
+	// MINDIST-ordering predicate.
+	trees  []*rtree.Tree
+	mbrs   []geom.Rect
+	bounds geom.Rect
 
-	// work[w] feeds resident worker w. Shard i is statically owned by lane
-	// i%workers, so adjacent Hilbert runs — the shards one window query
-	// touches — land on distinct lanes. Each participating lane receives
-	// the query's gather exactly once and marks Done per shard it ran, so
-	// no stale gather reference can outlive its query.
-	work []chan *gather
-
-	gathers  sync.Pool // *gather
 	nnStates sync.Pool // *nnState
 
 	metrics metrics
-
-	closeOnce sync.Once
 }
 
-// New Hilbert-orders the dataset's items, builds one packed R-tree per
-// shard, and starts the resident scatter workers. Callers that create
-// short-lived pools (tests) should Close them to release the workers.
+// New Hilbert-orders the dataset's items and builds one packed R-tree per
+// shard.
 func New(ds *dataset.Dataset, cfg Config) (*Pool, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("shard: nil dataset")
@@ -120,93 +87,35 @@ func New(ds *dataset.Dataset, cfg Config) (*Pool, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Workers > maxWorkers {
-		cfg.Workers = maxWorkers
-	}
 
 	items := cfg.Items
 	if items == nil {
 		items = ds.Items()
 	}
-	nShards := cfg.Shards
-	if nShards > len(items) {
-		nShards = len(items)
-	}
-
-	p := &Pool{
-		ds:      ds,
-		workers: cfg.Workers,
-		bounds:  geom.EmptyRect(),
-		metrics: newMetrics(cfg.Obs),
-	}
-
-	if nShards > 0 {
-		for _, it := range items {
-			p.bounds = p.bounds.Union(it.MBR)
+	// PartitionHilbert is the one cut recipe: the pool's local shards and
+	// the cluster tier's ranges are the same contiguous Hilbert runs.
+	ranges, bounds := PartitionHilbert(items, cfg.Shards, cfg.Tree.HilbertOrder)
+	p := &Pool{ds: ds, bounds: bounds, metrics: newMetrics(cfg.Obs)}
+	for i, rg := range ranges {
+		tcfg := cfg.Tree
+		tcfg.BaseAddr = ops.IndexBase + uint64(i)*shardRegionBytes
+		tree, err := rtree.Build(rg.Items, tcfg, ops.Null{})
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		hilbertSort(items, p.bounds, cfg.Tree.HilbertOrder)
-
-		// Cut the Hilbert order into nShards contiguous runs of near-equal
-		// size. Ceiling division keeps every run non-empty: run r covers
-		// [r*chunk, (r+1)*chunk) and the last run absorbs the remainder.
-		chunk := (len(items) + nShards - 1) / nShards
-		for lo := 0; lo < len(items); lo += chunk {
-			hi := lo + chunk
-			if hi > len(items) {
-				hi = len(items)
-			}
-			tcfg := cfg.Tree
-			tcfg.BaseAddr = ops.IndexBase + uint64(len(p.shards))*shardRegionBytes
-			tree, err := rtree.Build(items[lo:hi], tcfg, ops.Null{})
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", len(p.shards), err)
-			}
-			p.shards = append(p.shards, shardT{tree: tree, mbr: tree.Bounds()})
-			p.mbrs = append(p.mbrs, tree.Bounds())
-		}
+		p.trees = append(p.trees, tree)
+		p.mbrs = append(p.mbrs, tree.Bounds())
 	}
 
-	nS := len(p.shards)
-	p.gathers.New = func() any {
-		return &gather{
-			parts:        make([][]uint32, nS),
-			participants: make([]int32, 0, nS),
-		}
-	}
+	nS := len(p.trees)
 	p.nnStates.New = func() any {
 		return &nnState{order: make([]IndexDist, 0, nS)}
 	}
-
-	p.work = make([]chan *gather, p.workers)
-	for w := range p.work {
-		p.work[w] = make(chan *gather, workQueueDepth)
-		go p.worker(w)
-	}
-
 	p.metrics.shardCount.Set(float64(nS))
-	p.metrics.shardWorkers.Set(float64(p.workers))
 	return p, nil
 }
 
-// hilbertSort orders items by the Hilbert value of their MBR centroid over
-// bounds — the same linearization rtree.Build uses, applied once globally so
-// the shard cuts partition one curve.
-func hilbertSort(items []rtree.Item, bounds geom.Rect, order uint) {
-	if order == 0 {
-		order = hilbert.Order
-	}
-	q := hilbert.NewQuantizer(order, bounds.Min.X, bounds.Min.Y, bounds.Max.X, bounds.Max.Y)
-	keys := make([]uint64, len(items))
-	for i, it := range items {
-		c := it.MBR.Center()
-		keys[i] = q.Value(c.X, c.Y)
-	}
-	sort.Sort(&byKey{items: items, keys: keys})
-}
-
+// byKey sorts items by their precomputed Hilbert keys (PartitionHilbert).
 type byKey struct {
 	items []rtree.Item
 	keys  []uint64
@@ -219,25 +128,20 @@ func (b *byKey) Swap(i, j int) {
 	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 }
 
-// Close stops the resident workers. The pool must be idle: no query may be
-// in flight or issued afterwards.
-func (p *Pool) Close() {
-	p.closeOnce.Do(func() {
-		for _, ch := range p.work {
-			close(ch)
-		}
-	})
-}
+// Close is a no-op: the pool owns no goroutines or other resources. It
+// exists only because callers written against the pool's earlier resident
+// workers (the benchmark module) still call it.
+func (p *Pool) Close() {}
 
-// Workers returns the scatter lane count — the pool's concurrency width,
-// mirroring parallel.Pool.Workers for the server's admission sizing.
-func (p *Pool) Workers() int { return p.workers }
+// Workers returns GOMAXPROCS — the width the server sizes its admission
+// window from, mirroring parallel.Pool.Workers.
+func (p *Pool) Workers() int { return runtime.GOMAXPROCS(0) }
 
 // Dataset returns the pool's dataset.
 func (p *Pool) Dataset() *dataset.Dataset { return p.ds }
 
 // Shards returns the shard count.
-func (p *Pool) Shards() int { return len(p.shards) }
+func (p *Pool) Shards() int { return len(p.trees) }
 
 // Bounds returns the MBR of all indexed items.
 func (p *Pool) Bounds() geom.Rect { return p.bounds }
@@ -245,8 +149,8 @@ func (p *Pool) Bounds() geom.Rect { return p.bounds }
 // Len returns the number of indexed items across all shards.
 func (p *Pool) Len() int {
 	n := 0
-	for i := range p.shards {
-		n += p.shards[i].tree.Len()
+	for _, t := range p.trees {
+		n += t.Len()
 	}
 	return n
 }
@@ -254,8 +158,8 @@ func (p *Pool) Len() int {
 // IndexBytes returns the total byte size of all per-shard trees.
 func (p *Pool) IndexBytes() int {
 	n := 0
-	for i := range p.shards {
-		n += p.shards[i].tree.IndexBytes()
+	for _, t := range p.trees {
+		n += t.IndexBytes()
 	}
 	return n
 }
@@ -270,10 +174,10 @@ type ShardStats struct {
 
 // PerShard returns per-shard structural statistics.
 func (p *Pool) PerShard() []ShardStats {
-	out := make([]ShardStats, len(p.shards))
-	for i := range p.shards {
-		st := p.shards[i].tree.TreeStats()
-		out[i] = ShardStats{Items: st.Items, Height: st.Height, IndexBytes: st.IndexBytes, MBR: p.shards[i].mbr}
+	out := make([]ShardStats, len(p.trees))
+	for i, t := range p.trees {
+		st := t.TreeStats()
+		out[i] = ShardStats{Items: st.Items, Height: st.Height, IndexBytes: st.IndexBytes, MBR: p.mbrs[i]}
 	}
 	return out
 }

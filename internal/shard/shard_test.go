@@ -45,7 +45,7 @@ func TestNewValidation(t *testing.T) {
 // in exactly one shard, and the totals line up.
 func TestPartitionComplete(t *testing.T) {
 	ds := fixture(t, 3000)
-	p, err := New(ds, Config{Shards: 7, Workers: 3})
+	p, err := New(ds, Config{Shards: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,19 +124,19 @@ func TestEmptyDataset(t *testing.T) {
 	}
 }
 
-// TestMetrics: the fan-out/pruning counters move and the gauges describe the
+// TestMetrics: the fan-out/pruning counters move and the gauge describes the
 // pool.
 func TestMetrics(t *testing.T) {
 	ds := fixture(t, 4000)
 	reg := obs.NewRegistry()
-	p, err := New(ds, Config{Shards: 8, Workers: 4, Obs: reg})
+	p, err := New(ds, Config{Shards: 8, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 
-	p.Range(p.Bounds())        // fans out to all 8 shards
-	p.Point(ds.Seg(0).A, 2.0)  // usually 1 shard: inline
+	p.Range(p.Bounds())        // walks all 8 shards
+	p.Point(ds.Seg(0).A, 2.0)  // usually 1 shard
 	p.Nearest(ds.Seg(1).A)     // NN visit
 	p.KNearest(ds.Seg(2).B, 4) // k-NN visit
 	snap := reg.Snapshot()
@@ -149,7 +149,7 @@ func TestMetrics(t *testing.T) {
 		got[g.Name] = g.Value
 	}
 	for _, name := range []string{
-		"shard_count", "shard_workers", "shard_fanout_shards_total", "shard_nn_total",
+		"shard_count", "shard_fanout_shards_total", "shard_nn_total",
 	} {
 		if _, ok := got[name]; !ok {
 			t.Errorf("metric %q missing from snapshot", name)
@@ -158,63 +158,18 @@ func TestMetrics(t *testing.T) {
 	if got["shard_count"] != 8 {
 		t.Errorf("shard_count = %v, want 8", got["shard_count"])
 	}
-	if got["shard_workers"] != 4 {
-		t.Errorf("shard_workers = %v, want 4", got["shard_workers"])
-	}
 	if got["shard_fanout_shards_total"] < 8 {
 		t.Errorf("shard_fanout_shards_total = %v, want >= 8 after whole-extent query", got["shard_fanout_shards_total"])
 	}
 	if got["shard_nn_total"] != 2 {
 		t.Errorf("shard_nn_total = %v, want 2", got["shard_nn_total"])
 	}
-	if got["shard_scatter_total"]+got["shard_inline_total"] != 2 {
-		t.Errorf("scatter %v + inline %v != 2 range/point queries",
-			got["shard_scatter_total"], got["shard_inline_total"])
+	if got["shard_inline_total"] != 2 {
+		t.Errorf("shard_inline_total = %v, want 2 range/point queries", got["shard_inline_total"])
 	}
 	if v := got["shard_nn_shards_visited_total"] + got["shard_nn_shards_pruned_total"]; v != 16 {
 		t.Errorf("nn visited+pruned = %v, want 2 queries x 8 shards = 16", v)
 	}
-}
-
-// TestInlineSingleLane: a one-worker pool answers everything inline and
-// still matches the scattered answers of a wide pool.
-func TestInlineSingleLane(t *testing.T) {
-	ds := fixture(t, 3000)
-	regNarrow, regWide := obs.NewRegistry(), obs.NewRegistry()
-	narrow, err := New(ds, Config{Shards: 6, Workers: 1, Obs: regNarrow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer narrow.Close()
-	wide, err := New(ds, Config{Shards: 6, Workers: 4, Obs: regWide})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wide.Close()
-
-	for _, w := range dataset.RangeQueries(ds, 20, 3) {
-		a, b := narrow.Range(w), wide.Range(w)
-		if !sameIDSet(a, b) {
-			t.Fatalf("window %v: narrow %d ids, wide %d ids", w, len(a), len(b))
-		}
-	}
-	if v := counterValue(t, regNarrow, "shard_scatter_total"); v != 0 {
-		t.Errorf("1-worker pool scattered %v queries; want all inline", v)
-	}
-	if v := counterValue(t, regWide, "shard_scatter_total"); v == 0 {
-		t.Error("4-worker pool never scattered across 20 windows")
-	}
-}
-
-func counterValue(t *testing.T, reg *obs.Registry, name string) float64 {
-	t.Helper()
-	for _, c := range reg.Snapshot().Counters {
-		if c.Name == name {
-			return float64(c.Value)
-		}
-	}
-	t.Fatalf("counter %q not found", name)
-	return 0
 }
 
 func sameIDSet(a, b []uint32) bool {
