@@ -1,10 +1,11 @@
 package mutable
 
 import (
+	"slices"
 	"time"
 
+	"mobispatial/internal/dynrtree"
 	"mobispatial/internal/geom"
-	"mobispatial/internal/ops"
 	"mobispatial/internal/rtree"
 )
 
@@ -46,10 +47,7 @@ func (p *Pool) CompactShard(i int) bool {
 
 func (s *mshard) compact() bool {
 	f := s.freeze()
-	if f == nil {
-		return false
-	}
-	return s.finishCompact(f)
+	return f != nil && s.finishCompact(f)
 }
 
 // freeze runs phase 1, returning the detached overlay, or nil when there is
@@ -57,37 +55,91 @@ func (s *mshard) compact() bool {
 // finishCompact so tests can hold the three-layer state open and query
 // through it deterministically.
 func (s *mshard) freeze() *frozenView {
-	s.mu.Lock()
-	if s.frozen != nil {
-		// A concurrent ForceCompact already froze; let it finish.
-		s.mu.Unlock()
-		return nil
+	if fs := freezeAll([]*mshard{s}, false); fs != nil {
+		return fs[0]
 	}
-	if len(s.overSeg) == 0 && len(s.tombs) == 0 {
-		s.mu.Unlock()
-		return nil
+	return nil
+}
+
+// freezeAll is phase 1 over every victim at once, all or nothing: under all
+// their write locks each live overlay — delta tree, override map, tombstones
+// — becomes that shard's immutable frozen layer above a fresh empty live
+// overlay, whose delta tree is allocated before any lock is taken. It
+// returns nil when any victim already has a freeze outstanding (a concurrent
+// compaction or repartition owns it; the caller retries later).
+//
+// The compactor (force false) also returns nil for an empty overlay. The
+// repartitioner (force true) detaches even an empty one, because the
+// installed frozen layer is its mutual-exclusion token against the
+// compactor: no compaction can fold a victim mid-repartition.
+//
+// Freezing several victims under all their locks at once is what makes a
+// merge safe. Two separate freezes would leave a window where a cross-shard
+// move lands its removal in the first victim's LIVE tombstones but its
+// arrival in the second victim's FROZEN overlay: the swap would then see a
+// live tombstone for an id whose current copy sits in the merged base and
+// wrongly kill it. Detached together, any move between victims is entirely
+// in the frozen snapshots or entirely in the live layers.
+func freezeAll(victims []*mshard, force bool) []*frozenView {
+	deltas := make([]*dynrtree.Tree, len(victims))
+	for i, s := range victims {
+		if !force && s.pend.Load() == 0 {
+			return nil // nothing to fold: skip the allocation and the lock
+		}
+		nd, err := dynrtree.New(dynrtree.Config{})
+		if err != nil {
+			s.pl.m.compactErrs.Inc()
+			return nil
+		}
+		deltas[i] = nd
 	}
+	defer lockAll(victims)()
+	for _, s := range victims {
+		if s.frozen != nil || (!force && len(s.overSeg)+len(s.tombs) == 0) {
+			return nil
+		}
+	}
+	fs := make([]*frozenView, len(victims))
+	for i, s := range victims {
+		fs[i] = s.detachWith(deltas[i])
+	}
+	return fs
+}
+
+// detachWith is the freeze detachment with s.mu already held in write mode:
+// the live overlay becomes the immutable frozen layer and nd becomes the new
+// empty live delta. The caller must have checked s.frozen == nil.
+func (s *mshard) detachWith(nd *dynrtree.Tree) *frozenView {
 	f := &frozenView{delta: s.delta, overSeg: s.overSeg, tombs: s.tombs}
-	nd, err := newDelta(s.pl.cfg.DeltaNodeBytes)
-	if err != nil {
-		s.mu.Unlock()
-		s.pl.m.compactErrs.Inc()
-		return nil
-	}
 	s.frozen = f
 	s.delta = nd
 	s.overSeg = map[uint32]geom.Segment{}
 	s.tombs = map[uint32]struct{}{}
-	s.mu.Unlock()
 	return f
 }
 
-// finishCompact runs phases 2 and 3 over a frozen overlay.
-func (s *mshard) finishCompact(f *frozenView) bool {
-	// Phase 2: rebuild from immutable inputs.
-	old := s.base.Load()
+// lockAll write-locks shards in ascending li order, the order every
+// multi-shard acquisition uses, and returns the matching unlock.
+func lockAll(shards []*mshard) (unlock func()) {
+	order := slices.Clone(shards)
+	slices.SortFunc(order, func(a, b *mshard) int { return a.li - b.li })
+	for _, s := range order {
+		s.mu.Lock()
+	}
+	return func() {
+		for _, s := range order {
+			s.mu.Unlock()
+		}
+	}
+}
+
+// mergedItems is the phase 2 fold, without the tree build: the old base's
+// items minus frozen tombstones and superseded ids, plus the frozen
+// overlay's items. Both inputs are immutable; the result is the shard's
+// visible-beneath-the-live-overlay contents, with over carrying the geometry
+// of every id whose segment differs from the base dataset.
+func mergedItems(old *baseView, f *frozenView) ([]rtree.Item, map[uint32]geom.Segment) {
 	items := make([]rtree.Item, 0, len(old.items)+len(f.overSeg))
-	has := make(map[uint32]struct{}, len(old.items)+len(f.overSeg))
 	over := make(map[uint32]geom.Segment, len(old.over)+len(f.overSeg))
 	for _, it := range old.items {
 		if _, dead := f.tombs[it.ID]; dead {
@@ -97,17 +149,20 @@ func (s *mshard) finishCompact(f *frozenView) bool {
 			continue
 		}
 		items = append(items, it)
-		has[it.ID] = struct{}{}
 		if seg, ok := old.over[it.ID]; ok {
 			over[it.ID] = seg
 		}
 	}
 	for id, seg := range f.overSeg {
 		items = append(items, rtree.Item{MBR: seg.MBR(), ID: id})
-		has[id] = struct{}{}
 		over[id] = seg
 	}
-	tree, err := rtree.Build(items, rtree.Config{NodeBytes: s.pl.cfg.NodeBytes}, ops.Null{})
+	return items, over
+}
+
+// finishCompact runs phases 2 and 3 over a frozen overlay.
+func (s *mshard) finishCompact(f *frozenView) bool {
+	nv, err := newBaseView(mergedItems(s.base.Load(), f))
 	if err != nil {
 		// Cannot happen with a config that built the initial base; if it
 		// somehow does, leave the frozen layer in place — reads remain
@@ -115,7 +170,6 @@ func (s *mshard) finishCompact(f *frozenView) bool {
 		s.pl.m.compactErrs.Inc()
 		return false
 	}
-	nv := &baseView{tree: tree, items: items, has: has, over: over, bounds: tree.Bounds()}
 
 	// Phase 3: swap.
 	s.mu.Lock()

@@ -23,6 +23,13 @@
 // same freeze/rebuild/swap discipline compaction uses, so readers never
 // block on a repartition either.
 //
+// Each mechanism has one implementation. The four append queries are thin
+// callers of one shard walker (scan, read.go), which per shard picks the
+// lock-free packed arm or the read-locked three-layer merge. Compaction and
+// repartitioning share one freeze (freezeAll, n shards at once), one fold
+// (mergedItems) and one swap-in of a rebuilt base (finishCompact); split and
+// merge are both recut (repartition.go), "re-cut a run of adjacent ranges".
+//
 // Consistency model: a Pool is linearizable per object id (writes to one id
 // are serialized by the pool's owner table; a read observes every write
 // acknowledged before the read began, because writers publish under the
@@ -33,20 +40,26 @@
 // the live overlay into the replacement shards), so a reader still holding
 // the old topology keeps observing every acknowledged write until it drops
 // the snapshot. Multi-shard scans are not snapshot-isolated — a write
-// concurrent with the scan may or may not be observed — but each answer
-// contains an id at most once: writers signal cross-shard transfers through
-// a pool-wide counter and a scan that raced one dedups its answer before
-// returning it (read.go). Epochs count compactions: an update ack carries the owning
-// shard's current base epoch E, meaning the write lives in the overlay above
-// base E and will be folded into base E+1 or later — the distance between a
-// replica's acked epoch and its current epoch is the staleness the stats
-// surface reports.
+// concurrent with the scan may or may not be observed — and each answer
+// contains an id at most once, possibly zero times while an id is
+// mid-transfer (ROADMAP item 3): writers signal cross-shard transfers
+// through a pool-wide counter and a scan that raced one dedups its answer
+// before returning it (read.go), which erases a double sighting but cannot
+// restore an object the scan saw in neither shard — it read the destination
+// before the move and the source after it. TestScanAgainstPingPongMover
+// fails on the former and counts the latter.
+//
+// Epochs count compactions: an update ack carries the owning shard's current
+// base epoch E, meaning the write lives in the overlay above base E and will
+// be folded into base E+1 or later — the distance between a replica's acked
+// epoch and its current epoch is the staleness the stats surface reports.
 package mutable
 
 import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,18 +101,6 @@ type Config struct {
 	// shard.WriteKey under a quantizer over these bounds, so every
 	// process must use the same value. Required and non-empty.
 	Bounds geom.Rect
-
-	// Order is the Hilbert order of the partitioning quantizer; 0 means
-	// the default.
-	Order uint
-
-	// NodeBytes sizes packed base nodes (rtree.Config.NodeBytes);
-	// 0 means the rtree default.
-	NodeBytes int
-
-	// DeltaNodeBytes sizes delta-tree nodes (dynrtree.Config.NodeBytes);
-	// 0 means the dynrtree default.
-	DeltaNodeBytes int
 
 	// CompactThreshold is the overlay size (pending inserts+moves+
 	// tombstones) at which the compactor rebuilds a shard's base.
@@ -265,7 +266,7 @@ func New(cfg Config) (*Pool, error) {
 	p := &Pool{
 		cfg:     cfg,
 		ds:      cfg.Dataset,
-		q:       shard.QuantizerFor(cfg.Bounds, cfg.Order),
+		q:       shard.QuantizerFor(cfg.Bounds, hilbert.Order),
 		ownerOf: make(map[uint32]*mshard),
 		stopc:   make(chan struct{}),
 	}
@@ -291,7 +292,7 @@ func New(cfg Config) (*Pool, error) {
 			return nil, fmt.Errorf("mutable: global range %d held twice", g)
 		}
 		t.local[g] = i
-		s, err := newMShard(p, int(p.liSeq.Add(1)-1), r.Items)
+		s, err := newMShard(p, slices.Clone(r.Items), map[uint32]geom.Segment{})
 		if err != nil {
 			return nil, err
 		}
@@ -342,7 +343,7 @@ func NewFromDataset(ds *dataset.Dataset, nShards int, cfg Config) (*Pool, error)
 		return nil, fmt.Errorf("mutable: nil dataset")
 	}
 	items := ds.Items()
-	ranges, bounds := shard.PartitionHilbert(items, nShards, cfg.Order)
+	ranges, bounds := shard.PartitionHilbert(items, nShards, hilbert.Order)
 	if len(ranges) == 0 {
 		return nil, fmt.Errorf("mutable: dataset partitioned into zero ranges")
 	}

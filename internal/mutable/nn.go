@@ -57,53 +57,50 @@ func (p *Pool) NearestWith(pt geom.Point, sc *parallel.Scratch) parallel.Nearest
 	if sc != nil {
 		nnsc = &sc.NN
 	}
-	best := math.Inf(1)
-	var bestID uint32
-	found := false
+	// best.Dist is the running bound each later shard prunes with.
+	best := parallel.NearestResult{Dist: math.Inf(1)}
 	t := p.topo.Load()
 	for i, s := range t.shards {
 		if s.base.Load().bounds.ContainsPoint(pt) {
 			t.heat.Touch(i)
 		}
-		s.nearestInto(st, nnsc, pt, &best, &bestID, &found)
+		s.nearestInto(st, nnsc, pt, &best)
 	}
 	st.clear()
 	p.nnPool.Put(st)
-	if !found {
+	if !best.OK {
 		return parallel.NearestResult{}
 	}
-	return parallel.NearestResult{ID: bestID, Dist: best, OK: true}
+	return best
 }
 
-func (s *mshard) nearestInto(st *nnState, nnsc *rtree.NNScratch, pt geom.Point, best *float64, bestID *uint32, found *bool) {
-	if s.pend.Load() == 0 {
-		bv := s.base.Load()
-		st.sh, st.bv, st.masked = s, bv, false
-		if id, d, ok := bv.tree.NearestWithin(pt, *best, st.df, ops.Null{}, nnsc); ok {
-			*best, *bestID, *found = d, id, true
-		}
-		return
+func (s *mshard) nearestInto(st *nnState, nnsc *rtree.NNScratch, pt geom.Point, best *parallel.NearestResult) {
+	masked := s.pend.Load() != 0
+	if masked {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	bv := s.base.Load()
-	st.sh, st.bv, st.masked = s, bv, true
-	if id, d, ok := bv.tree.NearestWithin(pt, *best, st.df, ops.Null{}, nnsc); ok {
-		*best, *bestID, *found = d, id, true
+	st.sh, st.bv, st.masked = s, bv, masked
+	if id, d, ok := bv.tree.NearestWithin(pt, best.Dist, st.df, ops.Null{}, nnsc); ok {
+		*best = parallel.NearestResult{ID: id, Dist: d, OK: true}
+	}
+	if !masked {
+		return
 	}
 	if f := s.frozen; f != nil {
 		for id, seg := range f.overSeg {
 			if s.maskFrozen(id) {
 				continue
 			}
-			if d := seg.DistToPoint(pt); d < *best {
-				*best, *bestID, *found = d, id, true
+			if d := seg.DistToPoint(pt); d < best.Dist {
+				*best = parallel.NearestResult{ID: id, Dist: d, OK: true}
 			}
 		}
 	}
 	for id, seg := range s.overSeg {
-		if d := seg.DistToPoint(pt); d < *best {
-			*best, *bestID, *found = d, id, true
+		if d := seg.DistToPoint(pt); d < best.Dist {
+			*best = parallel.NearestResult{ID: id, Dist: d, OK: true}
 		}
 	}
 }
@@ -164,17 +161,17 @@ func dedupNeighbors(dst []rtree.Neighbor, from int) []rtree.Neighbor {
 }
 
 func (s *mshard) knnInto(st *nnState, nnsc *rtree.NNScratch, pt geom.Point, k int) {
-	if s.pend.Load() == 0 {
-		bv := s.base.Load()
-		st.sh, st.bv, st.masked = s, bv, false
-		bv.tree.KNearestCollect(pt, k, st.df, ops.Null{}, nnsc)
+	masked := s.pend.Load() != 0
+	if masked {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+	}
+	bv := s.base.Load()
+	st.sh, st.bv, st.masked = s, bv, masked
+	bv.tree.KNearestCollect(pt, k, st.df, ops.Null{}, nnsc)
+	if !masked {
 		return
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	bv := s.base.Load()
-	st.sh, st.bv, st.masked = s, bv, true
-	bv.tree.KNearestCollect(pt, k, st.df, ops.Null{}, nnsc)
 	if f := s.frozen; f != nil {
 		for id, seg := range f.overSeg {
 			if s.maskFrozen(id) {

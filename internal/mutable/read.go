@@ -3,18 +3,19 @@ package mutable
 import (
 	"slices"
 
+	"mobispatial/internal/dataset"
+	"mobispatial/internal/dynrtree"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
+	"mobispatial/internal/rtree"
 )
 
-// Query surface. A shard with an empty overlay (pend == 0) answers on the
-// packed base through a lock-free atomic load — the identical zero-alloc
-// path a read-only pool runs. A shard with pending updates takes its read
-// lock and merges three layers: the base filtered through maskBase, the
-// frozen delta (if a compaction is in flight) filtered through maskFrozen,
-// and the live delta, which is never masked. The merge allocates nothing
-// beyond the caller's dst growth: masks are map lookups and candidates are
-// compacted in place.
+// Query surface. The four append queries run one shard walker (scan). A
+// shard with an empty overlay (pend == 0) answers on the packed base through
+// a lock-free atomic load — the identical zero-alloc path a read-only pool
+// runs. A shard with pending updates takes its read lock and merges three
+// layers (candidatesLocked). The merge allocates nothing beyond the caller's
+// dst growth: masks are map lookups and candidates are compacted in place.
 //
 // Every query loads the topology once and walks that snapshot's shards, so
 // a concurrent repartition never changes the shard set mid-query; per
@@ -36,6 +37,11 @@ import (
 // whose write is still in flight — falls back to sort-dedup of the whole
 // appended region. Every path allocates nothing; the warm path pays two
 // atomic loads.
+//
+// The dedup can only drop ids. The opposite race — the scan reads the
+// destination shard before the move and the source shard after it — leaves
+// the id out of the answer although it existed throughout; nothing here
+// detects or repairs that (ROADMAP item 3).
 
 const (
 	// xferRingSize is the transfer ring capacity; see Pool.xferRing.
@@ -111,162 +117,145 @@ func (p *Pool) dedupRaced(dst []uint32, from int, x0 uint64, nShards int) []uint
 	return dst[:w]
 }
 
+// query describes one append query: a window or a point, filter-only or
+// refined against live geometry. It lives on the caller's stack.
+type query struct {
+	w     geom.Rect
+	pt    geom.Point
+	eps   float64
+	point bool // point query (pt, eps); otherwise window (w)
+	exact bool // refine the candidates; otherwise MBR filter only
+}
+
 // FilterRangeAppend appends the MBR-filter (candidate) answer of a window
 // query to dst.
 func (p *Pool) FilterRangeAppend(dst []uint32, w geom.Rect) []uint32 {
-	x0 := p.xfers.Load()
-	t := p.topo.Load()
-	from := len(dst)
-	for i, s := range t.shards {
-		if s.base.Load().bounds.Intersects(w) {
-			t.heat.Touch(i)
-		}
-		if s.pend.Load() == 0 {
-			dst = s.base.Load().tree.AppendSearch(dst, w, ops.Null{})
-			continue
-		}
-		s.mu.RLock()
-		dst = s.overlayRangeLocked(dst, w)
-		s.mu.RUnlock()
-	}
-	return p.dedupRaced(dst, from, x0, len(t.shards))
+	return p.scan(dst, &query{w: w})
 }
 
 // FilterPointAppend appends the MBR-filter answer of a point query to dst.
 func (p *Pool) FilterPointAppend(dst []uint32, pt geom.Point) []uint32 {
-	x0 := p.xfers.Load()
-	t := p.topo.Load()
-	from := len(dst)
-	for i, s := range t.shards {
-		if s.base.Load().bounds.ContainsPoint(pt) {
-			t.heat.Touch(i)
-		}
-		if s.pend.Load() == 0 {
-			dst = s.base.Load().tree.AppendSearchPoint(dst, pt, ops.Null{})
-			continue
-		}
-		s.mu.RLock()
-		dst = s.overlayPointLocked(dst, pt)
-		s.mu.RUnlock()
-	}
-	return p.dedupRaced(dst, from, x0, len(t.shards))
+	return p.scan(dst, &query{pt: pt, point: true})
 }
 
 // RangeAppend appends the exact answer of a window query to dst: the
 // candidate set refined against live geometry, hits compacted in place over
 // the candidate region as in the read-only pool.
 func (p *Pool) RangeAppend(dst []uint32, w geom.Rect) []uint32 {
-	x0 := p.xfers.Load()
-	t := p.topo.Load()
-	from := len(dst)
-	for i, s := range t.shards {
-		if s.pend.Load() == 0 {
-			bv := s.base.Load()
-			if bv.bounds.Intersects(w) {
-				t.heat.Touch(i)
-			}
-			base := len(dst)
-			dst = bv.tree.AppendSearch(dst, w, ops.Null{})
-			hits := dst[:base]
-			for _, id := range dst[base:] {
-				if bv.seg(p.ds, id).IntersectsRect(w) {
-					hits = append(hits, id)
-				}
-			}
-			dst = hits
-			continue
-		}
-		s.mu.RLock()
-		bv := s.base.Load()
-		if bv.bounds.Intersects(w) {
-			t.heat.Touch(i)
-		}
-		base := len(dst)
-		dst = s.overlayRangeLocked(dst, w)
-		hits := dst[:base]
-		for _, id := range dst[base:] {
-			if s.segAnyLocked(bv, id).IntersectsRect(w) {
-				hits = append(hits, id)
-			}
-		}
-		dst = hits
-		s.mu.RUnlock()
-	}
-	return p.dedupRaced(dst, from, x0, len(t.shards))
+	return p.scan(dst, &query{w: w, exact: true})
 }
 
 // PointAppend appends the exact answer of a point query to dst.
 func (p *Pool) PointAppend(dst []uint32, pt geom.Point, eps float64) []uint32 {
+	return p.scan(dst, &query{pt: pt, eps: eps, point: true, exact: true})
+}
+
+// scan is the one shard walker behind the four append queries: per shard of
+// one topology snapshot it records the heat sample, takes the lock-free
+// packed arm (pend == 0) or the read-locked three-layer merge, refines when
+// the query is exact, and finally resolves the walk against the transfers
+// that raced it. The query-kind and clean-vs-overlay branches are taken once
+// per shard, never per candidate.
+func (p *Pool) scan(dst []uint32, q *query) []uint32 {
 	x0 := p.xfers.Load()
 	t := p.topo.Load()
 	from := len(dst)
 	for i, s := range t.shards {
-		if s.pend.Load() == 0 {
-			bv := s.base.Load()
-			if bv.bounds.ContainsPoint(pt) {
-				t.heat.Touch(i)
-			}
-			base := len(dst)
-			dst = bv.tree.AppendSearchPoint(dst, pt, ops.Null{})
-			hits := dst[:base]
-			for _, id := range dst[base:] {
-				if bv.seg(p.ds, id).ContainsPoint(pt, eps) {
-					hits = append(hits, id)
-				}
-			}
-			dst = hits
-			continue
+		clean := s.pend.Load() == 0
+		if !clean {
+			s.mu.RLock()
 		}
-		s.mu.RLock()
 		bv := s.base.Load()
-		if bv.bounds.ContainsPoint(pt) {
+		if q.touches(bv.bounds) {
 			t.heat.Touch(i)
 		}
-		base := len(dst)
-		dst = s.overlayPointLocked(dst, pt)
-		hits := dst[:base]
-		for _, id := range dst[base:] {
-			if s.segAnyLocked(bv, id).ContainsPoint(pt, eps) {
-				hits = append(hits, id)
+		n := len(dst)
+		if clean {
+			dst = q.searchBase(dst, bv.tree)
+			if q.exact {
+				dst = q.refineClean(dst, n, p.ds, bv)
 			}
+			continue
 		}
-		dst = hits
+		dst = s.candidatesLocked(dst, bv, q)
+		if q.exact {
+			dst = s.refineLocked(dst, n, bv, q)
+		}
 		s.mu.RUnlock()
 	}
 	return p.dedupRaced(dst, from, x0, len(t.shards))
 }
 
-// overlayRangeLocked merges the three layers' window candidates into dst.
-// Masked ids are filtered by compacting survivors in place over the region
-// each layer appended (the write index never passes the read index, so the
-// in-place overwrite is safe).
-func (s *mshard) overlayRangeLocked(dst []uint32, w geom.Rect) []uint32 {
-	n := len(dst)
-	dst = s.base.Load().tree.AppendSearch(dst, w, ops.Null{})
-	kept := dst[:n]
-	for _, id := range dst[n:] {
-		if !s.maskBase(id) {
-			kept = append(kept, id)
-		}
+// touches reports whether the query geometry meets a shard's base bounds —
+// the participation test the heat sample is gated on.
+func (q *query) touches(b geom.Rect) bool {
+	if q.point {
+		return b.ContainsPoint(q.pt)
 	}
-	dst = kept
-	if f := s.frozen; f != nil {
-		n = len(dst)
-		dst = f.delta.AppendSearch(dst, w, ops.Null{})
-		kept = dst[:n]
-		for _, id := range dst[n:] {
-			if !s.maskFrozen(id) {
-				kept = append(kept, id)
-			}
-		}
-		dst = kept
-	}
-	return s.delta.AppendSearch(dst, w, ops.Null{})
+	return b.Intersects(q.w)
 }
 
-func (s *mshard) overlayPointLocked(dst []uint32, pt geom.Point) []uint32 {
+func (q *query) searchBase(dst []uint32, t *rtree.Tree) []uint32 {
+	if q.point {
+		return t.AppendSearchPoint(dst, q.pt, ops.Null{})
+	}
+	return t.AppendSearch(dst, q.w, ops.Null{})
+}
+
+func (q *query) searchDelta(dst []uint32, t *dynrtree.Tree) []uint32 {
+	if q.point {
+		return t.AppendSearchPoint(dst, q.pt, ops.Null{})
+	}
+	return t.AppendSearch(dst, q.w, ops.Null{})
+}
+
+// refineClean compacts the candidates dst[n:] of an empty-overlay shard down
+// to the exact hits, in place (the write index never passes the read index).
+func (q *query) refineClean(dst []uint32, n int, ds *dataset.Dataset, bv *baseView) []uint32 {
+	hits := dst[:n]
+	if q.point {
+		for _, id := range dst[n:] {
+			if bv.seg(ds, id).ContainsPoint(q.pt, q.eps) {
+				hits = append(hits, id)
+			}
+		}
+		return hits
+	}
+	for _, id := range dst[n:] {
+		if bv.seg(ds, id).IntersectsRect(q.w) {
+			hits = append(hits, id)
+		}
+	}
+	return hits
+}
+
+// refineLocked is refineClean over the three-layer geometry lookup.
+func (s *mshard) refineLocked(dst []uint32, n int, bv *baseView, q *query) []uint32 {
+	hits := dst[:n]
+	if q.point {
+		for _, id := range dst[n:] {
+			if s.segAnyLocked(bv, id).ContainsPoint(q.pt, q.eps) {
+				hits = append(hits, id)
+			}
+		}
+		return hits
+	}
+	for _, id := range dst[n:] {
+		if s.segAnyLocked(bv, id).IntersectsRect(q.w) {
+			hits = append(hits, id)
+		}
+	}
+	return hits
+}
+
+// candidatesLocked merges the three layers' candidates into dst: the base
+// filtered through maskBase, the frozen delta (if a compaction is in flight)
+// through maskFrozen, and the live delta, which is never masked. Masked ids
+// are dropped by compacting survivors in place over the region each layer
+// appended.
+func (s *mshard) candidatesLocked(dst []uint32, bv *baseView, q *query) []uint32 {
 	n := len(dst)
-	dst = s.base.Load().tree.AppendSearchPoint(dst, pt, ops.Null{})
+	dst = q.searchBase(dst, bv.tree)
 	kept := dst[:n]
 	for _, id := range dst[n:] {
 		if !s.maskBase(id) {
@@ -276,7 +265,7 @@ func (s *mshard) overlayPointLocked(dst []uint32, pt geom.Point) []uint32 {
 	dst = kept
 	if f := s.frozen; f != nil {
 		n = len(dst)
-		dst = f.delta.AppendSearchPoint(dst, pt, ops.Null{})
+		dst = q.searchDelta(dst, f.delta)
 		kept = dst[:n]
 		for _, id := range dst[n:] {
 			if !s.maskFrozen(id) {
@@ -285,5 +274,5 @@ func (s *mshard) overlayPointLocked(dst []uint32, pt geom.Point) []uint32 {
 		}
 		dst = kept
 	}
-	return s.delta.AppendSearchPoint(dst, pt, ops.Null{})
+	return q.searchDelta(dst, s.delta)
 }

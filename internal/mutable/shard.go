@@ -54,8 +54,19 @@ type frozenView struct {
 
 func (f *frozenView) size() int { return len(f.overSeg) + len(f.tombs) }
 
-func newDelta(nodeBytes int) (*dynrtree.Tree, error) {
-	return dynrtree.New(dynrtree.Config{NodeBytes: nodeBytes})
+// newBaseView bulk-loads items into one packed base generation. It keeps the
+// slice; over carries the geometry of the ids among items whose segment
+// differs from the base dataset.
+func newBaseView(items []rtree.Item, over map[uint32]geom.Segment) (*baseView, error) {
+	tree, err := rtree.Build(items, rtree.Config{}, ops.Null{})
+	if err != nil {
+		return nil, err
+	}
+	has := make(map[uint32]struct{}, len(items))
+	for _, it := range items {
+		has[it.ID] = struct{}{}
+	}
+	return &baseView{tree: tree, items: items, has: has, over: over, bounds: tree.Bounds()}, nil
 }
 
 // mshard is one updatable shard: packed base + live delta overlay +
@@ -102,31 +113,20 @@ type mshard struct {
 	frozen  *frozenView
 }
 
-func newMShard(p *Pool, li int, items []rtree.Item) (*mshard, error) {
-	own := make([]rtree.Item, len(items))
-	copy(own, items)
-	tree, err := rtree.Build(own, rtree.Config{NodeBytes: p.cfg.NodeBytes}, ops.Null{})
+// newMShard builds a shard over items (kept, not copied) under the next
+// lock-ordering id. The shard is private until a topology publishes it.
+func newMShard(p *Pool, items []rtree.Item, over map[uint32]geom.Segment) (*mshard, error) {
+	li := int(p.liSeq.Add(1) - 1)
+	bv, err := newBaseView(items, over)
 	if err != nil {
 		return nil, fmt.Errorf("mutable: shard %d base: %w", li, err)
 	}
-	has := make(map[uint32]struct{}, len(own))
-	for _, it := range own {
-		has[it.ID] = struct{}{}
-	}
-	s := &mshard{pl: p, li: li}
-	s.base.Store(&baseView{
-		tree:   tree,
-		items:  own,
-		has:    has,
-		over:   map[uint32]geom.Segment{},
-		bounds: tree.Bounds(),
-	})
-	s.delta, err = newDelta(p.cfg.DeltaNodeBytes)
+	delta, err := dynrtree.New(dynrtree.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("mutable: shard %d delta: %w", li, err)
 	}
-	s.overSeg = map[uint32]geom.Segment{}
-	s.tombs = map[uint32]struct{}{}
+	s := &mshard{pl: p, li: li, delta: delta, overSeg: map[uint32]geom.Segment{}, tombs: map[uint32]struct{}{}}
+	s.base.Store(bv)
 	return s, nil
 }
 
@@ -285,28 +285,23 @@ func checkWriteSeg(seg geom.Segment) error {
 // stale local copy and acks owned=false, which is exactly what a replica
 // must do when an object moves off its ranges).
 func (p *Pool) ApplyInsert(id uint32, seg geom.Segment) (epoch uint64, existed, owned bool, err error) {
-	epoch, existed, owned, err = p.applyUpsert(id, seg)
-	if err == nil {
-		p.m.inserts.Inc()
-	}
-	return epoch, existed, owned, err
+	return p.applyUpsert(id, seg, p.m.inserts)
 }
 
 // ApplyMove is ApplyInsert under update semantics: the moving-object
 // workload's hot write. Kept distinct so the serving tier can meter moves
 // separately from first-time inserts.
 func (p *Pool) ApplyMove(id uint32, seg geom.Segment) (epoch uint64, existed, owned bool, err error) {
-	epoch, existed, owned, err = p.applyUpsert(id, seg)
-	if err == nil {
-		p.m.moves.Inc()
-	}
-	return epoch, existed, owned, err
+	return p.applyUpsert(id, seg, p.m.moves)
 }
 
-func (p *Pool) applyUpsert(id uint32, seg geom.Segment) (uint64, bool, bool, error) {
+// applyUpsert applies one insert or move and counts it in n. A malformed
+// segment is the only error, so n counts exactly the writes that succeed.
+func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64, bool, bool, error) {
 	if err := checkWriteSeg(seg); err != nil {
 		return 0, false, false, err
 	}
+	n.Inc()
 	key := shard.WriteKey(p.q, seg.MBR())
 
 	// Ownership resolves under omu: a topology swap also happens under
@@ -320,26 +315,12 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment) (uint64, bool, bool, err
 	if !ownedHere {
 		// The object's new position belongs to some other backend's
 		// ranges: all this pool must do is forget its stale copy.
+		p.m.notOwned.Inc()
 		if !hadOld {
 			p.omu.Unlock()
-			p.m.notOwned.Inc()
 			return 0, false, false, nil
 		}
-		delete(p.ownerOf, id)
-		old.count.Add(-1)
-		old.mu.Lock()
-		p.omu.Unlock()
-		existed := old.removeLocked(id)
-		epoch := old.epoch.Load()
-		old.mu.Unlock()
-		if existed {
-			// The id may re-enter through another shard later; signal the
-			// departure after it is visible and before this write acks, so
-			// a scan spanning the departure and a subsequent arrival sees
-			// the transfer counter move (see Pool.xfers).
-			p.noteXfer(id)
-		}
-		p.m.notOwned.Inc()
+		epoch, existed := p.evict(id, old)
 		return epoch, existed, false, nil
 	}
 
@@ -391,13 +372,20 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment) (uint64, bool, bool, err
 // this pool actually held the object. Idempotent: deleting an unknown id
 // succeeds with existed=false.
 func (p *Pool) ApplyDelete(id uint32) (epoch uint64, existed, owned bool, err error) {
+	p.m.deletes.Inc()
 	p.omu.Lock()
 	sh, ok := p.ownerOf[id]
 	if !ok {
 		p.omu.Unlock()
-		p.m.deletes.Inc()
 		return 0, false, false, nil
 	}
+	epoch, existed = p.evict(id, sh)
+	return epoch, existed, true, nil
+}
+
+// evict removes id from its owning shard sh. It is called with omu held and
+// releases it once sh's write lock is taken.
+func (p *Pool) evict(id uint32, sh *mshard) (epoch uint64, existed bool) {
 	delete(p.ownerOf, id)
 	sh.count.Add(-1)
 	sh.mu.Lock()
@@ -406,13 +394,13 @@ func (p *Pool) ApplyDelete(id uint32) (epoch uint64, existed, owned bool, err er
 	epoch = sh.epoch.Load()
 	sh.mu.Unlock()
 	if existed {
-		// A later insert may land the same id in a different shard; bump
-		// after the removal is visible and before this delete acks, so a
-		// scan spanning both events sees the counter move (Pool.xfers).
+		// The id may re-enter through another shard later; signal the
+		// departure after it is visible and before the write acks, so a
+		// scan spanning the departure and a subsequent arrival sees the
+		// transfer counter move (see Pool.xfers).
 		p.noteXfer(id)
 	}
-	p.m.deletes.Inc()
-	return epoch, existed, true, nil
+	return epoch, existed
 }
 
 // noteXfer publishes one cross-shard transfer: bump the counter, then tag

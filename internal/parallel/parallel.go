@@ -17,24 +17,24 @@ import (
 	"mobispatial/internal/rtree"
 )
 
-// Pool is one dataset and one access method behind the serving tier's query
+// Pool is one dataset and its packed R-tree behind the serving tier's query
 // surface. workers only sizes Workers(), the width the server derives its
 // admission window from.
 type Pool struct {
 	ds      *dataset.Dataset
-	idx     index.Index
+	tree    *rtree.Tree
 	workers int
 }
 
 // New builds a pool; workers <= 0 means GOMAXPROCS.
-func New(ds *dataset.Dataset, idx index.Index, workers int) (*Pool, error) {
-	if ds == nil || idx == nil {
+func New(ds *dataset.Dataset, tree *rtree.Tree, workers int) (*Pool, error) {
+	if ds == nil || tree == nil {
 		return nil, fmt.Errorf("parallel: nil dataset or index")
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pool{ds: ds, idx: idx, workers: workers}, nil
+	return &Pool{ds: ds, tree: tree, workers: workers}, nil
 }
 
 // Workers returns the configured width.
@@ -44,22 +44,11 @@ func (p *Pool) Workers() int { return p.workers }
 func (p *Pool) Dataset() *dataset.Dataset { return p.ds }
 
 // Len returns the number of indexed items — the serve summary's item count.
-func (p *Pool) Len() int { return p.idx.Len() }
+func (p *Pool) Len() int { return p.tree.Len() }
 
-// Bounds returns the MBR of all indexed items: straight from the access
-// method when it exposes one (rtree.Tree does), otherwise the union of the
-// dataset's item MBRs. The serve layer reports it in the partition summary
-// the distributed tier's router prunes NN visits with.
-func (p *Pool) Bounds() geom.Rect {
-	if b, ok := p.idx.(interface{ Bounds() geom.Rect }); ok {
-		return b.Bounds()
-	}
-	r := geom.EmptyRect()
-	for _, it := range p.ds.Items() {
-		r = r.Union(it.MBR)
-	}
-	return r
-}
+// Bounds returns the MBR of all indexed items. The serve layer reports it in
+// the partition summary the distributed tier's router prunes NN visits with.
+func (p *Pool) Bounds() geom.Rect { return p.tree.Bounds() }
 
 // NearestResult is one NN answer.
 type NearestResult struct {
@@ -81,34 +70,18 @@ func (p *Pool) Point(pt geom.Point, eps float64) []uint32 { return p.PointAppend
 
 // FilterRange runs only the filtering step of a window query and returns the
 // candidate ids — the server half of the filter-server/refine-client scheme.
-func (p *Pool) FilterRange(w geom.Rect) []uint32 { return p.idx.Search(w, ops.Null{}) }
+func (p *Pool) FilterRange(w geom.Rect) []uint32 { return p.tree.Search(w, ops.Null{}) }
 
 // FilterPoint runs only the filtering step of a point query.
-func (p *Pool) FilterPoint(pt geom.Point) []uint32 { return p.idx.SearchPoint(pt, ops.Null{}) }
+func (p *Pool) FilterPoint(pt geom.Point) []uint32 { return p.tree.SearchPoint(pt, ops.Null{}) }
 
 // Nearest answers one nearest-neighbor query.
-func (p *Pool) Nearest(pt geom.Point) NearestResult {
-	id, d, ok := p.idx.Nearest(pt, func(id uint32) float64 {
-		return p.ds.Seg(id).DistToPoint(pt)
-	}, ops.Null{})
-	return NearestResult{ID: id, Dist: d, OK: ok}
-}
+func (p *Pool) Nearest(pt geom.Point) NearestResult { return p.NearestWith(pt, nil) }
 
-// kNearester is satisfied by access methods offering k-NN search.
-type kNearester interface {
-	KNearest(p geom.Point, k int, dist index.DistFunc, rec ops.Recorder) []rtree.Neighbor
-}
-
-// KNearest answers one k-nearest-neighbor query; ok is false when the pool's
-// access method does not support k-NN (e.g. the PMR quadtree).
+// KNearest answers one k-nearest-neighbor query; ok mirrors the executor
+// contract and is always true.
 func (p *Pool) KNearest(pt geom.Point, k int) (neighbors []rtree.Neighbor, ok bool) {
-	kn, ok := p.idx.(kNearester)
-	if !ok {
-		return nil, false
-	}
-	return kn.KNearest(pt, k, func(id uint32) float64 {
-		return p.ds.Seg(id).DistToPoint(pt)
-	}, ops.Null{}), true
+	return p.KNearestAppend(nil, pt, k, nil)
 }
 
 // The append API. Each method writes its answer into dst's spare capacity
@@ -116,14 +89,6 @@ func (p *Pool) KNearest(pt geom.Point, k int) (neighbors []rtree.Neighbor, ok bo
 // (the networked server's per-request scratch) pays no allocation on a warm
 // query. Answers are bit-identical to the allocating methods above — the
 // scratch variants share one traversal implementation with them.
-
-// appendSearcher is satisfied by access methods whose filter step can write
-// into a caller-provided slice (the packed R-tree). Other indexes fall back
-// to copy-through, which stays correct but allocates inside the index.
-type appendSearcher interface {
-	AppendSearch(dst []uint32, w geom.Rect, rec ops.Recorder) []uint32
-	AppendSearchPoint(dst []uint32, p geom.Point, rec ops.Recorder) []uint32
-}
 
 // Scratch is per-caller query state for the append API: the index traversal
 // buffers plus a reusable distance closure. A DistFunc built fresh per query
@@ -153,31 +118,14 @@ func (sc *Scratch) DistTo(ds *dataset.Dataset, pt geom.Point) index.DistFunc {
 	return sc.df
 }
 
-// scratchNearester is satisfied by access methods whose NN search can reuse
-// caller-owned traversal scratch.
-type scratchNearester interface {
-	NearestWith(p geom.Point, dist index.DistFunc, rec ops.Recorder, sc *rtree.NNScratch) (uint32, float64, bool)
-}
-
-// scratchKNearester is the scratch-reusing k-NN counterpart of kNearester.
-type scratchKNearester interface {
-	KNearestAppend(dst []rtree.Neighbor, p geom.Point, k int, dist index.DistFunc, rec ops.Recorder, sc *rtree.NNScratch) []rtree.Neighbor
-}
-
 // FilterRangeAppend appends the candidate ids of a window query to dst.
 func (p *Pool) FilterRangeAppend(dst []uint32, w geom.Rect) []uint32 {
-	if as, ok := p.idx.(appendSearcher); ok {
-		return as.AppendSearch(dst, w, ops.Null{})
-	}
-	return append(dst, p.idx.Search(w, ops.Null{})...)
+	return p.tree.AppendSearch(dst, w, ops.Null{})
 }
 
 // FilterPointAppend appends the candidate ids of a point query to dst.
 func (p *Pool) FilterPointAppend(dst []uint32, pt geom.Point) []uint32 {
-	if as, ok := p.idx.(appendSearcher); ok {
-		return as.AppendSearchPoint(dst, pt, ops.Null{})
-	}
-	return append(dst, p.idx.SearchPoint(pt, ops.Null{})...)
+	return p.tree.AppendSearchPoint(dst, pt, ops.Null{})
 }
 
 // RangeAppend appends the exact answer of a window query to dst. The
@@ -209,28 +157,18 @@ func (p *Pool) PointAppend(dst []uint32, pt geom.Point, eps float64) []uint32 {
 }
 
 // NearestWith answers one nearest-neighbor query reusing sc's traversal
-// buffers; sc may be nil, and indexes without scratch support ignore it.
+// buffers; sc may be nil.
 func (p *Pool) NearestWith(pt geom.Point, sc *Scratch) NearestResult {
 	df, nnsc := p.scratchArgs(pt, sc)
-	if sn, ok := p.idx.(scratchNearester); ok {
-		id, d, found := sn.NearestWith(pt, df, ops.Null{}, nnsc)
-		return NearestResult{ID: id, Dist: d, OK: found}
-	}
-	id, d, found := p.idx.Nearest(pt, df, ops.Null{})
+	id, d, found := p.tree.NearestWith(pt, df, ops.Null{}, nnsc)
 	return NearestResult{ID: id, Dist: d, OK: found}
 }
 
-// KNearestAppend appends one k-NN answer to dst reusing sc; ok is false when
-// the access method supports no k-NN at all.
+// KNearestAppend appends one k-NN answer to dst reusing sc; the bool mirrors
+// the executor contract and is always true.
 func (p *Pool) KNearestAppend(dst []rtree.Neighbor, pt geom.Point, k int, sc *Scratch) ([]rtree.Neighbor, bool) {
 	df, nnsc := p.scratchArgs(pt, sc)
-	if skn, ok := p.idx.(scratchKNearester); ok {
-		return skn.KNearestAppend(dst, pt, k, df, ops.Null{}, nnsc), true
-	}
-	if kn, ok := p.idx.(kNearester); ok {
-		return append(dst, kn.KNearest(pt, k, df, ops.Null{})...), true
-	}
-	return dst, false
+	return p.tree.KNearestAppend(dst, pt, k, df, ops.Null{}, nnsc), true
 }
 
 func (p *Pool) scratchArgs(pt geom.Point, sc *Scratch) (index.DistFunc, *rtree.NNScratch) {

@@ -16,7 +16,7 @@ import (
 // deadline.
 func (r *Router) deadlineOr(deadline time.Time) time.Time {
 	if deadline.IsZero() {
-		return time.Now().Add(r.cfg.QueryTimeout)
+		return time.Now().Add(queryTimeout)
 	}
 	return deadline
 }

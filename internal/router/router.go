@@ -89,9 +89,6 @@ type Config struct {
 	// deliberately below the serve default 5s query deadline so a failed
 	// leg leaves room to fail over within the client's deadline.
 	LegTimeout time.Duration
-	// QueryTimeout is the whole-query budget used when the caller supplies
-	// no deadline; defaults to 5s.
-	QueryTimeout time.Duration
 	// RegisterTimeout bounds the registration handshake — backends are
 	// polled until they all answer their summary; defaults to 10s.
 	RegisterTimeout time.Duration
@@ -117,6 +114,10 @@ type Config struct {
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 }
 
+// queryTimeout is the whole-query budget used when the caller supplies no
+// deadline.
+const queryTimeout = 5 * time.Second
+
 func (c *Config) fill() error {
 	if len(c.Backends) == 0 {
 		return fmt.Errorf("router: Config.Backends is required")
@@ -129,9 +130,6 @@ func (c *Config) fill() error {
 	}
 	if c.LegTimeout <= 0 {
 		c.LegTimeout = time.Second
-	}
-	if c.QueryTimeout <= 0 {
-		c.QueryTimeout = 5 * time.Second
 	}
 	if c.RegisterTimeout <= 0 {
 		c.RegisterTimeout = 10 * time.Second

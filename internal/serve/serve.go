@@ -232,15 +232,10 @@ type Config struct {
 	// RequestTimeout caps one request's server-side time (admission wait
 	// included); clients may ask for less, never more. Defaults to 5s.
 	RequestTimeout time.Duration
-	// WriteTimeout bounds one response write; defaults to 10s.
-	WriteTimeout time.Duration
 	// PointEps is the default point-query tolerance; DefaultPointEps when 0.
 	PointEps float64
 	// MaxKNN caps the k of k-NN queries; defaults to 1024.
 	MaxKNN int
-	// MaxShipmentBudget caps a shipment request's byte budget; defaults to
-	// 64 MB (a larger budget is a protocol error).
-	MaxShipmentBudget int
 	// Obs enables observability: per-kind execution histograms, sampled
 	// spans, and the MsgStatsReq snapshot carry this hub's metrics. Nil
 	// disables instrumentation (the snapshot then carries only the core
@@ -268,6 +263,14 @@ type Config struct {
 	testDelay time.Duration
 }
 
+const (
+	// writeTimeout bounds one response write.
+	writeTimeout = 10 * time.Second
+	// maxShipmentBudget caps a shipment request's byte budget (a larger
+	// budget is a protocol error).
+	maxShipmentBudget = 64 << 20
+)
+
 func (c *Config) fill() error {
 	if c.Pool == nil {
 		return fmt.Errorf("serve: Config.Pool is required")
@@ -281,17 +284,11 @@ func (c *Config) fill() error {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
 	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
 	if c.PointEps <= 0 {
 		c.PointEps = DefaultPointEps
 	}
 	if c.MaxKNN <= 0 {
 		c.MaxKNN = 1024
-	}
-	if c.MaxShipmentBudget <= 0 {
-		c.MaxShipmentBudget = 64 << 20
 	}
 	if len(c.Ranges) > 0 && c.NumRanges <= 0 {
 		return fmt.Errorf("serve: Config.Ranges set without Config.NumRanges")
@@ -997,7 +994,7 @@ func (c *conn) write(m proto.Message) {
 		// An unarmed write deadline would let a stalled peer pin this
 		// writer forever; if arming fails the socket is already broken, so
 		// skip the write and tear the connection down below.
-		werr := c.nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		werr := c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if werr == nil {
 			var n int
 			n, werr = c.nc.Write(buf)
@@ -1402,8 +1399,8 @@ func (s *Server) executeShipment(m *proto.ShipmentReqMsg) proto.Message {
 	if s.cfg.Master == nil {
 		return errorReply(m.ID, unsupported("server has no master index for shipments"))
 	}
-	if int(m.BudgetBytes) > s.cfg.MaxShipmentBudget {
-		return errorReply(m.ID, badRequest("budget %d exceeds limit %d", m.BudgetBytes, s.cfg.MaxShipmentBudget))
+	if int(m.BudgetBytes) > maxShipmentBudget {
+		return errorReply(m.ID, badRequest("budget %d exceeds limit %d", m.BudgetBytes, maxShipmentBudget))
 	}
 	window := m.Window
 	if window.IsEmpty() {
