@@ -18,6 +18,7 @@ func warmQueries(p *Pool, ids []uint32, nbs []rtree.Neighbor, sc *parallel.Scrat
 	for i := 0; i < 32; i++ {
 		ids = p.FilterRangeAppend(ids[:0], w)
 		ids = p.RangeAppend(ids[:0], w)
+		ids = p.RangeAppend(ids[:0], p.Bounds())
 		ids = p.PointAppend(ids[:0], pt, 2.0)
 		p.NearestWith(pt, sc)
 		nbs, _ = p.KNearestAppend(nbs[:0], pt, 8, sc)
@@ -32,9 +33,14 @@ func measureQueries(t *testing.T, name string, p *Pool, want float64) {
 	w := geom.Rect{Min: geom.Point{X: 400, Y: 400}, Max: geom.Point{X: 900, Y: 900}}
 	pt := geom.Point{X: 777, Y: 555}
 	warmQueries(p, ids, nbs, sc, w, pt)
+	all := p.Bounds()
 	if got := testing.AllocsPerRun(100, func() {
 		ids = p.FilterRangeAppend(ids[:0], w)
+		// The clean arm is the tree's kernel fused with a refinement
+		// closure: w straddles MBRs (the closure runs), the whole extent
+		// contains every base (one run per shard). Neither may allocate.
 		ids = p.RangeAppend(ids[:0], w)
+		ids = p.RangeAppend(ids[:0], all)
 		ids = p.PointAppend(ids[:0], pt, 2.0)
 		p.NearestWith(pt, sc)
 		nbs, _ = p.KNearestAppend(nbs[:0], pt, 8, sc)

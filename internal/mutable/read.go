@@ -156,6 +156,10 @@ func (p *Pool) PointAppend(dst []uint32, pt geom.Point, eps float64) []uint32 {
 // the query is exact, and finally resolves the walk against the transfers
 // that raced it. The query-kind and clean-vs-overlay branches are taken once
 // per shard, never per candidate.
+//
+// A base whose bounds miss the query holds no candidate and is not searched.
+// The overlays are: their objects may sit anywhere in the shard's key range,
+// outside the bounds of the base they will be folded into.
 func (p *Pool) scan(dst []uint32, q *query) []uint32 {
 	x0 := p.xfers.Load()
 	t := p.topo.Load()
@@ -166,18 +170,18 @@ func (p *Pool) scan(dst []uint32, q *query) []uint32 {
 			s.mu.RLock()
 		}
 		bv := s.base.Load()
-		if q.touches(bv.bounds) {
+		touched := q.touches(bv.bounds)
+		if touched {
 			t.heat.Touch(i)
 		}
-		n := len(dst)
 		if clean {
-			dst = q.searchBase(dst, bv.tree)
-			if q.exact {
-				dst = q.refineClean(dst, n, p.ds, bv)
+			if touched {
+				dst = q.searchClean(dst, p.ds, bv)
 			}
 			continue
 		}
-		dst = s.candidatesLocked(dst, bv, q)
+		n := len(dst)
+		dst = s.candidatesLocked(dst, bv, q, touched)
 		if q.exact {
 			dst = s.refineLocked(dst, n, bv, q)
 		}
@@ -209,27 +213,36 @@ func (q *query) searchDelta(dst []uint32, t *dynrtree.Tree) []uint32 {
 	return t.AppendSearch(dst, q.w, ops.Null{})
 }
 
-// refineClean compacts the candidates dst[n:] of an empty-overlay shard down
-// to the exact hits, in place (the write index never passes the read index).
-func (q *query) refineClean(dst []uint32, n int, ds *dataset.Dataset, bv *baseView) []uint32 {
-	hits := dst[:n]
-	if q.point {
-		for _, id := range dst[n:] {
-			if bv.seg(ds, id).ContainsPoint(q.pt, q.eps) {
-				hits = append(hits, id)
-			}
-		}
-		return hits
+// searchClean answers q on an empty-overlay shard's packed base. An exact
+// window query is the tree's serving kernel with the refinement fused in:
+// the base's MBRs are the MBRs of the segments bv.seg resolves, so only an
+// MBR straddling the window's edge costs a geometry lookup. An exact point
+// query compacts its candidates in place (the write index never passes the
+// read index).
+func (q *query) searchClean(dst []uint32, ds *dataset.Dataset, bv *baseView) []uint32 {
+	if q.exact && !q.point {
+		return bv.tree.AppendRange(dst, q.w, func(id uint32) bool {
+			return bv.seg(ds, id).IntersectsRect(q.w)
+		})
 	}
+	n := len(dst)
+	dst = q.searchBase(dst, bv.tree)
+	if !q.exact {
+		return dst
+	}
+	hits := dst[:n]
 	for _, id := range dst[n:] {
-		if bv.seg(ds, id).IntersectsRect(q.w) {
+		if bv.seg(ds, id).ContainsPoint(q.pt, q.eps) {
 			hits = append(hits, id)
 		}
 	}
 	return hits
 }
 
-// refineLocked is refineClean over the three-layer geometry lookup.
+// refineLocked compacts the candidates dst[n:] of a shard with pending
+// updates down to the exact hits, in place, over the three-layer geometry
+// lookup. There is no containment short-circuit here: a base candidate must
+// pass maskBase first, so the overlay arm keeps mask-then-refine.
 func (s *mshard) refineLocked(dst []uint32, n int, bv *baseView, q *query) []uint32 {
 	hits := dst[:n]
 	if q.point {
@@ -249,24 +262,26 @@ func (s *mshard) refineLocked(dst []uint32, n int, bv *baseView, q *query) []uin
 }
 
 // candidatesLocked merges the three layers' candidates into dst: the base
-// filtered through maskBase, the frozen delta (if a compaction is in flight)
-// through maskFrozen, and the live delta, which is never masked. Masked ids
-// are dropped by compacting survivors in place over the region each layer
-// appended.
-func (s *mshard) candidatesLocked(dst []uint32, bv *baseView, q *query) []uint32 {
-	n := len(dst)
-	dst = q.searchBase(dst, bv.tree)
-	kept := dst[:n]
-	for _, id := range dst[n:] {
-		if !s.maskBase(id) {
-			kept = append(kept, id)
+// (when the query touches its bounds) filtered through maskBase, the frozen
+// delta (if a compaction is in flight) through maskFrozen, and the live
+// delta, which is never masked. Masked ids are dropped by compacting
+// survivors in place over the region each layer appended.
+func (s *mshard) candidatesLocked(dst []uint32, bv *baseView, q *query, base bool) []uint32 {
+	if base {
+		n := len(dst)
+		dst = q.searchBase(dst, bv.tree)
+		kept := dst[:n]
+		for _, id := range dst[n:] {
+			if !s.maskBase(id) {
+				kept = append(kept, id)
+			}
 		}
+		dst = kept
 	}
-	dst = kept
 	if f := s.frozen; f != nil {
-		n = len(dst)
+		n := len(dst)
 		dst = q.searchDelta(dst, f.delta)
-		kept = dst[:n]
+		kept := dst[:n]
 		for _, id := range dst[n:] {
 			if !s.maskFrozen(id) {
 				kept = append(kept, id)

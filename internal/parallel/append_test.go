@@ -96,13 +96,22 @@ func TestAppendZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := dataset.RangeQueries(ds, 1, 7)[0]
+	// Several windows, the whole extent among them, so the fused kernel's
+	// three arms all run warm: contained run, contained leaf, and the
+	// refinement closure on a straddling MBR. A closure that escaped into
+	// the tree would show here as one allocation per RangeAppend.
+	windows := append(dataset.RangeQueries(ds, 15, 7), tree.Bounds())
 	pt := dataset.NNQueries(ds, 1, 9)[0]
 	var sc Scratch
 	var ids []uint32
 	var nbs []rtree.Neighbor
+	for _, w := range windows {
+		ids = p.RangeAppend(ids[:0], w) // grow the result buffer once
+	}
+	i := 0
 	if n := testing.AllocsPerRun(100, func() {
-		ids = p.RangeAppend(ids[:0], w)
+		ids = p.RangeAppend(ids[:0], windows[i%len(windows)])
+		i++
 		ids = p.PointAppend(ids[:0], pt, core.PointEps)
 		_ = p.NearestWith(pt, &sc)
 		nbs, _ = p.KNearestAppend(nbs[:0], pt, 5, &sc)

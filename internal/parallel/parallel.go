@@ -128,22 +128,16 @@ func (p *Pool) FilterPointAppend(dst []uint32, pt geom.Point) []uint32 {
 	return p.tree.AppendSearchPoint(dst, pt, ops.Null{})
 }
 
-// RangeAppend appends the exact answer of a window query to dst. The
-// refinement step compacts candidates in place: hits are written back over
-// the candidate region, so no second buffer is needed.
+// RangeAppend appends the exact answer of a window query to dst: the tree's
+// serving kernel with refinement fused in, so a segment is loaded only when
+// its MBR straddles the window's edge.
 func (p *Pool) RangeAppend(dst []uint32, w geom.Rect) []uint32 {
-	base := len(dst)
-	dst = p.FilterRangeAppend(dst, w)
-	hits := dst[:base]
-	for _, id := range dst[base:] {
-		if p.ds.Seg(id).IntersectsRect(w) {
-			hits = append(hits, id)
-		}
-	}
-	return hits
+	return p.tree.AppendRange(dst, w, func(id uint32) bool { return p.ds.Seg(id).IntersectsRect(w) })
 }
 
-// PointAppend appends the exact answer of a point query to dst.
+// PointAppend appends the exact answer of a point query to dst. The
+// refinement step compacts candidates in place: hits are written back over
+// the candidate region, so no second buffer is needed.
 func (p *Pool) PointAppend(dst []uint32, pt geom.Point, eps float64) []uint32 {
 	base := len(dst)
 	dst = p.FilterPointAppend(dst, pt)

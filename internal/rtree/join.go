@@ -42,10 +42,10 @@ func joinNodes(ta, tb *Tree, ia, ib int32, rec ops.Recorder, out *[]Pair) {
 			ta.scanEntry(na, i, rec)
 			for j := range nb.entries {
 				rec.Op(ops.OpMBRTest, 1)
-				if na.entries[i].mbr.Intersects(nb.entries[j].mbr) {
+				if na.entries[i].MBR.Intersects(nb.entries[j].MBR) {
 					rec.Op(ops.OpResultAppend, 1)
 					rec.Store(ops.ScratchBase+uint64(len(*out))*8, 8)
-					*out = append(*out, Pair{A: na.entries[i].ptr, B: nb.entries[j].ptr})
+					*out = append(*out, Pair{A: na.entries[i].ID, B: nb.entries[j].ID})
 				}
 			}
 		}
@@ -53,16 +53,16 @@ func joinNodes(ta, tb *Tree, ia, ib int32, rec ops.Recorder, out *[]Pair) {
 		// Descend the taller (or equal) tree A.
 		for i := range na.entries {
 			ta.scanEntry(na, i, rec)
-			if na.entries[i].mbr.Intersects(nodeMBROf(nb)) {
-				joinNodes(ta, tb, int32(na.entries[i].ptr), ib, rec, out)
+			if na.entries[i].MBR.Intersects(nodeMBROf(nb)) {
+				joinNodes(ta, tb, int32(na.entries[i].ID), ib, rec, out)
 			}
 		}
 	default:
 		// Descend tree B.
 		for j := range nb.entries {
 			tb.scanEntry(nb, j, rec)
-			if nb.entries[j].mbr.Intersects(nodeMBROf(na)) {
-				joinNodes(ta, tb, ia, int32(nb.entries[j].ptr), rec, out)
+			if nb.entries[j].MBR.Intersects(nodeMBROf(na)) {
+				joinNodes(ta, tb, ia, int32(nb.entries[j].ID), rec, out)
 			}
 		}
 	}
@@ -73,7 +73,7 @@ func joinNodes(ta, tb *Tree, ia, ib int32, rec ops.Recorder, out *[]Pair) {
 func nodeMBROf(n *node) geom.Rect {
 	mbr := geom.EmptyRect()
 	for i := range n.entries {
-		mbr = mbr.Union(n.entries[i].mbr)
+		mbr = mbr.Union(n.entries[i].MBR)
 	}
 	return mbr
 }

@@ -1,0 +1,225 @@
+package rtree
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"mobispatial/internal/geom"
+	"mobispatial/internal/ops"
+)
+
+// kernelWindows returns n seeded windows over segs' 1000×1000 extent that
+// cover what the kernel special-cases: ordinary windows of every size,
+// degenerate (point) windows on and off the data, the whole extent and
+// beyond (root contained), inverted and NaN windows, windows wholly outside
+// the bounds, and windows whose edge coincides with an item MBR's edge —
+// exactly that MBR, and the four closed-interval touches.
+func kernelWindows(segs []geom.Segment, bounds geom.Rect, n int, seed int64) []geom.Rect {
+	rng := rand.New(rand.NewSource(seed))
+	nan := math.NaN()
+	out := []geom.Rect{
+		bounds,
+		bounds.Expand(1),
+		{Min: geom.Point{X: 10, Y: 10}, Max: geom.Point{X: 5, Y: 20}}, // inverted
+		geom.EmptyRect(),
+		{Min: geom.Point{X: nan, Y: 0}, Max: geom.Point{X: 500, Y: 500}},
+		{Min: geom.Point{X: 0, Y: 0}, Max: geom.Point{X: 500, Y: nan}},
+		{Min: geom.Point{X: -500, Y: -500}, Max: geom.Point{X: -100, Y: -100}},
+		{Min: geom.Point{X: 2000, Y: 0}, Max: geom.Point{X: 3000, Y: 1000}},
+		{Min: geom.Point{X: bounds.Max.X, Y: bounds.Max.Y}, Max: geom.Point{X: bounds.Max.X + 5, Y: bounds.Max.Y + 5}},
+	}
+	for len(out) < n {
+		m := segs[rng.Intn(len(segs))].MBR()
+		switch rng.Intn(8) {
+		case 0: // a point, on an item's corner
+			out = append(out, geom.Rect{Min: m.Min, Max: m.Min})
+		case 1: // a point, anywhere
+			p := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+			out = append(out, geom.Rect{Min: p, Max: p})
+		case 2: // exactly an item's MBR: contained with all four edges equal
+			out = append(out, m)
+		case 3: // touching an item's MBR along one edge, from outside
+			d := 1 + rng.Float64()*40
+			switch rng.Intn(4) {
+			case 0:
+				out = append(out, geom.Rect{Min: geom.Point{X: m.Min.X - d, Y: m.Min.Y - d}, Max: geom.Point{X: m.Min.X, Y: m.Max.Y + d}})
+			case 1:
+				out = append(out, geom.Rect{Min: geom.Point{X: m.Max.X, Y: m.Min.Y - d}, Max: geom.Point{X: m.Max.X + d, Y: m.Max.Y + d}})
+			case 2:
+				out = append(out, geom.Rect{Min: geom.Point{X: m.Min.X - d, Y: m.Min.Y - d}, Max: geom.Point{X: m.Max.X + d, Y: m.Min.Y}})
+			default:
+				out = append(out, geom.Rect{Min: geom.Point{X: m.Min.X - d, Y: m.Max.Y}, Max: geom.Point{X: m.Max.X + d, Y: m.Max.Y + d}})
+			}
+		default: // an ordinary window, from a few units to most of the extent
+			side := math.Pow(10, rng.Float64()*3) // 1 … 1000
+			c := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+			out = append(out, geom.Rect{
+				Min: geom.Point{X: c.X - side/2, Y: c.Y - side*rng.Float64()},
+				Max: geom.Point{X: c.X + side/2, Y: c.Y + side*rng.Float64()},
+			})
+		}
+	}
+	return out
+}
+
+// TestKernelMatchesInstrumentedWalk is the kernel's contract: for every
+// packing, for item counts on and off the fanout's multiples, and for
+// windows of every special shape, the untraced walk returns the instrumented
+// walk's ids as a sequence; fused with a refinement predicate it returns
+// that sequence filtered by the predicate, asking it about every MBR that
+// straddles the window's edge and about none the window contains.
+func TestKernelMatchesInstrumentedWalk(t *testing.T) {
+	fanout := Config{NodeBytes: DefaultNodeBytes}.fanout()
+	sizes := []struct{ items, windows int }{
+		{1, 200}, {fanout, 200}, {fanout + 1, 200}, {fanout*fanout - 1, 300}, {139006, 60},
+	}
+	packings := []Packing{PackingHilbert, PackingSTR, PackingXSort}
+	total := 0
+	for _, sz := range sizes {
+		segs := randSegments(sz.items, int64(sz.items))
+		mbrs := make([]geom.Rect, len(segs))
+		for i, s := range segs {
+			mbrs[i] = s.MBR()
+		}
+		for _, pk := range packings {
+			tr := buildTest(t, segs, Config{Packing: pk})
+			name := fmt.Sprintf("n=%d/packing=%d", sz.items, pk)
+			var ref, got, fused, want []uint32
+			asked := make(map[uint32]int)
+			for qi, w := range kernelWindows(segs, tr.Bounds(), sz.windows, int64(pk)+7) {
+				total++
+				ref = tr.AppendSearch(ref[:0], w, &ops.Counts{})
+				got = tr.AppendRange(got[:0], w, nil)
+				if !equalU32(got, ref) {
+					t.Fatalf("%s window %d %v: filter kernel %d ids, instrumented %d (or order differs)", name, qi, w, len(got), len(ref))
+				}
+				if viaNull := tr.AppendSearch(nil, w, ops.Null{}); !equalU32(viaNull, ref) {
+					t.Fatalf("%s window %d %v: AppendSearch(Null) differs from the instrumented walk", name, qi, w)
+				}
+
+				clear(asked)
+				exact := func(id uint32) bool {
+					asked[id]++
+					return segs[id].IntersectsRect(w)
+				}
+				fused = tr.AppendRange(fused[:0], w, exact)
+				want = want[:0]
+				for _, id := range ref {
+					contained := w.ContainsRect(mbrs[id])
+					switch {
+					case contained && asked[id] != 0:
+						t.Fatalf("%s window %d %v: exact asked about id %d whose MBR %v the window contains", name, qi, w, id, mbrs[id])
+					case !contained && asked[id] != 1:
+						t.Fatalf("%s window %d %v: exact asked %d times about straddling id %d", name, qi, w, asked[id], id)
+					}
+					if segs[id].IntersectsRect(w) {
+						want = append(want, id)
+					}
+				}
+				if len(asked) > len(ref) {
+					t.Fatalf("%s window %d: exact asked about %d ids, only %d candidates", name, qi, len(asked), len(ref))
+				}
+				if !equalU32(fused, want) {
+					t.Fatalf("%s window %d %v: fused kernel %d ids, refined instrumented walk %d (or order differs)", name, qi, w, len(fused), len(want))
+				}
+			}
+		}
+	}
+	if total < 2000 {
+		t.Fatalf("only %d windows exercised, want >= 2000", total)
+	}
+}
+
+// TestKernelAppendsAfterPrefix: dst's existing contents are never touched.
+func TestKernelAppendsAfterPrefix(t *testing.T) {
+	segs := randSegments(3000, 5)
+	tr := buildTest(t, segs, Config{})
+	w := geom.Rect{Min: geom.Point{X: 100, Y: 100}, Max: geom.Point{X: 600, Y: 700}}
+	ref := tr.AppendSearch(nil, w, &ops.Counts{})
+	got := tr.AppendRange([]uint32{7, 8, 9}, w, nil)
+	if !equalU32(got[:3], []uint32{7, 8, 9}) || !equalU32(got[3:], ref) {
+		t.Fatalf("prefix or answer disturbed: %d ids after a 3-id prefix, want %d", len(got)-3, len(ref))
+	}
+}
+
+// TestKernelStandsDownOnIrregularMBRs: an empty or NaN item MBR satisfies
+// raw compares that Rect.Intersects rejects, so such a tree must keep
+// answering through the reference walk, fused or not.
+func TestKernelStandsDownOnIrregularMBRs(t *testing.T) {
+	segs := randSegments(500, 11)
+	items := itemsOf(segs)
+	items[17].MBR = geom.Rect{Min: geom.Point{X: 600, Y: 600}, Max: geom.Point{X: 400, Y: 400}}
+	items[290].MBR.Max.Y = math.NaN()
+	tr, err := Build(items, Config{}, ops.Null{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.plain {
+		t.Fatal("tree with an inverted and a NaN item MBR reported plain")
+	}
+	odd := func(id uint32) bool { return id%2 == 1 }
+	for qi, w := range kernelWindows(segs, tr.Bounds(), 300, 3) {
+		ref := tr.AppendSearch(nil, w, &ops.Counts{})
+		if got := tr.AppendRange(nil, w, nil); !equalU32(got, ref) {
+			t.Fatalf("window %d %v: %d ids, instrumented walk %d", qi, w, len(got), len(ref))
+		}
+		var want []uint32
+		for _, id := range ref {
+			if odd(id) {
+				want = append(want, id)
+			}
+		}
+		if got := tr.AppendRange(nil, w, odd); !equalU32(got, want) {
+			t.Fatalf("window %d %v: fused %d ids, want %d", qi, w, len(got), len(want))
+		}
+	}
+}
+
+// TestInstrumentedStreamPinned fixes the op and access counts the
+// instrumented walks emit for one seeded query set. The numbers were
+// recorded from the commit before the serving kernel existed: the
+// simulator's stream must not move when the serving path does.
+func TestInstrumentedStreamPinned(t *testing.T) {
+	segs := randSegments(20000, 42)
+	tr := buildTest(t, segs, Config{})
+	rng := rand.New(rand.NewSource(43))
+	var rangeC, nnC, knnC ops.Counts
+	var sc NNScratch
+	for q := 0; q < 200; q++ {
+		c := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+		half := 1 + rng.Float64()*60
+		w := geom.Rect{Min: geom.Point{X: c.X - half, Y: c.Y - half}, Max: geom.Point{X: c.X + half, Y: c.Y + half}}
+		tr.AppendSearch(nil, w, &rangeC)
+		tr.AppendSearchPoint(nil, segs[rng.Intn(len(segs))].A, &rangeC)
+		dist := func(id uint32) float64 { return segs[id].DistToPoint(c) }
+		tr.NearestWith(c, dist, &nnC, &sc)
+		tr.KNearestAppend(nil, c, 8, dist, &knnC, &sc)
+	}
+	type pin struct {
+		name string
+		got  ops.Counts
+		want [8]int64 // MBRTest NodeVisit DistCalc HeapOp ResultAppend LoadCalls LoadBytes StoreBytes
+	}
+	for _, p := range []pin{
+		{"range+point", rangeC, pinnedRange},
+		{"nn", nnC, pinnedNN},
+		{"knn", knnC, pinnedKNN},
+	} {
+		got := [8]int64{
+			p.got.Ops[ops.OpMBRTest], p.got.Ops[ops.OpNodeVisit], p.got.Ops[ops.OpDistCalc], p.got.Ops[ops.OpHeapOp],
+			p.got.Ops[ops.OpResultAppend], p.got.LoadCalls, p.got.LoadBytes, p.got.StoreBytes,
+		}
+		if got != p.want {
+			t.Errorf("%s stream moved:\n got  %v\n want %v", p.name, got, p.want)
+		}
+	}
+}
+
+// MBRTest NodeVisit DistCalc HeapOp ResultAppend LoadCalls LoadBytes StoreBytes
+var (
+	pinnedRange = [8]int64{84913, 3843, 0, 0, 21439, 88756, 1729004, 85756}
+	pinnedNN    = [8]int64{26643, 1285, 41336, 14693, 0, 27928, 543140, 0}
+	pinnedKNN   = [8]int64{34803, 1615, 34803, 25639, 0, 36418, 708980, 0}
+)

@@ -92,7 +92,7 @@ func (t *Tree) KNearestAppend(dst []Neighbor, p geom.Point, k int, dist DistFunc
 	if sc != nil {
 		best = sc.heap[:0]
 	}
-	t.knn(&t.nodes[t.root], p, k, dist, rec, sc, &best)
+	t.knn(&t.nodes[t.root], p, k, dist, nilIfNull(rec), sc, &best)
 	start := len(dst)
 	n := len(best)
 	for i := 0; i < n; i++ {
@@ -163,7 +163,7 @@ func (t *Tree) KNearestCollect(p geom.Point, k int, dist DistFunc, rec ops.Recor
 		return
 	}
 	heap := sc.heap
-	t.knn(&t.nodes[t.root], p, k, dist, rec, sc, &heap)
+	t.knn(&t.nodes[t.root], p, k, dist, nilIfNull(rec), sc, &heap)
 	sc.heap = heap
 }
 
@@ -176,22 +176,32 @@ func knnBound(best *neighborHeap, k int) float64 {
 	return (*best)[0].Dist
 }
 
+// knn is the k-NN descent; rec is nil for an untraced query, as in nearest.
 func (t *Tree) knn(n *node, p geom.Point, k int, dist DistFunc, rec ops.Recorder, sc *NNScratch, best *neighborHeap) {
-	t.visitNode(n, rec)
+	traced := rec != nil
+	if traced {
+		t.visitNode(n, rec)
+	}
 	if n.level == 0 {
 		for i := range n.entries {
-			t.scanEntry(n, i, rec)
-			rec.Op(ops.OpDistCalc, 1)
-			if n.entries[i].mbr.MinDist(p) > knnBound(best, k) {
+			if traced {
+				t.scanEntry(n, i, rec)
+				rec.Op(ops.OpDistCalc, 1)
+			}
+			if n.entries[i].MBR.MinDist(p) > knnBound(best, k) {
 				continue
 			}
-			d := dist(n.entries[i].ptr)
+			d := dist(n.entries[i].ID)
 			if d < knnBound(best, k) {
-				best.push(Neighbor{ID: n.entries[i].ptr, Dist: d})
-				rec.Op(ops.OpHeapOp, 1)
+				best.push(Neighbor{ID: n.entries[i].ID, Dist: d})
+				if traced {
+					rec.Op(ops.OpHeapOp, 1)
+				}
 				if len(*best) > k {
 					best.pop()
-					rec.Op(ops.OpHeapOp, 1)
+					if traced {
+						rec.Op(ops.OpHeapOp, 1)
+					}
 				}
 			}
 		}
@@ -204,19 +214,23 @@ func (t *Tree) knn(n *node, p geom.Point, k int, dist DistFunc, rec ops.Recorder
 		branches = make([]branch, 0, len(n.entries))
 	}
 	for i := range n.entries {
-		t.scanEntry(n, i, rec)
-		rec.Op(ops.OpDistCalc, 1)
-		branches = append(branches, branch{minDist: n.entries[i].mbr.MinDist(p), idx: i})
+		if traced {
+			t.scanEntry(n, i, rec)
+			rec.Op(ops.OpDistCalc, 1)
+		}
+		branches = append(branches, branch{minDist: n.entries[i].MBR.MinDist(p), idx: i})
 	}
 	if sc != nil {
 		sc.keep(n.level, branches)
 	}
 	sortBranches(branches)
-	rec.Op(ops.OpHeapOp, len(branches))
+	if traced {
+		rec.Op(ops.OpHeapOp, len(branches))
+	}
 	for _, br := range branches {
 		if br.minDist > knnBound(best, k) {
 			break // MINDIST-ordered: all later branches prune too
 		}
-		t.knn(&t.nodes[n.entries[br.idx].ptr], p, k, dist, rec, sc, best)
+		t.knn(&t.nodes[n.entries[br.idx].ID], p, k, dist, rec, sc, best)
 	}
 }

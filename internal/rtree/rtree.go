@@ -8,7 +8,9 @@
 // all traversals emit their operation and memory-reference streams to an
 // ops.Recorder, which is how the cycle/energy machine models observe the
 // execution (see internal/ops). Passing ops.Null{} runs the index as a plain
-// spatial library.
+// spatial library: range and point searches then take the serving kernel
+// (kernel.go) and the NN walks skip their recorder calls — same answers in
+// the same order, nothing recorded.
 package rtree
 
 import (
@@ -89,12 +91,10 @@ func (c *Config) fill() {
 // fanout returns the number of entries per node for this config.
 func (c Config) fanout() int { return (c.NodeBytes - HeaderBytes) / EntryBytes }
 
-// entry is one slot of a node: an MBR and either a child node index
-// (internal nodes) or a data item id (leaves).
-type entry struct {
-	mbr geom.Rect
-	ptr uint32
-}
+// entry is one slot of a node: an MBR and, in ID, either a child node index
+// (internal nodes) or a data item id (leaves). It is Item itself, so the leaf
+// level and the pack order are one array.
+type entry = Item
 
 // node is one index node.
 type node struct {
@@ -111,9 +111,16 @@ type Tree struct {
 	height int   // number of levels (0 for empty tree)
 	nitems int
 	bounds geom.Rect
-	// leafOrder[i] is the id of the i-th item in Hilbert pack order; used by
-	// the memory-budgeted subset extraction (Fig. 2).
-	leafOrder []Item
+	// leaves is the leaf level: the items in pack order, which every leaf
+	// node's entries slice into. Leaf node k holds slots [k·fanout,
+	// (k+1)·fanout), so a node at level h covers fanout^(h+1) consecutive
+	// slots — what the serving kernel's subtree runs and the memory-budgeted
+	// subset extraction (Fig. 2) both rely on.
+	leaves []Item
+	// plain reports that every item MBR has Min <= Max on both axes (not
+	// empty, no NaN), the precondition for the serving kernel's raw compares
+	// to agree with Rect.Intersects.
+	plain bool
 }
 
 // Build bulk-loads a packed R-tree from items. The item slice is not
@@ -135,8 +142,12 @@ func Build(items []Item, cfg Config, rec ops.Recorder) (*Tree, error) {
 
 	sorted := make([]Item, len(items))
 	copy(sorted, items)
+	t.plain = true
 	for _, it := range sorted {
 		t.bounds = t.bounds.Union(it.MBR)
+		if !(it.MBR.Min.X <= it.MBR.Max.X && it.MBR.Min.Y <= it.MBR.Max.Y) {
+			t.plain = false
+		}
 	}
 	packing := cfg.Packing
 	if cfg.SortByX {
@@ -159,13 +170,10 @@ func Build(items []Item, cfg Config, rec ops.Recorder) (*Tree, error) {
 		}
 		sort.Sort(&byKey{items: sorted, keys: keys})
 	}
-	t.leafOrder = sorted
+	t.leaves = sorted
 
 	// Build leaves, then each upper level, packing fanout entries per node.
-	level := make([]entry, len(sorted))
-	for i, it := range sorted {
-		level[i] = entry{mbr: it.MBR, ptr: it.ID}
-	}
+	level := sorted
 	rec.Op(ops.OpIndexBuildEntry, len(sorted))
 
 	var lvl int16
@@ -188,9 +196,9 @@ func Build(items []Item, cfg Config, rec ops.Recorder) (*Tree, error) {
 			rec.Store(n.addr, HeaderBytes+len(n.entries)*EntryBytes)
 			mbr := geom.EmptyRect()
 			for _, e := range n.entries {
-				mbr = mbr.Union(e.mbr)
+				mbr = mbr.Union(e.MBR)
 			}
-			next = append(next, entry{mbr: mbr, ptr: uint32(idx)})
+			next = append(next, entry{MBR: mbr, ID: uint32(idx)})
 		}
 		rec.Op(ops.OpIndexBuildEntry, len(next))
 		t.height++
@@ -262,7 +270,7 @@ func (t *Tree) Fanout() int { return t.cfg.fanout() }
 
 // PackOrder returns the items in Hilbert pack order. The slice is owned by
 // the tree; callers must not modify it.
-func (t *Tree) PackOrder() []Item { return t.leafOrder }
+func (t *Tree) PackOrder() []Item { return t.leaves }
 
 // visitNode charges one node visit: the traversal bookkeeping op plus the
 // load of the node header.
@@ -287,10 +295,15 @@ func (t *Tree) Search(window geom.Rect, rec ops.Recorder) []uint32 {
 }
 
 // AppendSearch is Search appending into dst — the allocation-free filtering
-// path for callers that own a reusable result buffer.
+// path for callers that own a reusable result buffer. With ops.Null there is
+// no stream to record and the serving kernel (kernel.go) answers instead:
+// same ids, same order.
 func (t *Tree) AppendSearch(dst []uint32, window geom.Rect, rec ops.Recorder) []uint32 {
 	if t.root < 0 {
 		return dst
+	}
+	if untraced(rec) {
+		return t.AppendRange(dst, window, nil)
 	}
 	t.search(&t.nodes[t.root], window, rec, &dst)
 	return dst
@@ -300,15 +313,15 @@ func (t *Tree) search(n *node, window geom.Rect, rec ops.Recorder, out *[]uint32
 	t.visitNode(n, rec)
 	for i := range n.entries {
 		t.scanEntry(n, i, rec)
-		if !window.Intersects(n.entries[i].mbr) {
+		if !window.Intersects(n.entries[i].MBR) {
 			continue
 		}
 		if n.level == 0 {
 			rec.Op(ops.OpResultAppend, 1)
 			rec.Store(ops.ScratchBase+uint64(len(*out))*4, 4)
-			*out = append(*out, n.entries[i].ptr)
+			*out = append(*out, n.entries[i].ID)
 		} else {
-			t.search(&t.nodes[n.entries[i].ptr], window, rec, out)
+			t.search(&t.nodes[n.entries[i].ID], window, rec, out)
 		}
 	}
 }
@@ -369,7 +382,7 @@ func (t *Tree) NearestWithin(p geom.Point, bound float64, dist DistFunc, rec ops
 	best := bound
 	bestID := uint32(0)
 	found := false
-	t.nearest(&t.nodes[t.root], p, dist, rec, sc, &best, &bestID, &found)
+	t.nearest(&t.nodes[t.root], p, dist, nilIfNull(rec), sc, &best, &bestID, &found)
 	return bestID, best, found
 }
 
@@ -414,25 +427,33 @@ func sortBranches(br []branch) {
 	}
 }
 
+// nearest is the NN descent. rec is nil for an untraced query (the entry
+// points replace ops.Null), which skips the per-entry recorder calls; a
+// traced query emits the stream it always has.
 func (t *Tree) nearest(n *node, p geom.Point, dist DistFunc, rec ops.Recorder,
 	sc *NNScratch, best *float64, bestID *uint32, found *bool) {
 
-	t.visitNode(n, rec)
+	traced := rec != nil
+	if traced {
+		t.visitNode(n, rec)
+	}
 	if n.level == 0 {
 		for i := range n.entries {
-			t.scanEntry(n, i, rec)
-			rec.Op(ops.OpDistCalc, 1)
-			if n.entries[i].mbr.MinDist(p) > *best {
+			if traced {
+				t.scanEntry(n, i, rec)
+				rec.Op(ops.OpDistCalc, 1)
+			}
+			if n.entries[i].MBR.MinDist(p) > *best {
 				continue
 			}
 			// Strictly-closer acceptance keeps NearestWithin's bound
 			// semantics exact: an item at exactly the bound is not "within"
 			// it. For the unbounded entry points best starts at +Inf, so
 			// every finite distance is accepted on first sight as before.
-			d := dist(n.entries[i].ptr)
+			d := dist(n.entries[i].ID)
 			if d < *best {
 				*best = d
-				*bestID = n.entries[i].ptr
+				*bestID = n.entries[i].ID
 				*found = true
 			}
 		}
@@ -448,10 +469,12 @@ func (t *Tree) nearest(n *node, p geom.Point, dist DistFunc, rec ops.Recorder,
 	}
 	minMaxBound := math.Inf(1)
 	for i := range n.entries {
-		t.scanEntry(n, i, rec)
-		rec.Op(ops.OpDistCalc, 2) // MINDIST + MINMAXDIST
-		md := n.entries[i].mbr.MinDist(p)
-		mmd := n.entries[i].mbr.MinMaxDist(p)
+		if traced {
+			t.scanEntry(n, i, rec)
+			rec.Op(ops.OpDistCalc, 2) // MINDIST + MINMAXDIST
+		}
+		md := n.entries[i].MBR.MinDist(p)
+		mmd := n.entries[i].MBR.MinMaxDist(p)
 		if mmd < minMaxBound {
 			minMaxBound = mmd
 		}
@@ -461,7 +484,9 @@ func (t *Tree) nearest(n *node, p geom.Point, dist DistFunc, rec ops.Recorder,
 		sc.keep(n.level, branches)
 	}
 	sortBranches(branches)
-	rec.Op(ops.OpHeapOp, len(branches))
+	if traced {
+		rec.Op(ops.OpHeapOp, len(branches))
+	}
 
 	for _, br := range branches {
 		// Downward prune: a subtree whose MINDIST exceeds both the best
@@ -470,7 +495,7 @@ func (t *Tree) nearest(n *node, p geom.Point, dist DistFunc, rec ops.Recorder,
 		if br.minDist > *best || br.minDist > minMaxBound {
 			continue
 		}
-		t.nearest(&t.nodes[n.entries[br.idx].ptr], p, dist, rec, sc, best, bestID, found)
+		t.nearest(&t.nodes[n.entries[br.idx].ID], p, dist, rec, sc, best, bestID, found)
 	}
 }
 

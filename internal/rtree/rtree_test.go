@@ -106,10 +106,10 @@ func TestPackingInvariants(t *testing.T) {
 			continue
 		}
 		for _, e := range n.entries {
-			child := &tr.nodes[e.ptr]
+			child := &tr.nodes[e.ID]
 			for _, ce := range child.entries {
-				if !e.mbr.ContainsRect(ce.mbr) {
-					t.Fatalf("parent MBR %v does not contain child entry %v", e.mbr, ce.mbr)
+				if !e.MBR.ContainsRect(ce.MBR) {
+					t.Fatalf("parent MBR %v does not contain child entry %v", e.MBR, ce.MBR)
 				}
 			}
 		}

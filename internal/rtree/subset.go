@@ -189,7 +189,7 @@ func (t *Tree) ExtractSubset(window geom.Rect, budget Budget, rec ops.Recorder) 
 func (t *Tree) buildShipment(selected []int, rec ops.Recorder) (*Shipment, error) {
 	items := make([]Item, len(selected))
 	for i, pos := range selected {
-		items[i] = t.leafOrder[pos]
+		items[i] = t.leaves[pos]
 	}
 	rec.Op(ops.OpCopyWord, len(items)*EntryBytes/4)
 	sub, err := Build(items, t.cfg, rec)
@@ -209,13 +209,13 @@ func (t *Tree) countMatching(window geom.Rect, rec ops.Recorder) int {
 		t.visitNode(n, rec)
 		for i := range n.entries {
 			t.scanEntry(n, i, rec)
-			if !window.Intersects(n.entries[i].mbr) {
+			if !window.Intersects(n.entries[i].MBR) {
 				continue
 			}
 			if n.level == 0 {
 				count++
 			} else {
-				walk(n.entries[i].ptr)
+				walk(n.entries[i].ID)
 			}
 		}
 	}
@@ -312,13 +312,13 @@ func (t *Tree) searchPositions(window geom.Rect, rec ops.Recorder) []int {
 		t.visitNode(n, rec)
 		for i := range n.entries {
 			t.scanEntry(n, i, rec)
-			if !window.Intersects(n.entries[i].mbr) {
+			if !window.Intersects(n.entries[i].MBR) {
 				continue
 			}
 			if n.level == 0 {
 				out = append(out, int(idx)*fanout+i)
 			} else {
-				walk(n.entries[i].ptr)
+				walk(n.entries[i].ID)
 			}
 		}
 	}
@@ -345,7 +345,7 @@ func (t *Tree) nearestPackPos(p geom.Point, rec ops.Recorder) int {
 		for i := range n.entries {
 			t.scanEntry(n, i, rec)
 			rec.Op(ops.OpDistCalc, 1)
-			cands = append(cands, cand{n.entries[i].mbr.MinDist(p), i})
+			cands = append(cands, cand{n.entries[i].MBR.MinDist(p), i})
 		}
 		sort.Slice(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
 		for _, c := range cands {
@@ -356,7 +356,7 @@ func (t *Tree) nearestPackPos(p geom.Point, rec ops.Recorder) int {
 				best = c.d
 				bestPos = int(idx)*fanout + c.i
 			} else {
-				walk(n.entries[c.i].ptr)
+				walk(n.entries[c.i].ID)
 			}
 		}
 	}

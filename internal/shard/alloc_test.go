@@ -30,7 +30,10 @@ func TestShardedRangeZeroAlloc(t *testing.T) {
 		t.Skip("allocation accounting is unreliable under -race")
 	}
 	ds, p := allocPool(t)
-	windows := dataset.RangeQueries(ds, 16, 5)
+	// The whole extent rides along so every shard's kernel emits a
+	// contained run; the other windows straddle MBRs and so call the fused
+	// refinement closure, which must stay on the stack.
+	windows := append(dataset.RangeQueries(ds, 15, 5), p.Bounds())
 	dst := make([]uint32, 0, 1<<16)
 	for i := 0; i < 4; i++ { // warm the caller's result buffer
 		for _, w := range windows {
@@ -40,10 +43,11 @@ func TestShardedRangeZeroAlloc(t *testing.T) {
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		dst = p.RangeAppend(dst[:0], windows[i%len(windows)])
+		dst = p.FilterRangeAppend(dst[:0], windows[i%len(windows)])
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("warm sharded RangeAppend: %.1f allocs/op, want 0", allocs)
+		t.Errorf("warm sharded RangeAppend + FilterRangeAppend: %.1f allocs/op, want 0", allocs)
 	}
 }
 

@@ -7,27 +7,21 @@ import (
 
 // rangeWalk answers one window query on the caller's goroutine: every shard
 // whose MBR intersects w is searched in shard order, appending into dst.
-// With refine set the filter candidates are compacted in place to the exact
-// answer, exactly as parallel.Pool does, so per-shard answers are
-// bit-identical to the monolithic path restricted to that shard's items.
+// With refine set each tree's serving kernel runs with the exact test fused
+// in, exactly as parallel.Pool does, so per-shard answers are bit-identical
+// to the monolithic path restricted to that shard's items.
 func (p *Pool) rangeWalk(dst []uint32, w geom.Rect, refine bool) []uint32 {
+	var exact func(uint32) bool
+	if refine {
+		exact = func(id uint32) bool { return p.ds.Seg(id).IntersectsRect(w) }
+	}
 	n := 0
 	for i, t := range p.trees {
 		if !p.mbrs[i].Intersects(w) {
 			continue
 		}
 		n++
-		base := len(dst)
-		dst = t.AppendSearch(dst, w, ops.Null{})
-		if refine {
-			hits := dst[:base]
-			for _, id := range dst[base:] {
-				if p.ds.Seg(id).IntersectsRect(w) {
-					hits = append(hits, id)
-				}
-			}
-			dst = hits
-		}
+		dst = t.AppendRange(dst, w, exact)
 	}
 	p.observeFanout(n)
 	return dst
