@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"strings"
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/ops"
@@ -85,13 +84,7 @@ func pick(args []string) (*dataset.Dataset, error) {
 	if len(args) < 2 {
 		return nil, fmt.Errorf("usage: datagen %s <PA|NYC>", args[0])
 	}
-	switch strings.ToUpper(args[1]) {
-	case "PA":
-		return dataset.PA(), nil
-	case "NYC":
-		return dataset.NYC(), nil
-	}
-	return nil, fmt.Errorf("unknown dataset %q", args[1])
+	return dataset.ByName(args[1])
 }
 
 func printStats(ds *dataset.Dataset) {

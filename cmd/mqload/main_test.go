@@ -1,0 +1,187 @@
+package main
+
+import (
+	"bytes"
+	"net"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"mobispatial/internal/dataset"
+	"mobispatial/internal/mutable"
+	"mobispatial/internal/obs"
+	"mobispatial/internal/ops"
+	"mobispatial/internal/parallel"
+	"mobispatial/internal/proto"
+	"mobispatial/internal/router"
+	"mobispatial/internal/rtree"
+	"mobispatial/internal/serve"
+	"mobispatial/internal/shard"
+)
+
+// serveOn starts one in-process server on a loopback port.
+func serveOn(t *testing.T, cfg serve.Config) string {
+	t.Helper()
+	srv, err := serve.New(cfg)
+	if err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(lis)
+	t.Cleanup(func() { srv.Close() })
+	return lis.Addr().String()
+}
+
+// startTargets builds the three kinds of target mqload is pointed at, the
+// way mqserve and mqrouter build them: a static server (with a master tree,
+// so it can ship sub-indexes to the planner), an updatable server, and a
+// router with live refresh over two updatable Hilbert-partitioned backends.
+func startTargets(t *testing.T, ds *dataset.Dataset) (static, updatable, routed string) {
+	t.Helper()
+	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, err := parallel.New(ds, tree, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	static = serveOn(t, serve.Config{Pool: pp, Master: tree, Obs: obs.NewHub()})
+
+	mhub := obs.NewHub()
+	mp, err := mutable.NewFromDataset(ds, 4, mutable.Config{Obs: mhub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mp.Close)
+	updatable = serveOn(t, serve.Config{Pool: mp, Master: tree, Obs: mhub})
+
+	const n = 2
+	ranges, bounds := shard.PartitionHilbert(ds.Items(), n, 0)
+	cuts := make([]uint64, n)
+	for i, rg := range ranges {
+		cuts[i] = rg.Lo
+	}
+	var backends []string
+	for b, rg := range ranges {
+		pool, err := mutable.New(mutable.Config{
+			Dataset: ds, Ranges: []shard.Range{rg}, Cuts: cuts, GlobalIndex: []int{b}, Bounds: bounds,
+		})
+		if err != nil {
+			t.Fatalf("backend %d: %v", b, err)
+		}
+		t.Cleanup(pool.Close)
+		backends = append(backends, serveOn(t, serve.Config{Pool: pool, NumRanges: n, Ranges: []proto.RangeInfo{{
+			Index: uint32(rg.Index), Items: uint32(len(rg.Items)), Lo: rg.Lo, Hi: rg.Hi, MBR: rg.MBR,
+		}}}))
+	}
+	hub := obs.NewHub()
+	r, err := router.New(router.Config{Backends: backends, Dataset: ds, RefreshInterval: 20 * time.Millisecond, Obs: hub})
+	if err != nil {
+		t.Fatalf("router: %v", err)
+	}
+	t.Cleanup(func() { r.Close() })
+	routed = serveOn(t, serve.Config{Pool: r, Obs: hub})
+	return static, updatable, routed
+}
+
+// The report lines scripts/cluster_smoke.sh reads its verdicts from. One
+// format for every workload: if one of these stops matching, the script's
+// parsers have to move with it.
+var (
+	reQueries  = regexp.MustCompile(`(?m)^  queries   (\d+) `)
+	reErrors   = regexp.MustCompile(`(?m)^  errors    (\d+) `)
+	reReadback = regexp.MustCompile(`(?m)^  readback  (\d+) acked moves read back, (\d+) missed`)
+	reRouter   = regexp.MustCompile(` (\d+) failovers, (\d+) unroutable`)
+	reRefresh  = regexp.MustCompile(`refreshes: (\d+) structural`)
+)
+
+func field(t *testing.T, report string, re *regexp.Regexp, group int) int {
+	t.Helper()
+	m := re.FindStringSubmatch(report)
+	if m == nil {
+		t.Fatalf("report has no line matching %v:\n%s", re, report)
+	}
+	n, err := strconv.Atoi(m[group])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestEveryWorkloadRunsToOneReport drives each point source and issuer —
+// and the combinations that used to be refused — through run() against
+// in-process targets, and checks the one report format.
+func TestEveryWorkloadRunsToOneReport(t *testing.T) {
+	ds := dataset.NYC()
+	static, updatable, routed := startTargets(t, ds)
+	for _, tc := range []struct {
+		name, addr, args string
+		want             []string // substrings this workload's report must carry
+	}{
+		{"uniform", static, "", nil},
+		{"zipf", static, "-zipf 1.5 -serverstats", []string{"server stats"}},
+		{"batch", static, "-batch 8", []string{"  batching  8 queries/exchange"}},
+		{"planner", static, "-planner", []string{"scheme breakdown"}},
+		{"zipf planner", static, "-zipf 1.5 -planner", []string{"scheme breakdown"}},
+		{"drift", updatable, "-drift -phases 3 -serverstats", []string{"  phase 2   ", "  mutable   "}},
+		{"drift batch", updatable, "-drift -batch 8", []string{"  phase 3   ", "  batching  "}},
+		{"moving readback", updatable, "-moving -readback -vehicles 8", []string{"  writes    ", "  reads     ", "  staleness ", "  acks      0 not-owned"}},
+		{"moving batch", updatable, "-moving -batch 4 -vehicles 8", []string{"  writes    ", "  batching  "}},
+		{"moving planner", updatable, "-moving -planner -vehicles 8", []string{"  writes    ", "scheme breakdown"}},
+		{"routed uniform", routed, "", []string{"  router    2 backends"}},
+		{"routed drift batch", routed, "-drift -batch 8", []string{"batches: "}},
+		{"routed moving readback", routed, "-moving -readback -vehicles 8", []string{"writes: "}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append(strings.Fields(tc.args), "-addr", tc.addr, "-dataset", "nyc",
+				"-conns", "4", "-duration", "300ms", "-warmup", "50ms")
+			var out bytes.Buffer
+			if err := run(args, &out); err != nil {
+				t.Fatalf("run %v: %v\n%s", args, err, out.String())
+			}
+			report := out.String()
+			if n := field(t, report, reQueries, 1); n == 0 {
+				t.Fatalf("no queries completed:\n%s", report)
+			}
+			if n := field(t, report, reErrors, 1); n != 0 {
+				t.Fatalf("%d errors:\n%s", n, report)
+			}
+			for _, s := range tc.want {
+				if !strings.Contains(report, s) {
+					t.Errorf("report lacks %q:\n%s", s, report)
+				}
+			}
+			if strings.Contains(tc.args, "-readback") {
+				if field(t, report, reReadback, 1) == 0 || field(t, report, reReadback, 2) != 0 {
+					t.Errorf("read-back ledger wants > 0 checked, 0 missed:\n%s", report)
+				}
+			}
+			if tc.addr == routed {
+				if field(t, report, reRouter, 1) != 0 || field(t, report, reRouter, 2) != 0 {
+					t.Errorf("failovers or unroutable queries on a healthy cluster:\n%s", report)
+				}
+				field(t, report, reRefresh, 1)
+			}
+		})
+	}
+}
+
+// TestRefusals: the three flag pairs that stay refused say why.
+func TestRefusals(t *testing.T) {
+	for args, reason := range map[string]string{
+		"-moving -zipf 1.5": "one point source",
+		"-moving -drift":    "one point source",
+		"-batch 8 -planner": "one issuer",
+	} {
+		err := run(strings.Fields(args), &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), reason) {
+			t.Errorf("run(%s) = %v, want a refusal naming %q", args, err, reason)
+		}
+	}
+}

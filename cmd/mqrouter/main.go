@@ -85,14 +85,9 @@ func run(args []string) error {
 		return fmt.Errorf("-backends is required")
 	}
 
-	var ds *dataset.Dataset
-	switch *dsName {
-	case "pa":
-		ds = dataset.PA()
-	case "nyc":
-		ds = dataset.NYC()
-	default:
-		return fmt.Errorf("unknown dataset %q (want pa or nyc)", *dsName)
+	ds, err := dataset.ByName(*dsName)
+	if err != nil {
+		return err
 	}
 
 	hub := obs.NewHub()

@@ -102,14 +102,13 @@ func render(w *os.File, addr string, c *client.Client, uptimeMicros uint64, snap
 	// glance says which tier and execution mode is running. Unknown metric
 	// names — a newer server's snapshot — still render generically below.
 	sharding := ""
-	for _, g := range snap.Gauges {
-		switch {
-		case g.Name == "shard_count" && g.Value > 0:
-			sharding += fmt.Sprintf("  shards %.0f", g.Value)
-		case g.Name == "router_backends" && g.Value > 0:
-			sharding += fmt.Sprintf("  router %.0f backends", g.Value)
-		case g.Name == "router_ranges" && g.Value > 0:
-			sharding += fmt.Sprintf("/%.0f ranges", g.Value)
+	if v := snap.Gauge("shard_count"); v > 0 {
+		sharding += fmt.Sprintf("  shards %.0f", v)
+	}
+	if v := snap.Gauge("router_backends"); v > 0 {
+		sharding += fmt.Sprintf("  router %.0f backends", v)
+		if rg := snap.Gauge("router_ranges"); rg > 0 {
+			sharding += fmt.Sprintf("/%.0f ranges", rg)
 		}
 	}
 	fmt.Fprintf(w, "mqtop — %s  up %v  breaker %s  rtt %v%s  %s\n", addr,
@@ -179,21 +178,12 @@ func render(w *os.File, addr string, c *client.Client, uptimeMicros uint64, snap
 func mutableLine(snap obs.Snapshot) string {
 	shards := 0
 	var maxEpoch, pending, maxStale float64
-	for _, g := range snap.Gauges {
-		switch {
-		case shardLabeled(g.Name, "mutable_epoch"):
-			shards++
-			if g.Value > maxEpoch {
-				maxEpoch = g.Value
-			}
-		case shardLabeled(g.Name, "mutable_pending"):
-			pending += g.Value
-		case shardLabeled(g.Name, "mutable_staleness_seconds"):
-			if g.Value > maxStale {
-				maxStale = g.Value
-			}
-		}
-	}
+	snap.EachGauge("mutable_epoch", "shard", func(_ string, v float64) {
+		shards++
+		maxEpoch = max(maxEpoch, v)
+	})
+	snap.EachGauge("mutable_pending", "shard", func(_ string, v float64) { pending += v })
+	snap.EachGauge("mutable_staleness_seconds", "shard", func(_ string, v float64) { maxStale = max(maxStale, v) })
 	if shards == 0 {
 		return ""
 	}
@@ -208,36 +198,18 @@ func mutableLine(snap obs.Snapshot) string {
 // a non-adaptive mutable server, or a server predating the repartitioner.
 func heatLine(snap, prev obs.Snapshot, haveDelta bool) string {
 	n, total, hottest, hotIdx := 0, 0.0, 0.0, ""
-	for _, g := range snap.Gauges {
-		if rest, ok := strings.CutPrefix(g.Name, "mutable_heat{shard=\""); ok {
-			n++
-			total += g.Value
-			if g.Value >= hottest {
-				hottest = g.Value
-				hotIdx = strings.TrimSuffix(rest, "\"}")
-			}
+	snap.EachGauge("mutable_heat", "shard", func(shard string, v float64) {
+		n++
+		total += v
+		if v >= hottest {
+			hottest, hotIdx = v, shard
 		}
-	}
-	var splits, merges, prevSplits, prevMerges uint64
-	for _, c := range snap.Counters {
-		switch c.Name {
-		case "mutable_splits_total":
-			splits = c.Value
-		case "mutable_merges_total":
-			merges = c.Value
-		}
-	}
+	})
+	splits, merges := snap.Counter("mutable_splits_total"), snap.Counter("mutable_merges_total")
 	if n == 0 && splits == 0 && merges == 0 {
 		return ""
 	}
-	for _, c := range prev.Counters {
-		switch c.Name {
-		case "mutable_splits_total":
-			prevSplits = c.Value
-		case "mutable_merges_total":
-			prevMerges = c.Value
-		}
-	}
+	prevSplits, prevMerges := prev.Counter("mutable_splits_total"), prev.Counter("mutable_merges_total")
 	line := fmt.Sprintf("heat — %.0f q/s across %d shards  hottest shard %s (%.0f q/s)  %d splits  %d merges",
 		total, n, hotIdx, hottest, splits, merges)
 	if haveDelta && (splits > prevSplits || merges > prevMerges) {
@@ -284,12 +256,6 @@ func cacheLine(snap, prev obs.Snapshot, dt time.Duration, haveDelta bool) string
 	}
 	return fmt.Sprintf("qcache — %d hits  %d misses  %.1f%% hit rate  %d invalidations  (%s)",
 		hits, misses, rate, delta("qcache_invalidations_total"), window)
-}
-
-// shardLabeled reports whether name is base{shard="..."}.
-func shardLabeled(name, base string) bool {
-	rest, ok := strings.CutPrefix(name, base+"{shard=\"")
-	return ok && strings.HasSuffix(rest, "\"}")
 }
 
 // histVal formats one histogram summary cell. Only names ending in _seconds

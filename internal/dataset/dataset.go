@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
@@ -234,6 +235,20 @@ func PA() *Dataset { return mustGenerate(PAConfig()) }
 
 // NYC generates the NYC-like dataset.
 func NYC() *Dataset { return mustGenerate(NYCConfig()) }
+
+// ByName generates the dataset a -dataset flag or command argument names:
+// "pa" or "nyc", in either case. It is the one place a name becomes a
+// dataset, so every binary of a cluster built from the same name holds the
+// same deterministic map.
+func ByName(name string) (*Dataset, error) {
+	switch strings.ToLower(name) {
+	case "pa":
+		return PA(), nil
+	case "nyc":
+		return NYC(), nil
+	}
+	return nil, fmt.Errorf("unknown dataset %q (want pa or nyc)", name)
+}
 
 func mustGenerate(cfg GenConfig) *Dataset {
 	d, err := Generate(cfg)

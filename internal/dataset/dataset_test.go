@@ -202,3 +202,15 @@ func BenchmarkGeneratePA(b *testing.B) {
 		}
 	}
 }
+
+func TestByName(t *testing.T) {
+	for name, want := range map[string]int{"pa": 139006, "PA": 139006, "nyc": 38778, "NYC": 38778} {
+		ds, err := ByName(name)
+		if err != nil || ds.Len() != want {
+			t.Fatalf("ByName(%q) = %v segments, err %v; want %d", name, ds.Len(), err, want)
+		}
+	}
+	if _, err := ByName("sf"); err == nil {
+		t.Fatal("ByName accepted an unknown dataset")
+	}
+}

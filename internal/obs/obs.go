@@ -258,6 +258,45 @@ type Snapshot struct {
 	Hists    []HistValue
 }
 
+// Counter returns the named counter's value, 0 when the snapshot has no
+// such row — a consumer reading a server that does not export the metric
+// degrades to "nothing happened" without version negotiation.
+func (s Snapshot) Counter(name string) uint64 {
+	for _, c := range s.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+// Gauge returns the named gauge's value, 0 when the snapshot has no such
+// row.
+func (s Snapshot) Gauge(name string) float64 {
+	for _, g := range s.Gauges {
+		if g.Name == name {
+			return g.Value
+		}
+	}
+	return 0
+}
+
+// EachGauge calls fn, in row order, for every gauge named base{key="label"}
+// — the inverse of Name(base, key, label) for single-label families such as
+// the per-shard mutable_* gauges and the per-backend router_backend_healthy.
+func (s Snapshot) EachGauge(base, key string, fn func(label string, v float64)) {
+	prefix := base + "{" + key + `="`
+	for _, g := range s.Gauges {
+		rest, ok := strings.CutPrefix(g.Name, prefix)
+		if !ok {
+			continue
+		}
+		if label, ok := strings.CutSuffix(rest, `"}`); ok {
+			fn(label, g.Value)
+		}
+	}
+}
+
 // Snapshot copies every metric. Histogram summaries are computed per-metric
 // under their own locks; the registry lock only guards the maps.
 func (r *Registry) Snapshot() Snapshot {

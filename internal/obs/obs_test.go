@@ -174,3 +174,33 @@ func TestStatsMsgSanitizesEmptyHist(t *testing.T) {
 		t.Fatalf("empty-histogram snapshot invalid: %v", err)
 	}
 }
+
+func TestSnapshotAccessors(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("moves_total").Add(7)
+	reg.Gauge("shard_count").Set(4)
+	reg.Gauge(Name("mutable_pending", "shard", "0")).Set(3)
+	reg.Gauge(Name("mutable_pending", "shard", "1")).Set(5)
+	reg.Gauge(Name("mutable_pending_max", "shard", "0")).Set(99) // other family, same prefix
+	reg.Gauge(Name("mutable_pending", "backend", "a:1")).Set(42) // other label key
+	snap := reg.Snapshot()
+
+	if got := snap.Counter("moves_total"); got != 7 {
+		t.Fatalf("Counter = %d, want 7", got)
+	}
+	if got := snap.Gauge("shard_count"); got != 4 {
+		t.Fatalf("Gauge = %v, want 4", got)
+	}
+	if snap.Counter("absent_total") != 0 || snap.Gauge("absent") != 0 {
+		t.Fatal("absent rows must read as zero")
+	}
+	var labels []string
+	sum := 0.0
+	snap.EachGauge("mutable_pending", "shard", func(label string, v float64) {
+		labels = append(labels, label)
+		sum += v
+	})
+	if len(labels) != 2 || labels[0] != "0" || labels[1] != "1" || sum != 8 {
+		t.Fatalf("EachGauge visited %v (sum %v), want shards 0 and 1 summing to 8", labels, sum)
+	}
+}

@@ -50,11 +50,10 @@ func (r *Router) RunQueryBatch(qs []proto.QueryMsg, items []proto.BatchItem, dea
 	r.metrics.batches.Inc()
 	r.metrics.batchQueries.Add(uint64(len(qs)))
 
-	// One snapshot + growth overlay for the whole batch: every sub-query is
-	// planned against the same assignment, so "one leg per owning backend"
-	// holds even if a refresh swaps the table mid-plan.
+	// One snapshot for the whole batch: every sub-query is planned against
+	// the same assignment, so "one leg per owning backend" holds even if a
+	// refresh swaps the table mid-plan.
 	t := r.snap()
-	grow := r.growth.Load()
 
 	legs, legOf := []*batchLeg(nil), make(map[int32]*batchLeg)
 	owners := make([][]int32, len(qs)) // backends covering each sub-query
@@ -77,7 +76,7 @@ func (r *Router) RunQueryBatch(qs []proto.QueryMsg, items []proto.BatchItem, dea
 		if q.Kind == proto.KindPoint {
 			w = r.pointWindow(q.Point, q.Eps)
 		}
-		needed = t.neededRanges(needed[:0], w, grow.rect)
+		needed = t.neededRanges(needed[:0], w)
 		if len(needed) == 0 {
 			continue // provably empty answer
 		}
@@ -87,7 +86,7 @@ func (r *Router) RunQueryBatch(qs []proto.QueryMsg, items []proto.BatchItem, dea
 		qb := owners[i]
 		unroutable := false
 		for _, rg := range needed {
-			if holdsAny(t, qb, rg) {
+			if holdsAny(t.table, qb, rg) {
 				continue // a backend already covering this query holds it too
 			}
 			hs := t.holders[rg]

@@ -20,7 +20,6 @@ import (
 	"mobispatial/internal/proto"
 	"mobispatial/internal/serve"
 	"mobispatial/internal/serve/client"
-	"mobispatial/internal/shard"
 )
 
 var _ serve.BatchExecutor = (*Router)(nil)
@@ -224,44 +223,7 @@ func TestRouterBatchFallbackOnDeadBackend(t *testing.T) {
 // answering exactly.
 func TestRouterPicksUpAdaptiveCuts(t *testing.T) {
 	ds := clusterDataset(t)
-	ranges, bounds := shard.PartitionHilbert(ds.Items(), 1, 0)
-	cuts := []uint64{ranges[0].Lo}
-	pool, err := mutable.New(mutable.Config{
-		Dataset:         ds,
-		Ranges:          ranges,
-		Cuts:            cuts,
-		GlobalIndex:     []int{0},
-		Bounds:          bounds,
-		CompactInterval: -1,
-		Adaptive: mutable.AdaptiveConfig{
-			Enabled:       true,
-			Interval:      -1, // ticks driven by hand below
-			MinShardItems: 8,
-			MaxShards:     8,
-		},
-	})
-	if err != nil {
-		t.Fatalf("adaptive pool: %v", err)
-	}
-	t.Cleanup(pool.Close)
-	infos := []proto.RangeInfo{{
-		Index: 0,
-		Items: uint32(len(ranges[0].Items)),
-		Lo:    ranges[0].Lo,
-		Hi:    ranges[0].Hi,
-		MBR:   ranges[0].MBR,
-	}}
-	srv, err := serve.New(serve.Config{Pool: pool, Ranges: infos, NumRanges: 1})
-	if err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(lis)
-	t.Cleanup(func() { srv.Close() })
-	tc := &testCluster{ds: ds, ranges: ranges, addrs: []string{lis.Addr().String()}, servers: []*serve.Server{srv}}
+	tc, pool := startAdaptiveBackend(t, ds, mutable.AdaptiveConfig{MinShardItems: 8, MaxShards: 8})
 
 	hub := obs.NewHub()
 	r := newRouter(t, tc, func(cfg *Config) {
@@ -315,17 +277,5 @@ func TestRouterPicksUpAdaptiveCuts(t *testing.T) {
 		sameIDs(t, "post-split range", got, pool.RangeAppend(nil, w))
 	}
 	pt := geom.Point{X: 40000 * rng.Float64(), Y: 40000 * rng.Float64()}
-	nbs, err := r.KNearestAppendUntil(nil, pt, 8, nil, time.Time{})
-	if err != nil {
-		t.Fatalf("post-split knn: %v", err)
-	}
-	want, _ := pool.KNearestAppend(nil, pt, 8, nil)
-	if len(nbs) != len(want) {
-		t.Fatalf("post-split knn: %d neighbors, want %d", len(nbs), len(want))
-	}
-	for i := range nbs {
-		if nbs[i].Dist != want[i].Dist {
-			t.Fatalf("post-split knn rank %d: dist %v, want %v", i, nbs[i].Dist, want[i].Dist)
-		}
-	}
+	sameKNN(t, "post-split knn", r, pool, pt, 8)
 }

@@ -50,12 +50,11 @@ func (r *Router) fanIDs(dst []uint32, w geom.Rect, deadline time.Time, leg legFu
 	sc := r.getScratch()
 	defer r.putScratch(sc)
 
-	// One snapshot + growth overlay for the whole query: every routing
-	// decision below sees a consistent assignment even if a refresh swaps
-	// the table mid-flight.
+	// One snapshot for the whole query: every routing decision below sees
+	// a consistent assignment and growth overlay even if a refresh swaps
+	// them mid-flight.
 	t := r.snap()
-	grow := r.growth.Load()
-	sc.needed = t.neededRanges(sc.needed[:0], w, grow.rect)
+	sc.needed = t.neededRanges(sc.needed[:0], w)
 	if len(sc.needed) == 0 {
 		return dst, nil
 	}
@@ -67,7 +66,7 @@ func (r *Router) fanIDs(dst []uint32, w geom.Rect, deadline time.Time, leg legFu
 
 	nLegs := 0
 	for {
-		if err := r.cover(t, sc); err != nil {
+		if err := r.cover(t.table, sc); err != nil {
 			r.metrics.unroutable.Inc()
 			return dst, err
 		}

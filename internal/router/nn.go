@@ -51,10 +51,9 @@ func (r *Router) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int,
 	// effective bounds (MINDIST 0): its summary cannot be trusted to bound
 	// its data, so it is always visited rather than risk a silent miss.
 	t := r.snap()
-	grow := r.growth.Load()
 	fs.beEff = fs.beEff[:0]
 	for b, bb := range t.beBounds {
-		fs.beEff = append(fs.beEff, bb.Union(grow.be[b]))
+		fs.beEff = append(fs.beEff, bb.Union(t.beGrow[b]))
 	}
 	for rg, d := range t.divergent {
 		if !d {

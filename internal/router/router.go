@@ -47,6 +47,11 @@
 //     so read-your-writes holds at the routing layer without waiting for
 //     the next poll.
 //
+// The table, the growth rects and the per-range write counts are published
+// together as one immutable snapshot (routing): a query loads it once, and
+// a refresh that changes the range structure itself (an adaptive backend
+// split or merged) can never be seen half-applied.
+//
 // The same plumbing makes the cluster cacheable: Router implements
 // qcache.Source — each range is a pseudo-shard whose version is the minimum
 // write-version its holders reported plus the count of writes this router
@@ -60,6 +65,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -159,35 +165,18 @@ type Router struct {
 	cfg     Config
 	ds      *dataset.Dataset
 	clients []*client.Client // one pooled client per backend
-	// tbl is the current routing snapshot. Readers load it once per query
-	// and work against an immutable table; the refresh loop swaps in a
-	// replacement built from re-polled summaries.
-	tbl atomic.Pointer[table]
+	// state is the one snapshot a query routes by (see routing). Readers
+	// load it once per call; register, the refresh loop and the write path
+	// each publish a complete replacement in a single store under wmu.
+	state atomic.Pointer[routing]
 	// summaries holds the latest summary per backend — the refresh loop's
 	// working set (touched only by register and the refresh goroutine; an
 	// unreachable backend keeps its last answer so the rest of the cluster
 	// still refreshes).
 	summaries []*proto.SummaryMsg
-	// wmu orders the freshness plane's writers: growth copy-on-write,
-	// wseq bumps, and the refresh swap all happen under it, so a reader
-	// that observes a bumped sequence also observes the widened predicate.
+	// wmu serializes the publishers of state, so each builds its
+	// replacement from the snapshot it replaces and no update is lost.
 	wmu sync.Mutex
-	// growth widens the snapshot's routing predicates with the MBRs of
-	// writes routed since the snapshot's summaries — read-your-writes for
-	// routing, cleared per range by the refresh loop once a newer summary
-	// provably covers the writes.
-	growth atomic.Pointer[growthState]
-	// wseq[r] counts writes this router has routed into range r — the
-	// cumulative half of the cluster version vector. The vector is held
-	// behind a pointer because a STRUCTURAL refresh (an adaptive backend
-	// split or merged a range, changing the range count or key cuts)
-	// replaces it wholesale: the old indices no longer mean anything. It
-	// never resets otherwise (the summary-reported half catches up across
-	// refreshes and the sum stays monotone); across a structural swap,
-	// monotonicity of Version is carried by the backends' generation-
-	// encoded range versions, which jump by far more than any dropped
-	// write count.
-	wseq atomic.Pointer[[]atomic.Uint64]
 	// rr rotates replica choice across queries — the read-spreading
 	// counter.
 	rr      atomic.Uint64
@@ -213,27 +202,47 @@ type Router struct {
 	closeOnce sync.Once
 }
 
-// growthState is the write-growth overlay over one routing snapshot:
-// per-range and per-backend rects unioned from the MBRs of writes routed
-// since the snapshot's summaries were taken. Immutable once published —
-// noteWrite replaces it copy-on-write under wmu.
-type growthState struct {
-	rect []geom.Rect // per range: growth beyond the snapshot's rangeMBR
-	be   []geom.Rect // per backend: growth beyond the snapshot's beBounds
+// routing is everything a query routes by, published as one immutable
+// value: the assignment table built from the latest summaries and the
+// freshness plane over it. Because the three travel together, a structural
+// refresh (an adaptive backend split or merged a range, so every per-range
+// index changes meaning) can never be observed half-applied — one snapshot's
+// range index is never used against another's slices.
+type routing struct {
+	*table
+	// grow and beGrow widen the table's routing predicates with the MBRs
+	// of writes routed since its summaries were taken — per range beyond
+	// rangeMBR, per backend beyond beBounds. Read-your-writes for routing;
+	// the refresh loop clears a range's rect once a newer summary provably
+	// covers the writes behind it.
+	grow   []geom.Rect
+	beGrow []geom.Rect
+	// wseq[r] counts writes this router has routed into range r — the
+	// cumulative half of the cluster version vector. It never resets
+	// within one range structure (the summary-reported half catches up
+	// across refreshes and the sum stays monotone); a structural refresh
+	// starts a fresh vector, and monotonicity of Version is carried across
+	// it by the backends' generation-encoded range versions, which jump by
+	// far more than any dropped write count.
+	wseq []uint64
 }
 
-func emptyGrowth(numRanges, numBackends int) *growthState {
-	g := &growthState{
-		rect: make([]geom.Rect, numRanges),
-		be:   make([]geom.Rect, numBackends),
+// newRouting wraps a freshly built table with an empty freshness plane.
+func newRouting(t *table, numBackends int) *routing {
+	return &routing{
+		table:  t,
+		grow:   emptyRects(t.numRanges),
+		beGrow: emptyRects(numBackends),
+		wseq:   make([]uint64, t.numRanges),
 	}
-	for i := range g.rect {
-		g.rect[i] = geom.EmptyRect()
+}
+
+func emptyRects(n int) []geom.Rect {
+	rs := make([]geom.Rect, n)
+	for i := range rs {
+		rs[i] = geom.EmptyRect()
 	}
-	for i := range g.be {
-		g.be[i] = geom.EmptyRect()
-	}
-	return g
+	return rs
 }
 
 // New dials nothing, registers against every backend (polling until
@@ -280,7 +289,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	r.scratch.New = func() any { return &fanScratch{} }
 	r.metrics.backends.Set(float64(len(r.clients)))
-	r.metrics.ranges.Set(float64(r.tbl.Load().numRanges))
+	r.metrics.ranges.Set(float64(r.snap().numRanges))
 	r.probeWG.Add(1)
 	go r.probeLoop()
 	if cfg.RefreshInterval > 0 {
@@ -361,23 +370,10 @@ func (r *Router) register() error {
 		return fmt.Errorf("router: %w", err)
 	}
 	r.summaries = summaries
-	r.tbl.Store(&tbl)
-	seqs := make([]atomic.Uint64, tbl.numRanges)
-	r.wseq.Store(&seqs)
-	r.growth.Store(emptyGrowth(tbl.numRanges, len(r.clients)))
+	r.wmu.Lock()
+	r.state.Store(newRouting(&tbl, len(r.clients)))
+	r.wmu.Unlock()
 	return nil
-}
-
-// wseqAt reads one write sequence, tolerating the transient skew between the
-// table snapshot and the sequence vector around a structural refresh: an
-// index beyond the current vector reads as zero (the fresh vector starts
-// there anyway).
-func (r *Router) wseqAt(i int) uint64 {
-	ws := *r.wseq.Load()
-	if i >= len(ws) {
-		return 0
-	}
-	return ws[i].Load()
 }
 
 // refreshLoop re-polls backend summaries and swaps the routing snapshot —
@@ -410,21 +406,19 @@ func jitterInterval(rng *rand.Rand, d time.Duration) time.Duration {
 	return d + time.Duration((rng.Float64()-0.5)*0.4*float64(d))
 }
 
-// refreshOnce polls one summary round and, if anything answered, swaps in a
-// rebuilt table. Correctness of the growth clearing: a range's growth rect
-// may be dropped only when the new summaries provably cover every write
-// behind it. wseq[rg] is captured BEFORE the first poll; a write acked
-// before the capture was applied at its backends before the capture, so any
-// summary polled after the capture reflects it. If wseq[rg] moved during
-// the poll, a write may have landed after some backend answered — the rect
-// is kept for the next round (conservative: a too-wide predicate only costs
-// an extra leg, a too-narrow one loses objects).
+// refreshOnce polls one summary round and, if anything answered, publishes
+// a snapshot over the rebuilt table. Correctness of the growth clearing: a
+// range's growth rect may be dropped only when the new summaries provably
+// cover every write behind it. The snapshot loaded BEFORE the first poll
+// carries the write sequences of that moment; a write acked before it was
+// applied at its backends before it, so any summary polled afterwards
+// reflects it. If wseq[rg] moved during the poll, a write may have landed
+// after some backend answered — the rect is kept for the next round
+// (conservative: a too-wide predicate only costs an extra leg, a too-narrow
+// one loses objects). Only this goroutine replaces the table, so before and
+// the snapshot current at publish time always share one range structure.
 func (r *Router) refreshOnce() {
-	ws := *r.wseq.Load()
-	before := make([]uint64, len(ws))
-	for i := range ws {
-		before[i] = ws[i].Load()
-	}
+	before := r.snap()
 	polled := false
 	for i, cc := range r.clients {
 		if cc.BreakerState() == client.BreakerOpen {
@@ -446,48 +440,38 @@ func (r *Router) refreshOnce() {
 		r.metrics.refreshErrors.Inc()
 		return
 	}
-	old := r.tbl.Load()
-	if structuralChange(&tbl, old) {
+	next := newRouting(&tbl, len(r.clients))
+	if structuralChange(&tbl, before.table) {
 		// An adaptive backend repartitioned: the range count or the key
 		// cuts changed, so every per-range index — write sequences, growth
-		// rects, versions — refers to ranges that no longer exist. Swap in
-		// the new table with a fresh (zeroed) sequence vector. Version
-		// monotonicity survives the reset because adaptive backends encode
-		// their topology generation in the high bits of every range version
-		// (mutable's gen<<48), which dwarfs any dropped write count.
+		// rects, versions — refers to ranges that no longer exist, and the
+		// new snapshot starts a fresh sequence vector (see routing.wseq).
 		//
 		// Growth cannot be mapped range-to-range (the rects carry no keys),
-		// so the union of all old growth is applied to EVERY new range that
-		// had any: conservative — a too-wide predicate costs extra legs for
-		// one refresh interval, and the rects drain on the next refresh
-		// like any other growth.
+		// so the union of all old growth is applied to EVERY new range:
+		// conservative — a too-wide predicate costs extra legs for one
+		// refresh interval, and the rects drain on the next refresh like
+		// any other growth.
 		r.wmu.Lock()
 		carry := geom.EmptyRect()
-		g := r.growth.Load()
-		for rg := range g.rect {
-			if r.wseqAt(rg) != before[rg] || !g.rect[rg].IsEmpty() {
-				carry = carry.Union(g.rect[rg])
-			}
+		for _, rect := range r.snap().grow {
+			carry = carry.Union(rect)
 		}
-		ng := emptyGrowth(tbl.numRanges, len(r.clients))
 		if !carry.IsEmpty() {
-			for rg := range ng.rect {
-				ng.rect[rg] = carry
+			for rg := range next.grow {
+				next.grow[rg] = carry
 			}
-			for b := range ng.be {
-				ng.be[b] = carry
+			for b := range next.beGrow {
+				next.beGrow[b] = carry
 			}
 		}
-		r.tbl.Store(&tbl)
-		seqs := make([]atomic.Uint64, tbl.numRanges)
 		// Every new range starts one write up: the reset would otherwise
 		// leave Version momentarily equal for caches built against the
 		// carried growth; the bump forces every consumer to re-validate.
-		for i := range seqs {
-			seqs[i].Store(1)
+		for rg := range next.wseq {
+			next.wseq[rg] = 1
 		}
-		r.wseq.Store(&seqs)
-		r.growth.Store(ng)
+		r.state.Store(next)
 		r.wmu.Unlock()
 		r.metrics.refreshes.Inc()
 		r.metrics.structuralRefreshes.Inc()
@@ -499,28 +483,27 @@ func (r *Router) refreshOnce() {
 	// replica that lagged can drag the min-across-holders down; clamp to
 	// the previous snapshot.
 	for i := range tbl.version {
-		if tbl.version[i] < old.version[i] {
-			tbl.version[i] = old.version[i]
+		if tbl.version[i] < before.version[i] {
+			tbl.version[i] = before.version[i]
 		}
 	}
 	r.wmu.Lock()
-	r.tbl.Store(&tbl)
-	g := r.growth.Load()
-	ng := emptyGrowth(tbl.numRanges, len(r.clients))
-	for rg := range ng.rect {
-		if r.wseqAt(rg) != before[rg] {
-			ng.rect[rg] = g.rect[rg]
+	cur := r.snap()
+	next.wseq = cur.wseq
+	for rg := range next.grow {
+		if cur.wseq[rg] != before.wseq[rg] {
+			next.grow[rg] = cur.grow[rg]
 		}
 	}
-	for rg, rect := range ng.rect {
+	for rg, rect := range next.grow {
 		if rect.IsEmpty() {
 			continue
 		}
 		for _, b := range tbl.holders[rg] {
-			ng.be[b] = ng.be[b].Union(rect)
+			next.beGrow[b] = next.beGrow[b].Union(rect)
 		}
 	}
-	r.growth.Store(ng)
+	r.state.Store(next)
 	r.wmu.Unlock()
 	r.metrics.refreshes.Inc()
 	divergent := 0
@@ -547,14 +530,20 @@ func structuralChange(a, b *table) bool {
 	return false
 }
 
-// snap returns the current routing snapshot. The returned table is
-// immutable; callers load it once and use it for the whole query so every
-// decision within the query sees one consistent assignment.
-func (r *Router) snap() *table { return r.tbl.Load() }
+// snap returns the current routing snapshot. It is immutable; callers load
+// it once and use it for the whole query so every decision within the query
+// sees one consistent assignment and one freshness plane.
+func (r *Router) snap() *routing { return r.state.Load() }
 
 // Router is the cluster's qcache.Source: each Hilbert range is a
 // pseudo-shard of the validity view, so a serve.Server wrapping a Router
-// can run the epoch-invalidated result cache over the whole cluster.
+// can run the epoch-invalidated result cache over the whole cluster. Each
+// method answers from one snapshot load; a caller walking 0..NumShards()-1
+// may see a structural refresh land between two calls, so an index outside
+// the snapshot at hand is answered rather than indexed: the version is one
+// no real range ever reports and the bounds cover everything, so a view
+// assembled across the swap includes that shard and can equal no view built
+// from a single snapshot — it only ever costs a cache miss.
 
 // NumShards implements qcache.Source — one pseudo-shard per range.
 func (r *Router) NumShards() int { return r.snap().numRanges }
@@ -562,13 +551,17 @@ func (r *Router) NumShards() int { return r.snap().numRanges }
 // Version implements qcache.Source. The version of range i is the minimum
 // write-version its holders reported at the last refresh plus the writes
 // this router has routed into it since. Both halves are monotone (the
-// summary half is clamped at refresh, wseq never resets), so the sum never
-// goes backwards; it advances on every local write immediately (bumped
-// before the write acks) and on every refresh that observed remote writes.
-// Spurious advances (a refresh catching up to writes wseq already counted)
-// only cost cache misses, never staleness.
+// summary half is clamped at refresh, wseq never resets within a range
+// structure), so the sum never goes backwards; it advances on every local
+// write immediately (published before the write acks) and on every refresh
+// that observed remote writes. Spurious advances (a refresh catching up to
+// writes wseq already counted) only cost cache misses, never staleness.
 func (r *Router) Version(i int) uint64 {
-	return r.snap().version[i] + r.wseqAt(i)
+	s := r.snap()
+	if i < 0 || i >= s.numRanges {
+		return math.MaxUint64
+	}
+	return s.version[i] + s.wseq[i]
 }
 
 // ShardBounds implements qcache.Source: the range's summary MBR widened by
@@ -576,11 +569,11 @@ func (r *Router) Version(i int) uint64 {
 // replica's items are not bounded by the merged MBR, so every cached region
 // must treat the range as a participant.
 func (r *Router) ShardBounds(i int) geom.Rect {
-	t := r.snap()
-	if t.divergent[i] {
+	s := r.snap()
+	if i < 0 || i >= s.numRanges || s.divergent[i] {
 		return everythingRect
 	}
-	return t.rangeMBR[i].Union(r.growth.Load().rect[i])
+	return s.rangeMBR[i].Union(s.grow[i])
 }
 
 // everythingRect is the all-covering routing predicate used where a range's
@@ -591,57 +584,59 @@ var everythingRect = geom.Rect{
 }
 
 // noteWrite publishes one successfully acked write into the freshness
-// plane. target is the range that received the object's geometry (-1 for
-// deletes, which add none); bumps lists every range whose cached results
-// the write invalidates. The growth rects widen before the sequences bump,
-// both under wmu — a reader that observes the new version also observes
-// the widened predicate, so a cache rebuilt after the bump routes to the
-// written object.
-func (r *Router) noteWrite(t *table, mbr geom.Rect, target int, bumps ...int) {
+// plane. s is the snapshot the write was routed under; target is the range
+// that received the object's geometry (-1 for deletes, which add none);
+// bumps lists every range whose cached results the write invalidates. The
+// widened rects and the bumped sequences are one store — a reader that
+// observes the new version also observes the widened predicate, so a cache
+// rebuilt after the bump routes to the written object.
+func (r *Router) noteWrite(s *routing, mbr geom.Rect, target int, bumps ...int) {
 	r.wmu.Lock()
-	if target >= 0 {
-		old := r.growth.Load()
-		ng := &growthState{
-			rect: append([]geom.Rect(nil), old.rect...),
-			be:   append([]geom.Rect(nil), old.be...),
-		}
-		if cur := r.tbl.Load(); cur != t && structuralChange(t, cur) {
-			// A structural refresh swapped the range set while this write
-			// was in flight: the writer's target index describes a key span
-			// that no longer exists. Widen every range instead —
-			// conservative (extra legs for one interval), never a hole.
-			for rg := range ng.rect {
-				ng.rect[rg] = ng.rect[rg].Union(mbr)
-			}
-			for b := range ng.be {
-				ng.be[b] = ng.be[b].Union(mbr)
-			}
-		} else {
-			ng.rect[target] = ng.rect[target].Union(mbr)
-			for _, b := range t.holders[target] {
-				ng.be[b] = ng.be[b].Union(mbr)
-			}
-		}
-		r.growth.Store(ng)
+	defer r.wmu.Unlock()
+	cur := r.snap()
+	next := &routing{
+		table:  cur.table,
+		grow:   slices.Clone(cur.grow),
+		beGrow: slices.Clone(cur.beGrow),
+		wseq:   slices.Clone(cur.wseq),
 	}
-	ws := *r.wseq.Load()
-	for _, rg := range bumps {
-		if rg < len(ws) { // a structural refresh may have shrunk the vector
-			ws[rg].Add(1)
+	if cur.table != s.table && structuralChange(s.table, cur.table) {
+		// A structural refresh swapped the range set while this write was
+		// in flight: the writer's indices describe key spans that no longer
+		// exist. Widen and invalidate every range instead — conservative
+		// (extra legs and cache misses for one interval), never a hole.
+		for rg := range next.grow {
+			next.grow[rg] = next.grow[rg].Union(mbr)
+			next.wseq[rg]++
+		}
+		for b := range next.beGrow {
+			next.beGrow[b] = next.beGrow[b].Union(mbr)
+		}
+	} else {
+		if target >= 0 {
+			next.grow[target] = next.grow[target].Union(mbr)
+			for _, b := range cur.holders[target] {
+				next.beGrow[b] = next.beGrow[b].Union(mbr)
+			}
+		}
+		for _, rg := range bumps {
+			next.wseq[rg]++
 		}
 	}
-	r.wmu.Unlock()
+	r.state.Store(next)
 }
 
 // bumpAllRanges invalidates every range — the fallback when a write's old
 // position is unknown and the ranges it touched cannot be narrowed down.
 func (r *Router) bumpAllRanges() {
 	r.wmu.Lock()
-	ws := *r.wseq.Load()
-	for i := range ws {
-		ws[i].Add(1)
+	defer r.wmu.Unlock()
+	next := *r.snap()
+	next.wseq = slices.Clone(next.wseq)
+	for rg := range next.wseq {
+		next.wseq[rg]++
 	}
-	r.wmu.Unlock()
+	r.state.Store(&next)
 }
 
 // Close stops the probe loop and closes every backend client.

@@ -132,14 +132,13 @@ func (t *table) rangeForKey(key uint64) int {
 }
 
 // neededRanges appends the indices of ranges that may hold items matching a
-// query inside w. A range participates when its summary MBR, widened by any
-// growth rect accumulated from writes routed since the summary (grow may be
-// nil), intersects w — or unconditionally when its holders diverged at
-// summary time, because a lagging replica's items are not bounded by the
-// merged MBR.
-func (t *table) neededRanges(dst []int32, w geom.Rect, grow []geom.Rect) []int32 {
-	for idx, mbr := range t.rangeMBR {
-		if t.divergent[idx] || mbr.Intersects(w) || (grow != nil && grow[idx].Intersects(w)) {
+// query inside w. A range participates when its summary MBR, or the growth
+// rect accumulated from writes routed since the summary, intersects w — or
+// unconditionally when its holders diverged at summary time, because a
+// lagging replica's items are not bounded by the merged MBR.
+func (s *routing) neededRanges(dst []int32, w geom.Rect) []int32 {
+	for idx, mbr := range s.rangeMBR {
+		if s.divergent[idx] || mbr.Intersects(w) || s.grow[idx].Intersects(w) {
 			dst = append(dst, int32(idx))
 		}
 	}

@@ -66,6 +66,12 @@ wait_for() { # wait_for <logfile> <what>
   done
   echo "FAIL: $2 did not start"; cat "$1" 2>/dev/null; exit 1
 }
+# mqload prints one report format for every workload (cmd/mqload/report.go;
+# its test pins these lines): "  <key>   <number> ..." rows, plus the router
+# block when the target is an mqrouter.
+row() { awk -v key="$2" '$1 == key {print $2; exit}' "$1"; } # row <log> <key>
+grab() { sed -n "s/.*$2.*/\\1/p" "$1" | head -1; }            # grab <log> <sed pattern with one \(group\)>
+
 wait_for "$LOG/be0.log" "backend 0"
 wait_for "$LOG/be1.log" "backend 1"
 wait_for "$LOG/be2.log" "backend 2"
@@ -77,12 +83,12 @@ wait_for "$LOG/router.log" "router"
 
 echo "== mqload through the router ($CONNS workers, $DURATION, outage mid-run)"
 "$BIN/mqload" -addr 127.0.0.1:$RP -conns "$CONNS" -duration "$DURATION" \
-  -warmup 1s -router | tee "$LOG/load.log"
+  -warmup 1s | tee "$LOG/load.log"
 
-queries=$(awk '$1 == "queries" {print $2; exit}' "$LOG/load.log")
-errors=$(awk '$1 == "errors" {print $2; exit}' "$LOG/load.log")
-failovers=$(sed -n 's/.* \([0-9]*\) failovers.*/\1/p' "$LOG/load.log" | head -1)
-unroutable=$(sed -n 's/.* \([0-9]*\) unroutable.*/\1/p' "$LOG/load.log" | head -1)
+queries=$(row "$LOG/load.log" queries)
+errors=$(row "$LOG/load.log" errors)
+failovers=$(grab "$LOG/load.log" ' \([0-9]*\) failovers')
+unroutable=$(grab "$LOG/load.log" ' \([0-9]*\) unroutable')
 
 echo "== verdict: queries=$queries errors=$errors failovers=$failovers unroutable=$unroutable"
 fail=0
@@ -117,17 +123,17 @@ wait_for "$LOG/mrouter.log" "mutable-tier router"
 
 echo "== moving vehicles through the router with read-back ($MOVE_DURATION)"
 "$BIN/mqload" -addr 127.0.0.1:$MR -moving -readback -vehicles 16 -conns 8 \
-  -duration "$MOVE_DURATION" -warmup 1s -router | tee "$LOG/moving.log"
+  -duration "$MOVE_DURATION" -warmup 1s | tee "$LOG/moving.log"
 
-checked=$(awk '$1 == "readback" {print $2; exit}' "$LOG/moving.log")
-missed=$(sed -n 's/.*read back, \([0-9]*\) missed.*/\1/p' "$LOG/moving.log" | head -1)
-werrs=$(awk '$1 == "errors" {print $2; exit}' "$LOG/moving.log")
+checked=$(row "$LOG/moving.log" readback)
+missed=$(grab "$LOG/moving.log" 'read back, \([0-9]*\) missed')
+werrs=$(row "$LOG/moving.log" errors)
 
-echo "== verdict: readback checked=$checked missed=$missed write-errors=$werrs"
+echo "== verdict: readback checked=$checked missed=$missed errors=$werrs"
 fail=0
 [ -n "$checked" ] && [ "$checked" -gt 0 ] || { echo "FAIL: no acked moves were read back"; fail=1; }
 [ "$missed" = "0" ] || { echo "FAIL: $missed acked moves invisible to reads (want 0: routing must track writes)"; fail=1; }
-[ "$werrs" = "0" ] || { echo "FAIL: $werrs write errors"; fail=1; }
+[ "$werrs" = "0" ] || { echo "FAIL: $werrs write or read errors"; fail=1; }
 if [ "$fail" -ne 0 ]; then
   echo "-- mutable router log tail --"; tail -5 "$LOG/mrouter.log"
   exit 1
@@ -148,10 +154,10 @@ wait_for "$LOG/arouter.log" "adaptive-tier router"
 
 echo "== drifting hotspot through the router ($DRIFT_DURATION)"
 "$BIN/mqload" -addr 127.0.0.1:$AR -drift -conns 8 \
-  -duration "$DRIFT_DURATION" -warmup 1s -router | tee "$LOG/drift.log"
+  -duration "$DRIFT_DURATION" -warmup 1s | tee "$LOG/drift.log"
 
-derrs=$(sed -n 's/.*, \([0-9]*\) errors.*/\1/p' "$LOG/drift.log" | head -1)
-dstructural=$(sed -n 's/.*refreshes: \([0-9]*\) structural.*/\1/p' "$LOG/drift.log" | head -1)
+derrs=$(row "$LOG/drift.log" errors)
+dstructural=$(grab "$LOG/drift.log" 'refreshes: \([0-9]*\) structural')
 dstructural=${dstructural:-0}
 
 # The drift run talks to the router, whose stats snapshot carries router_*
@@ -159,7 +165,7 @@ dstructural=${dstructural:-0}
 # count.
 "$BIN/mqload" -addr 127.0.0.1:$A0 -conns 1 -duration 1s -serverstats \
   >"$LOG/astats.log" 2>&1 || true
-dsplits=$(awk '$1 == "mutable_splits_total" {print $2; exit}' "$LOG/astats.log")
+dsplits=$(row "$LOG/astats.log" mutable_splits_total)
 
 echo "== verdict: errors=$derrs splits=$dsplits structural-refreshes=$dstructural"
 fail=0
