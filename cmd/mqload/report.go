@@ -196,8 +196,8 @@ func printRouterReport(out io.Writer, pre, post serverSnap) {
 	}
 	if batches := d("router_batches_total"); batches > 0 {
 		legs := d("router_batch_legs_total")
-		fmt.Fprintf(out, "            batches: %.0f grouped (%.0f sub-queries), %.0f legs = %.2f legs/batch, %.0f fallbacks\n",
-			batches, d("router_batch_queries_total"), legs, legs/batches, d("router_batch_fallback_total"))
+		fmt.Fprintf(out, "            batches: %.0f grouped (%.0f sub-queries), %.0f legs = %.2f legs/batch\n",
+			batches, d("router_batch_queries_total"), legs, legs/batches)
 	}
 	if refreshes := d("router_refresh_total"); refreshes > 0 {
 		fmt.Fprintf(out, "            refreshes: %.0f structural (backend repartitioned) of %.0f total\n",

@@ -104,7 +104,7 @@ func run(args []string) error {
 		return err
 	}
 	defer r.Close()
-	fmt.Printf("mqrouter: registered %d backends, %d ranges\n", len(strings.Split(*backends, ",")), r.NumRanges())
+	fmt.Printf("mqrouter: registered %d backends, %d ranges\n", len(strings.Split(*backends, ",")), r.NumShards())
 
 	// The router IS the server's pool: clients connect with the unchanged
 	// protocol and every query fans out behind the same framed surface.

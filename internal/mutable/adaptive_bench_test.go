@@ -12,7 +12,7 @@ import (
 	"mobispatial/internal/obs"
 )
 
-// BenchmarkAdaptiveZipf is the ROADMAP item 2 acceptance benchmark: a Zipf
+// BenchmarkAdaptiveZipf is the adaptive repartitioner's acceptance benchmark: a Zipf
 // hotspot read stream over a pool whose hot cell is being re-written at full
 // speed by a fleet of movers, static 16-shard layout vs the adaptive
 // repartitioner. The static layout concentrates every hot write in one big

@@ -42,7 +42,7 @@
 // the snapshot. Multi-shard scans are not snapshot-isolated — a write
 // concurrent with the scan may or may not be observed — and each answer
 // contains an id at most once, possibly zero times while an id is
-// mid-transfer (ROADMAP item 3): writers signal cross-shard transfers
+// mid-transfer (the confirmed scan miss): writers signal cross-shard transfers
 // through a pool-wide counter and a scan that raced one dedups its answer
 // before returning it (read.go), which erases a double sighting but cannot
 // restore an object the scan saw in neither shard — it read the destination

@@ -41,7 +41,7 @@ import (
 // The dedup can only drop ids. The opposite race — the scan reads the
 // destination shard before the move and the source shard after it — leaves
 // the id out of the answer although it existed throughout; nothing here
-// detects or repairs that (ROADMAP item 3).
+// detects or repairs that: the confirmed scan miss, open in ROADMAP.md.
 
 const (
 	// xferRingSize is the transfer ring capacity; see Pool.xferRing.

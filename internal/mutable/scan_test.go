@@ -134,7 +134,7 @@ func TestDedupRaced(t *testing.T) {
 // measures what the package does NOT claim: a scan that reads the
 // destination shard before a move and the source shard after it sees the
 // object in neither, and dedupRaced can only drop ids, never restore one.
-// That miss is logged, not failed (ROADMAP item 3 owns the fix).
+// That miss is logged, not failed, until the scan-miss fix lands.
 func TestScanAgainstPingPongMover(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	ds := randomDataset(rng, 800)

@@ -12,6 +12,7 @@ package proto
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -91,6 +92,12 @@ const (
 	// MaxPingPayload bounds the ping echo payload.
 	MaxPingPayload = 1 << 20
 )
+
+// DefaultPointEps is what QueryMsg.Eps == 0 means: the point-query incidence
+// tolerance, in map units, a server applies when the request names none
+// (equal to core.PointEps, which proto cannot import). A router picks the
+// ranges such a query can match with the same figure.
+const DefaultPointEps = 2.0
 
 // Query kinds on the wire (mirrors core.QueryKind; proto cannot import core).
 const (
@@ -201,8 +208,8 @@ type QueryMsg struct {
 	Point geom.Point
 	// Window is the query window (range kind).
 	Window geom.Rect
-	// Eps is the point-incidence tolerance in map units; 0 lets the server
-	// pick its default.
+	// Eps is the point-incidence tolerance in map units; 0 means
+	// DefaultPointEps.
 	Eps float64
 	// TimeoutMicros caps the server-side processing time in microseconds;
 	// 0 means the server default.
@@ -474,6 +481,19 @@ func (m *ErrorMsg) Validate() error {
 // returned directly by client libraries.
 func (m *ErrorMsg) Error() string {
 	return fmt.Sprintf("server error %v: %s", m.Code, m.Text)
+}
+
+// CodeOf maps an error onto the wire: the code it names through an ErrCode()
+// method anywhere in its chain (CodeInternal when it names none), and its
+// text clamped to MaxErrorText. It is the one place a Go error becomes an
+// ErrorMsg or a failed BatchItem, on a server and on a router alike.
+func CodeOf(err error) (ErrCode, string) {
+	code, text := CodeInternal, err.Error()
+	var ec interface{ ErrCode() ErrCode }
+	if errors.As(err, &ec) {
+		code = ec.ErrCode()
+	}
+	return code, text[:min(len(text), MaxErrorText)]
 }
 
 func (m *ErrorMsg) appendPayload(b []byte) []byte {

@@ -2,9 +2,12 @@ package proto
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mobispatial/internal/geom"
@@ -326,5 +329,26 @@ func TestWireFrameLayout(t *testing.T) {
 	}
 	if !bytes.Equal(frame, want) {
 		t.Fatalf("frame layout drifted:\n got  %v\n want %v", frame, want)
+	}
+}
+
+type codedErr ErrCode
+
+func (e codedErr) Error() string    { return "coded" }
+func (e codedErr) ErrCode() ErrCode { return ErrCode(e) }
+
+// TestCodeOf: an error's own code survives wrapping, an error naming none is
+// internal, and the text never exceeds what an ErrorMsg may carry.
+func TestCodeOf(t *testing.T) {
+	if code, text := CodeOf(fmt.Errorf("leg 2: %w", codedErr(CodeUnavailable))); code != CodeUnavailable || text != "leg 2: coded" {
+		t.Errorf("wrapped coded error: %v %q", code, text)
+	}
+	if code, _ := CodeOf(io.ErrUnexpectedEOF); code != CodeInternal {
+		t.Errorf("uncoded error: %v, want internal", code)
+	}
+	code, text := CodeOf(errors.New(strings.Repeat("x", MaxErrorText+100)))
+	em := &ErrorMsg{ID: 1, Code: code, Text: text}
+	if err := em.Validate(); err != nil || len(text) != MaxErrorText {
+		t.Errorf("clamped text: %d bytes, validate: %v", len(text), err)
 	}
 }

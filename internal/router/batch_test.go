@@ -3,8 +3,8 @@ package router
 // batch_test.go pins the locality-aware batch path (batch.go): a client
 // batch through a router-fronted server must reach each owning backend as
 // ONE MsgBatchQuery leg (the wire-counter acceptance check), answer exactly
-// what the monolithic truth answers, survive a dead backend through the
-// per-item fallback, and — the adaptive half — the router must pick up a
+// what the monolithic truth answers, survive a dead backend by re-covering
+// its ranges inside the same call, and — the adaptive half — the router must pick up a
 // backend's repartitioned cut table through its summary refresh without a
 // restart.
 
@@ -124,8 +124,8 @@ func TestRouterBatchOneLegPerBackend(t *testing.T) {
 	if v := hub.Reg.Counter("router_batch_legs_total").Value(); v != uint64(len(tc.servers)) {
 		t.Fatalf("router_batch_legs_total = %d, want %d (one per backend)", v, len(tc.servers))
 	}
-	if v := hub.Reg.Counter("router_batch_fallback_total").Value(); v != 0 {
-		t.Fatalf("healthy cluster took %d batch fallbacks", v)
+	if v := hub.Reg.Counter("router_failover_total").Value(); v != 0 {
+		t.Fatalf("healthy cluster took %d failover rounds", v)
 	}
 }
 
@@ -181,8 +181,8 @@ func TestRouterRunQueryBatchEquivalence(t *testing.T) {
 
 // TestRouterBatchFallbackOnDeadBackend kills one backend of an R=2 cluster:
 // every sub-query must still answer correctly (grouped legs into the corpse
-// fail, their sub-queries re-run through the per-item fan-out and its
-// failover), with the fallbacks visible in the router's counter.
+// fail, their ranges are re-covered from the replicas), with the failovers
+// visible in the router's counter.
 func TestRouterBatchFallbackOnDeadBackend(t *testing.T) {
 	ds := clusterDataset(t)
 	pool := truthPool(t, ds)
@@ -208,8 +208,70 @@ func TestRouterBatchFallbackOnDeadBackend(t *testing.T) {
 			checkBatchItem(t, pool, i, &qs[i], items[i].IDs)
 		}
 	}
-	if v := hub.Reg.Counter("router_batch_fallback_total").Value(); v == 0 {
-		t.Fatal("no batch fallbacks recorded despite a dead backend")
+	if v := hub.Reg.Counter("router_failover_total").Value(); v == 0 {
+		t.Fatal("no failover recorded despite a dead backend")
+	}
+	if v := hub.Reg.Counter("router_unroutable_total").Value(); v != 0 {
+		t.Fatalf("%d sub-queries unroutable; R=2 must survive one backend", v)
+	}
+}
+
+// TestRouterBatchFailoverInsideOneCall pins the single failover tier: a
+// backend that dies with its breaker still closed is picked for a leg, the
+// leg fails, and the same RunQueryBatch call answers its sub-queries from
+// the replicas with grouped legs only — at most one more MsgBatchQuery per
+// healthy backend, and not one per-item MsgQuery.
+func TestRouterBatchFailoverInsideOneCall(t *testing.T) {
+	ds := clusterDataset(t)
+	pool := truthPool(t, ds)
+	tc := startCluster(t, ds, 3, 2)
+	hub := obs.NewHub()
+	r := newRouter(t, tc, func(cfg *Config) {
+		cfg.Obs = hub
+		cfg.LegTimeout = 500 * time.Millisecond
+		cfg.RefreshInterval = -1 // summary polls would count as served requests
+	})
+	failovers := hub.Reg.Counter("router_failover_total")
+
+	const dead = 1
+	tc.servers[dead].Close()
+
+	rng := rand.New(rand.NewSource(65))
+	failedOver := 0
+	for round := 0; round < 8; round++ {
+		qs := mixedBatch(rng, ds.Extent, 16)
+		items := make([]proto.BatchItem, len(qs))
+		var served, batches [3]uint64
+		for b, srv := range tc.servers {
+			served[b], batches[b] = srv.Stats().Served, srv.Stats().Batches
+		}
+		before := failovers.Value()
+
+		r.RunQueryBatch(qs, items, time.Time{})
+
+		for i := range qs {
+			if items[i].Err != 0 {
+				t.Fatalf("round %d item %d: code %d (%s)", round, i, items[i].Err, items[i].Text)
+			}
+			checkBatchItem(t, pool, i, &qs[i], items[i].IDs)
+		}
+		lost := failovers.Value() - before
+		failedOver += int(lost)
+		for b, srv := range tc.servers {
+			if b == dead {
+				continue
+			}
+			st := srv.Stats()
+			if legs := st.Batches - batches[b]; legs > 1+lost {
+				t.Fatalf("round %d: backend %d served %d batch legs in a call with %d failover rounds", round, b, legs, lost)
+			}
+			if other := (st.Served - served[b]) - (st.Batches - batches[b]); other != 0 {
+				t.Fatalf("round %d: backend %d served %d non-batch requests; the per-item tier is gone", round, b, other)
+			}
+		}
+	}
+	if failedOver == 0 {
+		t.Fatal("the dead backend was never picked for a leg; the test exercised nothing")
 	}
 	if v := hub.Reg.Counter("router_unroutable_total").Value(); v != 0 {
 		t.Fatalf("%d sub-queries unroutable; R=2 must survive one backend", v)

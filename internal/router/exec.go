@@ -1,10 +1,14 @@
-// exec.go is the range/point fan-out: relevant ranges → greedy replica
-// cover → concurrent legs → failover rounds → sorted dedup merge.
+// exec.go is the routed read path, the same five steps for one query and for
+// a client batch of N: plan (the ranges each sub-query can match) → cover
+// (one healthy holder per range, grouped into one leg per backend) → legs
+// (concurrent, first on the caller) → failover (a failed leg's ranges go
+// back to the next cover round) → merge (sorted dedup where two legs answer
+// one sub-query). A single query is a batch of one; only the frame a leg
+// travels in differs.
 package router
 
 import (
 	"slices"
-	"sync"
 	"time"
 
 	"mobispatial/internal/geom"
@@ -31,84 +35,124 @@ func (r *Router) legDeadline(deadline time.Time) time.Time {
 	return ld
 }
 
-// legFunc is one backend sub-query: append the backend's matching ids to
-// dst under the leg deadline.
-type legFunc func(cc *client.Client, dst []uint32, legDeadline time.Time) ([]uint32, error)
+// The states of one needed range in fanScratch.covered, besides the id of
+// the backend whose leg is answering it this round.
+const (
+	uncovered int32 = -1 // no leg assigned, or the assigned one failed
+	answered  int32 = -2 // a successful leg covered it
+)
 
-// fanIDs is the shared range/point fan-out. w is the routing window (the
-// query window, or the eps-expanded point); leg runs the actual sub-query.
+// readLeg is one backend's share of one round: a slot per sub-query with a
+// range the backend covers, and the slots' answers copied out of the pooled
+// reply.
+type readLeg struct {
+	qis  []int32          // slot → sub-query index
+	qs   []proto.QueryMsg // slot → leg query (ModeData rewritten to ModeIDs)
+	ids  []uint32         // the slots' answers, concatenated
+	ends []int32          // slot s answers ids[ends[s-1]:ends[s]]
+	code []proto.ErrCode  // slot → backend-reported error, 0 = none
+}
+
+// legSender ships one readLeg to its backend and fills ids, ends and code.
+type legSender func(cc *client.Client, lg *readLeg, deadline time.Time) error
+
+// sendQuery ships a single query's leg as MsgQuery.
+func sendQuery(cc *client.Client, lg *readLeg, deadline time.Time) error {
+	q := &lg.qs[0]
+	var err error
+	if q.Kind == proto.KindRange {
+		lg.ids, err = cc.RangeAppendUntil(lg.ids, q.Window, q.Mode, deadline)
+	} else {
+		lg.ids, err = cc.PointAppendUntil(lg.ids, q.Point, q.Eps, q.Mode, deadline)
+	}
+	lg.ends, lg.code = append(lg.ends, int32(len(lg.ids))), append(lg.code, 0)
+	return err
+}
+
+// sendBatch ships a client batch's leg as one MsgBatchQuery, however many
+// sub-queries the backend answers.
+func sendBatch(cc *client.Client, lg *readLeg, deadline time.Time) error {
+	return cc.QueryBatchVisit(lg.qs, deadline, func(_ int, ids []uint32, code proto.ErrCode, _ string) {
+		lg.ids = append(lg.ids, ids...) // ids alias the pooled reply
+		lg.ends, lg.code = append(lg.ends, int32(len(lg.ids))), append(lg.code, code)
+	})
+}
+
+// route answers the range and point sub-queries of qs into items, ids only,
+// and returns the number of legs it took. A slot arriving with Err set was
+// rejected by the serve layer and is left alone; NN sub-queries take the
+// best-first visit (nn.go) on the calling goroutine while the first round's
+// legs are in flight — the running k-th bound is sequential across backends
+// and gains nothing from grouping.
 //
-// Correctness of the merge: each selected backend answers over its whole
-// local pool, so a backend holding several needed ranges answers them all
-// in one leg, and two backends sharing a range may both report its items —
-// the sorted dedup collapses the overlap. Completeness: every item matching
-// the query lies in some range whose MBR intersects w, that range is in the
-// needed set, and the cover guarantees a successful leg from one of its
-// holders.
-func (r *Router) fanIDs(dst []uint32, w geom.Rect, deadline time.Time, leg legFunc) ([]uint32, error) {
-	deadline = r.deadlineOr(deadline)
-	sc := r.getScratch()
-	defer r.putScratch(sc)
-
-	// One snapshot for the whole query: every routing decision below sees
-	// a consistent assignment and growth overlay even if a refresh swaps
-	// them mid-flight.
+// Correctness of the merge: a backend answers a leg query over its whole
+// local pool, so one leg answers every range the backend holds, and two
+// backends sharing a range may both report its items — the sorted dedup in
+// mergeIDs collapses the overlap. Completeness: every item matching a
+// sub-query lies in some range whose MBR intersects its window, that range
+// is in the needed set, and the sub-query completes only when each needed
+// range was covered by a successful leg of one of its holders. A sub-query
+// with a range no healthy backend holds fails CodeUnavailable, alone.
+func (r *Router) route(sc *fanScratch, qs []proto.QueryMsg, items []proto.BatchItem, deadline time.Time, send legSender) int {
+	// One snapshot for the whole call: every sub-query is planned against
+	// the same assignment and growth overlay even if a refresh swaps them
+	// mid-flight.
 	t := r.snap()
-	sc.needed = t.neededRanges(sc.needed[:0], w)
-	if len(sc.needed) == 0 {
-		return dst, nil
+	var meanwhile func()
+	sc.needed, sc.covered, sc.qoff = sc.needed[:0], sc.covered[:0], append(sc.qoff[:0], 0)
+	for i := range qs {
+		switch q := &qs[i]; {
+		case items[i].Err != 0: // pre-rejected: nothing to plan
+		case q.Kind == proto.KindNN:
+			if meanwhile == nil {
+				meanwhile = func() { r.batchNN(qs, items, deadline) }
+			}
+		case q.Kind == proto.KindPoint:
+			sc.needed = t.neededRanges(sc.needed, pointWindow(q.Point, q.Eps))
+		default:
+			sc.needed = t.neededRanges(sc.needed, q.Window)
+		}
+		for len(sc.covered) < len(sc.needed) {
+			sc.covered = append(sc.covered, uncovered)
+		}
+		sc.qoff = append(sc.qoff, int32(len(sc.needed)))
 	}
-	sc.covered = sc.covered[:0]
-	for range sc.needed {
-		sc.covered = append(sc.covered, -1)
-	}
-	sc.merged = sc.merged[:0]
 
 	nLegs := 0
 	for {
-		if err := r.cover(t.table, sc); err != nil {
-			r.metrics.unroutable.Inc()
-			return dst, err
+		r.cover(t.table, sc, qs, items)
+		if len(sc.sel) == 0 && meanwhile == nil {
+			break // every needed range was answered by an earlier round
 		}
-		if len(sc.sel) == 0 {
-			break // every needed range answered by an earlier round
-		}
-		// Run the round's legs concurrently, each into its own buffer; the
-		// first leg runs on the calling goroutine.
-		sc.legIDs = extendBufs(sc.legIDs, len(sc.sel))
-		runLeg := func(li int, b int32) {
-			start := time.Now()
-			ids, err := leg(r.clients[b], sc.legIDs[li][:0], r.legDeadline(deadline))
-			sc.legIDs[li] = ids
-			sc.errs[b] = err
-			r.observeLeg(int(b), time.Since(start), err)
-		}
-		var wg sync.WaitGroup
-		for li := 1; li < len(sc.sel); li++ {
-			wg.Add(1)
-			go func(li int, b int32) {
-				defer wg.Done()
-				runLeg(li, b)
-			}(li, sc.sel[li])
-		}
-		runLeg(0, sc.sel[0])
-		wg.Wait()
+		r.runLegs(sc, func(li int, b int32) error {
+			return send(r.clients[b], &sc.legs[li], r.legDeadline(deadline))
+		}, meanwhile)
+		meanwhile = nil
 		nLegs += len(sc.sel)
 
-		// Successful legs contribute their answers; failed legs hand their
-		// ranges back for the next round's cover (the failed backend is
-		// excluded from it).
+		// A slot that answered contributes its ids and closes the ranges
+		// its backend covered for that sub-query; one that did not — the
+		// leg died, or the backend failed that slot — puts the backend out
+		// for the rest of the call and hands the ranges to the next round.
 		failover := false
 		for li, b := range sc.sel {
-			if sc.errs[b] == nil {
-				sc.merged = append(sc.merged, sc.legIDs[li]...)
-				continue
-			}
-			failover = true
-			sc.failed[b] = true
-			for j := range sc.needed {
-				if sc.covered[j] == b {
-					sc.covered[j] = -1
+			lg := &sc.legs[li]
+			for s, qi := range lg.qis {
+				state := uncovered
+				if sc.errs[li] == nil && lg.code[s] == 0 {
+					lo := int32(0)
+					if s > 0 {
+						lo = lg.ends[s-1]
+					}
+					items[qi].IDs = mergeIDs(items[qi].IDs, lg.ids[lo:lg.ends[s]])
+					state = answered
+				} else {
+					sc.failed[b], failover = true, true
+				}
+				for j := sc.qoff[qi]; j < sc.qoff[qi+1]; j++ {
+					if sc.covered[j] == b {
+						sc.covered[j] = state
+					}
 				}
 			}
 		}
@@ -117,93 +161,132 @@ func (r *Router) fanIDs(dst []uint32, w geom.Rect, deadline time.Time, leg legFu
 		}
 		r.metrics.failovers.Inc()
 	}
-	r.metrics.fanout.Observe(float64(nLegs))
 
-	if len(sc.merged) == 0 {
-		return dst, nil
-	}
-	slices.Sort(sc.merged)
-	dst = append(dst, sc.merged[0])
-	for _, id := range sc.merged[1:] {
-		if id != dst[len(dst)-1] {
-			dst = append(dst, id)
-		}
-	}
-	return dst, nil
+	return nLegs
 }
 
-// cover assigns every uncovered needed range to a healthy holder and
-// collects the distinct backends into sc.sel. Holders already selected for
-// another range are preferred (one leg answers all of a backend's ranges);
-// otherwise the choice rotates across replicas — the read spreading.
-func (r *Router) cover(t *table, sc *fanScratch) error {
+// mergeIDs adds one leg's answer to a sub-query's. The first answer is taken as
+// the backend ordered it; one that joins another is merged by sorted dedup,
+// because two backends sharing a range both report its items.
+func mergeIDs(ids, leg []uint32) []uint32 {
+	joins := len(ids) > 0 && len(leg) > 0
+	ids = append(ids, leg...)
+	if joins {
+		slices.Sort(ids)
+		ids = slices.Compact(ids)
+	}
+	return ids
+}
+
+// cover assigns every uncovered range of every live sub-query to a healthy
+// holder and groups the assignments into this round's legs, sc.sel and
+// sc.legs: one leg per backend, one slot in it per sub-query it covers a
+// range of. A sub-query with a range no healthy backend holds is failed
+// CodeUnavailable and takes no further part.
+func (r *Router) cover(t *table, sc *fanScratch, qs []proto.QueryMsg, items []proto.BatchItem) {
 	sc.sel = sc.sel[:0]
 	rot := int(r.rr.Add(1))
-	for j, rg := range sc.needed {
-		if sc.covered[j] >= 0 {
-			continue
-		}
-		hs := t.holders[rg]
-		pick := int32(-1)
-		for _, b := range hs {
-			if !sc.failed[b] && r.BackendHealthy(int(b)) && containsBackend(sc.sel, b) {
-				pick = b
+	for i := range qs {
+		lo, hi := sc.qoff[i], sc.qoff[i+1]
+		for j := lo; j < hi; j++ {
+			if sc.covered[j] != uncovered {
+				continue
+			}
+			pick := r.pick(t.holders[sc.needed[j]], sc, rot)
+			if pick < 0 {
+				// Void the whole sub-query: a partial answer would be a
+				// silent hole.
+				for x := lo; x < hi; x++ {
+					sc.covered[x] = answered
+				}
+				items[i].IDs = items[i].IDs[:0]
+				items[i].Err, items[i].Text = proto.CodeOf(errUnavailable(int(sc.needed[j])))
+				r.metrics.unroutable.Inc()
 				break
 			}
-		}
-		if pick < 0 {
-			for i := 0; i < len(hs); i++ {
-				b := hs[(rot+i)%len(hs)]
-				if !sc.failed[b] && r.BackendHealthy(int(b)) {
-					pick = b
-					break
+			// The picked backend answers every range it holds in the same
+			// leg; claim the sub-query's other uncovered ranges too.
+			for x := j; x < hi; x++ {
+				if sc.covered[x] == uncovered && t.holds[pick][sc.needed[x]] {
+					sc.covered[x] = pick
 				}
 			}
 		}
-		if pick < 0 {
-			return errUnavailable(int(rg))
-		}
-		sc.covered[j] = pick
-		if !containsBackend(sc.sel, pick) {
-			sc.sel = append(sc.sel, pick)
-		}
-		// The picked backend answers every range it holds in the same leg;
-		// claim its other uncovered ranges too.
-		for j2 := j + 1; j2 < len(sc.needed); j2++ {
-			if sc.covered[j2] < 0 && t.holds[pick][sc.needed[j2]] {
-				sc.covered[j2] = pick
+		for j := lo; j < hi; j++ {
+			if b := sc.covered[j]; b >= 0 {
+				sc.addSlot(b, int32(i), &qs[i])
 			}
 		}
 	}
-	return nil
 }
 
-func containsBackend(sel []int32, b int32) bool {
-	for _, s := range sel {
-		if s == b {
-			return true
+// pick chooses the backend to answer a range held by hs: a holder already
+// carrying a leg this round when there is one (the leg answers all of the
+// backend's ranges, for all of a batch's sub-queries), else the next healthy
+// replica in rotation — the read spreading. -1 means no holder is healthy.
+func (r *Router) pick(hs []int32, sc *fanScratch, rot int) int32 {
+	usable := func(b int32) bool { return !sc.failed[b] && r.BackendHealthy(int(b)) }
+	for _, b := range hs {
+		if slices.Contains(sc.sel, b) && usable(b) {
+			return b
 		}
 	}
-	return false
+	for i := range hs {
+		if b := hs[(rot+i)%len(hs)]; usable(b) {
+			return b
+		}
+	}
+	return -1
 }
 
-// extendBufs grows a slice-of-buffers to n entries, reusing capacity.
-func extendBufs(bufs [][]uint32, n int) [][]uint32 {
-	for len(bufs) < n {
-		bufs = append(bufs, nil)
+// addSlot gives sub-query qi a slot in backend b's leg of this round,
+// opening the leg if b has none yet; a sub-query takes one slot per leg
+// however many of its ranges the backend covers.
+func (sc *fanScratch) addSlot(b, qi int32, q *proto.QueryMsg) {
+	li := slices.Index(sc.sel, b)
+	if li < 0 {
+		li = len(sc.sel)
+		sc.sel = append(sc.sel, b)
+		if li == len(sc.legs) {
+			sc.legs = append(sc.legs, readLeg{})
+		}
+		lg := &sc.legs[li]
+		lg.qis, lg.qs, lg.ids, lg.ends, lg.code = lg.qis[:0], lg.qs[:0], lg.ids[:0], lg.ends[:0], lg.code[:0]
 	}
-	return bufs[:n]
+	lg := &sc.legs[li]
+	if n := len(lg.qis); n > 0 && lg.qis[n-1] == qi {
+		return
+	}
+	lg.qis, lg.qs = append(lg.qis, qi), append(lg.qs, *q)
+	if lq := &lg.qs[len(lg.qs)-1]; lq.Mode == proto.ModeData {
+		lq.Mode = proto.ModeIDs // backends answer legs in id space
+	}
 }
 
 // pointWindow is the routing window of a point query: the point expanded by
-// its tolerance (the backend applies the exact predicate; the expansion
-// only selects relevant ranges, so it must be at least the backend's own
-// eps default).
-func (r *Router) pointWindow(pt geom.Point, eps float64) geom.Rect {
+// its tolerance. The backend applies the exact predicate; the expansion only
+// selects the ranges that can hold a match, under the tolerance the backend
+// will use.
+func pointWindow(pt geom.Point, eps float64) geom.Rect {
 	if eps <= 0 {
-		eps = r.cfg.PointEps
+		eps = proto.DefaultPointEps
 	}
 	return geom.Rect{Min: pt, Max: pt}.Expand(eps)
+}
+
+// fanOne answers one range or point query as a batch of one, appending the
+// ids to dst.
+func (r *Router) fanOne(dst []uint32, q proto.QueryMsg, deadline time.Time) ([]uint32, error) {
+	sc := r.getScratch()
+	defer r.putScratch(sc)
+	sc.q[0], sc.item[0] = q, proto.BatchItem{IDs: sc.item[0].IDs[:0]}
+	nLegs := r.route(sc, sc.q[:], sc.item[:], r.deadlineOr(deadline), sendQuery)
+	r.metrics.fanout.Observe(float64(nLegs))
+	it := &sc.item[0]
+	if it.Err != 0 {
+		return dst, &routerError{code: it.Err, msg: it.Text}
+	}
+	return append(dst, it.IDs...), nil
 }
 
 // The serve.DeadlineExecutor surface — the only forms the serve layer
@@ -211,31 +294,23 @@ func (r *Router) pointWindow(pt geom.Point, eps float64) geom.Rect {
 
 // RangeAppendUntil answers a refined window query across the cluster.
 func (r *Router) RangeAppendUntil(dst []uint32, w geom.Rect, deadline time.Time) ([]uint32, error) {
-	return r.fanIDs(dst, w, deadline, func(cc *client.Client, dst []uint32, ld time.Time) ([]uint32, error) {
-		return cc.RangeAppendUntil(dst, w, proto.ModeIDs, ld)
-	})
+	return r.fanOne(dst, proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w}, deadline)
 }
 
 // FilterRangeAppendUntil answers a filter (candidate-set) window query.
 func (r *Router) FilterRangeAppendUntil(dst []uint32, w geom.Rect, deadline time.Time) ([]uint32, error) {
-	return r.fanIDs(dst, w, deadline, func(cc *client.Client, dst []uint32, ld time.Time) ([]uint32, error) {
-		return cc.RangeAppendUntil(dst, w, proto.ModeFilter, ld)
-	})
+	return r.fanOne(dst, proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeFilter, Window: w}, deadline)
 }
 
 // PointAppendUntil answers a refined point query with tolerance eps (0 =
-// backend default).
+// proto.DefaultPointEps).
 func (r *Router) PointAppendUntil(dst []uint32, pt geom.Point, eps float64, deadline time.Time) ([]uint32, error) {
-	return r.fanIDs(dst, r.pointWindow(pt, eps), deadline, func(cc *client.Client, dst []uint32, ld time.Time) ([]uint32, error) {
-		return cc.PointAppendUntil(dst, pt, eps, proto.ModeIDs, ld)
-	})
+	return r.fanOne(dst, proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeIDs, Point: pt, Eps: eps}, deadline)
 }
 
 // FilterPointAppendUntil answers a filter point query.
 func (r *Router) FilterPointAppendUntil(dst []uint32, pt geom.Point, deadline time.Time) ([]uint32, error) {
-	return r.fanIDs(dst, r.pointWindow(pt, 0), deadline, func(cc *client.Client, dst []uint32, ld time.Time) ([]uint32, error) {
-		return cc.PointAppendUntil(dst, pt, 0, proto.ModeFilter, ld)
-	})
+	return r.fanOne(dst, proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeFilter, Point: pt}, deadline)
 }
 
 // The plain serve.Executor surface: these four and NearestWith/KNearestAppend

@@ -14,13 +14,15 @@ import (
 //
 //	router_backends                 gauge: registered backends
 //	router_ranges                   gauge: cluster Hilbert ranges
-//	router_fanout                   histogram: backend legs per query
+//	router_fanout                   histogram: backend legs per single query
 //	router_leg_seconds              histogram: one backend leg's duration
 //	router_leg_errors_total         counter: failed backend legs
-//	router_failover_total           counter: queries that lost a leg and
-//	                                re-covered its ranges from replicas
-//	router_unroutable_total         counter: queries failed CodeUnavailable
-//	                                (a needed range had no healthy replica)
+//	router_failover_total           counter: rounds of a query or a batch
+//	                                that lost a leg and re-covered its
+//	                                ranges from replicas
+//	router_unroutable_total         counter: queries and batch sub-queries
+//	                                failed CodeUnavailable (a needed range
+//	                                had no healthy replica)
 //	router_nn_backends_visited_total counter: NN legs actually sent
 //	router_nn_backends_pruned_total  counter: backends skipped by the bound
 //	router_writes_total             counter: write requests routed
@@ -34,12 +36,10 @@ import (
 //	router_batches_total            counter: client batches answered through
 //	                                the grouped (one-leg-per-backend) path
 //	router_batch_queries_total      counter: sub-queries inside those batches
-//	router_batch_legs_total         counter: grouped batch legs shipped —
-//	                                legs/batches is the locality win over
-//	                                the per-item fan-out
-//	router_batch_fallback_total     counter: sub-queries re-answered by the
-//	                                per-item fan-out after a grouped leg
-//	                                failed
+//	router_batch_legs_total         counter: grouped batch legs shipped,
+//	                                failover rounds included — legs/batches
+//	                                is the locality win over the per-item
+//	                                fan-out
 //	router_refresh_total            counter: routing-table refreshes swapped
 //	router_refresh_errors_total     counter: refresh polls that failed (an
 //	                                unreachable backend, an inconsistent
@@ -78,10 +78,9 @@ type routerMetrics struct {
 	writeDivergence *obs.Counter
 	writeUnroutable *obs.Counter
 
-	batches        *obs.Counter
-	batchQueries   *obs.Counter
-	batchLegs      *obs.Counter
-	batchFallbacks *obs.Counter
+	batches      *obs.Counter
+	batchQueries *obs.Counter
+	batchLegs    *obs.Counter
 
 	refreshes           *obs.Counter
 	refreshErrors       *obs.Counter
@@ -118,7 +117,6 @@ func newRouterMetrics(h *obs.Hub, backends []string) routerMetrics {
 	m.batches = h.Reg.Counter("router_batches_total")
 	m.batchQueries = h.Reg.Counter("router_batch_queries_total")
 	m.batchLegs = h.Reg.Counter("router_batch_legs_total")
-	m.batchFallbacks = h.Reg.Counter("router_batch_fallback_total")
 	m.refreshes = h.Reg.Counter("router_refresh_total")
 	m.refreshErrors = h.Reg.Counter("router_refresh_errors_total")
 	m.structuralRefreshes = h.Reg.Counter("router_refresh_structural_total")
@@ -133,8 +131,8 @@ func newRouterMetrics(h *obs.Hub, backends []string) routerMetrics {
 	return m
 }
 
-// observeLeg records one backend leg's outcome and mirrors the backend's
-// breaker position into its health gauge.
+// observeLeg records one backend leg's outcome and the backend's health
+// after it.
 func (r *Router) observeLeg(b int, elapsed time.Duration, err error) {
 	r.metrics.legHist.Observe(elapsed.Seconds())
 	r.metrics.beLegs[b].Inc()
@@ -142,6 +140,11 @@ func (r *Router) observeLeg(b int, elapsed time.Duration, err error) {
 		r.metrics.legErrors.Inc()
 		r.metrics.beLegErrs[b].Inc()
 	}
+	r.mirrorHealth(b)
+}
+
+// mirrorHealth copies backend b's breaker position into its health gauge.
+func (r *Router) mirrorHealth(b int) {
 	healthy := 0.0
 	if r.BackendHealthy(b) {
 		healthy = 1

@@ -85,7 +85,6 @@ func (r *Router) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int,
 		r.observeLeg(b, time.Since(start), err)
 		if err != nil {
 			fs.status[b] = legFailed
-			fs.failed[b] = true
 			r.metrics.failovers.Inc()
 			continue
 		}

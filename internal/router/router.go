@@ -104,13 +104,6 @@ type Config struct {
 	// router's own write growth — appropriate for read-only clusters and
 	// allocation-sensitive benchmarks).
 	RefreshInterval time.Duration
-	// PointEps is the tolerance used to route point queries whose eps is
-	// unset; it must be at least the backends' own default (it only selects
-	// which ranges are relevant, the backends apply the exact predicate).
-	// Defaults to 2.0, mirroring serve.DefaultPointEps.
-	PointEps float64
-	// MaxKNN caps k on NN legs; defaults to 1024.
-	MaxKNN int
 	// Breaker is the per-backend circuit breaker; enabled by default with a
 	// threshold of 3 failures and a 500ms probe interval.
 	Breaker client.BreakerConfig
@@ -143,12 +136,6 @@ func (c *Config) fill() error {
 	if c.RefreshInterval == 0 {
 		c.RefreshInterval = 250 * time.Millisecond
 	}
-	if c.PointEps <= 0 {
-		c.PointEps = 2.0
-	}
-	if c.MaxKNN <= 0 {
-		c.MaxKNN = 1024
-	}
 	if !c.Breaker.Enabled {
 		c.Breaker = client.BreakerConfig{
 			Enabled:          true,
@@ -160,7 +147,7 @@ func (c *Config) fill() error {
 }
 
 // Router is the coordinator. It is safe for any number of concurrent
-// callers; per-query state lives in a pooled fanScratch.
+// callers; per-call state lives in a pooled fanScratch.
 type Router struct {
 	cfg     Config
 	ds      *dataset.Dataset
@@ -325,13 +312,10 @@ func (r *Router) probeLoop() {
 				continue
 			}
 			// The ping flows through the breaker gate, so it IS the
-			// half-open probe; its failure keeps the breaker open.
-			_, err := cc.Ping(0)
-			healthy := 0.0
-			if err == nil && r.BackendHealthy(b) {
-				healthy = 1
-			}
-			r.metrics.beHealthy[b].Set(healthy)
+			// half-open probe; its failure keeps the breaker open, and the
+			// breaker is where the outcome is read back from.
+			_, _ = cc.Ping(0)
+			r.mirrorHealth(b)
 		}
 	}
 }
@@ -545,7 +529,8 @@ func (r *Router) snap() *routing { return r.state.Load() }
 // assembled across the swap includes that shard and can equal no view built
 // from a single snapshot — it only ever costs a cache miss.
 
-// NumShards implements qcache.Source — one pseudo-shard per range.
+// NumShards implements qcache.Source — one pseudo-shard per range of the
+// cluster-wide Hilbert partition.
 func (r *Router) NumShards() int { return r.snap().numRanges }
 
 // Version implements qcache.Source. The version of range i is the minimum
@@ -659,9 +644,6 @@ func (r *Router) Workers() int { return r.cfg.ConnsPerBackend * len(r.clients) }
 // Dataset returns the cluster's dataset (for ModeData record resolution).
 func (r *Router) Dataset() *dataset.Dataset { return r.ds }
 
-// NumRanges returns the cluster-wide Hilbert range count.
-func (r *Router) NumRanges() int { return r.snap().numRanges }
-
 // BackendHealthy reports whether backend b's circuit breaker admits
 // traffic.
 func (r *Router) BackendHealthy(b int) bool {
@@ -669,7 +651,7 @@ func (r *Router) BackendHealthy(b int) bool {
 }
 
 // routerError is a fan-out failure carrying its wire code; the serve layer
-// surfaces it via the ErrCode method (serve.errToCode).
+// surfaces it via the ErrCode method (proto.CodeOf).
 type routerError struct {
 	code proto.ErrCode
 	msg  string
@@ -686,40 +668,69 @@ func errUnavailable(rangeIdx int) error {
 	}
 }
 
-// fanScratch is the pooled per-query fan-out state.
+// fanScratch is the pooled per-call fan-out state: the plan of a read
+// (exec.go), the legs of a read or a write, and the NN visit's buffers.
 type fanScratch struct {
-	needed  []int32           // relevant range indices
-	covered []int32           // mirrors needed: backend covering it, -1 = uncovered
-	sel     []int32           // backends selected this round
-	failed  []bool            // backend id -> failed during this query
-	status  []legStatus       // per-backend NN visit status
-	legIDs  [][]uint32        // per-leg result buffers (range/point merge)
-	merged  []uint32          // merge accumulator
-	order   []shard.IndexDist // NN visit order (ascending MINDIST)
-	beEff   []geom.Rect       // NN effective backend bounds (snapshot ∪ growth)
-	nbrBuf  []proto.Neighbor  // NN leg reply buffer
-	nbrTmp  []proto.Neighbor  // NN merge temp
-	acc     []proto.Neighbor  // NN running best-k
-	errs    []error           // per-backend errors of one round
+	q       [1]proto.QueryMsg  // a single query as a batch of one
+	item    [1]proto.BatchItem // and its answer
+	needed  []int32            // every sub-query's relevant ranges, concatenated
+	covered []int32            // mirrors needed: the covering backend, uncovered or answered
+	qoff    []int32            // sub-query i's ranges are needed[qoff[i]:qoff[i+1]]
+	sel     []int32            // this round's legs: the backend of each
+	legs    []readLeg          // mirrors sel: a read leg's slots and answers
+	acks    []client.UpdateAck // mirrors sel: a write leg's ack
+	errs    []error            // mirrors sel: the leg's outcome
+	wg      sync.WaitGroup     // the legs in flight
+	failed  []bool             // backend id -> failed during this call
+	status  []legStatus        // per-backend NN visit status
+	order   []shard.IndexDist  // NN visit order (ascending MINDIST)
+	beEff   []geom.Rect        // NN effective backend bounds (snapshot ∪ growth)
+	nbrBuf  []proto.Neighbor   // NN leg reply buffer
+	nbrTmp  []proto.Neighbor   // NN merge temp
+	acc     []proto.Neighbor   // NN running best-k
 }
 
 func (r *Router) getScratch() *fanScratch {
 	sc := r.scratch.Get().(*fanScratch)
+	// One zeroed entry per backend: nothing failed, every NN status
+	// legUntouched, no leg outcome.
 	n := len(r.clients)
-	if cap(sc.failed) < n {
-		sc.failed = make([]bool, n)
-		sc.status = make([]legStatus, n)
-		sc.errs = make([]error, n)
-	}
-	sc.failed = sc.failed[:n]
-	sc.status = sc.status[:n]
-	sc.errs = sc.errs[:n]
-	for i := range sc.failed {
-		sc.failed[i] = false
-		sc.status[i] = legUntouched
-		sc.errs[i] = nil
-	}
+	sc.failed = append(sc.failed[:0], make([]bool, n)...)
+	sc.status = append(sc.status[:0], make([]legStatus, n)...)
+	sc.errs = append(sc.errs[:0], make([]error, n)...)
 	return sc
 }
 
 func (r *Router) putScratch(sc *fanScratch) { r.scratch.Put(sc) }
+
+// runLegs runs leg(li, sc.sel[li]) for every leg of the round concurrently
+// and records each outcome in sc.errs[li] and the per-backend leg metrics.
+// The first leg runs on the calling goroutine — most fan-outs have one —
+// unless the caller has work of its own to overlap with the legs
+// (meanwhile), which then runs there instead.
+func (r *Router) runLegs(sc *fanScratch, leg func(li int, b int32) error, meanwhile func()) {
+	first := 1
+	if meanwhile != nil {
+		first = 0
+	}
+	for li := first; li < len(sc.sel); li++ {
+		sc.wg.Add(1)
+		go func(li int) {
+			defer sc.wg.Done()
+			r.runLeg(sc, li, leg)
+		}(li)
+	}
+	if meanwhile != nil {
+		meanwhile()
+	} else if len(sc.sel) > 0 {
+		r.runLeg(sc, 0, leg)
+	}
+	sc.wg.Wait()
+}
+
+func (r *Router) runLeg(sc *fanScratch, li int, leg func(li int, b int32) error) {
+	b := sc.sel[li]
+	start := time.Now()
+	sc.errs[li] = leg(li, b)
+	r.observeLeg(int(b), time.Since(start), sc.errs[li])
+}

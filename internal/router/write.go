@@ -17,8 +17,6 @@ package router
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"mobispatial/internal/geom"
 	"mobispatial/internal/proto"
@@ -144,47 +142,37 @@ func (r *Router) liveSet(id uint32, seg geom.Segment) {
 // writeLeg is one backend's share of a write.
 type writeLeg func(cc *client.Client) (client.UpdateAck, error)
 
-// fanWrite sends the write to every target concurrently (first leg on the
-// calling goroutine, like the read fan-out) and merges the acks. Unlike
-// reads there is no failover — the targets ARE the replica set; a failed
-// leg has nowhere else to go and is recorded as divergence instead.
+// fanWrite sends the write to every target concurrently through the leg
+// runner the reads use and merges the acks. Unlike reads there is no
+// failover — the targets ARE the replica set; a failed leg has nowhere else
+// to go and is recorded as divergence instead.
 func (r *Router) fanWrite(targets []int32, leg writeLeg) (uint64, bool, bool, error) {
 	r.metrics.writes.Inc()
-	acks := make([]client.UpdateAck, len(targets))
-	errs := make([]error, len(targets))
-	run := func(i int, b int32) {
-		start := time.Now()
-		acks[i], errs[i] = leg(r.clients[b])
-		r.observeLeg(int(b), time.Since(start), errs[i])
+	sc := r.getScratch()
+	defer r.putScratch(sc)
+	sc.sel = append(sc.sel[:0], targets...)
+	sc.acks = append(sc.acks[:0], make([]client.UpdateAck, len(targets))...)
+	r.runLegs(sc, func(li int, b int32) error {
+		var err error
+		sc.acks[li], err = leg(r.clients[b])
 		r.metrics.writeLegs.Inc()
-		if errs[i] != nil {
+		if err != nil {
 			r.metrics.writeLegErrs.Inc()
 		}
-	}
-	var wg sync.WaitGroup
-	for i := 1; i < len(targets); i++ {
-		wg.Add(1)
-		go func(i int, b int32) {
-			defer wg.Done()
-			run(i, b)
-		}(i, targets[i])
-	}
-	if len(targets) > 0 {
-		run(0, targets[0])
-	}
-	wg.Wait()
+		return err
+	}, nil)
 
 	ok := 0
 	var epoch uint64
 	existed, owned := false, false
 	var lastErr error
 	for i := range targets {
-		if errs[i] != nil {
-			lastErr = errs[i]
+		if sc.errs[i] != nil {
+			lastErr = sc.errs[i]
 			continue
 		}
 		ok++
-		a := acks[i]
+		a := sc.acks[i]
 		existed = existed || a.Existed
 		if a.Owned {
 			if !owned || a.Epoch < epoch {

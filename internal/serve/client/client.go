@@ -346,20 +346,15 @@ func transientCode(code proto.ErrCode) bool {
 	return code == proto.CodeOverload || code == proto.CodeShutdown || code == proto.CodeUnavailable
 }
 
-// do sends req and returns the matching response, retrying transient
+// exchange sends req and returns the matching response, retrying transient
 // failures with full-jitter exponential backoff on a fresh connection. With
 // the breaker enabled, attempts are gated: an open breaker fails fast with
 // ErrBreakerOpen (no wire traffic), and the caller that wins the half-open
-// slot pays one probe ping before its request proceeds.
-func (c *Client) do(req proto.Message) (proto.Message, error) {
-	return c.exchange(req, time.Time{})
-}
-
-// exchange is do with an optional absolute deadline capping the whole retry
-// loop — attempts and backoff sleeps included. A zero deadline keeps do's
-// classic budget (every attempt gets RequestTimeout). The router passes the
-// query's deadline here so it caps the slowest backend leg end to end
-// instead of being re-applied per attempt or per hop.
+// slot pays one probe ping before its request proceeds. A non-zero deadline
+// caps the whole retry loop — attempts and backoff sleeps included; a zero
+// one gives every attempt RequestTimeout. The router passes the query's
+// deadline here so it caps the slowest backend leg end to end instead of
+// being re-applied per attempt or per hop.
 func (c *Client) exchange(req proto.Message, deadline time.Time) (proto.Message, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
@@ -436,7 +431,7 @@ func (c *Client) observeBreaker() {
 }
 
 // probeLink round-trips one empty ping in a single attempt — the half-open
-// breaker's link test. It bypasses do so a probe can never recurse into
+// breaker's link test. It bypasses exchange so a probe can never recurse into
 // another probe.
 func (c *Client) probeLink() error {
 	msg := &proto.PingMsg{ID: c.id()}
@@ -505,14 +500,14 @@ func (c *Client) roundTrip(req proto.Message, deadline time.Time) (proto.Message
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	c.link.observe(elapsed, sentBytes+respBytes)
+	est := c.link.observe(elapsed, sentBytes+respBytes)
 	c.checkin(wc)
 	c.wire.framesTx.Add(1)
 	c.wire.framesRx.Add(1)
 	c.wire.bytesTx.Add(uint64(sentBytes))
 	c.wire.bytesRx.Add(uint64(respBytes))
 	c.wire.exchanges.Add(1)
-	bw := c.link.estimate().BandwidthBps
+	bw := est.BandwidthBps
 	if bw <= 0 {
 		bw = 2e6 // the paper's base bandwidth when unmeasured
 	}
@@ -523,7 +518,6 @@ func (c *Client) roundTrip(req proto.Message, deadline time.Time) (proto.Message
 		c.metrics.rtHist.Observe(elapsed.Seconds())
 		c.metrics.txBytes.Add(uint64(sentBytes))
 		c.metrics.rxBytes.Add(uint64(respBytes))
-		est := c.link.estimate()
 		c.metrics.rttG.Set(est.RTT.Seconds())
 		c.metrics.bwG.Set(est.BandwidthBps)
 	}
@@ -549,43 +543,101 @@ func (c *Client) readResponse(wc *wireConn, id uint32) (proto.Message, int, erro
 
 func (c *Client) id() uint32 { return c.nextID.Add(1) }
 
-func (c *Client) timeoutMicros() uint32 {
+// microsUntil is the wire's timeout field for a request due by deadline: the
+// time left in microseconds, clamped to [1, MaxUint32]; RequestTimeout for a
+// zero deadline.
+func (c *Client) microsUntil(deadline time.Time) uint32 {
 	us := c.cfg.RequestTimeout.Microseconds()
-	if us > math.MaxUint32 {
-		return math.MaxUint32
+	if !deadline.IsZero() {
+		us = max(time.Until(deadline).Microseconds(), 1)
 	}
-	return uint32(us)
+	return uint32(min(us, math.MaxUint32))
 }
 
-// query runs one query and decodes the reply for the requested mode. It
-// owns q: the pooled request message is released after the exchange, so the
+// stamp writes the request id and, where the message carries one, the
+// server-side timeout into req.
+func stamp(req proto.Message, id, timeoutMicros uint32) {
+	switch m := req.(type) {
+	case *proto.QueryMsg:
+		m.ID, m.TimeoutMicros = id, timeoutMicros
+	case *proto.NNQueryMsg:
+		m.ID, m.TimeoutMicros = id, timeoutMicros
+	case *proto.BatchQueryMsg:
+		m.ID, m.TimeoutMicros = id, timeoutMicros
+	case *proto.InsertMsg:
+		m.ID, m.TimeoutMicros = id, timeoutMicros
+	case *proto.DeleteMsg:
+		m.ID, m.TimeoutMicros = id, timeoutMicros
+	case *proto.MoveMsg:
+		m.ID, m.TimeoutMicros = id, timeoutMicros
+	case *proto.ShipmentReqMsg:
+		m.ID, m.TimeoutMicros = id, timeoutMicros
+	case *proto.PingMsg:
+		m.ID = id
+	case *proto.StatsReqMsg:
+		m.ID = id
+	case *proto.SummaryReqMsg:
+		m.ID = id
+	default:
+		panic(fmt.Sprintf("client: %T is not a request", req))
+	}
+}
+
+// call is the one request/reply exchange every client method is built on:
+// it stamps req, runs it through exchange under deadline (zero = one
+// RequestTimeout per attempt), releases req to its pool, counts the logical
+// queries it carried, and returns the reply as the type R the caller
+// expects. A server *ErrorMsg comes back as the error; any other reply type
+// is a protocol violation. The reply is the caller's: it copies out what it
+// keeps and releases it, or hands its slices on and never does.
+func call[R proto.Message](c *Client, req proto.Message, deadline time.Time, queries int) (R, error) {
+	stamp(req, c.id(), c.microsUntil(deadline))
+	reqType := req.Type()
+	resp, err := c.exchange(req, deadline)
+	proto.ReleaseMessage(req)
+	c.wire.queries.Add(uint64(queries))
+	var none R
+	if err != nil {
+		return none, err
+	}
+	switch r := resp.(type) {
+	case R:
+		return r, nil
+	case *proto.ErrorMsg:
+		return none, r
+	}
+	return none, fmt.Errorf("client: unexpected %v reply to %v", resp.Type(), reqType)
+}
+
+// query runs one query and decodes the reply for the requested mode: records
+// for ModeData, ids otherwise. It owns q (call releases it), so the
 // steady-state request path reuses one QueryMsg and one encode buffer per
 // connection instead of allocating them. Replies are NOT released — their
 // slices are handed to the caller.
 func (c *Client) query(q *proto.QueryMsg) ([]uint32, []proto.Record, error) {
-	q.ID = c.id()
-	q.TimeoutMicros = c.timeoutMicros()
-	resp, err := c.do(q)
-	proto.ReleaseMessage(q)
-	c.wire.queries.Add(1)
+	if q.Mode != proto.ModeData {
+		r, err := call[*proto.IDListMsg](c, q, time.Time{}, 1)
+		if err != nil {
+			return nil, nil, err
+		}
+		c.noteHint(r.Epoch)
+		return r.IDs, nil, nil
+	}
+	r, err := call[*proto.DataListMsg](c, q, time.Time{}, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	switch r := resp.(type) {
-	case *proto.IDListMsg:
-		c.noteHint(r.Epoch)
-		return r.IDs, nil, nil
-	case *proto.DataListMsg:
-		c.noteHint(r.Epoch)
-		ids := make([]uint32, len(r.Records))
-		for i, rec := range r.Records {
-			ids[i] = rec.ID
-		}
-		return ids, r.Records, nil
-	case *proto.ErrorMsg:
-		return nil, nil, r
+	c.noteHint(r.Epoch)
+	return recordIDs(r.Records), r.Records, nil
+}
+
+// recordIDs returns the ids of recs, in order.
+func recordIDs(recs []proto.Record) []uint32 {
+	ids := make([]uint32, len(recs))
+	for i := range recs {
+		ids[i] = recs[i].ID
 	}
-	return nil, nil, fmt.Errorf("client: unexpected %v reply to query", resp.Type())
+	return ids
 }
 
 // queryWithFallback runs q remotely, degrading to local execution when the
@@ -612,11 +664,7 @@ func (c *Client) queryWithFallback(q *proto.QueryMsg) ([]uint32, []proto.Record,
 	if ferr != nil {
 		return nil, nil, fmt.Errorf("client: remote failed (%v); local fallback failed: %w", err, ferr)
 	}
-	fids := make([]uint32, len(frecs))
-	for i := range frecs {
-		fids[i] = frecs[i].ID
-	}
-	return fids, frecs, nil
+	return recordIDs(frecs), frecs, nil
 }
 
 // fallbackEligible reports whether a query failure invites local fallback:
@@ -762,54 +810,51 @@ func (c *Client) QueryBatch(qs []proto.QueryMsg) ([]BatchResult, error) {
 	if len(qs) == 0 {
 		return nil, fmt.Errorf("client: empty batch")
 	}
-	if len(qs) > proto.MaxBatchQueries {
-		return nil, fmt.Errorf("client: batch of %d exceeds wire limit %d", len(qs), proto.MaxBatchQueries)
-	}
-	req := proto.AcquireBatchQuery()
-	req.ID = c.id()
-	req.TimeoutMicros = c.timeoutMicros()
-	req.Queries = append(req.Queries[:0], qs...)
-	resp, err := c.do(req)
-	proto.ReleaseMessage(req)
-	c.wire.queries.Add(uint64(len(qs)))
-	c.metrics.batches.Inc()
-	c.metrics.batchQueries.Add(uint64(len(qs)))
+	r, err := c.batchCall(qs, time.Time{})
 	if err != nil {
 		if out, ok := c.batchFallback(qs, err); ok {
 			return out, nil
 		}
 		return nil, err
 	}
-	switch r := resp.(type) {
-	case *proto.BatchReplyMsg:
-		c.noteHint(r.Epoch)
-		if len(r.Items) != len(qs) {
-			n := len(r.Items)
-			proto.ReleaseMessage(r)
-			return nil, fmt.Errorf("client: batch reply has %d items for %d queries", n, len(qs))
+	c.noteHint(r.Epoch)
+	out := make([]BatchResult, len(r.Items))
+	for i := range r.Items {
+		it := &r.Items[i]
+		if it.Err != 0 {
+			out[i].Err = &proto.ErrorMsg{ID: r.ID, Code: it.Err, Text: it.Text}
+			continue
 		}
-		out := make([]BatchResult, len(r.Items))
-		for i := range r.Items {
-			it := &r.Items[i]
-			if it.Err != 0 {
-				out[i].Err = &proto.ErrorMsg{ID: r.ID, Code: it.Err, Text: it.Text}
-				continue
-			}
-			// Copy out of the pooled reply: it.IDs and it.Recs alias
-			// r's backing arrays, which the next decode will overwrite.
-			if len(it.IDs) > 0 {
-				out[i].IDs = append([]uint32(nil), it.IDs...)
-			}
-			if len(it.Recs) > 0 {
-				out[i].Records = append([]proto.Record(nil), it.Recs...)
-			}
+		// Copy out of the pooled reply: it.IDs and it.Recs alias
+		// r's backing arrays, which the next decode will overwrite.
+		if len(it.IDs) > 0 {
+			out[i].IDs = append([]uint32(nil), it.IDs...)
 		}
-		proto.ReleaseMessage(r)
-		return out, nil
-	case *proto.ErrorMsg:
-		return nil, r
+		if len(it.Recs) > 0 {
+			out[i].Records = append([]proto.Record(nil), it.Recs...)
+		}
 	}
-	return nil, fmt.Errorf("client: unexpected %v reply to batch", resp.Type())
+	proto.ReleaseMessage(r)
+	return out, nil
+}
+
+// batchCall sends qs as one MsgBatchQuery and returns the reply, one item
+// per query; the ID and TimeoutMicros fields of qs are managed here.
+func (c *Client) batchCall(qs []proto.QueryMsg, deadline time.Time) (*proto.BatchReplyMsg, error) {
+	if len(qs) > proto.MaxBatchQueries {
+		return nil, fmt.Errorf("client: batch of %d exceeds wire limit %d", len(qs), proto.MaxBatchQueries)
+	}
+	req := proto.AcquireBatchQuery()
+	req.Queries = append(req.Queries[:0], qs...)
+	c.metrics.batches.Inc()
+	c.metrics.batchQueries.Add(uint64(len(qs)))
+	r, err := call[*proto.BatchReplyMsg](c, req, deadline, len(qs))
+	if err == nil && len(r.Items) != len(qs) {
+		err = fmt.Errorf("client: batch reply has %d items for %d queries", len(r.Items), len(qs))
+		proto.ReleaseMessage(r)
+		r = nil
+	}
+	return r, err
 }
 
 // batchFallback answers a failed batch locally, query by query. ok is false
@@ -835,11 +880,7 @@ func (c *Client) batchFallback(qs []proto.QueryMsg, cause error) ([]BatchResult,
 		if qs[i].Mode == proto.ModeData {
 			out[i].Records = recs
 		} else {
-			ids := make([]uint32, len(recs))
-			for j := range recs {
-				ids[j] = recs[j].ID
-			}
-			out[i].IDs = ids
+			out[i].IDs = recordIDs(recs)
 		}
 	}
 	return out, true
@@ -849,20 +890,15 @@ func (c *Client) batchFallback(qs []proto.QueryMsg, cause error) ([]BatchResult,
 // returns the elapsed time. Small payloads sample RTT; payloads of several
 // MSS sample effective bandwidth.
 func (c *Client) Ping(payloadBytes int) (time.Duration, error) {
-	msg := &proto.PingMsg{ID: c.id(), Payload: make([]byte, payloadBytes)}
 	start := time.Now()
-	resp, err := c.do(msg)
-	proto.ReleaseMessage(msg)
+	r, err := call[*proto.PingMsg](c, &proto.PingMsg{Payload: make([]byte, payloadBytes)}, time.Time{}, 0)
 	if err != nil {
 		return 0, err
-	}
-	if _, ok := resp.(*proto.PingMsg); !ok {
-		return 0, fmt.Errorf("client: unexpected %v reply to ping", resp.Type())
 	}
 	elapsed := time.Since(start)
 	// The echo payload is not handed to the caller, so the reply can go
 	// straight back to the message pool.
-	proto.ReleaseMessage(resp)
+	proto.ReleaseMessage(r)
 	return elapsed, nil
 }
 
@@ -870,17 +906,7 @@ func (c *Client) Ping(payloadBytes int) (time.Duration, error) {
 // connection — the in-protocol observability surface (no HTTP endpoint
 // needed; mqtop and mqload's end-of-run report use it).
 func (c *Client) StatsSnapshot() (*proto.StatsMsg, error) {
-	resp, err := c.do(&proto.StatsReqMsg{ID: c.id()})
-	if err != nil {
-		return nil, err
-	}
-	switch m := resp.(type) {
-	case *proto.StatsMsg:
-		return m, nil
-	case *proto.ErrorMsg:
-		return nil, m
-	}
-	return nil, fmt.Errorf("client: unexpected %v reply to stats request", resp.Type())
+	return call[*proto.StatsMsg](c, &proto.StatsReqMsg{}, time.Time{}, 0)
 }
 
 // Probe primes the link estimate with one small and one large ping.
@@ -930,42 +956,45 @@ const linkAlpha = 0.25
 // exchanges are RTT-dominated.
 const bwSampleMinBytes = 32 << 10
 
-func (l *linkTracker) observe(elapsed time.Duration, bytes int) {
-	sec := elapsed.Seconds()
-	if sec <= 0 {
-		return
-	}
+// observe folds one round trip into the estimates and returns them as they
+// stand afterwards, under one acquisition of the lock.
+func (l *linkTracker) observe(elapsed time.Duration, bytes int) LinkEstimate {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.overridden {
-		return
-	}
-	l.samples++
-	if bytes < bwSampleMinBytes {
-		// Small exchange: an RTT sample.
-		if l.rttSec == 0 {
-			l.rttSec = sec
+	if sec := elapsed.Seconds(); sec > 0 && !l.overridden {
+		l.samples++
+		if bytes < bwSampleMinBytes {
+			// Small exchange: an RTT sample.
+			l.rttSec = ewma(l.rttSec, sec)
 		} else {
-			l.rttSec += linkAlpha * (sec - l.rttSec)
+			// Large exchange: a bandwidth sample net of the current RTT
+			// estimate.
+			net := sec - l.rttSec
+			if net <= 0 {
+				net = sec
+			}
+			l.bwBps = ewma(l.bwBps, float64(bytes*8)/net)
 		}
-		return
 	}
-	// Large exchange: a bandwidth sample net of the current RTT estimate.
-	net := sec - l.rttSec
-	if net <= 0 {
-		net = sec
+	return l.estimateLocked()
+}
+
+// ewma folds sample x into the running estimate cur; the first sample is
+// taken whole.
+func ewma(cur, x float64) float64 {
+	if cur == 0 {
+		return x
 	}
-	bw := float64(bytes*8) / net
-	if l.bwBps == 0 {
-		l.bwBps = bw
-	} else {
-		l.bwBps += linkAlpha * (bw - l.bwBps)
-	}
+	return cur + linkAlpha*(x-cur)
 }
 
 func (l *linkTracker) estimate() LinkEstimate {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.estimateLocked()
+}
+
+func (l *linkTracker) estimateLocked() LinkEstimate {
 	return LinkEstimate{
 		RTT:          time.Duration(l.rttSec * float64(time.Second)),
 		BandwidthBps: l.bwBps,

@@ -17,43 +17,16 @@ import (
 	"mobispatial/internal/proto"
 )
 
-// microsUntil converts an absolute deadline into the wire's timeout field:
-// the remaining time in microseconds, clamped to [1, MaxUint32]. A zero
-// deadline falls back to the client's RequestTimeout.
-func (c *Client) microsUntil(deadline time.Time) uint32 {
-	if deadline.IsZero() {
-		return c.timeoutMicros()
-	}
-	us := time.Until(deadline).Microseconds()
-	if us <= 0 {
-		return 1
-	}
-	if us > math.MaxUint32 {
-		return math.MaxUint32
-	}
-	return uint32(us)
-}
-
 // queryAppendUntil runs one id-mode query leg: send, append the reply's ids
 // to dst, release the pooled reply.
 func (c *Client) queryAppendUntil(q *proto.QueryMsg, dst []uint32, deadline time.Time) ([]uint32, error) {
-	q.ID = c.id()
-	q.TimeoutMicros = c.microsUntil(deadline)
-	resp, err := c.exchange(q, deadline)
-	proto.ReleaseMessage(q)
-	c.wire.queries.Add(1)
+	r, err := call[*proto.IDListMsg](c, q, deadline, 1)
 	if err != nil {
 		return dst, err
 	}
-	switch r := resp.(type) {
-	case *proto.IDListMsg:
-		dst = append(dst, r.IDs...)
-		proto.ReleaseMessage(r)
-		return dst, nil
-	case *proto.ErrorMsg:
-		return dst, r
-	}
-	return dst, fmt.Errorf("client: unexpected %v reply to query leg", resp.Type())
+	dst = append(dst, r.IDs...)
+	proto.ReleaseMessage(r)
+	return dst, nil
 }
 
 // RangeAppendUntil answers a window query leg in the given mode (ModeIDs or
@@ -86,24 +59,14 @@ func (c *Client) KNearestNeighborsAppendUntil(dst []proto.Neighbor, pt geom.Poin
 		bound = 0 // the wire encodes "unbounded" as 0
 	}
 	q := proto.AcquireNNQuery()
-	q.ID = c.id()
 	q.Point, q.K, q.Bound = pt, uint16(k), bound
-	q.TimeoutMicros = c.microsUntil(deadline)
-	resp, err := c.exchange(q, deadline)
-	proto.ReleaseMessage(q)
-	c.wire.queries.Add(1)
+	r, err := call[*proto.NeighborsMsg](c, q, deadline, 1)
 	if err != nil {
 		return dst, err
 	}
-	switch r := resp.(type) {
-	case *proto.NeighborsMsg:
-		dst = append(dst, r.Neighbors...)
-		proto.ReleaseMessage(r)
-		return dst, nil
-	case *proto.ErrorMsg:
-		return dst, r
-	}
-	return dst, fmt.Errorf("client: unexpected %v reply to nn leg", resp.Type())
+	dst = append(dst, r.Neighbors...)
+	proto.ReleaseMessage(r)
+	return dst, nil
 }
 
 // QueryBatchVisit sends one batch leg — a sub-slice of a client batch the
@@ -117,53 +80,21 @@ func (c *Client) QueryBatchVisit(qs []proto.QueryMsg, deadline time.Time, visit 
 	if len(qs) == 0 {
 		return nil
 	}
-	if len(qs) > proto.MaxBatchQueries {
-		return fmt.Errorf("client: batch leg of %d exceeds wire limit %d", len(qs), proto.MaxBatchQueries)
-	}
-	req := proto.AcquireBatchQuery()
-	req.ID = c.id()
-	req.TimeoutMicros = c.microsUntil(deadline)
-	req.Queries = append(req.Queries[:0], qs...)
-	resp, err := c.exchange(req, deadline)
-	proto.ReleaseMessage(req)
-	c.wire.queries.Add(uint64(len(qs)))
-	c.metrics.batches.Inc()
-	c.metrics.batchQueries.Add(uint64(len(qs)))
+	r, err := c.batchCall(qs, deadline)
 	if err != nil {
 		return err
 	}
-	switch r := resp.(type) {
-	case *proto.BatchReplyMsg:
-		if len(r.Items) != len(qs) {
-			n := len(r.Items)
-			proto.ReleaseMessage(r)
-			return fmt.Errorf("client: batch leg reply has %d items for %d queries", n, len(qs))
-		}
-		for i := range r.Items {
-			it := &r.Items[i]
-			visit(i, it.IDs, it.Err, it.Text)
-		}
-		proto.ReleaseMessage(r)
-		return nil
-	case *proto.ErrorMsg:
-		return r
+	for i := range r.Items {
+		it := &r.Items[i]
+		visit(i, it.IDs, it.Err, it.Text)
 	}
-	return fmt.Errorf("client: unexpected %v reply to batch leg", resp.Type())
+	proto.ReleaseMessage(r)
+	return nil
 }
 
 // Summary fetches the backend's partition summary — the router's
 // registration handshake. The reply is caller-owned (summaries are not
 // pooled; registration is rare).
 func (c *Client) Summary() (*proto.SummaryMsg, error) {
-	resp, err := c.do(&proto.SummaryReqMsg{ID: c.id()})
-	if err != nil {
-		return nil, err
-	}
-	switch m := resp.(type) {
-	case *proto.SummaryMsg:
-		return m, nil
-	case *proto.ErrorMsg:
-		return nil, m
-	}
-	return nil, fmt.Errorf("client: unexpected %v reply to summary request", resp.Type())
+	return call[*proto.SummaryMsg](c, &proto.SummaryReqMsg{}, time.Time{}, 0)
 }

@@ -111,14 +111,10 @@ func (c *Client) trySemantic(q *proto.QueryMsg) (ids []uint32, recs []proto.Reco
 	c.semSavedJ.Add(saved)
 	c.metrics.semSavedJoules.Add(saved)
 
-	ids = make([]uint32, len(out))
-	for i := range out {
-		ids[i] = out[i].ID
-	}
 	if mode == proto.ModeData {
-		return ids, out, true
+		return recordIDs(out), out, true
 	}
-	return ids, nil, true
+	return recordIDs(out), nil, true
 }
 
 // savedNICJoules models the radio energy one semantic hit avoided: the

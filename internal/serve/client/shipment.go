@@ -2,6 +2,7 @@ package client
 
 import (
 	"fmt"
+	"time"
 
 	"mobispatial/internal/core"
 	"mobispatial/internal/geom"
@@ -33,23 +34,13 @@ type Shipment struct {
 // client memory (recordBytes sizes the server's capacity math; use the
 // dataset's record size) and rebuilds the sub-index locally.
 func (c *Client) FetchShipment(window geom.Rect, budgetBytes, recordBytes int) (*Shipment, error) {
-	req := &proto.ShipmentReqMsg{
-		ID:            c.id(),
-		Window:        window,
-		BudgetBytes:   uint32(budgetBytes),
-		RecordBytes:   uint32(recordBytes),
-		TimeoutMicros: c.timeoutMicros(),
-	}
-	resp, err := c.do(req)
+	sm, err := call[*proto.ShipmentMsg](c, &proto.ShipmentReqMsg{
+		Window:      window,
+		BudgetBytes: uint32(budgetBytes),
+		RecordBytes: uint32(recordBytes),
+	}, time.Time{}, 0)
 	if err != nil {
 		return nil, err
-	}
-	sm, ok := resp.(*proto.ShipmentMsg)
-	if !ok {
-		if em, isErr := resp.(*proto.ErrorMsg); isErr {
-			return nil, em
-		}
-		return nil, fmt.Errorf("client: unexpected %v reply to shipment request", resp.Type())
 	}
 	c.noteHint(sm.Epoch)
 	return NewShipment(sm)

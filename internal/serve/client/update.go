@@ -8,7 +8,7 @@
 package client
 
 import (
-	"fmt"
+	"time"
 
 	"mobispatial/internal/geom"
 	"mobispatial/internal/proto"
@@ -29,11 +29,7 @@ type UpdateAck struct {
 func (c *Client) Insert(id uint32, seg geom.Segment) (UpdateAck, error) {
 	m := proto.AcquireInsert()
 	m.ObjID, m.Seg = id, seg
-	m.ID = c.id()
-	m.TimeoutMicros = c.timeoutMicros()
-	resp, err := c.do(m)
-	proto.ReleaseMessage(m)
-	return c.decodeAck(resp, err)
+	return c.update(m)
 }
 
 // Delete removes object id wherever it lives; deleting an unknown id
@@ -41,11 +37,7 @@ func (c *Client) Insert(id uint32, seg geom.Segment) (UpdateAck, error) {
 func (c *Client) Delete(id uint32) (UpdateAck, error) {
 	m := proto.AcquireDelete()
 	m.ObjID = id
-	m.ID = c.id()
-	m.TimeoutMicros = c.timeoutMicros()
-	resp, err := c.do(m)
-	proto.ReleaseMessage(m)
-	return c.decodeAck(resp, err)
+	return c.update(m)
 }
 
 // Move updates object id's geometry to seg — the moving-object workload's
@@ -53,25 +45,17 @@ func (c *Client) Delete(id uint32) (UpdateAck, error) {
 func (c *Client) Move(id uint32, seg geom.Segment) (UpdateAck, error) {
 	m := proto.AcquireMove()
 	m.ObjID, m.Seg = id, seg
-	m.ID = c.id()
-	m.TimeoutMicros = c.timeoutMicros()
-	resp, err := c.do(m)
-	proto.ReleaseMessage(m)
-	return c.decodeAck(resp, err)
+	return c.update(m)
 }
 
-func (c *Client) decodeAck(resp proto.Message, err error) (UpdateAck, error) {
-	c.wire.queries.Add(1)
+// update sends one write and copies its ack out of the pooled reply. A
+// write counts as one logical query in the wire statistics.
+func (c *Client) update(m proto.Message) (UpdateAck, error) {
+	r, err := call[*proto.UpdateAckMsg](c, m, time.Time{}, 1)
 	if err != nil {
 		return UpdateAck{}, err
 	}
-	switch r := resp.(type) {
-	case *proto.UpdateAckMsg:
-		ack := UpdateAck{Epoch: r.Epoch, Existed: r.Existed, Owned: r.Owned}
-		proto.ReleaseMessage(r)
-		return ack, nil
-	case *proto.ErrorMsg:
-		return UpdateAck{}, r
-	}
-	return UpdateAck{}, fmt.Errorf("client: unexpected %v reply to update", resp.Type())
+	ack := UpdateAck{Epoch: r.Epoch, Existed: r.Existed, Owned: r.Owned}
+	proto.ReleaseMessage(r)
+	return ack, nil
 }

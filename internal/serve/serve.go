@@ -38,9 +38,9 @@ import (
 	"mobispatial/internal/rtree"
 )
 
-// DefaultPointEps mirrors core.PointEps: the point-query incidence tolerance
-// in map units.
-const DefaultPointEps = 2.0
+// DefaultPointEps is the point-query incidence tolerance in map units a
+// request with Eps 0 is answered under.
+const DefaultPointEps = proto.DefaultPointEps
 
 // Executor is the in-process query surface a pool offers: the append-first
 // methods shared by *parallel.Pool (one monolithic index), *shard.Pool
@@ -72,7 +72,7 @@ type Executor interface {
 // cap the slowest backend leg rather than being re-applied per hop. A local
 // pool never fails and never blocks on a peer, so New adapts it (localEngine:
 // the deadline is ignored, the error is nil). Returned errors map onto wire
-// codes via their ErrCode() method when they carry one.
+// codes via their ErrCode() method when they carry one (proto.CodeOf).
 type DeadlineExecutor interface {
 	FilterRangeAppendUntil(dst []uint32, w geom.Rect, deadline time.Time) ([]uint32, error)
 	FilterPointAppendUntil(dst []uint32, pt geom.Point, deadline time.Time) ([]uint32, error)
@@ -1044,34 +1044,15 @@ func (s *Server) safeExecute(req proto.Message, sc *reqScratch, deadline time.Ti
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
-			resp = &proto.ErrorMsg{ID: req.RequestID(), Code: proto.CodeInternal,
-				Text: truncText(fmt.Sprintf("panic in query execution: %v", r))}
+			resp = errorReply(req.RequestID(), fmt.Errorf("panic in query execution: %v", r))
 		}
 	}()
 	return s.execute(req, sc, deadline), false
 }
 
-// truncText clamps s to the wire protocol's error-text limit.
-func truncText(s string) string {
-	if len(s) > proto.MaxErrorText {
-		return s[:proto.MaxErrorText]
-	}
-	return s
-}
-
-// errToCode maps an executor error onto a wire code: errors that carry one
-// (router errors) keep it, anything else is internal.
-func errToCode(err error) (proto.ErrCode, string) {
-	var ec interface{ ErrCode() proto.ErrCode }
-	if errors.As(err, &ec) {
-		return ec.ErrCode(), truncText(err.Error())
-	}
-	return proto.CodeInternal, truncText(err.Error())
-}
-
 // errorReply builds the ErrorMsg that answers request id with err.
 func errorReply(id uint32, err error) *proto.ErrorMsg {
-	code, text := errToCode(err)
+	code, text := proto.CodeOf(err)
 	return &proto.ErrorMsg{ID: id, Code: code, Text: text}
 }
 
@@ -1356,7 +1337,7 @@ func (s *Server) executeBatch(m *proto.BatchQueryMsg, sc *reqScratch, deadline t
 		start := time.Now()
 		var err error
 		if it.IDs, it.Recs, err = s.answer(q, sc, it.IDs, it.Recs, deadline); err != nil {
-			it.Err, it.Text = errToCode(err)
+			it.Err, it.Text = proto.CodeOf(err)
 		}
 		s.observeExecQuery(q, time.Since(start).Seconds())
 	}
@@ -1373,7 +1354,7 @@ func (s *Server) executeBatchGrouped(m *proto.BatchQueryMsg, sc *reqScratch, dea
 	for i := range m.Queries {
 		if q := &m.Queries[i]; q.Kind == proto.KindNN {
 			if err := s.checkK(int(q.K)); err != nil {
-				items[i].Err, items[i].Text = errToCode(err)
+				items[i].Err, items[i].Text = proto.CodeOf(err)
 			}
 		}
 	}
