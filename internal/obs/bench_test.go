@@ -5,8 +5,8 @@ import (
 )
 
 // The hot paths: what one instrumented request touches. Counter/gauge ops
-// are atomic adds, histogram observes take one short mutex, spans add a
-// clock read per stage transition.
+// are atomic adds, histogram observes take one short mutex, spans read the
+// clock at Start and Finish only (stage times are handed in).
 
 func BenchmarkCounterInc(b *testing.B) {
 	c := NewRegistry().Counter("c")
@@ -57,8 +57,8 @@ func BenchmarkSpanLifecycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sp := tr.Start("range")
 		sp.SetScheme("server-ids")
-		sp.Begin(StagePlan)
-		sp.Begin(StageIndexWalk)
+		sp.Lap(StagePlan, 1e-6)
+		sp.Lap(StageIndexWalk, 1e-5)
 		sp.Attribute(StageIndexWalk, 1e-4, 1e3)
 		sp.Finish()
 	}
@@ -71,8 +71,8 @@ func BenchmarkSpanLifecycleNil(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sp := tr.Start("range")
 		sp.SetScheme("server-ids")
-		sp.Begin(StagePlan)
-		sp.Begin(StageIndexWalk)
+		sp.Lap(StagePlan, 1e-6)
+		sp.Lap(StageIndexWalk, 1e-5)
 		sp.Attribute(StageIndexWalk, 1e-4, 1e3)
 		sp.Finish()
 	}

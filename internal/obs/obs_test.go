@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestRegistryGetOrCreate(t *testing.T) {
@@ -77,12 +78,14 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil registry snapshot not empty")
 	}
 	sp := tr.Start("k")
-	sp.Begin(StagePlan)
+	if at := tr.StartAt("k", time.Now()); at != nil || sp != nil {
+		t.Error("nil tracer started a span")
+	}
 	sp.Lap(StageWire, 1)
 	sp.Attribute(StageWire, 1, 1)
 	sp.SetScheme("s")
 	sp.SetErr()
-	sp.EndStage()
+	sp.FinishAt(time.Now())
 	sp.Finish()
 	if sp.TotalSeconds() != 0 || sp.TotalJoules() != 0 {
 		t.Error("nil span returned nonzero totals")

@@ -18,7 +18,9 @@ type Stage uint8
 
 // The span stages, in execution order.
 const (
-	// StageParse is request decoding (server side).
+	// StageParse is the server side's time from having a request's first
+	// bytes in hand to admitting it: the frame decode, plus any wait for an
+	// in-flight slot.
 	StageParse Stage = iota
 	// StagePlan is the partitioning decision (client side): the §4.1
 	// advisor run against measured link conditions.
@@ -64,7 +66,10 @@ type StageLap struct {
 
 // Span is one query's trace. A span is owned by a single goroutine until
 // Finish; all methods are nil-safe so disabled observability needs no
-// branches at call sites.
+// branches at call sites. A span never reads the clock for a stage: the
+// instrumented code already holds a reading per stage boundary (it feeds the
+// same readings to its histograms and deadlines) and hands the differences to
+// Lap.
 type Span struct {
 	Kind   string
 	Scheme string
@@ -73,38 +78,10 @@ type Span struct {
 	Err    bool
 	Laps   [NumStages]StageLap
 
-	cur   Stage
-	curAt time.Time
-	open  bool
-	tr    *Tracer
+	tr *Tracer
 }
 
-// Begin closes any open stage and opens st.
-func (s *Span) Begin(st Stage) {
-	if s == nil {
-		return
-	}
-	now := time.Now()
-	s.closeStage(now)
-	s.cur, s.curAt, s.open = st, now, true
-}
-
-// EndStage closes the open stage, if any.
-func (s *Span) EndStage() {
-	if s == nil {
-		return
-	}
-	s.closeStage(time.Now())
-}
-
-func (s *Span) closeStage(now time.Time) {
-	if s.open {
-		s.Laps[s.cur].Seconds += now.Sub(s.curAt).Seconds()
-		s.open = false
-	}
-}
-
-// Lap adds already-measured seconds to st without clocking.
+// Lap adds already-measured seconds to st.
 func (s *Span) Lap(st Stage, seconds float64) {
 	if s == nil || seconds <= 0 {
 		return
@@ -163,14 +140,20 @@ func (s *Span) TotalJoules() float64 {
 	return sum
 }
 
-// Finish closes the span and hands it to its tracer for retention.
+// Finish closes the span now and hands it to its tracer for retention.
 func (s *Span) Finish() {
+	if s != nil {
+		s.FinishAt(time.Now())
+	}
+}
+
+// FinishAt is Finish for a caller that already read the clock at the span's
+// last stage boundary.
+func (s *Span) FinishAt(end time.Time) {
 	if s == nil {
 		return
 	}
-	now := time.Now()
-	s.closeStage(now)
-	s.End = now
+	s.End = end
 	if s.tr != nil {
 		s.tr.retain(s)
 	}
@@ -190,10 +173,15 @@ type Tracer struct {
 	ring      []*Span
 	next      int
 	finished  uint64
-	exemplars map[string]*Span
+	exemplars map[exemplarKey]*Span
 
 	pool sync.Pool
 }
+
+// exemplarKey names one slowest-span slot. A struct of the two labels, not
+// their concatenation: building a string per finished span would allocate
+// under the tracer-wide mutex.
+type exemplarKey struct{ scheme, kind string }
 
 // NewTracer builds a tracer with the given ring capacity and 1-in-K
 // sampling rate (values < 1 default to 256 and 16).
@@ -207,20 +195,29 @@ func NewTracer(capacity, sampleEvery int) *Tracer {
 	t := &Tracer{
 		sampleEvery: uint64(sampleEvery),
 		ring:        make([]*Span, 0, capacity),
-		exemplars:   make(map[string]*Span),
+		exemplars:   make(map[exemplarKey]*Span),
 	}
 	t.pool.New = func() any { return &Span{} }
 	return t
 }
 
-// Start opens a span for one query. Nil-safe: a nil tracer returns a nil
-// span, and every span method on nil is a no-op.
+// Start opens a span for one query, beginning now. Nil-safe: a nil tracer
+// returns a nil span, and every span method on nil is a no-op.
 func (t *Tracer) Start(kind string) *Span {
 	if t == nil {
 		return nil
 	}
+	return t.StartAt(kind, time.Now())
+}
+
+// StartAt is Start for a caller that already read the clock when the query
+// arrived.
+func (t *Tracer) StartAt(kind string, start time.Time) *Span {
+	if t == nil {
+		return nil
+	}
 	s := t.pool.Get().(*Span)
-	*s = Span{Kind: kind, Start: time.Now(), tr: t}
+	*s = Span{Kind: kind, Start: start, tr: t}
 	t.started.Add(1)
 	return s
 }
@@ -242,7 +239,7 @@ func (t *Tracer) retain(s *Span) {
 
 	t.mu.Lock()
 	t.finished++
-	key := s.Scheme + "|" + s.Kind
+	key := exemplarKey{s.Scheme, s.Kind}
 	ex := t.exemplars[key]
 	keepExemplar := ex == nil && len(t.exemplars) < maxExemplars ||
 		ex != nil && s.TotalSeconds() > ex.TotalSeconds()

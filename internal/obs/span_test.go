@@ -7,19 +7,22 @@ import (
 
 func TestSpanStagesAndAttribution(t *testing.T) {
 	tr := NewTracer(8, 1)
-	sp := tr.Start("range")
+	// The caller owns the clock: one reading per stage boundary, handed in.
+	t0 := time.Now()
+	t1, t2 := t0.Add(time.Millisecond), t0.Add(3*time.Millisecond)
+	sp := tr.StartAt("range", t0)
 	sp.SetScheme("fully-client")
-	sp.Begin(StagePlan)
-	time.Sleep(time.Millisecond)
-	sp.Begin(StageIndexWalk) // closes plan, opens index-walk
-	time.Sleep(time.Millisecond)
-	sp.EndStage()
+	sp.Lap(StagePlan, t1.Sub(t0).Seconds())
+	sp.Lap(StageIndexWalk, t2.Sub(t1).Seconds())
 	sp.Lap(StageWire, 0.5)
 	sp.Attribute(StageWire, 2.0, 1e6)
-	sp.Finish()
+	sp.FinishAt(t2)
 
-	if sp.Laps[StagePlan].Seconds <= 0 || sp.Laps[StageIndexWalk].Seconds <= 0 {
-		t.Errorf("clocked stages not recorded: %+v", sp.Laps)
+	if sp.Laps[StagePlan].Seconds != 0.001 || sp.Laps[StageIndexWalk].Seconds != 0.002 {
+		t.Errorf("stage laps = %+v, want 1 ms plan and 2 ms index-walk", sp.Laps)
+	}
+	if !sp.Start.Equal(t0) || !sp.End.Equal(t2) || sp.TotalSeconds() != 0.003 {
+		t.Errorf("span runs %v..%v (%g s), want the supplied readings", sp.Start, sp.End, sp.TotalSeconds())
 	}
 	if sp.Laps[StageWire].Seconds != 0.5 || sp.Laps[StageWire].Joules != 2.0 {
 		t.Errorf("wire lap = %+v", sp.Laps[StageWire])
@@ -27,8 +30,26 @@ func TestSpanStagesAndAttribution(t *testing.T) {
 	if sp.TotalJoules() != 2.0 {
 		t.Errorf("total joules = %g, want 2", sp.TotalJoules())
 	}
-	if sp.End.IsZero() || sp.TotalSeconds() <= 0 {
-		t.Error("finish did not close the span")
+}
+
+// TestSpanLifecycleZeroAlloc: a span that neither the ring nor the exemplar
+// table retains goes back to the pool, and nothing on the way — the exemplar
+// key included — touches the heap.
+func TestSpanLifecycleZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	tr := NewTracer(4, 1000000) // ring effectively never samples
+	slow := tr.StartAt("range", time.Now().Add(-time.Hour))
+	slow.SetScheme("server-ids")
+	slow.Finish() // holds the (server-ids, range) exemplar slot from here on
+	if n := testing.AllocsPerRun(200, func() {
+		sp := tr.Start("range")
+		sp.SetScheme("server-ids")
+		sp.Lap(StageIndexWalk, 1e-6)
+		sp.Finish()
+	}); n != 0 {
+		t.Fatalf("Start..Finish of an unretained span: %.2f allocs/op, want 0", n)
 	}
 }
 

@@ -79,4 +79,24 @@ func TestFrameDecodeZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("warm ReadMessage+ReleaseMessage: %.2f allocs/op, want 0", n)
 	}
+
+	// A reply the receiver keeps (the client hands IDs to its caller) decodes
+	// into a nil slice: the list is reserved once, whatever its length.
+	big := &IDListMsg{ID: 6, IDs: make([]uint32, 1000)}
+	for i := range big.IDs {
+		big.IDs[i] = uint32(i)
+	}
+	payload := big.appendPayload(nil)
+	var got IDListMsg
+	if n := testing.AllocsPerRun(200, func() {
+		got.IDs = nil
+		if err := got.decodePayload(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Fatalf("1000-id list into a nil slice: %.2f allocs/op, want exactly 1", n)
+	}
+	if len(got.IDs) != 1000 || got.IDs[999] != 999 {
+		t.Fatalf("decoded %d ids, last %d", len(got.IDs), got.IDs[len(got.IDs)-1])
+	}
 }

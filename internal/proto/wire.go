@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"mobispatial/internal/geom"
 )
@@ -875,8 +876,9 @@ func (d *decoder) records() []Record {
 }
 
 // appendIDsN appends n decoded ids to dst, reusing its capacity. The count
-// is bounds-checked against the remaining payload before dst grows, so a
-// hostile count cannot force a huge allocation.
+// is bounds-checked against the remaining payload before dst is grown — once,
+// to the full n, so a reply's list costs one allocation whatever its length
+// and a hostile count cannot force a huge one.
 func (d *decoder) appendIDsN(dst []uint32, n int) []uint32 {
 	if d.err != nil || n <= 0 {
 		if n < 0 && d.err == nil {
@@ -887,6 +889,7 @@ func (d *decoder) appendIDsN(dst []uint32, n int) []uint32 {
 	if !d.need(n * 4) {
 		return dst
 	}
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		dst = append(dst, binary.BigEndian.Uint32(d.b[d.off:]))
 		d.off += 4
@@ -906,6 +909,7 @@ func (d *decoder) appendRecordsN(dst []Record, n int) []Record {
 	if !d.need(n * WireRecordBytes) {
 		return dst
 	}
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		dst = append(dst, Record{
 			ID:  d.u32(),

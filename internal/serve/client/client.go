@@ -628,16 +628,20 @@ func (c *Client) query(q *proto.QueryMsg) ([]uint32, []proto.Record, error) {
 		return nil, nil, err
 	}
 	c.noteHint(r.Epoch)
-	return recordIDs(r.Records), r.Records, nil
+	return nil, r.Records, nil
 }
 
-// recordIDs returns the ids of recs, in order.
-func recordIDs(recs []proto.Record) []uint32 {
+// localAnswer shapes a locally computed answer like the wire reply it stands
+// in for: the records themselves for data mode, their ids otherwise.
+func localAnswer(mode proto.Mode, recs []proto.Record) ([]uint32, []proto.Record) {
+	if mode == proto.ModeData {
+		return nil, recs
+	}
 	ids := make([]uint32, len(recs))
 	for i := range recs {
 		ids[i] = recs[i].ID
 	}
-	return ids
+	return ids, nil
 }
 
 // queryWithFallback runs q remotely, degrading to local execution when the
@@ -652,6 +656,7 @@ func (c *Client) queryWithFallback(q *proto.QueryMsg) ([]uint32, []proto.Record,
 	var (
 		cq       core.Query
 		canLocal bool
+		mode     = q.Mode
 	)
 	if c.fallback != nil {
 		cq, canLocal = coreQuery(q) // capture before query releases q
@@ -664,7 +669,8 @@ func (c *Client) queryWithFallback(q *proto.QueryMsg) ([]uint32, []proto.Record,
 	if ferr != nil {
 		return nil, nil, fmt.Errorf("client: remote failed (%v); local fallback failed: %w", err, ferr)
 	}
-	return recordIDs(frecs), frecs, nil
+	ids, recs = localAnswer(mode, frecs)
+	return ids, recs, nil
 }
 
 // fallbackEligible reports whether a query failure invites local fallback:
@@ -877,11 +883,7 @@ func (c *Client) batchFallback(qs []proto.QueryMsg, cause error) ([]BatchResult,
 			out[i].Err = err
 			continue
 		}
-		if qs[i].Mode == proto.ModeData {
-			out[i].Records = recs
-		} else {
-			out[i].IDs = recordIDs(recs)
-		}
+		out[i].IDs, out[i].Records = localAnswer(qs[i].Mode, recs)
 	}
 	return out, true
 }

@@ -84,8 +84,8 @@ func (c *Client) semanticFresh(cq core.Query) bool {
 // trySemantic answers q locally when the semantic cache is fresh for it.
 // ok=false sends the caller to the wire (which, via the reply's epoch hint,
 // is also how freshness gets renewed). On ok=true the pooled q has been
-// released and the results follow query()'s shape: ids always, records only
-// for data mode.
+// released and the results follow query()'s shape: records for data mode,
+// ids otherwise.
 func (c *Client) trySemantic(q *proto.QueryMsg) (ids []uint32, recs []proto.Record, ok bool) {
 	if c.semFallback == nil || q.Mode == proto.ModeFilter {
 		// Filter mode wants the server's candidate set, not an exact local
@@ -111,10 +111,8 @@ func (c *Client) trySemantic(q *proto.QueryMsg) (ids []uint32, recs []proto.Reco
 	c.semSavedJ.Add(saved)
 	c.metrics.semSavedJoules.Add(saved)
 
-	if mode == proto.ModeData {
-		return recordIDs(out), out, true
-	}
-	return recordIDs(out), nil, true
+	ids, recs = localAnswer(mode, out)
+	return ids, recs, true
 }
 
 // savedNICJoules models the radio energy one semantic hit avoided: the

@@ -6,20 +6,40 @@
 //
 // Concurrency model:
 //
-//   - one goroutine per connection reads frames;
-//   - each admitted request runs in its own goroutine, so a connection can
-//     pipeline requests (responses carry the request id and may return out
-//     of order);
+//   - one goroutine per connection reads frames through a small buffered
+//     reader (one read syscall per small frame; a payload larger than the
+//     buffer bypasses it);
+//   - a request runs to completion — admit, execute, encode, flush — on that
+//     reader goroutine unless more input is already buffered behind its
+//     frame; then it gets a goroutine of its own and the reader moves on. The
+//     choice is made per frame from what the reader observes, not configured:
+//     a client that waits for each reply (this repository's client, and
+//     through it the router's legs) never pays a goroutine hand-off, and a
+//     client that writes a burst before reading keeps its concurrency;
+//   - what a pipelining client may assume: replies carry the request id and
+//     every request is answered exactly once. What it may not: replies are
+//     not promised in request order, and a request that arrives alone is
+//     served before anything sent after it on the same connection is looked
+//     at — a lone slow request delays the frames behind it, which a client
+//     that wants them overlapped avoids by writing them together or by
+//     using several connections;
 //   - admission control bounds the in-flight requests across all
 //     connections: when the server is saturated the reader blocks — TCP
 //     backpressure — for up to AdmitTimeout before failing the request with
 //     CodeOverload;
 //   - each request carries a deadline (client-requested, capped by the
 //     server); work that finishes past it is answered with CodeDeadline;
-//   - Shutdown drains in-flight requests, then closes connections.
+//   - the clock is read once per stage boundary of a request (frame in hand,
+//     decoded, admitted when that took a wait, executed, flushed) and those
+//     readings feed the span, the histograms, the deadline check and the
+//     socket deadlines, which are moved only when under half their interval
+//     is left;
+//   - Shutdown drains in-flight requests, inline ones included, then closes
+//     connections.
 package serve
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math"
@@ -346,10 +366,13 @@ type Server struct {
 	// sem holds one token per in-flight request.
 	sem chan struct{}
 
-	mu       sync.Mutex
-	lis      net.Listener
-	conns    map[net.Conn]struct{}
-	shutdown bool
+	mu    sync.Mutex
+	lis   net.Listener
+	conns map[net.Conn]struct{}
+	// shutdown is written under mu (Serve must not register a connection
+	// Shutdown's sweep has already passed) and read without it by every
+	// reader, once per frame.
+	shutdown atomic.Bool
 
 	connWG sync.WaitGroup // one per live connection
 
@@ -421,6 +444,9 @@ type serveMetrics struct {
 	// The Stats counters — the only copy; Stats() reads them back.
 	conns, served, overloads, deadlines, errors, shipments *obs.Counter
 	batches, batchQueries, updates                         *obs.Counter
+	// inline counts admitted requests served on their connection's reader,
+	// spawned those given a goroutine because input was queued behind them.
+	inline, spawned *obs.Counter
 	// execHist[kind][mode] is the execution-time histogram of one query
 	// shape; shipHist covers shipments, admitHist the admission wait,
 	// writeHist the response serialization + write.
@@ -464,6 +490,8 @@ func newServeMetrics(h *obs.Hub) serveMetrics {
 	m.batches = core.Counter("serve_batches_total")
 	m.batchQueries = core.Counter("serve_batch_queries_total")
 	m.updates = core.Counter("serve_updates_total")
+	m.inline = core.Counter("serve_inline_total")
+	m.spawned = core.Counter("serve_spawned_total")
 	for k, kindName := range kindNames {
 		for mo, mode := range [3]proto.Mode{proto.ModeData, proto.ModeIDs, proto.ModeFilter} {
 			m.execHist[k][mo] = reg.Histogram(
@@ -622,7 +650,7 @@ func (s *Server) Stats() Stats {
 // after a clean shutdown.
 func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()
-	if s.shutdown {
+	if s.shutdown.Load() {
 		s.mu.Unlock()
 		lis.Close()
 		return fmt.Errorf("serve: server is shut down")
@@ -637,16 +665,13 @@ func (s *Server) Serve(lis net.Listener) error {
 	for {
 		nc, err := lis.Accept()
 		if err != nil {
-			s.mu.Lock()
-			closing := s.shutdown
-			s.mu.Unlock()
-			if closing {
+			if s.inShutdown() {
 				return nil
 			}
 			return err
 		}
 		s.mu.Lock()
-		if s.shutdown {
+		if s.shutdown.Load() {
 			s.mu.Unlock()
 			nc.Close()
 			return nil
@@ -674,7 +699,7 @@ func (s *Server) ListenAndServe(addr string) error {
 // means wait forever) has passed.
 func (s *Server) Shutdown(timeout time.Duration) error {
 	s.mu.Lock()
-	s.shutdown = true
+	s.shutdown.Store(true)
 	lis := s.lis
 	// Poke every reader out of its blocking Read so it notices shutdown.
 	for nc := range s.conns {
@@ -706,7 +731,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 // Close stops the server immediately, dropping in-flight work.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	s.shutdown = true
+	s.shutdown.Store(true)
 	lis := s.lis
 	s.mu.Unlock()
 	if lis != nil {
@@ -725,16 +750,20 @@ func (s *Server) closeAllConns() {
 	s.mu.Unlock()
 }
 
-func (s *Server) inShutdown() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.shutdown
-}
+func (s *Server) inShutdown() bool { return s.shutdown.Load() }
 
 // conn is the per-connection state.
 type conn struct {
 	srv *Server
 	nc  net.Conn
+	// br buffers the socket for the reader: one read syscall brings in a whole
+	// small frame (or a pipelined burst), and what is still buffered behind a
+	// decoded frame is how dispatch tells a pipelining client from a lone
+	// request. A payload larger than the buffer bypasses it.
+	br *bufio.Reader
+	// readArmed is the read deadline currently set on nc, as the reader last
+	// set it (Shutdown's poke moves the real one without telling).
+	readArmed time.Time
 	// wmu guards the write state below. Responses are encoded into wbuf
 	// under wmu and flushed by whichever goroutine finds no flusher active —
 	// so concurrent pipelined responses coalesce into one syscall.
@@ -743,15 +772,60 @@ type conn struct {
 	wspare  []byte // retained buffer of the last flush, reused for wbuf
 	writing bool   // a flusher is draining wbuf
 	wclosed bool   // a write failed; the connection is dead
-	// pending counts this connection's in-flight request goroutines.
+	// writeArmed is the write deadline currently set on nc; only the active
+	// flusher reads or moves it.
+	writeArmed time.Time
+	// pending counts this connection's requests between admission and flush.
 	pending sync.WaitGroup
 }
 
-// readPollInterval is how often a blocked reader rechecks for shutdown.
-const readPollInterval = time.Second
+const (
+	// readPollInterval is how often a blocked reader rechecks for shutdown.
+	readPollInterval = time.Second
+	// connReadBuf sizes a connection's read buffer: room for a full
+	// 16-query batch frame, small enough that an idle connection costs
+	// next to nothing.
+	connReadBuf = 4 << 10
+)
+
+// armRead keeps a read deadline between half and one readPollInterval ahead
+// of now on the socket, moving it only when less than half is left: a busy
+// connection edits its poller timer about twice a second instead of once per
+// frame.
+func (c *conn) armRead(now time.Time) error {
+	if c.readArmed.Sub(now) >= readPollInterval/2 {
+		return nil
+	}
+	c.readArmed = now.Add(readPollInterval)
+	return c.nc.SetReadDeadline(c.readArmed)
+}
+
+func isTimeout(err error) bool {
+	var nerr net.Error
+	return errors.As(err, &nerr) && nerr.Timeout()
+}
+
+// Read is the io.Reader proto.ReadMessage decodes one frame from. A poll tick
+// that fires part-way through a frame is absorbed here: the bytes already
+// consumed cannot be handed back, so returning the timeout would leave the
+// next decode reading payload as a header. The read is re-armed and resumed
+// instead, unless the server is shutting down (armed before the check, for
+// the reason serveConn gives).
+func (c *conn) Read(p []byte) (int, error) {
+	for {
+		n, err := c.br.Read(p)
+		if n > 0 || !isTimeout(err) {
+			return n, err
+		}
+		c.readArmed = time.Time{} // spent, by the tick or by Shutdown's poke
+		if c.armRead(time.Now()) != nil || c.srv.inShutdown() {
+			return 0, err
+		}
+	}
+}
 
 func (s *Server) serveConn(nc net.Conn) {
-	c := &conn{srv: s, nc: nc}
+	c := &conn{srv: s, nc: nc, br: bufio.NewReaderSize(nc, connReadBuf)}
 	defer func() {
 		c.pending.Wait() // flush in-flight responses before closing
 		nc.Close()
@@ -761,29 +835,45 @@ func (s *Server) serveConn(nc net.Conn) {
 		s.connWG.Done()
 	}()
 
+	// now is the reader's latest clock reading: every stage boundary below
+	// reads the clock once and hands the reading on, and the last one of a
+	// frame arms the deadline for the next.
+	now := time.Now()
 	for {
 		// The deadline is armed before the shutdown check: if Shutdown's
 		// poke (SetReadDeadline(now)) lands between the check and a
 		// later arm, this ordering guarantees the poke wins and the read
 		// returns immediately — otherwise an idle connection could stall
-		// the drain for a full readPollInterval. A SetReadDeadline error
-		// means the socket is already torn down: drop the connection
-		// rather than risk a read that can never be interrupted.
-		if err := nc.SetReadDeadline(time.Now().Add(readPollInterval)); err != nil {
+		// the drain for a full readPollInterval. (When the armed deadline is
+		// recent enough to stand, nothing is set and the poke wins
+		// trivially.) A SetReadDeadline error means the socket is already
+		// torn down: drop the connection rather than risk a read that can
+		// never be interrupted.
+		if err := c.armRead(now); err != nil {
 			return
 		}
 		if s.inShutdown() {
 			return
 		}
-		msg, n, err := proto.ReadMessage(nc)
-		if err != nil {
-			var nerr net.Error
-			if errors.As(err, &nerr) && nerr.Timeout() {
-				continue // poll tick: recheck shutdown
+		if c.br.Buffered() == 0 {
+			// Wait for input by peeking: a timeout here has consumed nothing.
+			if _, err := c.br.Peek(1); err != nil {
+				if !isTimeout(err) {
+					return // EOF or peer reset
+				}
+				// Poll tick (or Shutdown's poke): the deadline is spent,
+				// re-arm and recheck shutdown.
+				c.readArmed, now = time.Time{}, time.Now()
+				continue
 			}
-			return // EOF, peer reset, or a protocol error: drop the conn
+		}
+		began := time.Now()
+		msg, n, err := proto.ReadMessage(c)
+		if err != nil {
+			return // EOF, peer reset, a protocol error, or shutdown mid-frame
 		}
 		arrived := time.Now()
+		now = arrived
 		s.metrics.rxBytes.Add(uint64(n))
 
 		switch m := msg.(type) {
@@ -791,118 +881,140 @@ func (s *Server) serveConn(nc net.Conn) {
 			// Pings bypass admission: they measure the link, not the server.
 			// write serializes the echo before returning, so releasing the
 			// pooled message afterwards is safe.
-			c.write(m)
+			c.write(m, arrived)
 			proto.ReleaseMessage(m)
 		case *proto.StatsReqMsg:
 			// Snapshots bypass admission too: observability must stay
 			// available when the server is saturated.
-			c.write(s.statsSnapshot(m.ID))
+			c.write(s.statsSnapshot(m.ID), arrived)
 		case *proto.SummaryReqMsg:
 			// Summaries bypass admission like stats: a router must be able
 			// to (re-)register against a saturated backend.
-			c.write(s.summaryReply(m.ID))
+			c.write(s.summaryReply(m.ID), arrived)
 		case *proto.QueryMsg:
-			c.dispatch(m, arrived, m.TimeoutMicros)
+			now = c.dispatch(m, began, arrived, m.TimeoutMicros)
 		case *proto.BatchQueryMsg:
-			c.dispatch(m, arrived, m.TimeoutMicros)
+			now = c.dispatch(m, began, arrived, m.TimeoutMicros)
 		case *proto.NNQueryMsg:
-			c.dispatch(m, arrived, m.TimeoutMicros)
+			now = c.dispatch(m, began, arrived, m.TimeoutMicros)
 		case *proto.ShipmentReqMsg:
-			c.dispatch(m, arrived, m.TimeoutMicros)
+			now = c.dispatch(m, began, arrived, m.TimeoutMicros)
 		case *proto.InsertMsg:
-			c.dispatch(m, arrived, m.TimeoutMicros)
+			now = c.dispatch(m, began, arrived, m.TimeoutMicros)
 		case *proto.DeleteMsg:
-			c.dispatch(m, arrived, m.TimeoutMicros)
+			now = c.dispatch(m, began, arrived, m.TimeoutMicros)
 		case *proto.MoveMsg:
-			c.dispatch(m, arrived, m.TimeoutMicros)
+			now = c.dispatch(m, began, arrived, m.TimeoutMicros)
 		default:
 			s.metrics.errors.Inc()
 			c.write(&proto.ErrorMsg{ID: msg.RequestID(), Code: proto.CodeBadRequest,
-				Text: fmt.Sprintf("unexpected %v message", msg.Type())})
+				Text: fmt.Sprintf("unexpected %v message", msg.Type())}, arrived)
 			proto.ReleaseMessage(msg)
 		}
 	}
 }
 
-// dispatch admits req and runs it in its own goroutine — the pipelining
-// point: the reader immediately returns to the next frame.
-func (c *conn) dispatch(req proto.Message, arrived time.Time, timeoutMicros uint32) {
+// dispatch admits req and runs it to completion: on this goroutine — the
+// connection's reader — when no input is buffered behind its frame, in a
+// goroutine of its own when there is. Queued input is a pipelining client;
+// for it the reader goes straight back to the next frame, and answers may
+// leave out of order. A lone request, which is every request of a client that
+// waits for each reply, skips the goroutine hand-off and its cold stack. The
+// began and arrived readings were taken before and after the frame's decode;
+// the return value is the latest reading taken on this goroutine.
+func (c *conn) dispatch(req proto.Message, began, arrived time.Time, timeoutMicros uint32) time.Time {
 	s := c.srv
 	timeout := s.cfg.RequestTimeout
 	if t := time.Duration(timeoutMicros) * time.Microsecond; t > 0 && t < timeout {
 		timeout = t
 	}
-	deadline := arrived.Add(timeout)
 
 	// Admission control. Blocking here stalls this connection's reader —
 	// deliberate backpressure — but never past AdmitTimeout.
+	admitted := arrived
 	select {
 	case s.sem <- struct{}{}:
 	default:
-		admitWait := s.cfg.AdmitTimeout
-		if rest := time.Until(deadline); rest < admitWait {
-			admitWait = rest
-		}
-		timer := time.NewTimer(admitWait)
+		timer := time.NewTimer(min(s.cfg.AdmitTimeout, timeout))
 		select {
 		case s.sem <- struct{}{}:
 			timer.Stop()
+			admitted = time.Now()
 		case <-timer.C:
+			refused := time.Now()
 			s.metrics.overloads.Inc()
 			c.write(&proto.ErrorMsg{ID: req.RequestID(), Code: proto.CodeOverload,
-				Text: "admission queue full"})
+				Text: "admission queue full"}, refused)
 			proto.ReleaseMessage(req)
-			return
+			return refused
 		}
 	}
-	admitted := time.Now()
 	s.metrics.admitHist.Observe(admitted.Sub(arrived).Seconds())
 
 	c.pending.Add(1)
-	go func() {
-		defer func() {
-			<-s.sem
-			c.pending.Done()
-		}()
-		var sp *obs.Span
-		if h := s.cfg.Obs; h != nil {
-			sp = h.Trace.Start(reqKind(req))
-		}
-		sp.Lap(obs.StageParse, admitted.Sub(arrived).Seconds())
-		sp.Begin(obs.StageIndexWalk)
-		sc := s.getScratch()
-		execStart := time.Now()
-		resp, panicked := s.safeExecute(req, sc, deadline)
-		execSec := time.Since(execStart).Seconds()
-		s.observeExec(req, execSec)
-		if time.Now().After(deadline) {
-			s.metrics.deadlines.Inc()
-			resp = &proto.ErrorMsg{ID: req.RequestID(), Code: proto.CodeDeadline,
-				Text: fmt.Sprintf("request exceeded %v deadline", timeout)}
-		}
-		if _, ok := resp.(*proto.ErrorMsg); ok {
-			if resp.(*proto.ErrorMsg).Code != proto.CodeDeadline {
-				s.metrics.errors.Inc()
-			}
-			sp.SetErr()
-		} else {
-			s.metrics.served.Inc()
-		}
-		sp.Begin(obs.StageSerialize)
-		writeStart := time.Now()
-		// write serializes resp before returning, so the scratch the
-		// response aliases can be pooled again immediately after.
-		c.write(resp)
-		s.metrics.writeHist.Observe(time.Since(writeStart).Seconds())
-		if !panicked {
-			// A panicking execution may have left the scratch in an
-			// inconsistent state (e.g. a half-built pooled slice); drop it
-			// rather than recycle it.
-			s.putScratch(sc)
-		}
-		proto.ReleaseMessage(req)
-		sp.Finish()
+	if c.br.Buffered() > 0 {
+		s.metrics.spawned.Inc()
+		go c.run(req, began, arrived, admitted, timeout)
+		return admitted
+	}
+	s.metrics.inline.Inc()
+	return c.run(req, began, arrived, admitted, timeout)
+}
+
+// run serves one admitted request — execute, encode, flush — and returns its
+// last clock reading. It is the whole handler, whichever goroutine dispatch
+// put it on. The clock is read once per stage boundary (executed, flushed;
+// began, arrived and admitted came with the request), and those readings are
+// all the span, the histograms, the deadline check and the write deadline
+// get. For a spawned request the wait to be scheduled falls between admitted
+// and executed, so it counts as execution.
+func (c *conn) run(req proto.Message, began, arrived, admitted time.Time, timeout time.Duration) time.Time {
+	s := c.srv
+	defer func() {
+		<-s.sem
+		c.pending.Done()
 	}()
+	var sp *obs.Span
+	if h := s.cfg.Obs; h != nil {
+		sp = h.Trace.StartAt(reqKind(req), began)
+	}
+	sp.Lap(obs.StageParse, admitted.Sub(began).Seconds())
+	sc := s.getScratch()
+	deadline := arrived.Add(timeout)
+	resp, panicked := s.safeExecute(req, sc, deadline)
+	executed := time.Now()
+	execSec := executed.Sub(admitted).Seconds()
+	s.observeExec(req, execSec)
+	sp.Lap(obs.StageIndexWalk, execSec)
+	if executed.After(deadline) {
+		s.metrics.deadlines.Inc()
+		resp = &proto.ErrorMsg{ID: req.RequestID(), Code: proto.CodeDeadline,
+			Text: fmt.Sprintf("request exceeded %v deadline", timeout)}
+	}
+	if em, ok := resp.(*proto.ErrorMsg); ok {
+		if em.Code != proto.CodeDeadline {
+			s.metrics.errors.Inc()
+		}
+		sp.SetErr()
+	} else {
+		s.metrics.served.Inc()
+	}
+	// write serializes resp before returning, so the scratch the
+	// response aliases can be pooled again immediately after.
+	c.write(resp, executed)
+	flushed := time.Now()
+	writeSec := flushed.Sub(executed).Seconds()
+	s.metrics.writeHist.Observe(writeSec)
+	sp.Lap(obs.StageSerialize, writeSec)
+	if !panicked {
+		// A panicking execution may have left the scratch in an
+		// inconsistent state (e.g. a half-built pooled slice); drop it
+		// rather than recycle it.
+		s.putScratch(sc)
+	}
+	proto.ReleaseMessage(req)
+	sp.FinishAt(flushed)
+	return flushed
 }
 
 // reqKind labels a request for spans and histograms.
@@ -964,8 +1076,9 @@ const maxRetainedWriteBuf = 1 << 20
 // flushing, the frame is left for it to pick up: pipelined responses that
 // land while a write syscall is in progress all go out in the next write,
 // which is how N batched or pipelined responses cost O(1) syscalls. Write
-// errors drop the connection (the reader will notice on its next poll).
-func (c *conn) write(m proto.Message) {
+// errors drop the connection (the reader will notice on its next poll). now
+// is the caller's latest clock reading, for the write deadline.
+func (c *conn) write(m proto.Message, now time.Time) {
 	s := c.srv
 	c.wmu.Lock()
 	if c.wclosed {
@@ -985,16 +1098,27 @@ func (c *conn) write(m proto.Message) {
 		return
 	}
 	c.writing = true
-	for len(c.wbuf) > 0 && !c.wclosed {
+	for first := true; len(c.wbuf) > 0 && !c.wclosed; first = false {
 		buf := c.wbuf
 		c.wbuf = c.wspare[:0]
 		c.wspare = nil
 		c.wmu.Unlock()
 
 		// An unarmed write deadline would let a stalled peer pin this
-		// writer forever; if arming fails the socket is already broken, so
-		// skip the write and tear the connection down below.
-		werr := c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
+		// writer forever, so every write starts with between half and one
+		// writeTimeout left on the socket; the deadline moves only when less
+		// than half is. A flusher still draining other goroutines' frames
+		// after its own cannot vouch for the caller's reading any more and
+		// takes a fresh one. If arming fails the socket is already broken,
+		// so skip the write and tear the connection down below.
+		if !first {
+			now = time.Now()
+		}
+		var werr error
+		if c.writeArmed.Sub(now) < writeTimeout/2 {
+			c.writeArmed = now.Add(writeTimeout)
+			werr = c.nc.SetWriteDeadline(c.writeArmed)
+		}
 		if werr == nil {
 			var n int
 			n, werr = c.nc.Write(buf)

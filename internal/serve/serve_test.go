@@ -454,7 +454,9 @@ func TestDeadline(t *testing.T) {
 }
 
 // TestGracefulShutdown verifies Shutdown drains in-flight requests (their
-// responses arrive) and then refuses new connections.
+// responses arrive) and then refuses new connections. The request is alone on
+// its connection, so what Shutdown waits out is the connection's reader
+// itself, mid-execution.
 func TestGracefulShutdown(t *testing.T) {
 	_, _, srv, addr := testWorld(t, func(cfg *Config) {
 		cfg.testDelay = 150 * time.Millisecond
@@ -486,6 +488,9 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+	if in, sp := srv.metrics.inline.Value(), srv.metrics.spawned.Value(); in != 1 || sp != 0 {
+		t.Fatalf("inline=%d spawned=%d: the drained request did not run on its reader", in, sp)
 	}
 
 	// New connections must be refused (or immediately closed).
