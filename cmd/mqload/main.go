@@ -59,16 +59,23 @@
 //	             whose routing or caching lags its writes
 //	-batch       queries per wire exchange (default 1; at most 256)
 //	-planner     route queries through the partitioning planner against a
-//	             shipped sub-index instead of always offloading
+//	             shipped sub-index instead of always offloading; a covered
+//	             query runs at the client only while the shipment is provably
+//	             fresh (the server unwritten as of a reply at most 1 s old,
+//	             and no write of this run acked) — otherwise it is planned
+//	             fully-server, like an uncovered one
 //	-shipw       planner: half-width in meters of the shipment window
 //	             (default 5000)
 //	-shipbudget  planner: shipment memory budget in bytes (default 4MB)
 //	-fault       fault-injection profile applied to every connection: a
 //	             preset (lossy, slow, stall, outage, flaky), a key=value
 //	             list, or both — "lossy,drop=0.1" (see internal/faultlink)
-//	-fallback    arm the circuit breaker and a full local index: when the
-//	             link fails, queries are answered at the client (the paper's
-//	             all-client scheme as a degraded mode)
+//	-fallback    arm the circuit breaker and hold the whole map at the
+//	             client as a shipment: when the link fails, queries are
+//	             answered locally (the paper's all-client scheme as a
+//	             degraded mode, reported as fallback-local). With -planner
+//	             the fetched shipment replaces it, so degraded coverage is
+//	             the shipment window — where every planner query lands
 //	-serverstats append the server's side of the run: shard fan-out, result
 //	             cache, update subsystem, and its full metrics snapshot
 //
@@ -90,6 +97,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -98,11 +106,9 @@ import (
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/faultlink"
+	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
-	"mobispatial/internal/ops"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
-	"mobispatial/internal/rtree"
 	"mobispatial/internal/serve/client"
 )
 
@@ -227,19 +233,25 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "mqload: fault injection on: %s\n", prof)
 	}
 
-	// Local fallback: index the server's deterministic dataset at the client
-	// (data present at client), arm the breaker, and degrade to the
-	// all-client scheme whenever the link fails.
+	// Local fallback: hold the server's deterministic dataset at the client
+	// as a whole-map shipment (data present at client), arm the breaker, and
+	// degrade to the all-client scheme whenever the link fails. Built here,
+	// the shipment carries no epoch: it can stand in for a dead link, never
+	// be chosen over a live one.
 	if *fallback {
-		tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
+		recs := make([]proto.Record, ds.Len())
+		for i, seg := range ds.Segments {
+			recs[i] = proto.Record{ID: uint32(i), Seg: seg}
+		}
+		inf := math.Inf(1)
+		ship, err := client.NewShipment(&proto.ShipmentMsg{
+			Coverage: geom.Rect{Min: geom.Point{X: -inf, Y: -inf}, Max: geom.Point{X: inf, Y: inf}},
+			Records:  recs,
+		})
 		if err != nil {
 			return fmt.Errorf("fallback index: %w", err)
 		}
-		pool, err := parallel.New(ds, tree, 0)
-		if err != nil {
-			return fmt.Errorf("fallback pool: %w", err)
-		}
-		cfg.Fallback = client.NewPoolFallback(pool)
+		cfg.Shipment = ship
 		cfg.Breaker = client.BreakerConfig{Enabled: true}
 		fmt.Fprintf(out, "mqload: local fallback armed (%d records indexed, breaker on)\n", ds.Len())
 	}

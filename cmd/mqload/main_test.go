@@ -129,6 +129,8 @@ func TestEveryWorkloadRunsToOneReport(t *testing.T) {
 		{"batch", static, "-batch 8", []string{"  batching  8 queries/exchange"}},
 		{"planner", static, "-planner", []string{"scheme breakdown"}},
 		{"zipf planner", static, "-zipf 1.5 -planner", []string{"scheme breakdown"}},
+		{"fallback idle", static, "-fallback", []string{"local fallback armed", "  fallback  0 queries answered locally"}},
+		{"fallback dead link", "127.0.0.1:1", "-fallback", []string{"continuing degraded", "  breaker   open", "(0 local failures)"}},
 		{"drift", updatable, "-drift -phases 3 -serverstats", []string{"  phase 2   ", "  mutable   "}},
 		{"drift batch", updatable, "-drift -batch 8", []string{"  phase 3   ", "  batching  "}},
 		{"moving readback", updatable, "-moving -readback -vehicles 8", []string{"  writes    ", "  reads     ", "  staleness ", "  acks      0 not-owned"}},

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mobispatial/internal/faultlink"
+	"mobispatial/internal/nic"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/serve/client"
 )
@@ -85,7 +86,7 @@ func printWireReport(out io.Writer, ws client.WireStats, bwBps float64, batch in
 		return
 	}
 	if bwBps <= 0 {
-		bwBps = 2e6 // the paper's base bandwidth when unmeasured
+		bwBps = nic.BaseBandwidthBps
 	}
 	em := obs.DefaultEnergyModel()
 	q := float64(ws.Queries)

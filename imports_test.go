@@ -44,3 +44,17 @@ func TestServingImportGraph(t *testing.T) {
 		}
 	}
 }
+
+// TestClientHoldsOneLocalEngine: the only index internal/serve/client may
+// execute a query against is the shipment's own packed tree (client/local.go,
+// runLocal). A direct import of internal/parallel is how a second local
+// engine came in once (PoolFallback); it must not come back unnoticed.
+func TestClientHoldsOneLocalEngine(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", `{{join .Imports "\n"}}`, "./internal/serve/client").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	if slices.Contains(strings.Fields(string(out)), "mobispatial/internal/parallel") {
+		t.Error("internal/serve/client imports internal/parallel directly: a second local engine beside Shipment.Answer")
+	}
+}

@@ -51,6 +51,9 @@ const (
 	// SleepExitLatency is the time to transition from SLEEP to an active
 	// state [29].
 	SleepExitLatency = 470e-6
+	// BaseBandwidthBps is the paper's base effective bandwidth, 2 Mbps: what
+	// the live client prices an exchange at until it has measured its link.
+	BaseBandwidthBps = 2e6
 )
 
 // TxPowerAt returns the transmit power at the given range in meters, using a

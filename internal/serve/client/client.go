@@ -4,7 +4,7 @@
 // effective bandwidth) feeding the partitioning planner — the live
 // counterpart of the paper's effective-bandwidth parameter B — and
 // disconnection tolerance: a circuit breaker (breaker.go) that fails fast
-// on a dead link and degrades gracefully to local execution (fallback.go).
+// on a dead link and degrades gracefully to local execution (local.go).
 package client
 
 import (
@@ -19,8 +19,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mobispatial/internal/core"
 	"mobispatial/internal/geom"
+	"mobispatial/internal/nic"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
 )
@@ -54,26 +54,21 @@ type Config struct {
 	// transient failures trip it open, open requests fail fast with
 	// ErrBreakerOpen, and probe pings re-close it when the link returns.
 	Breaker BreakerConfig
-	// Fallback, when set, answers point/range/NN queries locally whenever
-	// the breaker is open or a request exhausts its retries — graceful
-	// degradation to the paper's all-client scheme. Nil keeps failures
-	// as errors.
-	Fallback Fallback
-	// SemanticCache additionally uses Fallback on the HAPPY path: a query
-	// covered by the local state is answered without touching the radio as
-	// long as the state's epoch matches the server's latest reply hint
-	// (see semantic.go). Requires Fallback to implement EpochFallback
-	// (*Shipment does).
-	SemanticCache bool
-	// SemanticMaxAge bounds how long the semantic cache may trust the last
-	// epoch hint without hearing from the server; defaults to 1s. Older
-	// hints force one wire exchange, whose reply renews freshness when the
-	// epoch is unchanged.
-	SemanticMaxAge time.Duration
+	// Shipment, when set, seeds the client's local state (see local.go) the
+	// way FetchShipment would install it. With Epoch 0 — a sub-index the
+	// caller built itself — it can only ever serve degraded: point, range and
+	// NN queries it covers are answered locally whenever the breaker is open
+	// or a request exhausts its retries. Nil keeps failures as errors until
+	// a shipment is fetched.
+	Shipment *Shipment
 	// Dial overrides the transport dialer. Tests and cmd/mqload use it to
 	// slot an internal/faultlink injector under the client. Nil dials
 	// plain TCP.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
+
+	// maxAge is localMaxAge unless a test set it, to step over or stay
+	// inside the freshness bound without sleeping a second.
+	maxAge time.Duration
 }
 
 func (c *Config) fill() error {
@@ -100,8 +95,8 @@ func (c *Config) fill() error {
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 250 * time.Millisecond
 	}
-	if c.SemanticMaxAge <= 0 {
-		c.SemanticMaxAge = time.Second
+	if c.maxAge <= 0 {
+		c.maxAge = localMaxAge
 	}
 	return nil
 }
@@ -125,35 +120,24 @@ type Client struct {
 	retries atomic.Uint64
 	wire    wireCounters
 
-	// brk gates requests when the link is failing; fallback answers them
-	// locally while it is open. Degraded-mode accounting lives in the
-	// atomic counters and CAS-accumulating gauges below.
+	// brk gates requests when the link is failing; while it is open the
+	// local state answers what it covers. Degraded-mode accounting lives in
+	// the atomic counters and CAS-accumulating gauges below.
 	brk            *breaker
-	fallback       Fallback
 	fallbacks      atomic.Uint64
 	fallbackErrs   atomic.Uint64
-	fallbackJ      obs.Gauge // modeled Joules of local fallback execution
+	fallbackJ      obs.Gauge // modeled Joules of degraded local execution
 	remoteNICJ     obs.Gauge // modeled NIC Joules of remote exchanges
 	energy         obs.EnergyModel
 	backoffRng     func() float64 // uniform [0,1) for full-jitter backoff
 	backoffRngLock sync.Mutex
 
-	// Semantic-cache state (semantic.go): the epoch-aware fallback, the
-	// freshest server epoch hint with its arrival time, and the hit
-	// accounting.
-	semFallback EpochFallback
-	lastHint    atomic.Uint64
-	lastHintAt  atomic.Int64 // unix nanos of the latest hint
-	// semRetired latches once any reply's hint disagrees with the
-	// fallback's build epoch — proof of a server-side write. Sticky:
-	// epoch hints are fingerprints, not ordered, so a delayed reply that
-	// still carries the old hint cannot prove the write un-happened and
-	// must not resurrect the local answers. The fallback is fixed at
-	// construction, so there is no reset path.
-	semRetired atomic.Bool
-	semHits    atomic.Uint64
-	semLocalJ  obs.Gauge // modeled Joules of semantic local answers
-	semSavedJ  obs.Gauge // modeled NIC Joules the avoided exchanges cost
+	// local is the shipment and the evidence of its freshness (local.go);
+	// nil until a shipment is seeded or fetched. writes counts this
+	// client's acked writes, so a shipment fetched while one was in flight
+	// is installed already retired.
+	local  atomic.Pointer[localState]
+	writes atomic.Uint64
 
 	hub     *obs.Hub
 	metrics clientMetrics
@@ -178,25 +162,20 @@ func New(cfg Config) (*Client, error) {
 	}
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	c := &Client{
-		cfg:      cfg,
-		sem:      make(chan struct{}, cfg.Conns),
-		brk:      newBreaker(cfg.Breaker),
-		fallback: cfg.Fallback,
-		energy:   em,
-		hub:      cfg.Obs,
-		metrics:  newClientMetrics(cfg.Obs),
+		cfg:     cfg,
+		sem:     make(chan struct{}, cfg.Conns),
+		brk:     newBreaker(cfg.Breaker),
+		energy:  em,
+		hub:     cfg.Obs,
+		metrics: newClientMetrics(cfg.Obs),
 	}
 	c.backoffRng = func() float64 {
 		c.backoffRngLock.Lock()
 		defer c.backoffRngLock.Unlock()
 		return rng.Float64()
 	}
-	if cfg.SemanticCache {
-		ef, ok := cfg.Fallback.(EpochFallback)
-		if !ok {
-			return nil, fmt.Errorf("client: SemanticCache requires a Fallback with an epoch hint (e.g. *Shipment)")
-		}
-		c.semFallback = ef
+	if cfg.Shipment != nil {
+		c.install(cfg.Shipment, time.Time{})
 	}
 	return c, nil
 }
@@ -507,11 +486,7 @@ func (c *Client) roundTrip(req proto.Message, deadline time.Time) (proto.Message
 	c.wire.bytesTx.Add(uint64(sentBytes))
 	c.wire.bytesRx.Add(uint64(respBytes))
 	c.wire.exchanges.Add(1)
-	bw := est.BandwidthBps
-	if bw <= 0 {
-		bw = 2e6 // the paper's base bandwidth when unmeasured
-	}
-	remoteJ := c.energy.NICExchangeJoules(sentBytes, respBytes, 1, bw)
+	remoteJ := c.energy.NICExchangeJoules(sentBytes, respBytes, 1, est.pricingBps())
 	c.remoteNICJ.Add(remoteJ)
 	c.metrics.remoteJoules.Add(remoteJ)
 	if c.hub != nil {
@@ -644,83 +619,22 @@ func localAnswer(mode proto.Mode, recs []proto.Record) ([]uint32, []proto.Record
 	return ids, nil
 }
 
-// queryWithFallback runs q remotely, degrading to local execution when the
-// error is transient (breaker open, retries exhausted, overload/shutdown)
-// and the configured Fallback covers the query. Like query, it owns q.
-// With the semantic cache enabled and provably fresh for q, the exchange is
-// skipped entirely and the answer comes from the local sub-index.
-func (c *Client) queryWithFallback(q *proto.QueryMsg) ([]uint32, []proto.Record, error) {
-	if ids, recs, ok := c.trySemantic(q); ok {
-		return ids, recs, nil
+// ask runs q on the wire and, when the link cannot answer and the installed
+// shipment covers q, at the client instead (degrade). Like query, it owns q.
+// sp is the caller's span, nil when it has none; degraded tells a caller
+// that planned otherwise where the answer came from.
+func (c *Client) ask(q *proto.QueryMsg, sp *obs.Span) (ids []uint32, recs []proto.Record, degraded bool, err error) {
+	mode := q.Mode
+	cq, canLocal := coreQuery(q) // capture before query releases q
+	ids, recs, err = c.query(q)
+	if err == nil || !canLocal {
+		return ids, recs, false, err
 	}
-	var (
-		cq       core.Query
-		canLocal bool
-		mode     = q.Mode
-	)
-	if c.fallback != nil {
-		cq, canLocal = coreQuery(q) // capture before query releases q
+	if recs, err = c.degrade(cq, err, sp); err != nil {
+		return nil, nil, false, err
 	}
-	ids, recs, err := c.query(q)
-	if err == nil || !canLocal || !fallbackEligible(err) || !c.fallback.Covers(cq) {
-		return ids, recs, err
-	}
-	frecs, ferr := c.runFallback(cq)
-	if ferr != nil {
-		return nil, nil, fmt.Errorf("client: remote failed (%v); local fallback failed: %w", err, ferr)
-	}
-	ids, recs = localAnswer(mode, frecs)
-	return ids, recs, nil
-}
-
-// fallbackEligible reports whether a query failure invites local fallback:
-// anything except a definitive non-transient server verdict (bad request,
-// unsupported) — those would fail identically anywhere.
-func fallbackEligible(err error) bool {
-	var em *proto.ErrorMsg
-	if errors.As(err, &em) {
-		return transientCode(em.Code)
-	}
-	return true
-}
-
-// runLocal executes cq against a local index with a span under the given
-// scheme and the modeled compute cost attributed — the shared engine of the
-// degraded-mode fallback and the semantic cache's happy-path hits.
-func (c *Client) runLocal(f Fallback, cq core.Query, scheme string) (recs []proto.Record, sec, joules float64, err error) {
-	var sp *obs.Span
-	if c.hub != nil {
-		sp = c.hub.Trace.Start(queryKindName(cq.Kind))
-		sp.SetScheme(scheme)
-	}
-	start := time.Now()
-	recs, err = f.Answer(cq, 0)
-	sec = time.Since(start).Seconds()
-	sp.Lap(obs.StageFallback, sec)
-	j, cy := c.energy.Compute(sec)
-	sp.Attribute(obs.StageFallback, j, cy)
-	if err != nil {
-		sp.SetErr()
-	}
-	sp.Finish()
-	return recs, sec, j, err
-}
-
-// runFallback executes cq against the local fallback with degraded-mode
-// accounting: a span staged as StageFallback, modeled local-compute Joules,
-// and the fallback counters.
-func (c *Client) runFallback(cq core.Query) ([]proto.Record, error) {
-	recs, sec, j, err := c.runLocal(c.fallback, cq, "fallback-local")
-	if err != nil {
-		c.fallbackErrs.Add(1)
-		return nil, err
-	}
-	c.fallbacks.Add(1)
-	c.fallbackJ.Add(j)
-	c.metrics.fallbacks.Inc()
-	c.metrics.fallbackHist.Observe(sec)
-	c.metrics.fallbackJoules.Add(j)
-	return recs, nil
+	ids, recs = localAnswer(mode, recs)
+	return ids, recs, true, nil
 }
 
 // Range answers a window query, returning full records (fully-server, data
@@ -728,7 +642,7 @@ func (c *Client) runFallback(cq core.Query) ([]proto.Record, error) {
 func (c *Client) Range(w geom.Rect) ([]proto.Record, error) {
 	q := proto.AcquireQuery()
 	q.Kind, q.Mode, q.Window = proto.KindRange, proto.ModeData, w
-	_, recs, err := c.queryWithFallback(q)
+	_, recs, _, err := c.ask(q, nil)
 	return recs, err
 }
 
@@ -737,7 +651,7 @@ func (c *Client) Range(w geom.Rect) ([]proto.Record, error) {
 func (c *Client) RangeIDs(w geom.Rect) ([]uint32, error) {
 	q := proto.AcquireQuery()
 	q.Kind, q.Mode, q.Window = proto.KindRange, proto.ModeIDs, w
-	ids, _, err := c.queryWithFallback(q)
+	ids, _, _, err := c.ask(q, nil)
 	return ids, err
 }
 
@@ -755,7 +669,7 @@ func (c *Client) FilterRange(w geom.Rect) ([]uint32, error) {
 func (c *Client) Point(p geom.Point, eps float64) ([]proto.Record, error) {
 	q := proto.AcquireQuery()
 	q.Kind, q.Mode, q.Point, q.Eps = proto.KindPoint, proto.ModeData, p, eps
-	_, recs, err := c.queryWithFallback(q)
+	_, recs, _, err := c.ask(q, nil)
 	return recs, err
 }
 
@@ -763,7 +677,7 @@ func (c *Client) Point(p geom.Point, eps float64) ([]proto.Record, error) {
 func (c *Client) PointIDs(p geom.Point, eps float64) ([]uint32, error) {
 	q := proto.AcquireQuery()
 	q.Kind, q.Mode, q.Point, q.Eps = proto.KindPoint, proto.ModeIDs, p, eps
-	ids, _, err := c.queryWithFallback(q)
+	ids, _, _, err := c.ask(q, nil)
 	return ids, err
 }
 
@@ -772,7 +686,7 @@ func (c *Client) PointIDs(p geom.Point, eps float64) ([]uint32, error) {
 func (c *Client) Nearest(p geom.Point) (*proto.Record, error) {
 	q := proto.AcquireQuery()
 	q.Kind, q.Mode, q.Point = proto.KindNN, proto.ModeData, p
-	_, recs, err := c.queryWithFallback(q)
+	_, recs, _, err := c.ask(q, nil)
 	if err != nil || len(recs) == 0 {
 		return nil, err
 	}
@@ -786,7 +700,7 @@ func (c *Client) KNearest(p geom.Point, k int) ([]proto.Record, error) {
 	}
 	q := proto.AcquireQuery()
 	q.Kind, q.Mode, q.Point, q.K = proto.KindNN, proto.ModeData, p, uint16(k)
-	_, recs, err := c.queryWithFallback(q)
+	_, recs, _, err := c.ask(q, nil)
 	return recs, err
 }
 
@@ -804,7 +718,7 @@ type BatchResult struct {
 // terms — one NIC wakeup instead of N. The ID and TimeoutMicros fields of
 // the given queries are managed by the client; the deadline governs the
 // whole batch. Transient failures retry the whole batch; if the exchange
-// still fails and a Fallback is configured, each covered query is answered
+// still fails and the client holds a shipment, each covered query is answered
 // locally. Per-query failures (e.g. an over-limit k) come back as per-item
 // Errs, not an exchange error.
 //
@@ -818,7 +732,7 @@ func (c *Client) QueryBatch(qs []proto.QueryMsg) ([]BatchResult, error) {
 	}
 	r, err := c.batchCall(qs, time.Time{})
 	if err != nil {
-		if out, ok := c.batchFallback(qs, err); ok {
+		if out, ok := c.batchDegrade(qs, err); ok {
 			return out, nil
 		}
 		return nil, err
@@ -863,22 +777,22 @@ func (c *Client) batchCall(qs []proto.QueryMsg, deadline time.Time) (*proto.Batc
 	return r, err
 }
 
-// batchFallback answers a failed batch locally, query by query. ok is false
-// when no fallback is configured or the exchange failure was not transient;
-// otherwise every query gets a result (uncovered ones carry per-item Errs),
-// matching the batch contract.
-func (c *Client) batchFallback(qs []proto.QueryMsg, cause error) ([]BatchResult, bool) {
-	if c.fallback == nil || !fallbackEligible(cause) {
+// batchDegrade answers a failed batch locally, query by query. ok is false
+// when the client holds no shipment or the exchange failure was not
+// transient; otherwise every query gets a result (uncovered ones carry the
+// link's error per item), matching the batch contract.
+func (c *Client) batchDegrade(qs []proto.QueryMsg, cause error) ([]BatchResult, bool) {
+	if c.local.Load() == nil || !degradable(cause) {
 		return nil, false
 	}
 	out := make([]BatchResult, len(qs))
 	for i := range qs {
 		cq, ok := coreQuery(&qs[i])
-		if !ok || !c.fallback.Covers(cq) {
-			out[i].Err = fmt.Errorf("client: not covered by local fallback: %w", cause)
+		if !ok {
+			out[i].Err = cause
 			continue
 		}
-		recs, err := c.runFallback(cq)
+		recs, err := c.degrade(cq, cause, nil)
 		if err != nil {
 			out[i].Err = err
 			continue
@@ -929,6 +843,15 @@ type LinkEstimate struct {
 	BandwidthBps float64
 	// Samples is the number of round trips observed.
 	Samples int
+}
+
+// pricingBps is the bandwidth an exchange is priced at: the measured one, or
+// the paper's base bandwidth until a measurement exists.
+func (e LinkEstimate) pricingBps() float64 {
+	if e.BandwidthBps <= 0 {
+		return nic.BaseBandwidthBps
+	}
+	return e.BandwidthBps
 }
 
 // Link returns the current link estimate.

@@ -3,8 +3,8 @@
 // backend legs through. Unlike the mobile-facing calls (Range, KNearest,
 // ...), these copy replies into caller-owned buffers and release the pooled
 // reply message before returning, so a router serving thousands of fan-outs
-// per second recycles every message shell. None of them consult the local
-// Fallback — a router leg that fails must surface the failure so the router
+// per second recycles every message shell. None of them degrade to the local
+// state — a router leg that fails must surface the failure so the router
 // can fail over to a replica, not answer from a stale local index.
 package client
 

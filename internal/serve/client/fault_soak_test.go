@@ -8,6 +8,7 @@ package client_test
 
 import (
 	"errors"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -18,6 +19,7 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/faultlink"
 	"mobispatial/internal/geom"
+	"mobispatial/internal/obs"
 	"mobispatial/internal/ops"
 	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
@@ -67,11 +69,46 @@ func faultWorld(t testing.TB) (*dataset.Dataset, *parallel.Pool, string) {
 	return ds, pool, lis.Addr().String()
 }
 
+// wholeMap is the all-client scheme's local state: every record of ds in a
+// shipment whose coverage is the plane. Built by its caller it carries no
+// epoch, so it only ever serves degraded.
+func wholeMap(t testing.TB, ds *dataset.Dataset) *client.Shipment {
+	t.Helper()
+	recs := make([]proto.Record, ds.Len())
+	for i, seg := range ds.Segments {
+		recs[i] = proto.Record{ID: uint32(i), Seg: seg}
+	}
+	inf := math.Inf(1)
+	ship, err := client.NewShipment(&proto.ShipmentMsg{
+		Coverage: geom.Rect{Min: geom.Point{X: -inf, Y: -inf}, Max: geom.Point{X: inf, Y: inf}},
+		Records:  recs,
+	})
+	if err != nil {
+		t.Fatalf("whole-map shipment: %v", err)
+	}
+	return ship
+}
+
 // faultClient builds a client dialing through inj, with the breaker and
-// (optionally) a full-pool local fallback.
+// (optionally) the whole map as its local state.
 func faultClient(t testing.TB, addr string, inj *faultlink.Injector, pool *parallel.Pool, withFallback bool) *client.Client {
 	t.Helper()
-	cfg := client.Config{
+	cfg := faultConfig(addr, inj)
+	if withFallback {
+		cfg.Shipment = wholeMap(t, pool.Dataset())
+	}
+	c, err := client.New(cfg)
+	if err != nil {
+		t.Fatalf("client: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// faultConfig is the degraded-link suite's client: short timeouts, a
+// three-failure breaker, every connection dialed through inj.
+func faultConfig(addr string, inj *faultlink.Injector) client.Config {
+	return client.Config{
 		Addr:           addr,
 		Conns:          4,
 		DialTimeout:    time.Second,
@@ -86,15 +123,6 @@ func faultClient(t testing.TB, addr string, inj *faultlink.Injector, pool *paral
 		},
 		Dial: inj.DialFunc(nil),
 	}
-	if withFallback {
-		cfg.Fallback = client.NewPoolFallback(pool)
-	}
-	c, err := client.New(cfg)
-	if err != nil {
-		t.Fatalf("client: %v", err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
 }
 
 // soakWindow deterministically places the i-th range query.
@@ -287,6 +315,73 @@ func TestFaultOutageFallbackCompletes(t *testing.T) {
 	}
 }
 
+// TestFaultDegradedIsOneLedger: with the breaker open and the query covered,
+// it does not matter who asks. Planner.Execute over a shipment it cannot
+// prove fresh plans fully-server, the exchange fails fast, and the answer
+// comes from the shipment exactly as Client.Range's does: both count into
+// Degraded().Fallbacks, both spans read fallback-local, neither is booked as
+// a scheme the planner chose.
+func TestFaultDegradedIsOneLedger(t *testing.T) {
+	ds, pool, addr := faultWorld(t)
+	inj := faultlink.New(faultlink.Profile{Seed: 7})
+	hub := obs.NewHub()
+	hub.Trace = obs.NewTracer(128, 1)
+	cfg := faultConfig(addr, inj)
+	cfg.Obs, cfg.Shipment = hub, wholeMap(t, ds)
+	c, err := client.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	p := client.NewPlanner(c)
+
+	inj.ForceOutage(true)
+	for i := 0; i < 6 && c.BreakerState() != client.BreakerOpen; i++ {
+		c.RangeIDs(soakWindow(ds, i))
+	}
+	if c.BreakerState() != client.BreakerOpen {
+		t.Fatalf("breaker = %v after outage traffic, want open", c.BreakerState())
+	}
+	w := soakWindow(ds, 3)
+	want := sortedIDs(pool.RangeAppend(nil, w))
+	base := c.Degraded().Fallbacks
+	seen := len(hub.Trace.Snapshot().Sampled)
+
+	res, err := p.Execute(core.Range(w))
+	if err != nil {
+		t.Fatalf("planner under an open breaker: %v", err)
+	}
+	if got := recordIDs(res.Records); res.Plan != client.PlanLocal || !equalIDs(got, want) {
+		t.Fatalf("planner: plan %v, %d ids; want fully-client and the pool's %d", res.Plan, len(got), len(want))
+	}
+	recs, err := c.Range(w)
+	if err != nil {
+		t.Fatalf("raw call under an open breaker: %v", err)
+	}
+	if got := recordIDs(recs); !equalIDs(got, want) {
+		t.Fatalf("raw call: %d ids, want the pool's %d", len(got), len(want))
+	}
+
+	if got := c.Degraded().Fallbacks - base; got != 2 {
+		t.Fatalf("Degraded().Fallbacks grew by %d over the two calls, want 2", got)
+	}
+	spans := hub.Trace.Snapshot().Sampled[seen:]
+	if len(spans) != 2 {
+		t.Fatalf("%d spans for the two calls, want one each", len(spans))
+	}
+	for i, sp := range spans {
+		if sp.Scheme != "fallback-local" {
+			t.Errorf("span %d reads %q, want fallback-local", i, sp.Scheme)
+		}
+	}
+	snap := hub.Reg.Snapshot()
+	for _, scheme := range []string{"fully-client", "server-ids", "fully-server"} {
+		if n := snap.Counter(obs.Name("client_plans_total", "scheme", scheme)); n != 0 {
+			t.Errorf("client_plans_total{scheme=%q} = %d for a degraded execution, want 0", scheme, n)
+		}
+	}
+}
+
 // TestFaultBreakerRecovery verifies the half-open probe path: when the link
 // returns, the breaker re-closes within roughly one probe interval and
 // queries go back to the server.
@@ -430,7 +525,7 @@ func BenchmarkBreakerCleanPath(b *testing.B) {
 }
 
 // BenchmarkDegradedLocal prices a degraded-mode query: breaker open, answer
-// served by the local pool fallback — the paper's fully-client scheme as a
+// served from the whole-map shipment — the paper's fully-client scheme as a
 // resilience path.
 func BenchmarkDegradedLocal(b *testing.B) {
 	ds, pool, addr := faultWorld(b)

@@ -32,12 +32,6 @@ type clientMetrics struct {
 	fallbackHist   *obs.Histogram // client_fallback_seconds
 	fallbackJoules *obs.Gauge     // client_fallback_joules_total
 	remoteJoules   *obs.Gauge     // client_remote_nic_joules_total
-	// Semantic-cache handles: happy-path local answers and their energy
-	// ledger (compute spent vs radio saved).
-	semHits        *obs.Counter   // client_semcache_hits_total
-	semHist        *obs.Histogram // client_semcache_seconds
-	semLocalJoules *obs.Gauge     // client_semcache_local_joules_total
-	semSavedJoules *obs.Gauge     // client_semcache_saved_nic_joules_total
 }
 
 func newClientMetrics(h *obs.Hub) clientMetrics {
@@ -60,10 +54,6 @@ func newClientMetrics(h *obs.Hub) clientMetrics {
 	m.fallbackHist = h.Reg.Histogram("client_fallback_seconds")
 	m.fallbackJoules = h.Reg.Gauge("client_fallback_joules_total")
 	m.remoteJoules = h.Reg.Gauge("client_remote_nic_joules_total")
-	m.semHits = h.Reg.Counter("client_semcache_hits_total")
-	m.semHist = h.Reg.Histogram("client_semcache_seconds")
-	m.semLocalJoules = h.Reg.Gauge("client_semcache_local_joules_total")
-	m.semSavedJoules = h.Reg.Gauge("client_semcache_saved_nic_joules_total")
 	return m
 }
 

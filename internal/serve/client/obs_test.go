@@ -157,7 +157,11 @@ func TestPlannerRecordsSchemesAndPredictionError(t *testing.T) {
 func TestPlannerSpansCarryEnergy(t *testing.T) {
 	ds, c, p, hub := obsWorld(t)
 	center := ds.Extent.Center()
-	c.SetLink(500*time.Microsecond, 1e9)
+	// 10 Gbps: the ~12 KB id reply models to ~10 µs of radio, well under the
+	// 40 µs and up a warm loopback exchange takes. At 1 Gbps the modeled
+	// transfer (94 µs) could exceed the measured wall time, which
+	// attributeWire then scales to leave no server wait at all.
+	c.SetLink(500*time.Microsecond, 10e9)
 
 	bigW := geom.Rect{
 		Min: geom.Point{X: center.X - 20000, Y: center.Y - 20000},

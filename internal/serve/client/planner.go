@@ -104,14 +104,15 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// Planner chooses and executes per-query plans for one client.
+// Planner chooses and executes per-query plans for one client. It holds no
+// shipment of its own: what it plans over is the client's local state
+// (local.go), so a reply that retires the shipment retires it for the
+// planner too.
 type Planner struct {
 	c       *Client
 	model   CostModel
 	obj     Objective
-	eps     float64
 	batch   int
-	ship    *Shipment
 	metrics plannerMetrics
 }
 
@@ -120,8 +121,7 @@ type Planner struct {
 // set, every Execute records per-scheme metrics, a sampled span, and the
 // predicted-vs-actual partitioning error.
 func NewPlanner(c *Client) *Planner {
-	return &Planner{c: c, model: DefaultCostModel(), eps: core.PointEps,
-		metrics: newPlannerMetrics(c.hub)}
+	return &Planner{c: c, model: DefaultCostModel(), metrics: newPlannerMetrics(c.hub)}
 }
 
 // SetCostModel replaces the cost calibration.
@@ -141,18 +141,16 @@ func (p *Planner) SetBatch(n int) {
 	p.batch = n
 }
 
-// Shipment returns the cached shipment, nil before FetchShipment.
-func (p *Planner) Shipment() *Shipment { return p.ship }
+// Shipment returns the client's installed shipment, nil before
+// FetchShipment.
+func (p *Planner) Shipment() *Shipment { return p.c.Shipment() }
 
-// FetchShipment pulls and caches a shipment covering window under
-// budgetBytes of client memory (see Client.FetchShipment).
+// FetchShipment pulls a shipment covering window under budgetBytes of client
+// memory and installs it as the client's local state (see
+// Client.FetchShipment).
 func (p *Planner) FetchShipment(window geom.Rect, budgetBytes, recordBytes int) error {
-	ship, err := p.c.FetchShipment(window, budgetBytes, recordBytes)
-	if err != nil {
-		return err
-	}
-	p.ship = ship
-	return nil
+	_, err := p.c.FetchShipment(window, budgetBytes, recordBytes)
+	return err
 }
 
 // Result is one planned execution's outcome.
@@ -164,28 +162,25 @@ type Result struct {
 	Verdict core.Verdict
 }
 
-// Plan chooses the execution plan for q. Queries outside the shipment's
-// coverage must go to the server; covered queries consult the §4.1 advisor
-// with measured link conditions.
+// Plan chooses the execution plan for q. A query the shipment does not cover,
+// or covers without proof that it still reflects the server's index, must go
+// to the server; a covered query over a fresh shipment consults the §4.1
+// advisor with measured link conditions.
 func (p *Planner) Plan(q core.Query) (Plan, core.Verdict) {
-	plan, v, _, _ := p.plan(q)
+	plan, v, _, _ := p.plan(p.c.local.Load(), q)
 	return plan, v
 }
 
-// plan is Plan plus the advisor inputs it decided with — the prediction the
-// observability layer scores against the measured execution. advised is
-// false when coverage forced the plan and no prediction exists.
-func (p *Planner) plan(q core.Query) (plan Plan, v core.Verdict, in core.AnalyticInputs, advised bool) {
-	if p.ship == nil || !p.ship.Covers(q) {
+// plan is Plan over one loaded state, plus the advisor inputs it decided
+// with — the prediction the observability layer scores against the measured
+// execution. advised is false when coverage or freshness forced the plan and
+// no prediction exists. Whether the link is up is not asked here: the
+// exchange finds out, and degrades by itself.
+func (p *Planner) plan(st *localState, q core.Query) (plan Plan, v core.Verdict, in core.AnalyticInputs, advised bool) {
+	if st == nil || !st.ship.Covers(q) || !st.fresh(time.Now(), p.c.cfg.maxAge) {
 		return PlanServerData, core.Verdict{}, core.AnalyticInputs{}, false
 	}
-	if p.c.BreakerState() != BreakerClosed {
-		// The link is tripped: a covered query runs locally regardless of
-		// what the advisor would price — no NIC wakeup, no fail-fast error,
-		// just the fully-client scheme the breaker degrades to.
-		return PlanLocal, core.Verdict{}, core.AnalyticInputs{}, false
-	}
-	in = p.analyticInputs(q)
+	in = p.analyticInputs(st.ship, q)
 	v = in.Advise()
 	offload := v.SavesCycles
 	if p.obj == Energy {
@@ -199,150 +194,133 @@ func (p *Planner) plan(q core.Query) (plan Plan, v core.Verdict, in core.Analyti
 
 // Execute plans and runs q, recording the execution as a span and scoring
 // the advisor's prediction against the measured outcome when obs is enabled.
+// An execution the link failed and the shipment answered instead comes back
+// as PlanLocal; its span reads fallback-local and it is accounted as degraded
+// operation (Client.Degraded), not as a scheme the planner chose.
 func (p *Planner) Execute(q core.Query) (Result, error) {
-	var (
-		sp *obs.Span
-		em obs.EnergyModel
-	)
-	if hub := p.c.hub; hub != nil {
-		sp = hub.Trace.Start(queryKindName(q.Kind))
-		em = hub.Energy
+	c := p.c
+	var sp *obs.Span
+	if c.hub != nil {
+		sp = c.hub.Trace.Start(queryKindName(q.Kind))
 	}
 
 	planStart := time.Now()
-	plan, v, in, advised := p.plan(q)
+	st := c.local.Load()
+	plan, v, in, advised := p.plan(st, q)
 	planSec := time.Since(planStart).Seconds()
 	sp.SetScheme(plan.String())
 	sp.Lap(obs.StagePlan, planSec)
-	j, cy := em.Compute(planSec)
+	j, cy := c.energy.Compute(planSec)
 	sp.Attribute(obs.StagePlan, j, cy)
 
 	execStart := time.Now()
-	res, err := p.runPlan(plan, v, q, sp, em)
+	res, degraded, err := p.runPlan(st, plan, q, sp)
+	res.Verdict = v
+	if degraded {
+		res.Plan = PlanLocal
+	}
 	totalSec := planSec + time.Since(execStart).Seconds()
 	if err != nil {
 		sp.SetErr()
 	}
 
 	// Score and record before Finish: a finished span may be recycled.
-	actualJoules := sp.TotalJoules()
-	m := &p.metrics
-	m.plans[res.Plan].Inc()
-	m.execHist[res.Plan].Observe(totalSec)
-	m.joules[res.Plan].Add(actualJoules)
-	if advised && res.Plan == plan && err == nil {
-		predSec := in.FullyLocalCycles() / in.ClientHz
-		predJoules := in.FullyLocalJoules()
-		if plan == PlanServerIDs {
-			predSec = in.PartitionedCycles() / in.ClientHz
-			predJoules = in.PartitionedJoules()
-		}
-		if totalSec > 0 {
-			m.cycleRatio[plan].Observe(predSec / totalSec)
-		}
-		if actualJoules > 0 {
-			m.energyRatio[plan].Observe(predJoules / actualJoules)
+	if !degraded {
+		actualJoules := sp.TotalJoules()
+		m := &p.metrics
+		m.plans[res.Plan].Inc()
+		m.execHist[res.Plan].Observe(totalSec)
+		m.joules[res.Plan].Add(actualJoules)
+		if advised && res.Plan == plan && err == nil {
+			predSec := in.FullyLocalCycles() / in.ClientHz
+			predJoules := in.FullyLocalJoules()
+			if plan == PlanServerIDs {
+				predSec = in.PartitionedCycles() / in.ClientHz
+				predJoules = in.PartitionedJoules()
+			}
+			if totalSec > 0 {
+				m.cycleRatio[plan].Observe(predSec / totalSec)
+			}
+			if actualJoules > 0 {
+				m.energyRatio[plan].Observe(predJoules / actualJoules)
+			}
 		}
 	}
 	sp.Finish()
 	return res, err
 }
 
-// runPlan executes one chosen plan, clocking the span stages and pricing
-// them with the energy model.
-func (p *Planner) runPlan(plan Plan, v core.Verdict, q core.Query, sp *obs.Span, em obs.EnergyModel) (Result, error) {
-	bw := p.c.Link().BandwidthBps
+// runPlan executes one chosen plan over the state it was chosen from,
+// clocking the span stages and pricing them with the energy model. The bool
+// reports a degraded execution: the wire failed and the shipment answered in
+// its place.
+func (p *Planner) runPlan(st *localState, plan Plan, q core.Query, sp *obs.Span) (Result, bool, error) {
 	switch plan {
 	case PlanLocal:
-		start := time.Now()
-		recs, err := p.ship.Answer(q, p.eps)
-		sec := time.Since(start).Seconds()
-		sp.Lap(obs.StageIndexWalk, sec)
-		j, cy := em.Compute(sec)
-		sp.Attribute(obs.StageIndexWalk, j, cy)
-		return Result{Plan: plan, Records: recs, Verdict: v}, err
+		recs, _, _, err := p.c.runLocal(st.ship, q, sp, obs.StageIndexWalk)
+		return Result{Plan: plan, Records: recs}, false, err
 	case PlanServerIDs:
-		start := time.Now()
-		ids, err := p.serverIDs(q)
-		netSec := time.Since(start).Seconds()
-		attributeWire(sp, em, netSec,
-			proto.QueryRequestBytes, proto.IDListBytes(len(ids)), bw)
+		ids, _, degraded, err := p.offload(q, proto.ModeIDs, sp)
 		if err != nil {
-			return Result{Plan: plan}, err
+			return Result{Plan: plan}, false, err
 		}
 		replyStart := time.Now()
-		recs := make([]proto.Record, 0, len(ids))
-		for _, id := range ids {
-			if r, ok := p.ship.Record(id); ok {
-				recs = append(recs, r)
-			} else {
-				// The server knows records the shipment lacks (it can
-				// happen only on uncovered queries, which don't take this
-				// plan; kept as a safety net): fall back to full records.
-				sp.SetScheme(PlanServerData.String())
-				fullStart := time.Now()
-				full, ferr := p.serverData(q)
-				attributeWire(sp, em, time.Since(fullStart).Seconds(),
-					proto.QueryRequestBytes,
-					proto.DataListBytes(len(full), proto.WireRecordBytes), bw)
-				return Result{Plan: PlanServerData, Records: full, Verdict: v}, ferr
-			}
-		}
+		recs, ok := st.ship.records(ids)
 		replySec := time.Since(replyStart).Seconds()
 		sp.Lap(obs.StageReply, replySec)
-		j, cy := em.Compute(replySec)
+		j, cy := p.c.energy.Compute(replySec)
 		sp.Attribute(obs.StageReply, j, cy)
-		return Result{Plan: plan, Records: recs, Verdict: v}, nil
-	default:
-		start := time.Now()
-		recs, err := p.serverData(q)
-		attributeWire(sp, em, time.Since(start).Seconds(),
-			proto.QueryRequestBytes,
-			proto.DataListBytes(len(recs), proto.WireRecordBytes), bw)
-		return Result{Plan: plan, Records: recs, Verdict: v}, err
-	}
-}
-
-func (p *Planner) serverIDs(q core.Query) ([]uint32, error) {
-	switch q.Kind {
-	case core.PointQuery:
-		return p.c.PointIDs(q.Point, p.eps)
-	case core.RangeQuery:
-		return p.c.RangeIDs(q.Window)
-	default:
-		ids, _, err := p.c.query(&proto.QueryMsg{
-			Kind: proto.KindNN, Mode: proto.ModeIDs, Point: q.Point, K: uint16(q.K)})
-		return ids, err
-	}
-}
-
-func (p *Planner) serverData(q core.Query) ([]proto.Record, error) {
-	switch q.Kind {
-	case core.PointQuery:
-		return p.c.Point(q.Point, p.eps)
-	case core.RangeQuery:
-		return p.c.Range(q.Window)
-	default:
-		k := q.K
-		if k < 1 {
-			k = 1
+		if ok {
+			return Result{Plan: plan, Records: recs}, degraded, nil
 		}
-		return p.c.KNearest(q.Point, k)
+		// The server knows a record the shipment lacks: a write younger
+		// than the freshness bound, for which this reply's hint has just
+		// retired the shipment. Fetch full records instead.
+		sp.SetScheme(PlanServerData.String())
 	}
+	_, recs, degraded, err := p.offload(q, proto.ModeData, sp)
+	return Result{Plan: PlanServerData, Records: recs}, degraded, err
+}
+
+// offload sends q to the server in the given mode through Client.ask — which
+// degrades to the shipment when the link cannot answer — and attributes the
+// measured wall time to the radio and the server wait.
+func (p *Planner) offload(q core.Query, mode proto.Mode, sp *obs.Span) (ids []uint32, recs []proto.Record, degraded bool, err error) {
+	m := proto.AcquireQuery()
+	m.Mode = mode
+	switch q.Kind {
+	case core.PointQuery:
+		m.Kind, m.Point, m.Eps = proto.KindPoint, q.Point, core.PointEps
+	case core.RangeQuery:
+		m.Kind, m.Window = proto.KindRange, q.Window
+	default:
+		m.Kind, m.Point, m.K = proto.KindNN, q.Point, uint16(max(q.K, 1))
+	}
+	start := time.Now()
+	ids, recs, degraded, err = p.c.ask(m, sp)
+	if !degraded {
+		reply := proto.IDListBytes(len(ids))
+		if mode == proto.ModeData {
+			reply = proto.DataListBytes(len(recs), proto.WireRecordBytes)
+		}
+		attributeWire(sp, p.c.energy, time.Since(start).Seconds(),
+			proto.QueryRequestBytes, reply, p.c.Link().BandwidthBps)
+	}
+	return ids, recs, degraded, err
 }
 
 // estimateWork predicts the filtering/refinement volume of q against the
 // shipment: node visits from the sub-tree shape, candidates from the
 // shipment's spatial density (range) or small constants (point/NN).
-func (p *Planner) estimateWork(q core.Query) (nodeVisits, candidates, hits float64) {
-	t := p.ship.Tree
+func (p *Planner) estimateWork(ship *Shipment, q core.Query) (nodeVisits, candidates, hits float64) {
+	t := ship.Tree
 	height := float64(t.Height())
 	fanout := float64(t.Fanout())
 	n := float64(t.Len())
 
 	switch q.Kind {
 	case core.RangeQuery:
-		cov := p.ship.Coverage
+		cov := ship.Coverage
 		frac := 0.0
 		if a := cov.Area(); a > 0 {
 			frac = q.Window.Intersection(cov).Area() / a
@@ -367,15 +345,10 @@ func (p *Planner) estimateWork(q core.Query) (nodeVisits, candidates, hits float
 
 // analyticInputs builds the §4.1 advisor inputs for "local against the
 // shipment" versus "offload, ids back" under the measured link.
-func (p *Planner) analyticInputs(q core.Query) core.AnalyticInputs {
+func (p *Planner) analyticInputs(ship *Shipment, q core.Query) core.AnalyticInputs {
 	m := p.model
 	link := p.c.Link()
-	bw := link.BandwidthBps
-	if bw <= 0 {
-		// No bandwidth estimate yet: assume the paper's base 2 Mbps.
-		bw = 2e6
-	}
-	nodeVisits, candidates, hits := p.estimateWork(q)
+	nodeVisits, candidates, hits := p.estimateWork(ship, q)
 
 	// Fully-local: filter + refine at the client.
 	cFullyLocal := nodeVisits*m.CyclesPerNodeVisit + candidates*m.CyclesPerCandidate
@@ -409,7 +382,7 @@ func (p *Planner) analyticInputs(q core.Query) core.AnalyticInputs {
 	cLocal := hits * m.CyclesPerResultID
 
 	return core.AnalyticInputs{
-		BandwidthBps: bw,
+		BandwidthBps: link.pricingBps(),
 		CFullyLocal:  cFullyLocal,
 		CLocal:       cLocal,
 		CProtocol:    cProtocol,

@@ -15,7 +15,7 @@ import (
 // batchPlanner builds a planner over a synthetic shipment without a live
 // server: analyticInputs only consults the link estimate and the local
 // sub-index, so the wire-pricing math can be checked in isolation.
-func batchPlanner(t *testing.T) *Planner {
+func batchPlanner(t *testing.T) (*Planner, *Shipment) {
 	t.Helper()
 	ds, err := dataset.Generate(dataset.GenConfig{
 		Name:           "batch-pricing",
@@ -42,9 +42,7 @@ func batchPlanner(t *testing.T) *Planner {
 		t.Fatalf("client: %v", err)
 	}
 	c.SetLink(5*time.Millisecond, 2e6)
-	p := NewPlanner(c)
-	p.ship = &Shipment{Coverage: ds.Extent, Tree: tree}
-	return p
+	return NewPlanner(c), &Shipment{Coverage: ds.Extent, Tree: tree}
 }
 
 // TestPlannerBatchAmortizesWire verifies the §4.1 inputs price batched
@@ -53,7 +51,7 @@ func batchPlanner(t *testing.T) *Planner {
 // totals over B — strictly cheaper than a private frame per query, and
 // matching proto's batch size model exactly.
 func TestPlannerBatchAmortizesWire(t *testing.T) {
-	p := batchPlanner(t)
+	p, ship := batchPlanner(t)
 	q := core.Query{
 		Kind: core.RangeQuery,
 		Window: geom.Rect{
@@ -61,11 +59,11 @@ func TestPlannerBatchAmortizesWire(t *testing.T) {
 			Max: geom.Point{X: 11000, Y: 11000},
 		},
 	}
-	single := p.analyticInputs(q)
+	single := p.analyticInputs(ship, q)
 
 	const B = 16
 	p.SetBatch(B)
-	batched := p.analyticInputs(q)
+	batched := p.analyticInputs(ship, q)
 
 	if batched.PacketTxBits >= single.PacketTxBits {
 		t.Errorf("batched tx bits/query = %g, want < unbatched %g",
@@ -93,7 +91,7 @@ func TestPlannerBatchAmortizesWire(t *testing.T) {
 
 	// SetBatch(0) clamps back to unbatched pricing.
 	p.SetBatch(0)
-	restored := p.analyticInputs(q)
+	restored := p.analyticInputs(ship, q)
 	if restored.PacketTxBits != single.PacketTxBits || restored.CProtocol != single.CProtocol {
 		t.Errorf("SetBatch(0) did not restore unbatched pricing: %+v vs %+v", restored, single)
 	}
@@ -103,7 +101,7 @@ func TestPlannerBatchAmortizesWire(t *testing.T) {
 // link where unbatched offloading is marginal, batch pricing can only move
 // the energy verdict toward partitioning, never away from it.
 func TestPlannerBatchFavorsOffload(t *testing.T) {
-	p := batchPlanner(t)
+	p, ship := batchPlanner(t)
 	q := core.Query{
 		Kind: core.RangeQuery,
 		Window: geom.Rect{
@@ -111,9 +109,9 @@ func TestPlannerBatchFavorsOffload(t *testing.T) {
 			Max: geom.Point{X: 12000, Y: 12000},
 		},
 	}
-	single := p.analyticInputs(q).Advise()
+	single := p.analyticInputs(ship, q).Advise()
 	p.SetBatch(16)
-	batched := p.analyticInputs(q).Advise()
+	batched := p.analyticInputs(ship, q).Advise()
 	if batched.EnergyRatio > single.EnergyRatio {
 		t.Errorf("batch pricing raised the energy ratio: %g > %g",
 			batched.EnergyRatio, single.EnergyRatio)

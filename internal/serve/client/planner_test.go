@@ -56,7 +56,11 @@ func plannerWorld(t testing.TB) (*dataset.Dataset, *rtree.Tree, *client.Client, 
 	go srv.Serve(lis)
 	t.Cleanup(func() { srv.Close() })
 
-	c, err := client.New(client.Config{Addr: lis.Addr().String(), Conns: 4})
+	// The server is static, so the shipment stays provably fresh for as long
+	// as the bound lets it; stretch the bound past any one test (some run the
+	// simulator between fetching and planning) so these tests are about the
+	// advisor alone. freshness_test.go is about the bound.
+	c, err := client.New(client.WithMaxAge(client.Config{Addr: lis.Addr().String(), Conns: 4}, time.Minute))
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}

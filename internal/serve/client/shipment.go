@@ -20,9 +20,10 @@ type Shipment struct {
 	// guarantee (the answer alone overflowed the budget).
 	Coverage geom.Rect
 	// Epoch is the server's index epoch hint at shipment time; 0 when the
-	// server gave none (distributed pools, or an index already written
-	// to). The semantic cache compares it against the latest reply hint
-	// to prove the shipment still reflects the live index.
+	// server gave none (distributed pools, an index already written to) or
+	// the caller built the shipment itself. Only a non-zero epoch can be
+	// compared against later reply hints, so only such a shipment is ever
+	// answered from by choice (local.go).
 	Epoch uint64
 	// Tree is the packed R-tree rebuilt over the shipped records.
 	Tree *rtree.Tree
@@ -32,8 +33,10 @@ type Shipment struct {
 
 // FetchShipment requests a shipment covering window under budgetBytes of
 // client memory (recordBytes sizes the server's capacity math; use the
-// dataset's record size) and rebuilds the sub-index locally.
+// dataset's record size), rebuilds the sub-index locally and installs it as
+// the client's local state, replacing — and un-retiring — whatever was there.
 func (c *Client) FetchShipment(window geom.Rect, budgetBytes, recordBytes int) (*Shipment, error) {
+	asked, writes := time.Now(), c.writes.Load()
 	sm, err := call[*proto.ShipmentMsg](c, &proto.ShipmentReqMsg{
 		Window:      window,
 		BudgetBytes: uint32(budgetBytes),
@@ -42,8 +45,19 @@ func (c *Client) FetchShipment(window geom.Rect, budgetBytes, recordBytes int) (
 	if err != nil {
 		return nil, err
 	}
-	c.noteHint(sm.Epoch)
-	return NewShipment(sm)
+	ship, err := NewShipment(sm)
+	if err != nil {
+		return nil, err
+	}
+	c.install(ship, asked)
+	if c.writes.Load() != writes {
+		// One of this client's own writes was acked while the shipment was
+		// in flight; the shipment may predate it. update retires whatever
+		// is installed after bumping the counter, so between that and this
+		// check no interleaving leaves the shipment live.
+		c.retire()
+	}
+	return ship, nil
 }
 
 // NewShipment builds the client-resident shipment from its wire message:
@@ -68,9 +82,6 @@ func NewShipment(sm *proto.ShipmentMsg) (*Shipment, error) {
 
 // Len returns the number of shipped records.
 func (s *Shipment) Len() int { return len(s.segs) }
-
-// EpochHint implements EpochFallback for the semantic cache.
-func (s *Shipment) EpochHint() uint64 { return s.Epoch }
 
 // Covers reports whether the shipment's guarantee extends to q: range
 // windows must be contained in Coverage; point and NN queries need their
@@ -127,10 +138,16 @@ func (s *Shipment) Answer(q core.Query, eps float64) ([]proto.Record, error) {
 	return recs, nil
 }
 
-// Record returns the shipped record for id, ok=false when id was not
-// shipped (e.g. materializing a server id list that strays outside the
-// shipment).
-func (s *Shipment) Record(id uint32) (proto.Record, bool) {
-	seg, ok := s.segs[id]
-	return proto.Record{ID: id, Seg: seg}, ok
+// records materializes a server id list from the shipped records; ok is
+// false when an id was not shipped.
+func (s *Shipment) records(ids []uint32) (recs []proto.Record, ok bool) {
+	recs = make([]proto.Record, len(ids))
+	for i, id := range ids {
+		seg, shipped := s.segs[id]
+		if !shipped {
+			return nil, false
+		}
+		recs[i] = proto.Record{ID: id, Seg: seg}
+	}
+	return recs, true
 }

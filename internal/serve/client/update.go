@@ -49,12 +49,16 @@ func (c *Client) Move(id uint32, seg geom.Segment) (UpdateAck, error) {
 }
 
 // update sends one write and copies its ack out of the pooled reply. A
-// write counts as one logical query in the wire statistics.
+// write counts as one logical query in the wire statistics. An acked write
+// is an observed write: the ack carries no epoch hint and the next reply
+// that does may be a long way off, so the installed shipment is retired here.
 func (c *Client) update(m proto.Message) (UpdateAck, error) {
 	r, err := call[*proto.UpdateAckMsg](c, m, time.Time{}, 1)
 	if err != nil {
 		return UpdateAck{}, err
 	}
+	c.writes.Add(1)
+	c.retire()
 	ack := UpdateAck{Epoch: r.Epoch, Existed: r.Existed, Owned: r.Owned}
 	proto.ReleaseMessage(r)
 	return ack, nil
