@@ -16,39 +16,37 @@ import (
 	"strings"
 
 	"mobispatial/internal/core"
-	"mobispatial/internal/nic"
+	"mobispatial/internal/energy"
 	"mobispatial/internal/proto"
 )
 
 func main() {
+	table2 := energy.DefaultClientModel()
 	fullyLocal := flag.Float64("fully-local", 5e6, "client cycles of the fully-local execution")
 	local := flag.Float64("local", 0, "client cycles of the locally-kept portion (w1+w3)")
 	protoCycles := flag.Float64("protocol", 5e3, "client cycles of protocol processing")
 	w2 := flag.Float64("w2", 4e5, "server cycles of the offloaded portion")
-	clientMHz := flag.Float64("client-mhz", 125, "client clock in MHz")
+	clientMHz := flag.Float64("client-mhz", table2.ClientHz/1e6, "client clock in MHz")
 	serverMHz := flag.Float64("server-mhz", 1000, "server clock in MHz")
 	txBytes := flag.Int("tx", proto.QueryRequestBytes, "transmitted payload bytes")
 	rxBytes := flag.Int("rx", 4096, "received payload bytes")
 	distance := flag.Float64("distance", 1000, "meters to the base station")
-	pClient := flag.Float64("p-client", 0.11, "client compute power (W)")
+	pClient := flag.Float64("p-client", table2.PClient, "client compute power (W)")
 	bws := flag.String("bw", "2,4,6,8,11", "bandwidths to evaluate (Mbps, comma-separated)")
 	flag.Parse()
 
+	// The flags are the what-if inputs; every other power is Table 2's.
+	client := table2.At(*distance)
+	client.ClientHz, client.PClient = *clientMHz*1e6, *pClient
 	in := core.AnalyticInputs{
 		CFullyLocal:  *fullyLocal,
 		CLocal:       *local,
 		CProtocol:    *protoCycles,
 		CW2:          *w2,
-		ClientHz:     *clientMHz * 1e6,
 		ServerHz:     *serverMHz * 1e6,
 		PacketTxBits: float64(proto.Packetize(*txBytes).WireBytes * 8),
 		PacketRxBits: float64(proto.Packetize(*rxBytes).WireBytes * 8),
-		PClient:      *pClient,
-		PTx:          nic.TxPowerAt(*distance),
-		PRx:          nic.RxPower,
-		PIdle:        nic.IdlePower,
-		PSleep:       nic.SleepPower,
-		PBlocked:     0.05,
+		Client:       client,
 	}
 
 	fmt.Printf("fully-local: %.3g cycles at %.0f MHz; offload: %.3g server cycles, %dB up / %dB down, %gm range\n\n",

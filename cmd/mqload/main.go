@@ -77,7 +77,8 @@
 //	             the fetched shipment replaces it, so degraded coverage is
 //	             the shipment window — where every planner query lands
 //	-serverstats append the server's side of the run: shard fan-out, result
-//	             cache, update subsystem, and its full metrics snapshot
+//	             cache (hit rate and the seconds of server execution the hits
+//	             saved), update subsystem, and its full metrics snapshot
 //
 // Output, one format for every workload: total queries and QPS, mean and
 // p50/p95/p99 latency from a merged streaming histogram (internal/stats),
@@ -88,7 +89,8 @@
 // the staleness evidence (how many writes fold into each epoch swap, from
 // the acks' epoch progression) and the read-back ledger; -batch adds the
 // modeled batched-vs-unbatched NIC energy; -planner the per-scheme breakdown
-// with the predicted-vs-actual §4.1 cost ratios. When the target turns out
+// with the predicted-vs-actual §4.1 cost ratios, both sides priced by the one
+// client cost model (energy.ClientModel). When the target turns out
 // to be an mqrouter (its snapshot carries router_backends) the fan-out,
 // failover, and per-backend leg report follows.
 package main

@@ -245,10 +245,10 @@ func printCacheReport(out io.Writer, pre, post serverSnap) {
 	if hits+misses == 0 {
 		return
 	}
-	fmt.Fprintf(out, "  qcache    %.0f hits / %.0f misses (%.1f%% hit rate), %.0f invalidations, %.0f bypasses, %.2f J server compute saved\n",
+	fmt.Fprintf(out, "  qcache    %.0f hits / %.0f misses (%.1f%% hit rate), %.0f invalidations, %.0f bypasses, %.2f s of server execution saved\n",
 		hits, misses, 100*hits/(hits+misses),
 		delta(pre, post, "qcache_invalidations_total"), delta(pre, post, "qcache_bypass_total"),
-		post.Gauge("qcache_saved_joules"))
+		post.Gauge("qcache_saved_seconds"))
 }
 
 // printMutableReport summarizes the server's update subsystem over this run:

@@ -221,8 +221,8 @@ func run(args []string) error {
 		st.Served, st.Shipments, st.Conns, st.Overloads, st.Deadlines, st.Errors)
 	if qc != nil {
 		cst := srv.CacheStats()
-		fmt.Printf("mqserve: cache %d hits / %d misses (%.1f%% hit rate), %d invalidations, %d entries, %.2f J saved\n",
-			cst.Hits, cst.Misses, cst.HitRate()*100, cst.Invalidations, cst.Entries, srv.CacheSavedJoules())
+		fmt.Printf("mqserve: cache %d hits / %d misses (%.1f%% hit rate), %d invalidations, %d entries, %.2f s of server execution saved\n",
+			cst.Hits, cst.Misses, cst.HitRate()*100, cst.Invalidations, cst.Entries, srv.CacheSavedSeconds())
 	}
 	return nil
 }

@@ -17,7 +17,6 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/energy"
 	"mobispatial/internal/geom"
-	"mobispatial/internal/nic"
 	"mobispatial/internal/ops"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
@@ -54,23 +53,16 @@ func main() {
 
 	// Offloading fully to the server with the data replicated: the uplink
 	// carries the request, the downlink the matching ids.
-	ep := energy.DefaultParams()
 	hits := len(cands) // upper bound on the reply size
 	in := core.AnalyticInputs{
 		CFullyLocal:  fullyLocal,
 		CLocal:       0,
 		CProtocol:    3000,
 		CW2:          (filterInstr + refineInstr) / 2.6, // server IPC
-		ClientHz:     125e6,
 		ServerHz:     1e9,
 		PacketTxBits: float64(proto.Packetize(proto.QueryRequestBytes).WireBytes * 8),
 		PacketRxBits: float64(proto.Packetize(proto.IDListBytes(hits)).WireBytes * 8),
-		PClient:      0.11,
-		PTx:          nic.TxPower1Km,
-		PRx:          nic.RxPower,
-		PIdle:        nic.IdlePower,
-		PSleep:       nic.SleepPower,
-		PBlocked:     ep.CPUSleepWatts,
+		Client:       energy.DefaultClientModel(), // Table 2 at 1 km, 125 MHz
 	}
 
 	fmt.Printf("query window %v: %d filter candidates\n", window, len(cands))

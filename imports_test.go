@@ -1,7 +1,12 @@
 package mobispatial
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os/exec"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -57,4 +62,97 @@ func TestClientHoldsOneLocalEngine(t *testing.T) {
 	if slices.Contains(strings.Fields(string(out)), "mobispatial/internal/parallel") {
 		t.Error("internal/serve/client imports internal/parallel directly: a second local engine beside Shipment.Answer")
 	}
+}
+
+// productGoFiles parses every non-test Go file under root outside bench/ (a
+// nested module with its own checks) and hands each to visit.
+func productGoFiles(t *testing.T, root string, visit func(path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || (path != root && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(path, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOneClientPowerTable: the client's power table (Table 2's NIC states and
+// the core's two draws) is energy.ClientModel and nothing else. Three structs
+// once carried their own PTx and PRx, with different PClient beside them; a
+// second table cannot come back unnoticed.
+func TestOneClientPowerTable(t *testing.T) {
+	var tables []string
+	productGoFiles(t, ".", func(path string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := ts.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			var ptx, prx bool
+			for _, field := range st.Fields.List {
+				for _, name := range field.Names {
+					ptx = ptx || name.Name == "PTx"
+					prx = prx || name.Name == "PRx"
+				}
+			}
+			if ptx && prx {
+				tables = append(tables, path+": "+ts.Name.Name)
+			}
+			return true
+		})
+	})
+	if want := []string{"internal/energy/model.go: ClientModel"}; !slices.Equal(tables, want) {
+		t.Errorf("structs declaring PTx and PRx: %v, want exactly %v", tables, want)
+	}
+}
+
+// TestServerPricesNoEnergy: the server has no energy budget in the paper
+// (§5.3), so internal/serve holds no power table — it imports neither
+// internal/nic nor internal/energy, and does not reach the client's model the
+// one way it could without the import, through obs.DefaultEnergyModel. (The
+// client, one directory down, is where a device's Joules are counted.)
+func TestServerPricesNoEnergy(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", `{{join .Imports "\n"}}`, "./internal/serve").Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	imports := strings.Fields(string(out))
+	for _, pkg := range []string{"mobispatial/internal/nic", "mobispatial/internal/energy"} {
+		if slices.Contains(imports, pkg) {
+			t.Errorf("internal/serve imports %s", pkg)
+		}
+	}
+	productGoFiles(t, "internal/serve", func(path string, f *ast.File) {
+		if filepath.Dir(path) != "internal/serve" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "DefaultEnergyModel" {
+				t.Errorf("%s prices with obs.DefaultEnergyModel: the server has no energy model", path)
+			}
+			return true
+		})
+	})
 }

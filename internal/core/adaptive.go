@@ -2,7 +2,7 @@ package core
 
 import (
 	"mobispatial/internal/cpu"
-	"mobispatial/internal/nic"
+	"mobispatial/internal/energy"
 	"mobispatial/internal/ops"
 	"mobispatial/internal/proto"
 )
@@ -88,8 +88,23 @@ func (e *Engine) estimateCandidates(q Query) float64 {
 	return n
 }
 
-// estimate prices one scheme for a query with n estimated candidates.
+// estimate prices one scheme for a query with n estimated candidates: the
+// seconds and Joules of the §4.1 model over the scheme's inputs.
 func (e *Engine) estimate(s Scheme, q Query, n float64) schemeEstimate {
+	in := e.analyticInputs(s, q, n)
+	hz := in.Client.ClientHz
+	if s == FullyClient {
+		return schemeEstimate{s, in.FullyLocalJoules(), in.FullyLocalCycles() / hz}
+	}
+	return schemeEstimate{s, in.PartitionedJoules(), in.PartitionedCycles() / hz}
+}
+
+// analyticInputs characterizes scheme s for a query with n estimated
+// candidates in the §4.1 model's terms, on the simulated platform: its
+// clock, blocked-core draw, range to the base station and bandwidth. The
+// fully-local side is the same whatever s is; the partitioned side is s's
+// split of the work and its catalogue message sizes.
+func (e *Engine) analyticInputs(s Scheme, q Query, n float64) AnalyticInputs {
 	params := e.Sys.Params()
 	costs := cpu.DefaultOpCosts()
 	refineOp := ops.OpRefineRange
@@ -101,39 +116,28 @@ func (e *Engine) estimate(s Scheme, q Query, n float64) schemeEstimate {
 	// record-load miss allowance.
 	filterPerCand := float64(costs[ops.OpMBRTest].Instr)*2 + 40
 	refinePerCand := float64(costs[refineOp].Instr) + 3*100
-	serverIPC := 2.6
+	const serverIPC = 2.6
 
-	clientHz := params.Client.ClockHz
-	serverHz := params.Server.ClockHz
-	ptx := nic.TxPowerAt(params.DistanceM)
-	pblk := params.Energy.CPUSleepWatts
-	const pClient = 0.11 // calibrated active draw, as in the §4.1 advisor
-
-	secsOfBits := func(bits float64) float64 { return bits / params.BandwidthBps }
 	wire := func(payload int) float64 { return float64(proto.Packetize(payload).WireBytes * 8) }
 
-	switch s {
-	case FullyClient:
-		cycles := n * (filterPerCand + refinePerCand)
-		secs := cycles / clientHz
-		return schemeEstimate{s, (pClient + nic.SleepPower) * secs, secs}
-
-	case FullyServer:
-		tx := secsOfBits(wire(proto.QueryRequestBytes))
-		rx := secsOfBits(wire(proto.IDListBytes(int(n))))
-		wait := n * (filterPerCand + refinePerCand) / serverIPC / serverHz
-		secs := tx + rx + wait
-		energy := ptx*tx + nic.RxPower*rx + nic.IdlePower*wait + pblk*secs
-		return schemeEstimate{s, energy, secs}
-
-	default: // FilterClientRefineServer
-		filterCycles := n * filterPerCand
-		tx := secsOfBits(wire(proto.QueryRequestBytes + proto.IDListBytes(int(n))))
-		rx := secsOfBits(wire(proto.IDListBytes(int(n))))
-		wait := n * refinePerCand / serverIPC / serverHz
-		secs := filterCycles/clientHz + tx + rx + wait
-		energy := (pClient+nic.SleepPower)*(filterCycles/clientHz) +
-			ptx*tx + nic.RxPower*rx + nic.IdlePower*wait + pblk*(tx+rx+wait)
-		return schemeEstimate{s, energy, secs}
+	in := AnalyticInputs{
+		BandwidthBps: params.BandwidthBps,
+		CFullyLocal:  n * (filterPerCand + refinePerCand),
+		ServerHz:     params.Server.ClockHz,
+		Client:       energy.DefaultClientModel().At(params.DistanceM),
 	}
+	in.Client.ClientHz = params.Client.ClockHz
+	in.Client.PBlocked = params.Energy.CPUSleepWatts
+	switch s {
+	case FullyServer:
+		in.PacketTxBits = wire(proto.QueryRequestBytes)
+		in.PacketRxBits = wire(proto.IDListBytes(int(n)))
+		in.CW2 = in.CFullyLocal / serverIPC
+	case FilterClientRefineServer:
+		in.CLocal = n * filterPerCand
+		in.PacketTxBits = wire(proto.QueryRequestBytes + proto.IDListBytes(int(n)))
+		in.PacketRxBits = wire(proto.IDListBytes(int(n)))
+		in.CW2 = n * refinePerCand / serverIPC
+	}
+	return in
 }

@@ -6,6 +6,8 @@ package core
 // uses the full simulation; this model is the paper's intuition pump and is
 // exposed for the advisor CLI and as a cheap pre-filter.
 
+import "mobispatial/internal/energy"
+
 // AnalyticInputs are the §4.1 parameters, in the paper's notation.
 type AnalyticInputs struct {
 	// BandwidthBps is B, the effective wireless bandwidth (bits/s).
@@ -18,22 +20,15 @@ type AnalyticInputs struct {
 	CProtocol float64
 	// CW2 is the server cycles of the offloaded portion.
 	CW2 float64
-	// ClientHz and ServerHz are MhzC and MhzS (in Hz).
-	ClientHz float64
+	// ServerHz is MhzS (in Hz).
 	ServerHz float64
 	// PacketTxBits / PacketRxBits are the total transmitted / received
 	// message sizes in bits (wire bytes × 8).
 	PacketTxBits float64
 	PacketRxBits float64
-	// PClient is the client's compute power draw (W); PTx, PRx, PIdle,
-	// PSleep are the NIC state powers (W).
-	PClient float64
-	PTx     float64
-	PRx     float64
-	PIdle   float64
-	PSleep  float64
-	// PBlocked is the client core's draw while blocked on communication.
-	PBlocked float64
+	// Client is the client's clock (MhzC) and power table, and the stage
+	// prices every Joule below is a sum of.
+	Client energy.ClientModel
 }
 
 // TxSeconds is PacketTx/B.
@@ -49,7 +44,7 @@ func (a AnalyticInputs) WaitSeconds() float64 { return a.CW2 / a.ServerHz }
 // execution: CTx + Cwait + CRx + Clocal + Cprotocol, with
 // CTx = (PacketTx/B)·MhzC, Cwait = (Cw2/MhzS)·MhzC.
 func (a AnalyticInputs) PartitionedCycles() float64 {
-	return (a.TxSeconds()+a.RxSeconds()+a.WaitSeconds())*a.ClientHz +
+	return (a.TxSeconds()+a.RxSeconds()+a.WaitSeconds())*a.Client.ClientHz +
 		a.CLocal + a.CProtocol
 }
 
@@ -62,22 +57,24 @@ func (a AnalyticInputs) SavesCycles() bool {
 	return a.CFullyLocal > a.PartitionedCycles()
 }
 
-// FullyLocalJoules returns the fully-local energy: (PClient + PSleep) ×
-// CFullyLocal/MhzC — the client computes with the NIC asleep.
+// FullyLocalJoules returns the fully-local energy: CFullyLocal/MhzC seconds
+// of computation with the NIC asleep.
 func (a AnalyticInputs) FullyLocalJoules() float64 {
-	return (a.PClient + a.PSleep) * a.CFullyLocal / a.ClientHz
+	j, _ := a.Client.Compute(a.CFullyLocal / a.Client.ClientHz)
+	return j
 }
 
 // PartitionedJoules returns the partitioned-execution energy: the
-// transmitter and receiver run for the transfer times, the NIC idles (and
-// the core blocks) while the server works, and the client pays compute
-// power for its local and protocol portions.
+// transmitter and receiver run for the transfer times, the NIC idles while
+// the server works (the core blocked throughout), and the client pays
+// compute power for its local and protocol portions.
 func (a AnalyticInputs) PartitionedJoules() float64 {
-	return a.PTx*a.TxSeconds() +
-		a.PRx*a.RxSeconds() +
-		(a.PIdle+a.PBlocked)*a.WaitSeconds() +
-		a.PBlocked*(a.TxSeconds()+a.RxSeconds()) +
-		(a.PClient+a.PSleep)*(a.CLocal+a.CProtocol)/a.ClientHz
+	m := a.Client
+	tx, _ := m.Tx(a.TxSeconds())
+	rx, _ := m.Rx(a.RxSeconds())
+	wait, _ := m.Wait(a.WaitSeconds())
+	local, _ := m.Compute((a.CLocal + a.CProtocol) / m.ClientHz)
+	return tx + rx + wait + local
 }
 
 // SavesEnergy reports the §4.1 energy condition.

@@ -4,28 +4,24 @@ import (
 	"math"
 	"testing"
 
-	"mobispatial/internal/nic"
+	"mobispatial/internal/energy"
 )
 
 // baseInputs models a mid-size range query: ~5e6 client cycles fully-local,
 // modest messages, C/S = 1/8.
 func baseInputs() AnalyticInputs {
+	m := energy.DefaultClientModel() // 125 MHz, Table 2 at 1 km
+	m.PClient = 0.3
 	return AnalyticInputs{
 		BandwidthBps: 2e6,
 		CFullyLocal:  5e6,
 		CLocal:       2e5,
 		CProtocol:    1e5,
 		CW2:          4e5,
-		ClientHz:     125e6,
 		ServerHz:     1e9,
 		PacketTxBits: 1000 * 8,
 		PacketRxBits: 4000 * 8, // id list: the data-present reply
-		PClient:      0.3,
-		PTx:          nic.TxPower1Km,
-		PRx:          nic.RxPower,
-		PIdle:        nic.IdlePower,
-		PSleep:       nic.SleepPower,
-		PBlocked:     0.05,
+		Client:       m,
 	}
 }
 
@@ -102,9 +98,9 @@ func TestAdvisorMonotoneInBandwidth(t *testing.T) {
 
 func TestAdvisorSlowClientFavorsOffload(t *testing.T) {
 	fast := baseInputs()
-	fast.ClientHz = 500e6
+	fast.Client.ClientHz = 500e6
 	slow := baseInputs()
-	slow.ClientHz = 62.5e6
+	slow.Client.ClientHz = 62.5e6
 	// Ratios: partitioned/fully-local. The slow client gains more from
 	// offloading (communication costs the same seconds, local compute more).
 	if slow.Advise().CycleRatio >= fast.Advise().CycleRatio {
@@ -116,7 +112,7 @@ func TestAdvisorSlowClientFavorsOffload(t *testing.T) {
 func TestAdvisorShorterDistanceFavorsOffloadEnergy(t *testing.T) {
 	far := baseInputs()
 	near := baseInputs()
-	near.PTx = nic.TxPower100m
+	near.Client = near.Client.At(100)
 	// Larger uplink so transmit power matters.
 	far.PacketTxBits, near.PacketTxBits = 50000*8, 50000*8
 	if near.PartitionedJoules() >= far.PartitionedJoules() {
@@ -127,7 +123,7 @@ func TestAdvisorShorterDistanceFavorsOffloadEnergy(t *testing.T) {
 func TestVerdictRatiosZeroSafe(t *testing.T) {
 	var a AnalyticInputs
 	a.BandwidthBps = 1e6
-	a.ClientHz = 1e6
+	a.Client.ClientHz = 1e6
 	a.ServerHz = 1e9
 	v := a.Advise()
 	if v.CycleRatio != 0 || v.EnergyRatio != 0 {

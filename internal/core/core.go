@@ -28,6 +28,7 @@ import (
 	"mobispatial/internal/geom"
 	"mobispatial/internal/index"
 	"mobispatial/internal/ops"
+	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/sim"
 )
@@ -132,8 +133,9 @@ func (p DataPlacement) String() string {
 // PointEps is the incidence tolerance of the point query's refinement step,
 // in map units (meters): a street is "at" the queried point when it passes
 // within this distance. Map rendering pixels are a few meters at street
-// zoom.
-const PointEps = 2.0
+// zoom. One value with the wire's default (proto.DefaultPointEps), so the
+// simulator and a live server refine a point query alike.
+const PointEps = proto.DefaultPointEps
 
 // Engine executes queries under the different schemes against one dataset,
 // one access method, and one simulated system. It is not safe for concurrent

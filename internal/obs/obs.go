@@ -1,9 +1,10 @@
 // Package obs is the observability layer of the networked service: a
 // metrics registry (counters, gauges, and internal/stats log-bucketed
 // histograms), per-query spans carrying both wall-clock time and modeled
-// energy/cycle attribution (span.go, energy.go), and export surfaces — a
-// Prometheus-style text endpoint plus JSON traces over HTTP (http.go) and
-// the in-protocol MsgStats snapshot served by internal/serve.
+// energy/cycle attribution (span.go, priced by internal/energy's
+// ClientModel), and export surfaces — a Prometheus-style text endpoint plus
+// JSON traces over HTTP (http.go) and the in-protocol MsgStats snapshot
+// served by internal/serve.
 //
 // The paper's contribution is an accounting exercise: split each query into
 // client-compute, NIC, and server segments and attribute Joules and cycles
@@ -331,22 +332,20 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// Hub bundles the registry, tracer, and energy model one process shares.
+// Hub bundles the registry and tracer one process shares.
 type Hub struct {
-	Reg    *Registry
-	Trace  *Tracer
-	Energy EnergyModel
-	start  time.Time
+	Reg   *Registry
+	Trace *Tracer
+	start time.Time
 }
 
-// NewHub builds a hub with a fresh registry, a default tracer (256-span
-// ring, 1-in-16 sampling), and the default energy model.
+// NewHub builds a hub with a fresh registry and a default tracer (256-span
+// ring, 1-in-16 sampling).
 func NewHub() *Hub {
 	return &Hub{
-		Reg:    NewRegistry(),
-		Trace:  NewTracer(256, 16),
-		Energy: DefaultEnergyModel(),
-		start:  time.Now(),
+		Reg:   NewRegistry(),
+		Trace: NewTracer(256, 16),
+		start: time.Now(),
 	}
 }
 

@@ -1,17 +1,24 @@
 // span.go: lightweight per-query spans. A span decomposes one query into the
 // paper's segments — parse → plan → index-walk → serialize → wire →
 // server-exec → reply — and carries, per stage, measured wall-clock seconds
-// plus modeled Joules and client-clock cycles (energy.go). Finished spans
-// land in a fixed ring buffer with 1-in-K sampling, and the slowest span per
-// (scheme, kind) is always retained as an exemplar, so /traces shows both
-// the typical and the pathological query even at high QPS.
+// plus modeled Joules and client-clock cycles (the stage prices of
+// energy.ClientModel). Finished spans land in a fixed ring buffer with
+// 1-in-K sampling, and the slowest span per (scheme, kind) is always
+// retained as an exemplar, so /traces shows both the typical and the
+// pathological query even at high QPS.
 package obs
 
 import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mobispatial/internal/energy"
 )
+
+// DefaultEnergyModel is the client cost model span stages are priced with:
+// energy.DefaultClientModel, under the name this side has always called it.
+func DefaultEnergyModel() energy.ClientModel { return energy.DefaultClientModel() }
 
 // Stage is one segment of a query's lifecycle.
 type Stage uint8

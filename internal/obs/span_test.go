@@ -114,14 +114,18 @@ func TestDefaultEnergyModel(t *testing.T) {
 	if em.ClientHz <= 0 {
 		t.Fatal("client clock not set")
 	}
-	// One second of compute burns more than one second of blocked wait,
-	// and transmit is the most expensive state (the paper's Table 2 order).
+	// Table 2's order: transmit is the most expensive state, then receive,
+	// then carrier-sense idle (each with the blocked core on top). Where
+	// compute falls among them is not Table 2's to say: it is PClient's, and
+	// at the calibrated 0.11 W a computing client (0.11 + 0.0198 W, NIC
+	// asleep) draws less than a receiving one (0.165 + 0.05 W). An earlier
+	// "compute > receive" clause held only for an uncalibrated 0.2 W.
 	cj, cc := em.Compute(1)
 	wj, _ := em.Wait(1)
 	tj, _ := em.Tx(1)
 	rj, _ := em.Rx(1)
-	if !(tj > cj && cj > rj && rj > wj && wj > 0) {
-		t.Errorf("power ordering tx=%g compute=%g rx=%g wait=%g violates Table 2", tj, cj, rj, wj)
+	if !(tj > rj && rj > wj && wj > 0 && tj > cj && cj > 0) {
+		t.Errorf("power ordering tx=%g rx=%g wait=%g compute=%g violates Table 2", tj, rj, wj, cj)
 	}
 	if cc != em.ClientHz {
 		t.Errorf("compute cycles = %g, want ClientHz", cc)

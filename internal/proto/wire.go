@@ -94,10 +94,11 @@ const (
 	MaxPingPayload = 1 << 20
 )
 
-// DefaultPointEps is what QueryMsg.Eps == 0 means: the point-query incidence
-// tolerance, in map units, a server applies when the request names none
-// (equal to core.PointEps, which proto cannot import). A router picks the
-// ranges such a query can match with the same figure.
+// DefaultPointEps is the point-query incidence tolerance in map units: a
+// street is "at" a point when it passes within this distance. It is what
+// QueryMsg.Eps == 0 means, the figure a router picks such a query's ranges
+// with, and the simulator's refinement tolerance — the one definition
+// core.PointEps and serve.DefaultPointEps name.
 const DefaultPointEps = 2.0
 
 // Query kinds on the wire (mirrors core.QueryKind; proto cannot import core).
@@ -187,6 +188,43 @@ type Message interface {
 	appendPayload(b []byte) []byte
 	decodePayload(b []byte) error
 }
+
+// Request is a message a client sends and a server answers: the messages that
+// have an envelope to fill. It is what lets the client stamp any request and
+// the server read any request's time budget without either knowing the
+// catalogue type by type.
+type Request interface {
+	Message
+	// Stamp fills the envelope: the pipelining id, and the server-side time
+	// budget in microseconds where the message carries one.
+	Stamp(id, timeoutMicros uint32)
+	// Timeout returns the stamped budget (0 = the server's default). ok is
+	// false for the control requests — ping, stats, summary — which carry
+	// none on the wire: they cost the server no query work, and it answers
+	// them outside admission control.
+	Timeout() (micros uint32, ok bool)
+}
+
+func (m *QueryMsg) Stamp(id, micros uint32)       { m.ID, m.TimeoutMicros = id, micros }
+func (m *QueryMsg) Timeout() (uint32, bool)       { return m.TimeoutMicros, true }
+func (m *BatchQueryMsg) Stamp(id, micros uint32)  { m.ID, m.TimeoutMicros = id, micros }
+func (m *BatchQueryMsg) Timeout() (uint32, bool)  { return m.TimeoutMicros, true }
+func (m *NNQueryMsg) Stamp(id, micros uint32)     { m.ID, m.TimeoutMicros = id, micros }
+func (m *NNQueryMsg) Timeout() (uint32, bool)     { return m.TimeoutMicros, true }
+func (m *ShipmentReqMsg) Stamp(id, micros uint32) { m.ID, m.TimeoutMicros = id, micros }
+func (m *ShipmentReqMsg) Timeout() (uint32, bool) { return m.TimeoutMicros, true }
+func (m *InsertMsg) Stamp(id, micros uint32)      { m.ID, m.TimeoutMicros = id, micros }
+func (m *InsertMsg) Timeout() (uint32, bool)      { return m.TimeoutMicros, true }
+func (m *DeleteMsg) Stamp(id, micros uint32)      { m.ID, m.TimeoutMicros = id, micros }
+func (m *DeleteMsg) Timeout() (uint32, bool)      { return m.TimeoutMicros, true }
+func (m *MoveMsg) Stamp(id, micros uint32)        { m.ID, m.TimeoutMicros = id, micros }
+func (m *MoveMsg) Timeout() (uint32, bool)        { return m.TimeoutMicros, true }
+func (m *PingMsg) Stamp(id, _ uint32)             { m.ID = id }
+func (m *PingMsg) Timeout() (uint32, bool)        { return 0, false }
+func (m *StatsReqMsg) Stamp(id, _ uint32)         { m.ID = id }
+func (m *StatsReqMsg) Timeout() (uint32, bool)    { return 0, false }
+func (m *SummaryReqMsg) Stamp(id, _ uint32)       { m.ID = id }
+func (m *SummaryReqMsg) Timeout() (uint32, bool)  { return 0, false }
 
 // Record is one shipped data record: the segment id plus its geometry — the
 // wire form of a TIGER record's spatial part.

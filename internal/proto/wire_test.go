@@ -352,3 +352,28 @@ func TestCodeOf(t *testing.T) {
 		t.Errorf("clamped text: %d bytes, validate: %v", len(text), err)
 	}
 }
+
+// TestEveryMessageTypeIsNamed: every type the decoder accepts reads as a name
+// in an error text ("unexpected move message"), never as "MsgType(18)", and a
+// decoded message reports the type it was asked for. A type added to the
+// catalogue without a name fails here.
+func TestEveryMessageTypeIsNamed(t *testing.T) {
+	accepted := 0
+	for i := 0; i < 256; i++ {
+		typ := MsgType(i)
+		m, err := newMessage(typ)
+		if err != nil {
+			continue
+		}
+		accepted++
+		if m.Type() != typ {
+			t.Errorf("newMessage(%d) built a %v", i, m.Type())
+		}
+		if name := typ.String(); strings.HasPrefix(name, "MsgType(") {
+			t.Errorf("message type %d (%T) has no name", i, m)
+		}
+	}
+	if accepted != len(msgTypeNames) {
+		t.Errorf("%d types decode, %d are named", accepted, len(msgTypeNames))
+	}
+}

@@ -56,7 +56,7 @@ func TestBatchQueriesMatchPool(t *testing.T) {
 					t.Fatalf("round %d item %d: range mismatch", round, i)
 				}
 			case 1:
-				if want := pool.Point(q.Point, srv.cfg.PointEps); !sameIDs(res[i].IDs, want) {
+				if want := pool.Point(q.Point, DefaultPointEps); !sameIDs(res[i].IDs, want) {
 					t.Fatalf("round %d item %d: point mismatch", round, i)
 				}
 			case 2:

@@ -66,11 +66,12 @@ func (s *Server) CacheStats() qcache.Stats {
 	return s.qc.Stats()
 }
 
-// CacheSavedJoules returns the modeled server-compute energy the cache has
-// saved so far: each hit priced as one mean miss execution.
-func (s *Server) CacheSavedJoules() float64 {
-	j, _ := s.em.Compute(float64(s.savedNanos.Load()) / 1e9)
-	return j
+// CacheSavedSeconds returns the server execution time the cache has saved so
+// far: each hit credited one mean miss execution. It is seconds, not Joules —
+// the paper gives the wall-powered server no energy budget to save from
+// (§5.3).
+func (s *Server) CacheSavedSeconds() float64 {
+	return float64(s.savedNanos.Load()) / 1e9
 }
 
 // noteMiss feeds one superset execution into the mean-miss-cost estimate.
@@ -80,15 +81,14 @@ func (s *Server) noteMiss(d time.Duration) {
 }
 
 // noteHit credits one hit with the current mean miss cost and republishes
-// the saved-energy gauge.
+// the saved-time gauge.
 func (s *Server) noteHit() {
 	n := s.missCount.Load()
 	if n == 0 {
 		return
 	}
 	saved := s.savedNanos.Add(s.missNanos.Load() / n)
-	j, _ := s.em.Compute(float64(saved) / 1e9)
-	s.metrics.cacheSavedJ.Set(j)
+	s.metrics.cacheSavedSec.Set(float64(saved) / 1e9)
 }
 
 // runQueryCached answers one QueryMsg through the cache. handled=false means
@@ -128,7 +128,7 @@ func (s *Server) runQueryCached(q *proto.QueryMsg, sc *reqScratch, deadline time
 	}
 	eps := q.Eps
 	if eps <= 0 {
-		eps = s.cfg.PointEps
+		eps = DefaultPointEps
 	}
 	ids, segs = refineCached(key.Kind(), q, eps, sc.cids, sc.csegs)
 	return ids, segs, true, nil

@@ -458,7 +458,7 @@ func BenchmarkZipfCached(b *testing.B) {
 		if withCache {
 			st := srv.CacheStats()
 			b.ReportMetric(st.HitRate(), "hit-rate")
-			b.ReportMetric(srv.CacheSavedJoules(), "saved-J")
+			b.ReportMetric(srv.CacheSavedSeconds(), "saved-s")
 		}
 	}
 	b.Run("off", func(b *testing.B) { run(b, false) })

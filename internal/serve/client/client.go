@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mobispatial/internal/energy"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/nic"
 	"mobispatial/internal/obs"
@@ -123,12 +124,14 @@ type Client struct {
 	// brk gates requests when the link is failing; while it is open the
 	// local state answers what it covers. Degraded-mode accounting lives in
 	// the atomic counters and CAS-accumulating gauges below.
-	brk            *breaker
-	fallbacks      atomic.Uint64
-	fallbackErrs   atomic.Uint64
-	fallbackJ      obs.Gauge // modeled Joules of degraded local execution
-	remoteNICJ     obs.Gauge // modeled NIC Joules of remote exchanges
-	energy         obs.EnergyModel
+	brk          *breaker
+	fallbacks    atomic.Uint64
+	fallbackErrs atomic.Uint64
+	fallbackJ    obs.Gauge // modeled Joules of degraded local execution
+	remoteNICJ   obs.Gauge // modeled NIC Joules of remote exchanges
+	// energy is this device's one cost model: the planner predicts with it
+	// and roundTrip, runLocal and the spans measure with it.
+	energy         energy.ClientModel
 	backoffRng     func() float64 // uniform [0,1) for full-jitter backoff
 	backoffRngLock sync.Mutex
 
@@ -156,16 +159,12 @@ func New(cfg Config) (*Client, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	em := obs.DefaultEnergyModel()
-	if cfg.Obs != nil {
-		em = cfg.Obs.Energy
-	}
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
 	c := &Client{
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.Conns),
 		brk:     newBreaker(cfg.Breaker),
-		energy:  em,
+		energy:  energy.DefaultClientModel(),
 		hub:     cfg.Obs,
 		metrics: newClientMetrics(cfg.Obs),
 	}
@@ -333,8 +332,9 @@ func transientCode(code proto.ErrCode) bool {
 // caps the whole retry loop — attempts and backoff sleeps included; a zero
 // one gives every attempt RequestTimeout. The router passes the query's
 // deadline here so it caps the slowest backend leg end to end instead of
-// being re-applied per attempt or per hop.
-func (c *Client) exchange(req proto.Message, deadline time.Time) (proto.Message, error) {
+// being re-applied per attempt or per hop. sp is the caller's span (nil when
+// it has none): every attempt that completes prices itself into it.
+func (c *Client) exchange(req proto.Message, deadline time.Time, sp *obs.Span) (proto.Message, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
@@ -357,7 +357,7 @@ func (c *Client) exchange(req proto.Message, deadline time.Time) (proto.Message,
 			c.brk.probeResult(true, time.Now())
 			c.observeBreaker()
 		}
-		resp, err := c.roundTrip(req, deadline)
+		resp, err := c.roundTrip(req, deadline, sp)
 		if err == nil {
 			if em, ok := resp.(*proto.ErrorMsg); ok && transientCode(em.Code) {
 				lastErr = em
@@ -414,7 +414,7 @@ func (c *Client) observeBreaker() {
 // another probe.
 func (c *Client) probeLink() error {
 	msg := &proto.PingMsg{ID: c.id()}
-	resp, err := c.roundTrip(msg, time.Time{})
+	resp, err := c.roundTrip(msg, time.Time{}, nil)
 	if err != nil {
 		return err
 	}
@@ -450,7 +450,14 @@ func backoffDelay(base, max time.Duration, attempt int, u float64) time.Duration
 // roundTrip performs one attempt on one pooled connection and feeds the link
 // tracker. A non-zero deadline tightens the attempt's socket deadline below
 // the RequestTimeout default.
-func (c *Client) roundTrip(req proto.Message, deadline time.Time) (proto.Message, error) {
+//
+// It is also where an exchange is priced, once: here the frame bytes that
+// actually moved, the wall time they took and the link estimate they are
+// priced at are all in hand. The radio seconds computed here are what the NIC
+// ledger (Degraded().RemoteNICJoules) is charged for and what sp's wire and
+// server-wait stages receive; nothing downstream re-derives them from
+// catalogue sizes.
+func (c *Client) roundTrip(req proto.Message, deadline time.Time, sp *obs.Span) (proto.Message, error) {
 	wc, err := c.checkout()
 	if err != nil {
 		return nil, err
@@ -486,9 +493,14 @@ func (c *Client) roundTrip(req proto.Message, deadline time.Time) (proto.Message
 	c.wire.bytesTx.Add(uint64(sentBytes))
 	c.wire.bytesRx.Add(uint64(respBytes))
 	c.wire.exchanges.Add(1)
-	remoteJ := c.energy.NICExchangeJoules(sentBytes, respBytes, 1, est.pricingBps())
+	bps := est.pricingBps()
+	remoteJ := c.energy.NICExchangeJoules(sentBytes, respBytes, 1, bps)
 	c.remoteNICJ.Add(remoteJ)
 	c.metrics.remoteJoules.Add(remoteJ)
+	if sp != nil {
+		c.attributeExchange(sp, elapsed.Seconds(),
+			c.energy.TxSeconds(sentBytes, bps), c.energy.TxSeconds(respBytes, bps))
+	}
 	if c.hub != nil {
 		c.metrics.rtHist.Observe(elapsed.Seconds())
 		c.metrics.txBytes.Add(uint64(sentBytes))
@@ -529,46 +541,18 @@ func (c *Client) microsUntil(deadline time.Time) uint32 {
 	return uint32(min(us, math.MaxUint32))
 }
 
-// stamp writes the request id and, where the message carries one, the
-// server-side timeout into req.
-func stamp(req proto.Message, id, timeoutMicros uint32) {
-	switch m := req.(type) {
-	case *proto.QueryMsg:
-		m.ID, m.TimeoutMicros = id, timeoutMicros
-	case *proto.NNQueryMsg:
-		m.ID, m.TimeoutMicros = id, timeoutMicros
-	case *proto.BatchQueryMsg:
-		m.ID, m.TimeoutMicros = id, timeoutMicros
-	case *proto.InsertMsg:
-		m.ID, m.TimeoutMicros = id, timeoutMicros
-	case *proto.DeleteMsg:
-		m.ID, m.TimeoutMicros = id, timeoutMicros
-	case *proto.MoveMsg:
-		m.ID, m.TimeoutMicros = id, timeoutMicros
-	case *proto.ShipmentReqMsg:
-		m.ID, m.TimeoutMicros = id, timeoutMicros
-	case *proto.PingMsg:
-		m.ID = id
-	case *proto.StatsReqMsg:
-		m.ID = id
-	case *proto.SummaryReqMsg:
-		m.ID = id
-	default:
-		panic(fmt.Sprintf("client: %T is not a request", req))
-	}
-}
-
 // call is the one request/reply exchange every client method is built on:
 // it stamps req, runs it through exchange under deadline (zero = one
 // RequestTimeout per attempt), releases req to its pool, counts the logical
 // queries it carried, and returns the reply as the type R the caller
-// expects. A server *ErrorMsg comes back as the error; any other reply type
-// is a protocol violation. The reply is the caller's: it copies out what it
-// keeps and releases it, or hands its slices on and never does.
-func call[R proto.Message](c *Client, req proto.Message, deadline time.Time, queries int) (R, error) {
-	stamp(req, c.id(), c.microsUntil(deadline))
+// expects. sp is the span the exchange prices itself into, nil for none. A
+// server *ErrorMsg comes back as the error; any other reply type is a
+// protocol violation. The reply is the caller's: it copies out what it keeps
+// and releases it, or hands its slices on and never does.
+func call[R proto.Message](c *Client, req proto.Request, deadline time.Time, queries int, sp *obs.Span) (R, error) {
+	req.Stamp(c.id(), c.microsUntil(deadline))
 	reqType := req.Type()
-	resp, err := c.exchange(req, deadline)
+	resp, err := c.exchange(req, deadline, sp)
 	proto.ReleaseMessage(req)
 	c.wire.queries.Add(uint64(queries))
 	var none R
@@ -588,17 +572,17 @@ func call[R proto.Message](c *Client, req proto.Message, deadline time.Time, que
 // for ModeData, ids otherwise. It owns q (call releases it), so the
 // steady-state request path reuses one QueryMsg and one encode buffer per
 // connection instead of allocating them. Replies are NOT released — their
-// slices are handed to the caller.
-func (c *Client) query(q *proto.QueryMsg) ([]uint32, []proto.Record, error) {
+// slices are handed to the caller. sp is the caller's span, nil for none.
+func (c *Client) query(q *proto.QueryMsg, sp *obs.Span) ([]uint32, []proto.Record, error) {
 	if q.Mode != proto.ModeData {
-		r, err := call[*proto.IDListMsg](c, q, time.Time{}, 1)
+		r, err := call[*proto.IDListMsg](c, q, time.Time{}, 1, sp)
 		if err != nil {
 			return nil, nil, err
 		}
 		c.noteHint(r.Epoch)
 		return r.IDs, nil, nil
 	}
-	r, err := call[*proto.DataListMsg](c, q, time.Time{}, 1)
+	r, err := call[*proto.DataListMsg](c, q, time.Time{}, 1, sp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -626,7 +610,7 @@ func localAnswer(mode proto.Mode, recs []proto.Record) ([]uint32, []proto.Record
 func (c *Client) ask(q *proto.QueryMsg, sp *obs.Span) (ids []uint32, recs []proto.Record, degraded bool, err error) {
 	mode := q.Mode
 	cq, canLocal := coreQuery(q) // capture before query releases q
-	ids, recs, err = c.query(q)
+	ids, recs, err = c.query(q, sp)
 	if err == nil || !canLocal {
 		return ids, recs, false, err
 	}
@@ -660,7 +644,7 @@ func (c *Client) RangeIDs(w geom.Rect) ([]uint32, error) {
 func (c *Client) FilterRange(w geom.Rect) ([]uint32, error) {
 	q := proto.AcquireQuery()
 	q.Kind, q.Mode, q.Window = proto.KindRange, proto.ModeFilter, w
-	ids, _, err := c.query(q)
+	ids, _, err := c.query(q, nil)
 	return ids, err
 }
 
@@ -768,7 +752,7 @@ func (c *Client) batchCall(qs []proto.QueryMsg, deadline time.Time) (*proto.Batc
 	req.Queries = append(req.Queries[:0], qs...)
 	c.metrics.batches.Inc()
 	c.metrics.batchQueries.Add(uint64(len(qs)))
-	r, err := call[*proto.BatchReplyMsg](c, req, deadline, len(qs))
+	r, err := call[*proto.BatchReplyMsg](c, req, deadline, len(qs), nil)
 	if err == nil && len(r.Items) != len(qs) {
 		err = fmt.Errorf("client: batch reply has %d items for %d queries", len(r.Items), len(qs))
 		proto.ReleaseMessage(r)
@@ -807,7 +791,7 @@ func (c *Client) batchDegrade(qs []proto.QueryMsg, cause error) ([]BatchResult, 
 // MSS sample effective bandwidth.
 func (c *Client) Ping(payloadBytes int) (time.Duration, error) {
 	start := time.Now()
-	r, err := call[*proto.PingMsg](c, &proto.PingMsg{Payload: make([]byte, payloadBytes)}, time.Time{}, 0)
+	r, err := call[*proto.PingMsg](c, &proto.PingMsg{Payload: make([]byte, payloadBytes)}, time.Time{}, 0, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -822,7 +806,7 @@ func (c *Client) Ping(payloadBytes int) (time.Duration, error) {
 // connection — the in-protocol observability surface (no HTTP endpoint
 // needed; mqtop and mqload's end-of-run report use it).
 func (c *Client) StatsSnapshot() (*proto.StatsMsg, error) {
-	return call[*proto.StatsMsg](c, &proto.StatsReqMsg{}, time.Time{}, 0)
+	return call[*proto.StatsMsg](c, &proto.StatsReqMsg{}, time.Time{}, 0, nil)
 }
 
 // Probe primes the link estimate with one small and one large ping.

@@ -20,7 +20,7 @@ import (
 // queryAppendUntil runs one id-mode query leg: send, append the reply's ids
 // to dst, release the pooled reply.
 func (c *Client) queryAppendUntil(q *proto.QueryMsg, dst []uint32, deadline time.Time) ([]uint32, error) {
-	r, err := call[*proto.IDListMsg](c, q, deadline, 1)
+	r, err := call[*proto.IDListMsg](c, q, deadline, 1, nil)
 	if err != nil {
 		return dst, err
 	}
@@ -60,7 +60,7 @@ func (c *Client) KNearestNeighborsAppendUntil(dst []proto.Neighbor, pt geom.Poin
 	}
 	q := proto.AcquireNNQuery()
 	q.Point, q.K, q.Bound = pt, uint16(k), bound
-	r, err := call[*proto.NeighborsMsg](c, q, deadline, 1)
+	r, err := call[*proto.NeighborsMsg](c, q, deadline, 1, nil)
 	if err != nil {
 		return dst, err
 	}
@@ -96,5 +96,5 @@ func (c *Client) QueryBatchVisit(qs []proto.QueryMsg, deadline time.Time, visit 
 // registration handshake. The reply is caller-owned (summaries are not
 // pooled; registration is rare).
 func (c *Client) Summary() (*proto.SummaryMsg, error) {
-	return call[*proto.SummaryMsg](c, &proto.SummaryReqMsg{}, time.Time{}, 0)
+	return call[*proto.SummaryMsg](c, &proto.SummaryReqMsg{}, time.Time{}, 0, nil)
 }

@@ -99,16 +99,11 @@ func queryKindName(k core.QueryKind) string {
 	return "nn"
 }
 
-// attributeWire decomposes one network call's measured wall time into the
-// modeled radio transfer (StageWire) and the residual server wait
-// (StageServerExec), pricing each with the hub's energy model. With no
-// bandwidth estimate the whole wall time is attributed as wait.
-func attributeWire(sp *obs.Span, em obs.EnergyModel, wallSec float64, txBytes, rxBytes int, bwBps float64) {
-	if sp == nil || wallSec <= 0 {
-		return
-	}
-	txSec := em.TxSeconds(txBytes, bwBps)
-	rxSec := em.TxSeconds(rxBytes, bwBps)
+// attributeExchange laps one completed exchange into sp as roundTrip priced
+// it: txSec and rxSec of modeled radio transfer (StageWire) and the rest of
+// the measured wall time as the wait for the server (StageServerExec), each
+// at its stage price.
+func (c *Client) attributeExchange(sp *obs.Span, wallSec, txSec, rxSec float64) {
 	if wire := txSec + rxSec; wire > wallSec {
 		// The modeled transfer can exceed the measured wall time when the
 		// bandwidth estimate is stale; scale it into the budget.
@@ -118,11 +113,11 @@ func attributeWire(sp *obs.Span, em obs.EnergyModel, wallSec float64, txBytes, r
 	}
 	waitSec := wallSec - txSec - rxSec
 	sp.Lap(obs.StageWire, txSec+rxSec)
-	j, cy := em.Tx(txSec)
+	j, cy := c.energy.Tx(txSec)
 	sp.Attribute(obs.StageWire, j, cy)
-	j, cy = em.Rx(rxSec)
+	j, cy = c.energy.Rx(rxSec)
 	sp.Attribute(obs.StageWire, j, cy)
 	sp.Lap(obs.StageServerExec, waitSec)
-	j, cy = em.Wait(waitSec)
+	j, cy = c.energy.Wait(waitSec)
 	sp.Attribute(obs.StageServerExec, j, cy)
 }

@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -152,17 +153,17 @@ func TestPlannerRecordsSchemesAndPredictionError(t *testing.T) {
 	}
 }
 
-// TestPlannerSpansCarryEnergy: an offloaded execution's span must decompose
-// into plan, wire, and server-exec stages with nonzero Joules attribution.
-func TestPlannerSpansCarryEnergy(t *testing.T) {
-	ds, c, p, hub := obsWorld(t)
-	center := ds.Extent.Center()
-	// 10 Gbps: the ~12 KB id reply models to ~10 µs of radio, well under the
-	// 40 µs and up a warm loopback exchange takes. At 1 Gbps the modeled
-	// transfer (94 µs) could exceed the measured wall time, which
-	// attributeWire then scales to leave no server wait at all.
+// offloadBigRange executes one range over most of obsWorld's map on a link so
+// fast the planner offloads it, and returns the server-ids span it left: a
+// single exchange's worth of plan, wire, server-exec and reply stages.
+//
+// 10 Gbps: the ~12 KB id reply models to ~10 µs of radio, well under the
+// 40 µs and up a warm loopback exchange takes. At 1 Gbps the modeled transfer
+// (94 µs) could exceed the measured wall time, which attributeExchange then
+// scales to leave no server wait at all.
+func offloadBigRange(t *testing.T, c *client.Client, p *client.Planner, hub *obs.Hub, center geom.Point) (span obs.SpanView, stages map[string]obs.StageView) {
+	t.Helper()
 	c.SetLink(500*time.Microsecond, 10e9)
-
 	bigW := geom.Rect{
 		Min: geom.Point{X: center.X - 20000, Y: center.Y - 20000},
 		Max: geom.Point{X: center.X + 20000, Y: center.Y + 20000},
@@ -170,23 +171,30 @@ func TestPlannerSpansCarryEnergy(t *testing.T) {
 	if _, err := p.Execute(core.Range(bigW)); err != nil {
 		t.Fatalf("execute: %v", err)
 	}
-
 	snap := hub.Trace.Snapshot()
-	var offloaded *obs.SpanView
-	for i := range snap.Sampled {
-		if snap.Sampled[i].Scheme == "server-ids" {
-			offloaded = &snap.Sampled[i]
+	found := false
+	for _, sv := range snap.Sampled {
+		if sv.Scheme == "server-ids" {
+			span, found = sv, true
 		}
 	}
-	if offloaded == nil {
+	if !found {
 		t.Fatal("no server-ids span retained")
 	}
+	stages = map[string]obs.StageView{}
+	for _, st := range span.Stages {
+		stages[st.Stage] = st
+	}
+	return span, stages
+}
+
+// TestPlannerSpansCarryEnergy: an offloaded execution's span must decompose
+// into plan, wire, and server-exec stages with nonzero Joules attribution.
+func TestPlannerSpansCarryEnergy(t *testing.T) {
+	ds, c, p, hub := obsWorld(t)
+	offloaded, stages := offloadBigRange(t, c, p, hub, ds.Extent.Center())
 	if offloaded.Joules <= 0 {
 		t.Errorf("span joules = %g, want > 0", offloaded.Joules)
-	}
-	stages := map[string]obs.StageView{}
-	for _, st := range offloaded.Stages {
-		stages[st.Stage] = st
 	}
 	for _, want := range []string{"plan", "server-exec"} {
 		st, ok := stages[want]
@@ -198,5 +206,40 @@ func TestPlannerSpansCarryEnergy(t *testing.T) {
 	// The wire stage exists whenever a bandwidth estimate is available.
 	if st, ok := stages["wire"]; !ok || st.Joules <= 0 {
 		t.Errorf("wire stage: present=%v joules=%g, want > 0", ok, st.Joules)
+	}
+}
+
+// TestExchangePricedOnce: one offloaded execution is one exchange, priced in
+// one place (Client.roundTrip) from what it measured. The span's wire stage
+// and the NIC ledger both read the frame bytes that moved — WireStats' deltas,
+// 73 B up and 21+4n B down — at the link estimate in force, through the one
+// cost model; neither re-derives the exchange from the catalogue's 64 B and
+// 16+4n B, which is what the planner *predicts* with.
+func TestExchangePricedOnce(t *testing.T) {
+	ds, c, p, hub := obsWorld(t)
+	w0, j0 := c.WireStats(), c.Degraded().RemoteNICJoules
+	_, stages := offloadBigRange(t, c, p, hub, ds.Extent.Center())
+	w1, j1 := c.WireStats(), c.Degraded().RemoteNICJoules
+	if w1.Exchanges-w0.Exchanges != 1 {
+		t.Fatalf("%d exchanges for one offloaded query", w1.Exchanges-w0.Exchanges)
+	}
+	tx, rx := int(w1.BytesTx-w0.BytesTx), int(w1.BytesRx-w0.BytesRx)
+	bps := c.Link().BandwidthBps
+
+	em := obs.DefaultEnergyModel()
+	txSec, rxSec := em.TxSeconds(tx, bps), em.TxSeconds(rx, bps)
+	txJ, _ := em.Tx(txSec)
+	rxJ, _ := em.Rx(rxSec)
+	near := func(got, want float64) bool { return math.Abs(got-want) <= 1e-9*want }
+	wire := stages["wire"]
+	if !near(wire.Seconds, txSec+rxSec) {
+		t.Errorf("wire stage %.6g s, the %d+%d B that moved take %.6g s at %.3g bps",
+			wire.Seconds, tx, rx, txSec+rxSec, bps)
+	}
+	if !near(wire.Joules, txJ+rxJ) {
+		t.Errorf("wire stage %.6g J, Tx+Rx of the measured frames is %.6g J", wire.Joules, txJ+rxJ)
+	}
+	if want := em.NICExchangeJoules(tx, rx, 1, bps); !near(j1-j0, want) {
+		t.Errorf("NIC ledger charged %.6g J, the same frames price to %.6g J", j1-j0, want)
 	}
 }

@@ -12,9 +12,7 @@ import (
 
 	"mobispatial/internal/core"
 	"mobispatial/internal/cpu"
-	"mobispatial/internal/energy"
 	"mobispatial/internal/geom"
-	"mobispatial/internal/nic"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
 )
@@ -61,12 +59,14 @@ const (
 	Energy
 )
 
-// CostModel calibrates the planner's analytic inputs: the per-work cycle
-// prices and the power draws of §4.1, defaulting to the repository's
-// simulated machines (Table 2–4).
+// CostModel calibrates what is the planner's own in its analytic inputs: the
+// per-work cycle prices and the server's clock, defaulting to the
+// repository's simulated machines (Tables 3–4). The client's clock and power
+// table are not here: a prediction is priced with the same model its
+// measurement will be (Client.energy).
 type CostModel struct {
-	// ClientHz and ServerHz are the two clock rates.
-	ClientHz, ServerHz float64
+	// ServerHz is the server's clock rate.
+	ServerHz float64
 	// CyclesPerNodeVisit prices one index-node visit of the filtering step
 	// (scan + MBR tests, cache effects folded in).
 	CyclesPerNodeVisit float64
@@ -78,29 +78,18 @@ type CostModel struct {
 	// CyclesPerProtoPacket and CyclesPerProtoByte price protocol
 	// processing (§5.2).
 	CyclesPerProtoPacket, CyclesPerProtoByte float64
-	// Powers in watts: client compute, NIC transmit/receive/idle/sleep,
-	// and the blocked-core draw.
-	PClient, PTx, PRx, PIdle, PSleep, PBlocked float64
 }
 
-// DefaultCostModel prices work like the simulated Table 3/4 machines: a
-// 125 MHz client against a 1 GHz server at 1 km range.
+// DefaultCostModel prices work like the simulated Table 3/4 machines: client
+// cycles against a 1 GHz server.
 func DefaultCostModel() CostModel {
-	e := energy.DefaultParams()
 	return CostModel{
-		ClientHz:             cpu.DefaultClientConfig().ClockHz,
 		ServerHz:             cpu.DefaultServerConfig().ClockHz,
 		CyclesPerNodeVisit:   600,
 		CyclesPerCandidate:   1500,
 		CyclesPerResultID:    40,
 		CyclesPerProtoPacket: 400,
 		CyclesPerProtoByte:   4,
-		PClient:              0.2,
-		PTx:                  nic.TxPower1Km,
-		PRx:                  nic.RxPower,
-		PIdle:                nic.IdlePower,
-		PSleep:               nic.SleepPower,
-		PBlocked:             e.CPUSleepWatts,
 	}
 }
 
@@ -232,10 +221,10 @@ func (p *Planner) Execute(q core.Query) (Result, error) {
 		m.execHist[res.Plan].Observe(totalSec)
 		m.joules[res.Plan].Add(actualJoules)
 		if advised && res.Plan == plan && err == nil {
-			predSec := in.FullyLocalCycles() / in.ClientHz
+			predSec := in.FullyLocalCycles() / in.Client.ClientHz
 			predJoules := in.FullyLocalJoules()
 			if plan == PlanServerIDs {
-				predSec = in.PartitionedCycles() / in.ClientHz
+				predSec = in.PartitionedCycles() / in.Client.ClientHz
 				predJoules = in.PartitionedJoules()
 			}
 			if totalSec > 0 {
@@ -282,9 +271,9 @@ func (p *Planner) runPlan(st *localState, plan Plan, q core.Query, sp *obs.Span)
 	return Result{Plan: PlanServerData, Records: recs}, degraded, err
 }
 
-// offload sends q to the server in the given mode through Client.ask — which
-// degrades to the shipment when the link cannot answer — and attributes the
-// measured wall time to the radio and the server wait.
+// offload sends q to the server in the given mode through Client.ask, which
+// degrades to the shipment when the link cannot answer. The exchange prices
+// itself into sp where it happens (Client.roundTrip).
 func (p *Planner) offload(q core.Query, mode proto.Mode, sp *obs.Span) (ids []uint32, recs []proto.Record, degraded bool, err error) {
 	m := proto.AcquireQuery()
 	m.Mode = mode
@@ -296,17 +285,7 @@ func (p *Planner) offload(q core.Query, mode proto.Mode, sp *obs.Span) (ids []ui
 	default:
 		m.Kind, m.Point, m.K = proto.KindNN, q.Point, uint16(max(q.K, 1))
 	}
-	start := time.Now()
-	ids, recs, degraded, err = p.c.ask(m, sp)
-	if !degraded {
-		reply := proto.IDListBytes(len(ids))
-		if mode == proto.ModeData {
-			reply = proto.DataListBytes(len(recs), proto.WireRecordBytes)
-		}
-		attributeWire(sp, p.c.energy, time.Since(start).Seconds(),
-			proto.QueryRequestBytes, reply, p.c.Link().BandwidthBps)
-	}
-	return ids, recs, degraded, err
+	return p.c.ask(m, sp)
 }
 
 // estimateWork predicts the filtering/refinement volume of q against the
@@ -387,15 +366,9 @@ func (p *Planner) analyticInputs(ship *Shipment, q core.Query) core.AnalyticInpu
 		CLocal:       cLocal,
 		CProtocol:    cProtocol,
 		CW2:          cw2,
-		ClientHz:     m.ClientHz,
 		ServerHz:     m.ServerHz,
 		PacketTxBits: float64(tx.WireBytes*8) / b,
 		PacketRxBits: float64(rx.WireBytes*8) / b,
-		PClient:      m.PClient,
-		PTx:          m.PTx,
-		PRx:          m.PRx,
-		PIdle:        m.PIdle,
-		PSleep:       m.PSleep,
-		PBlocked:     m.PBlocked,
+		Client:       p.c.energy,
 	}
 }

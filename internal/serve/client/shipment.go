@@ -41,7 +41,7 @@ func (c *Client) FetchShipment(window geom.Rect, budgetBytes, recordBytes int) (
 		Window:      window,
 		BudgetBytes: uint32(budgetBytes),
 		RecordBytes: uint32(recordBytes),
-	}, time.Time{}, 0)
+	}, time.Time{}, 0, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -52,8 +52,8 @@ func (c *Client) Move(id uint32, seg geom.Segment) (UpdateAck, error) {
 // write counts as one logical query in the wire statistics. An acked write
 // is an observed write: the ack carries no epoch hint and the next reply
 // that does may be a long way off, so the installed shipment is retired here.
-func (c *Client) update(m proto.Message) (UpdateAck, error) {
-	r, err := call[*proto.UpdateAckMsg](c, m, time.Time{}, 1)
+func (c *Client) update(m proto.Request) (UpdateAck, error) {
+	r, err := call[*proto.UpdateAckMsg](c, m, time.Time{}, 1, nil)
 	if err != nil {
 		return UpdateAck{}, err
 	}

@@ -36,7 +36,7 @@ func BenchmarkServeHotPath(b *testing.B) {
 		if rerr != nil {
 			b.Fatal(rerr)
 		}
-		resp := srv.execute(msg, sc, time.Time{})
+		resp := srv.execute(msg.(proto.Request), sc, time.Time{})
 		if out, rerr = proto.AppendFrame(out[:0], resp); rerr != nil {
 			b.Fatal(rerr)
 		}

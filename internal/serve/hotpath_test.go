@@ -96,7 +96,7 @@ func TestServeHotPathLoopZeroAlloc(t *testing.T) {
 		if rerr != nil {
 			t.Fatal(rerr)
 		}
-		resp := srv.execute(msg, sc, time.Time{})
+		resp := srv.execute(msg.(proto.Request), sc, time.Time{})
 		out, rerr = proto.AppendFrame(out[:0], resp)
 		if rerr != nil {
 			t.Fatal(rerr)

@@ -252,8 +252,6 @@ type Config struct {
 	// RequestTimeout caps one request's server-side time (admission wait
 	// included); clients may ask for less, never more. Defaults to 5s.
 	RequestTimeout time.Duration
-	// PointEps is the default point-query tolerance; DefaultPointEps when 0.
-	PointEps float64
 	// MaxKNN caps the k of k-NN queries; defaults to 1024.
 	MaxKNN int
 	// Obs enables observability: per-kind execution histograms, sampled
@@ -303,9 +301,6 @@ func (c *Config) fill() error {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
-	}
-	if c.PointEps <= 0 {
-		c.PointEps = DefaultPointEps
 	}
 	if c.MaxKNN <= 0 {
 		c.MaxKNN = 1024
@@ -357,9 +352,8 @@ type Server struct {
 	// qc is the result cache (nil = caching off), validated against
 	// caps.view.
 	qc *qcache.Cache
-	// em prices cache hits: a hit saves roughly one mean miss execution,
-	// accumulated in savedNanos from the missNanos/missCount running mean.
-	em         obs.EnergyModel
+	// A cache hit saves roughly one mean miss execution: savedNanos
+	// accumulates the missNanos/missCount running mean per hit.
 	missNanos  atomic.Int64
 	missCount  atomic.Int64
 	savedNanos atomic.Int64
@@ -466,9 +460,9 @@ type serveMetrics struct {
 	// updateHist[kind] is the execution-time histogram of one update shape
 	// (insert, delete, move).
 	updateHist [3]*obs.Histogram
-	// cacheSavedJ is the modeled server-compute Joules the result cache has
-	// saved: each hit is priced as one mean miss execution.
-	cacheSavedJ *obs.Gauge
+	// cacheSavedSec is the server execution time the result cache has
+	// saved: each hit is credited one mean miss execution.
+	cacheSavedSec *obs.Gauge
 }
 
 var kindNames = [3]string{"point", "range", "nn"}
@@ -509,7 +503,7 @@ func newServeMetrics(h *obs.Hub) serveMetrics {
 	for k, kindName := range updateKindNames {
 		m.updateHist[k] = reg.Histogram(obs.Name("serve_update_seconds", "kind", kindName))
 	}
-	m.cacheSavedJ = reg.Gauge("qcache_saved_joules")
+	m.cacheSavedSec = reg.Gauge("qcache_saved_seconds")
 	return m
 }
 
@@ -542,10 +536,6 @@ func New(cfg Config) (*Server, error) {
 		// pool's plain Executor methods, which have nowhere to report a
 		// failed leg.
 		return nil, fmt.Errorf("serve: pool %T routes batches but is not a DeadlineExecutor", cfg.Pool)
-	}
-	s.em = obs.DefaultEnergyModel()
-	if cfg.Obs != nil {
-		s.em = cfg.Obs.Energy
 	}
 	summary, err := buildSummary(&cfg)
 	if err != nil {
@@ -876,41 +866,25 @@ func (s *Server) serveConn(nc net.Conn) {
 		now = arrived
 		s.metrics.rxBytes.Add(uint64(n))
 
-		switch m := msg.(type) {
-		case *proto.PingMsg:
-			// Pings bypass admission: they measure the link, not the server.
-			// write serializes the echo before returning, so releasing the
-			// pooled message afterwards is safe.
-			c.write(m, arrived)
-			proto.ReleaseMessage(m)
-		case *proto.StatsReqMsg:
-			// Snapshots bypass admission too: observability must stay
-			// available when the server is saturated.
-			c.write(s.statsSnapshot(m.ID), arrived)
-		case *proto.SummaryReqMsg:
-			// Summaries bypass admission like stats: a router must be able
-			// to (re-)register against a saturated backend.
-			c.write(s.summaryReply(m.ID), arrived)
-		case *proto.QueryMsg:
-			now = c.dispatch(m, began, arrived, m.TimeoutMicros)
-		case *proto.BatchQueryMsg:
-			now = c.dispatch(m, began, arrived, m.TimeoutMicros)
-		case *proto.NNQueryMsg:
-			now = c.dispatch(m, began, arrived, m.TimeoutMicros)
-		case *proto.ShipmentReqMsg:
-			now = c.dispatch(m, began, arrived, m.TimeoutMicros)
-		case *proto.InsertMsg:
-			now = c.dispatch(m, began, arrived, m.TimeoutMicros)
-		case *proto.DeleteMsg:
-			now = c.dispatch(m, began, arrived, m.TimeoutMicros)
-		case *proto.MoveMsg:
-			now = c.dispatch(m, began, arrived, m.TimeoutMicros)
-		default:
+		req, ok := msg.(proto.Request)
+		if !ok {
 			s.metrics.errors.Inc()
 			c.write(&proto.ErrorMsg{ID: msg.RequestID(), Code: proto.CodeBadRequest,
 				Text: fmt.Sprintf("unexpected %v message", msg.Type())}, arrived)
 			proto.ReleaseMessage(msg)
+			continue
 		}
+		if micros, budgeted := req.Timeout(); budgeted {
+			now = c.dispatch(req, began, arrived, micros)
+			continue
+		}
+		// The control requests bypass admission: a ping measures the link,
+		// not the server, and stats and summaries must stay available when the
+		// server is saturated (observability; a router (re-)registering).
+		// write serializes the reply before returning, so releasing the
+		// pooled request — a ping's echo is the request itself — is safe.
+		c.write(s.execute(req, nil, time.Time{}), arrived)
+		proto.ReleaseMessage(req)
 	}
 }
 
@@ -922,7 +896,7 @@ func (s *Server) serveConn(nc net.Conn) {
 // waits for each reply, skips the goroutine hand-off and its cold stack. The
 // began and arrived readings were taken before and after the frame's decode;
 // the return value is the latest reading taken on this goroutine.
-func (c *conn) dispatch(req proto.Message, began, arrived time.Time, timeoutMicros uint32) time.Time {
+func (c *conn) dispatch(req proto.Request, began, arrived time.Time, timeoutMicros uint32) time.Time {
 	s := c.srv
 	timeout := s.cfg.RequestTimeout
 	if t := time.Duration(timeoutMicros) * time.Microsecond; t > 0 && t < timeout {
@@ -968,7 +942,7 @@ func (c *conn) dispatch(req proto.Message, began, arrived time.Time, timeoutMicr
 // all the span, the histograms, the deadline check and the write deadline
 // get. For a spawned request the wait to be scheduled falls between admitted
 // and executed, so it counts as execution.
-func (c *conn) run(req proto.Message, began, arrived, admitted time.Time, timeout time.Duration) time.Time {
+func (c *conn) run(req proto.Request, began, arrived, admitted time.Time, timeout time.Duration) time.Time {
 	s := c.srv
 	defer func() {
 		<-s.sem
@@ -1164,13 +1138,16 @@ func (s *Server) statsSnapshot(id uint32) *proto.StatsMsg {
 // answers CodeInternal instead of crashing the whole server, and reports
 // panicked=true so the caller drops (rather than recycles) the scratch the
 // panicking execution may have corrupted.
-func (s *Server) safeExecute(req proto.Message, sc *reqScratch, deadline time.Time) (resp proto.Message, panicked bool) {
+func (s *Server) safeExecute(req proto.Request, sc *reqScratch, deadline time.Time) (resp proto.Message, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
 			resp = errorReply(req.RequestID(), fmt.Errorf("panic in query execution: %v", r))
 		}
 	}()
+	if s.cfg.testDelay > 0 {
+		time.Sleep(s.cfg.testDelay)
+	}
 	return s.execute(req, sc, deadline), false
 }
 
@@ -1192,14 +1169,18 @@ func (s *Server) checkK(k int) error {
 	return nil
 }
 
-// execute runs one admitted request and builds its response message. The
-// response may alias sc's buffers; it must be serialized (conn.write does
-// this before returning) before sc is reused.
-func (s *Server) execute(req proto.Message, sc *reqScratch, deadline time.Time) proto.Message {
-	if s.cfg.testDelay > 0 {
-		time.Sleep(s.cfg.testDelay)
-	}
+// execute runs one request and builds its response message: the one place
+// that says how each request type is answered. The response may alias sc's
+// buffers; it must be serialized (conn.write does this before returning)
+// before sc is reused. The control requests use neither sc nor the deadline.
+func (s *Server) execute(req proto.Request, sc *reqScratch, deadline time.Time) proto.Message {
 	switch m := req.(type) {
+	case *proto.PingMsg:
+		return m
+	case *proto.StatsReqMsg:
+		return s.statsSnapshot(m.ID)
+	case *proto.SummaryReqMsg:
+		return s.summaryReply(m.ID)
 	case *proto.QueryMsg:
 		return s.executeQuery(m, sc, deadline)
 	case *proto.BatchQueryMsg:
@@ -1253,7 +1234,7 @@ func (s *Server) executeUpdate(req proto.Message, sc *reqScratch) proto.Message 
 func (s *Server) runQuery(q *proto.QueryMsg, sc *reqScratch, dst []uint32, deadline time.Time) ([]uint32, error) {
 	eps := q.Eps
 	if eps <= 0 {
-		eps = s.cfg.PointEps
+		eps = DefaultPointEps
 	}
 	switch q.Kind {
 	case proto.KindPoint:
