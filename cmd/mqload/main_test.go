@@ -13,7 +13,6 @@ import (
 	"mobispatial/internal/mutable"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/router"
 	"mobispatial/internal/rtree"
@@ -47,7 +46,7 @@ func startTargets(t *testing.T, ds *dataset.Dataset) (static, updatable, routed 
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp, err := parallel.New(ds, tree, 0)
+	pp, err := shard.Over(ds, tree)
 	if err != nil {
 		t.Fatal(err)
 	}

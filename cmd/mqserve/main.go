@@ -1,7 +1,7 @@
 // Command mqserve runs the networked spatial-query server: the repository's
 // simulated "server" machine made real — a TCP service answering point,
-// range, and NN queries against a shared packed R-tree (each query runs on
-// the goroutine that admitted it; -inflight is the concurrency control), and
+// range, and NN queries against packed R-trees (each query runs on the
+// goroutine that admitted it; -inflight is the concurrency control), and
 // shipping budgeted sub-indexes to memory-limited clients.
 //
 // Usage:
@@ -12,9 +12,11 @@
 //
 //	-addr       listen address (default :7070)
 //	-dataset    pa | nyc (default pa)
-//	-shards     spatial shards (0 = monolithic single tree; N > 0 =
-//	            Hilbert-sharded pool, one packed R-tree per shard, each query
-//	            walking only the shards its window or point touches)
+//	-shards     spatial shards of the frozen engine: N > 0 = N Hilbert runs,
+//	            one packed R-tree each, a query walking only the shards its
+//	            window or point touches; 0 = one shard over the master tree
+//	            (the one shipments are carved from), or with -partition the
+//	            engine's default count over the held ranges
 //	-inflight   admission-control cap on concurrent requests (0 = 4x
 //	            GOMAXPROCS)
 //	-obs        observability HTTP address serving /metrics (Prometheus),
@@ -22,8 +24,9 @@
 //	-partition  i/N: run as cluster backend i of N, indexing only the
 //	            Hilbert key ranges it holds (every backend derives the
 //	            identical partition from the shared deterministic dataset)
-//	-replicas   R-way replication under rotation placement (with
-//	            -partition; backend i also holds ranges i-1..i-R+1 mod N)
+//	-replicas   R-way replication under rotation placement (needs
+//	            -partition, 1 <= R <= N; backend i also holds ranges
+//	            i-1..i-R+1 mod N)
 //	-mutable    updatable pool: accepts live MsgInsert/MsgDelete/MsgMove,
 //	            overlaying a delta tree on the packed base and folding it
 //	            in with epoch-swapped compactions (monolithic or with
@@ -56,15 +59,17 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"syscall"
 	"time"
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/faultlink"
+	"mobispatial/internal/geom"
 	"mobispatial/internal/mutable"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/qcache"
 	"mobispatial/internal/rtree"
@@ -83,11 +88,11 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("mqserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":7070", "listen address")
 	dsName := fs.String("dataset", "pa", "dataset: pa | nyc")
-	shards := fs.Int("shards", 0, "spatial shards (0 = monolithic)")
+	shards := fs.Int("shards", 0, "spatial shards (0 = one shard over the master tree)")
 	inflight := fs.Int("inflight", 0, "max concurrent requests (0 = 4x GOMAXPROCS)")
 	obsAddr := fs.String("obs", "", "observability HTTP address (\"\" = disabled)")
 	partition := fs.String("partition", "", "i/N: cluster backend i of N Hilbert ranges (\"\" = whole dataset)")
-	replicas := fs.Int("replicas", 1, "R-way replication under rotation placement (with -partition)")
+	replicas := fs.Int("replicas", 1, "R-way replication under rotation placement (needs -partition, 1 <= R <= N)")
 	mut := fs.Bool("mutable", false, "updatable pool accepting live inserts/deletes/moves")
 	adaptive := fs.Bool("adaptive", false, "workload-adaptive shard repartitioning (with -mutable, monolithic only)")
 	qcacheMB := fs.Int("qcache", 0, "result-cache budget in MB (0 = off)")
@@ -97,81 +102,73 @@ func run(args []string) error {
 		return err
 	}
 
+	// Every refusal comes before the dataset is generated.
+	backend, numRanges, err := parsePartition(*partition, *replicas)
+	if err != nil {
+		return err
+	}
+	if *adaptive && !*mut {
+		return fmt.Errorf("-adaptive requires -mutable")
+	}
+	if *adaptive && numRanges > 0 {
+		return fmt.Errorf("-adaptive requires a monolithic pool (drop -partition); the repartitioner must own the whole key space")
+	}
+
 	ds, err := dataset.ByName(*dsName)
 	if err != nil {
 		return err
 	}
 
+	// The master tree always covers the whole map — shipments carve
+	// sub-indexes from it. The unsharded frozen server walks that same tree.
 	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
 	if err != nil {
 		return err
 	}
 	hub := obs.NewHub()
 
-	// The master tree always stays monolithic — shipments carve sub-indexes
-	// from it — but query execution is either the monolithic parallel pool,
-	// the Hilbert-sharded pool, or (with -partition) a sharded pool over
-	// only the cluster ranges this backend holds.
-	var pool serve.Executor
-	var held []proto.RangeInfo
-	numRanges := 0
-	if *adaptive {
-		if !*mut {
-			return fmt.Errorf("-adaptive requires -mutable")
-		}
-		if *partition != "" {
-			return fmt.Errorf("-adaptive requires a monolithic pool (drop -partition); the repartitioner must own the whole key space")
-		}
-	}
-	if *partition != "" {
-		var err error
-		held, numRanges, pool, err = partitionPool(ds, *partition, *replicas, *shards, *mut, hub)
-		if err != nil {
+	// The pool: updatable shards with -mutable, else the frozen engine, where
+	// the flags pick only a shard count, an item subset, and whether the
+	// master tree is reused (nothing to cut: -shards 0 over the whole map).
+	var part backendRanges // zero without -partition: every item, no range rows
+	if numRanges > 0 {
+		if part, err = holdRanges(ds, backend, numRanges, *replicas); err != nil {
 			return err
 		}
-	} else if *mut {
-		n := *shards
-		if n <= 0 {
-			n = 4
-		}
-		mp, err := mutable.NewFromDataset(ds, n, mutable.Config{
-			Obs:      hub,
-			Adaptive: mutable.AdaptiveConfig{Enabled: *adaptive},
-		})
+		fmt.Printf("mqserve: backend %d/%d holds %d of %d ranges (%d segments, R=%d, mutable=%v)\n",
+			backend, numRanges, len(part.infos), numRanges, len(part.items), *replicas, *mut)
+	}
+	var pool serve.Executor
+	if *mut {
+		mp, err := mutablePool(ds, part, *shards, *adaptive, hub)
 		if err != nil {
 			return err
 		}
 		defer mp.Close()
-		if *adaptive {
-			fmt.Printf("mqserve: adaptive mutable pool, %d updatable shards over %d segments (split/merge on query heat)\n",
-				mp.NumShards(), mp.Len())
-		} else {
-			fmt.Printf("mqserve: mutable pool, %d updatable shards over %d segments\n", mp.NumShards(), mp.Len())
-		}
+		fmt.Printf("mqserve: mutable pool (adaptive=%v), %d updatable shards over %d segments\n",
+			*adaptive, mp.NumShards(), mp.Len())
 		pool = mp
-	} else if *shards > 0 {
-		sp, err := shard.New(ds, shard.Config{Shards: *shards, Obs: hub.Reg})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("mqserve: %d shards x ~%d segments\n",
-			sp.Shards(), (sp.Len()+sp.Shards()-1)/sp.Shards())
-		pool = sp
 	} else {
-		mp, err := parallel.New(ds, tree, 0)
+		var sp *shard.Pool
+		if part.items == nil && *shards <= 0 {
+			sp, err = shard.Over(ds, tree)
+		} else {
+			sp, err = shard.New(ds, shard.Config{Shards: *shards, Items: part.items, Obs: hub.Reg})
+		}
 		if err != nil {
 			return err
 		}
-		pool = mp
+		fmt.Printf("mqserve: frozen pool, %d segments in %d shard(s)\n", sp.Len(), sp.Shards())
+		pool = sp
 	}
 	var qc *qcache.Cache
 	if *qcacheMB > 0 {
 		qc = qcache.New(qcache.Config{MaxBytes: *qcacheMB << 20, CellSize: *qcell, Obs: hub})
-		fmt.Printf("mqserve: result cache %d MB, %.0f-unit cells\n", *qcacheMB, *qcell)
+		fmt.Printf("mqserve: result cache %d MB, %.0f-unit cells\n", *qcacheMB, qc.CellSize())
 	}
 	srv, err := serve.New(serve.Config{
 		Pool: pool, Master: tree, MaxInFlight: *inflight, Obs: hub,
-		Ranges: held, NumRanges: numRanges, Cache: qc,
+		Ranges: part.infos, NumRanges: numRanges, Cache: qc,
 	})
 	if err != nil {
 		return err
@@ -227,31 +224,58 @@ func run(args []string) error {
 	return nil
 }
 
-// partitionPool builds the sharded pool of cluster backend i of n: the
-// deterministic dataset is partitioned into n contiguous Hilbert ranges
-// (bit-identical in every process), and this backend indexes the ranges
-// rotation placement assigns it. Item ids stay cluster-global.
-func partitionPool(ds *dataset.Dataset, spec string, replicas, shards int, mut bool, hub *obs.Hub) ([]proto.RangeInfo, int, serve.Executor, error) {
-	var idx, n int
-	if c, err := fmt.Sscanf(spec, "%d/%d", &idx, &n); err != nil || c != 2 {
-		return nil, 0, nil, fmt.Errorf("bad -partition %q (want i/N)", spec)
+// parsePartition reads -partition's "i/N" strictly (0 <= i < N, nothing but
+// the two integers) and checks -replicas against it. N is 0 without the flag.
+func parsePartition(spec string, replicas int) (backend, n int, err error) {
+	if spec == "" {
+		if replicas != 1 {
+			return 0, 0, fmt.Errorf("-replicas %d needs -partition: replication places cluster ranges", replicas)
+		}
+		return 0, 0, nil
 	}
+	is, ns, ok := strings.Cut(spec, "/")
+	backend, errI := strconv.Atoi(is)
+	n, errN := strconv.Atoi(ns)
+	if !ok || errI != nil || errN != nil || backend < 0 || backend >= n {
+		return 0, 0, fmt.Errorf("bad -partition %q (want i/N with 0 <= i < N)", spec)
+	}
+	if replicas < 1 || replicas > n {
+		return 0, 0, fmt.Errorf("-replicas %d outside [1, %d] for -partition %s", replicas, n, spec)
+	}
+	return backend, n, nil
+}
+
+// backendRanges is what cluster backend i of N holds: the deterministic dataset
+// cut into N contiguous Hilbert ranges (bit-identical in every process), and
+// of those the ones rotation placement assigns this backend. Item ids stay
+// cluster-global.
+type backendRanges struct {
+	idxs   []int             // held range indices, primary first
+	held   []shard.Range     // those ranges
+	infos  []proto.RangeInfo // the rows the backend registers with
+	items  []rtree.Item      // their items, concatenated
+	cuts   []uint64          // every range's low key, cluster-wide
+	bounds geom.Rect         // MBR of the whole dataset
+}
+
+func holdRanges(ds *dataset.Dataset, backend, n, replicas int) (backendRanges, error) {
 	ranges, bounds := shard.PartitionHilbert(ds.Items(), n, 0)
 	if len(ranges) != n {
-		return nil, 0, nil, fmt.Errorf("-partition %q: dataset yields only %d ranges", spec, len(ranges))
+		return backendRanges{}, fmt.Errorf("-partition %d/%d: dataset yields only %d ranges", backend, n, len(ranges))
 	}
-	idxs, err := shard.ReplicaRanges(idx, n, replicas)
+	idxs, err := shard.ReplicaRanges(backend, n, replicas)
 	if err != nil {
-		return nil, 0, nil, err
+		return backendRanges{}, err
 	}
-	var sub []rtree.Item
-	var held []proto.RangeInfo
-	var heldRanges []shard.Range
+	p := backendRanges{idxs: idxs, bounds: bounds, cuts: make([]uint64, n)}
+	for i, rg := range ranges {
+		p.cuts[i] = rg.Lo
+	}
 	for _, ri := range idxs {
 		rg := ranges[ri]
-		sub = append(sub, rg.Items...)
-		heldRanges = append(heldRanges, rg)
-		held = append(held, proto.RangeInfo{
+		p.held = append(p.held, rg)
+		p.items = append(p.items, rg.Items...)
+		p.infos = append(p.infos, proto.RangeInfo{
 			Index: uint32(rg.Index),
 			Items: uint32(len(rg.Items)),
 			Lo:    rg.Lo,
@@ -259,30 +283,24 @@ func partitionPool(ds *dataset.Dataset, spec string, replicas, shards int, mut b
 			MBR:   rg.MBR,
 		})
 	}
-	var pool serve.Executor
-	if mut {
-		// One updatable shard per held range, keyed by the cluster-wide
-		// cuts so every backend agrees on write ownership.
-		cuts := make([]uint64, len(ranges))
-		for i, rg := range ranges {
-			cuts[i] = rg.Lo
-		}
-		mp, err := mutable.New(mutable.Config{
-			Dataset: ds, Ranges: heldRanges, Cuts: cuts, GlobalIndex: idxs,
-			Bounds: bounds, Obs: hub,
+	return p, nil
+}
+
+// mutablePool builds the updatable pool: over a partition, one shard per
+// held range keyed by the cluster-wide cuts so every backend agrees on write
+// ownership; otherwise shards (default 4) Hilbert runs of the whole map.
+func mutablePool(ds *dataset.Dataset, part backendRanges, shards int, adaptive bool, hub *obs.Hub) (*mutable.Pool, error) {
+	if part.items != nil {
+		return mutable.New(mutable.Config{
+			Dataset: ds, Ranges: part.held, Cuts: part.cuts, GlobalIndex: part.idxs,
+			Bounds: part.bounds, Obs: hub,
 		})
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		pool = mp
-	} else {
-		sp, err := shard.New(ds, shard.Config{Shards: shards, Items: sub, Obs: hub.Reg})
-		if err != nil {
-			return nil, 0, nil, err
-		}
-		pool = sp
 	}
-	fmt.Printf("mqserve: backend %d/%d holds %d of %d ranges (%d segments, R=%d, mutable=%v)\n",
-		idx, n, len(held), n, len(sub), replicas, mut)
-	return held, n, pool, nil
+	if shards <= 0 {
+		shards = 4
+	}
+	return mutable.NewFromDataset(ds, shards, mutable.Config{
+		Obs:      hub,
+		Adaptive: mutable.AdaptiveConfig{Enabled: adaptive},
+	})
 }

@@ -18,10 +18,10 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/serve"
 	"mobispatial/internal/serve/client"
+	"mobispatial/internal/shard"
 )
 
 func main() {
@@ -31,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pool, err := parallel.New(ds, tree, 0)
+	pool, err := shard.Over(ds, tree)
 	if err != nil {
 		log.Fatal(err)
 	}

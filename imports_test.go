@@ -52,15 +52,19 @@ func TestServingImportGraph(t *testing.T) {
 
 // TestClientHoldsOneLocalEngine: the only index internal/serve/client may
 // execute a query against is the shipment's own packed tree (client/local.go,
-// runLocal). A direct import of internal/parallel is how a second local
-// engine came in once (PoolFallback); it must not come back unnoticed.
+// runLocal). A direct import of the server's engine (internal/shard, or its
+// bench-facing name internal/parallel) is how a second local engine came in
+// once (PoolFallback); it must not come back unnoticed.
 func TestClientHoldsOneLocalEngine(t *testing.T) {
 	out, err := exec.Command("go", "list", "-f", `{{join .Imports "\n"}}`, "./internal/serve/client").Output()
 	if err != nil {
 		t.Fatalf("go list: %v", err)
 	}
-	if slices.Contains(strings.Fields(string(out)), "mobispatial/internal/parallel") {
-		t.Error("internal/serve/client imports internal/parallel directly: a second local engine beside Shipment.Answer")
+	imports := strings.Fields(string(out))
+	for _, pkg := range []string{"mobispatial/internal/shard", "mobispatial/internal/parallel"} {
+		if slices.Contains(imports, pkg) {
+			t.Errorf("internal/serve/client imports %s directly: a second local engine beside Shipment.Answer", pkg)
+		}
 	}
 }
 
@@ -154,5 +158,55 @@ func TestServerPricesNoEnergy(t *testing.T) {
 			}
 			return true
 		})
+	})
+}
+
+// TestOneFrozenEngine: the read-only local engine is shard.Pool and nothing
+// else. internal/parallel was a second implementation of the same six query
+// methods over one tree; it survives as the names bench/ (a pinned path)
+// spells — aliases and New — and must not grow back into an engine, nor be
+// imported by anything the benchmark re-anchor would then have to edit.
+func TestOneFrozenEngine(t *testing.T) {
+	queryMethods := []string{
+		"FilterRangeAppend", "FilterPointAppend", "RangeAppend", "PointAppend", "NearestWith", "KNearestAppend",
+	}
+	carriers := map[string]int{}
+	productGoFiles(t, "internal", func(path string, f *ast.File) {
+		pkg := filepath.Dir(path)
+		if pkg != "internal/parallel" && pkg != "internal/shard" {
+			return
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv != nil && slices.Contains(queryMethods, d.Name.Name) {
+					recv := d.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					carriers[pkg+"."+recv.(*ast.Ident).Name]++
+				}
+				if pkg == "internal/parallel" && (d.Recv != nil || d.Name.Name != "New") {
+					t.Errorf("%s declares func %s: internal/parallel is aliases and New", path, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					if ts, ok := spec.(*ast.TypeSpec); ok && pkg == "internal/parallel" && !ts.Assign.IsValid() {
+						t.Errorf("%s defines type %s: internal/parallel is aliases and New", path, ts.Name.Name)
+					}
+				}
+			}
+		}
+	})
+	if len(carriers) != 1 || carriers["internal/shard.Pool"] != len(queryMethods) {
+		t.Errorf("types carrying the query methods: %v, want internal/shard.Pool with all %d", carriers, len(queryMethods))
+	}
+
+	productGoFiles(t, ".", func(path string, f *ast.File) {
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"mobispatial/internal/parallel"` {
+				t.Errorf("%s imports internal/parallel: use internal/shard, so that deleting the package is an edit to bench/ alone", path)
+			}
+		}
 	})
 }

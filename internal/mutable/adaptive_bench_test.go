@@ -35,7 +35,7 @@ func BenchmarkAdaptiveZipf(b *testing.B) {
 
 func benchZipf(b *testing.B, ds *dataset.Dataset, adaptive bool) {
 	hub := obs.NewHub()
-	cfg := Config{CompactInterval: 2 * time.Millisecond, CompactThreshold: 128, Obs: hub}
+	cfg := Config{CompactInterval: 2 * time.Millisecond, compactThreshold: 128, Obs: hub}
 	if adaptive {
 		// MinShardItems is the stabilizer: hot slivers stop splitting near
 		// 2*MinShardItems objects, so the layout reaches a fixpoint during

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"mobispatial/internal/geom"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/rtree"
+	"mobispatial/internal/shard"
 )
 
 // The warm read path must not regress the repo's zero-alloc discipline:
@@ -14,7 +14,7 @@ import (
 // allocate nothing; with a non-empty overlay the merge adds only map
 // lookups, in-place compaction, and a pooled NN state — still nothing.
 
-func warmQueries(p *Pool, ids []uint32, nbs []rtree.Neighbor, sc *parallel.Scratch, w geom.Rect, pt geom.Point) {
+func warmQueries(p *Pool, ids []uint32, nbs []rtree.Neighbor, sc *shard.Scratch, w geom.Rect, pt geom.Point) {
 	for i := 0; i < 32; i++ {
 		ids = p.FilterRangeAppend(ids[:0], w)
 		ids = p.RangeAppend(ids[:0], w)
@@ -29,7 +29,7 @@ func measureQueries(t *testing.T, name string, p *Pool, want float64) {
 	t.Helper()
 	ids := make([]uint32, 0, 4096)
 	nbs := make([]rtree.Neighbor, 0, 64)
-	sc := &parallel.Scratch{}
+	sc := &shard.Scratch{}
 	w := geom.Rect{Min: geom.Point{X: 400, Y: 400}, Max: geom.Point{X: 900, Y: 900}}
 	pt := geom.Point{X: 777, Y: 555}
 	warmQueries(p, ids, nbs, sc, w, pt)

@@ -211,7 +211,7 @@ func (p *Pool) compactLoop() {
 					since := s.pendSince.Load()
 					aged = since > 0 && now-since >= int64(p.cfg.CompactMaxAge)
 				}
-				if pend >= p.cfg.CompactThreshold || aged {
+				if pend >= p.cfg.compactThreshold || aged {
 					s.compact()
 				}
 			}

@@ -13,7 +13,7 @@
 // no pending updates is byte-for-byte the packed-tree path; a shard with an
 // overlay adds only map lookups and a bounded delta-tree walk), and all
 // rebuild cost is batched into the compactor where it amortizes across
-// CompactThreshold updates.
+// defaultCompactThreshold updates.
 //
 // The shard layout itself is also mutable: the pool's cut table, shard set,
 // and ownership map live in one immutable topology value behind an atomic
@@ -102,18 +102,13 @@ type Config struct {
 	// process must use the same value. Required and non-empty.
 	Bounds geom.Rect
 
-	// CompactThreshold is the overlay size (pending inserts+moves+
-	// tombstones) at which the compactor rebuilds a shard's base.
-	// Defaults to 256.
-	CompactThreshold int
-
 	// CompactInterval is the compactor's poll period. 0 means 100ms;
 	// negative disables the background compactor (tests drive
 	// ForceCompact directly).
 	CompactInterval time.Duration
 
 	// CompactMaxAge bounds staleness: a shard whose overlay is non-empty
-	// and older than this is compacted even below CompactThreshold. A
+	// and older than this is compacted even below the size trigger. A
 	// hot working set that keeps re-writing the same few objects never
 	// grows its overlay past the object count, so a size trigger alone
 	// would let those writes age in the overlay forever. Defaults to 1s;
@@ -127,11 +122,19 @@ type Config struct {
 
 	// Obs receives mutable_* metrics; nil disables them.
 	Obs *obs.Hub
+
+	// compactThreshold is defaultCompactThreshold unless a test lowered it
+	// to see many compactions in a short soak.
+	compactThreshold int
 }
 
+// defaultCompactThreshold is the overlay size (pending inserts+moves+
+// tombstones) at which the compactor rebuilds a shard's base.
+const defaultCompactThreshold = 256
+
 func (c *Config) fill() {
-	if c.CompactThreshold <= 0 {
-		c.CompactThreshold = 256
+	if c.compactThreshold <= 0 {
+		c.compactThreshold = defaultCompactThreshold
 	}
 	if c.CompactInterval == 0 {
 		c.CompactInterval = 100 * time.Millisecond
@@ -368,7 +371,7 @@ func (p *Pool) Close() {
 }
 
 // Workers returns GOMAXPROCS — the width the server sizes its admission
-// window from, mirroring parallel.Pool.Workers.
+// window from, as shard.Pool.Workers does.
 func (p *Pool) Workers() int { return runtime.GOMAXPROCS(0) }
 
 // Dataset returns the base dataset (canonical geometry of original ids).

@@ -6,8 +6,8 @@ import (
 	"mobispatial/internal/geom"
 	"mobispatial/internal/index"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/rtree"
+	"mobispatial/internal/shard"
 )
 
 // Nearest-neighbor queries fold the shards sequentially, carrying the best
@@ -15,7 +15,7 @@ import (
 // like the read-only sharded pool's cross-shard schedule. Per shard, the
 // packed base is searched with the branch-and-bound traversal under a
 // distance function that reports +Inf for masked (stale) ids, and the
-// overlay layers — bounded by CompactThreshold — are scanned directly and
+// overlay layers — bounded by the compaction threshold — are scanned directly and
 // offered through the accumulator's admit rule, so the merged answer is
 // what one tree over the union would have produced.
 //
@@ -50,7 +50,7 @@ func (st *nnState) clear() {
 
 // NearestWith answers one nearest-neighbor query reusing sc's traversal
 // buffers; sc may be nil.
-func (p *Pool) NearestWith(pt geom.Point, sc *parallel.Scratch) parallel.NearestResult {
+func (p *Pool) NearestWith(pt geom.Point, sc *shard.Scratch) shard.NearestResult {
 	st := p.nnPool.Get().(*nnState)
 	st.pt = pt
 	var nnsc *rtree.NNScratch
@@ -58,7 +58,7 @@ func (p *Pool) NearestWith(pt geom.Point, sc *parallel.Scratch) parallel.Nearest
 		nnsc = &sc.NN
 	}
 	// best.Dist is the running bound each later shard prunes with.
-	best := parallel.NearestResult{Dist: math.Inf(1)}
+	best := shard.NearestResult{Dist: math.Inf(1)}
 	t := p.topo.Load()
 	for i, s := range t.shards {
 		if s.base.Load().bounds.ContainsPoint(pt) {
@@ -69,12 +69,12 @@ func (p *Pool) NearestWith(pt geom.Point, sc *parallel.Scratch) parallel.Nearest
 	st.clear()
 	p.nnPool.Put(st)
 	if !best.OK {
-		return parallel.NearestResult{}
+		return shard.NearestResult{}
 	}
 	return best
 }
 
-func (s *mshard) nearestInto(st *nnState, nnsc *rtree.NNScratch, pt geom.Point, best *parallel.NearestResult) {
+func (s *mshard) nearestInto(st *nnState, nnsc *rtree.NNScratch, pt geom.Point, best *shard.NearestResult) {
 	masked := s.pend.Load() != 0
 	if masked {
 		s.mu.RLock()
@@ -83,7 +83,7 @@ func (s *mshard) nearestInto(st *nnState, nnsc *rtree.NNScratch, pt geom.Point, 
 	bv := s.base.Load()
 	st.sh, st.bv, st.masked = s, bv, masked
 	if id, d, ok := bv.tree.NearestWithin(pt, best.Dist, st.df, ops.Null{}, nnsc); ok {
-		*best = parallel.NearestResult{ID: id, Dist: d, OK: true}
+		*best = shard.NearestResult{ID: id, Dist: d, OK: true}
 	}
 	if !masked {
 		return
@@ -94,20 +94,20 @@ func (s *mshard) nearestInto(st *nnState, nnsc *rtree.NNScratch, pt geom.Point, 
 				continue
 			}
 			if d := seg.DistToPoint(pt); d < best.Dist {
-				*best = parallel.NearestResult{ID: id, Dist: d, OK: true}
+				*best = shard.NearestResult{ID: id, Dist: d, OK: true}
 			}
 		}
 	}
 	for id, seg := range s.overSeg {
 		if d := seg.DistToPoint(pt); d < best.Dist {
-			*best = parallel.NearestResult{ID: id, Dist: d, OK: true}
+			*best = shard.NearestResult{ID: id, Dist: d, OK: true}
 		}
 	}
 }
 
 // KNearestAppend appends one k-NN answer (ascending distance) to dst
 // reusing sc; the bool mirrors the executor contract and is always true.
-func (p *Pool) KNearestAppend(dst []rtree.Neighbor, pt geom.Point, k int, sc *parallel.Scratch) ([]rtree.Neighbor, bool) {
+func (p *Pool) KNearestAppend(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch) ([]rtree.Neighbor, bool) {
 	if k <= 0 {
 		return dst, true
 	}

@@ -263,7 +263,7 @@ func TestRepartitionSoak(t *testing.T) {
 	ds := randomDataset(rng, 800)
 	p, err := NewFromDataset(ds, 4, Config{
 		CompactInterval:  2 * time.Millisecond,
-		CompactThreshold: 32,
+		compactThreshold: 32,
 		Adaptive: AdaptiveConfig{
 			Enabled:       true,
 			Interval:      3 * time.Millisecond,

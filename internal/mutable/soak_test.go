@@ -20,7 +20,7 @@ func TestUpdateSoak(t *testing.T) {
 	ds := randomDataset(rng, 800)
 	p, err := NewFromDataset(ds, 4, Config{
 		CompactInterval:  2 * time.Millisecond,
-		CompactThreshold: 32,
+		compactThreshold: 32,
 	})
 	if err != nil {
 		t.Fatal(err)

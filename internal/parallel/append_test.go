@@ -8,9 +8,9 @@ import (
 	"mobispatial/internal/rtree"
 )
 
-// TestAppendMatchesSingle requires the append/scratch query paths to give
-// answers identical to the allocating single-query API, with buffers reused
-// across every query of the workload.
+// TestAppendMatchesSingle requires the query paths to give identical answers
+// with buffers and scratch reused across every query of the workload as with
+// a nil dst and a nil scratch each time.
 func TestAppendMatchesSingle(t *testing.T) {
 	ds, tree := fixture(t)
 	p, err := New(ds, tree, 4)
@@ -25,34 +25,34 @@ func TestAppendMatchesSingle(t *testing.T) {
 	var ids []uint32
 	var nbs []rtree.Neighbor
 	for i, w := range windows {
-		want := p.Range(w)
+		want := p.RangeAppend(nil, w)
 		ids = p.RangeAppend(ids[:0], w)
 		if !sameIDs(want, ids) {
 			t.Fatalf("range %d: append %v != %v", i, ids, want)
 		}
-		want = p.FilterRange(w)
+		want = p.FilterRangeAppend(nil, w)
 		ids = p.FilterRangeAppend(ids[:0], w)
 		if !sameIDs(want, ids) {
 			t.Fatalf("filter-range %d: append %v != %v", i, ids, want)
 		}
 	}
 	for i, pt := range points {
-		want := p.Point(pt, core.PointEps)
+		want := p.PointAppend(nil, pt, core.PointEps)
 		ids = p.PointAppend(ids[:0], pt, core.PointEps)
 		if !sameIDs(want, ids) {
 			t.Fatalf("point %d: append %v != %v", i, ids, want)
 		}
-		want = p.FilterPoint(pt)
+		want = p.FilterPointAppend(nil, pt)
 		ids = p.FilterPointAppend(ids[:0], pt)
 		if !sameIDs(want, ids) {
 			t.Fatalf("filter-point %d: append %v != %v", i, ids, want)
 		}
 	}
 	for i, pt := range nnPts {
-		if got, want := p.NearestWith(pt, &sc), p.Nearest(pt); got != want {
+		if got, want := p.NearestWith(pt, &sc), p.NearestWith(pt, nil); got != want {
 			t.Fatalf("nn %d: scratch %+v != %+v", i, got, want)
 		}
-		want, okW := p.KNearest(pt, 5)
+		want, okW := p.KNearestAppend(nil, pt, 5, nil)
 		var ok bool
 		nbs, ok = p.KNearestAppend(nbs[:0], pt, 5, &sc)
 		if ok != okW || len(nbs) != len(want) {
@@ -80,7 +80,7 @@ func TestAppendPreservesPrefix(t *testing.T) {
 	if len(out) < 3 || out[0] != 111 || out[1] != 222 || out[2] != 333 {
 		t.Fatalf("prefix clobbered: %v", out[:3])
 	}
-	if !sameIDs(out[3:], p.Range(w)) {
+	if !sameIDs(out[3:], p.RangeAppend(nil, w)) {
 		t.Fatalf("suffix wrong: %v", out[3:])
 	}
 }

@@ -92,13 +92,13 @@ func TestMixedQueriesUnderContention(t *testing.T) {
 			cases[g][i] = qc
 			switch qc.kind {
 			case 0:
-				wantIDs[g][i] = pool.Point(qc.pt, 2.0)
+				wantIDs[g][i] = pool.PointAppend(nil, qc.pt, 2.0)
 			case 1:
-				wantIDs[g][i] = pool.Range(qc.window)
+				wantIDs[g][i] = pool.RangeAppend(nil, qc.window)
 			case 2:
-				wantNN[g][i] = pool.Nearest(qc.pt)
+				wantNN[g][i] = pool.NearestWith(qc.pt, nil)
 			case 3:
-				nbs, ok := pool.KNearest(qc.pt, qc.k)
+				nbs, ok := pool.KNearestAppend(nil, qc.pt, qc.k, nil)
 				if !ok {
 					t.Fatal("packed R-tree should support k-NN")
 				}
@@ -106,7 +106,7 @@ func TestMixedQueriesUnderContention(t *testing.T) {
 					wantIDs[g][i] = append(wantIDs[g][i], nb.ID)
 				}
 			case 4:
-				wantIDs[g][i] = pool.FilterRange(qc.window)
+				wantIDs[g][i] = pool.FilterRangeAppend(nil, qc.window)
 			}
 		}
 	}
@@ -120,22 +120,22 @@ func TestMixedQueriesUnderContention(t *testing.T) {
 			for i, qc := range cases[g] {
 				switch qc.kind {
 				case 0:
-					if got := pool.Point(qc.pt, 2.0); !sameIDs(got, wantIDs[g][i]) {
+					if got := pool.PointAppend(nil, qc.pt, 2.0); !sameIDs(got, wantIDs[g][i]) {
 						errs <- "point answer diverged under contention"
 						return
 					}
 				case 1:
-					if got := pool.Range(qc.window); !sameIDs(got, wantIDs[g][i]) {
+					if got := pool.RangeAppend(nil, qc.window); !sameIDs(got, wantIDs[g][i]) {
 						errs <- "range answer diverged under contention"
 						return
 					}
 				case 2:
-					if got := pool.Nearest(qc.pt); got != wantNN[g][i] {
+					if got := pool.NearestWith(qc.pt, nil); got != wantNN[g][i] {
 						errs <- "nearest answer diverged under contention"
 						return
 					}
 				case 3:
-					nbs, _ := pool.KNearest(qc.pt, qc.k)
+					nbs, _ := pool.KNearestAppend(nil, qc.pt, qc.k, nil)
 					got := make([]uint32, 0, len(nbs))
 					for _, nb := range nbs {
 						got = append(got, nb.ID)
@@ -145,7 +145,7 @@ func TestMixedQueriesUnderContention(t *testing.T) {
 						return
 					}
 				case 4:
-					if got := pool.FilterRange(qc.window); !sameIDs(got, wantIDs[g][i]) {
+					if got := pool.FilterRangeAppend(nil, qc.window); !sameIDs(got, wantIDs[g][i]) {
 						errs <- "filter answer diverged under contention"
 						return
 					}

@@ -153,20 +153,26 @@ type Config struct {
 	// MaxBytes caps the total payload bytes across all stripes; defaults
 	// to 64 MB.
 	MaxBytes int
-	// Stripes is the lock-stripe count, rounded up to a power of two;
-	// defaults to 16.
-	Stripes int
 	// CellSize is the snapping grid pitch in map units; defaults to 512.
 	// The cache stores it so every consumer (single queries, batches,
 	// CLIs) keys against the same grid.
 	CellSize float64
-	// MaxResultIDs caps one entry's id count; oversized results bypass
-	// the cache (storing them would evict many hot entries for one cold
-	// monster). Defaults to 8192.
-	MaxResultIDs int
 	// Obs receives qcache_* metrics; nil disables them.
 	Obs *obs.Hub
+
+	// stripes is numStripes unless a test set it (a power of two), to watch
+	// LRU order inside one stripe.
+	stripes int
 }
+
+const (
+	// numStripes is the lock-stripe count, a power of two.
+	numStripes = 16
+	// maxResultIDs caps one entry's id count; oversized results bypass the
+	// cache (storing them would evict many hot entries for one cold
+	// monster).
+	maxResultIDs = 8192
+)
 
 // DefaultCellSize is the default snapping grid pitch in map units (TIGER
 // datasets span ~10^6 units; 512 keeps a hotspot's jittered windows inside
@@ -177,14 +183,11 @@ func (c *Config) fill() {
 	if c.MaxBytes <= 0 {
 		c.MaxBytes = 64 << 20
 	}
-	if c.Stripes <= 0 {
-		c.Stripes = 16
+	if c.stripes <= 0 {
+		c.stripes = numStripes
 	}
 	if !(c.CellSize > 0) {
 		c.CellSize = DefaultCellSize
-	}
-	if c.MaxResultIDs <= 0 {
-		c.MaxResultIDs = 8192
 	}
 }
 
@@ -289,7 +292,6 @@ func (st *stripe) alloc() *entry {
 // Cache is the striped LRU. All methods are safe for concurrent use.
 type Cache struct {
 	cell      float64
-	maxIDs    int
 	maxStripe int
 	mask      uint64
 	stripes   []stripe
@@ -327,16 +329,11 @@ func newCacheMetrics(h *obs.Hub) cacheMetrics {
 // New builds a Cache.
 func New(cfg Config) *Cache {
 	cfg.fill()
-	stripes := 1
-	for stripes < cfg.Stripes {
-		stripes <<= 1
-	}
 	c := &Cache{
 		cell:      cfg.CellSize,
-		maxIDs:    cfg.MaxResultIDs,
-		maxStripe: cfg.MaxBytes / stripes,
-		mask:      uint64(stripes - 1),
-		stripes:   make([]stripe, stripes),
+		maxStripe: cfg.MaxBytes / cfg.stripes,
+		mask:      uint64(cfg.stripes - 1),
+		stripes:   make([]stripe, cfg.stripes),
 		m:         newCacheMetrics(cfg.Obs),
 	}
 	if c.maxStripe < payloadBytes(1, 1, 1, 0) {
@@ -350,9 +347,6 @@ func New(cfg Config) *Cache {
 
 // CellSize returns the snapping grid pitch every key must be built with.
 func (c *Cache) CellSize() float64 { return c.cell }
-
-// MaxResultIDs returns the per-entry id cap.
-func (c *Cache) MaxResultIDs() int { return c.maxIDs }
 
 // Get looks k up under view v and, on a hit, appends the stored payload to
 // the three destination slices (any may be non-nil capacity-bearing scratch;
@@ -407,7 +401,7 @@ func versEq(a, b []uint64) bool {
 // and the store is dropped — caching a result that mixes shard states would
 // poison later hits. Oversized results are dropped too.
 func (c *Cache) Put(k Key, pre, post *View, ids []uint32, segs []geom.Segment, dists []float64) {
-	if len(ids) > c.maxIDs {
+	if len(ids) > maxResultIDs {
 		c.bypasses.Add(1)
 		c.m.bypasses.Inc()
 		return

@@ -267,12 +267,12 @@ func TestCacheStoreRaceDropped(t *testing.T) {
 }
 
 func TestCacheOversizeBypass(t *testing.T) {
-	c := New(Config{MaxResultIDs: 4})
+	c := New(Config{})
 	src := &fakeSource{vers: []uint64{0}, bounds: []geom.Rect{rect(0, 0, 100, 100)}}
 	k, snap, _ := RangeKey(rect(10, 10, 90, 90), c.CellSize(), false)
 	var v View
 	BuildView(src, snap, &v)
-	c.Put(k, &v, &v, make([]uint32, 5), make([]geom.Segment, 5), nil)
+	c.Put(k, &v, &v, make([]uint32, maxResultIDs+1), make([]geom.Segment, maxResultIDs+1), nil)
 	if st := c.Stats(); st.Entries != 0 || st.Bypasses != 1 {
 		t.Fatalf("oversize result must bypass: %+v", st)
 	}
@@ -280,7 +280,7 @@ func TestCacheOversizeBypass(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	// One stripe, a budget that holds ~3 small entries.
-	c := New(Config{Stripes: 1, MaxBytes: 3 * payloadBytes(1, 1, 1, 0), CellSize: 100})
+	c := New(Config{stripes: 1, MaxBytes: 3 * payloadBytes(1, 1, 1, 0), CellSize: 100})
 	src := &fakeSource{vers: []uint64{0}, bounds: []geom.Rect{rect(-1e9, -1e9, 1e9, 1e9)}}
 	var v View
 

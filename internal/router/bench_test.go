@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"mobispatial/internal/geom"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/rtree"
+	"mobispatial/internal/shard"
 )
 
 // BenchmarkRouterFanout measures one routed window query end to end across
@@ -47,7 +47,7 @@ func BenchmarkRouterKNN(b *testing.B) {
 	for i := range pts {
 		pts[i] = geom.Point{X: 40000 * rng.Float64(), Y: 40000 * rng.Float64()}
 	}
-	sc := &parallel.Scratch{}
+	sc := &shard.Scratch{}
 	var nbrs []rtree.Neighbor
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

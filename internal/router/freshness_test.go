@@ -17,7 +17,6 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/mutable"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/serve"
@@ -197,7 +196,7 @@ func TestRouterMutableQuickEquivalence(t *testing.T) {
 			B: geom.Point{X: x + rng.Float64()*120 - 60, Y: y + rng.Float64()*120 - 60},
 		}
 	}
-	var psc parallel.Scratch
+	var psc shard.Scratch
 	check := func(step int) {
 		t.Helper()
 		w := randWindow(rng, ext, 0.03+0.2*rng.Float64())

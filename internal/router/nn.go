@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"mobispatial/internal/geom"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/shard"
@@ -35,7 +34,7 @@ const (
 // cannot improve on the k found. If a range's every holder failed or was
 // skipped, the answer could silently miss true neighbors, so the query
 // fails CodeUnavailable instead.
-func (r *Router) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, sc *parallel.Scratch, deadline time.Time) ([]rtree.Neighbor, error) {
+func (r *Router) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch, deadline time.Time) ([]rtree.Neighbor, error) {
 	if k <= 0 {
 		return dst, nil
 	}
@@ -128,23 +127,23 @@ func (r *Router) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int,
 }
 
 // NearestUntil answers one cluster-wide nearest-neighbor query.
-func (r *Router) NearestUntil(pt geom.Point, sc *parallel.Scratch, deadline time.Time) (parallel.NearestResult, error) {
+func (r *Router) NearestUntil(pt geom.Point, sc *shard.Scratch, deadline time.Time) (shard.NearestResult, error) {
 	var buf [1]rtree.Neighbor
 	nbs, err := r.KNearestAppendUntil(buf[:0], pt, 1, sc, deadline)
 	if err != nil || len(nbs) == 0 {
-		return parallel.NearestResult{}, err
+		return shard.NearestResult{}, err
 	}
-	return parallel.NearestResult{ID: nbs[0].ID, Dist: nbs[0].Dist, OK: true}, nil
+	return shard.NearestResult{ID: nbs[0].ID, Dist: nbs[0].Dist, OK: true}, nil
 }
 
 // NearestWith implements serve.Executor (plain surface; see exec.go).
-func (r *Router) NearestWith(pt geom.Point, sc *parallel.Scratch) parallel.NearestResult {
+func (r *Router) NearestWith(pt geom.Point, sc *shard.Scratch) shard.NearestResult {
 	res, _ := r.NearestUntil(pt, sc, time.Time{})
 	return res
 }
 
 // KNearestAppend implements serve.Executor (plain surface; see exec.go).
-func (r *Router) KNearestAppend(dst []rtree.Neighbor, pt geom.Point, k int, sc *parallel.Scratch) ([]rtree.Neighbor, bool) {
+func (r *Router) KNearestAppend(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch) ([]rtree.Neighbor, bool) {
 	dst, _ = r.KNearestAppendUntil(dst, pt, k, sc, time.Time{})
 	return dst, true
 }

@@ -13,7 +13,6 @@ import (
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/serve"
@@ -52,15 +51,15 @@ func clusterDataset(t testing.TB) *dataset.Dataset {
 
 // truthPool builds the monolithic pool the router's answers are compared
 // against.
-func truthPool(t testing.TB, ds *dataset.Dataset) *parallel.Pool {
+func truthPool(t testing.TB, ds *dataset.Dataset) *shard.Pool {
 	t.Helper()
 	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
 	if err != nil {
 		t.Fatalf("build master tree: %v", err)
 	}
-	pool, err := parallel.New(ds, tree, 2)
+	pool, err := shard.Over(ds, tree)
 	if err != nil {
-		t.Fatalf("parallel pool: %v", err)
+		t.Fatalf("pool: %v", err)
 	}
 	return pool
 }
@@ -271,7 +270,7 @@ func TestRouterNNEquivalence(t *testing.T) {
 	r := newRouter(t, tc, nil)
 
 	rng := rand.New(rand.NewSource(9))
-	sc := &parallel.Scratch{}
+	sc := &shard.Scratch{}
 	for i := 0; i < 25; i++ {
 		pt := geom.Point{X: 40000 * rng.Float64(), Y: 40000 * rng.Float64()}
 		for _, k := range []int{1, 3, 8, 32} {
@@ -302,7 +301,7 @@ func TestRouterNNForcedTies(t *testing.T) {
 	tc := startCluster(t, ds, 3, 2)
 	r := newRouter(t, tc, nil)
 
-	sc := &parallel.Scratch{}
+	sc := &shard.Scratch{}
 	ties := 0
 	for id := uint32(0); int(id+1) < len(ds.Segments) && ties < 10; id++ {
 		pt := ds.Seg(id).B
@@ -343,7 +342,7 @@ func TestRouterFailover(t *testing.T) {
 	tc.servers[0].Close() // outage: backend 0 gone, every range keeps a replica
 
 	rng := rand.New(rand.NewSource(10))
-	sc := &parallel.Scratch{}
+	sc := &shard.Scratch{}
 	extent := pool.Bounds()
 	for i := 0; i < 40; i++ {
 		w := randWindow(rng, extent, 0.05+0.2*rng.Float64())
@@ -393,7 +392,7 @@ func TestRouterUnavailable(t *testing.T) {
 		t.Fatalf("lost-range error = %v; want CodeUnavailable", err)
 	}
 
-	sc := &parallel.Scratch{}
+	sc := &shard.Scratch{}
 	_, err = r.KNearestAppendUntil(nil, w.Center(), 5, sc, time.Time{})
 	if !errors.As(err, &coded) || coded.ErrCode() != proto.CodeUnavailable {
 		t.Fatalf("lost-range knn error = %v; want CodeUnavailable", err)

@@ -52,19 +52,19 @@ func TestBatchQueriesMatchPool(t *testing.T) {
 			}
 			switch i % 4 {
 			case 0:
-				if want := pool.Range(q.Window); !sameIDs(res[i].IDs, want) {
+				if want := pool.RangeAppend(nil, q.Window); !sameIDs(res[i].IDs, want) {
 					t.Fatalf("round %d item %d: range mismatch", round, i)
 				}
 			case 1:
-				if want := pool.Point(q.Point, DefaultPointEps); !sameIDs(res[i].IDs, want) {
+				if want := pool.PointAppend(nil, q.Point, DefaultPointEps); !sameIDs(res[i].IDs, want) {
 					t.Fatalf("round %d item %d: point mismatch", round, i)
 				}
 			case 2:
-				if want := pool.FilterRange(q.Window); !sameIDs(res[i].IDs, want) {
+				if want := pool.FilterRangeAppend(nil, q.Window); !sameIDs(res[i].IDs, want) {
 					t.Fatalf("round %d item %d: filter mismatch", round, i)
 				}
 			case 3:
-				nbs, _ := pool.KNearest(q.Point, 3)
+				nbs, _ := pool.KNearestAppend(nil, q.Point, 3, nil)
 				if len(res[i].Records) != len(nbs) {
 					t.Fatalf("round %d item %d: knn got %d recs want %d", round, i, len(res[i].Records), len(nbs))
 				}
@@ -101,7 +101,7 @@ func TestBatchPerItemError(t *testing.T) {
 	}
 	qs := []proto.QueryMsg{
 		{Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w},
-		{Kind: proto.KindNN, Mode: proto.ModeIDs, Point: center, K: 2000}, // over MaxKNN=1024
+		{Kind: proto.KindNN, Mode: proto.ModeIDs, Point: center, K: 2000}, // over maxKNN
 		{Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w},
 	}
 	res, err := c.QueryBatch(qs)
@@ -114,7 +114,7 @@ func TestBatchPerItemError(t *testing.T) {
 	if em, ok := res[1].Err.(*proto.ErrorMsg); !ok || em.Code != proto.CodeBadRequest {
 		t.Fatalf("item error = %v, want CodeBadRequest", res[1].Err)
 	}
-	want := pool.Range(w)
+	want := pool.RangeAppend(nil, w)
 	for _, i := range []int{0, 2} {
 		if res[i].Err != nil || !sameIDs(res[i].IDs, want) {
 			t.Fatalf("healthy item %d failed alongside the bad one: %v", i, res[i].Err)

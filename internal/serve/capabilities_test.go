@@ -8,7 +8,6 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/mutable"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/shard"
 )
@@ -68,7 +67,7 @@ func monolithicMutable(t testing.TB, ds *dataset.Dataset, adaptive bool) *mutabl
 // capability table, as a test.
 func TestPoolCapabilities(t *testing.T) {
 	ds, tree := testDataset(t)
-	par, err := parallel.New(ds, tree, 0)
+	one, err := shard.Over(ds, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +85,11 @@ func TestPoolCapabilities(t *testing.T) {
 		cfg  Config
 		want want
 	}{
-		{"parallel", Config{Pool: par}, want{validityView: true}},
-		{"shard", Config{Pool: sp}, want{boundedNN: true, validityView: true}},
+		// One engine, so one row twice: the unsharded server (one shard over
+		// the master tree, what bench reaches as parallel.New) carries a
+		// router's NN bound exactly as the sharded one does.
+		{"frozen, one shard", Config{Pool: one}, want{boundedNN: true, validityView: true}},
+		{"frozen, sharded", Config{Pool: sp}, want{boundedNN: true, validityView: true}},
 		{"mutable monolithic", Config{Pool: monolithicMutable(t, ds, false)},
 			want{updates: true, liveSummary: true, validityView: true}},
 		{"mutable partitioned", Config{Pool: part, Ranges: partRanges, NumRanges: 3},
@@ -130,7 +132,7 @@ func (batchOnlyPool) RunQueryBatch([]proto.QueryMsg, []proto.BatchItem, time.Tim
 // to Executor methods that would swallow a failed leg.
 func TestNewRejectsFanOutWithoutDeadlineSurface(t *testing.T) {
 	ds, tree := testDataset(t)
-	par, err := parallel.New(ds, tree, 0)
+	par, err := shard.Over(ds, tree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,8 +33,6 @@ type Config struct {
 	// Conns caps pooled connections (and therefore this client's
 	// outstanding requests); defaults to 4.
 	Conns int
-	// DialTimeout defaults to 2s.
-	DialTimeout time.Duration
 	// RequestTimeout is the end-to-end time budget of one attempt,
 	// defaults to 5s. It is also sent to the server as the per-request
 	// deadline.
@@ -42,11 +40,6 @@ type Config struct {
 	// MaxRetries is how many times a transient failure (connection error,
 	// server overload, server shutdown) is retried; defaults to 3.
 	MaxRetries int
-	// BackoffBase is the first retry delay, doubling per attempt;
-	// defaults to 2ms.
-	BackoffBase time.Duration
-	// BackoffMax caps the retry delay; defaults to 250ms.
-	BackoffMax time.Duration
 	// Obs enables client-side observability: round-trip histograms, link
 	// gauges, and the planner's per-scheme and predicted-vs-actual metrics
 	// and spans all land in this hub. Nil disables instrumentation.
@@ -72,15 +65,21 @@ type Config struct {
 	maxAge time.Duration
 }
 
+const (
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = 2 * time.Second
+	// backoffBase is the first retry delay, doubling per attempt up to
+	// backoffMax (see backoffDelay).
+	backoffBase = 2 * time.Millisecond
+	backoffMax  = 250 * time.Millisecond
+)
+
 func (c *Config) fill() error {
 	if c.Addr == "" {
 		return fmt.Errorf("client: Config.Addr is required")
 	}
 	if c.Conns <= 0 {
 		c.Conns = 4
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 5 * time.Second
@@ -89,12 +88,6 @@ func (c *Config) fill() error {
 		c.MaxRetries = 0
 	} else if c.MaxRetries == 0 {
 		c.MaxRetries = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 2 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 250 * time.Millisecond
 	}
 	if c.maxAge <= 0 {
 		c.maxAge = localMaxAge
@@ -289,7 +282,7 @@ func (c *Client) checkout() (*wireConn, error) {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
 	}
-	nc, err := dial(c.cfg.Addr, c.cfg.DialTimeout)
+	nc, err := dial(c.cfg.Addr, dialTimeout)
 	if err != nil {
 		<-c.sem
 		return nil, err
@@ -373,7 +366,7 @@ func (c *Client) exchange(req proto.Message, deadline time.Time, sp *obs.Span) (
 		if attempt >= c.cfg.MaxRetries {
 			return nil, fmt.Errorf("client: %d attempts failed: %w", attempt+1, lastErr)
 		}
-		delay := backoffDelay(c.cfg.BackoffBase, c.cfg.BackoffMax, attempt, c.backoffRng())
+		delay := backoffDelay(backoffBase, backoffMax, attempt, c.backoffRng())
 		if !deadline.IsZero() && time.Until(deadline) <= delay {
 			// The next attempt could not finish inside the deadline anyway;
 			// fail now instead of sleeping through it.

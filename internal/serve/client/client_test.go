@@ -110,7 +110,7 @@ func TestClientGivesUpAfterMaxRetries(t *testing.T) {
 		attempts.Add(1)
 		return &proto.ErrorMsg{ID: req.RequestID(), Code: proto.CodeOverload, Text: "busy"}
 	})
-	c, err := client.New(client.Config{Addr: addr, Conns: 1, MaxRetries: 2, BackoffBase: time.Millisecond})
+	c, err := client.New(client.Config{Addr: addr, Conns: 1, MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,16 +21,16 @@ import (
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/serve"
 	"mobispatial/internal/serve/client"
+	"mobispatial/internal/shard"
 )
 
 // faultWorld builds a dataset, its worker pool, and a live server, returning
 // the pool (for local fallbacks and ground-truth answers) and the address.
-func faultWorld(t testing.TB) (*dataset.Dataset, *parallel.Pool, string) {
+func faultWorld(t testing.TB) (*dataset.Dataset, *shard.Pool, string) {
 	t.Helper()
 	ds, err := dataset.Generate(dataset.GenConfig{
 		Name:           "fault-soak",
@@ -52,7 +52,7 @@ func faultWorld(t testing.TB) (*dataset.Dataset, *parallel.Pool, string) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	pool, err := parallel.New(ds, tree, 0)
+	pool, err := shard.Over(ds, tree)
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
@@ -91,7 +91,7 @@ func wholeMap(t testing.TB, ds *dataset.Dataset) *client.Shipment {
 
 // faultClient builds a client dialing through inj, with the breaker and
 // (optionally) the whole map as its local state.
-func faultClient(t testing.TB, addr string, inj *faultlink.Injector, pool *parallel.Pool, withFallback bool) *client.Client {
+func faultClient(t testing.TB, addr string, inj *faultlink.Injector, pool *shard.Pool, withFallback bool) *client.Client {
 	t.Helper()
 	cfg := faultConfig(addr, inj)
 	if withFallback {
@@ -111,11 +111,8 @@ func faultConfig(addr string, inj *faultlink.Injector) client.Config {
 	return client.Config{
 		Addr:           addr,
 		Conns:          4,
-		DialTimeout:    time.Second,
 		RequestTimeout: 300 * time.Millisecond,
 		MaxRetries:     2,
-		BackoffBase:    time.Millisecond,
-		BackoffMax:     10 * time.Millisecond,
 		Breaker: client.BreakerConfig{
 			Enabled:          true,
 			FailureThreshold: 3,
@@ -181,7 +178,7 @@ func TestFaultSoak(t *testing.T) {
 				wg.Add(1)
 				go func(g int) {
 					defer wg.Done()
-					var sc parallel.Scratch
+					var sc shard.Scratch
 					for i := 0; i < 30; i++ {
 						start := time.Now()
 						switch i % 3 {
@@ -243,7 +240,7 @@ func TestFaultOutageFallbackCompletes(t *testing.T) {
 	c := faultClient(t, addr, inj, pool, true)
 	inj.ForceOutage(true)
 
-	var sc parallel.Scratch
+	var sc shard.Scratch
 	const n = 60
 	for i := 0; i < n; i++ {
 		switch i % 3 {

@@ -11,11 +11,11 @@ import (
 	"mobispatial/internal/geom"
 	"mobispatial/internal/mutable"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/serve"
 	"mobispatial/internal/serve/client"
+	"mobispatial/internal/shard"
 )
 
 // semanticDataset is the shared world for the freshness tests.
@@ -122,7 +122,7 @@ func executeOn(t *testing.T, c *client.Client, p *client.Planner, q core.Query) 
 // server's. Uncovered geometry still crosses the wire.
 func TestSemanticCacheServesLocally(t *testing.T) {
 	ds, tree := semanticDataset(t)
-	pool, err := parallel.New(ds, tree, 0)
+	pool, err := shard.Over(ds, tree)
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}

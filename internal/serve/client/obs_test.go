@@ -12,10 +12,10 @@ import (
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/serve"
 	"mobispatial/internal/serve/client"
+	"mobispatial/internal/shard"
 )
 
 // obsWorld is plannerWorld with client-side observability enabled and spans
@@ -42,7 +42,7 @@ func obsWorld(t *testing.T) (*dataset.Dataset, *client.Client, *client.Planner, 
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	pool, err := parallel.New(ds, tree, 0)
+	pool, err := shard.Over(ds, tree)
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}

@@ -10,10 +10,10 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/serve"
 	"mobispatial/internal/serve/client"
+	"mobispatial/internal/shard"
 	"mobispatial/internal/sim"
 )
 
@@ -41,7 +41,7 @@ func plannerWorld(t testing.TB) (*dataset.Dataset, *rtree.Tree, *client.Client, 
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	pool, err := parallel.New(ds, tree, 0)
+	pool, err := shard.Over(ds, tree)
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"mobispatial/internal/geom"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
+	"mobispatial/internal/shard"
 )
 
 // askNN sends one raw MsgNNQuery leg and decodes the reply.
@@ -54,7 +54,7 @@ func TestNNLegMatchesPool(t *testing.T) {
 			Y: ext.Min.Y + rng.Float64()*ext.Height(),
 		}
 		k := 1 + rng.Intn(8)
-		want, _ := pool.KNearest(pt, k)
+		want, _ := pool.KNearestAppend(nil, pt, k, nil)
 
 		got := askNN(t, nc, uint32(100+i), pt, uint16(k), math.Inf(1))
 		if len(got) != len(want) {
@@ -89,22 +89,22 @@ func TestNNLegMatchesPool(t *testing.T) {
 	// K=0 means single nearest.
 	pt := ext.Center()
 	got := askNN(t, nc, 9999, pt, 0, 0)
-	if nn := pool.Nearest(pt); nn.OK {
+	if nn := pool.NearestWith(pt, nil); nn.OK {
 		if len(got) != 1 || got[0].ID != nn.ID || got[0].Dist != nn.Dist {
 			t.Fatalf("k=0 leg: got %+v want %+v", got, nn)
 		}
 	}
 }
 
-// TestNNLegRejectsOversizeK checks the MaxKNN guard applies to NN legs.
+// TestNNLegRejectsOversizeK checks the maxKNN guard applies to NN legs.
 func TestNNLegRejectsOversizeK(t *testing.T) {
-	_, _, _, addr := testWorld(t, func(cfg *Config) { cfg.MaxKNN = 8 })
+	_, _, _, addr := testWorld(t, nil)
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if _, err := proto.WriteMessage(nc, &proto.NNQueryMsg{ID: 5, Point: geom.Point{X: 1, Y: 1}, K: 9}); err != nil {
+	if _, err := proto.WriteMessage(nc, &proto.NNQueryMsg{ID: 5, Point: geom.Point{X: 1, Y: 1}, K: maxKNN + 1}); err != nil {
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -195,7 +195,7 @@ func (p *panicPool) FilterPointAppend(dst []uint32, pt geom.Point) []uint32 {
 // reuse the scratch pool) still answer correctly.
 func TestPanicContainment(t *testing.T) {
 	ds, tree := testDataset(t)
-	pool, err := parallel.New(ds, tree, 0)
+	pool, err := shard.Over(ds, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestPanicContainment(t *testing.T) {
 	if !ok {
 		t.Fatalf("post-panic query answered with %v", msg.Type())
 	}
-	if !sameIDs(lst.IDs, pool.Range(w)) {
+	if !sameIDs(lst.IDs, pool.RangeAppend(nil, w)) {
 		t.Fatal("post-panic answer mismatched")
 	}
 	if srv.Stats().Errors == 0 {

@@ -41,15 +41,15 @@ func TestPipelinedBatchContention(t *testing.T) {
 		}
 		switch rng.Intn(4) {
 		case 0:
-			return proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w}, pool.Range(w)
+			return proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w}, pool.RangeAppend(nil, w)
 		case 1:
-			return proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeIDs, Point: pt}, pool.Point(pt, DefaultPointEps)
+			return proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeIDs, Point: pt}, pool.PointAppend(nil, pt, DefaultPointEps)
 		case 2:
-			return proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeFilter, Window: w}, pool.FilterRange(w)
+			return proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeFilter, Window: w}, pool.FilterRangeAppend(nil, w)
 		default:
 			k := 1 + rng.Intn(6)
 			var ids []uint32
-			nbs, _ := pool.KNearest(pt, k)
+			nbs, _ := pool.KNearestAppend(nil, pt, k, nil)
 			for _, nb := range nbs {
 				ids = append(ids, nb.ID)
 			}

@@ -9,9 +9,9 @@ import (
 
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/serve/client"
+	"mobispatial/internal/shard"
 )
 
 // The request path runs to completion: a request is served on its
@@ -238,12 +238,12 @@ func TestLoneInlineBurstSpawned(t *testing.T) {
 // once, and this is the test that fails if that stops being true.
 func TestBothBranchesKeepTheContract(t *testing.T) {
 	ds, tree := testDataset(t)
-	pool, err := parallel.New(ds, tree, 0)
+	pool, err := shard.Over(ds, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := geom.Rect{Min: geom.Point{X: 0, Y: 0}, Max: geom.Point{X: 2000, Y: 2000}}
-	want := pool.Range(w)
+	want := pool.RangeAppend(nil, w)
 
 	for _, burst := range []bool{false, true} {
 		name := map[bool]string{false: "lone", true: "burst"}[burst]

@@ -1,8 +1,8 @@
 // Package serve is the real networked counterpart of the paper's simulated
 // server: a concurrent TCP service answering point, range, and (k-)NN
 // queries — and Fig. 2 index shipments — over the length-prefixed binary
-// protocol of internal/proto, against one shared packed R-tree through an
-// internal/parallel pool.
+// protocol of internal/proto, against a pool of packed R-trees (one tree, in
+// the unsharded server) behind the Executor surface.
 //
 // Concurrency model:
 //
@@ -25,7 +25,7 @@
 //     using several connections;
 //   - admission control bounds the in-flight requests across all
 //     connections: when the server is saturated the reader blocks — TCP
-//     backpressure — for up to AdmitTimeout before failing the request with
+//     backpressure — for up to admitTimeout before failing the request with
 //     CodeOverload;
 //   - each request carries a deadline (client-requested, capped by the
 //     server); work that finishes past it is answered with CodeDeadline;
@@ -52,10 +52,10 @@ import (
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/qcache"
 	"mobispatial/internal/rtree"
+	"mobispatial/internal/shard"
 )
 
 // DefaultPointEps is the point-query incidence tolerance in map units a
@@ -63,8 +63,9 @@ import (
 const DefaultPointEps = proto.DefaultPointEps
 
 // Executor is the in-process query surface a pool offers: the append-first
-// methods shared by *parallel.Pool (one monolithic index), *shard.Pool
-// (Hilbert shards walked inline), and *mutable.Pool (updatable shards). A
+// methods shared by *shard.Pool (the frozen engine: S >= 1 packed trees
+// walked inline; S = 1 over the master tree is the unsharded server),
+// *mutable.Pool (updatable shards) and *router.Router (the cluster). A
 // query runs on the goroutine that calls it; the server's admission window
 // is the only concurrency control. Every method must be safe for any number
 // of concurrent callers, and the append methods must honor the
@@ -82,8 +83,8 @@ type Executor interface {
 	FilterPointAppend(dst []uint32, pt geom.Point) []uint32
 	RangeAppend(dst []uint32, w geom.Rect) []uint32
 	PointAppend(dst []uint32, pt geom.Point, eps float64) []uint32
-	NearestWith(pt geom.Point, sc *parallel.Scratch) parallel.NearestResult
-	KNearestAppend(dst []rtree.Neighbor, pt geom.Point, k int, sc *parallel.Scratch) ([]rtree.Neighbor, bool)
+	NearestWith(pt geom.Point, sc *shard.Scratch) shard.NearestResult
+	KNearestAppend(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch) ([]rtree.Neighbor, bool)
 }
 
 // DeadlineExecutor is the one fallible, deadline-taking query surface the
@@ -98,18 +99,19 @@ type DeadlineExecutor interface {
 	FilterPointAppendUntil(dst []uint32, pt geom.Point, deadline time.Time) ([]uint32, error)
 	RangeAppendUntil(dst []uint32, w geom.Rect, deadline time.Time) ([]uint32, error)
 	PointAppendUntil(dst []uint32, pt geom.Point, eps float64, deadline time.Time) ([]uint32, error)
-	NearestUntil(pt geom.Point, sc *parallel.Scratch, deadline time.Time) (parallel.NearestResult, error)
-	KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, sc *parallel.Scratch, deadline time.Time) ([]rtree.Neighbor, error)
+	NearestUntil(pt geom.Point, sc *shard.Scratch, deadline time.Time) (shard.NearestResult, error)
+	KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch, deadline time.Time) ([]rtree.Neighbor, error)
 }
 
 // BoundedNN is the optional bounded k-NN surface behind MsgNNQuery: the
 // distributed tier's cross-server NN leg carries the router's running
-// k-th-neighbor bound, and a pool that can prune with it (shard.Pool skips
-// whole shards) implements this. Pools without it still answer NN legs via
-// the unbounded path — the bound is an optimization, never a correctness
-// requirement.
+// k-th-neighbor bound, and a pool that can prune with it implements this.
+// Every frozen server has it (shard.Pool skips whole shards, a lone shard
+// included: an unsharded backend the bound rules out is not walked at all);
+// mutable.Pool does not yet and answers NN legs via the unbounded path — the
+// bound is an optimization, never a correctness requirement.
 type BoundedNN interface {
-	KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int, bound float64, sc *parallel.Scratch) ([]rtree.Neighbor, bool)
+	KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int, bound float64, sc *shard.Scratch) ([]rtree.Neighbor, bool)
 }
 
 // Updatable is the optional live-update surface behind MsgInsert, MsgDelete,
@@ -163,7 +165,8 @@ type capabilities struct {
 	// distributed reports the pool brought its own DeadlineExecutor — it
 	// fans out over the network instead of walking a local index.
 	distributed bool
-	// bnn enables bound-carrying NN legs (the sharded pool).
+	// bnn enables bound-carrying NN legs (the frozen engine, at any shard
+	// count).
 	bnn BoundedNN
 	// upd serves the live write path (nil answers CodeUnsupported) and
 	// resolves data-mode geometry for ids the base dataset does not cover.
@@ -205,11 +208,11 @@ func (l localEngine) PointAppendUntil(dst []uint32, pt geom.Point, eps float64, 
 	return l.PointAppend(dst, pt, eps), nil
 }
 
-func (l localEngine) NearestUntil(pt geom.Point, sc *parallel.Scratch, _ time.Time) (parallel.NearestResult, error) {
+func (l localEngine) NearestUntil(pt geom.Point, sc *shard.Scratch, _ time.Time) (shard.NearestResult, error) {
 	return l.NearestWith(pt, sc), nil
 }
 
-func (l localEngine) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, sc *parallel.Scratch, _ time.Time) ([]rtree.Neighbor, error) {
+func (l localEngine) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch, _ time.Time) ([]rtree.Neighbor, error) {
 	return knnResult(l.KNearestAppend(dst, pt, k, sc))
 }
 
@@ -238,7 +241,7 @@ var errNoKNN = unsupported("access method does not support k-NN")
 // Config parameterizes a Server.
 type Config struct {
 	// Pool executes the queries; required. DESIGN.md's pool × capability
-	// table lists what each of the four pool kinds adds to Executor.
+	// table lists what each of the three pool kinds adds to Executor.
 	Pool Executor
 	// Master enables MsgShipmentReq (Fig. 2 subset extraction); nil
 	// disables shipments with CodeUnsupported.
@@ -246,14 +249,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently executing requests across all
 	// connections; defaults to 4× the pool width.
 	MaxInFlight int
-	// AdmitTimeout is how long a request may wait for an in-flight slot
-	// before it is refused with CodeOverload; defaults to 100ms.
-	AdmitTimeout time.Duration
-	// RequestTimeout caps one request's server-side time (admission wait
-	// included); clients may ask for less, never more. Defaults to 5s.
-	RequestTimeout time.Duration
-	// MaxKNN caps the k of k-NN queries; defaults to 1024.
-	MaxKNN int
 	// Obs enables observability: per-kind execution histograms, sampled
 	// spans, and the MsgStatsReq snapshot carry this hub's metrics. Nil
 	// disables instrumentation (the snapshot then carries only the core
@@ -282,6 +277,14 @@ type Config struct {
 }
 
 const (
+	// admitTimeout is how long a request may wait for an in-flight slot
+	// before it is refused with CodeOverload.
+	admitTimeout = 100 * time.Millisecond
+	// requestTimeout caps one request's server-side time (admission wait
+	// included); clients may ask for less, never more.
+	requestTimeout = 5 * time.Second
+	// maxKNN caps the k of k-NN queries.
+	maxKNN = 1024
 	// writeTimeout bounds one response write.
 	writeTimeout = 10 * time.Second
 	// maxShipmentBudget caps a shipment request's byte budget (a larger
@@ -295,15 +298,6 @@ func (c *Config) fill() error {
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 4 * c.Pool.Workers()
-	}
-	if c.AdmitTimeout <= 0 {
-		c.AdmitTimeout = 100 * time.Millisecond
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 5 * time.Second
-	}
-	if c.MaxKNN <= 0 {
-		c.MaxKNN = 1024
 	}
 	if len(c.Ranges) > 0 && c.NumRanges <= 0 {
 		return fmt.Errorf("serve: Config.Ranges set without Config.NumRanges")
@@ -385,7 +379,7 @@ type reqScratch struct {
 	ids     []uint32
 	nbs     []rtree.Neighbor
 	nn1     [1]rtree.Neighbor
-	psc     parallel.Scratch
+	psc     shard.Scratch
 	idMsg   proto.IDListMsg
 	dataMsg proto.DataListMsg
 	batch   proto.BatchReplyMsg
@@ -898,18 +892,18 @@ func (s *Server) serveConn(nc net.Conn) {
 // the return value is the latest reading taken on this goroutine.
 func (c *conn) dispatch(req proto.Request, began, arrived time.Time, timeoutMicros uint32) time.Time {
 	s := c.srv
-	timeout := s.cfg.RequestTimeout
+	timeout := requestTimeout
 	if t := time.Duration(timeoutMicros) * time.Microsecond; t > 0 && t < timeout {
 		timeout = t
 	}
 
 	// Admission control. Blocking here stalls this connection's reader —
-	// deliberate backpressure — but never past AdmitTimeout.
+	// deliberate backpressure — but never past admitTimeout.
 	admitted := arrived
 	select {
 	case s.sem <- struct{}{}:
 	default:
-		timer := time.NewTimer(min(s.cfg.AdmitTimeout, timeout))
+		timer := time.NewTimer(min(admitTimeout, timeout))
 		select {
 		case s.sem <- struct{}{}:
 			timer.Stop()
@@ -1163,8 +1157,8 @@ func badRequest(format string, args ...any) error {
 
 // checkK rejects a k-NN k past the server's limit.
 func (s *Server) checkK(k int) error {
-	if k > s.cfg.MaxKNN {
-		return badRequest("k=%d exceeds limit %d", k, s.cfg.MaxKNN)
+	if k > maxKNN {
+		return badRequest("k=%d exceeds limit %d", k, maxKNN)
 	}
 	return nil
 }

@@ -12,7 +12,6 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/serve/client"
@@ -82,10 +81,10 @@ func startServer(t testing.TB, cfg Config) (*Server, string) {
 
 // testWorld builds a dataset, monolithic pool, and running server on an
 // ephemeral port.
-func testWorld(t testing.TB, mutate func(*Config)) (*dataset.Dataset, *parallel.Pool, *Server, string) {
+func testWorld(t testing.TB, mutate func(*Config)) (*dataset.Dataset, *shard.Pool, *Server, string) {
 	t.Helper()
 	ds, tree := testDataset(t)
-	pool, err := parallel.New(ds, tree, 0)
+	pool, err := shard.Over(ds, tree)
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
@@ -147,7 +146,7 @@ func TestServerAnswersMatchPool(t *testing.T) {
 		if err != nil {
 			t.Fatalf("range ids: %v", err)
 		}
-		if want := pool.Range(w); !sameIDs(gotIDs, want) {
+		if want := pool.RangeAppend(nil, w); !sameIDs(gotIDs, want) {
 			t.Fatalf("range ids mismatch: got %d want %d", len(gotIDs), len(want))
 		}
 
@@ -165,7 +164,7 @@ func TestServerAnswersMatchPool(t *testing.T) {
 		if err != nil {
 			t.Fatalf("filter: %v", err)
 		}
-		if want := pool.FilterRange(w); !sameIDs(cands, want) {
+		if want := pool.FilterRangeAppend(nil, w); !sameIDs(cands, want) {
 			t.Fatalf("filter candidates mismatch")
 		}
 
@@ -173,7 +172,7 @@ func TestServerAnswersMatchPool(t *testing.T) {
 		if err != nil {
 			t.Fatalf("point: %v", err)
 		}
-		if want := pool.Point(pt, DefaultPointEps); !sameIDs(ptIDs, want) {
+		if want := pool.PointAppend(nil, pt, DefaultPointEps); !sameIDs(ptIDs, want) {
 			t.Fatalf("point ids mismatch")
 		}
 
@@ -181,7 +180,7 @@ func TestServerAnswersMatchPool(t *testing.T) {
 		if err != nil {
 			t.Fatalf("nn: %v", err)
 		}
-		if want := pool.Nearest(pt); !want.OK || nn == nil || nn.ID != want.ID {
+		if want := pool.NearestWith(pt, nil); !want.OK || nn == nil || nn.ID != want.ID {
 			t.Fatalf("nn mismatch: got %v want %v", nn, want)
 		}
 
@@ -189,7 +188,7 @@ func TestServerAnswersMatchPool(t *testing.T) {
 		if err != nil {
 			t.Fatalf("knn: %v", err)
 		}
-		want, _ := pool.KNearest(pt, 5)
+		want, _ := pool.KNearestAppend(nil, pt, 5, nil)
 		if len(knn) != len(want) {
 			t.Fatalf("knn length mismatch: %d vs %d", len(knn), len(want))
 		}
@@ -237,7 +236,7 @@ func TestShipmentOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("local answer: %v", err)
 	}
-	want := pool.Range(inner)
+	want := pool.RangeAppend(nil, inner)
 	gotIDs := make([]uint32, len(local))
 	for i, r := range local {
 		gotIDs[i] = r.ID
@@ -333,7 +332,7 @@ func TestPipelining(t *testing.T) {
 			Max: geom.Point{X: center.X + half, Y: center.Y + half},
 		}
 		id := uint32(1000 + i)
-		want[id] = pool.Range(w)
+		want[id] = pool.RangeAppend(nil, w)
 		if _, err := proto.WriteMessage(nc, &proto.QueryMsg{
 			ID: id, Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w,
 		}); err != nil {
@@ -370,7 +369,6 @@ func TestPipelining(t *testing.T) {
 func TestAdmissionControl(t *testing.T) {
 	_, _, srv, addr := testWorld(t, func(cfg *Config) {
 		cfg.MaxInFlight = 2
-		cfg.AdmitTimeout = 20 * time.Millisecond
 		cfg.testDelay = 300 * time.Millisecond
 	})
 

@@ -8,9 +8,9 @@ import (
 
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
+	"mobispatial/internal/shard"
 )
 
 // TestShardedServeMatchesMonolithic runs the same client workload against a
@@ -115,7 +115,7 @@ func TestShardedServeContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := parallel.New(ds, tree, 1)
+	mono, err := shard.Over(ds, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestShardedServeContention(t *testing.T) {
 	}
 	want := make([][]uint32, len(windows))
 	for i, w := range windows {
-		want[i] = mono.Range(w)
+		want[i] = mono.RangeAppend(nil, w)
 	}
 
 	const conns = 8

@@ -6,9 +6,9 @@ import (
 
 	"mobispatial/internal/geom"
 	"mobispatial/internal/mutable"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/serve/client"
+	"mobispatial/internal/shard"
 )
 
 // TestUpdateRoundTrip drives the full write path over the wire: insert,
@@ -97,7 +97,7 @@ func TestUpdateRoundTrip(t *testing.T) {
 // messages with CodeUnsupported instead of crashing or hanging.
 func TestUpdateUnsupported(t *testing.T) {
 	ds, tree := testDataset(t)
-	pool, err := parallel.New(ds, tree, 2)
+	pool, err := shard.Over(ds, tree)
 	if err != nil {
 		t.Fatal(err)
 	}

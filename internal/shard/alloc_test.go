@@ -5,14 +5,12 @@ import (
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/obs"
-	"mobispatial/internal/parallel"
 )
 
 // Warm-path allocation regression tests, mirroring internal/serve's
 // hot-path discipline: after warm-up, the sharded range, point, and k-NN
-// paths must not allocate — result buffers are caller-owned, NN order
-// buffers and distance closures pooled or caller-owned. Metrics are
-// enabled on purpose: the obs handles must not allocate either.
+// paths must not allocate — result buffers, NN order buffers and distance
+// closures are all caller-owned. Metrics are enabled on purpose: the obs handles must not allocate either.
 
 func allocPool(t *testing.T) (*dataset.Dataset, *Pool) {
 	t.Helper()
@@ -79,7 +77,7 @@ func TestShardedKNNZeroAlloc(t *testing.T) {
 	}
 	ds, p := allocPool(t)
 	points := dataset.NNQueries(ds, 16, 7)
-	var sc parallel.Scratch
+	var sc Scratch
 	nbs, _ := p.KNearestAppend(nil, points[0], 8, &sc)
 	for i := 0; i < 4; i++ {
 		for _, pt := range points {

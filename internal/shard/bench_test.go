@@ -6,7 +6,6 @@ import (
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/rtree"
 )
 
@@ -37,11 +36,11 @@ func BenchmarkShardKNN(b *testing.B) {
 	points := dataset.NNQueries(ds, 64, 78)
 
 	b.Run("monolithic", func(b *testing.B) {
-		mono, err := parallel.New(ds, tree, 1)
+		mono, err := Over(ds, tree)
 		if err != nil {
 			b.Fatal(err)
 		}
-		var sc parallel.Scratch
+		var sc Scratch
 		nbs := make([]rtree.Neighbor, 0, 16)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -57,7 +56,7 @@ func BenchmarkShardKNN(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer p.Close()
-		var sc parallel.Scratch
+		var sc Scratch
 		nbs := make([]rtree.Neighbor, 0, 16)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -6,21 +6,20 @@ import (
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/rtree"
 )
 
 // TestConcurrentReaders hammers one sharded pool from many concurrent
 // callers and checks every answer against the precomputed monolithic
 // result. Run under -race this doubles as the data-race proof for the
-// shared shard set and the pooled NN state.
+// shared shard set.
 func TestConcurrentReaders(t *testing.T) {
 	ds := fixture(t, 6000)
 	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := parallel.New(ds, tree, 1)
+	mono, err := Over(ds, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,17 +35,17 @@ func TestConcurrentReaders(t *testing.T) {
 
 	wantRange := make([][]uint32, len(windows))
 	for i, w := range windows {
-		wantRange[i] = mono.Range(w)
+		wantRange[i] = mono.RangeAppend(nil, w)
 	}
 	wantPoint := make([][]uint32, len(points))
 	for i, pt := range points {
-		wantPoint[i] = mono.Point(pt, 2.0)
+		wantPoint[i] = mono.PointAppend(nil, pt, 2.0)
 	}
-	wantNN := make([]parallel.NearestResult, len(nnPts))
+	wantNN := make([]NearestResult, len(nnPts))
 	wantKNN := make([][]rtree.Neighbor, len(nnPts))
 	for i, pt := range nnPts {
-		wantNN[i] = mono.Nearest(pt)
-		wantKNN[i], _ = mono.KNearest(pt, 6)
+		wantNN[i] = mono.NearestWith(pt, nil)
+		wantKNN[i], _ = mono.KNearestAppend(nil, pt, 6, nil)
 	}
 
 	const callers = 16
@@ -57,7 +56,7 @@ func TestConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			var sc parallel.Scratch
+			var sc Scratch
 			var ids []uint32
 			var nbs []rtree.Neighbor
 			for r := 0; r < rounds; r++ {
@@ -107,7 +106,7 @@ func TestCloseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Range(p.Bounds())
+	p.RangeAppend(nil, p.Bounds())
 	p.Close()
 	p.Close()
 }

@@ -3,22 +3,192 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/parallel"
 	"mobispatial/internal/rtree"
 )
 
-// TestEquivalenceQuick property-tests the sharded executor against the
-// monolithic parallel.Pool over randomized small datasets and shard
-// counts. Range/point answers must be identical as id sets; NN/k-NN
-// answers must report identical distances (tie *ids* may differ, so ~10% of
-// segments are exact duplicates to force ties). Empty and inverted windows
-// must come back empty on both paths.
+// The engine's reference is a loop over ds.Segments. Every other package's
+// equivalence test compares its subject with the one-shard engine, so the
+// one-shard engine itself must be pinned to something that shares no code
+// with the tree walk — only the geometric predicates that define an answer.
+
+// scanIDs returns the ids of the segments match accepts, ascending.
+func scanIDs(ds *dataset.Dataset, match func(geom.Segment) bool) []uint32 {
+	var ids []uint32
+	for id, s := range ds.Segments {
+		if match(s) {
+			ids = append(ids, uint32(id))
+		}
+	}
+	return ids
+}
+
+// scanNearest returns the k smallest segment distances to pt, ascending.
+func scanNearest(ds *dataset.Dataset, pt geom.Point, k int) []float64 {
+	if k <= 0 {
+		return nil
+	}
+	var best []float64
+	for _, s := range ds.Segments {
+		d := s.DistToPoint(pt)
+		if len(best) == k && d >= best[k-1] {
+			continue
+		}
+		i := sort.SearchFloat64s(best, d)
+		best = append(best, 0)
+		copy(best[i+1:], best[i:])
+		best[i] = d
+		if len(best) > k {
+			best = best[:k]
+		}
+	}
+	return best
+}
+
+// queries is one seeded workload for checkAgainstScan.
+type queries struct {
+	windows []geom.Rect
+	points  []geom.Point // point queries, each asked at every eps
+	eps     []float64
+	nnPts   []geom.Point // NN queries, each asked as 1-NN and at every k
+	ks      []int
+}
+
+// checkAgainstScan asks every query of qs of every pool and compares with
+// the linear scan: filter and exact range/point answers as id sets, NN and
+// k-NN answers as distance sequences (tie ids may differ between shard
+// counts; each reported id must still be at its reported distance, once).
+// It reports the first divergence and returns whether there was none.
+func checkAgainstScan(t *testing.T, ds *dataset.Dataset, pools []*Pool, qs queries) bool {
+	t.Helper()
+	fail := func(p *Pool, format string, args ...any) bool {
+		t.Helper()
+		t.Errorf("S=%d: "+format, append([]any{p.Shards()}, args...)...)
+		return false
+	}
+	for _, w := range qs.windows {
+		filter := scanIDs(ds, func(s geom.Segment) bool { return s.MBR().Intersects(w) })
+		exact := scanIDs(ds, func(s geom.Segment) bool { return s.IntersectsRect(w) })
+		for _, p := range pools {
+			if got := p.FilterRangeAppend(nil, w); !sameIDSet(got, filter) {
+				return fail(p, "FilterRange %v: %d ids, scan %d", w, len(got), len(filter))
+			}
+			if got := p.RangeAppend(nil, w); !sameIDSet(got, exact) {
+				return fail(p, "Range %v: %d ids, scan %d", w, len(got), len(exact))
+			}
+		}
+	}
+	for _, pt := range qs.points {
+		filter := scanIDs(ds, func(s geom.Segment) bool { return s.MBR().ContainsPoint(pt) })
+		for _, p := range pools {
+			if got := p.FilterPointAppend(nil, pt); !sameIDSet(got, filter) {
+				return fail(p, "FilterPoint %v: %d ids, scan %d", pt, len(got), len(filter))
+			}
+		}
+		for _, eps := range qs.eps {
+			// The paper's point query: the MBR short-lists, incidence
+			// within eps refines.
+			exact := scanIDs(ds, func(s geom.Segment) bool {
+				return s.MBR().ContainsPoint(pt) && s.DistToPoint(pt) <= eps
+			})
+			for _, p := range pools {
+				if got := p.PointAppend(nil, pt, eps); !sameIDSet(got, exact) {
+					return fail(p, "Point %v eps %g: %d ids, scan %d", pt, eps, len(got), len(exact))
+				}
+			}
+		}
+	}
+	kmax := 1
+	for _, k := range qs.ks {
+		kmax = max(kmax, k)
+	}
+	for _, pt := range qs.nnPts {
+		want := scanNearest(ds, pt, kmax)
+		want1 := want[:min(1, len(want))]
+		for _, p := range pools {
+			var one []rtree.Neighbor
+			if res := p.NearestWith(pt, nil); res.OK {
+				one = []rtree.Neighbor{{ID: res.ID, Dist: res.Dist}}
+			}
+			if !sameDistances(ds, pt, one, want1) {
+				return fail(p, "Nearest %v: %+v, scan %v", pt, one, want1)
+			}
+			for _, k := range qs.ks {
+				nbs, supported := p.KNearestAppend(nil, pt, k, nil)
+				if wk := want[:min(max(k, 0), len(want))]; !supported || !sameDistances(ds, pt, nbs, wk) {
+					return fail(p, "KNearest(k=%d) %v: %d neighbors, scan %d", k, pt, len(nbs), len(wk))
+				}
+			}
+		}
+	}
+	return true
+}
+
+// sameDistances reports whether a k-NN answer is the scan's: the same
+// distances in the same ascending order, every id distinct and honestly at
+// its reported distance.
+func sameDistances(ds *dataset.Dataset, pt geom.Point, got []rtree.Neighbor, want []float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	seen := make(map[uint32]bool, len(got))
+	for i, nb := range got {
+		if nb.Dist != want[i] || seen[nb.ID] || ds.Seg(nb.ID).DistToPoint(pt) != nb.Dist {
+			return false
+		}
+		seen[nb.ID] = true
+	}
+	return true
+}
+
+// TestEngineMatchesLinearScan pins the engine on the paper's PA map, at one
+// shard over a given tree (the unsharded server) and at 4 and 16 Hilbert
+// shards, to the linear scan: 500 seeded queries per kind, point queries at
+// two tolerances, NN as 1-NN and k-NN for k in {1, 8, 64}. All three pools
+// equal the scan, hence each other.
+func TestEngineMatchesLinearScan(t *testing.T) {
+	n := 500
+	if testing.Short() {
+		n = 60
+	}
+	ds := dataset.PA()
+	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := Over(ds, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pools := []*Pool{one}
+	for _, s := range []int{4, 16} {
+		p, err := New(ds, Config{Shards: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pools = append(pools, p)
+	}
+	checkAgainstScan(t, ds, pools, queries{
+		windows: dataset.RangeQueries(ds, n, 31),
+		points:  dataset.PointQueries(ds, n, 32),
+		eps:     []float64{2.0, 40.0},
+		nnPts:   dataset.NNQueries(ds, n, 33),
+		ks:      []int{1, 8, 64},
+	})
+}
+
+// TestEquivalenceQuick property-tests the engine against the linear scan
+// over randomized small datasets: one shard over a given tree beside a
+// random shard count. ~10% of segments are exact duplicates to force NN
+// distance ties, half the query points are segment endpoints, and k runs
+// from 0 past the item count. Empty and inverted windows must come back
+// empty.
 func TestEquivalenceQuick(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -28,7 +198,7 @@ func TestEquivalenceQuick(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mono, err := parallel.New(ds, tree, 2)
+		one, err := Over(ds, tree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,56 +206,27 @@ func TestEquivalenceQuick(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer sharded.Close()
+		pools := []*Pool{one, sharded}
 
-		ext := ds.Extent
+		qs := queries{eps: []float64{2.0}, ks: []int{0, 1, 3, ds.Len() + 5}}
 		for q := 0; q < 8; q++ {
-			w := randomWindow(rng, ext)
-			if !sameIDSet(mono.FilterRange(w), sharded.FilterRangeAppend(nil, w)) {
-				t.Errorf("seed %d: FilterRange mismatch on %v", seed, w)
-				return false
-			}
-			if !sameIDSet(mono.Range(w), sharded.Range(w)) {
-				t.Errorf("seed %d: Range mismatch on %v", seed, w)
-				return false
-			}
-
-			pt := randomPoint(rng, ext, ds)
-			if !sameIDSet(mono.FilterPoint(pt), sharded.FilterPointAppend(nil, pt)) {
-				t.Errorf("seed %d: FilterPoint mismatch at %v", seed, pt)
-				return false
-			}
-			if !sameIDSet(mono.Point(pt, 2.0), sharded.Point(pt, 2.0)) {
-				t.Errorf("seed %d: Point mismatch at %v", seed, pt)
-				return false
-			}
-
-			a, b := mono.Nearest(pt), sharded.Nearest(pt)
-			if a.OK != b.OK || (a.OK && a.Dist != b.Dist) {
-				t.Errorf("seed %d: Nearest mismatch at %v: mono %+v sharded %+v", seed, pt, a, b)
-				return false
-			}
-
-			for _, k := range []int{0, 1, 3, ds.Len() + 5} {
-				ma, oka := mono.KNearest(pt, k)
-				sa, oks := sharded.KNearest(pt, k)
-				if oka != oks || !sameDistances(ds, pt, ma, sa) {
-					t.Errorf("seed %d: KNearest(k=%d) mismatch at %v: mono %d nbs, sharded %d nbs",
-						seed, k, pt, len(ma), len(sa))
-					return false
-				}
-			}
+			qs.windows = append(qs.windows, randomWindow(rng, ds.Extent))
+			pt := randomPoint(rng, ds.Extent, ds)
+			qs.points = append(qs.points, pt)
+			qs.nnPts = append(qs.nnPts, pt)
+		}
+		if !checkAgainstScan(t, ds, pools, qs) {
+			t.Errorf("seed %d", seed)
+			return false
 		}
 
-		// Degenerate windows: empty and inverted rects answer empty on both.
+		// Degenerate windows: empty and inverted rects answer empty.
 		for _, w := range []geom.Rect{geom.EmptyRect(), {Min: geom.Point{X: 10, Y: 10}, Max: geom.Point{X: -10, Y: -10}}} {
-			if got := sharded.Range(w); len(got) != 0 {
-				t.Errorf("seed %d: sharded Range(%v) = %d ids, want 0", seed, w, len(got))
-				return false
-			}
-			if got := mono.Range(w); len(got) != 0 {
-				t.Errorf("seed %d: mono Range(%v) = %d ids, want 0", seed, w, len(got))
-				return false
+			for _, p := range pools {
+				if got := p.RangeAppend(nil, w); len(got) != 0 {
+					t.Errorf("seed %d: S=%d Range(%v) = %d ids, want 0", seed, p.Shards(), w, len(got))
+					return false
+				}
 			}
 		}
 		return true
@@ -143,27 +284,4 @@ func randomPoint(rng *rand.Rand, ext geom.Rect, ds *dataset.Dataset) geom.Point 
 		X: ext.Min.X + rng.Float64()*(ext.Max.X-ext.Min.X),
 		Y: ext.Min.Y + rng.Float64()*(ext.Max.Y-ext.Min.Y),
 	}
-}
-
-// sameDistances compares two k-NN answers by their distance sequences: same
-// length, ascending, and pairwise exactly equal. Ids are compared only where
-// the distance is unique within the answer (ties may legitimately resolve to
-// different duplicate segments on the two paths).
-func sameDistances(ds *dataset.Dataset, pt geom.Point, a, b []rtree.Neighbor) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Dist != b[i].Dist {
-			return false
-		}
-		if i > 0 && (a[i].Dist < a[i-1].Dist || b[i].Dist < b[i-1].Dist) {
-			return false // not ascending
-		}
-		// Distances must be honest: recompute from the dataset.
-		if ds.Seg(a[i].ID).DistToPoint(pt) != a[i].Dist || ds.Seg(b[i].ID).DistToPoint(pt) != b[i].Dist {
-			return false
-		}
-	}
-	return true
 }

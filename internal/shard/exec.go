@@ -8,8 +8,7 @@ import (
 // rangeWalk answers one window query on the caller's goroutine: every shard
 // whose MBR intersects w is searched in shard order, appending into dst.
 // With refine set each tree's serving kernel runs with the exact test fused
-// in, exactly as parallel.Pool does, so per-shard answers are bit-identical
-// to the monolithic path restricted to that shard's items.
+// in, so a segment is loaded only when its MBR straddles the window's edge.
 func (p *Pool) rangeWalk(dst []uint32, w geom.Rect, refine bool) []uint32 {
 	var exact func(uint32) bool
 	if refine {
@@ -28,7 +27,9 @@ func (p *Pool) rangeWalk(dst []uint32, w geom.Rect, refine bool) []uint32 {
 }
 
 // pointWalk is rangeWalk for a point query: shards whose MBR contains pt,
-// refined by incidence within eps.
+// refined by incidence within eps. The refinement compacts candidates in
+// place — hits are written back over the candidate region — so no second
+// buffer is needed.
 func (p *Pool) pointWalk(dst []uint32, pt geom.Point, eps float64, refine bool) []uint32 {
 	n := 0
 	for i, t := range p.trees {
@@ -52,10 +53,12 @@ func (p *Pool) pointWalk(dst []uint32, pt geom.Point, eps float64, refine bool) 
 	return dst
 }
 
-// The append-first query surface, mirroring parallel.Pool. Answers are
-// set-identical to a monolithic packed R-tree over the same items (the
-// equivalence quick-test pins this); result order is per-shard traversal
-// order concatenated in shard order.
+// The append-first query surface: each method writes its answer into dst's
+// spare capacity and returns the extended slice, so a caller that reuses its
+// result buffers (the networked server's per-request scratch) pays no
+// allocation on a warm query. Answers are the same set whatever the shard
+// count (the equivalence quick-test pins this against a linear scan); result
+// order is per-shard traversal order concatenated in shard order.
 
 // FilterRangeAppend appends the candidate ids of a window query to dst.
 func (p *Pool) FilterRangeAppend(dst []uint32, w geom.Rect) []uint32 {
@@ -76,9 +79,3 @@ func (p *Pool) FilterPointAppend(dst []uint32, pt geom.Point) []uint32 {
 func (p *Pool) PointAppend(dst []uint32, pt geom.Point, eps float64) []uint32 {
 	return p.pointWalk(dst, pt, eps, true)
 }
-
-// Range answers one window query (filter + exact refinement).
-func (p *Pool) Range(w geom.Rect) []uint32 { return p.RangeAppend(nil, w) }
-
-// Point answers one point query with the given incidence tolerance.
-func (p *Pool) Point(pt geom.Point, eps float64) []uint32 { return p.PointAppend(nil, pt, eps) }

@@ -1,12 +1,14 @@
-// Package shard is the sharded counterpart of internal/parallel: the
-// dataset's segments are Hilbert-ordered (the same linearization the packed
-// R-tree bulk loader uses) and cut into S contiguous runs, each bulk-loaded
-// into its own packed R-tree with a precomputed shard MBR summary. Because
-// Hilbert order is spatially coherent, every shard is a compact blob of the
-// map, so the summaries prune aggressively: a point query usually touches
-// one shard, a window query only the shards its rectangle crosses, and a
-// (k-)NN query visits shards best-first by MBR min-distance and stops once
-// the running k-th-neighbor bound beats the next shard's lower bound.
+// Package shard is the read-only local query engine: S >= 1 packed R-trees,
+// each with a precomputed MBR summary, behind the serving tier's append-first
+// query surface. New Hilbert-orders the dataset's segments (the same
+// linearization the packed R-tree bulk loader uses) and cuts them into S
+// contiguous runs, one tree per run; Over wraps one tree somebody else built
+// — the unsharded server is this engine at S = 1. Because Hilbert order is
+// spatially coherent, every shard is a compact blob of the map, so the
+// summaries prune aggressively: a point query usually touches one shard, a
+// window query only the shards its rectangle crosses, and a (k-)NN query
+// visits shards best-first by MBR min-distance and stops once the running
+// k-th-neighbor bound beats the next shard's lower bound.
 //
 // A query runs on the goroutine that called it: the participating shards
 // are walked inline in shard order, each appending straight into the
@@ -14,15 +16,11 @@
 // alloc_test.go). Hilbert-coherent cuts keep the fan-out near one shard per
 // query, so parallelism belongs across queries — the serving tier's
 // admission window — not inside one.
-//
-// Pool implements the same append-first query surface as parallel.Pool, so
-// internal/serve drives either through one Executor interface.
 package shard
 
 import (
 	"fmt"
 	"runtime"
-	"sync"
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
@@ -36,20 +34,11 @@ import (
 // datasets, large enough that the shard MBRs prune most of the map.
 const DefaultShards = 16
 
-// shardRegionBytes is the simulated-address stride between per-shard tree
-// regions: each shard's nodes are laid out in their own slice of the index
-// address space so the ops/energy machinery sees distinct, non-overlapping
-// node addresses per shard.
-const shardRegionBytes = 1 << 26
-
 // Config parameterizes a sharded pool.
 type Config struct {
 	// Shards is the number of spatial partitions; DefaultShards when <= 0.
 	// Clamped to the item count so every shard holds at least one item.
 	Shards int
-	// Tree is the per-shard packed R-tree layout; each shard overrides
-	// BaseAddr with its own address region.
-	Tree rtree.Config
 	// Obs receives the shard metrics (fan-out and pruning histograms, the
 	// query counter, shard_count gauge); nil disables them.
 	Obs *obs.Registry
@@ -61,8 +50,8 @@ type Config struct {
 	Items []rtree.Item
 }
 
-// Pool is a sharded query executor over one dataset. The shards are
-// immutable after New, so all query methods are safe for any number of
+// Pool is the frozen query executor over one dataset. The shards are
+// immutable once built, so all query methods are safe for any number of
 // concurrent callers.
 type Pool struct {
 	ds *dataset.Dataset
@@ -72,8 +61,6 @@ type Pool struct {
 	trees  []*rtree.Tree
 	mbrs   []geom.Rect
 	bounds geom.Rect
-
-	nnStates sync.Pool // *nnState
 
 	metrics metrics
 }
@@ -94,25 +81,37 @@ func New(ds *dataset.Dataset, cfg Config) (*Pool, error) {
 	}
 	// PartitionHilbert is the one cut recipe: the pool's local shards and
 	// the cluster tier's ranges are the same contiguous Hilbert runs.
-	ranges, bounds := PartitionHilbert(items, cfg.Shards, cfg.Tree.HilbertOrder)
-	p := &Pool{ds: ds, bounds: bounds, metrics: newMetrics(cfg.Obs)}
+	ranges, bounds := PartitionHilbert(items, cfg.Shards, 0)
+	trees := make([]*rtree.Tree, len(ranges))
 	for i, rg := range ranges {
-		tcfg := cfg.Tree
-		tcfg.BaseAddr = ops.IndexBase + uint64(i)*shardRegionBytes
-		tree, err := rtree.Build(rg.Items, tcfg, ops.Null{})
+		// Every walk of these trees runs under ops.Null, so the simulated
+		// node addresses are never read and the shards may share a region.
+		tree, err := rtree.Build(rg.Items, rtree.Config{}, ops.Null{})
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		p.trees = append(p.trees, tree)
-		p.mbrs = append(p.mbrs, tree.Bounds())
+		trees[i] = tree
 	}
+	return newPool(ds, trees, bounds, cfg.Obs), nil
+}
 
-	nS := len(p.trees)
-	p.nnStates.New = func() any {
-		return &nnState{order: make([]IndexDist, 0, nS)}
+// Over is the engine with one shard: the given tree, not a copy of it. The
+// unsharded server runs on it so that queries and shipments (which carve
+// sub-indexes from the master tree) share one index in memory.
+func Over(ds *dataset.Dataset, tree *rtree.Tree) (*Pool, error) {
+	if ds == nil || tree == nil {
+		return nil, fmt.Errorf("shard: nil dataset or index")
 	}
-	p.metrics.shardCount.Set(float64(nS))
-	return p, nil
+	return newPool(ds, []*rtree.Tree{tree}, tree.Bounds(), nil), nil
+}
+
+func newPool(ds *dataset.Dataset, trees []*rtree.Tree, bounds geom.Rect, reg *obs.Registry) *Pool {
+	p := &Pool{ds: ds, trees: trees, bounds: bounds, metrics: newMetrics(reg)}
+	for _, t := range trees {
+		p.mbrs = append(p.mbrs, t.Bounds())
+	}
+	p.metrics.shardCount.Set(float64(len(trees)))
+	return p
 }
 
 // byKey sorts items by their precomputed Hilbert keys (PartitionHilbert).
@@ -134,7 +133,7 @@ func (b *byKey) Swap(i, j int) {
 func (p *Pool) Close() {}
 
 // Workers returns GOMAXPROCS — the width the server sizes its admission
-// window from, mirroring parallel.Pool.Workers.
+// window from.
 func (p *Pool) Workers() int { return runtime.GOMAXPROCS(0) }
 
 // Dataset returns the pool's dataset.
@@ -153,31 +152,4 @@ func (p *Pool) Len() int {
 		n += t.Len()
 	}
 	return n
-}
-
-// IndexBytes returns the total byte size of all per-shard trees.
-func (p *Pool) IndexBytes() int {
-	n := 0
-	for _, t := range p.trees {
-		n += t.IndexBytes()
-	}
-	return n
-}
-
-// ShardStats describes one shard for reporting and tests.
-type ShardStats struct {
-	Items      int
-	Height     int
-	IndexBytes int
-	MBR        geom.Rect
-}
-
-// PerShard returns per-shard structural statistics.
-func (p *Pool) PerShard() []ShardStats {
-	out := make([]ShardStats, len(p.trees))
-	for i, t := range p.trees {
-		st := t.TreeStats()
-		out[i] = ShardStats{Items: st.Items, Height: st.Height, IndexBytes: st.IndexBytes, MBR: p.mbrs[i]}
-	}
-	return out
 }

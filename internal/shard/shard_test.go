@@ -54,12 +54,12 @@ func TestPartitionComplete(t *testing.T) {
 	if p.Len() != ds.Len() {
 		t.Fatalf("Len() = %d, want %d", p.Len(), ds.Len())
 	}
-	stats := p.PerShard()
-	if len(stats) != 7 {
-		t.Fatalf("PerShard() = %d shards, want 7", len(stats))
+	if p.Shards() != 7 {
+		t.Fatalf("Shards() = %d, want 7", p.Shards())
 	}
 	total := 0
-	for i, st := range stats {
+	for i, tree := range p.trees {
+		st := tree.TreeStats()
 		if st.Items == 0 {
 			t.Errorf("shard %d is empty", i)
 		}
@@ -113,13 +113,13 @@ func TestEmptyDataset(t *testing.T) {
 	if p.Shards() != 0 || p.Len() != 0 {
 		t.Fatalf("Shards() = %d Len() = %d, want 0, 0", p.Shards(), p.Len())
 	}
-	if got := p.Range(p.Bounds()); len(got) != 0 {
+	if got := p.RangeAppend(nil, p.Bounds()); len(got) != 0 {
 		t.Errorf("Range on empty pool returned %d ids", len(got))
 	}
-	if res := p.Nearest(geom.Point{}); res.OK {
+	if res := p.NearestWith(geom.Point{}, nil); res.OK {
 		t.Error("Nearest on empty pool reported a hit")
 	}
-	if nbs, ok := p.KNearest(geom.Point{}, 3); !ok || len(nbs) != 0 {
+	if nbs, ok := p.KNearestAppend(nil, geom.Point{}, 3, nil); !ok || len(nbs) != 0 {
 		t.Errorf("KNearest on empty pool = %d, %v", len(nbs), ok)
 	}
 }
@@ -135,10 +135,10 @@ func TestMetrics(t *testing.T) {
 	}
 	defer p.Close()
 
-	p.Range(p.Bounds())        // walks all 8 shards
-	p.Point(ds.Seg(0).A, 2.0)  // usually 1 shard
-	p.Nearest(ds.Seg(1).A)     // NN visit
-	p.KNearest(ds.Seg(2).B, 4) // k-NN visit
+	p.RangeAppend(nil, p.Bounds())             // walks all 8 shards
+	p.PointAppend(nil, ds.Seg(0).A, 2.0)       // usually 1 shard
+	p.NearestWith(ds.Seg(1).A, nil)            // NN visit
+	p.KNearestAppend(nil, ds.Seg(2).B, 4, nil) // k-NN visit
 	snap := reg.Snapshot()
 
 	got := map[string]float64{}
