@@ -12,12 +12,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mobispatial/internal/core"
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/roadnet"
+	"mobispatial/internal/scheme"
 	"mobispatial/internal/serve/client"
 	"mobispatial/internal/shard"
 )
@@ -27,7 +27,7 @@ import (
 type queryKind struct {
 	direct func(c *client.Client, p geom.Point, w geom.Rect) error // one exchange
 	slot   func(p geom.Point, w geom.Rect) proto.QueryMsg          // one slot of a QueryBatch
-	plan   func(p geom.Point, w geom.Rect) core.Query              // the planner's input
+	plan   func(p geom.Point, w geom.Rect) scheme.Query            // the planner's input
 }
 
 // queryKinds is the one place a query kind becomes a client call.
@@ -37,21 +37,21 @@ var queryKinds = map[string]*queryKind{
 		slot: func(p geom.Point, _ geom.Rect) proto.QueryMsg {
 			return proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeIDs, Point: p}
 		},
-		plan: func(p geom.Point, _ geom.Rect) core.Query { return core.Point(p) },
+		plan: func(p geom.Point, _ geom.Rect) scheme.Query { return scheme.Point(p) },
 	},
 	"range": {
 		direct: func(c *client.Client, _ geom.Point, w geom.Rect) error { _, err := c.RangeIDs(w); return err },
 		slot: func(_ geom.Point, w geom.Rect) proto.QueryMsg {
 			return proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w}
 		},
-		plan: func(_ geom.Point, w geom.Rect) core.Query { return core.Range(w) },
+		plan: func(_ geom.Point, w geom.Rect) scheme.Query { return scheme.Range(w) },
 	},
 	"nn": {
 		direct: func(c *client.Client, p geom.Point, _ geom.Rect) error { _, err := c.Nearest(p); return err },
 		slot: func(p geom.Point, _ geom.Rect) proto.QueryMsg {
 			return proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeData, Point: p}
 		},
-		plan: func(p geom.Point, _ geom.Rect) core.Query { return core.Nearest(p) },
+		plan: func(p geom.Point, _ geom.Rect) scheme.Query { return scheme.Nearest(p) },
 	},
 }
 

@@ -1,9 +1,9 @@
 // Advisor: uses the paper's §4.1 analytic trade-off model as a library. The
 // workload is first characterized by executing it against the real index
 // with a counting recorder (no machine simulation), then the closed-form
-// conditions predict — per bandwidth — whether offloading the work saves
-// cycles and/or energy. The example then validates the prediction for one
-// point against the full simulator.
+// model prices both sides per bandwidth and scheme.Choose says under which
+// objective — performance, energy — offloading is picked. The example then
+// validates the prediction for one point against the full simulator.
 //
 //	go run ./examples/advisor
 package main
@@ -20,6 +20,7 @@ import (
 	"mobispatial/internal/ops"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
+	"mobispatial/internal/scheme"
 	"mobispatial/internal/sim"
 )
 
@@ -54,7 +55,7 @@ func main() {
 	// Offloading fully to the server with the data replicated: the uplink
 	// carries the request, the downlink the matching ids.
 	hits := len(cands) // upper bound on the reply size
-	in := core.AnalyticInputs{
+	in := scheme.AnalyticInputs{
 		CFullyLocal:  fullyLocal,
 		CLocal:       0,
 		CProtocol:    3000,
@@ -70,22 +71,25 @@ func main() {
 	fmt.Printf("%10s %14s %14s %12s %12s\n", "bandwidth", "cycle ratio", "energy ratio", "offload for", "")
 	for _, mbps := range []float64{1, 2, 4, 6, 8, 11, 20} {
 		in.BandwidthBps = mbps * 1e6
-		v := in.Advise()
+		stay, offload := in.FullyLocal(), in.Partitioned(scheme.FullyServer)
+		perf := scheme.Choose(scheme.Performance, stay, offload).Scheme == scheme.FullyServer
+		en := scheme.Choose(scheme.Energy, stay, offload).Scheme == scheme.FullyServer
 		verdict := "neither"
 		switch {
-		case v.SavesCycles && v.SavesEnergy:
+		case perf && en:
 			verdict = "both"
-		case v.SavesCycles:
+		case perf:
 			verdict = "performance"
-		case v.SavesEnergy:
+		case en:
 			verdict = "energy"
 		}
-		fmt.Printf("%8.0f M %14.2f %14.2f %12s\n", mbps, v.CycleRatio, v.EnergyRatio, verdict)
+		cycleRatio, energyRatio := offload.Over(stay)
+		fmt.Printf("%8.0f M %14.2f %14.2f %12s\n", mbps, cycleRatio, energyRatio, verdict)
 	}
 
 	// Validate one point with the full execution-driven simulator.
 	fmt.Println("\nvalidating the 11 Mbps prediction against the full simulator:")
-	for _, scheme := range []core.Scheme{core.FullyClient, core.FullyServer} {
+	for _, s := range []core.Scheme{core.FullyClient, core.FullyServer} {
 		p := sim.DefaultParams()
 		p.BandwidthBps = 11e6
 		sys, err := sim.New(p)
@@ -93,11 +97,11 @@ func main() {
 			log.Fatal(err)
 		}
 		eng := core.NewEngineWithTree(ds, tree, sys)
-		if _, err := eng.Run(core.Range(window), scheme, core.DataAtClient); err != nil {
+		if _, err := eng.Run(core.Range(window), s, core.DataAtClient); err != nil {
 			log.Fatal(err)
 		}
 		r := sys.Result()
 		fmt.Printf("  %-13v: %10.3f mJ, %12d cycles\n",
-			scheme, r.Energy.Total()*1e3, r.TotalClientCycles())
+			s, r.Energy.Total()*1e3, r.TotalClientCycles())
 	}
 }

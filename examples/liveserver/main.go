@@ -109,7 +109,7 @@ func main() {
 		c.SetLink(l.rtt, l.bps)
 		fmt.Printf("%-26s", l.name)
 		for _, q := range queries {
-			plan, _ := p.Plan(q.q)
+			plan := p.Plan(q.q)
 			fmt.Printf("  %-20s", plan)
 		}
 		fmt.Println()

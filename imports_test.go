@@ -12,59 +12,53 @@ import (
 	"testing"
 )
 
-// TestServingImportGraph keeps the simulator-side packages out of the
-// serving binaries. rstar, pmrquad and broadcast are alternative access
-// methods only internal/experiments drives; experiments is the per-figure
-// harness. None of them may reach a process that serves or loads live
-// traffic.
-//
-// internal/sim is held to the same rule for mqserve only. The other three
-// link it through serve/client -> internal/core: the live planner prices
-// its schemes with core's analytic model (core.Advise, core.AnalyticInputs)
-// and core is one package with the simulated engine, which runs on
-// sim.System. Cutting that edge means splitting core, not editing an import.
+// TestServingImportGraph is every "X must not import Y" rule of the
+// repository, one row each: a package or command, whether the rule covers
+// what it links (go list -deps) or only what its own non-test files import,
+// the packages under internal/ it must not reach, and why — which is also the
+// failure text.
 func TestServingImportGraph(t *testing.T) {
-	simSide := []string{
-		"mobispatial/internal/rstar",
-		"mobispatial/internal/pmrquad",
-		"mobispatial/internal/broadcast",
-		"mobispatial/internal/experiments",
-	}
-	forbidden := map[string][]string{
-		"./cmd/mqserve":  append([]string{"mobispatial/internal/sim"}, simSide...),
-		"./cmd/mqrouter": simSide,
-		"./cmd/mqload":   simSide,
-		"./cmd/mqtop":    simSide,
-	}
-	for cmd, banned := range forbidden {
-		out, err := exec.Command("go", "list", "-deps", cmd).Output()
-		if err != nil {
-			t.Fatalf("go list -deps %s: %v", cmd, err)
-		}
-		deps := strings.Fields(string(out))
-		for _, pkg := range banned {
-			if slices.Contains(deps, pkg) {
-				t.Errorf("%s imports %s (transitively); it belongs to the simulator side only", cmd, pkg)
+	const simSide = "it belongs to the simulator side (alternative access methods and the per-figure " +
+		"harness only internal/experiments drives, the machine models, the engine that runs on them); " +
+		"a process that serves or loads live traffic gets its queries and the §4.1 model from internal/scheme"
+	simPkgs := []string{"rstar", "pmrquad", "broadcast", "experiments", "sim", "core"}
+	for _, g := range []struct {
+		name       string
+		pkg        string
+		transitive bool
+		forbidden  []string
+		why        string
+	}{
+		{"mqserve", "./cmd/mqserve", true, simPkgs, simSide},
+		{"mqrouter", "./cmd/mqrouter", true, simPkgs, simSide},
+		{"mqload", "./cmd/mqload", true, simPkgs, simSide},
+		{"mqtop", "./cmd/mqtop", true, simPkgs, simSide},
+		{"model-not-simulator", "./internal/scheme", true, []string{"sim", "core"},
+			"the model and the chooser are what the live client links instead of the simulator"},
+		{"client-not-core", "./internal/serve/client", false, []string{"core"},
+			"core is the simulated engine and links internal/sim; the planner's vocabulary and chooser are internal/scheme"},
+		{"client-one-local-engine", "./internal/serve/client", false, []string{"shard", "parallel"},
+			"the only index the client may execute a query against is the shipment's own packed tree " +
+				"(client/local.go, runLocal); this is how a second local engine came in once (PoolFallback)"},
+		{"server-prices-no-energy", "./internal/serve", false, []string{"nic", "energy"},
+			"the server has no energy budget in the paper (§5.3); a device's Joules are counted one directory down, in the client"},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			args := []string{"list", "-f", `{{join .Imports "\n"}}`, g.pkg}
+			if g.transitive {
+				args = []string{"list", "-deps", g.pkg}
 			}
-		}
-	}
-}
-
-// TestClientHoldsOneLocalEngine: the only index internal/serve/client may
-// execute a query against is the shipment's own packed tree (client/local.go,
-// runLocal). A direct import of the server's engine (internal/shard, or its
-// bench-facing name internal/parallel) is how a second local engine came in
-// once (PoolFallback); it must not come back unnoticed.
-func TestClientHoldsOneLocalEngine(t *testing.T) {
-	out, err := exec.Command("go", "list", "-f", `{{join .Imports "\n"}}`, "./internal/serve/client").Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	imports := strings.Fields(string(out))
-	for _, pkg := range []string{"mobispatial/internal/shard", "mobispatial/internal/parallel"} {
-		if slices.Contains(imports, pkg) {
-			t.Errorf("internal/serve/client imports %s directly: a second local engine beside Shipment.Answer", pkg)
-		}
+			out, err := exec.Command("go", args...).Output()
+			if err != nil {
+				t.Fatalf("go %v: %v", args, err)
+			}
+			reached := strings.Fields(string(out))
+			for _, pkg := range g.forbidden {
+				if slices.Contains(reached, "mobispatial/internal/"+pkg) {
+					t.Errorf("%s reaches internal/%s: %s", g.pkg, pkg, g.why)
+				}
+			}
+		})
 	}
 }
 
@@ -132,22 +126,10 @@ func TestOneClientPowerTable(t *testing.T) {
 	}
 }
 
-// TestServerPricesNoEnergy: the server has no energy budget in the paper
-// (§5.3), so internal/serve holds no power table — it imports neither
-// internal/nic nor internal/energy, and does not reach the client's model the
-// one way it could without the import, through obs.DefaultEnergyModel. (The
-// client, one directory down, is where a device's Joules are counted.)
+// TestServerPricesNoEnergy: internal/serve holds no power table. The import
+// half is TestServingImportGraph's server-prices-no-energy row; this is the
+// one way to the client's model that needs no import, obs.DefaultEnergyModel.
 func TestServerPricesNoEnergy(t *testing.T) {
-	out, err := exec.Command("go", "list", "-f", `{{join .Imports "\n"}}`, "./internal/serve").Output()
-	if err != nil {
-		t.Fatalf("go list: %v", err)
-	}
-	imports := strings.Fields(string(out))
-	for _, pkg := range []string{"mobispatial/internal/nic", "mobispatial/internal/energy"} {
-		if slices.Contains(imports, pkg) {
-			t.Errorf("internal/serve imports %s", pkg)
-		}
-	}
 	productGoFiles(t, "internal/serve", func(path string, f *ast.File) {
 		if filepath.Dir(path) != "internal/serve" {
 			return
@@ -159,6 +141,54 @@ func TestServerPricesNoEnergy(t *testing.T) {
 			return true
 		})
 	})
+}
+
+// TestOneChooser: the §4.1 partitioning decision is scheme.Choose and nothing
+// else. The simulator's adaptive engine, the advisor and the live planner each
+// ranked schemes by a rule of their own once (an argmin with a band, two
+// strict booleans, one of the booleans); the names those rules lived under
+// must not come back, and the three deciders must keep calling the one.
+func TestOneChooser(t *testing.T) {
+	gone := []string{"Advise", "SavesCycles", "SavesEnergy", "Verdict", "schemeEstimate"}
+	var choosers []string
+	calls := map[string]bool{}
+	productGoFiles(t, ".", func(path string, f *ast.File) {
+		declared := func(name string) {
+			if name == "Choose" {
+				choosers = append(choosers, path)
+			}
+			if slices.Contains(gone, name) {
+				t.Errorf("%s declares %s: a second decision rule beside scheme.Choose", path, name)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch d := n.(type) {
+			case *ast.FuncDecl:
+				declared(d.Name.Name)
+			case *ast.TypeSpec:
+				declared(d.Name.Name)
+			case *ast.Field:
+				for _, name := range d.Names {
+					declared(name.Name)
+				}
+			case *ast.CallExpr:
+				if sel, ok := d.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Choose" {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "scheme" {
+						calls[path] = true
+					}
+				}
+			}
+			return true
+		})
+	})
+	if want := []string{"internal/scheme/choose.go"}; !slices.Equal(choosers, want) {
+		t.Errorf("declarations named Choose: %v, want exactly %v", choosers, want)
+	}
+	for _, path := range []string{"internal/core/adaptive.go", "internal/serve/client/planner.go", "cmd/advisor/main.go"} {
+		if !calls[path] {
+			t.Errorf("%s does not call scheme.Choose: it decides a partitioning some other way", path)
+		}
+	}
 }
 
 // TestOneFrozenEngine: the read-only local engine is shard.Pool and nothing

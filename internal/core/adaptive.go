@@ -5,6 +5,7 @@ import (
 	"mobispatial/internal/energy"
 	"mobispatial/internal/ops"
 	"mobispatial/internal/proto"
+	"mobispatial/internal/scheme"
 )
 
 // Adaptive work partitioning: the paper closes hoping its lessons "provide a
@@ -13,8 +14,8 @@ import (
 // client estimates the query's work from the dataset's density before
 // touching the index, prices every applicable scheme with the platform
 // constants it knows (its clock, the Table 2 NIC powers, the link
-// bandwidth), and picks the cheapest by energy, breaking near-ties by
-// response time.
+// bandwidth), and runs the one scheme.Choose picks for energy (the rule is
+// that function's comment; DESIGN.md §5 says who else calls it).
 //
 // The reproduced figures explain what the policy ends up doing: point and
 // NN queries always stay local (Figs. 4, 6); range queries offload to the
@@ -29,47 +30,33 @@ type AdaptiveStats struct {
 	Offloaded int64
 }
 
-// schemeEstimate is one candidate plan's predicted cost.
-type schemeEstimate struct {
-	scheme  Scheme
-	energyJ float64
-	seconds float64
-}
-
 // RunAdaptive executes q under the adaptive policy with the data replicated
 // at the client. NN queries always run locally (the paper's unconditional
 // finding).
 func (e *Engine) RunAdaptive(q Query, stats *AdaptiveStats) (Answer, error) {
-	scheme := e.chooseScheme(q)
+	s := e.chooseScheme(q)
 	if stats != nil {
-		if scheme == FullyClient {
+		if s == FullyClient {
 			stats.KeptLocal++
 		} else {
 			stats.Offloaded++
 		}
 	}
-	return e.Run(q, scheme, DataAtClient)
+	return e.Run(q, s, DataAtClient)
 }
 
-// chooseScheme prices the applicable schemes for q and returns the winner.
+// chooseScheme prices the applicable schemes for q on the simulated platform
+// and returns the one scheme.Choose picks for the client's energy.
 func (e *Engine) chooseScheme(q Query) Scheme {
 	if q.Kind == NNQuery {
 		return FullyClient
 	}
 	n := e.estimateCandidates(q)
-	ests := []schemeEstimate{
-		e.estimate(FullyClient, q, n),
-		e.estimate(FullyServer, q, n),
-		e.estimate(FilterClientRefineServer, q, n),
-	}
-	best := ests[0]
-	for _, est := range ests[1:] {
-		if est.energyJ < best.energyJ*0.95 ||
-			(est.energyJ < best.energyJ*1.05 && est.seconds < best.seconds) {
-			best = est
-		}
-	}
-	return best.scheme
+	return scheme.Choose(scheme.Energy,
+		e.analyticInputs(FullyClient, q, n).FullyLocal(),
+		e.analyticInputs(FullyServer, q, n).Partitioned(FullyServer),
+		e.analyticInputs(FilterClientRefineServer, q, n).Partitioned(FilterClientRefineServer),
+	).Scheme
 }
 
 // estimateCandidates predicts the filtering output size from the dataset's
@@ -88,23 +75,12 @@ func (e *Engine) estimateCandidates(q Query) float64 {
 	return n
 }
 
-// estimate prices one scheme for a query with n estimated candidates: the
-// seconds and Joules of the §4.1 model over the scheme's inputs.
-func (e *Engine) estimate(s Scheme, q Query, n float64) schemeEstimate {
-	in := e.analyticInputs(s, q, n)
-	hz := in.Client.ClientHz
-	if s == FullyClient {
-		return schemeEstimate{s, in.FullyLocalJoules(), in.FullyLocalCycles() / hz}
-	}
-	return schemeEstimate{s, in.PartitionedJoules(), in.PartitionedCycles() / hz}
-}
-
 // analyticInputs characterizes scheme s for a query with n estimated
 // candidates in the §4.1 model's terms, on the simulated platform: its
 // clock, blocked-core draw, range to the base station and bandwidth. The
 // fully-local side is the same whatever s is; the partitioned side is s's
 // split of the work and its catalogue message sizes.
-func (e *Engine) analyticInputs(s Scheme, q Query, n float64) AnalyticInputs {
+func (e *Engine) analyticInputs(s Scheme, q Query, n float64) scheme.AnalyticInputs {
 	params := e.Sys.Params()
 	costs := cpu.DefaultOpCosts()
 	refineOp := ops.OpRefineRange
@@ -120,7 +96,7 @@ func (e *Engine) analyticInputs(s Scheme, q Query, n float64) AnalyticInputs {
 
 	wire := func(payload int) float64 { return float64(proto.Packetize(payload).WireBytes * 8) }
 
-	in := AnalyticInputs{
+	in := scheme.AnalyticInputs{
 		BandwidthBps: params.BandwidthBps,
 		CFullyLocal:  n * (filterPerCand + refinePerCand),
 		ServerHz:     params.Server.ClockHz,

@@ -5,14 +5,18 @@ import (
 	"testing"
 
 	"mobispatial/internal/energy"
+	"mobispatial/internal/scheme"
 )
+
+// The §4.1 model's qualitative properties, read the way every decider reads
+// them: through its two estimates and scheme.Choose.
 
 // baseInputs models a mid-size range query: ~5e6 client cycles fully-local,
 // modest messages, C/S = 1/8.
-func baseInputs() AnalyticInputs {
+func baseInputs() scheme.AnalyticInputs {
 	m := energy.DefaultClientModel() // 125 MHz, Table 2 at 1 km
 	m.PClient = 0.3
-	return AnalyticInputs{
+	return scheme.AnalyticInputs{
 		BandwidthBps: 2e6,
 		CFullyLocal:  5e6,
 		CLocal:       2e5,
@@ -25,14 +29,20 @@ func baseInputs() AnalyticInputs {
 	}
 }
 
+// offloads reports whether the model's partitioning is chosen over the
+// fully-local execution under o.
+func offloads(o scheme.Objective, a scheme.AnalyticInputs) bool {
+	return scheme.Choose(o, a.FullyLocal(), a.Partitioned(scheme.FullyServer)).Scheme == scheme.FullyServer
+}
+
 func TestAdvisorComputeHeavyQueryOffloads(t *testing.T) {
 	a := baseInputs()
-	v := a.Advise()
-	if !v.SavesCycles {
-		t.Fatalf("compute-heavy query should save cycles by offloading: ratio %.3f", v.CycleRatio)
+	cycleRatio, _ := a.Partitioned(scheme.FullyServer).Over(a.FullyLocal())
+	if !offloads(scheme.Performance, a) {
+		t.Fatalf("compute-heavy query should offload for performance: ratio %.3f", cycleRatio)
 	}
-	if v.CycleRatio >= 1 {
-		t.Fatalf("CycleRatio %.3f inconsistent with SavesCycles", v.CycleRatio)
+	if cycleRatio >= 1 {
+		t.Fatalf("cycle ratio %.3f inconsistent with the choice", cycleRatio)
 	}
 }
 
@@ -43,12 +53,11 @@ func TestAdvisorTinyQueryStaysLocal(t *testing.T) {
 	a.CFullyLocal = 3e4
 	a.CW2 = 3e3
 	a.PacketRxBits = 600 * 8
-	v := a.Advise()
-	if v.SavesCycles {
-		t.Fatal("tiny query should not save cycles by offloading")
+	if offloads(scheme.Performance, a) {
+		t.Fatal("tiny query should not offload for performance")
 	}
-	if v.SavesEnergy {
-		t.Fatal("tiny query should not save energy by offloading")
+	if offloads(scheme.Energy, a) {
+		t.Fatal("tiny query should not offload for energy")
 	}
 }
 
@@ -61,10 +70,10 @@ func TestAdvisorEnergyNeedsMoreBandwidthThanCycles(t *testing.T) {
 	cyclesCross, energyCross := math.Inf(1), math.Inf(1)
 	for b := 0.5e6; b <= 30e6; b += 0.1e6 {
 		a.BandwidthBps = b
-		if math.IsInf(cyclesCross, 1) && a.SavesCycles() {
+		if math.IsInf(cyclesCross, 1) && offloads(scheme.Performance, a) {
 			cyclesCross = b
 		}
-		if math.IsInf(energyCross, 1) && a.SavesEnergy() {
+		if math.IsInf(energyCross, 1) && offloads(scheme.Energy, a) {
 			energyCross = b
 		}
 	}
@@ -103,9 +112,10 @@ func TestAdvisorSlowClientFavorsOffload(t *testing.T) {
 	slow.Client.ClientHz = 62.5e6
 	// Ratios: partitioned/fully-local. The slow client gains more from
 	// offloading (communication costs the same seconds, local compute more).
-	if slow.Advise().CycleRatio >= fast.Advise().CycleRatio {
-		t.Fatalf("slow client ratio %.3f not better than fast %.3f",
-			slow.Advise().CycleRatio, fast.Advise().CycleRatio)
+	slowRatio, _ := slow.Partitioned(scheme.FullyServer).Over(slow.FullyLocal())
+	fastRatio, _ := fast.Partitioned(scheme.FullyServer).Over(fast.FullyLocal())
+	if slowRatio >= fastRatio {
+		t.Fatalf("slow client ratio %.3f not better than fast %.3f", slowRatio, fastRatio)
 	}
 }
 
@@ -120,13 +130,15 @@ func TestAdvisorShorterDistanceFavorsOffloadEnergy(t *testing.T) {
 	}
 }
 
-func TestVerdictRatiosZeroSafe(t *testing.T) {
-	var a AnalyticInputs
+// TestAdvisorRatiosZeroSafe: a fully-local side priced at zero gives the
+// advisors' ratio columns nothing to divide by; they read 0, not NaN.
+func TestAdvisorRatiosZeroSafe(t *testing.T) {
+	var a scheme.AnalyticInputs
 	a.BandwidthBps = 1e6
 	a.Client.ClientHz = 1e6
 	a.ServerHz = 1e9
-	v := a.Advise()
-	if v.CycleRatio != 0 || v.EnergyRatio != 0 {
-		t.Fatalf("zero inputs gave ratios %+v", v)
+	a.PacketTxBits = 512
+	if cycles, joules := a.Partitioned(scheme.FullyServer).Over(a.FullyLocal()); cycles != 0 || joules != 0 {
+		t.Fatalf("zero fully-local side gave ratios %g, %g", cycles, joules)
 	}
 }

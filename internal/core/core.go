@@ -5,19 +5,8 @@
 // scheme is executed against the full machine models (internal/sim) to
 // produce the client's energy breakdown and end-to-end cycle count.
 //
-// Adequate-memory schemes (§4, §6.1):
-//
-//   - FullyClient: filtering + refinement on the client (w2 = 0); needs the
-//     index and data locally.
-//   - FullyServer: the query is shipped; the server filters and refines and
-//     returns either full data records (data absent at client) or just
-//     object ids (data present).
-//   - FilterClientRefineServer: the client filters on its local index and
-//     sends the candidate ids; the server refines and returns records or
-//     ids.
-//   - FilterServerRefineClient: the server filters and returns candidate
-//     ids; the client refines against its local data copy.
-//
+// The queries, the adequate-memory schemes (§4, §6.1) and the §4.1 analytic
+// model are internal/scheme's; this package is the engine that runs them.
 // Insufficient-memory schemes (§4, §6.2) live in insufficient.go.
 package core
 
@@ -28,88 +17,39 @@ import (
 	"mobispatial/internal/geom"
 	"mobispatial/internal/index"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
+	"mobispatial/internal/scheme"
 	"mobispatial/internal/sim"
 )
 
-// QueryKind selects one of the three road-atlas query types of §3.
-type QueryKind uint8
-
-// The query types studied by the paper.
-const (
-	// PointQuery finds all segments incident on a point (what street is
-	// this?).
-	PointQuery QueryKind = iota
-	// RangeQuery finds all segments intersecting a window (magnify a map
-	// region).
-	RangeQuery
-	// NNQuery finds the nearest segment to a point (closest street to a
-	// landmark). It has no separate filtering/refinement phases.
-	NNQuery
+// The query and scheme vocabulary is internal/scheme's, where the live client
+// reaches it without linking the simulator; these are its names here.
+type (
+	QueryKind = scheme.QueryKind
+	Query     = scheme.Query
+	Scheme    = scheme.Scheme
 )
 
-var kindNames = [...]string{"point", "range", "nn"}
-
-// String implements fmt.Stringer.
-func (k QueryKind) String() string {
-	if int(k) < len(kindNames) {
-		return kindNames[k]
-	}
-	return "QueryKind(?)"
-}
-
-// Query is one spatial query.
-type Query struct {
-	Kind QueryKind
-	// Point is the query point for PointQuery and NNQuery.
-	Point geom.Point
-	// Window is the query window for RangeQuery.
-	Window geom.Rect
-	// K is the neighbor count for NNQuery; 0 and 1 both mean the classic
-	// single nearest neighbor. k > 1 is the k-NN extension (§7 future
-	// work) and needs an access method that supports it (the R-trees do;
-	// the PMR quadtree does not).
-	K int
-}
-
-// Point returns a point query.
-func Point(p geom.Point) Query { return Query{Kind: PointQuery, Point: p} }
-
-// Range returns a range query.
-func Range(w geom.Rect) Query { return Query{Kind: RangeQuery, Window: w} }
-
-// Nearest returns a nearest-neighbor query.
-func Nearest(p geom.Point) Query { return Query{Kind: NNQuery, Point: p} }
-
-// KNearest returns a k-nearest-neighbor query.
-func KNearest(p geom.Point, k int) Query { return Query{Kind: NNQuery, Point: p, K: k} }
-
-// Scheme enumerates the work-partitioning strategies of Table 1.
-type Scheme uint8
-
-// The adequate-memory schemes.
+// The query types of §3, the adequate-memory schemes of Table 1, and the
+// point query's incidence tolerance.
 const (
-	FullyClient Scheme = iota
-	FullyServer
-	FilterClientRefineServer
-	FilterServerRefineClient
+	PointQuery = scheme.PointQuery
+	RangeQuery = scheme.RangeQuery
+	NNQuery    = scheme.NNQuery
+
+	FullyClient              = scheme.FullyClient
+	FullyServer              = scheme.FullyServer
+	FilterClientRefineServer = scheme.FilterClientRefineServer
+	FilterServerRefineClient = scheme.FilterServerRefineClient
+
+	PointEps = scheme.PointEps
 )
 
-var schemeNames = [...]string{
-	"fully-client",
-	"fully-server",
-	"filter-client-refine-server",
-	"filter-server-refine-client",
-}
-
-// String implements fmt.Stringer.
-func (s Scheme) String() string {
-	if int(s) < len(schemeNames) {
-		return schemeNames[s]
-	}
-	return "Scheme(?)"
-}
+// The query constructors.
+func Point(p geom.Point) Query           { return scheme.Point(p) }
+func Range(w geom.Rect) Query            { return scheme.Range(w) }
+func Nearest(p geom.Point) Query         { return scheme.Nearest(p) }
+func KNearest(p geom.Point, k int) Query { return scheme.KNearest(p, k) }
 
 // DataPlacement says whether the data records are replicated on the client.
 // With the data present the server can answer with 4-byte object ids instead
@@ -129,13 +69,6 @@ func (p DataPlacement) String() string {
 	}
 	return "data-at-server-only"
 }
-
-// PointEps is the incidence tolerance of the point query's refinement step,
-// in map units (meters): a street is "at" the queried point when it passes
-// within this distance. Map rendering pixels are a few meters at street
-// zoom. One value with the wire's default (proto.DefaultPointEps), so the
-// simulator and a live server refine a point query alike.
-const PointEps = proto.DefaultPointEps
 
 // Engine executes queries under the different schemes against one dataset,
 // one access method, and one simulated system. It is not safe for concurrent
@@ -190,13 +123,13 @@ type Answer struct {
 // work to the engine's simulated system, and returns the answer. NN queries
 // support only FullyClient and FullyServer (§6.1.1: no phases to split);
 // other schemes return an error for them.
-func (e *Engine) Run(q Query, scheme Scheme, placement DataPlacement) (Answer, error) {
+func (e *Engine) Run(q Query, s Scheme, placement DataPlacement) (Answer, error) {
 	if q.Kind == NNQuery && q.K > 1 {
 		if _, ok := e.Tree.(kNearester); !ok {
 			return Answer{}, fmt.Errorf("core: access method %T does not support k-NN", e.Tree)
 		}
 	}
-	switch scheme {
+	switch s {
 	case FullyClient:
 		return e.runFullyClient(q), nil
 	case FullyServer:
@@ -211,11 +144,11 @@ func (e *Engine) Run(q Query, scheme Scheme, placement DataPlacement) (Answer, e
 			return Answer{}, fmt.Errorf("core: NN query has no filter/refine split")
 		}
 		if placement != DataAtClient {
-			return Answer{}, fmt.Errorf("core: %v requires the data at the client", scheme)
+			return Answer{}, fmt.Errorf("core: %v requires the data at the client", s)
 		}
 		return e.runFilterServerRefineClient(q), nil
 	}
-	return Answer{}, fmt.Errorf("core: unknown scheme %v", scheme)
+	return Answer{}, fmt.Errorf("core: unknown scheme %v", s)
 }
 
 // filter runs the filtering step of q on rec and returns candidate ids.

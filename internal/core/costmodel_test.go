@@ -8,6 +8,7 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/energy"
 	"mobispatial/internal/geom"
+	"mobispatial/internal/scheme"
 	"mobispatial/internal/sim"
 )
 
@@ -48,9 +49,10 @@ func TestPClientCalibratedToSimulatedClient(t *testing.T) {
 	}
 }
 
-// TestOneCostModel: the advisor's Joules are sums of the model's stage prices
-// and nothing else, and the adaptive engine's per-scheme estimate is the
-// advisor's reading of that scheme's inputs — one set of formulas under both.
+// TestOneCostModel: the analytic model's Joules are sums of the client
+// model's stage prices and nothing else, the estimates a chooser sees are
+// that reading of the inputs, and the adaptive engine's per-scheme inputs are
+// on its simulated platform — one set of formulas under every decider.
 func TestOneCostModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(1, math.Abs(b)) }
@@ -58,7 +60,7 @@ func TestOneCostModel(t *testing.T) {
 		m := energy.DefaultClientModel().At(50 + 2000*rng.Float64())
 		m.ClientHz = 50e6 + 400e6*rng.Float64()
 		m.PClient = 0.05 + 0.3*rng.Float64()
-		a := AnalyticInputs{
+		a := scheme.AnalyticInputs{
 			BandwidthBps: 1e5 + 2e7*rng.Float64(),
 			CFullyLocal:  1e7 * rng.Float64(),
 			CLocal:       1e6 * rng.Float64(),
@@ -80,6 +82,12 @@ func TestOneCostModel(t *testing.T) {
 		if got := a.FullyLocalJoules(); !near(got, full) {
 			t.Fatalf("FullyLocalJoules %g, Compute says %g", got, full)
 		}
+		if got, want := a.FullyLocal(), (scheme.Estimate{Scheme: FullyClient, Joules: full, Seconds: a.CFullyLocal / m.ClientHz}); got != want {
+			t.Fatalf("FullyLocal() = %+v, want %+v", got, want)
+		}
+		if got, want := a.Partitioned(FullyServer), (scheme.Estimate{Scheme: FullyServer, Joules: a.PartitionedJoules(), Seconds: a.PartitionedCycles() / m.ClientHz}); got != want {
+			t.Fatalf("Partitioned() = %+v, want %+v", got, want)
+		}
 	}
 
 	ds := smallDataset(t, 8000)
@@ -90,18 +98,10 @@ func TestOneCostModel(t *testing.T) {
 		q := Range(geom.Rect{Min: geom.Point{X: 2000, Y: 2000}, Max: geom.Point{X: 5000, Y: 5000}})
 		n := e.estimateCandidates(q)
 		for _, s := range []Scheme{FullyClient, FullyServer, FilterClientRefineServer} {
-			in, est := e.analyticInputs(s, q, n), e.estimate(s, q, n)
+			in := e.analyticInputs(s, q, n)
 			if want := energy.DefaultClientModel().At(p.DistanceM).PTx; in.Client.PTx != want ||
 				in.Client.ClientHz != p.Client.ClockHz || in.BandwidthBps != p.BandwidthBps {
 				t.Fatalf("%v: inputs not on the simulated platform: %+v", s, in)
-			}
-			wantJ, wantSec := in.PartitionedJoules(), in.PartitionedCycles()/in.Client.ClientHz
-			if s == FullyClient {
-				wantJ, wantSec = in.FullyLocalJoules(), in.FullyLocalCycles()/in.Client.ClientHz
-			}
-			if !near(est.energyJ, wantJ) || !near(est.seconds, wantSec) {
-				t.Fatalf("%v: estimate (%g J, %g s), AnalyticInputs (%g J, %g s)",
-					s, est.energyJ, est.seconds, wantJ, wantSec)
 			}
 		}
 	}

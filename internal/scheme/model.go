@@ -1,14 +1,14 @@
-package core
+package scheme
 
-// The quantitative trade-off model of §4.1: closed-form conditions under
-// which offloading work to the server beats executing fully at the client,
-// from the performance and the energy perspectives. The experiment harness
-// uses the full simulation; this model is the paper's intuition pump and is
-// exposed for the advisor CLI and as a cheap pre-filter.
+// The quantitative trade-off model of §4.1: closed-form client cycles and
+// Joules of executing a query fully at the client and of one partitioning of
+// it. The experiment harness uses the full simulation; this model is the
+// paper's intuition pump, and what every per-query decision is made over.
 
 import "mobispatial/internal/energy"
 
-// AnalyticInputs are the §4.1 parameters, in the paper's notation.
+// AnalyticInputs are the §4.1 parameters, in the paper's notation: one
+// fully-local execution and one candidate partitioning of the same query.
 type AnalyticInputs struct {
 	// BandwidthBps is B, the effective wireless bandwidth (bits/s).
 	BandwidthBps float64
@@ -48,15 +48,6 @@ func (a AnalyticInputs) PartitionedCycles() float64 {
 		a.CLocal + a.CProtocol
 }
 
-// FullyLocalCycles returns CFullyLocal.
-func (a AnalyticInputs) FullyLocalCycles() float64 { return a.CFullyLocal }
-
-// SavesCycles reports the §4.1 performance condition: partitioning wins
-// when CFullyLocal > CTx + Cw2·(MhzC/MhzS) + CRx + CLocal + CProtocol.
-func (a AnalyticInputs) SavesCycles() bool {
-	return a.CFullyLocal > a.PartitionedCycles()
-}
-
 // FullyLocalJoules returns the fully-local energy: CFullyLocal/MhzC seconds
 // of computation with the NIC asleep.
 func (a AnalyticInputs) FullyLocalJoules() float64 {
@@ -77,32 +68,14 @@ func (a AnalyticInputs) PartitionedJoules() float64 {
 	return tx + rx + wait + local
 }
 
-// SavesEnergy reports the §4.1 energy condition.
-func (a AnalyticInputs) SavesEnergy() bool {
-	return a.FullyLocalJoules() > a.PartitionedJoules()
+// FullyLocal is the model's estimate of the fully-local side: FullyClient at
+// CFullyLocal cycles of the client's clock.
+func (a AnalyticInputs) FullyLocal() Estimate {
+	return Estimate{FullyClient, a.FullyLocalJoules(), a.CFullyLocal / a.Client.ClientHz}
 }
 
-// Verdict summarizes both §4.1 conditions.
-type Verdict struct {
-	SavesCycles bool
-	SavesEnergy bool
-	// CycleRatio is partitioned/fully-local cycles (<1 = partitioning
-	// faster); EnergyRatio likewise.
-	CycleRatio  float64
-	EnergyRatio float64
-}
-
-// Advise evaluates both conditions.
-func (a AnalyticInputs) Advise() Verdict {
-	v := Verdict{
-		SavesCycles: a.SavesCycles(),
-		SavesEnergy: a.SavesEnergy(),
-	}
-	if a.CFullyLocal > 0 {
-		v.CycleRatio = a.PartitionedCycles() / a.CFullyLocal
-	}
-	if fl := a.FullyLocalJoules(); fl > 0 {
-		v.EnergyRatio = a.PartitionedJoules() / fl
-	}
-	return v
+// Partitioned is the model's estimate of the partitioned side, labelled s —
+// the scheme whose split of the work the inputs describe.
+func (a AnalyticInputs) Partitioned(s Scheme) Estimate {
+	return Estimate{s, a.PartitionedJoules(), a.PartitionedCycles() / a.Client.ClientHz}
 }

@@ -24,6 +24,7 @@ import (
 	"mobispatial/internal/nic"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
+	"mobispatial/internal/scheme"
 )
 
 // Config parameterizes a Client.
@@ -602,7 +603,7 @@ func localAnswer(mode proto.Mode, recs []proto.Record) ([]uint32, []proto.Record
 // that planned otherwise where the answer came from.
 func (c *Client) ask(q *proto.QueryMsg, sp *obs.Span) (ids []uint32, recs []proto.Record, degraded bool, err error) {
 	mode := q.Mode
-	cq, canLocal := coreQuery(q) // capture before query releases q
+	cq, canLocal := fromWire(q) // capture before query releases q
 	ids, recs, err = c.query(q, sp)
 	if err == nil || !canLocal {
 		return ids, recs, false, err
@@ -672,11 +673,10 @@ func (c *Client) Nearest(p geom.Point) (*proto.Record, error) {
 
 // KNearest answers a k-nearest-neighbor query, nearest first.
 func (c *Client) KNearest(p geom.Point, k int) ([]proto.Record, error) {
-	if k > math.MaxUint16 {
-		return nil, fmt.Errorf("client: k=%d exceeds wire limit", k)
+	q, err := toWire(scheme.KNearest(p, k), proto.ModeData)
+	if err != nil {
+		return nil, err
 	}
-	q := proto.AcquireQuery()
-	q.Kind, q.Mode, q.Point, q.K = proto.KindNN, proto.ModeData, p, uint16(k)
 	_, recs, _, err := c.ask(q, nil)
 	return recs, err
 }
@@ -764,7 +764,7 @@ func (c *Client) batchDegrade(qs []proto.QueryMsg, cause error) ([]BatchResult, 
 	}
 	out := make([]BatchResult, len(qs))
 	for i := range qs {
-		cq, ok := coreQuery(&qs[i])
+		cq, ok := fromWire(&qs[i])
 		if !ok {
 			out[i].Err = cause
 			continue

@@ -206,7 +206,7 @@ func TestRawCallCrossesWireOverFreshShipment(t *testing.T) {
 	ds, _, c, p := plannerWorld(t)
 	slowLink(c)
 	center := ds.Extent.Center()
-	if plan, _ := p.Plan(core.Point(center)); plan != client.PlanLocal {
+	if plan := p.Plan(core.Point(center)); plan != client.PlanLocal {
 		t.Fatalf("shipment not fresh for the planner: point planned %v", plan)
 	}
 	before := c.WireStats().Exchanges

@@ -5,7 +5,7 @@
 //	covers?  fresh?  link up?  who asks   runs at   recorded as
 //	no       -       yes       anyone     server    fully-server / the raw call
 //	no       -       no        anyone     nowhere   the link's error
-//	yes      yes     yes       planner    advisor   fully-client | server-ids
+//	yes      yes     yes       planner    chooser   fully-client | server-ids
 //	yes      no      yes       planner    server    fully-server
 //	yes      -       yes       raw call   server    the raw call
 //	yes      -       no        anyone     client    fallback-local
@@ -22,11 +22,12 @@ package client
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
-	"mobispatial/internal/core"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
+	"mobispatial/internal/scheme"
 )
 
 // localMaxAge bounds how long a shipment may answer by choice without
@@ -108,21 +109,41 @@ func (c *Client) retire() {
 	c.amend(func(s *localState) { s.retired = true })
 }
 
-// coreQuery converts a wire query to the form the local engine takes. ok is
-// false for kinds local execution cannot honor.
-func coreQuery(q *proto.QueryMsg) (core.Query, bool) {
+// fromWire converts a wire query to the form the local engine and the planner
+// take. ok is false for kinds local execution cannot honor.
+func fromWire(q *proto.QueryMsg) (scheme.Query, bool) {
 	switch q.Kind {
 	case proto.KindPoint:
-		return core.Point(q.Point), true
+		return scheme.Point(q.Point), true
 	case proto.KindRange:
-		return core.Range(q.Window), true
+		return scheme.Range(q.Window), true
 	case proto.KindNN:
 		if q.K > 1 {
-			return core.KNearest(q.Point, int(q.K)), true
+			return scheme.KNearest(q.Point, int(q.K)), true
 		}
-		return core.Nearest(q.Point), true
+		return scheme.Nearest(q.Point), true
 	}
-	return core.Query{}, false
+	return scheme.Query{}, false
+}
+
+// toWire is fromWire's inverse: a pooled wire query asking for q in the given
+// reply mode. The wire carries k in 16 bits; a larger one is refused here, not
+// truncated into a smaller question answered as if it were the whole one.
+func toWire(q scheme.Query, mode proto.Mode) (*proto.QueryMsg, error) {
+	if q.Kind == scheme.NNQuery && q.K > math.MaxUint16 {
+		return nil, fmt.Errorf("client: k=%d exceeds wire limit", q.K)
+	}
+	m := proto.AcquireQuery()
+	m.Mode = mode
+	switch q.Kind {
+	case scheme.PointQuery:
+		m.Kind, m.Point, m.Eps = proto.KindPoint, q.Point, scheme.PointEps
+	case scheme.RangeQuery:
+		m.Kind, m.Window = proto.KindRange, q.Window
+	default:
+		m.Kind, m.Point, m.K = proto.KindNN, q.Point, uint16(max(q.K, 1))
+	}
+	return m, nil
 }
 
 // degradable reports whether a wire failure invites a local answer: anything
@@ -141,7 +162,7 @@ func degradable(err error) bool {
 // the compute model. It is reached for two reasons — chosen (Planner.Execute
 // picked fully-client over a fresh shipment) and degraded (degrade, below) —
 // and the caller owns the accounting of its reason.
-func (c *Client) runLocal(ship *Shipment, cq core.Query, sp *obs.Span, stage obs.Stage) (recs []proto.Record, sec, joules float64, err error) {
+func (c *Client) runLocal(ship *Shipment, cq scheme.Query, sp *obs.Span, stage obs.Stage) (recs []proto.Record, sec, joules float64, err error) {
 	start := time.Now()
 	recs, err = ship.Answer(cq, 0)
 	sec = time.Since(start).Seconds()
@@ -157,13 +178,13 @@ func (c *Client) runLocal(ship *Shipment, cq core.Query, sp *obs.Span, stage obs
 // nothing installed covers cq, cause stands and is returned as it came. sp
 // is the caller's span when it has one; otherwise the degraded run traces
 // itself. Either way the span reads fallback-local.
-func (c *Client) degrade(cq core.Query, cause error, sp *obs.Span) ([]proto.Record, error) {
+func (c *Client) degrade(cq scheme.Query, cause error, sp *obs.Span) ([]proto.Record, error) {
 	s := c.local.Load()
 	if s == nil || !degradable(cause) || !s.ship.Covers(cq) {
 		return nil, cause
 	}
 	if sp == nil && c.hub != nil {
-		sp = c.hub.Trace.Start(queryKindName(cq.Kind))
+		sp = c.hub.Trace.Start(cq.Kind.String())
 		defer sp.Finish()
 	}
 	sp.SetScheme("fallback-local")

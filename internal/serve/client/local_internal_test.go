@@ -1,8 +1,14 @@
 package client
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
+
+	"mobispatial/internal/geom"
+	"mobispatial/internal/proto"
+	"mobispatial/internal/scheme"
 )
 
 // hintClient seeds a client with a bare shipment of the given build epoch —
@@ -141,5 +147,47 @@ func TestHintsRaceToOneVerdict(t *testing.T) {
 	}
 	if s := c.local.Load(); !s.retired || s.fresh(time.Now(), c.cfg.maxAge) {
 		t.Fatalf("state after the race: %+v, want retired", *s)
+	}
+}
+
+// TestWireQueryRoundTrip: toWire and fromWire are inverses on every kind the
+// planner hands over, and a k the wire's 16 bits cannot carry is refused, not
+// truncated (65541 once went out as k = 5 and came back as the whole answer).
+func TestWireQueryRoundTrip(t *testing.T) {
+	pt := geom.Point{X: 3, Y: 4}
+	for _, q := range []scheme.Query{
+		scheme.Point(pt),
+		scheme.Range(geom.Rect{Min: pt, Max: geom.Point{X: 30, Y: 40}}),
+		scheme.Nearest(pt),
+		scheme.KNearest(pt, 8),
+		scheme.KNearest(pt, math.MaxUint16),
+	} {
+		m, err := toWire(q, proto.ModeIDs)
+		if err != nil {
+			t.Fatalf("%v: %v", q, err)
+		}
+		if m.Mode != proto.ModeIDs {
+			t.Errorf("%v: mode %v on the wire", q, m.Mode)
+		}
+		if got, ok := fromWire(m); !ok || got != q {
+			t.Errorf("round trip of %+v came back %+v (ok=%v)", q, got, ok)
+		}
+		proto.ReleaseMessage(m)
+	}
+	// Every spelling of "the nearest one" is one wire query.
+	for _, k := range []int{-1, 0, 1} {
+		m, err := toWire(scheme.KNearest(pt, k), proto.ModeData)
+		if err != nil || m.K != 1 {
+			t.Fatalf("k=%d: wire k %d, err %v", k, m.K, err)
+		}
+		if got, _ := fromWire(m); got != scheme.Nearest(pt) {
+			t.Errorf("k=%d came back %+v", k, got)
+		}
+		proto.ReleaseMessage(m)
+	}
+	for _, k := range []int{math.MaxUint16 + 1, 65541, 1 << 20} {
+		if m, err := toWire(scheme.KNearest(pt, k), proto.ModeData); err == nil || !strings.Contains(err.Error(), "exceeds wire limit") {
+			t.Errorf("k=%d: wire query %+v, err %v; want a refusal", k, m, err)
+		}
 	}
 }

@@ -5,10 +5,7 @@
 // executed query (the predicted-vs-actual partitioning error).
 package client
 
-import (
-	"mobispatial/internal/core"
-	"mobispatial/internal/obs"
-)
+import "mobispatial/internal/obs"
 
 // clientMetrics holds the transport-level handles, resolved once at New.
 // All handles are nil (no-op) when Config.Obs is nil.
@@ -65,7 +62,7 @@ type plannerMetrics struct {
 	execHist [3]*obs.Histogram
 	joules   [3]*obs.Gauge
 	// cycleRatio and energyRatio are the predicted-vs-actual partitioning
-	// error: the advisor's predicted seconds (Joules) over the measured
+	// error: the model's predicted seconds (Joules) over the measured
 	// seconds (modeled Joules) of the execution it chose. 1.0 = the §4.1
 	// model priced this query perfectly.
 	cycleRatio  [3]*obs.Histogram
@@ -86,17 +83,6 @@ func newPlannerMetrics(h *obs.Hub) plannerMetrics {
 		m.energyRatio[pl] = h.Reg.Histogram(obs.Name("client_plan_energy_ratio", "scheme", scheme))
 	}
 	return m
-}
-
-// queryKindName labels a core query for spans.
-func queryKindName(k core.QueryKind) string {
-	switch k {
-	case core.PointQuery:
-		return "point"
-	case core.RangeQuery:
-		return "range"
-	}
-	return "nn"
 }
 
 // attributeExchange laps one completed exchange into sp as roundTrip priced

@@ -1,20 +1,20 @@
-// planner.go is the live partitioning decision: the §4.1 analytic advisor
-// (core.AnalyticInputs) driven by *measured* link conditions instead of
-// simulated ones, choosing per query between executing fully at the client
-// against a shipped sub-index and offloading to the server — the paper's
-// Table 1 schemes as real execution plans, the way NeuPart-style systems
-// consult an analytical model at request time.
+// planner.go is the live partitioning decision: the §4.1 analytic model
+// (scheme.AnalyticInputs) filled from *measured* link conditions instead of
+// simulated ones and handed to scheme.Choose, per query, to pick between
+// executing fully at the client against a shipped sub-index and offloading to
+// the server — the paper's Table 1 schemes as real execution plans, the way
+// NeuPart-style systems consult an analytical model at request time.
 package client
 
 import (
 	"fmt"
 	"time"
 
-	"mobispatial/internal/core"
 	"mobispatial/internal/cpu"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
+	"mobispatial/internal/scheme"
 )
 
 // Plan is a query execution plan.
@@ -47,51 +47,20 @@ func (p Plan) String() string {
 	return fmt.Sprintf("Plan(%d)", uint8(p))
 }
 
-// Objective selects which §4.1 condition drives the plan choice.
-type Objective uint8
-
-// The objectives.
+// What is the planner's own in its analytic inputs: per-work cycle prices
+// like the simulated Table 3/4 machines', client cycles against the server's
+// clock. The client's clock and power table are not here: a prediction is
+// priced with the same model its measurement will be (Client.energy).
 const (
-	// Performance minimizes client-observed cycles (the §4.1 performance
-	// condition).
-	Performance Objective = iota
-	// Energy minimizes client energy (the §4.1 energy condition).
-	Energy
+	cyclesPerNodeVisit   = 600  // one index-node visit of the filtering step (scan + MBR tests, cache effects folded in)
+	cyclesPerCandidate   = 1500 // one refinement: record decode + exact geometry predicate
+	cyclesPerResultID    = 40   // materializing one answer id locally
+	cyclesPerProtoPacket = 400  // protocol processing (§5.2), per packet
+	cyclesPerProtoByte   = 4    // and per payload byte
 )
 
-// CostModel calibrates what is the planner's own in its analytic inputs: the
-// per-work cycle prices and the server's clock, defaulting to the
-// repository's simulated machines (Tables 3–4). The client's clock and power
-// table are not here: a prediction is priced with the same model its
-// measurement will be (Client.energy).
-type CostModel struct {
-	// ServerHz is the server's clock rate.
-	ServerHz float64
-	// CyclesPerNodeVisit prices one index-node visit of the filtering step
-	// (scan + MBR tests, cache effects folded in).
-	CyclesPerNodeVisit float64
-	// CyclesPerCandidate prices one refinement: record decode + exact
-	// geometry predicate.
-	CyclesPerCandidate float64
-	// CyclesPerResultID prices materializing one answer id locally.
-	CyclesPerResultID float64
-	// CyclesPerProtoPacket and CyclesPerProtoByte price protocol
-	// processing (§5.2).
-	CyclesPerProtoPacket, CyclesPerProtoByte float64
-}
-
-// DefaultCostModel prices work like the simulated Table 3/4 machines: client
-// cycles against a 1 GHz server.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		ServerHz:             cpu.DefaultServerConfig().ClockHz,
-		CyclesPerNodeVisit:   600,
-		CyclesPerCandidate:   1500,
-		CyclesPerResultID:    40,
-		CyclesPerProtoPacket: 400,
-		CyclesPerProtoByte:   4,
-	}
-}
+// serverHz is the server's clock rate (Table 4).
+var serverHz = cpu.DefaultServerConfig().ClockHz
 
 // Planner chooses and executes per-query plans for one client. It holds no
 // shipment of its own: what it plans over is the client's local state
@@ -99,36 +68,23 @@ func DefaultCostModel() CostModel {
 // planner too.
 type Planner struct {
 	c       *Client
-	model   CostModel
-	obj     Objective
 	batch   int
 	metrics plannerMetrics
 }
 
-// NewPlanner builds a planner with the default cost model and the
-// performance objective. Observability follows the client: with Config.Obs
+// NewPlanner builds a planner that chooses for performance
+// (scheme.Performance). Observability follows the client: with Config.Obs
 // set, every Execute records per-scheme metrics, a sampled span, and the
 // predicted-vs-actual partitioning error.
 func NewPlanner(c *Client) *Planner {
-	return &Planner{c: c, model: DefaultCostModel(), metrics: newPlannerMetrics(c.hub)}
+	return &Planner{c: c, metrics: newPlannerMetrics(c.hub)}
 }
-
-// SetCostModel replaces the cost calibration.
-func (p *Planner) SetCostModel(m CostModel) { p.model = m }
-
-// SetObjective selects the driving §4.1 condition.
-func (p *Planner) SetObjective(o Objective) { p.obj = o }
 
 // SetBatch declares that offloaded queries travel in batches of n (the
-// QueryBatch wire message), so the advisor prices the per-exchange costs —
+// QueryBatch wire message), so the model prices the per-exchange costs —
 // frame and packet headers, protocol cycles, the NIC wakeup — at 1/n per
 // query. n <= 1 restores unbatched pricing.
-func (p *Planner) SetBatch(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p.batch = n
-}
+func (p *Planner) SetBatch(n int) { p.batch = n }
 
 // Shipment returns the client's installed shipment, nil before
 // FetchShipment.
@@ -146,56 +102,49 @@ func (p *Planner) FetchShipment(window geom.Rect, budgetBytes, recordBytes int) 
 type Result struct {
 	Plan    Plan
 	Records []proto.Record
-	// Verdict is the advisor's reasoning for covered queries (zero value
-	// when the plan was forced by missing coverage).
-	Verdict core.Verdict
 }
 
 // Plan chooses the execution plan for q. A query the shipment does not cover,
 // or covers without proof that it still reflects the server's index, must go
-// to the server; a covered query over a fresh shipment consults the §4.1
-// advisor with measured link conditions.
-func (p *Planner) Plan(q core.Query) (Plan, core.Verdict) {
-	plan, v, _, _ := p.plan(p.c.local.Load(), q)
-	return plan, v
+// to the server; a covered query over a fresh shipment is priced under the
+// measured link and chosen by scheme.Choose.
+func (p *Planner) Plan(q scheme.Query) Plan {
+	plan, _, _ := p.plan(p.c.local.Load(), q)
+	return plan
 }
 
-// plan is Plan over one loaded state, plus the advisor inputs it decided
-// with — the prediction the observability layer scores against the measured
-// execution. advised is false when coverage or freshness forced the plan and
-// no prediction exists. Whether the link is up is not asked here: the
-// exchange finds out, and degrades by itself.
-func (p *Planner) plan(st *localState, q core.Query) (plan Plan, v core.Verdict, in core.AnalyticInputs, advised bool) {
+// plan is Plan over one loaded state, plus the estimate it chose — the
+// prediction the observability layer scores against the measured execution.
+// chosen is false when coverage or freshness forced the plan and no
+// prediction exists. Whether the link is up is not asked here: the exchange
+// finds out, and degrades by itself.
+func (p *Planner) plan(st *localState, q scheme.Query) (plan Plan, predicted scheme.Estimate, chosen bool) {
 	if st == nil || !st.ship.Covers(q) || !st.fresh(time.Now(), p.c.cfg.maxAge) {
-		return PlanServerData, core.Verdict{}, core.AnalyticInputs{}, false
+		return PlanServerData, scheme.Estimate{}, false
 	}
-	in = p.analyticInputs(st.ship, q)
-	v = in.Advise()
-	offload := v.SavesCycles
-	if p.obj == Energy {
-		offload = v.SavesEnergy
+	in := p.analyticInputs(st.ship, q)
+	predicted = scheme.Choose(scheme.Performance, in.FullyLocal(), in.Partitioned(scheme.FullyServer))
+	if predicted.Scheme == scheme.FullyServer {
+		return PlanServerIDs, predicted, true
 	}
-	if offload {
-		return PlanServerIDs, v, in, true
-	}
-	return PlanLocal, v, in, true
+	return PlanLocal, predicted, true
 }
 
 // Execute plans and runs q, recording the execution as a span and scoring
-// the advisor's prediction against the measured outcome when obs is enabled.
+// the model's prediction against the measured outcome when obs is enabled.
 // An execution the link failed and the shipment answered instead comes back
 // as PlanLocal; its span reads fallback-local and it is accounted as degraded
 // operation (Client.Degraded), not as a scheme the planner chose.
-func (p *Planner) Execute(q core.Query) (Result, error) {
+func (p *Planner) Execute(q scheme.Query) (Result, error) {
 	c := p.c
 	var sp *obs.Span
 	if c.hub != nil {
-		sp = c.hub.Trace.Start(queryKindName(q.Kind))
+		sp = c.hub.Trace.Start(q.Kind.String())
 	}
 
 	planStart := time.Now()
 	st := c.local.Load()
-	plan, v, in, advised := p.plan(st, q)
+	plan, predicted, chosen := p.plan(st, q)
 	planSec := time.Since(planStart).Seconds()
 	sp.SetScheme(plan.String())
 	sp.Lap(obs.StagePlan, planSec)
@@ -204,7 +153,6 @@ func (p *Planner) Execute(q core.Query) (Result, error) {
 
 	execStart := time.Now()
 	res, degraded, err := p.runPlan(st, plan, q, sp)
-	res.Verdict = v
 	if degraded {
 		res.Plan = PlanLocal
 	}
@@ -220,18 +168,12 @@ func (p *Planner) Execute(q core.Query) (Result, error) {
 		m.plans[res.Plan].Inc()
 		m.execHist[res.Plan].Observe(totalSec)
 		m.joules[res.Plan].Add(actualJoules)
-		if advised && res.Plan == plan && err == nil {
-			predSec := in.FullyLocalCycles() / in.Client.ClientHz
-			predJoules := in.FullyLocalJoules()
-			if plan == PlanServerIDs {
-				predSec = in.PartitionedCycles() / in.Client.ClientHz
-				predJoules = in.PartitionedJoules()
-			}
+		if chosen && res.Plan == plan && err == nil {
 			if totalSec > 0 {
-				m.cycleRatio[plan].Observe(predSec / totalSec)
+				m.cycleRatio[plan].Observe(predicted.Seconds / totalSec)
 			}
 			if actualJoules > 0 {
-				m.energyRatio[plan].Observe(predJoules / actualJoules)
+				m.energyRatio[plan].Observe(predicted.Joules / actualJoules)
 			}
 		}
 	}
@@ -243,7 +185,7 @@ func (p *Planner) Execute(q core.Query) (Result, error) {
 // clocking the span stages and pricing them with the energy model. The bool
 // reports a degraded execution: the wire failed and the shipment answered in
 // its place.
-func (p *Planner) runPlan(st *localState, plan Plan, q core.Query, sp *obs.Span) (Result, bool, error) {
+func (p *Planner) runPlan(st *localState, plan Plan, q scheme.Query, sp *obs.Span) (Result, bool, error) {
 	switch plan {
 	case PlanLocal:
 		recs, _, _, err := p.c.runLocal(st.ship, q, sp, obs.StageIndexWalk)
@@ -274,16 +216,10 @@ func (p *Planner) runPlan(st *localState, plan Plan, q core.Query, sp *obs.Span)
 // offload sends q to the server in the given mode through Client.ask, which
 // degrades to the shipment when the link cannot answer. The exchange prices
 // itself into sp where it happens (Client.roundTrip).
-func (p *Planner) offload(q core.Query, mode proto.Mode, sp *obs.Span) (ids []uint32, recs []proto.Record, degraded bool, err error) {
-	m := proto.AcquireQuery()
-	m.Mode = mode
-	switch q.Kind {
-	case core.PointQuery:
-		m.Kind, m.Point, m.Eps = proto.KindPoint, q.Point, core.PointEps
-	case core.RangeQuery:
-		m.Kind, m.Window = proto.KindRange, q.Window
-	default:
-		m.Kind, m.Point, m.K = proto.KindNN, q.Point, uint16(max(q.K, 1))
+func (p *Planner) offload(q scheme.Query, mode proto.Mode, sp *obs.Span) (ids []uint32, recs []proto.Record, degraded bool, err error) {
+	m, err := toWire(q, mode)
+	if err != nil {
+		return nil, nil, false, err
 	}
 	return p.c.ask(m, sp)
 }
@@ -291,14 +227,14 @@ func (p *Planner) offload(q core.Query, mode proto.Mode, sp *obs.Span) (ids []ui
 // estimateWork predicts the filtering/refinement volume of q against the
 // shipment: node visits from the sub-tree shape, candidates from the
 // shipment's spatial density (range) or small constants (point/NN).
-func (p *Planner) estimateWork(ship *Shipment, q core.Query) (nodeVisits, candidates, hits float64) {
+func (p *Planner) estimateWork(ship *Shipment, q scheme.Query) (nodeVisits, candidates, hits float64) {
 	t := ship.Tree
 	height := float64(t.Height())
 	fanout := float64(t.Fanout())
 	n := float64(t.Len())
 
 	switch q.Kind {
-	case core.RangeQuery:
+	case scheme.RangeQuery:
 		cov := ship.Coverage
 		frac := 0.0
 		if a := cov.Area(); a > 0 {
@@ -322,31 +258,26 @@ func (p *Planner) estimateWork(ship *Shipment, q core.Query) (nodeVisits, candid
 	return nodeVisits, candidates, hits
 }
 
-// analyticInputs builds the §4.1 advisor inputs for "local against the
+// analyticInputs builds the §4.1 model inputs for "local against the
 // shipment" versus "offload, ids back" under the measured link.
-func (p *Planner) analyticInputs(ship *Shipment, q core.Query) core.AnalyticInputs {
-	m := p.model
+func (p *Planner) analyticInputs(ship *Shipment, q scheme.Query) scheme.AnalyticInputs {
 	link := p.c.Link()
 	nodeVisits, candidates, hits := p.estimateWork(ship, q)
 
 	// Fully-local: filter + refine at the client.
-	cFullyLocal := nodeVisits*m.CyclesPerNodeVisit + candidates*m.CyclesPerCandidate
+	cFullyLocal := nodeVisits*cyclesPerNodeVisit + candidates*cyclesPerCandidate
 
 	// Offloaded: the server does the same logical work at its clock; the
 	// reply carries ids only (the shipment holds the records). The
 	// client-observed wait folds the measured RTT into Cw2.
-	cw2 := nodeVisits*m.CyclesPerNodeVisit + candidates*m.CyclesPerCandidate +
-		link.RTT.Seconds()*m.ServerHz
+	cw2 := cFullyLocal + link.RTT.Seconds()*serverHz
 
 	// Wire pricing. Unbatched, one query pays a full request frame and a
 	// full reply frame. Batched (SetBatch), B queries share one
 	// request/reply exchange, so the per-query bits and protocol cycles are
 	// the batch totals over B — the §4.1 model's per-exchange terms
 	// amortized exactly the way MsgBatchQuery amortizes them on the wire.
-	batch := p.batch
-	if batch < 1 {
-		batch = 1
-	}
+	batch := max(p.batch, 1)
 	var tx, rx proto.Transfer
 	if batch > 1 {
 		tx = proto.Packetize(proto.BatchQueryBytes(batch))
@@ -356,17 +287,17 @@ func (p *Planner) analyticInputs(ship *Shipment, q core.Query) core.AnalyticInpu
 		rx = proto.Packetize(proto.IDListBytes(int(hits)))
 	}
 	b := float64(batch)
-	cProtocol := (float64(tx.Packets+rx.Packets)*m.CyclesPerProtoPacket +
-		float64(tx.PayloadBytes+rx.PayloadBytes)*m.CyclesPerProtoByte) / b
-	cLocal := hits * m.CyclesPerResultID
+	cProtocol := (float64(tx.Packets+rx.Packets)*cyclesPerProtoPacket +
+		float64(tx.PayloadBytes+rx.PayloadBytes)*cyclesPerProtoByte) / b
+	cLocal := hits * cyclesPerResultID
 
-	return core.AnalyticInputs{
+	return scheme.AnalyticInputs{
 		BandwidthBps: link.pricingBps(),
 		CFullyLocal:  cFullyLocal,
 		CLocal:       cLocal,
 		CProtocol:    cProtocol,
 		CW2:          cw2,
-		ServerHz:     m.ServerHz,
+		ServerHz:     serverHz,
 		PacketTxBits: float64(tx.WireBytes*8) / b,
 		PacketRxBits: float64(rx.WireBytes*8) / b,
 		Client:       p.c.energy,

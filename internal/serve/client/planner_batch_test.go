@@ -4,12 +4,12 @@ import (
 	"testing"
 	"time"
 
-	"mobispatial/internal/core"
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
+	"mobispatial/internal/scheme"
 )
 
 // batchPlanner builds a planner over a synthetic shipment without a live
@@ -52,8 +52,8 @@ func batchPlanner(t *testing.T) (*Planner, *Shipment) {
 // matching proto's batch size model exactly.
 func TestPlannerBatchAmortizesWire(t *testing.T) {
 	p, ship := batchPlanner(t)
-	q := core.Query{
-		Kind: core.RangeQuery,
+	q := scheme.Query{
+		Kind: scheme.RangeQuery,
 		Window: geom.Rect{
 			Min: geom.Point{X: 9000, Y: 9000},
 			Max: geom.Point{X: 11000, Y: 11000},
@@ -97,27 +97,55 @@ func TestPlannerBatchAmortizesWire(t *testing.T) {
 	}
 }
 
-// TestPlannerBatchFavorsOffload checks the advisor-visible consequence: on a
-// link where unbatched offloading is marginal, batch pricing can only move
-// the energy verdict toward partitioning, never away from it.
+// TestPlannerBatchFavorsOffload checks the chooser-visible consequence: on a
+// link where unbatched offloading is marginal, batch pricing can only lower
+// the offloaded estimate against the local one, under either objective — and
+// so never turns an offloading choice back into a local one.
 func TestPlannerBatchFavorsOffload(t *testing.T) {
 	p, ship := batchPlanner(t)
-	q := core.Query{
-		Kind: core.RangeQuery,
+	q := scheme.Query{
+		Kind: scheme.RangeQuery,
 		Window: geom.Rect{
 			Min: geom.Point{X: 8000, Y: 8000},
 			Max: geom.Point{X: 12000, Y: 12000},
 		},
 	}
-	single := p.analyticInputs(ship, q).Advise()
+	single := p.analyticInputs(ship, q)
 	p.SetBatch(16)
-	batched := p.analyticInputs(ship, q).Advise()
-	if batched.EnergyRatio > single.EnergyRatio {
-		t.Errorf("batch pricing raised the energy ratio: %g > %g",
-			batched.EnergyRatio, single.EnergyRatio)
+	batched := p.analyticInputs(ship, q)
+	offloaded := func(in scheme.AnalyticInputs) scheme.Estimate { return in.Partitioned(scheme.FullyServer) }
+	singleCycles, singleEnergy := offloaded(single).Over(single.FullyLocal())
+	batchedCycles, batchedEnergy := offloaded(batched).Over(batched.FullyLocal())
+	if batchedEnergy > singleEnergy {
+		t.Errorf("batch pricing raised the energy ratio: %g > %g", batchedEnergy, singleEnergy)
 	}
-	if batched.CycleRatio > single.CycleRatio {
-		t.Errorf("batch pricing raised the cycle ratio: %g > %g",
-			batched.CycleRatio, single.CycleRatio)
+	if batchedCycles > singleCycles {
+		t.Errorf("batch pricing raised the cycle ratio: %g > %g", batchedCycles, singleCycles)
+	}
+	for _, o := range []scheme.Objective{scheme.Performance, scheme.Energy} {
+		was := scheme.Choose(o, single.FullyLocal(), offloaded(single)).Scheme
+		now := scheme.Choose(o, batched.FullyLocal(), offloaded(batched)).Scheme
+		if was == scheme.FullyServer && now != scheme.FullyServer {
+			t.Errorf("objective %d: batch pricing moved the choice from %v back to %v", o, was, now)
+		}
+	}
+}
+
+// TestPlanZeroAlloc: planning a covered query over a fresh shipment — build
+// the inputs, read two estimates, scheme.Choose — is per-query work on the
+// client's hot path and stays off the heap.
+func TestPlanZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	p, ship := batchPlanner(t)
+	ship.Epoch = 7
+	p.c.install(ship, time.Now())
+	q := scheme.Range(geom.Rect{Min: geom.Point{X: 9000, Y: 9000}, Max: geom.Point{X: 11000, Y: 11000}})
+	if plan := p.Plan(q); plan == PlanServerData {
+		t.Fatalf("plan %v: the query is not covered and fresh, nothing was chosen", plan)
+	}
+	if n := testing.AllocsPerRun(1000, func() { p.Plan(q) }); n != 0 {
+		t.Errorf("Plan allocates %v times per covered, fresh range query", n)
 	}
 }

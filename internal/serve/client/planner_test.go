@@ -3,6 +3,7 @@ package client_test
 import (
 	"math/rand"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -109,7 +110,7 @@ func TestPlannerSchemeChoice(t *testing.T) {
 		{"knn", knnQ, client.PlanLocal},
 		{"large-range", largeRange, client.PlanServerIDs},
 	} {
-		if got, _ := p.Plan(tc.q); got != tc.want {
+		if got := p.Plan(tc.q); got != tc.want {
 			t.Errorf("%s: plan = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -140,8 +141,24 @@ func TestPlannerSchemeChoice(t *testing.T) {
 
 	// Outside the coverage the planner must go fully-server.
 	outside := core.Point(geom.Point{X: ds.Extent.Max.X + 1000, Y: ds.Extent.Max.Y + 1000})
-	if got, _ := p.Plan(outside); got != client.PlanServerData {
+	if got := p.Plan(outside); got != client.PlanServerData {
 		t.Errorf("uncovered query planned as %v", got)
+	}
+}
+
+// TestPlannerRefusesOversizeK: the wire carries k in 16 bits. An offloading
+// plan must refuse a larger k as the raw calls do — 65541 once went out as
+// k = 5 and its five neighbours came back as the complete answer.
+func TestPlannerRefusesOversizeK(t *testing.T) {
+	ds, _, _, p := plannerWorld(t)
+	outside := geom.Point{X: ds.Extent.Max.X + 1000, Y: ds.Extent.Max.Y + 1000}
+	q := core.KNearest(outside, 65541)
+	if plan := p.Plan(q); plan != client.PlanServerData {
+		t.Fatalf("uncovered k-NN planned as %v", plan)
+	}
+	res, err := p.Execute(q)
+	if err == nil || !strings.Contains(err.Error(), "exceeds wire limit") {
+		t.Fatalf("Execute(k=65541) = %d records, err %v; want a refusal", len(res.Records), err)
 	}
 }
 
@@ -157,9 +174,9 @@ func TestPlannerTracksBandwidth(t *testing.T) {
 	})
 
 	c.SetLink(500*time.Microsecond, 1e9)
-	fast, _ := p.Plan(q)
+	fast := p.Plan(q)
 	c.SetLink(20*time.Millisecond, 50e3) // 50 kbps disaster channel
-	slow, _ := p.Plan(q)
+	slow := p.Plan(q)
 	if fast != client.PlanServerIDs || slow != client.PlanLocal {
 		t.Fatalf("plan(fast)=%v plan(slow)=%v; want offload then local", fast, slow)
 	}
@@ -215,12 +232,12 @@ func TestPlannerCrossValidatesSimulator(t *testing.T) {
 		simOffloads := server < local
 
 		c.SetLink(tc.rtt, tc.bwBps)
-		plan, verdict := p.Plan(tc.q)
+		plan := p.Plan(tc.q)
 		planOffloads := plan != client.PlanLocal
 
 		if planOffloads != simOffloads {
-			t.Errorf("%s: planner offload=%v (plan %v, cycle ratio %.3f) but simulator says offload=%v (client %d vs server %d cycles)",
-				tc.name, planOffloads, plan, verdict.CycleRatio, simOffloads, local, server)
+			t.Errorf("%s: planner offload=%v (plan %v) but simulator says offload=%v (client %d vs server %d cycles)",
+				tc.name, planOffloads, plan, simOffloads, local, server)
 		}
 	}
 }

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"mobispatial/internal/core"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
+	"mobispatial/internal/scheme"
 )
 
 // Shipment is the client-resident outcome of a Fig. 2 shipment: the shipped
@@ -88,11 +88,11 @@ func (s *Shipment) Len() int { return len(s.segs) }
 // point inside it (for NN the guarantee is heuristic near the coverage
 // boundary — the true nearest segment could lie just outside; callers
 // wanting exactness shrink the coverage by their tolerance).
-func (s *Shipment) Covers(q core.Query) bool {
+func (s *Shipment) Covers(q scheme.Query) bool {
 	if s.Coverage.IsEmpty() {
 		return false
 	}
-	if q.Kind == core.RangeQuery {
+	if q.Kind == scheme.RangeQuery {
 		return s.Coverage.ContainsRect(q.Window)
 	}
 	return s.Coverage.ContainsPoint(q.Point)
@@ -101,25 +101,25 @@ func (s *Shipment) Covers(q core.Query) bool {
 // Answer executes q fully at the client against the shipped sub-index and
 // records — filtering and refinement, exactly the paper's fully-client
 // scheme. The caller is responsible for checking Covers first.
-func (s *Shipment) Answer(q core.Query, eps float64) ([]proto.Record, error) {
+func (s *Shipment) Answer(q scheme.Query, eps float64) ([]proto.Record, error) {
 	if eps <= 0 {
-		eps = core.PointEps
+		eps = scheme.PointEps
 	}
 	var ids []uint32
 	switch q.Kind {
-	case core.PointQuery:
+	case scheme.PointQuery:
 		for _, id := range s.Tree.SearchPoint(q.Point, ops.Null{}) {
 			if s.segs[id].ContainsPoint(q.Point, eps) {
 				ids = append(ids, id)
 			}
 		}
-	case core.RangeQuery:
+	case scheme.RangeQuery:
 		for _, id := range s.Tree.Search(q.Window, ops.Null{}) {
 			if s.segs[id].IntersectsRect(q.Window) {
 				ids = append(ids, id)
 			}
 		}
-	case core.NNQuery:
+	case scheme.NNQuery:
 		dist := func(id uint32) float64 { return s.segs[id].DistToPoint(q.Point) }
 		if q.K > 1 {
 			for _, nb := range s.Tree.KNearest(q.Point, q.K, dist, ops.Null{}) {
