@@ -30,9 +30,15 @@
 // (mergedItems) and one swap-in of a rebuilt base (finishCompact); split and
 // merge are both recut (repartition.go), "re-cut a run of adjacent ranges".
 //
+// Per-id state is one dense table (idtable.go): owner and a monotone
+// "ever written" bit per dataset id, a small side map for inserted ids. A
+// never-written id resolves to its dataset geometry with no lock and no hash
+// on every read path, a written one with one atomic load of its owner; no
+// read takes a pool-wide lock.
+//
 // Consistency model: a Pool is linearizable per object id (writes to one id
-// are serialized by the pool's owner table; a read observes every write
-// acknowledged before the read began, because writers publish under the
+// are serialized by the ownership decision under omu; a read observes every
+// write acknowledged before the read began, because writers publish under the
 // shard write lock that readers with a non-empty overlay take in read mode,
 // and the empty-overlay fast path is only reachable after a compaction that
 // folded every acknowledged write). A topology swap preserves this: the
@@ -196,23 +202,35 @@ func (t *topology) rangeHi(g int) uint64 {
 // over ids the base dataset has never heard of), its live summary
 // (SummaryRanges), and the result cache's validity view (qcache.Source).
 type Pool struct {
-	cfg Config
-	ds  *dataset.Dataset
-	q   *hilbert.Quantizer
+	ds *dataset.Dataset
+	q  *hilbert.Quantizer
+
+	// What the pool keeps of its Config: the scalars its background loops
+	// read, and whether SummaryRanges folds the rows into one (a monolithic
+	// pool whose cuts never move). None of the caller's slices is retained.
+	compactInterval  time.Duration
+	compactMaxAge    time.Duration
+	compactThreshold int
+	adaptive         AdaptiveConfig
+	foldSummary      bool
 
 	topo atomic.Pointer[topology]
 
 	// liSeq hands out unique lock-ordering ids for new shards (mshard.li).
 	liSeq atomic.Int64
 
-	// omu guards ownerOf and serializes the ownership decision of every
-	// write (the shard locks a write needs are acquired, in ascending
-	// li order, before omu is released — so shard contents can never
-	// disagree with the owner table). Topology swaps also happen under
-	// omu, so a writer always resolves ownership against the topology it
-	// will still be current when the shard locks are taken.
-	omu     sync.Mutex
-	ownerOf map[uint32]*mshard // live object id -> owning shard
+	// ids is the per-id table: owner and written bit (idtable.go).
+	ids *idTable
+
+	// omu serializes the ownership decision of every write: ids' owners
+	// change only under it, and the shard locks a write needs are acquired,
+	// in ascending li order, before it is released — so shard contents can
+	// never disagree with the table. Topology swaps also happen under omu,
+	// so a writer always resolves ownership against the topology that will
+	// still be current when the shard locks are taken. No read takes it
+	// (TestReadsTakeNoPoolLock); SegOf does only after losing a bounded
+	// chase of one id to its mover.
+	omu sync.Mutex
 
 	nnPool sync.Pool // *nnState
 
@@ -244,8 +262,9 @@ type Pool struct {
 	closeOnce sync.Once
 }
 
-// New builds an updatable pool over cfg.Ranges. The range Items slices seed
-// the packed bases (they are copied; the caller's slices are not retained).
+// New builds an updatable pool over cfg.Ranges. The range Items seed the
+// packed bases (the trees copy them) and Cuts is cloned, so none of the
+// caller's slices is retained. Items carry dataset ids at dataset geometry.
 func New(cfg Config) (*Pool, error) {
 	if cfg.Dataset == nil {
 		return nil, fmt.Errorf("mutable: nil dataset")
@@ -267,17 +286,21 @@ func New(cfg Config) (*Pool, error) {
 	cfg.fill()
 
 	p := &Pool{
-		cfg:     cfg,
-		ds:      cfg.Dataset,
-		q:       shard.QuantizerFor(cfg.Bounds, hilbert.Order),
-		ownerOf: make(map[uint32]*mshard),
-		stopc:   make(chan struct{}),
+		ds:               cfg.Dataset,
+		q:                shard.QuantizerFor(cfg.Bounds, hilbert.Order),
+		compactInterval:  cfg.CompactInterval,
+		compactMaxAge:    cfg.CompactMaxAge,
+		compactThreshold: cfg.compactThreshold,
+		adaptive:         cfg.Adaptive,
+		foldSummary:      cfg.GlobalIndex == nil && !cfg.Adaptive.Enabled,
+		ids:              newIDTable(cfg.Dataset.Len()),
+		stopc:            make(chan struct{}),
 	}
 	p.nnPool.New = func() any { return newNNState(p) }
 	p.m = newPoolMetrics(cfg.Obs)
 
 	t := &topology{
-		cuts:  cfg.Cuts,
+		cuts:  slices.Clone(cfg.Cuts),
 		local: make(map[int]int, len(cfg.Ranges)),
 	}
 	for i, r := range cfg.Ranges {
@@ -295,13 +318,16 @@ func New(cfg Config) (*Pool, error) {
 			return nil, fmt.Errorf("mutable: global range %d held twice", g)
 		}
 		t.local[g] = i
-		s, err := newMShard(p, slices.Clone(r.Items), map[uint32]geom.Segment{})
+		s, err := newMShard(p, r.Items, map[uint32]geom.Segment{})
 		if err != nil {
 			return nil, err
 		}
 		t.shards = append(t.shards, s)
 		for _, it := range r.Items {
-			p.ownerOf[it.ID] = s
+			if int(it.ID) >= p.ds.Len() {
+				return nil, fmt.Errorf("mutable: range %d item id %d outside the dataset", i, it.ID)
+			}
+			p.ids.setOwner(it.ID, s)
 		}
 		s.count.Store(int64(len(r.Items)))
 	}
@@ -380,12 +406,14 @@ func (p *Pool) Dataset() *dataset.Dataset { return p.ds }
 // NumShards returns the current local shard count.
 func (p *Pool) NumShards() int { return len(p.topo.Load().shards) }
 
-// Len returns the number of live objects the pool currently holds.
+// Len returns the number of live objects the pool currently holds: the sum
+// of the shards' owned-id counts, maintained at every ownership change.
 func (p *Pool) Len() int {
-	p.omu.Lock()
-	n := len(p.ownerOf)
-	p.omu.Unlock()
-	return n
+	var n int64
+	for _, s := range p.topo.Load().shards {
+		n += s.count.Load()
+	}
+	return int(n)
 }
 
 // Bounds returns the union of the shards' base bounds and any overlay
@@ -480,7 +508,7 @@ func (p *Pool) SummaryRanges(dst []proto.RangeInfo) ([]proto.RangeInfo, int) {
 			Heat:    t.heat.Rate(li),
 		})
 	}
-	if p.cfg.GlobalIndex != nil || p.cfg.Adaptive.Enabled {
+	if !p.foldSummary {
 		return dst, len(t.cuts)
 	}
 	one := proto.RangeInfo{Hi: math.MaxUint64, MBR: geom.EmptyRect()}
@@ -510,27 +538,47 @@ func clampItems(n int64) uint32 {
 // for original ids the pool no longer tracks and to the zero Segment for
 // unknown ids. This is the serving tier's data-mode resolver: inserted ids
 // sit at or above Dataset.Len(), where Dataset.Seg would be out of range.
+//
+// Contract: for an id live throughout the call, the result is a geometry the
+// id held at some instant during the call. A never-written id has only its
+// dataset geometry (idTable). A written one is looked up in the shard the
+// table names; "not there" is never an answer — the id was transferred after
+// the owner was read — so the owner is re-read and the look-up repeated,
+// under the shard lock this time, which waits out a writer still installing
+// the copy. A reader that loses segOfChases rounds to a ping-ponging mover
+// settles it under omu, where no ownership can change. The cost follows the
+// raced transfers (mutable_segof_retries_total), not the reads.
 func (p *Pool) SegOf(id uint32) geom.Segment {
-	p.omu.Lock()
-	s, ok := p.ownerOf[id]
-	p.omu.Unlock()
-	if !ok {
-		if int(id) < p.ds.Len() {
-			return p.ds.Seg(id)
-		}
-		return geom.Segment{}
+	if !p.ids.written(id) {
+		return p.ds.Seg(id)
 	}
-	if s.pend.Load() == 0 {
-		bv := s.base.Load()
-		if seg, ok := bv.over[id]; ok {
+	for try := 0; try < segOfChases; try++ {
+		s := p.ids.owner(id)
+		if s == nil {
+			return p.unheldSeg(id)
+		}
+		if seg, ok := s.find(id, try > 0); ok {
 			return seg
 		}
-		if int(id) < p.ds.Len() {
-			return p.ds.Seg(id)
-		}
-		return geom.Segment{}
+		p.m.segofRetries.Inc()
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.segAnyLocked(s.base.Load(), id)
+	p.omu.Lock()
+	defer p.omu.Unlock()
+	if s := p.ids.owner(id); s != nil {
+		if seg, ok := s.find(id, true); ok {
+			return seg
+		}
+	}
+	return p.unheldSeg(id)
+}
+
+// segOfChases bounds SegOf's lock-free pursuit of one id; see SegOf.
+const segOfChases = 4
+
+// unheldSeg is SegOf's answer for an id the pool does not hold.
+func (p *Pool) unheldSeg(id uint32) geom.Segment {
+	if int(id) < p.ds.Len() {
+		return p.ds.Seg(id)
+	}
+	return geom.Segment{}
 }

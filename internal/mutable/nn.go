@@ -37,7 +37,7 @@ func newNNState(p *Pool) *nnState {
 		if st.masked && st.sh.maskBase(id) {
 			return math.Inf(1)
 		}
-		return st.bv.seg(st.p.ds, id).DistToPoint(st.pt)
+		return st.bv.seg(st.p, id).DistToPoint(st.pt)
 	}
 	return st
 }

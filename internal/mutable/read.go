@@ -3,7 +3,6 @@ package mutable
 import (
 	"slices"
 
-	"mobispatial/internal/dataset"
 	"mobispatial/internal/dynrtree"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
@@ -176,7 +175,7 @@ func (p *Pool) scan(dst []uint32, q *query) []uint32 {
 		}
 		if clean {
 			if touched {
-				dst = q.searchClean(dst, p.ds, bv)
+				dst = q.searchClean(dst, p, bv)
 			}
 			continue
 		}
@@ -219,10 +218,10 @@ func (q *query) searchDelta(dst []uint32, t *dynrtree.Tree) []uint32 {
 // MBR straddling the window's edge costs a geometry lookup. An exact point
 // query compacts its candidates in place (the write index never passes the
 // read index).
-func (q *query) searchClean(dst []uint32, ds *dataset.Dataset, bv *baseView) []uint32 {
+func (q *query) searchClean(dst []uint32, p *Pool, bv *baseView) []uint32 {
 	if q.exact && !q.point {
 		return bv.tree.AppendRange(dst, q.w, func(id uint32) bool {
-			return bv.seg(ds, id).IntersectsRect(q.w)
+			return bv.seg(p, id).IntersectsRect(q.w)
 		})
 	}
 	n := len(dst)
@@ -232,7 +231,7 @@ func (q *query) searchClean(dst []uint32, ds *dataset.Dataset, bv *baseView) []u
 	}
 	hits := dst[:n]
 	for _, id := range dst[n:] {
-		if bv.seg(ds, id).ContainsPoint(q.pt, q.eps) {
+		if bv.seg(p, id).ContainsPoint(q.pt, q.eps) {
 			hits = append(hits, id)
 		}
 	}

@@ -89,7 +89,7 @@ func (c *AdaptiveConfig) fill() {
 
 func (p *Pool) repartitionLoop() {
 	defer p.wg.Done()
-	t := time.NewTicker(p.cfg.Adaptive.Interval)
+	t := time.NewTicker(p.adaptive.Interval)
 	defer t.Stop()
 	for {
 		select {
@@ -112,7 +112,7 @@ func (p *Pool) RepartitionOnce() bool {
 		return false
 	}
 	t.heat.Fold()
-	cfg := &p.cfg.Adaptive
+	cfg := &p.adaptive
 	n := len(t.shards)
 	total := t.heat.Total()
 	if total <= 0 {
@@ -152,26 +152,12 @@ func (p *Pool) RepartitionOnce() bool {
 	return false
 }
 
-// adopt finalizes a replacement shard at swap time (omu held): every live id
-// it now holds is claimed in the owner table, and its count, pend, and
-// staleness clock are set from its final contents.
+// adopt finalizes a replacement shard at swap time (omu held): its count,
+// pend, and staleness clock are set from its final contents, then every live
+// id it holds is claimed in the id table. pend goes first: a SegOf that
+// reads the new owner must not find pend still zero and trust the base alone.
 func (p *Pool) adopt(c *mshard, pendSince int64) {
 	bv := c.base.Load()
-	var n int64
-	for id := range bv.has {
-		if _, dead := c.tombs[id]; dead {
-			continue
-		}
-		p.ownerOf[id] = c
-		n++
-	}
-	for id := range c.overSeg {
-		if _, inBase := bv.has[id]; !inBase {
-			n++
-		}
-		p.ownerOf[id] = c
-	}
-	c.count.Store(n)
 	pend := len(c.overSeg) + len(c.tombs)
 	c.pend.Store(int64(pend))
 	if pend > 0 {
@@ -181,6 +167,21 @@ func (p *Pool) adopt(c *mshard, pendSince int64) {
 		c.pendSince.Store(pendSince)
 	}
 	c.version.Add(1)
+	var n int64
+	for _, it := range bv.tree.PackOrder() {
+		if _, dead := c.tombs[it.ID]; dead {
+			continue
+		}
+		p.ids.setOwner(it.ID, c)
+		n++
+	}
+	for id := range c.overSeg {
+		if !bv.contains(id) {
+			n++
+		}
+		p.ids.setOwner(id, c)
+	}
+	c.count.Store(n)
 }
 
 // recut is the one repartition primitive: it replaces the nVictims adjacent
@@ -249,7 +250,7 @@ func (p *Pool) recut(t *topology, g, nVictims int, newCuts []uint64) bool {
 
 	// hide tombstones id's rebuilt base copy in child c, if it has one.
 	hide := func(c *mshard, id uint32) {
-		if _, ok := c.base.Load().has[id]; ok {
+		if c.base.Load().contains(id) {
 			c.tombs[id] = struct{}{}
 		}
 	}
@@ -297,7 +298,7 @@ func (p *Pool) recut(t *topology, g, nVictims int, newCuts []uint64) bool {
 	nt.cuts = slices.Concat(t.cuts[:g+1], newCuts, t.cuts[g+nVictims:])
 	nt.shards = slices.Concat(t.shards[:g], children, t.shards[g+nVictims:])
 	nt.local = make(map[int]int, len(nt.shards))
-	nt.heat = heat.New(len(nt.shards), p.cfg.Adaptive.HalfLifeSeconds)
+	nt.heat = heat.New(len(nt.shards), p.adaptive.HalfLifeSeconds)
 	// Heat survives the swap: the children share the victims' rate evenly.
 	var rate float64
 	for i := range victims {
@@ -329,7 +330,7 @@ func (p *Pool) splitShard(t *topology, g int) bool {
 	if g < 0 || g >= len(t.shards) {
 		return false
 	}
-	items := t.shards[g].base.Load().items
+	items := t.shards[g].base.Load().tree.PackOrder()
 	keys := make([]uint64, len(items))
 	for i, it := range items {
 		keys[i] = shard.WriteKey(p.q, it.MBR)

@@ -2,8 +2,8 @@ package mutable
 
 import "fmt"
 
-// checkOwners enables an owner-table invariant check at every repartition
-// publish: after adopt, no ownerOf entry may point at a shard outside the
+// checkOwners enables an id-table invariant check at every repartition
+// publish: after adopt, no owner entry may point at a shard outside the
 // about-to-be-published set. The soak test flips it on; production leaves it
 // off and pays one branch per split/merge. The per-layer state dump in the
 // panic is deliberate — a violation here means a writer and a repartition
@@ -14,7 +14,7 @@ var checkOwners bool
 func ownerIDState(tag string, s *mshard, id uint32) string {
 	_, inOver := s.overSeg[id]
 	_, inTomb := s.tombs[id]
-	_, inHas := s.base.Load().has[id]
+	inHas := s.base.Load().contains(id)
 	fOver, fTomb := false, false
 	if s.frozen != nil {
 		_, fOver = s.frozen.overSeg[id]
@@ -24,7 +24,7 @@ func ownerIDState(tag string, s *mshard, id uint32) string {
 		tag, s.li, inOver, inTomb, inHas, fOver, fTomb, s.frozen != nil)
 }
 
-// verifyOwnersLocked panics if any ownerOf entry points outside
+// verifyOwnersLocked panics if any id-table owner points outside
 // (t.shards \ retired) ∪ created. Caller holds p.omu and the shard locks of
 // every retired/created shard, immediately before storing the new topology.
 func verifyOwnersLocked(p *Pool, op string, t *topology, retired, created []*mshard) {
@@ -38,17 +38,18 @@ func verifyOwnersLocked(p *Pool, op string, t *topology, retired, created []*msh
 	for _, s := range created {
 		valid[s] = true
 	}
-	for id, sh := range p.ownerOf {
-		if !valid[sh] {
-			msg := fmt.Sprintf("%s gen %d->%d: ownerOf[%d] -> invalid shard li=%d;", op, t.gen, t.gen+1, id, sh.li)
-			msg += ownerIDState("owner", sh, id)
-			for i, s := range retired {
-				msg += ownerIDState(fmt.Sprintf("retired%d", i), s, id)
-			}
-			for i, s := range created {
-				msg += ownerIDState(fmt.Sprintf("new%d", i), s, id)
-			}
-			panic(msg)
+	p.ids.each(func(id uint32, sh *mshard) {
+		if valid[sh] {
+			return
 		}
-	}
+		msg := fmt.Sprintf("%s gen %d->%d: owner(%d) -> invalid shard li=%d;", op, t.gen, t.gen+1, id, sh.li)
+		msg += ownerIDState("owner", sh, id)
+		for i, s := range retired {
+			msg += ownerIDState(fmt.Sprintf("retired%d", i), s, id)
+		}
+		for i, s := range created {
+			msg += ownerIDState(fmt.Sprintf("new%d", i), s, id)
+		}
+		panic(msg)
+	})
 }

@@ -422,11 +422,9 @@ func TestRepartitionSoak(t *testing.T) {
 			if gotSet[id] {
 				continue
 			}
-			p.omu.Lock()
-			sh, owned := p.ownerOf[id]
-			p.omu.Unlock()
-			if !owned {
-				t.Logf("missing id %d: not in ownerOf", id)
+			sh := p.ids.owner(id)
+			if sh == nil {
+				t.Logf("missing id %d: no owner in the id table", id)
 				continue
 			}
 			t.Logf("missing id %d:%s", id, ownerIDState("owner", sh, id))

@@ -150,16 +150,14 @@ func TestScanAgainstPingPongMover(t *testing.T) {
 	// Two resting places owned by different shards: the geometry of an
 	// object from the first shard's base and of one from the last shard's.
 	shards := p.topo.Load().shards
-	posA := ds.Seg(shards[0].base.Load().items[0].ID)
-	posB := ds.Seg(shards[len(shards)-1].base.Load().items[0].ID)
+	posA := ds.Seg(shards[0].base.Load().tree.PackOrder()[0].ID)
+	posB := ds.Seg(shards[len(shards)-1].base.Load().tree.PackOrder()[0].ID)
 	sentinel := uint32(ds.Len())
 	owner := func(seg geom.Segment) *mshard {
 		if _, _, owned, err := p.ApplyMove(sentinel, seg); err != nil || !owned {
 			t.Fatalf("move sentinel: owned=%v err=%v", owned, err)
 		}
-		p.omu.Lock()
-		defer p.omu.Unlock()
-		return p.ownerOf[sentinel]
+		return p.ids.owner(sentinel)
 	}
 	if owner(posB) == owner(posA) {
 		t.Fatal("both sentinel positions landed in one shard")

@@ -18,12 +18,14 @@ import (
 // baseView is one immutable generation of a shard's packed base. Readers
 // load it through an atomic pointer; the compactor publishes a fresh one and
 // never mutates a published view, so the empty-overlay fast path needs no
-// lock at all.
+// lock at all. The base's items are tree.PackOrder().
 type baseView struct {
-	tree  *rtree.Tree
-	items []rtree.Item
-	// has is the base's membership set (ids packed into tree).
-	has map[uint32]struct{}
+	tree *rtree.Tree
+	// member is the base's membership set over dataset ids, one bit each.
+	// A packed inserted id is always a key of over, so it needs none.
+	// Dataset.Len()/8 bytes per base whatever the base holds: 17 KB on PA,
+	// against the 0.55 MB hash set per shard it replaces.
+	member []uint64
 	// over carries geometry for base ids whose segment differs from the
 	// base dataset — inserted ids and moved originals folded by earlier
 	// compactions. Ids absent here resolve through Dataset.Seg.
@@ -31,16 +33,23 @@ type baseView struct {
 	bounds geom.Rect
 }
 
-func (bv *baseView) seg(ds segDataset, id uint32) geom.Segment {
-	if seg, ok := bv.over[id]; ok {
-		return seg
+// seg resolves the geometry of an id packed into this base.
+func (bv *baseView) seg(p *Pool, id uint32) geom.Segment {
+	if p.ids.written(id) {
+		if seg, ok := bv.over[id]; ok {
+			return seg
+		}
 	}
-	return ds.Seg(id)
+	return p.ds.Seg(id)
 }
 
-type segDataset interface {
-	Seg(id uint32) geom.Segment
-	Len() int
+// contains reports whether id is packed into this base.
+func (bv *baseView) contains(id uint32) bool {
+	if w := int(id >> 6); w < len(bv.member) {
+		return bv.member[w]&(1<<(id&63)) != 0
+	}
+	_, ok := bv.over[id]
+	return ok
 }
 
 // frozenView is the overlay detached at the start of a compaction: the
@@ -54,19 +63,22 @@ type frozenView struct {
 
 func (f *frozenView) size() int { return len(f.overSeg) + len(f.tombs) }
 
-// newBaseView bulk-loads items into one packed base generation. It keeps the
-// slice; over carries the geometry of the ids among items whose segment
-// differs from the base dataset.
-func newBaseView(items []rtree.Item, over map[uint32]geom.Segment) (*baseView, error) {
+// newBaseView bulk-loads items into one packed base generation (the tree
+// copies them) over a dataset of n ids; over carries the geometry of the ids
+// among items whose segment differs from the base dataset, every id >= n
+// among them.
+func newBaseView(n int, items []rtree.Item, over map[uint32]geom.Segment) (*baseView, error) {
 	tree, err := rtree.Build(items, rtree.Config{}, ops.Null{})
 	if err != nil {
 		return nil, err
 	}
-	has := make(map[uint32]struct{}, len(items))
+	member := make([]uint64, (n+63)/64)
 	for _, it := range items {
-		has[it.ID] = struct{}{}
+		if w := int(it.ID >> 6); w < len(member) {
+			member[w] |= 1 << (it.ID & 63)
+		}
 	}
-	return &baseView{tree: tree, items: items, has: has, over: over, bounds: tree.Bounds()}, nil
+	return &baseView{tree: tree, member: member, over: over, bounds: tree.Bounds()}, nil
 }
 
 // mshard is one updatable shard: packed base + live delta overlay +
@@ -103,7 +115,8 @@ type mshard struct {
 	pendSince atomic.Int64
 	// count is the number of live objects this shard owns — the per-range
 	// item count live registration summaries report. Mutated only under
-	// the pool's omu (at the same sites ownerOf changes), read lock-free.
+	// the pool's omu (at the same sites the id table's owners change), read
+	// lock-free.
 	count atomic.Int64
 
 	mu      sync.RWMutex
@@ -113,11 +126,11 @@ type mshard struct {
 	frozen  *frozenView
 }
 
-// newMShard builds a shard over items (kept, not copied) under the next
+// newMShard builds a shard over items (copied) under the next
 // lock-ordering id. The shard is private until a topology publishes it.
 func newMShard(p *Pool, items []rtree.Item, over map[uint32]geom.Segment) (*mshard, error) {
 	li := int(p.liSeq.Add(1) - 1)
-	bv, err := newBaseView(items, over)
+	bv, err := newBaseView(p.ds.Len(), items, over)
 	if err != nil {
 		return nil, fmt.Errorf("mutable: shard %d base: %w", li, err)
 	}
@@ -143,13 +156,13 @@ func (s *mshard) beneathVisibleLocked(id uint32) bool {
 			return false
 		}
 	}
-	_, ok := s.base.Load().has[id]
-	return ok
+	return s.base.Load().contains(id)
 }
 
 // upsertLocked installs seg as id's live geometry and reports whether the
 // shard previously held a visible id.
 func (s *mshard) upsertLocked(id uint32, seg geom.Segment) bool {
+	s.pl.ids.markWritten(id)
 	existed := false
 	if old, ok := s.overSeg[id]; ok {
 		s.delta.Delete(old.MBR(), id, ops.Null{})
@@ -168,6 +181,7 @@ func (s *mshard) upsertLocked(id uint32, seg geom.Segment) bool {
 // removeLocked deletes id from the shard and reports whether it was
 // visible. Idempotent: deleting an absent id is a no-op returning false.
 func (s *mshard) removeLocked(id uint32) bool {
+	s.pl.ids.markWritten(id)
 	existed := false
 	if seg, ok := s.overSeg[id]; ok {
 		s.delta.Delete(seg.MBR(), id, ops.Null{})
@@ -199,8 +213,12 @@ func (s *mshard) pendChangedLocked() {
 // ---- read-side masks and geometry (s.mu held, read mode suffices) ----
 
 // maskBase reports whether a base entry for id is stale: some overlay layer
-// above the base owns a newer version or a tombstone.
+// above the base owns a newer version or a tombstone. No layer names a
+// never-written id (idTable).
 func (s *mshard) maskBase(id uint32) bool {
+	if !s.pl.ids.written(id) {
+		return false
+	}
 	if _, ok := s.overSeg[id]; ok {
 		return true
 	}
@@ -228,24 +246,57 @@ func (s *mshard) maskFrozen(id uint32) bool {
 	return ok
 }
 
-// segAnyLocked resolves the live geometry of an id visible in this shard,
-// newest layer first.
+// segAnyLocked resolves the live geometry of an id visible in this shard.
 func (s *mshard) segAnyLocked(bv *baseView, id uint32) geom.Segment {
+	if !s.pl.ids.written(id) {
+		return s.pl.ds.Seg(id)
+	}
+	seg, _ := s.findLocked(bv, id)
+	return seg
+}
+
+// findLocked is the one layered look-up: id's geometry when id is visible in
+// this shard, the layers read newest first, a tombstone ending the search.
+func (s *mshard) findLocked(bv *baseView, id uint32) (geom.Segment, bool) {
 	if seg, ok := s.overSeg[id]; ok {
-		return seg
+		return seg, true
+	}
+	if _, dead := s.tombs[id]; dead {
+		return geom.Segment{}, false
 	}
 	if f := s.frozen; f != nil {
 		if seg, ok := f.overSeg[id]; ok {
-			return seg
+			return seg, true
+		}
+		if _, dead := f.tombs[id]; dead {
+			return geom.Segment{}, false
 		}
 	}
+	return bv.find(s.pl, id)
+}
+
+// find is seg for an id that may not be packed into this base.
+func (bv *baseView) find(p *Pool, id uint32) (geom.Segment, bool) {
 	if seg, ok := bv.over[id]; ok {
-		return seg
+		return seg, true
 	}
-	if int(id) < s.pl.ds.Len() {
-		return s.pl.ds.Seg(id)
+	if int(id) < p.ds.Len() && bv.contains(id) {
+		return p.ds.Seg(id), true
 	}
-	return geom.Segment{}
+	return geom.Segment{}, false
+}
+
+// find is findLocked for a caller holding no lock. A shard with an empty
+// overlay answers from its base without one, unless the caller insists:
+// SegOf's retries do, because taking the lock is what waits out a writer
+// still installing the id.
+func (s *mshard) find(id uint32, locked bool) (geom.Segment, bool) {
+	if !locked && s.pend.Load() == 0 {
+		return s.base.Load().find(s.pl, id)
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.findLocked(s.base.Load(), id)
 }
 
 // boundsNow returns the shard's current extent: base bounds plus any
@@ -310,13 +361,13 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64,
 	p.omu.Lock()
 	t := p.topo.Load()
 	li, ownedHere := t.local[shard.RangeForKey(t.cuts, key)]
-	old, hadOld := p.ownerOf[id]
+	old := p.ids.owner(id)
 
 	if !ownedHere {
 		// The object's new position belongs to some other backend's
 		// ranges: all this pool must do is forget its stale copy.
 		p.m.notOwned.Inc()
-		if !hadOld {
+		if old == nil {
 			p.omu.Unlock()
 			return 0, false, false, nil
 		}
@@ -325,24 +376,21 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64,
 	}
 
 	target := t.shards[li]
-	p.ownerOf[id] = target
-	if !hadOld {
-		target.count.Add(1)
-	} else if old != target {
-		old.count.Add(-1)
-		target.count.Add(1)
-	}
-
-	if hadOld && old != target {
+	if old != nil && old != target {
 		// Cross-shard move: drop the old copy and install the new one
 		// under both locks, acquired in ascending li order while omu
-		// still serializes us against every other write of any id.
+		// still serializes us against every other write of any id. The
+		// new owner is published only once its lock is held, so a SegOf
+		// that reads it waits for the copy instead of missing it.
 		a, b := old, target
 		if a.li > b.li {
 			a, b = b, a
 		}
 		a.mu.Lock()
 		b.mu.Lock()
+		p.ids.setOwner(id, target)
+		old.count.Add(-1)
+		target.count.Add(1)
 		p.omu.Unlock()
 		existed := old.removeLocked(id)
 		if target.upsertLocked(id, seg) {
@@ -360,6 +408,10 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64,
 	}
 
 	target.mu.Lock()
+	if old == nil {
+		p.ids.setOwner(id, target)
+		target.count.Add(1)
+	}
 	p.omu.Unlock()
 	existed := target.upsertLocked(id, seg)
 	epoch := target.epoch.Load()
@@ -374,8 +426,8 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64,
 func (p *Pool) ApplyDelete(id uint32) (epoch uint64, existed, owned bool, err error) {
 	p.m.deletes.Inc()
 	p.omu.Lock()
-	sh, ok := p.ownerOf[id]
-	if !ok {
+	sh := p.ids.owner(id)
+	if sh == nil {
 		p.omu.Unlock()
 		return 0, false, false, nil
 	}
@@ -386,7 +438,7 @@ func (p *Pool) ApplyDelete(id uint32) (epoch uint64, existed, owned bool, err er
 // evict removes id from its owning shard sh. It is called with omu held and
 // releases it once sh's write lock is taken.
 func (p *Pool) evict(id uint32, sh *mshard) (epoch uint64, existed bool) {
-	delete(p.ownerOf, id)
+	p.ids.setOwner(id, nil)
 	sh.count.Add(-1)
 	sh.mu.Lock()
 	p.omu.Unlock()
@@ -425,6 +477,8 @@ type poolMetrics struct {
 	compactErrs *obs.Counter
 	splits      *obs.Counter
 	merges      *obs.Counter
+	// segofRetries counts SegOf look-ups that raced a transfer of their id.
+	segofRetries *obs.Counter
 
 	// Per-shard gauges are indexed by topology position and extended on
 	// demand: a split grows the shard count at runtime. gmu guards the
@@ -450,6 +504,7 @@ func newPoolMetrics(h *obs.Hub) *poolMetrics {
 	m.compactErrs = h.Reg.Counter("mutable_compact_errors_total")
 	m.splits = h.Reg.Counter("mutable_splits_total")
 	m.merges = h.Reg.Counter("mutable_merges_total")
+	m.segofRetries = h.Reg.Counter("mutable_segof_retries_total")
 	return m
 }
 

@@ -25,10 +25,9 @@
 //   - KindNN stores the exact k-nearest answer (ids, distances, geometry)
 //     for the exact point: no refinement at all.
 //
-// Every stored entry also carries its geometry so a hit never resolves
-// segments through the pool (mutable.Pool.SegOf takes the pool-wide owner
-// lock per id — per-hit lock traffic would serialize the readers the cache
-// exists to speed up).
+// Every stored entry also carries its geometry, for version consistency: the
+// entry is valid at one version vector, and segments resolved through the
+// pool at hit time could belong to a later write than the ids do.
 package serve
 
 import (

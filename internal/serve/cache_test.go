@@ -394,7 +394,7 @@ func zipfQueries(seed int64, ds *dataset.Dataset, n, hotspots int, s, half float
 
 // benchDataset is a city-scale world — dense enough that an uncached range
 // query does real index work and resolves tens of records through the
-// pool's owner table.
+// pool's id table.
 func benchDataset(b testing.TB) *dataset.Dataset {
 	b.Helper()
 	ds, err := dataset.Generate(dataset.GenConfig{
@@ -419,7 +419,7 @@ func benchDataset(b testing.TB) *dataset.Dataset {
 // BenchmarkZipfCached is the acceptance benchmark: data-mode range queries
 // over a Zipf hotspot distribution against a mutable pool, cache off vs on.
 // The uncached path pays the index walk plus a per-record geometry resolve
-// through the pool's owner table; a hit pays a striped-LRU copy-out and an
+// through the pool's id table; a hit pays a striped-LRU copy-out and an
 // in-place refinement. results/BENCH_qcache.json records the ratio.
 func BenchmarkZipfCached(b *testing.B) {
 	run := func(b *testing.B, withCache bool) {

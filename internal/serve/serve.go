@@ -1355,8 +1355,8 @@ func (s *Server) answer(q *proto.QueryMsg, sc *reqScratch, ids []uint32, recs []
 			if !data {
 				return append(ids, cids...), recs, nil
 			}
-			// The cached entry carries its geometry: no per-id SegOf (and no
-			// pool-level owner-table lock) on the hit path.
+			// The cached entry carries its geometry, as of the version the
+			// ids were valid at: no per-id SegOf on the hit path.
 			for i, id := range cids {
 				recs = append(recs, proto.Record{ID: id, Seg: csegs[i]})
 			}
