@@ -188,6 +188,27 @@ func agreesWithFresh(t *testing.T, seed int64, rng *rand.Rand, p *Pool, model ma
 				t.Errorf("seed %d: KNearest(k=%d) mismatch at %v: want %d nbs, got %d nbs", seed, k, pt, len(want), len(gotK))
 				return false
 			}
+			// 1-NN is k-NN at k = 1.
+			if k == 1 && (got.OK != (len(gotK) == 1) || got.OK && got.Dist != gotK[0].Dist) {
+				t.Errorf("seed %d: Nearest %+v, KNearest(k=1) %v at %v", seed, got, gotK, pt)
+				return false
+			}
+			// The router's bound is a hint: every neighbor closer than it
+			// is in the answer, up to k, whatever else is.
+			if len(want) == 0 {
+				continue
+			}
+			bound := want[len(want)/2].Dist
+			gotB, _ := p.KNearestBoundedAppend(nil, pt, k, bound, nil)
+			for i, nb := range want {
+				if nb.Dist >= bound {
+					break
+				}
+				if i >= len(gotB) || gotB[i].Dist != nb.Dist || model[gotB[i].ID].DistToPoint(pt) != nb.Dist {
+					t.Errorf("seed %d: KNearestBounded(k=%d, bound=%g) at %v lost neighbor %d at %g: got %v", seed, k, bound, pt, i, nb.Dist, gotB)
+					return false
+				}
+			}
 		}
 	}
 	return true

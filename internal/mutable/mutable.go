@@ -36,24 +36,20 @@
 // on every read path, a written one with one atomic load of its owner; no
 // read takes a pool-wide lock.
 //
-// Consistency model: a Pool is linearizable per object id (writes to one id
-// are serialized by the ownership decision under omu; a read observes every
-// write acknowledged before the read began, because writers publish under the
-// shard write lock that readers with a non-empty overlay take in read mode,
-// and the empty-overlay fast path is only reachable after a compaction that
-// folded every acknowledged write). A topology swap preserves this: the
-// retired shards keep their contents (the repartitioner copies, never moves,
-// the live overlay into the replacement shards), so a reader still holding
-// the old topology keeps observing every acknowledged write until it drops
-// the snapshot. Multi-shard scans are not snapshot-isolated — a write
-// concurrent with the scan may or may not be observed — and each answer
-// contains an id at most once, possibly zero times while an id is
-// mid-transfer (the confirmed scan miss): writers signal cross-shard transfers
-// through a pool-wide counter and a scan that raced one dedups its answer
-// before returning it (read.go), which erases a double sighting but cannot
-// restore an object the scan saw in neither shard — it read the destination
-// before the move and the source after it. TestScanAgainstPingPongMover
-// fails on the former and counts the latter.
+// Consistency model: what a caller may rely on — scan and k-NN contents,
+// per-id linearizable writes, SegOf — is one table, DESIGN.md §15. The
+// mechanisms behind it: writes to one id are serialized by the ownership
+// decision under omu; a read observes every write acknowledged before the
+// read began, because writers publish under the shard write lock that readers
+// with a non-empty overlay take in read mode, and the empty-overlay fast path
+// is only reachable after a compaction that folded every acknowledged write.
+// A topology swap preserves this: the retired shards keep their contents (the
+// repartitioner copies, never moves, the live overlay into the replacement
+// shards), so a reader still holding the old topology keeps observing every
+// acknowledged write until it drops the snapshot. Multi-shard walks are not
+// snapshot-isolated — a write concurrent with the walk may or may not be
+// observed — and a walk that overlapped a cross-shard transfer re-derives the
+// transferred ids before it answers (read.go).
 //
 // Epochs count compactions: an update ack carries the owning shard's current
 // base epoch E, meaning the write lives in the overlay above base E and will
@@ -238,23 +234,21 @@ type Pool struct {
 
 	splits, merges atomic.Uint64
 
-	// xfers counts cross-shard transfers: any write that makes an id's
+	// xfers brackets cross-shard transfers: any write that makes an id's
 	// visible copy leave one shard while the id lands in (or is deleted
-	// ahead of a re-insert into) another. Writers bump it after the
-	// removal is visible and before the insert is — so a multi-shard scan
-	// that observes the counter unchanged across its walk is guaranteed
-	// not to contain the same id twice, and a scan that raced a transfer
-	// dedups its answer in place (see read.go). Same-shard updates, the
-	// moving-object hot path, never touch it.
+	// ahead of a re-insert into) another. Transfer i holds it at 2i+1 from
+	// before its first shard mutation until after its last shard unlock,
+	// then leaves it at 2i+2 (beginXfer / endXfer, under omu), so a
+	// multi-shard walk that reads it even and unchanged across itself
+	// overlapped no transfer, and any other walk knows which transfers it
+	// overlapped (read.go). Same-shard updates, the moving-object hot
+	// path, never touch it.
 	xfers atomic.Uint64
 
-	// xferRing records WHICH ids transferred. Slot i%len holds
-	// (i+1)<<32 | id for transfer i (the tag is the counter value the
-	// bump published, so a reader can tell a slot that lags the counter
-	// or has been lapped from the entry it wants). A scan that raced a
-	// few transfers scrubs just those ids from its answer instead of
-	// sort-deduping the whole thing; any tag mismatch or burst larger
-	// than the ring falls back to the full sort (see noteXfer/read.go).
+	// xferRing records WHICH ids transferred: slot i%len holds
+	// (i+1)<<32 | id for transfer i, written before the counter shows the
+	// transfer begun. The tag tells a reader the entry it wants from one a
+	// later lap overwrote (raced, read.go).
 	xferRing [xferRingSize]atomic.Uint64
 
 	stopc     chan struct{}
@@ -538,47 +532,50 @@ func clampItems(n int64) uint32 {
 // for original ids the pool no longer tracks and to the zero Segment for
 // unknown ids. This is the serving tier's data-mode resolver: inserted ids
 // sit at or above Dataset.Len(), where Dataset.Seg would be out of range.
-//
-// Contract: for an id live throughout the call, the result is a geometry the
-// id held at some instant during the call. A never-written id has only its
-// dataset geometry (idTable). A written one is looked up in the shard the
-// table names; "not there" is never an answer — the id was transferred after
-// the owner was read — so the owner is re-read and the look-up repeated,
-// under the shard lock this time, which waits out a writer still installing
-// the copy. A reader that loses segOfChases rounds to a ping-ponging mover
-// settles it under omu, where no ownership can change. The cost follows the
-// raced transfers (mutable_segof_retries_total), not the reads.
+// For an id live throughout the call the result is a geometry the id held at
+// some instant during the call (DESIGN.md §15).
 func (p *Pool) SegOf(id uint32) geom.Segment {
 	if !p.ids.written(id) {
 		return p.ds.Seg(id)
 	}
+	seg, held := p.locate(id)
+	if !held && int(id) < p.ds.Len() {
+		return p.ds.Seg(id)
+	}
+	return seg
+}
+
+// locate is the one per-id look-up: the geometry id holds at some instant
+// during the call, false when at some instant the pool did not hold it. A
+// never-written id has only its dataset geometry (idTable). A written one is
+// looked up in the shard the table names; "not there" is never an answer —
+// the id was transferred after the owner was read — so the owner is re-read
+// and the look-up repeated, under the shard lock this time, which waits out
+// a writer still installing the copy. A reader that loses segOfChases rounds
+// to a ping-ponging mover settles it under omu, where no ownership can
+// change. The cost follows the raced transfers
+// (mutable_segof_retries_total), not the reads.
+func (p *Pool) locate(id uint32) (geom.Segment, bool) {
+	if !p.ids.written(id) {
+		return p.ds.Seg(id), p.ids.owner(id) != nil
+	}
 	for try := 0; try < segOfChases; try++ {
 		s := p.ids.owner(id)
 		if s == nil {
-			return p.unheldSeg(id)
+			return geom.Segment{}, false
 		}
 		if seg, ok := s.find(id, try > 0); ok {
-			return seg
+			return seg, true
 		}
 		p.m.segofRetries.Inc()
 	}
 	p.omu.Lock()
 	defer p.omu.Unlock()
 	if s := p.ids.owner(id); s != nil {
-		if seg, ok := s.find(id, true); ok {
-			return seg
-		}
+		return s.find(id, true)
 	}
-	return p.unheldSeg(id)
+	return geom.Segment{}, false
 }
 
-// segOfChases bounds SegOf's lock-free pursuit of one id; see SegOf.
+// segOfChases bounds locate's lock-free pursuit of one id.
 const segOfChases = 4
-
-// unheldSeg is SegOf's answer for an id the pool does not hold.
-func (p *Pool) unheldSeg(id uint32) geom.Segment {
-	if int(id) < p.ds.Len() {
-		return p.ds.Seg(id)
-	}
-	return geom.Segment{}
-}

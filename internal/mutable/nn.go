@@ -2,6 +2,7 @@ package mutable
 
 import (
 	"math"
+	"slices"
 
 	"mobispatial/internal/geom"
 	"mobispatial/internal/index"
@@ -10,18 +11,23 @@ import (
 	"mobispatial/internal/shard"
 )
 
-// Nearest-neighbor queries fold the shards sequentially, carrying the best
-// (or k-th best) distance from shard to shard as a pruning bound, exactly
-// like the read-only sharded pool's cross-shard schedule. Per shard, the
-// packed base is searched with the branch-and-bound traversal under a
-// distance function that reports +Inf for masked (stale) ids, and the
-// overlay layers — bounded by the compaction threshold — are scanned directly and
-// offered through the accumulator's admit rule, so the merged answer is
-// what one tree over the union would have produced.
+// Nearest-neighbor queries are one walk, scheduled exactly like the
+// read-only sharded pool's (shard/nn.go): 1-NN is k-NN at k = 1, unbounded
+// k-NN is the bounded form at +Inf, the shards are visited best-first by
+// base-bounds min-distance (shard.OrderByMinDist), and the k-th best distance
+// travels from shard to shard in the accumulator, beside the router's
+// external bound. Per shard (knnInto) a packed base the bound rules out is
+// skipped; one it does not is searched with the branch-and-bound traversal
+// under a distance function that reports +Inf for masked (stale) ids. The
+// overlay layers — bounded by the compaction threshold — are scanned
+// directly and offered through the accumulator's admit rule whether or not
+// the base was pruned (their objects may lie outside the base bounds), so
+// the merged answer is what one tree over the union would have produced.
 //
 // nnState is pooled so the warm path allocates nothing: the masked distance
 // closure is built once per state and re-aimed at the current shard through
-// the state's fields.
+// the state's fields; the visit-order buffers, and the accumulator of a
+// caller that brought no scratch, live there too.
 type nnState struct {
 	p      *Pool
 	sh     *mshard
@@ -29,6 +35,10 @@ type nnState struct {
 	pt     geom.Point
 	masked bool
 	df     index.DistFunc
+
+	mbrs  []geom.Rect
+	order []shard.IndexDist
+	nn    rtree.NNScratch
 }
 
 func newNNState(p *Pool) *nnState {
@@ -42,133 +52,76 @@ func newNNState(p *Pool) *nnState {
 	return st
 }
 
-func (st *nnState) clear() {
-	st.sh = nil
-	st.bv = nil
-	st.masked = false
-}
-
-// NearestWith answers one nearest-neighbor query reusing sc's traversal
-// buffers; sc may be nil.
+// NearestWith answers one nearest-neighbor query out of sc's accumulator;
+// sc may be nil.
 func (p *Pool) NearestWith(pt geom.Point, sc *shard.Scratch) shard.NearestResult {
-	st := p.nnPool.Get().(*nnState)
-	st.pt = pt
-	var nnsc *rtree.NNScratch
-	if sc != nil {
-		nnsc = &sc.NN
-	}
-	// best.Dist is the running bound each later shard prunes with.
-	best := shard.NearestResult{Dist: math.Inf(1)}
-	t := p.topo.Load()
-	for i, s := range t.shards {
-		if s.base.Load().bounds.ContainsPoint(pt) {
-			t.heat.Touch(i)
-		}
-		s.nearestInto(st, nnsc, pt, &best)
-	}
-	st.clear()
-	p.nnPool.Put(st)
-	if !best.OK {
-		return shard.NearestResult{}
-	}
-	return best
-}
-
-func (s *mshard) nearestInto(st *nnState, nnsc *rtree.NNScratch, pt geom.Point, best *shard.NearestResult) {
-	masked := s.pend.Load() != 0
-	if masked {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-	}
-	bv := s.base.Load()
-	st.sh, st.bv, st.masked = s, bv, masked
-	if id, d, ok := bv.tree.NearestWithin(pt, best.Dist, st.df, ops.Null{}, nnsc); ok {
-		*best = shard.NearestResult{ID: id, Dist: d, OK: true}
-	}
-	if !masked {
-		return
-	}
-	if f := s.frozen; f != nil {
-		for id, seg := range f.overSeg {
-			if s.maskFrozen(id) {
-				continue
-			}
-			if d := seg.DistToPoint(pt); d < best.Dist {
-				*best = shard.NearestResult{ID: id, Dist: d, OK: true}
-			}
-		}
-	}
-	for id, seg := range s.overSeg {
-		if d := seg.DistToPoint(pt); d < best.Dist {
-			*best = shard.NearestResult{ID: id, Dist: d, OK: true}
-		}
-	}
+	var one [1]rtree.Neighbor
+	nbs, _ := p.KNearestBoundedAppend(one[:0], pt, 1, math.Inf(1), sc)
+	return shard.NearestOf(nbs)
 }
 
 // KNearestAppend appends one k-NN answer (ascending distance) to dst
 // reusing sc; the bool mirrors the executor contract and is always true.
 func (p *Pool) KNearestAppend(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch) ([]rtree.Neighbor, bool) {
+	return p.KNearestBoundedAppend(dst, pt, k, math.Inf(1), sc)
+}
+
+// KNearestBoundedAppend is KNearestAppend seeded with the router's running
+// k-th-neighbor bound (serve.BoundedNN), under shard.Pool's contract: a
+// hint, not a filter — every held neighbor closer than bound is in the
+// answer, up to k; +Inf or a non-positive bound disables it.
+func (p *Pool) KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int, bound float64, sc *shard.Scratch) ([]rtree.Neighbor, bool) {
 	if k <= 0 {
 		return dst, true
 	}
+	if bound <= 0 {
+		bound = math.Inf(1)
+	}
 	st := p.nnPool.Get().(*nnState)
 	st.pt = pt
-	var local rtree.NNScratch
-	nnsc := &local
+	nnsc := &st.nn
 	if sc != nil {
 		nnsc = &sc.NN
 	}
-	nnsc.ResetKNN()
-	x0 := p.xfers.Load()
-	t := p.topo.Load()
 	from := len(dst)
-	for i, s := range t.shards {
-		if s.base.Load().bounds.ContainsPoint(pt) {
-			t.heat.Touch(i)
+	p.settled(func(t *topology, x0 uint64) (ok bool) {
+		nnsc.ResetKNN()
+		st.mbrs = st.mbrs[:0]
+		for i, s := range t.shards {
+			b := s.base.Load().bounds
+			if b.ContainsPoint(pt) {
+				t.heat.Touch(i)
+			}
+			st.mbrs = append(st.mbrs, b)
 		}
-		s.knnInto(st, nnsc, pt, k)
-	}
-	st.clear()
+		st.order = shard.OrderByMinDist(st.order[:0], st.mbrs, pt)
+		for _, sd := range st.order {
+			t.shards[sd.Index].knnInto(st, nnsc, k, bound)
+		}
+		dst, ok = p.settleNN(dst[:from], x0, len(t.shards), nnsc, pt, k, bound)
+		return ok
+	})
+	st.sh, st.bv = nil, nil
 	p.nnPool.Put(st)
-	dst = nnsc.DrainKNNAppend(dst)
-	if len(t.shards) > 1 && p.xfers.Load() != x0 {
-		dst = dedupNeighbors(dst, from)
-	}
 	return dst, true
 }
 
-// dedupNeighbors drops repeated ids from dst[from:], keeping the nearest
-// (first) occurrence — the answer is already sorted by ascending distance.
-// Quadratic, but it runs only when a cross-shard transfer raced the scan and
-// k is small; the raced answer may then hold fewer than k neighbors, which
-// the executor contract allows (a pool smaller than k returns what it has).
-func dedupNeighbors(dst []rtree.Neighbor, from int) []rtree.Neighbor {
-	w := from
-	for i := from; i < len(dst); i++ {
-		dup := false
-		for j := from; j < w; j++ {
-			if dst[j].ID == dst[i].ID {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dst[w] = dst[i]
-			w++
-		}
-	}
-	return dst[:w]
-}
-
-func (s *mshard) knnInto(st *nnState, nnsc *rtree.NNScratch, pt geom.Point, k int) {
+// knnInto is the per-shard step: fold s's k nearest into the accumulator.
+// The base is pruned against the bounds of the view actually searched (the
+// visit order was computed from a possibly older one): it is skipped when
+// its min-distance exceeds the running k-th best or the external bound. The
+// overlay is offered regardless.
+func (s *mshard) knnInto(st *nnState, nnsc *rtree.NNScratch, k int, bound float64) {
 	masked := s.pend.Load() != 0
 	if masked {
 		s.mu.RLock()
 		defer s.mu.RUnlock()
 	}
 	bv := s.base.Load()
-	st.sh, st.bv, st.masked = s, bv, masked
-	bv.tree.KNearestCollect(pt, k, st.df, ops.Null{}, nnsc)
+	if bv.bounds.MinDist(st.pt) <= min(bound, nnsc.KNNBound(k)) {
+		st.sh, st.bv, st.masked = s, bv, masked
+		bv.tree.KNearestCollect(st.pt, k, st.df, ops.Null{}, nnsc)
+	}
 	if !masked {
 		return
 	}
@@ -177,10 +130,52 @@ func (s *mshard) knnInto(st *nnState, nnsc *rtree.NNScratch, pt geom.Point, k in
 			if s.maskFrozen(id) {
 				continue
 			}
-			nnsc.KNNOffer(k, rtree.Neighbor{ID: id, Dist: seg.DistToPoint(pt)})
+			nnsc.KNNOffer(k, rtree.Neighbor{ID: id, Dist: seg.DistToPoint(st.pt)})
 		}
 	}
 	for id, seg := range s.overSeg {
-		nnsc.KNNOffer(k, rtree.Neighbor{ID: id, Dist: seg.DistToPoint(pt)})
+		nnsc.KNNOffer(k, rtree.Neighbor{ID: id, Dist: seg.DistToPoint(st.pt)})
 	}
+}
+
+// settleNN drains one walk's accumulator into dst and resolves it against
+// the transfers that raced the walk, by the rule of read.go: one sighting of
+// a raced id stays, a second is dropped, an id not sighted is offered at the
+// geometry locate finds. false means re-walk: the ring could not name the
+// raced ids, or a dropped sighting left the answer short of what the walk had
+// pruned by — every neighbor the walk did not keep is at or beyond its final
+// pruning bound, so an answer whose k-th distance is within that bound is
+// complete.
+func (p *Pool) settleNN(dst []rtree.Neighbor, x0 uint64, nShards int, nnsc *rtree.NNScratch, pt geom.Point, k int, bound float64) ([]rtree.Neighbor, bool) {
+	pruned := min(bound, nnsc.KNNBound(k))
+	from := len(dst)
+	dst = nnsc.DrainKNNAppend(dst)
+	if p.quiet(x0, nShards) {
+		return dst, true
+	}
+	var buf [xferRingSize]uint32
+	ids, ok := p.raced(&buf, x0)
+	if !ok {
+		return dst, false
+	}
+	var seen [xferRingSize]bool
+	for _, nb := range dst[from:] {
+		if i, hit := slices.BinarySearch(ids, nb.ID); hit {
+			if seen[i] {
+				continue
+			}
+			seen[i] = true
+		}
+		nnsc.KNNOffer(k, nb)
+	}
+	for i, id := range ids {
+		if seen[i] {
+			continue
+		}
+		if seg, held := p.locate(id); held {
+			nnsc.KNNOffer(k, rtree.Neighbor{ID: id, Dist: seg.DistToPoint(pt)})
+		}
+	}
+	ok = pruned >= bound || nnsc.KNNBound(k) <= pruned
+	return nnsc.DrainKNNAppend(dst[:from]), ok
 }

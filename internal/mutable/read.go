@@ -22,98 +22,117 @@ import (
 // one heat sample — a single atomic add — which is what the repartitioner's
 // split/merge decisions feed on.
 //
-// A multi-shard scan can race a cross-shard transfer of one id — an object
-// moving over a cut, a delete followed by a re-insert elsewhere, or (with
-// the repartitioner on) a write landing in a live shard while the scan's
-// topology snapshot still shows a retired parent holding the old copy — and
-// observe the same id in two shards. Writers bump Pool.xfers between the
-// removal becoming visible and the insert becoming visible, so the scan
-// detects every such race by comparing the counter across its walk; only
-// a transferred id can appear twice (ownership keeps every other id in
-// exactly one shard at a time), so the scan reads the raced transfers'
-// ids out of Pool.xferRing and scrubs second occurrences of just those
-// from the appended answer. A burst that outruns the ring — or a slot
-// whose write is still in flight — falls back to sort-dedup of the whole
-// appended region. Every path allocates nothing; the warm path pays two
-// atomic loads.
-//
-// The dedup can only drop ids. The opposite race — the scan reads the
-// destination shard before the move and the source shard after it — leaves
-// the id out of the answer although it existed throughout; nothing here
-// detects or repairs that: the confirmed scan miss, open in ROADMAP.md.
+// A multi-shard walk is not a snapshot: it can race a cross-shard transfer of
+// one id — an object moving over a cut, a delete followed by a re-insert
+// elsewhere, or (with the repartitioner on) a write landing in a live shard
+// while the walk's topology snapshot still shows a retired parent holding the
+// old copy — and sight the id in both shards, or in neither. Ownership keeps
+// every other id in exactly one shard at a time, so only an id in transfer
+// during the walk can be wrong, and there is one rule for all of them, scans
+// and k-NN alike: the walk re-derives the ids that were in transfer while it
+// ran. Writers bracket every transfer with Pool.xfers, odd while one is in
+// flight (beginXfer / endXfer); a walk reads the counter before and after,
+// and unchanged-and-even means no transfer overlapped it — the warm path,
+// two atomic loads. Otherwise it reads the overlapping transfers' ids out of
+// Pool.xferRing (raced), keeps the first sighting of each (the object was
+// there, matching, when that shard was read), drops any other, and looks up
+// the ones it did not sight at all (locate), adding each that is held and
+// matches the query. A burst that outruns the ring, or a slot already lapped,
+// cannot be named: the walk runs again, maxRewalks times at most and then
+// once more under omu, where no transfer can start (settled). What a caller
+// may rely on is the contract table in DESIGN.md §15.
 
 const (
 	// xferRingSize is the transfer ring capacity; see Pool.xferRing.
 	xferRingSize = 256
-	// maxXferScrub bounds how many raced transfers the per-id scrub
-	// handles before the O(answer * transfers) pass would cost more than
-	// the sort it replaces.
-	maxXferScrub = 16
+	// maxRewalks bounds a read's lock-free attempts; see settled.
+	maxRewalks = 3
 )
 
-// dedupAppended sorts dst[base:] and compacts duplicate ids in place.
-func dedupAppended(dst []uint32, base int) []uint32 {
-	tail := dst[base:]
-	if len(tail) < 2 {
-		return dst
-	}
-	slices.Sort(tail)
-	w := base + 1
-	for i := base + 1; i < len(dst); i++ {
-		if dst[i] != dst[w-1] {
-			dst[w] = dst[i]
-			w++
+// settled runs read — one walk of a topology snapshot, resolved against the
+// counter value x0 read before it — until it reports its answer settled.
+// The last attempt holds omu: transfers keep it for their whole bracket, so
+// the counter is even and still, and the walk settles trivially.
+func (p *Pool) settled(read func(t *topology, x0 uint64) bool) {
+	for try := 0; try < maxRewalks; try++ {
+		x0 := p.xfers.Load()
+		if read(p.topo.Load(), x0) {
+			return
 		}
 	}
-	return dst[:w]
+	p.omu.Lock()
+	defer p.omu.Unlock()
+	read(p.topo.Load(), p.xfers.Load())
 }
 
-// dedupRaced resolves a multi-shard scan against the transfers that raced
-// it: with the counter unchanged the answer is clean, with a small burst it
-// scrubs the transferred ids read from the ring, and otherwise it sorts.
-func (p *Pool) dedupRaced(dst []uint32, from int, x0 uint64, nShards int) []uint32 {
-	if nShards <= 1 {
-		return dst
+// quiet reports that no transfer overlapped a walk of nShards shards that
+// read the counter at x0 before it began. One shard cannot disagree with
+// itself.
+func (p *Pool) quiet(x0 uint64, nShards int) bool {
+	return nShards <= 1 || (x0&1 == 0 && p.xfers.Load() == x0)
+}
+
+// raced names the ids in transfer at any point of a walk that read the
+// counter at x0 before it began: ascending, each once, in buf. Transfer i
+// holds the counter at 2i+1 from before its first shard mutation until after
+// its last unlock, so the walk overlapped transfers x0/2 up to the one the
+// counter now shows begun. false when the ring no longer holds them all.
+func (p *Pool) raced(buf *[xferRingSize]uint32, x0 uint64) ([]uint32, bool) {
+	lo, hi := x0>>1, (p.xfers.Load()+1)>>1
+	if hi-lo > xferRingSize {
+		return nil, false
 	}
-	x1 := p.xfers.Load()
-	if x1 == x0 {
-		return dst
-	}
-	if x1-x0 > maxXferScrub {
-		return dedupAppended(dst, from)
-	}
-	var ids [maxXferScrub]uint32
-	n := 0
-	for x := x0 + 1; x <= x1; x++ {
-		e := p.xferRing[(x-1)%xferRingSize].Load()
-		if uint32(e>>32) != uint32(x) {
-			// Slot write still in flight, or lapped by a newer transfer.
-			return dedupAppended(dst, from)
+	ids := buf[:0]
+	for i := lo; i < hi; i++ {
+		e := p.xferRing[i%xferRingSize].Load()
+		if uint32(e>>32) != uint32(i+1) {
+			return nil, false // lapped by a later transfer
 		}
-		ids[n] = uint32(e)
-		n++
+		ids = append(ids, uint32(e))
 	}
-	var seen [maxXferScrub]bool
-	w := from
-	for i := from; i < len(dst); i++ {
-		id := dst[i]
-		dup := false
-		for j := 0; j < n; j++ {
-			if ids[j] == id {
-				if seen[j] {
-					dup = true
-				} else {
-					seen[j] = true
+	slices.Sort(ids)
+	return slices.Compact(ids), true
+}
+
+// settle resolves a scan's walk, appended to dst[from:], against the
+// transfers that raced it; false means walk again.
+func (p *Pool) settle(dst []uint32, from int, x0 uint64, nShards int, q *query) ([]uint32, bool) {
+	if p.quiet(x0, nShards) {
+		return dst, true
+	}
+	var buf [xferRingSize]uint32
+	ids, ok := p.raced(&buf, x0)
+	if !ok {
+		return dst, false
+	}
+	// One bit per id&63 spares the answer's other ids the search: with a
+	// few raced transfers, the usual case, nearly all of them.
+	var mask uint64
+	for _, id := range ids {
+		mask |= 1 << (id & 63)
+	}
+	var seen [xferRingSize]bool
+	kept := dst[:from]
+	for _, id := range dst[from:] {
+		if mask&(1<<(id&63)) != 0 {
+			if i, hit := slices.BinarySearch(ids, id); hit {
+				if seen[i] {
+					continue
 				}
-				break
+				seen[i] = true
 			}
 		}
-		if !dup {
-			dst[w] = id
-			w++
+		kept = append(kept, id)
+	}
+	for i, id := range ids {
+		if seen[i] {
+			continue
+		}
+		if seg, held := p.locate(id); held && q.matches(seg) {
+			kept = append(kept, id)
 		}
 	}
-	return dst[:w]
+	return kept, true
 }
 
 // query describes one append query: a window or a point, filter-only or
@@ -153,40 +172,56 @@ func (p *Pool) PointAppend(dst []uint32, pt geom.Point, eps float64) []uint32 {
 // one topology snapshot it records the heat sample, takes the lock-free
 // packed arm (pend == 0) or the read-locked three-layer merge, refines when
 // the query is exact, and finally resolves the walk against the transfers
-// that raced it. The query-kind and clean-vs-overlay branches are taken once
-// per shard, never per candidate.
+// that raced it (settle). The query-kind and clean-vs-overlay branches are
+// taken once per shard, never per candidate.
 //
 // A base whose bounds miss the query holds no candidate and is not searched.
 // The overlays are: their objects may sit anywhere in the shard's key range,
 // outside the bounds of the base they will be folded into.
 func (p *Pool) scan(dst []uint32, q *query) []uint32 {
-	x0 := p.xfers.Load()
-	t := p.topo.Load()
 	from := len(dst)
-	for i, s := range t.shards {
-		clean := s.pend.Load() == 0
-		if !clean {
-			s.mu.RLock()
-		}
-		bv := s.base.Load()
-		touched := q.touches(bv.bounds)
-		if touched {
-			t.heat.Touch(i)
-		}
-		if clean {
-			if touched {
-				dst = q.searchClean(dst, p, bv)
+	p.settled(func(t *topology, x0 uint64) (ok bool) {
+		dst = dst[:from]
+		for i, s := range t.shards {
+			clean := s.pend.Load() == 0
+			if !clean {
+				s.mu.RLock()
 			}
-			continue
+			bv := s.base.Load()
+			touched := q.touches(bv.bounds)
+			if touched {
+				t.heat.Touch(i)
+			}
+			if clean {
+				if touched {
+					dst = q.searchClean(dst, p, bv)
+				}
+				continue
+			}
+			n := len(dst)
+			dst = s.candidatesLocked(dst, bv, q, touched)
+			if q.exact {
+				dst = s.refineLocked(dst, n, bv, q)
+			}
+			s.mu.RUnlock()
 		}
-		n := len(dst)
-		dst = s.candidatesLocked(dst, bv, q, touched)
-		if q.exact {
-			dst = s.refineLocked(dst, n, bv, q)
-		}
-		s.mu.RUnlock()
+		dst, ok = p.settle(dst, from, x0, len(t.shards), q)
+		return ok
+	})
+	return dst
+}
+
+// matches is the query's predicate on one geometry: what the walk's filter
+// and refinement steps decide between them for an indexed object.
+func (q *query) matches(seg geom.Segment) bool {
+	switch mbr := seg.MBR(); {
+	case q.point:
+		return mbr.ContainsPoint(q.pt) && (!q.exact || seg.ContainsPoint(q.pt, q.eps))
+	case q.exact:
+		return seg.IntersectsRect(q.w)
+	default:
+		return mbr.Intersects(q.w)
 	}
-	return p.dedupRaced(dst, from, x0, len(t.shards))
 }
 
 // touches reports whether the query geometry meets a shard's base bounds —

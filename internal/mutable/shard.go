@@ -378,10 +378,10 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64,
 	target := t.shards[li]
 	if old != nil && old != target {
 		// Cross-shard move: drop the old copy and install the new one
-		// under both locks, acquired in ascending li order while omu
-		// still serializes us against every other write of any id. The
-		// new owner is published only once its lock is held, so a SegOf
-		// that reads it waits for the copy instead of missing it.
+		// under both locks, acquired in ascending li order, inside one
+		// transfer bracket. The new owner is published only once its lock
+		// is held, so a SegOf that reads it waits for the copy instead of
+		// missing it.
 		a, b := old, target
 		if a.li > b.li {
 			a, b = b, a
@@ -391,19 +391,15 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64,
 		p.ids.setOwner(id, target)
 		old.count.Add(-1)
 		target.count.Add(1)
-		p.omu.Unlock()
+		p.beginXfer(id)
 		existed := old.removeLocked(id)
 		if target.upsertLocked(id, seg) {
 			existed = true
 		}
 		epoch := target.epoch.Load()
-		// Unlock order is deliberate: the removal becomes visible first,
-		// the transfer counter moves, and only then does the new copy
-		// become visible — so any scan that can observe both copies is
-		// guaranteed to observe the counter change and dedup (Pool.xfers).
 		old.mu.Unlock()
-		p.noteXfer(id)
 		target.mu.Unlock()
+		p.endXfer()
 		return epoch, existed, true, nil
 	}
 
@@ -435,34 +431,38 @@ func (p *Pool) ApplyDelete(id uint32) (epoch uint64, existed, owned bool, err er
 	return epoch, existed, true, nil
 }
 
-// evict removes id from its owning shard sh. It is called with omu held and
-// releases it once sh's write lock is taken.
+// evict removes id from its owning shard sh, as a transfer: the id may
+// re-enter through another shard while a walk that saw it here is still
+// running. It is called with omu held and releases it.
 func (p *Pool) evict(id uint32, sh *mshard) (epoch uint64, existed bool) {
 	p.ids.setOwner(id, nil)
 	sh.count.Add(-1)
 	sh.mu.Lock()
-	p.omu.Unlock()
+	p.beginXfer(id)
 	existed = sh.removeLocked(id)
 	epoch = sh.epoch.Load()
 	sh.mu.Unlock()
-	if existed {
-		// The id may re-enter through another shard later; signal the
-		// departure after it is visible and before the write acks, so a
-		// scan spanning the departure and a subsequent arrival sees the
-		// transfer counter move (see Pool.xfers).
-		p.noteXfer(id)
-	}
+	p.endXfer()
 	return epoch, existed
 }
 
-// noteXfer publishes one cross-shard transfer: bump the counter, then tag
-// the ring slot with the counter value and the id. The order (counter
-// first) means a reader can briefly observe the counter ahead of the slot
-// write — it detects that by the tag mismatch and falls back to the full
-// sort-dedup, so the read fast path never waits on a writer.
-func (p *Pool) noteXfer(id uint32) {
-	x := p.xfers.Add(1)
-	p.xferRing[(x-1)%xferRingSize].Store(x<<32 | uint64(id))
+// beginXfer opens the bracket around one cross-shard transfer of id: the
+// ring slot first, then the counter goes odd — before the first shard
+// mutation, so a walk that can observe any of the transfer observes the
+// counter moved and finds the id in the ring (read.go). The caller holds omu
+// and the locks of the shards it will mutate.
+func (p *Pool) beginXfer(id uint32) {
+	i := p.xfers.Load() >> 1
+	p.xferRing[i%xferRingSize].Store((i+1)<<32 | uint64(id))
+	p.xfers.Add(1)
+}
+
+// endXfer closes the bracket, after the last shard unlock, and releases omu,
+// which the writer held throughout: transfers are totally ordered, and at
+// most one is in flight.
+func (p *Pool) endXfer() {
+	p.xfers.Add(1)
+	p.omu.Unlock()
 }
 
 // ---- metrics ----

@@ -130,10 +130,10 @@ func (r *Router) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int,
 func (r *Router) NearestUntil(pt geom.Point, sc *shard.Scratch, deadline time.Time) (shard.NearestResult, error) {
 	var buf [1]rtree.Neighbor
 	nbs, err := r.KNearestAppendUntil(buf[:0], pt, 1, sc, deadline)
-	if err != nil || len(nbs) == 0 {
+	if err != nil {
 		return shard.NearestResult{}, err
 	}
-	return shard.NearestResult{ID: nbs[0].ID, Dist: nbs[0].Dist, OK: true}, nil
+	return shard.NearestOf(nbs), nil
 }
 
 // NearestWith implements serve.Executor (plain surface; see exec.go).

@@ -371,9 +371,9 @@ func (t *Tree) NearestWith(p geom.Point, dist DistFunc, rec ops.Recorder, sc *NN
 // NearestWithin is NearestWith with an initial upper bound: only items
 // strictly closer than bound are considered, and subtrees whose MINDIST
 // exceeds it are pruned from the start. ok is false when no item beats the
-// bound. This is the cross-shard entry point: a sharded index carries the
-// best distance found in earlier shards into each later shard's traversal,
-// so the running bound prunes inside the trees, not just between them.
+// bound, so a caller folding several trees can carry its best distance from
+// one into the next. (The serving pools fold shards through KNearestCollect
+// instead, 1-NN included; this remains the simulator's instrumented NN.)
 // With bound = +Inf it is exactly NearestWith.
 func (t *Tree) NearestWithin(p geom.Point, bound float64, dist DistFunc, rec ops.Recorder, sc *NNScratch) (id uint32, d float64, ok bool) {
 	if t.root < 0 {

@@ -91,11 +91,11 @@ func TestPoolCapabilities(t *testing.T) {
 		{"frozen, one shard", Config{Pool: one}, want{boundedNN: true, validityView: true}},
 		{"frozen, sharded", Config{Pool: sp}, want{boundedNN: true, validityView: true}},
 		{"mutable monolithic", Config{Pool: monolithicMutable(t, ds, false)},
-			want{updates: true, liveSummary: true, validityView: true}},
+			want{updates: true, liveSummary: true, boundedNN: true, validityView: true}},
 		{"mutable partitioned", Config{Pool: part, Ranges: partRanges, NumRanges: 3},
-			want{updates: true, liveSummary: true, validityView: true}},
+			want{updates: true, liveSummary: true, boundedNN: true, validityView: true}},
 		{"mutable adaptive", Config{Pool: monolithicMutable(t, ds, true)},
-			want{updates: true, liveSummary: true, validityView: true}},
+			want{updates: true, liveSummary: true, boundedNN: true, validityView: true}},
 		{"router", Config{Pool: startRouterBench(t, ds, 3, 2)},
 			want{updates: true, batchRouting: true, validityView: true, distributed: true}},
 	}

@@ -106,10 +106,10 @@ type DeadlineExecutor interface {
 // BoundedNN is the optional bounded k-NN surface behind MsgNNQuery: the
 // distributed tier's cross-server NN leg carries the router's running
 // k-th-neighbor bound, and a pool that can prune with it implements this.
-// Every frozen server has it (shard.Pool skips whole shards, a lone shard
-// included: an unsharded backend the bound rules out is not walked at all);
-// mutable.Pool does not yet and answers NN legs via the unbounded path — the
-// bound is an optimization, never a correctness requirement.
+// Every local pool has it, on one schedule (shard.Pool and mutable.Pool skip
+// whole shards' packed trees, a lone shard included: an unsharded backend the
+// bound rules out is not walked at all). The bound is an optimization, never
+// a correctness requirement.
 type BoundedNN interface {
 	KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int, bound float64, sc *shard.Scratch) ([]rtree.Neighbor, bool)
 }
@@ -1273,9 +1273,9 @@ func (s *Server) nearest(pt geom.Point, k int, sc *reqScratch, deadline time.Tim
 
 // executeNN answers one router NN leg (MsgNNQuery): a k-NN query carrying
 // the router's running k-th-neighbor bound, answered with exact distances.
-// The bound-aware surface answers when the pool has one; otherwise the
-// engine's unbounded k-NN does (the bound is only a hint, dropping it never
-// costs correctness).
+// The bound-aware surface answers when the pool has one — every local pool;
+// a router fronted as a backend has only the engine's unbounded k-NN (the
+// bound is only a hint, dropping it never costs correctness).
 func (s *Server) executeNN(m *proto.NNQueryMsg, sc *reqScratch, deadline time.Time) proto.Message {
 	k := max(int(m.K), 1)
 	if err := s.checkK(k); err != nil {

@@ -67,6 +67,42 @@ func BenchmarkShardKNN(b *testing.B) {
 	})
 }
 
+// BenchmarkNearest is 1-NN on PA at one shard (the unsharded server) and at
+// sixteen, beside k-NN at k = 1 over the same points: they are one walk, so
+// the rows of a pair must read alike — a 1-NN row that reads slower is a
+// special case growing back.
+func BenchmarkNearest(b *testing.B) {
+	ds, tree := benchFixture(b)
+	points := dataset.NNQueries(ds, 64, 78)
+	one, err := Over(ds, tree)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sixteen, err := New(ds, Config{Shards: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		p    *Pool
+	}{{"S=1", one}, {"S=16", sixteen}} {
+		var sc Scratch
+		b.Run(c.name+"/NearestWith", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.p.NearestWith(points[i%len(points)], &sc)
+			}
+		})
+		b.Run(c.name+"/KNearestAppend1", func(b *testing.B) {
+			nbs := make([]rtree.Neighbor, 0, 1)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				nbs, _ = c.p.KNearestAppend(nbs[:0], points[i%len(points)], 1, &sc)
+			}
+		})
+	}
+}
+
 func reportQPS(b *testing.B) {
 	if b.Elapsed() > 0 {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")

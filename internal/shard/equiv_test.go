@@ -119,6 +119,10 @@ func checkAgainstScan(t *testing.T, ds *dataset.Dataset, pools []*Pool, qs queri
 			if !sameDistances(ds, pt, one, want1) {
 				return fail(p, "Nearest %v: %+v, scan %v", pt, one, want1)
 			}
+			// 1-NN is k-NN at k = 1, whether or not qs.ks asks for it.
+			if k1, _ := p.KNearestAppend(nil, pt, 1, nil); !sameDistances(ds, pt, k1, want1) {
+				return fail(p, "KNearest(k=1) %v: %+v, Nearest %+v", pt, k1, one)
+			}
 			for _, k := range qs.ks {
 				nbs, supported := p.KNearestAppend(nil, pt, k, nil)
 				if wk := want[:min(max(k, 0), len(want))]; !supported || !sameDistances(ds, pt, nbs, wk) {

@@ -4,56 +4,27 @@ import (
 	"math"
 
 	"mobispatial/internal/geom"
-	"mobispatial/internal/index"
 	"mobispatial/internal/ops"
 	"mobispatial/internal/rtree"
 )
 
 // Nearest-neighbor queries run best-first *across* shards, like every query
-// on the caller's goroutine. Shards are visited in ascending order
-// of MBR min-distance to the query point; the best distance found so far is
-// carried into every later shard's traversal (rtree.NearestWithin /
-// KNearestCollect), and the visit loop stops the moment the next shard's
-// lower bound cannot beat the running bound — every remaining shard is
-// pruned without touching a node. Hilbert-coherent shards make this
-// scheduling sharp: the shard containing the query point is almost always
-// visited first and its answer prunes the rest.
+// on the caller's goroutine, and there is one walk: 1-NN is k-NN at k = 1
+// and unbounded k-NN is the bounded form at +Inf. Shards are visited in
+// ascending order of MBR min-distance to the query point; the k-th best
+// distance found so far travels in the scratch's accumulator into every
+// later shard's traversal (rtree.KNearestCollect), and the visit loop stops
+// the moment the next shard's lower bound cannot beat the running bound —
+// every remaining shard is pruned without touching a node. Hilbert-coherent
+// shards make this scheduling sharp: the shard containing the query point is
+// almost always visited first and its answer prunes the rest.
 
-// nnBegin prepares one NN query on the caller's scratch (a fresh one, which
-// allocates, when the caller passed none): sc.order gets every shard's MBR
-// min-distance to pt, ascending (OrderByMinDist — the same scheduling the
-// router applies across servers), beside the distance closure to pt.
-func (p *Pool) nnBegin(pt geom.Point, sc *Scratch) (*Scratch, index.DistFunc) {
-	if sc == nil {
-		sc = new(Scratch)
-	}
-	sc.order = OrderByMinDist(sc.order[:0], p.mbrs, pt)
-	return sc, sc.DistTo(p.ds, pt)
-}
-
-// NearestWith answers one nearest-neighbor query reusing sc's traversal
-// buffers; sc may be nil.
+// NearestWith answers one nearest-neighbor query out of sc's accumulator;
+// sc may be nil.
 func (p *Pool) NearestWith(pt geom.Point, sc *Scratch) NearestResult {
-	sc, df := p.nnBegin(pt, sc)
-
-	// res.Dist is the running cross-shard bound: the best exact distance so
-	// far, +Inf before the first hit.
-	res := NearestResult{Dist: math.Inf(1)}
-	visited := 0
-	for _, sd := range sc.order {
-		if sd.Dist > res.Dist {
-			break
-		}
-		visited++
-		if id, d, ok := p.trees[sd.Index].NearestWithin(pt, res.Dist, df, ops.Null{}, &sc.NN); ok {
-			res = NearestResult{ID: id, Dist: d, OK: true}
-		}
-	}
-	p.observeNN(visited, len(sc.order)-visited)
-	if !res.OK {
-		return NearestResult{}
-	}
-	return res
+	var one [1]rtree.Neighbor
+	nbs, _ := p.KNearestBoundedAppend(one[:0], pt, 1, math.Inf(1), sc)
+	return NearestOf(nbs)
 }
 
 // KNearestAppend appends one k-NN answer to dst in ascending distance
@@ -79,7 +50,12 @@ func (p *Pool) KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int,
 	if bound <= 0 {
 		bound = math.Inf(1)
 	}
-	sc, df := p.nnBegin(pt, sc)
+	if sc == nil {
+		sc = new(Scratch) // allocates; a warm caller brings its own
+	}
+	// The same scheduling the router applies across servers.
+	sc.order = OrderByMinDist(sc.order[:0], p.mbrs, pt)
+	df := sc.DistTo(p.ds, pt)
 
 	sc.NN.ResetKNN()
 	visited := 0
@@ -88,11 +64,7 @@ func (p *Pool) KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int,
 		// min-distance exceeds the current k-th best cannot contribute, and
 		// neither can any later shard (the order is ascending). The external
 		// bound prunes the same way from the first shard on.
-		b := sc.NN.KNNBound(k)
-		if bound < b {
-			b = bound
-		}
-		if sd.Dist > b {
+		if sd.Dist > min(bound, sc.NN.KNNBound(k)) {
 			break
 		}
 		visited++

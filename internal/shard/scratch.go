@@ -14,6 +14,15 @@ type NearestResult struct {
 	OK   bool
 }
 
+// NearestOf reads a 1-NN answer off a k-NN one: its first neighbor, or the
+// zero result when there is none.
+func NearestOf(nbs []rtree.Neighbor) NearestResult {
+	if len(nbs) == 0 {
+		return NearestResult{}
+	}
+	return NearestResult{ID: nbs[0].ID, Dist: nbs[0].Dist, OK: true}
+}
+
 // Scratch is per-caller NN query state: the index traversal buffers, the
 // cross-shard visit order, and a reusable distance closure. A DistFunc built
 // fresh per query captures the query point and escapes into the index's
