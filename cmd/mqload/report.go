@@ -193,7 +193,7 @@ func printRouterReport(out io.Writer, pre, post serverSnap) {
 	fmt.Fprintf(out, "  router    %.0f backends, %.0f ranges; %.0f leg errors, %.0f failovers, %.0f unroutable\n",
 		backends, post.Gauge("router_ranges"), d("router_leg_errors_total"), d("router_failover_total"), d("router_unroutable_total"))
 	if visited, pruned := d("router_nn_backends_visited_total"), d("router_nn_backends_pruned_total"); visited+pruned > 0 {
-		fmt.Fprintf(out, "            nn legs: %.0f visited, %.0f pruned by the running bound\n", visited, pruned)
+		fmt.Fprintf(out, "            nn legs: %.0f answered; %.0f backends never contacted (their ranges answered by another holder or beyond the bound)\n", visited, pruned)
 	}
 	if batches := d("router_batches_total"); batches > 0 {
 		legs := d("router_batch_legs_total")

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"mobispatial/internal/geom"
 	"mobispatial/internal/proto"
+	"mobispatial/internal/rtree"
 )
 
 // The benchmark's cluster workload gates allocs_per_query at 5 %, and the
@@ -68,17 +70,7 @@ func TestRouterBatchAllocCeiling(t *testing.T) {
 
 	qs := mixedBatch(rand.New(rand.NewSource(72)), ds.Extent, 16)
 	items := make([]proto.BatchItem, len(qs))
-	batch := func() {
-		for i := range items {
-			items[i].IDs, items[i].Err, items[i].Text = items[i].IDs[:0], 0, ""
-		}
-		r.RunQueryBatch(qs, items, time.Time{})
-		for i := range items {
-			if items[i].Err != 0 {
-				t.Fatalf("item %d: code %d (%s)", i, items[i].Err, items[i].Text)
-			}
-		}
-	}
+	batch := func() { rerunBatch(t, r, qs, items) }
 	for i := 0; i < 20; i++ {
 		batch()
 	}
@@ -89,10 +81,76 @@ func TestRouterBatchAllocCeiling(t *testing.T) {
 	}
 }
 
+// rerunBatch answers qs into items the way serve reuses them — the id slices
+// kept, the outcome cleared — and fails on any item error.
+func rerunBatch(t *testing.T, r *Router, qs []proto.QueryMsg, items []proto.BatchItem) {
+	t.Helper()
+	for i := range items {
+		items[i].IDs, items[i].Err, items[i].Text = items[i].IDs[:0], 0, ""
+	}
+	r.RunQueryBatch(qs, items, time.Time{})
+	for i := range items {
+		if items[i].Err != 0 {
+			t.Fatalf("item %d: code %d (%s)", i, items[i].Err, items[i].Text)
+		}
+	}
+}
+
+// TestRouterNNAllocCeiling: one routed 8-NN, and a 16-query batch whose every
+// fourth sub-query is one — the NN sub-queries of a batch share one scratch
+// and write their ids straight into the items, so they add nothing per
+// sub-query.
+func TestRouterNNAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	ds := clusterDataset(t)
+	tc := startCluster(t, ds, 3, 2)
+	r := newRouter(t, tc, func(cfg *Config) { cfg.RefreshInterval = -1 })
+
+	rng := rand.New(rand.NewSource(73))
+	randPt := func() geom.Point { return geom.Point{X: 40000 * rng.Float64(), Y: 40000 * rng.Float64()} }
+	pt := randPt()
+	var nbrs []rtree.Neighbor
+	knn := func() {
+		var err error
+		if nbrs, err = r.KNearestAppendUntil(nbrs[:0], pt, 8, nil, time.Time{}); err != nil || len(nbrs) != 8 {
+			t.Fatalf("knn: %d neighbors, %v", len(nbrs), err)
+		}
+	}
+	qs := mixedBatch(rng, ds.Extent, 16)
+	for i := 3; i < len(qs); i += 4 {
+		qs[i] = proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeIDs, Point: randPt(), K: 8}
+	}
+	items := make([]proto.BatchItem, len(qs))
+	batch := func() { rerunBatch(t, r, qs, items) }
+	for _, tt := range []struct {
+		name    string
+		run     func()
+		ceiling float64
+	}{
+		{"routed 8-NN", knn, nnAllocCeiling},
+		{"16-query batch, 4 of them 8-NN", batch, nnBatchAllocCeiling},
+	} {
+		for i := 0; i < 20; i++ {
+			tt.run()
+		}
+		got := testing.AllocsPerRun(200, tt.run)
+		t.Logf("%s: %.0f allocations, ceiling %.0f", tt.name, got, tt.ceiling)
+		if got > tt.ceiling {
+			t.Errorf("%s: over the ceiling", tt.name)
+		}
+	}
+}
+
 // Measured at PR 15, six runs of six identical; the unified planner measures
 // 3, 5 and 5.
 const (
 	rangeAllocCeilingSmall = 6.0
 	rangeAllocCeilingFull  = 8.0
 	batchAllocCeiling      = 67.0
+	// Measured at PR 24, three runs of three identical; its parent read 0 and
+	// 22 (a scratch and a neighbor slice per NN sub-query).
+	nnAllocCeiling      = 0.0
+	nnBatchAllocCeiling = 6.0
 )

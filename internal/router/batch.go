@@ -29,15 +29,18 @@ func (r *Router) RunQueryBatch(qs []proto.QueryMsg, items []proto.BatchItem, dea
 }
 
 // batchNN answers the NN sub-queries of a batch, each through the
-// cluster-wide best-first visit, ids ascending by distance — the same shape
-// the serve layer's per-item batch loop produces.
+// cluster-wide best-first visit on one scratch of their own (route's is busy
+// with the legs in flight), ids ascending by distance — the same shape the
+// serve layer's per-item batch loop produces.
 func (r *Router) batchNN(qs []proto.QueryMsg, items []proto.BatchItem, deadline time.Time) {
+	fs := r.getScratch()
+	defer r.putScratch(fs)
 	for i := range qs {
 		q, it := &qs[i], &items[i]
 		if q.Kind != proto.KindNN || it.Err != 0 {
 			continue
 		}
-		nbs, err := r.KNearestAppendUntil(nil, q.Point, max(int(q.K), 1), nil, deadline)
+		nbs, err := r.knn(fs, q.Point, max(int(q.K), 1), deadline)
 		if err != nil {
 			it.Err, it.Text = proto.CodeOf(err)
 			continue

@@ -82,8 +82,7 @@ func sendBatch(cc *client.Client, lg *readLeg, deadline time.Time) error {
 // and returns the number of legs it took. A slot arriving with Err set was
 // rejected by the serve layer and is left alone; NN sub-queries take the
 // best-first visit (nn.go) on the calling goroutine while the first round's
-// legs are in flight — the running k-th bound is sequential across backends
-// and gains nothing from grouping.
+// legs are in flight — the running k-th bound makes their legs sequential.
 //
 // Correctness of the merge: a backend answers a leg query over its whole
 // local pool, so one leg answers every range the backend holds, and two
@@ -100,6 +99,7 @@ func (r *Router) route(sc *fanScratch, qs []proto.QueryMsg, items []proto.BatchI
 	t := r.snap()
 	var meanwhile func()
 	sc.needed, sc.covered, sc.qoff = sc.needed[:0], sc.covered[:0], append(sc.qoff[:0], 0)
+	sc.open = append(sc.open[:0], make([]bool, t.numRanges)...)
 	for i := range qs {
 		switch q := &qs[i]; {
 		case items[i].Err != 0: // pre-rejected: nothing to plan
@@ -178,10 +178,10 @@ func mergeIDs(ids, leg []uint32) []uint32 {
 	return ids
 }
 
-// cover assigns every uncovered range of every live sub-query to a healthy
+// cover assigns every uncovered range of every live sub-query to a usable
 // holder and groups the assignments into this round's legs, sc.sel and
 // sc.legs: one leg per backend, one slot in it per sub-query it covers a
-// range of. A sub-query with a range no healthy backend holds is failed
+// range of. A sub-query with a range no usable backend holds is failed
 // CodeUnavailable and takes no further part.
 func (r *Router) cover(t *table, sc *fanScratch, qs []proto.QueryMsg, items []proto.BatchItem) {
 	sc.sel = sc.sel[:0]
@@ -189,10 +189,13 @@ func (r *Router) cover(t *table, sc *fanScratch, qs []proto.QueryMsg, items []pr
 	for i := range qs {
 		lo, hi := sc.qoff[i], sc.qoff[i+1]
 		for j := lo; j < hi; j++ {
+			sc.open[sc.needed[j]] = sc.covered[j] == uncovered
+		}
+		for j := lo; j < hi; j++ {
 			if sc.covered[j] != uncovered {
 				continue
 			}
-			pick := r.pick(t.holders[sc.needed[j]], sc, rot)
+			pick := r.pick(t, sc, sc.needed[j], rot)
 			if pick < 0 {
 				// Void the whole sub-query: a partial answer would be a
 				// silent hole.
@@ -208,11 +211,12 @@ func (r *Router) cover(t *table, sc *fanScratch, qs []proto.QueryMsg, items []pr
 			// leg; claim the sub-query's other uncovered ranges too.
 			for x := j; x < hi; x++ {
 				if sc.covered[x] == uncovered && t.holds[pick][sc.needed[x]] {
-					sc.covered[x] = pick
+					sc.covered[x], sc.open[sc.needed[x]] = pick, false
 				}
 			}
 		}
 		for j := lo; j < hi; j++ {
+			sc.open[sc.needed[j]] = false
 			if b := sc.covered[j]; b >= 0 {
 				sc.addSlot(b, int32(i), &qs[i])
 			}
@@ -220,23 +224,43 @@ func (r *Router) cover(t *table, sc *fanScratch, qs []proto.QueryMsg, items []pr
 	}
 }
 
-// pick chooses the backend to answer a range held by hs: a holder already
+// usable reports whether backend b may take a leg of this call: it has not
+// failed one, and its breaker admits traffic.
+func (r *Router) usable(sc *fanScratch, b int32) bool {
+	return !sc.failed[b] && r.BackendHealthy(int(b))
+}
+
+// pick is the one holder-choice rule of the read path: the backend to answer
+// range rg for a query whose still-open ranges are sc.open. A holder already
 // carrying a leg this round when there is one (the leg answers all of the
-// backend's ranges, for all of a batch's sub-queries), else the next healthy
-// replica in rotation — the read spreading. -1 means no holder is healthy.
-func (r *Router) pick(hs []int32, sc *fanScratch, rot int) int32 {
-	usable := func(b int32) bool { return !sc.failed[b] && r.BackendHealthy(int(b)) }
+// backend's ranges, for all of a batch's sub-queries), else the usable holder
+// that holds the most open ranges — a read spanning two ranges one backend
+// co-holds takes one leg — with the rotation breaking ties, which is the read
+// spreading across replicas. -1 means no holder is usable.
+func (r *Router) pick(t *table, sc *fanScratch, rg int32, rot int) int32 {
+	hs := t.holders[rg]
 	for _, b := range hs {
-		if slices.Contains(sc.sel, b) && usable(b) {
+		if slices.Contains(sc.sel, b) && r.usable(sc, b) {
 			return b
 		}
 	}
+	best, most := int32(-1), 0
 	for i := range hs {
-		if b := hs[(rot+i)%len(hs)]; usable(b) {
-			return b
+		b := hs[(rot+i)%len(hs)]
+		if !r.usable(sc, b) {
+			continue
+		}
+		n := 0
+		for x, open := range sc.open {
+			if open && t.holds[b][x] {
+				n++
+			}
+		}
+		if n > most {
+			best, most = b, n
 		}
 	}
-	return -1
+	return best
 }
 
 // addSlot gives sub-query qi a slot in backend b's leg of this round,

@@ -5,8 +5,8 @@ package router
 // when they land outside the MBRs the summaries reported — the exact hole a
 // registration-frozen routing table leaves open (an object inserted into a
 // range that registered empty, or moved outside its range's registered MBR,
-// would be permanently invisible to range/point routing and mis-pruned by
-// the NN visit order).
+// would be permanently invisible to range/point routing and pruned from the
+// NN visit by its range's stale extent).
 
 import (
 	"math/rand"
@@ -94,9 +94,11 @@ func midpoint(seg geom.Segment) geom.Point {
 // range, point, and NN queries immediately after its ack — and a live object
 // moved into that range must follow. A router that froze its routing
 // predicates at registration fails every leg of this: the empty range's MBR
-// intersects nothing (range/point fan-out never selects its holder) and the
-// holder's empty bounds sort at +Inf MINDIST (the NN visit prunes it the
-// moment any other backend sets a bound).
+// intersects nothing (range/point fan-out never selects its holder) and
+// sorts at +Inf MINDIST (the NN visit prunes the range the moment any other
+// sets a bound). Each of the three reproductions — the insert, the move, and
+// a write into a POPULATED range at a spot outside its summary MBR — is read
+// back as the 1-NN of its own position on the very next query.
 func TestClusterReadsSeeFreshWrites(t *testing.T) {
 	ds := clusterDataset(t)
 	const emptyRg = 2
@@ -145,8 +147,21 @@ func TestClusterReadsSeeFreshWrites(t *testing.T) {
 	}
 	if !foundNN {
 		t.Fatalf("NN at the fresh insert's midpoint missed id %d (got %v) — "+
-			"the empty backend's registered bounds mis-pruned its leg", id0, nbs)
+			"the empty range's registered MBR pruned it", id0, nbs)
 	}
+	// Nothing else lies in the stripped range's space, so the insert is THE
+	// nearest neighbor of its own endpoint.
+	nearestIs := func(label string, pt geom.Point, id uint32, seg geom.Segment) {
+		t.Helper()
+		res, err := r.NearestUntil(pt, nil, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := seg.DistToPoint(pt); !res.OK || res.ID != id || res.Dist != want {
+			t.Fatalf("%s: 1-NN at %v is id %d at dist %v, want id %d at %v", label, pt, res.ID, res.Dist, id, want)
+		}
+	}
+	nearestIs("fresh insert", seg0.A, id0, seg0)
 
 	// A live object moved across a range boundary into the empty range must
 	// be found at its new position and gone from its old one.
@@ -170,6 +185,25 @@ func TestClusterReadsSeeFreshWrites(t *testing.T) {
 	if containsU32(ids, idY) {
 		t.Fatalf("moved id %d still answers at its old position", idY)
 	}
+	nearestIs("moved object", newSeg.A, idY, newSeg)
+	if res, err := r.NearestUntil(oldSeg.A, nil, time.Time{}); err != nil || res.ID == idY {
+		t.Fatalf("1-NN at the moved object's old position: id %d, err %v; id %d left", res.ID, err, idY)
+	}
+
+	// A populated range, written outside its summary MBR: a spot beyond the
+	// map's corner keys into whichever range owns that corner of the curve,
+	// and no registered MBR reaches it.
+	idZ := uint32(ds.Len() + 102)
+	far := geom.Point{X: ds.Extent.Max.X + 9000, Y: ds.Extent.Max.Y + 9000}
+	segZ := geom.Segment{A: far, B: geom.Point{X: far.X + 30, Y: far.Y + 30}}
+	s := r.snap()
+	if rg := s.rangeForKey(shard.WriteKey(r.wq, segZ.MBR())); s.rangeMBR[rg].IsEmpty() || s.rangeMBR[rg].Intersects(segZ.MBR()) {
+		t.Fatalf("range %d (MBR %v) is not a populated range short of %v", rg, s.rangeMBR[rg], segZ.MBR())
+	}
+	if _, _, owned, err := r.ApplyInsert(idZ, segZ); err != nil || !owned {
+		t.Fatalf("insert beyond the corner: owned=%v err=%v", owned, err)
+	}
+	nearestIs("write outside its range's MBR", geom.Point{X: far.X + 1, Y: far.Y - 2}, idZ, segZ)
 }
 
 // TestRouterMutableQuickEquivalence drives a random stream of inserts,

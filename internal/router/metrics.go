@@ -23,8 +23,11 @@ import (
 //	router_unroutable_total         counter: queries and batch sub-queries
 //	                                failed CodeUnavailable (a needed range
 //	                                had no healthy replica)
-//	router_nn_backends_visited_total counter: NN legs actually sent
-//	router_nn_backends_pruned_total  counter: backends skipped by the bound
+//	router_nn_backends_visited_total counter: NN legs answered
+//	router_nn_backends_pruned_total  counter: backends an answered NN query
+//	                                never contacted, because every range
+//	                                they hold was either answered by another
+//	                                holder or beyond the running bound
 //	router_writes_total             counter: write requests routed
 //	router_write_legs_total         counter: write legs sent to backends
 //	router_write_leg_errors_total   counter: failed write legs

@@ -1,13 +1,15 @@
 // nn.go is the cross-server best-first nearest-neighbor search — the same
 // MINDIST + running-k-th-bound algorithm internal/shard runs across its
-// shards, lifted one level: backends are visited in ascending order of
-// their bounds' MINDIST to the query point, each leg carries the running
-// bound so the backend prunes whole shards against it, and the visit loop
-// stops when the next backend's lower bound cannot beat the k-th best.
+// shards, lifted one level and planned in the space route plans in: the
+// RANGES are taken in ascending order of their effective extent's MINDIST to
+// the query point, each costs one leg to one of its holders, the leg carries
+// the running bound so the backend prunes whole shards against it, and the
+// loop stops when the nearest range still open cannot beat the k-th best.
 package router
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"mobispatial/internal/geom"
@@ -16,114 +18,100 @@ import (
 	"mobispatial/internal/shard"
 )
 
-// legStatus is one backend's disposition within one NN query.
-type legStatus uint8
-
-const (
-	legUntouched legStatus = iota
-	legVisited             // leg sent and answered
-	legPruned              // MINDIST could not beat the running bound
-	legSkipped             // breaker open, never contacted
-	legFailed              // leg sent and errored
-)
-
 // KNearestAppendUntil answers one cluster-wide k-NN query, ascending by
-// distance. The answer is complete when every range is accounted for by a
-// visited or pruned backend; pruned is as good as visited — MINDIST of a
-// backend's bounds lower-bounds every item it holds, so a pruned backend
-// cannot improve on the k found. If a range's every holder failed or was
-// skipped, the answer could silently miss true neighbors, so the query
-// fails CodeUnavailable instead.
+// distance.
 func (r *Router) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch, deadline time.Time) ([]rtree.Neighbor, error) {
 	if k <= 0 {
 		return dst, nil
 	}
-	deadline = r.deadlineOr(deadline)
 	fs := r.getScratch()
 	defer r.putScratch(fs)
+	nbs, err := r.knn(fs, pt, k, r.deadlineOr(deadline))
+	for _, nb := range nbs {
+		dst = append(dst, rtree.Neighbor{ID: nb.ID, Dist: nb.Dist})
+	}
+	return dst, err
+}
 
-	// Effective backend bounds: the snapshot's registered bounds widened by
-	// the growth of writes routed since. Without the widening, a backend
-	// that registered empty reports an empty rect — MINDIST +Inf — and is
-	// pruned the moment any bound is set, permanently hiding objects later
-	// written into it. A backend holding a divergent range gets unbounded
-	// effective bounds (MINDIST 0): its summary cannot be trusted to bound
-	// its data, so it is always visited rather than risk a silent miss.
+// knn is the range-space visit; the answer aliases fs.acc and is empty on
+// error. Completeness: the loop ends only when every range was answered by a
+// visited holder or has MINDIST above the final k-th distance — a backend
+// answers a leg over its whole pool, so one leg answers every range the
+// backend holds (the fact route's merge relies on), and MINDIST of a range's
+// effective extent lower-bounds every item in it, so a pruned range cannot
+// improve on the k found. An un-pruned range with no usable holder left
+// could silently hide true neighbors, so the query fails CodeUnavailable
+// instead. A divergent range's extent is everything: it bounds nothing, and
+// any holder may be the lagging one, so every usable holder of it is asked.
+func (r *Router) knn(fs *fanScratch, pt geom.Point, k int, deadline time.Time) ([]proto.Neighbor, error) {
 	t := r.snap()
-	fs.beEff = fs.beEff[:0]
-	for b, bb := range t.beBounds {
-		fs.beEff = append(fs.beEff, bb.Union(t.beGrow[b]))
+	fs.sel, fs.acc, fs.eff = fs.sel[:0], fs.acc[:0], fs.eff[:0]
+	fs.open = append(fs.open[:0], make([]bool, t.numRanges)...)
+	for rg := range fs.open {
+		fs.open[rg] = true
+		fs.eff = append(fs.eff, t.eff(rg))
 	}
-	for rg, d := range t.divergent {
-		if !d {
-			continue
-		}
-		for _, b := range t.holders[rg] {
-			fs.beEff[b] = everythingRect
-		}
-	}
-	fs.order = shard.OrderByMinDist(fs.order[:0], fs.beEff, pt)
-	fs.acc = fs.acc[:0]
-	visited := 0
-	for _, sd := range fs.order {
-		b := int(sd.Index)
+	fs.order = shard.OrderByMinDist(fs.order[:0], fs.eff, pt)
+	rot := int(r.rr.Add(1))
+
+	// leg asks backend b under the running bound and merges its answer. A
+	// backend that answered joins fs.sel and closes every range it holds,
+	// except a divergent one: that closes only when all its holders were asked.
+	asked := 0
+	leg := func(b int32) bool {
+		asked++
 		bound := math.Inf(1)
 		if len(fs.acc) == k {
 			bound = fs.acc[k-1].Dist
 		}
-		if sd.Dist > bound {
-			break // ascending order: every remaining backend is pruned
-		}
-		if !r.BackendHealthy(b) {
-			fs.status[b] = legSkipped
-			continue
-		}
 		start := time.Now()
 		nbrs, err := r.clients[b].KNearestNeighborsAppendUntil(fs.nbrBuf[:0], pt, k, bound, r.legDeadline(deadline))
 		fs.nbrBuf = nbrs
-		r.observeLeg(b, time.Since(start), err)
+		r.observeLeg(int(b), time.Since(start), err)
 		if err != nil {
-			fs.status[b] = legFailed
+			fs.failed[b] = true
 			r.metrics.failovers.Inc()
-			continue
+			return false
 		}
-		fs.status[b] = legVisited
-		visited++
+		fs.sel = append(fs.sel, b)
 		fs.acc = mergeNeighbors(fs.acc, nbrs, k, &fs.nbrTmp)
-	}
-	// Everything still untouched was pruned by the bound — including
-	// unhealthy backends past the break point: health does not matter for a
-	// backend whose items provably cannot enter the answer.
-	pruned := 0
-	for _, sd := range fs.order {
-		if fs.status[sd.Index] == legUntouched {
-			fs.status[sd.Index] = legPruned
-			pruned++
-		}
-	}
-	r.metrics.nnVisited.Add(uint64(visited))
-	r.metrics.nnPruned.Add(uint64(pruned))
-	r.metrics.fanout.Observe(float64(visited))
-
-	// Coverage: every range needs one holder whose answer (or pruning)
-	// accounts for its items.
-	for rg, hs := range t.holders {
-		ok := false
-		for _, b := range hs {
-			if st := fs.status[b]; st == legVisited || st == legPruned {
-				ok = true
-				break
+		for rg, held := range t.holds[b] {
+			if held && !t.divergent[rg] {
+				fs.open[rg] = false
 			}
 		}
-		if !ok {
-			r.metrics.unroutable.Inc()
-			return dst, errUnavailable(rg)
+		return true
+	}
+	for _, sd := range fs.order {
+		rg := sd.Index
+		if !fs.open[rg] {
+			continue
 		}
+		if len(fs.acc) == k && sd.Dist > fs.acc[k-1].Dist {
+			break // ascending order: every range still open is pruned
+		}
+		answered := false
+		if t.divergent[rg] {
+			for _, b := range t.holders[rg] {
+				if slices.Contains(fs.sel, b) || (r.usable(fs, b) && leg(b)) {
+					answered = true
+				}
+			}
+		}
+		for !answered { // one holder; the next one if its leg dies
+			b := r.pick(t.table, fs, rg, rot)
+			if b < 0 {
+				r.metrics.unroutable.Inc()
+				return nil, errUnavailable(int(rg))
+			}
+			answered = leg(b)
+		}
+		fs.open[rg] = false
 	}
-	for _, nb := range fs.acc {
-		dst = append(dst, rtree.Neighbor{ID: nb.ID, Dist: nb.Dist})
-	}
-	return dst, nil
+	r.metrics.nnVisited.Add(uint64(len(fs.sel)))
+	r.metrics.nnPruned.Add(uint64(len(r.clients) - asked))
+	r.metrics.fanout.Observe(float64(len(fs.sel)))
+	return fs.acc, nil
 }
 
 // NearestUntil answers one cluster-wide nearest-neighbor query.

@@ -17,12 +17,13 @@
 //
 //   - relevance: a range is fanned to only when its MBR can contain a match
 //     (window intersection, eps-expanded point containment);
-//   - replica spreading: among the backends holding a range, reads rotate
-//     round-robin, with backends whose breaker is open skipped;
-//   - NN scheduling: backends are visited best-first by MINDIST of their
-//     bounds, carrying the running k-th-neighbor bound so later backends
-//     prune whole shards (shard.Pool's KNearestBoundedAppend) and backends
-//     whose bounds cannot beat the bound are never contacted at all.
+//   - holder choice: a range is read from one of the backends holding it —
+//     the one that holds the most of the query's other open ranges, replicas
+//     rotating round-robin on ties, backends whose breaker is open skipped;
+//   - NN scheduling: ranges are taken best-first by MINDIST of their MBRs,
+//     one holder each, carrying the running k-th-neighbor bound so later
+//     backends prune whole shards (shard.Pool's KNearestBoundedAppend) and
+//     ranges whose MBR cannot beat the bound cost no leg at all.
 //
 // Failures fail over, not fail: a leg that errors marks its backend failed
 // for the query, its ranges are re-covered from surviving replicas, and the
@@ -42,8 +43,8 @@
 //     (epoch-swap discipline: build aside, swap a pointer, never mutate a
 //     table readers may hold);
 //   - growth: between refreshes, every write acked through this router
-//     widens an overlay rect for its target range (and the holders' backend
-//     bounds) immediately, before the write is acknowledged to the client —
+//     widens an overlay rect for its target range immediately, before the
+//     write is acknowledged to the client —
 //     so read-your-writes holds at the routing layer without waiting for
 //     the next poll.
 //
@@ -197,13 +198,11 @@ type Router struct {
 // range index is never used against another's slices.
 type routing struct {
 	*table
-	// grow and beGrow widen the table's routing predicates with the MBRs
-	// of writes routed since its summaries were taken — per range beyond
-	// rangeMBR, per backend beyond beBounds. Read-your-writes for routing;
-	// the refresh loop clears a range's rect once a newer summary provably
-	// covers the writes behind it.
-	grow   []geom.Rect
-	beGrow []geom.Rect
+	// grow widens the table's routing predicate with the MBRs of writes
+	// routed since its summaries were taken, per range beyond rangeMBR (see
+	// eff). Read-your-writes for routing; the refresh loop clears a range's
+	// rect once a newer summary provably covers the writes behind it.
+	grow []geom.Rect
 	// wseq[r] counts writes this router has routed into range r — the
 	// cumulative half of the cluster version vector. It never resets
 	// within one range structure (the summary-reported half catches up
@@ -215,21 +214,16 @@ type routing struct {
 }
 
 // newRouting wraps a freshly built table with an empty freshness plane.
-func newRouting(t *table, numBackends int) *routing {
-	return &routing{
-		table:  t,
-		grow:   emptyRects(t.numRanges),
-		beGrow: emptyRects(numBackends),
-		wseq:   make([]uint64, t.numRanges),
+func newRouting(t *table) *routing {
+	s := &routing{
+		table: t,
+		grow:  make([]geom.Rect, t.numRanges),
+		wseq:  make([]uint64, t.numRanges),
 	}
-}
-
-func emptyRects(n int) []geom.Rect {
-	rs := make([]geom.Rect, n)
-	for i := range rs {
-		rs[i] = geom.EmptyRect()
+	for rg := range s.grow {
+		s.grow[rg] = geom.EmptyRect()
 	}
-	return rs
+	return s
 }
 
 // New dials nothing, registers against every backend (polling until
@@ -355,7 +349,7 @@ func (r *Router) register() error {
 	}
 	r.summaries = summaries
 	r.wmu.Lock()
-	r.state.Store(newRouting(&tbl, len(r.clients)))
+	r.state.Store(newRouting(&tbl))
 	r.wmu.Unlock()
 	return nil
 }
@@ -424,7 +418,7 @@ func (r *Router) refreshOnce() {
 		r.metrics.refreshErrors.Inc()
 		return
 	}
-	next := newRouting(&tbl, len(r.clients))
+	next := newRouting(&tbl)
 	if structuralChange(&tbl, before.table) {
 		// An adaptive backend repartitioned: the range count or the key
 		// cuts changed, so every per-range index — write sequences, growth
@@ -444,9 +438,6 @@ func (r *Router) refreshOnce() {
 		if !carry.IsEmpty() {
 			for rg := range next.grow {
 				next.grow[rg] = carry
-			}
-			for b := range next.beGrow {
-				next.beGrow[b] = carry
 			}
 		}
 		// Every new range starts one write up: the reset would otherwise
@@ -477,14 +468,6 @@ func (r *Router) refreshOnce() {
 	for rg := range next.grow {
 		if cur.wseq[rg] != before.wseq[rg] {
 			next.grow[rg] = cur.grow[rg]
-		}
-	}
-	for rg, rect := range next.grow {
-		if rect.IsEmpty() {
-			continue
-		}
-		for _, b := range tbl.holders[rg] {
-			next.beGrow[b] = next.beGrow[b].Union(rect)
 		}
 	}
 	r.state.Store(next)
@@ -549,16 +532,15 @@ func (r *Router) Version(i int) uint64 {
 	return s.version[i] + s.wseq[i]
 }
 
-// ShardBounds implements qcache.Source: the range's summary MBR widened by
-// its write growth. A divergent range reports unbounded extent — a lagging
-// replica's items are not bounded by the merged MBR, so every cached region
-// must treat the range as a participant.
+// ShardBounds implements qcache.Source: the range's effective extent, the
+// rect reads route by, so a cached region's participants are the ranges a
+// re-execution would ask.
 func (r *Router) ShardBounds(i int) geom.Rect {
 	s := r.snap()
-	if i < 0 || i >= s.numRanges || s.divergent[i] {
+	if i < 0 || i >= s.numRanges {
 		return everythingRect
 	}
-	return s.rangeMBR[i].Union(s.grow[i])
+	return s.eff(i)
 }
 
 // everythingRect is the all-covering routing predicate used where a range's
@@ -580,10 +562,9 @@ func (r *Router) noteWrite(s *routing, mbr geom.Rect, target int, bumps ...int) 
 	defer r.wmu.Unlock()
 	cur := r.snap()
 	next := &routing{
-		table:  cur.table,
-		grow:   slices.Clone(cur.grow),
-		beGrow: slices.Clone(cur.beGrow),
-		wseq:   slices.Clone(cur.wseq),
+		table: cur.table,
+		grow:  slices.Clone(cur.grow),
+		wseq:  slices.Clone(cur.wseq),
 	}
 	if cur.table != s.table && structuralChange(s.table, cur.table) {
 		// A structural refresh swapped the range set while this write was
@@ -594,15 +575,9 @@ func (r *Router) noteWrite(s *routing, mbr geom.Rect, target int, bumps ...int) 
 			next.grow[rg] = next.grow[rg].Union(mbr)
 			next.wseq[rg]++
 		}
-		for b := range next.beGrow {
-			next.beGrow[b] = next.beGrow[b].Union(mbr)
-		}
 	} else {
 		if target >= 0 {
 			next.grow[target] = next.grow[target].Union(mbr)
-			for _, b := range cur.holders[target] {
-				next.beGrow[b] = next.beGrow[b].Union(mbr)
-			}
 		}
 		for _, rg := range bumps {
 			next.wseq[rg]++
@@ -682,9 +657,9 @@ type fanScratch struct {
 	errs    []error            // mirrors sel: the leg's outcome
 	wg      sync.WaitGroup     // the legs in flight
 	failed  []bool             // backend id -> failed during this call
-	status  []legStatus        // per-backend NN visit status
-	order   []shard.IndexDist  // NN visit order (ascending MINDIST)
-	beEff   []geom.Rect        // NN effective backend bounds (snapshot ∪ growth)
+	open    []bool             // range id -> the sub-query or NN being planned still needs it
+	eff     []geom.Rect        // NN: every range's effective extent
+	order   []shard.IndexDist  // NN visit order: ranges by ascending MINDIST
 	nbrBuf  []proto.Neighbor   // NN leg reply buffer
 	nbrTmp  []proto.Neighbor   // NN merge temp
 	acc     []proto.Neighbor   // NN running best-k
@@ -692,11 +667,10 @@ type fanScratch struct {
 
 func (r *Router) getScratch() *fanScratch {
 	sc := r.scratch.Get().(*fanScratch)
-	// One zeroed entry per backend: nothing failed, every NN status
-	// legUntouched, no leg outcome.
+	// One zeroed entry per backend: nothing failed, no leg outcome. The
+	// per-range state (open) is sized by the snapshot the call loads.
 	n := len(r.clients)
 	sc.failed = append(sc.failed[:0], make([]bool, n)...)
-	sc.status = append(sc.status[:0], make([]legStatus, n)...)
 	sc.errs = append(sc.errs[:0], make([]error, n)...)
 	return sc
 }

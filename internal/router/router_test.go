@@ -326,9 +326,11 @@ func TestRouterNNForcedTies(t *testing.T) {
 	}
 }
 
-// TestRouterFailover kills one backend of an R=2 cluster mid-run: every
-// query must still succeed, with the failovers visible in the router's
-// counters.
+// TestRouterFailover kills one backend of an R=2 cluster mid-run, with
+// pooled connections to it open and its breaker closed: the legs that die on
+// it fail over inside their call — a window's ranges are re-covered, a k-NN's
+// open range goes to its other holder — and every query must still succeed,
+// with the failovers visible in the router's counters.
 func TestRouterFailover(t *testing.T) {
 	ds := clusterDataset(t)
 	pool := truthPool(t, ds)
@@ -339,12 +341,13 @@ func TestRouterFailover(t *testing.T) {
 		cfg.LegTimeout = 500 * time.Millisecond
 	})
 
-	tc.servers[0].Close() // outage: backend 0 gone, every range keeps a replica
-
 	rng := rand.New(rand.NewSource(10))
 	sc := &shard.Scratch{}
 	extent := pool.Bounds()
-	for i := 0; i < 40; i++ {
+	for i := 0; i < 60; i++ {
+		if i == 20 {
+			tc.servers[0].Close() // outage: backend 0 gone, every range keeps a replica
+		}
 		w := randWindow(rng, extent, 0.05+0.2*rng.Float64())
 		got, err := r.RangeAppendUntil(nil, w, time.Time{})
 		if err != nil {
@@ -353,12 +356,14 @@ func TestRouterFailover(t *testing.T) {
 		sameIDs(t, "outage range", got, pool.RangeAppend(nil, w))
 
 		pt := geom.Point{X: 40000 * rng.Float64(), Y: 40000 * rng.Float64()}
-		nn, err := r.KNearestAppendUntil(nil, pt, 5, sc, time.Time{})
-		if err != nil {
-			t.Fatalf("knn %d during outage: %v", i, err)
+		for _, k := range []int{1, 5, 40} {
+			nn, err := r.KNearestAppendUntil(nil, pt, k, sc, time.Time{})
+			if err != nil {
+				t.Fatalf("knn %d k %d during outage: %v", i, k, err)
+			}
+			want, _ := pool.KNearestAppend(nil, pt, k, sc)
+			checkNN(t, "outage knn", ds, pt, nn, want)
 		}
-		want, _ := pool.KNearestAppend(nil, pt, 5, sc)
-		checkNN(t, "outage knn", ds, pt, nn, want)
 	}
 	if v := hub.Reg.Counter("router_leg_errors_total").Value(); v == 0 {
 		t.Fatal("no leg errors recorded despite a dead backend")
@@ -397,6 +402,22 @@ func TestRouterUnavailable(t *testing.T) {
 	if !errors.As(err, &coded) || coded.ErrCode() != proto.CodeUnavailable {
 		t.Fatalf("lost-range knn error = %v; want CodeUnavailable", err)
 	}
+
+	// The lost range matters only where the bound cannot prune it: a 1-NN
+	// that sits ON an item of a surviving range, clear of the lost range's
+	// MBR, ends at distance 0 and is answered without the dead holder.
+	for _, it := range tc.ranges[0].Items {
+		pt := ds.Seg(it.ID).A
+		if tc.ranges[1].MBR.MinDist(pt) == 0 {
+			continue
+		}
+		res, err := r.NearestUntil(pt, sc, time.Time{})
+		if err != nil || !res.OK || res.Dist != 0 {
+			t.Fatalf("1-NN at %v, beyond the lost range's reach: %+v, err %v; want an answer at distance 0", pt, res, err)
+		}
+		return
+	}
+	t.Fatal("no range-0 item clear of the lost range's MBR")
 }
 
 // TestRouterReadSpreading sends identical queries at an R=2 cluster and

@@ -9,9 +9,9 @@ import (
 )
 
 // table is the shard→server assignment derived from the backends' summaries:
-// which backends hold each Hilbert range, each range's MBR (the routing
-// predicate), and each backend's overall bounds (the NN visit order). A
-// table value is immutable once built — the router refreshes routing by
+// which backends hold each Hilbert range and each range's MBR — the routing
+// predicate of range and point reads and the NN visit order alike. A table
+// value is immutable once built — the router refreshes routing by
 // building a fresh table from re-polled summaries and atomically swapping
 // the snapshot pointer, never by mutating one in place. Health is tracked
 // by the per-backend breakers, not here.
@@ -24,8 +24,6 @@ type table struct {
 	rangeMBR []geom.Rect
 	// holds[b][r] reports whether backend b holds range r.
 	holds [][]bool
-	// beBounds[b] is backend b's overall data bounds.
-	beBounds []geom.Rect
 	// keyLo[r] is range r's Lo Hilbert key — the gap-free write-ownership
 	// cuts (shard.RangeForKey). Every holder of a range must report the
 	// same Lo: the cuts come from the deterministic cluster-wide
@@ -65,7 +63,6 @@ func buildTable(summaries []*proto.SummaryMsg) (table, error) {
 		holders:   make([][]int32, n),
 		rangeMBR:  make([]geom.Rect, n),
 		holds:     make([][]bool, len(summaries)),
-		beBounds:  make([]geom.Rect, len(summaries)),
 		keyLo:     make([]uint64, n),
 		version:   make([]uint64, n),
 		divergent: make([]bool, n),
@@ -79,7 +76,6 @@ func buildTable(summaries []*proto.SummaryMsg) (table, error) {
 			return table{}, fmt.Errorf("backend %d reports %d ranges, backend 0 reports %d", b, sm.NumRanges, n)
 		}
 		t.holds[b] = make([]bool, n)
-		t.beBounds[b] = sm.Bounds
 		for _, ri := range sm.Ranges {
 			idx := int(ri.Index)
 			if idx >= n {
@@ -131,15 +127,23 @@ func (t *table) rangeForKey(key uint64) int {
 	return shard.RangeForKey(t.keyLo, key)
 }
 
+// eff is range rg's effective extent, the one rect every read plans by: its
+// summary MBR widened by the growth of writes routed since the summary — or
+// everything when its holders diverged at summary time, because a lagging
+// replica's items are not bounded by the merged MBR.
+func (s *routing) eff(rg int) geom.Rect {
+	if s.divergent[rg] {
+		return everythingRect
+	}
+	return s.rangeMBR[rg].Union(s.grow[rg])
+}
+
 // neededRanges appends the indices of ranges that may hold items matching a
-// query inside w. A range participates when its summary MBR, or the growth
-// rect accumulated from writes routed since the summary, intersects w — or
-// unconditionally when its holders diverged at summary time, because a
-// lagging replica's items are not bounded by the merged MBR.
+// query inside w: those whose effective extent intersects it.
 func (s *routing) neededRanges(dst []int32, w geom.Rect) []int32 {
-	for idx, mbr := range s.rangeMBR {
-		if s.divergent[idx] || mbr.Intersects(w) || s.grow[idx].Intersects(w) {
-			dst = append(dst, int32(idx))
+	for rg := range s.rangeMBR {
+		if s.eff(rg).Intersects(w) {
+			dst = append(dst, int32(rg))
 		}
 	}
 	return dst
