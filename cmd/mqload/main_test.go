@@ -69,7 +69,7 @@ func startTargets(t *testing.T, ds *dataset.Dataset) (static, updatable, routed 
 	var backends []string
 	for b, rg := range ranges {
 		pool, err := mutable.New(mutable.Config{
-			Dataset: ds, Ranges: []shard.Range{rg}, Cuts: cuts, GlobalIndex: []int{b}, Bounds: bounds,
+			Dataset: ds, Ranges: []shard.Range{rg}, Cuts: cuts, Bounds: bounds,
 		})
 		if err != nil {
 			t.Fatalf("backend %d: %v", b, err)
@@ -97,7 +97,7 @@ var (
 	reErrors   = regexp.MustCompile(`(?m)^  errors    (\d+) `)
 	reReadback = regexp.MustCompile(`(?m)^  readback  (\d+) acked moves read back, (\d+) missed`)
 	reRouter   = regexp.MustCompile(` (\d+) failovers, (\d+) unroutable`)
-	reRefresh  = regexp.MustCompile(`refreshes: (\d+) structural`)
+	reRefresh  = regexp.MustCompile(`refreshes: (\d+)`)
 )
 
 func field(t *testing.T, report string, re *regexp.Regexp, group int) int {

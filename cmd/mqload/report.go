@@ -201,8 +201,7 @@ func printRouterReport(out io.Writer, pre, post serverSnap) {
 			batches, d("router_batch_queries_total"), legs, legs/batches)
 	}
 	if refreshes := d("router_refresh_total"); refreshes > 0 {
-		fmt.Fprintf(out, "            refreshes: %.0f structural (backend repartitioned) of %.0f total\n",
-			d("router_refresh_structural_total"), refreshes)
+		fmt.Fprintf(out, "            refreshes: %.0f\n", refreshes)
 	}
 	if writes := d("router_writes_total"); writes > 0 {
 		fmt.Fprintf(out, "            writes: %.0f routed over %.0f legs; %.0f leg errors, %.0f diverged, %.0f unroutable\n",

@@ -31,11 +31,10 @@
 //	            overlaying a delta tree on the packed base and folding it
 //	            in with epoch-swapped compactions (monolithic or with
 //	            -partition; -shards sets the monolithic shard count)
-//	-adaptive   workload-adaptive repartitioning (with -mutable, monolithic
-//	            only): a background repartitioner tracks per-shard query
-//	            heat and splits hot shards / merges cold neighbors at their
-//	            median Hilbert key, publishing the new cuts through live
-//	            summaries so routers follow the workload
+//	-adaptive   workload-adaptive repartitioning (with -mutable): a
+//	            background repartitioner tracks per-shard query heat and
+//	            splits hot shards / merges cold neighbors at their median
+//	            Hilbert key, inside the cluster ranges the server holds
 //	-qcache     result-cache budget in MB (0 = caching off): hotspot query
 //	            results are cached under cell-snapped keys and invalidated
 //	            by shard version, so repeated nearby queries skip the index
@@ -94,7 +93,7 @@ func run(args []string) error {
 	partition := fs.String("partition", "", "i/N: cluster backend i of N Hilbert ranges (\"\" = whole dataset)")
 	replicas := fs.Int("replicas", 1, "R-way replication under rotation placement (needs -partition, 1 <= R <= N)")
 	mut := fs.Bool("mutable", false, "updatable pool accepting live inserts/deletes/moves")
-	adaptive := fs.Bool("adaptive", false, "workload-adaptive shard repartitioning (with -mutable, monolithic only)")
+	adaptive := fs.Bool("adaptive", false, "workload-adaptive shard repartitioning (with -mutable)")
 	qcacheMB := fs.Int("qcache", 0, "result-cache budget in MB (0 = off)")
 	qcell := fs.Float64("qcell", qcache.DefaultCellSize, "result-cache snapping grid pitch in map units")
 	fault := fs.String("fault", "", "faultlink profile injected on the listener (\"\" = none)")
@@ -109,9 +108,6 @@ func run(args []string) error {
 	}
 	if *adaptive && !*mut {
 		return fmt.Errorf("-adaptive requires -mutable")
-	}
-	if *adaptive && numRanges > 0 {
-		return fmt.Errorf("-adaptive requires a monolithic pool (drop -partition); the repartitioner must own the whole key space")
 	}
 
 	ds, err := dataset.ByName(*dsName)
@@ -250,8 +246,7 @@ func parsePartition(spec string, replicas int) (backend, n int, err error) {
 // of those the ones rotation placement assigns this backend. Item ids stay
 // cluster-global.
 type backendRanges struct {
-	idxs   []int             // held range indices, primary first
-	held   []shard.Range     // those ranges
+	held   []shard.Range     // the held ranges, primary first
 	infos  []proto.RangeInfo // the rows the backend registers with
 	items  []rtree.Item      // their items, concatenated
 	cuts   []uint64          // every range's low key, cluster-wide
@@ -267,7 +262,7 @@ func holdRanges(ds *dataset.Dataset, backend, n, replicas int) (backendRanges, e
 	if err != nil {
 		return backendRanges{}, err
 	}
-	p := backendRanges{idxs: idxs, bounds: bounds, cuts: make([]uint64, n)}
+	p := backendRanges{bounds: bounds, cuts: make([]uint64, n)}
 	for i, rg := range ranges {
 		p.cuts[i] = rg.Lo
 	}
@@ -287,20 +282,17 @@ func holdRanges(ds *dataset.Dataset, backend, n, replicas int) (backendRanges, e
 }
 
 // mutablePool builds the updatable pool: over a partition, one shard per
-// held range keyed by the cluster-wide cuts so every backend agrees on write
-// ownership; otherwise shards (default 4) Hilbert runs of the whole map.
+// held range to start with, keyed by the cluster-wide cuts so every backend
+// agrees on write ownership; otherwise shards (default 4) Hilbert runs of the
+// whole map. -adaptive re-cuts the shards either way.
 func mutablePool(ds *dataset.Dataset, part backendRanges, shards int, adaptive bool, hub *obs.Hub) (*mutable.Pool, error) {
+	cfg := mutable.Config{Obs: hub, Adaptive: mutable.AdaptiveConfig{Enabled: adaptive}}
 	if part.items != nil {
-		return mutable.New(mutable.Config{
-			Dataset: ds, Ranges: part.held, Cuts: part.cuts, GlobalIndex: part.idxs,
-			Bounds: part.bounds, Obs: hub,
-		})
+		cfg.Dataset, cfg.Ranges, cfg.Cuts, cfg.Bounds = ds, part.held, part.cuts, part.bounds
+		return mutable.New(cfg)
 	}
 	if shards <= 0 {
 		shards = 4
 	}
-	return mutable.NewFromDataset(ds, shards, mutable.Config{
-		Obs:      hub,
-		Adaptive: mutable.AdaptiveConfig{Enabled: adaptive},
-	})
+	return mutable.NewFromDataset(ds, shards, cfg)
 }

@@ -17,6 +17,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-partition 0/3", accepted},
 		{"-partition 2/3 -replicas 3 -mutable", accepted},
 		{"-mutable -adaptive", accepted},
+		{"-mutable -adaptive -partition 0/3", accepted},
 
 		{"-partition 0/3x", "bad -partition"},
 		{"-partition 0/", "bad -partition"},
@@ -30,7 +31,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-partition 0/3 -replicas 4", "outside [1, 3]"},
 		{"-replicas 2", "needs -partition"},
 		{"-adaptive", "requires -mutable"},
-		{"-mutable -adaptive -partition 0/3", "drop -partition"},
+		{"-adaptive -partition 0/3", "requires -mutable"},
 	} {
 		err := run(append(strings.Fields(tc.args), "-dataset", "nope"))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

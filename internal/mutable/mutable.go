@@ -15,13 +15,16 @@
 // rebuild cost is batched into the compactor where it amortizes across
 // defaultCompactThreshold updates.
 //
-// The shard layout itself is also mutable: the pool's cut table, shard set,
-// and ownership map live in one immutable topology value behind an atomic
-// pointer, and a background repartitioner (see repartition.go) splits hot
-// shards at their median Hilbert key and merges cold neighbors by building
-// replacement shards off to the side and swapping a new topology in — the
-// same freeze/rebuild/swap discipline compaction uses, so readers never
-// block on a repartition either.
+// The shard layout itself is also mutable: the pool's local cut table and
+// shard set live in one immutable topology value behind an atomic pointer,
+// and a background repartitioner (see repartition.go) splits hot shards at
+// their median Hilbert key and merges cold neighbors by building replacement
+// shards off to the side and swapping a new topology in — the same
+// freeze/rebuild/swap discipline compaction uses, so readers never block on a
+// repartition either. The local cuts are the pool's own: every shard sits
+// inside one cluster range (Config.Cuts), which never moves, so what the pool
+// advertises — one summary row per held cluster range — keeps its shape
+// whatever the repartitioner does.
 //
 // Each mechanism has one implementation. The four append queries are thin
 // callers of one shard walker (scan, read.go), which per shard picks the
@@ -58,6 +61,7 @@
 package mutable
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -81,22 +85,19 @@ type Config struct {
 	// Required.
 	Dataset *dataset.Dataset
 
-	// Ranges are the Hilbert ranges this pool holds, one updatable shard
-	// per range (a monolithic server holds all of them; a cluster backend
-	// holds its replica subset). Each range's Items seed the shard's
-	// packed base. Required and non-empty.
+	// Ranges are the pool's initial shards, one updatable shard each, in
+	// any order. A shard sits in the cluster range its Lo keys into
+	// (shard.RangeForKey over Cuts), and the cluster ranges some shard sits
+	// in are the ones this pool holds: a cluster backend passes its replica
+	// subset, a monolithic pool any Hilbert runs of the whole map. Each
+	// range's Items seed the shard's packed base. Required and non-empty.
 	Ranges []shard.Range
 
 	// Cuts are the Lo keys of every range in the *cluster-wide*
 	// partitioning, ascending — the gap-free write-ownership table
-	// (shard.RangeForKey). For a monolithic pool this is just the Lo of
-	// every local range. Required and non-empty.
+	// (shard.RangeForKey). A monolithic pool is one cluster range: Cuts is
+	// the one key 0. Required and non-empty.
 	Cuts []uint64
-
-	// GlobalIndex maps Ranges[i] to its cluster-wide range index (the
-	// index into Cuts-space that shard.RangeForKey returns). Nil means
-	// identity: Ranges[i] is global range i, the monolithic case.
-	GlobalIndex []int
 
 	// Bounds is the partitioning extent the cluster quantized over —
 	// shard.BoundsOf of the full item set. Writes are keyed with
@@ -157,39 +158,39 @@ func (c *Config) fill() {
 // bleed into the generation, which a process will not live to see.
 const versGenShift = 48
 
-// topology is one immutable generation of the pool's shard layout: the
-// cluster-wide cut table, the global-range → local-shard mapping, the shard
-// set, and the per-shard heat tracker. Readers load it once per operation
-// through the pool's atomic pointer; the repartitioner publishes a fresh
-// value and never mutates a published one.
+// topology is one immutable generation of the pool's shard layout: the local
+// cut table, the shard set, and the per-shard heat tracker. Readers load it
+// once per operation through the pool's atomic pointer; the repartitioner
+// publishes a fresh value and never mutates a published one.
+//
+// Invariant (verifyOwnersLocked checks it under checkOwners): shard i sits in
+// cluster range shard.RangeForKey(Pool.cuts, cuts[i]), and the first shard of
+// each held cluster range g has Lo = Pool.cuts[g]. So a held key's shard is
+// shard.RangeForKey(cuts, key), and a key is held iff that shard sits in the
+// key's cluster range.
 type topology struct {
-	// gen counts repartitions; it prefixes every reported version.
+	// gen counts repartitions; it prefixes every Pool.Version.
 	gen uint64
-	// cuts are the cluster-wide Lo keys, ascending (shard.RangeForKey).
+	// cuts are the local shards' Lo keys, ascending (shard.RangeForKey).
 	cuts []uint64
-	// local maps a cluster-wide range index to a shards index.
-	local map[int]int
 	// shards are the live shards, in local index order.
 	shards []*mshard
 	// heat tracks per-shard EWMA query rates; sized to shards.
 	heat *heat.Tracker
-	// ownsAll reports the pool owns every cluster range with an identity
-	// mapping — the precondition for repartitioning (a replica holding a
-	// subset cannot re-cut the cluster unilaterally).
-	ownsAll bool
 }
 
-// rangeHi returns global range g's inclusive Hi key under this cut table.
-// Equal adjacent cuts are legal (a range owning no key); such a range
-// reports Hi = Lo so its summary row never carries an inverted span.
-func (t *topology) rangeHi(g int) uint64 {
-	if g+1 >= len(t.cuts) {
+// hiOf returns span i's inclusive Hi key under a cut table: one below the
+// next cut, the top of the key space for the last span. Equal adjacent cuts
+// are legal (a span owning no key); such a span reports Hi = Lo so it never
+// carries an inverted span.
+func hiOf(cuts []uint64, i int) uint64 {
+	if i+1 >= len(cuts) {
 		return math.MaxUint64
 	}
-	if t.cuts[g+1] <= t.cuts[g] {
-		return t.cuts[g]
+	if cuts[i+1] <= cuts[i] {
+		return cuts[i]
 	}
-	return t.cuts[g+1] - 1
+	return cuts[i+1] - 1
 }
 
 // Pool is an updatable sharded spatial index. It implements the serving
@@ -202,13 +203,22 @@ type Pool struct {
 	q  *hilbert.Quantizer
 
 	// What the pool keeps of its Config: the scalars its background loops
-	// read, and whether SummaryRanges folds the rows into one (a monolithic
-	// pool whose cuts never move). None of the caller's slices is retained.
+	// read, and a copy of the cluster cuts. None of the caller's slices is
+	// retained.
 	compactInterval  time.Duration
 	compactMaxAge    time.Duration
 	compactThreshold int
 	adaptive         AdaptiveConfig
-	foldSummary      bool
+
+	// cuts are the cluster-wide Lo keys (Config.Cuts), fixed for the pool's
+	// life: the repartitioner moves local cuts only, inside these.
+	cuts []uint64
+	// writes[g] counts the writes applied to cluster range g — the Version
+	// of its summary row. An Apply* adds one for each held range it
+	// changed; compactions and recuts change no contents and add nothing,
+	// so replicas that applied the same writes report the same version
+	// whatever their compaction or split history.
+	writes []atomic.Uint64
 
 	topo atomic.Pointer[topology]
 
@@ -286,51 +296,38 @@ func New(cfg Config) (*Pool, error) {
 		compactMaxAge:    cfg.CompactMaxAge,
 		compactThreshold: cfg.compactThreshold,
 		adaptive:         cfg.Adaptive,
-		foldSummary:      cfg.GlobalIndex == nil && !cfg.Adaptive.Enabled,
+		cuts:             slices.Clone(cfg.Cuts),
+		writes:           make([]atomic.Uint64, len(cfg.Cuts)),
 		ids:              newIDTable(cfg.Dataset.Len()),
 		stopc:            make(chan struct{}),
 	}
 	p.nnPool.New = func() any { return newNNState(p) }
 	p.m = newPoolMetrics(cfg.Obs)
 
-	t := &topology{
-		cuts:  slices.Clone(cfg.Cuts),
-		local: make(map[int]int, len(cfg.Ranges)),
-	}
-	for i, r := range cfg.Ranges {
-		g := i
-		if cfg.GlobalIndex != nil {
-			if i >= len(cfg.GlobalIndex) {
-				return nil, fmt.Errorf("mutable: GlobalIndex shorter than Ranges")
-			}
-			g = cfg.GlobalIndex[i]
+	ranges := slices.Clone(cfg.Ranges)
+	slices.SortStableFunc(ranges, func(a, b shard.Range) int { return cmp.Compare(a.Lo, b.Lo) })
+	t := &topology{}
+	for i, r := range ranges {
+		g := shard.RangeForKey(p.cuts, r.Lo)
+		lo := r.Lo
+		if i == 0 || t.shards[i-1].rg != g {
+			lo = p.cuts[g] // the first shard of a held range owns its keys from the cut
 		}
-		if g < 0 || g >= len(cfg.Cuts) {
-			return nil, fmt.Errorf("mutable: range %d has global index %d outside cuts", i, g)
-		}
-		if _, dup := t.local[g]; dup {
-			return nil, fmt.Errorf("mutable: global range %d held twice", g)
-		}
-		t.local[g] = i
-		s, err := newMShard(p, r.Items, map[uint32]geom.Segment{})
+		s, err := newMShard(p, g, r.Items, map[uint32]geom.Segment{})
 		if err != nil {
 			return nil, err
 		}
+		t.cuts = append(t.cuts, lo)
 		t.shards = append(t.shards, s)
 		for _, it := range r.Items {
 			if int(it.ID) >= p.ds.Len() {
-				return nil, fmt.Errorf("mutable: range %d item id %d outside the dataset", i, it.ID)
+				return nil, fmt.Errorf("mutable: range %d item id %d outside the dataset", r.Index, it.ID)
 			}
 			p.ids.setOwner(it.ID, s)
 		}
 		s.count.Store(int64(len(r.Items)))
 	}
 	t.heat = heat.New(len(t.shards), cfg.Adaptive.HalfLifeSeconds)
-	t.ownsAll = topologyOwnsAll(t)
-	if cfg.Adaptive.Enabled && !t.ownsAll {
-		return nil, fmt.Errorf("mutable: adaptive repartitioning requires a pool owning every cluster range (got %d of %d)",
-			len(t.shards), len(t.cuts))
-	}
 	p.topo.Store(t)
 
 	if cfg.CompactInterval > 0 {
@@ -344,40 +341,20 @@ func New(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// topologyOwnsAll reports whether t holds every cluster range under the
-// identity mapping — the shape repartitioning preserves and requires.
-func topologyOwnsAll(t *topology) bool {
-	if len(t.shards) != len(t.cuts) {
-		return false
-	}
-	for g := range t.cuts {
-		if li, ok := t.local[g]; !ok || li != g {
-			return false
-		}
-	}
-	return true
-}
-
-// NewFromDataset builds a monolithic updatable pool: the dataset is
-// Hilbert-partitioned into nShards local ranges, each owning its own key
-// run, and every write is owned locally.
+// NewFromDataset builds a monolithic updatable pool: one cluster range, the
+// whole key space, Hilbert-partitioned into nShards local shards, so every
+// write is owned locally.
 func NewFromDataset(ds *dataset.Dataset, nShards int, cfg Config) (*Pool, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("mutable: nil dataset")
 	}
-	items := ds.Items()
-	ranges, bounds := shard.PartitionHilbert(items, nShards, hilbert.Order)
+	ranges, bounds := shard.PartitionHilbert(ds.Items(), nShards, hilbert.Order)
 	if len(ranges) == 0 {
 		return nil, fmt.Errorf("mutable: dataset partitioned into zero ranges")
 	}
-	cuts := make([]uint64, len(ranges))
-	for i, r := range ranges {
-		cuts[i] = r.Lo
-	}
 	cfg.Dataset = ds
 	cfg.Ranges = ranges
-	cfg.Cuts = cuts
-	cfg.GlobalIndex = nil
+	cfg.Cuts = []uint64{0}
 	cfg.Bounds = bounds
 	return New(cfg)
 }
@@ -474,47 +451,33 @@ func (p *Pool) Merges() uint64 { return p.merges.Load() }
 
 // SummaryRanges appends the summary rows this pool advertises to a cluster
 // and returns the cluster-wide range count, all from one topology snapshot.
-// Each row carries the range's cut-table key span, live item count,
-// generation-prefixed version, current MBR, and EWMA heat. A partitioned
-// pool reports the cluster ranges it holds; an adaptive pool reports its
-// current cuts, so a router polling summaries follows every split and
-// merge. A monolithic pool whose cuts never move keeps them private: its
-// rows fold into one range spanning the key space, whose version — the sum
-// of the shard versions — is monotone and advances exactly when any
-// shard's visible state changes.
+// There is one row per held cluster range — a monolithic pool's one range
+// spans the key space — folding the shards that sit in it: the range's
+// cluster key span, live items Σ, MBR ∪ and heat Σ, and as its Version the
+// writes applied to the range (Pool.writes). The local cuts never show: a
+// split or merge changes no row's shape, and no row's version.
 func (p *Pool) SummaryRanges(dst []proto.RangeInfo) ([]proto.RangeInfo, int) {
 	t := p.topo.Load()
 	t.heat.Fold()
-	base := len(dst)
-	for g := range t.cuts {
-		li, ok := t.local[g]
-		if !ok || li >= len(t.shards) {
-			continue
-		}
-		s := t.shards[li]
-		dst = append(dst, proto.RangeInfo{
-			Index:   uint32(g),
-			Items:   clampItems(s.count.Load()),
-			Lo:      t.cuts[g],
-			Hi:      t.rangeHi(g),
-			Version: t.gen<<versGenShift | s.version.Load(),
-			MBR:     s.boundsNow(),
-			Heat:    t.heat.Rate(li),
-		})
-	}
-	if !p.foldSummary {
-		return dst, len(t.cuts)
-	}
-	one := proto.RangeInfo{Hi: math.MaxUint64, MBR: geom.EmptyRect()}
 	var items int64
-	for _, r := range dst[base:] {
-		items += int64(r.Items)
-		one.Version += r.Version
-		one.MBR = one.MBR.Union(r.MBR)
-		one.Heat += r.Heat
+	for i, s := range t.shards {
+		if i == 0 || s.rg != t.shards[i-1].rg {
+			dst = append(dst, proto.RangeInfo{
+				Index:   uint32(s.rg),
+				Lo:      p.cuts[s.rg],
+				Hi:      hiOf(p.cuts, s.rg),
+				Version: p.writes[s.rg].Load(),
+				MBR:     geom.EmptyRect(),
+			})
+			items = 0
+		}
+		row := &dst[len(dst)-1]
+		items += s.count.Load()
+		row.Items = clampItems(items)
+		row.MBR = row.MBR.Union(s.boundsNow())
+		row.Heat += t.heat.Rate(i)
 	}
-	one.Items = clampItems(items)
-	return append(dst[:base], one), 1
+	return dst, len(p.cuts)
 }
 
 // clampItems clamps a live item count into the wire's uint32 field.

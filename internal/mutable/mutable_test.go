@@ -139,7 +139,6 @@ func TestPartitionedOwnership(t *testing.T) {
 	p, err := New(Config{
 		Dataset:         ds,
 		Ranges:          []shard.Range{ranges[0], ranges[1]},
-		GlobalIndex:     []int{0, 1},
 		Cuts:            cuts,
 		Bounds:          bounds,
 		CompactInterval: -1,

@@ -12,9 +12,13 @@ import (
 )
 
 // Workload-adaptive repartitioning. A background loop watches the per-shard
-// EWMA heat the read path samples and reshapes the cut table online: a shard
-// drawing a disproportionate share of queries splits at the median Hilbert
-// key of its contents, and a run of cold neighbors merges back into one.
+// EWMA heat the read path samples and reshapes the local cut table online: a
+// shard drawing a disproportionate share of queries splits at the median
+// Hilbert key of its contents, and a run of cold neighbors merges back into
+// one. The cluster ranges stay put: a split stays inside its shard, so inside
+// the shard's cluster range, and only neighbors of one cluster range merge —
+// so the repartitioner runs on any pool, a replica holding a subset of the
+// cluster included, and nothing outside the pool sees it.
 // Both are one primitive, recut — re-cut a run of adjacent Hilbert ranges —
 // built from the compactor's own freeze (freezeAll) and fold (mergedItems):
 // replacement shards are built off to the side from immutable inputs, then a
@@ -29,10 +33,7 @@ import (
 // drain. The swap happens under the pool's omu, the same lock every write
 // resolves ownership under, so no write can land in a retired shard.
 
-// AdaptiveConfig tunes the repartitioner. The zero value disables it; an
-// enabled config requires the pool to own every cluster range under the
-// identity mapping (a replica holding a subset cannot re-cut the cluster
-// unilaterally).
+// AdaptiveConfig tunes the repartitioner. The zero value disables it.
 type AdaptiveConfig struct {
 	// Enabled turns the heat-driven split/merge loop on.
 	Enabled bool
@@ -51,7 +52,8 @@ type AdaptiveConfig struct {
 	// per-shard version-vector width.
 	MaxShards int
 
-	// MinShards floors the shard count for merges. Defaults to 1.
+	// MinShards floors the shard count for merges. Defaults to 1 (a pool
+	// never merges below one shard per held range).
 	MinShards int
 
 	// HalfLifeSeconds is the heat EWMA half-life;
@@ -103,14 +105,11 @@ func (p *Pool) repartitionLoop() {
 
 // RepartitionOnce runs one decision tick: fold the heat, then apply at most
 // one split (of the hottest eligible shard) or merge (of the coldest
-// adjacent pair). It reports whether the topology changed. The background
-// loop calls it every Adaptive.Interval; tests call it directly for
-// deterministic repartitions.
+// adjacent pair inside one cluster range). It reports whether the topology
+// changed. The background loop calls it every Adaptive.Interval; tests call
+// it directly for deterministic repartitions.
 func (p *Pool) RepartitionOnce() bool {
 	t := p.topo.Load()
-	if !t.ownsAll || len(t.shards) == 0 {
-		return false
-	}
 	t.heat.Fold()
 	cfg := &p.adaptive
 	n := len(t.shards)
@@ -136,13 +135,16 @@ func (p *Pool) RepartitionOnce() bool {
 		}
 	}
 
-	// Merge the coldest adjacent pair.
-	if n > cfg.MinShards && n >= 2 {
+	// Merge the coldest adjacent pair of one cluster range.
+	if n > cfg.MinShards {
 		best, bestSum := -1, 0.0
-		for g := 0; g+1 < n; g++ {
-			sum := t.heat.Rate(g) + t.heat.Rate(g+1)
+		for i := 0; i+1 < n; i++ {
+			if t.shards[i].rg != t.shards[i+1].rg {
+				continue
+			}
+			sum := t.heat.Rate(i) + t.heat.Rate(i+1)
 			if best < 0 || sum < bestSum {
-				best, bestSum = g, sum
+				best, bestSum = i, sum
 			}
 		}
 		if best >= 0 && bestSum <= mergeFactor*mean {
@@ -185,17 +187,24 @@ func (p *Pool) adopt(c *mshard, pendSince int64) {
 }
 
 // recut is the one repartition primitive: it replaces the nVictims adjacent
-// shards starting at global range g of topology t with len(newCuts)+1
-// children — the victims' key span re-cut at newCuts — and publishes the
-// t.gen+1 topology. It reports false when it cannot proceed (a freeze is
+// shards starting at shard g of topology t — all of one cluster range — with
+// len(newCuts)+1 children of that range, the victims' key span re-cut at
+// newCuts, and publishes the t.gen+1 topology. It reports false when it
+// cannot proceed (the victims straddle a cluster cut, a freeze is
 // outstanding on a victim, newCuts leave a child empty, or t is no longer
 // current); every abort after the freeze restores the victims via
 // finishCompact, which folds each frozen layer back into a fresh base.
 func (p *Pool) recut(t *topology, g, nVictims int, newCuts []uint64) bool {
-	if !t.ownsAll || g < 0 || g+nVictims > len(t.shards) {
+	if g < 0 || g+nVictims > len(t.shards) {
 		return false
 	}
 	victims := t.shards[g : g+nVictims]
+	rg := victims[0].rg
+	for _, s := range victims {
+		if s.rg != rg {
+			return false
+		}
+	}
 	fs := freezeAll(victims, true)
 	if fs == nil {
 		return false
@@ -232,7 +241,7 @@ func (p *Pool) recut(t *topology, g, nVictims int, newCuts []uint64) bool {
 			return abort() // the cuts separate nothing
 		}
 		var err error
-		if children[c], err = newMShard(p, items[c], over[c]); err != nil {
+		if children[c], err = newMShard(p, rg, items[c], over[c]); err != nil {
 			p.m.compactErrs.Inc()
 			return abort()
 		}
@@ -290,14 +299,10 @@ func (p *Pool) recut(t *topology, g, nVictims int, newCuts []uint64) bool {
 	for _, c := range children {
 		p.adopt(c, pendSince)
 	}
-	if checkOwners {
-		verifyOwnersLocked(p, "recut", t, victims, children)
-	}
 
-	nt := &topology{gen: t.gen + 1, ownsAll: true}
+	nt := &topology{gen: t.gen + 1}
 	nt.cuts = slices.Concat(t.cuts[:g+1], newCuts, t.cuts[g+nVictims:])
 	nt.shards = slices.Concat(t.shards[:g], children, t.shards[g+nVictims:])
-	nt.local = make(map[int]int, len(nt.shards))
 	nt.heat = heat.New(len(nt.shards), p.adaptive.HalfLifeSeconds)
 	// Heat survives the swap: the children share the victims' rate evenly.
 	var rate float64
@@ -305,7 +310,6 @@ func (p *Pool) recut(t *topology, g, nVictims int, newCuts []uint64) bool {
 		rate += t.heat.Rate(g + i)
 	}
 	for i := range nt.shards {
-		nt.local[i] = i
 		switch {
 		case i < g:
 			nt.heat.Seed(i, t.heat.Rate(i))
@@ -315,6 +319,9 @@ func (p *Pool) recut(t *topology, g, nVictims int, newCuts []uint64) bool {
 			nt.heat.Seed(i, t.heat.Rate(i-len(children)+nVictims))
 		}
 	}
+	if checkOwners {
+		verifyOwnersLocked(p, "recut", nt, victims, children)
+	}
 	p.topo.Store(nt)
 
 	unlock()
@@ -322,15 +329,16 @@ func (p *Pool) recut(t *topology, g, nVictims int, newCuts []uint64) bool {
 	return true
 }
 
-// splitShard splits global range g of topology t at the median Hilbert key
-// of its packed base (the contents as of its last fold), publishing a
-// t.gen+1 topology with one more shard. It reports false when there is no
+// splitShard splits shard g of topology t at the median Hilbert key of its
+// packed base (the contents as of its last fold), publishing a t.gen+1
+// topology with one more shard. It reports false when there is no
 // separating key or the recut aborts.
 func (p *Pool) splitShard(t *topology, g int) bool {
 	if g < 0 || g >= len(t.shards) {
 		return false
 	}
-	items := t.shards[g].base.Load().tree.PackOrder()
+	s := t.shards[g]
+	items := s.base.Load().tree.PackOrder()
 	keys := make([]uint64, len(items))
 	for i, it := range items {
 		keys[i] = shard.WriteKey(p.q, it.MBR)
@@ -339,10 +347,11 @@ func (p *Pool) splitShard(t *topology, g int) bool {
 
 	// The cut becomes the right child's Lo: it must strictly separate the
 	// sorted keys (both children non-empty) and sit strictly inside the
-	// range's key span so the cut table stays ascending. Scan outward from
+	// shard's key span, itself inside its cluster range's, so the cut table
+	// stays ascending and both children stay in the range. Scan outward from
 	// the median for the most balanced valid cut; degenerate contents (all
 	// keys equal) have none.
-	lo, hi := t.cuts[g], t.rangeHi(g)
+	lo, hi := t.cuts[g], min(hiOf(t.cuts, g), hiOf(p.cuts, s.rg))
 	nk := len(keys)
 	for d := 0; d < nk; d++ {
 		for _, idx := range [2]int{nk/2 - d, nk/2 + d} {
@@ -359,9 +368,9 @@ func (p *Pool) splitShard(t *topology, g int) bool {
 	return false
 }
 
-// mergeShards merges global ranges g and g+1 of topology t into one shard,
+// mergeShards merges shards g and g+1 of topology t into one shard,
 // publishing a t.gen+1 topology with one fewer shard and the boundary cut
-// dropped.
+// dropped. Shards of two cluster ranges never merge.
 func (p *Pool) mergeShards(t *topology, g int) bool {
 	if !p.recut(t, g, 2, nil) {
 		return false

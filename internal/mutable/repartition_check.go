@@ -1,14 +1,19 @@
 package mutable
 
-import "fmt"
+import (
+	"fmt"
 
-// checkOwners enables an id-table invariant check at every repartition
-// publish: after adopt, no owner entry may point at a shard outside the
-// about-to-be-published set. The soak test flips it on; production leaves it
-// off and pays one branch per split/merge. The per-layer state dump in the
-// panic is deliberate — a violation here means a writer and a repartition
-// disagreed about where an id lives, and the layer bits are what localize
-// which freeze window the write slipped through.
+	"mobispatial/internal/shard"
+)
+
+// checkOwners enables the topology invariant checks at every repartition
+// publish: each shard sits in the cluster range its Lo keys into, and after
+// adopt no id-table owner points at a shard outside the about-to-be-published
+// set. The soak test flips it on; production leaves it off and pays one
+// branch per split/merge. The per-layer state dump in the owner panic is
+// deliberate — a violation there means a writer and a repartition disagreed
+// about where an id lives, and the layer bits are what localize which freeze
+// window the write slipped through.
 var checkOwners bool
 
 func ownerIDState(tag string, s *mshard, id uint32) string {
@@ -24,25 +29,24 @@ func ownerIDState(tag string, s *mshard, id uint32) string {
 		tag, s.li, inOver, inTomb, inHas, fOver, fTomb, s.frozen != nil)
 }
 
-// verifyOwnersLocked panics if any id-table owner points outside
-// (t.shards \ retired) ∪ created. Caller holds p.omu and the shard locks of
-// every retired/created shard, immediately before storing the new topology.
-func verifyOwnersLocked(p *Pool, op string, t *topology, retired, created []*mshard) {
-	valid := make(map[*mshard]bool, len(t.shards)+len(created))
-	for _, s := range t.shards {
-		valid[s] = true
-	}
-	for _, s := range retired {
-		delete(valid, s)
-	}
-	for _, s := range created {
+// verifyOwnersLocked panics if a shard of nt does not sit in the cluster
+// range its Lo keys into, or any id-table owner points outside nt's shards.
+// Caller holds p.omu and the shard locks of every retired/created shard,
+// immediately before storing nt.
+func verifyOwnersLocked(p *Pool, op string, nt *topology, retired, created []*mshard) {
+	valid := make(map[*mshard]bool, len(nt.shards))
+	for i, s := range nt.shards {
+		if g := shard.RangeForKey(p.cuts, nt.cuts[i]); s.rg != g {
+			panic(fmt.Sprintf("%s gen %d: shard %d (Lo %d) sits in cluster range %d, its Lo keys into %d",
+				op, nt.gen, i, nt.cuts[i], s.rg, g))
+		}
 		valid[s] = true
 	}
 	p.ids.each(func(id uint32, sh *mshard) {
 		if valid[sh] {
 			return
 		}
-		msg := fmt.Sprintf("%s gen %d->%d: owner(%d) -> invalid shard li=%d;", op, t.gen, t.gen+1, id, sh.li)
+		msg := fmt.Sprintf("%s gen %d->%d: owner(%d) -> invalid shard li=%d;", op, nt.gen-1, nt.gen, id, sh.li)
 		msg += ownerIDState("owner", sh, id)
 		for i, s := range retired {
 			msg += ownerIDState(fmt.Sprintf("retired%d", i), s, id)

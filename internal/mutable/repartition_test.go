@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mobispatial/internal/geom"
+	"mobispatial/internal/shard"
 )
 
 // adaptiveTestPool is testPool with the repartitioner armed but its
@@ -26,6 +27,29 @@ func adaptiveTestPool(t *testing.T, n, shards int) *Pool {
 	}
 	t.Cleanup(p.Close)
 	return p
+}
+
+// checkShardRanges holds p's topology to its invariant: one strictly
+// ascending Lo key per shard, and each shard sitting in the cluster range
+// its Lo keys into.
+func checkShardRanges(t *testing.T, p *Pool) bool {
+	t.Helper()
+	tp := p.topo.Load()
+	if len(tp.cuts) != len(tp.shards) {
+		t.Errorf("topology has %d cuts for %d shards", len(tp.cuts), len(tp.shards))
+		return false
+	}
+	for i, s := range tp.shards {
+		if i > 0 && tp.cuts[i] <= tp.cuts[i-1] {
+			t.Errorf("local cuts not strictly ascending at %d", i)
+			return false
+		}
+		if g := shard.RangeForKey(p.cuts, tp.cuts[i]); s.rg != g {
+			t.Errorf("shard %d sits in cluster range %d, its Lo keys into %d", i, s.rg, g)
+			return false
+		}
+	}
+	return true
 }
 
 // TestRepartitionOnceSplitsHotShard drives the heat-driven decision end to
@@ -68,14 +92,16 @@ func TestRepartitionOnceSplitsHotShard(t *testing.T) {
 		t.Fatalf("post-split Version(0) = %#x (gen %d); want gen 1, != pre-split %#x",
 			v, v>>versGenShift, v0)
 	}
-	// Heat survives the swap: the children inherit the parent's rate.
+	// The split is local: the pool still advertises its one cluster range,
+	// and the children's inherited heat folds into that row.
 	rows, num := p.SummaryRanges(nil)
-	if num != 2 || len(rows) != 2 {
-		t.Fatalf("SummaryRanges after split = %d rows of %d, want 2 of 2", len(rows), num)
+	if num != 1 || len(rows) != 1 {
+		t.Fatalf("SummaryRanges after split = %d rows of %d, want 1 of 1", len(rows), num)
 	}
-	if h := rows[0].Heat + rows[1].Heat; h <= 0 {
-		t.Fatalf("children inherited no heat (%v)", h)
+	if rows[0].Heat <= 0 {
+		t.Fatalf("children inherited no heat (%v)", rows[0].Heat)
 	}
+	checkShardRanges(t, p)
 
 	model := make(map[uint32]geom.Segment, ds.Len())
 	for id := 0; id < ds.Len(); id++ {
@@ -176,17 +202,8 @@ func TestRepartitionEquivalenceQuick(t *testing.T) {
 				}
 				// The topology must stay internally consistent whether or
 				// not the repartition committed.
-				nt := p.topo.Load()
-				if len(nt.cuts) != len(nt.shards) || !nt.ownsAll {
-					t.Errorf("seed %d: topology %d cuts / %d shards ownsAll=%v",
-						seed, len(nt.cuts), len(nt.shards), nt.ownsAll)
+				if !checkShardRanges(t, p) {
 					return false
-				}
-				for i := 1; i < len(nt.cuts); i++ {
-					if nt.cuts[i] <= nt.cuts[i-1] {
-						t.Errorf("seed %d: cuts not strictly ascending at %d", seed, i)
-						return false
-					}
 				}
 			}
 			if p.Len() != len(model) {

@@ -93,6 +93,9 @@ type mshard struct {
 	// li is the shard's unique lock-ordering id (pool-monotone; after a
 	// repartition it no longer equals the shard's topology position).
 	li int
+	// rg is the cluster range the shard sits in; a recut's children
+	// inherit their victims'.
+	rg int
 
 	epoch atomic.Uint64
 	// version counts every visible-state change: it advances (under the
@@ -126,9 +129,9 @@ type mshard struct {
 	frozen  *frozenView
 }
 
-// newMShard builds a shard over items (copied) under the next
-// lock-ordering id. The shard is private until a topology publishes it.
-func newMShard(p *Pool, items []rtree.Item, over map[uint32]geom.Segment) (*mshard, error) {
+// newMShard builds a shard of cluster range rg over items (copied) under the
+// next lock-ordering id. The shard is private until a topology publishes it.
+func newMShard(p *Pool, rg int, items []rtree.Item, over map[uint32]geom.Segment) (*mshard, error) {
 	li := int(p.liSeq.Add(1) - 1)
 	bv, err := newBaseView(p.ds.Len(), items, over)
 	if err != nil {
@@ -138,7 +141,7 @@ func newMShard(p *Pool, items []rtree.Item, over map[uint32]geom.Segment) (*msha
 	if err != nil {
 		return nil, fmt.Errorf("mutable: shard %d delta: %w", li, err)
 	}
-	s := &mshard{pl: p, li: li, delta: delta, overSeg: map[uint32]geom.Segment{}, tombs: map[uint32]struct{}{}}
+	s := &mshard{pl: p, li: li, rg: rg, delta: delta, overSeg: map[uint32]geom.Segment{}, tombs: map[uint32]struct{}{}}
 	s.base.Store(bv)
 	return s, nil
 }
@@ -360,12 +363,12 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64,
 	// taken below — a writer can never land an object in a retired shard.
 	p.omu.Lock()
 	t := p.topo.Load()
-	li, ownedHere := t.local[shard.RangeForKey(t.cuts, key)]
+	target := t.shards[shard.RangeForKey(t.cuts, key)]
 	old := p.ids.owner(id)
 
-	if !ownedHere {
-		// The object's new position belongs to some other backend's
-		// ranges: all this pool must do is forget its stale copy.
+	if target.rg != shard.RangeForKey(p.cuts, key) {
+		// The object's new position is in a cluster range this pool does
+		// not hold: all it must do is forget its stale copy.
 		p.m.notOwned.Inc()
 		if old == nil {
 			p.omu.Unlock()
@@ -375,7 +378,6 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64,
 		return epoch, existed, false, nil
 	}
 
-	target := t.shards[li]
 	if old != nil && old != target {
 		// Cross-shard move: drop the old copy and install the new one
 		// under both locks, acquired in ascending li order, inside one
@@ -396,6 +398,7 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64,
 		if target.upsertLocked(id, seg) {
 			existed = true
 		}
+		p.wrote(old, target)
 		epoch := target.epoch.Load()
 		old.mu.Unlock()
 		target.mu.Unlock()
@@ -410,6 +413,7 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64,
 	}
 	p.omu.Unlock()
 	existed := target.upsertLocked(id, seg)
+	p.wrote(target, target)
 	epoch := target.epoch.Load()
 	target.mu.Unlock()
 	return epoch, existed, true, nil
@@ -440,10 +444,20 @@ func (p *Pool) evict(id uint32, sh *mshard) (epoch uint64, existed bool) {
 	sh.mu.Lock()
 	p.beginXfer(id)
 	existed = sh.removeLocked(id)
+	p.wrote(sh, sh)
 	epoch = sh.epoch.Load()
 	sh.mu.Unlock()
 	p.endXfer()
 	return epoch, existed
+}
+
+// wrote counts one applied write against the cluster ranges of the shards it
+// changed, once per range (Pool.writes), before the write is acknowledged.
+func (p *Pool) wrote(a, b *mshard) {
+	p.writes[a.rg].Add(1)
+	if b.rg != a.rg {
+		p.writes[b.rg].Add(1)
+	}
 }
 
 // beginXfer opens the bracket around one cross-shard transfer of id: the

@@ -3,10 +3,8 @@ package router
 // batch_test.go pins the locality-aware batch path (batch.go): a client
 // batch through a router-fronted server must reach each owning backend as
 // ONE MsgBatchQuery leg (the wire-counter acceptance check), answer exactly
-// what the monolithic truth answers, survive a dead backend by re-covering
-// its ranges inside the same call, and — the adaptive half — the router must pick up a
-// backend's repartitioned cut table through its summary refresh without a
-// restart.
+// what the monolithic truth answers, and survive a dead backend by
+// re-covering its ranges inside the same call.
 
 import (
 	"math/rand"
@@ -15,7 +13,6 @@ import (
 	"time"
 
 	"mobispatial/internal/geom"
-	"mobispatial/internal/mutable"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/serve"
@@ -276,68 +273,4 @@ func TestRouterBatchFailoverInsideOneCall(t *testing.T) {
 	if v := hub.Reg.Counter("router_unroutable_total").Value(); v != 0 {
 		t.Fatalf("%d sub-queries unroutable; R=2 must survive one backend", v)
 	}
-}
-
-// TestRouterPicksUpAdaptiveCuts closes the adaptive loop across the wire: a
-// backend pool splits a hot shard at runtime, and the router — registered
-// when the backend had ONE range — must learn the new cut table through its
-// summary refresh (a structural swap), grow its range view, and keep
-// answering exactly.
-func TestRouterPicksUpAdaptiveCuts(t *testing.T) {
-	ds := clusterDataset(t)
-	tc, pool := startAdaptiveBackend(t, ds, mutable.AdaptiveConfig{MinShardItems: 8, MaxShards: 8})
-
-	hub := obs.NewHub()
-	r := newRouter(t, tc, func(cfg *Config) {
-		cfg.Obs = hub
-		cfg.RefreshInterval = 25 * time.Millisecond
-	})
-	if got := r.NumShards(); got != 1 {
-		t.Fatalf("NumShards = %d at registration, want 1", got)
-	}
-
-	// Heat the pool until the repartitioner splits (driven by hand so the
-	// test controls pacing; the EWMA fold needs wall time to see a rate).
-	rng := rand.New(rand.NewSource(64))
-	var buf []uint32
-	deadline := time.Now().Add(15 * time.Second)
-	for pool.Splits() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("repartitioner never split a 6000-item pool under sustained traffic")
-		}
-		for i := 0; i < 64; i++ {
-			buf = pool.FilterRangeAppend(buf[:0], randWindow(rng, ds.Extent, 0.05))
-		}
-		pool.RepartitionOnce()
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	// The refresh loop must pick the new cut table up as a structural swap.
-	deadline = time.Now().Add(10 * time.Second)
-	for r.NumShards() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("router still sees %d ranges after the backend split (refresh stalled?)", r.NumShards())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if v := hub.Reg.Counter("router_refresh_structural_total").Value(); v == 0 {
-		t.Fatal("range set grew without a structural refresh being counted")
-	}
-	// The backend stamps its topology generation into the version high bits,
-	// so every post-split version the router reports reflects the new world.
-	if gen := r.Version(0) >> 48; gen == 0 {
-		t.Fatalf("range 0 version %#x carries no topology generation after a split", r.Version(0))
-	}
-
-	// The grown table must still route exactly.
-	for i := 0; i < 20; i++ {
-		w := randWindow(rng, ds.Extent, 0.02+0.2*rng.Float64())
-		got, err := r.RangeAppendUntil(nil, w, time.Time{})
-		if err != nil {
-			t.Fatalf("post-split range %d: %v", i, err)
-		}
-		sameIDs(t, "post-split range", got, pool.RangeAppend(nil, w))
-	}
-	pt := geom.Point{X: 40000 * rng.Float64(), Y: 40000 * rng.Float64()}
-	sameKNN(t, "post-split knn", r, pool, pt, 8)
 }

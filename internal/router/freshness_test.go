@@ -60,7 +60,6 @@ func startSparseCluster(t testing.TB, ds *dataset.Dataset, nBackends, emptyRg in
 			Dataset:         ds,
 			Ranges:          []shard.Range{rg},
 			Cuts:            cuts,
-			GlobalIndex:     []int{b},
 			Bounds:          bounds,
 			CompactInterval: -1,
 		})
@@ -212,7 +211,7 @@ func TestClusterReadsSeeFreshWrites(t *testing.T) {
 // indistinguishable from the single-process truth the whole way.
 func TestRouterMutableQuickEquivalence(t *testing.T) {
 	ds := clusterDataset(t)
-	tc, _, _ := startMutableCluster(t, ds, 3, 2)
+	tc, _, _ := startMutableCluster(t, ds, 3, 2, mutable.AdaptiveConfig{})
 	r := newRouter(t, tc, nil)
 	truth, err := mutable.NewFromDataset(ds, 4, mutable.Config{CompactInterval: -1})
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 
 	"mobispatial/internal/faultlink"
 	"mobispatial/internal/geom"
+	"mobispatial/internal/mutable"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/serve/client"
 	"mobispatial/internal/shard"
@@ -241,7 +242,7 @@ func TestRouterNNBreakerOpen(t *testing.T) {
 // way the rotation points.
 func TestRouterNNDivergentAsksEveryHolder(t *testing.T) {
 	ds := clusterDataset(t)
-	tc, pools, cuts := startMutableCluster(t, ds, 3, 2)
+	tc, pools, cuts := startMutableCluster(t, ds, 3, 2, mutable.AdaptiveConfig{})
 	hub := obs.NewHub()
 	r := newRouter(t, tc, func(cfg *Config) {
 		cfg.Obs = hub

@@ -45,14 +45,10 @@ import (
 //	                                fan-out
 //	router_refresh_total            counter: routing-table refreshes swapped
 //	router_refresh_errors_total     counter: refresh polls that failed (an
-//	                                unreachable backend, an inconsistent
-//	                                summary set) — the table keeps serving
-//	                                its previous snapshot
-//	router_refresh_structural_total counter: refreshes that swapped in a
-//	                                STRUCTURALLY different table (an
-//	                                adaptive backend split or merged a
-//	                                range) — write sequences and growth
-//	                                restart against the new range set
+//	                                unreachable backend, a summary of
+//	                                another range structure, an
+//	                                inconsistent summary set) — the table
+//	                                keeps serving its previous snapshot
 //	router_ranges_divergent         gauge: ranges whose holders disagreed on
 //	                                version or item count at the last
 //	                                refresh — replication lag in flight;
@@ -85,10 +81,9 @@ type routerMetrics struct {
 	batchQueries *obs.Counter
 	batchLegs    *obs.Counter
 
-	refreshes           *obs.Counter
-	refreshErrors       *obs.Counter
-	structuralRefreshes *obs.Counter
-	divergentRanges     *obs.Gauge
+	refreshes       *obs.Counter
+	refreshErrors   *obs.Counter
+	divergentRanges *obs.Gauge
 
 	beHealthy []*obs.Gauge
 	beLegs    []*obs.Counter
@@ -122,7 +117,6 @@ func newRouterMetrics(h *obs.Hub, backends []string) routerMetrics {
 	m.batchLegs = h.Reg.Counter("router_batch_legs_total")
 	m.refreshes = h.Reg.Counter("router_refresh_total")
 	m.refreshErrors = h.Reg.Counter("router_refresh_errors_total")
-	m.structuralRefreshes = h.Reg.Counter("router_refresh_structural_total")
 	m.divergentRanges = h.Reg.Gauge("router_ranges_divergent")
 	for _, addr := range backends {
 		g := h.Reg.Gauge(obs.Name("router_backend_healthy", "backend", addr))

@@ -2,18 +2,24 @@ package router
 
 // refresh_test.go exercises the freshness plane the router builds on top of
 // its registration snapshot: the background summary re-poll (writes applied
-// directly at a backend become routable without this router seeing them),
-// the qcache.Source surface (per-range version vector + conservative
-// bounds), and the router-tier result cache wired through the serve layer.
+// directly at a backend become routable without this router seeing them; a
+// summary of another range structure is refused), the qcache.Source surface
+// (per-range version vector + conservative bounds), and the router-tier
+// result cache wired through the serve layer.
 
 import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"mobispatial/internal/geom"
+	"mobispatial/internal/mutable"
+	"mobispatial/internal/obs"
+	"mobispatial/internal/proto"
 	"mobispatial/internal/qcache"
 	"mobispatial/internal/serve"
 	"mobispatial/internal/serve/client"
@@ -59,6 +65,54 @@ func TestRouterRefreshSeesDirectWrites(t *testing.T) {
 			t.Fatalf("range %d version stuck at %d after a backend write", emptyRg, v0)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRefreshRefusesStructuralChange: the range structure a router registered
+// is the cluster's for good. A backend whose summary starts reporting another
+// range count — or the same count at other key cuts — is refused at every
+// refresh: the table keeps its registered structure and each refusal counts
+// in router_refresh_errors_total.
+func TestRefreshRefusesStructuralChange(t *testing.T) {
+	ds := clusterDataset(t)
+	row := func(idx uint32, lo uint64) proto.RangeInfo {
+		return proto.RangeInfo{Index: idx, Items: 1, Lo: lo, Hi: lo, MBR: ds.Extent}
+	}
+	var current atomic.Pointer[proto.SummaryMsg]
+	current.Store(&proto.SummaryMsg{NumRanges: 2, Bounds: ds.Extent, Ranges: []proto.RangeInfo{row(0, 0), row(1, 100)}})
+	hub := obs.NewHub()
+	r, err := New(Config{
+		Backends:        []string{stalledBackend(t, func() proto.SummaryMsg { return *current.Load() })},
+		Dataset:         ds,
+		RefreshInterval: 5 * time.Millisecond,
+		RegisterTimeout: 15 * time.Second,
+		Obs:             hub,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	errs := hub.Reg.Counter("router_refresh_errors_total")
+
+	for _, tc := range []struct {
+		name string
+		sm   proto.SummaryMsg
+	}{
+		{"range count", proto.SummaryMsg{NumRanges: 3, Bounds: ds.Extent, Ranges: []proto.RangeInfo{row(0, 0), row(1, 100), row(2, 200)}}},
+		{"key cuts", proto.SummaryMsg{NumRanges: 2, Bounds: ds.Extent, Ranges: []proto.RangeInfo{row(0, 0), row(1, 200)}}},
+	} {
+		current.Store(&tc.sm)
+		for want, deadline := errs.Value()+3, time.Now().Add(10*time.Second); errs.Value() < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the changed summary was never refused", tc.name)
+			}
+		}
+		if s := r.snap(); s.numRanges != 2 || !slices.Equal(s.keyLo, []uint64{0, 100}) {
+			t.Fatalf("%s: table has %d ranges at cuts %v, registered 2 at [0 100]", tc.name, s.numRanges, s.keyLo)
+		}
+		if n := hub.Reg.Gauge("router_ranges").Value(); n != 2 {
+			t.Fatalf("%s: router_ranges %v, want 2", tc.name, n)
+		}
 	}
 }
 
@@ -126,7 +180,7 @@ func TestRouterSourceZeroAlloc(t *testing.T) {
 // that the hotspot actually hits the cache.
 func TestRouterCacheEquivalenceUnderWrites(t *testing.T) {
 	ds := clusterDataset(t)
-	tc, _, _ := startMutableCluster(t, ds, 3, 2)
+	tc, _, _ := startMutableCluster(t, ds, 3, 2, mutable.AdaptiveConfig{})
 	r := newRouter(t, tc, nil)
 
 	qc := qcache.New(qcache.Config{MaxBytes: 8 << 20})

@@ -49,9 +49,9 @@
 //     the next poll.
 //
 // The table, the growth rects and the per-range write counts are published
-// together as one immutable snapshot (routing): a query loads it once, and
-// a refresh that changes the range structure itself (an adaptive backend
-// split or merged) can never be seen half-applied.
+// together as one immutable snapshot (routing): a query loads it once. The
+// range structure — count and key cuts — is fixed at registration; a
+// summary that reports another is refused, not applied.
 //
 // The same plumbing makes the cluster cacheable: Router implements
 // qcache.Source — each range is a pseudo-shard whose version is the minimum
@@ -192,10 +192,8 @@ type Router struct {
 
 // routing is everything a query routes by, published as one immutable
 // value: the assignment table built from the latest summaries and the
-// freshness plane over it. Because the three travel together, a structural
-// refresh (an adaptive backend split or merged a range, so every per-range
-// index changes meaning) can never be observed half-applied — one snapshot's
-// range index is never used against another's slices.
+// freshness plane over it, so a reader never pairs one refresh's table with
+// another's growth or write counts.
 type routing struct {
 	*table
 	// grow widens the table's routing predicate with the MBRs of writes
@@ -204,12 +202,9 @@ type routing struct {
 	// rect once a newer summary provably covers the writes behind it.
 	grow []geom.Rect
 	// wseq[r] counts writes this router has routed into range r — the
-	// cumulative half of the cluster version vector. It never resets
-	// within one range structure (the summary-reported half catches up
-	// across refreshes and the sum stays monotone); a structural refresh
-	// starts a fresh vector, and monotonicity of Version is carried across
-	// it by the backends' generation-encoded range versions, which jump by
-	// far more than any dropped write count.
+	// cumulative half of the cluster version vector. It never resets (the
+	// summary-reported half catches up across refreshes and the sum stays
+	// monotone).
 	wseq []uint64
 }
 
@@ -385,16 +380,19 @@ func jitterInterval(rng *rand.Rand, d time.Duration) time.Duration {
 }
 
 // refreshOnce polls one summary round and, if anything answered, publishes
-// a snapshot over the rebuilt table. Correctness of the growth clearing: a
-// range's growth rect may be dropped only when the new summaries provably
-// cover every write behind it. The snapshot loaded BEFORE the first poll
-// carries the write sequences of that moment; a write acked before it was
-// applied at its backends before it, so any summary polled afterwards
-// reflects it. If wseq[rg] moved during the poll, a write may have landed
-// after some backend answered — the rect is kept for the next round
-// (conservative: a too-wide predicate only costs an extra leg, a too-narrow
-// one loses objects). Only this goroutine replaces the table, so before and
-// the snapshot current at publish time always share one range structure.
+// a snapshot over the rebuilt table. The range structure — count and key
+// cuts — is the one registered: backends own their local shard cuts, the
+// cluster's ranges are the deployment's and never move under a router, so a
+// summary describing another structure is an error like an unreachable
+// backend — counted, and that backend keeps its last summary. Correctness of
+// the growth clearing: a range's growth rect may be dropped only when the
+// new summaries provably cover every write behind it. The snapshot loaded
+// BEFORE the first poll carries the write sequences of that moment; a write
+// acked before it was applied at its backends before it, so any summary
+// polled afterwards reflects it. If wseq[rg] moved during the poll, a write
+// may have landed after some backend answered — the rect is kept for the
+// next round (conservative: a too-wide predicate only costs an extra leg, a
+// too-narrow one loses objects).
 func (r *Router) refreshOnce() {
 	before := r.snap()
 	polled := false
@@ -403,7 +401,7 @@ func (r *Router) refreshOnce() {
 			continue // keep the last summary; probeLoop re-admits it
 		}
 		sm, err := cc.Summary()
-		if err != nil {
+		if err != nil || !before.fits(sm) {
 			r.metrics.refreshErrors.Inc()
 			continue
 		}
@@ -419,40 +417,6 @@ func (r *Router) refreshOnce() {
 		return
 	}
 	next := newRouting(&tbl)
-	if structuralChange(&tbl, before.table) {
-		// An adaptive backend repartitioned: the range count or the key
-		// cuts changed, so every per-range index — write sequences, growth
-		// rects, versions — refers to ranges that no longer exist, and the
-		// new snapshot starts a fresh sequence vector (see routing.wseq).
-		//
-		// Growth cannot be mapped range-to-range (the rects carry no keys),
-		// so the union of all old growth is applied to EVERY new range:
-		// conservative — a too-wide predicate costs extra legs for one
-		// refresh interval, and the rects drain on the next refresh like
-		// any other growth.
-		r.wmu.Lock()
-		carry := geom.EmptyRect()
-		for _, rect := range r.snap().grow {
-			carry = carry.Union(rect)
-		}
-		if !carry.IsEmpty() {
-			for rg := range next.grow {
-				next.grow[rg] = carry
-			}
-		}
-		// Every new range starts one write up: the reset would otherwise
-		// leave Version momentarily equal for caches built against the
-		// carried growth; the bump forces every consumer to re-validate.
-		for rg := range next.wseq {
-			next.wseq[rg] = 1
-		}
-		r.state.Store(next)
-		r.wmu.Unlock()
-		r.metrics.refreshes.Inc()
-		r.metrics.structuralRefreshes.Inc()
-		r.metrics.ranges.Set(float64(tbl.numRanges))
-		return
-	}
 	// Per-range versions must never go backwards (a cache entry stored
 	// under a higher version would resurrect if they did). A returning
 	// replica that lagged can drag the min-across-holders down; clamp to
@@ -482,21 +446,6 @@ func (r *Router) refreshOnce() {
 	r.metrics.divergentRanges.Set(float64(divergent))
 }
 
-// structuralChange reports whether two tables describe different range
-// structures — a different range count or different Hilbert key cuts. Same
-// structure with different MBRs/versions/items is an ordinary refresh.
-func structuralChange(a, b *table) bool {
-	if a.numRanges != b.numRanges {
-		return true
-	}
-	for i := range a.keyLo {
-		if a.keyLo[i] != b.keyLo[i] {
-			return true
-		}
-	}
-	return false
-}
-
 // snap returns the current routing snapshot. It is immutable; callers load
 // it once and use it for the whole query so every decision within the query
 // sees one consistent assignment and one freshness plane.
@@ -505,12 +454,7 @@ func (r *Router) snap() *routing { return r.state.Load() }
 // Router is the cluster's qcache.Source: each Hilbert range is a
 // pseudo-shard of the validity view, so a serve.Server wrapping a Router
 // can run the epoch-invalidated result cache over the whole cluster. Each
-// method answers from one snapshot load; a caller walking 0..NumShards()-1
-// may see a structural refresh land between two calls, so an index outside
-// the snapshot at hand is answered rather than indexed: the version is one
-// no real range ever reports and the bounds cover everything, so a view
-// assembled across the swap includes that shard and can equal no view built
-// from a single snapshot — it only ever costs a cache miss.
+// method answers from one snapshot load.
 
 // NumShards implements qcache.Source — one pseudo-shard per range of the
 // cluster-wide Hilbert partition.
@@ -519,29 +463,20 @@ func (r *Router) NumShards() int { return r.snap().numRanges }
 // Version implements qcache.Source. The version of range i is the minimum
 // write-version its holders reported at the last refresh plus the writes
 // this router has routed into it since. Both halves are monotone (the
-// summary half is clamped at refresh, wseq never resets within a range
-// structure), so the sum never goes backwards; it advances on every local
-// write immediately (published before the write acks) and on every refresh
-// that observed remote writes. Spurious advances (a refresh catching up to
-// writes wseq already counted) only cost cache misses, never staleness.
+// summary half is clamped at refresh, wseq never resets), so the sum never
+// goes backwards; it advances on every local write immediately (published
+// before the write acks) and on every refresh that observed remote writes.
+// Spurious advances (a refresh catching up to writes wseq already counted)
+// only cost cache misses, never staleness.
 func (r *Router) Version(i int) uint64 {
 	s := r.snap()
-	if i < 0 || i >= s.numRanges {
-		return math.MaxUint64
-	}
 	return s.version[i] + s.wseq[i]
 }
 
 // ShardBounds implements qcache.Source: the range's effective extent, the
 // rect reads route by, so a cached region's participants are the ranges a
 // re-execution would ask.
-func (r *Router) ShardBounds(i int) geom.Rect {
-	s := r.snap()
-	if i < 0 || i >= s.numRanges {
-		return everythingRect
-	}
-	return s.eff(i)
-}
+func (r *Router) ShardBounds(i int) geom.Rect { return r.snap().eff(i) }
 
 // everythingRect is the all-covering routing predicate used where a range's
 // true extent cannot be trusted.
@@ -551,13 +486,12 @@ var everythingRect = geom.Rect{
 }
 
 // noteWrite publishes one successfully acked write into the freshness
-// plane. s is the snapshot the write was routed under; target is the range
-// that received the object's geometry (-1 for deletes, which add none);
-// bumps lists every range whose cached results the write invalidates. The
-// widened rects and the bumped sequences are one store — a reader that
-// observes the new version also observes the widened predicate, so a cache
-// rebuilt after the bump routes to the written object.
-func (r *Router) noteWrite(s *routing, mbr geom.Rect, target int, bumps ...int) {
+// plane. target is the range that received the object's geometry (-1 for
+// deletes, which add none); bumps lists every range whose cached results the
+// write invalidates. The widened rects and the bumped sequences are one
+// store — a reader that observes the new version also observes the widened
+// predicate, so a cache rebuilt after the bump routes to the written object.
+func (r *Router) noteWrite(mbr geom.Rect, target int, bumps ...int) {
 	r.wmu.Lock()
 	defer r.wmu.Unlock()
 	cur := r.snap()
@@ -566,22 +500,11 @@ func (r *Router) noteWrite(s *routing, mbr geom.Rect, target int, bumps ...int) 
 		grow:  slices.Clone(cur.grow),
 		wseq:  slices.Clone(cur.wseq),
 	}
-	if cur.table != s.table && structuralChange(s.table, cur.table) {
-		// A structural refresh swapped the range set while this write was
-		// in flight: the writer's indices describe key spans that no longer
-		// exist. Widen and invalidate every range instead — conservative
-		// (extra legs and cache misses for one interval), never a hole.
-		for rg := range next.grow {
-			next.grow[rg] = next.grow[rg].Union(mbr)
-			next.wseq[rg]++
-		}
-	} else {
-		if target >= 0 {
-			next.grow[target] = next.grow[target].Union(mbr)
-		}
-		for _, rg := range bumps {
-			next.wseq[rg]++
-		}
+	if target >= 0 {
+		next.grow[target] = next.grow[target].Union(mbr)
+	}
+	for _, rg := range bumps {
+		next.wseq[rg]++
 	}
 	r.state.Store(next)
 }

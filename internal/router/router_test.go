@@ -448,10 +448,10 @@ func TestRouterReadSpreading(t *testing.T) {
 	}
 }
 
-// stalledBackend is a protocol endpoint that registers (answers summaries)
-// and then swallows every query without replying — the pathological slow
-// replica. It reports itself the sole holder of the given ranges.
-func stalledBackend(t testing.TB, numRanges int, held []proto.RangeInfo, bounds geom.Rect) string {
+// stalledBackend is a protocol endpoint that registers (answers every
+// summary request with summary()) and then swallows every query without
+// replying — the pathological slow replica.
+func stalledBackend(t testing.TB, summary func() proto.SummaryMsg) string {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -472,12 +472,9 @@ func stalledBackend(t testing.TB, numRanges int, held []proto.RangeInfo, bounds 
 						return
 					}
 					if m, ok := msg.(*proto.SummaryReqMsg); ok {
-						proto.WriteMessage(nc, &proto.SummaryMsg{
-							ID:        m.ID,
-							NumRanges: uint32(numRanges),
-							Bounds:    bounds,
-							Ranges:    held,
-						})
+						sm := summary()
+						sm.ID = m.ID
+						proto.WriteMessage(nc, &sm)
 					}
 					// Everything else stalls forever: no reply.
 				}
@@ -516,7 +513,9 @@ func TestRouterDeadlineCapsStalledLeg(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 
 	info1 := proto.RangeInfo{Index: 1, Items: uint32(len(ranges[1].Items)), Lo: ranges[1].Lo, Hi: ranges[1].Hi, MBR: ranges[1].MBR}
-	stalled := stalledBackend(t, 2, []proto.RangeInfo{info1}, bounds)
+	stalled := stalledBackend(t, func() proto.SummaryMsg {
+		return proto.SummaryMsg{NumRanges: 2, Bounds: bounds, Ranges: []proto.RangeInfo{info1}}
+	})
 
 	r, err := New(Config{
 		Backends:        []string{lis.Addr().String(), stalled},

@@ -12,9 +12,9 @@ import (
 // which backends hold each Hilbert range and each range's MBR — the routing
 // predicate of range and point reads and the NN visit order alike. A table
 // value is immutable once built — the router refreshes routing by
-// building a fresh table from re-polled summaries and atomically swapping
-// the snapshot pointer, never by mutating one in place. Health is tracked
-// by the per-backend breakers, not here.
+// building a fresh table, of the registered range structure, from re-polled
+// summaries and atomically swapping the snapshot pointer, never by mutating
+// one in place. Health is tracked by the per-backend breakers, not here.
 type table struct {
 	numRanges int
 	// holders[r] lists the backends holding range r, ascending.
@@ -30,10 +30,11 @@ type table struct {
 	// partition, so disagreement means the backends were partitioned
 	// differently and no write routing is safe.
 	keyLo []uint64
-	// version[r] is the MINIMUM write-version any holder reported for
-	// range r. The minimum is the conservative choice for cache validity:
-	// a replica still catching up keeps the cluster-wide version (and so
-	// every cache entry over the range) pinned until all copies agree.
+	// version[r] is the MINIMUM write-version — writes applied to the
+	// range — any holder reported for range r. The minimum is the
+	// conservative choice for cache validity: a replica still catching up
+	// keeps the cluster-wide version (and so every cache entry over the
+	// range) pinned until all copies agree.
 	version []uint64
 	// divergent[r] reports that r's holders disagreed on version or item
 	// count at summary time — replication lag was in flight. A divergent
@@ -119,6 +120,22 @@ func buildTable(summaries []*proto.SummaryMsg) (table, error) {
 		t.items += uint64(maxItems[idx])
 	}
 	return t, nil
+}
+
+// fits reports whether a summary describes this table's range structure: the
+// same range count, each row at its range's Lo key. A refresh builds only
+// from summaries that fit, so the structure registered is the structure
+// every later snapshot has.
+func (t *table) fits(sm *proto.SummaryMsg) bool {
+	if int(sm.NumRanges) != t.numRanges {
+		return false
+	}
+	for _, ri := range sm.Ranges {
+		if int(ri.Index) >= t.numRanges || ri.Lo != t.keyLo[ri.Index] {
+			return false
+		}
+	}
+	return true
 }
 
 // rangeForKey returns the index of the range owning a write key under the

@@ -43,7 +43,7 @@ func (r *Router) ApplyInsert(id uint32, seg geom.Segment) (uint64, bool, bool, e
 	})
 	if err == nil {
 		r.liveSet(id, seg)
-		r.noteWrite(t, mbr, rg, rg)
+		r.noteWrite(mbr, rg, rg)
 	}
 	return epoch, existed, owned, err
 }
@@ -70,9 +70,9 @@ func (r *Router) ApplyMove(id uint32, seg geom.Segment) (uint64, bool, bool, err
 	if err == nil {
 		r.liveSet(id, seg)
 		if oldRg >= 0 {
-			r.noteWrite(t, mbr, newRg, newRg, oldRg)
+			r.noteWrite(mbr, newRg, newRg, oldRg)
 		} else {
-			r.noteWrite(t, mbr, newRg)
+			r.noteWrite(mbr, newRg)
 			r.bumpAllRanges()
 		}
 	}
@@ -99,7 +99,7 @@ func (r *Router) ApplyDelete(id uint32) (uint64, bool, bool, error) {
 		r.liveMu.Unlock()
 		if existed {
 			if oldRg >= 0 {
-				r.noteWrite(t, geom.EmptyRect(), -1, oldRg)
+				r.noteWrite(geom.EmptyRect(), -1, oldRg)
 			} else {
 				r.bumpAllRanges()
 			}

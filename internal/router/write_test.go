@@ -20,9 +20,10 @@ var _ serve.Updatable = (*Router)(nil)
 
 // startMutableCluster is startCluster over updatable backends: each backend
 // serves a mutable.Pool holding its ReplicaRanges, sharing the cluster-wide
-// cuts so every process routes writes identically. Returns the per-backend
-// pools for direct replica-state inspection, and the cuts.
-func startMutableCluster(t testing.TB, ds *dataset.Dataset, nBackends, replicas int) (*testCluster, []*mutable.Pool, []uint64) {
+// cuts so every process routes writes identically, and repartitioning under
+// ad. Returns the per-backend pools for direct replica-state inspection, and
+// the cuts.
+func startMutableCluster(t testing.TB, ds *dataset.Dataset, nBackends, replicas int, ad mutable.AdaptiveConfig) (*testCluster, []*mutable.Pool, []uint64) {
 	t.Helper()
 	ranges, bounds := shard.PartitionHilbert(ds.Items(), nBackends, 0)
 	if len(ranges) != nBackends {
@@ -56,9 +57,9 @@ func startMutableCluster(t testing.TB, ds *dataset.Dataset, nBackends, replicas 
 			Dataset:         ds,
 			Ranges:          held,
 			Cuts:            cuts,
-			GlobalIndex:     idxs,
 			Bounds:          bounds,
 			CompactInterval: -1,
+			Adaptive:        ad,
 		})
 		if err != nil {
 			t.Fatalf("backend %d mutable pool: %v", b, err)
@@ -114,7 +115,7 @@ func segInRange(t *testing.T, ds *dataset.Dataset, cuts []uint64, pred func(rg i
 // every copy.
 func TestRouterWriteReplication(t *testing.T) {
 	ds := clusterDataset(t)
-	tc, pools, cuts := startMutableCluster(t, ds, 3, 2)
+	tc, pools, cuts := startMutableCluster(t, ds, 3, 2, mutable.AdaptiveConfig{})
 	r := newRouter(t, tc, nil)
 
 	q := shard.QuantizerFor(shard.BoundsOf(ds.Items()), 0)
@@ -193,7 +194,7 @@ func TestRouterWriteReplication(t *testing.T) {
 // router counts the divergence.
 func TestRouterWriteDivergence(t *testing.T) {
 	ds := clusterDataset(t)
-	tc, pools, cuts := startMutableCluster(t, ds, 3, 2)
+	tc, pools, cuts := startMutableCluster(t, ds, 3, 2, mutable.AdaptiveConfig{})
 	hub := obs.NewHub()
 	r := newRouter(t, tc, func(cfg *Config) {
 		cfg.Obs = hub
@@ -229,7 +230,7 @@ func TestRouterWriteDivergence(t *testing.T) {
 // somewhere it does not belong.
 func TestRouterWriteUnavailable(t *testing.T) {
 	ds := clusterDataset(t)
-	tc, pools, cuts := startMutableCluster(t, ds, 3, 1)
+	tc, pools, cuts := startMutableCluster(t, ds, 3, 1, mutable.AdaptiveConfig{})
 	hub := obs.NewHub()
 	r := newRouter(t, tc, func(cfg *Config) {
 		cfg.Obs = hub

@@ -46,9 +46,6 @@ type Config struct {
 	// Packing selects the bulk-load ordering; the default is Hilbert
 	// packing (the paper's structure).
 	Packing Packing
-	// SortByX is a legacy alias for PackingXSort. Only used by the packing
-	// ablation benchmark.
-	SortByX bool
 }
 
 // Packing enumerates the bulk-load orderings.
@@ -149,11 +146,7 @@ func Build(items []Item, cfg Config, rec ops.Recorder) (*Tree, error) {
 			t.plain = false
 		}
 	}
-	packing := cfg.Packing
-	if cfg.SortByX {
-		packing = PackingXSort
-	}
-	switch packing {
+	switch cfg.Packing {
 	case PackingXSort:
 		sort.Slice(sorted, func(i, j int) bool {
 			return sorted[i].MBR.Center().X < sorted[j].MBR.Center().X

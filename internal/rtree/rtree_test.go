@@ -253,7 +253,7 @@ func TestHilbertPackingBeatsXSortOnWindowQueries(t *testing.T) {
 	// (and our packing ablation bench).
 	segs := randSegments(20000, 11)
 	hilb := buildTest(t, segs, Config{})
-	xsort := buildTest(t, segs, Config{SortByX: true})
+	xsort := buildTest(t, segs, Config{Packing: PackingXSort})
 	rng := rand.New(rand.NewSource(12))
 	var hv, xv int64
 	for q := 0; q < 50; q++ {

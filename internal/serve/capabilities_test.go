@@ -14,8 +14,8 @@ import (
 
 // partitionedMutable builds cluster backend be of n at R=replicas the way
 // cmd/mqserve -partition -mutable does: one updatable shard per held Hilbert
-// range, keyed by the cluster-wide cuts. It returns the pool and the range
-// rows the backend registers with.
+// range to start with, keyed by the cluster-wide cuts. It returns the pool
+// and the range rows the backend registers with.
 func partitionedMutable(t testing.TB, ds *dataset.Dataset, be, n, replicas int) (*mutable.Pool, []proto.RangeInfo) {
 	t.Helper()
 	ranges, bounds := shard.PartitionHilbert(ds.Items(), n, 0)
@@ -38,8 +38,7 @@ func partitionedMutable(t testing.TB, ds *dataset.Dataset, be, n, replicas int) 
 		})
 	}
 	pool, err := mutable.New(mutable.Config{
-		Dataset: ds, Ranges: held, Cuts: cuts, GlobalIndex: idxs,
-		Bounds: bounds, CompactInterval: -1,
+		Dataset: ds, Ranges: held, Cuts: cuts, Bounds: bounds, CompactInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,27 +140,31 @@ func TestNewRejectsFanOutWithoutDeadlineSurface(t *testing.T) {
 	}
 }
 
-// TestLiveSummaryShapes: all three mutable shapes answer MsgSummary from
-// SummaryRanges. Each reply validates, carries the shape's range table, and
-// a write moves the owning row's Version, Items, and MBR (and the header
-// totals with them).
+// TestLiveSummaryShapes: every mutable pool answers MsgSummary by one rule —
+// one row per held cluster range, at the range's index and Lo key, holding
+// its items, at version 0 before any write — whether it is monolithic (one
+// range, the whole key space, however many local shards, adaptive or not)
+// or a partitioned backend. Each reply validates, and a write moves the
+// owning row's Version by one, its Items and MBR with it (and the header
+// totals too).
 func TestLiveSummaryShapes(t *testing.T) {
 	ds, _ := testDataset(t)
 	mono := monolithicMutable(t, ds, false)
 	part, partRanges := partitionedMutable(t, ds, 0, 3, 2)
 	adaptive := monolithicMutable(t, ds, true)
+	whole := []proto.RangeInfo{{Index: 0, Items: uint32(ds.Len()), Lo: 0, Hi: math.MaxUint64}}
 
 	cases := []struct {
-		name     string
-		pool     *mutable.Pool
-		cfg      Config
-		wantNum  uint32
-		wantRows int
-		anchor   uint32 // an id the pool owns: the write lands on its range
+		name    string
+		pool    *mutable.Pool
+		cfg     Config
+		wantNum uint32
+		held    []proto.RangeInfo // the rows the pool must answer, in order
+		anchor  uint32            // an id the pool owns: the write lands on its range
 	}{
-		{"monolithic", mono, Config{Pool: mono}, 1, 1, 0},
-		{"partitioned", part, Config{Pool: part, Ranges: partRanges, NumRanges: 3}, 3, len(partRanges), firstHeldID(t, ds, 0, 3, 2)},
-		{"adaptive", adaptive, Config{Pool: adaptive}, 4, 4, 0},
+		{"monolithic", mono, Config{Pool: mono}, 1, whole, 0},
+		{"partitioned", part, Config{Pool: part, Ranges: partRanges, NumRanges: 3}, 3, partRanges, firstHeldID(t, ds, 0, 3, 2)},
+		{"adaptive", adaptive, Config{Pool: adaptive}, 1, whole, 0},
 	}
 	for _, tc := range cases {
 		srv, err := New(tc.cfg)
@@ -172,25 +175,17 @@ func TestLiveSummaryShapes(t *testing.T) {
 		if err := before.Validate(); err != nil {
 			t.Fatalf("%s: summary invalid: %v", tc.name, err)
 		}
-		if before.ID != 7 || before.NumRanges != tc.wantNum || len(before.Ranges) != tc.wantRows {
+		if before.ID != 7 || before.NumRanges != tc.wantNum || len(before.Ranges) != len(tc.held) {
 			t.Fatalf("%s: summary id=%d num=%d rows=%d, want 7/%d/%d",
-				tc.name, before.ID, before.NumRanges, len(before.Ranges), tc.wantNum, tc.wantRows)
+				tc.name, before.ID, before.NumRanges, len(before.Ranges), tc.wantNum, len(tc.held))
 		}
-		if tc.name == "monolithic" {
-			var sum uint64
-			for i := 0; i < tc.pool.NumShards(); i++ {
-				sum += tc.pool.Version(i)
-			}
-			if r := before.Ranges[0]; r.Index != 0 || r.Lo != 0 || r.Hi != math.MaxUint64 || r.Version != sum {
-				t.Fatalf("monolithic row %+v, want the whole key space at version %d", r, sum)
+		for i, r := range before.Ranges {
+			if h := tc.held[i]; r.Index != h.Index || r.Lo != h.Lo || r.Items != h.Items || r.Version != 0 {
+				t.Fatalf("%s: row %d = %+v, want range %d at Lo %d holding %d at version 0", tc.name, i, r, h.Index, h.Lo, h.Items)
 			}
 		}
-		if tc.name == "partitioned" {
-			for i, r := range before.Ranges {
-				if r.Index != partRanges[i].Index || r.Lo != partRanges[i].Lo || r.Items != partRanges[i].Items {
-					t.Fatalf("partitioned row %d = %+v, registered as %+v", i, r, partRanges[i])
-				}
-			}
+		if hi := before.Ranges[0].Hi; tc.wantNum == 1 && hi != math.MaxUint64 {
+			t.Fatalf("%s: the one range ends at %d, not the top of the key space", tc.name, hi)
 		}
 
 		// A long segment centred on an owned object keeps that object's
@@ -219,7 +214,7 @@ func TestLiveSummaryShapes(t *testing.T) {
 				continue
 			}
 			moved++
-			if r.Version < b.Version || r.Items != b.Items+1 || !r.MBR.ContainsRect(seg.MBR()) {
+			if r.Version != b.Version+1 || r.Items != b.Items+1 || !r.MBR.ContainsRect(seg.MBR()) {
 				t.Errorf("%s: written row %+v, was %+v", tc.name, r, b)
 			}
 		}

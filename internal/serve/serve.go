@@ -138,9 +138,9 @@ type Updatable interface {
 // live item count, write version, MBR, query heat, all from one snapshot —
 // and returns the cluster-wide range count. A server whose pool has it
 // builds every MsgSummary reply from those rows, so a router polling
-// summaries sees writes move the per-range (version, MBR, items) and an
-// adaptive pool's cuts move, instead of the frozen registration snapshot.
-// Pools without it keep the precomputed static summary.
+// summaries sees writes move the per-range (version, MBR, items) instead of
+// the frozen registration snapshot. Pools without it keep the precomputed
+// static summary.
 type LiveSummary interface {
 	SummaryRanges(dst []proto.RangeInfo) ([]proto.RangeInfo, int)
 }
@@ -591,8 +591,8 @@ func buildSummary(cfg *Config) (proto.SummaryMsg, error) {
 // shallow copy of the precomputed summary with the request id filled in (the
 // Ranges slice shared read-only across replies). When the pool has a live
 // summary the range table — count included — is the pool's current rows, so
-// a router's refresh poll observes writes and moving cuts instead of the
-// registration-time snapshot; the header totals are the fold of the rows.
+// a router's refresh poll observes writes instead of the registration-time
+// snapshot; the header totals are the fold of the rows.
 // That allocates a fresh Ranges slice per request, which is fine: summaries
 // flow only at registration and on the refresh poll, a few per second at
 // most.

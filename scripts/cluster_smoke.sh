@@ -15,12 +15,13 @@
 # cluster reads see fresh writes. Passes when the run checks > 0 moves and
 # misses exactly 0 of them.
 #
-# Phase 3 (adaptive): one monolithic mutable backend with -adaptive behind
-# the router, driven by the migrating-hotspot workload (-drift). The
-# repartitioner must split the hot ranges it observes, the router must pick
-# the new cuts up through its refresh loop, and no query may fail while the
-# topology shifts underneath the run. Passes on 0 client-visible errors,
-# >= 1 split, and >= 1 structural routing refresh.
+# Phase 3 (adaptive): 3 partitioned MUTABLE backends (R=2) with -adaptive
+# behind the router, driven by the migrating-hotspot workload (-drift). Each
+# backend's repartitioner splits the hot shards it observes inside the
+# ranges it holds; the cluster's ranges never move, so the router keeps its
+# table, and no query may fail while the backends' shards shift underneath
+# the run. Passes on 0 client-visible errors, >= 1 split summed over the
+# backends, and the router still seeing 3 ranges.
 #
 # Build flags come from $RACE (default -race), so CI exercises the whole
 # fan-out path under the race detector.
@@ -143,13 +144,17 @@ echo "PASS: every acked move across the cluster was immediately readable"
 kill $(jobs -p) 2>/dev/null || true
 wait 2>/dev/null || true
 
-A0=7087 AR=7173
+A0=7087 A1=7088 A2=7089 AR=7173
 
-echo "== phase 3: start adaptive mutable backend + router"
-"$BIN/mqserve" -addr 127.0.0.1:$A0 -mutable -adaptive >"$LOG/abe0.log" 2>&1 &
-wait_for "$LOG/abe0.log" "adaptive backend"
+echo "== phase 3: start 3 adaptive mutable backends (R=2) + router"
+"$BIN/mqserve" -addr 127.0.0.1:$A0 -partition 0/3 -replicas 2 -mutable -adaptive >"$LOG/abe0.log" 2>&1 &
+"$BIN/mqserve" -addr 127.0.0.1:$A1 -partition 1/3 -replicas 2 -mutable -adaptive >"$LOG/abe1.log" 2>&1 &
+"$BIN/mqserve" -addr 127.0.0.1:$A2 -partition 2/3 -replicas 2 -mutable -adaptive >"$LOG/abe2.log" 2>&1 &
+wait_for "$LOG/abe0.log" "adaptive backend 0"
+wait_for "$LOG/abe1.log" "adaptive backend 1"
+wait_for "$LOG/abe2.log" "adaptive backend 2"
 "$BIN/mqrouter" -addr 127.0.0.1:$AR -refresh 50ms \
-  -backends 127.0.0.1:$A0 >"$LOG/arouter.log" 2>&1 &
+  -backends 127.0.0.1:$A0,127.0.0.1:$A1,127.0.0.1:$A2 >"$LOG/arouter.log" 2>&1 &
 wait_for "$LOG/arouter.log" "adaptive-tier router"
 
 echo "== drifting hotspot through the router ($DRIFT_DURATION)"
@@ -157,24 +162,26 @@ echo "== drifting hotspot through the router ($DRIFT_DURATION)"
   -duration "$DRIFT_DURATION" -warmup 1s | tee "$LOG/drift.log"
 
 derrs=$(row "$LOG/drift.log" errors)
-dstructural=$(grab "$LOG/drift.log" 'refreshes: \([0-9]*\) structural')
-dstructural=${dstructural:-0}
+dranges=$(grab "$LOG/drift.log" 'backends, \([0-9]*\) ranges')
 
 # The drift run talks to the router, whose stats snapshot carries router_*
-# metrics only — pull the backend's own counters directly for the split
+# metrics only — pull each backend's own counters directly for the split
 # count.
-"$BIN/mqload" -addr 127.0.0.1:$A0 -conns 1 -duration 1s -serverstats \
-  >"$LOG/astats.log" 2>&1 || true
-dsplits=$(row "$LOG/astats.log" mutable_splits_total)
+dsplits=0
+for port in $A0 $A1 $A2; do
+  "$BIN/mqload" -addr 127.0.0.1:$port -conns 1 -duration 1s -serverstats \
+    >"$LOG/astats$port.log" 2>&1 || true
+  dsplits=$((dsplits + $(row "$LOG/astats$port.log" mutable_splits_total || true) + 0))
+done
 
-echo "== verdict: errors=$derrs splits=$dsplits structural-refreshes=$dstructural"
+echo "== verdict: errors=$derrs splits=$dsplits router-ranges=$dranges"
 fail=0
-[ "$derrs" = "0" ] || { echo "FAIL: $derrs client-visible errors while the topology shifted"; fail=1; }
-[ -n "$dsplits" ] && [ "$dsplits" -gt 0 ] || { echo "FAIL: the repartitioner never split under the hotspot"; fail=1; }
-[ "$dstructural" -gt 0 ] || { echo "FAIL: the router never saw a structural cut change"; fail=1; }
+[ "$derrs" = "0" ] || { echo "FAIL: $derrs client-visible errors while the backends re-cut"; fail=1; }
+[ "$dsplits" -gt 0 ] || { echo "FAIL: no repartitioner split under the hotspot"; fail=1; }
+[ "$dranges" = "3" ] || { echo "FAIL: the router sees $dranges ranges, want the cluster's 3"; fail=1; }
 if [ "$fail" -ne 0 ]; then
-  echo "-- adaptive backend log tail --"; tail -5 "$LOG/abe0.log"
+  echo "-- adaptive backend log tails --"; tail -5 "$LOG"/abe?.log
   echo "-- adaptive router log tail --"; tail -5 "$LOG/arouter.log"
   exit 1
 fi
-echo "PASS: hot ranges split under load and the router followed the cuts live"
+echo "PASS: hot shards split inside their ranges under load; the router kept its table"
