@@ -197,7 +197,7 @@ func printRouterReport(out io.Writer, pre, post serverSnap) {
 	}
 	if batches := d("router_batches_total"); batches > 0 {
 		legs := d("router_batch_legs_total")
-		fmt.Fprintf(out, "            batches: %.0f grouped (%.0f sub-queries), %.0f legs = %.2f legs/batch\n",
+		fmt.Fprintf(out, "            batches: %.0f grouped (%.0f sub-queries), %.0f backend legs (k-NN included) = %.2f legs/batch\n",
 			batches, d("router_batch_queries_total"), legs, legs/batches)
 	}
 	if refreshes := d("router_refresh_total"); refreshes > 0 {

@@ -7,12 +7,15 @@
 // because the cross-server best-first visit needs two things MsgQuery cannot
 // carry: the running k-th-neighbor bound (so a later server prunes against
 // earlier servers' answers) and exact per-neighbor distances in the reply
-// (so the router merges legs without re-deriving geometry).
+// (so the router merges legs without re-deriving geometry). Inside a batch
+// leg the first, unbounded NN leg of a sub-query rides as a ModeNeighbors
+// item instead, answered with the same distances.
 package proto
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mobispatial/internal/geom"
 )
@@ -111,22 +114,29 @@ func (m *NeighborsMsg) Type() MsgType { return MsgNeighbors }
 func (m *NeighborsMsg) RequestID() uint32 { return m.ID }
 
 // Validate implements Message.
-func (m *NeighborsMsg) Validate() error {
-	if n := len(m.Neighbors); n > (MaxFramePayload-8)/wireNeighborBytes {
-		return fmt.Errorf("proto: neighbor list of %d exceeds frame limit", n)
+func (m *NeighborsMsg) Validate() error { return validateNeighbors("neighbor list", m.Neighbors) }
+
+// validateNeighbors checks a neighbor list fits a frame and carries only
+// real distances.
+func validateNeighbors(what string, nbs []Neighbor) error {
+	if n := len(nbs); n > (MaxFramePayload-8)/wireNeighborBytes {
+		return fmt.Errorf("proto: %s of %d neighbors exceeds frame limit", what, n)
 	}
-	for i, nb := range m.Neighbors {
+	for i, nb := range nbs {
 		if math.IsNaN(nb.Dist) || nb.Dist < 0 {
-			return fmt.Errorf("proto: neighbor %d has bad distance %v", i, nb.Dist)
+			return fmt.Errorf("proto: %s neighbor %d has bad distance %v", what, i, nb.Dist)
 		}
 	}
 	return nil
 }
 
 func (m *NeighborsMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
-	b = appendU32(b, uint32(len(m.Neighbors)))
-	for _, nb := range m.Neighbors {
+	return appendNeighbors(appendU32(b, m.ID), m.Neighbors)
+}
+
+func appendNeighbors(b []byte, nbs []Neighbor) []byte {
+	b = appendU32(b, uint32(len(nbs)))
+	for _, nb := range nbs {
 		b = appendU32(b, nb.ID)
 		b = appendF64(b, nb.Dist)
 	}
@@ -140,13 +150,27 @@ func (m *NeighborsMsg) decodePayload(b []byte) error {
 	if d.err == nil && n*wireNeighborBytes != len(d.b)-d.off {
 		return fmt.Errorf("proto: neighbor count %d does not match %d payload bytes", n, len(d.b)-d.off)
 	}
-	m.Neighbors = m.Neighbors[:0]
-	if d.err == nil && d.need(n*wireNeighborBytes) {
-		for i := 0; i < n; i++ {
-			m.Neighbors = append(m.Neighbors, Neighbor{ID: d.u32(), Dist: d.f64()})
-		}
-	}
+	m.Neighbors = d.appendNeighborsN(m.Neighbors[:0], n)
 	return d.finish("neighbors")
+}
+
+// appendNeighborsN appends n decoded neighbors to dst, reusing its capacity,
+// with the same bounds discipline as appendIDsN.
+func (d *decoder) appendNeighborsN(dst []Neighbor, n int) []Neighbor {
+	if d.err != nil || n <= 0 {
+		if n < 0 && d.err == nil {
+			d.err = fmt.Errorf("negative neighbor count %d", n)
+		}
+		return dst
+	}
+	if !d.need(n * wireNeighborBytes) {
+		return dst
+	}
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
+		dst = append(dst, Neighbor{ID: d.u32(), Dist: d.f64()})
+	}
+	return dst
 }
 
 // SummaryReqMsg asks a backend for its partition summary. Servers answer it

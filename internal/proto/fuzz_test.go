@@ -36,6 +36,14 @@ func FuzzReadMessage(f *testing.F) {
 		ack[len(ack)-1] = 0xF0 // unknown flag bits
 		f.Add(ack)
 	}
+	// A batch reply's neighbors item whose distance carries NaN bits: the
+	// decoder must refuse it, or it would not re-encode.
+	if nbrs, err := EncodeMessage(&BatchReplyMsg{ID: 1, Items: []BatchItem{{Nbrs: []Neighbor{{ID: 2, Dist: 1}}}}}); err == nil {
+		for i := len(nbrs) - 8; i < len(nbrs); i++ {
+			nbrs[i] = 0xFF
+		}
+		f.Add(nbrs)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Refuse declared payloads beyond 1 MB up front: the decoder handles

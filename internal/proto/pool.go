@@ -163,11 +163,12 @@ func ReleaseMessage(m Message) {
 func trimBatchItems(items []BatchItem) bool {
 	for i := range items {
 		it := &items[i]
-		if cap(it.IDs) > maxPooledIDs || cap(it.Recs) > maxPooledRecords {
+		if cap(it.IDs) > maxPooledIDs || cap(it.Recs) > maxPooledRecords || cap(it.Nbrs) > maxPooledIDs {
 			return false
 		}
 		it.IDs = it.IDs[:0]
 		it.Recs = it.Recs[:0]
+		it.Nbrs = it.Nbrs[:0]
 		it.Err = 0
 		it.Text = ""
 	}

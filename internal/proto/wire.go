@@ -122,6 +122,10 @@ const (
 	// ModeFilter: the server filters only and returns candidate ids — the
 	// server half of filter-server/refine-client.
 	ModeFilter
+	// ModeNeighbors: the server answers a k-NN query with (id, exact
+	// distance) pairs, nearest first — a router's unbounded NN leg riding in
+	// a batch leg. Valid on KindNN only, and answered only as a batch item.
+	ModeNeighbors
 )
 
 // String implements fmt.Stringer.
@@ -133,6 +137,8 @@ func (m Mode) String() string {
 		return "ids"
 	case ModeFilter:
 		return "filter"
+	case ModeNeighbors:
+		return "neighbors"
 	}
 	return fmt.Sprintf("Mode(%d)", uint8(m))
 }
@@ -266,11 +272,14 @@ func (m *QueryMsg) Validate() error {
 	if m.Kind > KindNN {
 		return fmt.Errorf("proto: bad query kind %d", m.Kind)
 	}
-	if m.Mode > ModeFilter {
+	if m.Mode > ModeNeighbors {
 		return fmt.Errorf("proto: bad query mode %d", m.Mode)
 	}
 	if m.Kind == KindNN && m.Mode == ModeFilter {
 		return fmt.Errorf("proto: NN query has no filter-only mode")
+	}
+	if m.Kind != KindNN && m.Mode == ModeNeighbors {
+		return fmt.Errorf("proto: neighbors mode on a non-NN query")
 	}
 	if m.Eps < 0 || math.IsNaN(m.Eps) || math.IsInf(m.Eps, 0) {
 		return fmt.Errorf("proto: bad eps %v", m.Eps)

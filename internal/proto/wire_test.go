@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,12 +61,14 @@ func allMessages() []Message {
 				Window: geom.Rect{Min: geom.Point{X: 1, Y: 2}, Max: geom.Point{X: 3, Y: 4}}},
 			{ID: 2, Kind: KindPoint, Mode: ModeData, Point: geom.Point{X: 9, Y: 9}, Eps: 0.5},
 			{ID: 3, Kind: KindNN, Mode: ModeIDs, K: 3, Point: geom.Point{X: -1, Y: -2}},
+			{ID: 4, Kind: KindNN, Mode: ModeNeighbors, K: 8, Point: geom.Point{X: 5, Y: 6}},
 		}},
 		&BatchReplyMsg{ID: 20, Items: []BatchItem{
 			{IDs: []uint32{5, 6, 7}},
 			{Recs: []Record{{ID: 8, Seg: geom.Segment{A: geom.Point{X: 1, Y: 1}, B: geom.Point{X: 2, Y: 2}}}}},
 			{Err: CodeBadRequest, Text: "k too large"},
 			{}, // an empty answer is an empty id list
+			{Nbrs: []Neighbor{{ID: 3, Dist: 0}, {ID: 11, Dist: 4.75}}},
 		}},
 		&NNQueryMsg{ID: 21, Point: geom.Point{X: 3.5, Y: -7}, K: 8, Bound: 123.25, TimeoutMicros: 100_000},
 		&NNQueryMsg{ID: 22, Point: geom.Point{X: 0, Y: 0}, Bound: math.Inf(1)}, // unbounded leg
@@ -151,8 +154,8 @@ func wireEqual(a, b Message) bool {
 		}
 		for i := range x.Items {
 			xi, yi := &x.Items[i], &y.Items[i]
-			if xi.Err != yi.Err || xi.Text != yi.Text ||
-				!slicesEqual(xi.IDs, yi.IDs) || !recordsEqual(xi.Recs, yi.Recs) {
+			if xi.Err != yi.Err || xi.Text != yi.Text || !slicesEqual(xi.IDs, yi.IDs) ||
+				!recordsEqual(xi.Recs, yi.Recs) || !slices.Equal(xi.Nbrs, yi.Nbrs) {
 				return false
 			}
 		}
@@ -227,6 +230,9 @@ func TestWireValidateRejects(t *testing.T) {
 		&QueryMsg{ID: 1, Kind: 9},
 		&QueryMsg{ID: 1, Kind: KindPoint, Mode: 9},
 		&QueryMsg{ID: 1, Kind: KindNN, Mode: ModeFilter, Point: geom.Point{}},
+		&QueryMsg{ID: 1, Kind: KindPoint, Mode: ModeNeighbors},
+		&QueryMsg{ID: 1, Kind: KindRange, Mode: ModeNeighbors, Window: geom.Rect{Max: geom.Point{X: 1, Y: 1}}},
+		&QueryMsg{ID: 1, Kind: KindNN, Mode: ModeNeighbors + 1},
 		&QueryMsg{ID: 1, Kind: KindRange, Window: geom.EmptyRect()},
 		&QueryMsg{ID: 1, Kind: KindPoint, Point: geom.Point{X: math.NaN()}},
 		&QueryMsg{ID: 1, Kind: KindPoint, Eps: math.Inf(1)},
@@ -247,6 +253,9 @@ func TestWireValidateRejects(t *testing.T) {
 		&BatchReplyMsg{ID: 1},
 		&BatchReplyMsg{ID: 1, Items: []BatchItem{{IDs: []uint32{1}, Recs: []Record{{ID: 2}}}}},
 		&BatchReplyMsg{ID: 1, Items: []BatchItem{{Err: CodeInternal, IDs: []uint32{1}}}},
+		&BatchReplyMsg{ID: 1, Items: []BatchItem{{IDs: []uint32{1}, Nbrs: []Neighbor{{ID: 2}}}}},
+		&BatchReplyMsg{ID: 1, Items: []BatchItem{{Err: CodeInternal, Nbrs: []Neighbor{{ID: 2}}}}},
+		&BatchReplyMsg{ID: 1, Items: []BatchItem{{Nbrs: []Neighbor{{ID: 2, Dist: math.NaN()}}}}},
 		&BatchReplyMsg{ID: 1, Items: []BatchItem{{Text: "orphan text"}}},
 		&BatchReplyMsg{ID: 1, Items: []BatchItem{
 			{Recs: []Record{{Seg: geom.Segment{A: geom.Point{X: math.NaN()}}}}}}},

@@ -12,12 +12,11 @@ import (
 
 // The benchmark's cluster workload gates allocs_per_query at 5 %, and the
 // router's share of that figure is the planning state of one fan-out. These
-// ceilings are the counts measured at the commit before the planner was
-// unified (PR 15), so the shared plan/leg/merge code cannot quietly cost
-// more than the three hand-written loops it replaced. AllocsPerRun counts
-// the whole process — the in-process backends' reply path and the leg
-// clients included — and refresh is disabled, as in TestRouterSourceZeroAlloc,
-// so the counts are the same from run to run.
+// ceilings are the measured counts, so the plan/leg/merge code cannot
+// quietly cost more. AllocsPerRun counts the whole process — the in-process
+// backends' reply path and the leg clients included — and refresh is
+// disabled, as in TestRouterSourceZeroAlloc, so the counts are the same from
+// run to run.
 
 // TestRouterRangeAllocCeiling: one routed range query, a window small enough
 // for one leg and the full extent (every range, so legs on goroutines).
@@ -97,9 +96,9 @@ func rerunBatch(t *testing.T, r *Router, qs []proto.QueryMsg, items []proto.Batc
 }
 
 // TestRouterNNAllocCeiling: one routed 8-NN, and a 16-query batch whose every
-// fourth sub-query is one — the NN sub-queries of a batch share one scratch
-// and write their ids straight into the items, so they add nothing per
-// sub-query.
+// fourth sub-query is one — the NN sub-queries of a batch ride the grouped
+// legs and go on in the call's own scratch, writing their ids straight into
+// the items, so they add nothing per sub-query.
 func TestRouterNNAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -143,14 +142,11 @@ func TestRouterNNAllocCeiling(t *testing.T) {
 	}
 }
 
-// Measured at PR 15, six runs of six identical; the unified planner measures
-// 3, 5 and 5.
+// The measured counts, five runs of five identical.
 const (
-	rangeAllocCeilingSmall = 6.0
-	rangeAllocCeilingFull  = 8.0
-	batchAllocCeiling      = 67.0
-	// Measured at PR 24, three runs of three identical; its parent read 0 and
-	// 22 (a scratch and a neighbor slice per NN sub-query).
-	nnAllocCeiling      = 0.0
-	nnBatchAllocCeiling = 6.0
+	rangeAllocCeilingSmall = 0.0
+	rangeAllocCeilingFull  = 2.0
+	batchAllocCeiling      = 2.0
+	nnAllocCeiling         = 0.0
+	nnBatchAllocCeiling    = 2.0
 )

@@ -5,9 +5,10 @@
 // when every sub-query's ranges live on one backend. Here the whole batch is
 // planned against one routing snapshot by the same route() a single query
 // takes (exec.go): a sub-query whose ranges span several backends takes one
-// slot in each owning leg, a dead leg's ranges are re-covered from their
-// replicas in the next round of the same call, and only a sub-query with a
-// range no healthy backend holds carries an error in its item.
+// slot in each owning leg, a k-NN sub-query's first leg is a slot too, a dead
+// leg's ranges are re-covered from their replicas in the next round of the
+// same call, and only a sub-query with a range no healthy backend holds
+// carries an error in its item.
 package router
 
 import (
@@ -17,8 +18,9 @@ import (
 )
 
 // RunQueryBatch implements serve.BatchExecutor: items[i] answers qs[i], in
-// id space only (record materialization stays with the serve layer). Slots
-// arriving with Err pre-set were rejected by the server and are skipped.
+// id space only (record materialization stays with the serve layer), or
+// with neighbors for a ModeNeighbors sub-query. Slots arriving with Err
+// pre-set were rejected by the server and are skipped.
 func (r *Router) RunQueryBatch(qs []proto.QueryMsg, items []proto.BatchItem, deadline time.Time) {
 	r.metrics.batches.Inc()
 	r.metrics.batchQueries.Add(uint64(len(qs)))
@@ -26,27 +28,4 @@ func (r *Router) RunQueryBatch(qs []proto.QueryMsg, items []proto.BatchItem, dea
 	defer r.putScratch(sc)
 	nLegs := r.route(sc, qs, items, r.deadlineOr(deadline), sendBatch)
 	r.metrics.batchLegs.Add(uint64(nLegs))
-}
-
-// batchNN answers the NN sub-queries of a batch, each through the
-// cluster-wide best-first visit on one scratch of their own (route's is busy
-// with the legs in flight), ids ascending by distance — the same shape the
-// serve layer's per-item batch loop produces.
-func (r *Router) batchNN(qs []proto.QueryMsg, items []proto.BatchItem, deadline time.Time) {
-	fs := r.getScratch()
-	defer r.putScratch(fs)
-	for i := range qs {
-		q, it := &qs[i], &items[i]
-		if q.Kind != proto.KindNN || it.Err != 0 {
-			continue
-		}
-		nbs, err := r.knn(fs, q.Point, max(int(q.K), 1), deadline)
-		if err != nil {
-			it.Err, it.Text = proto.CodeOf(err)
-			continue
-		}
-		for _, nb := range nbs {
-			it.IDs = append(it.IDs, nb.ID)
-		}
-	}
 }

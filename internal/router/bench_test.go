@@ -7,6 +7,7 @@ import (
 
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
+	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/shard"
 )
@@ -68,6 +69,37 @@ func BenchmarkRouterKNN(b *testing.B) {
 		nbrs, err = r.KNearestAppendUntil(nbrs[:0], pts[i%len(pts)], 8, sc, time.Time{})
 		if err != nil {
 			b.Fatalf("knn: %v", err)
+		}
+	}
+	b.ReportMetric(float64(sum(legs.since()))/float64(b.N), "legs/op")
+}
+
+// BenchmarkRouterBatch measures one routed 16-query batch of the cluster mix
+// (points, 2 km windows and 8-NN, 50/30/20): grouped legs carrying every
+// sub-query's first leg, and the k-NN visits that go on from them. legs/op
+// is backend legs per batch.
+func BenchmarkRouterBatch(b *testing.B) {
+	ds := clusterDataset(b)
+	tc := startCluster(b, ds, 3, 2)
+	r, legs := benchRouter(b, tc)
+
+	rng := rand.New(rand.NewSource(14))
+	batches := make([][]proto.QueryMsg, 64)
+	for i := range batches {
+		batches[i] = clusterMixBatch(rng, ds)
+	}
+	items := make([]proto.BatchItem, 16)
+	legs.since()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range items {
+			items[j] = proto.BatchItem{IDs: items[j].IDs[:0], Nbrs: items[j].Nbrs[:0]}
+		}
+		r.RunQueryBatch(batches[i%len(batches)], items, time.Time{})
+		for j := range items {
+			if items[j].Err != 0 {
+				b.Fatalf("item %d: code %d (%s)", j, items[j].Err, items[j].Text)
+			}
 		}
 	}
 	b.ReportMetric(float64(sum(legs.since()))/float64(b.N), "legs/op")

@@ -1,10 +1,11 @@
 // exec.go is the routed read path, the same five steps for one query and for
-// a client batch of N: plan (the ranges each sub-query can match) → cover
-// (one healthy holder per range, grouped into one leg per backend) → legs
-// (concurrent, first on the caller) → failover (a failed leg's ranges go
-// back to the next cover round) → merge (sorted dedup where two legs answer
-// one sub-query). A single query is a batch of one; only the frame a leg
-// travels in differs.
+// a client batch of N: plan (the ranges each sub-query can match; a k-NN
+// sub-query's nearest range) → cover (one healthy holder per range, grouped
+// into one leg per backend) → legs (concurrent, first on the caller) →
+// failover (a failed leg's ranges go back to the next cover round) → merge
+// (sorted dedup where two legs answer one sub-query; a k-NN sub-query goes
+// on from its first answer in nn.go). A single query is a batch of one; only
+// the frame a leg travels in differs.
 package router
 
 import (
@@ -46,14 +47,26 @@ const (
 // range the backend covers, and the slots' answers copied out of the pooled
 // reply.
 type readLeg struct {
-	qis  []int32          // slot → sub-query index
-	qs   []proto.QueryMsg // slot → leg query (ModeData rewritten to ModeIDs)
-	ids  []uint32         // the slots' answers, concatenated
-	ends []int32          // slot s answers ids[ends[s-1]:ends[s]]
-	code []proto.ErrCode  // slot → backend-reported error, 0 = none
+	qis   []int32          // slot → sub-query index
+	qs    []proto.QueryMsg // slot → leg query (ModeData rewritten to ModeIDs, k-NN to ModeNeighbors)
+	ids   []uint32         // the slots' id answers, concatenated
+	nbrs  []proto.Neighbor // the k-NN slots' answers, concatenated
+	ends  []int32          // slot s answers ids[ends[s-1]:ends[s]]
+	nends []int32          // and nbrs[nends[s-1]:nends[s]]
+	code  []proto.ErrCode  // slot → backend-reported error, 0 = none
 }
 
-// legSender ships one readLeg to its backend and fills ids, ends and code.
+// answer returns slot s's ids and neighbors.
+func (lg *readLeg) answer(s int) ([]uint32, []proto.Neighbor) {
+	lo, nlo := int32(0), int32(0)
+	if s > 0 {
+		lo, nlo = lg.ends[s-1], lg.nends[s-1]
+	}
+	return lg.ids[lo:lg.ends[s]], lg.nbrs[nlo:lg.nends[s]]
+}
+
+// legSender ships one readLeg to its backend and fills ids, nbrs, ends,
+// nends and code.
 type legSender func(cc *client.Client, lg *readLeg, deadline time.Time) error
 
 // sendQuery ships a single query's leg as MsgQuery.
@@ -65,24 +78,35 @@ func sendQuery(cc *client.Client, lg *readLeg, deadline time.Time) error {
 	} else {
 		lg.ids, err = cc.PointAppendUntil(lg.ids, q.Point, q.Eps, q.Mode, deadline)
 	}
-	lg.ends, lg.code = append(lg.ends, int32(len(lg.ids))), append(lg.code, 0)
+	lg.ends, lg.nends, lg.code = append(lg.ends, int32(len(lg.ids))), append(lg.nends, 0), append(lg.code, 0)
 	return err
 }
 
 // sendBatch ships a client batch's leg as one MsgBatchQuery, however many
 // sub-queries the backend answers.
 func sendBatch(cc *client.Client, lg *readLeg, deadline time.Time) error {
-	return cc.QueryBatchVisit(lg.qs, deadline, func(_ int, ids []uint32, code proto.ErrCode, _ string) {
-		lg.ids = append(lg.ids, ids...) // ids alias the pooled reply
-		lg.ends, lg.code = append(lg.ends, int32(len(lg.ids))), append(lg.code, code)
+	return cc.QueryBatchVisit(lg.qs, deadline, func(_ int, it *proto.BatchItem) {
+		lg.ids, lg.nbrs = append(lg.ids, it.IDs...), append(lg.nbrs, it.Nbrs...) // it aliases the pooled reply
+		lg.ends, lg.nends = append(lg.ends, int32(len(lg.ids))), append(lg.nends, int32(len(lg.nbrs)))
+		lg.code = append(lg.code, it.Err)
 	})
 }
 
-// route answers the range and point sub-queries of qs into items, ids only,
-// and returns the number of legs it took. A slot arriving with Err set was
-// rejected by the serve layer and is left alone; NN sub-queries take the
-// best-first visit (nn.go) on the calling goroutine while the first round's
-// legs are in flight — the running k-th bound makes their legs sequential.
+// shipRead is route's leg function: leg li of the round through the call's
+// sender, capped by the call's deadline.
+func shipRead(r *Router, sc *fanScratch, li int) error {
+	return sc.send(r.clients[sc.sel[li]], &sc.legs[li], r.legDeadline(sc.deadline))
+}
+
+// route answers the sub-queries of qs into items, ids only (neighbors for a
+// ModeNeighbors sub-query), and returns the number of legs it took. A slot
+// arriving with Err set was rejected by the serve layer and is left alone.
+// A k-NN sub-query plans one range, its nearest: the slot asks that range's
+// holder for the unbounded k nearest of its whole pool (ModeNeighbors), in a
+// leg the round is already sending when a holder has one. After the rounds,
+// the best-first visit (nn.go) goes on from each such answer on the calling
+// goroutine, and takes no leg when the answer proves itself: every range
+// its backend does not hold lies beyond the k-th distance.
 //
 // Correctness of the merge: a backend answers a leg query over its whole
 // local pool, so one leg answers every range the backend holds, and two
@@ -97,16 +121,15 @@ func (r *Router) route(sc *fanScratch, qs []proto.QueryMsg, items []proto.BatchI
 	// the same assignment and growth overlay even if a refresh swaps them
 	// mid-flight.
 	t := r.snap()
-	var meanwhile func()
+	sc.send, sc.deadline = send, deadline
 	sc.needed, sc.covered, sc.qoff = sc.needed[:0], sc.covered[:0], append(sc.qoff[:0], 0)
 	sc.open = append(sc.open[:0], make([]bool, t.numRanges)...)
+	sc.nnStarts = sc.nnStarts[:0]
 	for i := range qs {
 		switch q := &qs[i]; {
 		case items[i].Err != 0: // pre-rejected: nothing to plan
 		case q.Kind == proto.KindNN:
-			if meanwhile == nil {
-				meanwhile = func() { r.batchNN(qs, items, deadline) }
-			}
+			sc.needed = append(sc.needed, t.nearestRange(q.Point))
 		case q.Kind == proto.KindPoint:
 			sc.needed = t.neededRanges(sc.needed, pointWindow(q.Point, q.Eps))
 		default:
@@ -121,30 +144,31 @@ func (r *Router) route(sc *fanScratch, qs []proto.QueryMsg, items []proto.BatchI
 	nLegs := 0
 	for {
 		r.cover(t.table, sc, qs, items)
-		if len(sc.sel) == 0 && meanwhile == nil {
+		if len(sc.sel) == 0 {
 			break // every needed range was answered by an earlier round
 		}
-		r.runLegs(sc, func(li int, b int32) error {
-			return send(r.clients[b], &sc.legs[li], r.legDeadline(deadline))
-		}, meanwhile)
-		meanwhile = nil
+		r.runLegs(sc, shipRead)
 		nLegs += len(sc.sel)
 
-		// A slot that answered contributes its ids and closes the ranges
-		// its backend covered for that sub-query; one that did not — the
-		// leg died, or the backend failed that slot — puts the backend out
-		// for the rest of the call and hands the ranges to the next round.
+		// A slot that answered contributes its ids (a k-NN slot: its
+		// neighbors, held in the item until the visit goes on) and closes
+		// the ranges its backend covered for that sub-query; one that did
+		// not — the leg died, or the backend failed that slot — puts the
+		// backend out for the rest of the call and hands the ranges to the
+		// next round.
 		failover := false
 		for li, b := range sc.sel {
 			lg := &sc.legs[li]
 			for s, qi := range lg.qis {
 				state := uncovered
 				if sc.errs[li] == nil && lg.code[s] == 0 {
-					lo := int32(0)
-					if s > 0 {
-						lo = lg.ends[s-1]
+					ids, nbrs := lg.answer(s)
+					if qs[qi].Kind == proto.KindNN {
+						items[qi].Nbrs = append(items[qi].Nbrs[:0], nbrs...)
+						sc.nnStarts = append(sc.nnStarts, nnStart{qi: qi, b: b})
+					} else {
+						items[qi].IDs = mergeIDs(items[qi].IDs, ids)
 					}
-					items[qi].IDs = mergeIDs(items[qi].IDs, lg.ids[lo:lg.ends[s]])
 					state = answered
 				} else {
 					sc.failed[b], failover = true, true
@@ -162,6 +186,9 @@ func (r *Router) route(sc *fanScratch, qs []proto.QueryMsg, items []proto.BatchI
 		r.metrics.failovers.Inc()
 	}
 
+	for _, f := range sc.nnStarts {
+		nLegs += r.finishNN(sc, t, &qs[f.qi], &items[f.qi], f.b, deadline)
+	}
 	return nLegs
 }
 
@@ -275,14 +302,20 @@ func (sc *fanScratch) addSlot(b, qi int32, q *proto.QueryMsg) {
 			sc.legs = append(sc.legs, readLeg{})
 		}
 		lg := &sc.legs[li]
-		lg.qis, lg.qs, lg.ids, lg.ends, lg.code = lg.qis[:0], lg.qs[:0], lg.ids[:0], lg.ends[:0], lg.code[:0]
+		*lg = readLeg{
+			qis: lg.qis[:0], qs: lg.qs[:0], ids: lg.ids[:0], nbrs: lg.nbrs[:0],
+			ends: lg.ends[:0], nends: lg.nends[:0], code: lg.code[:0],
+		}
 	}
 	lg := &sc.legs[li]
 	if n := len(lg.qis); n > 0 && lg.qis[n-1] == qi {
 		return
 	}
 	lg.qis, lg.qs = append(lg.qis, qi), append(lg.qs, *q)
-	if lq := &lg.qs[len(lg.qs)-1]; lq.Mode == proto.ModeData {
+	switch lq := &lg.qs[len(lg.qs)-1]; {
+	case lq.Kind == proto.KindNN:
+		lq.Mode = proto.ModeNeighbors // the visit goes on by distance
+	case lq.Mode == proto.ModeData:
 		lq.Mode = proto.ModeIDs // backends answer legs in id space
 	}
 }

@@ -1,19 +1,24 @@
 package router
 
 // legs_test.go pins what a routed read costs in backend legs, by kind: a
-// k-NN asks one holder per range it cannot prune (not every backend), and a
-// window asks the holder that covers the most of it.
+// k-NN asks one holder per range it cannot prune (not every backend), a
+// window asks the holder that covers the most of it, and a batch's k-NN
+// sub-queries take their first leg inside the batch's grouped legs.
 
 import (
 	"math/rand"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
+	"mobispatial/internal/dataset"
 	"mobispatial/internal/faultlink"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/mutable"
 	"mobispatial/internal/obs"
+	"mobispatial/internal/proto"
+	"mobispatial/internal/rtree"
 	"mobispatial/internal/serve/client"
 	"mobispatial/internal/shard"
 )
@@ -292,4 +297,206 @@ func TestRouterNNDivergentAsksEveryHolder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// clusterMixBatch draws a 16-query batch of the benchmark's cluster mix:
+// each sub-query centred on a random segment's midpoint, 50 % points at the
+// default tolerance, 30 % 2 km windows and 20 % 8-NN, every other 8-NN asking
+// for neighbors (a router fronted as a backend) instead of ids.
+func clusterMixBatch(rng *rand.Rand, ds *dataset.Dataset) []proto.QueryMsg {
+	qs := make([]proto.QueryMsg, 16)
+	nn := 0
+	for i := range qs {
+		p := ds.Seg(uint32(rng.Intn(ds.Len()))).Midpoint()
+		switch x := rng.Intn(100); {
+		case x < 50:
+			qs[i] = proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeIDs, Point: p}
+		case x < 80:
+			qs[i] = proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeIDs, Window: geom.Rect{Min: p, Max: p}.Expand(1000)}
+		default:
+			qs[i] = proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeData, Point: p, K: 8}
+			if nn++; nn%2 == 0 {
+				qs[i].Mode = proto.ModeNeighbors
+			}
+		}
+	}
+	return qs
+}
+
+// runMixBatch answers one cluster-mix batch through RunQueryBatch and checks
+// every item against the flat oracle: ids for points and windows, ids and
+// distances rank by rank for a k-NN.
+func runMixBatch(t *testing.T, label string, r *Router, rng *rand.Rand, pool *shard.Pool) {
+	t.Helper()
+	ds := r.Dataset()
+	qs := clusterMixBatch(rng, ds)
+	items := make([]proto.BatchItem, len(qs))
+	r.RunQueryBatch(qs, items, time.Time{})
+	for i := range qs {
+		q, it := &qs[i], &items[i]
+		if it.Err != 0 {
+			t.Fatalf("%s item %d: code %d (%s)", label, i, it.Err, it.Text)
+		}
+		switch q.Kind {
+		case proto.KindPoint:
+			sameIDs(t, label+" point", it.IDs, pool.PointAppend(nil, q.Point, proto.DefaultPointEps))
+		case proto.KindRange:
+			sameIDs(t, label+" window", it.IDs, pool.RangeAppend(nil, q.Window))
+		default:
+			var got []rtree.Neighbor
+			for _, nb := range it.Nbrs {
+				got = append(got, rtree.Neighbor{ID: nb.ID, Dist: nb.Dist})
+			}
+			for _, id := range it.IDs {
+				got = append(got, rtree.Neighbor{ID: id, Dist: ds.Seg(id).DistToPoint(q.Point)})
+			}
+			if q.Mode == proto.ModeNeighbors && len(it.IDs) > 0 {
+				t.Fatalf("%s item %d: a neighbors-mode k-NN answered ids", label, i)
+			}
+			want, _ := pool.KNearestAppend(nil, q.Point, int(q.K), nil)
+			checkNN(t, label+" knn", ds, q.Point, got, want)
+		}
+	}
+}
+
+// TestRouterBatchNNLegs: at R = 2 over three backends a 16-query batch of the
+// cluster mix takes at most three backend legs on average — its k-NN
+// sub-queries ride the grouped legs, and most of their answers prove
+// themselves there — and router_batch_legs_total counts every one of them.
+// Every answer equals the flat oracle, also with a backend killed mid-run
+// and with one behind an open breaker; a k-NN beside a divergent range asks
+// each of its holders once.
+func TestRouterBatchNNLegs(t *testing.T) {
+	ds := clusterDataset(t)
+	pool := truthPool(t, ds)
+
+	t.Run("healthy", func(t *testing.T) {
+		tc := startCluster(t, ds, 3, 2)
+		hub := obs.NewHub()
+		r := newRouter(t, tc, func(cfg *Config) { cfg.Obs = hub })
+		lc := newLegCounter(hub, tc)
+		rng := rand.New(rand.NewSource(26))
+		const batches = 300
+		for i := 0; i < batches; i++ {
+			runMixBatch(t, "healthy", r, rng, pool)
+		}
+		legs := sum(lc.since())
+		mean := float64(legs) / batches
+		t.Logf("%.2f legs per 16-query batch", mean)
+		if mean > 3 {
+			t.Errorf("%.2f legs per 16-query batch, want ≤ 3", mean)
+		}
+		if v := hub.Reg.Counter("router_batch_legs_total").Value(); v != legs {
+			t.Errorf("router_batch_legs_total = %d, the backends took %d legs", v, legs)
+		}
+	})
+
+	t.Run("backend killed mid-run", func(t *testing.T) {
+		tc := startCluster(t, ds, 3, 2)
+		hub := obs.NewHub()
+		r := newRouter(t, tc, func(cfg *Config) {
+			cfg.Obs = hub
+			cfg.LegTimeout = 500 * time.Millisecond
+		})
+		rng := rand.New(rand.NewSource(27))
+		for i := 0; i < 100; i++ {
+			if i == 50 {
+				tc.servers[1].Close()
+			}
+			runMixBatch(t, "kill", r, rng, pool)
+		}
+		if v := hub.Reg.Counter("router_failover_total").Value(); v == 0 {
+			t.Fatal("the killed backend never failed a leg; the test exercised nothing")
+		}
+		if v := hub.Reg.Counter("router_unroutable_total").Value(); v != 0 {
+			t.Fatalf("%d sub-queries unroutable; R=2 must survive one backend", v)
+		}
+	})
+
+	t.Run("breaker open", func(t *testing.T) {
+		tc := startCluster(t, ds, 3, 2)
+		hub := obs.NewHub()
+		inj := faultlink.New(faultlink.Profile{})
+		const victim = 1
+		r := newRouter(t, tc, func(cfg *Config) {
+			cfg.Obs = hub
+			cfg.LegTimeout = 300 * time.Millisecond
+			cfg.Breaker = client.BreakerConfig{Enabled: true, FailureThreshold: 2, ProbeInterval: time.Hour}
+			cfg.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+				if addr == tc.addrs[victim] {
+					return inj.DialFunc(nil)(addr, timeout)
+				}
+				return net.DialTimeout("tcp", addr, timeout)
+			}
+		})
+		lc := newLegCounter(hub, tc)
+		inj.ForceOutage(true)
+		rng := rand.New(rand.NewSource(28))
+		deadline := time.Now().Add(10 * time.Second)
+		for r.BackendHealthy(victim) {
+			if time.Now().After(deadline) {
+				t.Fatal("breaker never tripped during the forced outage")
+			}
+			runMixBatch(t, "breaker tripping", r, rng, pool)
+		}
+		lc.since()
+		for i := 0; i < 100; i++ {
+			runMixBatch(t, "breaker open", r, rng, pool)
+		}
+		if legs := lc.since(); legs[victim] != 0 {
+			t.Fatalf("the open-breaker backend took %d legs: %v", legs[victim], legs)
+		}
+		if v := hub.Reg.Counter("router_unroutable_total").Value(); v != 0 {
+			t.Fatalf("%d sub-queries unroutable; R=2 must survive one backend", v)
+		}
+	})
+
+	t.Run("divergent range", func(t *testing.T) {
+		tc, pools, cuts := startMutableCluster(t, ds, 3, 2, mutable.AdaptiveConfig{})
+		hub := obs.NewHub()
+		r := newRouter(t, tc, func(cfg *Config) {
+			cfg.Obs = hub
+			cfg.RefreshInterval = 20 * time.Millisecond
+		})
+		lc := newLegCounter(hub, tc)
+
+		// A write applied at ONE replica, behind the router's back, as in
+		// TestRouterNNDivergentAsksEveryHolder.
+		const lone = 0
+		seg := segInRange(t, ds, cuts, func(rg int) bool { return r.snap().holds[lone][rg] })
+		rg := r.snap().rangeForKey(shard.WriteKey(r.wq, seg.MBR()))
+		id := uint32(ds.Len() + 78)
+		if _, _, owned, err := pools[lone].ApplyInsert(id, seg); err != nil || !owned {
+			t.Fatalf("direct insert: owned=%v err=%v", owned, err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for !r.snap().divergent[rg] {
+			if time.Now().After(deadline) {
+				t.Fatalf("range %d never reported divergent", rg)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+
+		lc.since()
+		for i := 0; i < 20; i++ {
+			qs := []proto.QueryMsg{{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: seg.A, K: 16}}
+			items := make([]proto.BatchItem, 1)
+			r.RunQueryBatch(qs, items, time.Time{})
+			if items[0].Err != 0 {
+				t.Fatalf("batch %d: code %d (%s)", i, items[0].Err, items[0].Text)
+			}
+			if !r.snap().divergent[rg] {
+				t.Fatalf("range %d stopped being divergent mid-test", rg)
+			}
+			if !slices.Contains(items[0].Nbrs, proto.Neighbor{ID: id, Dist: 0}) {
+				t.Fatalf("batch %d: id %d, which only replica %d holds, is not among the 16 nearest of its own endpoint: %v", i, id, lone, items[0].Nbrs)
+			}
+			legs := lc.since()
+			for _, b := range r.snap().holders[rg] {
+				if legs[b] != 1 {
+					t.Fatalf("batch %d: holder %d of divergent range %d took %d legs, want 1 each: %v", i, b, rg, legs[b], legs)
+				}
+			}
+		}
+	})
 }

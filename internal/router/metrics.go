@@ -39,8 +39,9 @@ import (
 //	router_batches_total            counter: client batches answered through
 //	                                the grouped (one-leg-per-backend) path
 //	router_batch_queries_total      counter: sub-queries inside those batches
-//	router_batch_legs_total         counter: grouped batch legs shipped,
-//	                                failover rounds included — legs/batches
+//	router_batch_legs_total         counter: every backend leg a batch took —
+//	                                grouped legs, failover rounds and k-NN
+//	                                continuation legs included; legs/batches
 //	                                is the locality win over the per-item
 //	                                fan-out
 //	router_refresh_total            counter: routing-table refreshes swapped

@@ -26,40 +26,91 @@ func (r *Router) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int,
 	}
 	fs := r.getScratch()
 	defer r.putScratch(fs)
-	nbs, err := r.knn(fs, pt, k, r.deadlineOr(deadline))
-	for _, nb := range nbs {
+	t := r.snap()
+	fs.sel, fs.acc = fs.sel[:0], fs.acc[:0]
+	fs.openAll(t.numRanges)
+	if _, err := r.knn(fs, t, pt, k, r.deadlineOr(deadline)); err != nil {
+		return dst, err
+	}
+	r.metrics.fanout.Observe(float64(len(fs.sel)))
+	for _, nb := range fs.acc {
 		dst = append(dst, rtree.Neighbor{ID: nb.ID, Dist: nb.Dist})
 	}
-	return dst, err
+	return dst, nil
 }
 
-// knn is the range-space visit; the answer aliases fs.acc and is empty on
-// error. Completeness: the loop ends only when every range was answered by a
-// visited holder or has MINDIST above the final k-th distance — a backend
-// answers a leg over its whole pool, so one leg answers every range the
-// backend holds (the fact route's merge relies on), and MINDIST of a range's
-// effective extent lower-bounds every item in it, so a pruned range cannot
-// improve on the k found. An un-pruned range with no usable holder left
-// could silently hide true neighbors, so the query fails CodeUnavailable
-// instead. A divergent range's extent is everything: it bounds nothing, and
-// any holder may be the lagging one, so every usable holder of it is asked.
-func (r *Router) knn(fs *fanScratch, pt geom.Point, k int, deadline time.Time) ([]proto.Neighbor, error) {
-	t := r.snap()
-	fs.sel, fs.acc, fs.eff = fs.sel[:0], fs.acc[:0], fs.eff[:0]
-	fs.open = append(fs.open[:0], make([]bool, t.numRanges)...)
-	for rg := range fs.open {
-		fs.open[rg] = true
+// finishNN completes a batch's k-NN sub-query q whose first leg, to backend
+// b, left its k nearest over b's whole pool in it.Nbrs: the visit goes on
+// from that state — b answered, the ranges it holds closed, the call's failed
+// backends still out — and ends without a leg when every range b does not
+// hold lies beyond the k-th distance. The answer replaces it.Nbrs: ids
+// nearest first, or the neighbors themselves for a ModeNeighbors q. It
+// returns the legs the visit took.
+func (r *Router) finishNN(sc *fanScratch, t *routing, q *proto.QueryMsg, it *proto.BatchItem, b int32, deadline time.Time) int {
+	k := max(int(q.K), 1)
+	sc.sel, sc.acc = sc.sel[:0], append(sc.acc[:0], it.Nbrs[:min(len(it.Nbrs), k)]...)
+	sc.openAll(t.numRanges)
+	sc.answeredBy(t, b)
+	legs, err := r.knn(sc, t, q.Point, k, deadline)
+	it.Nbrs = it.Nbrs[:0]
+	switch {
+	case err != nil:
+		it.Err, it.Text = proto.CodeOf(err)
+	case q.Mode == proto.ModeNeighbors:
+		it.Nbrs = append(it.Nbrs, sc.acc...)
+	default:
+		for _, nb := range sc.acc {
+			it.IDs = append(it.IDs, nb.ID)
+		}
+	}
+	return legs
+}
+
+// openAll opens every one of n ranges: nothing answered, nothing pruned.
+func (fs *fanScratch) openAll(n int) {
+	fs.open = fs.open[:0]
+	for range n {
+		fs.open = append(fs.open, true)
+	}
+}
+
+// answeredBy records that backend b answered the k-NN in progress: it joins
+// fs.sel and closes every range it holds, except a divergent one, which
+// closes only when all its holders were asked.
+func (fs *fanScratch) answeredBy(t *routing, b int32) {
+	fs.sel = append(fs.sel, b)
+	for rg, held := range t.holds[b] {
+		if held && !t.divergent[rg] {
+			fs.open[rg] = false
+		}
+	}
+}
+
+// knn is the range-space visit from the state in fs — acc the best
+// neighbors so far, sel the backends that answered, open the ranges neither
+// answered nor pruned, failed the backends out for the call — and returns
+// the legs it took; the answer is fs.acc. Completeness: the loop ends only
+// when every range was answered by a visited holder or has MINDIST above
+// the final k-th distance — a backend answers a leg over its whole pool, so
+// one leg answers every range the backend holds (the fact route's merge
+// relies on), and MINDIST of a range's effective extent lower-bounds every
+// item in it, so a pruned range cannot improve on the k found. An un-pruned
+// range with no usable holder left could silently hide true neighbors, so
+// the query fails CodeUnavailable instead. A divergent range's extent is
+// everything: it bounds nothing, and any holder may be the lagging one, so
+// every usable holder of it is asked.
+func (r *Router) knn(fs *fanScratch, t *routing, pt geom.Point, k int, deadline time.Time) (int, error) {
+	fs.eff = fs.eff[:0]
+	for rg := range t.numRanges {
 		fs.eff = append(fs.eff, t.eff(rg))
 	}
 	fs.order = shard.OrderByMinDist(fs.order[:0], fs.eff, pt)
 	rot := int(r.rr.Add(1))
 
-	// leg asks backend b under the running bound and merges its answer. A
-	// backend that answered joins fs.sel and closes every range it holds,
-	// except a divergent one: that closes only when all its holders were asked.
-	asked := 0
+	// leg asks backend b under the running bound and merges its answer.
+	legs := 0
 	leg := func(b int32) bool {
-		asked++
+		legs++
 		bound := math.Inf(1)
 		if len(fs.acc) == k {
 			bound = fs.acc[k-1].Dist
@@ -73,13 +124,8 @@ func (r *Router) knn(fs *fanScratch, pt geom.Point, k int, deadline time.Time) (
 			r.metrics.failovers.Inc()
 			return false
 		}
-		fs.sel = append(fs.sel, b)
+		fs.answeredBy(t, b)
 		fs.acc = mergeNeighbors(fs.acc, nbrs, k, &fs.nbrTmp)
-		for rg, held := range t.holds[b] {
-			if held && !t.divergent[rg] {
-				fs.open[rg] = false
-			}
-		}
 		return true
 	}
 	for _, sd := range fs.order {
@@ -102,16 +148,23 @@ func (r *Router) knn(fs *fanScratch, pt geom.Point, k int, deadline time.Time) (
 			b := r.pick(t.table, fs, rg, rot)
 			if b < 0 {
 				r.metrics.unroutable.Inc()
-				return nil, errUnavailable(int(rg))
+				return legs, errUnavailable(int(rg))
 			}
 			answered = leg(b)
 		}
 		fs.open[rg] = false
 	}
+	// Contacted: the backends that answered, and those out for the call —
+	// each failed a leg, of this query or of another in its batch.
+	contacted := len(fs.sel)
+	for b, failed := range fs.failed {
+		if failed && !slices.Contains(fs.sel, int32(b)) {
+			contacted++
+		}
+	}
 	r.metrics.nnVisited.Add(uint64(len(fs.sel)))
-	r.metrics.nnPruned.Add(uint64(len(r.clients) - asked))
-	r.metrics.fanout.Observe(float64(len(fs.sel)))
-	return fs.acc, nil
+	r.metrics.nnPruned.Add(uint64(len(r.clients) - contacted))
+	return legs, nil
 }
 
 // NearestUntil answers one cluster-wide nearest-neighbor query.

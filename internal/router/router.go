@@ -23,7 +23,8 @@
 //   - NN scheduling: ranges are taken best-first by MINDIST of their MBRs,
 //     one holder each, carrying the running k-th-neighbor bound so later
 //     backends prune whole shards (shard.Pool's KNearestBoundedAppend) and
-//     ranges whose MBR cannot beat the bound cost no leg at all.
+//     ranges whose MBR cannot beat the bound cost no leg at all; a batch's
+//     k-NN sub-query takes its first leg inside the batch's grouped legs.
 //
 // Failures fail over, not fail: a leg that errors marks its backend failed
 // for the query, its ranges are re-covered from surviving replicas, and the
@@ -567,26 +568,35 @@ func errUnavailable(rangeIdx int) error {
 }
 
 // fanScratch is the pooled per-call fan-out state: the plan of a read
-// (exec.go), the legs of a read or a write, and the NN visit's buffers.
+// (exec.go), the legs of a read or a write and what they ship, and the NN
+// visit's buffers.
 type fanScratch struct {
-	q       [1]proto.QueryMsg  // a single query as a batch of one
-	item    [1]proto.BatchItem // and its answer
-	needed  []int32            // every sub-query's relevant ranges, concatenated
-	covered []int32            // mirrors needed: the covering backend, uncovered or answered
-	qoff    []int32            // sub-query i's ranges are needed[qoff[i]:qoff[i+1]]
-	sel     []int32            // this round's legs: the backend of each
-	legs    []readLeg          // mirrors sel: a read leg's slots and answers
-	acks    []client.UpdateAck // mirrors sel: a write leg's ack
-	errs    []error            // mirrors sel: the leg's outcome
-	wg      sync.WaitGroup     // the legs in flight
-	failed  []bool             // backend id -> failed during this call
-	open    []bool             // range id -> the sub-query or NN being planned still needs it
-	eff     []geom.Rect        // NN: every range's effective extent
-	order   []shard.IndexDist  // NN visit order: ranges by ascending MINDIST
-	nbrBuf  []proto.Neighbor   // NN leg reply buffer
-	nbrTmp  []proto.Neighbor   // NN merge temp
-	acc     []proto.Neighbor   // NN running best-k
+	q        [1]proto.QueryMsg  // a single query as a batch of one
+	item     [1]proto.BatchItem // and its answer
+	needed   []int32            // every sub-query's relevant ranges, concatenated
+	covered  []int32            // mirrors needed: the covering backend, uncovered or answered
+	qoff     []int32            // sub-query i's ranges are needed[qoff[i]:qoff[i+1]]
+	nnStarts []nnStart          // the k-NN sub-queries whose first leg answered
+	send     legSender          // how this call's read legs travel
+	deadline time.Time          // this call's deadline, which caps every leg
+	write    writeOp            // the write this call's write legs carry
+	sel      []int32            // this round's legs: the backend of each
+	legs     []readLeg          // mirrors sel: a read leg's slots and answers
+	acks     []client.UpdateAck // mirrors sel: a write leg's ack
+	errs     []error            // mirrors sel: the leg's outcome
+	wg       sync.WaitGroup     // the legs in flight
+	failed   []bool             // backend id -> failed during this call
+	open     []bool             // range id -> the sub-query or NN being planned still needs it
+	eff      []geom.Rect        // NN: every range's effective extent
+	order    []shard.IndexDist  // NN visit order: ranges by ascending MINDIST
+	nbrBuf   []proto.Neighbor   // NN leg reply buffer
+	nbrTmp   []proto.Neighbor   // NN merge temp
+	acc      []proto.Neighbor   // NN running best-k
 }
+
+// nnStart is a batch k-NN sub-query (index qi) whose first leg backend b
+// answered in a grouped round: where its visit starts.
+type nnStart struct{ qi, b int32 }
 
 func (r *Router) getScratch() *fanScratch {
 	sc := r.scratch.Get().(*fanScratch)
@@ -600,34 +610,31 @@ func (r *Router) getScratch() *fanScratch {
 
 func (r *Router) putScratch(sc *fanScratch) { r.scratch.Put(sc) }
 
-// runLegs runs leg(li, sc.sel[li]) for every leg of the round concurrently
-// and records each outcome in sc.errs[li] and the per-backend leg metrics.
-// The first leg runs on the calling goroutine — most fan-outs have one —
-// unless the caller has work of its own to overlap with the legs
-// (meanwhile), which then runs there instead.
-func (r *Router) runLegs(sc *fanScratch, leg func(li int, b int32) error, meanwhile func()) {
-	first := 1
-	if meanwhile != nil {
-		first = 0
-	}
-	for li := first; li < len(sc.sel); li++ {
+// legFunc ships leg li of the round (to backend sc.sel[li]). It is always a
+// top-level function reading what it ships from sc, so handing one to
+// runLegs allocates nothing.
+type legFunc func(r *Router, sc *fanScratch, li int) error
+
+// runLegs runs leg for every leg of the round concurrently, the first on the
+// calling goroutine — most fan-outs have one — and records each outcome in
+// sc.errs[li] and the per-backend leg metrics.
+func (r *Router) runLegs(sc *fanScratch, leg legFunc) {
+	for li := 1; li < len(sc.sel); li++ {
 		sc.wg.Add(1)
 		go func(li int) {
 			defer sc.wg.Done()
 			r.runLeg(sc, li, leg)
 		}(li)
 	}
-	if meanwhile != nil {
-		meanwhile()
-	} else if len(sc.sel) > 0 {
+	if len(sc.sel) > 0 {
 		r.runLeg(sc, 0, leg)
 	}
 	sc.wg.Wait()
 }
 
-func (r *Router) runLeg(sc *fanScratch, li int, leg func(li int, b int32) error) {
+func (r *Router) runLeg(sc *fanScratch, li int, leg legFunc) {
 	b := sc.sel[li]
 	start := time.Now()
-	sc.errs[li] = leg(li, b)
+	sc.errs[li] = leg(r, sc, li)
 	r.observeLeg(int(b), time.Since(start), sc.errs[li])
 }

@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"math"
 
 	"mobispatial/internal/geom"
 	"mobispatial/internal/proto"
@@ -153,6 +154,18 @@ func (s *routing) eff(rg int) geom.Rect {
 		return everythingRect
 	}
 	return s.rangeMBR[rg].Union(s.grow[rg])
+}
+
+// nearestRange returns the range whose effective extent is nearest pt, the
+// lowest index on a tie: where a k-NN's visit starts.
+func (s *routing) nearestRange(pt geom.Point) int32 {
+	best, bd := int32(0), math.Inf(1)
+	for rg := range s.rangeMBR {
+		if d := s.eff(rg).MinDist(pt); d < bd {
+			best, bd = int32(rg), d
+		}
+	}
+	return best
 }
 
 // neededRanges appends the indices of ranges that may hold items matching a

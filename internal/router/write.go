@@ -38,9 +38,7 @@ func (r *Router) ApplyInsert(id uint32, seg geom.Segment) (uint64, bool, bool, e
 	t := r.snap()
 	mbr := seg.MBR()
 	rg := t.rangeForKey(shard.WriteKey(r.wq, mbr))
-	epoch, existed, owned, err := r.fanWrite(t.holders[rg], func(cc *client.Client) (client.UpdateAck, error) {
-		return cc.Insert(id, seg)
-	})
+	epoch, existed, owned, err := r.fanWrite(t.holders[rg], writeOp{proto.MsgInsert, id, seg})
 	if err == nil {
 		r.liveSet(id, seg)
 		r.noteWrite(mbr, rg, rg)
@@ -64,9 +62,7 @@ func (r *Router) ApplyMove(id uint32, seg geom.Segment) (uint64, bool, bool, err
 	if oldSeg, ok := r.segKnown(id); ok {
 		oldRg = t.rangeForKey(shard.WriteKey(r.wq, oldSeg.MBR()))
 	}
-	epoch, existed, owned, err := r.fanWrite(r.all, func(cc *client.Client) (client.UpdateAck, error) {
-		return cc.Move(id, seg)
-	})
+	epoch, existed, owned, err := r.fanWrite(r.all, writeOp{proto.MsgMove, id, seg})
 	if err == nil {
 		r.liveSet(id, seg)
 		if oldRg >= 0 {
@@ -90,9 +86,7 @@ func (r *Router) ApplyDelete(id uint32) (uint64, bool, bool, error) {
 	if oldSeg, ok := r.segKnown(id); ok {
 		oldRg = t.rangeForKey(shard.WriteKey(r.wq, oldSeg.MBR()))
 	}
-	epoch, existed, owned, err := r.fanWrite(r.all, func(cc *client.Client) (client.UpdateAck, error) {
-		return cc.Delete(id)
-	})
+	epoch, existed, owned, err := r.fanWrite(r.all, writeOp{kind: proto.MsgDelete, id: id})
 	if err == nil {
 		r.liveMu.Lock()
 		delete(r.live, id)
@@ -139,28 +133,46 @@ func (r *Router) liveSet(id uint32, seg geom.Segment) {
 	r.liveMu.Unlock()
 }
 
-// writeLeg is one backend's share of a write.
-type writeLeg func(cc *client.Client) (client.UpdateAck, error)
+// writeOp is the write every leg of one fanWrite carries: MsgInsert,
+// MsgMove or MsgDelete of object id (seg is unused by a delete).
+type writeOp struct {
+	kind proto.MsgType
+	id   uint32
+	seg  geom.Segment
+}
 
-// fanWrite sends the write to every target concurrently through the leg
-// runner the reads use and merges the acks. Unlike reads there is no
-// failover — the targets ARE the replica set; a failed leg has nowhere else
-// to go and is recorded as divergence instead.
-func (r *Router) fanWrite(targets []int32, leg writeLeg) (uint64, bool, bool, error) {
+// shipWrite is fanWrite's leg function: the call's write to backend
+// sc.sel[li], its ack into sc.acks[li].
+func shipWrite(r *Router, sc *fanScratch, li int) error {
+	cc, w := r.clients[sc.sel[li]], &sc.write
+	var err error
+	switch w.kind {
+	case proto.MsgInsert:
+		sc.acks[li], err = cc.Insert(w.id, w.seg)
+	case proto.MsgMove:
+		sc.acks[li], err = cc.Move(w.id, w.seg)
+	default:
+		sc.acks[li], err = cc.Delete(w.id)
+	}
+	r.metrics.writeLegs.Inc()
+	if err != nil {
+		r.metrics.writeLegErrs.Inc()
+	}
+	return err
+}
+
+// fanWrite sends w to every target concurrently through the leg runner the
+// reads use and merges the acks. Unlike reads there is no failover — the
+// targets ARE the replica set; a failed leg has nowhere else to go and is
+// recorded as divergence instead.
+func (r *Router) fanWrite(targets []int32, w writeOp) (uint64, bool, bool, error) {
 	r.metrics.writes.Inc()
 	sc := r.getScratch()
 	defer r.putScratch(sc)
 	sc.sel = append(sc.sel[:0], targets...)
 	sc.acks = append(sc.acks[:0], make([]client.UpdateAck, len(targets))...)
-	r.runLegs(sc, func(li int, b int32) error {
-		var err error
-		sc.acks[li], err = leg(r.clients[b])
-		r.metrics.writeLegs.Inc()
-		if err != nil {
-			r.metrics.writeLegErrs.Inc()
-		}
-		return err
-	}, nil)
+	sc.write = w
+	r.runLegs(sc, shipWrite)
 
 	ok := 0
 	var epoch uint64

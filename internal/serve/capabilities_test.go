@@ -2,6 +2,8 @@ package serve
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -63,7 +65,8 @@ func monolithicMutable(t testing.TB, ds *dataset.Dataset, adaptive bool) *mutabl
 
 // TestPoolCapabilities builds every pool kind a Server can front and pins
 // the capability struct New resolves for each — the DESIGN.md pool ×
-// capability table, as a test.
+// capability table, as a test — and that each answers a router's batched NN
+// leg (ModeNeighbors) as it answers a lone one.
 func TestPoolCapabilities(t *testing.T) {
 	ds, tree := testDataset(t)
 	one, err := shard.Over(ds, tree)
@@ -118,6 +121,37 @@ func TestPoolCapabilities(t *testing.T) {
 		if _, local := srv.eng.(localEngine); local == tc.want.distributed {
 			t.Errorf("%s: engine %T, distributed=%v", tc.name, srv.eng, tc.want.distributed)
 		}
+		checkNeighborsMode(t, tc.name, srv, ds.Extent)
+	}
+}
+
+// checkNeighborsMode: every pool kind answers a ModeNeighbors batch item with
+// exactly the neighbors and distances a MsgNNQuery leg gets, and refuses the
+// mode on a lone MsgQuery.
+func checkNeighborsMode(t *testing.T, name string, srv *Server, ext geom.Rect) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 8; i++ {
+		pt := geom.Point{X: ext.Min.X + rng.Float64()*ext.Width(), Y: ext.Min.Y + rng.Float64()*ext.Height()}
+		leg, ok := srv.execute(&proto.NNQueryMsg{ID: 1, Point: pt, K: 8}, srv.getScratch(), deadline).(*proto.NeighborsMsg)
+		if !ok || len(leg.Neighbors) != 8 {
+			t.Fatalf("%s: NN leg answered %+v", name, leg)
+		}
+		batch := &proto.BatchQueryMsg{ID: 2, Queries: []proto.QueryMsg{
+			{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: pt, K: 8},
+		}}
+		reply, ok := srv.execute(batch, srv.getScratch(), deadline).(*proto.BatchReplyMsg)
+		if !ok || reply.Items[0].Err != 0 {
+			t.Fatalf("%s: neighbors-mode batch answered %+v", name, reply)
+		}
+		if got := reply.Items[0]; !slices.Equal(got.Nbrs, leg.Neighbors) || len(got.IDs) != 0 {
+			t.Fatalf("%s: neighbors-mode item %+v, the NN leg answered %v", name, got, leg.Neighbors)
+		}
+	}
+	lone := &proto.QueryMsg{ID: 3, Kind: proto.KindNN, Mode: proto.ModeNeighbors, K: 8}
+	if em, ok := srv.execute(lone, srv.getScratch(), deadline).(*proto.ErrorMsg); !ok || em.Code != proto.CodeBadRequest {
+		t.Fatalf("%s: a lone neighbors-mode query answered %+v, want bad-request", name, em)
 	}
 }
 

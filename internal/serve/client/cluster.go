@@ -71,12 +71,12 @@ func (c *Client) KNearestNeighborsAppendUntil(dst []proto.Neighbor, pt geom.Poin
 
 // QueryBatchVisit sends one batch leg — a sub-slice of a client batch the
 // router grouped onto this backend — and visits each item's answer in order:
-// visit(i, ids, code, text), where i indexes qs. The ids slice aliases the
-// pooled reply and is valid only during the visit call; the caller appends
-// what it keeps. ID and TimeoutMicros fields of qs are managed here. Like
-// every cluster-side call, an exchange failure surfaces as an error (no
-// local fallback) so the router can fail over to replica holders.
-func (c *Client) QueryBatchVisit(qs []proto.QueryMsg, deadline time.Time, visit func(i int, ids []uint32, code proto.ErrCode, text string)) error {
+// visit(i, item), where i indexes qs. The item aliases the pooled reply and
+// is valid only during the visit call; the caller copies what it keeps. ID
+// and TimeoutMicros fields of qs are managed here. Like every cluster-side
+// call, an exchange failure surfaces as an error (no local fallback) so the
+// router can fail over to replica holders.
+func (c *Client) QueryBatchVisit(qs []proto.QueryMsg, deadline time.Time, visit func(i int, it *proto.BatchItem)) error {
 	if len(qs) == 0 {
 		return nil
 	}
@@ -85,8 +85,7 @@ func (c *Client) QueryBatchVisit(qs []proto.QueryMsg, deadline time.Time, visit 
 		return err
 	}
 	for i := range r.Items {
-		it := &r.Items[i]
-		visit(i, it.IDs, it.Err, it.Text)
+		visit(i, &r.Items[i])
 	}
 	proto.ReleaseMessage(r)
 	return nil

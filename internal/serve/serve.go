@@ -150,10 +150,11 @@ type LiveSummary interface {
 // MsgBatchQuery, letting the executor group sub-queries by owning backend
 // and issue one wire leg per backend instead of one full fan-out per
 // sub-query. items[i] answers qs[i]: the executor appends ids into the
-// slot's (already reset) IDs slice or sets Err/Text; slots arriving with
-// Err already set were rejected by the server and must be skipped. Record
-// materialization for data-mode queries stays with the server, so executors
-// always answer in id space.
+// slot's (already reset) IDs slice — neighbors into Nbrs for a
+// ModeNeighbors slot — or sets Err/Text; slots arriving with Err already set
+// were rejected by the server and must be skipped. Record materialization
+// for data-mode queries stays with the server, so executors always answer
+// in id space.
 type BatchExecutor interface {
 	RunQueryBatch(qs []proto.QueryMsg, items []proto.BatchItem, deadline time.Time)
 }
@@ -415,7 +416,7 @@ func (s *Server) putScratch(sc *reqScratch) {
 	}
 	items := sc.batch.Items[:cap(sc.batch.Items)]
 	for i := range items {
-		if cap(items[i].IDs) > maxScratchIDs || cap(items[i].Recs) > maxScratchRecords {
+		if cap(items[i].IDs) > maxScratchIDs || cap(items[i].Recs) > maxScratchRecords || cap(items[i].Nbrs) > maxScratchRecords {
 			return
 		}
 	}
@@ -1029,6 +1030,10 @@ func (s *Server) observeExec(req proto.Message, sec float64) {
 }
 
 func (s *Server) observeExecQuery(q *proto.QueryMsg, sec float64) {
+	if q.Mode == proto.ModeNeighbors {
+		s.metrics.nnLegHist.Observe(sec) // a router's NN leg, batched
+		return
+	}
 	if int(q.Kind) < 3 && int(q.Mode) < 3 {
 		s.metrics.execHist[q.Kind][q.Mode].Observe(sec)
 	}
@@ -1273,53 +1278,61 @@ func (s *Server) nearest(pt geom.Point, k int, sc *reqScratch, deadline time.Tim
 
 // executeNN answers one router NN leg (MsgNNQuery): a k-NN query carrying
 // the router's running k-th-neighbor bound, answered with exact distances.
-// The bound-aware surface answers when the pool has one — every local pool;
-// a router fronted as a backend has only the engine's unbounded k-NN (the
-// bound is only a hint, dropping it never costs correctness).
 func (s *Server) executeNN(m *proto.NNQueryMsg, sc *reqScratch, deadline time.Time) proto.Message {
-	k := max(int(m.K), 1)
-	if err := s.checkK(k); err != nil {
+	out, err := s.neighbors(sc.nbrMsg.Neighbors[:0], m.Point, int(m.K), m.Bound, sc, deadline)
+	if err != nil {
 		return errorReply(m.ID, err)
 	}
-	bound := m.Bound
+	sc.nbrMsg = proto.NeighborsMsg{ID: m.ID, Neighbors: out}
+	return &sc.nbrMsg
+}
+
+// neighbors is the one router NN leg path, a MsgNNQuery and a ModeNeighbors
+// batch item alike: the k (0 means 1) nearest neighbors of pt under bound
+// (0 or +Inf means none), with exact distances, appended to dst. The
+// bound-aware surface answers when the pool has one — every local pool; a
+// router fronted as a backend has only the engine's unbounded k-NN (the
+// bound is only a hint, dropping it never costs correctness).
+func (s *Server) neighbors(dst []proto.Neighbor, pt geom.Point, k int, bound float64, sc *reqScratch, deadline time.Time) ([]proto.Neighbor, error) {
+	k = max(k, 1)
+	if err := s.checkK(k); err != nil {
+		return dst, err
+	}
 	if bound <= 0 {
 		bound = math.Inf(1)
 	}
-	out := sc.nbrMsg.Neighbors[:0]
-	cached := false
 	if s.qc != nil {
 		if math.IsInf(bound, 1) {
 			// Only unbounded legs are cacheable: the router's running bound
 			// is not part of the key space, and a bounded answer is a
 			// truncation no later query could safely refine from.
-			ids, dists, handled, err := s.cachedNN(m.Point, k, sc, deadline)
+			ids, dists, handled, err := s.cachedNN(pt, k, sc, deadline)
 			if err != nil {
-				return errorReply(m.ID, err)
+				return dst, err
 			}
-			for i, id := range ids {
-				out = append(out, proto.Neighbor{ID: id, Dist: dists[i]})
+			if handled {
+				for i, id := range ids {
+					dst = append(dst, proto.Neighbor{ID: id, Dist: dists[i]})
+				}
+				return dst, nil
 			}
-			cached = handled
 		} else {
 			s.qc.Bypass()
 		}
 	}
-	if !cached {
-		var err error
-		if s.caps.bnn != nil {
-			sc.nbs, err = knnResult(s.caps.bnn.KNearestBoundedAppend(sc.nbs[:0], m.Point, k, bound, &sc.psc))
-		} else {
-			sc.nbs, err = s.eng.KNearestAppendUntil(sc.nbs[:0], m.Point, k, &sc.psc, deadline)
-		}
-		if err != nil {
-			return errorReply(m.ID, err)
-		}
-		for _, nb := range sc.nbs {
-			out = append(out, proto.Neighbor{ID: nb.ID, Dist: nb.Dist})
-		}
+	var err error
+	if s.caps.bnn != nil {
+		sc.nbs, err = knnResult(s.caps.bnn.KNearestBoundedAppend(sc.nbs[:0], pt, k, bound, &sc.psc))
+	} else {
+		sc.nbs, err = s.eng.KNearestAppendUntil(sc.nbs[:0], pt, k, &sc.psc, deadline)
 	}
-	sc.nbrMsg = proto.NeighborsMsg{ID: m.ID, Neighbors: out}
-	return &sc.nbrMsg
+	if err != nil {
+		return dst, err
+	}
+	for _, nb := range sc.nbs {
+		dst = append(dst, proto.Neighbor{ID: nb.ID, Dist: nb.Dist})
+	}
+	return dst, nil
 }
 
 // segOf resolves one record's geometry: through an updatable pool's SegOf
@@ -1378,6 +1391,11 @@ func (s *Server) answer(q *proto.QueryMsg, sc *reqScratch, ids []uint32, recs []
 }
 
 func (s *Server) executeQuery(q *proto.QueryMsg, sc *reqScratch, deadline time.Time) proto.Message {
+	if q.Mode == proto.ModeNeighbors {
+		// A lone NN leg is a MsgNNQuery; no single-query reply carries
+		// distances.
+		return errorReply(q.ID, badRequest("neighbors mode is answered only inside a batch"))
+	}
 	ids, recs, err := s.answer(q, sc, sc.ids[:0], sc.dataMsg.Records[:0], deadline)
 	if err != nil {
 		return errorReply(q.ID, err)
@@ -1403,7 +1421,7 @@ func batchItems(sc *reqScratch, n int) []proto.BatchItem {
 			items = append(items, proto.BatchItem{})
 		}
 		it := &items[i]
-		it.IDs, it.Recs, it.Err, it.Text = it.IDs[:0], it.Recs[:0], 0, ""
+		it.IDs, it.Recs, it.Nbrs, it.Err, it.Text = it.IDs[:0], it.Recs[:0], it.Nbrs[:0], 0, ""
 	}
 	return items
 }
@@ -1435,7 +1453,12 @@ func (s *Server) executeBatch(m *proto.BatchQueryMsg, sc *reqScratch, deadline t
 		it, q := &items[i], &m.Queries[i]
 		start := time.Now()
 		var err error
-		if it.IDs, it.Recs, err = s.answer(q, sc, it.IDs, it.Recs, deadline); err != nil {
+		if q.Mode == proto.ModeNeighbors {
+			it.Nbrs, err = s.neighbors(it.Nbrs, q.Point, int(q.K), 0, sc, deadline)
+		} else {
+			it.IDs, it.Recs, err = s.answer(q, sc, it.IDs, it.Recs, deadline)
+		}
+		if err != nil {
 			it.Err, it.Text = proto.CodeOf(err)
 		}
 		s.observeExecQuery(q, time.Since(start).Seconds())
