@@ -4,7 +4,90 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mobispatial/internal/hilbert/hilbertref"
 )
+
+// encodeRef is the bit-serial rotate-and-flip walk the table kernel must
+// reproduce bit for bit.
+var encodeRef = hilbertref.Encode
+
+// TestEncodeMatchesReferenceExhaustive compares Encode with the reference
+// over every cell of every grid up to order 8, which covers every padding
+// of a partial top step and every table entry from every start state.
+func TestEncodeMatchesReferenceExhaustive(t *testing.T) {
+	for order := uint(1); order <= 8; order++ {
+		side := uint32(1) << order
+		for x := uint32(0); x < side; x++ {
+			for y := uint32(0); y < side; y++ {
+				if got, want := Encode(order, x, y), encodeRef(order, x, y); got != want {
+					t.Fatalf("Encode(%d, %d, %d) = %d, reference %d", order, x, y, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeMatchesReferenceRandom compares Encode with the reference on a
+// million random cells at the index's order and at the two largest.
+func TestEncodeMatchesReferenceRandom(t *testing.T) {
+	const n = 1 << 20
+	rng := rand.New(rand.NewSource(27))
+	for _, order := range []uint{Order, 31, MaxOrder} {
+		mask := uint32(uint64(1)<<order - 1)
+		for i := 0; i < n; i++ {
+			x, y := rng.Uint32()&mask, rng.Uint32()&mask
+			if got, want := Encode(order, x, y), encodeRef(order, x, y); got != want {
+				t.Fatalf("Encode(%d, %d, %d) = %d, reference %d", order, x, y, got, want)
+			}
+		}
+	}
+}
+
+// FuzzEncodeMatchesReference holds Encode to the reference at every order
+// for arbitrary coordinates, including bits above the order.
+func FuzzEncodeMatchesReference(f *testing.F) {
+	f.Add(uint8(16), uint32(12345), uint32(54321))
+	f.Add(uint8(31), uint32(1<<31-1), uint32(0))
+	f.Add(uint8(32), ^uint32(0), ^uint32(0))
+	f.Fuzz(func(t *testing.T, o uint8, x, y uint32) {
+		order := 1 + uint(o)%MaxOrder
+		if got, want := Encode(order, x, y), encodeRef(order, x, y); got != want {
+			t.Fatalf("Encode(%d, %d, %d) = %d, reference %d", order, x, y, got, want)
+		}
+	})
+}
+
+// TestOrderOutOfRangePanics: order 0 and orders above 32 used to wrap the
+// curve's shift to zero and key every cell 0, so a misconfigured bulk load
+// packed in input order without a word. They are now refused.
+func TestOrderOutOfRangePanics(t *testing.T) {
+	for _, order := range []uint{0, MaxOrder + 1, 64} {
+		for name, call := range map[string]func(){
+			"Encode":       func() { Encode(order, 1, 1) },
+			"NewQuantizer": func() { NewQuantizer(order, 0, 0, 1, 1) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s at order %d did not panic", name, order)
+					}
+				}()
+				call()
+			}()
+		}
+	}
+}
+
+func TestDecodeInvertsEncodeAtMaxOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for i := 0; i < 10000; i++ {
+		x, y := rng.Uint32(), rng.Uint32()
+		if gx, gy := Decode(MaxOrder, Encode(MaxOrder, x, y)); gx != x || gy != y {
+			t.Fatalf("Decode(Encode(%d, %d)) = (%d, %d) at order %d", x, y, gx, gy, MaxOrder)
+		}
+	}
+}
 
 func TestEncodeDecodeRoundTripExhaustiveSmall(t *testing.T) {
 	const order = 5
@@ -106,8 +189,18 @@ func absDiff(a, b uint64) float64 {
 	return float64(b - a)
 }
 
+var sink uint64
+
 func BenchmarkEncode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		Encode(Order, uint32(i)&0xFFFF, uint32(i>>8)&0xFFFF)
+		sink += Encode(Order, uint32(i)&0xFFFF, uint32(i>>8)&0xFFFF)
+	}
+}
+
+// BenchmarkEncodeRef is the same loop over the bit-serial reference: the
+// kernel's speedup is the ratio of the two rows.
+func BenchmarkEncodeRef(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sink += encodeRef(Order, uint32(i)&0xFFFF, uint32(i>>8)&0xFFFF)
 	}
 }

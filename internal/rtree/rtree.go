@@ -40,8 +40,8 @@ type Config struct {
 	// BaseAddr is the simulated address of the first node; defaults to
 	// ops.IndexBase.
 	BaseAddr uint64
-	// HilbertOrder is the order of the Hilbert curve used for sorting;
-	// defaults to hilbert.Order.
+	// HilbertOrder is the order of the Hilbert curve used for sorting, in
+	// [1, hilbert.MaxOrder]; defaults to hilbert.Order.
 	HilbertOrder uint
 	// Packing selects the bulk-load ordering; the default is Hilbert
 	// packing (the paper's structure).
@@ -131,6 +131,9 @@ func Build(items []Item, cfg Config, rec ops.Recorder) (*Tree, error) {
 	if fanout < 2 {
 		return nil, fmt.Errorf("rtree: node size %dB gives fanout %d (<2)", cfg.NodeBytes, fanout)
 	}
+	if cfg.HilbertOrder > hilbert.MaxOrder {
+		return nil, fmt.Errorf("rtree: Hilbert order %d above %d", cfg.HilbertOrder, hilbert.MaxOrder)
+	}
 	t := &Tree{cfg: cfg, root: -1, bounds: geom.EmptyRect()}
 	if len(items) == 0 {
 		return t, nil
@@ -154,14 +157,7 @@ func Build(items []Item, cfg Config, rec ops.Recorder) (*Tree, error) {
 	case PackingSTR:
 		strSort(sorted, fanout)
 	default:
-		q := hilbert.NewQuantizer(cfg.HilbertOrder,
-			t.bounds.Min.X, t.bounds.Min.Y, t.bounds.Max.X, t.bounds.Max.Y)
-		keys := make([]uint64, len(sorted))
-		for i, it := range sorted {
-			c := it.MBR.Center()
-			keys[i] = q.Value(c.X, c.Y)
-		}
-		sort.Sort(&byKey{items: sorted, keys: keys})
+		HilbertSort(sorted, t.bounds, cfg.HilbertOrder)
 	}
 	t.leaves = sorted
 
@@ -227,6 +223,27 @@ func strSort(items []Item, fanout int) {
 			return tile[i].MBR.Center().Y < tile[j].MBR.Center().Y
 		})
 	}
+}
+
+// HilbertSort sorts items in place by the Hilbert key of their MBR centroid,
+// quantized over bounds at the given curve order (0 means hilbert.Order;
+// above hilbert.MaxOrder it panics), and returns the keys parallel to the
+// sorted items. It is the one Hilbert recipe: Build packs with it and
+// shard.PartitionHilbert cuts ranges with it. The sort is sort.Sort, not a
+// stable one: tied keys keep the order it gives them, which the pack layout
+// of every existing tree depends on.
+func HilbertSort(items []Item, bounds geom.Rect, order uint) []uint64 {
+	if order == 0 {
+		order = hilbert.Order
+	}
+	q := hilbert.NewQuantizer(order, bounds.Min.X, bounds.Min.Y, bounds.Max.X, bounds.Max.Y)
+	keys := make([]uint64, len(items))
+	for i, it := range items {
+		c := it.MBR.Center()
+		keys[i] = q.Value(c.X, c.Y)
+	}
+	sort.Sort(&byKey{items: items, keys: keys})
+	return keys
 }
 
 type byKey struct {

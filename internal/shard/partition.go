@@ -37,29 +37,17 @@ type Range struct {
 // every process partitioning the same item slice — mqserve backends and the
 // router's equivalence tests build from the same deterministic dataset —
 // derives bit-identical ranges.
-// order 0 means the default Hilbert order. n is clamped to the item count;
-// an empty input yields no ranges.
+// order 0 means the default Hilbert order; above hilbert.MaxOrder it panics.
+// n is clamped to the item count; an empty input yields no ranges.
 func PartitionHilbert(items []rtree.Item, n int, order uint) ([]Range, geom.Rect) {
-	bounds := geom.EmptyRect()
-	for _, it := range items {
-		bounds = bounds.Union(it.MBR)
-	}
+	bounds := BoundsOf(items)
 	if n > len(items) {
 		n = len(items)
 	}
 	if n <= 0 || len(items) == 0 {
 		return nil, bounds
 	}
-	if order == 0 {
-		order = hilbert.Order
-	}
-	q := hilbert.NewQuantizer(order, bounds.Min.X, bounds.Min.Y, bounds.Max.X, bounds.Max.Y)
-	keys := make([]uint64, len(items))
-	for i, it := range items {
-		c := it.MBR.Center()
-		keys[i] = q.Value(c.X, c.Y)
-	}
-	sort.Sort(&byKey{items: items, keys: keys})
+	keys := rtree.HilbertSort(items, bounds, order)
 
 	ranges := make([]Range, 0, n)
 	chunk := (len(items) + n - 1) / n

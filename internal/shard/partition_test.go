@@ -3,10 +3,13 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
+	"mobispatial/internal/hilbert"
+	"mobispatial/internal/hilbert/hilbertref"
 	"mobispatial/internal/rtree"
 )
 
@@ -71,6 +74,36 @@ func TestPartitionHilbertDeterministic(t *testing.T) {
 			if a[i].Items[j].ID != b[i].Items[j].ID {
 				t.Fatalf("range %d item %d differs: %d vs %d", i, j, a[i].Items[j].ID, b[i].Items[j].ID)
 			}
+		}
+	}
+}
+
+// TestPartitionHilbertPinnedToReference cuts PA into the cluster's three
+// ranges and checks every range's Lo, Hi and item count against keys from
+// the bit-serial reference encoder: the cuts every backend and router derive
+// on their own must not move when the key kernel changes.
+func TestPartitionHilbertPinnedToReference(t *testing.T) {
+	items := dataset.PA().Items()
+	const n = 3
+	q := QuantizerFor(BoundsOf(items), 0)
+	keys := make([]uint64, len(items))
+	for i, it := range items {
+		c := it.MBR.Center()
+		cx, cy := q.Cell(c.X, c.Y)
+		keys[i] = hilbertref.Encode(hilbert.Order, cx, cy)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+
+	ranges, _ := PartitionHilbert(items, n, 0)
+	if len(ranges) != n {
+		t.Fatalf("got %d ranges, want %d", len(ranges), n)
+	}
+	chunk := (len(keys) + n - 1) / n
+	for i, r := range ranges {
+		lo, hi := i*chunk, min((i+1)*chunk, len(keys))
+		if r.Lo != keys[lo] || r.Hi != keys[hi-1] || len(r.Items) != hi-lo {
+			t.Errorf("range %d: [%d, %d] with %d items, reference [%d, %d] with %d",
+				i, r.Lo, r.Hi, len(r.Items), keys[lo], keys[hi-1], hi-lo)
 		}
 	}
 }

@@ -114,19 +114,6 @@ func newPool(ds *dataset.Dataset, trees []*rtree.Tree, bounds geom.Rect, reg *ob
 	return p
 }
 
-// byKey sorts items by their precomputed Hilbert keys (PartitionHilbert).
-type byKey struct {
-	items []rtree.Item
-	keys  []uint64
-}
-
-func (b *byKey) Len() int           { return len(b.items) }
-func (b *byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
-func (b *byKey) Swap(i, j int) {
-	b.items[i], b.items[j] = b.items[j], b.items[i]
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
-}
-
 // Close is a no-op: the pool owns no goroutines or other resources. It
 // exists only because callers written against the pool's earlier resident
 // workers (the benchmark module) still call it.
