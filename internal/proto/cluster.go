@@ -1,15 +1,14 @@
 // cluster.go extends the wire catalogue with the distributed serving tier's
-// messages: the router↔backend handshake and the cross-server nearest-
-// neighbor leg. A coordinator (internal/router) fetches each backend's
-// summary — its dataset bounds plus the Hilbert key ranges it holds — at
-// registration, then fans client queries to the owning backends. Range and
-// point legs ride the existing MsgQuery; NN legs use MsgNNQuery/MsgNeighbors
-// because the cross-server best-first visit needs two things MsgQuery cannot
-// carry: the running k-th-neighbor bound (so a later server prunes against
-// earlier servers' answers) and exact per-neighbor distances in the reply
-// (so the router merges legs without re-deriving geometry). Inside a batch
-// leg the first, unbounded NN leg of a sub-query rides as a ModeNeighbors
-// item instead, answered with the same distances.
+// messages: the router↔backend handshake, and the neighbor list a k-NN leg
+// is answered with. A coordinator (internal/router) fetches each backend's
+// summary — the Hilbert key ranges it holds — at registration, then fans
+// client queries to the owning backends. A single range or point query's leg
+// rides MsgQuery, the frame the client sent; every other leg is a
+// MsgBatchQuery. A k-NN leg is a KindNN item in ModeNeighbors, which carries
+// what the cross-server best-first visit needs: the running k-th-neighbor
+// bound in the item's Eps (so a later server prunes against earlier
+// servers' answers) and exact per-neighbor distances in the reply item (so
+// the router merges legs without re-deriving geometry).
 package proto
 
 import (
@@ -20,16 +19,14 @@ import (
 	"mobispatial/internal/geom"
 )
 
-// The cluster message types, continuing the catalogue in wire.go.
+// The cluster message types, continuing the catalogue in wire.go. 12 and 13
+// are reserved: they were a k-NN-only leg and its reply, and a decoder
+// refuses them as unknown types.
 const (
-	// MsgNNQuery is a router→backend (k-)NN leg carrying the running bound.
-	MsgNNQuery MsgType = 12
-	// MsgNeighbors is the NN leg reply: neighbor ids with exact distances.
-	MsgNeighbors MsgType = 13
 	// MsgSummaryReq asks a backend for its partition summary.
 	MsgSummaryReq MsgType = 14
-	// MsgSummary is the summary reply: bounds, item count, and the Hilbert
-	// key ranges the backend holds.
+	// MsgSummary is the summary reply: the Hilbert key ranges the backend
+	// holds.
 	MsgSummary MsgType = 15
 )
 
@@ -50,72 +47,6 @@ type Neighbor struct {
 // wireNeighborBytes is the encoded size of one Neighbor.
 const wireNeighborBytes = 4 + 8
 
-// NNQueryMsg is one cross-server nearest-neighbor leg.
-type NNQueryMsg struct {
-	ID    uint32
-	Point geom.Point
-	// K is the neighbor count (0 and 1 both mean single NN).
-	K uint16
-	// Bound is the router's running k-th-neighbor distance: the backend may
-	// prune any subtree whose lower bound exceeds it. +Inf (or 0) means
-	// unbounded. It is a pruning hint only — a reply may legally include
-	// neighbors farther than Bound; the router's merge discards them.
-	Bound float64
-	// TimeoutMicros caps the backend-side processing time; 0 means the
-	// backend default.
-	TimeoutMicros uint32
-}
-
-// Type implements Message.
-func (m *NNQueryMsg) Type() MsgType { return MsgNNQuery }
-
-// RequestID implements Message.
-func (m *NNQueryMsg) RequestID() uint32 { return m.ID }
-
-// Validate implements Message.
-func (m *NNQueryMsg) Validate() error {
-	if err := checkPoint(m.Point); err != nil {
-		return err
-	}
-	if math.IsNaN(m.Bound) || m.Bound < 0 || math.IsInf(m.Bound, -1) {
-		return fmt.Errorf("proto: bad NN bound %v", m.Bound)
-	}
-	return nil
-}
-
-func (m *NNQueryMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
-	b = appendPoint(b, m.Point)
-	b = appendU16(b, m.K)
-	b = appendF64(b, m.Bound)
-	return appendU32(b, m.TimeoutMicros)
-}
-
-func (m *NNQueryMsg) decodePayload(b []byte) error {
-	d := decoder{b: b}
-	m.ID = d.u32()
-	m.Point = d.point()
-	m.K = d.u16()
-	m.Bound = d.f64()
-	m.TimeoutMicros = d.u32()
-	return d.finish("nn-query")
-}
-
-// NeighborsMsg is the NN leg reply, neighbors ascending by distance.
-type NeighborsMsg struct {
-	ID        uint32
-	Neighbors []Neighbor
-}
-
-// Type implements Message.
-func (m *NeighborsMsg) Type() MsgType { return MsgNeighbors }
-
-// RequestID implements Message.
-func (m *NeighborsMsg) RequestID() uint32 { return m.ID }
-
-// Validate implements Message.
-func (m *NeighborsMsg) Validate() error { return validateNeighbors("neighbor list", m.Neighbors) }
-
 // validateNeighbors checks a neighbor list fits a frame and carries only
 // real distances.
 func validateNeighbors(what string, nbs []Neighbor) error {
@@ -130,10 +61,6 @@ func validateNeighbors(what string, nbs []Neighbor) error {
 	return nil
 }
 
-func (m *NeighborsMsg) appendPayload(b []byte) []byte {
-	return appendNeighbors(appendU32(b, m.ID), m.Neighbors)
-}
-
 func appendNeighbors(b []byte, nbs []Neighbor) []byte {
 	b = appendU32(b, uint32(len(nbs)))
 	for _, nb := range nbs {
@@ -141,17 +68,6 @@ func appendNeighbors(b []byte, nbs []Neighbor) []byte {
 		b = appendF64(b, nb.Dist)
 	}
 	return b
-}
-
-func (m *NeighborsMsg) decodePayload(b []byte) error {
-	d := decoder{b: b}
-	m.ID = d.u32()
-	n := int(d.u32())
-	if d.err == nil && n*wireNeighborBytes != len(d.b)-d.off {
-		return fmt.Errorf("proto: neighbor count %d does not match %d payload bytes", n, len(d.b)-d.off)
-	}
-	m.Neighbors = d.appendNeighborsN(m.Neighbors[:0], n)
-	return d.finish("neighbors")
 }
 
 // appendNeighborsN appends n decoded neighbors to dst, reusing its capacity,
@@ -214,10 +130,18 @@ type RangeInfo struct {
 	Version uint64
 	MBR     geom.Rect
 	// Heat is the holder's EWMA query rate for this range in queries per
-	// second — adaptive-repartitioning telemetry. 0 means unreported (an
-	// older backend omits the field entirely; see decodePayload).
+	// second — adaptive-repartitioning telemetry. 0 means unreported.
 	Heat float64
 }
+
+// summaryRowBytes is the encoded size of one RangeInfo.
+const summaryRowBytes = 4 + 4 + 8 + 8 + 8 + 32 + 8
+
+// summaryReservedBytes is the header gap between NumRanges and the row
+// count. It held a backend-wide item count and bounds, which nothing
+// planned by; it is written as zeros and skipped on read, so routers and
+// backends on either side of that change still read each other's summaries.
+const summaryReservedBytes = 8 + 32
 
 // SummaryMsg is a backend's partition summary. A monolithic (unpartitioned)
 // server reports NumRanges=1 with a single range covering everything.
@@ -226,10 +150,6 @@ type SummaryMsg struct {
 	// NumRanges is the cluster-wide total range count the backend was
 	// configured with; every backend of one cluster must agree on it.
 	NumRanges uint32
-	// Items is the backend's total indexed item count.
-	Items uint64
-	// Bounds is the MBR of every item the backend holds.
-	Bounds geom.Rect
 	// Ranges lists the ranges this backend holds (primary and replica alike).
 	Ranges []RangeInfo
 }
@@ -247,9 +167,6 @@ func (m *SummaryMsg) Validate() error {
 	}
 	if m.NumRanges == 0 && len(m.Ranges) > 0 {
 		return fmt.Errorf("proto: summary holds %d ranges of a zero-range cluster", len(m.Ranges))
-	}
-	if err := checkRect(m.Bounds); err != nil {
-		return err
 	}
 	for i, r := range m.Ranges {
 		if r.Index >= m.NumRanges {
@@ -271,8 +188,7 @@ func (m *SummaryMsg) Validate() error {
 func (m *SummaryMsg) appendPayload(b []byte) []byte {
 	b = appendU32(b, m.ID)
 	b = appendU32(b, m.NumRanges)
-	b = binaryAppendU64(b, m.Items)
-	b = appendRect(b, m.Bounds)
+	b = append(b, make([]byte, summaryReservedBytes)...)
 	b = appendU32(b, uint32(len(m.Ranges)))
 	for _, r := range m.Ranges {
 		b = appendU32(b, r.Index)
@@ -290,37 +206,23 @@ func (m *SummaryMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
 	m.ID = d.u32()
 	m.NumRanges = d.u32()
-	m.Items = d.u64()
-	m.Bounds = d.rect()
+	d.bytes(summaryReservedBytes)
 	n := int(d.u32())
-	// Two accepted range encodings: the original 64-byte row and the
-	// 72-byte row that appends the heat field. The row size is inferred
-	// from the payload length, so a new router reads an old backend's
-	// summary (heat zero) and vice versa.
-	const rangeBytesV1 = 4 + 4 + 8 + 8 + 8 + 32
-	const rangeBytesV2 = rangeBytesV1 + 8
-	rb, rest := rangeBytesV2, len(d.b)-d.off
-	if d.err == nil && n > 0 && n*rangeBytesV1 == rest {
-		rb = rangeBytesV1
-	}
-	if d.err == nil && n*rb != rest {
+	if rest := len(d.b) - d.off; d.err == nil && n*summaryRowBytes != rest {
 		return fmt.Errorf("proto: summary range count %d does not match %d payload bytes", n, rest)
 	}
 	m.Ranges = m.Ranges[:0]
-	if d.err == nil && d.need(n*rb) {
+	if d.err == nil && d.need(n*summaryRowBytes) {
 		for i := 0; i < n; i++ {
-			r := RangeInfo{
+			m.Ranges = append(m.Ranges, RangeInfo{
 				Index:   d.u32(),
 				Items:   d.u32(),
 				Lo:      d.u64(),
 				Hi:      d.u64(),
 				Version: d.u64(),
 				MBR:     d.rect(),
-			}
-			if rb == rangeBytesV2 {
-				r.Heat = d.f64()
-			}
-			m.Ranges = append(m.Ranges, r)
+				Heat:    d.f64(),
+			})
 		}
 	}
 	return d.finish("summary")

@@ -2,7 +2,6 @@ package proto
 
 import (
 	"bytes"
-	"math"
 	"testing"
 
 	"mobispatial/internal/geom"
@@ -52,11 +51,14 @@ func TestStatsSkipsUnknownExtensions(t *testing.T) {
 	}
 }
 
-// TestNNQueryReleaseReuse pins the pooled NN leg cycle: acquire, send,
-// release, and the reply's neighbor slice capacity survives a release.
+// TestNNQueryReleaseReuse pins the pooled k-NN leg cycle: a router's leg is
+// a one-item ModeNeighbors batch acquired from the pool, its bound rides in
+// Eps through encode and decode, and the reply's neighbor slice capacity
+// survives a release.
 func TestNNQueryReleaseReuse(t *testing.T) {
-	q := AcquireNNQuery()
-	q.ID, q.Point, q.K, q.Bound = 5, geom.Point{X: 1, Y: 2}, 3, math.Inf(1)
+	q := AcquireBatchQuery()
+	q.ID = 5
+	q.Queries = append(q.Queries, QueryMsg{Kind: KindNN, Mode: ModeNeighbors, Point: geom.Point{X: 1, Y: 2}, K: 3, Eps: 7.5})
 	var buf bytes.Buffer
 	if _, err := WriteMessage(&buf, q); err != nil {
 		t.Fatalf("write: %v", err)
@@ -66,31 +68,56 @@ func TestNNQueryReleaseReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	gq, ok := got.(*NNQueryMsg)
+	gq, ok := got.(*BatchQueryMsg)
 	if !ok {
 		t.Fatalf("got %T", got)
 	}
-	if gq.ID != 5 || gq.K != 3 || !math.IsInf(gq.Bound, 1) {
+	if gq.ID != 5 || len(gq.Queries) != 1 || gq.Queries[0].K != 3 || gq.Queries[0].Eps != 7.5 {
 		t.Fatalf("decoded %+v", gq)
 	}
 	ReleaseMessage(gq)
-
-	r := &NeighborsMsg{ID: 5, Neighbors: []Neighbor{{ID: 1, Dist: 2}}}
-	ReleaseMessage(r)
-	r2 := neighborsPool.Get().(*NeighborsMsg)
-	if r2.ID != 0 || len(r2.Neighbors) != 0 {
-		t.Fatalf("release left state behind: %+v", r2)
+	if q2 := AcquireBatchQuery(); q2.ID != 0 || len(q2.Queries) != 0 {
+		t.Fatalf("release left a batch behind: %+v", q2)
 	}
-	neighborsPool.Put(r2)
+
+	r := &BatchReplyMsg{ID: 5, Items: []BatchItem{{Nbrs: make([]Neighbor, 2, 16)}}}
+	r.Items[0].Nbrs[0], r.Items[0].Nbrs[1] = Neighbor{ID: 1, Dist: 2}, Neighbor{ID: 4, Dist: 3}
+	ReleaseMessage(r)
+	if r.ID != 0 || len(r.Items) != 0 {
+		t.Fatalf("release left state behind: %+v", r)
+	}
+	if it := r.Items[:1][0]; len(it.Nbrs) != 0 || cap(it.Nbrs) != 16 {
+		t.Fatalf("release dropped the neighbor capacity or kept the answer: len %d cap %d", len(it.Nbrs), cap(it.Nbrs))
+	}
 }
 
 // TestSummaryDecodeRejectsBadCount guards the length-vs-count cross-check.
 func TestSummaryDecodeRejectsBadCount(t *testing.T) {
-	m := &SummaryMsg{ID: 1, NumRanges: 1, Bounds: geom.EmptyRect(),
-		Ranges: []RangeInfo{{Index: 0, Lo: 0, Hi: 10}}}
+	m := &SummaryMsg{ID: 1, NumRanges: 1, Ranges: []RangeInfo{{Index: 0, Lo: 0, Hi: 10}}}
 	payload := m.appendPayload(nil)
 	payload = append(payload, 0xEE) // stray byte breaks count*size == remaining
 	if err := new(SummaryMsg).decodePayload(payload); err == nil {
 		t.Fatal("decode accepted summary with trailing garbage")
+	}
+}
+
+// TestSummaryReadsReservedHeader: the header gap where a summary carried a
+// backend-wide item count and bounds is skipped whatever it holds, so a
+// summary from a backend that still fills it reads as the same rows.
+func TestSummaryReadsReservedHeader(t *testing.T) {
+	m := &SummaryMsg{ID: 2, NumRanges: 2, Ranges: []RangeInfo{
+		{Index: 1, Items: 9, Lo: 4, Hi: 40, Version: 3, Heat: 1.5,
+			MBR: geom.Rect{Min: geom.Point{X: 1, Y: 2}, Max: geom.Point{X: 3, Y: 4}}},
+	}}
+	payload := m.appendPayload(nil)
+	for i := 8; i < 8+summaryReservedBytes; i++ {
+		payload[i] = 0x3F // a count and a rect's worth of non-zero bytes
+	}
+	var got SummaryMsg
+	if err := got.decodePayload(payload); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if got.ID != m.ID || got.NumRanges != m.NumRanges || len(got.Ranges) != 1 || got.Ranges[0] != m.Ranges[0] {
+		t.Fatalf("decoded %+v, want %+v", got, m)
 	}
 }

@@ -44,6 +44,21 @@ func FuzzReadMessage(f *testing.F) {
 		}
 		f.Add(nbrs)
 	}
+	// A router's bounded k-NN leg, the bound in a neighbors item's Eps, and
+	// its twin whose Eps carries +Inf bits: the decoder must refuse the
+	// second, or the bound would not re-encode as a finite hint.
+	leg := &BatchQueryMsg{ID: 1, Queries: []QueryMsg{{Kind: KindNN, Mode: ModeNeighbors, K: 8, Eps: 12.5}}}
+	if frame, err := EncodeMessage(leg); err == nil {
+		f.Add(frame)
+		inf := append([]byte(nil), frame...)
+		binary.BigEndian.PutUint64(inf[len(inf)-12:], 0x7FF0000000000000) // Eps, before TimeoutMicros
+		f.Add(inf)
+		// The same leg relabelled as type 12, the retired k-NN-only leg: the
+		// decoder must refuse the type whatever the payload.
+		retired := append([]byte(nil), frame...)
+		retired[4] = 12
+		f.Add(retired)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Refuse declared payloads beyond 1 MB up front: the decoder handles

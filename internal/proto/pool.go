@@ -52,8 +52,6 @@ var (
 	shipReqPool    = sync.Pool{New: func() any { return new(ShipmentReqMsg) }}
 	batchQueryPool = sync.Pool{New: func() any { return new(BatchQueryMsg) }}
 	batchReplyPool = sync.Pool{New: func() any { return new(BatchReplyMsg) }}
-	nnQueryPool    = sync.Pool{New: func() any { return new(NNQueryMsg) }}
-	neighborsPool  = sync.Pool{New: func() any { return new(NeighborsMsg) }}
 	insertPool     = sync.Pool{New: func() any { return new(InsertMsg) }}
 	deletePool     = sync.Pool{New: func() any { return new(DeleteMsg) }}
 	movePool       = sync.Pool{New: func() any { return new(MoveMsg) }}
@@ -68,10 +66,6 @@ func AcquireQuery() *QueryMsg { return queryPool.Get().(*QueryMsg) }
 // AcquireBatchQuery returns a *BatchQueryMsg from the pool with zero scalar
 // fields and an empty (capacity-preserving) Queries slice.
 func AcquireBatchQuery() *BatchQueryMsg { return batchQueryPool.Get().(*BatchQueryMsg) }
-
-// AcquireNNQuery returns a zeroed *NNQueryMsg from the pool — the router's
-// per-leg NN request, reused across legs like AcquireQuery.
-func AcquireNNQuery() *NNQueryMsg { return nnQueryPool.Get().(*NNQueryMsg) }
 
 // AcquireInsert returns a zeroed *InsertMsg from the pool; the moving-object
 // workload issues these at write-path rates, so they pool like queries.
@@ -123,16 +117,6 @@ func ReleaseMessage(m Message) {
 		v.TimeoutMicros = 0
 		v.Queries = v.Queries[:0]
 		batchQueryPool.Put(v)
-	case *NNQueryMsg:
-		*v = NNQueryMsg{}
-		nnQueryPool.Put(v)
-	case *NeighborsMsg:
-		if cap(v.Neighbors) > maxPooledIDs {
-			return
-		}
-		v.ID = 0
-		v.Neighbors = v.Neighbors[:0]
-		neighborsPool.Put(v)
 	case *InsertMsg:
 		*v = InsertMsg{}
 		insertPool.Put(v)

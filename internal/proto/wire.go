@@ -63,8 +63,6 @@ var msgTypeNames = map[MsgType]string{
 	MsgStats:       "stats",
 	MsgBatchQuery:  "batch-query",
 	MsgBatchReply:  "batch-reply",
-	MsgNNQuery:     "nn-query",
-	MsgNeighbors:   "neighbors",
 	MsgSummaryReq:  "summary-req",
 	MsgSummary:     "summary",
 	MsgInsert:      "insert",
@@ -123,8 +121,8 @@ const (
 	// server half of filter-server/refine-client.
 	ModeFilter
 	// ModeNeighbors: the server answers a k-NN query with (id, exact
-	// distance) pairs, nearest first — a router's unbounded NN leg riding in
-	// a batch leg. Valid on KindNN only, and answered only as a batch item.
+	// distance) pairs, nearest first — a router's k-NN leg, with its running
+	// bound in Eps. Valid on KindNN only, and answered only as a batch item.
 	ModeNeighbors
 )
 
@@ -215,8 +213,6 @@ func (m *QueryMsg) Stamp(id, micros uint32)       { m.ID, m.TimeoutMicros = id, 
 func (m *QueryMsg) Timeout() (uint32, bool)       { return m.TimeoutMicros, true }
 func (m *BatchQueryMsg) Stamp(id, micros uint32)  { m.ID, m.TimeoutMicros = id, micros }
 func (m *BatchQueryMsg) Timeout() (uint32, bool)  { return m.TimeoutMicros, true }
-func (m *NNQueryMsg) Stamp(id, micros uint32)     { m.ID, m.TimeoutMicros = id, micros }
-func (m *NNQueryMsg) Timeout() (uint32, bool)     { return m.TimeoutMicros, true }
 func (m *ShipmentReqMsg) Stamp(id, micros uint32) { m.ID, m.TimeoutMicros = id, micros }
 func (m *ShipmentReqMsg) Timeout() (uint32, bool) { return m.TimeoutMicros, true }
 func (m *InsertMsg) Stamp(id, micros uint32)      { m.ID, m.TimeoutMicros = id, micros }
@@ -254,7 +250,11 @@ type QueryMsg struct {
 	// Window is the query window (range kind).
 	Window geom.Rect
 	// Eps is the point-incidence tolerance in map units; 0 means
-	// DefaultPointEps.
+	// DefaultPointEps. On a KindNN query in ModeNeighbors it is the router's
+	// running k-th-neighbor distance instead: the backend may prune any
+	// subtree whose lower bound exceeds it, and 0 means unbounded. It is a
+	// pruning hint only — a reply may include neighbors farther than it.
+	// Any other KindNN query ignores it.
 	Eps float64
 	// TimeoutMicros caps the server-side processing time in microseconds;
 	// 0 means the server default.
@@ -621,10 +621,6 @@ func newMessage(t MsgType) (Message, error) {
 		return batchQueryPool.Get().(*BatchQueryMsg), nil
 	case MsgBatchReply:
 		return batchReplyPool.Get().(*BatchReplyMsg), nil
-	case MsgNNQuery:
-		return nnQueryPool.Get().(*NNQueryMsg), nil
-	case MsgNeighbors:
-		return neighborsPool.Get().(*NeighborsMsg), nil
 	case MsgSummaryReq:
 		return &SummaryReqMsg{}, nil
 	case MsgSummary:

@@ -70,20 +70,18 @@ func allMessages() []Message {
 			{}, // an empty answer is an empty id list
 			{Nbrs: []Neighbor{{ID: 3, Dist: 0}, {ID: 11, Dist: 4.75}}},
 		}},
-		&NNQueryMsg{ID: 21, Point: geom.Point{X: 3.5, Y: -7}, K: 8, Bound: 123.25, TimeoutMicros: 100_000},
-		&NNQueryMsg{ID: 22, Point: geom.Point{X: 0, Y: 0}, Bound: math.Inf(1)}, // unbounded leg
-		&NeighborsMsg{ID: 21, Neighbors: []Neighbor{{ID: 4, Dist: 0}, {ID: 9, Dist: 12.5}}},
-		&NeighborsMsg{ID: 23}, // empty answer
+		&BatchQueryMsg{ID: 21, TimeoutMicros: 100_000, Queries: []QueryMsg{ // a bounded k-NN leg
+			{Kind: KindNN, Mode: ModeNeighbors, K: 8, Point: geom.Point{X: 3.5, Y: -7}, Eps: 123.25},
+		}},
 		&SummaryReqMsg{ID: 24},
-		&SummaryMsg{ID: 24, NumRanges: 3, Items: 1000,
-			Bounds: geom.Rect{Min: geom.Point{X: 0, Y: 0}, Max: geom.Point{X: 90, Y: 90}},
+		&SummaryMsg{ID: 24, NumRanges: 3,
 			Ranges: []RangeInfo{
 				{Index: 0, Items: 400, Lo: 0, Hi: 99, Version: 7,
 					MBR: geom.Rect{Min: geom.Point{X: 0, Y: 0}, Max: geom.Point{X: 50, Y: 40}}},
-				{Index: 2, Items: 600, Lo: 200, Hi: 1 << 40, Version: 1 << 50,
+				{Index: 2, Items: 600, Lo: 200, Hi: 1 << 40, Version: 1 << 50, Heat: 2.5,
 					MBR: geom.Rect{Min: geom.Point{X: 30, Y: 20}, Max: geom.Point{X: 90, Y: 90}}},
 			}},
-		&SummaryMsg{ID: 25, Bounds: geom.EmptyRect()}, // an empty backend is legal
+		&SummaryMsg{ID: 25}, // an empty backend is legal
 		&InsertMsg{ID: 26, ObjID: 150_000,
 			Seg:           geom.Segment{A: geom.Point{X: 10, Y: 20}, B: geom.Point{X: 11, Y: 21}},
 			TimeoutMicros: 100_000},
@@ -259,11 +257,9 @@ func TestWireValidateRejects(t *testing.T) {
 		&BatchReplyMsg{ID: 1, Items: []BatchItem{{Text: "orphan text"}}},
 		&BatchReplyMsg{ID: 1, Items: []BatchItem{
 			{Recs: []Record{{Seg: geom.Segment{A: geom.Point{X: math.NaN()}}}}}}},
-		&NNQueryMsg{ID: 1, Point: geom.Point{X: math.NaN()}},
-		&NNQueryMsg{ID: 1, Bound: math.NaN()},
-		&NNQueryMsg{ID: 1, Bound: -1},
-		&NeighborsMsg{ID: 1, Neighbors: []Neighbor{{ID: 2, Dist: math.NaN()}}},
-		&NeighborsMsg{ID: 1, Neighbors: []Neighbor{{ID: 2, Dist: -0.5}}},
+		&BatchQueryMsg{ID: 1, Queries: []QueryMsg{{Kind: KindNN, Mode: ModeNeighbors, Eps: math.NaN()}}},
+		&BatchQueryMsg{ID: 1, Queries: []QueryMsg{{Kind: KindNN, Mode: ModeNeighbors, Eps: -1}}},
+		&BatchReplyMsg{ID: 1, Items: []BatchItem{{Nbrs: []Neighbor{{ID: 2, Dist: -0.5}}}}},
 		&SummaryMsg{ID: 1, NumRanges: 2, Ranges: []RangeInfo{{Index: 2}}},
 		&SummaryMsg{ID: 1, NumRanges: 1, Ranges: []RangeInfo{{Index: 0, Lo: 9, Hi: 3}}},
 		&SummaryMsg{ID: 1, NumRanges: 1, Ranges: []RangeInfo{
@@ -312,6 +308,16 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 	badCount[FrameHeaderBytes+15] = 99 // id-list count field (after id u32 + epoch u64)
 	if _, _, err := ReadMessage(bytes.NewReader(badCount)); err == nil {
 		t.Fatal("mismatched count accepted")
+	}
+
+	// Types 12 and 13, the retired k-NN-only leg and its reply, with a
+	// payload each might have carried.
+	for _, typ := range []byte{12, 13} {
+		retired := append([]byte(nil), frame...)
+		retired[4] = typ
+		if _, _, err := ReadMessage(bytes.NewReader(retired)); err == nil {
+			t.Fatalf("retired message type %d accepted", typ)
+		}
 	}
 
 	// Oversized frame header.

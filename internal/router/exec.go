@@ -5,7 +5,7 @@
 // failover (a failed leg's ranges go back to the next cover round) → merge
 // (sorted dedup where two legs answer one sub-query; a k-NN sub-query goes
 // on from its first answer in nn.go). A single query is a batch of one; only
-// the frame a leg travels in differs.
+// the frame a leg travels in differs, and every k-NN leg is a batch item.
 package router
 
 import (
@@ -56,6 +56,14 @@ type readLeg struct {
 	code  []proto.ErrCode  // slot → backend-reported error, 0 = none
 }
 
+// reset empties the leg for a new round, keeping every slice's capacity.
+func (lg *readLeg) reset() {
+	*lg = readLeg{
+		qis: lg.qis[:0], qs: lg.qs[:0], ids: lg.ids[:0], nbrs: lg.nbrs[:0],
+		ends: lg.ends[:0], nends: lg.nends[:0], code: lg.code[:0],
+	}
+}
+
 // answer returns slot s's ids and neighbors.
 func (lg *readLeg) answer(s int) ([]uint32, []proto.Neighbor) {
 	lo, nlo := int32(0), int32(0)
@@ -69,7 +77,7 @@ func (lg *readLeg) answer(s int) ([]uint32, []proto.Neighbor) {
 // nends and code.
 type legSender func(cc *client.Client, lg *readLeg, deadline time.Time) error
 
-// sendQuery ships a single query's leg as MsgQuery.
+// sendQuery ships a single range or point query's leg as MsgQuery.
 func sendQuery(cc *client.Client, lg *readLeg, deadline time.Time) error {
 	q := &lg.qs[0]
 	var err error
@@ -82,8 +90,8 @@ func sendQuery(cc *client.Client, lg *readLeg, deadline time.Time) error {
 	return err
 }
 
-// sendBatch ships a client batch's leg as one MsgBatchQuery, however many
-// sub-queries the backend answers.
+// sendBatch ships a leg as one MsgBatchQuery, however many sub-queries the
+// backend answers: a client batch's leg, and every k-NN leg.
 func sendBatch(cc *client.Client, lg *readLeg, deadline time.Time) error {
 	return cc.QueryBatchVisit(lg.qs, deadline, func(_ int, it *proto.BatchItem) {
 		lg.ids, lg.nbrs = append(lg.ids, it.IDs...), append(lg.nbrs, it.Nbrs...) // it aliases the pooled reply
@@ -102,8 +110,9 @@ func shipRead(r *Router, sc *fanScratch, li int) error {
 // ModeNeighbors sub-query), and returns the number of legs it took. A slot
 // arriving with Err set was rejected by the serve layer and is left alone.
 // A k-NN sub-query plans one range, its nearest: the slot asks that range's
-// holder for the unbounded k nearest of its whole pool (ModeNeighbors), in a
-// leg the round is already sending when a holder has one. After the rounds,
+// holder for the unbounded k nearest of its whole pool (ModeNeighbors, which
+// only a batch frame carries: a call holding a k-NN sends with sendBatch), in
+// a leg the round is already sending when a holder has one. After the rounds,
 // the best-first visit (nn.go) goes on from each such answer on the calling
 // goroutine, and takes no leg when the answer proves itself: every range
 // its backend does not hold lies beyond the k-th distance.
@@ -212,7 +221,7 @@ func mergeIDs(ids, leg []uint32) []uint32 {
 // CodeUnavailable and takes no further part.
 func (r *Router) cover(t *table, sc *fanScratch, qs []proto.QueryMsg, items []proto.BatchItem) {
 	sc.sel = sc.sel[:0]
-	rot := int(r.rr.Add(1))
+	sc.rot = int(r.rr.Add(1))
 	for i := range qs {
 		lo, hi := sc.qoff[i], sc.qoff[i+1]
 		for j := lo; j < hi; j++ {
@@ -222,7 +231,7 @@ func (r *Router) cover(t *table, sc *fanScratch, qs []proto.QueryMsg, items []pr
 			if sc.covered[j] != uncovered {
 				continue
 			}
-			pick := r.pick(t, sc, sc.needed[j], rot)
+			pick := r.pick(t, sc, sc.needed[j])
 			if pick < 0 {
 				// Void the whole sub-query: a partial answer would be a
 				// silent hole.
@@ -262,9 +271,10 @@ func (r *Router) usable(sc *fanScratch, b int32) bool {
 // carrying a leg this round when there is one (the leg answers all of the
 // backend's ranges, for all of a batch's sub-queries), else the usable holder
 // that holds the most open ranges — a read spanning two ranges one backend
-// co-holds takes one leg — with the rotation breaking ties, which is the read
-// spreading across replicas. -1 means no holder is usable.
-func (r *Router) pick(t *table, sc *fanScratch, rg int32, rot int) int32 {
+// co-holds takes one leg — with the round's rotation (sc.rot, seeded once per
+// cover round and kept by the k-NN visits that go on from it) breaking ties,
+// which is the read spreading across replicas. -1 means no holder is usable.
+func (r *Router) pick(t *table, sc *fanScratch, rg int32) int32 {
 	hs := t.holders[rg]
 	for _, b := range hs {
 		if slices.Contains(sc.sel, b) && r.usable(sc, b) {
@@ -273,7 +283,7 @@ func (r *Router) pick(t *table, sc *fanScratch, rg int32, rot int) int32 {
 	}
 	best, most := int32(-1), 0
 	for i := range hs {
-		b := hs[(rot+i)%len(hs)]
+		b := hs[(sc.rot+i)%len(hs)]
 		if !r.usable(sc, b) {
 			continue
 		}
@@ -301,11 +311,7 @@ func (sc *fanScratch) addSlot(b, qi int32, q *proto.QueryMsg) {
 		if li == len(sc.legs) {
 			sc.legs = append(sc.legs, readLeg{})
 		}
-		lg := &sc.legs[li]
-		*lg = readLeg{
-			qis: lg.qis[:0], qs: lg.qs[:0], ids: lg.ids[:0], nbrs: lg.nbrs[:0],
-			ends: lg.ends[:0], nends: lg.nends[:0], code: lg.code[:0],
-		}
+		sc.legs[li].reset()
 	}
 	lg := &sc.legs[li]
 	if n := len(lg.qis); n > 0 && lg.qis[n-1] == qi {
@@ -314,7 +320,10 @@ func (sc *fanScratch) addSlot(b, qi int32, q *proto.QueryMsg) {
 	lg.qis, lg.qs = append(lg.qis, qi), append(lg.qs, *q)
 	switch lq := &lg.qs[len(lg.qs)-1]; {
 	case lq.Kind == proto.KindNN:
-		lq.Mode = proto.ModeNeighbors // the visit goes on by distance
+		// The visit goes on by distance. A first leg is unbounded: a
+		// client's Eps means nothing on a k-NN, and read as a bound it would
+		// truncate the answer that closes the backend's ranges.
+		lq.Mode, lq.Eps = proto.ModeNeighbors, 0
 	case lq.Mode == proto.ModeData:
 		lq.Mode = proto.ModeIDs // backends answer legs in id space
 	}
@@ -331,19 +340,27 @@ func pointWindow(pt geom.Point, eps float64) geom.Rect {
 	return geom.Rect{Min: pt, Max: pt}.Expand(eps)
 }
 
-// fanOne answers one range or point query as a batch of one, appending the
+// routeOne answers one query as a batch of one into sc.item[0], its legs
+// sent by send, and returns the error the item carries.
+func (r *Router) routeOne(sc *fanScratch, q proto.QueryMsg, deadline time.Time, send legSender) error {
+	sc.q[0], sc.item[0] = q, proto.BatchItem{IDs: sc.item[0].IDs[:0], Nbrs: sc.item[0].Nbrs[:0]}
+	nLegs := r.route(sc, sc.q[:], sc.item[:], r.deadlineOr(deadline), send)
+	r.metrics.fanout.Observe(float64(nLegs))
+	if it := &sc.item[0]; it.Err != 0 {
+		return &routerError{code: it.Err, msg: it.Text}
+	}
+	return nil
+}
+
+// fanOne answers one range or point query, its legs MsgQuery, appending the
 // ids to dst.
 func (r *Router) fanOne(dst []uint32, q proto.QueryMsg, deadline time.Time) ([]uint32, error) {
 	sc := r.getScratch()
 	defer r.putScratch(sc)
-	sc.q[0], sc.item[0] = q, proto.BatchItem{IDs: sc.item[0].IDs[:0]}
-	nLegs := r.route(sc, sc.q[:], sc.item[:], r.deadlineOr(deadline), sendQuery)
-	r.metrics.fanout.Observe(float64(nLegs))
-	it := &sc.item[0]
-	if it.Err != 0 {
-		return dst, &routerError{code: it.Err, msg: it.Text}
+	if err := r.routeOne(sc, q, deadline, sendQuery); err != nil {
+		return dst, err
 	}
-	return append(dst, it.IDs...), nil
+	return append(dst, sc.item[0].IDs...), nil
 }
 
 // The serve.DeadlineExecutor surface — the only forms the serve layer

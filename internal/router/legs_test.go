@@ -500,3 +500,92 @@ func TestRouterBatchNNLegs(t *testing.T) {
 		}
 	})
 }
+
+// TestRouterSingleKNNIsBatchOfOne: a single k-NN is the batch of one it is
+// built as. Two routers over one R = 2 cluster of three backends, both fresh
+// so their replica rotations start alike, take 300 seeded points × k ∈ {1,
+// 8, 64}: one through KNearestAppendUntil, the other as a one-item
+// ModeNeighbors RunQueryBatch. Both equal the flat oracle rank by rank, and
+// every query takes the same legs on every backend on both. A client's
+// KindNN item whose Eps would truncate the answer, were it read as a bound,
+// still gets the exact k nearest.
+func TestRouterSingleKNNIsBatchOfOne(t *testing.T) {
+	ds := clusterDataset(t)
+	pool := truthPool(t, ds)
+	tc := startCluster(t, ds, 3, 2)
+	hubs := [2]*obs.Hub{obs.NewHub(), obs.NewHub()}
+	var rs [2]*Router
+	var lcs [2]*legCounter
+	for i, hub := range hubs {
+		rs[i] = newRouter(t, tc, func(cfg *Config) { cfg.Obs, cfg.RefreshInterval = hub, -1 })
+		lcs[i] = newLegCounter(hub, tc)
+	}
+	single, batch := rs[0], rs[1]
+
+	rng := rand.New(rand.NewSource(29))
+	randPt := func() geom.Point { return geom.Point{X: 40000 * rng.Float64(), Y: 40000 * rng.Float64()} }
+	items := make([]proto.BatchItem, 1)
+	for i := 0; i < 300; i++ {
+		pt := randPt()
+		for _, k := range []int{1, 8, 64} {
+			want, _ := pool.KNearestAppend(nil, pt, k, nil)
+			got, err := single.KNearestAppendUntil(nil, pt, k, nil, time.Time{})
+			if err != nil {
+				t.Fatalf("pt %d k %d: single: %v", i, k, err)
+			}
+			checkNN(t, "single", ds, pt, got, want)
+
+			items[0] = proto.BatchItem{}
+			batch.RunQueryBatch([]proto.QueryMsg{{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: pt, K: uint16(k)}}, items, time.Time{})
+			if items[0].Err != 0 {
+				t.Fatalf("pt %d k %d: batch of one: code %d (%s)", i, k, items[0].Err, items[0].Text)
+			}
+			got = got[:0]
+			for _, nb := range items[0].Nbrs {
+				got = append(got, rtree.Neighbor{ID: nb.ID, Dist: nb.Dist})
+			}
+			checkNN(t, "batch of one", ds, pt, got, want)
+
+			if a, b := lcs[0].since(), lcs[1].since(); !slices.Equal(a, b) {
+				t.Fatalf("pt %d k %d: legs per backend %v as a single k-NN, %v as a batch of one", i, k, a, b)
+			}
+		}
+	}
+
+	for i := 0; i < 100; i++ {
+		pt := randPt()
+		items[0] = proto.BatchItem{}
+		batch.RunQueryBatch([]proto.QueryMsg{{Kind: proto.KindNN, Mode: proto.ModeIDs, Point: pt, K: 8, Eps: 1e-9}}, items, time.Time{})
+		if items[0].Err != 0 {
+			t.Fatalf("query %d: code %d (%s)", i, items[0].Err, items[0].Text)
+		}
+		var got []rtree.Neighbor
+		for _, id := range items[0].IDs {
+			got = append(got, rtree.Neighbor{ID: id, Dist: ds.Seg(id).DistToPoint(pt)})
+		}
+		want, _ := pool.KNearestAppend(nil, pt, 8, nil)
+		checkNN(t, "k-NN with a client Eps", ds, pt, got, want)
+	}
+}
+
+// TestRouterKNNRefusesKBeyondWire: a k the wire's 16-bit field cannot carry
+// is refused as a bad request before any leg, never truncated to a smaller
+// k.
+func TestRouterKNNRefusesKBeyondWire(t *testing.T) {
+	ds := clusterDataset(t)
+	tc := startCluster(t, ds, 3, 2)
+	hub := obs.NewHub()
+	r := newRouter(t, tc, func(cfg *Config) { cfg.Obs = hub })
+	lc := newLegCounter(hub, tc)
+	lc.since()
+	nbs, err := r.KNearestAppendUntil(nil, geom.Point{X: 20000, Y: 20000}, 70_000, nil, time.Time{})
+	if err == nil || len(nbs) != 0 {
+		t.Fatalf("k=70000 answered %d neighbors, err %v", len(nbs), err)
+	}
+	if code, text := proto.CodeOf(err); code != proto.CodeBadRequest {
+		t.Fatalf("k=70000 refused with %v (%s), want bad-request", code, text)
+	}
+	if legs := sum(lc.since()); legs != 0 {
+		t.Fatalf("k=70000 took %d legs before its refusal", legs)
+	}
+}

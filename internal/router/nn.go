@@ -5,9 +5,12 @@
 // the query point, each costs one leg to one of its holders, the leg carries
 // the running bound so the backend prunes whole shards against it, and the
 // loop stops when the nearest range still open cannot beat the k-th best.
+// Every query reaches it through route: a k-NN's first leg is a slot of the
+// round, and the visit goes on from that answer (finishNN).
 package router
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"time"
@@ -19,37 +22,41 @@ import (
 )
 
 // KNearestAppendUntil answers one cluster-wide k-NN query, ascending by
-// distance.
-func (r *Router) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch, deadline time.Time) ([]rtree.Neighbor, error) {
+// distance: a batch of one, its legs ModeNeighbors items. A k the wire's
+// 16-bit field cannot carry is refused, never truncated.
+func (r *Router) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, _ *shard.Scratch, deadline time.Time) ([]rtree.Neighbor, error) {
 	if k <= 0 {
 		return dst, nil
 	}
+	if k > math.MaxUint16 {
+		return dst, &routerError{code: proto.CodeBadRequest, msg: fmt.Sprintf("router: k=%d exceeds the wire limit %d", k, math.MaxUint16)}
+	}
 	fs := r.getScratch()
 	defer r.putScratch(fs)
-	t := r.snap()
-	fs.sel, fs.acc = fs.sel[:0], fs.acc[:0]
-	fs.openAll(t.numRanges)
-	if _, err := r.knn(fs, t, pt, k, r.deadlineOr(deadline)); err != nil {
+	q := proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: pt, K: uint16(k)}
+	if err := r.routeOne(fs, q, deadline, sendBatch); err != nil {
 		return dst, err
 	}
-	r.metrics.fanout.Observe(float64(len(fs.sel)))
-	for _, nb := range fs.acc {
+	for _, nb := range fs.item[0].Nbrs {
 		dst = append(dst, rtree.Neighbor{ID: nb.ID, Dist: nb.Dist})
 	}
 	return dst, nil
 }
 
-// finishNN completes a batch's k-NN sub-query q whose first leg, to backend
-// b, left its k nearest over b's whole pool in it.Nbrs: the visit goes on
-// from that state — b answered, the ranges it holds closed, the call's failed
-// backends still out — and ends without a leg when every range b does not
-// hold lies beyond the k-th distance. The answer replaces it.Nbrs: ids
-// nearest first, or the neighbors themselves for a ModeNeighbors q. It
-// returns the legs the visit took.
+// finishNN completes a k-NN sub-query q — of a client batch, or a single
+// k-NN as a batch of one — whose first leg, to backend b, left its k nearest
+// over b's whole pool in it.Nbrs: the visit goes on from that state — b
+// answered, the ranges it holds closed, the call's failed backends still out
+// — and ends without a leg when every range b does not hold lies beyond the
+// k-th distance. The answer replaces it.Nbrs: ids nearest first, or the
+// neighbors themselves for a ModeNeighbors q. It returns the legs the visit
+// took.
 func (r *Router) finishNN(sc *fanScratch, t *routing, q *proto.QueryMsg, it *proto.BatchItem, b int32, deadline time.Time) int {
 	k := max(int(q.K), 1)
-	sc.sel, sc.acc = sc.sel[:0], append(sc.acc[:0], it.Nbrs[:min(len(it.Nbrs), k)]...)
-	sc.openAll(t.numRanges)
+	sc.sel, sc.acc, sc.open = sc.sel[:0], append(sc.acc[:0], it.Nbrs[:min(len(it.Nbrs), k)]...), sc.open[:0]
+	for range t.numRanges {
+		sc.open = append(sc.open, true) // nothing answered, nothing pruned yet
+	}
 	sc.answeredBy(t, b)
 	legs, err := r.knn(sc, t, q.Point, k, deadline)
 	it.Nbrs = it.Nbrs[:0]
@@ -64,14 +71,6 @@ func (r *Router) finishNN(sc *fanScratch, t *routing, q *proto.QueryMsg, it *pro
 		}
 	}
 	return legs
-}
-
-// openAll opens every one of n ranges: nothing answered, nothing pruned.
-func (fs *fanScratch) openAll(n int) {
-	fs.open = fs.open[:0]
-	for range n {
-		fs.open = append(fs.open, true)
-	}
 }
 
 // answeredBy records that backend b answered the k-NN in progress: it joins
@@ -105,26 +104,28 @@ func (r *Router) knn(fs *fanScratch, t *routing, pt geom.Point, k int, deadline 
 		fs.eff = append(fs.eff, t.eff(rg))
 	}
 	fs.order = shard.OrderByMinDist(fs.order[:0], fs.eff, pt)
-	rot := int(r.rr.Add(1))
 
-	// leg asks backend b under the running bound and merges its answer.
+	// leg asks backend b under the running bound — one ModeNeighbors item,
+	// the bound in its Eps (0 = none yet) — and merges its answer.
 	legs := 0
+	lg := &fs.nnLeg
 	leg := func(b int32) bool {
 		legs++
-		bound := math.Inf(1)
+		lg.reset()
+		lg.qs = append(lg.qs, proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: pt, K: uint16(k)})
 		if len(fs.acc) == k {
-			bound = fs.acc[k-1].Dist
+			lg.qs[0].Eps = fs.acc[k-1].Dist
 		}
 		start := time.Now()
-		nbrs, err := r.clients[b].KNearestNeighborsAppendUntil(fs.nbrBuf[:0], pt, k, bound, r.legDeadline(deadline))
-		fs.nbrBuf = nbrs
+		err := sendBatch(r.clients[b], lg, r.legDeadline(deadline))
 		r.observeLeg(int(b), time.Since(start), err)
-		if err != nil {
+		if err != nil || lg.code[0] != 0 {
 			fs.failed[b] = true
 			r.metrics.failovers.Inc()
 			return false
 		}
 		fs.answeredBy(t, b)
+		_, nbrs := lg.answer(0)
 		fs.acc = mergeNeighbors(fs.acc, nbrs, k, &fs.nbrTmp)
 		return true
 	}
@@ -145,7 +146,7 @@ func (r *Router) knn(fs *fanScratch, t *routing, pt geom.Point, k int, deadline 
 			}
 		}
 		for !answered { // one holder; the next one if its leg dies
-			b := r.pick(t.table, fs, rg, rot)
+			b := r.pick(t.table, fs, rg)
 			if b < 0 {
 				r.metrics.unroutable.Inc()
 				return legs, errUnavailable(int(rg))

@@ -40,15 +40,17 @@ func (quickPoint) Generate(rng *rand.Rand, size int) reflect.Value {
 
 // TestRouterQuickEquivalence pins router answers against a single monolithic
 // serve instance over the same dataset, both reached through the wire
-// protocol: whatever testing/quick draws, the routed cluster and the one
-// big server must agree on id sets and exact NN distances.
+// protocol, and k-NN against that instance's pool: whatever testing/quick
+// draws, the routed cluster and the one big server must agree on id sets
+// and exact NN distances.
 func TestRouterQuickEquivalence(t *testing.T) {
 	ds := clusterDataset(t)
 	tc := startCluster(t, ds, 3, 2)
 	r := newRouter(t, tc, nil)
 
 	// The monolithic reference server plus its wire client.
-	mono, err := serve.New(serve.Config{Pool: truthPool(t, ds)})
+	pool := truthPool(t, ds)
+	mono, err := serve.New(serve.Config{Pool: pool})
 	if err != nil {
 		t.Fatalf("mono server: %v", err)
 	}
@@ -106,11 +108,7 @@ func TestRouterQuickEquivalence(t *testing.T) {
 			t.Logf("router knn: %v", err)
 			return false
 		}
-		want, err := cc.KNearestNeighborsAppendUntil(nil, q.Pt, q.K, 0, time.Time{})
-		if err != nil {
-			t.Logf("mono knn: %v", err)
-			return false
-		}
+		want, _ := pool.KNearestAppend(nil, q.Pt, q.K, nil)
 		if len(got) != len(want) {
 			return false
 		}

@@ -79,7 +79,7 @@ func TestRefreshRefusesStructuralChange(t *testing.T) {
 		return proto.RangeInfo{Index: idx, Items: 1, Lo: lo, Hi: lo, MBR: ds.Extent}
 	}
 	var current atomic.Pointer[proto.SummaryMsg]
-	current.Store(&proto.SummaryMsg{NumRanges: 2, Bounds: ds.Extent, Ranges: []proto.RangeInfo{row(0, 0), row(1, 100)}})
+	current.Store(&proto.SummaryMsg{NumRanges: 2, Ranges: []proto.RangeInfo{row(0, 0), row(1, 100)}})
 	hub := obs.NewHub()
 	r, err := New(Config{
 		Backends:        []string{stalledBackend(t, func() proto.SummaryMsg { return *current.Load() })},
@@ -98,8 +98,8 @@ func TestRefreshRefusesStructuralChange(t *testing.T) {
 		name string
 		sm   proto.SummaryMsg
 	}{
-		{"range count", proto.SummaryMsg{NumRanges: 3, Bounds: ds.Extent, Ranges: []proto.RangeInfo{row(0, 0), row(1, 100), row(2, 200)}}},
-		{"key cuts", proto.SummaryMsg{NumRanges: 2, Bounds: ds.Extent, Ranges: []proto.RangeInfo{row(0, 0), row(1, 200)}}},
+		{"range count", proto.SummaryMsg{NumRanges: 3, Ranges: []proto.RangeInfo{row(0, 0), row(1, 100), row(2, 200)}}},
+		{"key cuts", proto.SummaryMsg{NumRanges: 2, Ranges: []proto.RangeInfo{row(0, 0), row(1, 200)}}},
 	} {
 		current.Store(&tc.sm)
 		for want, deadline := errs.Value()+3, time.Now().Add(10*time.Second); errs.Value() < want; time.Sleep(time.Millisecond) {

@@ -580,6 +580,7 @@ type fanScratch struct {
 	send     legSender          // how this call's read legs travel
 	deadline time.Time          // this call's deadline, which caps every leg
 	write    writeOp            // the write this call's write legs carry
+	rot      int                // this round's replica rotation, kept by the k-NN visits that go on from it
 	sel      []int32            // this round's legs: the backend of each
 	legs     []readLeg          // mirrors sel: a read leg's slots and answers
 	acks     []client.UpdateAck // mirrors sel: a write leg's ack
@@ -589,7 +590,7 @@ type fanScratch struct {
 	open     []bool             // range id -> the sub-query or NN being planned still needs it
 	eff      []geom.Rect        // NN: every range's effective extent
 	order    []shard.IndexDist  // NN visit order: ranges by ascending MINDIST
-	nbrBuf   []proto.Neighbor   // NN leg reply buffer
+	nnLeg    readLeg            // NN: the visit's one-slot continuation leg
 	nbrTmp   []proto.Neighbor   // NN merge temp
 	acc      []proto.Neighbor   // NN running best-k
 }

@@ -491,7 +491,7 @@ func stalledBackend(t testing.TB, summary func() proto.SummaryMsg) string {
 // LegTimeout or beyond).
 func TestRouterDeadlineCapsStalledLeg(t *testing.T) {
 	ds := clusterDataset(t)
-	ranges, bounds := shard.PartitionHilbert(ds.Items(), 2, 0)
+	ranges, _ := shard.PartitionHilbert(ds.Items(), 2, 0)
 
 	// Backend 0 is real and holds range 0; backend 1 claims range 1 but
 	// stalls every query.
@@ -514,7 +514,7 @@ func TestRouterDeadlineCapsStalledLeg(t *testing.T) {
 
 	info1 := proto.RangeInfo{Index: 1, Items: uint32(len(ranges[1].Items)), Lo: ranges[1].Lo, Hi: ranges[1].Hi, MBR: ranges[1].MBR}
 	stalled := stalledBackend(t, func() proto.SummaryMsg {
-		return proto.SummaryMsg{NumRanges: 2, Bounds: bounds, Ranges: []proto.RangeInfo{info1}}
+		return proto.SummaryMsg{NumRanges: 2, Ranges: []proto.RangeInfo{info1}}
 	})
 
 	r, err := New(Config{
@@ -620,7 +620,7 @@ func TestBuildTableValidation(t *testing.T) {
 		return proto.RangeInfo{Index: idx, Items: 1, MBR: mbr}
 	}
 	sum := func(n uint32, rs ...proto.RangeInfo) *proto.SummaryMsg {
-		return &proto.SummaryMsg{NumRanges: n, Bounds: mbr, Ranges: rs}
+		return &proto.SummaryMsg{NumRanges: n, Ranges: rs}
 	}
 
 	if _, err := buildTable(nil); err == nil {

@@ -65,8 +65,9 @@ func monolithicMutable(t testing.TB, ds *dataset.Dataset, adaptive bool) *mutabl
 
 // TestPoolCapabilities builds every pool kind a Server can front and pins
 // the capability struct New resolves for each — the DESIGN.md pool ×
-// capability table, as a test — and that each answers a router's batched NN
-// leg (ModeNeighbors) as it answers a lone one.
+// capability table, as a test — that each answers a router's NN leg
+// (ModeNeighbors) as its engine answers the k-NN, and that its summary rows
+// cover what the pool holds.
 func TestPoolCapabilities(t *testing.T) {
 	ds, tree := testDataset(t)
 	one, err := shard.Over(ds, tree)
@@ -122,31 +123,69 @@ func TestPoolCapabilities(t *testing.T) {
 			t.Errorf("%s: engine %T, distributed=%v", tc.name, srv.eng, tc.want.distributed)
 		}
 		checkNeighborsMode(t, tc.name, srv, ds.Extent)
+		if !tc.want.distributed {
+			checkSummaryRows(t, tc.name, srv, ds.Len())
+		}
+	}
+}
+
+// checkSummaryRows: a local pool's summary rows hold every item once — a
+// partitioned backend's rows hold what it was built from — and their MBRs
+// cover the pool's bounds.
+func checkSummaryRows(t *testing.T, name string, srv *Server, n int) {
+	t.Helper()
+	sm := srv.summaryReply(1)
+	if err := sm.Validate(); err != nil || len(sm.Ranges) == 0 {
+		t.Fatalf("%s: summary %+v invalid: %v", name, sm, err)
+	}
+	items, mbr := 0, geom.EmptyRect()
+	for _, r := range sm.Ranges {
+		items += int(r.Items)
+		mbr = mbr.Union(r.MBR)
+	}
+	if held := srv.cfg.Ranges; held != nil {
+		n = 0
+		for _, r := range held {
+			n += int(r.Items)
+		}
+	}
+	if items != n {
+		t.Errorf("%s: summary rows hold %d items, the pool %d", name, items, n)
+	}
+	if b := poolBounds(srv.cfg.Pool); !b.IsEmpty() && !mbr.ContainsRect(b) {
+		t.Errorf("%s: summary rows cover %v, the pool's bounds are %v", name, mbr, b)
 	}
 }
 
 // checkNeighborsMode: every pool kind answers a ModeNeighbors batch item with
-// exactly the neighbors and distances a MsgNNQuery leg gets, and refuses the
-// mode on a lone MsgQuery.
+// exactly the neighbors and distances its engine's k-NN finds — unbounded,
+// and bounded by the k-th of them in Eps — and refuses the mode on a lone
+// MsgQuery.
 func checkNeighborsMode(t *testing.T, name string, srv *Server, ext geom.Rect) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 8; i++ {
 		pt := geom.Point{X: ext.Min.X + rng.Float64()*ext.Width(), Y: ext.Min.Y + rng.Float64()*ext.Height()}
-		leg, ok := srv.execute(&proto.NNQueryMsg{ID: 1, Point: pt, K: 8}, srv.getScratch(), deadline).(*proto.NeighborsMsg)
-		if !ok || len(leg.Neighbors) != 8 {
-			t.Fatalf("%s: NN leg answered %+v", name, leg)
+		nbs, err := srv.eng.KNearestAppendUntil(nil, pt, 8, nil, deadline)
+		if err != nil || len(nbs) != 8 {
+			t.Fatalf("%s: engine k-NN answered %v, %v", name, nbs, err)
 		}
-		batch := &proto.BatchQueryMsg{ID: 2, Queries: []proto.QueryMsg{
-			{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: pt, K: 8},
-		}}
-		reply, ok := srv.execute(batch, srv.getScratch(), deadline).(*proto.BatchReplyMsg)
-		if !ok || reply.Items[0].Err != 0 {
-			t.Fatalf("%s: neighbors-mode batch answered %+v", name, reply)
+		var want []proto.Neighbor
+		for _, nb := range nbs {
+			want = append(want, proto.Neighbor{ID: nb.ID, Dist: nb.Dist})
 		}
-		if got := reply.Items[0]; !slices.Equal(got.Nbrs, leg.Neighbors) || len(got.IDs) != 0 {
-			t.Fatalf("%s: neighbors-mode item %+v, the NN leg answered %v", name, got, leg.Neighbors)
+		for _, bound := range []float64{0, want[7].Dist} {
+			batch := &proto.BatchQueryMsg{ID: 2, Queries: []proto.QueryMsg{
+				{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: pt, K: 8, Eps: bound},
+			}}
+			reply, ok := srv.execute(batch, srv.getScratch(), deadline).(*proto.BatchReplyMsg)
+			if !ok || reply.Items[0].Err != 0 {
+				t.Fatalf("%s: neighbors-mode batch (bound %v) answered %+v", name, bound, reply)
+			}
+			if got := reply.Items[0]; !slices.Equal(got.Nbrs, want) || len(got.IDs) != 0 {
+				t.Fatalf("%s: neighbors-mode item (bound %v) %+v, the engine found %v", name, bound, got, want)
+			}
 		}
 	}
 	lone := &proto.QueryMsg{ID: 3, Kind: proto.KindNN, Mode: proto.ModeNeighbors, K: 8}
@@ -179,8 +218,7 @@ func TestNewRejectsFanOutWithoutDeadlineSurface(t *testing.T) {
 // its items, at version 0 before any write — whether it is monolithic (one
 // range, the whole key space, however many local shards, adaptive or not)
 // or a partitioned backend. Each reply validates, and a write moves the
-// owning row's Version by one, its Items and MBR with it (and the header
-// totals too).
+// owning row's Version by one, its Items and MBR with it.
 func TestLiveSummaryShapes(t *testing.T) {
 	ds, _ := testDataset(t)
 	mono := monolithicMutable(t, ds, false)
@@ -235,12 +273,6 @@ func TestLiveSummaryShapes(t *testing.T) {
 		if err := after.Validate(); err != nil {
 			t.Fatalf("%s: summary after write invalid: %v", tc.name, err)
 		}
-		if after.Items != before.Items+1 {
-			t.Errorf("%s: header items %d -> %d, want +1", tc.name, before.Items, after.Items)
-		}
-		if !after.Bounds.ContainsRect(seg.MBR()) || before.Bounds.ContainsRect(seg.MBR()) {
-			t.Errorf("%s: header bounds did not grow over the write: %v -> %v", tc.name, before.Bounds, after.Bounds)
-		}
 		moved := 0
 		for i, r := range after.Ranges {
 			b := before.Ranges[i]
@@ -248,7 +280,7 @@ func TestLiveSummaryShapes(t *testing.T) {
 				continue
 			}
 			moved++
-			if r.Version != b.Version+1 || r.Items != b.Items+1 || !r.MBR.ContainsRect(seg.MBR()) {
+			if r.Version != b.Version+1 || r.Items != b.Items+1 || !r.MBR.ContainsRect(seg.MBR()) || b.MBR.ContainsRect(seg.MBR()) {
 				t.Errorf("%s: written row %+v, was %+v", tc.name, r, b)
 			}
 		}

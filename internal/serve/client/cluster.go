@@ -9,8 +9,6 @@
 package client
 
 import (
-	"fmt"
-	"math"
 	"time"
 
 	"mobispatial/internal/geom"
@@ -46,31 +44,9 @@ func (c *Client) PointAppendUntil(dst []uint32, pt geom.Point, eps float64, mode
 	return c.queryAppendUntil(q, dst, deadline)
 }
 
-// KNearestNeighborsAppendUntil answers one cross-server NN leg (MsgNNQuery):
-// k neighbors with exact distances, ascending, appended to dst. bound is the
-// router's running k-th-neighbor distance — a pruning hint the backend may
-// use to skip shards (+Inf or 0 disables it). The reply is copied into dst
-// and released, per the router's zero-alloc merge discipline.
-func (c *Client) KNearestNeighborsAppendUntil(dst []proto.Neighbor, pt geom.Point, k int, bound float64, deadline time.Time) ([]proto.Neighbor, error) {
-	if k > math.MaxUint16 {
-		return dst, fmt.Errorf("client: k=%d exceeds wire limit", k)
-	}
-	if math.IsInf(bound, 1) {
-		bound = 0 // the wire encodes "unbounded" as 0
-	}
-	q := proto.AcquireNNQuery()
-	q.Point, q.K, q.Bound = pt, uint16(k), bound
-	r, err := call[*proto.NeighborsMsg](c, q, deadline, 1, nil)
-	if err != nil {
-		return dst, err
-	}
-	dst = append(dst, r.Neighbors...)
-	proto.ReleaseMessage(r)
-	return dst, nil
-}
-
 // QueryBatchVisit sends one batch leg — a sub-slice of a client batch the
-// router grouped onto this backend — and visits each item's answer in order:
+// router grouped onto this backend, or one k-NN leg in ModeNeighbors with
+// the router's running bound in Eps — and visits each item's answer in order:
 // visit(i, item), where i indexes qs. The item aliases the pooled reply and
 // is valid only during the visit call; the caller copies what it keeps. ID
 // and TimeoutMicros fields of qs are managed here. Like every cluster-side

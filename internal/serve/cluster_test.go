@@ -8,14 +8,19 @@ import (
 	"time"
 
 	"mobispatial/internal/geom"
+	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/shard"
 )
 
-// askNN sends one raw MsgNNQuery leg and decodes the reply.
-func askNN(t *testing.T, nc net.Conn, id uint32, pt geom.Point, k uint16, bound float64) []proto.Neighbor {
+// askNN sends one raw k-NN leg — a one-item ModeNeighbors batch, the bound
+// in Eps — and decodes the reply item.
+func askNN(t *testing.T, nc net.Conn, id uint32, pt geom.Point, k uint16, bound float64) proto.BatchItem {
 	t.Helper()
-	if _, err := proto.WriteMessage(nc, &proto.NNQueryMsg{ID: id, Point: pt, K: k, Bound: bound}); err != nil {
+	leg := &proto.BatchQueryMsg{ID: id, Queries: []proto.QueryMsg{
+		{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: pt, K: k, Eps: bound},
+	}}
+	if _, err := proto.WriteMessage(nc, leg); err != nil {
 		t.Fatalf("write nn leg: %v", err)
 	}
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -23,23 +28,34 @@ func askNN(t *testing.T, nc net.Conn, id uint32, pt geom.Point, k uint16, bound 
 	if err != nil {
 		t.Fatalf("read nn reply: %v", err)
 	}
-	nm, ok := msg.(*proto.NeighborsMsg)
+	br, ok := msg.(*proto.BatchReplyMsg)
 	if !ok {
 		t.Fatalf("nn leg answered with %v: %+v", msg.Type(), msg)
 	}
-	if nm.ID != id {
-		t.Fatalf("nn reply id %d, want %d", nm.ID, id)
+	if br.ID != id || len(br.Items) != 1 {
+		t.Fatalf("nn reply id %d with %d items, want id %d with 1", br.ID, len(br.Items), id)
 	}
-	out := append([]proto.Neighbor(nil), nm.Neighbors...)
+	it := br.Items[0]
+	it.Nbrs = append([]proto.Neighbor(nil), it.Nbrs...)
 	proto.ReleaseMessage(msg)
-	return out
+	return it
 }
 
-// TestNNLegMatchesPool answers MsgNNQuery legs on a sharded server and
-// checks them against direct pool execution: exact distances, ascending
-// order, and — with a finite bound — no lost neighbor below the bound.
+// TestNNLegMatchesPool answers k-NN legs on a sharded server and checks them
+// against direct pool execution: exact distances, ascending order, the bound
+// in Eps losing no neighbor below it — and pruning shards: a leg bounded
+// below the pool's own k-th distance, as a router's running bound is once
+// another backend answered nearer, skips shards the unbounded leg walks.
 func TestNNLegMatchesPool(t *testing.T) {
-	ds, pool, _, addr := testWorldSharded(t, 8, nil)
+	reg := obs.NewRegistry()
+	ds, tree := testDataset(t)
+	pool, err := shard.New(ds, shard.Config{Shards: 8, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+	_, addr := startServer(t, Config{Pool: pool, Master: tree})
+	pruned := reg.Counter("shard_nn_shards_pruned_total")
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -48,55 +64,62 @@ func TestNNLegMatchesPool(t *testing.T) {
 
 	ext := ds.Extent
 	rng := rand.New(rand.NewSource(7))
+	var prunedFree, prunedBounded uint64
 	for i := 0; i < 30; i++ {
 		pt := geom.Point{
 			X: ext.Min.X + rng.Float64()*ext.Width(),
 			Y: ext.Min.Y + rng.Float64()*ext.Height(),
 		}
-		k := 1 + rng.Intn(8)
+		k := 16 + rng.Intn(49)
 		want, _ := pool.KNearestAppend(nil, pt, k, nil)
 
-		got := askNN(t, nc, uint32(100+i), pt, uint16(k), math.Inf(1))
-		if len(got) != len(want) {
-			t.Fatalf("k=%d: got %d neighbors, want %d", k, len(got), len(want))
+		before := pruned.Value()
+		got := askNN(t, nc, uint32(100+i), pt, uint16(k), 0)
+		prunedFree += pruned.Value() - before
+		if got.Err != 0 || len(got.Nbrs) != len(want) {
+			t.Fatalf("k=%d: got %d neighbors (code %d), want %d", k, len(got.Nbrs), got.Err, len(want))
 		}
-		for j := range got {
-			if got[j].ID != want[j].ID || got[j].Dist != want[j].Dist {
-				t.Fatalf("neighbor %d: got %+v want %+v", j, got[j], want[j])
+		for j, nb := range got.Nbrs {
+			if nb.ID != want[j].ID || nb.Dist != want[j].Dist {
+				t.Fatalf("neighbor %d: got %+v want %+v", j, nb, want[j])
 			}
-			if j > 0 && got[j].Dist < got[j-1].Dist {
+			if j > 0 && nb.Dist < got.Nbrs[j-1].Dist {
 				t.Fatalf("neighbors not ascending at %d", j)
 			}
 		}
 
-		// A finite bound at the true k-th distance must keep every neighbor
-		// strictly below it (the bound is a pruning hint, not a filter).
-		if len(want) == 0 {
-			continue
-		}
-		kth := want[len(want)-1].Dist
-		bounded := askNN(t, nc, uint32(1000+i), pt, uint16(k), kth+1e-9)
+		// The bound is a pruning hint, not a filter: every neighbor strictly
+		// below it is kept, rank for rank.
+		bound := want[len(want)-1].Dist / 2
+		before = pruned.Value()
+		bounded := askNN(t, nc, uint32(1000+i), pt, uint16(k), bound)
+		prunedBounded += pruned.Value() - before
 		for j, nb := range want {
-			if nb.Dist >= kth {
+			if nb.Dist >= bound {
 				break
 			}
-			if j >= len(bounded) || bounded[j].ID != nb.ID || bounded[j].Dist != nb.Dist {
-				t.Fatalf("bounded leg lost neighbor %+v: got %+v", nb, bounded)
+			if j >= len(bounded.Nbrs) || bounded.Nbrs[j] != (proto.Neighbor{ID: nb.ID, Dist: nb.Dist}) {
+				t.Fatalf("bounded leg lost neighbor %+v: got %+v", nb, bounded.Nbrs)
 			}
 		}
+	}
+	t.Logf("shards pruned over 30 legs: %d unbounded, %d bounded", prunedFree, prunedBounded)
+	if prunedBounded <= prunedFree {
+		t.Errorf("bounded legs pruned %d shards, unbounded ones %d: the bound in Eps prunes nothing", prunedBounded, prunedFree)
 	}
 
 	// K=0 means single nearest.
 	pt := ext.Center()
 	got := askNN(t, nc, 9999, pt, 0, 0)
 	if nn := pool.NearestWith(pt, nil); nn.OK {
-		if len(got) != 1 || got[0].ID != nn.ID || got[0].Dist != nn.Dist {
-			t.Fatalf("k=0 leg: got %+v want %+v", got, nn)
+		if len(got.Nbrs) != 1 || got.Nbrs[0].ID != nn.ID || got.Nbrs[0].Dist != nn.Dist {
+			t.Fatalf("k=0 leg: got %+v want %+v", got.Nbrs, nn)
 		}
 	}
 }
 
-// TestNNLegRejectsOversizeK checks the maxKNN guard applies to NN legs.
+// TestNNLegRejectsOversizeK checks the maxKNN guard applies to NN legs: the
+// item fails CodeBadRequest, the frame still answers.
 func TestNNLegRejectsOversizeK(t *testing.T) {
 	_, _, _, addr := testWorld(t, nil)
 	nc, err := net.Dial("tcp", addr)
@@ -104,17 +127,8 @@ func TestNNLegRejectsOversizeK(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if _, err := proto.WriteMessage(nc, &proto.NNQueryMsg{ID: 5, Point: geom.Point{X: 1, Y: 1}, K: maxKNN + 1}); err != nil {
-		t.Fatal(err)
-	}
-	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-	msg, _, err := proto.ReadMessage(nc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	em, ok := msg.(*proto.ErrorMsg)
-	if !ok || em.Code != proto.CodeBadRequest {
-		t.Fatalf("got %v, want bad-request", msg.Type())
+	if it := askNN(t, nc, 5, geom.Point{X: 1, Y: 1}, maxKNN+1, 0); it.Err != proto.CodeBadRequest {
+		t.Fatalf("got item code %v (%s), want bad-request", it.Err, it.Text)
 	}
 }
 
@@ -151,14 +165,15 @@ func TestSummaryReply(t *testing.T) {
 	if sm.NumRanges != 1 || len(sm.Ranges) != 1 {
 		t.Fatalf("monolithic summary: %+v", sm)
 	}
-	if sm.Items != uint64(pool.Len()) || sm.Items != uint64(len(ds.Items())) {
-		t.Fatalf("summary items %d, pool %d", sm.Items, pool.Len())
-	}
-	if r := sm.Ranges[0]; r.Lo != 0 || r.Hi != math.MaxUint64 || r.Index != 0 {
+	r := sm.Ranges[0]
+	if r.Lo != 0 || r.Hi != math.MaxUint64 || r.Index != 0 {
 		t.Fatalf("synthetic range %+v", r)
 	}
-	if sm.Bounds != pool.Bounds() {
-		t.Fatalf("summary bounds %v, pool %v", sm.Bounds, pool.Bounds())
+	if int(r.Items) != pool.Len() || int(r.Items) != len(ds.Items()) {
+		t.Fatalf("synthetic range items %d, pool %d", r.Items, pool.Len())
+	}
+	if r.MBR != pool.Bounds() {
+		t.Fatalf("synthetic range MBR %v, pool bounds %v", r.MBR, pool.Bounds())
 	}
 
 	ranges := []proto.RangeInfo{

@@ -139,7 +139,13 @@ func TestServerSpansSampled(t *testing.T) {
 		}
 	}
 
+	// A span finishes just after its reply is written, so the last one may
+	// still be open when the client has its answer: wait for it.
 	snap := hub.Trace.Snapshot()
+	for deadline := time.Now().Add(5 * time.Second); len(snap.Sampled) < 5 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		snap = hub.Trace.Snapshot()
+	}
 	if snap.Started < 5 || len(snap.Sampled) < 5 {
 		t.Fatalf("started=%d sampled=%d, want >= 5 each", snap.Started, len(snap.Sampled))
 	}

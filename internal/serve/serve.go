@@ -103,13 +103,13 @@ type DeadlineExecutor interface {
 	KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch, deadline time.Time) ([]rtree.Neighbor, error)
 }
 
-// BoundedNN is the optional bounded k-NN surface behind MsgNNQuery: the
-// distributed tier's cross-server NN leg carries the router's running
-// k-th-neighbor bound, and a pool that can prune with it implements this.
-// Every local pool has it, on one schedule (shard.Pool and mutable.Pool skip
-// whole shards' packed trees, a lone shard included: an unsharded backend the
-// bound rules out is not walked at all). The bound is an optimization, never
-// a correctness requirement.
+// BoundedNN is the optional bounded k-NN surface behind a ModeNeighbors batch
+// item: the distributed tier's cross-server NN leg carries the router's
+// running k-th-neighbor bound in the item's Eps, and a pool that can prune
+// with it implements this. Every local pool has it, on one schedule
+// (shard.Pool and mutable.Pool skip whole shards' packed trees, a lone shard
+// included: an unsharded backend the bound rules out is not walked at all).
+// The bound is an optimization, never a correctness requirement.
 type BoundedNN interface {
 	KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int, bound float64, sc *shard.Scratch) ([]rtree.Neighbor, bool)
 }
@@ -384,7 +384,6 @@ type reqScratch struct {
 	idMsg   proto.IDListMsg
 	dataMsg proto.DataListMsg
 	batch   proto.BatchReplyMsg
-	nbrMsg  proto.NeighborsMsg
 	ackMsg  proto.UpdateAckMsg
 	// Cache-path state: the pre/post validity views and the superset
 	// payload buffers (ids + geometry + NN distances) the cache copies out
@@ -407,8 +406,7 @@ func (s *Server) getScratch() *reqScratch {
 }
 
 func (s *Server) putScratch(sc *reqScratch) {
-	if cap(sc.ids) > maxScratchIDs || cap(sc.dataMsg.Records) > maxScratchRecords ||
-		cap(sc.nbrMsg.Neighbors) > maxScratchRecords {
+	if cap(sc.ids) > maxScratchIDs || cap(sc.dataMsg.Records) > maxScratchRecords {
 		return
 	}
 	if cap(sc.cids) > maxScratchIDs || cap(sc.csegs) > maxScratchIDs || cap(sc.cdists) > maxScratchIDs {
@@ -449,8 +447,9 @@ type serveMetrics struct {
 	// frames they carried — their ratio is the flush-coalescing factor.
 	writes      *obs.Counter
 	writeFrames *obs.Counter
-	// nnLegHist covers MsgNNQuery legs, kept apart from execHist so the
-	// per-kind client-query histograms stay comparable across deployments.
+	// nnLegHist covers a router's k-NN legs (ModeNeighbors batch items),
+	// kept apart from execHist so the per-kind client-query histograms stay
+	// comparable across deployments.
 	nnLegHist *obs.Histogram
 	// updateHist[kind] is the execution-time histogram of one update shape
 	// (insert, delete, move).
@@ -541,8 +540,8 @@ func New(cfg Config) (*Server, error) {
 		s.caps.view = src
 	} else if !s.caps.distributed {
 		rect := nnRegion
-		if !summary.Bounds.IsEmpty() {
-			rect = summary.Bounds
+		if b := poolBounds(cfg.Pool); !b.IsEmpty() {
+			rect = b
 		}
 		s.caps.view = qcache.Static{Rect: rect}
 	}
@@ -557,31 +556,32 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
+// poolBounds is the MBR of everything the pool indexes, EmptyRect when the
+// pool does not report one.
+func poolBounds(p Executor) geom.Rect {
+	if b, ok := p.(interface{ Bounds() geom.Rect }); ok {
+		return b.Bounds()
+	}
+	return geom.EmptyRect()
+}
+
 // buildSummary precomputes the MsgSummaryReq reply: the Hilbert key ranges
-// this server holds, its item count, and its data bounds. A server without
-// explicit ranges (a monolithic deployment) reports one synthetic range
-// covering the whole key space, so a router can register it like any
+// this server holds. A server without explicit ranges (a monolithic
+// deployment) reports one synthetic range covering the whole key space —
+// the pool's item count and bounds — so a router can register it like any
 // partitioned backend.
 func buildSummary(cfg *Config) (proto.SummaryMsg, error) {
-	var items uint64
-	if l, ok := cfg.Pool.(interface{ Len() int }); ok {
-		items = uint64(l.Len())
-	}
-	bounds := geom.EmptyRect()
-	if b, ok := cfg.Pool.(interface{ Bounds() geom.Rect }); ok {
-		bounds = b.Bounds()
-	}
 	ranges := cfg.Ranges
 	numRanges := uint32(cfg.NumRanges)
 	if len(ranges) == 0 && cfg.NumRanges <= 0 {
 		numRanges = 1
-		rangeItems := uint32(math.MaxUint32)
-		if items < math.MaxUint32 {
-			rangeItems = uint32(items)
+		var items int
+		if l, ok := cfg.Pool.(interface{ Len() int }); ok {
+			items = l.Len()
 		}
-		ranges = []proto.RangeInfo{{Index: 0, Items: rangeItems, Lo: 0, Hi: math.MaxUint64, MBR: bounds}}
+		ranges = []proto.RangeInfo{{Index: 0, Items: uint32(min(items, math.MaxUint32)), Lo: 0, Hi: math.MaxUint64, MBR: poolBounds(cfg.Pool)}}
 	}
-	m := proto.SummaryMsg{NumRanges: numRanges, Items: items, Bounds: bounds, Ranges: ranges}
+	m := proto.SummaryMsg{NumRanges: numRanges, Ranges: ranges}
 	if err := m.Validate(); err != nil {
 		return proto.SummaryMsg{}, fmt.Errorf("serve: invalid range summary: %w", err)
 	}
@@ -593,24 +593,15 @@ func buildSummary(cfg *Config) (proto.SummaryMsg, error) {
 // Ranges slice shared read-only across replies). When the pool has a live
 // summary the range table — count included — is the pool's current rows, so
 // a router's refresh poll observes writes instead of the registration-time
-// snapshot; the header totals are the fold of the rows.
-// That allocates a fresh Ranges slice per request, which is fine: summaries
-// flow only at registration and on the refresh poll, a few per second at
-// most.
+// snapshot. That allocates a fresh Ranges slice per request, which is fine:
+// summaries flow only at registration and on the refresh poll, a few per
+// second at most.
 func (s *Server) summaryReply(id uint32) *proto.SummaryMsg {
 	m := s.summary
 	m.ID = id
-	if s.caps.live == nil {
-		return &m
-	}
-	ranges, num := s.caps.live.SummaryRanges(nil)
-	m.NumRanges = uint32(num)
-	m.Ranges = ranges
-	m.Items = 0
-	m.Bounds = geom.EmptyRect()
-	for i := range ranges {
-		m.Items += uint64(ranges[i].Items)
-		m.Bounds = m.Bounds.Union(ranges[i].MBR)
+	if s.caps.live != nil {
+		ranges, num := s.caps.live.SummaryRanges(nil)
+		m.NumRanges, m.Ranges = uint32(num), ranges
 	}
 	return &m
 }
@@ -995,8 +986,6 @@ func reqKind(req proto.Message) string {
 		}
 	case *proto.BatchQueryMsg:
 		return "batch"
-	case *proto.NNQueryMsg:
-		return "nn-leg"
 	case *proto.ShipmentReqMsg:
 		return "shipment"
 	case *proto.InsertMsg:
@@ -1016,8 +1005,6 @@ func (s *Server) observeExec(req proto.Message, sec float64) {
 	switch m := req.(type) {
 	case *proto.QueryMsg:
 		s.observeExecQuery(m, sec)
-	case *proto.NNQueryMsg:
-		s.metrics.nnLegHist.Observe(sec)
 	case *proto.ShipmentReqMsg:
 		s.metrics.shipHist.Observe(sec)
 	case *proto.InsertMsg:
@@ -1031,7 +1018,7 @@ func (s *Server) observeExec(req proto.Message, sec float64) {
 
 func (s *Server) observeExecQuery(q *proto.QueryMsg, sec float64) {
 	if q.Mode == proto.ModeNeighbors {
-		s.metrics.nnLegHist.Observe(sec) // a router's NN leg, batched
+		s.metrics.nnLegHist.Observe(sec) // a router's NN leg
 		return
 	}
 	if int(q.Kind) < 3 && int(q.Mode) < 3 {
@@ -1184,8 +1171,6 @@ func (s *Server) execute(req proto.Request, sc *reqScratch, deadline time.Time) 
 		return s.executeQuery(m, sc, deadline)
 	case *proto.BatchQueryMsg:
 		return s.executeBatch(m, sc, deadline)
-	case *proto.NNQueryMsg:
-		return s.executeNN(m, sc, deadline)
 	case *proto.ShipmentReqMsg:
 		return s.executeShipment(m)
 	case *proto.InsertMsg, *proto.DeleteMsg, *proto.MoveMsg:
@@ -1276,23 +1261,12 @@ func (s *Server) nearest(pt geom.Point, k int, sc *reqScratch, deadline time.Tim
 	return sc.nn1[:], nil
 }
 
-// executeNN answers one router NN leg (MsgNNQuery): a k-NN query carrying
-// the router's running k-th-neighbor bound, answered with exact distances.
-func (s *Server) executeNN(m *proto.NNQueryMsg, sc *reqScratch, deadline time.Time) proto.Message {
-	out, err := s.neighbors(sc.nbrMsg.Neighbors[:0], m.Point, int(m.K), m.Bound, sc, deadline)
-	if err != nil {
-		return errorReply(m.ID, err)
-	}
-	sc.nbrMsg = proto.NeighborsMsg{ID: m.ID, Neighbors: out}
-	return &sc.nbrMsg
-}
-
-// neighbors is the one router NN leg path, a MsgNNQuery and a ModeNeighbors
-// batch item alike: the k (0 means 1) nearest neighbors of pt under bound
-// (0 or +Inf means none), with exact distances, appended to dst. The
-// bound-aware surface answers when the pool has one — every local pool; a
-// router fronted as a backend has only the engine's unbounded k-NN (the
-// bound is only a hint, dropping it never costs correctness).
+// neighbors answers one router NN leg, a ModeNeighbors batch item: the k (0
+// means 1) nearest neighbors of pt under bound (0 or +Inf means none), with
+// exact distances, appended to dst. The bound-aware surface answers when the
+// pool has one — every local pool; a router fronted as a backend has only
+// the engine's unbounded k-NN (the bound is only a hint, dropping it never
+// costs correctness).
 func (s *Server) neighbors(dst []proto.Neighbor, pt geom.Point, k int, bound float64, sc *reqScratch, deadline time.Time) ([]proto.Neighbor, error) {
 	k = max(k, 1)
 	if err := s.checkK(k); err != nil {
@@ -1392,7 +1366,7 @@ func (s *Server) answer(q *proto.QueryMsg, sc *reqScratch, ids []uint32, recs []
 
 func (s *Server) executeQuery(q *proto.QueryMsg, sc *reqScratch, deadline time.Time) proto.Message {
 	if q.Mode == proto.ModeNeighbors {
-		// A lone NN leg is a MsgNNQuery; no single-query reply carries
+		// A router's NN leg is a batch item; no single-query reply carries
 		// distances.
 		return errorReply(q.ID, badRequest("neighbors mode is answered only inside a batch"))
 	}
@@ -1454,7 +1428,7 @@ func (s *Server) executeBatch(m *proto.BatchQueryMsg, sc *reqScratch, deadline t
 		start := time.Now()
 		var err error
 		if q.Mode == proto.ModeNeighbors {
-			it.Nbrs, err = s.neighbors(it.Nbrs, q.Point, int(q.K), 0, sc, deadline)
+			it.Nbrs, err = s.neighbors(it.Nbrs, q.Point, int(q.K), q.Eps, sc, deadline)
 		} else {
 			it.IDs, it.Recs, err = s.answer(q, sc, it.IDs, it.Recs, deadline)
 		}
