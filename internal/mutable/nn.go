@@ -67,9 +67,9 @@ func (p *Pool) KNearestAppend(dst []rtree.Neighbor, pt geom.Point, k int, sc *sh
 }
 
 // KNearestBoundedAppend is KNearestAppend seeded with the router's running
-// k-th-neighbor bound (serve.BoundedNN), under shard.Pool's contract: a
-// hint, not a filter — every held neighbor closer than bound is in the
-// answer, up to k; +Inf or a non-positive bound disables it.
+// k-th-neighbor bound, under shard.Pool's contract: a hint, not a filter —
+// every held neighbor closer than bound is in the answer, up to k; +Inf or a
+// non-positive bound disables it. A server walks every k-NN on this pool here.
 func (p *Pool) KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int, bound float64, sc *shard.Scratch) ([]rtree.Neighbor, bool) {
 	if k <= 0 {
 		return dst, true

@@ -152,7 +152,7 @@ func TestClusterReadsSeeFreshWrites(t *testing.T) {
 	// nearest neighbor of its own endpoint.
 	nearestIs := func(label string, pt geom.Point, id uint32, seg geom.Segment) {
 		t.Helper()
-		res, err := r.NearestUntil(pt, nil, time.Time{})
+		res, err := nearest1(r, pt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestClusterReadsSeeFreshWrites(t *testing.T) {
 		t.Fatalf("moved id %d still answers at its old position", idY)
 	}
 	nearestIs("moved object", newSeg.A, idY, newSeg)
-	if res, err := r.NearestUntil(oldSeg.A, nil, time.Time{}); err != nil || res.ID == idY {
+	if res, err := nearest1(r, oldSeg.A); err != nil || res.ID == idY {
 		t.Fatalf("1-NN at the moved object's old position: id %d, err %v; id %d left", res.ID, err, idY)
 	}
 

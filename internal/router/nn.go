@@ -168,20 +168,12 @@ func (r *Router) knn(fs *fanScratch, t *routing, pt geom.Point, k int, deadline 
 	return legs, nil
 }
 
-// NearestUntil answers one cluster-wide nearest-neighbor query.
-func (r *Router) NearestUntil(pt geom.Point, sc *shard.Scratch, deadline time.Time) (shard.NearestResult, error) {
-	var buf [1]rtree.Neighbor
-	nbs, err := r.KNearestAppendUntil(buf[:0], pt, 1, sc, deadline)
-	if err != nil {
-		return shard.NearestResult{}, err
-	}
-	return shard.NearestOf(nbs), nil
-}
-
-// NearestWith implements serve.Executor (plain surface; see exec.go).
+// NearestWith implements serve.Executor (plain surface; see exec.go): the
+// k-NN at k = 1.
 func (r *Router) NearestWith(pt geom.Point, sc *shard.Scratch) shard.NearestResult {
-	res, _ := r.NearestUntil(pt, sc, time.Time{})
-	return res
+	var one [1]rtree.Neighbor
+	nbs, _ := r.KNearestAppendUntil(one[:0], pt, 1, sc, time.Time{})
+	return shard.NearestOf(nbs)
 }
 
 // KNearestAppend implements serve.Executor (plain surface; see exec.go).

@@ -166,6 +166,12 @@ func head(ids []uint32) []uint32 {
 	return ids
 }
 
+// nearest1 is a cluster-wide 1-NN through the router's one k-NN call.
+func nearest1(r *Router, pt geom.Point) (shard.NearestResult, error) {
+	nbs, err := r.KNearestAppendUntil(nil, pt, 1, nil, time.Time{})
+	return shard.NearestOf(nbs), err
+}
+
 // checkNN verifies a k-NN answer against the monolithic truth without
 // over-constraining tie resolution: the distance sequence must match the
 // truth rank by rank, every returned id must genuinely sit at its claimed
@@ -281,7 +287,7 @@ func TestRouterNNEquivalence(t *testing.T) {
 			want, _ := pool.KNearestAppend(nil, pt, k, sc)
 			checkNN(t, "knn", ds, pt, got, want)
 		}
-		res, err := r.NearestUntil(pt, sc, time.Time{})
+		res, err := nearest1(r, pt)
 		if err != nil {
 			t.Fatalf("nearest pt %d: %v", i, err)
 		}
@@ -411,7 +417,7 @@ func TestRouterUnavailable(t *testing.T) {
 		if tc.ranges[1].MBR.MinDist(pt) == 0 {
 			continue
 		}
-		res, err := r.NearestUntil(pt, sc, time.Time{})
+		res, err := nearest1(r, pt)
 		if err != nil || !res.OK || res.Dist != 0 {
 			t.Fatalf("1-NN at %v, beyond the lost range's reach: %+v, err %v; want an answer at distance 0", pt, res, err)
 		}

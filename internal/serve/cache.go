@@ -23,7 +23,10 @@
 //     point inside the cell. eps is applied here, at refinement, which is why
 //     it is not in the key.
 //   - KindNN stores the exact k-nearest answer (ids, distances, geometry)
-//     for the exact point: no refinement at all.
+//     for the exact point: no refinement at all. One entry serves every
+//     unbounded k-NN at that point and k — a client query in ids or data
+//     mode and a router's unbounded leg (ModeNeighbors) alike; a leg bounded
+//     by the router's running k-th distance bypasses the cache.
 //
 // Every stored entry also carries its geometry, for version consistency: the
 // entry is valid at one version vector, and segments resolved through the
@@ -37,7 +40,6 @@ import (
 	"mobispatial/internal/geom"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/qcache"
-	"mobispatial/internal/rtree"
 )
 
 // nnRegion is the validity region of a nearest-neighbor query: NN searches
@@ -90,17 +92,16 @@ func (s *Server) noteHit() {
 	s.metrics.cacheSavedSec.Set(float64(saved) / 1e9)
 }
 
-// runQueryCached answers one QueryMsg through the cache. handled=false means
-// the query shape is uncacheable (the caller falls through to the uncached
-// path); otherwise ids (and the aligned segs) are the exact refined answer.
-// Returned slices alias sc's cache buffers and are valid until the scratch
-// is reused.
+// runQueryCached answers one point or range query through the cache.
+// handled=false means the query shape is uncacheable (the caller falls
+// through to the uncached path); otherwise ids (and the aligned segs) are
+// the exact refined answer. Returned slices alias sc's cache buffers and are
+// valid until the scratch is reused. A k-NN reads its entry in readNN.
 func (s *Server) runQueryCached(q *proto.QueryMsg, sc *reqScratch, deadline time.Time) (ids []uint32, segs []geom.Segment, handled bool, err error) {
 	var (
 		key   qcache.Key
 		super geom.Rect
 		ok    bool
-		k     int
 		cell  = s.qc.CellSize()
 	)
 	switch q.Kind {
@@ -108,13 +109,6 @@ func (s *Server) runQueryCached(q *proto.QueryMsg, sc *reqScratch, deadline time
 		key, super, ok = qcache.RangeKey(q.Window, cell, q.Mode == proto.ModeFilter)
 	case proto.KindPoint:
 		key, super, ok = qcache.PointKey(q.Point, cell)
-	case proto.KindNN:
-		k = max(int(q.K), 1)
-		if err := s.checkK(k); err != nil {
-			return nil, nil, true, err
-		}
-		key, ok = qcache.NNKey(q.Point, k)
-		super = nnRegion
 	default:
 		return nil, nil, true, badRequest("unknown query kind")
 	}
@@ -122,7 +116,7 @@ func (s *Server) runQueryCached(q *proto.QueryMsg, sc *reqScratch, deadline time
 		s.qc.Bypass()
 		return nil, nil, false, nil
 	}
-	if err := s.lookupOrFill(key, super, q.Point, k, sc, deadline); err != nil {
+	if err := s.lookupOrFill(key, super, q.Point, 0, sc, deadline); err != nil {
 		return nil, nil, true, err
 	}
 	eps := q.Eps
@@ -133,19 +127,22 @@ func (s *Server) runQueryCached(q *proto.QueryMsg, sc *reqScratch, deadline time
 	return ids, segs, true, nil
 }
 
-// cachedNN answers one router NN leg (unbounded only) through the cache,
-// sharing the KindNN key space with single-query NN traffic. The returned
-// slices alias sc's cache buffers.
-func (s *Server) cachedNN(pt geom.Point, k int, sc *reqScratch, deadline time.Time) (ids []uint32, dists []float64, handled bool, err error) {
-	key, ok := qcache.NNKey(pt, k)
-	if !ok {
-		s.qc.Bypass()
-		return nil, nil, false, nil
+// putEntry shapes a cached answer into it by mode: records keep the entry's
+// geometry, valid at the version its ids were (no per-id SegOf on the hit
+// path), and neighbors its distances.
+func putEntry(it *proto.BatchItem, mode proto.Mode, ids []uint32, segs []geom.Segment, dists []float64) {
+	switch mode {
+	case proto.ModeData:
+		for i, id := range ids {
+			it.Recs = append(it.Recs, proto.Record{ID: id, Seg: segs[i]})
+		}
+	case proto.ModeNeighbors:
+		for i, id := range ids {
+			it.Nbrs = append(it.Nbrs, proto.Neighbor{ID: id, Dist: dists[i]})
+		}
+	default:
+		it.IDs = append(it.IDs, ids...)
 	}
-	if err := s.lookupOrFill(key, nnRegion, pt, k, sc, deadline); err != nil {
-		return nil, nil, true, err
-	}
-	return sc.cids, sc.cdists, true, nil
 }
 
 // lookupOrFill is the shared hit/miss engine: build the pre view, probe the
@@ -182,9 +179,8 @@ func (s *Server) runSuperset(key qcache.Key, super geom.Rect, pt geom.Point, k i
 	case qcache.KindRangeFilter, qcache.KindCell:
 		sc.cids, err = s.eng.FilterRangeAppendUntil(sc.cids, super, deadline)
 	case qcache.KindNN:
-		var nbs []rtree.Neighbor
-		nbs, err = s.nearest(pt, k, sc, deadline)
-		for _, nb := range nbs {
+		sc.nbs, err = s.knn(sc.nbs[:0], pt, k, 0, sc, deadline)
+		for _, nb := range sc.nbs {
 			sc.cids = append(sc.cids, nb.ID)
 			sc.cdists = append(sc.cdists, nb.Dist)
 		}
@@ -259,8 +255,6 @@ func refineCached(kind qcache.Kind, q *proto.QueryMsg, eps float64, ids []uint32
 				n++
 			}
 		}
-	case qcache.KindNN:
-		return ids, segs // stored exact; nothing to refine
 	}
 	return ids[:n], segs[:n]
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,6 +12,8 @@ import (
 	"mobispatial/internal/geom"
 	"mobispatial/internal/mutable"
 	"mobispatial/internal/proto"
+	"mobispatial/internal/qcache"
+	"mobispatial/internal/rtree"
 	"mobispatial/internal/shard"
 )
 
@@ -65,9 +68,9 @@ func monolithicMutable(t testing.TB, ds *dataset.Dataset, adaptive bool) *mutabl
 
 // TestPoolCapabilities builds every pool kind a Server can front and pins
 // the capability struct New resolves for each — the DESIGN.md pool ×
-// capability table, as a test — that each answers a router's NN leg
-// (ModeNeighbors) as its engine answers the k-NN, and that its summary rows
-// cover what the pool holds.
+// capability table, as a test — that each answers one k-NN the same way on
+// every read shape (checkNeighborsMode), and that its summary rows cover what
+// the pool holds. A local pool without the bounded k-NN walk is refused.
 func TestPoolCapabilities(t *testing.T) {
 	ds, tree := testDataset(t)
 	one, err := shard.Over(ds, tree)
@@ -81,7 +84,7 @@ func TestPoolCapabilities(t *testing.T) {
 	part, partRanges := partitionedMutable(t, ds, 0, 3, 2)
 
 	type want struct {
-		updates, liveSummary, boundedNN, batchRouting, validityView, distributed bool
+		updates, liveSummary, batchRouting, validityView, distributed bool
 	}
 	cases := []struct {
 		name string
@@ -91,14 +94,16 @@ func TestPoolCapabilities(t *testing.T) {
 		// One engine, so one row twice: the unsharded server (one shard over
 		// the master tree, what bench reaches as parallel.New) carries a
 		// router's NN bound exactly as the sharded one does.
-		{"frozen, one shard", Config{Pool: one}, want{boundedNN: true, validityView: true}},
-		{"frozen, sharded", Config{Pool: sp}, want{boundedNN: true, validityView: true}},
+		{"frozen, one shard", Config{Pool: one}, want{validityView: true}},
+		{"frozen, one shard, cached", Config{Pool: one, Cache: qcache.New(qcache.Config{MaxBytes: 1 << 20})},
+			want{validityView: true}},
+		{"frozen, sharded", Config{Pool: sp}, want{validityView: true}},
 		{"mutable monolithic", Config{Pool: monolithicMutable(t, ds, false)},
-			want{updates: true, liveSummary: true, boundedNN: true, validityView: true}},
+			want{updates: true, liveSummary: true, validityView: true}},
 		{"mutable partitioned", Config{Pool: part, Ranges: partRanges, NumRanges: 3},
-			want{updates: true, liveSummary: true, boundedNN: true, validityView: true}},
+			want{updates: true, liveSummary: true, validityView: true}},
 		{"mutable adaptive", Config{Pool: monolithicMutable(t, ds, true)},
-			want{updates: true, liveSummary: true, boundedNN: true, validityView: true}},
+			want{updates: true, liveSummary: true, validityView: true}},
 		{"router", Config{Pool: startRouterBench(t, ds, 3, 2)},
 			want{updates: true, batchRouting: true, validityView: true, distributed: true}},
 	}
@@ -111,7 +116,6 @@ func TestPoolCapabilities(t *testing.T) {
 		got := want{
 			updates:      c.upd != nil,
 			liveSummary:  c.live != nil,
-			boundedNN:    c.bnn != nil,
 			batchRouting: c.bx != nil,
 			validityView: c.view != nil,
 			distributed:  c.distributed,
@@ -126,6 +130,10 @@ func TestPoolCapabilities(t *testing.T) {
 		if !tc.want.distributed {
 			checkSummaryRows(t, tc.name, srv, ds.Len())
 		}
+	}
+
+	if _, err := New(Config{Pool: struct{ Executor }{one}}); err == nil {
+		t.Error("New accepted a local pool without the bounded k-NN walk")
 	}
 }
 
@@ -157,41 +165,103 @@ func checkSummaryRows(t *testing.T, name string, srv *Server, n int) {
 	}
 }
 
-// checkNeighborsMode: every pool kind answers a ModeNeighbors batch item with
-// exactly the neighbors and distances its engine's k-NN finds — unbounded,
-// and bounded by the k-th of them in Eps — and refuses the mode on a lone
-// MsgQuery.
+// checkNeighborsMode: every pool kind answers one k-NN the same four ways at
+// K 0, 1 and 8 — a single KindNN query in ids mode, the same in data mode, a
+// ModeNeighbors batch item (unbounded, and bounded by its own k-th distance
+// in Eps) and the engine's k-NN: the same ids in the same distance order,
+// records carrying the pool's geometry, and the 1-NN the first of the 8-NN.
+// Each shape is asked twice, so a cached server answers a miss and then a
+// hit, and both must equal the engine's uncached answer. A lone MsgQuery in
+// neighbors mode is refused.
 func checkNeighborsMode(t *testing.T, name string, srv *Server, ext geom.Rect) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
+	ds := srv.cfg.Pool.Dataset()
+	var before qcache.Stats
+	if srv.qc != nil {
+		before = srv.CacheStats()
+	}
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 8; i++ {
 		pt := geom.Point{X: ext.Min.X + rng.Float64()*ext.Width(), Y: ext.Min.Y + rng.Float64()*ext.Height()}
-		nbs, err := srv.eng.KNearestAppendUntil(nil, pt, 8, nil, deadline)
-		if err != nil || len(nbs) != 8 {
-			t.Fatalf("%s: engine k-NN answered %v, %v", name, nbs, err)
-		}
-		var want []proto.Neighbor
-		for _, nb := range nbs {
-			want = append(want, proto.Neighbor{ID: nb.ID, Dist: nb.Dist})
-		}
-		for _, bound := range []float64{0, want[7].Dist} {
-			batch := &proto.BatchQueryMsg{ID: 2, Queries: []proto.QueryMsg{
-				{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: pt, K: 8, Eps: bound},
-			}}
-			reply, ok := srv.execute(batch, srv.getScratch(), deadline).(*proto.BatchReplyMsg)
-			if !ok || reply.Items[0].Err != 0 {
-				t.Fatalf("%s: neighbors-mode batch (bound %v) answered %+v", name, bound, reply)
+		var nearest rtree.Neighbor
+		for _, k := range []uint16{8, 1, 0} {
+			label := fmt.Sprintf("%s: point %d K=%d", name, i, k)
+			nbs, err := srv.eng.KNearestAppendUntil(nil, pt, max(int(k), 1), nil, deadline)
+			if err != nil || len(nbs) != max(int(k), 1) {
+				t.Fatalf("%s: engine k-NN answered %v, %v", label, nbs, err)
 			}
-			if got := reply.Items[0]; !slices.Equal(got.Nbrs, want) || len(got.IDs) != 0 {
-				t.Fatalf("%s: neighbors-mode item (bound %v) %+v, the engine found %v", name, bound, got, want)
+			if k == 8 {
+				nearest = nbs[0]
+			} else if nbs[0] != nearest {
+				t.Fatalf("%s: 1-NN %+v, the 8-NN's first is %+v", label, nbs[0], nearest)
 			}
+			for rep := 0; rep < 2; rep++ {
+				ids := askQuery(t, label, srv, proto.QueryMsg{ID: 1, Kind: proto.KindNN, Mode: proto.ModeIDs, Point: pt, K: k}, deadline)
+				data := askQuery(t, label, srv, proto.QueryMsg{ID: 2, Kind: proto.KindNN, Mode: proto.ModeData, Point: pt, K: k}, deadline)
+				if len(ids.IDs) != len(nbs) || len(data.Recs) != len(nbs) {
+					t.Fatalf("%s: %d ids and %d records, the engine found %d", label, len(ids.IDs), len(data.Recs), len(nbs))
+				}
+				for j, nb := range nbs {
+					if rec := data.Recs[j]; ids.IDs[j] != nb.ID || rec.ID != nb.ID || rec.Seg != ds.Seg(nb.ID) || rec.Seg.DistToPoint(pt) != nb.Dist {
+						t.Fatalf("%s: rank %d id %d, record %+v; the engine found %+v", label, j, ids.IDs[j], rec, nb)
+					}
+				}
+				for _, bound := range []float64{0, nbs[len(nbs)-1].Dist} {
+					item := askQuery(t, label, srv, proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: pt, K: k, Eps: bound}, deadline)
+					if len(item.Nbrs) != len(nbs) || len(item.IDs) != 0 {
+						t.Fatalf("%s: neighbors-mode item (bound %v) %+v, the engine found %v", label, bound, item, nbs)
+					}
+					for j, nb := range nbs {
+						if item.Nbrs[j] != (proto.Neighbor{ID: nb.ID, Dist: nb.Dist}) {
+							t.Fatalf("%s: neighbors-mode item (bound %v) rank %d %+v, the engine found %+v", label, bound, j, item.Nbrs[j], nb)
+						}
+					}
+				}
+			}
+		}
+	}
+	if srv.qc != nil {
+		if st := srv.CacheStats(); st.Misses == before.Misses || st.Hits == before.Hits {
+			t.Fatalf("%s: the k-NN shapes never missed and hit the cache: %+v", name, st)
 		}
 	}
 	lone := &proto.QueryMsg{ID: 3, Kind: proto.KindNN, Mode: proto.ModeNeighbors, K: 8}
 	if em, ok := srv.execute(lone, srv.getScratch(), deadline).(*proto.ErrorMsg); !ok || em.Code != proto.CodeBadRequest {
 		t.Fatalf("%s: a lone neighbors-mode query answered %+v, want bad-request", name, em)
 	}
+}
+
+// askQuery answers q through srv's request path — a single query, or a
+// one-item batch for a ModeNeighbors leg — and returns the answer as a batch
+// item, copied out of the scratch the reply aliases.
+func askQuery(t *testing.T, label string, srv *Server, q proto.QueryMsg, deadline time.Time) proto.BatchItem {
+	t.Helper()
+	var it proto.BatchItem
+	switch r := srv.execute(wrapQuery(q), srv.getScratch(), deadline).(type) {
+	case *proto.IDListMsg:
+		it.IDs = slices.Clone(r.IDs)
+	case *proto.DataListMsg:
+		it.Recs = slices.Clone(r.Records)
+	case *proto.BatchReplyMsg:
+		it = r.Items[0]
+		it.Nbrs, it.IDs = slices.Clone(it.Nbrs), slices.Clone(it.IDs)
+	default:
+		t.Fatalf("%s: %+v answered %+v", label, q, r)
+	}
+	if it.Err != 0 {
+		t.Fatalf("%s: %+v failed: %s", label, q, it.Text)
+	}
+	return it
+}
+
+// wrapQuery is q as a request: a lone query, or a router's k-NN leg — a
+// ModeNeighbors item — as the one-item batch it travels in.
+func wrapQuery(q proto.QueryMsg) proto.Request {
+	if q.Mode == proto.ModeNeighbors {
+		return &proto.BatchQueryMsg{ID: 4, Queries: []proto.QueryMsg{q}}
+	}
+	return &q
 }
 
 // batchOnlyPool routes batches but has no fallible query surface.

@@ -195,10 +195,10 @@ func TestSummaryReply(t *testing.T) {
 	}
 }
 
-// panicPool wraps an Executor with one query kind that panics — the fault
+// panicPool wraps a local pool with one query kind that panics — the fault
 // model for TestPanicContainment.
 type panicPool struct {
-	Executor
+	localPool
 }
 
 func (p *panicPool) FilterPointAppend(dst []uint32, pt geom.Point) []uint32 {
@@ -214,7 +214,7 @@ func TestPanicContainment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, addr := startServer(t, Config{Pool: &panicPool{Executor: pool}, Master: tree})
+	srv, addr := startServer(t, Config{Pool: &panicPool{localPool: pool}, Master: tree})
 
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {

@@ -74,15 +74,15 @@ func TestDataRangeOverlayZeroAlloc(t *testing.T) {
 	}
 	srv, q := dataReplyWorld(t, true)
 	sc := srv.getScratch()
-	var recs []proto.Record
+	var it proto.BatchItem
 	run := func() {
-		var err error
-		if _, recs, err = srv.answer(q, sc, nil, recs[:0], time.Time{}); err != nil {
-			t.Fatal(err)
+		resetItem(&it)
+		if srv.read(q, sc, &it, time.Time{}); it.Err != 0 {
+			t.Fatal(it.Text)
 		}
 	}
 	run()
-	inserted := 0
+	recs, inserted := it.Recs, 0
 	for _, r := range recs {
 		if int(r.ID) >= srv.cfg.Pool.Dataset().Len() {
 			inserted++
@@ -108,33 +108,33 @@ func BenchmarkDataRangeReply(b *testing.B) {
 			name = "overlay"
 		}
 		srv, q := dataReplyWorld(b, overlay)
-		answer := func(sc *reqScratch, recs []proto.Record) []proto.Record {
-			_, recs, err := srv.answer(q, sc, nil, recs[:0], time.Time{})
-			if err != nil {
-				b.Error(err) // not Fatal: the parallel rows call this off the benchmark's goroutine
+		answer := func(sc *reqScratch, it *proto.BatchItem) int {
+			resetItem(it)
+			if srv.read(q, sc, it, time.Time{}); it.Err != 0 {
+				b.Error(it.Text) // not Fatal: the parallel rows call this off the benchmark's goroutine
 			}
-			return recs
+			return len(it.Recs)
 		}
-		perReply := len(answer(srv.getScratch(), nil))
+		perReply := answer(srv.getScratch(), new(proto.BatchItem))
 		report := func(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perReply), "ns/record")
 			b.ReportMetric(float64(perReply), "records/reply")
 		}
 		b.Run(name+"/1", func(b *testing.B) {
-			sc, recs := srv.getScratch(), []proto.Record(nil)
+			sc, it := srv.getScratch(), new(proto.BatchItem)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				recs = answer(sc, recs)
+				answer(sc, it)
 			}
 			report(b)
 		})
 		b.Run(name+"/parallel", func(b *testing.B) {
 			b.ReportAllocs()
 			b.RunParallel(func(pb *testing.PB) {
-				sc, recs := srv.getScratch(), []proto.Record(nil)
+				sc, it := srv.getScratch(), new(proto.BatchItem)
 				for pb.Next() {
-					recs = answer(sc, recs)
+					answer(sc, it)
 				}
 			})
 			report(b)

@@ -9,10 +9,12 @@ import (
 	"mobispatial/internal/proto"
 )
 
-// BenchmarkServeHotPath measures the warm in-process serve loop for one
-// range query: frame decode → scratch-backed execution → frame encode →
-// message release. ReportAllocs is the regression guard: this path must
-// stay at 0 allocs/op.
+// BenchmarkServeHotPath measures the warm in-process serve loop — frame
+// decode → scratch-backed execution → frame encode → message release — for
+// one range query in ids mode, one k-NN in data mode (the benchmark's k-NN
+// shape) at K 1 and 8, and one router k-NN leg (a one-item ModeNeighbors
+// batch). ReportAllocs is the regression guard: every row must stay at 0
+// allocs/op.
 func BenchmarkServeHotPath(b *testing.B) {
 	ds, _, srv, _ := testWorld(b, nil)
 	center := ds.Extent.Center()
@@ -20,27 +22,43 @@ func BenchmarkServeHotPath(b *testing.B) {
 		Min: geom.Point{X: center.X - 400, Y: center.Y - 400},
 		Max: geom.Point{X: center.X + 400, Y: center.Y + 400},
 	}
-	frame, err := proto.EncodeMessage(&proto.QueryMsg{
-		ID: 7, Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w})
-	if err != nil {
-		b.Fatal(err)
+	rows := []struct {
+		name string
+		req  proto.Message
+	}{
+		{"range-ids", &proto.QueryMsg{ID: 7, Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w}},
+		{"nn-data-k1", &proto.QueryMsg{ID: 7, Kind: proto.KindNN, Mode: proto.ModeData, Point: center, K: 1}},
+		{"nn-data-k8", &proto.QueryMsg{ID: 7, Kind: proto.KindNN, Mode: proto.ModeData, Point: center, K: 8}},
+		{"neighbors-item", &proto.BatchQueryMsg{ID: 7, Queries: []proto.QueryMsg{
+			{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: center, K: 8}}}},
 	}
-	rd := bytes.NewReader(nil)
-	sc := srv.getScratch()
-	var out []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.Reset(frame)
-		msg, _, rerr := proto.ReadMessage(rd)
-		if rerr != nil {
-			b.Fatal(rerr)
-		}
-		resp := srv.execute(msg.(proto.Request), sc, time.Time{})
-		if out, rerr = proto.AppendFrame(out[:0], resp); rerr != nil {
-			b.Fatal(rerr)
-		}
-		proto.ReleaseMessage(msg)
+	for _, row := range rows {
+		b.Run(row.name, func(b *testing.B) {
+			frame, err := proto.EncodeMessage(row.req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rd := bytes.NewReader(nil)
+			sc := srv.getScratch()
+			var out []byte
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(frame)
+				msg, _, rerr := proto.ReadMessage(rd)
+				if rerr != nil {
+					b.Fatal(rerr)
+				}
+				resp := srv.execute(msg.(proto.Request), sc, time.Time{})
+				if _, bad := resp.(*proto.ErrorMsg); bad {
+					b.Fatalf("%s answered %+v", row.name, resp)
+				}
+				if out, rerr = proto.AppendFrame(out[:0], resp); rerr != nil {
+					b.Fatal(rerr)
+				}
+				proto.ReleaseMessage(msg)
+			}
+		})
 	}
 }
 

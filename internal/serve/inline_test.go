@@ -252,7 +252,7 @@ func TestBothBranchesKeepTheContract(t *testing.T) {
 		t.Run(name+"/accounting", func(t *testing.T) {
 			hub := obs.NewHub()
 			hub.Trace = obs.NewTracer(64, 1)
-			srv, addr := startServer(t, Config{Pool: &panicPool{Executor: pool}, Master: tree, Obs: hub})
+			srv, addr := startServer(t, Config{Pool: &panicPool{localPool: pool}, Master: tree, Obs: hub})
 			reqs := []proto.Message{
 				&proto.QueryMsg{ID: 1, Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w},
 				&proto.QueryMsg{ID: 2, Kind: proto.KindPoint, Mode: proto.ModeFilter, Point: geom.Point{X: 1, Y: 1}}, // panics

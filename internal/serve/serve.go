@@ -71,11 +71,14 @@ const DefaultPointEps = proto.DefaultPointEps
 // of concurrent callers, and the append methods must honor the
 // zero-allocation contract: write into dst's spare capacity, return the
 // extended slice. Workers is the width the server sizes its admission window
-// from (MaxInFlight defaults to 4× it).
+// from (MaxInFlight defaults to 4× it). KNearestAppend's bool is always true
+// (every pool's access method has k-NN) and the server does not read it; the
+// signature stays because bench/ drives pools through it.
 //
 // The server itself never calls the query methods directly: New wraps a
 // local pool once so that every pool — local or distributed — is driven
-// through DeadlineExecutor.
+// through DeadlineExecutor, and a local pool's k-NN through its bounded walk
+// (localPool).
 type Executor interface {
 	Workers() int
 	Dataset() *dataset.Dataset
@@ -99,19 +102,7 @@ type DeadlineExecutor interface {
 	FilterPointAppendUntil(dst []uint32, pt geom.Point, deadline time.Time) ([]uint32, error)
 	RangeAppendUntil(dst []uint32, w geom.Rect, deadline time.Time) ([]uint32, error)
 	PointAppendUntil(dst []uint32, pt geom.Point, eps float64, deadline time.Time) ([]uint32, error)
-	NearestUntil(pt geom.Point, sc *shard.Scratch, deadline time.Time) (shard.NearestResult, error)
 	KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch, deadline time.Time) ([]rtree.Neighbor, error)
-}
-
-// BoundedNN is the optional bounded k-NN surface behind a ModeNeighbors batch
-// item: the distributed tier's cross-server NN leg carries the router's
-// running k-th-neighbor bound in the item's Eps, and a pool that can prune
-// with it implements this. Every local pool has it, on one schedule
-// (shard.Pool and mutable.Pool skip whole shards' packed trees, a lone shard
-// included: an unsharded backend the bound rules out is not walked at all).
-// The bound is an optimization, never a correctness requirement.
-type BoundedNN interface {
-	KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int, bound float64, sc *shard.Scratch) ([]rtree.Neighbor, bool)
 }
 
 // Updatable is the optional live-update surface behind MsgInsert, MsgDelete,
@@ -160,15 +151,12 @@ type BatchExecutor interface {
 }
 
 // capabilities is everything New resolved from Config.Pool, once, so the
-// request path never repeats a type assertion: the optional surfaces (nil
-// when the pool lacks one) and whether the pool is distributed.
+// request path never asks the pool what it implements: the optional surfaces
+// (nil when the pool lacks one) and whether the pool is distributed.
 type capabilities struct {
 	// distributed reports the pool brought its own DeadlineExecutor — it
 	// fans out over the network instead of walking a local index.
 	distributed bool
-	// bnn enables bound-carrying NN legs (the frozen engine, at any shard
-	// count).
-	bnn BoundedNN
 	// upd serves the live write path (nil answers CodeUnsupported) and
 	// resolves data-mode geometry for ids the base dataset does not cover.
 	upd Updatable
@@ -187,11 +175,20 @@ type capabilities struct {
 	view qcache.Source
 }
 
-// localEngine adapts an in-process Executor to DeadlineExecutor: a local
-// index walk never blocks on a peer and never fails, so every method ignores
-// the deadline and returns a nil error (k-NN on an access method without it
-// is the one exception, reported as errNoKNN).
-type localEngine struct{ Executor }
+// localPool is what New requires of a pool that is not distributed: the
+// Executor surface and the bounded k-NN walk, which a router's k-NN leg
+// prunes with (the running k-th distance in its Eps). Both local pools have
+// it on one schedule: shard.Pool and mutable.Pool skip whole shards the bound
+// rules out, a lone shard included. The bound is a hint, never a filter.
+type localPool interface {
+	Executor
+	KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int, bound float64, sc *shard.Scratch) ([]rtree.Neighbor, bool)
+}
+
+// localEngine adapts a local pool to DeadlineExecutor: a local index walk
+// never blocks on a peer and never fails, so every method ignores the
+// deadline and returns a nil error.
+type localEngine struct{ localPool }
 
 func (l localEngine) FilterRangeAppendUntil(dst []uint32, w geom.Rect, _ time.Time) ([]uint32, error) {
 	return l.FilterRangeAppend(dst, w), nil
@@ -209,21 +206,9 @@ func (l localEngine) PointAppendUntil(dst []uint32, pt geom.Point, eps float64, 
 	return l.PointAppend(dst, pt, eps), nil
 }
 
-func (l localEngine) NearestUntil(pt geom.Point, sc *shard.Scratch, _ time.Time) (shard.NearestResult, error) {
-	return l.NearestWith(pt, sc), nil
-}
-
 func (l localEngine) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch, _ time.Time) ([]rtree.Neighbor, error) {
-	return knnResult(l.KNearestAppend(dst, pt, k, sc))
-}
-
-// knnResult turns a local k-NN answer's "access method supports k-NN" bool
-// into the engine surface's error.
-func knnResult(nbs []rtree.Neighbor, ok bool) ([]rtree.Neighbor, error) {
-	if !ok {
-		return nbs, errNoKNN
-	}
-	return nbs, nil
+	dst, _ = l.KNearestAppend(dst, pt, k, sc)
+	return dst, nil
 }
 
 // codedError is an executor error that names its own wire code.
@@ -237,12 +222,12 @@ func (e *codedError) ErrCode() proto.ErrCode { return e.code }
 
 func unsupported(text string) error { return &codedError{proto.CodeUnsupported, text} }
 
-var errNoKNN = unsupported("access method does not support k-NN")
-
 // Config parameterizes a Server.
 type Config struct {
 	// Pool executes the queries; required. DESIGN.md's pool × capability
-	// table lists what each of the three pool kinds adds to Executor.
+	// table lists what each of the three pool kinds adds to Executor. A pool
+	// that is not a DeadlineExecutor must have the bounded k-NN walk
+	// (localPool).
 	Pool Executor
 	// Master enables MsgShipmentReq (Fig. 2 subset extraction); nil
 	// disables shipments with CodeUnsupported.
@@ -377,9 +362,9 @@ type Server struct {
 // before returning — the scratch goes back in the pool only after the
 // response bytes are in the connection's write buffer.
 type reqScratch struct {
-	ids     []uint32
+	// item is a single query's answer; its reply aliases the item's slices.
+	item    proto.BatchItem
 	nbs     []rtree.Neighbor
-	nn1     [1]rtree.Neighbor
 	psc     shard.Scratch
 	idMsg   proto.IDListMsg
 	dataMsg proto.DataListMsg
@@ -406,19 +391,25 @@ func (s *Server) getScratch() *reqScratch {
 }
 
 func (s *Server) putScratch(sc *reqScratch) {
-	if cap(sc.ids) > maxScratchIDs || cap(sc.dataMsg.Records) > maxScratchRecords {
-		return
-	}
-	if cap(sc.cids) > maxScratchIDs || cap(sc.csegs) > maxScratchIDs || cap(sc.cdists) > maxScratchIDs {
+	if cap(sc.cids) > maxScratchIDs || cap(sc.csegs) > maxScratchIDs || cap(sc.cdists) > maxScratchIDs || oversized(&sc.item) {
 		return
 	}
 	items := sc.batch.Items[:cap(sc.batch.Items)]
 	for i := range items {
-		if cap(items[i].IDs) > maxScratchIDs || cap(items[i].Recs) > maxScratchRecords || cap(items[i].Nbrs) > maxScratchRecords {
+		if oversized(&items[i]) {
 			return
 		}
 	}
 	s.scratch.Put(sc)
+}
+
+func oversized(it *proto.BatchItem) bool {
+	return cap(it.IDs) > maxScratchIDs || cap(it.Recs) > maxScratchRecords || cap(it.Nbrs) > maxScratchRecords
+}
+
+// resetItem empties one answer slot, keeping its slices' capacity.
+func resetItem(it *proto.BatchItem) {
+	it.IDs, it.Recs, it.Nbrs, it.Err, it.Text = it.IDs[:0], it.Recs[:0], it.Nbrs[:0], 0, ""
 }
 
 // serveMetrics holds the obs handles the hot path uses, resolved once at New
@@ -517,10 +508,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if dx, ok := cfg.Pool.(DeadlineExecutor); ok {
 		s.eng, s.caps.distributed = dx, true
-	} else {
-		s.eng = localEngine{cfg.Pool}
+	} else if lp, ok := cfg.Pool.(localPool); ok {
+		s.eng = localEngine{lp}
 	}
-	s.caps.bnn, _ = cfg.Pool.(BoundedNN)
 	s.caps.upd, _ = cfg.Pool.(Updatable)
 	s.caps.live, _ = cfg.Pool.(LiveSummary)
 	s.caps.bx, _ = cfg.Pool.(BatchExecutor)
@@ -530,6 +520,9 @@ func New(cfg Config) (*Server, error) {
 		// pool's plain Executor methods, which have nowhere to report a
 		// failed leg.
 		return nil, fmt.Errorf("serve: pool %T routes batches but is not a DeadlineExecutor", cfg.Pool)
+	}
+	if s.eng == nil {
+		return nil, fmt.Errorf("serve: local pool %T has no bounded k-NN walk (KNearestBoundedAppend)", cfg.Pool)
 	}
 	summary, err := buildSummary(&cfg)
 	if err != nil {
@@ -1211,19 +1204,17 @@ func (s *Server) executeUpdate(req proto.Message, sc *reqScratch) proto.Message 
 	return &sc.ackMsg
 }
 
-// runQuery answers one query, appending the matching ids to dst; on error dst
-// is not to be used. This is the single traversal entry the single-query and
-// batch paths share; the request deadline rides into the engine so a
-// fanned-out query caps its slowest leg (a local engine ignores it).
-func (s *Server) runQuery(q *proto.QueryMsg, sc *reqScratch, dst []uint32, deadline time.Time) ([]uint32, error) {
-	eps := q.Eps
-	if eps <= 0 {
-		eps = DefaultPointEps
-	}
+// runQuery appends the ids a point or range query matches to dst through the
+// engine; on error dst is not to be used.
+func (s *Server) runQuery(q *proto.QueryMsg, dst []uint32, deadline time.Time) ([]uint32, error) {
 	switch q.Kind {
 	case proto.KindPoint:
 		if q.Mode == proto.ModeFilter {
 			return s.eng.FilterPointAppendUntil(dst, q.Point, deadline)
+		}
+		eps := q.Eps
+		if eps <= 0 {
+			eps = DefaultPointEps
 		}
 		return s.eng.PointAppendUntil(dst, q.Point, eps, deadline)
 	case proto.KindRange:
@@ -1231,82 +1222,21 @@ func (s *Server) runQuery(q *proto.QueryMsg, sc *reqScratch, dst []uint32, deadl
 			return s.eng.FilterRangeAppendUntil(dst, q.Window, deadline)
 		}
 		return s.eng.RangeAppendUntil(dst, q.Window, deadline)
-	case proto.KindNN:
-		nbs, err := s.nearest(q.Point, int(q.K), sc, deadline)
-		for _, nb := range nbs {
-			dst = append(dst, nb.ID)
-		}
-		return dst, err
 	}
 	return dst, badRequest("unknown query kind")
 }
 
-// nearest answers one NN (k <= 1) or k-NN query through the engine,
-// ascending by distance. The answer aliases sc (nbs, or nn1 for a single
-// neighbor, so the NN path never grows a slice).
-func (s *Server) nearest(pt geom.Point, k int, sc *reqScratch, deadline time.Time) ([]rtree.Neighbor, error) {
-	if err := s.checkK(k); err != nil {
-		return nil, err
+// knn is the server's one k-NN call — client queries, router legs and cache
+// fills all make it: a local pool's bounded walk, or a distributed pool's
+// k-NN, which drops the bound (a router has no bounded surface, and the
+// bound is only a pruning hint). bound 0 means none. The answer is appended
+// to dst, ascending by distance.
+func (s *Server) knn(dst []rtree.Neighbor, pt geom.Point, k int, bound float64, sc *reqScratch, deadline time.Time) ([]rtree.Neighbor, error) {
+	if l, ok := s.eng.(localEngine); ok {
+		dst, _ = l.KNearestBoundedAppend(dst, pt, k, bound, &sc.psc)
+		return dst, nil
 	}
-	if k > 1 {
-		var err error
-		sc.nbs, err = s.eng.KNearestAppendUntil(sc.nbs[:0], pt, k, &sc.psc, deadline)
-		return sc.nbs, err
-	}
-	nn, err := s.eng.NearestUntil(pt, &sc.psc, deadline)
-	if err != nil || !nn.OK {
-		return nil, err
-	}
-	sc.nn1[0] = rtree.Neighbor{ID: nn.ID, Dist: nn.Dist}
-	return sc.nn1[:], nil
-}
-
-// neighbors answers one router NN leg, a ModeNeighbors batch item: the k (0
-// means 1) nearest neighbors of pt under bound (0 or +Inf means none), with
-// exact distances, appended to dst. The bound-aware surface answers when the
-// pool has one — every local pool; a router fronted as a backend has only
-// the engine's unbounded k-NN (the bound is only a hint, dropping it never
-// costs correctness).
-func (s *Server) neighbors(dst []proto.Neighbor, pt geom.Point, k int, bound float64, sc *reqScratch, deadline time.Time) ([]proto.Neighbor, error) {
-	k = max(k, 1)
-	if err := s.checkK(k); err != nil {
-		return dst, err
-	}
-	if bound <= 0 {
-		bound = math.Inf(1)
-	}
-	if s.qc != nil {
-		if math.IsInf(bound, 1) {
-			// Only unbounded legs are cacheable: the router's running bound
-			// is not part of the key space, and a bounded answer is a
-			// truncation no later query could safely refine from.
-			ids, dists, handled, err := s.cachedNN(pt, k, sc, deadline)
-			if err != nil {
-				return dst, err
-			}
-			if handled {
-				for i, id := range ids {
-					dst = append(dst, proto.Neighbor{ID: id, Dist: dists[i]})
-				}
-				return dst, nil
-			}
-		} else {
-			s.qc.Bypass()
-		}
-	}
-	var err error
-	if s.caps.bnn != nil {
-		sc.nbs, err = knnResult(s.caps.bnn.KNearestBoundedAppend(sc.nbs[:0], pt, k, bound, &sc.psc))
-	} else {
-		sc.nbs, err = s.eng.KNearestAppendUntil(sc.nbs[:0], pt, k, &sc.psc, deadline)
-	}
-	if err != nil {
-		return dst, err
-	}
-	for _, nb := range sc.nbs {
-		dst = append(dst, proto.Neighbor{ID: nb.ID, Dist: nb.Dist})
-	}
-	return dst, nil
+	return s.eng.KNearestAppendUntil(dst, pt, k, &sc.psc, deadline)
 }
 
 // segOf resolves one record's geometry: through an updatable pool's SegOf
@@ -1318,68 +1248,115 @@ func (s *Server) segOf(ds *dataset.Dataset, id uint32) geom.Segment {
 	return ds.Seg(id)
 }
 
-// appendRecs materializes ids as data-mode records.
-func (s *Server) appendRecs(recs []proto.Record, ids []uint32) []proto.Record {
+// materialize turns the item's ids into data-mode records.
+func (s *Server) materialize(it *proto.BatchItem) {
 	ds := s.cfg.Pool.Dataset()
-	for _, id := range ids {
-		recs = append(recs, proto.Record{ID: id, Seg: s.segOf(ds, id)})
+	for _, id := range it.IDs {
+		it.Recs = append(it.Recs, proto.Record{ID: id, Seg: s.segOf(ds, id)})
 	}
-	return recs
+	it.IDs = it.IDs[:0]
 }
 
-// answer runs one query — through the result cache when it is on — and
-// appends the answer to the caller's buffers: records to recs for a
-// data-mode query, ids to ids otherwise. On error the buffers come back as
-// they were passed.
-func (s *Server) answer(q *proto.QueryMsg, sc *reqScratch, ids []uint32, recs []proto.Record, deadline time.Time) ([]uint32, []proto.Record, error) {
-	data := q.Mode == proto.ModeData
+// read answers one query into it, which arrives reset: the one read path the
+// single-query and batch paths share. The answer is ids, records or
+// neighbors by q's mode; a failure leaves the slices empty and its code in
+// it.Err/Text. The request deadline rides into the engine so a fanned-out
+// query caps its slowest leg (a local engine ignores it).
+func (s *Server) read(q *proto.QueryMsg, sc *reqScratch, it *proto.BatchItem, deadline time.Time) {
+	var err error
+	if q.Kind == proto.KindNN {
+		err = s.readNN(q, sc, it, deadline)
+	} else {
+		err = s.readWindow(q, sc, it, deadline)
+	}
+	switch {
+	case err != nil:
+		resetItem(it)
+		it.Err, it.Text = proto.CodeOf(err)
+	case q.Mode == proto.ModeData:
+		// Ids the engine answered become records here; a cache entry's
+		// records arrived with the entry's geometry.
+		s.materialize(it)
+	}
+}
+
+// readWindow is read's point and range branch: the refined cache entry when
+// the cache is on and the query has a key, else the engine's walk.
+func (s *Server) readWindow(q *proto.QueryMsg, sc *reqScratch, it *proto.BatchItem, deadline time.Time) error {
 	if s.qc != nil {
-		cids, csegs, handled, err := s.runQueryCached(q, sc, deadline)
+		ids, segs, handled, err := s.runQueryCached(q, sc, deadline)
 		if err != nil {
-			return ids, recs, err
+			return err
 		}
 		if handled {
-			if !data {
-				return append(ids, cids...), recs, nil
-			}
-			// The cached entry carries its geometry, as of the version the
-			// ids were valid at: no per-id SegOf on the hit path.
-			for i, id := range cids {
-				recs = append(recs, proto.Record{ID: id, Seg: csegs[i]})
-			}
-			return ids, recs, nil
+			putEntry(it, q.Mode, ids, segs, nil)
+			return nil
 		}
-	}
-	if !data {
-		out, err := s.runQuery(q, sc, ids, deadline)
-		if err != nil {
-			return ids, recs, err
-		}
-		return out, recs, nil
 	}
 	var err error
-	if sc.ids, err = s.runQuery(q, sc, sc.ids[:0], deadline); err != nil {
-		return ids, recs, err
-	}
-	return ids, s.appendRecs(recs, sc.ids), nil
+	it.IDs, err = s.runQuery(q, it.IDs, deadline)
+	return err
 }
 
+// readNN is read's k-NN branch, a router's leg included: a ModeNeighbors
+// item, whose Eps is the router's running k-th distance (0 = none yet). An
+// unbounded k-NN reads the cache entry when the cache is on; anything else
+// makes the one engine call.
+func (s *Server) readNN(q *proto.QueryMsg, sc *reqScratch, it *proto.BatchItem, deadline time.Time) error {
+	k := max(int(q.K), 1)
+	if err := s.checkK(k); err != nil {
+		return err
+	}
+	var bound float64 // a client query's Eps means nothing to a k-NN
+	if q.Mode == proto.ModeNeighbors {
+		bound = q.Eps
+	}
+	if s.qc != nil {
+		// Only unbounded k-NN are cacheable: the router's running bound is
+		// not part of the key space, and a bounded answer is a truncation no
+		// later query could safely refine from.
+		if key, ok := qcache.NNKey(q.Point, k); ok && bound == 0 {
+			if err := s.lookupOrFill(key, nnRegion, q.Point, k, sc, deadline); err != nil {
+				return err
+			}
+			putEntry(it, q.Mode, sc.cids, sc.csegs, sc.cdists)
+			return nil
+		}
+		s.qc.Bypass()
+	}
+	var err error
+	if sc.nbs, err = s.knn(sc.nbs[:0], q.Point, k, bound, sc, deadline); err != nil {
+		return err
+	}
+	for _, nb := range sc.nbs {
+		if q.Mode == proto.ModeNeighbors {
+			it.Nbrs = append(it.Nbrs, proto.Neighbor{ID: nb.ID, Dist: nb.Dist})
+		} else {
+			it.IDs = append(it.IDs, nb.ID)
+		}
+	}
+	return nil
+}
+
+// executeQuery answers one query — read into the scratch's item — as an id
+// list or a data list aliasing the item's slices.
 func (s *Server) executeQuery(q *proto.QueryMsg, sc *reqScratch, deadline time.Time) proto.Message {
 	if q.Mode == proto.ModeNeighbors {
 		// A router's NN leg is a batch item; no single-query reply carries
 		// distances.
 		return errorReply(q.ID, badRequest("neighbors mode is answered only inside a batch"))
 	}
-	ids, recs, err := s.answer(q, sc, sc.ids[:0], sc.dataMsg.Records[:0], deadline)
-	if err != nil {
-		return errorReply(q.ID, err)
-	}
-	if q.Mode == proto.ModeData {
-		sc.dataMsg = proto.DataListMsg{ID: q.ID, Epoch: s.epochHint(), Records: recs}
+	it := &sc.item
+	resetItem(it)
+	s.read(q, sc, it, deadline)
+	switch {
+	case it.Err != 0:
+		return &proto.ErrorMsg{ID: q.ID, Code: it.Err, Text: it.Text}
+	case q.Mode == proto.ModeData:
+		sc.dataMsg = proto.DataListMsg{ID: q.ID, Epoch: s.epochHint(), Records: it.Recs}
 		return &sc.dataMsg
 	}
-	sc.ids = ids
-	sc.idMsg = proto.IDListMsg{ID: q.ID, Epoch: s.epochHint(), IDs: ids}
+	sc.idMsg = proto.IDListMsg{ID: q.ID, Epoch: s.epochHint(), IDs: it.IDs}
 	return &sc.idMsg
 }
 
@@ -1394,8 +1371,7 @@ func batchItems(sc *reqScratch, n int) []proto.BatchItem {
 		} else {
 			items = append(items, proto.BatchItem{})
 		}
-		it := &items[i]
-		it.IDs, it.Recs, it.Nbrs, it.Err, it.Text = it.IDs[:0], it.Recs[:0], it.Nbrs[:0], 0, ""
+		resetItem(&items[i])
 	}
 	return items
 }
@@ -1424,17 +1400,9 @@ func (s *Server) executeBatch(m *proto.BatchQueryMsg, sc *reqScratch, deadline t
 	}
 	items := batchItems(sc, len(m.Queries))
 	for i := range m.Queries {
-		it, q := &items[i], &m.Queries[i]
+		q := &m.Queries[i]
 		start := time.Now()
-		var err error
-		if q.Mode == proto.ModeNeighbors {
-			it.Nbrs, err = s.neighbors(it.Nbrs, q.Point, int(q.K), q.Eps, sc, deadline)
-		} else {
-			it.IDs, it.Recs, err = s.answer(q, sc, it.IDs, it.Recs, deadline)
-		}
-		if err != nil {
-			it.Err, it.Text = proto.CodeOf(err)
-		}
+		s.read(q, sc, &items[i], deadline)
 		s.observeExecQuery(q, time.Since(start).Seconds())
 	}
 	return s.batchReply(m, sc, items)
@@ -1464,8 +1432,7 @@ func (s *Server) executeBatchGrouped(m *proto.BatchQueryMsg, sc *reqScratch, dea
 		q := &m.Queries[i]
 		it := &items[i]
 		if it.Err == 0 && q.Mode == proto.ModeData {
-			it.Recs = s.appendRecs(it.Recs, it.IDs)
-			it.IDs = it.IDs[:0]
+			s.materialize(it)
 		}
 		s.observeExecQuery(q, per)
 	}

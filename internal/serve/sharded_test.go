@@ -74,7 +74,8 @@ func TestShardedServeMatchesMonolithic(t *testing.T) {
 
 // TestShardedExecuteQueryZeroAlloc extends the hot-path allocation contract
 // to the sharded executor: warm range, point, and k-NN queries through
-// executeQuery must not allocate even when they walk many shards.
+// executeQuery, in every mode, must not allocate even when they walk many
+// shards.
 func TestShardedExecuteQueryZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -85,18 +86,12 @@ func TestShardedExecuteQueryZeroAlloc(t *testing.T) {
 		Min: geom.Point{X: center.X - 15000, Y: center.Y - 15000},
 		Max: geom.Point{X: center.X + 15000, Y: center.Y + 15000},
 	}
-	queries := []*proto.QueryMsg{
-		{ID: 1, Kind: proto.KindRange, Mode: proto.ModeIDs, Window: wide},
-		{ID: 2, Kind: proto.KindRange, Mode: proto.ModeFilter, Window: wide},
-		{ID: 3, Kind: proto.KindPoint, Mode: proto.ModeIDs, Point: center},
-		{ID: 4, Kind: proto.KindNN, Mode: proto.ModeIDs, Point: center},
-		{ID: 5, Kind: proto.KindNN, Mode: proto.ModeIDs, Point: center, K: 8},
-	}
+	queries := hotQueries(center, wide)
 	sc := srv.getScratch()
 	if n := testing.AllocsPerRun(200, func() {
 		for _, q := range queries {
-			if _, ok := srv.executeQuery(q, sc, time.Time{}).(*proto.ErrorMsg); ok {
-				t.Fatal("query failed")
+			if em, ok := srv.executeQuery(q, sc, time.Time{}).(*proto.ErrorMsg); ok {
+				t.Fatalf("query %+v failed: %s", q, em.Text)
 			}
 		}
 	}); n != 0 {
