@@ -60,9 +60,6 @@ func New(n int, halfLifeSeconds float64) *Tracker {
 	}
 }
 
-// Len returns the slot count.
-func (t *Tracker) Len() int { return len(t.raw) }
-
 // Touch records one access to slot i. Out-of-range slots are ignored so
 // readers holding a stale topology snapshot stay safe across a swap.
 func (t *Tracker) Touch(i int) {
@@ -70,14 +67,6 @@ func (t *Tracker) Touch(i int) {
 		return
 	}
 	t.raw[i].Add(1)
-}
-
-// TouchN records n accesses to slot i.
-func (t *Tracker) TouchN(i int, n uint64) {
-	if t == nil || i < 0 || i >= len(t.raw) {
-		return
-	}
-	t.raw[i].Add(n)
 }
 
 // Decay folds the raw counts accumulated over the elapsed seconds into the

@@ -25,7 +25,7 @@ import (
 // percentile window is one uninterrupted run; the recorded numbers in
 // results/BENCH_adaptive.json came from:
 //
-//	go test ./internal/mutable -run '^$' -bench AdaptiveZipf -benchtime=10000x -count=3
+//	go test ./internal/mutable -run '^$' -bench AdaptiveZipf -benchtime=10000x -count=5
 func BenchmarkAdaptiveZipf(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	ds := randomDataset(rng, 200000)

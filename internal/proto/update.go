@@ -108,10 +108,8 @@ func (m *DeleteMsg) decodePayload(b []byte) error {
 }
 
 // MoveMsg re-positions one object. Semantically an upsert like InsertMsg; it
-// is a distinct type because the distributed tier broadcasts moves (a moving
-// object may cross a Hilbert range boundary, and the backend that held the
-// old position must drop its copy) while inserts route to the owning range
-// only.
+// is a distinct type so a backend meters moves, the moving-object workload's
+// hot write, apart from first-time inserts.
 type MoveMsg struct {
 	ID            uint32
 	ObjID         uint32

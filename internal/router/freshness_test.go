@@ -9,6 +9,7 @@ package router
 // NN visit by its range's stale extent).
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
 	"testing"
@@ -205,10 +206,12 @@ func TestClusterReadsSeeFreshWrites(t *testing.T) {
 	nearestIs("write outside its range's MBR", geom.Point{X: far.X + 1, Y: far.Y - 2}, idZ, segZ)
 }
 
-// TestRouterMutableQuickEquivalence drives a random stream of inserts,
-// moves, and deletes through the router and through a monolithic mutable
-// pool, interleaving range/point/NN queries — the cluster must stay
-// indistinguishable from the single-process truth the whole way.
+// TestRouterMutableQuickEquivalence drives a random stream of inserts (some
+// re-inserting live ids, fresh and base), moves, and deletes through the
+// router and through a monolithic mutable pool, interleaving range/point/NN
+// queries and a range query over every upserted object's previous MBR — the
+// cluster must stay indistinguishable from the single-process truth the
+// whole way.
 func TestRouterMutableQuickEquivalence(t *testing.T) {
 	ds := clusterDataset(t)
 	tc, _, _ := startMutableCluster(t, ds, 3, 2, mutable.AdaptiveConfig{})
@@ -264,36 +267,58 @@ func TestRouterMutableQuickEquivalence(t *testing.T) {
 		}
 	}
 
+	// leftBehind checks the object's previous place after an upsert: a range
+	// query over its previous MBR answers what the truth pool answers, so no
+	// backend kept the copy it left.
+	leftBehind := func(op int, id uint32, prev geom.Segment) {
+		t.Helper()
+		if prev == (geom.Segment{}) {
+			return
+		}
+		got, err := r.RangeAppendUntil(nil, prev.MBR(), time.Time{})
+		if err != nil {
+			t.Fatalf("op %d range over %d's previous MBR: %v", op, id, err)
+		}
+		sameIDs(t, fmt.Sprintf("op %d range over %d's previous MBR", op, id), got, truth.RangeAppend(nil, prev.MBR()))
+	}
+	live := func(fresh []uint32) uint32 {
+		if len(fresh) > 0 && rng.Intn(2) == 0 {
+			return fresh[rng.Intn(len(fresh))]
+		}
+		return uint32(rng.Intn(ds.Len()))
+	}
+
 	nextID := uint32(ds.Len() + 1000)
 	var fresh []uint32
 	for i := 0; i < 90; i++ {
 		op := rng.Intn(10)
 		switch {
-		case op < 4 || (op >= 8 && len(fresh) == 0): // insert
+		case op < 4 || (op >= 8 && len(fresh) == 0): // insert a new id, or re-insert a live one
 			id := nextID
-			nextID++
-			seg := randSeg()
+			if rng.Intn(3) == 0 {
+				id = live(fresh)
+			} else {
+				nextID++
+				fresh = append(fresh, id)
+			}
+			seg, prev := randSeg(), truth.SegOf(id)
 			_, ex1, _, err1 := r.ApplyInsert(id, seg)
 			_, ex2, _, err2 := truth.ApplyInsert(id, seg)
 			if err1 != nil || err2 != nil || ex1 != ex2 {
 				t.Fatalf("op %d insert %d: cluster existed=%v err=%v, truth existed=%v err=%v",
 					i, id, ex1, err1, ex2, err2)
 			}
-			fresh = append(fresh, id)
+			leftBehind(i, id, prev)
 		case op < 8: // move a fresh or base object
-			var id uint32
-			if len(fresh) > 0 && rng.Intn(2) == 0 {
-				id = fresh[rng.Intn(len(fresh))]
-			} else {
-				id = uint32(rng.Intn(ds.Len()))
-			}
-			seg := randSeg()
+			id := live(fresh)
+			seg, prev := randSeg(), truth.SegOf(id)
 			_, ex1, _, err1 := r.ApplyMove(id, seg)
 			_, ex2, _, err2 := truth.ApplyMove(id, seg)
 			if err1 != nil || err2 != nil || ex1 != ex2 {
 				t.Fatalf("op %d move %d: cluster existed=%v err=%v, truth existed=%v err=%v",
 					i, id, ex1, err1, ex2, err2)
 			}
+			leftBehind(i, id, prev)
 		default: // delete a fresh object
 			j := rng.Intn(len(fresh))
 			id := fresh[j]

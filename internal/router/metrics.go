@@ -34,8 +34,10 @@ import (
 //	router_write_divergence_total   counter: writes some replicas applied
 //	                                and others missed — the copies disagree
 //	                                until the missing replicas recover
-//	router_write_unroutable_total   counter: writes no backend accepted
-//	                                (answered CodeUnavailable)
+//	router_write_unroutable_total   counter: writes answered CodeUnavailable:
+//	                                an upsert no holder of its target range
+//	                                applied, or a delete no backend reported
+//	                                while some backend did not answer
 //	router_batches_total            counter: client batches answered through
 //	                                the grouped (one-leg-per-backend) path
 //	router_batch_queries_total      counter: sub-queries inside those batches

@@ -57,9 +57,9 @@
 // The same plumbing makes the cluster cacheable: Router implements
 // qcache.Source — each range is a pseudo-shard whose version is the minimum
 // write-version its holders reported plus the count of writes this router
-// has routed into it since — so a serve.Server wrapping a Router can run
-// the epoch-invalidated result cache (-qcache) and stamp replies with
-// cluster-wide epoch hints for the client semantic cache.
+// has routed since that invalidate it — so a serve.Server wrapping a Router
+// can run the epoch-invalidated result cache (-qcache) and stamp replies
+// with cluster-wide epoch hints for the client semantic cache.
 package router
 
 import (
@@ -177,12 +177,12 @@ type Router struct {
 	// the backends partitioned under, so router and backends agree on
 	// every object's owning range.
 	wq *hilbert.Quantizer
-	// all lists every backend id — the broadcast target of moves and
-	// deletes.
+	// all lists every backend id — the legs of every write (write.go).
 	all []int32
-	// liveMu guards live, the geometry of objects written through this
-	// router — how data-mode responses resolve records the base dataset
-	// has never heard of (or whose position has moved).
+	// liveMu guards live, the geometry of the last write this router acked
+	// per object — how SegOf resolves data-mode records the base dataset
+	// has never heard of (or whose position has moved). No write consults
+	// it: where an object was is what the backends answer.
 	liveMu sync.RWMutex
 	live   map[uint32]geom.Segment
 
@@ -202,10 +202,10 @@ type routing struct {
 	// eff). Read-your-writes for routing; the refresh loop clears a range's
 	// rect once a newer summary provably covers the writes behind it.
 	grow []geom.Rect
-	// wseq[r] counts writes this router has routed into range r — the
-	// cumulative half of the cluster version vector. It never resets (the
-	// summary-reported half catches up across refreshes and the sum stays
-	// monotone).
+	// wseq[r] counts writes this router has routed that invalidate range r
+	// (write.go) — the cumulative half of the cluster version vector. It
+	// never resets (the summary-reported half catches up across refreshes
+	// and the sum stays monotone).
 	wseq []uint64
 }
 
@@ -463,8 +463,8 @@ func (r *Router) NumShards() int { return r.snap().numRanges }
 
 // Version implements qcache.Source. The version of range i is the minimum
 // write-version its holders reported at the last refresh plus the writes
-// this router has routed into it since. Both halves are monotone (the
-// summary half is clamped at refresh, wseq never resets), so the sum never
+// this router has routed since that invalidate it. Both halves are monotone
+// (the summary half is clamped at refresh, wseq never resets), so the sum never
 // goes backwards; it advances on every local write immediately (published
 // before the write acks) and on every refresh that observed remote writes.
 // Spurious advances (a refresh catching up to writes wseq already counted)
@@ -486,13 +486,13 @@ var everythingRect = geom.Rect{
 	Max: geom.Point{X: math.Inf(1), Y: math.Inf(1)},
 }
 
-// noteWrite publishes one successfully acked write into the freshness
-// plane. target is the range that received the object's geometry (-1 for
-// deletes, which add none); bumps lists every range whose cached results the
-// write invalidates. The widened rects and the bumped sequences are one
-// store — a reader that observes the new version also observes the widened
-// predicate, so a cache rebuilt after the bump routes to the written object.
-func (r *Router) noteWrite(mbr geom.Rect, target int, bumps ...int) {
+// noteWrite publishes one routed write into the freshness plane. target is
+// the range that received the object's geometry (-1 for deletes, which add
+// none); bump[rg] reports that the write invalidates range rg's cached
+// results. The widened rects and the bumped sequences are one store — a
+// reader that observes the new version also observes the widened predicate,
+// so a cache rebuilt after the bump routes to the written object.
+func (r *Router) noteWrite(mbr geom.Rect, target int, bump []bool) {
 	r.wmu.Lock()
 	defer r.wmu.Unlock()
 	cur := r.snap()
@@ -504,23 +504,12 @@ func (r *Router) noteWrite(mbr geom.Rect, target int, bumps ...int) {
 	if target >= 0 {
 		next.grow[target] = next.grow[target].Union(mbr)
 	}
-	for _, rg := range bumps {
-		next.wseq[rg]++
+	for rg, b := range bump {
+		if b {
+			next.wseq[rg]++
+		}
 	}
 	r.state.Store(next)
-}
-
-// bumpAllRanges invalidates every range — the fallback when a write's old
-// position is unknown and the ranges it touched cannot be narrowed down.
-func (r *Router) bumpAllRanges() {
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
-	next := *r.snap()
-	next.wseq = slices.Clone(next.wseq)
-	for rg := range next.wseq {
-		next.wseq[rg]++
-	}
-	r.state.Store(&next)
 }
 
 // Close stops the probe loop and closes every backend client.

@@ -42,10 +42,6 @@ type table struct {
 	// range's MBR may under-report (a lagging replica may be selected for
 	// reads), so routing treats it as covering everything.
 	divergent []bool
-	// items is the cluster item count; per range the MAX across holders
-	// (replicas of one range should agree, and when they transiently do
-	// not, the largest count is the one that has seen every write).
-	items uint64
 }
 
 // buildTable validates the summaries agree and derives the assignment. Every
@@ -72,7 +68,7 @@ func buildTable(summaries []*proto.SummaryMsg) (table, error) {
 	for i := range t.rangeMBR {
 		t.rangeMBR[i] = geom.EmptyRect()
 	}
-	maxItems := make([]uint32, n)
+	items := make([]uint32, n) // the first holder's item count per range
 	for b, sm := range summaries {
 		if int(sm.NumRanges) != n {
 			return table{}, fmt.Errorf("backend %d reports %d ranges, backend 0 reports %d", b, sm.NumRanges, n)
@@ -90,20 +86,17 @@ func buildTable(summaries []*proto.SummaryMsg) (table, error) {
 			if len(t.holders[idx]) == 0 {
 				t.keyLo[idx] = ri.Lo
 				t.version[idx] = ri.Version
-				maxItems[idx] = ri.Items
+				items[idx] = ri.Items
 			} else {
 				if t.keyLo[idx] != ri.Lo {
 					return table{}, fmt.Errorf("backend %d reports range %d with Lo key %d, earlier holder reported %d",
 						b, idx, ri.Lo, t.keyLo[idx])
 				}
-				if t.version[idx] != ri.Version || maxItems[idx] != ri.Items {
+				if t.version[idx] != ri.Version || items[idx] != ri.Items {
 					t.divergent[idx] = true
 				}
 				if ri.Version < t.version[idx] {
 					t.version[idx] = ri.Version
-				}
-				if ri.Items > maxItems[idx] {
-					maxItems[idx] = ri.Items
 				}
 			}
 			t.holders[idx] = append(t.holders[idx], int32(b))
@@ -118,7 +111,6 @@ func buildTable(summaries []*proto.SummaryMsg) (table, error) {
 			return table{}, fmt.Errorf("range %d has Lo key %d below range %d's %d — key cuts must ascend",
 				idx, t.keyLo[idx], idx-1, t.keyLo[idx-1])
 		}
-		t.items += uint64(maxItems[idx])
 	}
 	return t, nil
 }

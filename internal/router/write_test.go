@@ -11,7 +11,9 @@ import (
 	"mobispatial/internal/mutable"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
+	"mobispatial/internal/qcache"
 	"mobispatial/internal/serve"
+	"mobispatial/internal/serve/client"
 	"mobispatial/internal/shard"
 )
 
@@ -111,43 +113,61 @@ func segInRange(t *testing.T, ds *dataset.Dataset, cuts []uint64, pred func(rg i
 // TestRouterWriteReplication drives the write path across an R=2 cluster:
 // an insert must land on BOTH holders of the owning range and nowhere else,
 // a move across a range boundary must relocate the object to the new
-// range's holders and evict it from the old ones, and a delete must clear
-// every copy.
+// range's holders and evict it from the old ones, a re-insert of the live
+// id into another range must do the same, and a delete must clear every
+// copy. Every write takes one leg per backend.
 func TestRouterWriteReplication(t *testing.T) {
 	ds := clusterDataset(t)
 	tc, pools, cuts := startMutableCluster(t, ds, 3, 2, mutable.AdaptiveConfig{})
-	r := newRouter(t, tc, nil)
+	hub := obs.NewHub()
+	r := newRouter(t, tc, func(cfg *Config) { cfg.Obs = hub })
 
 	q := shard.QuantizerFor(shard.BoundsOf(ds.Items()), 0)
 	rangeOf := func(seg geom.Segment) int {
 		return shard.RangeForKey(cuts, shard.WriteKey(q, seg.MBR()))
 	}
+	legs := hub.Reg.Counter("router_write_legs_total")
+	lastLegs := legs.Value()
+	legsPerWrite := func(label string) {
+		t.Helper()
+		if n := legs.Value() - lastLegs; n != uint64(len(tc.addrs)) {
+			t.Fatalf("%s took %d write legs, want one per backend (%d)", label, n, len(tc.addrs))
+		}
+		lastLegs = legs.Value()
+	}
 
 	id := uint32(ds.Len() + 3)
+	// onlyOn checks that id sits at seg on both holders of rg, on no other
+	// backend, and in the routed answer over seg.
+	onlyOn := func(label string, seg geom.Segment, rg int) {
+		t.Helper()
+		if hs := holdersOf(pools, id, seg); len(hs) != 2 {
+			t.Fatalf("%s: id on %d backends %v, want the 2 holders of range %d", label, len(hs), hs, rg)
+		}
+		for b, p := range pools {
+			if !r.snap().holds[b][rg] && p.SegOf(id) != (geom.Segment{}) {
+				t.Fatalf("%s: backend %d holds a copy outside range %d's holders", label, b, rg)
+			}
+		}
+		ids, err := r.RangeAppendUntil(nil, seg.MBR(), time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !containsU32(ids, id) {
+			t.Fatalf("%s: routed range over %v missing id %d", label, seg.MBR(), id)
+		}
+	}
+
 	segA := ds.Seg(0) // geometry of a real item; the id is fresh
 	epoch, existed, owned, err := r.ApplyInsert(id, segA)
 	if err != nil || existed || !owned {
 		t.Fatalf("insert: epoch=%d existed=%v owned=%v err=%v", epoch, existed, owned, err)
 	}
+	legsPerWrite("insert")
 	rgA := rangeOf(segA)
-	hs := holdersOf(pools, id, segA)
-	if len(hs) != 2 {
-		t.Fatalf("inserted id on %d backends %v, want the 2 holders of range %d", len(hs), hs, rgA)
-	}
-	for _, b := range hs {
-		if !r.snap().holds[b][rgA] {
-			t.Fatalf("backend %d holds the inserted id but not range %d", b, rgA)
-		}
-	}
+	onlyOn("insert", segA, rgA)
 	if got := r.SegOf(id); got != segA {
 		t.Fatalf("router SegOf after insert: %v, want %v", got, segA)
-	}
-	ids, err := r.RangeAppendUntil(nil, segA.MBR(), time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !containsU32(ids, id) {
-		t.Fatalf("routed range over %v missing inserted id %d", segA.MBR(), id)
 	}
 
 	// Move across a range boundary.
@@ -157,33 +177,31 @@ func TestRouterWriteReplication(t *testing.T) {
 	if err != nil || !existed || !owned {
 		t.Fatalf("move: epoch=%d existed=%v owned=%v err=%v", epoch, existed, owned, err)
 	}
-	hs = holdersOf(pools, id, segB)
-	if len(hs) != 2 {
-		t.Fatalf("moved id on %d backends %v, want the 2 holders of range %d", len(hs), hs, rgB)
+	legsPerWrite("move")
+	onlyOn("move", segB, rgB)
+
+	// A re-insert of the live id into another range relocates it as a move
+	// does: one pool would, so the cluster must.
+	segC := segInRange(t, ds, cuts, func(rg int) bool { return rg != rgB })
+	rgC := rangeOf(segC)
+	if _, existed, owned, err = r.ApplyInsert(id, segC); err != nil || !existed || !owned {
+		t.Fatalf("re-insert: existed=%v owned=%v err=%v", existed, owned, err)
 	}
-	for b, p := range pools {
-		if !r.snap().holds[b][rgB] && p.SegOf(id) != (geom.Segment{}) {
-			t.Fatalf("backend %d kept a stale copy after the move out of its ranges", b)
-		}
-	}
-	ids, err = r.RangeAppendUntil(ids[:0], segB.MBR(), time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !containsU32(ids, id) {
-		t.Fatalf("routed range over %v missing moved id %d", segB.MBR(), id)
-	}
+	legsPerWrite("re-insert")
+	onlyOn("re-insert", segC, rgC)
 
 	// Delete clears every copy; re-delete is idempotent.
 	if _, existed, _, err = r.ApplyDelete(id); err != nil || !existed {
 		t.Fatalf("delete: existed=%v err=%v", existed, err)
 	}
-	if hs = holdersOf(pools, id, segB); len(hs) != 0 {
+	legsPerWrite("delete")
+	if hs := holdersOf(pools, id, segC); len(hs) != 0 {
 		t.Fatalf("deleted id survives on backends %v", hs)
 	}
 	if _, existed, _, err = r.ApplyDelete(id); err != nil || existed {
 		t.Fatalf("re-delete: existed=%v err=%v", existed, err)
 	}
+	legsPerWrite("re-delete")
 	if got := r.SegOf(id); got != (geom.Segment{}) {
 		t.Fatalf("router SegOf after delete: %v, want zero", got)
 	}
@@ -226,8 +244,11 @@ func TestRouterWriteDivergence(t *testing.T) {
 }
 
 // TestRouterWriteUnavailable loses the only holder of a range (R=1): a
-// write owned by that range must fail CodeUnavailable, never land
-// somewhere it does not belong.
+// write into that range must fail CodeUnavailable, never land somewhere it
+// does not belong — and never be acked because some other backend answered.
+// A move of a live object into the range is not acked with Owned=false, and
+// a delete of an object the lost backend held is not acked with
+// Existed=false: the object would come back with its holder.
 func TestRouterWriteUnavailable(t *testing.T) {
 	ds := clusterDataset(t)
 	tc, pools, cuts := startMutableCluster(t, ds, 3, 1, mutable.AdaptiveConfig{})
@@ -236,21 +257,131 @@ func TestRouterWriteUnavailable(t *testing.T) {
 		cfg.Obs = hub
 		cfg.LegTimeout = 300 * time.Millisecond
 	})
-
-	tc.servers[1].Close()
+	unroutable := hub.Reg.Counter("router_write_unroutable_total")
+	// unavailable runs one write and checks that it failed CodeUnavailable
+	// and counted as unroutable.
+	unavailable := func(label string, write func() (uint64, bool, bool, error)) {
+		t.Helper()
+		before := unroutable.Value()
+		epoch, existed, owned, err := write()
+		var coded interface{ ErrCode() proto.ErrCode }
+		if !errors.As(err, &coded) || coded.ErrCode() != proto.CodeUnavailable {
+			t.Errorf("%s: epoch=%d existed=%v owned=%v err=%v, want CodeUnavailable", label, epoch, existed, owned, err)
+		}
+		if n := unroutable.Value() - before; n != 1 {
+			t.Errorf("%s: %d unroutable writes recorded, want 1", label, n)
+		}
+	}
 
 	seg := segInRange(t, ds, cuts, func(rg int) bool { return rg == 1 })
-	id := uint32(ds.Len() + 19)
-	_, _, _, err := r.ApplyInsert(id, seg)
-	var coded interface{ ErrCode() proto.ErrCode }
-	if !errors.As(err, &coded) || coded.ErrCode() != proto.CodeUnavailable {
-		t.Fatalf("write into a lost range: err=%v, want CodeUnavailable", err)
+	idY := uint32(ds.Len() + 18)
+	if _, _, owned, err := r.ApplyInsert(idY, seg); err != nil || !owned {
+		t.Fatalf("insert of Y into range 1: owned=%v err=%v", owned, err)
 	}
+	tc.servers[1].Close()
+
+	id := uint32(ds.Len() + 19)
+	unavailable("insert into the lost range", func() (uint64, bool, bool, error) { return r.ApplyInsert(id, seg) })
 	if hs := holdersOf(pools, id, seg); len(hs) != 0 {
 		t.Fatalf("unroutable write still landed on backends %v", hs)
 	}
-	if v := hub.Reg.Counter("router_write_unroutable_total").Value(); v == 0 {
-		t.Fatal("no unroutable write recorded")
+	idX := tc.ranges[0].Items[0].ID
+	unavailable("move of a live object into the lost range", func() (uint64, bool, bool, error) { return r.ApplyMove(idX, seg) })
+	unavailable("delete of Y, held only by the lost backend", func() (uint64, bool, bool, error) { return r.ApplyDelete(idY) })
+}
+
+// TestRouterWriteInvalidatesAcrossRouters: a router's result cache must stop
+// answering an object at a position it left, even when the object got there
+// through another router. Router B moves dataset object X into a window W
+// that only range j's extent meets; router A, behind a serve.Server with a
+// result cache, refreshes and caches W with X in it, then moves X on into a
+// third range. Only the backends know X was in range j — the holders of j
+// answer A's move that they had a copy — so the next read of W through A
+// must not find X.
+//
+// The router-tier cache refines a stored window by the router's SegOf, which
+// for an object is where this router last put it (or its dataset geometry).
+// So for A's cached answer to hold X at all, A must have put X inside W
+// first: at P, beyond the map's right edge, where no range's items reach and
+// whose range is not j. After B's move and A's refresh, nothing but the
+// holders' answers ties X to range j.
+func TestRouterWriteInvalidatesAcrossRouters(t *testing.T) {
+	ds := clusterDataset(t)
+	tc, _, cuts := startMutableCluster(t, ds, 3, 2, mutable.AdaptiveConfig{})
+	a := newRouter(t, tc, func(cfg *Config) { cfg.RefreshInterval = -1 })
+	b := newRouter(t, tc, func(cfg *Config) { cfg.RefreshInterval = -1 })
+
+	qc := qcache.New(qcache.Config{MaxBytes: 1 << 20, CellSize: 64})
+	srv, err := serve.New(serve.Config{Pool: a, Cache: qc})
+	if err != nil {
+		t.Fatalf("router-tier server: %v", err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(lis)
+	t.Cleanup(func() { srv.Close() })
+	c, err := client.New(client.Config{Addr: lis.Addr().String(), Conns: 1})
+	if err != nil {
+		t.Fatalf("client: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+
+	q := shard.QuantizerFor(shard.BoundsOf(ds.Items()), 0)
+	rangeOf := func(seg geom.Segment) int {
+		return shard.RangeForKey(cuts, shard.WriteKey(q, seg.MBR()))
+	}
+	// Beyond the right edge a position keys into the range owning that edge
+	// of the curve at its height, and no range's items reach it.
+	beyond := func(f float64) geom.Segment {
+		pt := geom.Point{X: ds.Extent.Max.X + 5000, Y: ds.Extent.Min.Y + f*ds.Extent.Height()}
+		return geom.Segment{A: pt, B: geom.Point{X: pt.X + 30, Y: pt.Y + 30}}
+	}
+	p, to := beyond(0.9), beyond(0.1)
+	j, third := rangeOf(to), rangeOf(p)
+	if third == j {
+		t.Fatalf("P and X's target in W both key into range %d", j)
+	}
+	w := p.MBR().Union(to.MBR())
+	x := tc.ranges[3-j-third].Items[0].ID // X's dataset range is neither
+	away := segInRange(t, ds, cuts, func(rg int) bool { return rg == third })
+
+	if _, existed, owned, err := a.ApplyMove(x, p); err != nil || !existed || !owned {
+		t.Fatalf("move of X to P through A: existed=%v owned=%v err=%v", existed, owned, err)
+	}
+	if _, existed, owned, err := b.ApplyMove(x, to); err != nil || !existed || !owned {
+		t.Fatalf("move of X into W through B: existed=%v owned=%v err=%v", existed, owned, err)
+	}
+	a.refreshOnce()
+	_, super, _ := qcache.RangeKey(w, qc.CellSize(), false)
+	for rg, s := 0, a.snap(); rg < s.numRanges; rg++ {
+		if s.eff(rg).Intersects(super) != (rg == j) {
+			t.Fatalf("after A's refresh, range %d's extent %v meets W's cached window %v: %v; want only range %d",
+				rg, s.eff(rg), super, !(rg == j), j)
+		}
+	}
+	read := func() []uint32 {
+		t.Helper()
+		ids, err := c.RangeIDs(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ids
+	}
+	if !containsU32(read(), x) {
+		t.Fatal("read of W through A misses X, moved there through B")
+	}
+	hits := srv.CacheStats().Hits
+	if !containsU32(read(), x) || srv.CacheStats().Hits != hits+1 {
+		t.Fatalf("second read of W through A: want a cache hit containing X (hits %d -> %d)", hits, srv.CacheStats().Hits)
+	}
+
+	if _, existed, owned, err := a.ApplyMove(x, away); err != nil || !existed || !owned {
+		t.Fatalf("move of X out of W through A: existed=%v owned=%v err=%v", existed, owned, err)
+	}
+	if containsU32(read(), x) {
+		t.Fatalf("read of W through A still finds X after A acked its move out of range %d", j)
 	}
 }
 

@@ -13,7 +13,8 @@
 # workload with -readback: every acked move is immediately read back through
 # the router, so vehicles crossing Hilbert range boundaries prove that
 # cluster reads see fresh writes. Passes when the run checks > 0 moves and
-# misses exactly 0 of them.
+# misses exactly 0 of them. -serverstats adds the router-tier result cache's
+# hit rate, the traffic that write invalidation costs.
 #
 # Phase 3 (adaptive): 3 partitioned MUTABLE backends (R=2) with -adaptive
 # behind the router, driven by the migrating-hotspot workload (-drift). Each
@@ -124,7 +125,7 @@ wait_for "$LOG/mrouter.log" "mutable-tier router"
 
 echo "== moving vehicles through the router with read-back ($MOVE_DURATION)"
 "$BIN/mqload" -addr 127.0.0.1:$MR -moving -readback -vehicles 16 -conns 8 \
-  -duration "$MOVE_DURATION" -warmup 1s | tee "$LOG/moving.log"
+  -duration "$MOVE_DURATION" -warmup 1s -serverstats | tee "$LOG/moving.log"
 
 checked=$(row "$LOG/moving.log" readback)
 missed=$(grab "$LOG/moving.log" 'read back, \([0-9]*\) missed')
