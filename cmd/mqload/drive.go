@@ -79,19 +79,16 @@ func pullSnap(c *client.Client) serverSnap {
 type result struct {
 	series   []record // merged across workers, indexed like workload.series
 	measured time.Duration
-	// snaps[0] is the server before measurement started — the counter
-	// baseline every server-side report prices this run against — snaps[p]
-	// the server at the boundary into phase p, and the last one the server
-	// after the run.
-	snaps []serverSnap
+	// pre is the server before measurement started — the counter baseline
+	// every server-side report prices this run against — and post the
+	// server after the run.
+	pre, post serverSnap
 }
 
 // drive runs the workload closed-loop on `conns` workers: warm up, snapshot
-// the server, measure for `duration` cut into the workload's phases, stop,
-// snapshot again, merge.
+// the server, measure for `duration`, stop, snapshot again, merge.
 func drive(wl *workload, conns int, warmup, duration time.Duration) result {
 	var (
-		phase     atomic.Int64
 		measuring atomic.Bool
 		stop      atomic.Bool
 		wg        sync.WaitGroup
@@ -107,7 +104,7 @@ func drive(wl *workload, conns int, warmup, duration time.Duration) result {
 		go func(recs []record) {
 			defer wg.Done()
 			for !stop.Load() {
-				series, o := step(int(phase.Load()))
+				series, o := step()
 				if measuring.Load() {
 					recs[series].add(o)
 				}
@@ -116,22 +113,15 @@ func drive(wl *workload, conns int, warmup, duration time.Duration) result {
 	}
 
 	time.Sleep(warmup)
-	res := result{series: newRecords(len(wl.series)), snaps: make([]serverSnap, wl.phases+1)}
-	res.snaps[0] = pullSnap(wl.c)
+	res := result{series: newRecords(len(wl.series)), pre: pullSnap(wl.c)}
 	measuring.Store(true)
 	start := time.Now()
-	for p := 0; p < wl.phases; p++ {
-		if p > 0 {
-			res.snaps[p] = pullSnap(wl.c)
-		}
-		phase.Store(int64(p))
-		time.Sleep(duration / time.Duration(wl.phases))
-	}
+	time.Sleep(duration)
 	measuring.Store(false)
 	res.measured = time.Since(start)
 	stop.Store(true)
 	wg.Wait()
-	res.snaps[wl.phases] = pullSnap(wl.c)
+	res.post = pullSnap(wl.c)
 
 	for _, recs := range perWorker {
 		for i := range recs {

@@ -11,17 +11,16 @@
 //
 //	point source   default  uniform over the map (the shipment window with -planner)
 //	               -zipf    Zipf-ranked hotspot centres sampled from the segments
-//	               -drift   the Zipf hotspot cluster jumps to a new region each phase
 //	               -moving  the position a vehicle just moved to; the move is a write
 //	issuer         default  one wire exchange per query
 //	               -batch   N queries per QueryBatch exchange
 //	               -planner the §4.1 partitioning planner over a shipped sub-index
 //
-// Any source runs with any issuer. Three pairs are refused because they are
-// meaningless, not unimplemented: -moving with -zipf and -moving with -drift
-// (a run has one point source — a vehicle's reads land where the vehicle
-// is), and -batch with -planner (a run has one issuer — the planner decides
-// per query where it runs, a batch always offloads).
+// Any source runs with any issuer. Two pairs are refused because they are
+// meaningless, not unimplemented: -moving with -zipf (a run has one point
+// source — a vehicle's reads land where the vehicle is), and -batch with
+// -planner (a run has one issuer — the planner decides per query where it
+// runs, a batch always offloads).
 //
 // Usage:
 //
@@ -40,13 +39,7 @@
 //	-zipf        Zipf skew s (> 1): queries cluster around -hotspots centres,
 //	             rank-weighted k^-s — the workload the server's result cache
 //	             (-qcache) is built for (0 = uniform)
-//	-hotspots    zipf/drift: number of hotspot centres (default 64)
-//	-drift       migrating hotspot: each phase's centres are one compact
-//	             cluster at a new Hilbert rank — the pattern an adaptive
-//	             server (mqserve -adaptive) chases by splitting hot shards;
-//	             the report adds per-phase latency and the server's splits
-//	             and merges per phase (implies -zipf 1.5 if unset)
-//	-phases      drift: hotspot phases across the run (default 4)
+//	-hotspots    zipf: number of hotspot centres (default 64)
 //	-moving      moving objects: vehicles drive shortest-path routes on the
 //	             road network derived from the dataset, each step a MsgMove
 //	             write, interleaved with reads near the vehicle (the server
@@ -83,7 +76,7 @@
 // Output, one format for every workload: total queries and QPS, mean and
 // p50/p95/p99 latency from a merged streaming histogram (internal/stats),
 // one line per series when the run has more than one (writes and reads of a
-// moving run, the phases of a drifting one), errors with the first error
+// moving run), errors with the first error
 // text, retries, and a wire line — frames, bytes, and modeled NIC energy per
 // query from the client's wire counters. A moving run adds ack ownership,
 // the staleness evidence (how many writes fold into each epoch swap, from
@@ -175,9 +168,7 @@ func run(args []string, out io.Writer) error {
 	rangeW := fs.Float64("rangew", 1000, "half-width of range windows (m)")
 	seed := fs.Int64("seed", 1, "workload seed")
 	zipfS := fs.Float64("zipf", 0, "Zipf skew s > 1 for hotspot reads (0 = uniform)")
-	hotspotN := fs.Int("hotspots", 64, "zipf/drift: hotspot count")
-	drift := fs.Bool("drift", false, "the Zipf hotspot cluster jumps to a new region each phase")
-	phases := fs.Int("phases", 4, "drift: hotspot phases across the run")
+	hotspotN := fs.Int("hotspots", 64, "zipf: hotspot count")
 	moving := fs.Bool("moving", false, "vehicles move (writes) and read near themselves; needs an updatable server")
 	vehicles := fs.Int("vehicles", 64, "moving: vehicle count")
 	readFrac := fs.Float64("readfrac", 1.0, "moving: mean reads per move")
@@ -192,22 +183,17 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *drift && *zipfS == 0 {
-		*zipfS = 1.5 // a drifting hotspot is a Zipf hotspot by definition
-	}
 	switch {
 	case *moving && *zipfS != 0:
-		return fmt.Errorf("-moving with -zipf or -drift: a run has one point source, and a vehicle's reads land where the vehicle is")
+		return fmt.Errorf("-moving with -zipf: a run has one point source, and a vehicle's reads land where the vehicle is")
 	case *batch > 1 && *planner:
 		return fmt.Errorf("-batch with -planner: a run has one issuer — the planner decides per query where it runs, a batch always offloads")
 	case *batch < 1 || *batch > proto.MaxBatchQueries:
 		return fmt.Errorf("-batch must be in [1, %d]", proto.MaxBatchQueries)
 	case *zipfS != 0 && *zipfS <= 1:
 		return fmt.Errorf("-zipf needs s > 1 (got %v)", *zipfS)
-	case *zipfS != 0 && *hotspotN < 1, *drift && *hotspotN < 2:
-		return fmt.Errorf("-hotspots must be >= 1 (>= 2 with -drift)")
-	case *drift && *phases < 1:
-		return fmt.Errorf("-phases must be >= 1")
+	case *zipfS != 0 && *hotspotN < 1:
+		return fmt.Errorf("-hotspots must be >= 1")
 	}
 	qmix, err := parseMix(*mixFlag)
 	if err != nil {
@@ -273,7 +259,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	wl := &workload{c: c, ds: ds, mix: qmix, rangeW: *rangeW, batch: *batch, seed: *seed,
-		extent: ds.Extent, phases: 1, series: []string{"queries"}}
+		extent: ds.Extent, series: []string{"queries"}}
 	if *planner {
 		if err := wl.shipPlanner(out, *shipW, *shipBudget); err != nil {
 			return err
@@ -282,8 +268,6 @@ func run(args []string, out io.Writer) error {
 	switch {
 	case *moving:
 		err = wl.placeFleet(out, *vehicles, *conns, *readFrac, *readback)
-	case *drift:
-		wl.driftCentres(out, *zipfS, *hotspotN, *phases)
 	case *zipfS != 0:
 		wl.zipfCentres(out, *zipfS, *hotspotN)
 	}

@@ -130,13 +130,13 @@ func TestEveryWorkloadRunsToOneReport(t *testing.T) {
 		{"zipf planner", static, "-zipf 1.5 -planner", []string{"scheme breakdown"}},
 		{"fallback idle", static, "-fallback", []string{"local fallback armed", "  fallback  0 queries answered locally"}},
 		{"fallback dead link", "127.0.0.1:1", "-fallback", []string{"continuing degraded", "  breaker   open", "(0 local failures)"}},
-		{"drift", updatable, "-drift -phases 3 -serverstats", []string{"  phase 2   ", "  mutable   "}},
-		{"drift batch", updatable, "-drift -batch 8", []string{"  phase 3   ", "  batching  "}},
+		{"updatable zipf", updatable, "-zipf 1.5 -serverstats", []string{"  mutable   "}},
+		{"updatable zipf batch", updatable, "-zipf 1.5 -batch 8", []string{"  batching  "}},
 		{"moving readback", updatable, "-moving -readback -vehicles 8", []string{"  writes    ", "  reads     ", "  staleness ", "  acks      0 not-owned"}},
 		{"moving batch", updatable, "-moving -batch 4 -vehicles 8", []string{"  writes    ", "  batching  "}},
 		{"moving planner", updatable, "-moving -planner -vehicles 8", []string{"  writes    ", "scheme breakdown"}},
 		{"routed uniform", routed, "", []string{"  router    2 backends"}},
-		{"routed drift batch", routed, "-drift -batch 8", []string{"batches: "}},
+		{"routed zipf batch", routed, "-zipf 1.5 -batch 8", []string{"batches: "}},
 		{"routed moving readback", routed, "-moving -readback -vehicles 8", []string{"writes: "}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -173,11 +173,10 @@ func TestEveryWorkloadRunsToOneReport(t *testing.T) {
 	}
 }
 
-// TestRefusals: the three flag pairs that stay refused say why.
+// TestRefusals: the two flag pairs that stay refused say why.
 func TestRefusals(t *testing.T) {
 	for args, reason := range map[string]string{
 		"-moving -zipf 1.5": "one point source",
-		"-moving -drift":    "one point source",
 		"-batch 8 -planner": "one issuer",
 	} {
 		err := run(strings.Fields(args), &bytes.Buffer{})

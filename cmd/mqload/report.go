@@ -28,24 +28,10 @@ func printClientReport(out io.Writer, wl *workload, res result) {
 	fmt.Fprintf(out, "  latency   mean %s  p50 %s  p95 %s  p99 %s  max %s\n", ms(total.hist.Mean()),
 		ms(total.hist.P(0.50)), ms(total.hist.P(0.95)), ms(total.hist.P(0.99)), ms(total.hist.Max()))
 	if len(res.series) > 1 {
-		// A phase lasts its share of the window; writes and reads share all
-		// of it.
-		span := secs
-		if wl.phases > 1 {
-			span /= float64(wl.phases)
-		}
 		for i, name := range wl.series {
 			h := res.series[i].hist
-			line := fmt.Sprintf("  %-9s %d (%.0f qps)  mean %s  p50 %s  p95 %s  p99 %s, %d errors",
-				name, h.Count(), float64(h.Count())/span, ms(h.Mean()), ms(h.P(0.50)), ms(h.P(0.95)), ms(h.P(0.99)), res.series[i].errs)
-			// A drifting run attributes the server's repartition events to
-			// the phase they happened in.
-			if wl.phases > 1 && res.snaps[i].err == nil && res.snaps[i+1].err == nil {
-				line += fmt.Sprintf("  [%.0f splits, %.0f merges]",
-					delta(res.snaps[i], res.snaps[i+1], "mutable_splits_total"),
-					delta(res.snaps[i], res.snaps[i+1], "mutable_merges_total"))
-			}
-			fmt.Fprintln(out, line)
+			fmt.Fprintf(out, "  %-9s %d (%.0f qps)  mean %s  p50 %s  p95 %s  p99 %s, %d errors\n",
+				name, h.Count(), float64(h.Count())/secs, ms(h.Mean()), ms(h.P(0.50)), ms(h.P(0.95)), ms(h.P(0.99)), res.series[i].errs)
 		}
 	}
 	if wl.fleet != nil {
@@ -149,15 +135,12 @@ func printSchemeReport(out io.Writer, snap obs.Snapshot) {
 // needs no flag: the pre-run snapshot says whether the target is an mqrouter.
 // Everything else is -serverstats, and only then is a failed pull an error.
 func printServerReport(out io.Writer, res result, serverStats bool) error {
-	pre, post := res.snaps[0], res.snaps[len(res.snaps)-1]
+	pre, post := res.pre, res.post
 	if err := errors.Join(pre.err, post.err); err != nil {
 		if serverStats {
 			return fmt.Errorf("server stats: %w", err)
 		}
 		return nil
-	}
-	if splits, merges := delta(pre, post, "mutable_splits_total"), delta(pre, post, "mutable_merges_total"); splits+merges > 0 {
-		fmt.Fprintf(out, "  adaptive  %.0f splits, %.0f merges over the run\n", splits, merges)
 	}
 	printRouterReport(out, pre, post)
 	if !serverStats {

@@ -19,7 +19,6 @@ import (
 	"mobispatial/internal/roadnet"
 	"mobispatial/internal/scheme"
 	"mobispatial/internal/serve/client"
-	"mobispatial/internal/shard"
 )
 
 // queryKind is one row of the mix: the three forms a query of this kind at
@@ -93,17 +92,15 @@ type workload struct {
 	planner *client.Planner
 	batch   int
 
-	// The point source: the fleet when set, else Zipf over centres[phase]
-	// when set, else uniform over extent.
+	// The point source: the fleet when set, else Zipf over centres when
+	// set, else uniform over extent.
 	extent  geom.Rect
 	zipfS   float64
-	centres [][]geom.Point
+	centres []geom.Point
 	fleet   *fleet
 
-	// What the driver needs to know: how many phases the measured window is
-	// cut into (a step's series is its phase, except that a fleet's series
-	// are its writes and its reads) and what the series are called.
-	phases int
+	// What the driver reports a step under: a fleet's writes and its reads,
+	// one series of queries otherwise.
 	series []string
 }
 
@@ -180,12 +177,11 @@ func (wl *workload) newIssuer() func(k *queryKind, p geom.Point) outcome {
 // cache's snapping cells (default pitch 512 map units).
 const hotJitter = 64.0
 
-// newSource returns one worker's point source: where its next query lands
-// in the given phase. (A fleet's reads land where its vehicles are; see
-// newWorker.)
-func (wl *workload) newSource(rng *rand.Rand) func(phase int) geom.Point {
+// newSource returns one worker's point source: where its next query lands.
+// (A fleet's reads land where its vehicles are; see newWorker.)
+func (wl *workload) newSource(rng *rand.Rand) func() geom.Point {
 	if wl.centres == nil {
-		return func(int) geom.Point {
+		return func() geom.Point {
 			return geom.Point{
 				X: wl.extent.Min.X + rng.Float64()*wl.extent.Width(),
 				Y: wl.extent.Min.Y + rng.Float64()*wl.extent.Height(),
@@ -193,11 +189,11 @@ func (wl *workload) newSource(rng *rand.Rand) func(phase int) geom.Point {
 		}
 	}
 	// Many clients asking nearly the same question — the shape the server's
-	// result cache turns into hits: a rank-k^-s-weighted centre of the
-	// current phase plus a small jitter.
-	zipf := rand.NewZipf(rng, wl.zipfS, 1, uint64(len(wl.centres[0])-1))
-	return func(phase int) geom.Point {
-		c := wl.centres[phase][zipf.Uint64()]
+	// result cache turns into hits: a rank-k^-s-weighted centre plus a
+	// small jitter.
+	zipf := rand.NewZipf(rng, wl.zipfS, 1, uint64(len(wl.centres)-1))
+	return func() geom.Point {
+		c := wl.centres[zipf.Uint64()]
 		return geom.Point{
 			X: c.X + (rng.Float64()-0.5)*2*hotJitter,
 			Y: c.Y + (rng.Float64()-0.5)*2*hotJitter,
@@ -213,33 +209,8 @@ func (wl *workload) zipfCentres(out io.Writer, s float64, n int) {
 	for i := range cs {
 		cs[i] = wl.ds.Segments[rng.Intn(wl.ds.Len())].Midpoint()
 	}
-	wl.zipfS, wl.centres = s, [][]geom.Point{cs}
+	wl.zipfS, wl.centres = s, cs
 	fmt.Fprintf(out, "mqload: zipf hotspot workload, s=%.2f over %d centers\n", s, n)
-}
-
-// driftCentres makes the source a migrating hotspot. Phase anchors sit at
-// evenly spaced ranks of the Hilbert-ordered segment midpoints: each phase's
-// centres are one spatially compact cluster (Hilbert locality), and
-// consecutive phases land far apart in the exact key space an adaptive
-// backend partitions on — so the heat provably moves between shards, not
-// within one. Against a static partition the hot shard stays hot and its
-// queue grows; an adaptive backend splits it within a half-life or two and
-// the per-phase tail latency recovers.
-func (wl *workload) driftCentres(out io.Writer, s float64, n, phases int) {
-	// One range over everything: the items in the backend's own Hilbert order.
-	all, _ := shard.PartitionHilbert(wl.ds.Items(), 1, 0)
-	ranked := all[0].Items
-	n = min(n, len(ranked))
-	wl.zipfS, wl.phases = s, phases
-	wl.centres, wl.series = make([][]geom.Point, phases), make([]string, phases)
-	for p := range wl.centres {
-		lo := min(max((2*p+1)*len(ranked)/(2*phases)-n/2, 0), len(ranked)-n)
-		for _, it := range ranked[lo : lo+n] {
-			wl.centres[p] = append(wl.centres[p], wl.ds.Seg(it.ID).Midpoint())
-		}
-		wl.series[p] = fmt.Sprintf("phase %d", p)
-	}
-	fmt.Fprintf(out, "mqload: drift workload, %d phases, zipf s=%.2f over %d centers/phase\n", phases, s, n)
 }
 
 // fleet is the moving-objects source: vehicles drive shortest-path routes on
@@ -362,14 +333,14 @@ func (f *fleet) move(c *client.Client, v *vehicle, seg geom.Segment) outcome {
 // newWorker composes worker w's step: which series the step belongs to and
 // what it completed. It returns nil for a worker with nothing to drive (more
 // connections than vehicles).
-func (wl *workload) newWorker(w int) func(phase int) (series int, o outcome) {
+func (wl *workload) newWorker(w int) func() (series int, o outcome) {
 	rng := rand.New(rand.NewSource(wl.seed + int64(w)))
 	issue := wl.newIssuer()
 	if wl.fleet == nil {
 		next := wl.newSource(rng)
-		return func(phase int) (int, outcome) {
-			p := next(phase)
-			return phase, issue(wl.mix.pick(rng), p)
+		return func() (int, outcome) {
+			p := next()
+			return 0, issue(wl.mix.pick(rng), p)
 		}
 	}
 	// Worker w drives vehicles w, w+conns, w+2*conns, ... — each step one
@@ -383,7 +354,7 @@ func (wl *workload) newWorker(w int) func(phase int) (series int, o outcome) {
 		return nil
 	}
 	k, readAt, reading := 0, geom.Point{}, false
-	return func(int) (int, outcome) {
+	return func() (int, outcome) {
 		if reading {
 			reading = false
 			return seriesReads, issue(wl.mix.pick(rng), readAt)

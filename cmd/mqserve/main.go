@@ -30,11 +30,9 @@
 //	-mutable    updatable pool: accepts live MsgInsert/MsgDelete/MsgMove,
 //	            overlaying a delta tree on the packed base and folding it
 //	            in with epoch-swapped compactions (monolithic or with
-//	            -partition; -shards sets the monolithic shard count)
-//	-adaptive   workload-adaptive repartitioning (with -mutable): a
-//	            background repartitioner tracks per-shard query heat and
-//	            splits hot shards / merges cold neighbors at their median
-//	            Hilbert key, inside the cluster ranges the server holds
+//	            -partition; -shards sets the monolithic shard count, and is
+//	            refused with -partition, where the pool keeps one shard per
+//	            held range for its life)
 //	-qcache     result-cache budget in MB (0 = caching off): hotspot query
 //	            results are cached under cell-snapped keys and invalidated
 //	            by shard version, so repeated nearby queries skip the index
@@ -93,7 +91,6 @@ func run(args []string) error {
 	partition := fs.String("partition", "", "i/N: cluster backend i of N Hilbert ranges (\"\" = whole dataset)")
 	replicas := fs.Int("replicas", 1, "R-way replication under rotation placement (needs -partition, 1 <= R <= N)")
 	mut := fs.Bool("mutable", false, "updatable pool accepting live inserts/deletes/moves")
-	adaptive := fs.Bool("adaptive", false, "workload-adaptive shard repartitioning (with -mutable)")
 	qcacheMB := fs.Int("qcache", 0, "result-cache budget in MB (0 = off)")
 	qcell := fs.Float64("qcell", qcache.DefaultCellSize, "result-cache snapping grid pitch in map units")
 	fault := fs.String("fault", "", "faultlink profile injected on the listener (\"\" = none)")
@@ -106,8 +103,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *adaptive && !*mut {
-		return fmt.Errorf("-adaptive requires -mutable")
+	if *mut && numRanges > 0 && *shards != 0 {
+		return fmt.Errorf("-shards %d with -mutable -partition: a partitioned mutable pool has one shard per held range", *shards)
 	}
 
 	ds, err := dataset.ByName(*dsName)
@@ -136,13 +133,12 @@ func run(args []string) error {
 	}
 	var pool serve.Executor
 	if *mut {
-		mp, err := mutablePool(ds, part, *shards, *adaptive, hub)
+		mp, err := mutablePool(ds, part, *shards, hub)
 		if err != nil {
 			return err
 		}
 		defer mp.Close()
-		fmt.Printf("mqserve: mutable pool (adaptive=%v), %d updatable shards over %d segments\n",
-			*adaptive, mp.NumShards(), mp.Len())
+		fmt.Printf("mqserve: mutable pool, %d updatable shards over %d segments\n", mp.NumShards(), mp.Len())
 		pool = mp
 	} else {
 		var sp *shard.Pool
@@ -282,11 +278,10 @@ func holdRanges(ds *dataset.Dataset, backend, n, replicas int) (backendRanges, e
 }
 
 // mutablePool builds the updatable pool: over a partition, one shard per
-// held range to start with, keyed by the cluster-wide cuts so every backend
-// agrees on write ownership; otherwise shards (default 4) Hilbert runs of the
-// whole map. -adaptive re-cuts the shards either way.
-func mutablePool(ds *dataset.Dataset, part backendRanges, shards int, adaptive bool, hub *obs.Hub) (*mutable.Pool, error) {
-	cfg := mutable.Config{Obs: hub, Adaptive: mutable.AdaptiveConfig{Enabled: adaptive}}
+// held range, keyed by the cluster-wide cuts so every backend agrees on write
+// ownership; otherwise shards (default 4) Hilbert runs of the whole map.
+func mutablePool(ds *dataset.Dataset, part backendRanges, shards int, hub *obs.Hub) (*mutable.Pool, error) {
+	cfg := mutable.Config{Obs: hub}
 	if part.items != nil {
 		cfg.Dataset, cfg.Ranges, cfg.Cuts, cfg.Bounds = ds, part.held, part.cuts, part.bounds
 		return mutable.New(cfg)

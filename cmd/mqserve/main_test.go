@@ -16,8 +16,8 @@ func TestFlagValidation(t *testing.T) {
 		{"-shards 8 -qcache 1 -qcell 0", accepted},
 		{"-partition 0/3", accepted},
 		{"-partition 2/3 -replicas 3 -mutable", accepted},
-		{"-mutable -adaptive", accepted},
-		{"-mutable -adaptive -partition 0/3", accepted},
+		{"-mutable -shards 8", accepted},
+		{"-partition 0/3 -shards 4", accepted},
 
 		{"-partition 0/3x", "bad -partition"},
 		{"-partition 0/", "bad -partition"},
@@ -30,8 +30,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-partition 0/3 -replicas 0", "outside [1, 3]"},
 		{"-partition 0/3 -replicas 4", "outside [1, 3]"},
 		{"-replicas 2", "needs -partition"},
-		{"-adaptive", "requires -mutable"},
-		{"-adaptive -partition 0/3", "requires -mutable"},
+		{"-mutable -partition 0/3 -shards 4", "one shard per held range"},
 	} {
 		err := run(append(strings.Fields(tc.args), "-dataset", "nope"))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -121,12 +121,6 @@ func render(w *os.File, addr string, c *client.Client, uptimeMicros uint64, snap
 	if line := mutableLine(snap); line != "" {
 		fmt.Fprintln(w, line)
 	}
-	// An adaptive server exports per-shard mutable_heat gauges and the
-	// repartition counters; older servers (or -adaptive off) export none
-	// and the line is absent — same graceful degradation.
-	if line := heatLine(snap, prev, haveDelta); line != "" {
-		fmt.Fprintln(w, line)
-	}
 	// A caching server exports qcache_* counters; older servers (or -qcache
 	// off) export none and the line is absent — same graceful degradation.
 	if line := cacheLine(snap, prev, dt, haveDelta); line != "" {
@@ -189,33 +183,6 @@ func mutableLine(snap obs.Snapshot) string {
 	}
 	return fmt.Sprintf("mutable — %d shards  max epoch %.0f  pending %.0f  max staleness %s",
 		shards, maxEpoch, pending, ms(maxStale))
-}
-
-// heatLine folds the adaptive-repartitioning telemetry into one line: total
-// and hottest per-shard EWMA query rate (mutable_heat gauges) plus split and
-// merge counts, with the last interval's repartition events when a baseline
-// exists. Returns "" when the server exports no heat at all — a frozen pool,
-// a non-adaptive mutable server, or a server predating the repartitioner.
-func heatLine(snap, prev obs.Snapshot, haveDelta bool) string {
-	n, total, hottest, hotIdx := 0, 0.0, 0.0, ""
-	snap.EachGauge("mutable_heat", "shard", func(shard string, v float64) {
-		n++
-		total += v
-		if v >= hottest {
-			hottest, hotIdx = v, shard
-		}
-	})
-	splits, merges := snap.Counter("mutable_splits_total"), snap.Counter("mutable_merges_total")
-	if n == 0 && splits == 0 && merges == 0 {
-		return ""
-	}
-	prevSplits, prevMerges := prev.Counter("mutable_splits_total"), prev.Counter("mutable_merges_total")
-	line := fmt.Sprintf("heat — %.0f q/s across %d shards  hottest shard %s (%.0f q/s)  %d splits  %d merges",
-		total, n, hotIdx, hottest, splits, merges)
-	if haveDelta && (splits > prevSplits || merges > prevMerges) {
-		line += fmt.Sprintf("  [+%d/+%d this interval]", splits-prevSplits, merges-prevMerges)
-	}
-	return line
 }
 
 // cacheLine folds the qcache_* counters into one result-cache summary line —

@@ -85,7 +85,7 @@ func TestOverlayPathZeroAlloc(t *testing.T) {
 
 	// And with a frozen layer held open mid-compaction.
 	var frozen []*frozenView
-	for _, s := range p.topo.Load().shards {
+	for _, s := range p.shards {
 		if f := s.freeze(); f != nil {
 			frozen = append(frozen, f)
 		}
@@ -98,7 +98,7 @@ func TestOverlayPathZeroAlloc(t *testing.T) {
 		p.ApplyMove(uint32(rng.Intn(p.Dataset().Len())), randomSeg(rng, p.Dataset().Extent))
 	}
 	measureQueries(t, "frozen + live overlay", p, 0)
-	for _, s := range p.topo.Load().shards {
+	for _, s := range p.shards {
 		if s.frozen != nil {
 			s.finishCompact(s.frozen)
 		}

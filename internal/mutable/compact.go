@@ -1,7 +1,6 @@
 package mutable
 
 import (
-	"slices"
 	"time"
 
 	"mobispatial/internal/dynrtree"
@@ -31,106 +30,47 @@ import (
 // ForceCompact synchronously compacts every shard with a non-empty overlay.
 // Tests and benchmarks use it to pin the "fully folded" state.
 func (p *Pool) ForceCompact() {
-	for _, s := range p.topo.Load().shards {
+	for _, s := range p.shards {
 		s.compact()
 	}
 }
 
 // CompactShard synchronously compacts shard i; it reports whether a
-// compaction ran. An index outside the current topology is a no-op.
-func (p *Pool) CompactShard(i int) bool {
-	if t := p.topo.Load(); i >= 0 && i < len(t.shards) {
-		return t.shards[i].compact()
-	}
-	return false
-}
+// compaction ran.
+func (p *Pool) CompactShard(i int) bool { return p.shards[i].compact() }
 
 func (s *mshard) compact() bool {
 	f := s.freeze()
 	return f != nil && s.finishCompact(f)
 }
 
-// freeze runs phase 1, returning the detached overlay, or nil when there is
-// nothing to compact or a freeze is already outstanding. Split from
+// freeze runs phase 1: under the write lock the live overlay — delta tree,
+// override map, tombstones — becomes the shard's immutable frozen layer
+// above a fresh empty live overlay, whose delta tree is allocated before the
+// lock is taken. It returns nil when there is nothing to compact or a freeze
+// is already outstanding (a concurrent compaction owns it). Split from
 // finishCompact so tests can hold the three-layer state open and query
 // through it deterministically.
 func (s *mshard) freeze() *frozenView {
-	if fs := freezeAll([]*mshard{s}, false); fs != nil {
-		return fs[0]
+	if s.pend.Load() == 0 {
+		return nil // nothing to fold: skip the allocation and the lock
 	}
-	return nil
-}
-
-// freezeAll is phase 1 over every victim at once, all or nothing: under all
-// their write locks each live overlay — delta tree, override map, tombstones
-// — becomes that shard's immutable frozen layer above a fresh empty live
-// overlay, whose delta tree is allocated before any lock is taken. It
-// returns nil when any victim already has a freeze outstanding (a concurrent
-// compaction or repartition owns it; the caller retries later).
-//
-// The compactor (force false) also returns nil for an empty overlay. The
-// repartitioner (force true) detaches even an empty one, because the
-// installed frozen layer is its mutual-exclusion token against the
-// compactor: no compaction can fold a victim mid-repartition.
-//
-// Freezing several victims under all their locks at once is what makes a
-// merge safe. Two separate freezes would leave a window where a cross-shard
-// move lands its removal in the first victim's LIVE tombstones but its
-// arrival in the second victim's FROZEN overlay: the swap would then see a
-// live tombstone for an id whose current copy sits in the merged base and
-// wrongly kill it. Detached together, any move between victims is entirely
-// in the frozen snapshots or entirely in the live layers.
-func freezeAll(victims []*mshard, force bool) []*frozenView {
-	deltas := make([]*dynrtree.Tree, len(victims))
-	for i, s := range victims {
-		if !force && s.pend.Load() == 0 {
-			return nil // nothing to fold: skip the allocation and the lock
-		}
-		nd, err := dynrtree.New(dynrtree.Config{})
-		if err != nil {
-			s.pl.m.compactErrs.Inc()
-			return nil
-		}
-		deltas[i] = nd
+	nd, err := dynrtree.New(dynrtree.Config{})
+	if err != nil {
+		s.pl.m.compactErrs.Inc()
+		return nil
 	}
-	defer lockAll(victims)()
-	for _, s := range victims {
-		if s.frozen != nil || (!force && len(s.overSeg)+len(s.tombs) == 0) {
-			return nil
-		}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.frozen != nil || len(s.overSeg)+len(s.tombs) == 0 {
+		return nil
 	}
-	fs := make([]*frozenView, len(victims))
-	for i, s := range victims {
-		fs[i] = s.detachWith(deltas[i])
-	}
-	return fs
-}
-
-// detachWith is the freeze detachment with s.mu already held in write mode:
-// the live overlay becomes the immutable frozen layer and nd becomes the new
-// empty live delta. The caller must have checked s.frozen == nil.
-func (s *mshard) detachWith(nd *dynrtree.Tree) *frozenView {
 	f := &frozenView{delta: s.delta, overSeg: s.overSeg, tombs: s.tombs}
 	s.frozen = f
 	s.delta = nd
 	s.overSeg = map[uint32]geom.Segment{}
 	s.tombs = map[uint32]struct{}{}
 	return f
-}
-
-// lockAll write-locks shards in ascending li order, the order every
-// multi-shard acquisition uses, and returns the matching unlock.
-func lockAll(shards []*mshard) (unlock func()) {
-	order := slices.Clone(shards)
-	slices.SortFunc(order, func(a, b *mshard) int { return a.li - b.li })
-	for _, s := range order {
-		s.mu.Lock()
-	}
-	return func() {
-		for _, s := range order {
-			s.mu.Unlock()
-		}
-	}
 }
 
 // mergedItems is the phase 2 fold, without the tree build: the old base's
@@ -206,10 +146,7 @@ func (p *Pool) compactLoop() {
 			return
 		case <-t.C:
 			now := time.Now().UnixNano()
-			// Load the topology fresh each tick: a repartition may have
-			// swapped it, and retired shards need no compaction — their
-			// readers drain and the shards become garbage.
-			for _, s := range p.topo.Load().shards {
+			for _, s := range p.shards {
 				pend := int(s.pend.Load())
 				if pend == 0 {
 					continue
@@ -228,34 +165,21 @@ func (p *Pool) compactLoop() {
 	}
 }
 
-// updateGauges publishes per-shard epoch, pending-overlay, staleness, and
-// heat gauges; the serving tier's generic stats snapshot carries them to
-// mqtop and mqload with no wire-format changes. Gauge rows beyond the
-// current shard count (left over from before a merge) publish zero.
+// updateGauges publishes per-shard epoch, pending-overlay and staleness
+// gauges; the serving tier's generic stats snapshot carries them to mqtop and
+// mqload with no wire-format changes.
 func (p *Pool) updateGauges() {
-	t := p.topo.Load()
-	t.heat.Fold()
-	epochG, pendG, staleG, heatG := p.m.shardGauges(len(t.shards))
-	if epochG == nil {
+	if p.m.epochG == nil {
 		return
 	}
 	now := time.Now().UnixNano()
-	for i := range epochG {
-		if i >= len(t.shards) {
-			epochG[i].Set(0)
-			pendG[i].Set(0)
-			staleG[i].Set(0)
-			heatG[i].Set(0)
-			continue
-		}
-		s := t.shards[i]
-		epochG[i].Set(float64(s.epoch.Load()))
-		pendG[i].Set(float64(s.pend.Load()))
+	for i, s := range p.shards {
+		p.m.epochG[i].Set(float64(s.epoch.Load()))
+		p.m.pendG[i].Set(float64(s.pend.Load()))
 		stale := 0.0
 		if since := s.pendSince.Load(); since > 0 && now > since {
 			stale = float64(now-since) / float64(time.Second)
 		}
-		staleG[i].Set(stale)
-		heatG[i].Set(t.heat.Rate(i))
+		p.m.staleG[i].Set(stale)
 	}
 }

@@ -87,7 +87,7 @@ func TestUpdatableEquivalenceQuick(t *testing.T) {
 				case 2:
 					// Hold a freeze open across a query round so the
 					// frozen layer is live on the read path, then finish.
-					s := p.topo.Load().shards[rng.Intn(p.NumShards())]
+					s := p.shards[rng.Intn(p.NumShards())]
 					if f := s.freeze(); f != nil {
 						if !agreesWithFresh(t, seed, rng, p, model, ds) {
 							return false

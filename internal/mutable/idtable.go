@@ -27,8 +27,8 @@ import (
 // eventually writes every id degrades to the per-layer map look-ups, never
 // below them.
 //
-// Owners change only under Pool.omu (a write's ownership decision, a
-// repartition's adopt); reads take no pool-wide lock.
+// Owners change only under Pool.omu (a write's ownership decision); reads
+// take no pool-wide lock.
 type idTable struct {
 	owners []atomic.Pointer[mshard] // dataset id -> owning shard, nil when not held
 	// wbits is the written bitmap over dataset ids. The last word's bits
@@ -113,22 +113,4 @@ func (t *idTable) setOwner(id uint32, s *mshard) {
 		}
 	}
 	st.mu.Unlock()
-}
-
-// each calls f for every owned id. Caller holds omu, so no owner moves
-// underneath the walk.
-func (t *idTable) each(f func(id uint32, s *mshard)) {
-	for id := range t.owners {
-		if s := t.owners[id].Load(); s != nil {
-			f(uint32(id), s)
-		}
-	}
-	for i := range t.side {
-		st := &t.side[i]
-		st.mu.RLock()
-		for id, s := range st.m {
-			f(id, s)
-		}
-		st.mu.RUnlock()
-	}
 }

@@ -19,27 +19,16 @@ import (
 // throughout the call, a geometry the id held during the call — against the
 // worst case for it: an inserted id and a moved dataset id bouncing between
 // two shards while readers resolve them, with the compactor folding every
-// 2 ms and, in the second run, splits and merges swapping the topology too.
-// Each id only ever rests at posA or posB, so any other answer (the zero
-// segment of a missed look-up, the dataset's stale geometry) is wrong.
+// 2 ms. Each id only ever rests at posA or posB, so any other answer (the
+// zero segment of a missed look-up, the dataset's stale geometry) is wrong.
 func TestSegOfAgainstPingPongMover(t *testing.T) {
-	for _, adaptive := range []bool{false, true} {
-		name := "static"
-		if adaptive {
-			name = "repartitioning"
-		}
-		t.Run(name, func(t *testing.T) { segOfPingPong(t, adaptive) })
-	}
+	t.Run("static", segOfPingPong)
 }
 
-func segOfPingPong(t *testing.T, adaptive bool) {
+func segOfPingPong(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	ds := randomDataset(rng, 800)
-	cfg := Config{CompactInterval: 2 * time.Millisecond, compactThreshold: 32, Obs: obs.NewHub()}
-	if adaptive {
-		cfg.Adaptive = AdaptiveConfig{Enabled: true, Interval: 3 * time.Millisecond, MinShardItems: 8, MaxShards: 16}
-	}
-	p, err := NewFromDataset(ds, 4, cfg)
+	p, err := NewFromDataset(ds, 4, Config{CompactInterval: 2 * time.Millisecond, compactThreshold: 32, Obs: obs.NewHub()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +36,7 @@ func segOfPingPong(t *testing.T, adaptive bool) {
 
 	// Two resting places owned by different shards, and a dataset id whose
 	// own geometry is neither.
-	shards := p.topo.Load().shards
+	shards := p.shards
 	first := shards[0].base.Load().tree.PackOrder()
 	posA := ds.Seg(first[0].ID)
 	posB := ds.Seg(shards[len(shards)-1].base.Load().tree.PackOrder()[0].ID)
@@ -89,22 +78,6 @@ func segOfPingPong(t *testing.T, adaptive bool) {
 			}
 		}
 	}()
-	if adaptive {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			srng := rand.New(rand.NewSource(301))
-			for !done() {
-				tp := p.topo.Load()
-				if n := len(tp.shards); n > 2 && srng.Intn(2) == 0 {
-					p.mergeShards(tp, srng.Intn(n-1))
-				} else {
-					p.splitShard(tp, srng.Intn(n))
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}()
-	}
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
@@ -126,8 +99,8 @@ func segOfPingPong(t *testing.T, adaptive bool) {
 		}()
 	}
 	wg.Wait()
-	t.Logf("%d wrong of %d probes (%d retried); %d transfers, %d splits, %d merges",
-		wrong.Load(), probes.Load(), p.m.segofRetries.Value(), p.xfers.Load(), p.Splits(), p.Merges())
+	t.Logf("%d wrong of %d probes (%d retried); %d transfers",
+		wrong.Load(), probes.Load(), p.m.segofRetries.Value(), p.xfers.Load())
 	if wrong.Load() != 0 {
 		t.Fatalf("%d of %d SegOf answers were no position the id ever held", wrong.Load(), probes.Load())
 	}
@@ -185,7 +158,7 @@ func TestReadsTakeNoPoolLock(t *testing.T) {
 // map, tombstone set, frozen layer or base over map names.
 func namedIDs(p *Pool) []uint32 {
 	var out []uint32
-	for _, s := range p.topo.Load().shards {
+	for _, s := range p.shards {
 		s.mu.RLock()
 		for id := range s.overSeg {
 			out = append(out, id)
@@ -212,7 +185,7 @@ func namedIDs(p *Pool) []uint32 {
 // TestWrittenBitInvariant checks the invariant idTable states — no layer of
 // any shard names an id whose written bit is clear — after a seeded mix of
 // inserts, moves, deletes, moves back to the dataset's own segment, forced
-// compactions, held-open freezes, splits and merges, and that the shortcut
+// compactions and held-open freezes, and that the shortcut
 // the read paths take on it changes no answer: with the overlays pending and
 // after they are folded, every query kind equals the flat ledger of the
 // writes (agreesWithFresh) and SegOf returns the ledger's geometry for every
@@ -225,10 +198,7 @@ func TestWrittenBitInvariant(t *testing.T) {
 	for _, seed := range seeds {
 		rng := rand.New(rand.NewSource(seed))
 		ds := randomDataset(rng, 120+rng.Intn(200))
-		p, err := NewFromDataset(ds, 1+rng.Intn(4), Config{
-			CompactInterval: -1,
-			Adaptive:        AdaptiveConfig{Enabled: true, Interval: -1, MinShardItems: 1},
-		})
+		p, err := NewFromDataset(ds, 1+rng.Intn(4), Config{CompactInterval: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +237,7 @@ func TestWrittenBitInvariant(t *testing.T) {
 		maxID := ds.Len() + 40
 		for op := 0; op < 400; op++ {
 			id := uint32(rng.Intn(maxID))
-			switch rng.Intn(7) {
+			switch rng.Intn(6) {
 			case 0, 1: // move or insert
 				seg := randomSeg(rng, ds.Extent)
 				if _, _, owned, err := p.ApplyMove(id, seg); err != nil || !owned {
@@ -289,21 +259,14 @@ func TestWrittenBitInvariant(t *testing.T) {
 				}
 				model[id], touched[id] = ds.Seg(id), true
 			case 4: // compaction, sometimes held open across a check
-				s := p.topo.Load().shards[rng.Intn(p.NumShards())]
+				s := p.shards[rng.Intn(p.NumShards())]
 				if f := s.freeze(); f != nil {
 					if rng.Intn(2) == 0 && !check("frozen") {
 						return
 					}
 					s.finishCompact(f)
 				}
-			case 5: // repartition
-				tp := p.topo.Load()
-				if n := len(tp.shards); n >= 2 && rng.Intn(2) == 0 {
-					p.mergeShards(tp, rng.Intn(n-1))
-				} else {
-					p.splitShard(tp, rng.Intn(n))
-				}
-			case 6:
+			case 5:
 				if op%3 == 0 && !check("overlay") {
 					return
 				}
@@ -416,17 +379,6 @@ func TestIDTable(t *testing.T) {
 		for _, id := range ids {
 			tb.markWritten(id)
 			tb.setOwner(id, s)
-		}
-		var seen []uint32
-		tb.each(func(id uint32, got *mshard) {
-			if got != s {
-				t.Fatalf("n=%d: each(%d) reports a foreign shard", n, id)
-			}
-			seen = append(seen, id)
-		})
-		slices.Sort(seen)
-		if !slices.Equal(seen, ids) {
-			t.Fatalf("n=%d: each visited %v, want %v", n, seen, ids)
 		}
 		for _, id := range ids {
 			if !tb.written(id) || tb.owner(id) != s {

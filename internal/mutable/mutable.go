@@ -15,23 +15,16 @@
 // rebuild cost is batched into the compactor where it amortizes across
 // defaultCompactThreshold updates.
 //
-// The shard layout itself is also mutable: the pool's local cut table and
-// shard set live in one immutable topology value behind an atomic pointer,
-// and a background repartitioner (see repartition.go) splits hot shards at
-// their median Hilbert key and merges cold neighbors by building replacement
-// shards off to the side and swapping a new topology in — the same
-// freeze/rebuild/swap discipline compaction uses, so readers never block on a
-// repartition either. The local cuts are the pool's own: every shard sits
-// inside one cluster range (Config.Cuts), which never moves, so what the pool
-// advertises — one summary row per held cluster range — keeps its shape
-// whatever the repartitioner does.
+// The shard layout is fixed for the pool's life: New cuts the local shards
+// once, inside the cluster ranges the pool holds (Config.Cuts), and nothing
+// re-cuts them, so a shard's index is its identity, its lock order and its
+// position in every version vector the pool reports.
 //
 // Each mechanism has one implementation. The four append queries are thin
 // callers of one shard walker (scan, read.go), which per shard picks the
-// lock-free packed arm or the read-locked three-layer merge. Compaction and
-// repartitioning share one freeze (freezeAll, n shards at once), one fold
-// (mergedItems) and one swap-in of a rebuilt base (finishCompact); split and
-// merge are both recut (repartition.go), "re-cut a run of adjacent ranges".
+// lock-free packed arm or the read-locked three-layer merge. Compaction is
+// one freeze, one fold (mergedItems) and one swap-in of a rebuilt base
+// (finishCompact).
 //
 // Per-id state is one dense table (idtable.go): owner and a monotone
 // "ever written" bit per dataset id, a small side map for inserted ids. A
@@ -46,13 +39,9 @@
 // read began, because writers publish under the shard write lock that readers
 // with a non-empty overlay take in read mode, and the empty-overlay fast path
 // is only reachable after a compaction that folded every acknowledged write.
-// A topology swap preserves this: the retired shards keep their contents (the
-// repartitioner copies, never moves, the live overlay into the replacement
-// shards), so a reader still holding the old topology keeps observing every
-// acknowledged write until it drops the snapshot. Multi-shard walks are not
-// snapshot-isolated — a write concurrent with the walk may or may not be
-// observed — and a walk that overlapped a cross-shard transfer re-derives the
-// transferred ids before it answers (read.go).
+// Multi-shard walks are not snapshot-isolated — a write concurrent with the
+// walk may or may not be observed — and a walk that overlapped a cross-shard
+// transfer re-derives the transferred ids before it answers (read.go).
 //
 // Epochs count compactions: an update ack carries the owning shard's current
 // base epoch E, meaning the write lives in the overlay above base E and will
@@ -72,7 +61,6 @@ import (
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
-	"mobispatial/internal/heat"
 	"mobispatial/internal/hilbert"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
@@ -85,7 +73,7 @@ type Config struct {
 	// Required.
 	Dataset *dataset.Dataset
 
-	// Ranges are the pool's initial shards, one updatable shard each, in
+	// Ranges are the pool's shards, one updatable shard each, in
 	// any order. A shard sits in the cluster range its Lo keys into
 	// (shard.RangeForKey over Cuts), and the cluster ranges some shard sits
 	// in are the ones this pool holds: a cluster backend passes its replica
@@ -118,11 +106,6 @@ type Config struct {
 	// negative disables the age trigger.
 	CompactMaxAge time.Duration
 
-	// Adaptive configures workload-adaptive repartitioning (split hot
-	// shards, merge cold neighbors). See AdaptiveConfig; the zero value
-	// leaves the topology static.
-	Adaptive AdaptiveConfig
-
 	// Obs receives mutable_* metrics; nil disables them.
 	Obs *obs.Hub
 
@@ -145,38 +128,6 @@ func (c *Config) fill() {
 	if c.CompactMaxAge == 0 {
 		c.CompactMaxAge = time.Second
 	}
-	c.Adaptive.fill()
-}
-
-// versGenShift positions the topology generation in the high bits of every
-// reported shard version. Two different topologies may reuse a shard index
-// for different shards, and two different shards' raw write counters can
-// coincide — the generation prefix makes every version value from one
-// topology incomparable with every value from another, so the result cache's
-// (mask, version-vector) views can never falsely match across a repartition.
-// 48 bits leave room for ~2.8e14 writes per shard before the counter would
-// bleed into the generation, which a process will not live to see.
-const versGenShift = 48
-
-// topology is one immutable generation of the pool's shard layout: the local
-// cut table, the shard set, and the per-shard heat tracker. Readers load it
-// once per operation through the pool's atomic pointer; the repartitioner
-// publishes a fresh value and never mutates a published one.
-//
-// Invariant (verifyOwnersLocked checks it under checkOwners): shard i sits in
-// cluster range shard.RangeForKey(Pool.cuts, cuts[i]), and the first shard of
-// each held cluster range g has Lo = Pool.cuts[g]. So a held key's shard is
-// shard.RangeForKey(cuts, key), and a key is held iff that shard sits in the
-// key's cluster range.
-type topology struct {
-	// gen counts repartitions; it prefixes every Pool.Version.
-	gen uint64
-	// cuts are the local shards' Lo keys, ascending (shard.RangeForKey).
-	cuts []uint64
-	// shards are the live shards, in local index order.
-	shards []*mshard
-	// heat tracks per-shard EWMA query rates; sized to shards.
-	heat *heat.Tracker
 }
 
 // hiOf returns span i's inclusive Hi key under a cut table: one below the
@@ -208,32 +159,33 @@ type Pool struct {
 	compactInterval  time.Duration
 	compactMaxAge    time.Duration
 	compactThreshold int
-	adaptive         AdaptiveConfig
 
-	// cuts are the cluster-wide Lo keys (Config.Cuts), fixed for the pool's
-	// life: the repartitioner moves local cuts only, inside these.
+	// cuts are the cluster-wide Lo keys (Config.Cuts).
 	cuts []uint64
 	// writes[g] counts the writes applied to cluster range g — the Version
 	// of its summary row. An Apply* adds one for each held range it
-	// changed; compactions and recuts change no contents and add nothing,
-	// so replicas that applied the same writes report the same version
-	// whatever their compaction or split history.
+	// changed; compactions change no contents and add nothing, so replicas
+	// that applied the same writes report the same version whatever their
+	// compaction history.
 	writes []atomic.Uint64
 
-	topo atomic.Pointer[topology]
-
-	// liSeq hands out unique lock-ordering ids for new shards (mshard.li).
-	liSeq atomic.Int64
+	// shardCuts are the local shards' Lo keys, ascending
+	// (shard.RangeForKey), and shards the shards in that order. Both are set
+	// once in New. Shard i sits in cluster range
+	// shard.RangeForKey(cuts, shardCuts[i]), and the first shard of each held
+	// cluster range g has Lo = cuts[g]; so a held key's shard is
+	// shard.RangeForKey(shardCuts, key), and a key is held iff that shard
+	// sits in the key's cluster range.
+	shardCuts []uint64
+	shards    []*mshard
 
 	// ids is the per-id table: owner and written bit (idtable.go).
 	ids *idTable
 
 	// omu serializes the ownership decision of every write: ids' owners
 	// change only under it, and the shard locks a write needs are acquired,
-	// in ascending li order, before it is released — so shard contents can
-	// never disagree with the table. Topology swaps also happen under omu,
-	// so a writer always resolves ownership against the topology that will
-	// still be current when the shard locks are taken. No read takes it
+	// in ascending shard order, before it is released — so shard contents
+	// can never disagree with the table. No read takes it
 	// (TestReadsTakeNoPoolLock); SegOf does only after losing a bounded
 	// chase of one id to its mover.
 	omu sync.Mutex
@@ -241,8 +193,6 @@ type Pool struct {
 	nnPool sync.Pool // *nnState
 
 	m *poolMetrics
-
-	splits, merges atomic.Uint64
 
 	// xfers brackets cross-shard transfers: any write that makes an id's
 	// visible copy leave one shard while the id lands in (or is deleted
@@ -295,30 +245,27 @@ func New(cfg Config) (*Pool, error) {
 		compactInterval:  cfg.CompactInterval,
 		compactMaxAge:    cfg.CompactMaxAge,
 		compactThreshold: cfg.compactThreshold,
-		adaptive:         cfg.Adaptive,
 		cuts:             slices.Clone(cfg.Cuts),
 		writes:           make([]atomic.Uint64, len(cfg.Cuts)),
 		ids:              newIDTable(cfg.Dataset.Len()),
 		stopc:            make(chan struct{}),
 	}
 	p.nnPool.New = func() any { return newNNState(p) }
-	p.m = newPoolMetrics(cfg.Obs)
 
 	ranges := slices.Clone(cfg.Ranges)
 	slices.SortStableFunc(ranges, func(a, b shard.Range) int { return cmp.Compare(a.Lo, b.Lo) })
-	t := &topology{}
 	for i, r := range ranges {
 		g := shard.RangeForKey(p.cuts, r.Lo)
 		lo := r.Lo
-		if i == 0 || t.shards[i-1].rg != g {
+		if i == 0 || p.shards[i-1].rg != g {
 			lo = p.cuts[g] // the first shard of a held range owns its keys from the cut
 		}
-		s, err := newMShard(p, g, r.Items, map[uint32]geom.Segment{})
+		s, err := newMShard(p, i, g, r.Items)
 		if err != nil {
 			return nil, err
 		}
-		t.cuts = append(t.cuts, lo)
-		t.shards = append(t.shards, s)
+		p.shardCuts = append(p.shardCuts, lo)
+		p.shards = append(p.shards, s)
 		for _, it := range r.Items {
 			if int(it.ID) >= p.ds.Len() {
 				return nil, fmt.Errorf("mutable: range %d item id %d outside the dataset", r.Index, it.ID)
@@ -327,16 +274,11 @@ func New(cfg Config) (*Pool, error) {
 		}
 		s.count.Store(int64(len(r.Items)))
 	}
-	t.heat = heat.New(len(t.shards), cfg.Adaptive.HalfLifeSeconds)
-	p.topo.Store(t)
+	p.m = newPoolMetrics(cfg.Obs, len(p.shards))
 
 	if cfg.CompactInterval > 0 {
 		p.wg.Add(1)
 		go p.compactLoop()
-	}
-	if cfg.Adaptive.Enabled && cfg.Adaptive.Interval > 0 {
-		p.wg.Add(1)
-		go p.repartitionLoop()
 	}
 	return p, nil
 }
@@ -359,7 +301,7 @@ func NewFromDataset(ds *dataset.Dataset, nShards int, cfg Config) (*Pool, error)
 	return New(cfg)
 }
 
-// Close stops the background compactor and repartitioner. Idempotent.
+// Close stops the background compactor. Idempotent.
 func (p *Pool) Close() {
 	p.closeOnce.Do(func() {
 		close(p.stopc)
@@ -374,14 +316,14 @@ func (p *Pool) Workers() int { return runtime.GOMAXPROCS(0) }
 // Dataset returns the base dataset (canonical geometry of original ids).
 func (p *Pool) Dataset() *dataset.Dataset { return p.ds }
 
-// NumShards returns the current local shard count.
-func (p *Pool) NumShards() int { return len(p.topo.Load().shards) }
+// NumShards returns the local shard count, fixed at New.
+func (p *Pool) NumShards() int { return len(p.shards) }
 
 // Len returns the number of live objects the pool currently holds: the sum
 // of the shards' owned-id counts, maintained at every ownership change.
 func (p *Pool) Len() int {
 	var n int64
-	for _, s := range p.topo.Load().shards {
+	for _, s := range p.shards {
 		n += s.count.Load()
 	}
 	return int(n)
@@ -391,77 +333,38 @@ func (p *Pool) Len() int {
 // geometry — the extent a registration summary should advertise.
 func (p *Pool) Bounds() geom.Rect {
 	out := geom.EmptyRect()
-	for _, s := range p.topo.Load().shards {
+	for _, s := range p.shards {
 		out = out.Union(s.boundsNow())
 	}
 	return out
 }
 
-// Epoch returns shard i's base epoch (number of compactions folded in), or 0
-// for an index outside the current topology (a caller may race a swap).
-func (p *Pool) Epoch(i int) uint64 {
-	if t := p.topo.Load(); i >= 0 && i < len(t.shards) {
-		return t.shards[i].epoch.Load()
-	}
-	return 0
-}
+// Epoch returns shard i's base epoch (number of compactions folded in).
+func (p *Pool) Epoch(i int) uint64 { return p.shards[i].epoch.Load() }
 
-// Pending returns shard i's overlay size (unfolded updates + tombstones), or
-// 0 for an index outside the current topology.
-func (p *Pool) Pending(i int) int {
-	if t := p.topo.Load(); i >= 0 && i < len(t.shards) {
-		return int(t.shards[i].pend.Load())
-	}
-	return 0
-}
+// Pending returns shard i's overlay size (unfolded updates + tombstones).
+func (p *Pool) Pending(i int) int { return int(p.shards[i].pend.Load()) }
 
 // Version returns shard i's monotone write-version counter — the result
 // cache's validity signal (qcache.Source). It advances under the shard
 // write lock, before the write is acknowledged, on every overlay mutation
-// and on every compaction epoch swap. The topology generation occupies the
-// high bits (versGenShift), so a version observed under one topology can
-// never equal a version observed under another — a repartition invalidates
-// every cached view wholesale, by construction rather than by protocol.
-func (p *Pool) Version(i int) uint64 {
-	t := p.topo.Load()
-	if i < 0 || i >= len(t.shards) {
-		return t.gen << versGenShift
-	}
-	return t.gen<<versGenShift | t.shards[i].version.Load()
-}
+// and on every compaction epoch swap.
+func (p *Pool) Version(i int) uint64 { return p.shards[i].version.Load() }
 
 // ShardBounds returns shard i's current extent (qcache.Source): base bounds
-// plus any overlay geometry, empty for a shard holding nothing or an index
-// outside the current topology.
-func (p *Pool) ShardBounds(i int) geom.Rect {
-	if t := p.topo.Load(); i >= 0 && i < len(t.shards) {
-		return t.shards[i].boundsNow()
-	}
-	return geom.EmptyRect()
-}
-
-// Gen returns the topology generation (the number of repartitions applied).
-func (p *Pool) Gen() uint64 { return p.topo.Load().gen }
-
-// Splits returns the number of shard splits applied.
-func (p *Pool) Splits() uint64 { return p.splits.Load() }
-
-// Merges returns the number of shard merges applied.
-func (p *Pool) Merges() uint64 { return p.merges.Load() }
+// plus any overlay geometry, empty for a shard holding nothing.
+func (p *Pool) ShardBounds(i int) geom.Rect { return p.shards[i].boundsNow() }
 
 // SummaryRanges appends the summary rows this pool advertises to a cluster
-// and returns the cluster-wide range count, all from one topology snapshot.
-// There is one row per held cluster range — a monolithic pool's one range
-// spans the key space — folding the shards that sit in it: the range's
-// cluster key span, live items Σ, MBR ∪ and heat Σ, and as its Version the
-// writes applied to the range (Pool.writes). The local cuts never show: a
-// split or merge changes no row's shape, and no row's version.
+// and returns the cluster-wide range count. There is one row per held
+// cluster range — a monolithic pool's one range spans the key space —
+// folding the shards that sit in it: the range's cluster key span, live
+// items Σ and MBR ∪, and as its Version the writes applied to the range
+// (Pool.writes). The local cuts never show.
 func (p *Pool) SummaryRanges(dst []proto.RangeInfo) ([]proto.RangeInfo, int) {
-	t := p.topo.Load()
-	t.heat.Fold()
 	var items int64
-	for i, s := range t.shards {
-		if i == 0 || s.rg != t.shards[i-1].rg {
+	for i, s := range p.shards {
+		if i == 0 || s.rg != p.shards[i-1].rg {
 			dst = append(dst, proto.RangeInfo{
 				Index:   uint32(s.rg),
 				Lo:      p.cuts[s.rg],
@@ -475,7 +378,6 @@ func (p *Pool) SummaryRanges(dst []proto.RangeInfo) ([]proto.RangeInfo, int) {
 		items += s.count.Load()
 		row.Items = clampItems(items)
 		row.MBR = row.MBR.Union(s.boundsNow())
-		row.Heat += t.heat.Rate(i)
 	}
 	return dst, len(p.cuts)
 }

@@ -84,21 +84,17 @@ func (p *Pool) KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int,
 		nnsc = &sc.NN
 	}
 	from := len(dst)
-	p.settled(func(t *topology, x0 uint64) (ok bool) {
+	p.settled(func(x0 uint64) (ok bool) {
 		nnsc.ResetKNN()
 		st.mbrs = st.mbrs[:0]
-		for i, s := range t.shards {
-			b := s.base.Load().bounds
-			if b.ContainsPoint(pt) {
-				t.heat.Touch(i)
-			}
-			st.mbrs = append(st.mbrs, b)
+		for _, s := range p.shards {
+			st.mbrs = append(st.mbrs, s.base.Load().bounds)
 		}
 		st.order = shard.OrderByMinDist(st.order[:0], st.mbrs, pt)
 		for _, sd := range st.order {
-			t.shards[sd.Index].knnInto(st, nnsc, k, bound)
+			p.shards[sd.Index].knnInto(st, nnsc, k, bound)
 		}
-		dst, ok = p.settleNN(dst[:from], x0, len(t.shards), nnsc, pt, k, bound)
+		dst, ok = p.settleNN(dst[:from], x0, len(p.shards), nnsc, pt, k, bound)
 		return ok
 	})
 	st.sh, st.bv = nil, nil

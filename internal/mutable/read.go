@@ -16,17 +16,9 @@ import (
 // layers (candidatesLocked). The merge allocates nothing beyond the caller's
 // dst growth: masks are map lookups and candidates are compacted in place.
 //
-// Every query loads the topology once and walks that snapshot's shards, so
-// a concurrent repartition never changes the shard set mid-query; per
-// participating shard (base bounds touching the query geometry) it records
-// one heat sample — a single atomic add — which is what the repartitioner's
-// split/merge decisions feed on.
-//
 // A multi-shard walk is not a snapshot: it can race a cross-shard transfer of
-// one id — an object moving over a cut, a delete followed by a re-insert
-// elsewhere, or (with the repartitioner on) a write landing in a live shard
-// while the walk's topology snapshot still shows a retired parent holding the
-// old copy — and sight the id in both shards, or in neither. Ownership keeps
+// one id — an object moving over a cut, or a delete followed by a re-insert
+// elsewhere — and sight the id in both shards, or in neither. Ownership keeps
 // every other id in exactly one shard at a time, so only an id in transfer
 // during the walk can be wrong, and there is one rule for all of them, scans
 // and k-NN alike: the walk re-derives the ids that were in transfer while it
@@ -49,20 +41,19 @@ const (
 	maxRewalks = 3
 )
 
-// settled runs read — one walk of a topology snapshot, resolved against the
-// counter value x0 read before it — until it reports its answer settled.
-// The last attempt holds omu: transfers keep it for their whole bracket, so
-// the counter is even and still, and the walk settles trivially.
-func (p *Pool) settled(read func(t *topology, x0 uint64) bool) {
+// settled runs read — one walk of the shards, resolved against the counter
+// value x0 read before it — until it reports its answer settled. The last
+// attempt holds omu: transfers keep it for their whole bracket, so the
+// counter is even and still, and the walk settles trivially.
+func (p *Pool) settled(read func(x0 uint64) bool) {
 	for try := 0; try < maxRewalks; try++ {
-		x0 := p.xfers.Load()
-		if read(p.topo.Load(), x0) {
+		if read(p.xfers.Load()) {
 			return
 		}
 	}
 	p.omu.Lock()
 	defer p.omu.Unlock()
-	read(p.topo.Load(), p.xfers.Load())
+	read(p.xfers.Load())
 }
 
 // quiet reports that no transfer overlapped a walk of nShards shards that
@@ -168,30 +159,26 @@ func (p *Pool) PointAppend(dst []uint32, pt geom.Point, eps float64) []uint32 {
 	return p.scan(dst, &query{pt: pt, eps: eps, point: true, exact: true})
 }
 
-// scan is the one shard walker behind the four append queries: per shard of
-// one topology snapshot it records the heat sample, takes the lock-free
-// packed arm (pend == 0) or the read-locked three-layer merge, refines when
-// the query is exact, and finally resolves the walk against the transfers
-// that raced it (settle). The query-kind and clean-vs-overlay branches are
-// taken once per shard, never per candidate.
+// scan is the one shard walker behind the four append queries: per shard it
+// takes the lock-free packed arm (pend == 0) or the read-locked three-layer
+// merge, refines when the query is exact, and finally resolves the walk
+// against the transfers that raced it (settle). The query-kind and
+// clean-vs-overlay branches are taken once per shard, never per candidate.
 //
 // A base whose bounds miss the query holds no candidate and is not searched.
 // The overlays are: their objects may sit anywhere in the shard's key range,
 // outside the bounds of the base they will be folded into.
 func (p *Pool) scan(dst []uint32, q *query) []uint32 {
 	from := len(dst)
-	p.settled(func(t *topology, x0 uint64) (ok bool) {
+	p.settled(func(x0 uint64) (ok bool) {
 		dst = dst[:from]
-		for i, s := range t.shards {
+		for _, s := range p.shards {
 			clean := s.pend.Load() == 0
 			if !clean {
 				s.mu.RLock()
 			}
 			bv := s.base.Load()
 			touched := q.touches(bv.bounds)
-			if touched {
-				t.heat.Touch(i)
-			}
 			if clean {
 				if touched {
 					dst = q.searchClean(dst, p, bv)
@@ -205,7 +192,7 @@ func (p *Pool) scan(dst []uint32, q *query) []uint32 {
 			}
 			s.mu.RUnlock()
 		}
-		dst, ok = p.settle(dst, from, x0, len(t.shards), q)
+		dst, ok = p.settle(dst, from, x0, len(p.shards), q)
 		return ok
 	})
 	return dst
@@ -224,8 +211,7 @@ func (q *query) matches(seg geom.Segment) bool {
 	}
 }
 
-// touches reports whether the query geometry meets a shard's base bounds —
-// the participation test the heat sample is gated on.
+// touches reports whether the query geometry meets a shard's base bounds.
 func (q *query) touches(b geom.Rect) bool {
 	if q.point {
 		return b.ContainsPoint(q.pt)

@@ -1,10 +1,9 @@
 package mutable
 
 // replica_test.go pins what a pool holding a subset of the cluster's ranges
-// advertises and how it adapts: one summary row per held range whose version
-// counts the writes applied to it, so replicas that applied the same writes
-// agree whatever else they did, and a repartitioner that re-cuts only inside
-// the held ranges.
+// advertises and owns: one summary row per held range whose version counts
+// the writes applied to it, so replicas that applied the same writes agree
+// whatever else they did, and writes keyed outside the held ranges evicted.
 
 import (
 	"math/rand"
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"mobispatial/internal/dataset"
-	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/router"
@@ -24,7 +22,7 @@ import (
 // clusterBackend builds backend be of an n-range cluster at R=replicas the
 // way mqserve -partition be/n -replicas R -mutable does: one shard per held
 // range, keyed by the cluster-wide cuts.
-func clusterBackend(t testing.TB, ds *dataset.Dataset, be, n, replicas int, ad AdaptiveConfig) *Pool {
+func clusterBackend(t testing.TB, ds *dataset.Dataset, be, n, replicas int) *Pool {
 	t.Helper()
 	ranges, bounds := shard.PartitionHilbert(ds.Items(), n, 0)
 	cuts := make([]uint64, len(ranges))
@@ -39,7 +37,7 @@ func clusterBackend(t testing.TB, ds *dataset.Dataset, be, n, replicas int, ad A
 	for _, ri := range idxs {
 		held = append(held, ranges[ri])
 	}
-	p, err := New(Config{Dataset: ds, Ranges: held, Cuts: cuts, Bounds: bounds, CompactInterval: -1, Adaptive: ad})
+	p, err := New(Config{Dataset: ds, Ranges: held, Cuts: cuts, Bounds: bounds, CompactInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +61,7 @@ func rowOf(t *testing.T, p *Pool, g int) proto.RangeInfo {
 // shardOfRange returns the position of the first shard of p sitting in
 // cluster range g.
 func shardOfRange(p *Pool, g int) int {
-	for i, s := range p.topo.Load().shards {
+	for i, s := range p.shards {
 		if s.rg == g {
 			return i
 		}
@@ -73,66 +71,57 @@ func shardOfRange(p *Pool, g int) int {
 
 // TestReplicaRangeVersionsAgree: backends 0 and 1 of a 3-range R=2 layout
 // share range 0. Both apply the same move to an object there; then one of
-// them compacts, or splits its shard of the range. The shared range's rows
-// must still agree on Version and Items — a row's version counts writes,
-// not compactions or recuts — and a router polling both must not mark the
-// range divergent.
+// them compacts. The shared range's rows must still agree on Version and
+// Items — a row's version counts writes, not compactions — and a router
+// polling both must not mark the range divergent.
 func TestReplicaRangeVersionsAgree(t *testing.T) {
 	ds := dataset.NYC()
 	ranges, _ := shard.PartitionHilbert(ds.Items(), 3, 0)
 	id, to := ranges[0].Items[0].ID, ds.Seg(ranges[0].Items[1].ID)
-	for _, tc := range []struct {
-		name    string
-		diverge func(p *Pool) bool
-	}{
-		{"compaction", func(p *Pool) bool { p.ForceCompact(); return p.Epoch(shardOfRange(p, 0)) == 1 }},
-		{"split", func(p *Pool) bool { return p.splitShard(p.topo.Load(), shardOfRange(p, 0)) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			a := clusterBackend(t, ds, 0, 3, 2, AdaptiveConfig{})
-			b := clusterBackend(t, ds, 1, 3, 2, AdaptiveConfig{})
-			for _, p := range []*Pool{a, b} {
-				if _, existed, owned, err := p.ApplyMove(id, to); err != nil || !existed || !owned {
-					t.Fatalf("move: existed=%v owned=%v err=%v", existed, owned, err)
-				}
-				if v := rowOf(t, p, 0).Version; v != 1 {
-					t.Fatalf("range 0 version %d after one write, want 1", v)
-				}
+	t.Run("compaction", func(t *testing.T) {
+		a := clusterBackend(t, ds, 0, 3, 2)
+		b := clusterBackend(t, ds, 1, 3, 2)
+		for _, p := range []*Pool{a, b} {
+			if _, existed, owned, err := p.ApplyMove(id, to); err != nil || !existed || !owned {
+				t.Fatalf("move: existed=%v owned=%v err=%v", existed, owned, err)
 			}
-			if !tc.diverge(a) {
-				t.Fatalf("%s did not run", tc.name)
+			if v := rowOf(t, p, 0).Version; v != 1 {
+				t.Fatalf("range 0 version %d after one write, want 1", v)
 			}
-			ra, rb := rowOf(t, a, 0), rowOf(t, b, 0)
-			if ra.Version != rb.Version || ra.Items != rb.Items {
-				t.Fatalf("replicas of range 0 disagree after a %s: version %d/%d, items %d/%d",
-					tc.name, ra.Version, rb.Version, ra.Items, rb.Items)
-			}
+		}
+		if a.ForceCompact(); a.Epoch(shardOfRange(a, 0)) != 1 {
+			t.Fatal("compaction did not run")
+		}
+		ra, rb := rowOf(t, a, 0), rowOf(t, b, 0)
+		if ra.Version != rb.Version || ra.Items != rb.Items {
+			t.Fatalf("replicas of range 0 disagree after a compaction: version %d/%d, items %d/%d",
+				ra.Version, rb.Version, ra.Items, rb.Items)
+		}
 
-			// The same two replicas behind a router: every range has a
-			// holder (0: both, 1: b, 2: a), and none may read divergent.
-			hub := obs.NewHub()
-			r, err := router.New(router.Config{
-				Backends:        []string{serveBackend(t, a), serveBackend(t, b)},
-				Dataset:         ds,
-				RefreshInterval: 10 * time.Millisecond,
-				RegisterTimeout: 15 * time.Second,
-				Obs:             hub,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			refreshes := hub.Reg.Counter("router_refresh_total")
-			for deadline := time.Now().Add(10 * time.Second); refreshes.Value() == 0; time.Sleep(5 * time.Millisecond) {
-				if time.Now().After(deadline) {
-					t.Fatal("router never refreshed")
-				}
-			}
-			if d := hub.Reg.Gauge("router_ranges_divergent").Value(); d != 0 {
-				t.Fatalf("router reads %v divergent ranges after one replica's %s", d, tc.name)
-			}
+		// The same two replicas behind a router: every range has a holder
+		// (0: both, 1: b, 2: a), and none may read divergent.
+		hub := obs.NewHub()
+		r, err := router.New(router.Config{
+			Backends:        []string{serveBackend(t, a), serveBackend(t, b)},
+			Dataset:         ds,
+			RefreshInterval: 10 * time.Millisecond,
+			RegisterTimeout: 15 * time.Second,
+			Obs:             hub,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		refreshes := hub.Reg.Counter("router_refresh_total")
+		for deadline := time.Now().Add(10 * time.Second); refreshes.Value() == 0; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("router never refreshed")
+			}
+		}
+		if d := hub.Reg.Gauge("router_ranges_divergent").Value(); d != 0 {
+			t.Fatalf("router reads %v divergent ranges after one replica's compaction", d)
+		}
+	})
 }
 
 // serveBackend serves p on a loopback port as a cluster backend.
@@ -152,90 +141,23 @@ func serveBackend(t *testing.T, p *Pool) string {
 	return lis.Addr().String()
 }
 
-// TestPartitionedPoolAdapts: an adaptive pool holding ranges {0, 2} of 3
-// splits under heat with every new cut inside a held range, never merges
-// across a cluster cut, evicts writes keyed into range 1, and advertises the
-// same two rows throughout.
-func TestPartitionedPoolAdapts(t *testing.T) {
+// TestPartitionedPoolEvictsForeignWrites: a pool holding ranges {0, 2} of 3
+// has every shard in a held range, evicts writes keyed into range 1, and
+// advertises the same two rows throughout.
+func TestPartitionedPoolEvictsForeignWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ds := randomDataset(rng, 3000)
-	p := clusterBackend(t, ds, 0, 3, 2, AdaptiveConfig{Enabled: true, Interval: -1, MinShardItems: 16, HalfLifeSeconds: 0.2})
+	p := clusterBackend(t, ds, 0, 3, 2)
 	ranges, _ := shard.PartitionHilbert(ds.Items(), 3, 0)
 	rows0, num := p.SummaryRanges(nil)
 	if num != 3 || len(rows0) != 2 || rows0[0].Index != 0 || rows0[1].Index != 2 {
 		t.Fatalf("summary %+v of %d, want rows for ranges 0 and 2 of 3", rows0, num)
 	}
-	sameRows := func(when string) {
-		t.Helper()
-		rows, num := p.SummaryRanges(nil)
-		if num != 3 || len(rows) != 2 {
-			t.Fatalf("%s: %d rows of %d, want 2 of 3", when, len(rows), num)
-		}
-		for i, r := range rows {
-			if r.Index != rows0[i].Index || r.Lo != rows0[i].Lo || r.Hi != rows0[i].Hi {
-				t.Fatalf("%s: row %d = %d [%d, %d], was %d [%d, %d]", when, i,
-					r.Index, r.Lo, r.Hi, rows0[i].Index, rows0[i].Lo, rows0[i].Hi)
-			}
-		}
-	}
-
-	// Heat one spot of each held range in turn — a point of one of its
-	// items that the other held range's MBR does not cover — until it splits.
-	spot := func(g, other int) geom.Point {
-		for _, it := range ranges[g].Items {
-			if c := it.MBR.Center(); !ranges[other].MBR.ContainsPoint(c) {
-				return c
-			}
-		}
-		t.Fatalf("every item of range %d lies in range %d's MBR", g, other)
-		return geom.Point{}
-	}
-	var buf []uint32
-	for _, hot := range []struct{ g, other int }{{0, 2}, {2, 0}} {
-		pt, want := spot(hot.g, hot.other), p.Splits()+1
-		for deadline := time.Now().Add(15 * time.Second); p.Splits() < want; time.Sleep(20 * time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("range %d never split under heat", hot.g)
-			}
-			for i := 0; i < 200; i++ {
-				buf = p.FilterPointAppend(buf[:0], pt)
-			}
-			p.RepartitionOnce()
-			checkShardRanges(t, p)
-		}
-		sameRows("after a split")
-	}
-	tp := p.topo.Load()
-	for i, s := range tp.shards {
+	for i, s := range p.shards {
 		if s.rg != 0 && s.rg != 2 {
 			t.Fatalf("shard %d sits in range %d, which the pool does not hold", i, s.rg)
 		}
 	}
-
-	// A merge across the cut between ranges 0 and 2 is refused, directly and
-	// when that pair is the coldest: heat every shard but the two beside the
-	// cut, and the tick must find nothing to do.
-	cut := shardOfRange(p, 2) - 1
-	if p.mergeShards(tp, cut) || p.topo.Load() != tp {
-		t.Fatal("shards of ranges 0 and 2 merged")
-	}
-	p.adaptive.MaxShards = len(tp.shards) // no split may answer the tick instead
-	tp.heat.Fold()
-	for i := range tp.shards {
-		rate := 100.0
-		if i == cut || i == cut+1 {
-			rate = 0
-		}
-		tp.heat.Seed(i, rate)
-	}
-	if p.RepartitionOnce() {
-		t.Fatal("the coldest pair straddles the cut, yet the tick repartitioned")
-	}
-	if !p.mergeShards(tp, cut-1) {
-		t.Fatal("neighbors inside range 0 did not merge")
-	}
-	checkShardRanges(t, p)
-	sameRows("after a merge")
 
 	// Writes keyed into range 1 are not this pool's: a fresh id is refused,
 	// a held object moving there is evicted.
@@ -254,5 +176,14 @@ func TestPartitionedPoolAdapts(t *testing.T) {
 	if containsID(p.FilterRangeAppend(nil, foreign.MBR()), mover) {
 		t.Fatal("moved-out object still visible")
 	}
-	sameRows("after the writes")
+	rows, num := p.SummaryRanges(nil)
+	if num != 3 || len(rows) != 2 {
+		t.Fatalf("after the writes: %d rows of %d, want 2 of 3", len(rows), num)
+	}
+	for i, r := range rows {
+		if r.Index != rows0[i].Index || r.Lo != rows0[i].Lo || r.Hi != rows0[i].Hi {
+			t.Fatalf("after the writes: row %d = %d [%d, %d], was %d [%d, %d]", i,
+				r.Index, r.Lo, r.Hi, rows0[i].Index, rows0[i].Lo, rows0[i].Hi)
+		}
+	}
 }

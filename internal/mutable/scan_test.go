@@ -230,28 +230,20 @@ func TestDedupRaced(t *testing.T) {
 
 // TestScanAgainstPingPongMover holds scans and k-NN to the contract table
 // (DESIGN.md §15) against the worst case for it: objects bouncing between two
-// shards while walks cover both, the compactor folding every 2 ms and, in the
-// second run, splits and merges swapping the topology too. An object that
-// matches for a walk's whole duration must be in its answer exactly once: a
-// walk that reads the destination before a move and the source after it
-// sights the object in neither shard, one that reads them the other way round
-// sights it in both, and either is a failure.
+// shards while walks cover both and the compactor folds every 2 ms. An object
+// that matches for a walk's whole duration must be in its answer exactly
+// once: a walk that reads the destination before a move and the source after
+// it sights the object in neither shard, one that reads them the other way
+// round sights it in both, and either is a failure.
 func TestScanAgainstPingPongMover(t *testing.T) {
-	for _, adaptive := range []bool{false, true} {
-		name := "static"
-		if adaptive {
-			name = "repartitioning"
-		}
-		t.Run(name, func(t *testing.T) { scanPingPong(t, adaptive) })
-	}
+	t.Run("static", scanPingPong)
 }
 
 // cutBetween bisects the line from a to b, whose keys fall in different
 // shards, down to two points less than gap apart that still do.
 func cutBetween(p *Pool, a, b geom.Point, gap float64) (geom.Point, geom.Point) {
-	t := p.topo.Load()
 	shardOf := func(pt geom.Point) int {
-		return shard.RangeForKey(t.cuts, shard.WriteKey(p.q, geom.Rect{Min: pt, Max: pt}))
+		return shard.RangeForKey(p.shardCuts, shard.WriteKey(p.q, geom.Rect{Min: pt, Max: pt}))
 	}
 	sa := shardOf(a)
 	for math.Hypot(b.X-a.X, b.Y-a.Y) > gap {
@@ -264,14 +256,10 @@ func cutBetween(p *Pool, a, b geom.Point, gap float64) (geom.Point, geom.Point) 
 	return a, b
 }
 
-func scanPingPong(t *testing.T, adaptive bool) {
+func scanPingPong(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	ds := randomDataset(rng, 800)
-	cfg := Config{CompactInterval: 2 * time.Millisecond, compactThreshold: 32}
-	if adaptive {
-		cfg.Adaptive = AdaptiveConfig{Enabled: true, Interval: 3 * time.Millisecond, MinShardItems: 8, MaxShards: 16}
-	}
-	p, err := NewFromDataset(ds, 4, cfg)
+	p, err := NewFromDataset(ds, 4, Config{CompactInterval: 2 * time.Millisecond, compactThreshold: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +271,7 @@ func scanPingPong(t *testing.T, adaptive bool) {
 	// the point between them. away is the nearest object of its query point
 	// at home and far from it when away, so the point's nearest is away at
 	// home or the nearest dataset object — never anything else.
-	shards := p.topo.Load().shards
+	shards := p.shards
 	segA := ds.Seg(shards[0].base.Load().tree.PackOrder()[0].ID)
 	segB := ds.Seg(shards[len(shards)-1].base.Load().tree.PackOrder()[0].ID)
 	speck := func(pt geom.Point) geom.Segment {
@@ -364,18 +352,6 @@ func scanPingPong(t *testing.T, adaptive bool) {
 			}
 		}
 	})
-	if adaptive {
-		srng := rand.New(rand.NewSource(301))
-		run(func() {
-			tp := p.topo.Load()
-			if n := len(tp.shards); n > 2 && srng.Intn(2) == 0 {
-				p.mergeShards(tp, srng.Intn(n-1))
-			} else {
-				p.splitShard(tp, srng.Intn(n))
-			}
-			time.Sleep(time.Millisecond)
-		})
-	}
 
 	var walks [3]atomic.Int64
 	for r, scan := range [2]func(dst []uint32) []uint32{
@@ -433,6 +409,6 @@ func scanPingPong(t *testing.T, adaptive bool) {
 		}
 	})
 	wg.Wait()
-	t.Logf("%d RangeAppend and %d FilterRangeAppend scans, %d k-NN rounds; %d transfers, %d splits, %d merges",
-		walks[0].Load(), walks[1].Load(), walks[2].Load(), p.xfers.Load()/2, p.Splits(), p.Merges())
+	t.Logf("%d RangeAppend and %d FilterRangeAppend scans, %d k-NN rounds; %d transfers",
+		walks[0].Load(), walks[1].Load(), walks[2].Load(), p.xfers.Load()/2)
 }

@@ -90,11 +90,10 @@ func newBaseView(n int, items []rtree.Item, over map[uint32]geom.Segment) (*base
 // are disjoint at each layer.
 type mshard struct {
 	pl *Pool
-	// li is the shard's unique lock-ordering id (pool-monotone; after a
-	// repartition it no longer equals the shard's topology position).
-	li int
-	// rg is the cluster range the shard sits in; a recut's children
-	// inherit their victims'.
+	// idx is the shard's position in Pool.shards, which is also its lock
+	// order: a write that locks two shards takes the lower idx first.
+	idx int
+	// rg is the cluster range the shard sits in.
 	rg int
 
 	epoch atomic.Uint64
@@ -129,19 +128,17 @@ type mshard struct {
 	frozen  *frozenView
 }
 
-// newMShard builds a shard of cluster range rg over items (copied) under the
-// next lock-ordering id. The shard is private until a topology publishes it.
-func newMShard(p *Pool, rg int, items []rtree.Item, over map[uint32]geom.Segment) (*mshard, error) {
-	li := int(p.liSeq.Add(1) - 1)
-	bv, err := newBaseView(p.ds.Len(), items, over)
+// newMShard builds shard idx of cluster range rg over items (copied).
+func newMShard(p *Pool, idx, rg int, items []rtree.Item) (*mshard, error) {
+	bv, err := newBaseView(p.ds.Len(), items, nil)
 	if err != nil {
-		return nil, fmt.Errorf("mutable: shard %d base: %w", li, err)
+		return nil, fmt.Errorf("mutable: shard %d base: %w", idx, err)
 	}
 	delta, err := dynrtree.New(dynrtree.Config{})
 	if err != nil {
-		return nil, fmt.Errorf("mutable: shard %d delta: %w", li, err)
+		return nil, fmt.Errorf("mutable: shard %d delta: %w", idx, err)
 	}
-	s := &mshard{pl: p, li: li, rg: rg, delta: delta, overSeg: map[uint32]geom.Segment{}, tombs: map[uint32]struct{}{}}
+	s := &mshard{pl: p, idx: idx, rg: rg, delta: delta, overSeg: map[uint32]geom.Segment{}, tombs: map[uint32]struct{}{}}
 	s.base.Store(bv)
 	return s, nil
 }
@@ -358,12 +355,9 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64,
 	n.Inc()
 	key := shard.WriteKey(p.q, seg.MBR())
 
-	// Ownership resolves under omu: a topology swap also happens under
-	// omu, so the shard chosen here is still the owner when its lock is
-	// taken below — a writer can never land an object in a retired shard.
+	// Ownership resolves under omu, the only place an id's owner changes.
 	p.omu.Lock()
-	t := p.topo.Load()
-	target := t.shards[shard.RangeForKey(t.cuts, key)]
+	target := p.shards[shard.RangeForKey(p.shardCuts, key)]
 	old := p.ids.owner(id)
 
 	if target.rg != shard.RangeForKey(p.cuts, key) {
@@ -380,12 +374,12 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64,
 
 	if old != nil && old != target {
 		// Cross-shard move: drop the old copy and install the new one
-		// under both locks, acquired in ascending li order, inside one
+		// under both locks, acquired in ascending shard order, inside one
 		// transfer bracket. The new owner is published only once its lock
 		// is held, so a SegOf that reads it waits for the copy instead of
 		// missing it.
 		a, b := old, target
-		if a.li > b.li {
+		if a.idx > b.idx {
 			a, b = b, a
 		}
 		a.mu.Lock()
@@ -482,62 +476,38 @@ func (p *Pool) endXfer() {
 // ---- metrics ----
 
 type poolMetrics struct {
-	hub         *obs.Hub
 	inserts     *obs.Counter
 	deletes     *obs.Counter
 	moves       *obs.Counter
 	notOwned    *obs.Counter
 	compactions *obs.Counter
 	compactErrs *obs.Counter
-	splits      *obs.Counter
-	merges      *obs.Counter
 	// segofRetries counts SegOf look-ups that raced a transfer of their id.
 	segofRetries *obs.Counter
 
-	// Per-shard gauges are indexed by topology position and extended on
-	// demand: a split grows the shard count at runtime. gmu guards the
-	// slice growth (the compactor and the repartitioner both publish).
-	gmu    sync.Mutex
+	// Per-shard gauges, indexed like Pool.shards; nil without a hub.
 	epochG []*obs.Gauge
 	pendG  []*obs.Gauge
 	staleG []*obs.Gauge
-	heatG  []*obs.Gauge
 }
 
-func newPoolMetrics(h *obs.Hub) *poolMetrics {
+func newPoolMetrics(h *obs.Hub, nShards int) *poolMetrics {
 	m := &poolMetrics{}
 	if h == nil || h.Reg == nil {
 		return m // nil handles are no-ops
 	}
-	m.hub = h
 	m.inserts = h.Reg.Counter("mutable_inserts_total")
 	m.deletes = h.Reg.Counter("mutable_deletes_total")
 	m.moves = h.Reg.Counter("mutable_moves_total")
 	m.notOwned = h.Reg.Counter("mutable_not_owned_total")
 	m.compactions = h.Reg.Counter("mutable_compactions_total")
 	m.compactErrs = h.Reg.Counter("mutable_compact_errors_total")
-	m.splits = h.Reg.Counter("mutable_splits_total")
-	m.merges = h.Reg.Counter("mutable_merges_total")
 	m.segofRetries = h.Reg.Counter("mutable_segof_retries_total")
-	return m
-}
-
-// shardGauges returns every registered per-shard gauge row, extending the
-// registration to cover positions [0, n). The returned slices may be longer
-// than n (a merge shrank the topology); the publisher zeroes the tail so a
-// dead position does not freeze its last value in the snapshot.
-func (m *poolMetrics) shardGauges(n int) (epochG, pendG, staleG, heatG []*obs.Gauge) {
-	if m.hub == nil {
-		return nil, nil, nil, nil
-	}
-	m.gmu.Lock()
-	defer m.gmu.Unlock()
-	for i := len(m.epochG); i < n; i++ {
+	for i := 0; i < nShards; i++ {
 		lbl := fmt.Sprintf("%d", i)
-		m.epochG = append(m.epochG, m.hub.Reg.Gauge(obs.Name("mutable_epoch", "shard", lbl)))
-		m.pendG = append(m.pendG, m.hub.Reg.Gauge(obs.Name("mutable_pending", "shard", lbl)))
-		m.staleG = append(m.staleG, m.hub.Reg.Gauge(obs.Name("mutable_staleness_seconds", "shard", lbl)))
-		m.heatG = append(m.heatG, m.hub.Reg.Gauge(obs.Name("mutable_heat", "shard", lbl)))
+		m.epochG = append(m.epochG, h.Reg.Gauge(obs.Name("mutable_epoch", "shard", lbl)))
+		m.pendG = append(m.pendG, h.Reg.Gauge(obs.Name("mutable_pending", "shard", lbl)))
+		m.staleG = append(m.staleG, h.Reg.Gauge(obs.Name("mutable_staleness_seconds", "shard", lbl)))
 	}
-	return m.epochG, m.pendG, m.staleG, m.heatG
+	return m
 }

@@ -129,13 +129,10 @@ type RangeInfo struct {
 	// 0 means the backend has no per-range version (a frozen pool).
 	Version uint64
 	MBR     geom.Rect
-	// Heat is the holder's EWMA query rate for this range in queries per
-	// second — adaptive-repartitioning telemetry. 0 means unreported.
-	Heat float64
 }
 
 // summaryRowBytes is the encoded size of one RangeInfo.
-const summaryRowBytes = 4 + 4 + 8 + 8 + 8 + 32 + 8
+const summaryRowBytes = 4 + 4 + 8 + 8 + 8 + 32
 
 // summaryReservedBytes is the header gap between NumRanges and the row
 // count. It held a backend-wide item count and bounds, which nothing
@@ -178,9 +175,6 @@ func (m *SummaryMsg) Validate() error {
 		if err := checkRect(r.MBR); err != nil {
 			return fmt.Errorf("proto: summary range %d: %w", i, err)
 		}
-		if math.IsNaN(r.Heat) || math.IsInf(r.Heat, 0) || r.Heat < 0 {
-			return fmt.Errorf("proto: summary range %d has bad heat %v", i, r.Heat)
-		}
 	}
 	return nil
 }
@@ -197,7 +191,6 @@ func (m *SummaryMsg) appendPayload(b []byte) []byte {
 		b = binaryAppendU64(b, r.Hi)
 		b = binaryAppendU64(b, r.Version)
 		b = appendRect(b, r.MBR)
-		b = appendF64(b, r.Heat)
 	}
 	return b
 }
@@ -221,7 +214,6 @@ func (m *SummaryMsg) decodePayload(b []byte) error {
 				Hi:      d.u64(),
 				Version: d.u64(),
 				MBR:     d.rect(),
-				Heat:    d.f64(),
 			})
 		}
 	}

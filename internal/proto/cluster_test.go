@@ -106,7 +106,7 @@ func TestSummaryDecodeRejectsBadCount(t *testing.T) {
 // summary from a backend that still fills it reads as the same rows.
 func TestSummaryReadsReservedHeader(t *testing.T) {
 	m := &SummaryMsg{ID: 2, NumRanges: 2, Ranges: []RangeInfo{
-		{Index: 1, Items: 9, Lo: 4, Hi: 40, Version: 3, Heat: 1.5,
+		{Index: 1, Items: 9, Lo: 4, Hi: 40, Version: 3,
 			MBR: geom.Rect{Min: geom.Point{X: 1, Y: 2}, Max: geom.Point{X: 3, Y: 4}}},
 	}}
 	payload := m.appendPayload(nil)

@@ -78,7 +78,7 @@ func allMessages() []Message {
 			Ranges: []RangeInfo{
 				{Index: 0, Items: 400, Lo: 0, Hi: 99, Version: 7,
 					MBR: geom.Rect{Min: geom.Point{X: 0, Y: 0}, Max: geom.Point{X: 50, Y: 40}}},
-				{Index: 2, Items: 600, Lo: 200, Hi: 1 << 40, Version: 1 << 50, Heat: 2.5,
+				{Index: 2, Items: 600, Lo: 200, Hi: 1 << 40, Version: 1 << 50,
 					MBR: geom.Rect{Min: geom.Point{X: 30, Y: 20}, Max: geom.Point{X: 90, Y: 90}}},
 			}},
 		&SummaryMsg{ID: 25}, // an empty backend is legal

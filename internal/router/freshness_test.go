@@ -214,7 +214,7 @@ func TestClusterReadsSeeFreshWrites(t *testing.T) {
 // whole way.
 func TestRouterMutableQuickEquivalence(t *testing.T) {
 	ds := clusterDataset(t)
-	tc, _, _ := startMutableCluster(t, ds, 3, 2, mutable.AdaptiveConfig{})
+	tc, _, _ := startMutableCluster(t, ds, 3, 2)
 	r := newRouter(t, tc, nil)
 	truth, err := mutable.NewFromDataset(ds, 4, mutable.Config{CompactInterval: -1})
 	if err != nil {

@@ -15,7 +15,6 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/faultlink"
 	"mobispatial/internal/geom"
-	"mobispatial/internal/mutable"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
@@ -247,7 +246,7 @@ func TestRouterNNBreakerOpen(t *testing.T) {
 // way the rotation points.
 func TestRouterNNDivergentAsksEveryHolder(t *testing.T) {
 	ds := clusterDataset(t)
-	tc, pools, cuts := startMutableCluster(t, ds, 3, 2, mutable.AdaptiveConfig{})
+	tc, pools, cuts := startMutableCluster(t, ds, 3, 2)
 	hub := obs.NewHub()
 	r := newRouter(t, tc, func(cfg *Config) {
 		cfg.Obs = hub
@@ -452,7 +451,7 @@ func TestRouterBatchNNLegs(t *testing.T) {
 	})
 
 	t.Run("divergent range", func(t *testing.T) {
-		tc, pools, cuts := startMutableCluster(t, ds, 3, 2, mutable.AdaptiveConfig{})
+		tc, pools, cuts := startMutableCluster(t, ds, 3, 2)
 		hub := obs.NewHub()
 		r := newRouter(t, tc, func(cfg *Config) {
 			cfg.Obs = hub

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"mobispatial/internal/geom"
-	"mobispatial/internal/mutable"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/qcache"
@@ -116,6 +115,71 @@ func TestRefreshRefusesStructuralChange(t *testing.T) {
 	}
 }
 
+// TestRouterRangeVersionCountsWrites: a range's version counts the writes
+// applied to it. A backend that compacts with no write in between keeps it
+// unmoved through the router's refreshes, and the router accepts every such
+// summary; a write routed through the router advances it, and the router
+// still answers what the pool answers.
+func TestRouterRangeVersionCountsWrites(t *testing.T) {
+	ds := clusterDataset(t)
+	tc, pools, _ := startMutableCluster(t, ds, 1, 1)
+	pool := pools[0]
+	hub := obs.NewHub()
+	r := newRouter(t, tc, func(cfg *Config) {
+		cfg.Obs = hub
+		cfg.RefreshInterval = 25 * time.Millisecond
+	})
+	refreshes := hub.Reg.Counter("router_refresh_total")
+	waitRefreshes := func(n uint64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for want := refreshes.Value() + n; refreshes.Value() < want; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("router refreshed only %d times (refresh stalled?)", refreshes.Value())
+			}
+		}
+	}
+
+	// One write, then a compaction folding it: the version moves with the
+	// write and not with the compaction.
+	if _, _, _, err := r.ApplyMove(1, ds.Seg(2)); err != nil {
+		t.Fatalf("move: %v", err)
+	}
+	waitRefreshes(2)
+	v1 := r.Version(0)
+	if pool.ForceCompact(); pool.Epoch(0) == 0 {
+		t.Fatal("the compaction did not run")
+	}
+	waitRefreshes(3)
+	if n := hub.Reg.Counter("router_refresh_errors_total").Value(); n != 0 {
+		t.Fatalf("%d refresh errors across a compaction", n)
+	}
+	if n := r.NumShards(); n != 1 {
+		t.Fatalf("router sees %d ranges after the compaction, want 1", n)
+	}
+	if v := r.Version(0); v != v1 {
+		t.Fatalf("range 0 version %d after a compaction with no writes, want %d", v, v1)
+	}
+
+	// A routed write advances it, and lands where a read finds it.
+	to := ds.Seg(uint32(ds.Len() - 1))
+	if _, _, _, err := r.ApplyMove(0, to); err != nil {
+		t.Fatalf("move: %v", err)
+	}
+	if v := r.Version(0); v <= v1 {
+		t.Fatalf("range 0 version %d after a write, want > %d", v, v1)
+	}
+	w := to.MBR()
+	got, err := r.RangeAppendUntil(nil, w, time.Time{})
+	if err != nil {
+		t.Fatalf("range: %v", err)
+	}
+	sameIDs(t, "post-move range", got, pool.RangeAppend(nil, w))
+	if !slices.Contains(got, 0) {
+		t.Fatal("the moved object is missing at its new place")
+	}
+}
+
 // TestRouterSourceVersions pins the Source contract the result cache keys
 // on: a write routed through the router bumps the touched range's version
 // immediately (before the next refresh lands), and the conservative bounds
@@ -180,7 +244,7 @@ func TestRouterSourceZeroAlloc(t *testing.T) {
 // that the hotspot actually hits the cache.
 func TestRouterCacheEquivalenceUnderWrites(t *testing.T) {
 	ds := clusterDataset(t)
-	tc, _, _ := startMutableCluster(t, ds, 3, 2, mutable.AdaptiveConfig{})
+	tc, _, _ := startMutableCluster(t, ds, 3, 2)
 	r := newRouter(t, tc, nil)
 
 	qc := qcache.New(qcache.Config{MaxBytes: 8 << 20})

@@ -22,10 +22,9 @@ var _ serve.Updatable = (*Router)(nil)
 
 // startMutableCluster is startCluster over updatable backends: each backend
 // serves a mutable.Pool holding its ReplicaRanges, sharing the cluster-wide
-// cuts so every process routes writes identically, and repartitioning under
-// ad. Returns the per-backend pools for direct replica-state inspection, and
-// the cuts.
-func startMutableCluster(t testing.TB, ds *dataset.Dataset, nBackends, replicas int, ad mutable.AdaptiveConfig) (*testCluster, []*mutable.Pool, []uint64) {
+// cuts so every process routes writes identically. Returns the per-backend
+// pools for direct replica-state inspection, and the cuts.
+func startMutableCluster(t testing.TB, ds *dataset.Dataset, nBackends, replicas int) (*testCluster, []*mutable.Pool, []uint64) {
 	t.Helper()
 	ranges, bounds := shard.PartitionHilbert(ds.Items(), nBackends, 0)
 	if len(ranges) != nBackends {
@@ -61,7 +60,6 @@ func startMutableCluster(t testing.TB, ds *dataset.Dataset, nBackends, replicas 
 			Cuts:            cuts,
 			Bounds:          bounds,
 			CompactInterval: -1,
-			Adaptive:        ad,
 		})
 		if err != nil {
 			t.Fatalf("backend %d mutable pool: %v", b, err)
@@ -118,7 +116,7 @@ func segInRange(t *testing.T, ds *dataset.Dataset, cuts []uint64, pred func(rg i
 // copy. Every write takes one leg per backend.
 func TestRouterWriteReplication(t *testing.T) {
 	ds := clusterDataset(t)
-	tc, pools, cuts := startMutableCluster(t, ds, 3, 2, mutable.AdaptiveConfig{})
+	tc, pools, cuts := startMutableCluster(t, ds, 3, 2)
 	hub := obs.NewHub()
 	r := newRouter(t, tc, func(cfg *Config) { cfg.Obs = hub })
 
@@ -212,7 +210,7 @@ func TestRouterWriteReplication(t *testing.T) {
 // router counts the divergence.
 func TestRouterWriteDivergence(t *testing.T) {
 	ds := clusterDataset(t)
-	tc, pools, cuts := startMutableCluster(t, ds, 3, 2, mutable.AdaptiveConfig{})
+	tc, pools, cuts := startMutableCluster(t, ds, 3, 2)
 	hub := obs.NewHub()
 	r := newRouter(t, tc, func(cfg *Config) {
 		cfg.Obs = hub
@@ -251,7 +249,7 @@ func TestRouterWriteDivergence(t *testing.T) {
 // Existed=false: the object would come back with its holder.
 func TestRouterWriteUnavailable(t *testing.T) {
 	ds := clusterDataset(t)
-	tc, pools, cuts := startMutableCluster(t, ds, 3, 1, mutable.AdaptiveConfig{})
+	tc, pools, cuts := startMutableCluster(t, ds, 3, 1)
 	hub := obs.NewHub()
 	r := newRouter(t, tc, func(cfg *Config) {
 		cfg.Obs = hub
@@ -307,7 +305,7 @@ func TestRouterWriteUnavailable(t *testing.T) {
 // holders' answers ties X to range j.
 func TestRouterWriteInvalidatesAcrossRouters(t *testing.T) {
 	ds := clusterDataset(t)
-	tc, _, cuts := startMutableCluster(t, ds, 3, 2, mutable.AdaptiveConfig{})
+	tc, _, cuts := startMutableCluster(t, ds, 3, 2)
 	a := newRouter(t, tc, func(cfg *Config) { cfg.RefreshInterval = -1 })
 	b := newRouter(t, tc, func(cfg *Config) { cfg.RefreshInterval = -1 })
 

@@ -52,13 +52,10 @@ func partitionedMutable(t testing.TB, ds *dataset.Dataset, be, n, replicas int) 
 	return pool, infos
 }
 
-// monolithicMutable builds the pool cmd/mqserve -mutable [-adaptive] does.
-func monolithicMutable(t testing.TB, ds *dataset.Dataset, adaptive bool) *mutable.Pool {
+// monolithicMutable builds the pool cmd/mqserve -mutable [-shards n] does.
+func monolithicMutable(t testing.TB, ds *dataset.Dataset, shards int) *mutable.Pool {
 	t.Helper()
-	pool, err := mutable.NewFromDataset(ds, 4, mutable.Config{
-		CompactInterval: -1,
-		Adaptive:        mutable.AdaptiveConfig{Enabled: adaptive, Interval: -1},
-	})
+	pool, err := mutable.NewFromDataset(ds, shards, mutable.Config{CompactInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +95,9 @@ func TestPoolCapabilities(t *testing.T) {
 		{"frozen, one shard, cached", Config{Pool: one, Cache: qcache.New(qcache.Config{MaxBytes: 1 << 20})},
 			want{validityView: true}},
 		{"frozen, sharded", Config{Pool: sp}, want{validityView: true}},
-		{"mutable monolithic", Config{Pool: monolithicMutable(t, ds, false)},
+		{"mutable monolithic", Config{Pool: monolithicMutable(t, ds, 4)},
 			want{updates: true, liveSummary: true, validityView: true}},
 		{"mutable partitioned", Config{Pool: part, Ranges: partRanges, NumRanges: 3},
-			want{updates: true, liveSummary: true, validityView: true}},
-		{"mutable adaptive", Config{Pool: monolithicMutable(t, ds, true)},
 			want{updates: true, liveSummary: true, validityView: true}},
 		{"router", Config{Pool: startRouterBench(t, ds, 3, 2)},
 			want{updates: true, batchRouting: true, validityView: true, distributed: true}},
@@ -286,14 +281,14 @@ func TestNewRejectsFanOutWithoutDeadlineSurface(t *testing.T) {
 // TestLiveSummaryShapes: every mutable pool answers MsgSummary by one rule —
 // one row per held cluster range, at the range's index and Lo key, holding
 // its items, at version 0 before any write — whether it is monolithic (one
-// range, the whole key space, however many local shards, adaptive or not)
+// range, the whole key space, however many local shards)
 // or a partitioned backend. Each reply validates, and a write moves the
 // owning row's Version by one, its Items and MBR with it.
 func TestLiveSummaryShapes(t *testing.T) {
 	ds, _ := testDataset(t)
-	mono := monolithicMutable(t, ds, false)
+	mono := monolithicMutable(t, ds, 4)
 	part, partRanges := partitionedMutable(t, ds, 0, 3, 2)
-	adaptive := monolithicMutable(t, ds, true)
+	mono16 := monolithicMutable(t, ds, 16)
 	whole := []proto.RangeInfo{{Index: 0, Items: uint32(ds.Len()), Lo: 0, Hi: math.MaxUint64}}
 
 	cases := []struct {
@@ -306,7 +301,7 @@ func TestLiveSummaryShapes(t *testing.T) {
 	}{
 		{"monolithic", mono, Config{Pool: mono}, 1, whole, 0},
 		{"partitioned", part, Config{Pool: part, Ranges: partRanges, NumRanges: 3}, 3, partRanges, firstHeldID(t, ds, 0, 3, 2)},
-		{"adaptive", adaptive, Config{Pool: adaptive}, 1, whole, 0},
+		{"monolithic, 16 shards", mono16, Config{Pool: mono16}, 1, whole, 0},
 	}
 	for _, tc := range cases {
 		srv, err := New(tc.cfg)

@@ -22,7 +22,7 @@ func hotPathServers(t *testing.T) (geom.Rect, map[string]*Server) {
 		t.Fatal(err)
 	}
 	srvs := map[string]*Server{}
-	for name, pool := range map[string]Executor{"frozen": frozen, "mutable": monolithicMutable(t, ds, false)} {
+	for name, pool := range map[string]Executor{"frozen": frozen, "mutable": monolithicMutable(t, ds, 4)} {
 		if srvs[name], err = New(Config{Pool: pool, Master: tree}); err != nil {
 			t.Fatal(err)
 		}

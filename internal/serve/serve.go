@@ -126,8 +126,8 @@ type Updatable interface {
 
 // LiveSummary is the optional live-summary surface (mutable.Pool implements
 // it): SummaryRanges appends the pool's current per-range rows — key span,
-// live item count, write version, MBR, query heat, all from one snapshot —
-// and returns the cluster-wide range count. A server whose pool has it
+// live item count, write version and MBR — and returns the cluster-wide
+// range count. A server whose pool has it
 // builds every MsgSummary reply from those rows, so a router polling
 // summaries sees writes move the per-range (version, MBR, items) instead of
 // the frozen registration snapshot. Pools without it keep the precomputed
