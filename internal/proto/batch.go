@@ -6,7 +6,10 @@
 // order, each sub-answer succeeding or failing independently.
 package proto
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // The batch message types extend the catalogue of wire.go.
 const (
@@ -18,11 +21,6 @@ const (
 
 // MaxBatchQueries bounds one batch's sub-queries.
 const MaxBatchQueries = 1024
-
-// wireQueryBytes is the fixed encoded size of one QueryMsg payload:
-// id(4) + kind(1) + mode(1) + k(2) + point(16) + window(32) + eps(8) +
-// timeout(4).
-const wireQueryBytes = 68
 
 // BatchQueryMsg is N queries in one frame. The per-query TimeoutMicros
 // fields are ignored; the batch-level timeout governs the whole exchange.
@@ -68,20 +66,17 @@ func (m *BatchQueryMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
 	m.ID = d.u32()
 	m.TimeoutMicros = d.u32()
+	// The queries are self-delimiting and decoded in sequence; the count is
+	// checked against the shortest query before anything is reserved.
 	n := int(d.u16())
-	if d.err == nil && n*wireQueryBytes != len(d.b)-d.off {
-		return fmt.Errorf("proto: batch count %d does not match %d payload bytes", n, len(d.b)-d.off)
+	if rest := len(d.b) - d.off; d.err == nil && (n > MaxBatchQueries || n*minQueryBytes > rest) {
+		return fmt.Errorf("proto: batch count %d does not fit %d payload bytes", n, rest)
 	}
-	qs := m.Queries[:0]
-	for i := 0; i < n; i++ {
-		qb := d.bytes(wireQueryBytes)
-		if d.err != nil {
-			break
-		}
+	qs := slices.Grow(m.Queries[:0], n)
+	for i := 0; i < n && d.err == nil; i++ {
 		qs = append(qs, QueryMsg{})
-		if err := qs[i].decodePayload(qb); err != nil {
-			m.Queries = qs
-			return err
+		if d.query(&qs[i]); d.err != nil {
+			d.err = fmt.Errorf("query %d: %w", i, d.err)
 		}
 	}
 	m.Queries = qs
@@ -194,10 +189,7 @@ func (m *BatchReplyMsg) appendPayload(b []byte) []byte {
 		case batchTagNbrs:
 			b = appendNeighbors(b, it.Nbrs)
 		default:
-			b = appendU32(b, uint32(len(it.IDs)))
-			for _, id := range it.IDs {
-				b = appendU32(b, id)
-			}
+			b = appendIDs(b, it.IDs)
 		}
 	}
 	return b
@@ -233,11 +225,11 @@ func (m *BatchReplyMsg) decodePayload(b []byte) error {
 				return fmt.Errorf("proto: batch item %d error with zero code", i)
 			}
 		case batchTagRecs:
-			it.Recs = d.appendRecordsN(it.Recs, int(d.u32()))
+			it.Recs = d.appendRecords(it.Recs)
 		case batchTagNbrs:
 			it.Nbrs = d.appendNeighborsN(it.Nbrs, int(d.u32()))
 		case batchTagIDs:
-			it.IDs = d.appendIDsN(it.IDs, int(d.u32()))
+			it.IDs = d.appendIDs(it.IDs)
 		default:
 			return fmt.Errorf("proto: batch item %d has unknown tag %d", i, tag)
 		}

@@ -26,7 +26,8 @@ func testBatchQuery(n int) *BatchQueryMsg {
 
 // TestBatchFrameAmortizesHeaders pins the batching arithmetic the energy
 // model relies on: a batch of N queries costs one frame, and its payload
-// grows by exactly wireQueryBytes per query.
+// grows by exactly one encoded query per query — a range query's id, flags
+// byte and window, 37 bytes.
 func TestBatchFrameAmortizesHeaders(t *testing.T) {
 	one, err := EncodeMessage(testBatchQuery(1))
 	if err != nil {
@@ -36,7 +37,7 @@ func TestBatchFrameAmortizesHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(sixteen)-len(one), 15*wireQueryBytes; got != want {
+	if got, want := len(sixteen)-len(one), 15*(4+1+32); got != want {
 		t.Fatalf("batch growth: got %d bytes per 15 queries, want %d", got, want)
 	}
 	// One query message alone costs a full frame header; in a batch of 16 the
@@ -128,7 +129,7 @@ func TestBatchRejectsCorruptFrames(t *testing.T) {
 	}
 	// Hostile id count inside an item must error, not allocate wildly.
 	badN := append([]byte(nil), reply...)
-	badN[FrameHeaderBytes+15] = 0xFF // first item id-count low bytes
+	badN[FrameHeaderBytes+15] = 0xFF // first item's id-count varint
 	if _, _, err := ReadMessage(bytes.NewReader(badN)); err == nil {
 		t.Fatal("hostile batch item id count accepted")
 	}

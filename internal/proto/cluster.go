@@ -71,7 +71,7 @@ func appendNeighbors(b []byte, nbs []Neighbor) []byte {
 }
 
 // appendNeighborsN appends n decoded neighbors to dst, reusing its capacity,
-// with the same bounds discipline as appendIDsN.
+// with the same bounds discipline as appendIDs.
 func (d *decoder) appendNeighborsN(dst []Neighbor, n int) []Neighbor {
 	if d.err != nil || n <= 0 {
 		if n < 0 && d.err == nil {

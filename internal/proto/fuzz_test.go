@@ -51,13 +51,20 @@ func FuzzReadMessage(f *testing.F) {
 	if frame, err := EncodeMessage(leg); err == nil {
 		f.Add(frame)
 		inf := append([]byte(nil), frame...)
-		binary.BigEndian.PutUint64(inf[len(inf)-12:], 0x7FF0000000000000) // Eps, before TimeoutMicros
+		// Eps is the frame's last field: the leg's query carries no timeout.
+		binary.BigEndian.PutUint64(inf[len(inf)-8:], 0x7FF0000000000000)
 		f.Add(inf)
 		// The same leg relabelled as type 12, the retired k-NN-only leg: the
 		// decoder must refuse the type whatever the payload.
 		retired := append([]byte(nil), frame...)
 		retired[4] = 12
 		f.Add(retired)
+	}
+	// Hand-built frames each read encoding must refuse: lying counts, ids
+	// and record ids leaving uint32, an over-cap run, a first record flagged
+	// as sharing, unknown query flag bits, eps on a kind that carries none.
+	for _, frame := range rejectedFrames() {
+		f.Add(frame)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -93,4 +100,43 @@ func FuzzReadMessage(f *testing.F) {
 			t.Fatalf("round trip not a fixed point:\n first  %+v\n second %+v", m, m2)
 		}
 	})
+}
+
+// FuzzIDList: any id list, in any order, survives the run coding unchanged,
+// and its encoding never exceeds maxIDBytes per id past the count.
+func FuzzIDList(f *testing.F) {
+	for _, ids := range [][]uint32{
+		nil,
+		seq(0, 200),
+		{7, 6, 5, 5, 5, 0},
+		{0xFFFFFFFF, 0, 0xFFFFFFFF, 0xFFFFFFFE, 0xFFFFFFFF},
+		append(seq(100, 3), append(seq(40, 18), seq(4_000_000_000, 70)...)...),
+	} {
+		f.Add(appendU32s(nil, ids))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ids := make([]uint32, len(data)/4)
+		for i := range ids {
+			ids[i] = binary.BigEndian.Uint32(data[4*i:])
+		}
+		enc := appendIDs(nil, ids)
+		if limit := binary.MaxVarintLen32 + maxIDBytes*len(ids); len(enc) > limit {
+			t.Fatalf("%d ids encoded to %d bytes, over the %d bound", len(ids), len(enc), limit)
+		}
+		d := decoder{b: enc}
+		got := d.appendIDs(nil)
+		if err := d.finish("id-list"); err != nil {
+			t.Fatalf("decoding %v: %v", ids, err)
+		}
+		if !slicesEqual(got, ids) {
+			t.Fatalf("round trip changed the list:\n sent %v\n got  %v", ids, got)
+		}
+	})
+}
+
+func appendU32s(b []byte, ids []uint32) []byte {
+	for _, id := range ids {
+		b = appendU32(b, id)
+	}
+	return b
 }

@@ -84,6 +84,13 @@ func (t Transfer) ChargeProcessing(rec ops.Recorder, sending bool) {
 // Object ids are 4 bytes; a query descriptor carries the query type, its
 // geometry parameters, and (for the insufficient-memory scenario) the
 // client's memory availability.
+//
+// These are the paper's catalogue, which the simulator and the live
+// planner price — not the live wire's sizes. The wire (wire.go, lists.go)
+// sends a query's used fields only and run-codes its id lists, so a reply
+// is usually far smaller than IDListBytes says; the planner keeps these
+// figures until its per-stage model error can measure what the shift
+// would do to its choices.
 const (
 	QueryRequestBytes = 64
 	ObjectIDBytes     = 4

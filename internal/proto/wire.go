@@ -5,9 +5,11 @@
 //
 //	uint32 big-endian payload length | uint8 message type | payload
 //
-// All multi-byte integers are big-endian; floats are IEEE-754 bit patterns.
+// Fixed-width integers are big-endian; floats are IEEE-754 bit patterns.
 // Every message carries a request id so a connection can pipeline requests
-// and match responses arriving out of order.
+// and match responses arriving out of order. The read path's three hot shapes
+// are not fixed-width: a query carries only the fields its kind uses (below),
+// and id and record lists are run-coded and endpoint-chained (lists.go).
 package proto
 
 import (
@@ -16,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"mobispatial/internal/geom"
 )
@@ -235,9 +236,6 @@ type Record struct {
 	Seg geom.Segment
 }
 
-// WireRecordBytes is the encoded size of one Record.
-const WireRecordBytes = 4 + 4*8
-
 // QueryMsg is a query request.
 type QueryMsg struct {
 	ID   uint32
@@ -254,7 +252,8 @@ type QueryMsg struct {
 	// running k-th-neighbor distance instead: the backend may prune any
 	// subtree whose lower bound exceeds it, and 0 means unbounded. It is a
 	// pruning hint only — a reply may include neighbors farther than it.
-	// Any other KindNN query ignores it.
+	// Any other KindNN query, and every range query, ignores it, and the
+	// wire does not carry it for them.
 	Eps float64
 	// TimeoutMicros caps the server-side processing time in microseconds;
 	// 0 means the server default.
@@ -284,9 +283,9 @@ func (m *QueryMsg) Validate() error {
 	if m.Eps < 0 || math.IsNaN(m.Eps) || math.IsInf(m.Eps, 0) {
 		return fmt.Errorf("proto: bad eps %v", m.Eps)
 	}
-	// Both geometry fields are validated regardless of kind — a don't-care
-	// field must still be well-formed or malformed frames survive re-encoding
-	// (found by fuzzing).
+	// Both geometry fields are validated regardless of kind: the wire drops
+	// a field the kind does not use, but a caller that filled it with
+	// garbage still hears about it.
 	if err := checkRect(m.Window); err != nil {
 		return err
 	}
@@ -299,27 +298,98 @@ func (m *QueryMsg) Validate() error {
 	return nil
 }
 
+// A query on the wire is its id, one flags byte, and then only what its kind
+// uses:
+//
+//	u32 id | flags | point (point) / window (range) / point + u16 K (NN)
+//	       | f64 eps if flagHasEps | u32 timeout if flagHasTimeout
+//
+// flags holds the kind in bits 0-1 and the mode in bits 2-3. Eps travels only
+// when it is set and means something: on a point query, and on a k-NN leg in
+// ModeNeighbors, where it is the router's bound.
+const (
+	flagModeShift  = 2
+	flagHasEps     = 1 << 4
+	flagHasTimeout = 1 << 5
+	flagsKnown     = flagHasTimeout<<1 - 1
+	// minQueryBytes is the shortest query: id, flags and a point.
+	minQueryBytes = 4 + 1 + 16
+)
+
+// epsOnWire reports whether a query of this kind and mode carries Eps.
+func epsOnWire(kind uint8, mode Mode) bool {
+	return kind == KindPoint || kind == KindNN && mode == ModeNeighbors
+}
+
 func (m *QueryMsg) appendPayload(b []byte) []byte {
 	b = appendU32(b, m.ID)
-	b = append(b, m.Kind, byte(m.Mode))
-	b = appendU16(b, m.K)
-	b = appendPoint(b, m.Point)
-	b = appendRect(b, m.Window)
-	b = appendF64(b, m.Eps)
-	return appendU32(b, m.TimeoutMicros)
+	flags := m.Kind | byte(m.Mode)<<flagModeShift
+	eps := m.Eps != 0 && epsOnWire(m.Kind, m.Mode)
+	if eps {
+		flags |= flagHasEps
+	}
+	if m.TimeoutMicros != 0 {
+		flags |= flagHasTimeout
+	}
+	b = append(b, flags)
+	switch m.Kind {
+	case KindRange:
+		b = appendRect(b, m.Window)
+	case KindNN:
+		b = appendU16(appendPoint(b, m.Point), m.K)
+	default:
+		b = appendPoint(b, m.Point)
+	}
+	if eps {
+		b = appendF64(b, m.Eps)
+	}
+	if m.TimeoutMicros != 0 {
+		b = appendU32(b, m.TimeoutMicros)
+	}
+	return b
 }
 
 func (m *QueryMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
-	m.Kind = d.u8()
-	m.Mode = Mode(d.u8())
-	m.K = d.u16()
-	m.Point = d.point()
-	m.Window = d.rect()
-	m.Eps = d.f64()
-	m.TimeoutMicros = d.u32()
+	d.query(m)
 	return d.finish("query")
+}
+
+// query decodes one query into m, every field the frame does not carry
+// zeroed. A frame is refused for unknown flag bits, a kind outside the
+// catalogue, or an eps its kind and mode do not carry.
+func (d *decoder) query(m *QueryMsg) {
+	*m = QueryMsg{ID: d.u32()}
+	flags := d.u8()
+	if d.err != nil {
+		return
+	}
+	if flags&^flagsKnown != 0 {
+		d.err = fmt.Errorf("unknown query flag bits %#x", flags&^flagsKnown)
+		return
+	}
+	m.Kind, m.Mode = flags&3, Mode(flags>>flagModeShift&3)
+	switch m.Kind {
+	case KindPoint:
+		m.Point = d.point()
+	case KindRange:
+		m.Window = d.rect()
+	case KindNN:
+		m.Point, m.K = d.point(), d.u16()
+	default:
+		d.err = fmt.Errorf("bad query kind %d", m.Kind)
+		return
+	}
+	if flags&flagHasEps != 0 {
+		if !epsOnWire(m.Kind, m.Mode) {
+			d.err = fmt.Errorf("eps on a kind %d query in %v mode, which carries none", m.Kind, m.Mode)
+			return
+		}
+		m.Eps = d.f64()
+	}
+	if flags&flagHasTimeout != 0 {
+		m.TimeoutMicros = d.u32()
+	}
 }
 
 // IDListMsg carries object or candidate ids.
@@ -341,7 +411,7 @@ func (m *IDListMsg) RequestID() uint32 { return m.ID }
 
 // Validate implements Message.
 func (m *IDListMsg) Validate() error {
-	if n := len(m.IDs); n > (MaxFramePayload-8)/4 {
+	if n := len(m.IDs); n > maxWireIDs {
 		return fmt.Errorf("proto: id list of %d ids exceeds frame limit", n)
 	}
 	return nil
@@ -350,22 +420,14 @@ func (m *IDListMsg) Validate() error {
 func (m *IDListMsg) appendPayload(b []byte) []byte {
 	b = appendU32(b, m.ID)
 	b = binaryAppendU64(b, m.Epoch)
-	b = appendU32(b, uint32(len(m.IDs)))
-	for _, id := range m.IDs {
-		b = appendU32(b, id)
-	}
-	return b
+	return appendIDs(b, m.IDs)
 }
 
 func (m *IDListMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
 	m.ID = d.u32()
 	m.Epoch = d.u64()
-	n := int(d.u32())
-	if d.err == nil && n*4 != len(d.b)-d.off {
-		return fmt.Errorf("proto: id list count %d does not match %d payload bytes", n, len(d.b)-d.off)
-	}
-	m.IDs = d.appendIDsN(m.IDs[:0], n)
+	m.IDs = d.appendIDs(m.IDs[:0])
 	return d.finish("id-list")
 }
 
@@ -396,11 +458,7 @@ func (m *DataListMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
 	m.ID = d.u32()
 	m.Epoch = d.u64()
-	n := int(d.u32())
-	if d.err == nil && n*WireRecordBytes != len(d.b)-d.off {
-		d.err = fmt.Errorf("record count %d does not match %d payload bytes", n, len(d.b)-d.off)
-	}
-	m.Records = d.appendRecordsN(m.Records[:0], n)
+	m.Records = d.appendRecords(m.Records[:0])
 	return d.finish("data-list")
 }
 
@@ -412,8 +470,8 @@ type ShipmentReqMsg struct {
 	// BudgetBytes is the client memory available for data + index.
 	BudgetBytes uint32
 	// RecordBytes is the client's record size, so the server can size the
-	// selection (record payloads are larger than the 36-byte wire form:
-	// they include attributes).
+	// selection (record payloads are larger than the wire form: they
+	// include attributes).
 	RecordBytes   uint32
 	TimeoutMicros uint32
 }
@@ -497,7 +555,7 @@ func (m *ShipmentMsg) decodePayload(b []byte) error {
 	m.ID = d.u32()
 	m.Epoch = d.u64()
 	m.Coverage = d.rect()
-	m.Records = d.records()
+	m.Records = d.appendRecords(nil)
 	return d.finish("shipment")
 }
 
@@ -772,31 +830,6 @@ func appendF64(b []byte, v float64) []byte {
 func appendPoint(b []byte, p geom.Point) []byte { return appendF64(appendF64(b, p.X), p.Y) }
 func appendRect(b []byte, r geom.Rect) []byte   { return appendPoint(appendPoint(b, r.Min), r.Max) }
 
-func appendRecords(b []byte, recs []Record) []byte {
-	b = appendU32(b, uint32(len(recs)))
-	for _, r := range recs {
-		b = appendU32(b, r.ID)
-		b = appendPoint(b, r.Seg.A)
-		b = appendPoint(b, r.Seg.B)
-	}
-	return b
-}
-
-func validateRecords(what string, recs []Record) error {
-	if n := len(recs); n > (MaxFramePayload-24)/WireRecordBytes {
-		return fmt.Errorf("proto: %s of %d records exceeds frame limit", what, n)
-	}
-	for i, r := range recs {
-		if err := checkPoint(r.Seg.A); err != nil {
-			return fmt.Errorf("proto: %s record %d: %w", what, i, err)
-		}
-		if err := checkPoint(r.Seg.B); err != nil {
-			return fmt.Errorf("proto: %s record %d: %w", what, i, err)
-		}
-	}
-	return nil
-}
-
 func checkPoint(p geom.Point) error {
 	if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
 		return fmt.Errorf("proto: non-finite coordinate %v", p)
@@ -900,66 +933,6 @@ func (d *decoder) bytes(n int) []byte {
 	v := d.b[d.off : d.off+n]
 	d.off += n
 	return v
-}
-
-func (d *decoder) records() []Record {
-	n := int(d.u32())
-	if d.err == nil && n*WireRecordBytes != len(d.b)-d.off {
-		d.err = fmt.Errorf("record count %d does not match %d payload bytes", n, len(d.b)-d.off)
-		return nil
-	}
-	recs := make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		recs = append(recs, Record{
-			ID:  d.u32(),
-			Seg: geom.Segment{A: d.point(), B: d.point()},
-		})
-	}
-	return recs
-}
-
-// appendIDsN appends n decoded ids to dst, reusing its capacity. The count
-// is bounds-checked against the remaining payload before dst is grown — once,
-// to the full n, so a reply's list costs one allocation whatever its length
-// and a hostile count cannot force a huge one.
-func (d *decoder) appendIDsN(dst []uint32, n int) []uint32 {
-	if d.err != nil || n <= 0 {
-		if n < 0 && d.err == nil {
-			d.err = fmt.Errorf("negative id count %d", n)
-		}
-		return dst
-	}
-	if !d.need(n * 4) {
-		return dst
-	}
-	dst = slices.Grow(dst, n)
-	for i := 0; i < n; i++ {
-		dst = append(dst, binary.BigEndian.Uint32(d.b[d.off:]))
-		d.off += 4
-	}
-	return dst
-}
-
-// appendRecordsN appends n decoded records to dst, reusing its capacity,
-// with the same bounds discipline as appendIDsN.
-func (d *decoder) appendRecordsN(dst []Record, n int) []Record {
-	if d.err != nil || n <= 0 {
-		if n < 0 && d.err == nil {
-			d.err = fmt.Errorf("negative record count %d", n)
-		}
-		return dst
-	}
-	if !d.need(n * WireRecordBytes) {
-		return dst
-	}
-	dst = slices.Grow(dst, n)
-	for i := 0; i < n; i++ {
-		dst = append(dst, Record{
-			ID:  d.u32(),
-			Seg: geom.Segment{A: d.point(), B: d.point()},
-		})
-	}
-	return dst
 }
 
 func (d *decoder) finish(what string) error {

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -20,15 +21,27 @@ func allMessages() []Message {
 	return []Message{
 		&QueryMsg{ID: 7, Kind: KindRange, Mode: ModeIDs,
 			Window:        geom.Rect{Min: geom.Point{X: 1, Y: 2}, Max: geom.Point{X: 30, Y: 40}},
-			Eps:           2.0,
 			TimeoutMicros: 250_000},
 		&QueryMsg{ID: 8, Kind: KindPoint, Mode: ModeData, Point: geom.Point{X: -5.5, Y: 12.25}, Eps: 1},
 		&QueryMsg{ID: 9, Kind: KindNN, Mode: ModeIDs, K: 5, Point: geom.Point{X: 0, Y: 0}},
+		&QueryMsg{ID: 10, Kind: KindPoint, Mode: ModeFilter, Point: geom.Point{X: 3, Y: 4}, TimeoutMicros: 1},
 		&IDListMsg{ID: 7, IDs: []uint32{1, 2, 3, 0xFFFFFFFF}},
 		&IDListMsg{ID: 10, IDs: nil},
+		// Any order survives: descending, repeated, both ends of uint32, and
+		// a run longer than one run carries.
+		&IDListMsg{ID: 11, Epoch: 99, IDs: append([]uint32{9, 8, 8, 0, 0xFFFFFFFF, 0, 0xFFFFFFFE, 0xFFFFFFFF}, seq(1000, 150)...)},
 		&DataListMsg{ID: 11, Records: []Record{
 			{ID: 4, Seg: geom.Segment{A: geom.Point{X: 1, Y: 1}, B: geom.Point{X: 2, Y: 2}}},
 			{ID: 5, Seg: geom.Segment{A: geom.Point{X: -1, Y: 0.5}, B: geom.Point{X: 0, Y: 0}}},
+		}},
+		// A street: each record starts where the last ended, ids ascending;
+		// then a jump back, and a -0 that must not pass for the +0 before it.
+		&DataListMsg{ID: 12, Epoch: 1, Records: []Record{
+			{ID: 70, Seg: geom.Segment{A: geom.Point{X: 0, Y: 0}, B: geom.Point{X: 10, Y: 0}}},
+			{ID: 71, Seg: geom.Segment{A: geom.Point{X: 10, Y: 0}, B: geom.Point{X: 10, Y: 10}}},
+			{ID: 72, Seg: geom.Segment{A: geom.Point{X: 10, Y: 10}, B: geom.Point{X: 20, Y: 0}}},
+			{ID: 3, Seg: geom.Segment{A: geom.Point{X: 20, Y: math.Copysign(0, -1)}, B: geom.Point{X: 20, Y: 0}}},
+			{ID: 0xFFFFFFFF, Seg: geom.Segment{A: geom.Point{X: 20, Y: 0}, B: geom.Point{X: 20, Y: 0}}},
 		}},
 		&DataListMsg{ID: 12},
 		&ShipmentReqMsg{ID: 13,
@@ -185,12 +198,14 @@ func slicesEqual(a, b []uint32) bool {
 	return true
 }
 
+// recordsEqual compares coordinates by bit pattern: a coding that turned -0
+// into +0 would not be lossless.
 func recordsEqual(a, b []Record) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if a[i].ID != b[i].ID || !samePoint(a[i].Seg.A, b[i].Seg.A) || !samePoint(a[i].Seg.B, b[i].Seg.B) {
 			return false
 		}
 	}
@@ -305,7 +320,7 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 
 	// Inner count disagreeing with the payload length.
 	badCount := append([]byte(nil), frame...)
-	badCount[FrameHeaderBytes+15] = 99 // id-list count field (after id u32 + epoch u64)
+	badCount[FrameHeaderBytes+12] = 99 // id-list count varint (after id u32 + epoch u64)
 	if _, _, err := ReadMessage(bytes.NewReader(badCount)); err == nil {
 		t.Fatal("mismatched count accepted")
 	}
@@ -328,22 +343,167 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 	}
 }
 
-// TestWireFrameLayout pins the frame header layout so independent
-// implementations can interoperate.
+// TestWireFrameLayout pins the frame header layout and the three read
+// encodings — a kind-shaped query, a run-coded id list and an
+// endpoint-chained record list — so independent implementations can
+// interoperate.
 func TestWireFrameLayout(t *testing.T) {
-	frame, err := EncodeMessage(&PingMsg{ID: 0x01020304, Payload: []byte{0xAA}})
-	if err != nil {
-		t.Fatal(err)
+	one, two, ten := f64(1), f64(2), f64(10)
+	cases := []struct {
+		name string
+		m    Message
+		want [][]byte
+	}{
+		{"ping", &PingMsg{ID: 0x01020304, Payload: []byte{0xAA}}, [][]byte{
+			{0, 0, 0, 9, byte(MsgPing)}, // payload length: 4 id + 4 len + 1 byte
+			{1, 2, 3, 4},                // request id
+			{0, 0, 0, 1},                // payload length
+			{0xAA},
+		}},
+		{"point query", &QueryMsg{ID: 0x01020304, Kind: KindPoint, Mode: ModeIDs,
+			Point: geom.Point{X: 1, Y: 2}, Window: geom.Rect{Max: geom.Point{X: 9, Y: 9}}, K: 3, TimeoutMicros: 5}, [][]byte{
+			{0, 0, 0, 25, byte(MsgQuery)},
+			{1, 2, 3, 4},
+			{KindPoint | byte(ModeIDs)<<2 | flagHasTimeout}, // no eps: 0 means the default
+			one, two, // the point; the window and K a point query ignores stay home
+			{0, 0, 0, 5},
+		}},
+		{"neighbors leg", &QueryMsg{ID: 7, Kind: KindNN, Mode: ModeNeighbors, Point: geom.Point{X: 1, Y: 2}, K: 8, Eps: 10}, [][]byte{
+			{0, 0, 0, 31, byte(MsgQuery)},
+			{0, 0, 0, 7},
+			{KindNN | byte(ModeNeighbors)<<2 | flagHasEps},
+			one, two, {0, 8}, // point, K
+			ten, // the router's bound
+		}},
+		{"id list", &IDListMsg{ID: 9, IDs: []uint32{5, 6, 7, 3, 100}}, [][]byte{
+			{0, 0, 0, 20, byte(MsgIDList)},
+			{0, 0, 0, 9},
+			{0, 0, 0, 0, 0, 0, 0, 0}, // epoch
+			{5},                      // count
+			{10, 2},                  // gap +5 zigzagged, run of 3: 5 6 7
+			{9, 0},                   // gap 3-8 = -5 zigzagged, run of 1
+			{0xC0, 0x01, 0},          // gap 100-4 = 96, zigzag 192 as a two-byte varint, run of 1
+		}},
+		{"data list", &DataListMsg{ID: 1, Records: []Record{
+			{ID: 10, Seg: geom.Segment{A: geom.Point{}, B: geom.Point{X: 1}}},
+			{ID: 11, Seg: geom.Segment{A: geom.Point{X: 1}, B: geom.Point{X: 1, Y: 2}}},
+		}}, [][]byte{
+			{0, 0, 0, 63, byte(MsgDataList)},
+			{0, 0, 0, 1},
+			{0, 0, 0, 0, 0, 0, 0, 0}, // epoch
+			{2},                      // count
+			{40},                     // id delta +10 zigzagged to 20, shifted; A follows
+			f64(0), f64(0), one, f64(0),
+			{5},      // id delta +1 zigzagged to 2, shifted, low bit: A is the last B
+			one, two, // B only
+		}},
 	}
-	want := []byte{
-		0, 0, 0, 9, // payload length: 4 id + 4 len + 1 byte
-		byte(MsgPing),
-		1, 2, 3, 4, // request id
-		0, 0, 0, 1, // payload length
-		0xAA,
+	for _, c := range cases {
+		frame, err := EncodeMessage(c.m)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if want := bytes.Join(c.want, nil); !bytes.Equal(frame, want) {
+			t.Errorf("%s: frame layout drifted:\n got  %v\n want %v", c.name, frame, want)
+		}
 	}
-	if !bytes.Equal(frame, want) {
-		t.Fatalf("frame layout drifted:\n got  %v\n want %v", frame, want)
+}
+
+// f64 is a float's wire bytes.
+func f64(v float64) []byte { return appendF64(nil, v) }
+
+// frameOf builds a frame around a hand-written payload.
+func frameOf(t MsgType, parts ...[]byte) []byte {
+	payload := bytes.Join(parts, nil)
+	return append(appendU32(nil, uint32(len(payload))), append([]byte{byte(t)}, payload...)...)
+}
+
+// rejectedFrames are hand-built frames each read encoding must refuse: the
+// decoder bounds that keep a hostile frame's cost proportional to its bytes,
+// and the shapes that would not re-encode as they arrived. FuzzReadMessage
+// takes them as seeds.
+func rejectedFrames() map[string][]byte {
+	id, epoch := []byte{0, 0, 0, 1}, make([]byte, 8)
+	pt, win := append(f64(1), f64(2)...), append(append(f64(0), f64(0)...), append(f64(5), f64(5)...)...)
+	varint := func(v int64) []byte { return binary.AppendVarint(nil, v) }
+	return map[string][]byte{
+		"id count beyond the payload":   frameOf(MsgIDList, id, epoch, []byte{200, 1}, varint(0), []byte{63}),
+		"id gap leaving uint32":         frameOf(MsgIDList, id, epoch, []byte{1}, varint(1<<32), []byte{0}),
+		"id gap below zero":             frameOf(MsgIDList, id, epoch, []byte{1}, varint(-1), []byte{0}),
+		"id run leaving uint32":         frameOf(MsgIDList, id, epoch, []byte{2}, varint(math.MaxUint32), []byte{1}),
+		"id run above the cap":          frameOf(MsgIDList, id, epoch, []byte{65}, varint(0), []byte{64}, varint(0), []byte{0}),
+		"id runs overrunning the count": frameOf(MsgIDList, id, epoch, []byte{2}, varint(0), []byte{4}),
+		"record count beyond the payload": frameOf(MsgDataList, id, epoch, []byte{2},
+			[]byte{40}, pt, pt),
+		"first record flagged shared": frameOf(MsgDataList, id, epoch, []byte{1}, []byte{21}, pt),
+		"record id leaving uint32":    frameOf(MsgDataList, id, epoch, []byte{1}, []byte{2}, pt, pt),
+		"unknown query flag bits":     frameOf(MsgQuery, id, []byte{0x40 | KindPoint}, pt),
+		"query kind 3":                frameOf(MsgQuery, id, []byte{3}, pt),
+		"eps on a range query":        frameOf(MsgQuery, id, []byte{KindRange | byte(ModeIDs)<<2 | flagHasEps}, win, f64(1)),
+		"eps on an ids-mode k-NN":     frameOf(MsgQuery, id, []byte{KindNN | byte(ModeIDs)<<2 | flagHasEps}, pt, []byte{0, 1}, f64(1)),
+		"eps on a batched range query": frameOf(MsgBatchQuery, id, []byte{0, 0, 0, 0}, []byte{0, 1},
+			id, []byte{KindRange | flagHasEps}, win, f64(1)),
+		"batch count beyond the payload": frameOf(MsgBatchQuery, id, []byte{0, 0, 0, 0}, []byte{0, 9},
+			id, []byte{KindPoint}, pt),
+	}
+}
+
+// TestWireRejectsHandBuiltFrames: every rejected frame errors, and each is
+// one edit away from a frame the decoder accepts — so it is the named bound
+// that refuses it, not some other malformation.
+func TestWireRejectsHandBuiltFrames(t *testing.T) {
+	for name, frame := range rejectedFrames() {
+		if m, _, err := ReadMessage(bytes.NewReader(frame)); err == nil {
+			t.Errorf("%s: accepted as %+v", name, m)
+		}
+	}
+	id, epoch := []byte{0, 0, 0, 1}, make([]byte, 8)
+	pt := append(f64(1), f64(2)...)
+	accepted := map[string][]byte{
+		"ids at the top of uint32": frameOf(MsgIDList, id, epoch, []byte{2}, binary.AppendVarint(nil, math.MaxUint32-1), []byte{1}),
+		"a full-cap run":           frameOf(MsgIDList, id, epoch, []byte{64}, []byte{0, 63}),
+		"a second record flagged":  frameOf(MsgDataList, id, epoch, []byte{2}, []byte{40}, pt, pt, []byte{5}, pt),
+		"eps on a point query":     frameOf(MsgQuery, id, []byte{KindPoint | flagHasEps}, pt, f64(1)),
+		"eps on a neighbors k-NN":  frameOf(MsgQuery, id, []byte{KindNN | byte(ModeNeighbors)<<2 | flagHasEps}, pt, []byte{0, 1}, f64(1)),
+		"a batched query with a timeout": frameOf(MsgBatchQuery, id, []byte{0, 0, 0, 0}, []byte{0, 1},
+			id, []byte{KindPoint | flagHasTimeout}, pt, []byte{0, 0, 0, 9}),
+	}
+	for name, frame := range accepted {
+		if _, _, err := ReadMessage(bytes.NewReader(frame)); err != nil {
+			t.Errorf("%s: refused: %v", name, err)
+		}
+	}
+}
+
+// TestQueryCarriesOnlyItsKindsFields: the fields a kind ignores do not
+// travel, so a query with them set encodes byte for byte like one without.
+func TestQueryCarriesOnlyItsKindsFields(t *testing.T) {
+	w := geom.Rect{Min: geom.Point{X: 1, Y: 2}, Max: geom.Point{X: 3, Y: 4}}
+	pt := geom.Point{X: 5, Y: 6}
+	for _, c := range []struct{ full, bare QueryMsg }{
+		{QueryMsg{Kind: KindRange, Mode: ModeIDs, Window: w, Point: pt, K: 4, Eps: 3}, QueryMsg{Kind: KindRange, Mode: ModeIDs, Window: w}},
+		{QueryMsg{Kind: KindPoint, Mode: ModeData, Point: pt, Window: w, K: 4, Eps: 3}, QueryMsg{Kind: KindPoint, Mode: ModeData, Point: pt, Eps: 3}},
+		{QueryMsg{Kind: KindNN, Mode: ModeData, Point: pt, Window: w, K: 4, Eps: 3}, QueryMsg{Kind: KindNN, Mode: ModeData, Point: pt, K: 4}},
+		{QueryMsg{Kind: KindNN, Mode: ModeNeighbors, Point: pt, Window: w, K: 4, Eps: 3}, QueryMsg{Kind: KindNN, Mode: ModeNeighbors, Point: pt, K: 4, Eps: 3}},
+	} {
+		full, err := EncodeMessage(&c.full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare, err := EncodeMessage(&c.bare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(full, bare) {
+			t.Errorf("%+v: %d bytes, %d without its unused fields", c.full, len(full), len(bare))
+		}
+		got, _, err := ReadMessage(bytes.NewReader(full))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got.(*QueryMsg) != c.bare {
+			t.Errorf("decoded %+v, want %+v", got, c.bare)
+		}
 	}
 }
 
@@ -391,4 +551,13 @@ func TestEveryMessageTypeIsNamed(t *testing.T) {
 	if accepted != len(msgTypeNames) {
 		t.Errorf("%d types decode, %d are named", accepted, len(msgTypeNames))
 	}
+}
+
+// seq returns n consecutive ids from first.
+func seq(first uint32, n int) []uint32 {
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = first + uint32(i)
+	}
+	return out
 }

@@ -23,7 +23,7 @@ func benchRouter(b *testing.B, tc *testCluster) (*Router, *legCounter) {
 
 // BenchmarkRouterFanout measures one routed window query end to end across
 // a 3-backend R=2 in-process cluster: relevance, cover, concurrent legs over
-// real TCP loopback, and the sorted dedup merge.
+// real TCP loopback, and the linear merge of ascending answers.
 func BenchmarkRouterFanout(b *testing.B) {
 	ds := clusterDataset(b)
 	tc := startCluster(b, ds, 3, 2)

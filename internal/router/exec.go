@@ -3,9 +3,10 @@
 // sub-query's nearest range) → cover (one healthy holder per range, grouped
 // into one leg per backend) → legs (concurrent, first on the caller) →
 // failover (a failed leg's ranges go back to the next cover round) → merge
-// (sorted dedup where two legs answer one sub-query; a k-NN sub-query goes
-// on from its first answer in nn.go). A single query is a batch of one; only
-// the frame a leg travels in differs, and every k-NN leg is a batch item.
+// (a linear merge of ascending answers where two legs answer one sub-query;
+// a k-NN sub-query goes on from its first answer in nn.go). A single query
+// is a batch of one; only the frame a leg travels in differs, and every k-NN
+// leg is a batch item.
 package router
 
 import (
@@ -119,8 +120,8 @@ func shipRead(r *Router, sc *fanScratch, li int) error {
 //
 // Correctness of the merge: a backend answers a leg query over its whole
 // local pool, so one leg answers every range the backend holds, and two
-// backends sharing a range may both report its items — the sorted dedup in
-// mergeIDs collapses the overlap. Completeness: every item matching a
+// backends sharing a range may both report its items — mergeIDs collapses
+// the overlap. Completeness: every item matching a
 // sub-query lies in some range whose MBR intersects its window, that range
 // is in the needed set, and the sub-query completes only when each needed
 // range was covered by a successful leg of one of its holders. A sub-query
@@ -201,17 +202,24 @@ func (r *Router) route(sc *fanScratch, qs []proto.QueryMsg, items []proto.BatchI
 	return nLegs
 }
 
-// mergeIDs adds one leg's answer to a sub-query's. The first answer is taken as
-// the backend ordered it; one that joins another is merged by sorted dedup,
-// because two backends sharing a range both report its items.
+// mergeIDs adds one leg's answer to a sub-query's. Both are ascending, each id
+// once — every backend answers in that order — and so is the result: a
+// linear merge, from the back so it needs no second buffer, that keeps one
+// copy of an id two backends sharing a range both report.
 func mergeIDs(ids, leg []uint32) []uint32 {
-	joins := len(ids) > 0 && len(leg) > 0
-	ids = append(ids, leg...)
-	if joins {
-		slices.Sort(ids)
-		ids = slices.Compact(ids)
+	if len(ids) == 0 || len(leg) == 0 {
+		return append(ids, leg...)
 	}
-	return ids
+	i, j := len(ids)-1, len(leg)-1
+	ids = append(ids, leg...)
+	for k := len(ids) - 1; j >= 0; k-- {
+		if i >= 0 && ids[i] > leg[j] {
+			ids[k], i = ids[i], i-1
+		} else {
+			ids[k], j = leg[j], j-1
+		}
+	}
+	return slices.Compact(ids)
 }
 
 // cover assigns every uncovered range of every live sub-query to a usable

@@ -2,6 +2,7 @@ package router
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"net"
 	"slices"
@@ -674,5 +675,24 @@ func TestBuildTableValidation(t *testing.T) {
 	}
 	if !tbl.divergent[0] || tbl.divergent[1] {
 		t.Fatalf("divergence misdetected: %v, want [true false]", tbl.divergent)
+	}
+}
+
+// TestMergeIDs: joining two backends' ascending answers keeps the result
+// ascending with one copy of every id either reported, whichever side holds
+// the smaller ids.
+func TestMergeIDs(t *testing.T) {
+	for _, c := range []struct{ a, b, want []uint32 }{
+		{nil, []uint32{4, 9}, []uint32{4, 9}},
+		{[]uint32{4, 9}, nil, []uint32{4, 9}},
+		{[]uint32{1, 3, 5, 7}, []uint32{2, 3, 6, 7, 8}, []uint32{1, 2, 3, 5, 6, 7, 8}},
+		{[]uint32{10, 11, 12}, []uint32{1, 2}, []uint32{1, 2, 10, 11, 12}},
+		{[]uint32{1, 2}, []uint32{10, 11, 12}, []uint32{1, 2, 10, 11, 12}},
+		{[]uint32{5, 6, 7}, []uint32{5, 6, 7}, []uint32{5, 6, 7}},
+		{[]uint32{0, math.MaxUint32}, []uint32{0, 1, math.MaxUint32}, []uint32{0, 1, math.MaxUint32}},
+	} {
+		if got := mergeIDs(slices.Clone(c.a), c.b); !slices.Equal(got, c.want) {
+			t.Errorf("mergeIDs(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
 	}
 }

@@ -11,9 +11,9 @@
 //   - KindRange stores RangeAppend(snap) — segments intersecting the snapped
 //     window. snap ⊇ window, and segment∩window ⇒ segment∩snap, so keeping
 //     exactly the segments with IntersectsRect(window) reproduces
-//     RangeAppend(window). Order is preserved too: a packed-tree DFS reports
-//     ids in a window-independent subsequence of tree order, so filtering the
-//     superset sequence yields the exact query's sequence.
+//     RangeAppend(window). The entry is stored ascending by id (order.go),
+//     and filtering keeps that order, so a hit leaves in the order an
+//     uncached answer is sorted into.
 //   - KindRangeFilter stores FilterRangeAppend(snap) — candidate ids whose
 //     MBR intersects the snapped window — refined with MBR.Intersects(window).
 //   - KindCell stores FilterRangeAppend(cell) for the one grid cell holding
@@ -187,6 +187,9 @@ func (s *Server) runSuperset(key qcache.Key, super geom.Rect, pt geom.Point, k i
 	}
 	if err != nil {
 		return err
+	}
+	if key.Kind() != qcache.KindNN {
+		sc.cids = sc.order.sortIDs(sc.cids)
 	}
 	ds := s.cfg.Pool.Dataset()
 	for _, id := range sc.cids {

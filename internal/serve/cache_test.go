@@ -58,7 +58,7 @@ func runOne(t testing.TB, srv *Server, sc *reqScratch, q proto.QueryMsg) ([]uint
 	return nil, nil
 }
 
-func sortIDs(ids []uint32) { sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] }) }
+func sortInPlace(ids []uint32) { sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] }) }
 
 func randomCacheQuery(rng *rand.Rand, ext geom.Rect) proto.QueryMsg {
 	cx := ext.Min.X + rng.Float64()*ext.Width()
@@ -119,8 +119,8 @@ func TestCachedEquivalenceUnderWrites(t *testing.T) {
 		for rep := 0; rep < 2; rep++ {
 			gotIDs, gotSegs := runOne(t, cached, csc, q)
 			wantIDs, wantSegs := runOne(t, uncached, usc, q)
-			sortIDs(gotIDs)
-			sortIDs(wantIDs)
+			sortInPlace(gotIDs)
+			sortInPlace(wantIDs)
 			if len(gotIDs) != len(wantIDs) {
 				t.Fatalf("rep %d %+v: cached %d ids, uncached %d", rep, q, len(gotIDs), len(wantIDs))
 			}
@@ -309,8 +309,8 @@ func TestCacheChurnSoak(t *testing.T) {
 		q := randomCacheQuery(rng, ext)
 		gotIDs, _ := runOne(t, cached, csc, q)
 		wantIDs, _ := runOne(t, uncached, usc, q)
-		sortIDs(gotIDs)
-		sortIDs(wantIDs)
+		sortInPlace(gotIDs)
+		sortInPlace(wantIDs)
 		if len(gotIDs) != len(wantIDs) {
 			t.Fatalf("post-churn %+v: cached %d ids, uncached %d", q, len(gotIDs), len(wantIDs))
 		}

@@ -3,6 +3,7 @@ package serve
 import (
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 
@@ -22,7 +23,8 @@ func TestPipelinedBatchContention(t *testing.T) {
 	const writers = 8
 	const perW = 30 // requests per writer; roughly half are batches
 
-	// Build every request and its reference answer serially up front.
+	// Build every request and its reference answer serially up front, in the
+	// order contract's form: ids ascending, k-NN nearest first.
 	type pending struct {
 		req  proto.Message
 		want [][]uint32 // one element for singles, one per item for batches
@@ -41,11 +43,11 @@ func TestPipelinedBatchContention(t *testing.T) {
 		}
 		switch rng.Intn(4) {
 		case 0:
-			return proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w}, pool.RangeAppend(nil, w)
+			return proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w}, ascending(pool.RangeAppend(nil, w))
 		case 1:
-			return proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeIDs, Point: pt}, pool.PointAppend(nil, pt, DefaultPointEps)
+			return proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeIDs, Point: pt}, ascending(pool.PointAppend(nil, pt, DefaultPointEps))
 		case 2:
-			return proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeFilter, Window: w}, pool.FilterRangeAppend(nil, w)
+			return proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeFilter, Window: w}, ascending(pool.FilterRangeAppend(nil, w))
 		default:
 			k := 1 + rng.Intn(6)
 			var ids []uint32
@@ -121,7 +123,7 @@ func TestPipelinedBatchContention(t *testing.T) {
 		seen[id] = true
 		switch m := msg.(type) {
 		case *proto.IDListMsg:
-			if len(want) != 1 || !sameIDs(m.IDs, want[0]) {
+			if len(want) != 1 || !slices.Equal(m.IDs, want[0]) {
 				t.Fatalf("id %d: single answer diverged under contention", id)
 			}
 		case *proto.BatchReplyMsg:
@@ -132,7 +134,7 @@ func TestPipelinedBatchContention(t *testing.T) {
 				if m.Items[j].Err != 0 {
 					t.Fatalf("id %d item %d: error %v", id, j, m.Items[j].Err)
 				}
-				if !sameIDs(m.Items[j].IDs, want[j]) {
+				if !slices.Equal(m.Items[j].IDs, want[j]) {
 					t.Fatalf("id %d item %d: batch answer diverged under contention", id, j)
 				}
 			}

@@ -377,6 +377,8 @@ type reqScratch struct {
 	cids      []uint32
 	csegs     []geom.Segment
 	cdists    []float64
+	// order sorts engine answers into the order contract (order.go).
+	order idSorter
 }
 
 // Retention caps for pooled scratch, mirroring internal/proto's: a scratch
@@ -1281,7 +1283,8 @@ func (s *Server) read(q *proto.QueryMsg, sc *reqScratch, it *proto.BatchItem, de
 }
 
 // readWindow is read's point and range branch: the refined cache entry when
-// the cache is on and the query has a key, else the engine's walk.
+// the cache is on and the query has a key, else the engine's walk, sorted
+// (order.go). Either way the ids are ascending.
 func (s *Server) readWindow(q *proto.QueryMsg, sc *reqScratch, it *proto.BatchItem, deadline time.Time) error {
 	if s.qc != nil {
 		ids, segs, handled, err := s.runQueryCached(q, sc, deadline)
@@ -1294,8 +1297,11 @@ func (s *Server) readWindow(q *proto.QueryMsg, sc *reqScratch, it *proto.BatchIt
 		}
 	}
 	var err error
-	it.IDs, err = s.runQuery(q, it.IDs, deadline)
-	return err
+	if it.IDs, err = s.runQuery(q, it.IDs, deadline); err != nil {
+		return err
+	}
+	it.IDs = sc.order.sortIDs(it.IDs)
+	return nil
 }
 
 // readNN is read's k-NN branch, a router's leg included: a ModeNeighbors

@@ -3,6 +3,7 @@ package serve
 import (
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -541,14 +542,14 @@ func sameIDsUnordered(a, b []uint32) bool {
 	return true
 }
 
-func sameIDs(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// sameIDs reports whether got, a point, range or filter answer off the wire,
+// is want, the pool's answer, in the order contract's form: ascending, each
+// id once.
+func sameIDs(got, want []uint32) bool { return slices.Equal(got, ascending(want)) }
+
+// ascending is a pool answer in the order contract's form.
+func ascending(ids []uint32) []uint32 {
+	out := slices.Clone(ids)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
