@@ -273,8 +273,8 @@ func (v *vehicle) advance(f *fleet, ds *dataset.Dataset, rng *rand.Rand) geom.Se
 }
 
 // placeFleet makes the source a fleet: build the road network and place
-// every vehicle one step along a route with an insert. The first write
-// proves the server is updatable before the clock starts.
+// every vehicle one step along a route with a move, its first. The first
+// write proves the server is updatable before the clock starts.
 func (wl *workload) placeFleet(out io.Writer, vehicles, conns int, readFrac float64, readback bool) error {
 	g, err := roadnet.Build(wl.ds, 50, ops.Null{})
 	if err != nil {
@@ -289,7 +289,7 @@ func (wl *workload) placeFleet(out io.Writer, vehicles, conns int, readFrac floa
 	rng := rand.New(rand.NewSource(wl.seed))
 	for i := 0; i < vehicles; i++ {
 		v := &vehicle{id: uint32(wl.ds.Len() + i), node: f.comp[rng.Intn(len(f.comp))]}
-		ack, err := wl.c.Insert(v.id, v.advance(f, wl.ds, rng))
+		ack, err := wl.c.Move(v.id, v.advance(f, wl.ds, rng))
 		if err != nil {
 			return fmt.Errorf("placing vehicle %d (is the server running -mutable?): %w", v.id, err)
 		}

@@ -27,7 +27,8 @@
 //	-replicas   R-way replication under rotation placement (needs
 //	            -partition, 1 <= R <= N; backend i also holds ranges
 //	            i-1..i-R+1 mod N)
-//	-mutable    updatable pool: accepts live MsgInsert/MsgDelete/MsgMove,
+//	-mutable    updatable pool: accepts live MsgMove/MsgDelete (a move is
+//	            the one upsert, an object's first write included),
 //	            overlaying a delta tree on the packed base and folding it
 //	            in with epoch-swapped compactions (monolithic or with
 //	            -partition; -shards sets the monolithic shard count, and is
@@ -90,7 +91,7 @@ func run(args []string) error {
 	obsAddr := fs.String("obs", "", "observability HTTP address (\"\" = disabled)")
 	partition := fs.String("partition", "", "i/N: cluster backend i of N Hilbert ranges (\"\" = whole dataset)")
 	replicas := fs.Int("replicas", 1, "R-way replication under rotation placement (needs -partition, 1 <= R <= N)")
-	mut := fs.Bool("mutable", false, "updatable pool accepting live inserts/deletes/moves")
+	mut := fs.Bool("mutable", false, "updatable pool accepting live moves and deletes")
 	qcacheMB := fs.Int("qcache", 0, "result-cache budget in MB (0 = off)")
 	qcell := fs.Float64("qcell", qcache.DefaultCellSize, "result-cache snapping grid pitch in map units")
 	fault := fs.String("fault", "", "faultlink profile injected on the listener (\"\" = none)")

@@ -67,7 +67,7 @@ func TestOverlayPathZeroAlloc(t *testing.T) {
 		id := uint32(rng.Intn(p.Dataset().Len() + 50))
 		switch rng.Intn(3) {
 		case 0:
-			p.ApplyInsert(id, randomSeg(rng, p.Dataset().Extent))
+			p.ApplyMove(id, randomSeg(rng, p.Dataset().Extent))
 		case 1:
 			p.ApplyDelete(id)
 		case 2:

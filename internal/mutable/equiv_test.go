@@ -45,7 +45,7 @@ func TestUpdatableEquivalenceQuick(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0: // insert (possibly upsert)
 				seg := randomSeg(rng, ds.Extent)
-				_, existed, owned, err := p.ApplyInsert(id, seg)
+				_, existed, owned, err := p.ApplyMove(id, seg)
 				if err != nil || !owned {
 					t.Errorf("seed %d: insert(%d): existed=%v owned=%v err=%v", seed, id, existed, owned, err)
 					return false

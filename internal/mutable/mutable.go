@@ -146,9 +146,9 @@ func hiOf(cuts []uint64, i int) uint64 {
 
 // Pool is an updatable sharded spatial index. It implements the serving
 // tier's executor surface (range/point/NN queries), its Updatable surface
-// (ApplyInsert/ApplyDelete/ApplyMove, plus SegOf for data-mode responses
-// over ids the base dataset has never heard of), its live summary
-// (SummaryRanges), and the result cache's validity view (qcache.Source).
+// (ApplyMove/ApplyDelete, plus SegOf for data-mode responses over ids the
+// base dataset has never heard of), its live summary (SummaryRanges), and
+// the result cache's validity view (qcache.Source).
 type Pool struct {
 	ds *dataset.Dataset
 	q  *hilbert.Quantizer

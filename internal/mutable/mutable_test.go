@@ -26,7 +26,7 @@ func TestInsertDeleteMoveBasics(t *testing.T) {
 	id := uint32(base) // first never-seen id
 	seg := geom.Segment{A: geom.Point{X: 100, Y: 100}, B: geom.Point{X: 140, Y: 120}}
 
-	if _, existed, owned, err := p.ApplyInsert(id, seg); err != nil || existed || !owned {
+	if _, existed, owned, err := p.ApplyMove(id, seg); err != nil || existed || !owned {
 		t.Fatalf("insert new: existed=%v owned=%v err=%v", existed, owned, err)
 	}
 	if p.Len() != base+1 {
@@ -78,7 +78,7 @@ func TestCompactionFoldsOverlayAndBumpsEpoch(t *testing.T) {
 		id := uint32(rng.Intn(base + 20))
 		switch rng.Intn(3) {
 		case 0:
-			p.ApplyInsert(id, randomSeg(rng, p.Dataset().Extent))
+			p.ApplyMove(id, randomSeg(rng, p.Dataset().Extent))
 		case 1:
 			p.ApplyDelete(id)
 		case 2:
@@ -176,7 +176,7 @@ func TestPartitionedOwnership(t *testing.T) {
 
 	// Foreign insert of an unknown id: refused ownership, nothing stored.
 	newID := uint32(ds.Len())
-	if _, existed, owned, err := p.ApplyInsert(newID, foreignSeg()); err != nil || existed || owned {
+	if _, existed, owned, err := p.ApplyMove(newID, foreignSeg()); err != nil || existed || owned {
 		t.Fatalf("foreign insert: existed=%v owned=%v err=%v", existed, owned, err)
 	}
 	if p.Len() != held {
@@ -185,7 +185,7 @@ func TestPartitionedOwnership(t *testing.T) {
 
 	// Local insert, then a move into foreign territory must evict it.
 	ls := localSeg()
-	if _, _, owned, err := p.ApplyInsert(newID, ls); err != nil || !owned {
+	if _, _, owned, err := p.ApplyMove(newID, ls); err != nil || !owned {
 		t.Fatalf("local insert: owned=%v err=%v", owned, err)
 	}
 	if p.Len() != held+1 {

@@ -12,17 +12,20 @@ import (
 	"time"
 
 	"mobispatial/internal/dataset"
+	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/router"
 	"mobispatial/internal/serve"
+	"mobispatial/internal/serve/client"
 	"mobispatial/internal/shard"
 )
 
 // clusterBackend builds backend be of an n-range cluster at R=replicas the
 // way mqserve -partition be/n -replicas R -mutable does: one shard per held
-// range, keyed by the cluster-wide cuts.
-func clusterBackend(t testing.TB, ds *dataset.Dataset, be, n, replicas int) *Pool {
+// range, keyed by the cluster-wide cuts. hub (nil for none) takes its
+// mutable_* metrics.
+func clusterBackend(t testing.TB, ds *dataset.Dataset, be, n, replicas int, hub *obs.Hub) *Pool {
 	t.Helper()
 	ranges, bounds := shard.PartitionHilbert(ds.Items(), n, 0)
 	cuts := make([]uint64, len(ranges))
@@ -37,7 +40,7 @@ func clusterBackend(t testing.TB, ds *dataset.Dataset, be, n, replicas int) *Poo
 	for _, ri := range idxs {
 		held = append(held, ranges[ri])
 	}
-	p, err := New(Config{Dataset: ds, Ranges: held, Cuts: cuts, Bounds: bounds, CompactInterval: -1})
+	p, err := New(Config{Dataset: ds, Ranges: held, Cuts: cuts, Bounds: bounds, CompactInterval: -1, Obs: hub})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +82,8 @@ func TestReplicaRangeVersionsAgree(t *testing.T) {
 	ranges, _ := shard.PartitionHilbert(ds.Items(), 3, 0)
 	id, to := ranges[0].Items[0].ID, ds.Seg(ranges[0].Items[1].ID)
 	t.Run("compaction", func(t *testing.T) {
-		a := clusterBackend(t, ds, 0, 3, 2)
-		b := clusterBackend(t, ds, 1, 3, 2)
+		a := clusterBackend(t, ds, 0, 3, 2, nil)
+		b := clusterBackend(t, ds, 1, 3, 2, nil)
 		for _, p := range []*Pool{a, b} {
 			if _, existed, owned, err := p.ApplyMove(id, to); err != nil || !existed || !owned {
 				t.Fatalf("move: existed=%v owned=%v err=%v", existed, owned, err)
@@ -147,7 +150,7 @@ func serveBackend(t *testing.T, p *Pool) string {
 func TestPartitionedPoolEvictsForeignWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ds := randomDataset(rng, 3000)
-	p := clusterBackend(t, ds, 0, 3, 2)
+	p := clusterBackend(t, ds, 0, 3, 2, nil)
 	ranges, _ := shard.PartitionHilbert(ds.Items(), 3, 0)
 	rows0, num := p.SummaryRanges(nil)
 	if num != 3 || len(rows0) != 2 || rows0[0].Index != 0 || rows0[1].Index != 2 {
@@ -162,7 +165,7 @@ func TestPartitionedPoolEvictsForeignWrites(t *testing.T) {
 	// Writes keyed into range 1 are not this pool's: a fresh id is refused,
 	// a held object moving there is evicted.
 	foreign := ds.Seg(ranges[1].Items[0].ID)
-	if _, existed, owned, err := p.ApplyInsert(uint32(ds.Len()), foreign); err != nil || existed || owned {
+	if _, existed, owned, err := p.ApplyMove(uint32(ds.Len()), foreign); err != nil || existed || owned {
 		t.Fatalf("insert into range 1: existed=%v owned=%v err=%v", existed, owned, err)
 	}
 	n := p.Len()
@@ -184,6 +187,56 @@ func TestPartitionedPoolEvictsForeignWrites(t *testing.T) {
 		if r.Index != rows0[i].Index || r.Lo != rows0[i].Lo || r.Hi != rows0[i].Hi {
 			t.Fatalf("after the writes: row %d = %d [%d, %d], was %d [%d, %d]", i,
 				r.Index, r.Lo, r.Hi, rows0[i].Index, rows0[i].Lo, rows0[i].Hi)
+		}
+	}
+}
+
+// TestUpsertMeteredByWhatItDid: a pool meters an upsert by what it did, once
+// ownership is decided. On a pool holding ranges {0, 2} of 3, served over
+// the wire, a write keyed into range 1 counts only as not owned — a fresh id
+// refused and a held object evicted alike; a fresh id's first owned write
+// counts one insert; and a later owned write counts one move, whichever
+// client call sent it.
+func TestUpsertMeteredByWhatItDid(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ds := randomDataset(rng, 3000)
+	hub := obs.NewHub()
+	p := clusterBackend(t, ds, 0, 3, 2, hub)
+	c, err := client.New(client.Config{Addr: serveBackend(t, p), Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ranges, _ := shard.PartitionHilbert(ds.Items(), 3, 0)
+	foreign, local := ds.Seg(ranges[1].Items[0].ID), ds.Seg(ranges[2].Items[0].ID)
+	fresh, held := uint32(ds.Len()), ranges[0].Items[0].ID
+	inserts := hub.Reg.Counter("mutable_inserts_total")
+	moves := hub.Reg.Counter("mutable_moves_total")
+	notOwned := hub.Reg.Counter("mutable_not_owned_total")
+	for _, step := range []struct {
+		label                string
+		write                func(uint32, geom.Segment) (client.UpdateAck, error)
+		id                   uint32
+		seg                  geom.Segment
+		owned                bool
+		dInsert, dMove, dNot uint64
+	}{
+		{"foreign write of a fresh id", c.Move, fresh, foreign, false, 0, 0, 1},
+		{"foreign write of a held object", c.Move, held, foreign, false, 0, 0, 1},
+		{"first owned write, by Insert", c.Insert, fresh, local, true, 1, 0, 0},
+		{"second owned write, by Insert", c.Insert, fresh, local, true, 0, 1, 0},
+		{"third owned write, by Move", c.Move, fresh, ds.Seg(ranges[0].Items[1].ID), true, 0, 1, 0},
+		{"first owned write, by Move", c.Move, fresh + 1, local, true, 1, 0, 0},
+	} {
+		i0, m0, n0 := inserts.Value(), moves.Value(), notOwned.Value()
+		ack, err := step.write(step.id, step.seg)
+		if err != nil || ack.Owned != step.owned {
+			t.Fatalf("%s: ack %+v err %v, want owned=%v", step.label, ack, err, step.owned)
+		}
+		if di, dm, dn := inserts.Value()-i0, moves.Value()-m0, notOwned.Value()-n0; di != step.dInsert || dm != step.dMove || dn != step.dNot {
+			t.Errorf("%s: counted %d inserts, %d moves, %d not owned; want %d, %d, %d",
+				step.label, di, dm, dn, step.dInsert, step.dMove, step.dNot)
 		}
 	}
 }

@@ -330,29 +330,21 @@ func checkWriteSeg(seg geom.Segment) error {
 	return nil
 }
 
-// ApplyInsert upserts id at seg. It returns the owning shard's base epoch,
-// whether a previous version of id was visible, and whether this pool owns
-// the object's position (a pool that does not own it instead drops any
-// stale local copy and acks owned=false, which is exactly what a replica
-// must do when an object moves off its ranges).
-func (p *Pool) ApplyInsert(id uint32, seg geom.Segment) (epoch uint64, existed, owned bool, err error) {
-	return p.applyUpsert(id, seg, p.m.inserts)
-}
-
-// ApplyMove is ApplyInsert under update semantics: the moving-object
-// workload's hot write. Kept distinct so the serving tier can meter moves
-// separately from first-time inserts.
+// ApplyMove upserts id at seg: an object's first position and every later
+// one. It returns the owning shard's base epoch, whether a previous version
+// of id was visible, and whether this pool owns the object's position (a
+// pool that does not own it instead drops any stale local copy and acks
+// owned=false, which is exactly what a replica must do when an object moves
+// off its ranges). A malformed segment is the only error.
+//
+// The pool meters what the write did, once ownership is decided: an owned
+// write counts in mutable_inserts_total when it installed an id with no
+// visible copy and in mutable_moves_total when it replaced one; a foreign
+// write counts only in mutable_not_owned_total.
 func (p *Pool) ApplyMove(id uint32, seg geom.Segment) (epoch uint64, existed, owned bool, err error) {
-	return p.applyUpsert(id, seg, p.m.moves)
-}
-
-// applyUpsert applies one insert or move and counts it in n. A malformed
-// segment is the only error, so n counts exactly the writes that succeed.
-func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64, bool, bool, error) {
 	if err := checkWriteSeg(seg); err != nil {
 		return 0, false, false, err
 	}
-	n.Inc()
 	key := shard.WriteKey(p.q, seg.MBR())
 
 	// Ownership resolves under omu, the only place an id's owner changes.
@@ -368,7 +360,7 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64,
 			p.omu.Unlock()
 			return 0, false, false, nil
 		}
-		epoch, existed := p.evict(id, old)
+		epoch, existed = p.evict(id, old)
 		return epoch, existed, false, nil
 	}
 
@@ -388,15 +380,16 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64,
 		old.count.Add(-1)
 		target.count.Add(1)
 		p.beginXfer(id)
-		existed := old.removeLocked(id)
+		existed = old.removeLocked(id)
 		if target.upsertLocked(id, seg) {
 			existed = true
 		}
 		p.wrote(old, target)
-		epoch := target.epoch.Load()
+		epoch = target.epoch.Load()
 		old.mu.Unlock()
 		target.mu.Unlock()
 		p.endXfer()
+		p.m.upserted(existed)
 		return epoch, existed, true, nil
 	}
 
@@ -406,10 +399,11 @@ func (p *Pool) applyUpsert(id uint32, seg geom.Segment, n *obs.Counter) (uint64,
 		target.count.Add(1)
 	}
 	p.omu.Unlock()
-	existed := target.upsertLocked(id, seg)
+	existed = target.upsertLocked(id, seg)
 	p.wrote(target, target)
-	epoch := target.epoch.Load()
+	epoch = target.epoch.Load()
 	target.mu.Unlock()
+	p.m.upserted(existed)
 	return epoch, existed, true, nil
 }
 
@@ -489,6 +483,16 @@ type poolMetrics struct {
 	epochG []*obs.Gauge
 	pendG  []*obs.Gauge
 	staleG []*obs.Gauge
+}
+
+// upserted counts one applied, owned upsert by what it did: a first
+// placement of the id, or a replacement of a visible copy.
+func (m *poolMetrics) upserted(existed bool) {
+	if existed {
+		m.moves.Inc()
+	} else {
+		m.inserts.Inc()
+	}
 }
 
 func newPoolMetrics(h *obs.Hub, nShards int) *poolMetrics {

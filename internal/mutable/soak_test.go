@@ -66,7 +66,7 @@ func TestUpdateSoak(t *testing.T) {
 				switch wrng.Intn(4) {
 				case 0:
 					seg := randomSeg(wrng, ds.Extent)
-					if _, _, _, err := p.ApplyInsert(id, seg); err != nil {
+					if _, _, _, err := p.ApplyMove(id, seg); err != nil {
 						t.Error(err)
 						return
 					}

@@ -134,14 +134,9 @@ type RangeInfo struct {
 // summaryRowBytes is the encoded size of one RangeInfo.
 const summaryRowBytes = 4 + 4 + 8 + 8 + 8 + 32
 
-// summaryReservedBytes is the header gap between NumRanges and the row
-// count. It held a backend-wide item count and bounds, which nothing
-// planned by; it is written as zeros and skipped on read, so routers and
-// backends on either side of that change still read each other's summaries.
-const summaryReservedBytes = 8 + 32
-
 // SummaryMsg is a backend's partition summary. A monolithic (unpartitioned)
-// server reports NumRanges=1 with a single range covering everything.
+// server reports NumRanges=1 with a single range covering everything. On the
+// wire the row count follows NumRanges directly, and the rows end the frame.
 type SummaryMsg struct {
 	ID uint32
 	// NumRanges is the cluster-wide total range count the backend was
@@ -182,7 +177,6 @@ func (m *SummaryMsg) Validate() error {
 func (m *SummaryMsg) appendPayload(b []byte) []byte {
 	b = appendU32(b, m.ID)
 	b = appendU32(b, m.NumRanges)
-	b = append(b, make([]byte, summaryReservedBytes)...)
 	b = appendU32(b, uint32(len(m.Ranges)))
 	for _, r := range m.Ranges {
 		b = appendU32(b, r.Index)
@@ -199,7 +193,6 @@ func (m *SummaryMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
 	m.ID = d.u32()
 	m.NumRanges = d.u32()
-	d.bytes(summaryReservedBytes)
 	n := int(d.u32())
 	if rest := len(d.b) - d.off; d.err == nil && n*summaryRowBytes != rest {
 		return fmt.Errorf("proto: summary range count %d does not match %d payload bytes", n, rest)

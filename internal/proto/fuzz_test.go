@@ -23,14 +23,19 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	f.Add([]byte{0, 0, 0, 0, 0xEE})
 	f.Add([]byte{0, 0, 0, 9, byte(MsgPing), 1, 2, 3})
-	// Update-path seeds: an insert whose segment smuggles NaN coordinate bits
-	// (must be rejected by Validate after decode, not crash), and an ack with
-	// unknown flag bits set (must be rejected so re-encoding stays canonical).
-	if nan, err := EncodeMessage(&InsertMsg{ID: 1, ObjID: 2}); err == nil {
+	// Update-path seeds: a move whose segment smuggles NaN coordinate bits
+	// (must be rejected by Validate after decode, not crash), the same move
+	// relabelled as type 16, the retired insert (refused whatever the
+	// payload), and an ack with unknown flag bits set (must be rejected so
+	// re-encoding stays canonical).
+	if move, err := EncodeMessage(&MoveMsg{ID: 1, ObjID: 2}); err == nil {
+		nan := append([]byte(nil), move...)
 		for i := FrameHeaderBytes + 8; i < FrameHeaderBytes+16; i++ {
 			nan[i] = 0xFF
 		}
 		f.Add(nan)
+		move[4] = 16
+		f.Add(move)
 	}
 	if ack, err := EncodeMessage(&UpdateAckMsg{ID: 1, ObjID: 2, Epoch: 3}); err == nil {
 		ack[len(ack)-1] = 0xF0 // unknown flag bits
@@ -60,9 +65,10 @@ func FuzzReadMessage(f *testing.F) {
 		retired[4] = 12
 		f.Add(retired)
 	}
-	// Hand-built frames each read encoding must refuse: lying counts, ids
-	// and record ids leaving uint32, an over-cap run, a first record flagged
-	// as sharing, unknown query flag bits, eps on a kind that carries none.
+	// Hand-built frames each decoder must refuse: lying counts, ids and
+	// record ids leaving uint32, an over-cap run, a first record flagged as
+	// sharing, unknown query flag bits, eps on a kind that carries none, and
+	// the control frames' retired shapes (a stats tail, a summary gap).
 	for _, frame := range rejectedFrames() {
 		f.Add(frame)
 	}

@@ -52,7 +52,6 @@ var (
 	shipReqPool    = sync.Pool{New: func() any { return new(ShipmentReqMsg) }}
 	batchQueryPool = sync.Pool{New: func() any { return new(BatchQueryMsg) }}
 	batchReplyPool = sync.Pool{New: func() any { return new(BatchReplyMsg) }}
-	insertPool     = sync.Pool{New: func() any { return new(InsertMsg) }}
 	deletePool     = sync.Pool{New: func() any { return new(DeleteMsg) }}
 	movePool       = sync.Pool{New: func() any { return new(MoveMsg) }}
 	updateAckPool  = sync.Pool{New: func() any { return new(UpdateAckMsg) }}
@@ -66,10 +65,6 @@ func AcquireQuery() *QueryMsg { return queryPool.Get().(*QueryMsg) }
 // AcquireBatchQuery returns a *BatchQueryMsg from the pool with zero scalar
 // fields and an empty (capacity-preserving) Queries slice.
 func AcquireBatchQuery() *BatchQueryMsg { return batchQueryPool.Get().(*BatchQueryMsg) }
-
-// AcquireInsert returns a zeroed *InsertMsg from the pool; the moving-object
-// workload issues these at write-path rates, so they pool like queries.
-func AcquireInsert() *InsertMsg { return insertPool.Get().(*InsertMsg) }
 
 // AcquireDelete returns a zeroed *DeleteMsg from the pool.
 func AcquireDelete() *DeleteMsg { return deletePool.Get().(*DeleteMsg) }
@@ -117,9 +112,6 @@ func ReleaseMessage(m Message) {
 		v.TimeoutMicros = 0
 		v.Queries = v.Queries[:0]
 		batchQueryPool.Put(v)
-	case *InsertMsg:
-		*v = InsertMsg{}
-		insertPool.Put(v)
 	case *DeleteMsg:
 		*v = DeleteMsg{}
 		deletePool.Put(v)

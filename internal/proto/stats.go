@@ -2,7 +2,8 @@
 // MsgStatsReq asks the server for its metrics snapshot and MsgStats carries
 // it back — counters, gauges, and histogram summaries — so a client (or
 // cmd/mqtop) can pull server-side observability over the existing query
-// connection instead of needing the HTTP export surface.
+// connection instead of needing the HTTP export surface. A snapshot ends at
+// its histograms; any bytes after them are refused.
 package proto
 
 import (
@@ -189,16 +190,6 @@ func (m *StatsMsg) decodePayload(b []byte) error {
 				P99:   d.f64(),
 			})
 		}
-	}
-	// Forward compatibility: trailing extension sections. A newer server may
-	// append sections this decoder does not know — each framed as a tag byte
-	// plus a u32 payload length — and an old reader (mqtop against a newer
-	// router, say) must skip them instead of failing the whole snapshot on
-	// "trailing bytes". Only malformed framing (a length past the payload
-	// end) is still an error.
-	for d.err == nil && d.off < len(d.b) {
-		_ = d.u8() // extension tag: unknown sections are skipped
-		d.bytes(int(d.u32()))
 	}
 	return d.finish("stats")
 }

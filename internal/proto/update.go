@@ -1,14 +1,16 @@
 // update.go extends the wire catalogue with the mutable-world messages: live
 // object updates against an updatable shard subsystem (internal/mutable).
-// Inserts and moves carry full segment geometry; deletes carry the id only
-// (the mobile client that drops out of the world does not know — or care —
-// where its last position landed server-side). Every update is acknowledged
-// with MsgUpdateAck carrying the owning shard's base epoch, which is how
-// clients and the router observe compaction progress and measure staleness.
+// There are two write verbs. A move is the one upsert: it carries full
+// segment geometry, and an object's first position report is a move like
+// every later one. A delete carries the id only (the mobile client that drops
+// out of the world does not know — or care — where its last position landed
+// server-side). Every update is acknowledged with MsgUpdateAck carrying the
+// owning shard's base epoch, which is how clients and the router observe
+// compaction progress and measure staleness.
 //
 // Update semantics are deliberately idempotent so the client retry path and
-// the router's replica fan-out need no exactly-once machinery: insert and
-// move are upserts keyed by object id, delete of a missing id succeeds with
+// the router's replica fan-out need no exactly-once machinery: a move is an
+// upsert keyed by object id, a delete of a missing id succeeds with
 // Existed=false.
 package proto
 
@@ -18,14 +20,14 @@ import (
 	"mobispatial/internal/geom"
 )
 
-// The update message types, continuing the catalogue in cluster.go.
+// The update message types, continuing the catalogue in cluster.go. 16 is
+// reserved: it was an insert verb, retired because a move is the same
+// upsert, and a decoder refuses it as an unknown type.
 const (
-	// MsgInsert adds (or replaces — upsert) one object.
-	MsgInsert MsgType = 16
 	// MsgDelete removes one object by id.
 	MsgDelete MsgType = 17
-	// MsgMove re-positions one object: an upsert that backends not owning
-	// the new position answer by deleting their stale local copy.
+	// MsgMove places or re-positions one object: the one upsert. Backends not
+	// owning the new position answer it by deleting their stale local copy.
 	MsgMove MsgType = 18
 	// MsgUpdateAck acknowledges any update, carrying the shard epoch.
 	MsgUpdateAck MsgType = 19
@@ -39,41 +41,6 @@ func checkSegment(s geom.Segment) error {
 		return err
 	}
 	return checkPoint(s.B)
-}
-
-// InsertMsg adds one object with the given id and segment geometry. Existing
-// objects with the same id are replaced (upsert).
-type InsertMsg struct {
-	ID            uint32
-	ObjID         uint32
-	Seg           geom.Segment
-	TimeoutMicros uint32
-}
-
-// Type implements Message.
-func (m *InsertMsg) Type() MsgType { return MsgInsert }
-
-// RequestID implements Message.
-func (m *InsertMsg) RequestID() uint32 { return m.ID }
-
-// Validate implements Message.
-func (m *InsertMsg) Validate() error { return checkSegment(m.Seg) }
-
-func (m *InsertMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
-	b = appendU32(b, m.ObjID)
-	b = appendPoint(b, m.Seg.A)
-	b = appendPoint(b, m.Seg.B)
-	return appendU32(b, m.TimeoutMicros)
-}
-
-func (m *InsertMsg) decodePayload(b []byte) error {
-	d := decoder{b: b}
-	m.ID = d.u32()
-	m.ObjID = d.u32()
-	m.Seg = geom.Segment{A: d.point(), B: d.point()}
-	m.TimeoutMicros = d.u32()
-	return d.finish("insert")
 }
 
 // DeleteMsg removes one object by id. Deleting an absent id is not an error:
@@ -107,9 +74,10 @@ func (m *DeleteMsg) decodePayload(b []byte) error {
 	return d.finish("delete")
 }
 
-// MoveMsg re-positions one object. Semantically an upsert like InsertMsg; it
-// is a distinct type so a backend meters moves, the moving-object workload's
-// hot write, apart from first-time inserts.
+// MoveMsg places object ObjID at Seg, replacing any previous position: the
+// one upsert, so an object's first write is a move too. A backend that
+// applies it tells a first placement from a re-position itself (the ack's
+// Existed) and meters the two apart.
 type MoveMsg struct {
 	ID            uint32
 	ObjID         uint32

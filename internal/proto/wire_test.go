@@ -95,10 +95,10 @@ func allMessages() []Message {
 					MBR: geom.Rect{Min: geom.Point{X: 30, Y: 20}, Max: geom.Point{X: 90, Y: 90}}},
 			}},
 		&SummaryMsg{ID: 25}, // an empty backend is legal
-		&InsertMsg{ID: 26, ObjID: 150_000,
+		&MoveMsg{ID: 26, ObjID: 150_000,
 			Seg:           geom.Segment{A: geom.Point{X: 10, Y: 20}, B: geom.Point{X: 11, Y: 21}},
 			TimeoutMicros: 100_000},
-		&InsertMsg{ID: 27, ObjID: 0, Seg: geom.Segment{}}, // zero-area point object
+		&MoveMsg{ID: 27, ObjID: 0, Seg: geom.Segment{}}, // zero-area point object
 		&DeleteMsg{ID: 28, ObjID: 150_000, TimeoutMicros: 50_000},
 		&MoveMsg{ID: 29, ObjID: 150_001,
 			Seg: geom.Segment{A: geom.Point{X: -3.5, Y: 7}, B: geom.Point{X: -3.5, Y: 7}}},
@@ -281,8 +281,6 @@ func TestWireValidateRejects(t *testing.T) {
 			{Index: 0, MBR: geom.Rect{Min: geom.Point{X: math.NaN()}}}}},
 		&SummaryMsg{ID: 1, Ranges: []RangeInfo{{Index: 0}}}, // zero-range cluster
 		&SummaryMsg{ID: 1, NumRanges: MaxSummaryRanges + 1, Ranges: make([]RangeInfo, MaxSummaryRanges+1)},
-		&InsertMsg{ID: 1, Seg: geom.Segment{A: geom.Point{X: math.NaN()}}},
-		&InsertMsg{ID: 1, Seg: geom.Segment{B: geom.Point{Y: math.Inf(1)}}},
 		&MoveMsg{ID: 1, Seg: geom.Segment{A: geom.Point{Y: math.NaN()}}},
 		&MoveMsg{ID: 1, Seg: geom.Segment{B: geom.Point{X: math.Inf(-1)}}},
 	}
@@ -333,6 +331,16 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 		if _, _, err := ReadMessage(bytes.NewReader(retired)); err == nil {
 			t.Fatalf("retired message type %d accepted", typ)
 		}
+	}
+
+	// Type 16, the retired insert, carrying the move payload it shared.
+	insert, err := EncodeMessage(&MoveMsg{ID: 4, ObjID: 9, Seg: geom.Segment{B: geom.Point{X: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert[4] = 16
+	if _, _, err := ReadMessage(bytes.NewReader(insert)); err == nil {
+		t.Fatal("retired message type 16 accepted")
 	}
 
 	// Oversized frame header.
@@ -445,7 +453,19 @@ func rejectedFrames() map[string][]byte {
 			id, []byte{KindRange | flagHasEps}, win, f64(1)),
 		"batch count beyond the payload": frameOf(MsgBatchQuery, id, []byte{0, 0, 0, 0}, []byte{0, 9},
 			id, []byte{KindPoint}, pt),
+		// Uptime, no counters, gauges or histograms, then a tagged section.
+		"stats with a trailing section": frameOf(MsgStats, id, make([]byte, 8), []byte{0, 0, 0, 0, 0, 0},
+			[]byte{0xAA, 0, 0, 0, 5}, []byte("hello")),
+		"summary with the old header gap": frameOf(MsgSummary, id, []byte{0, 0, 0, 1}, make([]byte, 8+32),
+			[]byte{0, 0, 0, 1}, summaryRow()),
 	}
+}
+
+// summaryRow is one encoded RangeInfo.
+func summaryRow() []byte {
+	b := appendU32(appendU32(nil, 0), 3)          // range 0, 3 items
+	b = binaryAppendU64(binaryAppendU64(b, 0), 9) // keys [0, 9]
+	return append(b, make([]byte, 8+32)...)       // version 0, an empty MBR
 }
 
 // TestWireRejectsHandBuiltFrames: every rejected frame errors, and each is
@@ -467,6 +487,8 @@ func TestWireRejectsHandBuiltFrames(t *testing.T) {
 		"eps on a neighbors k-NN":  frameOf(MsgQuery, id, []byte{KindNN | byte(ModeNeighbors)<<2 | flagHasEps}, pt, []byte{0, 1}, f64(1)),
 		"a batched query with a timeout": frameOf(MsgBatchQuery, id, []byte{0, 0, 0, 0}, []byte{0, 1},
 			id, []byte{KindPoint | flagHasTimeout}, pt, []byte{0, 0, 0, 9}),
+		"stats ending at its histograms": frameOf(MsgStats, id, make([]byte, 8), []byte{0, 0, 0, 0, 0, 0}),
+		"a summary without the gap":      frameOf(MsgSummary, id, []byte{0, 0, 0, 1}, []byte{0, 0, 0, 1}, summaryRow()),
 	}
 	for name, frame := range accepted {
 		if _, _, err := ReadMessage(bytes.NewReader(frame)); err != nil {
@@ -531,7 +553,7 @@ func TestCodeOf(t *testing.T) {
 // TestEveryMessageTypeIsNamed: every type the decoder accepts reads as a name
 // in an error text ("unexpected move message"), never as "MsgType(18)", and a
 // decoded message reports the type it was asked for. A type added to the
-// catalogue without a name fails here.
+// catalogue without a name fails here, as does a change to its 16 types.
 func TestEveryMessageTypeIsNamed(t *testing.T) {
 	accepted := 0
 	for i := 0; i < 256; i++ {
@@ -550,6 +572,9 @@ func TestEveryMessageTypeIsNamed(t *testing.T) {
 	}
 	if accepted != len(msgTypeNames) {
 		t.Errorf("%d types decode, %d are named", accepted, len(msgTypeNames))
+	}
+	if accepted != 16 {
+		t.Errorf("%d message types decode, want the catalogue's 16", accepted)
 	}
 }
 

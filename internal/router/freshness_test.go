@@ -110,7 +110,7 @@ func TestClusterReadsSeeFreshWrites(t *testing.T) {
 	// MBR.
 	id0 := uint32(ds.Len() + 101)
 	seg0 := ds.Seg(stripped[0].ID)
-	if _, _, owned, err := r.ApplyInsert(id0, seg0); err != nil || !owned {
+	if _, _, owned, err := r.ApplyMove(id0, seg0); err != nil || !owned {
 		t.Fatalf("insert into the empty range: owned=%v err=%v", owned, err)
 	}
 
@@ -200,7 +200,7 @@ func TestClusterReadsSeeFreshWrites(t *testing.T) {
 	if rg := s.rangeForKey(shard.WriteKey(r.wq, segZ.MBR())); s.rangeMBR[rg].IsEmpty() || s.rangeMBR[rg].Intersects(segZ.MBR()) {
 		t.Fatalf("range %d (MBR %v) is not a populated range short of %v", rg, s.rangeMBR[rg], segZ.MBR())
 	}
-	if _, _, owned, err := r.ApplyInsert(idZ, segZ); err != nil || !owned {
+	if _, _, owned, err := r.ApplyMove(idZ, segZ); err != nil || !owned {
 		t.Fatalf("insert beyond the corner: owned=%v err=%v", owned, err)
 	}
 	nearestIs("write outside its range's MBR", geom.Point{X: far.X + 1, Y: far.Y - 2}, idZ, segZ)
@@ -302,8 +302,8 @@ func TestRouterMutableQuickEquivalence(t *testing.T) {
 				fresh = append(fresh, id)
 			}
 			seg, prev := randSeg(), truth.SegOf(id)
-			_, ex1, _, err1 := r.ApplyInsert(id, seg)
-			_, ex2, _, err2 := truth.ApplyInsert(id, seg)
+			_, ex1, _, err1 := r.ApplyMove(id, seg)
+			_, ex2, _, err2 := truth.ApplyMove(id, seg)
 			if err1 != nil || err2 != nil || ex1 != ex2 {
 				t.Fatalf("op %d insert %d: cluster existed=%v err=%v, truth existed=%v err=%v",
 					i, id, ex1, err1, ex2, err2)

@@ -260,7 +260,7 @@ func TestRouterNNDivergentAsksEveryHolder(t *testing.T) {
 	seg := segInRange(t, ds, cuts, func(rg int) bool { return r.snap().holds[lone][rg] })
 	rg := r.snap().rangeForKey(shard.WriteKey(r.wq, seg.MBR()))
 	id := uint32(ds.Len() + 77)
-	if _, _, owned, err := pools[lone].ApplyInsert(id, seg); err != nil || !owned {
+	if _, _, owned, err := pools[lone].ApplyMove(id, seg); err != nil || !owned {
 		t.Fatalf("direct insert: owned=%v err=%v", owned, err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
@@ -465,7 +465,7 @@ func TestRouterBatchNNLegs(t *testing.T) {
 		seg := segInRange(t, ds, cuts, func(rg int) bool { return r.snap().holds[lone][rg] })
 		rg := r.snap().rangeForKey(shard.WriteKey(r.wq, seg.MBR()))
 		id := uint32(ds.Len() + 78)
-		if _, _, owned, err := pools[lone].ApplyInsert(id, seg); err != nil || !owned {
+		if _, _, owned, err := pools[lone].ApplyMove(id, seg); err != nil || !owned {
 			t.Fatalf("direct insert: owned=%v err=%v", owned, err)
 		}
 		deadline := time.Now().Add(10 * time.Second)

@@ -37,7 +37,7 @@ func TestRouterRefreshSeesDirectWrites(t *testing.T) {
 
 	id := uint32(ds.Len() + 202)
 	seg := ds.Seg(stripped[2].ID)
-	if _, _, owned, err := pools[emptyRg].ApplyInsert(id, seg); err != nil || !owned {
+	if _, _, owned, err := pools[emptyRg].ApplyMove(id, seg); err != nil || !owned {
 		t.Fatalf("direct backend insert: owned=%v err=%v", owned, err)
 	}
 
@@ -198,7 +198,7 @@ func TestRouterSourceVersions(t *testing.T) {
 		before[i] = r.Version(i)
 	}
 	seg := ds.Seg(stripped[0].ID)
-	if _, _, _, err := r.ApplyInsert(uint32(ds.Len()+303), seg); err != nil {
+	if _, _, _, err := r.ApplyMove(uint32(ds.Len()+303), seg); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Version(emptyRg); got <= before[emptyRg] {
@@ -287,7 +287,7 @@ func TestRouterCacheEquivalenceUnderWrites(t *testing.T) {
 		cx := (hot[0].Min.X + hot[0].Max.X) / 2
 		cy := (hot[0].Min.Y + hot[0].Max.Y) / 2
 		seg := geom.Segment{A: geom.Point{X: cx, Y: cy}, B: geom.Point{X: cx + 5, Y: cy + 5}}
-		if _, err := c.Insert(id, seg); err != nil {
+		if _, err := c.Move(id, seg); err != nil {
 			t.Fatalf("round %d insert: %v", round, err)
 		}
 		got, err := c.RangeIDs(hot[0])

@@ -5,7 +5,7 @@
 // routers and directly at backends — so it asks everyone, as a read of the
 // object's whereabouts and its write in one round.
 //
-//   - An upsert (insert or move) is applied by the holders of its target
+//   - A move (the one upsert) is applied by the holders of its target
 //     range, the range its Hilbert key falls in; every other backend evicts
 //     any copy it has and acks Owned=false. It is acked only when a holder of
 //     the target range reports Owned.
@@ -42,24 +42,18 @@ import (
 // update messages and resolves live geometry in data-mode responses without
 // any extra wiring.
 
-// ApplyInsert upserts id at seg through write. On success the write enters
-// the freshness plane (noteWrite) before the ack returns, so a read issued
-// after the ack routes to the object even if it landed outside the range's
-// summary MBR.
-func (r *Router) ApplyInsert(id uint32, seg geom.Segment) (uint64, bool, bool, error) {
-	return r.write(writeOp{proto.MsgInsert, id, seg})
-}
-
-// ApplyMove is ApplyInsert under update semantics: its legs carry MsgMove, so
-// the backends meter moves apart from first-time inserts.
+// ApplyMove upserts id at seg through write: an object's first position
+// and every later one. On success the write enters the freshness plane
+// (noteWrite) before the ack returns, so a read issued after the ack routes
+// to the object even if it landed outside the range's summary MBR.
 func (r *Router) ApplyMove(id uint32, seg geom.Segment) (uint64, bool, bool, error) {
-	return r.write(writeOp{proto.MsgMove, id, seg})
+	return r.write(writeOp{id: id, seg: seg})
 }
 
 // ApplyDelete deletes id wherever it is. Deleting an id nobody holds
 // succeeds with Existed=false once every backend has said so.
 func (r *Router) ApplyDelete(id uint32) (uint64, bool, bool, error) {
-	return r.write(writeOp{kind: proto.MsgDelete, id: id})
+	return r.write(writeOp{del: true, id: id})
 }
 
 // SegOf is the geometry half of serve.Updatable: the geometry of the last
@@ -75,12 +69,12 @@ func (r *Router) SegOf(id uint32) geom.Segment {
 	return seg
 }
 
-// writeOp is the write every leg of one write call carries: MsgInsert,
-// MsgMove or MsgDelete of object id (seg is unused by a delete).
+// writeOp is the write every leg of one write call carries: a move of
+// object id to seg, or with del set a delete of id (seg unused).
 type writeOp struct {
-	kind proto.MsgType
-	id   uint32
-	seg  geom.Segment
+	del bool
+	id  uint32
+	seg geom.Segment
 }
 
 // shipWrite is write's leg function: the call's write to backend
@@ -88,13 +82,10 @@ type writeOp struct {
 func shipWrite(r *Router, sc *fanScratch, li int) error {
 	cc, w := r.clients[sc.sel[li]], &sc.write
 	var err error
-	switch w.kind {
-	case proto.MsgInsert:
-		sc.acks[li], err = cc.Insert(w.id, w.seg)
-	case proto.MsgMove:
-		sc.acks[li], err = cc.Move(w.id, w.seg)
-	default:
+	if w.del {
 		sc.acks[li], err = cc.Delete(w.id)
+	} else {
+		sc.acks[li], err = cc.Move(w.id, w.seg)
 	}
 	r.metrics.writeLegs.Inc()
 	if err != nil {
@@ -110,7 +101,7 @@ func (r *Router) write(w writeOp) (uint64, bool, bool, error) {
 	r.metrics.writes.Inc()
 	t := r.snap()
 	target := -1 // a delete has no target range
-	if w.kind != proto.MsgDelete {
+	if !w.del {
 		target = t.rangeForKey(shard.WriteKey(r.wq, w.seg.MBR()))
 	}
 	sc := r.getScratch()
@@ -160,14 +151,14 @@ func (r *Router) write(w writeOp) (uint64, bool, bool, error) {
 	}
 	if !acked {
 		r.metrics.writeUnroutable.Inc()
-		why := fmt.Sprintf("no holder of range %d applied it", target)
-		if target < 0 {
-			why = "none reported the object and the rest did not answer"
+		verb, why := "move", fmt.Sprintf("no holder of range %d applied it", target)
+		if w.del {
+			verb, why = "delete", "none reported the object and the rest did not answer"
 		}
 		return 0, false, false, &routerError{
 			code: proto.CodeUnavailable,
-			msg: fmt.Sprintf("router: %v of id %d: %d of %d backends answered, %s: %v",
-				w.kind, w.id, answered, len(sc.sel), why, lastErr),
+			msg: fmt.Sprintf("router: %s of id %d: %d of %d backends answered, %s: %v",
+				verb, w.id, answered, len(sc.sel), why, lastErr),
 		}
 	}
 	r.liveMu.Lock()

@@ -2,7 +2,9 @@ package router
 
 import (
 	"errors"
+	"math/rand"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -109,11 +111,11 @@ func segInRange(t *testing.T, ds *dataset.Dataset, cuts []uint64, pred func(rg i
 }
 
 // TestRouterWriteReplication drives the write path across an R=2 cluster:
-// an insert must land on BOTH holders of the owning range and nowhere else,
-// a move across a range boundary must relocate the object to the new
-// range's holders and evict it from the old ones, a re-insert of the live
-// id into another range must do the same, and a delete must clear every
-// copy. Every write takes one leg per backend.
+// a fresh id's first move (its insert) must land on BOTH holders of the
+// owning range and nowhere else, a move across a range boundary must
+// relocate the object to the new range's holders and evict it from the old
+// ones, and a delete must clear every copy. Every write takes one leg per
+// backend.
 func TestRouterWriteReplication(t *testing.T) {
 	ds := clusterDataset(t)
 	tc, pools, cuts := startMutableCluster(t, ds, 3, 2)
@@ -157,7 +159,7 @@ func TestRouterWriteReplication(t *testing.T) {
 	}
 
 	segA := ds.Seg(0) // geometry of a real item; the id is fresh
-	epoch, existed, owned, err := r.ApplyInsert(id, segA)
+	epoch, existed, owned, err := r.ApplyMove(id, segA)
 	if err != nil || existed || !owned {
 		t.Fatalf("insert: epoch=%d existed=%v owned=%v err=%v", epoch, existed, owned, err)
 	}
@@ -178,22 +180,12 @@ func TestRouterWriteReplication(t *testing.T) {
 	legsPerWrite("move")
 	onlyOn("move", segB, rgB)
 
-	// A re-insert of the live id into another range relocates it as a move
-	// does: one pool would, so the cluster must.
-	segC := segInRange(t, ds, cuts, func(rg int) bool { return rg != rgB })
-	rgC := rangeOf(segC)
-	if _, existed, owned, err = r.ApplyInsert(id, segC); err != nil || !existed || !owned {
-		t.Fatalf("re-insert: existed=%v owned=%v err=%v", existed, owned, err)
-	}
-	legsPerWrite("re-insert")
-	onlyOn("re-insert", segC, rgC)
-
 	// Delete clears every copy; re-delete is idempotent.
 	if _, existed, _, err = r.ApplyDelete(id); err != nil || !existed {
 		t.Fatalf("delete: existed=%v err=%v", existed, err)
 	}
 	legsPerWrite("delete")
-	if hs := holdersOf(pools, id, segC); len(hs) != 0 {
+	if hs := holdersOf(pools, id, segB); len(hs) != 0 {
 		t.Fatalf("deleted id survives on backends %v", hs)
 	}
 	if _, existed, _, err = r.ApplyDelete(id); err != nil || existed {
@@ -202,6 +194,90 @@ func TestRouterWriteReplication(t *testing.T) {
 	legsPerWrite("re-delete")
 	if got := r.SegOf(id); got != (geom.Segment{}) {
 		t.Fatalf("router SegOf after delete: %v, want zero", got)
+	}
+}
+
+// TestReplicasAgreeAfterQuiescence is DESIGN §15's replica-agreement row:
+// three R=2 mutable backends behind a router, every backend reachable, take
+// a concurrent burst of routed moves (fresh ids' first writes among them)
+// and deletes. Each id's writes come from one writer, in order, as one
+// vehicle's position reports do. Once the burst has settled, one refresh
+// later, every range's two holders report the same Version and Items, and
+// the router reads no range divergent.
+func TestReplicasAgreeAfterQuiescence(t *testing.T) {
+	ds := clusterDataset(t)
+	tc, _, _ := startMutableCluster(t, ds, 3, 2)
+	hub := obs.NewHub()
+	r := newRouter(t, tc, func(cfg *Config) {
+		cfg.Obs = hub
+		cfg.RefreshInterval = -1
+	})
+
+	const writers, writes = 4, 150
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w + 1)))
+			for i := 0; i < writes; i++ {
+				// Writer w owns the ids that are w mod writers, among the
+				// dataset's first objects and the fresh ids beyond it.
+				id := uint32(w + writers*rng.Intn(32))
+				if rng.Intn(2) == 0 {
+					id += uint32(ds.Len())
+				}
+				var err error
+				if rng.Intn(4) == 0 {
+					_, _, _, err = r.ApplyDelete(id)
+				} else {
+					_, _, _, err = r.ApplyMove(id, ds.Seg(uint32(rng.Intn(ds.Len()))))
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("routed write: %v", err)
+	}
+
+	r.refreshOnce()
+	rows := map[uint32][]proto.RangeInfo{}
+	for b, addr := range tc.addrs {
+		c, err := client.New(client.Config{Addr: addr, Conns: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm, err := c.Summary()
+		c.Close()
+		if err != nil {
+			t.Fatalf("backend %d summary: %v", b, err)
+		}
+		for _, row := range sm.Ranges {
+			rows[row.Index] = append(rows[row.Index], row)
+		}
+	}
+	for rg := uint32(0); rg < 3; rg++ {
+		hs := rows[rg]
+		if len(hs) != 2 {
+			t.Fatalf("range %d has %d holders reporting, want 2", rg, len(hs))
+		}
+		if hs[0].Version == 0 {
+			t.Errorf("range %d took none of the burst's writes", rg)
+		}
+		if hs[0].Version != hs[1].Version || hs[0].Items != hs[1].Items {
+			t.Errorf("range %d holders disagree after quiescence: version %d/%d, items %d/%d",
+				rg, hs[0].Version, hs[1].Version, hs[0].Items, hs[1].Items)
+		}
+	}
+	if d := hub.Reg.Gauge("router_ranges_divergent").Value(); d != 0 {
+		t.Fatalf("router reads %v ranges divergent after quiescence", d)
 	}
 }
 
@@ -221,7 +297,7 @@ func TestRouterWriteDivergence(t *testing.T) {
 
 	seg := segInRange(t, ds, cuts, func(rg int) bool { return r.snap().holds[0][rg] })
 	id := uint32(ds.Len() + 11)
-	_, _, owned, err := r.ApplyInsert(id, seg)
+	_, _, owned, err := r.ApplyMove(id, seg)
 	if err != nil || !owned {
 		t.Fatalf("insert with one dead replica: owned=%v err=%v", owned, err)
 	}
@@ -273,13 +349,13 @@ func TestRouterWriteUnavailable(t *testing.T) {
 
 	seg := segInRange(t, ds, cuts, func(rg int) bool { return rg == 1 })
 	idY := uint32(ds.Len() + 18)
-	if _, _, owned, err := r.ApplyInsert(idY, seg); err != nil || !owned {
+	if _, _, owned, err := r.ApplyMove(idY, seg); err != nil || !owned {
 		t.Fatalf("insert of Y into range 1: owned=%v err=%v", owned, err)
 	}
 	tc.servers[1].Close()
 
 	id := uint32(ds.Len() + 19)
-	unavailable("insert into the lost range", func() (uint64, bool, bool, error) { return r.ApplyInsert(id, seg) })
+	unavailable("insert into the lost range", func() (uint64, bool, bool, error) { return r.ApplyMove(id, seg) })
 	if hs := holdersOf(pools, id, seg); len(hs) != 0 {
 		t.Fatalf("unroutable write still landed on backends %v", hs)
 	}

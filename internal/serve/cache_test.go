@@ -147,7 +147,7 @@ func TestCachedEquivalenceUnderWrites(t *testing.T) {
 				if round%2 == 0 { // bias half the inserts into the hotspot
 					sg = randSeg(center, 600)
 				}
-				if _, _, _, err := pool.ApplyInsert(nextID, sg); err != nil {
+				if _, _, _, err := pool.ApplyMove(nextID, sg); err != nil {
 					t.Fatalf("insert %d: %v", nextID, err)
 				}
 				fleet = append(fleet, vehicle{nextID, sg})

@@ -330,7 +330,7 @@ func TestLiveSummaryShapes(t *testing.T) {
 		c := ds.Seg(tc.anchor).MBR().Center()
 		d := ds.Extent.Width() + ds.Extent.Height()
 		seg := geom.Segment{A: geom.Point{X: c.X - d, Y: c.Y - d}, B: geom.Point{X: c.X + d, Y: c.Y + d}}
-		if _, _, owned, err := tc.pool.ApplyInsert(uint32(ds.Len()+1), seg); err != nil || !owned {
+		if _, _, owned, err := tc.pool.ApplyMove(uint32(ds.Len()+1), seg); err != nil || !owned {
 			t.Fatalf("%s: insert owned=%v err=%v", tc.name, owned, err)
 		}
 

@@ -265,7 +265,7 @@ func TestSemanticCacheRetiresOnWrite(t *testing.T) {
 	// A write lands inside the window; the live hint moves away from the
 	// shipment's epoch.
 	const newID = 500000
-	if _, err := writer.Insert(newID, centerSegment(ds)); err != nil {
+	if _, err := writer.Move(newID, centerSegment(ds)); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 
@@ -331,7 +331,7 @@ func TestPlannerNeverLocalFromStaleShipment(t *testing.T) {
 	// calls, new object included.
 	t.Run("epoch-0 shipment", func(t *testing.T) {
 		ds, c, p, other := mutableWorld(t, time.Minute)
-		if _, err := other.Insert(newID, centerSegment(ds)); err != nil {
+		if _, err := other.Move(newID, centerSegment(ds)); err != nil {
 			t.Fatalf("insert: %v", err)
 		}
 		fetchWhole(t, p, ds)
@@ -372,7 +372,7 @@ func TestPlannerNeverLocalFromStaleShipment(t *testing.T) {
 		if time.Since(fetched) < maxAge && (plan != client.PlanLocal || wire != 0) {
 			t.Fatalf("fresh shipment: plan %v over %d exchanges, want fully-client", plan, wire)
 		}
-		if _, err := other.Insert(newID, centerSegment(ds)); err != nil {
+		if _, err := other.Move(newID, centerSegment(ds)); err != nil {
 			t.Fatalf("insert: %v", err)
 		}
 		time.Sleep(maxAge + 100*time.Millisecond)
@@ -397,7 +397,7 @@ func TestOwnWriteRetiresShipment(t *testing.T) {
 		t.Fatalf("unwritten server, fresh shipment: plan %v over %d exchanges, want fully-client", plan, wire)
 	}
 	const newID = 500000
-	if _, err := c.Insert(newID, centerSegment(ds)); err != nil {
+	if _, err := c.Move(newID, centerSegment(ds)); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
 	plan, got, _ := executeOn(t, c, p, q)

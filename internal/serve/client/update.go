@@ -1,10 +1,9 @@
-// update.go: the client write path — live inserts, deletes, and moves
-// against an updatable server. Updates ride the same single-exchange
-// machinery as queries (pooled request messages, breaker, bounded retries);
-// retrying a write is safe because the server's update semantics are
-// idempotent upserts/deletes, and the ack carries the owning shard's base
-// epoch so a caller can measure how far behind the packed base its write
-// landed.
+// update.go: the client write path — live moves and deletes against an
+// updatable server. Updates ride the same single-exchange machinery as
+// queries (pooled request messages, breaker, bounded retries); retrying a
+// write is safe because the server's update semantics are idempotent
+// upserts/deletes, and the ack carries the owning shard's base epoch so a
+// caller can measure how far behind the packed base its write landed.
 package client
 
 import (
@@ -25,13 +24,6 @@ type UpdateAck struct {
 	Owned   bool
 }
 
-// Insert upserts object id at seg.
-func (c *Client) Insert(id uint32, seg geom.Segment) (UpdateAck, error) {
-	m := proto.AcquireInsert()
-	m.ObjID, m.Seg = id, seg
-	return c.update(m)
-}
-
 // Delete removes object id wherever it lives; deleting an unknown id
 // succeeds with Existed=false.
 func (c *Client) Delete(id uint32) (UpdateAck, error) {
@@ -40,13 +32,16 @@ func (c *Client) Delete(id uint32) (UpdateAck, error) {
 	return c.update(m)
 }
 
-// Move updates object id's geometry to seg — the moving-object workload's
-// hot write.
+// Move places object id at seg: the one upsert, for an object's first
+// position and every later one. The ack's Existed tells the two apart.
 func (c *Client) Move(id uint32, seg geom.Segment) (UpdateAck, error) {
 	m := proto.AcquireMove()
 	m.ObjID, m.Seg = id, seg
 	return c.update(m)
 }
+
+// Insert is Move, kept for bench/, which places its fleet with it.
+func (c *Client) Insert(id uint32, seg geom.Segment) (UpdateAck, error) { return c.Move(id, seg) }
 
 // update sends one write and copies its ack out of the pooled reply. A
 // write counts as one logical query in the wire statistics. An acked write

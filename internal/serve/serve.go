@@ -105,22 +105,22 @@ type DeadlineExecutor interface {
 	KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch, deadline time.Time) ([]rtree.Neighbor, error)
 }
 
-// Updatable is the optional live-update surface behind MsgInsert, MsgDelete,
-// and MsgMove (mutable.Pool implements it; the router re-implements it as
-// replicated fan-out). Each Apply call performs one idempotent write and
+// Updatable is the optional live-update surface behind MsgMove and MsgDelete
+// (mutable.Pool implements it; the router re-implements it as replicated
+// fan-out). ApplyMove is the one upsert: an object's first position and
+// every later one. Each Apply call performs one idempotent write and
 // returns the owning shard's base epoch at apply time (the ack's staleness
 // anchor: the write folds into base epoch+1 or later), whether a previous
 // version of the object was visible, and whether the executor owns the
 // object's position (false when a replicated write merely cleared a stale
 // copy). SegOf is the geometry half: data-mode responses need segments for
-// ids the base dataset has never heard of (inserted objects sit at or above
+// ids the base dataset has never heard of (new objects sit at or above
 // Dataset().Len(), where Dataset().Seg would be out of range) and current
 // geometry for moved ones. A pool without this surface answers update
 // messages with CodeUnsupported and resolves records through the dataset.
 type Updatable interface {
-	ApplyInsert(id uint32, seg geom.Segment) (epoch uint64, existed, owned bool, err error)
-	ApplyDelete(id uint32) (epoch uint64, existed, owned bool, err error)
 	ApplyMove(id uint32, seg geom.Segment) (epoch uint64, existed, owned bool, err error)
+	ApplyDelete(id uint32) (epoch uint64, existed, owned bool, err error)
 	SegOf(id uint32) geom.Segment
 }
 
@@ -312,7 +312,7 @@ type Stats struct {
 	Batches uint64
 	// BatchQueries counts the queries answered inside batch requests.
 	BatchQueries uint64
-	// Updates counts served insert/delete/move requests (also included in
+	// Updates counts served move and delete requests (also included in
 	// Served).
 	Updates uint64
 }
@@ -444,9 +444,9 @@ type serveMetrics struct {
 	// kept apart from execHist so the per-kind client-query histograms stay
 	// comparable across deployments.
 	nnLegHist *obs.Histogram
-	// updateHist[kind] is the execution-time histogram of one update shape
-	// (insert, delete, move).
-	updateHist [3]*obs.Histogram
+	// updateHist[kind] is the execution-time histogram of one update verb
+	// (move, delete).
+	updateHist [2]*obs.Histogram
 	// cacheSavedSec is the server execution time the result cache has
 	// saved: each hit is credited one mean miss execution.
 	cacheSavedSec *obs.Gauge
@@ -494,7 +494,7 @@ func newServeMetrics(h *obs.Hub) serveMetrics {
 	return m
 }
 
-var updateKindNames = [3]string{"insert", "delete", "move"}
+var updateKindNames = [2]string{"move", "delete"}
 
 // New builds a Server.
 func New(cfg Config) (*Server, error) {
@@ -983,8 +983,6 @@ func reqKind(req proto.Message) string {
 		return "batch"
 	case *proto.ShipmentReqMsg:
 		return "shipment"
-	case *proto.InsertMsg:
-		return "insert"
 	case *proto.DeleteMsg:
 		return "delete"
 	case *proto.MoveMsg:
@@ -1002,12 +1000,10 @@ func (s *Server) observeExec(req proto.Message, sec float64) {
 		s.observeExecQuery(m, sec)
 	case *proto.ShipmentReqMsg:
 		s.metrics.shipHist.Observe(sec)
-	case *proto.InsertMsg:
+	case *proto.MoveMsg:
 		s.metrics.updateHist[0].Observe(sec)
 	case *proto.DeleteMsg:
 		s.metrics.updateHist[1].Observe(sec)
-	case *proto.MoveMsg:
-		s.metrics.updateHist[2].Observe(sec)
 	}
 }
 
@@ -1168,7 +1164,7 @@ func (s *Server) execute(req proto.Request, sc *reqScratch, deadline time.Time) 
 		return s.executeBatch(m, sc, deadline)
 	case *proto.ShipmentReqMsg:
 		return s.executeShipment(m)
-	case *proto.InsertMsg, *proto.DeleteMsg, *proto.MoveMsg:
+	case *proto.MoveMsg, *proto.DeleteMsg:
 		return s.executeUpdate(req, sc)
 	}
 	return &proto.ErrorMsg{ID: req.RequestID(), Code: proto.CodeInternal, Text: "unroutable message"}
@@ -1188,15 +1184,12 @@ func (s *Server) executeUpdate(req proto.Message, sc *reqScratch) proto.Message 
 		err            error
 	)
 	switch m := req.(type) {
-	case *proto.InsertMsg:
-		reqID, objID = m.ID, m.ObjID
-		epoch, existed, owned, err = upd.ApplyInsert(m.ObjID, m.Seg)
-	case *proto.DeleteMsg:
-		reqID, objID = m.ID, m.ObjID
-		epoch, existed, owned, err = upd.ApplyDelete(m.ObjID)
 	case *proto.MoveMsg:
 		reqID, objID = m.ID, m.ObjID
 		epoch, existed, owned, err = upd.ApplyMove(m.ObjID, m.Seg)
+	case *proto.DeleteMsg:
+		reqID, objID = m.ID, m.ObjID
+		epoch, existed, owned, err = upd.ApplyDelete(m.ObjID)
 	}
 	if err != nil {
 		return errorReply(reqID, err)

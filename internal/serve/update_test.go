@@ -11,7 +11,8 @@ import (
 	"mobispatial/internal/shard"
 )
 
-// TestUpdateRoundTrip drives the full write path over the wire: insert,
+// TestUpdateRoundTrip drives the full write path over the wire: a fresh id's
+// first move (its insert),
 // data-mode read of the inserted object (Updatable.SegOf geometry for an id the
 // base dataset has never heard of), move, delete, idempotent re-delete —
 // against a server whose pool is an updatable shard pool.
@@ -31,7 +32,7 @@ func TestUpdateRoundTrip(t *testing.T) {
 
 	id := uint32(ds.Len() + 7)
 	seg := geom.Segment{A: geom.Point{X: 100, Y: 100}, B: geom.Point{X: 160, Y: 130}}
-	ack, err := c.Insert(id, seg)
+	ack, err := c.Move(id, seg)
 	if err != nil || ack.Existed || !ack.Owned {
 		t.Fatalf("insert: ack=%+v err=%v", ack, err)
 	}
@@ -108,7 +109,7 @@ func TestUpdateUnsupported(t *testing.T) {
 	}
 	defer c.Close()
 
-	_, err = c.Insert(uint32(ds.Len()), geom.Segment{A: geom.Point{X: 1, Y: 1}, B: geom.Point{X: 2, Y: 2}})
+	_, err = c.Move(uint32(ds.Len()), geom.Segment{A: geom.Point{X: 1, Y: 1}, B: geom.Point{X: 2, Y: 2}})
 	var em *proto.ErrorMsg
 	if !errors.As(err, &em) || em.Code != proto.CodeUnsupported {
 		t.Fatalf("insert on read-only pool: err=%v, want CodeUnsupported", err)
