@@ -29,7 +29,7 @@
 //	            i-1..i-R+1 mod N)
 //	-mutable    updatable pool: accepts live MsgMove/MsgDelete (a move is
 //	            the one upsert, an object's first write included),
-//	            overlaying a delta tree on the packed base and folding it
+//	            overlaying a list of writes on the packed base and folding it
 //	            in with epoch-swapped compactions (monolithic or with
 //	            -partition; -shards sets the monolithic shard count, and is
 //	            refused with -partition, where the pool keeps one shard per

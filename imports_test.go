@@ -21,7 +21,7 @@ func TestServingImportGraph(t *testing.T) {
 	const simSide = "it belongs to the simulator side (alternative access methods and the per-figure " +
 		"harness only internal/experiments drives, the machine models, the engine that runs on them); " +
 		"a process that serves or loads live traffic gets its queries and the §4.1 model from internal/scheme"
-	simPkgs := []string{"rstar", "pmrquad", "broadcast", "experiments", "sim", "core"}
+	simPkgs := []string{"rstar", "pmrquad", "dynrtree", "broadcast", "experiments", "sim", "core"}
 	for _, g := range []struct {
 		name       string
 		pkg        string

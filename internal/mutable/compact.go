@@ -3,7 +3,6 @@ package mutable
 import (
 	"time"
 
-	"mobispatial/internal/dynrtree"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/rtree"
 )
@@ -11,10 +10,10 @@ import (
 // Compaction folds a shard's overlay back into a freshly bulk-loaded packed
 // base in three phases, blocking writers only for the two map swaps:
 //
-//  1. Freeze (write lock): detach the live overlay — delta tree, override
-//     map, tombstones — as an immutable frozenView and install fresh empty
-//     live structures. Readers now merge three layers; writers keep landing
-//     in the new live overlay.
+//  1. Freeze (write lock): detach the live overlay — its segments and
+//     tombstones — as an immutable frozenView and install fresh empty live
+//     ones. Readers now merge three layers; writers keep landing in the new
+//     live overlay.
 //  2. Rebuild (no locks): bulk-load a new packed base from the old base's
 //     items minus frozen tombstones and superseded ids, plus the frozen
 //     overlay's items. Both inputs are immutable, so queries and writes
@@ -44,31 +43,24 @@ func (s *mshard) compact() bool {
 	return f != nil && s.finishCompact(f)
 }
 
-// freeze runs phase 1: under the write lock the live overlay — delta tree,
-// override map, tombstones — becomes the shard's immutable frozen layer
-// above a fresh empty live overlay, whose delta tree is allocated before the
-// lock is taken. It returns nil when there is nothing to compact or a freeze
-// is already outstanding (a concurrent compaction owns it). Split from
-// finishCompact so tests can hold the three-layer state open and query
+// freeze runs phase 1: under the write lock the live overlay — segments and
+// tombstones — becomes the shard's immutable frozen layer above a fresh
+// empty live overlay. It returns nil when there is nothing to compact or a
+// freeze is already outstanding (a concurrent compaction owns it). Split
+// from finishCompact so tests can hold the three-layer state open and query
 // through it deterministically.
 func (s *mshard) freeze() *frozenView {
 	if s.pend.Load() == 0 {
-		return nil // nothing to fold: skip the allocation and the lock
-	}
-	nd, err := dynrtree.New(dynrtree.Config{})
-	if err != nil {
-		s.pl.m.compactErrs.Inc()
-		return nil
+		return nil // nothing to fold: skip the lock
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.frozen != nil || len(s.overSeg)+len(s.tombs) == 0 {
+	if s.frozen != nil || s.segs.len()+len(s.tombs) == 0 {
 		return nil
 	}
-	f := &frozenView{delta: s.delta, overSeg: s.overSeg, tombs: s.tombs}
+	f := &frozenView{segs: s.segs, tombs: s.tombs}
 	s.frozen = f
-	s.delta = nd
-	s.overSeg = map[uint32]geom.Segment{}
+	s.segs = newOverlay()
 	s.tombs = map[uint32]struct{}{}
 	return f
 }
@@ -80,8 +72,8 @@ func (s *mshard) freeze() *frozenView {
 // of every id whose segment differs from the base dataset.
 func mergedItems(old *baseView, f *frozenView) ([]rtree.Item, map[uint32]geom.Segment) {
 	base := old.tree.PackOrder()
-	items := make([]rtree.Item, 0, len(base)+len(f.overSeg))
-	over := make(map[uint32]geom.Segment, len(old.over)+len(f.overSeg))
+	items := make([]rtree.Item, 0, len(base)+f.segs.len())
+	over := make(map[uint32]geom.Segment, len(old.over)+f.segs.len())
 	// The base is walked from its middle round: pack order is all but the
 	// order the rebuild will sort into, and on one sorted run pdqsort tries
 	// an insertion-sort repair at every level that the overlay's few strays
@@ -92,17 +84,17 @@ func mergedItems(old *baseView, f *frozenView) ([]rtree.Item, map[uint32]geom.Se
 		if _, dead := f.tombs[it.ID]; dead {
 			continue
 		}
-		if _, moved := f.overSeg[it.ID]; moved {
-			continue
+		if f.segs.has(it.ID) {
+			continue // moved
 		}
 		items = append(items, it)
 		if seg, ok := old.over[it.ID]; ok {
 			over[it.ID] = seg
 		}
 	}
-	for id, seg := range f.overSeg {
-		items = append(items, rtree.Item{MBR: seg.MBR(), ID: id})
-		over[id] = seg
+	for _, e := range f.segs.ents {
+		items = append(items, rtree.Item{MBR: e.mbr, ID: e.id})
+		over[e.id] = e.seg
 	}
 	return items, over
 }

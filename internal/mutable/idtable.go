@@ -19,8 +19,8 @@ import (
 // clears it. Hence the invariant every read path leans on, stated here once
 // and checked by TestWrittenBitInvariant:
 //
-//	no overlay map (overSeg), tombstone set, frozen layer or base `over`
-//	map of any shard names an id whose written bit is clear.
+//	no overlay (segs), tombstone set, frozen layer or base `over` map of
+//	any shard names an id whose written bit is clear.
 //
 // So a never-written id has exactly one geometry, the base dataset's, is
 // masked by nothing, and needs no look-up beyond Dataset.Seg. A workload that

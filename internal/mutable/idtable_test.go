@@ -154,21 +154,21 @@ func TestReadsTakeNoPoolLock(t *testing.T) {
 	<-finished
 }
 
-// namedIDs walks every shard under its lock and returns the ids any overlay
-// map, tombstone set, frozen layer or base over map names.
+// namedIDs walks every shard under its lock and returns the ids any overlay,
+// tombstone set, frozen layer or base over map names.
 func namedIDs(p *Pool) []uint32 {
 	var out []uint32
 	for _, s := range p.shards {
 		s.mu.RLock()
-		for id := range s.overSeg {
-			out = append(out, id)
+		for _, e := range s.segs.ents {
+			out = append(out, e.id)
 		}
 		for id := range s.tombs {
 			out = append(out, id)
 		}
 		if f := s.frozen; f != nil {
-			for id := range f.overSeg {
-				out = append(out, id)
+			for _, e := range f.segs.ents {
+				out = append(out, e.id)
 			}
 			for id := range f.tombs {
 				out = append(out, id)

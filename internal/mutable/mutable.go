@@ -1,17 +1,18 @@
 // Package mutable makes the spatial serving tier updatable: each shard pairs
 // the zero-alloc packed R-tree base the whole repo is built around with a
-// small dynamic delta tree (internal/dynrtree) and a tombstone set, so live
-// inserts, deletes, and moves apply in microseconds without disturbing the
-// packed structure. Reads overlay base+delta — an id's newest version wins,
-// tombstones win over everything — and a background compactor periodically
-// rebuilds the packed base from the merged state and atomically epoch-swaps
-// it in, returning the shard to the pure packed fast path.
+// small overlay — a list of written segments indexed by id (overlay.go) —
+// and a tombstone set, so live inserts, deletes, and moves apply in
+// microseconds without disturbing the packed structure. Reads overlay
+// base+overlay — an id's newest version wins, tombstones win over
+// everything — and a background compactor periodically rebuilds the packed
+// base from the merged state and atomically epoch-swaps it in, returning the
+// shard to the pure packed fast path.
 //
 // The paper's energy argument is about keeping per-query work small and
-// predictable on the mobile side; the delta/epoch-swap design extends that
+// predictable on the mobile side; the overlay/epoch-swap design extends that
 // to a mutable world: the warm read path stays allocation-free (a shard with
 // no pending updates is byte-for-byte the packed-tree path; a shard with an
-// overlay adds only map lookups and a bounded delta-tree walk), and all
+// overlay adds only map lookups and a scan of its bounded list), and all
 // rebuild cost is batched into the compactor where it amortizes across
 // defaultCompactThreshold updates.
 //

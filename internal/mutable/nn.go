@@ -122,15 +122,15 @@ func (s *mshard) knnInto(st *nnState, nnsc *rtree.NNScratch, k int, bound float6
 		return
 	}
 	if f := s.frozen; f != nil {
-		for id, seg := range f.overSeg {
-			if s.maskFrozen(id) {
+		for _, e := range f.segs.ents {
+			if s.maskFrozen(e.id) {
 				continue
 			}
-			nnsc.KNNOffer(k, rtree.Neighbor{ID: id, Dist: seg.DistToPoint(st.pt)})
+			nnsc.KNNOffer(k, rtree.Neighbor{ID: e.id, Dist: e.seg.DistToPoint(st.pt)})
 		}
 	}
-	for id, seg := range s.overSeg {
-		nnsc.KNNOffer(k, rtree.Neighbor{ID: id, Dist: seg.DistToPoint(st.pt)})
+	for _, e := range s.segs.ents {
+		nnsc.KNNOffer(k, rtree.Neighbor{ID: e.id, Dist: e.seg.DistToPoint(st.pt)})
 	}
 }
 

@@ -3,7 +3,6 @@ package mutable
 import (
 	"slices"
 
-	"mobispatial/internal/dynrtree"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
 	"mobispatial/internal/rtree"
@@ -226,11 +225,23 @@ func (q *query) searchBase(dst []uint32, t *rtree.Tree) []uint32 {
 	return t.AppendSearch(dst, q.w, ops.Null{})
 }
 
-func (q *query) searchDelta(dst []uint32, t *dynrtree.Tree) []uint32 {
+// searchOverlay appends the ids of o's entries whose MBR passes q's filter:
+// a scan of the layer's list.
+func (q *query) searchOverlay(dst []uint32, o *overlay) []uint32 {
 	if q.point {
-		return t.AppendSearchPoint(dst, q.pt, ops.Null{})
+		for i := range o.ents {
+			if o.ents[i].mbr.ContainsPoint(q.pt) {
+				dst = append(dst, o.ents[i].id)
+			}
+		}
+		return dst
 	}
-	return t.AppendSearch(dst, q.w, ops.Null{})
+	for i := range o.ents {
+		if o.ents[i].mbr.Intersects(q.w) {
+			dst = append(dst, o.ents[i].id)
+		}
+	}
+	return dst
 }
 
 // searchClean answers q on an empty-overlay shard's packed base. An exact
@@ -283,8 +294,8 @@ func (s *mshard) refineLocked(dst []uint32, n int, bv *baseView, q *query) []uin
 
 // candidatesLocked merges the three layers' candidates into dst: the base
 // (when the query touches its bounds) filtered through maskBase, the frozen
-// delta (if a compaction is in flight) through maskFrozen, and the live
-// delta, which is never masked. Masked ids are dropped by compacting
+// overlay (if a compaction is in flight) through maskFrozen, and the live
+// overlay, which is never masked. Masked ids are dropped by compacting
 // survivors in place over the region each layer appended.
 func (s *mshard) candidatesLocked(dst []uint32, bv *baseView, q *query, base bool) []uint32 {
 	if base {
@@ -300,7 +311,7 @@ func (s *mshard) candidatesLocked(dst []uint32, bv *baseView, q *query, base boo
 	}
 	if f := s.frozen; f != nil {
 		n := len(dst)
-		dst = q.searchDelta(dst, f.delta)
+		dst = q.searchOverlay(dst, &f.segs)
 		kept := dst[:n]
 		for _, id := range dst[n:] {
 			if !s.maskFrozen(id) {
@@ -309,5 +320,5 @@ func (s *mshard) candidatesLocked(dst []uint32, bv *baseView, q *query, base boo
 		}
 		dst = kept
 	}
-	return q.searchDelta(dst, s.delta)
+	return q.searchOverlay(dst, &s.segs)
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mobispatial/internal/dynrtree"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/ops"
@@ -56,12 +55,11 @@ func (bv *baseView) contains(id uint32) bool {
 // compactor folds it into the next base while fresh writes keep landing in
 // the live overlay above it. It is immutable once published.
 type frozenView struct {
-	delta   *dynrtree.Tree
-	overSeg map[uint32]geom.Segment
-	tombs   map[uint32]struct{}
+	segs  overlay
+	tombs map[uint32]struct{}
 }
 
-func (f *frozenView) size() int { return len(f.overSeg) + len(f.tombs) }
+func (f *frozenView) size() int { return f.segs.len() + len(f.tombs) }
 
 // newBaseView bulk-loads items into one packed base generation (the tree
 // copies them) over a dataset of n ids; over carries the geometry of the ids
@@ -81,12 +79,13 @@ func newBaseView(n int, items []rtree.Item, over map[uint32]geom.Segment) (*base
 	return &baseView{tree: tree, member: member, over: over, bounds: tree.Bounds()}, nil
 }
 
-// mshard is one updatable shard: packed base + live delta overlay +
-// optional frozen overlay mid-compaction.
+// mshard is one updatable shard: packed base + live overlay + optional
+// frozen overlay mid-compaction. Each overlay layer is one overlay value
+// (its written segments) and a tombstone set.
 //
-// Layering invariant: a live id resolves in exactly one layer — live delta
-// (overSeg), else frozen delta, else base — and the mask sets (overSeg keys
-// and tombs at each layer) hide every stale lower copy. overSeg and tombs
+// Layering invariant: a live id resolves in exactly one layer — live
+// overlay (segs), else frozen overlay, else base — and the mask sets (segs
+// ids and tombs at each layer) hide every stale lower copy. segs and tombs
 // are disjoint at each layer.
 type mshard struct {
 	pl *Pool
@@ -121,11 +120,10 @@ type mshard struct {
 	// lock-free.
 	count atomic.Int64
 
-	mu      sync.RWMutex
-	delta   *dynrtree.Tree
-	overSeg map[uint32]geom.Segment
-	tombs   map[uint32]struct{}
-	frozen  *frozenView
+	mu     sync.RWMutex
+	segs   overlay
+	tombs  map[uint32]struct{}
+	frozen *frozenView
 }
 
 // newMShard builds shard idx of cluster range rg over items (copied).
@@ -134,11 +132,7 @@ func newMShard(p *Pool, idx, rg int, items []rtree.Item) (*mshard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mutable: shard %d base: %w", idx, err)
 	}
-	delta, err := dynrtree.New(dynrtree.Config{})
-	if err != nil {
-		return nil, fmt.Errorf("mutable: shard %d delta: %w", idx, err)
-	}
-	s := &mshard{pl: p, idx: idx, rg: rg, delta: delta, overSeg: map[uint32]geom.Segment{}, tombs: map[uint32]struct{}{}}
+	s := &mshard{pl: p, idx: idx, rg: rg, segs: newOverlay(), tombs: map[uint32]struct{}{}}
 	s.base.Store(bv)
 	return s, nil
 }
@@ -149,7 +143,7 @@ func newMShard(p *Pool, idx, rg int, items []rtree.Item) (*mshard, error) {
 // the live overlay (frozen, then base).
 func (s *mshard) beneathVisibleLocked(id uint32) bool {
 	if f := s.frozen; f != nil {
-		if _, ok := f.overSeg[id]; ok {
+		if f.segs.has(id) {
 			return true
 		}
 		if _, ok := f.tombs[id]; ok {
@@ -163,17 +157,12 @@ func (s *mshard) beneathVisibleLocked(id uint32) bool {
 // shard previously held a visible id.
 func (s *mshard) upsertLocked(id uint32, seg geom.Segment) bool {
 	s.pl.ids.markWritten(id)
-	existed := false
-	if old, ok := s.overSeg[id]; ok {
-		s.delta.Delete(old.MBR(), id, ops.Null{})
-		existed = true
-	} else if _, dead := s.tombs[id]; dead {
+	existed := s.segs.put(id, seg)
+	if _, dead := s.tombs[id]; dead {
 		delete(s.tombs, id)
-	} else {
+	} else if !existed {
 		existed = s.beneathVisibleLocked(id)
 	}
-	s.delta.Insert(seg.MBR(), id, ops.Null{})
-	s.overSeg[id] = seg
 	s.pendChangedLocked()
 	return existed
 }
@@ -182,12 +171,7 @@ func (s *mshard) upsertLocked(id uint32, seg geom.Segment) bool {
 // visible. Idempotent: deleting an absent id is a no-op returning false.
 func (s *mshard) removeLocked(id uint32) bool {
 	s.pl.ids.markWritten(id)
-	existed := false
-	if seg, ok := s.overSeg[id]; ok {
-		s.delta.Delete(seg.MBR(), id, ops.Null{})
-		delete(s.overSeg, id)
-		existed = true
-	}
+	existed := s.segs.del(id)
 	if _, dead := s.tombs[id]; !dead && s.beneathVisibleLocked(id) {
 		s.tombs[id] = struct{}{}
 		existed = true
@@ -198,7 +182,7 @@ func (s *mshard) removeLocked(id uint32) bool {
 
 func (s *mshard) pendChangedLocked() {
 	s.version.Add(1)
-	n := len(s.overSeg) + len(s.tombs)
+	n := s.segs.len() + len(s.tombs)
 	if f := s.frozen; f != nil {
 		n += f.size()
 	}
@@ -219,14 +203,14 @@ func (s *mshard) maskBase(id uint32) bool {
 	if !s.pl.ids.written(id) {
 		return false
 	}
-	if _, ok := s.overSeg[id]; ok {
+	if s.segs.has(id) {
 		return true
 	}
 	if _, ok := s.tombs[id]; ok {
 		return true
 	}
 	if f := s.frozen; f != nil {
-		if _, ok := f.overSeg[id]; ok {
+		if f.segs.has(id) {
 			return true
 		}
 		if _, ok := f.tombs[id]; ok {
@@ -236,10 +220,10 @@ func (s *mshard) maskBase(id uint32) bool {
 	return false
 }
 
-// maskFrozen reports whether a frozen-delta entry for id is shadowed by the
-// live overlay.
+// maskFrozen reports whether a frozen-overlay entry for id is shadowed by
+// the live overlay.
 func (s *mshard) maskFrozen(id uint32) bool {
-	if _, ok := s.overSeg[id]; ok {
+	if s.segs.has(id) {
 		return true
 	}
 	_, ok := s.tombs[id]
@@ -258,14 +242,14 @@ func (s *mshard) segAnyLocked(bv *baseView, id uint32) geom.Segment {
 // findLocked is the one layered look-up: id's geometry when id is visible in
 // this shard, the layers read newest first, a tombstone ending the search.
 func (s *mshard) findLocked(bv *baseView, id uint32) (geom.Segment, bool) {
-	if seg, ok := s.overSeg[id]; ok {
+	if seg, ok := s.segs.get(id); ok {
 		return seg, true
 	}
 	if _, dead := s.tombs[id]; dead {
 		return geom.Segment{}, false
 	}
 	if f := s.frozen; f != nil {
-		if seg, ok := f.overSeg[id]; ok {
+		if seg, ok := f.segs.get(id); ok {
 			return seg, true
 		}
 		if _, dead := f.tombs[id]; dead {
@@ -309,12 +293,12 @@ func (s *mshard) boundsNow() geom.Rect {
 	defer s.mu.RUnlock()
 	out := s.base.Load().bounds
 	if f := s.frozen; f != nil {
-		for _, seg := range f.overSeg {
-			out = out.Union(seg.MBR())
+		for _, e := range f.segs.ents {
+			out = out.Union(e.mbr)
 		}
 	}
-	for _, seg := range s.overSeg {
-		out = out.Union(seg.MBR())
+	for _, e := range s.segs.ents {
+		out = out.Union(e.mbr)
 	}
 	return out
 }

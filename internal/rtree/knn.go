@@ -143,7 +143,7 @@ func (sc *NNScratch) DrainKNNAppend(dst []Neighbor) []Neighbor {
 // KNNOffer folds one externally-computed candidate into sc's running
 // accumulator, applying the same admit/evict rule the tree traversal uses.
 // An updatable shard answers k-NN by collecting from its packed base, then
-// offering the handful of delta-tree items (and skipping tombstoned ids) —
+// offering the handful of overlay items (and skipping tombstoned ids) —
 // the merged answer is what one tree over the union would have produced.
 func (sc *NNScratch) KNNOffer(k int, nb Neighbor) {
 	if k <= 0 || nb.Dist >= knnBound(&sc.heap, k) {
