@@ -240,3 +240,105 @@ func TestOneFrozenEngine(t *testing.T) {
 		}
 	})
 }
+
+// TestItemsAreBuiltBySegItem: outside internal/rtree, rtree.SegItem is the
+// only way non-test code builds an rtree.Item. The serving kernel refines
+// range, point and k-NN queries from the segment a leaf carries, so an item
+// written as a literal — an MBR and an id, no end bits — would index a
+// segment the kernel then answers about wrongly, with no test of that path
+// to notice.
+func TestItemsAreBuiltBySegItem(t *testing.T) {
+	productGoFiles(t, ".", func(path string, f *ast.File) {
+		if filepath.Dir(path) == "internal/rtree" {
+			return
+		}
+		if n := itemLiterals(f); n > 0 {
+			t.Errorf("%s writes %d rtree.Item literal(s): build items with rtree.SegItem", path, n)
+		}
+	})
+}
+
+// TestItemLiteralCheckCatchesLiterals: the check above can fail — on a
+// plain, an addressed, an element-elided and a renamed-import literal,
+// and not on SegItem or on a same-named type of another package.
+func TestItemLiteralCheckCatchesLiterals(t *testing.T) {
+	src := `package p
+import (
+	"mobispatial/internal/rtree"
+	rt "mobispatial/internal/rtree"
+	other "mobispatial/internal/proto"
+)
+var a = rtree.Item{ID: 1}
+var b = &rtree.Item{}
+var c = []rtree.Item{{ID: 2}, rtree.SegItem(seg, 3), {ID: 4}}
+var d = map[int]rt.Item{1: {ID: 5}}
+var e = other.Item{}
+var f = rtree.SegItem(seg, 6)
+`
+	f, err := parser.ParseFile(token.NewFileSet(), "p.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := itemLiterals(f); n != 5 {
+		t.Fatalf("itemLiterals = %d, want 5 (a, b, two in c, d)", n)
+	}
+}
+
+// itemLiterals counts the rtree.Item composite literals in f, elements of
+// a slice, array or map literal whose type is elided included.
+func itemLiterals(f *ast.File) int {
+	names := map[string]bool{}
+	for _, imp := range f.Imports {
+		if imp.Path.Value != `"mobispatial/internal/rtree"` {
+			continue
+		}
+		name := "rtree"
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		names[name] = true
+	}
+	isItem := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "Item" {
+			return false
+		}
+		x, ok := sel.X.(*ast.Ident)
+		return ok && names[x.Name]
+	}
+	elided := func(e ast.Expr) bool {
+		if kv, ok := e.(*ast.KeyValueExpr); ok {
+			e = kv.Value
+		}
+		lit, ok := e.(*ast.CompositeLit)
+		return ok && lit.Type == nil
+	}
+	n := 0
+	ast.Inspect(f, func(node ast.Node) bool {
+		lit, ok := node.(*ast.CompositeLit)
+		if !ok || lit.Type == nil {
+			return true
+		}
+		var elem ast.Expr
+		switch typ := lit.Type.(type) {
+		case *ast.ArrayType:
+			elem = typ.Elt
+		case *ast.MapType:
+			elem = typ.Value
+		default:
+			if isItem(typ) {
+				n++
+			}
+			return true
+		}
+		if isItem(elem) {
+			for _, e := range lit.Elts {
+				if elided(e) {
+					n++
+				}
+			}
+		}
+		return true
+	})
+	return n
+}

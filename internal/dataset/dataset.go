@@ -47,11 +47,12 @@ func (d *Dataset) RecordAddr(id uint32) uint64 {
 	return ops.DataBase + uint64(id)*uint64(d.RecordBytes)
 }
 
-// Items returns the rtree bulk-load items for the dataset.
+// Items returns the rtree bulk-load items for the dataset: each segment
+// under its id, carried by its leaf (rtree.SegItem).
 func (d *Dataset) Items() []rtree.Item {
 	items := make([]rtree.Item, len(d.Segments))
 	for i, s := range d.Segments {
-		items[i] = rtree.Item{MBR: s.MBR(), ID: uint32(i)}
+		items[i] = rtree.SegItem(s, uint32(i))
 	}
 	return items
 }

@@ -68,8 +68,9 @@ func (s *mshard) freeze() *frozenView {
 // mergedItems is the phase 2 fold, without the tree build: the old base's
 // items minus frozen tombstones and superseded ids, plus the frozen
 // overlay's items. Both inputs are immutable; the result is the shard's
-// visible-beneath-the-live-overlay contents, with over carrying the geometry
-// of every id whose segment differs from the base dataset.
+// visible-beneath-the-live-overlay contents, each item carrying its live
+// segment, with over carrying the geometry of every id whose segment differs
+// from the base dataset.
 func mergedItems(old *baseView, f *frozenView) ([]rtree.Item, map[uint32]geom.Segment) {
 	base := old.tree.PackOrder()
 	items := make([]rtree.Item, 0, len(base)+f.segs.len())
@@ -93,7 +94,7 @@ func mergedItems(old *baseView, f *frozenView) ([]rtree.Item, map[uint32]geom.Se
 		}
 	}
 	for _, e := range f.segs.ents {
-		items = append(items, rtree.Item{MBR: e.mbr, ID: e.id})
+		items = append(items, rtree.SegItem(e.seg, e.id))
 		over[e.id] = e.seg
 	}
 	return items, over

@@ -134,7 +134,7 @@ func buildFresh(t *testing.T, model map[uint32]geom.Segment) *freshRef {
 	t.Helper()
 	items := make([]rtree.Item, 0, len(model))
 	for id, seg := range model {
-		items = append(items, rtree.Item{MBR: seg.MBR(), ID: id})
+		items = append(items, rtree.SegItem(seg, id))
 	}
 	sort.Slice(items, func(i, j int) bool { return items[i].ID < items[j].ID })
 	tree, err := rtree.Build(items, rtree.Config{}, ops.Null{})

@@ -251,7 +251,7 @@ func New(cfg Config) (*Pool, error) {
 		ids:              newIDTable(cfg.Dataset.Len()),
 		stopc:            make(chan struct{}),
 	}
-	p.nnPool.New = func() any { return newNNState(p) }
+	p.nnPool.New = func() any { return newNNState() }
 
 	ranges := slices.Clone(cfg.Ranges)
 	slices.SortStableFunc(ranges, func(a, b shard.Range) int { return cmp.Compare(a.Lo, b.Lo) })

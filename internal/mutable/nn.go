@@ -5,8 +5,6 @@ import (
 	"slices"
 
 	"mobispatial/internal/geom"
-	"mobispatial/internal/index"
-	"mobispatial/internal/ops"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/shard"
 )
@@ -17,38 +15,31 @@ import (
 // base-bounds min-distance (shard.OrderByMinDist), and the k-th best distance
 // travels from shard to shard in the accumulator, beside the router's
 // external bound. Per shard (knnInto) a packed base the bound rules out is
-// skipped; one it does not is searched with the branch-and-bound traversal
-// under a distance function that reports +Inf for masked (stale) ids. The
+// skipped; one it does not is searched with the branch-and-bound traversal,
+// which takes each item's distance from the segment its leaf carries and,
+// on a shard with pending writes, leaves out the masked (stale) ids. The
 // overlay layers — bounded by the compaction threshold — are scanned
 // directly and offered through the accumulator's admit rule whether or not
 // the base was pruned (their objects may lie outside the base bounds), so
 // the merged answer is what one tree over the union would have produced.
 //
-// nnState is pooled so the warm path allocates nothing: the masked distance
-// closure is built once per state and re-aimed at the current shard through
-// the state's fields; the visit-order buffers, and the accumulator of a
-// caller that brought no scratch, live there too.
+// nnState is pooled so the warm path allocates nothing: the mask closure is
+// built once per state and re-aimed at the current shard through the
+// state's field; the visit-order buffers, and the accumulator of a caller
+// that brought no scratch, live there too.
 type nnState struct {
-	p      *Pool
-	sh     *mshard
-	bv     *baseView
-	pt     geom.Point
-	masked bool
-	df     index.DistFunc
+	sh   *mshard
+	pt   geom.Point
+	mask func(id uint32) bool
 
 	mbrs  []geom.Rect
 	order []shard.IndexDist
 	nn    rtree.NNScratch
 }
 
-func newNNState(p *Pool) *nnState {
-	st := &nnState{p: p}
-	st.df = func(id uint32) float64 {
-		if st.masked && st.sh.maskBase(id) {
-			return math.Inf(1)
-		}
-		return st.bv.seg(st.p, id).DistToPoint(st.pt)
-	}
+func newNNState() *nnState {
+	st := &nnState{}
+	st.mask = func(id uint32) bool { return st.sh.maskBase(id) }
 	return st
 }
 
@@ -97,7 +88,7 @@ func (p *Pool) KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int,
 		dst, ok = p.settleNN(dst[:from], x0, len(p.shards), nnsc, pt, k, bound)
 		return ok
 	})
-	st.sh, st.bv = nil, nil
+	st.sh = nil
 	p.nnPool.Put(st)
 	return dst, true
 }
@@ -115,8 +106,11 @@ func (s *mshard) knnInto(st *nnState, nnsc *rtree.NNScratch, k int, bound float6
 	}
 	bv := s.base.Load()
 	if bv.bounds.MinDist(st.pt) <= min(bound, nnsc.KNNBound(k)) {
-		st.sh, st.bv, st.masked = s, bv, masked
-		bv.tree.KNearestCollect(st.pt, k, st.df, ops.Null{}, nnsc)
+		var skip func(uint32) bool
+		if masked {
+			st.sh, skip = s, st.mask
+		}
+		bv.tree.KNearestCollect(st.pt, k, skip, nnsc)
 	}
 	if !masked {
 		return

@@ -180,7 +180,7 @@ func (p *Pool) scan(dst []uint32, q *query) []uint32 {
 			touched := q.touches(bv.bounds)
 			if clean {
 				if touched {
-					dst = q.searchClean(dst, p, bv)
+					dst = q.searchClean(dst, bv)
 				}
 				continue
 			}
@@ -245,29 +245,18 @@ func (q *query) searchOverlay(dst []uint32, o *overlay) []uint32 {
 }
 
 // searchClean answers q on an empty-overlay shard's packed base. An exact
-// window query is the tree's serving kernel with the refinement fused in:
-// the base's MBRs are the MBRs of the segments bv.seg resolves, so only an
-// MBR straddling the window's edge costs a geometry lookup. An exact point
-// query compacts its candidates in place (the write index never passes the
-// read index).
-func (q *query) searchClean(dst []uint32, p *Pool, bv *baseView) []uint32 {
-	if q.exact && !q.point {
-		return bv.tree.AppendRange(dst, q.w, func(id uint32) bool {
-			return bv.seg(p, id).IntersectsRect(q.w)
-		})
+// query is the tree's serving kernel, refined from the segments the leaves
+// carry: a clean shard masks nothing, and every base item's leaf holds its
+// live segment (mergedItems packs each with it).
+func (q *query) searchClean(dst []uint32, bv *baseView) []uint32 {
+	switch {
+	case !q.exact:
+		return q.searchBase(dst, bv.tree)
+	case q.point:
+		return bv.tree.AppendPoint(dst, q.pt, q.eps)
+	default:
+		return bv.tree.AppendRange(dst, q.w)
 	}
-	n := len(dst)
-	dst = q.searchBase(dst, bv.tree)
-	if !q.exact {
-		return dst
-	}
-	hits := dst[:n]
-	for _, id := range dst[n:] {
-		if bv.seg(p, id).ContainsPoint(q.pt, q.eps) {
-			hits = append(hits, id)
-		}
-	}
-	return hits
 }
 
 // refineLocked compacts the candidates dst[n:] of a shard with pending

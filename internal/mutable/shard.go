@@ -32,16 +32,6 @@ type baseView struct {
 	bounds geom.Rect
 }
 
-// seg resolves the geometry of an id packed into this base.
-func (bv *baseView) seg(p *Pool, id uint32) geom.Segment {
-	if p.ids.written(id) {
-		if seg, ok := bv.over[id]; ok {
-			return seg
-		}
-	}
-	return p.ds.Seg(id)
-}
-
 // contains reports whether id is packed into this base.
 func (bv *baseView) contains(id uint32) bool {
 	if w := int(id >> 6); w < len(bv.member) {
@@ -259,7 +249,8 @@ func (s *mshard) findLocked(bv *baseView, id uint32) (geom.Segment, bool) {
 	return bv.find(s.pl, id)
 }
 
-// find is seg for an id that may not be packed into this base.
+// find resolves id's geometry in this base: false when id is not packed
+// into it.
 func (bv *baseView) find(p *Pool, id uint32) (geom.Segment, bool) {
 	if seg, ok := bv.over[id]; ok {
 		return seg, true

@@ -11,7 +11,9 @@ import (
 // passes ops.Null, and for that one observable case the tree runs the walk
 // below instead: the same traversal order and the same answer, without the
 // recorder calls, with a whole contained subtree emitted as one run of the
-// leaf level and with the caller's exact test skipped for every MBR the
+// leaf level. The exact queries (AppendRange, AppendPoint, KNearestCollect)
+// refine from the segment each leaf entry carries, so the only memory they
+// touch is the tree's; a range query skips the test for every MBR the
 // window contains. Result order is part of the contract — replies, cached
 // results and wire bytes are compared byte for byte against the
 // instrumented walk's.
@@ -32,23 +34,31 @@ func nilIfNull(rec ops.Recorder) ops.Recorder {
 	return rec
 }
 
-// AppendRange appends the answer of a window query to dst: every item whose
-// MBR intersects w and for which exact(id) is true, in the traversal order
-// of Search. A nil exact keeps every MBR hit (the filtering step alone).
+// AppendRange appends the exact answer of a window query to dst: every item
+// whose segment (Item.Seg) meets w, in the traversal order of Search.
 //
-// exact is the caller's refinement predicate — "the geometry of id
-// intersects w" — and is consulted only for MBRs that straddle the window's
-// edge: an item MBR inside w bounds geometry that lies inside w, so the item
-// is appended without asking. The MBRs the tree was built from must
-// therefore cover the geometry exact looks up.
-func (t *Tree) AppendRange(dst []uint32, w geom.Rect, exact func(id uint32) bool) []uint32 {
+// The refinement runs on the leaf entry the walk is already scanning, and
+// only for an MBR that straddles the window's edge: an item MBR inside w
+// bounds a segment inside w, so the item is appended without a test. The
+// tree must therefore be built from SegItem items.
+func (t *Tree) AppendRange(dst []uint32, w geom.Rect) []uint32 {
+	return t.appendRange(dst, w, true)
+}
+
+// appendRange is the kernel behind AppendRange (refine) and an untraced
+// AppendSearch (the filtering step alone).
+func (t *Tree) appendRange(dst []uint32, w geom.Rect, refine bool) []uint32 {
 	// The negated form also turns away a window with a NaN coordinate,
 	// which intersects nothing.
 	if t.root < 0 || !(w.Min.X <= w.Max.X && w.Min.Y <= w.Max.Y) {
 		return dst
 	}
 	if !t.plain {
-		return t.appendRangeRef(dst, w, exact)
+		if !refine {
+			t.search(&t.nodes[t.root], w, ops.Null{}, &dst)
+			return dst
+		}
+		return t.refWalk(dst, &t.nodes[t.root], &w)
 	}
 	if inside(&w, &t.bounds) {
 		return appendRun(dst, t.leaves)
@@ -57,34 +67,33 @@ func (t *Tree) AppendRange(dst []uint32, w geom.Rect, exact func(id uint32) bool
 	for l := 1; l < t.height; l++ {
 		span *= t.cfg.fanout()
 	}
-	return t.rangeWalk(dst, &t.nodes[t.root], 0, span, &w, exact)
+	return t.rangeWalk(dst, &t.nodes[t.root], 0, span, &w, refine)
 }
 
-// appendRangeRef answers AppendRange on a tree holding an empty or NaN item
-// MBR, which passes raw compares that Rect.Intersects rejects: the reference
-// walk filters, then exact refines every candidate.
-func (t *Tree) appendRangeRef(dst []uint32, w geom.Rect, exact func(uint32) bool) []uint32 {
-	n := len(dst)
-	t.search(&t.nodes[t.root], w, ops.Null{}, &dst)
-	if exact == nil {
-		return dst
-	}
-	hits := dst[:n]
-	for _, id := range dst[n:] {
-		if exact(id) {
-			hits = append(hits, id)
+// refWalk answers AppendRange on a tree holding an empty or NaN item MBR,
+// which passes raw compares that Rect.Intersects rejects: Search's filter at
+// every level, and the segment test on every candidate.
+func (t *Tree) refWalk(dst []uint32, n *node, w *geom.Rect) []uint32 {
+	for i := range n.entries {
+		e := &n.entries[i]
+		switch {
+		case !w.Intersects(e.MBR):
+		case n.level > 0:
+			dst = t.refWalk(dst, &t.nodes[e.ID], w)
+		case e.Seg().IntersectsRect(*w):
+			dst = append(dst, e.ID)
 		}
 	}
-	return hits
+	return dst
 }
 
 // rangeWalk is the kernel's traversal of node n, whose first entry covers
 // the leaf slots from first and whose every entry covers span of them.
-func (t *Tree) rangeWalk(dst []uint32, n *node, first, span int, w *geom.Rect, exact func(uint32) bool) []uint32 {
+func (t *Tree) rangeWalk(dst []uint32, n *node, first, span int, w *geom.Rect, refine bool) []uint32 {
 	if n.level == 0 {
 		for i := range n.entries {
 			e := &n.entries[i]
-			if overlaps(w, &e.MBR) && (exact == nil || inside(w, &e.MBR) || exact(e.ID)) {
+			if overlaps(w, &e.MBR) && (!refine || inside(w, &e.MBR) || e.Seg().IntersectsRect(*w)) {
 				dst = append(dst, e.ID)
 			}
 		}
@@ -103,7 +112,39 @@ func (t *Tree) rangeWalk(dst []uint32, n *node, first, span int, w *geom.Rect, e
 			dst = appendRun(dst, t.leaves[lo:min(lo+span, t.nitems)])
 			continue
 		}
-		dst = t.rangeWalk(dst, &t.nodes[e.ID], lo, span/t.cfg.fanout(), w, exact)
+		dst = t.rangeWalk(dst, &t.nodes[e.ID], lo, span/t.cfg.fanout(), w, refine)
+	}
+	return dst
+}
+
+// AppendPoint appends the exact answer of a point query to dst: every item
+// whose segment passes within eps of pt, in the traversal order of
+// SearchPoint. Every item whose MBR contains pt is tested against the
+// segment its leaf carries — there is no containment short-cut, so eps
+// keeps its meaning. Rect.ContainsPoint agrees with Rect.Intersects on a
+// degenerate window whatever the item MBRs, so no tree needs a reference
+// walk here.
+func (t *Tree) AppendPoint(dst []uint32, pt geom.Point, eps float64) []uint32 {
+	if t.root < 0 {
+		return dst
+	}
+	return t.pointWalk(dst, &t.nodes[t.root], pt, eps)
+}
+
+func (t *Tree) pointWalk(dst []uint32, n *node, pt geom.Point, eps float64) []uint32 {
+	if n.level == 0 {
+		for i := range n.entries {
+			e := &n.entries[i]
+			if e.MBR.ContainsPoint(pt) && e.Seg().ContainsPoint(pt, eps) {
+				dst = append(dst, e.ID)
+			}
+		}
+		return dst
+	}
+	for i := range n.entries {
+		if e := &n.entries[i]; e.MBR.ContainsPoint(pt) {
+			dst = t.pointWalk(dst, &t.nodes[e.ID], pt, eps)
+		}
 	}
 	return dst
 }

@@ -1,10 +1,13 @@
 package rtree_test
 
 import (
+	"strconv"
 	"testing"
 
 	"mobispatial/internal/dataset"
+	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
+	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
 )
 
@@ -16,10 +19,21 @@ func (discard) Op(ops.Op, int)    {}
 func (discard) Load(uint64, int)  {}
 func (discard) Store(uint64, int) {}
 
-// BenchmarkRangeKernel runs the paper's §5.4 range windows over the PA
-// dataset through the serving kernel (filter only, and with exact refinement
-// fused in) and through the instrumented walk under a no-op recorder (filter
-// only, and followed by a refinement loop over every candidate).
+// BenchmarkRangeKernel runs the paper's §5.4 queries over the PA dataset
+// through the serving kernel and through the instrumented walk under a
+// no-op recorder, whose refinement reads the dataset's records:
+//
+//   - range windows: the kernel filtering alone, the kernel refined from
+//     its leaves (AppendRange), the instrumented filter, and the
+//     instrumented filter followed by a refinement loop over every candidate;
+//   - point queries: AppendPoint, and the untraced point filter refined
+//     against the dataset's records, candidate by candidate;
+//   - nearest-neighbor points at k = 1 and k = 8: the leaf-distance fold
+//     (KNearestCollect), and the untraced k-NN with a DistFunc over the
+//     dataset's records.
+//
+// The two "-dataset" rows are how a serving pool answered before the leaves
+// carried their segments.
 func BenchmarkRangeKernel(b *testing.B) {
 	ds := dataset.PA()
 	tr, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
@@ -27,18 +41,20 @@ func BenchmarkRangeKernel(b *testing.B) {
 		b.Fatal(err)
 	}
 	windows := dataset.RangeQueries(ds, 256, 1)
+	points := dataset.PointQueries(ds, 256, 1)
+	nnPoints := dataset.NNQueries(ds, 256, 1)
+	const eps = proto.DefaultPointEps
 	var ids []uint32
 	b.Run("kernel-filter", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ids = tr.AppendRange(ids[:0], windows[i%len(windows)], nil)
+			ids = tr.AppendSearch(ids[:0], windows[i%len(windows)], ops.Null{})
 		}
 	})
 	b.Run("kernel-fused", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			w := windows[i%len(windows)]
-			ids = tr.AppendRange(ids[:0], w, func(id uint32) bool { return ds.Seg(id).IntersectsRect(w) })
+			ids = tr.AppendRange(ids[:0], windows[i%len(windows)])
 		}
 	})
 	b.Run("instrumented-filter", func(b *testing.B) {
@@ -61,4 +77,45 @@ func BenchmarkRangeKernel(b *testing.B) {
 			ids = hits
 		}
 	})
+	b.Run("point-kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ids = tr.AppendPoint(ids[:0], points[i%len(points)], eps)
+		}
+	})
+	b.Run("point-dataset", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p := points[i%len(points)]
+			ids = tr.AppendSearchPoint(ids[:0], p, ops.Null{})
+			hits := ids[:0]
+			for _, id := range ids {
+				if ds.Seg(id).ContainsPoint(p, eps) {
+					hits = append(hits, id)
+				}
+			}
+			ids = hits
+		}
+	})
+	for _, k := range []int{1, 8} {
+		var sc rtree.NNScratch
+		var nbs []rtree.Neighbor
+		b.Run("knn-kernel/k="+strconv.Itoa(k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sc.ResetKNN()
+				tr.KNearestCollect(nnPoints[i%len(nnPoints)], k, nil, &sc)
+				nbs = sc.DrainKNNAppend(nbs[:0])
+			}
+		})
+		b.Run("knn-dataset/k="+strconv.Itoa(k), func(b *testing.B) {
+			b.ReportAllocs()
+			var p geom.Point
+			dist := func(id uint32) float64 { return ds.Seg(id).DistToPoint(p) }
+			for i := 0; i < b.N; i++ {
+				p = nnPoints[i%len(nnPoints)]
+				nbs = tr.KNearestAppend(nbs[:0], p, k, dist, ops.Null{}, &sc)
+			}
+		})
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mobispatial/internal/geom"
@@ -67,9 +68,10 @@ func kernelWindows(segs []geom.Segment, bounds geom.Rect, n int, seed int64) []g
 // TestKernelMatchesInstrumentedWalk is the kernel's contract: for every
 // packing, for item counts on and off the fanout's multiples, and for
 // windows of every special shape, the untraced walk returns the instrumented
-// walk's ids as a sequence; fused with a refinement predicate it returns
-// that sequence filtered by the predicate, asking it about every MBR that
-// straddles the window's edge and about none the window contains.
+// walk's ids as a sequence; refined from the leaves (AppendRange) it returns
+// that sequence filtered by the exact segment–window test; and the point
+// kernel (AppendPoint at the window's centre) returns the instrumented point
+// walk's sequence filtered by incidence within eps.
 func TestKernelMatchesInstrumentedWalk(t *testing.T) {
 	fanout := Config{NodeBytes: DefaultNodeBytes}.fanout()
 	sizes := []struct{ items, windows int }{
@@ -79,50 +81,39 @@ func TestKernelMatchesInstrumentedWalk(t *testing.T) {
 	total := 0
 	for _, sz := range sizes {
 		segs := randSegments(sz.items, int64(sz.items))
-		mbrs := make([]geom.Rect, len(segs))
-		for i, s := range segs {
-			mbrs[i] = s.MBR()
-		}
 		for _, pk := range packings {
 			tr := buildTest(t, segs, Config{Packing: pk})
 			name := fmt.Sprintf("n=%d/packing=%d", sz.items, pk)
 			var ref, got, fused, want []uint32
-			asked := make(map[uint32]int)
 			for qi, w := range kernelWindows(segs, tr.Bounds(), sz.windows, int64(pk)+7) {
 				total++
 				ref = tr.AppendSearch(ref[:0], w, &ops.Counts{})
-				got = tr.AppendRange(got[:0], w, nil)
+				got = tr.AppendSearch(got[:0], w, ops.Null{})
 				if !equalU32(got, ref) {
 					t.Fatalf("%s window %d %v: filter kernel %d ids, instrumented %d (or order differs)", name, qi, w, len(got), len(ref))
 				}
-				if viaNull := tr.AppendSearch(nil, w, ops.Null{}); !equalU32(viaNull, ref) {
-					t.Fatalf("%s window %d %v: AppendSearch(Null) differs from the instrumented walk", name, qi, w)
-				}
 
-				clear(asked)
-				exact := func(id uint32) bool {
-					asked[id]++
-					return segs[id].IntersectsRect(w)
-				}
-				fused = tr.AppendRange(fused[:0], w, exact)
+				fused = tr.AppendRange(fused[:0], w)
 				want = want[:0]
 				for _, id := range ref {
-					contained := w.ContainsRect(mbrs[id])
-					switch {
-					case contained && asked[id] != 0:
-						t.Fatalf("%s window %d %v: exact asked about id %d whose MBR %v the window contains", name, qi, w, id, mbrs[id])
-					case !contained && asked[id] != 1:
-						t.Fatalf("%s window %d %v: exact asked %d times about straddling id %d", name, qi, w, asked[id], id)
-					}
 					if segs[id].IntersectsRect(w) {
 						want = append(want, id)
 					}
 				}
-				if len(asked) > len(ref) {
-					t.Fatalf("%s window %d: exact asked about %d ids, only %d candidates", name, qi, len(asked), len(ref))
-				}
 				if !equalU32(fused, want) {
-					t.Fatalf("%s window %d %v: fused kernel %d ids, refined instrumented walk %d (or order differs)", name, qi, w, len(fused), len(want))
+					t.Fatalf("%s window %d %v: refined kernel %d ids, refined instrumented walk %d (or order differs)", name, qi, w, len(fused), len(want))
+				}
+
+				pt := w.Center()
+				ref = tr.AppendSearchPoint(ref[:0], pt, &ops.Counts{})
+				want = want[:0]
+				for _, id := range ref {
+					if segs[id].ContainsPoint(pt, kernelEps) {
+						want = append(want, id)
+					}
+				}
+				if got = tr.AppendPoint(got[:0], pt, kernelEps); !equalU32(got, want) {
+					t.Fatalf("%s window %d: point kernel at %v %d ids, refined instrumented walk %d (or order differs)", name, qi, pt, len(got), len(want))
 				}
 			}
 		}
@@ -132,21 +123,34 @@ func TestKernelMatchesInstrumentedWalk(t *testing.T) {
 	}
 }
 
+// kernelEps is the point queries' incidence tolerance in these tests: wide
+// enough on the 1000×1000 extent that a point near a segment is a hit.
+const kernelEps = 0.5
+
 // TestKernelAppendsAfterPrefix: dst's existing contents are never touched.
 func TestKernelAppendsAfterPrefix(t *testing.T) {
 	segs := randSegments(3000, 5)
 	tr := buildTest(t, segs, Config{})
 	w := geom.Rect{Min: geom.Point{X: 100, Y: 100}, Max: geom.Point{X: 600, Y: 700}}
-	ref := tr.AppendSearch(nil, w, &ops.Counts{})
-	got := tr.AppendRange([]uint32{7, 8, 9}, w, nil)
-	if !equalU32(got[:3], []uint32{7, 8, 9}) || !equalU32(got[3:], ref) {
-		t.Fatalf("prefix or answer disturbed: %d ids after a 3-id prefix, want %d", len(got)-3, len(ref))
+	prefix := []uint32{7, 8, 9}
+	for _, c := range []struct {
+		name      string
+		got, want []uint32
+	}{
+		{"filter", tr.AppendSearch(slices.Clone(prefix), w, ops.Null{}), tr.AppendSearch(nil, w, &ops.Counts{})},
+		{"range", tr.AppendRange(slices.Clone(prefix), w), tr.AppendRange(nil, w)},
+		{"point", tr.AppendPoint(slices.Clone(prefix), segs[9].A, 0), tr.AppendPoint(nil, segs[9].A, 0)},
+	} {
+		if len(c.want) == 0 || !equalU32(c.got[:3], prefix) || !equalU32(c.got[3:], c.want) {
+			t.Fatalf("%s: prefix or answer disturbed: %d ids after a 3-id prefix, want %d", c.name, len(c.got)-3, len(c.want))
+		}
 	}
 }
 
 // TestKernelStandsDownOnIrregularMBRs: an empty or NaN item MBR satisfies
 // raw compares that Rect.Intersects rejects, so such a tree must keep
-// answering through the reference walk, fused or not.
+// answering through the reference walk, refined or not; the point kernel
+// needs no reference walk, and must agree with the instrumented one too.
 func TestKernelStandsDownOnIrregularMBRs(t *testing.T) {
 	segs := randSegments(500, 11)
 	items := itemsOf(segs)
@@ -159,20 +163,29 @@ func TestKernelStandsDownOnIrregularMBRs(t *testing.T) {
 	if tr.plain {
 		t.Fatal("tree with an inverted and a NaN item MBR reported plain")
 	}
-	odd := func(id uint32) bool { return id%2 == 1 }
 	for qi, w := range kernelWindows(segs, tr.Bounds(), 300, 3) {
 		ref := tr.AppendSearch(nil, w, &ops.Counts{})
-		if got := tr.AppendRange(nil, w, nil); !equalU32(got, ref) {
+		if got := tr.AppendSearch(nil, w, ops.Null{}); !equalU32(got, ref) {
 			t.Fatalf("window %d %v: %d ids, instrumented walk %d", qi, w, len(got), len(ref))
 		}
 		var want []uint32
 		for _, id := range ref {
-			if odd(id) {
+			if items[id].Seg().IntersectsRect(w) {
 				want = append(want, id)
 			}
 		}
-		if got := tr.AppendRange(nil, w, odd); !equalU32(got, want) {
-			t.Fatalf("window %d %v: fused %d ids, want %d", qi, w, len(got), len(want))
+		if got := tr.AppendRange(nil, w); !equalU32(got, want) {
+			t.Fatalf("window %d %v: refined %d ids, want %d", qi, w, len(got), len(want))
+		}
+		pt := w.Min
+		want = want[:0]
+		for _, id := range tr.AppendSearchPoint(nil, pt, &ops.Counts{}) {
+			if items[id].Seg().ContainsPoint(pt, kernelEps) {
+				want = append(want, id)
+			}
+		}
+		if got := tr.AppendPoint(nil, pt, kernelEps); !equalU32(got, want) {
+			t.Fatalf("window %d: point kernel at %v %d ids, want %d", qi, pt, len(got), len(want))
 		}
 	}
 }

@@ -92,7 +92,7 @@ func (t *Tree) KNearestAppend(dst []Neighbor, p geom.Point, k int, dist DistFunc
 	if sc != nil {
 		best = sc.heap[:0]
 	}
-	t.knn(&t.nodes[t.root], p, k, dist, nilIfNull(rec), sc, &best)
+	t.knn(&t.nodes[t.root], p, k, dist, nil, nilIfNull(rec), sc, &best)
 	start := len(dst)
 	n := len(best)
 	for i := 0; i < n; i++ {
@@ -110,8 +110,9 @@ func (t *Tree) KNearestAppend(dst []Neighbor, p geom.Point, k int, dist DistFunc
 // The running-accumulator API. A sharded index answers one k-NN query by
 // folding several per-shard trees into one scratch-held heap: the k-th best
 // distance travels from shard to shard, pruning inside every later tree.
-// KNearestAppend is exactly ResetKNN + one KNearestCollect + DrainKNNAppend,
-// so single-tree and cross-tree answers share one traversal.
+// KNearestAppend under ops.Null is ResetKNN + one KNearestCollect +
+// DrainKNNAppend wherever dist is the distance to the segment each leaf
+// carries: single-tree and cross-tree answers share one traversal.
 
 // ResetKNN empties sc's running k-NN accumulator. Call once before a
 // sequence of KNearestCollect folds.
@@ -155,15 +156,19 @@ func (sc *NNScratch) KNNOffer(k int, nb Neighbor) {
 	}
 }
 
-// KNearestCollect folds this tree's k nearest neighbors into sc's running
-// accumulator, pruning against the bound the accumulator already carries.
-// sc must be non-nil; results accumulate across calls until DrainKNNAppend.
-func (t *Tree) KNearestCollect(p geom.Point, k int, dist DistFunc, rec ops.Recorder, sc *NNScratch) {
+// KNearestCollect folds this tree's k nearest items into sc's running
+// accumulator, pruning against the bound the accumulator already carries —
+// the serving pools' k-NN step, untraced. An item's distance is that of the
+// segment its leaf carries (Item.Seg), and an item for which skip reports
+// true is left out as if it were not indexed; a nil skip leaves out
+// nothing. sc must be non-nil; results accumulate across calls until
+// DrainKNNAppend.
+func (t *Tree) KNearestCollect(p geom.Point, k int, skip func(id uint32) bool, sc *NNScratch) {
 	if t.root < 0 || k <= 0 {
 		return
 	}
 	heap := sc.heap
-	t.knn(&t.nodes[t.root], p, k, dist, nilIfNull(rec), sc, &heap)
+	t.knn(&t.nodes[t.root], p, k, nil, skip, nil, sc, &heap)
 	sc.heap = heap
 }
 
@@ -177,7 +182,9 @@ func knnBound(best *neighborHeap, k int) float64 {
 }
 
 // knn is the k-NN descent; rec is nil for an untraced query, as in nearest.
-func (t *Tree) knn(n *node, p geom.Point, k int, dist DistFunc, rec ops.Recorder, sc *NNScratch, best *neighborHeap) {
+// A nil dist takes each item's distance from its leaf (KNearestCollect),
+// leaving out the ids skip reports.
+func (t *Tree) knn(n *node, p geom.Point, k int, dist DistFunc, skip func(uint32) bool, rec ops.Recorder, sc *NNScratch, best *neighborHeap) {
 	traced := rec != nil
 	if traced {
 		t.visitNode(n, rec)
@@ -188,12 +195,21 @@ func (t *Tree) knn(n *node, p geom.Point, k int, dist DistFunc, rec ops.Recorder
 				t.scanEntry(n, i, rec)
 				rec.Op(ops.OpDistCalc, 1)
 			}
-			if n.entries[i].MBR.MinDist(p) > knnBound(best, k) {
+			e := &n.entries[i]
+			if e.MBR.MinDist(p) > knnBound(best, k) {
 				continue
 			}
-			d := dist(n.entries[i].ID)
+			var d float64
+			switch {
+			case dist != nil:
+				d = dist(e.ID)
+			case skip != nil && skip(e.ID):
+				continue
+			default:
+				d = e.Seg().DistToPoint(p)
+			}
 			if d < knnBound(best, k) {
-				best.push(Neighbor{ID: n.entries[i].ID, Dist: d})
+				best.push(Neighbor{ID: e.ID, Dist: d})
 				if traced {
 					rec.Op(ops.OpHeapOp, 1)
 				}
@@ -231,6 +247,6 @@ func (t *Tree) knn(n *node, p geom.Point, k int, dist DistFunc, rec ops.Recorder
 		if br.minDist > knnBound(best, k) {
 			break // MINDIST-ordered: all later branches prune too
 		}
-		t.knn(&t.nodes[n.entries[br.idx].ID], p, k, dist, rec, sc, best)
+		t.knn(&t.nodes[n.entries[br.idx].ID], p, k, dist, skip, rec, sc, best)
 	}
 }

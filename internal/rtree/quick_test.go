@@ -31,7 +31,7 @@ func (itemSet) Generate(r *rand.Rand, size int) reflect.Value {
 			B: geom.Point{X: a.X + r.Float64()*30 - 15, Y: a.Y + r.Float64()*30 - 15},
 		}
 		s.segs[i] = seg
-		s.items[i] = Item{MBR: seg.MBR(), ID: uint32(i)}
+		s.items[i] = SegItem(seg, uint32(i))
 	}
 	return reflect.ValueOf(s)
 }

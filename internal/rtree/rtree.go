@@ -11,6 +11,12 @@
 // spatial library: range and point searches then take the serving kernel
 // (kernel.go) and the NN walks skip their recorder calls — same answers in
 // the same order, nothing recorded.
+//
+// The instrumented walks are the paper's two phases: they filter on MBRs,
+// and refinement against the data records is the caller's (a DistFunc for
+// NN). A leaf entry also carries its segment (Item.Seg), so the serving
+// kernel's exact queries — AppendRange, AppendPoint, KNearestCollect —
+// refine from the leaf they already loaded instead of from the dataset.
 package rtree
 
 import (
@@ -24,11 +30,58 @@ import (
 	"mobispatial/internal/ops"
 )
 
-// Item is one spatial data item to index: an MBR and the caller's record
-// identifier (for the road-atlas datasets, the segment id).
+// Item is one spatial data item to index: an MBR, the caller's record
+// identifier (for the road-atlas datasets, the segment id) and two bits
+// saying which x end and which y end of the segment is A. A segment is its
+// MBR plus those bits, so a leaf carries its segment and the serving kernel
+// refines from the entry it is already scanning. The bits sit in what would
+// otherwise be padding: an Item is 40 bytes either way. SegItem is the only
+// way to build one outside this package.
 type Item struct {
-	MBR geom.Rect
-	ID  uint32
+	MBR  geom.Rect
+	ID   uint32
+	ends uint8 // aAtMaxX | aAtMaxY
+}
+
+// The end bits: set when the segment's A end is at the MBR's Max on that
+// axis (and B at its Min).
+const (
+	aAtMaxX uint8 = 1 << iota
+	aAtMaxY
+)
+
+// SegItem is the item of segment s under id: s's MBR (what Segment.MBR
+// returns for any segment without a NaN coordinate, -0 below +0 included)
+// and which corner of it each end sits on.
+func SegItem(s geom.Segment, id uint32) Item {
+	it := Item{MBR: geom.Rect{Min: s.A, Max: s.B}, ID: id}
+	if below(s.B.X, s.A.X) {
+		it.MBR.Min.X, it.MBR.Max.X = s.B.X, s.A.X
+		it.ends |= aAtMaxX
+	}
+	if below(s.B.Y, s.A.Y) {
+		it.MBR.Min.Y, it.MBR.Max.Y = s.B.Y, s.A.Y
+		it.ends |= aAtMaxY
+	}
+	return it
+}
+
+// below orders two coordinates as math.Min does: -0 below +0.
+func below(a, b float64) bool {
+	return a < b || (a == b && math.Signbit(a) && !math.Signbit(b))
+}
+
+// Seg rebuilds the segment of an item made by SegItem, bit for bit (±0
+// included) for every segment without a NaN coordinate.
+func (it Item) Seg() geom.Segment {
+	s := geom.Segment{A: it.MBR.Min, B: it.MBR.Max}
+	if it.ends&aAtMaxX != 0 {
+		s.A.X, s.B.X = s.B.X, s.A.X
+	}
+	if it.ends&aAtMaxY != 0 {
+		s.A.Y, s.B.Y = s.B.Y, s.A.Y
+	}
+	return s
 }
 
 // Config controls the physical layout of the tree.
@@ -297,9 +350,9 @@ func (t *Tree) scanEntry(n *node, i int, rec ops.Recorder) {
 
 // Search performs the filtering step for a range (window) query: it returns
 // the ids of all items whose MBR intersects the window, in ascending
-// traversal order. This is the first phase of range-query processing; the
-// refinement step (exact segment–window tests) is the caller's job because
-// it needs the actual data records.
+// traversal order. This is the first phase of range-query processing, the
+// one the paper's model prices apart from refinement; the exact answer,
+// refined from the segments the leaves carry, is AppendRange.
 func (t *Tree) Search(window geom.Rect, rec ops.Recorder) []uint32 {
 	return t.AppendSearch(nil, window, rec)
 }
@@ -313,7 +366,7 @@ func (t *Tree) AppendSearch(dst []uint32, window geom.Rect, rec ops.Recorder) []
 		return dst
 	}
 	if untraced(rec) {
-		return t.AppendRange(dst, window, nil)
+		return t.appendRange(dst, window, false)
 	}
 	t.search(&t.nodes[t.root], window, rec, &dst)
 	return dst

@@ -27,7 +27,7 @@ func randSegments(n int, seed int64) []geom.Segment {
 func itemsOf(segs []geom.Segment) []Item {
 	items := make([]Item, len(segs))
 	for i, s := range segs {
-		items[i] = Item{MBR: s.MBR(), ID: uint32(i)}
+		items[i] = SegItem(s, uint32(i))
 	}
 	return items
 }

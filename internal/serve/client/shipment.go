@@ -70,7 +70,7 @@ func NewShipment(sm *proto.ShipmentMsg) (*Shipment, error) {
 	items := make([]rtree.Item, len(sm.Records))
 	segs := make(map[uint32]geom.Segment, len(sm.Records))
 	for i, r := range sm.Records {
-		items[i] = rtree.Item{MBR: r.Seg.MBR(), ID: r.ID}
+		items[i] = rtree.SegItem(r.Seg, r.ID)
 		segs[r.ID] = r.Seg
 	}
 	tree, err := rtree.Build(items, rtree.Config{}, ops.Null{})
@@ -100,7 +100,8 @@ func (s *Shipment) Covers(q scheme.Query) bool {
 
 // Answer executes q fully at the client against the shipped sub-index and
 // records — filtering and refinement, exactly the paper's fully-client
-// scheme. The caller is responsible for checking Covers first.
+// scheme, refined from the segments the sub-index's leaves carry as on the
+// server. The caller is responsible for checking Covers first.
 func (s *Shipment) Answer(q scheme.Query, eps float64) ([]proto.Record, error) {
 	if eps <= 0 {
 		eps = scheme.PointEps
@@ -108,25 +109,15 @@ func (s *Shipment) Answer(q scheme.Query, eps float64) ([]proto.Record, error) {
 	var ids []uint32
 	switch q.Kind {
 	case scheme.PointQuery:
-		for _, id := range s.Tree.SearchPoint(q.Point, ops.Null{}) {
-			if s.segs[id].ContainsPoint(q.Point, eps) {
-				ids = append(ids, id)
-			}
-		}
+		ids = s.Tree.AppendPoint(nil, q.Point, eps)
 	case scheme.RangeQuery:
-		for _, id := range s.Tree.Search(q.Window, ops.Null{}) {
-			if s.segs[id].IntersectsRect(q.Window) {
-				ids = append(ids, id)
-			}
-		}
+		ids = s.Tree.AppendRange(nil, q.Window)
 	case scheme.NNQuery:
-		dist := func(id uint32) float64 { return s.segs[id].DistToPoint(q.Point) }
-		if q.K > 1 {
-			for _, nb := range s.Tree.KNearest(q.Point, q.K, dist, ops.Null{}) {
-				ids = append(ids, nb.ID)
-			}
-		} else if id, _, ok := s.Tree.Nearest(q.Point, dist, ops.Null{}); ok {
-			ids = append(ids, id)
+		// One NN walk, as on the server: 1-NN is k-NN at k = 1.
+		var sc rtree.NNScratch
+		s.Tree.KNearestCollect(q.Point, max(q.K, 1), nil, &sc)
+		for _, nb := range sc.DrainKNNAppend(nil) {
+			ids = append(ids, nb.ID)
 		}
 	default:
 		return nil, fmt.Errorf("client: unknown query kind %v", q.Kind)

@@ -7,29 +7,27 @@ import (
 
 // rangeWalk answers one window query on the caller's goroutine: every shard
 // whose MBR intersects w is searched in shard order, appending into dst.
-// With refine set each tree's serving kernel runs with the exact test fused
-// in, so a segment is loaded only when its MBR straddles the window's edge.
+// With refine set each tree's serving kernel refines from the segments its
+// leaves carry, testing only the MBRs that straddle the window's edge.
 func (p *Pool) rangeWalk(dst []uint32, w geom.Rect, refine bool) []uint32 {
-	var exact func(uint32) bool
-	if refine {
-		exact = func(id uint32) bool { return p.ds.Seg(id).IntersectsRect(w) }
-	}
 	n := 0
 	for i, t := range p.trees {
 		if !p.mbrs[i].Intersects(w) {
 			continue
 		}
 		n++
-		dst = t.AppendRange(dst, w, exact)
+		if refine {
+			dst = t.AppendRange(dst, w)
+		} else {
+			dst = t.AppendSearch(dst, w, ops.Null{})
+		}
 	}
 	p.observeFanout(n)
 	return dst
 }
 
 // pointWalk is rangeWalk for a point query: shards whose MBR contains pt,
-// refined by incidence within eps. The refinement compacts candidates in
-// place — hits are written back over the candidate region — so no second
-// buffer is needed.
+// refined by incidence within eps against every candidate's leaf segment.
 func (p *Pool) pointWalk(dst []uint32, pt geom.Point, eps float64, refine bool) []uint32 {
 	n := 0
 	for i, t := range p.trees {
@@ -37,16 +35,10 @@ func (p *Pool) pointWalk(dst []uint32, pt geom.Point, eps float64, refine bool) 
 			continue
 		}
 		n++
-		base := len(dst)
-		dst = t.AppendSearchPoint(dst, pt, ops.Null{})
 		if refine {
-			hits := dst[:base]
-			for _, id := range dst[base:] {
-				if p.ds.Seg(id).ContainsPoint(pt, eps) {
-					hits = append(hits, id)
-				}
-			}
-			dst = hits
+			dst = t.AppendPoint(dst, pt, eps)
+		} else {
+			dst = t.AppendSearchPoint(dst, pt, ops.Null{})
 		}
 	}
 	p.observeFanout(n)

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"mobispatial/internal/geom"
-	"mobispatial/internal/ops"
 	"mobispatial/internal/rtree"
 )
 
@@ -55,7 +54,6 @@ func (p *Pool) KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int,
 	}
 	// The same scheduling the router applies across servers.
 	sc.order = OrderByMinDist(sc.order[:0], p.mbrs, pt)
-	df := sc.DistTo(p.ds, pt)
 
 	sc.NN.ResetKNN()
 	visited := 0
@@ -68,7 +66,7 @@ func (p *Pool) KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int,
 			break
 		}
 		visited++
-		p.trees[sd.Index].KNearestCollect(pt, k, df, ops.Null{}, &sc.NN)
+		p.trees[sd.Index].KNearestCollect(pt, k, nil, &sc.NN)
 	}
 	p.observeNN(visited, len(sc.order)-visited)
 	return sc.NN.DrainKNNAppend(dst), true

@@ -23,13 +23,12 @@ func NearestOf(nbs []rtree.Neighbor) NearestResult {
 	return NearestResult{ID: nbs[0].ID, Dist: nbs[0].Dist, OK: true}
 }
 
-// Scratch is per-caller NN query state: the index traversal buffers, the
-// cross-shard visit order, and a reusable distance closure. A DistFunc built
-// fresh per query captures the query point and escapes into the index's
-// interface call — one hidden heap allocation per NN query. The scratch
-// instead keeps one closure alive over its own mutable fields, so moving the
-// query point is a field store, not an allocation. Not safe for concurrent
-// use; keep one per goroutine (or per connection, as internal/serve does).
+// Scratch is per-caller NN query state: the index traversal buffers and the
+// cross-shard visit order. The pools' k-NN takes its distances from the
+// tree leaves and needs no DistFunc; DistTo keeps one for a caller of the
+// instrumented walks (bench/'s filter rung times rtree.NearestWith with it).
+// Not safe for concurrent use; keep one per goroutine (or per connection, as
+// internal/serve does).
 type Scratch struct {
 	NN    rtree.NNScratch
 	order []IndexDist // the engine's visit order for the query in progress
@@ -39,10 +38,10 @@ type Scratch struct {
 }
 
 // DistTo points the scratch's reusable closure at pt over ds's records and
-// returns it. The closure is rebuilt only when the dataset changes, so a
-// warm caller — this package's NN walk, or an updatable pool folding several
-// per-shard trees over one dataset — pays a field store per query, never an
-// allocation.
+// returns it. A DistFunc built fresh per query captures the query point and
+// escapes into the index's call — one hidden heap allocation per query; this
+// one is rebuilt only when the dataset changes, so a warm caller pays a
+// field store per query, never an allocation.
 func (sc *Scratch) DistTo(ds *dataset.Dataset, pt geom.Point) index.DistFunc {
 	sc.pt = pt
 	if sc.df == nil || sc.ds != ds {

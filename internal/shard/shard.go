@@ -45,8 +45,10 @@ type Config struct {
 	// Items, when non-nil, is the item subset to index instead of the full
 	// ds.Items() — how a partitioned backend (cmd/mqserve -partition)
 	// builds its pool over only the Hilbert ranges it holds. Every item id
-	// must be valid in ds (ids stay cluster-global so record lookups and NN
-	// refinement work unchanged on a subset). The slice is sorted in place.
+	// must be valid in ds (ids stay cluster-global so record lookups work
+	// unchanged on a subset), and every item must carry its segment
+	// (rtree.SegItem, as ds.Items and PartitionHilbert's ranges of it do):
+	// the trees refine from their leaves. The slice is sorted in place.
 	Items []rtree.Item
 }
 
