@@ -10,83 +10,23 @@ import (
 	"time"
 
 	"mobispatial/internal/dataset"
-	"mobispatial/internal/mutable"
-	"mobispatial/internal/obs"
-	"mobispatial/internal/ops"
-	"mobispatial/internal/proto"
-	"mobispatial/internal/router"
-	"mobispatial/internal/rtree"
-	"mobispatial/internal/serve"
-	"mobispatial/internal/shard"
+	"mobispatial/internal/stack"
 )
 
-// serveOn starts one in-process server on a loopback port.
-func serveOn(t *testing.T, cfg serve.Config) string {
+// serveOn builds one stack and serves it on a loopback port.
+func serveOn(t *testing.T, cfg interface{ Build() (*stack.Stack, error) }) string {
 	t.Helper()
-	srv, err := serve.New(cfg)
+	st, err := cfg.Build()
 	if err != nil {
-		t.Fatalf("server: %v", err)
+		t.Fatalf("stack: %v", err)
 	}
+	t.Cleanup(st.Close)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(lis)
-	t.Cleanup(func() { srv.Close() })
+	go st.Server.Serve(lis)
 	return lis.Addr().String()
-}
-
-// startTargets builds the three kinds of target mqload is pointed at, the
-// way mqserve and mqrouter build them: a static server (with a master tree,
-// so it can ship sub-indexes to the planner), an updatable server, and a
-// router with live refresh over two updatable Hilbert-partitioned backends.
-func startTargets(t *testing.T, ds *dataset.Dataset) (static, updatable, routed string) {
-	t.Helper()
-	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := shard.Over(ds, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	static = serveOn(t, serve.Config{Pool: pp, Master: tree, Obs: obs.NewHub()})
-
-	mhub := obs.NewHub()
-	mp, err := mutable.NewFromDataset(ds, 4, mutable.Config{Obs: mhub})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(mp.Close)
-	updatable = serveOn(t, serve.Config{Pool: mp, Master: tree, Obs: mhub})
-
-	const n = 2
-	ranges, bounds := shard.PartitionHilbert(ds.Items(), n, 0)
-	cuts := make([]uint64, n)
-	for i, rg := range ranges {
-		cuts[i] = rg.Lo
-	}
-	var backends []string
-	for b, rg := range ranges {
-		pool, err := mutable.New(mutable.Config{
-			Dataset: ds, Ranges: []shard.Range{rg}, Cuts: cuts, Bounds: bounds,
-		})
-		if err != nil {
-			t.Fatalf("backend %d: %v", b, err)
-		}
-		t.Cleanup(pool.Close)
-		backends = append(backends, serveOn(t, serve.Config{Pool: pool, NumRanges: n, Ranges: []proto.RangeInfo{{
-			Index: uint32(rg.Index), Items: uint32(len(rg.Items)), Lo: rg.Lo, Hi: rg.Hi, MBR: rg.MBR,
-		}}}))
-	}
-	hub := obs.NewHub()
-	r, err := router.New(router.Config{Backends: backends, Dataset: ds, RefreshInterval: 20 * time.Millisecond, Obs: hub})
-	if err != nil {
-		t.Fatalf("router: %v", err)
-	}
-	t.Cleanup(func() { r.Close() })
-	routed = serveOn(t, serve.Config{Pool: r, Obs: hub})
-	return static, updatable, routed
 }
 
 // The report lines scripts/cluster_smoke.sh reads its verdicts from. One
@@ -114,11 +54,19 @@ func field(t *testing.T, report string, re *regexp.Regexp, group int) int {
 }
 
 // TestEveryWorkloadRunsToOneReport drives each point source and issuer —
-// and the combinations that used to be refused — through run() against
-// in-process targets, and checks the one report format.
+// and the combinations that used to be refused — through run() against the
+// three kinds of in-process target mqload is pointed at: a static server
+// (which ships sub-indexes to the planner), an updatable server, and a
+// router with live refresh over two updatable Hilbert-partitioned backends.
+// It checks the one report format.
 func TestEveryWorkloadRunsToOneReport(t *testing.T) {
 	ds := dataset.NYC()
-	static, updatable, routed := startTargets(t, ds)
+	static := serveOn(t, stack.Server{Dataset: ds})
+	updatable := serveOn(t, stack.Server{Dataset: ds, Mutable: true})
+	routed := serveOn(t, stack.Router{Dataset: ds, Refresh: 20 * time.Millisecond, Backends: []string{
+		serveOn(t, stack.Server{Dataset: ds, Partition: "0/2", Replicas: 1, Mutable: true}),
+		serveOn(t, stack.Server{Dataset: ds, Partition: "1/2", Replicas: 1, Mutable: true}),
+	}})
 	for _, tc := range []struct {
 		name, addr, args string
 		want             []string // substrings this workload's report must carry

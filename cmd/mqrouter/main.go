@@ -55,8 +55,7 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/qcache"
-	"mobispatial/internal/router"
-	"mobispatial/internal/serve"
+	"mobispatial/internal/stack"
 )
 
 func main() {
@@ -81,46 +80,27 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *backends == "" {
-		return fmt.Errorf("-backends is required")
+	cfg := stack.Router{
+		Backends: strings.Split(*backends, ","), Conns: *conns, LegTimeout: *legTimeout,
+		Register: *register, Refresh: *refresh, QCacheMB: *qcacheMB, QCell: *qcell,
 	}
-
+	if err := cfg.Check(); err != nil {
+		return err
+	}
 	ds, err := dataset.ByName(*dsName)
 	if err != nil {
 		return err
 	}
-
-	hub := obs.NewHub()
-	r, err := router.New(router.Config{
-		Backends:        strings.Split(*backends, ","),
-		Dataset:         ds,
-		ConnsPerBackend: *conns,
-		LegTimeout:      *legTimeout,
-		RegisterTimeout: *register,
-		RefreshInterval: *refresh,
-		Obs:             hub,
-	})
+	cfg.Dataset = ds
+	st, err := cfg.Build()
 	if err != nil {
 		return err
 	}
-	defer r.Close()
-	fmt.Printf("mqrouter: registered %d backends, %d ranges\n", len(strings.Split(*backends, ",")), r.NumShards())
-
-	// The router IS the server's pool: clients connect with the unchanged
-	// protocol and every query fans out behind the same framed surface.
-	// Shipments need the master tree, which lives on the backends, so the
-	// router leaves them unsupported. The router doubles as the cluster's
-	// validity view (qcache.Source over the per-range version vector), so
-	// the same result cache mqserve runs locally works one tier up — a hit
-	// skips the whole fan-out.
-	var qc *qcache.Cache
-	if *qcacheMB > 0 {
-		qc = qcache.New(qcache.Config{MaxBytes: *qcacheMB << 20, CellSize: *qcell, Obs: hub})
-		fmt.Printf("mqrouter: result cache %d MB, %.0f-unit cells\n", *qcacheMB, *qcell)
-	}
-	srv, err := serve.New(serve.Config{Pool: r, Obs: hub, Cache: qc})
-	if err != nil {
-		return err
+	defer st.Close()
+	srv, hub, qc := st.Server, st.Hub, st.Cache
+	fmt.Printf("mqrouter: registered %d backends, %d ranges\n", len(cfg.Backends), st.Router.NumShards())
+	if qc != nil {
+		fmt.Printf("mqrouter: result cache %d MB, %.0f-unit cells\n", qc.MaxBytes()>>20, qc.CellSize())
 	}
 
 	if *obsAddr != "" {
@@ -149,28 +129,13 @@ func run(args []string) error {
 	if err := srv.Shutdown(10 * time.Second); err != nil {
 		return err
 	}
-	st := srv.Stats()
-	snap := hub.Reg.Snapshot()
-	var failovers, unroutable, writes, writeDiverged, writeUnroutable uint64
-	for _, c := range snap.Counters {
-		switch c.Name {
-		case "router_failover_total":
-			failovers = c.Value
-		case "router_unroutable_total":
-			unroutable = c.Value
-		case "router_writes_total":
-			writes = c.Value
-		case "router_write_divergence_total":
-			writeDiverged = c.Value
-		case "router_write_unroutable_total":
-			writeUnroutable = c.Value
-		}
-	}
+	stats := srv.Stats()
+	count := func(name string) uint64 { return hub.Reg.Counter(name).Value() }
 	fmt.Printf("mqrouter: served %d requests over %d connections; %d errors, %d failovers, %d unroutable\n",
-		st.Served, st.Conns, st.Errors, failovers, unroutable)
-	if writes > 0 {
+		stats.Served, stats.Conns, stats.Errors, count("router_failover_total"), count("router_unroutable_total"))
+	if writes := count("router_writes_total"); writes > 0 {
 		fmt.Printf("mqrouter: routed %d writes to replicas; %d diverged, %d unroutable\n",
-			writes, writeDiverged, writeUnroutable)
+			writes, count("router_write_divergence_total"), count("router_write_unroutable_total"))
 	}
 	if qc != nil {
 		cst := srv.CacheStats()

@@ -57,22 +57,14 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/faultlink"
-	"mobispatial/internal/geom"
-	"mobispatial/internal/mutable"
 	"mobispatial/internal/obs"
-	"mobispatial/internal/ops"
-	"mobispatial/internal/proto"
 	"mobispatial/internal/qcache"
-	"mobispatial/internal/rtree"
-	"mobispatial/internal/serve"
-	"mobispatial/internal/shard"
+	"mobispatial/internal/stack"
 )
 
 func main() {
@@ -100,71 +92,38 @@ func run(args []string) error {
 	}
 
 	// Every refusal comes before the dataset is generated.
-	backend, numRanges, err := parsePartition(*partition, *replicas)
-	if err != nil {
+	if *partition == "" && *replicas != 1 {
+		return fmt.Errorf("-replicas %d needs -partition: replication places cluster ranges", *replicas)
+	}
+	cfg := stack.Server{
+		Shards: *shards, Partition: *partition, Replicas: *replicas, Mutable: *mut,
+		QCacheMB: *qcacheMB, QCell: *qcell, InFlight: *inflight,
+	}
+	if err := cfg.Check(); err != nil {
 		return err
 	}
-	if *mut && numRanges > 0 && *shards != 0 {
-		return fmt.Errorf("-shards %d with -mutable -partition: a partitioned mutable pool has one shard per held range", *shards)
-	}
-
 	ds, err := dataset.ByName(*dsName)
 	if err != nil {
 		return err
 	}
-
-	// The master tree always covers the whole map — shipments carve
-	// sub-indexes from it. The unsharded frozen server walks that same tree.
-	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
+	cfg.Dataset = ds
+	st, err := cfg.Build()
 	if err != nil {
 		return err
 	}
-	hub := obs.NewHub()
-
-	// The pool: updatable shards with -mutable, else the frozen engine, where
-	// the flags pick only a shard count, an item subset, and whether the
-	// master tree is reused (nothing to cut: -shards 0 over the whole map).
-	var part backendRanges // zero without -partition: every item, no range rows
-	if numRanges > 0 {
-		if part, err = holdRanges(ds, backend, numRanges, *replicas); err != nil {
-			return err
-		}
-		fmt.Printf("mqserve: backend %d/%d holds %d of %d ranges (%d segments, R=%d, mutable=%v)\n",
-			backend, numRanges, len(part.infos), numRanges, len(part.items), *replicas, *mut)
+	defer st.Close()
+	srv, hub, qc := st.Server, st.Hub, st.Cache
+	if held := st.Held; len(held.Ranges) > 0 {
+		fmt.Printf("mqserve: backend %s holds %d of %d ranges (%d segments, R=%d, mutable=%v)\n",
+			*partition, len(held.Ranges), len(held.Cuts), held.Len(), *replicas, *mut)
 	}
-	var pool serve.Executor
-	if *mut {
-		mp, err := mutablePool(ds, part, *shards, hub)
-		if err != nil {
-			return err
-		}
-		defer mp.Close()
+	if mp := st.Mutable; mp != nil {
 		fmt.Printf("mqserve: mutable pool, %d updatable shards over %d segments\n", mp.NumShards(), mp.Len())
-		pool = mp
 	} else {
-		var sp *shard.Pool
-		if part.items == nil && *shards <= 0 {
-			sp, err = shard.Over(ds, tree)
-		} else {
-			sp, err = shard.New(ds, shard.Config{Shards: *shards, Items: part.items, Obs: hub.Reg})
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("mqserve: frozen pool, %d segments in %d shard(s)\n", sp.Len(), sp.Shards())
-		pool = sp
+		fmt.Printf("mqserve: frozen pool, %d segments in %d shard(s)\n", st.Frozen.Len(), st.Frozen.Shards())
 	}
-	var qc *qcache.Cache
-	if *qcacheMB > 0 {
-		qc = qcache.New(qcache.Config{MaxBytes: *qcacheMB << 20, CellSize: *qcell, Obs: hub})
-		fmt.Printf("mqserve: result cache %d MB, %.0f-unit cells\n", *qcacheMB, qc.CellSize())
-	}
-	srv, err := serve.New(serve.Config{
-		Pool: pool, Master: tree, MaxInFlight: *inflight, Obs: hub,
-		Ranges: part.infos, NumRanges: numRanges, Cache: qc,
-	})
-	if err != nil {
-		return err
+	if qc != nil {
+		fmt.Printf("mqserve: result cache %d MB, %.0f-unit cells\n", qc.MaxBytes()>>20, qc.CellSize())
 	}
 
 	if *obsAddr != "" {
@@ -206,89 +165,13 @@ func run(args []string) error {
 	if err := srv.Shutdown(10 * time.Second); err != nil {
 		return err
 	}
-	st := srv.Stats()
+	stats := srv.Stats()
 	fmt.Printf("mqserve: served %d requests (%d shipments) over %d connections; %d overloads, %d deadline misses, %d errors\n",
-		st.Served, st.Shipments, st.Conns, st.Overloads, st.Deadlines, st.Errors)
+		stats.Served, stats.Shipments, stats.Conns, stats.Overloads, stats.Deadlines, stats.Errors)
 	if qc != nil {
 		cst := srv.CacheStats()
 		fmt.Printf("mqserve: cache %d hits / %d misses (%.1f%% hit rate), %d invalidations, %d entries, %.2f s of server execution saved\n",
 			cst.Hits, cst.Misses, cst.HitRate()*100, cst.Invalidations, cst.Entries, srv.CacheSavedSeconds())
 	}
 	return nil
-}
-
-// parsePartition reads -partition's "i/N" strictly (0 <= i < N, nothing but
-// the two integers) and checks -replicas against it. N is 0 without the flag.
-func parsePartition(spec string, replicas int) (backend, n int, err error) {
-	if spec == "" {
-		if replicas != 1 {
-			return 0, 0, fmt.Errorf("-replicas %d needs -partition: replication places cluster ranges", replicas)
-		}
-		return 0, 0, nil
-	}
-	is, ns, ok := strings.Cut(spec, "/")
-	backend, errI := strconv.Atoi(is)
-	n, errN := strconv.Atoi(ns)
-	if !ok || errI != nil || errN != nil || backend < 0 || backend >= n {
-		return 0, 0, fmt.Errorf("bad -partition %q (want i/N with 0 <= i < N)", spec)
-	}
-	if replicas < 1 || replicas > n {
-		return 0, 0, fmt.Errorf("-replicas %d outside [1, %d] for -partition %s", replicas, n, spec)
-	}
-	return backend, n, nil
-}
-
-// backendRanges is what cluster backend i of N holds: the deterministic dataset
-// cut into N contiguous Hilbert ranges (bit-identical in every process), and
-// of those the ones rotation placement assigns this backend. Item ids stay
-// cluster-global.
-type backendRanges struct {
-	held   []shard.Range     // the held ranges, primary first
-	infos  []proto.RangeInfo // the rows the backend registers with
-	items  []rtree.Item      // their items, concatenated
-	cuts   []uint64          // every range's low key, cluster-wide
-	bounds geom.Rect         // MBR of the whole dataset
-}
-
-func holdRanges(ds *dataset.Dataset, backend, n, replicas int) (backendRanges, error) {
-	ranges, bounds := shard.PartitionHilbert(ds.Items(), n, 0)
-	if len(ranges) != n {
-		return backendRanges{}, fmt.Errorf("-partition %d/%d: dataset yields only %d ranges", backend, n, len(ranges))
-	}
-	idxs, err := shard.ReplicaRanges(backend, n, replicas)
-	if err != nil {
-		return backendRanges{}, err
-	}
-	p := backendRanges{bounds: bounds, cuts: make([]uint64, n)}
-	for i, rg := range ranges {
-		p.cuts[i] = rg.Lo
-	}
-	for _, ri := range idxs {
-		rg := ranges[ri]
-		p.held = append(p.held, rg)
-		p.items = append(p.items, rg.Items...)
-		p.infos = append(p.infos, proto.RangeInfo{
-			Index: uint32(rg.Index),
-			Items: uint32(len(rg.Items)),
-			Lo:    rg.Lo,
-			Hi:    rg.Hi,
-			MBR:   rg.MBR,
-		})
-	}
-	return p, nil
-}
-
-// mutablePool builds the updatable pool: over a partition, one shard per
-// held range, keyed by the cluster-wide cuts so every backend agrees on write
-// ownership; otherwise shards (default 4) Hilbert runs of the whole map.
-func mutablePool(ds *dataset.Dataset, part backendRanges, shards int, hub *obs.Hub) (*mutable.Pool, error) {
-	cfg := mutable.Config{Obs: hub}
-	if part.items != nil {
-		cfg.Dataset, cfg.Ranges, cfg.Cuts, cfg.Bounds = ds, part.held, part.cuts, part.bounds
-		return mutable.New(cfg)
-	}
-	if shards <= 0 {
-		shards = 4
-	}
-	return mutable.NewFromDataset(ds, shards, cfg)
 }

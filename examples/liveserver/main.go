@@ -17,34 +17,23 @@ import (
 	"mobispatial/internal/core"
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
-	"mobispatial/internal/ops"
-	"mobispatial/internal/rtree"
-	"mobispatial/internal/serve"
 	"mobispatial/internal/serve/client"
-	"mobispatial/internal/shard"
+	"mobispatial/internal/stack"
 )
 
 func main() {
 	fmt.Println("generating the NYC dataset and booting the server...")
 	ds := dataset.NYC()
-	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
+	st, err := stack.Server{Dataset: ds}.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	pool, err := shard.Over(ds, tree)
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv, err := serve.New(serve.Config{Pool: pool, Master: tree})
-	if err != nil {
-		log.Fatal(err)
-	}
+	defer st.Close()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	go srv.Serve(lis)
-	defer srv.Close()
+	go st.Server.Serve(lis)
 	fmt.Printf("server: %d segments on %s\n\n", ds.Len(), lis.Addr())
 
 	c, err := client.New(client.Config{Addr: lis.Addr().String()})
@@ -62,7 +51,7 @@ func main() {
 		Min: geom.Point{X: center.X - 2000, Y: center.Y - 2000},
 		Max: geom.Point{X: center.X + 2000, Y: center.Y + 2000},
 	}
-	budget := ds.Len()*(ds.RecordBytes+rtree.EntryBytes) + 1<<20
+	budget := ds.Len()*ds.RecordBytes + st.Master.IndexBytes() + 1<<20
 	if err := p.FetchShipment(window, budget, ds.RecordBytes); err != nil {
 		log.Fatal(err)
 	}

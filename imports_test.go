@@ -22,6 +22,9 @@ func TestServingImportGraph(t *testing.T) {
 		"harness only internal/experiments drives, the machine models, the engine that runs on them); " +
 		"a process that serves or loads live traffic gets its queries and the §4.1 model from internal/scheme"
 	simPkgs := []string{"rstar", "pmrquad", "dynrtree", "broadcast", "experiments", "sim", "core"}
+	const throughStack = "a process builds its serving stack with internal/stack; assembling pools, " +
+		"trees or routers by hand is how the commands, the example and the benchmark drifted apart"
+	assembly := []string{"shard", "mutable", "router", "rtree"}
 	for _, g := range []struct {
 		name       string
 		pkg        string
@@ -33,6 +36,10 @@ func TestServingImportGraph(t *testing.T) {
 		{"mqrouter", "./cmd/mqrouter", true, simPkgs, simSide},
 		{"mqload", "./cmd/mqload", true, simPkgs, simSide},
 		{"mqtop", "./cmd/mqtop", true, simPkgs, simSide},
+		{"stack", "./internal/stack", true, simPkgs, simSide},
+		{"mqserve-builds-through-stack", "./cmd/mqserve", false, assembly, throughStack},
+		{"mqrouter-builds-through-stack", "./cmd/mqrouter", false, assembly, throughStack},
+		{"liveserver-builds-through-stack", "./examples/liveserver", false, assembly, throughStack},
 		{"model-not-simulator", "./internal/scheme", true, []string{"sim", "core"},
 			"the model and the chooser are what the live client links instead of the simulator"},
 		{"client-not-core", "./internal/serve/client", false, []string{"core"},

@@ -284,12 +284,19 @@ func New(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
+// DefaultShards is a monolithic pool's shard count when NewFromDataset is
+// given none.
+const DefaultShards = 4
+
 // NewFromDataset builds a monolithic updatable pool: one cluster range, the
-// whole key space, Hilbert-partitioned into nShards local shards, so every
-// write is owned locally.
+// whole key space, Hilbert-partitioned into nShards local shards
+// (DefaultShards when <= 0), so every write is owned locally.
 func NewFromDataset(ds *dataset.Dataset, nShards int, cfg Config) (*Pool, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("mutable: nil dataset")
+	}
+	if nShards <= 0 {
+		nShards = DefaultShards
 	}
 	ranges, bounds := shard.PartitionHilbert(ds.Items(), nShards, hilbert.Order)
 	if len(ranges) == 0 {

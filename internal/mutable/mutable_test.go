@@ -20,6 +20,14 @@ func testPool(t *testing.T, n, shards int) *Pool {
 	return p
 }
 
+// TestNewFromDatasetDefaultShards: a shard count of 0 is the pool's own
+// default, as it is for shard.New.
+func TestNewFromDatasetDefaultShards(t *testing.T) {
+	if p := testPool(t, 120, 0); p.NumShards() != DefaultShards {
+		t.Errorf("NewFromDataset(ds, 0, …).NumShards() = %d, want DefaultShards %d", p.NumShards(), DefaultShards)
+	}
+}
+
 func TestInsertDeleteMoveBasics(t *testing.T) {
 	p := testPool(t, 120, 3)
 	base := p.Dataset().Len()
@@ -127,27 +135,17 @@ func TestCompactionFoldsOverlayAndBumpsEpoch(t *testing.T) {
 func TestPartitionedOwnership(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ds := randomDataset(rng, 160)
-	items := ds.Items()
-	ranges, bounds := shard.PartitionHilbert(items, 4, 0)
-	if len(ranges) != 4 {
-		t.Fatalf("got %d ranges", len(ranges))
+	h, err := shard.Cut(ds.Items(), 4).Hold(1, 2) // ranges 1 and 0
+	if err != nil {
+		t.Fatal(err)
 	}
-	cuts := make([]uint64, len(ranges))
-	for i, r := range ranges {
-		cuts[i] = r.Lo
-	}
-	p, err := New(Config{
-		Dataset:         ds,
-		Ranges:          []shard.Range{ranges[0], ranges[1]},
-		Cuts:            cuts,
-		Bounds:          bounds,
-		CompactInterval: -1,
-	})
+	cuts, bounds := h.Cuts, h.Bounds
+	p, err := New(Config{Dataset: ds, Ranges: h.Ranges, Cuts: cuts, Bounds: bounds, CompactInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	held := len(ranges[0].Items) + len(ranges[1].Items)
+	held := h.Len()
 	if p.Len() != held {
 		t.Fatalf("Len=%d, want %d held items", p.Len(), held)
 	}

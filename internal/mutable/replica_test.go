@@ -27,20 +27,11 @@ import (
 // mutable_* metrics.
 func clusterBackend(t testing.TB, ds *dataset.Dataset, be, n, replicas int, hub *obs.Hub) *Pool {
 	t.Helper()
-	ranges, bounds := shard.PartitionHilbert(ds.Items(), n, 0)
-	cuts := make([]uint64, len(ranges))
-	for i, rg := range ranges {
-		cuts[i] = rg.Lo
-	}
-	idxs, err := shard.ReplicaRanges(be, n, replicas)
+	held, err := shard.Cut(ds.Items(), n).Hold(be, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var held []shard.Range
-	for _, ri := range idxs {
-		held = append(held, ranges[ri])
-	}
-	p, err := New(Config{Dataset: ds, Ranges: held, Cuts: cuts, Bounds: bounds, CompactInterval: -1, Obs: hub})
+	p, err := New(Config{Dataset: ds, Ranges: held.Ranges, Cuts: held.Cuts, Bounds: held.Bounds, CompactInterval: -1, Obs: hub})
 	if err != nil {
 		t.Fatal(err)
 	}

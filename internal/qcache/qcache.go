@@ -292,6 +292,7 @@ func (st *stripe) alloc() *entry {
 // Cache is the striped LRU. All methods are safe for concurrent use.
 type Cache struct {
 	cell      float64
+	maxBytes  int
 	maxStripe int
 	mask      uint64
 	stripes   []stripe
@@ -331,6 +332,7 @@ func New(cfg Config) *Cache {
 	cfg.fill()
 	c := &Cache{
 		cell:      cfg.CellSize,
+		maxBytes:  cfg.MaxBytes,
 		maxStripe: cfg.MaxBytes / cfg.stripes,
 		mask:      uint64(cfg.stripes - 1),
 		stripes:   make([]stripe, cfg.stripes),
@@ -347,6 +349,9 @@ func New(cfg Config) *Cache {
 
 // CellSize returns the snapping grid pitch every key must be built with.
 func (c *Cache) CellSize() float64 { return c.cell }
+
+// MaxBytes returns the payload budget the cache was built with.
+func (c *Cache) MaxBytes() int { return c.maxBytes }
 
 // Get looks k up under view v and, on a hit, appends the stored payload to
 // the three destination slices (any may be non-nil capacity-bearing scratch;

@@ -8,7 +8,6 @@ package router
 
 import (
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 
@@ -16,7 +15,6 @@ import (
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/serve"
-	"mobispatial/internal/serve/client"
 )
 
 var _ serve.BatchExecutor = (*Router)(nil)
@@ -76,21 +74,7 @@ func TestRouterBatchOneLegPerBackend(t *testing.T) {
 	hub := obs.NewHub()
 	r := newRouter(t, tc, func(cfg *Config) { cfg.Obs = hub })
 
-	front, err := serve.New(serve.Config{Pool: r})
-	if err != nil {
-		t.Fatalf("front server: %v", err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go front.Serve(lis)
-	t.Cleanup(func() { front.Close() })
-	c, err := client.New(client.Config{Addr: lis.Addr().String(), Conns: 1})
-	if err != nil {
-		t.Fatalf("client: %v", err)
-	}
-	t.Cleanup(func() { c.Close() })
+	_, c := dial(t, serve.Config{Pool: r}, 1)
 
 	rng := rand.New(rand.NewSource(61))
 	qs := mixedBatch(rng, ds.Extent, 18)

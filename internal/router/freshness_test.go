@@ -11,16 +11,13 @@ package router
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/mutable"
-	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
-	"mobispatial/internal/serve"
 	"mobispatial/internal/shard"
 )
 
@@ -31,58 +28,20 @@ import (
 // stripped items (handy positions guaranteed to key into the empty range).
 func startSparseCluster(t testing.TB, ds *dataset.Dataset, nBackends, emptyRg int) (*testCluster, []*mutable.Pool, []uint64, []rtree.Item) {
 	t.Helper()
-	ranges, bounds := shard.PartitionHilbert(ds.Items(), nBackends, 0)
-	if len(ranges) != nBackends {
-		t.Fatalf("partition: got %d ranges, want %d", len(ranges), nBackends)
-	}
-	cuts := make([]uint64, len(ranges))
-	for i, rg := range ranges {
-		cuts[i] = rg.Lo
-	}
-	stripped := ranges[emptyRg].Items
+	part := shard.Cut(ds.Items(), nBackends)
+	stripped := part.Ranges[emptyRg].Items
 	if len(stripped) == 0 {
 		t.Fatalf("range %d has no items to strip", emptyRg)
 	}
-	ranges[emptyRg].Items = nil
-	ranges[emptyRg].MBR = geom.EmptyRect()
+	part.Ranges[emptyRg].Items = nil
+	part.Ranges[emptyRg].MBR = geom.EmptyRect()
 
-	tc := &testCluster{ds: ds, ranges: ranges}
+	tc := &testCluster{ds: ds, ranges: part.Ranges}
 	var pools []*mutable.Pool
 	for b := 0; b < nBackends; b++ {
-		rg := ranges[b]
-		infos := []proto.RangeInfo{{
-			Index: uint32(rg.Index),
-			Items: uint32(len(rg.Items)),
-			Lo:    rg.Lo,
-			Hi:    rg.Hi,
-			MBR:   rg.MBR,
-		}}
-		pool, err := mutable.New(mutable.Config{
-			Dataset:         ds,
-			Ranges:          []shard.Range{rg},
-			Cuts:            cuts,
-			Bounds:          bounds,
-			CompactInterval: -1,
-		})
-		if err != nil {
-			t.Fatalf("backend %d mutable pool: %v", b, err)
-		}
-		t.Cleanup(func() { pool.Close() })
-		srv, err := serve.New(serve.Config{Pool: pool, Ranges: infos, NumRanges: nBackends})
-		if err != nil {
-			t.Fatalf("backend %d server: %v", b, err)
-		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("backend %d listen: %v", b, err)
-		}
-		go srv.Serve(lis)
-		t.Cleanup(func() { srv.Close() })
-		tc.addrs = append(tc.addrs, lis.Addr().String())
-		tc.servers = append(tc.servers, srv)
-		pools = append(pools, pool)
+		pools = append(pools, tc.serveMutable(t, hold(t, part, b, 1)))
 	}
-	return tc, pools, cuts, stripped
+	return tc, pools, part.Cuts, stripped
 }
 
 func midpoint(seg geom.Segment) geom.Point {

@@ -2,7 +2,6 @@ package router
 
 import (
 	"math/rand"
-	"net"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -11,7 +10,6 @@ import (
 	"mobispatial/internal/geom"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/serve"
-	"mobispatial/internal/serve/client"
 )
 
 // quickWindow is a testing/quick-generated query window inside the test
@@ -50,21 +48,7 @@ func TestRouterQuickEquivalence(t *testing.T) {
 
 	// The monolithic reference server plus its wire client.
 	pool := truthPool(t, ds)
-	mono, err := serve.New(serve.Config{Pool: pool})
-	if err != nil {
-		t.Fatalf("mono server: %v", err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go mono.Serve(lis)
-	t.Cleanup(func() { mono.Close() })
-	cc, err := client.New(client.Config{Addr: lis.Addr().String(), Conns: 2})
-	if err != nil {
-		t.Fatalf("mono client: %v", err)
-	}
-	t.Cleanup(func() { cc.Close() })
+	_, cc := dial(t, serve.Config{Pool: pool}, 2)
 
 	qc := &quick.Config{MaxCount: 40}
 

@@ -10,7 +10,6 @@ package router
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -21,7 +20,6 @@ import (
 	"mobispatial/internal/proto"
 	"mobispatial/internal/qcache"
 	"mobispatial/internal/serve"
-	"mobispatial/internal/serve/client"
 )
 
 // TestRouterRefreshSeesDirectWrites: a write applied straight at a backend
@@ -248,21 +246,7 @@ func TestRouterCacheEquivalenceUnderWrites(t *testing.T) {
 	r := newRouter(t, tc, nil)
 
 	qc := qcache.New(qcache.Config{MaxBytes: 8 << 20})
-	srv, err := serve.New(serve.Config{Pool: r, Cache: qc})
-	if err != nil {
-		t.Fatalf("router-tier server: %v", err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(lis)
-	t.Cleanup(func() { srv.Close() })
-	c, err := client.New(client.Config{Addr: lis.Addr().String(), Conns: 1})
-	if err != nil {
-		t.Fatalf("client: %v", err)
-	}
-	t.Cleanup(func() { c.Close() })
+	srv, c := dial(t, serve.Config{Pool: r, Cache: qc}, 1)
 
 	rng := rand.New(rand.NewSource(99))
 	hot := make([]geom.Rect, 4)

@@ -13,7 +13,6 @@ import (
 	"mobispatial/internal/faultlink"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
-	"mobispatial/internal/ops"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/serve"
@@ -54,11 +53,7 @@ func clusterDataset(t testing.TB) *dataset.Dataset {
 // against.
 func truthPool(t testing.TB, ds *dataset.Dataset) *shard.Pool {
 	t.Helper()
-	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
-	if err != nil {
-		t.Fatalf("build master tree: %v", err)
-	}
-	pool, err := shard.Over(ds, tree)
+	pool, err := shard.New(ds, shard.Config{Shards: 1})
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
@@ -66,7 +61,7 @@ func truthPool(t testing.TB, ds *dataset.Dataset) *shard.Pool {
 }
 
 // testCluster is nBackends partitioned serve.Servers over the same dataset,
-// each holding its ReplicaRanges under R-way rotation placement.
+// each holding what shard.Hold gives it under R-way rotation placement.
 type testCluster struct {
 	ds      *dataset.Dataset
 	ranges  []shard.Range
@@ -74,47 +69,64 @@ type testCluster struct {
 	servers []*serve.Server
 }
 
+// hold is what backend b of p holds at R=replicas.
+func hold(t testing.TB, p shard.Partition, b, replicas int) shard.Held {
+	t.Helper()
+	h, err := p.Hold(b, replicas)
+	if err != nil {
+		t.Fatalf("hold: %v", err)
+	}
+	return h
+}
+
+// listen serves cfg on a loopback port until the test ends.
+func listen(t testing.TB, cfg serve.Config) (*serve.Server, string) {
+	t.Helper()
+	srv, err := serve.New(cfg)
+	if err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go srv.Serve(lis)
+	t.Cleanup(func() { srv.Close() })
+	return srv, lis.Addr().String()
+}
+
+// dial serves cfg and returns the server and a client of conns connections
+// to it.
+func dial(t testing.TB, cfg serve.Config, conns int) (*serve.Server, *client.Client) {
+	t.Helper()
+	srv, addr := listen(t, cfg)
+	c, err := client.New(client.Config{Addr: addr, Conns: conns})
+	if err != nil {
+		t.Fatalf("client: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return srv, c
+}
+
+// serve starts one backend server and adds it to tc.
+func (tc *testCluster) serve(t testing.TB, cfg serve.Config) {
+	t.Helper()
+	srv, addr := listen(t, cfg)
+	tc.addrs = append(tc.addrs, addr)
+	tc.servers = append(tc.servers, srv)
+}
+
 func startCluster(t testing.TB, ds *dataset.Dataset, nBackends, replicas int) *testCluster {
 	t.Helper()
-	ranges, _ := shard.PartitionHilbert(ds.Items(), nBackends, 0)
-	if len(ranges) != nBackends {
-		t.Fatalf("partition: got %d ranges, want %d", len(ranges), nBackends)
-	}
-	tc := &testCluster{ds: ds, ranges: ranges}
+	part := shard.Cut(ds.Items(), nBackends)
+	tc := &testCluster{ds: ds, ranges: part.Ranges}
 	for b := 0; b < nBackends; b++ {
-		idxs, err := shard.ReplicaRanges(b, nBackends, replicas)
-		if err != nil {
-			t.Fatalf("replica ranges: %v", err)
-		}
-		var sub []rtree.Item
-		var infos []proto.RangeInfo
-		for _, ri := range idxs {
-			rg := ranges[ri]
-			sub = append(sub, rg.Items...)
-			infos = append(infos, proto.RangeInfo{
-				Index: uint32(rg.Index),
-				Items: uint32(len(rg.Items)),
-				Lo:    rg.Lo,
-				Hi:    rg.Hi,
-				MBR:   rg.MBR,
-			})
-		}
-		pool, err := shard.New(ds, shard.Config{Shards: 4, Items: sub})
+		held := hold(t, part, b, replicas)
+		pool, err := shard.New(ds, shard.Config{Shards: 4, Items: held.Items()})
 		if err != nil {
 			t.Fatalf("backend %d pool: %v", b, err)
 		}
-		srv, err := serve.New(serve.Config{Pool: pool, Ranges: infos, NumRanges: nBackends})
-		if err != nil {
-			t.Fatalf("backend %d server: %v", b, err)
-		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("backend %d listen: %v", b, err)
-		}
-		go srv.Serve(lis)
-		t.Cleanup(func() { srv.Close() })
-		tc.addrs = append(tc.addrs, lis.Addr().String())
-		tc.servers = append(tc.servers, srv)
+		tc.serve(t, serve.Config{Pool: pool, Ranges: held.Rows(), NumRanges: nBackends})
 	}
 	return tc
 }
@@ -498,34 +510,25 @@ func stalledBackend(t testing.TB, summary func() proto.SummaryMsg) string {
 // LegTimeout or beyond).
 func TestRouterDeadlineCapsStalledLeg(t *testing.T) {
 	ds := clusterDataset(t)
-	ranges, _ := shard.PartitionHilbert(ds.Items(), 2, 0)
+	part := shard.Cut(ds.Items(), 2)
+	ranges := part.Ranges
 
 	// Backend 0 is real and holds range 0; backend 1 claims range 1 but
 	// stalls every query.
-	sub := append([]rtree.Item(nil), ranges[0].Items...)
-	pool, err := shard.New(ds, shard.Config{Shards: 2, Items: sub})
+	held := hold(t, part, 0, 1)
+	pool, err := shard.New(ds, shard.Config{Shards: 2, Items: held.Items()})
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
-	info0 := proto.RangeInfo{Index: 0, Items: uint32(len(ranges[0].Items)), Lo: ranges[0].Lo, Hi: ranges[0].Hi, MBR: ranges[0].MBR}
-	srv, err := serve.New(serve.Config{Pool: pool, Ranges: []proto.RangeInfo{info0}, NumRanges: 2})
-	if err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go srv.Serve(lis)
-	t.Cleanup(func() { srv.Close() })
+	_, live := listen(t, serve.Config{Pool: pool, Ranges: held.Rows(), NumRanges: 2})
 
-	info1 := proto.RangeInfo{Index: 1, Items: uint32(len(ranges[1].Items)), Lo: ranges[1].Lo, Hi: ranges[1].Hi, MBR: ranges[1].MBR}
+	claim := hold(t, part, 1, 1).Rows()
 	stalled := stalledBackend(t, func() proto.SummaryMsg {
-		return proto.SummaryMsg{NumRanges: 2, Ranges: []proto.RangeInfo{info1}}
+		return proto.SummaryMsg{NumRanges: 2, Ranges: claim}
 	})
 
 	r, err := New(Config{
-		Backends:        []string{lis.Addr().String(), stalled},
+		Backends:        []string{live, stalled},
 		Dataset:         ds,
 		LegTimeout:      5 * time.Second, // must NOT be what caps the query
 		RegisterTimeout: 15 * time.Second,

@@ -3,7 +3,6 @@ package router
 import (
 	"errors"
 	"math/rand"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -23,65 +22,37 @@ import (
 var _ serve.Updatable = (*Router)(nil)
 
 // startMutableCluster is startCluster over updatable backends: each backend
-// serves a mutable.Pool holding its ReplicaRanges, sharing the cluster-wide
-// cuts so every process routes writes identically. Returns the per-backend
-// pools for direct replica-state inspection, and the cuts.
+// serves a mutable.Pool holding its shard.Hold share, keyed by the
+// cluster-wide cuts so every process routes writes identically. Returns the
+// per-backend pools for direct replica-state inspection, and the cuts.
 func startMutableCluster(t testing.TB, ds *dataset.Dataset, nBackends, replicas int) (*testCluster, []*mutable.Pool, []uint64) {
 	t.Helper()
-	ranges, bounds := shard.PartitionHilbert(ds.Items(), nBackends, 0)
-	if len(ranges) != nBackends {
-		t.Fatalf("partition: got %d ranges, want %d", len(ranges), nBackends)
-	}
-	cuts := make([]uint64, len(ranges))
-	for i, rg := range ranges {
-		cuts[i] = rg.Lo
-	}
-	tc := &testCluster{ds: ds, ranges: ranges}
+	part := shard.Cut(ds.Items(), nBackends)
+	tc := &testCluster{ds: ds, ranges: part.Ranges}
 	var pools []*mutable.Pool
 	for b := 0; b < nBackends; b++ {
-		idxs, err := shard.ReplicaRanges(b, nBackends, replicas)
-		if err != nil {
-			t.Fatalf("replica ranges: %v", err)
-		}
-		var held []shard.Range
-		var infos []proto.RangeInfo
-		for _, ri := range idxs {
-			rg := ranges[ri]
-			held = append(held, rg)
-			infos = append(infos, proto.RangeInfo{
-				Index: uint32(rg.Index),
-				Items: uint32(len(rg.Items)),
-				Lo:    rg.Lo,
-				Hi:    rg.Hi,
-				MBR:   rg.MBR,
-			})
-		}
-		pool, err := mutable.New(mutable.Config{
-			Dataset:         ds,
-			Ranges:          held,
-			Cuts:            cuts,
-			Bounds:          bounds,
-			CompactInterval: -1,
-		})
-		if err != nil {
-			t.Fatalf("backend %d mutable pool: %v", b, err)
-		}
-		t.Cleanup(func() { pool.Close() })
-		srv, err := serve.New(serve.Config{Pool: pool, Ranges: infos, NumRanges: nBackends})
-		if err != nil {
-			t.Fatalf("backend %d server: %v", b, err)
-		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("backend %d listen: %v", b, err)
-		}
-		go srv.Serve(lis)
-		t.Cleanup(func() { srv.Close() })
-		tc.addrs = append(tc.addrs, lis.Addr().String())
-		tc.servers = append(tc.servers, srv)
-		pools = append(pools, pool)
+		pools = append(pools, tc.serveMutable(t, hold(t, part, b, replicas)))
 	}
-	return tc, pools, cuts
+	return tc, pools, part.Cuts
+}
+
+// serveMutable starts a backend serving a mutable.Pool over held, with the
+// compactor off.
+func (tc *testCluster) serveMutable(t testing.TB, held shard.Held) *mutable.Pool {
+	t.Helper()
+	pool, err := mutable.New(mutable.Config{
+		Dataset:         tc.ds,
+		Ranges:          held.Ranges,
+		Cuts:            held.Cuts,
+		Bounds:          held.Bounds,
+		CompactInterval: -1,
+	})
+	if err != nil {
+		t.Fatalf("backend %d mutable pool: %v", len(tc.addrs), err)
+	}
+	t.Cleanup(pool.Close)
+	tc.serve(t, serve.Config{Pool: pool, Ranges: held.Rows(), NumRanges: len(held.Cuts)})
+	return pool
 }
 
 // holdersOf counts which pools actually hold a fresh id at seg.
@@ -386,21 +357,7 @@ func TestRouterWriteInvalidatesAcrossRouters(t *testing.T) {
 	b := newRouter(t, tc, func(cfg *Config) { cfg.RefreshInterval = -1 })
 
 	qc := qcache.New(qcache.Config{MaxBytes: 1 << 20, CellSize: 64})
-	srv, err := serve.New(serve.Config{Pool: a, Cache: qc})
-	if err != nil {
-		t.Fatalf("router-tier server: %v", err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(lis)
-	t.Cleanup(func() { srv.Close() })
-	c, err := client.New(client.Config{Addr: lis.Addr().String(), Conns: 1})
-	if err != nil {
-		t.Fatalf("client: %v", err)
-	}
-	t.Cleanup(func() { c.Close() })
+	srv, c := dial(t, serve.Config{Pool: a, Cache: qc}, 1)
 
 	q := shard.QuantizerFor(shard.BoundsOf(ds.Items()), 0)
 	rangeOf := func(seg geom.Segment) int {

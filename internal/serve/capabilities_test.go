@@ -17,39 +17,31 @@ import (
 	"mobispatial/internal/shard"
 )
 
+// hold is what cluster backend be of n holds at R=replicas.
+func hold(t testing.TB, ds *dataset.Dataset, be, n, replicas int) shard.Held {
+	t.Helper()
+	held, err := shard.Cut(ds.Items(), n).Hold(be, replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return held
+}
+
 // partitionedMutable builds cluster backend be of n at R=replicas the way
 // cmd/mqserve -partition -mutable does: one updatable shard per held Hilbert
 // range to start with, keyed by the cluster-wide cuts. It returns the pool
 // and the range rows the backend registers with.
 func partitionedMutable(t testing.TB, ds *dataset.Dataset, be, n, replicas int) (*mutable.Pool, []proto.RangeInfo) {
 	t.Helper()
-	ranges, bounds := shard.PartitionHilbert(ds.Items(), n, 0)
-	cuts := make([]uint64, len(ranges))
-	for i, rg := range ranges {
-		cuts[i] = rg.Lo
-	}
-	idxs, err := shard.ReplicaRanges(be, n, replicas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var held []shard.Range
-	var infos []proto.RangeInfo
-	for _, ri := range idxs {
-		rg := ranges[ri]
-		held = append(held, rg)
-		infos = append(infos, proto.RangeInfo{
-			Index: uint32(rg.Index), Items: uint32(len(rg.Items)),
-			Lo: rg.Lo, Hi: rg.Hi, MBR: rg.MBR,
-		})
-	}
+	held := hold(t, ds, be, n, replicas)
 	pool, err := mutable.New(mutable.Config{
-		Dataset: ds, Ranges: held, Cuts: cuts, Bounds: bounds, CompactInterval: -1,
+		Dataset: ds, Ranges: held.Ranges, Cuts: held.Cuts, Bounds: held.Bounds, CompactInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(pool.Close)
-	return pool, infos
+	return pool, held.Rows()
 }
 
 // monolithicMutable builds the pool cmd/mqserve -mutable [-shards n] does.
@@ -300,7 +292,7 @@ func TestLiveSummaryShapes(t *testing.T) {
 		anchor  uint32            // an id the pool owns: the write lands on its range
 	}{
 		{"monolithic", mono, Config{Pool: mono}, 1, whole, 0},
-		{"partitioned", part, Config{Pool: part, Ranges: partRanges, NumRanges: 3}, 3, partRanges, firstHeldID(t, ds, 0, 3, 2)},
+		{"partitioned", part, Config{Pool: part, Ranges: partRanges, NumRanges: 3}, 3, partRanges, hold(t, ds, 0, 3, 2).Ranges[0].Items[0].ID},
 		{"monolithic, 16 shards", mono16, Config{Pool: mono16}, 1, whole, 0},
 	}
 	for _, tc := range cases {
@@ -353,16 +345,4 @@ func TestLiveSummaryShapes(t *testing.T) {
 			t.Errorf("%s: %d rows moved version after one write, want 1", tc.name, moved)
 		}
 	}
-}
-
-// firstHeldID returns the id of an object in the first range backend be of n
-// holds at R=replicas.
-func firstHeldID(t testing.TB, ds *dataset.Dataset, be, n, replicas int) uint32 {
-	t.Helper()
-	ranges, _ := shard.PartitionHilbert(ds.Items(), n, 0)
-	idxs, err := shard.ReplicaRanges(be, n, replicas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ranges[idxs[0]].Items[0].ID
 }

@@ -9,7 +9,6 @@ package client_test
 import (
 	"errors"
 	"math"
-	"net"
 	"sort"
 	"sync"
 	"testing"
@@ -20,10 +19,7 @@ import (
 	"mobispatial/internal/faultlink"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
-	"mobispatial/internal/ops"
 	"mobispatial/internal/proto"
-	"mobispatial/internal/rtree"
-	"mobispatial/internal/serve"
 	"mobispatial/internal/serve/client"
 	"mobispatial/internal/shard"
 )
@@ -48,25 +44,8 @@ func faultWorld(t testing.TB) (*dataset.Dataset, *shard.Pool, string) {
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	pool, err := shard.Over(ds, tree)
-	if err != nil {
-		t.Fatalf("pool: %v", err)
-	}
-	srv, err := serve.New(serve.Config{Pool: pool, Master: tree})
-	if err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go srv.Serve(lis)
-	t.Cleanup(func() { srv.Close() })
-	return ds, pool, lis.Addr().String()
+	st, addr := mqserve(t, ds)
+	return ds, st.Frozen, addr
 }
 
 // wholeMap is the all-client scheme's local state: every record of ds in a

@@ -16,6 +16,7 @@ import (
 	"mobispatial/internal/serve"
 	"mobispatial/internal/serve/client"
 	"mobispatial/internal/shard"
+	"mobispatial/internal/stack"
 )
 
 // semanticDataset is the shared world for the freshness tests.
@@ -51,12 +52,29 @@ func startSemServer(t testing.TB, cfg serve.Config) string {
 	if err != nil {
 		t.Fatalf("server: %v", err)
 	}
+	t.Cleanup(func() { srv.Close() })
+	return listen(t, srv)
+}
+
+// mqserve builds what mqserve runs over ds and serves it on loopback.
+func mqserve(t testing.TB, ds *dataset.Dataset) (*stack.Stack, string) {
+	t.Helper()
+	st, err := stack.Server{Dataset: ds}.Build()
+	if err != nil {
+		t.Fatalf("stack: %v", err)
+	}
+	t.Cleanup(st.Close)
+	return st, listen(t, st.Server)
+}
+
+// listen serves srv on a loopback port and returns the address.
+func listen(t testing.TB, srv *serve.Server) string {
+	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
 	go srv.Serve(lis)
-	t.Cleanup(func() { srv.Close() })
 	return lis.Addr().String()
 }
 

@@ -2,7 +2,6 @@ package client_test
 
 import (
 	"math"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -11,11 +10,8 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
-	"mobispatial/internal/ops"
 	"mobispatial/internal/rtree"
-	"mobispatial/internal/serve"
 	"mobispatial/internal/serve/client"
-	"mobispatial/internal/shard"
 )
 
 // obsWorld is plannerWorld with client-side observability enabled and spans
@@ -38,28 +34,11 @@ func obsWorld(t *testing.T) (*dataset.Dataset, *client.Client, *client.Planner, 
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	pool, err := shard.Over(ds, tree)
-	if err != nil {
-		t.Fatalf("pool: %v", err)
-	}
-	srv, err := serve.New(serve.Config{Pool: pool, Master: tree})
-	if err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go srv.Serve(lis)
-	t.Cleanup(func() { srv.Close() })
+	_, addr := mqserve(t, ds)
 
 	hub := obs.NewHub()
 	hub.Trace = obs.NewTracer(128, 1)
-	c, err := client.New(client.Config{Addr: lis.Addr().String(), Conns: 4, Obs: hub})
+	c, err := client.New(client.Config{Addr: addr, Conns: 4, Obs: hub})
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}

@@ -2,7 +2,6 @@ package client_test
 
 import (
 	"math/rand"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -10,11 +9,8 @@ import (
 	"mobispatial/internal/core"
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
-	"mobispatial/internal/ops"
 	"mobispatial/internal/rtree"
-	"mobispatial/internal/serve"
 	"mobispatial/internal/serve/client"
-	"mobispatial/internal/shard"
 	"mobispatial/internal/sim"
 )
 
@@ -38,30 +34,13 @@ func plannerWorld(t testing.TB) (*dataset.Dataset, *rtree.Tree, *client.Client, 
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	pool, err := shard.Over(ds, tree)
-	if err != nil {
-		t.Fatalf("pool: %v", err)
-	}
-	srv, err := serve.New(serve.Config{Pool: pool, Master: tree})
-	if err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	go srv.Serve(lis)
-	t.Cleanup(func() { srv.Close() })
+	st, addr := mqserve(t, ds)
 
 	// The server is static, so the shipment stays provably fresh for as long
 	// as the bound lets it; stretch the bound past any one test (some run the
 	// simulator between fetching and planning) so these tests are about the
 	// advisor alone. freshness_test.go is about the bound.
-	c, err := client.New(client.WithMaxAge(client.Config{Addr: lis.Addr().String(), Conns: 4}, time.Minute))
+	c, err := client.New(client.WithMaxAge(client.Config{Addr: addr, Conns: 4}, time.Minute))
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}
@@ -78,7 +57,7 @@ func plannerWorld(t testing.TB) (*dataset.Dataset, *rtree.Tree, *client.Client, 
 	if err := p.FetchShipment(window, 8000*(ds.RecordBytes+rtree.EntryBytes)+1<<20, ds.RecordBytes); err != nil {
 		t.Fatalf("shipment: %v", err)
 	}
-	return ds, tree, c, p
+	return ds, st.Master, c, p
 }
 
 // TestPlannerSchemeChoice is the acceptance test: with a covered shipment

@@ -6,13 +6,15 @@ import (
 
 	"mobispatial/internal/geom"
 	"mobispatial/internal/hilbert"
+	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
 )
 
 // This file exports the pieces of the sharding scheme the distributed tier
 // reuses at cluster scope: the Hilbert-order partitioner (so every process
 // derives the same contiguous key ranges from the same deterministic
-// dataset, with no coordination) and the MINDIST visit-ordering helper the
+// dataset, with no coordination), the one recipe for what backend i of N
+// holds (Cut, then Hold), and the MINDIST visit-ordering helper the
 // cross-shard NN loop schedules with (so the router's cross-*server* NN
 // visit is the same algorithm one level up).
 
@@ -124,11 +126,8 @@ func RangeForKey(cuts []uint64, key uint64) int {
 // lives on backends r, r+1, …, r+R-1 (mod N), so backend b holds ranges
 // b, b-1, …, b-R+1 (mod N) — its primary first. R is clamped to [1, N].
 func ReplicaRanges(backend, nRanges, replicas int) ([]int, error) {
-	if nRanges <= 0 {
-		return nil, fmt.Errorf("shard: %d ranges", nRanges)
-	}
-	if backend < 0 || backend >= nRanges {
-		return nil, fmt.Errorf("shard: backend %d outside [0, %d)", backend, nRanges)
+	if err := CheckHold(backend, nRanges, 1); err != nil {
+		return nil, err
 	}
 	if replicas < 1 {
 		replicas = 1
@@ -141,6 +140,101 @@ func ReplicaRanges(backend, nRanges, replicas int) ([]int, error) {
 		out = append(out, ((backend-j)%nRanges+nRanges)%nRanges)
 	}
 	return out, nil
+}
+
+// Partition is an item set cut into N contiguous Hilbert ranges: the
+// cluster's assignment table, which every process derives bit for bit from
+// the same deterministic items.
+type Partition struct {
+	// N is the range count asked for.
+	N int
+	// Ranges are the ranges in key order, fewer than N when the items yield
+	// fewer; Ranges[i].Index is i.
+	Ranges []Range
+	// Cuts are every range's Lo, the write-ownership table (RangeForKey).
+	Cuts []uint64
+	// Bounds is BoundsOf the items, the extent writes are keyed over.
+	Bounds geom.Rect
+}
+
+// Cut sorts items in place and cuts them into n ranges (PartitionHilbert at
+// the default order).
+func Cut(items []rtree.Item, n int) Partition {
+	ranges, bounds := PartitionHilbert(items, n, 0)
+	p := Partition{N: n, Ranges: ranges, Bounds: bounds}
+	for _, rg := range ranges {
+		p.Cuts = append(p.Cuts, rg.Lo)
+	}
+	return p
+}
+
+// Held is what one backend of a partitioned cluster holds: its ranges, and
+// the cluster-wide cuts and bounds every backend keys writes by.
+type Held struct {
+	// Ranges are the held ranges, primary first.
+	Ranges []Range
+	Cuts   []uint64
+	Bounds geom.Rect
+}
+
+// Hold is backend's share of the partition at replicas-way rotation
+// placement (ReplicaRanges): ranges backend, backend-1, …, backend-R+1
+// mod N. It is the one recipe for "backend i of N", and the one place that
+// refuses a backend outside [0, N), replicas outside [1, N] (CheckHold) and
+// items that yield fewer than N ranges.
+func (p Partition) Hold(backend, replicas int) (Held, error) {
+	if err := CheckHold(backend, p.N, replicas); err != nil {
+		return Held{}, err
+	}
+	if len(p.Ranges) < p.N {
+		return Held{}, fmt.Errorf("shard: the items yield only %d of %d ranges", len(p.Ranges), p.N)
+	}
+	idxs, _ := ReplicaRanges(backend, p.N, replicas)
+	h := Held{Cuts: p.Cuts, Bounds: p.Bounds}
+	for _, ri := range idxs {
+		h.Ranges = append(h.Ranges, p.Ranges[ri])
+	}
+	return h, nil
+}
+
+// CheckHold is Hold's refusal of a placement, for a caller that has no
+// items yet: a backend outside [0, n) or replicas outside [1, n].
+func CheckHold(backend, n, replicas int) error {
+	if backend < 0 || backend >= n {
+		return fmt.Errorf("shard: backend %d outside [0, %d)", backend, n)
+	}
+	if replicas < 1 || replicas > n {
+		return fmt.Errorf("shard: replicas %d outside [1, %d]", replicas, n)
+	}
+	return nil
+}
+
+// Len returns the number of items the held ranges carry.
+func (h Held) Len() int {
+	n := 0
+	for _, rg := range h.Ranges {
+		n += len(rg.Items)
+	}
+	return n
+}
+
+// Items returns the held ranges' items, concatenated into a new slice (what
+// Config.Items takes, and sorts in place); nil when nothing is held.
+func (h Held) Items() []rtree.Item {
+	var items []rtree.Item
+	for _, rg := range h.Ranges {
+		items = append(items, rg.Items...)
+	}
+	return items
+}
+
+// Rows returns the summary rows the backend registers with, primary first.
+func (h Held) Rows() []proto.RangeInfo {
+	var rows []proto.RangeInfo
+	for _, rg := range h.Ranges {
+		rows = append(rows, proto.RangeInfo{Index: uint32(rg.Index), Items: uint32(len(rg.Items)), Lo: rg.Lo, Hi: rg.Hi, MBR: rg.MBR})
+	}
+	return rows
 }
 
 // IndexDist is one candidate in a best-first MINDIST visit: the lower bound

@@ -3,13 +3,17 @@ package shard
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/hilbert"
 	"mobispatial/internal/hilbert/hilbertref"
+	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
 )
 
@@ -108,45 +112,66 @@ func TestPartitionHilbertPinnedToReference(t *testing.T) {
 	}
 }
 
-// TestReplicaRangesPlacement checks the rotation placement's two views
-// agree: backend b holds range r iff r's replica set contains b.
-func TestReplicaRangesPlacement(t *testing.T) {
-	const n, r = 5, 2
-	holds := make([][]int, n)
-	for b := 0; b < n; b++ {
-		rs, err := ReplicaRanges(b, n, r)
-		if err != nil {
-			t.Fatal(err)
+// TestHoldMatchesRotationPlacement: Cut then Hold is PartitionHilbert then
+// ReplicaRanges, for every backend at every replica count — held order
+// (primary first), items, cuts, bounds and every field of every row — and
+// the rotation placement: range g on exactly the R backends g, g+1, …,
+// g+R−1 mod N. It refuses what a cluster cannot be built from.
+func TestHoldMatchesRotationPlacement(t *testing.T) {
+	ds := fixture(t, 2000)
+	for _, n := range []int{1, 3, 5} {
+		part := Cut(ds.Items(), n)
+		ref, bounds := PartitionHilbert(ds.Items(), n, 0)
+		cuts := make([]uint64, n)
+		for i, rg := range ref {
+			cuts[i] = rg.Lo
 		}
-		if len(rs) != r {
-			t.Fatalf("backend %d holds %d ranges, want %d", b, len(rs), r)
-		}
-		if rs[0] != b {
-			t.Fatalf("backend %d primary is %d", b, rs[0])
-		}
-		holds[b] = rs
-	}
-	// Every range must appear on exactly r backends: b and b+1 mod n.
-	for rg := 0; rg < n; rg++ {
-		count := 0
-		for b := 0; b < n; b++ {
-			for _, h := range holds[b] {
-				if h == rg {
-					count++
-					if b != rg && b != (rg+1)%n {
-						t.Fatalf("range %d on unexpected backend %d", rg, b)
+		for r := 1; r <= n; r++ {
+			for b := 0; b < n; b++ {
+				held, err := part.Hold(b, r)
+				idxs, _ := ReplicaRanges(b, n, r)
+				want := Held{Cuts: cuts, Bounds: bounds}
+				var items []rtree.Item
+				var rows []proto.RangeInfo
+				for _, ri := range idxs {
+					rg := ref[ri]
+					want.Ranges = append(want.Ranges, rg)
+					items = append(items, rg.Items...)
+					rows = append(rows, proto.RangeInfo{Index: uint32(rg.Index), Items: uint32(len(rg.Items)), Lo: rg.Lo, Hi: rg.Hi, MBR: rg.MBR})
+				}
+				if err != nil || len(held.Ranges) != r || !reflect.DeepEqual(held, want) {
+					t.Errorf("n=%d R=%d: Hold(%d) rows %+v, %v; want ranges %v of the reference", n, r, b, held.Rows(), err, idxs)
+				}
+				for j, rg := range held.Ranges {
+					if rg.Index != (b-j+n)%n {
+						t.Errorf("n=%d R=%d: backend %d holds range %d at %d, not the rotation's %d", n, r, b, rg.Index, j, (b-j+n)%n)
 					}
+				}
+				if !slices.Equal(held.Items(), items) || held.Len() != len(items) || !slices.Equal(held.Rows(), rows) {
+					t.Errorf("n=%d R=%d backend %d: items or rows differ from the reference's", n, r, b)
 				}
 			}
 		}
-		if count != r {
-			t.Fatalf("range %d on %d backends, want %d", rg, count, r)
+	}
+
+	three := Cut(ds.Items(), 3)
+	for want, err := range map[string]error{
+		"backend 0 outside [0, 0)":  second(Cut(ds.Items(), 0).Hold(0, 1)),
+		"only 2 of 3 ranges":        second(Cut(ds.Items()[:2], 3).Hold(0, 1)),
+		"only 0 of 1 ranges":        second(Cut(nil, 1).Hold(0, 1)),
+		"backend -1 outside [0, 3)": second(three.Hold(-1, 1)),
+		"backend 3 outside [0, 3)":  second(three.Hold(3, 1)),
+		"replicas 0 outside [1, 3]": second(three.Hold(0, 0)),
+		"replicas 4 outside [1, 3]": second(three.Hold(0, 4)),
+		"backend 7 outside [0, 5)":  second(ReplicaRanges(7, 5, 2)),
+	} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("got %v, want an error naming %q", err, want)
 		}
 	}
-	if _, err := ReplicaRanges(7, 5, 2); err == nil {
-		t.Fatal("accepted backend index past range count")
-	}
 }
+
+func second[T any](_ T, err error) error { return err }
 
 // TestOrderByMinDist checks the exported visit ordering: ascending by
 // MINDIST, stable on ties.
