@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"net"
 	"regexp"
 	"strconv"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"mobispatial/internal/dataset"
+	"mobispatial/internal/nic"
+	"mobispatial/internal/serve/client"
 	"mobispatial/internal/stack"
 )
 
@@ -131,5 +134,33 @@ func TestRefusals(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), reason) {
 			t.Errorf("run(%s) = %v, want a refusal naming %q", args, err, reason)
 		}
+	}
+}
+
+// TestWireLineSplitsByDirection: the wire line keeps its totals and adds the
+// per-query uplink and downlink bytes and the wakeup, transmit and receive
+// mJ, which sum to the total it prints.
+func TestWireLineSplitsByDirection(t *testing.T) {
+	ws := client.WireStats{Queries: 10, Exchanges: 10, FramesTx: 10, FramesRx: 10, BytesTx: 250, BytesRx: 1000}
+	var out bytes.Buffer
+	printWireReport(&out, ws, nic.BaseBandwidthBps, 1)
+	re := regexp.MustCompile(`^  wire      2\.00 frames/query, 125 B/query, modeled NIC ([0-9.]+) mJ/query \(10 exchanges / 10 queries\); ` +
+		`25\.0 B up, 100\.0 B down, wake ([0-9.]+) \+ Tx ([0-9.]+) \+ Rx ([0-9.]+) mJ\n$`)
+	m := re.FindStringSubmatch(out.String())
+	if m == nil {
+		t.Fatalf("wire line %q does not match %v", out.String(), re)
+	}
+	var v [4]float64
+	for i := range v {
+		var err error
+		if v[i], err = strconv.ParseFloat(m[i+1], 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sum := v[1] + v[2] + v[3]; math.Abs(sum-v[0]) > 2e-4 {
+		t.Errorf("wake %v + Tx %v + Rx %v = %v mJ, the line's total is %v", v[1], v[2], v[3], sum, v[0])
+	}
+	if v[2] <= v[3] {
+		t.Errorf("25 B sent cost %v mJ, 100 B received %v: the uplink should cost more", v[2], v[3])
 	}
 }

@@ -64,9 +64,12 @@ func printClientReport(out io.Writer, wl *workload, res result) {
 
 // printWireReport prices the run's measured wire traffic with the Table 2
 // NIC model: per-query frames, bytes, and modeled Joules (transfer at the
-// measured bandwidth plus one sleep-exit wakeup per exchange). With batching
-// it adds the counterfactual — the same bytes priced at one exchange per
-// query — so the report shows exactly what the amortized wakeups bought.
+// measured bandwidth plus one sleep-exit wakeup per exchange), then the same
+// per query split by direction — uplink and downlink bytes, wakeup, transmit
+// and receive mJ — since a sent byte costs the radio far more than a
+// received one. With batching it adds the counterfactual — the same bytes
+// priced at one exchange per query — so the report shows exactly what the
+// amortized wakeups bought.
 func printWireReport(out io.Writer, ws client.WireStats, bwBps float64, batch int) {
 	if ws.Queries == 0 {
 		return
@@ -76,10 +79,12 @@ func printWireReport(out io.Writer, ws client.WireStats, bwBps float64, batch in
 	}
 	em := obs.DefaultEnergyModel()
 	q := float64(ws.Queries)
-	nicJ := em.NICExchangeJoules(int(ws.BytesTx), int(ws.BytesRx), int(ws.Exchanges), bwBps)
-	fmt.Fprintf(out, "  wire      %.2f frames/query, %.0f B/query, modeled NIC %.4f mJ/query (%d exchanges / %d queries)\n",
+	wake, tx, rx := em.NICExchangeSplit(int(ws.BytesTx), int(ws.BytesRx), int(ws.Exchanges), bwBps)
+	nicJ := wake + tx + rx
+	fmt.Fprintf(out, "  wire      %.2f frames/query, %.0f B/query, modeled NIC %.4f mJ/query (%d exchanges / %d queries); %.1f B up, %.1f B down, wake %.4f + Tx %.4f + Rx %.4f mJ\n",
 		float64(ws.FramesTx+ws.FramesRx)/q, float64(ws.BytesTx+ws.BytesRx)/q,
-		nicJ/q*1e3, ws.Exchanges, ws.Queries)
+		nicJ/q*1e3, ws.Exchanges, ws.Queries,
+		float64(ws.BytesTx)/q, float64(ws.BytesRx)/q, wake/q*1e3, tx/q*1e3, rx/q*1e3)
 	if batch > 1 {
 		unbatched := em.NICExchangeJoules(int(ws.BytesTx), int(ws.BytesRx), int(ws.Queries), bwBps)
 		saved := 0.0

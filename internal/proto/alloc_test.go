@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"testing"
@@ -17,24 +18,32 @@ func TestFrameEncodeZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	reply := &IDListMsg{ID: 1, IDs: []uint32{10, 20, 30, 40, 50, 60, 70, 80}}
-	if n := testing.AllocsPerRun(200, func() {
-		if _, err := WriteMessage(io.Discard, reply); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("warm WriteMessage: %.1f allocs/op, want 0", n)
+	// A frame under 128 payload bytes keeps its one-byte length; the larger
+	// one is shifted up behind a two-byte length.
+	small := &IDListMsg{ID: 1, IDs: []uint32{10, 20, 30, 40, 50, 60, 70, 80}}
+	large := &IDListMsg{ID: 1, IDs: make([]uint32, 100)}
+	for i := range large.IDs {
+		large.IDs[i] = uint32(2 * i)
 	}
-
-	var buf []byte
-	if n := testing.AllocsPerRun(200, func() {
-		var err error
-		buf, err = AppendFrame(buf[:0], reply)
-		if err != nil {
-			t.Fatal(err)
+	for _, reply := range []*IDListMsg{small, large} {
+		if n := testing.AllocsPerRun(200, func() {
+			if _, err := WriteMessage(io.Discard, reply); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("warm WriteMessage of %d ids: %.1f allocs/op, want 0", len(reply.IDs), n)
 		}
-	}); n != 0 {
-		t.Fatalf("warm AppendFrame: %.1f allocs/op, want 0", n)
+
+		var buf []byte
+		if n := testing.AllocsPerRun(200, func() {
+			var err error
+			buf, err = AppendFrame(buf[:0], reply)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("warm AppendFrame of %d ids: %.1f allocs/op, want 0", len(reply.IDs), n)
+		}
 	}
 }
 
@@ -67,18 +76,27 @@ func TestFrameDecodeZeroAlloc(t *testing.T) {
 		}
 		frames = append(frames, f)
 	}
+	// The header is read a byte at a time: directly from a bytes.Reader (the
+	// benchmark ladder's decode) and through a bufio.Reader (the client's).
 	rd := bytes.NewReader(nil)
-	if n := testing.AllocsPerRun(200, func() {
-		for _, f := range frames {
-			rd.Reset(f)
-			m, _, err := ReadMessage(rd)
-			if err != nil {
-				t.Fatal(err)
+	br := bufio.NewReader(rd)
+	for _, c := range []struct {
+		name string
+		r    io.Reader
+	}{{"bytes.Reader", rd}, {"bufio.Reader", br}} {
+		if n := testing.AllocsPerRun(200, func() {
+			for _, f := range frames {
+				rd.Reset(f)
+				br.Reset(rd)
+				m, _, err := ReadMessage(c.r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ReleaseMessage(m)
 			}
-			ReleaseMessage(m)
+		}); n != 0 {
+			t.Fatalf("warm ReadMessage+ReleaseMessage through a %s: %.2f allocs/op, want 0", c.name, n)
 		}
-	}); n != 0 {
-		t.Fatalf("warm ReadMessage+ReleaseMessage: %.2f allocs/op, want 0", n)
 	}
 
 	// A reply the receiver keeps (the client hands IDs to its caller) decodes

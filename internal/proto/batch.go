@@ -24,6 +24,8 @@ const MaxBatchQueries = 1024
 
 // BatchQueryMsg is N queries in one frame. The per-query TimeoutMicros
 // fields are ignored; the batch-level timeout governs the whole exchange.
+//
+//	uvarint id | uvarint timeout (0: DefaultTimeout) | uvarint count | queries
 type BatchQueryMsg struct {
 	ID            uint32
 	TimeoutMicros uint32
@@ -53,9 +55,9 @@ func (m *BatchQueryMsg) Validate() error {
 }
 
 func (m *BatchQueryMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
-	b = appendU32(b, m.TimeoutMicros)
-	b = appendU16(b, uint16(len(m.Queries)))
+	b = appendUvarint(b, m.ID)
+	b = appendUvarint(b, wireTimeout(m.TimeoutMicros))
+	b = appendUvarint(b, uint32(len(m.Queries)))
 	for i := range m.Queries {
 		b = m.Queries[i].appendPayload(b)
 	}
@@ -64,16 +66,16 @@ func (m *BatchQueryMsg) appendPayload(b []byte) []byte {
 
 func (m *BatchQueryMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
-	m.TimeoutMicros = d.u32()
+	m.ID = d.uv32()
+	m.TimeoutMicros = d.timeout()
 	// The queries are self-delimiting and decoded in sequence; the count is
 	// checked against the shortest query before anything is reserved.
-	n := int(d.u16())
-	if rest := len(d.b) - d.off; d.err == nil && (n > MaxBatchQueries || n*minQueryBytes > rest) {
+	n := d.uv32()
+	if rest := uint32(len(d.b) - d.off); d.err == nil && (n > MaxBatchQueries || n*minQueryBytes > rest) {
 		return fmt.Errorf("proto: batch count %d does not fit %d payload bytes", n, rest)
 	}
-	qs := slices.Grow(m.Queries[:0], n)
-	for i := 0; i < n && d.err == nil; i++ {
+	qs := slices.Grow(m.Queries[:0], int(n))
+	for i := 0; i < int(n) && d.err == nil; i++ {
 		qs = append(qs, QueryMsg{})
 		if d.query(&qs[i]); d.err != nil {
 			d.err = fmt.Errorf("query %d: %w", i, d.err)
@@ -119,6 +121,8 @@ func (it *BatchItem) tag() uint8 {
 }
 
 // BatchReplyMsg answers a BatchQueryMsg: Items[i] answers Queries[i].
+//
+//	uvarint id | u64 epoch | uvarint count | items
 type BatchReplyMsg struct {
 	ID uint32
 	// Epoch is the index-state fingerprint at answer time (see
@@ -172,9 +176,9 @@ func (m *BatchReplyMsg) Validate() error {
 }
 
 func (m *BatchReplyMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
+	b = appendUvarint(b, m.ID)
 	b = binaryAppendU64(b, m.Epoch)
-	b = appendU16(b, uint16(len(m.Items)))
+	b = appendUvarint(b, uint32(len(m.Items)))
 	for i := range m.Items {
 		it := &m.Items[i]
 		t := it.tag()
@@ -197,14 +201,14 @@ func (m *BatchReplyMsg) appendPayload(b []byte) []byte {
 
 func (m *BatchReplyMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
+	m.ID = d.uv32()
 	m.Epoch = d.u64()
-	n := int(d.u16())
+	n := d.uv32()
 	if n > MaxBatchQueries {
 		return fmt.Errorf("proto: batch reply count %d exceeds %d", n, MaxBatchQueries)
 	}
 	items := m.Items[:0]
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < int(n) && d.err == nil; i++ {
 		if cap(items) > i {
 			items = items[:i+1]
 		} else {

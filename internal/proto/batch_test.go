@@ -26,8 +26,8 @@ func testBatchQuery(n int) *BatchQueryMsg {
 
 // TestBatchFrameAmortizesHeaders pins the batching arithmetic the energy
 // model relies on: a batch of N queries costs one frame, and its payload
-// grows by exactly one encoded query per query — a range query's id, flags
-// byte and window, 37 bytes.
+// grows by exactly one encoded query per query — a range query's one-byte
+// id, flags byte and window, 34 bytes.
 func TestBatchFrameAmortizesHeaders(t *testing.T) {
 	one, err := EncodeMessage(testBatchQuery(1))
 	if err != nil {
@@ -37,7 +37,7 @@ func TestBatchFrameAmortizesHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(sixteen)-len(one), 15*(4+1+32); got != want {
+	if got, want := len(sixteen)-headerLen(sixteen)-len(one)+headerLen(one), 15*(1+1+32); got != want {
 		t.Fatalf("batch growth: got %d bytes per 15 queries, want %d", got, want)
 	}
 	// One query message alone costs a full frame header; in a batch of 16 the
@@ -105,14 +105,15 @@ func TestBatchRejectsCorruptFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cut := FrameHeaderBytes; cut < len(frame); cut++ {
+	for cut := 0; cut < len(frame); cut++ {
 		if _, _, err := ReadMessage(bytes.NewReader(frame[:cut])); err == nil {
 			t.Fatalf("truncated batch at %d accepted", cut)
 		}
 	}
 	// Count disagreeing with the payload size.
+	h := headerLen(frame)
 	bad := append([]byte(nil), frame...)
-	bad[FrameHeaderBytes+9] = 99 // count field low byte
+	bad[h+1+3] = 99 // the count, after the one-byte id and the three-byte timeout
 	if _, _, err := ReadMessage(bytes.NewReader(bad)); err == nil {
 		t.Fatal("mismatched batch count accepted")
 	}
@@ -123,13 +124,13 @@ func TestBatchRejectsCorruptFrames(t *testing.T) {
 	}
 	// Unknown item tag.
 	badTag := append([]byte(nil), reply...)
-	badTag[FrameHeaderBytes+14] = 0x7F // first item tag (after id u32 + epoch u64 + count u16)
+	badTag[2+1+8+1] = 0x7F // first item tag (after the header, id, epoch and count)
 	if _, _, err := ReadMessage(bytes.NewReader(badTag)); err == nil {
 		t.Fatal("unknown batch item tag accepted")
 	}
 	// Hostile id count inside an item must error, not allocate wildly.
 	badN := append([]byte(nil), reply...)
-	badN[FrameHeaderBytes+15] = 0xFF // first item's id-count varint
+	badN[2+1+8+1+1] = 0xFF // first item's id-count varint
 	if _, _, err := ReadMessage(bytes.NewReader(badN)); err == nil {
 		t.Fatal("hostile batch item id count accepted")
 	}
@@ -194,7 +195,7 @@ func TestReadMessageChunkedPath(t *testing.T) {
 	if _, err := WriteMessage(&lie, big); err != nil {
 		t.Fatal(err)
 	}
-	short := lie.Bytes()[:FrameHeaderBytes+100]
+	short := lie.Bytes()[:MaxFrameHeaderBytes+100]
 	if _, _, err := ReadMessage(io.MultiReader(bytes.NewReader(short))); err == nil {
 		t.Fatal("short chunked frame accepted")
 	}

@@ -105,11 +105,11 @@ func (m *SummaryReqMsg) RequestID() uint32 { return m.ID }
 // Validate implements Message.
 func (m *SummaryReqMsg) Validate() error { return nil }
 
-func (m *SummaryReqMsg) appendPayload(b []byte) []byte { return appendU32(b, m.ID) }
+func (m *SummaryReqMsg) appendPayload(b []byte) []byte { return appendUvarint(b, m.ID) }
 
 func (m *SummaryReqMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
+	m.ID = d.uv32()
 	return d.finish("summary-req")
 }
 
@@ -175,7 +175,7 @@ func (m *SummaryMsg) Validate() error {
 }
 
 func (m *SummaryMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
+	b = appendUvarint(b, m.ID)
 	b = appendU32(b, m.NumRanges)
 	b = appendU32(b, uint32(len(m.Ranges)))
 	for _, r := range m.Ranges {
@@ -191,7 +191,7 @@ func (m *SummaryMsg) appendPayload(b []byte) []byte {
 
 func (m *SummaryMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
+	m.ID = d.uv32()
 	m.NumRanges = d.u32()
 	n := int(d.u32())
 	if rest := len(d.b) - d.off; d.err == nil && n*summaryRowBytes != rest {

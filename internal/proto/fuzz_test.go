@@ -20,9 +20,36 @@ func FuzzReadMessage(f *testing.F) {
 		f.Add(frame)
 	}
 	// Corrupt seeds: oversized length prefix, unknown type, short frame.
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	f.Add([]byte{0, 0, 0, 0, 0xEE})
-	f.Add([]byte{0, 0, 0, 9, byte(MsgPing), 1, 2, 3})
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0x7F, 0x01})
+	f.Add([]byte{0, 0xEE})
+	f.Add([]byte{9, byte(MsgPing), 1, 2, 3})
+	// Header seeds at the varint's edges: a five-byte length, a padded one,
+	// one cut short, and the one- and two-byte lengths of 127 and 128.
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x01, byte(MsgPing)})
+	f.Add([]byte{0x85, 0x00, byte(MsgPing), 1, 0, 0, 0, 0})
+	f.Add([]byte{0x80})
+	for _, n := range []int{127, 128} {
+		ping := &PingMsg{ID: 1, Payload: make([]byte, n-5)} // id and length take 5
+		if frame, err := EncodeMessage(ping); err == nil {
+			f.Add(frame)
+		}
+	}
+	// Field seeds at the varint's edges: ids, an object id, k and a batch's
+	// timeout at 0, 127, 128, 16 383, 16 384 and the top. Batch counts past
+	// 127 are left to TestVarintFieldsRoundTrip: a seed of 128 queries is
+	// 2 KB, and the fuzzer spends its time minimizing every input it grows
+	// from one.
+	for _, v := range varintEdges {
+		for _, m := range []Message{
+			&QueryMsg{ID: v, Kind: KindNN, K: uint16(v), TimeoutMicros: v},
+			&DeleteMsg{ID: v, ObjID: v, TimeoutMicros: v},
+			&BatchQueryMsg{ID: v, TimeoutMicros: v, Queries: make([]QueryMsg, 1)},
+		} {
+			if frame, err := EncodeMessage(m); err == nil {
+				f.Add(frame)
+			}
+		}
+	}
 	// Update-path seeds: a move whose segment smuggles NaN coordinate bits
 	// (must be rejected by Validate after decode, not crash), the same move
 	// relabelled as type 16, the retired insert (refused whatever the
@@ -30,14 +57,15 @@ func FuzzReadMessage(f *testing.F) {
 	// re-encoding stays canonical).
 	if move, err := EncodeMessage(&MoveMsg{ID: 1, ObjID: 2}); err == nil {
 		nan := append([]byte(nil), move...)
-		for i := FrameHeaderBytes + 8; i < FrameHeaderBytes+16; i++ {
+		seg := headerLen(move) + 2 // the header, the request id and the object id
+		for i := seg; i < seg+8; i++ {
 			nan[i] = 0xFF
 		}
 		f.Add(nan)
-		move[4] = 16
+		move[1] = 16
 		f.Add(move)
 	}
-	if ack, err := EncodeMessage(&UpdateAckMsg{ID: 1, ObjID: 2, Epoch: 3}); err == nil {
+	if ack, err := EncodeMessage(&UpdateAckMsg{ID: 1, Epoch: 3}); err == nil {
 		ack[len(ack)-1] = 0xF0 // unknown flag bits
 		f.Add(ack)
 	}
@@ -62,7 +90,7 @@ func FuzzReadMessage(f *testing.F) {
 		// The same leg relabelled as type 12, the retired k-NN-only leg: the
 		// decoder must refuse the type whatever the payload.
 		retired := append([]byte(nil), frame...)
-		retired[4] = 12
+		retired[headerLen(frame)-1] = 12
 		f.Add(retired)
 	}
 	// Hand-built frames each decoder must refuse: lying counts, ids and
@@ -77,14 +105,14 @@ func FuzzReadMessage(f *testing.F) {
 		// Refuse declared payloads beyond 1 MB up front: the decoder handles
 		// them (chunked reads fail fast on truncated input), but a fuzzer
 		// that learns to complete huge frames would only slow itself down.
-		if len(data) >= 4 && binary.BigEndian.Uint32(data[:4]) > 1<<20 {
+		if n, k := binary.Uvarint(data); k > 0 && n > 1<<20 {
 			return
 		}
 		m, n, err := ReadMessage(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if n < FrameHeaderBytes || n > len(data) {
+		if n < 2 || n > len(data) {
 			t.Fatalf("accepted frame reports %d bytes of %d input", n, len(data))
 		}
 		if err := m.Validate(); err != nil {

@@ -35,11 +35,11 @@ func (m *StatsReqMsg) RequestID() uint32 { return m.ID }
 // Validate implements Message.
 func (m *StatsReqMsg) Validate() error { return nil }
 
-func (m *StatsReqMsg) appendPayload(b []byte) []byte { return appendU32(b, m.ID) }
+func (m *StatsReqMsg) appendPayload(b []byte) []byte { return appendUvarint(b, m.ID) }
 
 func (m *StatsReqMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
+	m.ID = d.uv32()
 	return d.finish("stats-req")
 }
 
@@ -132,7 +132,7 @@ func appendStatName(b []byte, name string) []byte {
 }
 
 func (m *StatsMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
+	b = appendUvarint(b, m.ID)
 	b = binaryAppendU64(b, m.UptimeMicros)
 	b = appendU16(b, uint16(len(m.Counters)))
 	for _, c := range m.Counters {
@@ -160,7 +160,7 @@ func (m *StatsMsg) appendPayload(b []byte) []byte {
 
 func (m *StatsMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
+	m.ID = d.uv32()
 	m.UptimeMicros = d.u64()
 	if n := int(d.u16()); n > 0 {
 		m.Counters = make([]StatCounter, 0, min(n, MaxStatsEntries))

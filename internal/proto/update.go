@@ -6,7 +6,11 @@
 // out of the world does not know — or care — where its last position landed
 // server-side). Every update is acknowledged with MsgUpdateAck carrying the
 // owning shard's base epoch, which is how clients and the router observe
-// compaction progress and measure staleness.
+// compaction progress and measure staleness. Ids and timeouts are uvarints:
+//
+//	delete: id | object id | timeout (0: DefaultTimeout)
+//	move:   id | object id | A | B | timeout
+//	ack:    id | u64 epoch | flags
 //
 // Update semantics are deliberately idempotent so the client retry path and
 // the router's replica fan-out need no exactly-once machinery: a move is an
@@ -61,16 +65,16 @@ func (m *DeleteMsg) RequestID() uint32 { return m.ID }
 func (m *DeleteMsg) Validate() error { return nil }
 
 func (m *DeleteMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
-	b = appendU32(b, m.ObjID)
-	return appendU32(b, m.TimeoutMicros)
+	b = appendUvarint(b, m.ID)
+	b = appendUvarint(b, m.ObjID)
+	return appendUvarint(b, wireTimeout(m.TimeoutMicros))
 }
 
 func (m *DeleteMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
-	m.ObjID = d.u32()
-	m.TimeoutMicros = d.u32()
+	m.ID = d.uv32()
+	m.ObjID = d.uv32()
+	m.TimeoutMicros = d.timeout()
 	return d.finish("delete")
 }
 
@@ -95,19 +99,19 @@ func (m *MoveMsg) RequestID() uint32 { return m.ID }
 func (m *MoveMsg) Validate() error { return checkSegment(m.Seg) }
 
 func (m *MoveMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
-	b = appendU32(b, m.ObjID)
+	b = appendUvarint(b, m.ID)
+	b = appendUvarint(b, m.ObjID)
 	b = appendPoint(b, m.Seg.A)
 	b = appendPoint(b, m.Seg.B)
-	return appendU32(b, m.TimeoutMicros)
+	return appendUvarint(b, wireTimeout(m.TimeoutMicros))
 }
 
 func (m *MoveMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
-	m.ObjID = d.u32()
+	m.ID = d.uv32()
+	m.ObjID = d.uv32()
 	m.Seg = geom.Segment{A: d.point(), B: d.point()}
-	m.TimeoutMicros = d.u32()
+	m.TimeoutMicros = d.timeout()
 	return d.finish("move")
 }
 
@@ -117,9 +121,12 @@ const (
 	ackFlagOwned   = 1 << 1
 )
 
-// UpdateAckMsg acknowledges one update.
+// UpdateAckMsg acknowledges one update. It does not echo the object id: the
+// request id already names the update it answers.
 type UpdateAckMsg struct {
-	ID    uint32
+	ID uint32
+	// ObjID does not travel; a decoded ack reads 0. The field stays only
+	// because the benchmark's ladder (bench/ladder.go) still fills it.
 	ObjID uint32
 	// Epoch is the owning shard's base epoch at apply time — it advances at
 	// every compaction swap, so the gap between acked epochs and a later
@@ -145,8 +152,7 @@ func (m *UpdateAckMsg) RequestID() uint32 { return m.ID }
 func (m *UpdateAckMsg) Validate() error { return nil }
 
 func (m *UpdateAckMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
-	b = appendU32(b, m.ObjID)
+	b = appendUvarint(b, m.ID)
 	b = binaryAppendU64(b, m.Epoch)
 	var flags uint8
 	if m.Existed {
@@ -160,8 +166,8 @@ func (m *UpdateAckMsg) appendPayload(b []byte) []byte {
 
 func (m *UpdateAckMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
-	m.ObjID = d.u32()
+	m.ID = d.uv32()
+	m.ObjID = 0
 	m.Epoch = d.u64()
 	flags := d.u8()
 	if d.err == nil && flags&^uint8(ackFlagExisted|ackFlagOwned) != 0 {

@@ -3,12 +3,16 @@
 // shipments) into a real binary wire format that the networked service
 // (internal/serve) actually marshals. Every message is carried in one frame:
 //
-//	uint32 big-endian payload length | uint8 message type | payload
+//	uvarint payload length (1–4 bytes) | uint8 message type | payload
 //
 // Fixed-width integers are big-endian; floats are IEEE-754 bit patterns.
-// Every message carries a request id so a connection can pipeline requests
-// and match responses arriving out of order. The read path's three hot shapes
-// are not fixed-width: a query carries only the fields its kind uses (below),
+// Every message opens with its request id, a uvarint, so a connection can
+// pipeline requests and match responses arriving out of order. A field that
+// counts rather than measures — the request id, an object id, a k, a batch
+// count, a timeout — is a uvarint and costs what its value needs. A request
+// carries a timeout only when it is tighter than DefaultTimeout, the budget
+// both ends assume without one. The read path's three hot shapes are not
+// fixed-width either: a query carries only the fields its kind uses (below),
 // and id and record lists are run-coded and endpoint-chained (lists.go).
 //
 // The catalogue is 16 types, numbered 1–19 across this file, batch.go,
@@ -24,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 
 	"mobispatial/internal/geom"
 )
@@ -87,8 +92,10 @@ func (t MsgType) String() string {
 
 // Framing limits.
 const (
-	// FrameHeaderBytes is the length prefix plus the type byte.
-	FrameHeaderBytes = 5
+	// MaxFrameHeaderBytes is the longest frame header: a four-byte length
+	// uvarint and the type byte. A payload under 128 bytes takes a
+	// two-byte header.
+	MaxFrameHeaderBytes = maxLengthBytes + 1
 	// MaxFramePayload bounds one frame's payload; larger frames are a
 	// protocol error (shipments dominate: 64 MB holds ~1.8M records).
 	MaxFramePayload = 64 << 20
@@ -96,7 +103,28 @@ const (
 	MaxErrorText = 1024
 	// MaxPingPayload bounds the ping echo payload.
 	MaxPingPayload = 1 << 20
+	// maxLengthBytes is the longest length uvarint: four bytes carry 28
+	// bits, which MaxFramePayload fits.
+	maxLengthBytes = 4
 )
+
+// DefaultTimeout is a request's time budget when it names none: what a
+// client allows one attempt and what a server allows one request, admission
+// wait included. A request asks for less by carrying a timeout; it cannot ask
+// for more, so a budget at or above DefaultTimeout travels as no timeout.
+const DefaultTimeout = 5 * time.Second
+
+// defaultTimeoutMicros is DefaultTimeout in the wire's unit.
+const defaultTimeoutMicros = uint32(DefaultTimeout / time.Microsecond)
+
+// wireTimeout is the timeout field a budget of micros travels as: itself when
+// tighter than DefaultTimeout, else 0, the field's "none".
+func wireTimeout(micros uint32) uint32 {
+	if micros >= defaultTimeoutMicros {
+		return 0
+	}
+	return micros
+}
 
 // DefaultPointEps is the point-query incidence tolerance in map units: a
 // street is "at" a point when it passes within this distance. It is what
@@ -208,7 +236,8 @@ type Request interface {
 	// Stamp fills the envelope: the pipelining id, and the server-side time
 	// budget in microseconds where the message carries one.
 	Stamp(id, timeoutMicros uint32)
-	// Timeout returns the stamped budget (0 = the server's default). ok is
+	// Timeout returns the budget (0 = DefaultTimeout; a decoded request
+	// reads 0 for any budget at or above it, which never travels). ok is
 	// false for the control requests — ping, stats, summary — which carry
 	// none on the wire: they cost the server no query work, and it answers
 	// them outside admission control.
@@ -259,7 +288,7 @@ type QueryMsg struct {
 	// wire does not carry it for them.
 	Eps float64
 	// TimeoutMicros caps the server-side processing time in microseconds;
-	// 0 means the server default.
+	// 0, like any budget at or above DefaultTimeout, means DefaultTimeout.
 	TimeoutMicros uint32
 }
 
@@ -304,19 +333,20 @@ func (m *QueryMsg) Validate() error {
 // A query on the wire is its id, one flags byte, and then only what its kind
 // uses:
 //
-//	u32 id | flags | point (point) / window (range) / point + u16 K (NN)
-//	       | f64 eps if flagHasEps | u32 timeout if flagHasTimeout
+//	uvarint id | flags | point (point) / window (range) / point + uvarint K (NN)
+//	           | f64 eps if flagHasEps | uvarint timeout if flagHasTimeout
 //
 // flags holds the kind in bits 0-1 and the mode in bits 2-3. Eps travels only
 // when it is set and means something: on a point query, and on a k-NN leg in
-// ModeNeighbors, where it is the router's bound.
+// ModeNeighbors, where it is the router's bound. The timeout travels only
+// when it is tighter than DefaultTimeout.
 const (
 	flagModeShift  = 2
 	flagHasEps     = 1 << 4
 	flagHasTimeout = 1 << 5
 	flagsKnown     = flagHasTimeout<<1 - 1
-	// minQueryBytes is the shortest query: id, flags and a point.
-	minQueryBytes = 4 + 1 + 16
+	// minQueryBytes is the shortest query: a one-byte id, flags and a point.
+	minQueryBytes = 1 + 1 + 16
 )
 
 // epsOnWire reports whether a query of this kind and mode carries Eps.
@@ -325,13 +355,14 @@ func epsOnWire(kind uint8, mode Mode) bool {
 }
 
 func (m *QueryMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
+	b = appendUvarint(b, m.ID)
 	flags := m.Kind | byte(m.Mode)<<flagModeShift
 	eps := m.Eps != 0 && epsOnWire(m.Kind, m.Mode)
 	if eps {
 		flags |= flagHasEps
 	}
-	if m.TimeoutMicros != 0 {
+	timeout := wireTimeout(m.TimeoutMicros)
+	if timeout != 0 {
 		flags |= flagHasTimeout
 	}
 	b = append(b, flags)
@@ -339,15 +370,15 @@ func (m *QueryMsg) appendPayload(b []byte) []byte {
 	case KindRange:
 		b = appendRect(b, m.Window)
 	case KindNN:
-		b = appendU16(appendPoint(b, m.Point), m.K)
+		b = appendUvarint(appendPoint(b, m.Point), uint32(m.K))
 	default:
 		b = appendPoint(b, m.Point)
 	}
 	if eps {
 		b = appendF64(b, m.Eps)
 	}
-	if m.TimeoutMicros != 0 {
-		b = appendU32(b, m.TimeoutMicros)
+	if timeout != 0 {
+		b = appendUvarint(b, timeout)
 	}
 	return b
 }
@@ -362,7 +393,7 @@ func (m *QueryMsg) decodePayload(b []byte) error {
 // zeroed. A frame is refused for unknown flag bits, a kind outside the
 // catalogue, or an eps its kind and mode do not carry.
 func (d *decoder) query(m *QueryMsg) {
-	*m = QueryMsg{ID: d.u32()}
+	*m = QueryMsg{ID: d.uv32()}
 	flags := d.u8()
 	if d.err != nil {
 		return
@@ -378,7 +409,7 @@ func (d *decoder) query(m *QueryMsg) {
 	case KindRange:
 		m.Window = d.rect()
 	case KindNN:
-		m.Point, m.K = d.point(), d.u16()
+		m.Point, m.K = d.point(), d.k()
 	default:
 		d.err = fmt.Errorf("bad query kind %d", m.Kind)
 		return
@@ -391,7 +422,9 @@ func (d *decoder) query(m *QueryMsg) {
 		m.Eps = d.f64()
 	}
 	if flags&flagHasTimeout != 0 {
-		m.TimeoutMicros = d.u32()
+		if m.TimeoutMicros = d.timeout(); d.err == nil && m.TimeoutMicros == 0 {
+			d.err = fmt.Errorf("timeout flag on a zero timeout")
+		}
 	}
 }
 
@@ -421,14 +454,14 @@ func (m *IDListMsg) Validate() error {
 }
 
 func (m *IDListMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
+	b = appendUvarint(b, m.ID)
 	b = binaryAppendU64(b, m.Epoch)
 	return appendIDs(b, m.IDs)
 }
 
 func (m *IDListMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
+	m.ID = d.uv32()
 	m.Epoch = d.u64()
 	m.IDs = d.appendIDs(m.IDs[:0])
 	return d.finish("id-list")
@@ -452,14 +485,14 @@ func (m *DataListMsg) RequestID() uint32 { return m.ID }
 func (m *DataListMsg) Validate() error { return validateRecords("data list", m.Records) }
 
 func (m *DataListMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
+	b = appendUvarint(b, m.ID)
 	b = binaryAppendU64(b, m.Epoch)
 	return appendRecords(b, m.Records)
 }
 
 func (m *DataListMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
+	m.ID = d.uv32()
 	m.Epoch = d.u64()
 	m.Records = d.appendRecords(m.Records[:0])
 	return d.finish("data-list")
@@ -475,7 +508,8 @@ type ShipmentReqMsg struct {
 	// RecordBytes is the client's record size, so the server can size the
 	// selection (record payloads are larger than the wire form: they
 	// include attributes).
-	RecordBytes   uint32
+	RecordBytes uint32
+	// TimeoutMicros is the request's budget, as on QueryMsg.
 	TimeoutMicros uint32
 }
 
@@ -500,20 +534,20 @@ func (m *ShipmentReqMsg) Validate() error {
 }
 
 func (m *ShipmentReqMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
+	b = appendUvarint(b, m.ID)
 	b = appendRect(b, m.Window)
 	b = appendU32(b, m.BudgetBytes)
 	b = appendU32(b, m.RecordBytes)
-	return appendU32(b, m.TimeoutMicros)
+	return appendUvarint(b, wireTimeout(m.TimeoutMicros))
 }
 
 func (m *ShipmentReqMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
+	m.ID = d.uv32()
 	m.Window = d.rect()
 	m.BudgetBytes = d.u32()
 	m.RecordBytes = d.u32()
-	m.TimeoutMicros = d.u32()
+	m.TimeoutMicros = d.timeout()
 	return d.finish("shipment-req")
 }
 
@@ -547,7 +581,7 @@ func (m *ShipmentMsg) Validate() error {
 }
 
 func (m *ShipmentMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
+	b = appendUvarint(b, m.ID)
 	b = binaryAppendU64(b, m.Epoch)
 	b = appendRect(b, m.Coverage)
 	return appendRecords(b, m.Records)
@@ -555,7 +589,7 @@ func (m *ShipmentMsg) appendPayload(b []byte) []byte {
 
 func (m *ShipmentMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
+	m.ID = d.uv32()
 	m.Epoch = d.u64()
 	m.Coverage = d.rect()
 	m.Records = d.appendRecords(nil)
@@ -606,7 +640,7 @@ func CodeOf(err error) (ErrCode, string) {
 }
 
 func (m *ErrorMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
+	b = appendUvarint(b, m.ID)
 	b = appendU16(b, uint16(m.Code))
 	b = appendU16(b, uint16(len(m.Text)))
 	return append(b, m.Text...)
@@ -614,7 +648,7 @@ func (m *ErrorMsg) appendPayload(b []byte) []byte {
 
 func (m *ErrorMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
+	m.ID = d.uv32()
 	m.Code = ErrCode(d.u16())
 	n := int(d.u16())
 	m.Text = string(d.bytes(n))
@@ -642,14 +676,14 @@ func (m *PingMsg) Validate() error {
 }
 
 func (m *PingMsg) appendPayload(b []byte) []byte {
-	b = appendU32(b, m.ID)
+	b = appendUvarint(b, m.ID)
 	b = appendU32(b, uint32(len(m.Payload)))
 	return append(b, m.Payload...)
 }
 
 func (m *PingMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.u32()
+	m.ID = d.uv32()
 	n := int(d.u32())
 	m.Payload = append(m.Payload[:0], d.bytes(n)...)
 	return d.finish("ping")
@@ -698,26 +732,37 @@ func newMessage(t MsgType) (Message, error) {
 
 // AppendFrame validates m and appends its complete frame to dst, growing it
 // as needed — the allocation-free encode path for callers that own a
-// reusable buffer.
+// reusable buffer. The payload is encoded behind a one-byte length; a frame
+// of 128 payload bytes or more, whose length takes more, is shifted up to
+// make room.
 func AppendFrame(dst []byte, m Message) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return dst, err
 	}
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, byte(m.Type()))
+	dst = append(dst, 0, byte(m.Type()))
 	dst = m.appendPayload(dst)
-	payload := len(dst) - start - FrameHeaderBytes
+	payload := len(dst) - start - 2
+	if payload < 0x80 {
+		dst[start] = byte(payload)
+		return dst, nil
+	}
 	if payload > MaxFramePayload {
 		return dst[:start], fmt.Errorf("proto: %v frame payload %d exceeds %d", m.Type(), payload, MaxFramePayload)
 	}
-	binary.BigEndian.PutUint32(dst[start:start+4], uint32(payload))
+	var hdr [maxLengthBytes]byte
+	n := binary.PutUvarint(hdr[:], uint64(payload))
+	end := len(dst)
+	dst = append(dst, hdr[1:n]...)
+	copy(dst[start+n:], dst[start+1:end])
+	copy(dst[start:], hdr[:n])
 	return dst, nil
 }
 
 // EncodeMessage validates m and returns its complete frame in a fresh
 // buffer.
 func EncodeMessage(m Message) ([]byte, error) {
-	b, err := AppendFrame(make([]byte, 0, FrameHeaderBytes+64), m)
+	b, err := AppendFrame(make([]byte, 0, MaxFrameHeaderBytes+64), m)
 	if err != nil {
 		return nil, err
 	}
@@ -743,7 +788,8 @@ func WriteMessage(w io.Writer, m Message) (int, error) {
 
 // ReadMessage reads one frame and decodes and validates it. It returns the
 // message and the total frame size in bytes (header included) — load
-// generators and the client's bandwidth estimator use the size.
+// generators and the client's bandwidth estimator use the size. The header is
+// read a byte at a time, so nothing past the frame is consumed.
 //
 // The returned message is pooled: callers that finish with it (and with
 // every slice it carries) should pass it to ReleaseMessage so the next
@@ -752,18 +798,13 @@ func ReadMessage(r io.Reader) (Message, int, error) {
 	pb := getBuf()
 	defer putBuf(pb)
 	buf := *pb
-	if cap(buf) < FrameHeaderBytes {
+	if cap(buf) < MaxFrameHeaderBytes {
 		buf = make([]byte, 0, 4096)
 	}
-	hdr := buf[:FrameHeaderBytes]
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	n, hdrLen, t, err := readHeader(r, buf[:1])
+	if err != nil {
 		return nil, 0, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > MaxFramePayload {
-		return nil, 0, fmt.Errorf("proto: frame payload %d exceeds %d", n, MaxFramePayload)
-	}
-	t := MsgType(hdr[4])
 	m, err := newMessage(t)
 	if err != nil {
 		return nil, 0, err
@@ -794,7 +835,48 @@ func ReadMessage(r io.Reader) (Message, int, error) {
 		ReleaseMessage(m)
 		return nil, 0, err
 	}
-	return m, FrameHeaderBytes + int(n), nil
+	return m, hdrLen + int(n), nil
+}
+
+// readHeader reads a frame header: the payload length, a uvarint of at most
+// maxLengthBytes in its shortest form, and the type byte. A length that is
+// malformed or above MaxFramePayload is refused here, before the caller
+// reserves anything for it. scratch is the one-byte buffer each header byte
+// is read into. An input that ends before the first byte returns
+// io.EOF; one that ends inside the header, io.ErrUnexpectedEOF.
+func readHeader(r io.Reader, scratch []byte) (n uint32, size int, t MsgType, err error) {
+	next := func() (byte, error) {
+		_, err := io.ReadFull(r, scratch)
+		return scratch[0], err
+	}
+	for shift := 0; ; shift += 7 {
+		c, err := next()
+		if err != nil {
+			if size > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, 0, 0, err
+		}
+		size++
+		n |= uint32(c&0x7f) << shift
+		if c < 0x80 {
+			if c == 0 && size > 1 {
+				return 0, 0, 0, fmt.Errorf("proto: frame length in a padded %d-byte varint", size)
+			}
+			break
+		}
+		if size == maxLengthBytes {
+			return 0, 0, 0, fmt.Errorf("proto: frame length varint longer than %d bytes", maxLengthBytes)
+		}
+	}
+	if n > MaxFramePayload {
+		return 0, 0, 0, fmt.Errorf("proto: frame payload %d exceeds %d", n, MaxFramePayload)
+	}
+	c, err := next()
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return n, size + 1, MsgType(c), err
 }
 
 // payloadChunk is the allocation granularity for big incoming frame
@@ -821,6 +903,14 @@ func readPayloadChunked(r io.Reader, n int) ([]byte, error) {
 }
 
 // ---- encoding helpers ----
+
+// appendUvarint appends v as a uvarint, one byte below 128 without a call.
+func appendUvarint(b []byte, v uint32) []byte {
+	if v < 0x80 {
+		return append(b, byte(v))
+	}
+	return binary.AppendUvarint(b, uint64(v))
+}
 
 func appendU16(b []byte, v uint16) []byte       { return binary.BigEndian.AppendUint16(b, v) }
 func appendU32(b []byte, v uint32) []byte       { return binary.BigEndian.AppendUint32(b, v) }
@@ -909,6 +999,39 @@ func (d *decoder) u64() uint64 {
 	}
 	v := binary.BigEndian.Uint64(d.b[d.off:])
 	d.off += 8
+	return v
+}
+
+// uv32 reads a uvarint that must fit a uint32: a request or object id, a
+// count.
+func (d *decoder) uv32() uint32 {
+	v := d.uvarint()
+	if d.err == nil && v > math.MaxUint32 {
+		d.err = fmt.Errorf("varint %d leaves uint32", v)
+		return 0
+	}
+	return uint32(v)
+}
+
+// k reads a query's neighbor count, a uvarint that must fit QueryMsg.K.
+func (d *decoder) k() uint16 {
+	v := d.uv32()
+	if d.err == nil && v > math.MaxUint16 {
+		d.err = fmt.Errorf("k %d leaves uint16", v)
+		return 0
+	}
+	return uint16(v)
+}
+
+// timeout reads a request's timeout field. A budget at or above
+// DefaultTimeout never travels (wireTimeout), so one on the wire is refused:
+// it would not re-encode as it arrived.
+func (d *decoder) timeout() uint32 {
+	v := d.uv32()
+	if d.err == nil && v >= defaultTimeoutMicros {
+		d.err = fmt.Errorf("timeout %d µs is not below the %v default", v, DefaultTimeout)
+		return 0
+	}
 	return v
 }
 

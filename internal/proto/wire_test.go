@@ -11,6 +11,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"mobispatial/internal/geom"
 )
@@ -102,8 +103,8 @@ func allMessages() []Message {
 		&DeleteMsg{ID: 28, ObjID: 150_000, TimeoutMicros: 50_000},
 		&MoveMsg{ID: 29, ObjID: 150_001,
 			Seg: geom.Segment{A: geom.Point{X: -3.5, Y: 7}, B: geom.Point{X: -3.5, Y: 7}}},
-		&UpdateAckMsg{ID: 29, ObjID: 150_001, Epoch: 42, Existed: true, Owned: true},
-		&UpdateAckMsg{ID: 30, ObjID: 5, Epoch: 0}, // miss on a non-owning server
+		&UpdateAckMsg{ID: 29, Epoch: 42, Existed: true, Owned: true},
+		&UpdateAckMsg{ID: 30, Epoch: 0}, // miss on a non-owning server
 	}
 }
 
@@ -311,14 +312,14 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 
 	// Unknown message type.
 	badType := append([]byte(nil), frame...)
-	badType[4] = 0xEE
+	badType[1] = 0xEE
 	if _, _, err := ReadMessage(bytes.NewReader(badType)); err == nil {
 		t.Fatal("unknown type accepted")
 	}
 
 	// Inner count disagreeing with the payload length.
 	badCount := append([]byte(nil), frame...)
-	badCount[FrameHeaderBytes+12] = 99 // id-list count varint (after id u32 + epoch u64)
+	badCount[2+1+8] = 99 // id-list count varint (after the header, the id and the epoch)
 	if _, _, err := ReadMessage(bytes.NewReader(badCount)); err == nil {
 		t.Fatal("mismatched count accepted")
 	}
@@ -327,7 +328,7 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 	// payload each might have carried.
 	for _, typ := range []byte{12, 13} {
 		retired := append([]byte(nil), frame...)
-		retired[4] = typ
+		retired[1] = typ
 		if _, _, err := ReadMessage(bytes.NewReader(retired)); err == nil {
 			t.Fatalf("retired message type %d accepted", typ)
 		}
@@ -338,14 +339,13 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	insert[4] = 16
+	insert[1] = 16
 	if _, _, err := ReadMessage(bytes.NewReader(insert)); err == nil {
 		t.Fatal("retired message type 16 accepted")
 	}
 
-	// Oversized frame header.
-	huge := append([]byte(nil), frame...)
-	huge[0], huge[1], huge[2], huge[3] = 0xFF, 0xFF, 0xFF, 0xFF
+	// Oversized frame header: the largest four-byte length.
+	huge := append([]byte{0xFF, 0xFF, 0xFF, 0x7F}, frame[1:]...)
 	if _, _, err := ReadMessage(bytes.NewReader(huge)); err == nil {
 		t.Fatal("oversized frame accepted")
 	}
@@ -363,29 +363,48 @@ func TestWireFrameLayout(t *testing.T) {
 		want [][]byte
 	}{
 		{"ping", &PingMsg{ID: 0x01020304, Payload: []byte{0xAA}}, [][]byte{
-			{0, 0, 0, 9, byte(MsgPing)}, // payload length: 4 id + 4 len + 1 byte
-			{1, 2, 3, 4},                // request id
-			{0, 0, 0, 1},                // payload length
+			{9, byte(MsgPing)},       // payload length: 4 id + 4 len + 1 byte
+			{0x84, 0x86, 0x88, 0x08}, // request id 0x01020304 as a uvarint
+			{0, 0, 0, 1},             // payload length
 			{0xAA},
 		}},
-		{"point query", &QueryMsg{ID: 0x01020304, Kind: KindPoint, Mode: ModeIDs,
-			Point: geom.Point{X: 1, Y: 2}, Window: geom.Rect{Max: geom.Point{X: 9, Y: 9}}, K: 3, TimeoutMicros: 5}, [][]byte{
-			{0, 0, 0, 25, byte(MsgQuery)},
-			{1, 2, 3, 4},
+		{"point query", &QueryMsg{ID: 300, Kind: KindPoint, Mode: ModeIDs,
+			Point: geom.Point{X: 1, Y: 2}, Window: geom.Rect{Max: geom.Point{X: 9, Y: 9}}, K: 3, TimeoutMicros: 200}, [][]byte{
+			{21, byte(MsgQuery)},
+			{0xAC, 0x02}, // id 300
 			{KindPoint | byte(ModeIDs)<<2 | flagHasTimeout}, // no eps: 0 means the default
 			one, two, // the point; the window and K a point query ignores stay home
-			{0, 0, 0, 5},
+			{0xC8, 0x01}, // timeout 200 µs
+		}},
+		{"point query at the default timeout", &QueryMsg{ID: 5, Kind: KindPoint, Mode: ModeIDs,
+			Point: geom.Point{X: 1, Y: 2}, TimeoutMicros: uint32(DefaultTimeout / time.Microsecond)}, [][]byte{
+			{18, byte(MsgQuery)},
+			{5},
+			{KindPoint | byte(ModeIDs)<<2}, // no timeout: the default travels as none
+			one, two,
 		}},
 		{"neighbors leg", &QueryMsg{ID: 7, Kind: KindNN, Mode: ModeNeighbors, Point: geom.Point{X: 1, Y: 2}, K: 8, Eps: 10}, [][]byte{
-			{0, 0, 0, 31, byte(MsgQuery)},
-			{0, 0, 0, 7},
+			{27, byte(MsgQuery)},
+			{7},
 			{KindNN | byte(ModeNeighbors)<<2 | flagHasEps},
-			one, two, {0, 8}, // point, K
+			one, two, {8}, // point, K
 			ten, // the router's bound
 		}},
+		{"move", &MoveMsg{ID: 1, ObjID: 200, Seg: geom.Segment{A: geom.Point{X: 1, Y: 2}, B: geom.Point{X: 2, Y: 1}}}, [][]byte{
+			{36, byte(MsgMove)},
+			{1}, {0xC8, 0x01}, // request id, object id 200
+			one, two, two, one,
+			{0}, // no timeout
+		}},
+		{"update ack", &UpdateAckMsg{ID: 1, ObjID: 200, Epoch: 3, Existed: true}, [][]byte{
+			{10, byte(MsgUpdateAck)},
+			{1},                      // request id; the object id is not echoed
+			{0, 0, 0, 0, 0, 0, 0, 3}, // epoch
+			{ackFlagExisted},
+		}},
 		{"id list", &IDListMsg{ID: 9, IDs: []uint32{5, 6, 7, 3, 100}}, [][]byte{
-			{0, 0, 0, 20, byte(MsgIDList)},
-			{0, 0, 0, 9},
+			{17, byte(MsgIDList)},
+			{9},
 			{0, 0, 0, 0, 0, 0, 0, 0}, // epoch
 			{5},                      // count
 			{10, 2},                  // gap +5 zigzagged, run of 3: 5 6 7
@@ -396,8 +415,8 @@ func TestWireFrameLayout(t *testing.T) {
 			{ID: 10, Seg: geom.Segment{A: geom.Point{}, B: geom.Point{X: 1}}},
 			{ID: 11, Seg: geom.Segment{A: geom.Point{X: 1}, B: geom.Point{X: 1, Y: 2}}},
 		}}, [][]byte{
-			{0, 0, 0, 63, byte(MsgDataList)},
-			{0, 0, 0, 1},
+			{60, byte(MsgDataList)},
+			{1},
 			{0, 0, 0, 0, 0, 0, 0, 0}, // epoch
 			{2},                      // count
 			{40},                     // id delta +10 zigzagged to 20, shifted; A follows
@@ -423,15 +442,25 @@ func f64(v float64) []byte { return appendF64(nil, v) }
 // frameOf builds a frame around a hand-written payload.
 func frameOf(t MsgType, parts ...[]byte) []byte {
 	payload := bytes.Join(parts, nil)
-	return append(appendU32(nil, uint32(len(payload))), append([]byte{byte(t)}, payload...)...)
+	return append(binary.AppendUvarint(nil, uint64(len(payload))), append([]byte{byte(t)}, payload...)...)
 }
+
+// headerLen is the length of a frame's header: its length uvarint and type
+// byte.
+func headerLen(frame []byte) int {
+	_, n := binary.Uvarint(frame)
+	return n + 1
+}
+
+// uv is a uvarint's wire bytes.
+func uv(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 
 // rejectedFrames are hand-built frames each read encoding must refuse: the
 // decoder bounds that keep a hostile frame's cost proportional to its bytes,
 // and the shapes that would not re-encode as they arrived. FuzzReadMessage
 // takes them as seeds.
 func rejectedFrames() map[string][]byte {
-	id, epoch := []byte{0, 0, 0, 1}, make([]byte, 8)
+	id, epoch := []byte{1}, make([]byte, 8)
 	pt, win := append(f64(1), f64(2)...), append(append(f64(0), f64(0)...), append(f64(5), f64(5)...)...)
 	varint := func(v int64) []byte { return binary.AppendVarint(nil, v) }
 	return map[string][]byte{
@@ -448,11 +477,20 @@ func rejectedFrames() map[string][]byte {
 		"unknown query flag bits":     frameOf(MsgQuery, id, []byte{0x40 | KindPoint}, pt),
 		"query kind 3":                frameOf(MsgQuery, id, []byte{3}, pt),
 		"eps on a range query":        frameOf(MsgQuery, id, []byte{KindRange | byte(ModeIDs)<<2 | flagHasEps}, win, f64(1)),
-		"eps on an ids-mode k-NN":     frameOf(MsgQuery, id, []byte{KindNN | byte(ModeIDs)<<2 | flagHasEps}, pt, []byte{0, 1}, f64(1)),
-		"eps on a batched range query": frameOf(MsgBatchQuery, id, []byte{0, 0, 0, 0}, []byte{0, 1},
+		"eps on an ids-mode k-NN":     frameOf(MsgQuery, id, []byte{KindNN | byte(ModeIDs)<<2 | flagHasEps}, pt, []byte{1}, f64(1)),
+		"eps on a batched range query": frameOf(MsgBatchQuery, id, []byte{0}, []byte{1},
 			id, []byte{KindRange | flagHasEps}, win, f64(1)),
-		"batch count beyond the payload": frameOf(MsgBatchQuery, id, []byte{0, 0, 0, 0}, []byte{0, 9},
+		"batch count beyond the payload": frameOf(MsgBatchQuery, id, []byte{0}, []byte{9},
 			id, []byte{KindPoint}, pt),
+		"request id leaving uint32": frameOf(MsgQuery, uv(1<<32), []byte{KindPoint}, pt),
+		"object id leaving uint32":  frameOf(MsgDelete, id, uv(1<<32), []byte{0}),
+		"k leaving uint16":          frameOf(MsgQuery, id, []byte{KindNN}, pt, uv(1<<16)),
+		"a query timeout at the default": frameOf(MsgQuery, id, []byte{KindPoint | flagHasTimeout}, pt,
+			uv(uint64(defaultTimeoutMicros))),
+		"a flagged zero timeout":         frameOf(MsgQuery, id, []byte{KindPoint | flagHasTimeout}, pt, []byte{0}),
+		"a batch timeout at the default": frameOf(MsgBatchQuery, id, uv(uint64(defaultTimeoutMicros)), []byte{1}, id, []byte{KindPoint}, pt),
+		"a move timeout at the default":  frameOf(MsgMove, id, id, make([]byte, 32), uv(uint64(defaultTimeoutMicros))),
+		"an ack echoing the object id":   frameOf(MsgUpdateAck, id, id, epoch, []byte{0}),
 		// Uptime, no counters, gauges or histograms, then a tagged section.
 		"stats with a trailing section": frameOf(MsgStats, id, make([]byte, 8), []byte{0, 0, 0, 0, 0, 0},
 			[]byte{0xAA, 0, 0, 0, 5}, []byte("hello")),
@@ -477,23 +515,44 @@ func TestWireRejectsHandBuiltFrames(t *testing.T) {
 			t.Errorf("%s: accepted as %+v", name, m)
 		}
 	}
-	id, epoch := []byte{0, 0, 0, 1}, make([]byte, 8)
+	id, epoch := []byte{1}, make([]byte, 8)
 	pt := append(f64(1), f64(2)...)
 	accepted := map[string][]byte{
 		"ids at the top of uint32": frameOf(MsgIDList, id, epoch, []byte{2}, binary.AppendVarint(nil, math.MaxUint32-1), []byte{1}),
 		"a full-cap run":           frameOf(MsgIDList, id, epoch, []byte{64}, []byte{0, 63}),
 		"a second record flagged":  frameOf(MsgDataList, id, epoch, []byte{2}, []byte{40}, pt, pt, []byte{5}, pt),
 		"eps on a point query":     frameOf(MsgQuery, id, []byte{KindPoint | flagHasEps}, pt, f64(1)),
-		"eps on a neighbors k-NN":  frameOf(MsgQuery, id, []byte{KindNN | byte(ModeNeighbors)<<2 | flagHasEps}, pt, []byte{0, 1}, f64(1)),
-		"a batched query with a timeout": frameOf(MsgBatchQuery, id, []byte{0, 0, 0, 0}, []byte{0, 1},
-			id, []byte{KindPoint | flagHasTimeout}, pt, []byte{0, 0, 0, 9}),
-		"stats ending at its histograms": frameOf(MsgStats, id, make([]byte, 8), []byte{0, 0, 0, 0, 0, 0}),
-		"a summary without the gap":      frameOf(MsgSummary, id, []byte{0, 0, 0, 1}, []byte{0, 0, 0, 1}, summaryRow()),
+		"eps on a neighbors k-NN":  frameOf(MsgQuery, id, []byte{KindNN | byte(ModeNeighbors)<<2 | flagHasEps}, pt, []byte{1}, f64(1)),
+		"a batched query with a timeout": frameOf(MsgBatchQuery, id, []byte{0}, []byte{1},
+			id, []byte{KindPoint | flagHasTimeout}, pt, []byte{9}),
+		"request id at the top of uint32": frameOf(MsgQuery, uv(math.MaxUint32), []byte{KindPoint}, pt),
+		"object id at the top of uint32":  frameOf(MsgDelete, id, uv(math.MaxUint32), []byte{0}),
+		"k at the top of uint16":          frameOf(MsgQuery, id, []byte{KindNN}, pt, uv(math.MaxUint16)),
+		"a query timeout under the default": frameOf(MsgQuery, id, []byte{KindPoint | flagHasTimeout}, pt,
+			uv(uint64(defaultTimeoutMicros-1))),
+		"a batch timeout under the default": frameOf(MsgBatchQuery, id, uv(uint64(defaultTimeoutMicros-1)), []byte{1}, id, []byte{KindPoint}, pt),
+		"a move timeout under the default":  frameOf(MsgMove, id, id, make([]byte, 32), uv(uint64(defaultTimeoutMicros-1))),
+		"an ack":                            frameOf(MsgUpdateAck, id, epoch, []byte{0}),
+		"stats ending at its histograms":    frameOf(MsgStats, id, make([]byte, 8), []byte{0, 0, 0, 0, 0, 0}),
+		"a summary without the gap":         frameOf(MsgSummary, id, []byte{0, 0, 0, 1}, []byte{0, 0, 0, 1}, summaryRow()),
 	}
 	for name, frame := range accepted {
 		if _, _, err := ReadMessage(bytes.NewReader(frame)); err != nil {
 			t.Errorf("%s: refused: %v", name, err)
 		}
+	}
+
+	// The batch cap, with the payload to hold every query: 18 KB frames,
+	// kept out of rejectedFrames so the fuzzer is not seeded with them.
+	batchOf := func(n int) []byte {
+		query := append(append([]byte{}, id...), append([]byte{KindPoint}, pt...)...)
+		return frameOf(MsgBatchQuery, id, []byte{0}, uv(uint64(n)), bytes.Repeat(query, n))
+	}
+	if _, _, err := ReadMessage(bytes.NewReader(batchOf(MaxBatchQueries + 1))); err == nil {
+		t.Errorf("a batch count above the cap: accepted")
+	}
+	if _, _, err := ReadMessage(bytes.NewReader(batchOf(MaxBatchQueries))); err != nil {
+		t.Errorf("a full-cap batch: refused: %v", err)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 // deadline.
 func (r *Router) deadlineOr(deadline time.Time) time.Time {
 	if deadline.IsZero() {
-		return time.Now().Add(queryTimeout)
+		return time.Now().Add(proto.DefaultTimeout)
 	}
 	return deadline
 }

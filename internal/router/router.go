@@ -115,10 +115,6 @@ type Config struct {
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 }
 
-// queryTimeout is the whole-query budget used when the caller supplies no
-// deadline.
-const queryTimeout = 5 * time.Second
-
 func (c *Config) fill() error {
 	if len(c.Backends) == 0 {
 		return fmt.Errorf("router: Config.Backends is required")

@@ -35,8 +35,8 @@ type Config struct {
 	// outstanding requests); defaults to 4.
 	Conns int
 	// RequestTimeout is the end-to-end time budget of one attempt,
-	// defaults to 5s. It is also sent to the server as the per-request
-	// deadline.
+	// defaults to proto.DefaultTimeout. It is also the server's budget for
+	// the request, sent on the wire when it is tighter than that default.
 	RequestTimeout time.Duration
 	// MaxRetries is how many times a transient failure (connection error,
 	// server overload, server shutdown) is retried; defaults to 3.
@@ -83,7 +83,7 @@ func (c *Config) fill() error {
 		c.Conns = 4
 	}
 	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 5 * time.Second
+		c.RequestTimeout = proto.DefaultTimeout
 	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 	"time"
@@ -182,5 +183,42 @@ func TestServeHotPathLoopZeroAlloc(t *testing.T) {
 		proto.ReleaseMessage(msg)
 	}); n != 0 {
 		t.Fatalf("warm serve loop: %.2f allocs/op, want 0", n)
+	}
+}
+
+// TestConnReadZeroAlloc: the server's reader decodes a frame through conn's
+// Read — the header a byte at a time, then the payload — with no allocation
+// once warm, for a frame whose length takes one byte and one whose length
+// takes two.
+func TestConnReadZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	_, _, srv, _ := testWorld(t, nil)
+	batch := &proto.BatchQueryMsg{ID: 8}
+	for i := 0; i < 8; i++ {
+		batch.Queries = append(batch.Queries, *pointQuery(uint32(i), 0))
+	}
+	var frames []byte
+	for _, m := range []proto.Message{pointQuery(7, 0), batch} {
+		var err error
+		if frames, err = proto.AppendFrame(frames, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rd := bytes.NewReader(nil)
+	c := &conn{srv: srv, br: bufio.NewReaderSize(rd, connReadBuf)}
+	if n := testing.AllocsPerRun(200, func() {
+		rd.Reset(frames)
+		c.br.Reset(rd)
+		for range 2 {
+			msg, _, err := proto.ReadMessage(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			proto.ReleaseMessage(msg)
+		}
+	}); n != 0 {
+		t.Fatalf("warm ReadMessage through conn: %.2f allocs/op, want 0", n)
 	}
 }

@@ -88,26 +88,44 @@ func TestMidFrameTickKeepsConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, cut := range map[string]int{
-		"header split":  3,
-		"payload split": proto.FrameHeaderBytes + 10,
+	// A batch of eight point queries is over 128 payload bytes, so its
+	// length takes two bytes and a tick can fall between them.
+	batch := &proto.BatchQueryMsg{ID: 42}
+	for i := 0; i < 8; i++ {
+		batch.Queries = append(batch.Queries, *pointQuery(uint32(i), 0))
+	}
+	long, err := proto.EncodeMessage(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if long[0] < 0x80 {
+		t.Fatalf("the batch frame's length takes one byte (% x)", long[:2])
+	}
+	for name, c := range map[string]struct {
+		frame []byte
+		cut   int
+		want  proto.MsgType
+	}{
+		"length split":  {long, 1, proto.MsgBatchReply},
+		"header split":  {frame, 1, proto.MsgIDList},
+		"payload split": {frame, 2 + 10, proto.MsgIDList},
 	} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			nc := dialRaw(t, addr)
-			if _, err := nc.Write(frame[:cut]); err != nil {
+			if _, err := nc.Write(c.frame[:c.cut]); err != nil {
 				t.Fatal(err)
 			}
 			time.Sleep(readPollInterval + 200*time.Millisecond)
-			if _, err := nc.Write(frame[cut:]); err != nil {
+			if _, err := nc.Write(c.frame[c.cut:]); err != nil {
 				t.Fatal(err)
 			}
 			msg, _, err := proto.ReadMessage(nc)
 			if err != nil {
 				t.Fatalf("frame split across a poll tick lost its connection: %v", err)
 			}
-			if lst, ok := msg.(*proto.IDListMsg); !ok || lst.ID != 42 {
-				t.Fatalf("got %v id %d, want the id list for request 42", msg.Type(), msg.RequestID())
+			if msg.Type() != c.want || msg.RequestID() != 42 {
+				t.Fatalf("got %v id %d, want %v for request 42", msg.Type(), msg.RequestID(), c.want)
 			}
 		})
 	}
@@ -125,7 +143,7 @@ func TestMidFrameShutdownDropsConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nc.Write(frame[:proto.FrameHeaderBytes+4]); err != nil {
+	if _, err := nc.Write(frame[:2+4]); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond) // let the reader start on the frame

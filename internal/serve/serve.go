@@ -266,9 +266,6 @@ const (
 	// admitTimeout is how long a request may wait for an in-flight slot
 	// before it is refused with CodeOverload.
 	admitTimeout = 100 * time.Millisecond
-	// requestTimeout caps one request's server-side time (admission wait
-	// included); clients may ask for less, never more.
-	requestTimeout = 5 * time.Second
 	// maxKNN caps the k of k-NN queries.
 	maxKNN = 1024
 	// writeTimeout bounds one response write.
@@ -879,7 +876,7 @@ func (s *Server) serveConn(nc net.Conn) {
 // the return value is the latest reading taken on this goroutine.
 func (c *conn) dispatch(req proto.Request, began, arrived time.Time, timeoutMicros uint32) time.Time {
 	s := c.srv
-	timeout := requestTimeout
+	timeout := proto.DefaultTimeout
 	if t := time.Duration(timeoutMicros) * time.Microsecond; t > 0 && t < timeout {
 		timeout = t
 	}
@@ -1178,24 +1175,21 @@ func (s *Server) executeUpdate(req proto.Message, sc *reqScratch) proto.Message 
 		return errorReply(req.RequestID(), unsupported("this server's pool is not updatable"))
 	}
 	var (
-		reqID, objID   uint32
 		epoch          uint64
 		existed, owned bool
 		err            error
 	)
 	switch m := req.(type) {
 	case *proto.MoveMsg:
-		reqID, objID = m.ID, m.ObjID
 		epoch, existed, owned, err = upd.ApplyMove(m.ObjID, m.Seg)
 	case *proto.DeleteMsg:
-		reqID, objID = m.ID, m.ObjID
 		epoch, existed, owned, err = upd.ApplyDelete(m.ObjID)
 	}
 	if err != nil {
-		return errorReply(reqID, err)
+		return errorReply(req.RequestID(), err)
 	}
 	s.metrics.updates.Inc()
-	sc.ackMsg = proto.UpdateAckMsg{ID: reqID, ObjID: objID, Epoch: epoch, Existed: existed, Owned: owned}
+	sc.ackMsg = proto.UpdateAckMsg{ID: req.RequestID(), Epoch: epoch, Existed: existed, Owned: owned}
 	return &sc.ackMsg
 }
 
