@@ -18,7 +18,9 @@
 //     connection's deadline) before proceeding;
 //   - scripted outage windows: during [Start, End) relative to the
 //     injector's epoch — or while ForceOutage(true) is in effect — every
-//     read, write, and dial fails immediately with ErrLinkDown.
+//     read, write, and dial fails immediately with ErrLinkDown, and a read
+//     that was already blocked fails when it wakes rather than deliver bytes
+//     that arrived over a dead link.
 //
 // Sleeps are always capped by the connection's read/write deadline, so a
 // faulted operation can delay up to its caller's own time budget but never
@@ -289,8 +291,8 @@ func (c *conn) sleep(d time.Duration, isWrite bool) bool {
 }
 
 // timeoutError mirrors the net package's deadline failure so callers using
-// net.Error.Timeout() (the server's read poll, the client's retry filter)
-// classify injected timeouts the same way as real ones.
+// net.Error.Timeout() (the client's retry filter) classify injected
+// timeouts the same way as real ones.
 type timeoutError struct{}
 
 func (timeoutError) Error() string   { return "faultlink: injected timeout" }
@@ -338,6 +340,12 @@ func (c *conn) Read(b []byte) (int, error) {
 		}
 	}
 	n, err := c.Conn.Read(b)
+	if c.in.Down() {
+		// The link went down while the read was blocked: whatever arrived
+		// is lost with it.
+		c.in.outageFails.Add(1)
+		return 0, opError("read", ErrLinkDown)
+	}
 	if err == nil && !c.delay(n, d, false) {
 		// Latency consumed the rest of the budget: the bytes are
 		// delivered, but a pipelined follow-up will see the deadline.

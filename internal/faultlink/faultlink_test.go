@@ -189,6 +189,56 @@ func TestForcedOutageFailsFastAndRecovers(t *testing.T) {
 	}
 }
 
+// TestOutageFailsABlockedRead: a read already blocked when the link goes
+// down must not deliver what arrives during the outage. A reader with no
+// deadline can sit in one read for a whole outage; handing it a frame sent
+// over the dead link would let a server apply a write whose ack then fails.
+func TestOutageFailsABlockedRead(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if peer, err := lis.Accept(); err == nil {
+			accepted <- peer
+		}
+	}()
+	in := New(Profile{})
+	nc, err := in.DialFunc(nil)(lis.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	peer := <-accepted
+	defer peer.Close()
+
+	type result struct {
+		n   int
+		err error
+	}
+	read := make(chan result, 1)
+	go func() {
+		buf := make([]byte, 16)
+		n, err := nc.Read(buf) // no deadline: blocks until the peer writes
+		read <- result{n, err}
+	}()
+	time.Sleep(50 * time.Millisecond) // let the read block
+	in.ForceOutage(true)
+	if _, err := peer.Write([]byte("during")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-read:
+		if r.n != 0 || !errors.Is(r.err, ErrLinkDown) {
+			t.Fatalf("blocked read during an outage returned (%d, %v), want (0, ErrLinkDown)", r.n, r.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("blocked read did not return after the peer wrote")
+	}
+}
+
 func TestScriptedOutageWindow(t *testing.T) {
 	in := New(Profile{Outages: []Outage{{Start: 60 * time.Millisecond, End: 160 * time.Millisecond}}})
 	nc := pipe(t, in)

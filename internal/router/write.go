@@ -39,8 +39,8 @@ import (
 )
 
 // Router implements serve.Updatable, so cmd/mqrouter's serve.Server accepts
-// update messages and resolves live geometry in data-mode responses without
-// any extra wiring.
+// update messages without any extra wiring; SegOf below resolves the live
+// geometry its data-mode responses carry.
 
 // ApplyMove upserts id at seg through write: an object's first position
 // and every later one. On success the write enters the freshness plane
@@ -56,9 +56,9 @@ func (r *Router) ApplyDelete(id uint32) (uint64, bool, bool, error) {
 	return r.write(writeOp{del: true, id: id})
 }
 
-// SegOf is the geometry half of serve.Updatable: the geometry of the last
-// write this router acked for id wins over the base dataset; an unknown id
-// beyond the dataset resolves to the zero segment rather than a panic.
+// SegOf implements serve.Executor's geometry look-up: the geometry of the
+// last write this router acked for id wins over the base dataset; an unknown
+// id beyond the dataset resolves to the zero segment rather than a panic.
 func (r *Router) SegOf(id uint32) geom.Segment {
 	r.liveMu.RLock()
 	seg, ok := r.live[id]

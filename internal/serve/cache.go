@@ -191,9 +191,8 @@ func (s *Server) runSuperset(key qcache.Key, super geom.Rect, pt geom.Point, k i
 	if key.Kind() != qcache.KindNN {
 		sc.cids = sc.order.sortIDs(sc.cids)
 	}
-	ds := s.cfg.Pool.Dataset()
 	for _, id := range sc.cids {
-		sc.csegs = append(sc.csegs, s.segOf(ds, id))
+		sc.csegs = append(sc.csegs, s.cfg.Pool.SegOf(id))
 	}
 	return nil
 }

@@ -113,7 +113,7 @@ func TestPoolCapabilities(t *testing.T) {
 		if _, local := srv.eng.(localEngine); local == tc.want.distributed {
 			t.Errorf("%s: engine %T, distributed=%v", tc.name, srv.eng, tc.want.distributed)
 		}
-		checkNeighborsMode(t, tc.name, srv, ds.Extent)
+		checkNeighborsMode(t, tc.name, srv, ds)
 		if !tc.want.distributed {
 			checkSummaryRows(t, tc.name, srv, ds.Len())
 		}
@@ -156,14 +156,15 @@ func checkSummaryRows(t *testing.T, name string, srv *Server, n int) {
 // K 0, 1 and 8 — a single KindNN query in ids mode, the same in data mode, a
 // ModeNeighbors batch item (unbounded, and bounded by its own k-th distance
 // in Eps) and the engine's k-NN: the same ids in the same distance order,
-// records carrying the pool's geometry, and the 1-NN the first of the 8-NN.
+// records carrying the test dataset's geometry, and the 1-NN the first of
+// the 8-NN.
 // Each shape is asked twice, so a cached server answers a miss and then a
 // hit, and both must equal the engine's uncached answer. A lone MsgQuery in
 // neighbors mode is refused.
-func checkNeighborsMode(t *testing.T, name string, srv *Server, ext geom.Rect) {
+func checkNeighborsMode(t *testing.T, name string, srv *Server, ds *dataset.Dataset) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	ds := srv.cfg.Pool.Dataset()
+	ext := ds.Extent
 	var before qcache.Stats
 	if srv.qc != nil {
 		before = srv.CacheStats()

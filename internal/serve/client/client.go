@@ -522,7 +522,13 @@ func (c *Client) readResponse(wc *wireConn, id uint32) (proto.Message, int, erro
 	return resp, n, nil
 }
 
-func (c *Client) id() uint32 { return c.nextID.Add(1) }
+// maxRequestID bounds request ids to two uvarint bytes. Ids cycle through
+// 1..maxRequestID: a connection carries one outstanding request and is
+// dropped on any failure, so a reused id can never be matched to a stale
+// reply.
+const maxRequestID = 1<<14 - 1
+
+func (c *Client) id() uint32 { return (c.nextID.Add(1)-1)%maxRequestID + 1 }
 
 // microsUntil is the wire's timeout field for a request due by deadline: the
 // time left in microseconds, clamped to [1, MaxUint32]; RequestTimeout for a

@@ -6,6 +6,7 @@ import (
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
+	"mobispatial/internal/mutable"
 	"mobispatial/internal/proto"
 )
 
@@ -84,7 +85,7 @@ func TestDataRangeOverlayZeroAlloc(t *testing.T) {
 	run()
 	recs, inserted := it.Recs, 0
 	for _, r := range recs {
-		if int(r.ID) >= srv.cfg.Pool.Dataset().Len() {
+		if int(r.ID) >= srv.cfg.Pool.(*mutable.Pool).Dataset().Len() {
 			inserted++
 		}
 	}

@@ -186,10 +186,10 @@ func TestServeHotPathLoopZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestConnReadZeroAlloc: the server's reader decodes a frame through conn's
-// Read — the header a byte at a time, then the payload — with no allocation
-// once warm, for a frame whose length takes one byte and one whose length
-// takes two.
+// TestConnReadZeroAlloc: the server's reader decodes a frame straight from
+// conn's buffered reader — the header a byte at a time, then the payload —
+// with no allocation once warm, for a frame whose length takes one byte and
+// one whose length takes two.
 func TestConnReadZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -212,7 +212,7 @@ func TestConnReadZeroAlloc(t *testing.T) {
 		rd.Reset(frames)
 		c.br.Reset(rd)
 		for range 2 {
-			msg, _, err := proto.ReadMessage(c)
+			msg, _, err := proto.ReadMessage(c.br)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,6 +4,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -78,18 +79,18 @@ func pointQuery(id uint32, timeoutMicros uint32) *proto.QueryMsg {
 		Point: geom.Point{X: 1, Y: 1}, TimeoutMicros: timeoutMicros}
 }
 
-// TestMidFrameTickKeepsConnection: a poll tick that fires after part of a
-// frame has been consumed must not desynchronise the connection. On the
-// paper's 2 Mbps link a 1 KB batch frame spends ~4 ms on the wire, so a frame
-// straddling the once-a-second tick is routine, not hostile.
-func TestMidFrameTickKeepsConnection(t *testing.T) {
+// TestStalledFrameKeepsConnection: a peer that stalls part-way through a
+// frame, for longer than a second, still has the frame read to its end and
+// answered. A mobile host's link stalls and resumes; only Shutdown ends a
+// connection whose peer is alive.
+func TestStalledFrameKeepsConnection(t *testing.T) {
 	_, _, _, addr := testWorld(t, nil)
 	frame, err := proto.EncodeMessage(pointQuery(42, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A batch of eight point queries is over 128 payload bytes, so its
-	// length takes two bytes and a tick can fall between them.
+	// length takes two bytes and a stall can fall between them.
 	batch := &proto.BatchQueryMsg{ID: 42}
 	for i := 0; i < 8; i++ {
 		batch.Queries = append(batch.Queries, *pointQuery(uint32(i), 0))
@@ -116,13 +117,13 @@ func TestMidFrameTickKeepsConnection(t *testing.T) {
 			if _, err := nc.Write(c.frame[:c.cut]); err != nil {
 				t.Fatal(err)
 			}
-			time.Sleep(readPollInterval + 200*time.Millisecond)
+			time.Sleep(time.Second + 200*time.Millisecond)
 			if _, err := nc.Write(c.frame[c.cut:]); err != nil {
 				t.Fatal(err)
 			}
 			msg, _, err := proto.ReadMessage(nc)
 			if err != nil {
-				t.Fatalf("frame split across a poll tick lost its connection: %v", err)
+				t.Fatalf("frame stalled part-way lost its connection: %v", err)
 			}
 			if msg.Type() != c.want || msg.RequestID() != 42 {
 				t.Fatalf("got %v id %d, want %v for request 42", msg.Type(), msg.RequestID(), c.want)
@@ -131,9 +132,9 @@ func TestMidFrameTickKeepsConnection(t *testing.T) {
 	}
 }
 
-// TestMidFrameShutdownDropsConnection: a reader holding half a frame is the
-// one reader that cannot simply return to its poll; Shutdown must still get
-// rid of it promptly.
+// TestMidFrameShutdownDropsConnection: a reader holding half a frame is
+// blocked in the middle of a decode, not in its wait for input; Shutdown's
+// poke must still get rid of it promptly.
 func TestMidFrameShutdownDropsConnection(t *testing.T) {
 	_, _, srv, addr := testWorld(t, nil)
 	nc := dialRaw(t, addr)
@@ -151,8 +152,77 @@ func TestMidFrameShutdownDropsConnection(t *testing.T) {
 	if err := srv.Shutdown(5 * time.Second); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	if elapsed := time.Since(start); elapsed >= readPollInterval {
-		t.Fatalf("drain with a half-read frame took %v, want < %v", elapsed, readPollInterval)
+	if elapsed := time.Since(start); elapsed >= time.Second {
+		t.Fatalf("drain with a half-read frame took %v, want < %v", elapsed, time.Second)
+	}
+}
+
+// readDeadlineCounter is a listener whose accepted conns count the read
+// deadlines set on them.
+type readDeadlineCounter struct {
+	net.Listener
+	accepted chan *countedConn
+}
+
+type countedConn struct {
+	net.Conn
+	readDeadlines atomic.Int32
+}
+
+func (l *readDeadlineCounter) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	cc := &countedConn{Conn: nc}
+	l.accepted <- cc
+	return cc, nil
+}
+
+func (c *countedConn) SetReadDeadline(t time.Time) error {
+	c.readDeadlines.Add(1)
+	return c.Conn.SetReadDeadline(t)
+}
+
+// TestIdleConnectionSetsNoReadDeadline: a connection that waits between
+// exchanges costs the server no timer. After a round trip it sits idle for
+// two and a half seconds without one read deadline being set on it; Shutdown
+// then sets exactly one, the poke that ends its reader.
+func TestIdleConnectionSetsNoReadDeadline(t *testing.T) {
+	t.Parallel()
+	ds, tree := testDataset(t)
+	pool, err := shard.Over(ds, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Pool: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter := &readDeadlineCounter{Listener: lis, accepted: make(chan *countedConn, 1)}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(counter) }()
+	t.Cleanup(func() { srv.Close() })
+
+	nc := dialRaw(t, lis.Addr().String())
+	roundTrips(t, nc, []proto.Message{&proto.PingMsg{ID: 1}}, false)
+	cc := <-counter.accepted
+	time.Sleep(2500 * time.Millisecond)
+	if n := cc.readDeadlines.Load(); n != 0 {
+		t.Fatalf("an idle connection had %d read deadlines set on it, want 0", n)
+	}
+	if err := srv.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if n := cc.readDeadlines.Load(); n != 1 {
+		t.Fatalf("shutdown left %d read deadlines set on the connection, want 1 (the poke)", n)
+	}
+	if err := <-served; err != nil {
+		t.Fatalf("Serve returned %v", err)
 	}
 }
 

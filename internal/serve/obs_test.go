@@ -11,9 +11,9 @@ import (
 	"mobispatial/internal/proto"
 )
 
-// TestDrainClosesIdleConnsFast: graceful shutdown must not wait out the
-// reader poll interval on connections that are open but idle — the Shutdown
-// poke has to win against the reader's deadline re-arm.
+// TestDrainClosesIdleConnsFast: graceful shutdown must close connections
+// that are open but idle promptly — their readers block with no deadline, so
+// the Shutdown poke is the only thing that wakes them.
 func TestDrainClosesIdleConnsFast(t *testing.T) {
 	_, _, srv, addr := testWorld(t, nil)
 

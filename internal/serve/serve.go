@@ -32,15 +32,17 @@
 //   - the clock is read once per stage boundary of a request (frame in hand,
 //     decoded, admitted when that took a wait, executed, flushed) and those
 //     readings feed the span, the histograms, the deadline check and the
-//     socket deadlines, which are moved only when under half their interval
-//     is left;
+//     write deadline, which is moved only when under half its interval is
+//     left;
+//   - a reader sets no read deadline: an idle connection costs no timer, and
+//     Shutdown's poke (a read deadline in the past) is the one way a blocked
+//     reader learns to stop;
 //   - Shutdown drains in-flight requests, inline ones included, then closes
 //     connections.
 package serve
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -48,7 +50,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/ops"
@@ -71,7 +72,10 @@ const DefaultPointEps = proto.DefaultPointEps
 // of concurrent callers, and the append methods must honor the
 // zero-allocation contract: write into dst's spare capacity, return the
 // extended slice. Workers is the width the server sizes its admission window
-// from (MaxInFlight defaults to 4× it). KNearestAppend's bool is always true
+// from (MaxInFlight defaults to 4× it). SegOf is the geometry of id as the
+// pool holds it, the zero Segment for an id it has never heard of: data-mode
+// records and cache fills take their geometry from it, so the server owns no
+// copy of the map. KNearestAppend's bool is always true
 // (every pool's access method has k-NN) and the server does not read it; the
 // signature stays because bench/ drives pools through it.
 //
@@ -81,7 +85,7 @@ const DefaultPointEps = proto.DefaultPointEps
 // (localPool).
 type Executor interface {
 	Workers() int
-	Dataset() *dataset.Dataset
+	SegOf(id uint32) geom.Segment
 	FilterRangeAppend(dst []uint32, w geom.Rect) []uint32
 	FilterPointAppend(dst []uint32, pt geom.Point) []uint32
 	RangeAppend(dst []uint32, w geom.Rect) []uint32
@@ -113,15 +117,11 @@ type DeadlineExecutor interface {
 // anchor: the write folds into base epoch+1 or later), whether a previous
 // version of the object was visible, and whether the executor owns the
 // object's position (false when a replicated write merely cleared a stale
-// copy). SegOf is the geometry half: data-mode responses need segments for
-// ids the base dataset has never heard of (new objects sit at or above
-// Dataset().Len(), where Dataset().Seg would be out of range) and current
-// geometry for moved ones. A pool without this surface answers update
-// messages with CodeUnsupported and resolves records through the dataset.
+// copy). The pool's Executor.SegOf reflects its writes. A pool without this
+// surface answers update messages with CodeUnsupported.
 type Updatable interface {
 	ApplyMove(id uint32, seg geom.Segment) (epoch uint64, existed, owned bool, err error)
 	ApplyDelete(id uint32) (epoch uint64, existed, owned bool, err error)
-	SegOf(id uint32) geom.Segment
 }
 
 // LiveSummary is the optional live-summary surface (mutable.Pool implements
@@ -157,8 +157,7 @@ type capabilities struct {
 	// distributed reports the pool brought its own DeadlineExecutor — it
 	// fans out over the network instead of walking a local index.
 	distributed bool
-	// upd serves the live write path (nil answers CodeUnsupported) and
-	// resolves data-mode geometry for ids the base dataset does not cover.
+	// upd serves the live write path (nil answers CodeUnsupported).
 	upd Updatable
 	// live rebuilds MsgSummary replies from the pool's current state.
 	live LiveSummary
@@ -669,7 +668,9 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	s.mu.Lock()
 	s.shutdown.Store(true)
 	lis := s.lis
-	// Poke every reader out of its blocking Read so it notices shutdown.
+	// Poke every reader out of its blocking read so it notices shutdown: the
+	// only read deadline the server ever sets, so nothing re-arms past it.
+	// A connection registered after this sweep sees shutdown in Serve.
 	for nc := range s.conns {
 		nc.SetReadDeadline(time.Now())
 	}
@@ -729,9 +730,6 @@ type conn struct {
 	// decoded frame is how dispatch tells a pipelining client from a lone
 	// request. A payload larger than the buffer bypasses it.
 	br *bufio.Reader
-	// readArmed is the read deadline currently set on nc, as the reader last
-	// set it (Shutdown's poke moves the real one without telling).
-	readArmed time.Time
 	// wmu guards the write state below. Responses are encoded into wbuf
 	// under wmu and flushed by whichever goroutine finds no flusher active —
 	// so concurrent pipelined responses coalesce into one syscall.
@@ -747,50 +745,9 @@ type conn struct {
 	pending sync.WaitGroup
 }
 
-const (
-	// readPollInterval is how often a blocked reader rechecks for shutdown.
-	readPollInterval = time.Second
-	// connReadBuf sizes a connection's read buffer: room for a full
-	// 16-query batch frame, small enough that an idle connection costs
-	// next to nothing.
-	connReadBuf = 4 << 10
-)
-
-// armRead keeps a read deadline between half and one readPollInterval ahead
-// of now on the socket, moving it only when less than half is left: a busy
-// connection edits its poller timer about twice a second instead of once per
-// frame.
-func (c *conn) armRead(now time.Time) error {
-	if c.readArmed.Sub(now) >= readPollInterval/2 {
-		return nil
-	}
-	c.readArmed = now.Add(readPollInterval)
-	return c.nc.SetReadDeadline(c.readArmed)
-}
-
-func isTimeout(err error) bool {
-	var nerr net.Error
-	return errors.As(err, &nerr) && nerr.Timeout()
-}
-
-// Read is the io.Reader proto.ReadMessage decodes one frame from. A poll tick
-// that fires part-way through a frame is absorbed here: the bytes already
-// consumed cannot be handed back, so returning the timeout would leave the
-// next decode reading payload as a header. The read is re-armed and resumed
-// instead, unless the server is shutting down (armed before the check, for
-// the reason serveConn gives).
-func (c *conn) Read(p []byte) (int, error) {
-	for {
-		n, err := c.br.Read(p)
-		if n > 0 || !isTimeout(err) {
-			return n, err
-		}
-		c.readArmed = time.Time{} // spent, by the tick or by Shutdown's poke
-		if c.armRead(time.Now()) != nil || c.srv.inShutdown() {
-			return 0, err
-		}
-	}
-}
+// connReadBuf sizes a connection's read buffer: room for a full 16-query
+// batch frame, small enough that an idle connection costs next to nothing.
+const connReadBuf = 4 << 10
 
 func (s *Server) serveConn(nc net.Conn) {
 	c := &conn{srv: s, nc: nc, br: bufio.NewReaderSize(nc, connReadBuf)}
@@ -803,45 +760,28 @@ func (s *Server) serveConn(nc net.Conn) {
 		s.connWG.Done()
 	}()
 
-	// now is the reader's latest clock reading: every stage boundary below
-	// reads the clock once and hands the reading on, and the last one of a
-	// frame arms the deadline for the next.
-	now := time.Now()
 	for {
-		// The deadline is armed before the shutdown check: if Shutdown's
-		// poke (SetReadDeadline(now)) lands between the check and a
-		// later arm, this ordering guarantees the poke wins and the read
-		// returns immediately — otherwise an idle connection could stall
-		// the drain for a full readPollInterval. (When the armed deadline is
-		// recent enough to stand, nothing is set and the poke wins
-		// trivially.) A SetReadDeadline error means the socket is already
-		// torn down: drop the connection rather than risk a read that can
-		// never be interrupted.
-		if err := c.armRead(now); err != nil {
-			return
-		}
+		// Nothing else sets a read deadline, so the reader blocks until input
+		// arrives or Shutdown's poke fails the read: whether the poke lands
+		// before the check below or during the read, every read after it
+		// fails at once. A frame that has begun is read to its end however
+		// long the peer stalls in it.
 		if s.inShutdown() {
 			return
 		}
 		if c.br.Buffered() == 0 {
-			// Wait for input by peeking: a timeout here has consumed nothing.
+			// Wait for input by peeking, so the frame's clock starts when it
+			// arrives, not when the reader began to wait.
 			if _, err := c.br.Peek(1); err != nil {
-				if !isTimeout(err) {
-					return // EOF or peer reset
-				}
-				// Poll tick (or Shutdown's poke): the deadline is spent,
-				// re-arm and recheck shutdown.
-				c.readArmed, now = time.Time{}, time.Now()
-				continue
+				return // EOF, peer reset, or Shutdown's poke
 			}
 		}
 		began := time.Now()
-		msg, n, err := proto.ReadMessage(c)
+		msg, n, err := proto.ReadMessage(c.br)
 		if err != nil {
 			return // EOF, peer reset, a protocol error, or shutdown mid-frame
 		}
 		arrived := time.Now()
-		now = arrived
 		s.metrics.rxBytes.Add(uint64(n))
 
 		req, ok := msg.(proto.Request)
@@ -853,7 +793,7 @@ func (s *Server) serveConn(nc net.Conn) {
 			continue
 		}
 		if micros, budgeted := req.Timeout(); budgeted {
-			now = c.dispatch(req, began, arrived, micros)
+			c.dispatch(req, began, arrived, micros)
 			continue
 		}
 		// The control requests bypass admission: a ping measures the link,
@@ -872,9 +812,8 @@ func (s *Server) serveConn(nc net.Conn) {
 // for it the reader goes straight back to the next frame, and answers may
 // leave out of order. A lone request, which is every request of a client that
 // waits for each reply, skips the goroutine hand-off and its cold stack. The
-// began and arrived readings were taken before and after the frame's decode;
-// the return value is the latest reading taken on this goroutine.
-func (c *conn) dispatch(req proto.Request, began, arrived time.Time, timeoutMicros uint32) time.Time {
+// began and arrived readings were taken before and after the frame's decode.
+func (c *conn) dispatch(req proto.Request, began, arrived time.Time, timeoutMicros uint32) {
 	s := c.srv
 	timeout := proto.DefaultTimeout
 	if t := time.Duration(timeoutMicros) * time.Microsecond; t > 0 && t < timeout {
@@ -898,7 +837,7 @@ func (c *conn) dispatch(req proto.Request, began, arrived time.Time, timeoutMicr
 			c.write(&proto.ErrorMsg{ID: req.RequestID(), Code: proto.CodeOverload,
 				Text: "admission queue full"}, refused)
 			proto.ReleaseMessage(req)
-			return refused
+			return
 		}
 	}
 	s.metrics.admitHist.Observe(admitted.Sub(arrived).Seconds())
@@ -907,20 +846,20 @@ func (c *conn) dispatch(req proto.Request, began, arrived time.Time, timeoutMicr
 	if c.br.Buffered() > 0 {
 		s.metrics.spawned.Inc()
 		go c.run(req, began, arrived, admitted, timeout)
-		return admitted
+		return
 	}
 	s.metrics.inline.Inc()
-	return c.run(req, began, arrived, admitted, timeout)
+	c.run(req, began, arrived, admitted, timeout)
 }
 
-// run serves one admitted request — execute, encode, flush — and returns its
-// last clock reading. It is the whole handler, whichever goroutine dispatch
-// put it on. The clock is read once per stage boundary (executed, flushed;
-// began, arrived and admitted came with the request), and those readings are
-// all the span, the histograms, the deadline check and the write deadline
-// get. For a spawned request the wait to be scheduled falls between admitted
-// and executed, so it counts as execution.
-func (c *conn) run(req proto.Request, began, arrived, admitted time.Time, timeout time.Duration) time.Time {
+// run serves one admitted request — execute, encode, flush. It is the whole
+// handler, whichever goroutine dispatch put it on. The clock is read once per
+// stage boundary (executed, flushed; began, arrived and admitted came with
+// the request), and those readings are all the span, the histograms, the
+// deadline check and the write deadline get. For a spawned request the wait
+// to be scheduled falls between admitted and executed, so it counts as
+// execution.
+func (c *conn) run(req proto.Request, began, arrived, admitted time.Time, timeout time.Duration) {
 	s := c.srv
 	defer func() {
 		<-s.sem
@@ -966,7 +905,6 @@ func (c *conn) run(req proto.Request, began, arrived, admitted time.Time, timeou
 	}
 	proto.ReleaseMessage(req)
 	sp.FinishAt(flushed)
-	return flushed
 }
 
 // reqKind labels a request for spans and histograms.
@@ -1023,9 +961,9 @@ const maxRetainedWriteBuf = 1 << 20
 // any scratch it aliases) may be reused. If another goroutine is already
 // flushing, the frame is left for it to pick up: pipelined responses that
 // land while a write syscall is in progress all go out in the next write,
-// which is how N batched or pipelined responses cost O(1) syscalls. Write
-// errors drop the connection (the reader will notice on its next poll). now
-// is the caller's latest clock reading, for the write deadline.
+// which is how N batched or pipelined responses cost O(1) syscalls. A write
+// error closes the connection, which fails the reader's next read. now is the
+// caller's latest clock reading, for the write deadline.
 func (c *conn) write(m proto.Message, now time.Time) {
 	s := c.srv
 	c.wmu.Lock()
@@ -1228,20 +1166,10 @@ func (s *Server) knn(dst []rtree.Neighbor, pt geom.Point, k int, bound float64, 
 	return s.eng.KNearestAppendUntil(dst, pt, k, &sc.psc, deadline)
 }
 
-// segOf resolves one record's geometry: through an updatable pool's SegOf
-// (live geometry, inserted ids included), else the base dataset.
-func (s *Server) segOf(ds *dataset.Dataset, id uint32) geom.Segment {
-	if s.caps.upd != nil {
-		return s.caps.upd.SegOf(id)
-	}
-	return ds.Seg(id)
-}
-
 // materialize turns the item's ids into data-mode records.
 func (s *Server) materialize(it *proto.BatchItem) {
-	ds := s.cfg.Pool.Dataset()
 	for _, id := range it.IDs {
-		it.Recs = append(it.Recs, proto.Record{ID: id, Seg: s.segOf(ds, id)})
+		it.Recs = append(it.Recs, proto.Record{ID: id, Seg: s.cfg.Pool.SegOf(id)})
 	}
 	it.IDs = it.IDs[:0]
 }
@@ -1452,10 +1380,9 @@ func (s *Server) executeShipment(m *proto.ShipmentReqMsg) proto.Message {
 	if err != nil {
 		return errorReply(m.ID, badRequest("%v", err))
 	}
-	ds := s.cfg.Pool.Dataset()
 	recs := make([]proto.Record, len(ship.Items))
 	for i, it := range ship.Items {
-		recs[i] = proto.Record{ID: it.ID, Seg: ds.Seg(it.ID)}
+		recs[i] = proto.Record{ID: it.ID, Seg: it.Seg()}
 	}
 	s.metrics.shipments.Inc()
 	// A shipment is cut from the master tree — the frozen seed state. It may

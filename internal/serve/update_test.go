@@ -13,7 +13,7 @@ import (
 
 // TestUpdateRoundTrip drives the full write path over the wire: a fresh id's
 // first move (its insert),
-// data-mode read of the inserted object (Updatable.SegOf geometry for an id the
+// data-mode read of the inserted object (Executor.SegOf geometry for an id the
 // base dataset has never heard of), move, delete, idempotent re-delete —
 // against a server whose pool is an updatable shard pool.
 func TestUpdateRoundTrip(t *testing.T) {

@@ -128,6 +128,16 @@ func (p *Pool) Workers() int { return runtime.GOMAXPROCS(0) }
 // Dataset returns the pool's dataset.
 func (p *Pool) Dataset() *dataset.Dataset { return p.ds }
 
+// SegOf returns the geometry of id, the zero Segment for an id outside the
+// pool's dataset (the frozen pool takes no writes, so the dataset is its
+// geometry).
+func (p *Pool) SegOf(id uint32) geom.Segment {
+	if int(id) >= p.ds.Len() {
+		return geom.Segment{}
+	}
+	return p.ds.Seg(id)
+}
+
 // Shards returns the shard count.
 func (p *Pool) Shards() int { return len(p.trees) }
 
