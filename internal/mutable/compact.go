@@ -69,8 +69,8 @@ func (s *mshard) freeze() *frozenView {
 // items minus frozen tombstones and superseded ids, plus the frozen
 // overlay's items. Both inputs are immutable; the result is the shard's
 // visible-beneath-the-live-overlay contents, each item carrying its live
-// segment, with over carrying the geometry of every id whose segment differs
-// from the base dataset.
+// segment, with over carrying the geometry of every written id among them:
+// each one an overlay folded, now or earlier.
 func mergedItems(old *baseView, f *frozenView) ([]rtree.Item, map[uint32]geom.Segment) {
 	base := old.tree.PackOrder()
 	items := make([]rtree.Item, 0, len(base)+f.segs.len())

@@ -22,10 +22,12 @@ import (
 //	no overlay (segs), tombstone set, frozen layer or base `over` map of
 //	any shard names an id whose written bit is clear.
 //
-// So a never-written id has exactly one geometry, the base dataset's, is
-// masked by nothing, and needs no look-up beyond Dataset.Seg. A workload that
-// eventually writes every id degrades to the per-layer map look-ups, never
-// below them.
+// So a never-written id has exactly one geometry, the base dataset's, and is
+// masked by nothing: maskBase clears it on the bit alone, and SegOf and
+// locate, the only per-id look-ups, answer it from Dataset.Seg. A scan or a
+// k-NN walk looks up no id's geometry: each layer answers from its leaves or
+// entries. A workload that eventually writes every id degrades to the
+// per-layer map look-ups, never below them.
 //
 // Owners change only under Pool.omu (a write's ownership decision); reads
 // take no pool-wide lock.

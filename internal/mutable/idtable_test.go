@@ -1,6 +1,7 @@
 package mutable
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -182,6 +183,38 @@ func namedIDs(p *Pool) []uint32 {
 	return out
 }
 
+// overGap checks, in every shard's base, the invariant baseView.find leans
+// on: each packed id that is written and that no overlay above masks is a
+// key of over, holding the segment its leaf carries, and each key of over is
+// packed. It describes the first violation, "" when there is none.
+func overGap(p *Pool) string {
+	for i, s := range p.shards {
+		s.mu.RLock()
+		bv := s.base.Load()
+		msg := ""
+		packed := map[uint32]bool{}
+		for _, it := range bv.tree.PackOrder() {
+			packed[it.ID] = true
+			if !p.ids.written(it.ID) || s.maskBase(it.ID) {
+				continue
+			}
+			if seg, ok := bv.over[it.ID]; !ok || seg != it.Seg() {
+				msg = fmt.Sprintf("shard %d packs written id %d unmasked with over = %v, %v; leaf %v", i, it.ID, seg, ok, it.Seg())
+			}
+		}
+		for id := range bv.over {
+			if !packed[id] {
+				msg = fmt.Sprintf("shard %d: over names id %d, which its base does not pack", i, id)
+			}
+		}
+		s.mu.RUnlock()
+		if msg != "" {
+			return msg
+		}
+	}
+	return ""
+}
+
 // TestWrittenBitInvariant checks the invariant idTable states — no layer of
 // any shard names an id whose written bit is clear — after a seeded mix of
 // inserts, moves, deletes, moves back to the dataset's own segment, forced
@@ -189,7 +222,8 @@ func namedIDs(p *Pool) []uint32 {
 // the read paths take on it changes no answer: with the overlays pending and
 // after they are folded, every query kind equals the flat ledger of the
 // writes (agreesWithFresh) and SegOf returns the ledger's geometry for every
-// live id.
+// live id. Each base's over map holds every written id it packs unmasked
+// (overGap), which is all a look-up in the base reads.
 func TestWrittenBitInvariant(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6}
 	if testing.Short() {
@@ -214,6 +248,10 @@ func TestWrittenBitInvariant(t *testing.T) {
 					t.Errorf("seed %d %s: a layer names id %d, whose written bit is clear", seed, tag, id)
 					return false
 				}
+			}
+			if msg := overGap(p); msg != "" {
+				t.Errorf("seed %d %s: %s", seed, tag, msg)
+				return false
 			}
 			for id := 0; id < ds.Len(); id++ {
 				if got := p.ids.written(uint32(id)); got != touched[uint32(id)] {

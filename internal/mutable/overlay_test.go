@@ -112,7 +112,10 @@ func TestOverlayPositions(t *testing.T) {
 // 500 m window and point queries at 0, 64 and 256 pending writes (new ids
 // spread over the map, as bench/'s overlay rung leaves them), and a warm
 // ApplyMove — a pending id moved again by a metre, the moving workload's
-// write.
+// write. Two more cases hold 256 pending writes in the layers the pending
+// rows leave empty: moved256 writes dataset ids 100 m off their segments,
+// so the base packs masked leaves, and frozen256 freezes every shard over
+// the new ids and then moves 40 dataset ids above the frozen layer.
 func BenchmarkOverlay(b *testing.B) {
 	ds := dataset.PA()
 	pts := dataset.PointQueries(ds, 256, 34)
@@ -120,42 +123,74 @@ func BenchmarkOverlay(b *testing.B) {
 	for i, pt := range pts {
 		wins[i] = geom.Rect{Min: pt, Max: pt}.Expand(250)
 	}
-	for _, pending := range []int{0, 64, 256} {
+	shifted := func(id uint32) geom.Segment {
+		s := ds.Seg(id)
+		s.A.X += 100
+		s.B.X += 100
+		return s
+	}
+	for _, c := range []struct {
+		name          string
+		pending       int
+		moved, frozen bool
+	}{
+		{"pending0", 0, false, false},
+		{"pending64", 64, false, false},
+		{"pending256", 256, false, false},
+		{"moved256", 256, true, false},
+		{"frozen256", 256, false, true},
+	} {
 		p, err := NewFromDataset(ds, 4, Config{CompactInterval: -1, CompactMaxAge: -1})
 		if err != nil {
 			b.Fatal(err)
 		}
-		segs := make([]geom.Segment, pending)
+		wids := make([]uint32, c.pending)
+		segs := make([]geom.Segment, c.pending)
 		for j := range segs {
-			segs[j] = ds.Seg(uint32(j * (ds.Len() / pending)))
-			if _, _, _, err := p.ApplyMove(uint32(ds.Len()+j), segs[j]); err != nil {
+			id := uint32(j * (ds.Len() / c.pending))
+			wids[j], segs[j] = uint32(ds.Len()+j), ds.Seg(id)
+			if c.moved {
+				wids[j], segs[j] = id, shifted(id)
+			}
+			if _, _, _, err := p.ApplyMove(wids[j], segs[j]); err != nil {
 				b.Fatal(err)
 			}
 		}
+		if c.frozen {
+			for _, s := range p.shards {
+				s.freeze()
+			}
+			for j := 0; j < 40; j++ {
+				id := uint32(j*(ds.Len()/40) + 1)
+				if _, _, _, err := p.ApplyMove(id, shifted(id)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 		ids := make([]uint32, 0, 4096)
-		b.Run(fmt.Sprintf("pending%d/RangeAppend", pending), func(b *testing.B) {
+		b.Run(c.name+"/RangeAppend", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ids = p.RangeAppend(ids[:0], wins[i%len(wins)])
 			}
 		})
-		b.Run(fmt.Sprintf("pending%d/PointAppend", pending), func(b *testing.B) {
+		b.Run(c.name+"/PointAppend", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ids = p.PointAppend(ids[:0], pts[i%len(pts)], proto.DefaultPointEps)
 			}
 		})
-		if pending > 0 {
-			b.Run(fmt.Sprintf("pending%d/ApplyMove", pending), func(b *testing.B) {
+		if c.pending > 0 && !c.frozen {
+			b.Run(c.name+"/ApplyMove", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					j := i % pending
+					j := i % c.pending
 					s := segs[j]
-					if (i/pending)%2 == 1 {
+					if (i/c.pending)%2 == 1 {
 						s.A.X++
 						s.B.X++
 					}
-					p.ApplyMove(uint32(ds.Len()+j), s)
+					p.ApplyMove(wids[j], s)
 				}
 			})
 		}

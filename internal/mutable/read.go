@@ -5,15 +5,16 @@ import (
 
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/rtree"
 )
 
 // Query surface. The four append queries run one shard walker (scan). A
 // shard with an empty overlay (pend == 0) answers on the packed base through
 // a lock-free atomic load — the identical zero-alloc path a read-only pool
 // runs. A shard with pending updates takes its read lock and merges three
-// layers (candidatesLocked). The merge allocates nothing beyond the caller's
-// dst growth: masks are map lookups and candidates are compacted in place.
+// layers (searchLocked), each answering from the geometry it holds: the base
+// from its leaves, an overlay from its entries. The merge allocates nothing
+// beyond the caller's dst growth: masks are map lookups and answers are
+// compacted in place.
 //
 // A multi-shard walk is not a snapshot: it can race a cross-shard transfer of
 // one id — an object moving over a cut, or a delete followed by a re-insert
@@ -146,9 +147,8 @@ func (p *Pool) FilterPointAppend(dst []uint32, pt geom.Point) []uint32 {
 	return p.scan(dst, &query{pt: pt, point: true})
 }
 
-// RangeAppend appends the exact answer of a window query to dst: the
-// candidate set refined against live geometry, hits compacted in place over
-// the candidate region as in the read-only pool.
+// RangeAppend appends the exact answer of a window query to dst: the ids
+// whose live segment meets w.
 func (p *Pool) RangeAppend(dst []uint32, w geom.Rect) []uint32 {
 	return p.scan(dst, &query{w: w, exact: true})
 }
@@ -160,8 +160,10 @@ func (p *Pool) PointAppend(dst []uint32, pt geom.Point, eps float64) []uint32 {
 
 // scan is the one shard walker behind the four append queries: per shard it
 // takes the lock-free packed arm (pend == 0) or the read-locked three-layer
-// merge, refines when the query is exact, and finally resolves the walk
-// against the transfers that raced it (settle). The query-kind and
+// merge, and finally resolves the walk against the transfers that raced it
+// (settle). Every layer answers from the geometry it holds — the base from
+// its leaves (searchBase), an overlay from its entries (searchOverlay) — so
+// an exact query is refined where it is filtered. The query-kind and
 // clean-vs-overlay branches are taken once per shard, never per candidate.
 //
 // A base whose bounds miss the query holds no candidate and is not searched.
@@ -172,23 +174,14 @@ func (p *Pool) scan(dst []uint32, q *query) []uint32 {
 	p.settled(func(x0 uint64) (ok bool) {
 		dst = dst[:from]
 		for _, s := range p.shards {
-			clean := s.pend.Load() == 0
-			if !clean {
-				s.mu.RLock()
-			}
-			bv := s.base.Load()
-			touched := q.touches(bv.bounds)
-			if clean {
-				if touched {
-					dst = q.searchClean(dst, bv)
+			if s.pend.Load() == 0 {
+				if bv := s.base.Load(); q.touches(bv.bounds) {
+					dst = q.searchBase(dst, bv)
 				}
 				continue
 			}
-			n := len(dst)
-			dst = s.candidatesLocked(dst, bv, q, touched)
-			if q.exact {
-				dst = s.refineLocked(dst, n, bv, q)
-			}
+			s.mu.RLock()
+			dst = s.searchLocked(dst, q)
 			s.mu.RUnlock()
 		}
 		dst, ok = p.settle(dst, from, x0, len(p.shards), q)
@@ -218,78 +211,57 @@ func (q *query) touches(b geom.Rect) bool {
 	return b.Intersects(q.w)
 }
 
-func (q *query) searchBase(dst []uint32, t *rtree.Tree) []uint32 {
-	if q.point {
-		return t.AppendSearchPoint(dst, q.pt, ops.Null{})
+// searchBase answers q on a packed base with the tree's serving kernel, an
+// exact query refined from the segments the leaves carry. Every base item's
+// leaf holds its live segment (mergedItems packs each with it) unless an
+// overlay above masks the id, so a shard with pending writes drops the
+// masked ids afterwards (searchLocked).
+func (q *query) searchBase(dst []uint32, bv *baseView) []uint32 {
+	switch {
+	case q.point && q.exact:
+		return bv.tree.AppendPoint(dst, q.pt, q.eps)
+	case q.point:
+		return bv.tree.AppendSearchPoint(dst, q.pt, ops.Null{})
+	case q.exact:
+		return bv.tree.AppendRange(dst, q.w)
+	default:
+		return bv.tree.AppendSearch(dst, q.w, ops.Null{})
 	}
-	return t.AppendSearch(dst, q.w, ops.Null{})
 }
 
-// searchOverlay appends the ids of o's entries whose MBR passes q's filter:
-// a scan of the layer's list.
+// searchOverlay appends the ids of o's entries that answer q: each entry is
+// filtered on the MBR it stores and, for an exact query, refined on its
+// segment. One loop per query shape keeps the predicates inline.
 func (q *query) searchOverlay(dst []uint32, o *overlay) []uint32 {
 	if q.point {
 		for i := range o.ents {
-			if o.ents[i].mbr.ContainsPoint(q.pt) {
-				dst = append(dst, o.ents[i].id)
+			e := &o.ents[i]
+			if e.mbr.ContainsPoint(q.pt) && (!q.exact || e.seg.ContainsPoint(q.pt, q.eps)) {
+				dst = append(dst, e.id)
 			}
 		}
 		return dst
 	}
 	for i := range o.ents {
-		if o.ents[i].mbr.Intersects(q.w) {
-			dst = append(dst, o.ents[i].id)
+		e := &o.ents[i]
+		if e.mbr.Intersects(q.w) && (!q.exact || e.seg.IntersectsRect(q.w)) {
+			dst = append(dst, e.id)
 		}
 	}
 	return dst
 }
 
-// searchClean answers q on an empty-overlay shard's packed base. An exact
-// query is the tree's serving kernel, refined from the segments the leaves
-// carry: a clean shard masks nothing, and every base item's leaf holds its
-// live segment (mergedItems packs each with it).
-func (q *query) searchClean(dst []uint32, bv *baseView) []uint32 {
-	switch {
-	case !q.exact:
-		return q.searchBase(dst, bv.tree)
-	case q.point:
-		return bv.tree.AppendPoint(dst, q.pt, q.eps)
-	default:
-		return bv.tree.AppendRange(dst, q.w)
-	}
-}
-
-// refineLocked compacts the candidates dst[n:] of a shard with pending
-// updates down to the exact hits, in place, over the three-layer geometry
-// lookup. There is no containment short-circuit here: a base candidate must
-// pass maskBase first, so the overlay arm keeps mask-then-refine.
-func (s *mshard) refineLocked(dst []uint32, n int, bv *baseView, q *query) []uint32 {
-	hits := dst[:n]
-	if q.point {
-		for _, id := range dst[n:] {
-			if s.segAnyLocked(bv, id).ContainsPoint(q.pt, q.eps) {
-				hits = append(hits, id)
-			}
-		}
-		return hits
-	}
-	for _, id := range dst[n:] {
-		if s.segAnyLocked(bv, id).IntersectsRect(q.w) {
-			hits = append(hits, id)
-		}
-	}
-	return hits
-}
-
-// candidatesLocked merges the three layers' candidates into dst: the base
-// (when the query touches its bounds) filtered through maskBase, the frozen
-// overlay (if a compaction is in flight) through maskFrozen, and the live
-// overlay, which is never masked. Masked ids are dropped by compacting
-// survivors in place over the region each layer appended.
-func (s *mshard) candidatesLocked(dst []uint32, bv *baseView, q *query, base bool) []uint32 {
-	if base {
+// searchLocked merges the answers of a shard with pending writes into dst,
+// each layer answering from the geometry it holds: the base (when the query
+// touches its bounds) filtered through maskBase, the frozen overlay (if a
+// compaction is in flight) through maskFrozen, and the live overlay, which
+// is never masked. A mask depends on the id alone, so dropping the masked
+// ids after the refinement keeps exactly what dropping them before would;
+// survivors are compacted in place over the region each layer appended.
+func (s *mshard) searchLocked(dst []uint32, q *query) []uint32 {
+	if bv := s.base.Load(); q.touches(bv.bounds) {
 		n := len(dst)
-		dst = q.searchBase(dst, bv.tree)
+		dst = q.searchBase(dst, bv)
 		kept := dst[:n]
 		for _, id := range dst[n:] {
 			if !s.maskBase(id) {

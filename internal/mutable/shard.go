@@ -25,9 +25,10 @@ type baseView struct {
 	// Dataset.Len()/8 bytes per base whatever the base holds: 17 KB on PA,
 	// against the 0.55 MB hash set per shard it replaces.
 	member []uint64
-	// over carries geometry for base ids whose segment differs from the
-	// base dataset — inserted ids and moved originals folded by earlier
-	// compactions. Ids absent here resolve through Dataset.Seg.
+	// over carries the geometry of every written id the base packs: the
+	// ids folded in from an overlay by this or an earlier compaction. A
+	// packed id absent here was never written (or is masked by a newer
+	// overlay entry or tombstone), so its leaf holds its dataset segment.
 	over   map[uint32]geom.Segment
 	bounds geom.Rect
 }
@@ -52,9 +53,8 @@ type frozenView struct {
 func (f *frozenView) size() int { return f.segs.len() + len(f.tombs) }
 
 // newBaseView bulk-loads items into one packed base generation (the tree
-// copies them) over a dataset of n ids; over carries the geometry of the ids
-// among items whose segment differs from the base dataset, every id >= n
-// among them.
+// copies them) over a dataset of n ids; over carries the geometry of every
+// written id among items, every id >= n among them.
 func newBaseView(n int, items []rtree.Item, over map[uint32]geom.Segment) (*baseView, error) {
 	tree, err := rtree.Build(items, rtree.Config{}, ops.Null{})
 	if err != nil {
@@ -220,15 +220,6 @@ func (s *mshard) maskFrozen(id uint32) bool {
 	return ok
 }
 
-// segAnyLocked resolves the live geometry of an id visible in this shard.
-func (s *mshard) segAnyLocked(bv *baseView, id uint32) geom.Segment {
-	if !s.pl.ids.written(id) {
-		return s.pl.ds.Seg(id)
-	}
-	seg, _ := s.findLocked(bv, id)
-	return seg
-}
-
 // findLocked is the one layered look-up: id's geometry when id is visible in
 // this shard, the layers read newest first, a tombstone ending the search.
 func (s *mshard) findLocked(bv *baseView, id uint32) (geom.Segment, bool) {
@@ -246,19 +237,16 @@ func (s *mshard) findLocked(bv *baseView, id uint32) (geom.Segment, bool) {
 			return geom.Segment{}, false
 		}
 	}
-	return bv.find(s.pl, id)
+	return bv.find(id)
 }
 
-// find resolves id's geometry in this base: false when id is not packed
-// into it.
-func (bv *baseView) find(p *Pool, id uint32) (geom.Segment, bool) {
-	if seg, ok := bv.over[id]; ok {
-		return seg, true
-	}
-	if int(id) < p.ds.Len() && bv.contains(id) {
-		return p.ds.Seg(id), true
-	}
-	return geom.Segment{}, false
+// find resolves a written id's geometry in this base: false when id is not
+// packed into it, or is packed but masked by an overlay above. A written id
+// the base packs unmasked is a key of over (mergedItems puts every one
+// there); a never-written id is not asked about (locate).
+func (bv *baseView) find(id uint32) (geom.Segment, bool) {
+	seg, ok := bv.over[id]
+	return seg, ok
 }
 
 // find is findLocked for a caller holding no lock. A shard with an empty
@@ -267,7 +255,7 @@ func (bv *baseView) find(p *Pool, id uint32) (geom.Segment, bool) {
 // still installing the id.
 func (s *mshard) find(id uint32, locked bool) (geom.Segment, bool) {
 	if !locked && s.pend.Load() == 0 {
-		return s.base.Load().find(s.pl, id)
+		return s.base.Load().find(id)
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
