@@ -113,9 +113,13 @@ func run(args []string) error {
 	}
 	defer st.Close()
 	srv, hub, qc := st.Server, st.Hub, st.Cache
-	if held := st.Held; len(held.Ranges) > 0 {
+	if len(st.Ranges) > 0 {
+		segs := 0
+		for _, rg := range st.Ranges {
+			segs += int(rg.Items)
+		}
 		fmt.Printf("mqserve: backend %s holds %d of %d ranges (%d segments, R=%d, mutable=%v)\n",
-			*partition, len(held.Ranges), len(held.Cuts), held.Len(), *replicas, *mut)
+			*partition, len(st.Ranges), st.NumRanges, segs, *replicas, *mut)
 	}
 	if mp := st.Mutable; mp != nil {
 		fmt.Printf("mqserve: mutable pool, %d updatable shards over %d segments\n", mp.NumShards(), mp.Len())

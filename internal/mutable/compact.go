@@ -103,7 +103,7 @@ func mergedItems(old *baseView, f *frozenView) ([]rtree.Item, map[uint32]geom.Se
 // finishCompact runs phases 2 and 3 over a frozen overlay.
 func (s *mshard) finishCompact(f *frozenView) bool {
 	items, over := mergedItems(s.base.Load(), f)
-	nv, err := newBaseView(s.pl.ds.Len(), items, over)
+	nv, err := newBaseView(items, over)
 	if err != nil {
 		// Cannot happen with a config that built the initial base; if it
 		// somehow does, leave the frozen layer in place — reads remain

@@ -215,6 +215,73 @@ func overGap(p *Pool) string {
 	return ""
 }
 
+// ownerGap checks the layering invariant every write rests on (mshard): each
+// id the table gives an owner is visible exactly once, in that shard — a
+// live entry, an unmasked frozen entry or an unmasked leaf — no id without
+// an owner is visible anywhere, and each shard's count is the ids it owns.
+// It describes the first violation, "" when there is none.
+func ownerGap(p *Pool) string {
+	owners := map[uint32]*mshard{}
+	for id := range p.ids.owners {
+		if s := p.ids.owner(uint32(id)); s != nil {
+			owners[uint32(id)] = s
+		}
+	}
+	for i := range p.ids.side {
+		st := &p.ids.side[i]
+		st.mu.RLock()
+		for id, s := range st.m {
+			owners[id] = s
+		}
+		st.mu.RUnlock()
+	}
+	owns := map[*mshard]int64{}
+	for _, s := range owners {
+		owns[s]++
+	}
+	for i, s := range p.shards {
+		if n := s.count.Load(); owns[s] != n {
+			return fmt.Sprintf("shard %d owns %d ids, count %d", i, owns[s], n)
+		}
+	}
+	copies := map[uint32]int{}
+	for i, s := range p.shards {
+		s.mu.RLock()
+		msg := ""
+		visible := func(id uint32) {
+			copies[id]++
+			if owners[id] != s && msg == "" {
+				msg = fmt.Sprintf("id %d is visible in shard %d, which does not own it", id, i)
+			}
+		}
+		for _, e := range s.segs.ents {
+			visible(e.id)
+		}
+		if f := s.frozen; f != nil {
+			for _, e := range f.segs.ents {
+				if !s.maskFrozen(e.id) {
+					visible(e.id)
+				}
+			}
+		}
+		for _, it := range s.base.Load().tree.PackOrder() {
+			if !s.maskBase(it.ID) {
+				visible(it.ID)
+			}
+		}
+		s.mu.RUnlock()
+		if msg != "" {
+			return msg
+		}
+	}
+	for id := range owners {
+		if copies[id] != 1 {
+			return fmt.Sprintf("owned id %d is visible %d times", id, copies[id])
+		}
+	}
+	return ""
+}
+
 // TestWrittenBitInvariant checks the invariant idTable states — no layer of
 // any shard names an id whose written bit is clear — after a seeded mix of
 // inserts, moves, deletes, moves back to the dataset's own segment, forced
@@ -223,7 +290,8 @@ func overGap(p *Pool) string {
 // after they are folded, every query kind equals the flat ledger of the
 // writes (agreesWithFresh) and SegOf returns the ledger's geometry for every
 // live id. Each base's over map holds every written id it packs unmasked
-// (overGap), which is all a look-up in the base reads.
+// (overGap), which is all a look-up in the base reads, and each owned id is
+// visible exactly once, in its owner (ownerGap), which is all a write reads.
 func TestWrittenBitInvariant(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6}
 	if testing.Short() {
@@ -249,9 +317,11 @@ func TestWrittenBitInvariant(t *testing.T) {
 					return false
 				}
 			}
-			if msg := overGap(p); msg != "" {
-				t.Errorf("seed %d %s: %s", seed, tag, msg)
-				return false
+			for _, gap := range []func(*Pool) string{overGap, ownerGap} {
+				if msg := gap(p); msg != "" {
+					t.Errorf("seed %d %s: %s", seed, tag, msg)
+					return false
+				}
 			}
 			for id := 0; id < ds.Len(); id++ {
 				if got := p.ids.written(uint32(id)); got != touched[uint32(id)] {
@@ -373,7 +443,7 @@ func TestIDTableBoundedByLiveIDs(t *testing.T) {
 
 // TestPoolHeapBudget: an updatable pool with empty overlays holds little
 // more than the frozen engine over the same map — the packed bases plus the
-// id table and the bases' membership lists.
+// id table.
 func TestPoolHeapBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates the PA map")

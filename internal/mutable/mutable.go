@@ -31,7 +31,10 @@
 // "ever written" bit per dataset id, a small side map for inserted ids. A
 // never-written id resolves to its dataset geometry with no lock and no hash
 // on every read path, a written one with one atomic load of its owner; no
-// read takes a pool-wide lock.
+// read takes a pool-wide lock. The owner is also every write's answer to
+// "was the object here": an owned id has exactly one visible copy, in its
+// owner (mshard's layering invariant), so no write reads a layer and no
+// base keeps a membership set.
 //
 // Consistency model: what a caller may rely on — scan and k-NN contents,
 // per-id linearizable writes, SegOf — is one table, DESIGN.md §15. The

@@ -17,29 +17,16 @@ import (
 // baseView is one immutable generation of a shard's packed base. Readers
 // load it through an atomic pointer; the compactor publishes a fresh one and
 // never mutates a published view, so the empty-overlay fast path needs no
-// lock at all. The base's items are tree.PackOrder().
+// lock at all. The base's items are tree.PackOrder(). It keeps no membership
+// set: whether an id is visible is the id table's owner (Pool.ids).
 type baseView struct {
 	tree *rtree.Tree
-	// member is the base's membership set over dataset ids, one bit each.
-	// A packed inserted id is always a key of over, so it needs none.
-	// Dataset.Len()/8 bytes per base whatever the base holds: 17 KB on PA,
-	// against the 0.55 MB hash set per shard it replaces.
-	member []uint64
 	// over carries the geometry of every written id the base packs: the
 	// ids folded in from an overlay by this or an earlier compaction. A
 	// packed id absent here was never written (or is masked by a newer
 	// overlay entry or tombstone), so its leaf holds its dataset segment.
 	over   map[uint32]geom.Segment
 	bounds geom.Rect
-}
-
-// contains reports whether id is packed into this base.
-func (bv *baseView) contains(id uint32) bool {
-	if w := int(id >> 6); w < len(bv.member) {
-		return bv.member[w]&(1<<(id&63)) != 0
-	}
-	_, ok := bv.over[id]
-	return ok
 }
 
 // frozenView is the overlay detached at the start of a compaction: the
@@ -53,30 +40,26 @@ type frozenView struct {
 func (f *frozenView) size() int { return f.segs.len() + len(f.tombs) }
 
 // newBaseView bulk-loads items into one packed base generation (the tree
-// copies them) over a dataset of n ids; over carries the geometry of every
-// written id among items, every id >= n among them.
-func newBaseView(n int, items []rtree.Item, over map[uint32]geom.Segment) (*baseView, error) {
+// copies them); over carries the geometry of every written id among items.
+func newBaseView(items []rtree.Item, over map[uint32]geom.Segment) (*baseView, error) {
 	tree, err := rtree.Build(items, rtree.Config{}, ops.Null{})
 	if err != nil {
 		return nil, err
 	}
-	member := make([]uint64, (n+63)/64)
-	for _, it := range items {
-		if w := int(it.ID >> 6); w < len(member) {
-			member[w] |= 1 << (it.ID & 63)
-		}
-	}
-	return &baseView{tree: tree, member: member, over: over, bounds: tree.Bounds()}, nil
+	return &baseView{tree: tree, over: over, bounds: tree.Bounds()}, nil
 }
 
 // mshard is one updatable shard: packed base + live overlay + optional
 // frozen overlay mid-compaction. Each overlay layer is one overlay value
 // (its written segments) and a tombstone set.
 //
-// Layering invariant: a live id resolves in exactly one layer — live
-// overlay (segs), else frozen overlay, else base — and the mask sets (segs
-// ids and tombs at each layer) hide every stale lower copy. segs and tombs
-// are disjoint at each layer.
+// Layering invariant: an id the pool's table (Pool.ids) names this shard
+// as owner of is visible here exactly once — live overlay (segs), else
+// frozen overlay, else base — the mask sets (segs ids and tombs at each
+// layer) hiding every stale lower copy; an id it does not own is visible in
+// no layer, and count is the number of ids it owns. segs and tombs are
+// disjoint at each layer. Writes rest on it: a write found a visible copy
+// iff the id had an owner, so none reads a layer to tell.
 type mshard struct {
 	pl *Pool
 	// idx is the shard's position in Pool.shards, which is also its lock
@@ -118,7 +101,7 @@ type mshard struct {
 
 // newMShard builds shard idx of cluster range rg over items (copied).
 func newMShard(p *Pool, idx, rg int, items []rtree.Item) (*mshard, error) {
-	bv, err := newBaseView(p.ds.Len(), items, nil)
+	bv, err := newBaseView(items, nil)
 	if err != nil {
 		return nil, fmt.Errorf("mutable: shard %d base: %w", idx, err)
 	}
@@ -129,45 +112,23 @@ func newMShard(p *Pool, idx, rg int, items []rtree.Item) (*mshard, error) {
 
 // ---- overlay mutation (s.mu held in write mode) ----
 
-// beneathVisibleLocked reports whether id is visible in the layers below
-// the live overlay (frozen, then base).
-func (s *mshard) beneathVisibleLocked(id uint32) bool {
-	if f := s.frozen; f != nil {
-		if f.segs.has(id) {
-			return true
-		}
-		if _, ok := f.tombs[id]; ok {
-			return false
-		}
-	}
-	return s.base.Load().contains(id)
+// upsertLocked installs seg as id's live geometry.
+func (s *mshard) upsertLocked(id uint32, seg geom.Segment) {
+	s.pl.ids.markWritten(id)
+	s.segs.put(id, seg)
+	delete(s.tombs, id)
+	s.pendChangedLocked()
 }
 
-// upsertLocked installs seg as id's live geometry and reports whether the
-// shard previously held a visible id.
-func (s *mshard) upsertLocked(id uint32, seg geom.Segment) bool {
+// removeLocked deletes the visible id from the shard. It always tombstones:
+// a stale base or frozen copy may be masked only by the live entry it drops
+// (the id left, came back and leaves again), and a tombstone over a layer
+// that packs nothing costs one pending entry until the next fold drops it.
+func (s *mshard) removeLocked(id uint32) {
 	s.pl.ids.markWritten(id)
-	existed := s.segs.put(id, seg)
-	if _, dead := s.tombs[id]; dead {
-		delete(s.tombs, id)
-	} else if !existed {
-		existed = s.beneathVisibleLocked(id)
-	}
+	s.segs.del(id)
+	s.tombs[id] = struct{}{}
 	s.pendChangedLocked()
-	return existed
-}
-
-// removeLocked deletes id from the shard and reports whether it was
-// visible. Idempotent: deleting an absent id is a no-op returning false.
-func (s *mshard) removeLocked(id uint32) bool {
-	s.pl.ids.markWritten(id)
-	existed := s.segs.del(id)
-	if _, dead := s.tombs[id]; !dead && s.beneathVisibleLocked(id) {
-		s.tombs[id] = struct{}{}
-		existed = true
-	}
-	s.pendChangedLocked()
-	return existed
 }
 
 func (s *mshard) pendChangedLocked() {
@@ -300,6 +261,7 @@ func checkWriteSeg(seg geom.Segment) error {
 // owned=false, which is exactly what a replica must do when an object moves
 // off its ranges). A malformed segment is the only error.
 //
+// existed is the previous owner, read under omu (the layering invariant).
 // The pool meters what the write did, once ownership is decided: an owned
 // write counts in mutable_inserts_total when it installed an id with no
 // visible copy and in mutable_moves_total when it replaced one; a foreign
@@ -323,8 +285,7 @@ func (p *Pool) ApplyMove(id uint32, seg geom.Segment) (epoch uint64, existed, ow
 			p.omu.Unlock()
 			return 0, false, false, nil
 		}
-		epoch, existed = p.evict(id, old)
-		return epoch, existed, false, nil
+		return p.evict(id, old), true, false, nil
 	}
 
 	if old != nil && old != target {
@@ -343,26 +304,25 @@ func (p *Pool) ApplyMove(id uint32, seg geom.Segment) (epoch uint64, existed, ow
 		old.count.Add(-1)
 		target.count.Add(1)
 		p.beginXfer(id)
-		existed = old.removeLocked(id)
-		if target.upsertLocked(id, seg) {
-			existed = true
-		}
+		old.removeLocked(id)
+		target.upsertLocked(id, seg)
 		p.wrote(old, target)
 		epoch = target.epoch.Load()
 		old.mu.Unlock()
 		target.mu.Unlock()
 		p.endXfer()
-		p.m.upserted(existed)
-		return epoch, existed, true, nil
+		p.m.upserted(true)
+		return epoch, true, true, nil
 	}
 
 	target.mu.Lock()
-	if old == nil {
+	existed = old != nil
+	if !existed {
 		p.ids.setOwner(id, target)
 		target.count.Add(1)
 	}
 	p.omu.Unlock()
-	existed = target.upsertLocked(id, seg)
+	target.upsertLocked(id, seg)
 	p.wrote(target, target)
 	epoch = target.epoch.Load()
 	target.mu.Unlock()
@@ -382,24 +342,24 @@ func (p *Pool) ApplyDelete(id uint32) (epoch uint64, existed, owned bool, err er
 		p.omu.Unlock()
 		return 0, false, false, nil
 	}
-	epoch, existed = p.evict(id, sh)
-	return epoch, existed, true, nil
+	return p.evict(id, sh), true, true, nil
 }
 
 // evict removes id from its owning shard sh, as a transfer: the id may
 // re-enter through another shard while a walk that saw it here is still
-// running. It is called with omu held and releases it.
-func (p *Pool) evict(id uint32, sh *mshard) (epoch uint64, existed bool) {
+// running. It is called with omu held and releases it, and returns sh's
+// epoch.
+func (p *Pool) evict(id uint32, sh *mshard) uint64 {
 	p.ids.setOwner(id, nil)
 	sh.count.Add(-1)
 	sh.mu.Lock()
 	p.beginXfer(id)
-	existed = sh.removeLocked(id)
+	sh.removeLocked(id)
 	p.wrote(sh, sh)
-	epoch = sh.epoch.Load()
+	epoch := sh.epoch.Load()
 	sh.mu.Unlock()
 	p.endXfer()
-	return epoch, existed
+	return epoch
 }
 
 // wrote counts one applied write against the cluster ranges of the shards it

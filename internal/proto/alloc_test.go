@@ -70,7 +70,7 @@ func TestFrameDecodeZeroAlloc(t *testing.T) {
 			{Nbrs: []Neighbor{{ID: 4, Dist: 0.5}, {ID: 7, Dist: 3}}},
 		}},
 	} {
-		f, err := EncodeMessage(m)
+		f, err := AppendFrame(nil, m)
 		if err != nil {
 			t.Fatal(err)
 		}

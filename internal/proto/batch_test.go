@@ -29,11 +29,11 @@ func testBatchQuery(n int) *BatchQueryMsg {
 // grows by exactly one encoded query per query — a range query's one-byte
 // id, flags byte and window, 34 bytes.
 func TestBatchFrameAmortizesHeaders(t *testing.T) {
-	one, err := EncodeMessage(testBatchQuery(1))
+	one, err := AppendFrame(nil, testBatchQuery(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sixteen, err := EncodeMessage(testBatchQuery(16))
+	sixteen, err := AppendFrame(nil, testBatchQuery(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestBatchFrameAmortizesHeaders(t *testing.T) {
 	}
 	// One query message alone costs a full frame header; in a batch of 16 the
 	// shared overhead is under a tenth of that per query.
-	single, err := EncodeMessage(&QueryMsg{ID: 1, Kind: KindRange, Mode: ModeIDs,
+	single, err := AppendFrame(nil, &QueryMsg{ID: 1, Kind: KindRange, Mode: ModeIDs,
 		Window: geom.Rect{Max: geom.Point{X: 1, Y: 1}}})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestBatchReplyDecodeReusesItems(t *testing.T) {
 
 // TestBatchRejectsCorruptFrames exercises the batch decoders' bounds checks.
 func TestBatchRejectsCorruptFrames(t *testing.T) {
-	frame, err := EncodeMessage(testBatchQuery(3))
+	frame, err := AppendFrame(nil, testBatchQuery(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestBatchRejectsCorruptFrames(t *testing.T) {
 		t.Fatal("mismatched batch count accepted")
 	}
 
-	reply, err := EncodeMessage(&BatchReplyMsg{ID: 1, Items: []BatchItem{{IDs: []uint32{1, 2}}}})
+	reply, err := AppendFrame(nil, &BatchReplyMsg{ID: 1, Items: []BatchItem{{IDs: []uint32{1, 2}}}})
 	if err != nil {
 		t.Fatal(err)
 	}

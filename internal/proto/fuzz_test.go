@@ -13,7 +13,7 @@ import (
 // hand-built corrupt frames from the unit tests.
 func FuzzReadMessage(f *testing.F) {
 	for _, m := range allMessages() {
-		frame, err := EncodeMessage(m)
+		frame, err := AppendFrame(nil, m)
 		if err != nil {
 			f.Fatalf("%v: %v", m.Type(), err)
 		}
@@ -30,7 +30,7 @@ func FuzzReadMessage(f *testing.F) {
 	f.Add([]byte{0x80})
 	for _, n := range []int{127, 128} {
 		ping := &PingMsg{ID: 1, Payload: make([]byte, n-5)} // id and length take 5
-		if frame, err := EncodeMessage(ping); err == nil {
+		if frame, err := AppendFrame(nil, ping); err == nil {
 			f.Add(frame)
 		}
 	}
@@ -45,7 +45,7 @@ func FuzzReadMessage(f *testing.F) {
 			&DeleteMsg{ID: v, ObjID: v, TimeoutMicros: v},
 			&BatchQueryMsg{ID: v, TimeoutMicros: v, Queries: make([]QueryMsg, 1)},
 		} {
-			if frame, err := EncodeMessage(m); err == nil {
+			if frame, err := AppendFrame(nil, m); err == nil {
 				f.Add(frame)
 			}
 		}
@@ -55,7 +55,7 @@ func FuzzReadMessage(f *testing.F) {
 	// relabelled as type 16, the retired insert (refused whatever the
 	// payload), and an ack with unknown flag bits set (must be rejected so
 	// re-encoding stays canonical).
-	if move, err := EncodeMessage(&MoveMsg{ID: 1, ObjID: 2}); err == nil {
+	if move, err := AppendFrame(nil, &MoveMsg{ID: 1, ObjID: 2}); err == nil {
 		nan := append([]byte(nil), move...)
 		seg := headerLen(move) + 2 // the header, the request id and the object id
 		for i := seg; i < seg+8; i++ {
@@ -65,13 +65,13 @@ func FuzzReadMessage(f *testing.F) {
 		move[1] = 16
 		f.Add(move)
 	}
-	if ack, err := EncodeMessage(&UpdateAckMsg{ID: 1, Epoch: 3}); err == nil {
+	if ack, err := AppendFrame(nil, &UpdateAckMsg{ID: 1, Epoch: 3}); err == nil {
 		ack[len(ack)-1] = 0xF0 // unknown flag bits
 		f.Add(ack)
 	}
 	// A batch reply's neighbors item whose distance carries NaN bits: the
 	// decoder must refuse it, or it would not re-encode.
-	if nbrs, err := EncodeMessage(&BatchReplyMsg{ID: 1, Items: []BatchItem{{Nbrs: []Neighbor{{ID: 2, Dist: 1}}}}}); err == nil {
+	if nbrs, err := AppendFrame(nil, &BatchReplyMsg{ID: 1, Items: []BatchItem{{Nbrs: []Neighbor{{ID: 2, Dist: 1}}}}}); err == nil {
 		for i := len(nbrs) - 8; i < len(nbrs); i++ {
 			nbrs[i] = 0xFF
 		}
@@ -81,7 +81,7 @@ func FuzzReadMessage(f *testing.F) {
 	// its twin whose Eps carries +Inf bits: the decoder must refuse the
 	// second, or the bound would not re-encode as a finite hint.
 	leg := &BatchQueryMsg{ID: 1, Queries: []QueryMsg{{Kind: KindNN, Mode: ModeNeighbors, K: 8, Eps: 12.5}}}
-	if frame, err := EncodeMessage(leg); err == nil {
+	if frame, err := AppendFrame(nil, leg); err == nil {
 		f.Add(frame)
 		inf := append([]byte(nil), frame...)
 		// Eps is the frame's last field: the leg's query carries no timeout.
@@ -118,7 +118,7 @@ func FuzzReadMessage(f *testing.F) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("ReadMessage returned a message failing its own Validate: %v", err)
 		}
-		frame, err := EncodeMessage(m)
+		frame, err := AppendFrame(nil, m)
 		if err != nil {
 			t.Fatalf("re-encoding an accepted %v failed: %v", m.Type(), err)
 		}

@@ -54,7 +54,7 @@ func TestVarintFieldsRoundTrip(t *testing.T) {
 			{&SummaryReqMsg{ID: v}, vlen(v)},
 		}
 		for _, c := range cases {
-			frame, err := EncodeMessage(c.m)
+			frame, err := AppendFrame(nil, c.m)
 			if err != nil {
 				t.Fatalf("%v at %d: %v", c.m.Type(), v, err)
 			}
@@ -204,7 +204,7 @@ func TestDefaultTimeoutTravelsAsNone(t *testing.T) {
 	encode := func(mk func() Request, micros uint32) []byte {
 		req := mk()
 		req.Stamp(7, micros)
-		frame, err := EncodeMessage(req)
+		frame, err := AppendFrame(nil, req)
 		if err != nil {
 			t.Fatal(err)
 		}

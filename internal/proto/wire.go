@@ -759,16 +759,6 @@ func AppendFrame(dst []byte, m Message) ([]byte, error) {
 	return dst, nil
 }
 
-// EncodeMessage validates m and returns its complete frame in a fresh
-// buffer.
-func EncodeMessage(m Message) ([]byte, error) {
-	b, err := AppendFrame(make([]byte, 0, MaxFrameHeaderBytes+64), m)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
 // WriteMessage frames and writes m in a single Write call (callers serialize
 // concurrent writers with their own mutex; one call keeps frames intact for
 // any io.Writer that does not split writes). The encode buffer is pooled, so

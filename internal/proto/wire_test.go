@@ -289,8 +289,8 @@ func TestWireValidateRejects(t *testing.T) {
 		if err := m.Validate(); err == nil {
 			t.Errorf("%T %+v: Validate accepted malformed message", m, m)
 		}
-		if _, err := EncodeMessage(m); err == nil {
-			t.Errorf("%T: EncodeMessage accepted malformed message", m)
+		if _, err := AppendFrame(nil, m); err == nil {
+			t.Errorf("%T: AppendFrame accepted malformed message", m)
 		}
 	}
 }
@@ -298,7 +298,7 @@ func TestWireValidateRejects(t *testing.T) {
 // TestWireRejectsCorruptFrames feeds truncated and corrupt frames to
 // ReadMessage.
 func TestWireRejectsCorruptFrames(t *testing.T) {
-	frame, err := EncodeMessage(&IDListMsg{ID: 3, IDs: []uint32{1, 2, 3}})
+	frame, err := AppendFrame(nil, &IDListMsg{ID: 3, IDs: []uint32{1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 	}
 
 	// Type 16, the retired insert, carrying the move payload it shared.
-	insert, err := EncodeMessage(&MoveMsg{ID: 4, ObjID: 9, Seg: geom.Segment{B: geom.Point{X: 1}}})
+	insert, err := AppendFrame(nil, &MoveMsg{ID: 4, ObjID: 9, Seg: geom.Segment{B: geom.Point{X: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestWireFrameLayout(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		frame, err := EncodeMessage(c.m)
+		frame, err := AppendFrame(nil, c.m)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -567,11 +567,11 @@ func TestQueryCarriesOnlyItsKindsFields(t *testing.T) {
 		{QueryMsg{Kind: KindNN, Mode: ModeData, Point: pt, Window: w, K: 4, Eps: 3}, QueryMsg{Kind: KindNN, Mode: ModeData, Point: pt, K: 4}},
 		{QueryMsg{Kind: KindNN, Mode: ModeNeighbors, Point: pt, Window: w, K: 4, Eps: 3}, QueryMsg{Kind: KindNN, Mode: ModeNeighbors, Point: pt, K: 4, Eps: 3}},
 	} {
-		full, err := EncodeMessage(&c.full)
+		full, err := AppendFrame(nil, &c.full)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bare, err := EncodeMessage(&c.bare)
+		bare, err := AppendFrame(nil, &c.bare)
 		if err != nil {
 			t.Fatal(err)
 		}

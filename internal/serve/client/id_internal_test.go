@@ -19,7 +19,7 @@ func TestRequestIDsStayTwoBytes(t *testing.T) {
 	frameLen := func(id uint32) int {
 		q := &proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeIDs, Point: geom.Point{X: 1, Y: 1}}
 		q.Stamp(id, 0)
-		frame, err := proto.EncodeMessage(q)
+		frame, err := proto.AppendFrame(nil, q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func BenchmarkServeHotPath(b *testing.B) {
 	}
 	for _, row := range rows {
 		b.Run(row.name, func(b *testing.B) {
-			frame, err := proto.EncodeMessage(row.req)
+			frame, err := proto.AppendFrame(nil, row.req)
 			if err != nil {
 				b.Fatal(err)
 			}

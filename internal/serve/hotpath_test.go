@@ -161,7 +161,7 @@ func TestServeHotPathLoopZeroAlloc(t *testing.T) {
 		Min: geom.Point{X: center.X - 400, Y: center.Y - 400},
 		Max: geom.Point{X: center.X + 400, Y: center.Y + 400},
 	}
-	frame, err := proto.EncodeMessage(&proto.QueryMsg{
+	frame, err := proto.AppendFrame(nil, &proto.QueryMsg{
 		ID: 7, Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w})
 	if err != nil {
 		t.Fatal(err)

@@ -85,7 +85,7 @@ func pointQuery(id uint32, timeoutMicros uint32) *proto.QueryMsg {
 // connection whose peer is alive.
 func TestStalledFrameKeepsConnection(t *testing.T) {
 	_, _, _, addr := testWorld(t, nil)
-	frame, err := proto.EncodeMessage(pointQuery(42, 0))
+	frame, err := proto.AppendFrame(nil, pointQuery(42, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestStalledFrameKeepsConnection(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		batch.Queries = append(batch.Queries, *pointQuery(uint32(i), 0))
 	}
-	long, err := proto.EncodeMessage(batch)
+	long, err := proto.AppendFrame(nil, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestMidFrameShutdownDropsConnection(t *testing.T) {
 	nc := dialRaw(t, addr)
 	// A ping round trip proves the server has the connection registered.
 	roundTrips(t, nc, []proto.Message{&proto.PingMsg{ID: 1}}, false)
-	frame, err := proto.EncodeMessage(pointQuery(2, 0))
+	frame, err := proto.AppendFrame(nil, pointQuery(2, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestWriteCoalescing(t *testing.T) {
 	close(sc.release)
 	<-flusher
 
-	one, err := proto.EncodeMessage(&proto.PingMsg{ID: 1})
+	one, err := proto.AppendFrame(nil, &proto.PingMsg{ID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

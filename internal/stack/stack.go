@@ -22,6 +22,7 @@ import (
 	"mobispatial/internal/mutable"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/ops"
+	"mobispatial/internal/proto"
 	"mobispatial/internal/qcache"
 	"mobispatial/internal/router"
 	"mobispatial/internal/rtree"
@@ -67,7 +68,12 @@ type Stack struct {
 	Cache  *qcache.Cache // nil without a -qcache budget
 
 	Master *rtree.Tree // the whole-map tree shipments are cut from; nil for a router
-	Held   shard.Held  // what a partitioned backend holds; zero otherwise
+	// Ranges are the summary rows a partitioned backend advertises, primary
+	// first, and NumRanges the cluster's range count; both zero otherwise.
+	// The held items stay with the pool: a shard.Held would pin the whole
+	// cut map for the process's life.
+	Ranges    []proto.RangeInfo
+	NumRanges int
 
 	Frozen  *shard.Pool
 	Mutable *mutable.Pool
@@ -131,10 +137,12 @@ func (c Server) Build() (_ *Stack, err error) {
 	if s.Master, err = rtree.Build(c.Dataset.Items(), rtree.Config{}, ops.Null{}); err != nil {
 		return nil, err
 	}
+	var held shard.Held
 	if n > 0 {
-		if s.Held, err = shard.Cut(c.Dataset.Items(), n).Hold(backend, c.Replicas); err != nil {
+		if held, err = shard.Cut(c.Dataset.Items(), n).Hold(backend, c.Replicas); err != nil {
 			return nil, fmt.Errorf("-partition %s: %w", c.Partition, err)
 		}
+		s.Ranges, s.NumRanges = held.Rows(), len(held.Cuts)
 	}
 
 	var pool serve.Executor
@@ -142,7 +150,7 @@ func (c Server) Build() (_ *Stack, err error) {
 	case c.Mutable:
 		cfg := mutable.Config{Obs: s.Hub}
 		if n > 0 {
-			cfg.Dataset, cfg.Ranges, cfg.Cuts, cfg.Bounds = c.Dataset, s.Held.Ranges, s.Held.Cuts, s.Held.Bounds
+			cfg.Dataset, cfg.Ranges, cfg.Cuts, cfg.Bounds = c.Dataset, held.Ranges, held.Cuts, held.Bounds
 			s.Mutable, err = mutable.New(cfg)
 		} else {
 			s.Mutable, err = mutable.NewFromDataset(c.Dataset, c.Shards, cfg)
@@ -156,7 +164,7 @@ func (c Server) Build() (_ *Stack, err error) {
 		if n == 0 && c.Shards <= 0 {
 			s.Frozen, err = shard.Over(c.Dataset, s.Master)
 		} else {
-			s.Frozen, err = shard.New(c.Dataset, shard.Config{Shards: c.Shards, Items: s.Held.Items(), Obs: s.Hub.Reg})
+			s.Frozen, err = shard.New(c.Dataset, shard.Config{Shards: c.Shards, Items: held.Items(), Obs: s.Hub.Reg})
 		}
 		if err != nil {
 			return nil, err
@@ -165,7 +173,7 @@ func (c Server) Build() (_ *Stack, err error) {
 	}
 	return s.tail(serve.Config{
 		Pool: pool, Master: s.Master, MaxInFlight: c.InFlight, Obs: s.Hub,
-		Ranges: s.Held.Rows(), NumRanges: len(s.Held.Cuts),
+		Ranges: s.Ranges, NumRanges: s.NumRanges,
 	}, c.QCacheMB, c.QCell)
 }
 
