@@ -19,8 +19,8 @@ import (
 // random points, including queries issued while a freeze is held open so
 // the three-layer (base + frozen + live) read path is exercised — range and
 // point answers must match the fresh build as id sets, and NN/k-NN answers
-// must report identical distance sequences (tie ids may differ; ~10% of
-// segments are exact duplicates to force ties).
+// must be identical (distance, id) sequences (~10% of segments are exact
+// duplicates to force ties, which both sides resolve to the smaller id).
 func TestUpdatableEquivalenceQuick(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -184,7 +184,7 @@ func agreesWithFresh(t *testing.T, seed int64, rng *rand.Rand, p *Pool, model ma
 		for _, k := range []int{1, 3, len(model) + 2} {
 			want := ref.tree.KNearestAppend(nil, pt, k, ref.dist(pt), ops.Null{}, nil)
 			gotK, ok := p.KNearestAppend(nil, pt, k, nil)
-			if !ok || !sameNeighborDistances(model, pt, want, gotK) {
+			if !ok || !sameNeighbors(model, pt, want, gotK) {
 				t.Errorf("seed %d: KNearest(k=%d) mismatch at %v: want %d nbs, got %d nbs", seed, k, pt, len(want), len(gotK))
 				return false
 			}
@@ -252,23 +252,18 @@ func sameIDSet(a, b []uint32) bool {
 	return true
 }
 
-// sameNeighborDistances compares two k-NN answers by distance sequence,
-// recomputing each reported distance from the live model so stale geometry
-// cannot sneak through on either side.
-func sameNeighborDistances(model map[uint32]geom.Segment, pt geom.Point, a, b []rtree.Neighbor) bool {
+// sameNeighbors compares two k-NN answers id for id and distance for
+// distance, recomputing each reported distance from the live model so stale
+// geometry cannot sneak through on either side.
+func sameNeighbors(model map[uint32]geom.Segment, pt geom.Point, a, b []rtree.Neighbor) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].Dist != b[i].Dist {
+		if a[i] != b[i] || i > 0 && !a[i-1].Before(a[i]) {
 			return false
 		}
-		if i > 0 && (a[i].Dist < a[i-1].Dist || b[i].Dist < b[i-1].Dist) {
-			return false
-		}
-		sa, oka := model[a[i].ID]
-		sb, okb := model[b[i].ID]
-		if !oka || !okb || sa.DistToPoint(pt) != a[i].Dist || sb.DistToPoint(pt) != b[i].Dist {
+		if sa, ok := model[a[i].ID]; !ok || sa.DistToPoint(pt) != a[i].Dist {
 			return false
 		}
 	}

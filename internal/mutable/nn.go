@@ -51,7 +51,7 @@ func (p *Pool) NearestWith(pt geom.Point, sc *shard.Scratch) shard.NearestResult
 	return shard.NearestOf(nbs)
 }
 
-// KNearestAppend appends one k-NN answer (ascending distance) to dst
+// KNearestAppend appends one k-NN answer (nearest first, ties by id) to dst
 // reusing sc; the bool mirrors the executor contract and is always true.
 func (p *Pool) KNearestAppend(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch) ([]rtree.Neighbor, bool) {
 	return p.KNearestBoundedAppend(dst, pt, k, math.Inf(1), sc)
@@ -133,11 +133,12 @@ func (s *mshard) knnInto(st *nnState, nnsc *rtree.NNScratch, k int, bound float6
 // a raced id stays, a second is dropped, an id not sighted is offered at the
 // geometry locate finds. false means re-walk: the ring could not name the
 // raced ids, or a dropped sighting left the answer short of what the walk had
-// pruned by — every neighbor the walk did not keep is at or beyond its final
-// pruning bound, so an answer whose k-th distance is within that bound is
-// complete.
+// pruned by — every neighbor the walk did not keep comes after its final
+// k-th in the rtree.Neighbor.Before order, so an answer whose k-th is not
+// after that one is complete. A walk that kept fewer than k, or whose k-th
+// lies at or beyond the external bound, pruned by the bound alone.
 func (p *Pool) settleNN(dst []rtree.Neighbor, x0 uint64, nShards int, nnsc *rtree.NNScratch, pt geom.Point, k int, bound float64) ([]rtree.Neighbor, bool) {
-	pruned := min(bound, nnsc.KNNBound(k))
+	walked, full := nnsc.KNNWorst(k)
 	from := len(dst)
 	dst = nnsc.DrainKNNAppend(dst)
 	if p.quiet(x0, nShards) {
@@ -166,6 +167,7 @@ func (p *Pool) settleNN(dst []rtree.Neighbor, x0 uint64, nShards int, nnsc *rtre
 			nnsc.KNNOffer(k, rtree.Neighbor{ID: id, Dist: seg.DistToPoint(pt)})
 		}
 	}
-	ok = pruned >= bound || nnsc.KNNBound(k) <= pruned
+	settled, now := nnsc.KNNWorst(k)
+	ok = !full || walked.Dist >= bound || now && !walked.Before(settled)
 	return nnsc.DrainKNNAppend(dst[:from]), ok
 }

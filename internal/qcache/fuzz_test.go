@@ -49,6 +49,11 @@ func FuzzSnapKeys(f *testing.F) {
 				t.Fatalf("PointKey not deterministic for %v", pt)
 			}
 		}
+		if _, cr, ok := NNCellKey(pt, int(x1), cell); ok {
+			if _, pcr, pok := PointKey(pt, cell); !cr.ContainsPoint(pt) || !pok || pcr != cr {
+				t.Fatalf("NNCellKey accepted %v (cell %v) with cell rect %v; PointKey's is %v (%v)", pt, cell, cr, pcr, pok)
+			}
+		}
 		if k, ok := NNKey(pt, int(x1)); ok {
 			if k2, ok2 := NNKey(pt, int(x1)); !ok2 || k2 != k {
 				t.Fatalf("NNKey not deterministic for %v k=%d", pt, int(x1))

@@ -20,8 +20,17 @@
 //     for any point inside the cell, so this one stored set serves point
 //     queries of every mode (and any eps — eps is applied at refinement
 //     time, which is why it is not part of the key).
-//   - KindNN: no snapping — nearest-neighbor answers are not monotone under
-//     window enlargement, so the key is the exact point bit pattern plus k.
+//   - KindNNCell: the k-NN candidates of the one grid cell C containing the
+//     query point. With c the cell's centre, r its half-diagonal and D the
+//     k-th distance from c, every point p in C has its k-th distance within
+//     D + |p−c| ≤ D + r, so each of its k nearest has an MBR meeting
+//     C.Expand(D + r) and lies within D + 2r of c. The entry stores those
+//     items sorted by distance to c; the serving tier picks p's k smallest
+//     (distance, id) from them and stops where distance to c minus |p−c|
+//     exceeds the k-th best. One entry serves every point of the cell at
+//     that k, in every mode.
+//   - KindNN: the exact k nearest of one exact point (bit pattern plus k),
+//     for a caller that memoizes single answers rather than refining.
 package qcache
 
 import (
@@ -48,6 +57,10 @@ const (
 	// KindNN stores the k nearest neighbors (ids, exact distances, geometry)
 	// of an exact query point.
 	KindNN
+	// KindNNCell stores the k-NN candidates of one grid cell (ids,
+	// distances to the cell's centre, geometry), nearest the centre first;
+	// a k-NN at any point of the cell refines from it.
+	KindNNCell
 )
 
 // Key identifies one cacheable query shape. It is a comparable value: map
@@ -56,8 +69,8 @@ type Key struct {
 	kind Kind
 	k    uint16
 	// a..d carry the kind-specific geometry: snapped cell indices for the
-	// range kinds, cell coordinates for KindCell, raw float bit patterns
-	// for KindNN.
+	// range kinds, cell coordinates for KindCell and KindNNCell, raw float
+	// bit patterns for KindNN.
 	a, b, c, d uint64
 }
 
@@ -117,26 +130,51 @@ func RangeKey(w geom.Rect, cell float64, filter bool) (Key, geom.Rect, bool) {
 // query mode shares the KindCell key space — the stored candidate set does
 // not depend on mode or eps.
 func PointKey(pt geom.Point, cell float64) (Key, geom.Rect, bool) {
-	if !(cell > 0) {
-		return Key{}, geom.Rect{}, false
-	}
-	x, okx := cellIndex(pt.X, cell)
-	y, oky := cellIndex(pt.Y, cell)
-	if !okx || !oky {
-		return Key{}, geom.Rect{}, false
-	}
-	cr := geom.Rect{
-		Min: geom.Point{X: float64(x) * cell, Y: float64(y) * cell},
-		Max: geom.Point{X: float64(x+1) * cell, Y: float64(y+1) * cell},
-	}
-	if !cr.ContainsPoint(pt) {
+	x, y, cr, ok := gridCell(pt, cell)
+	if !ok {
 		return Key{}, geom.Rect{}, false
 	}
 	return Key{kind: KindCell, a: uint64(x), b: uint64(y)}, cr, true
 }
 
-// NNKey keys a k-nearest-neighbor query: exact point bits plus k (0 and 1
-// both mean single NN and share an entry).
+// NNCellKey snaps a k-nearest-neighbor query to the grid cell containing
+// its point, plus k (0 and 1 both mean single NN and share an entry). The
+// returned rect is the cell the entry's candidates are gathered for. Every
+// k-NN mode shares the key space: the candidates do not depend on mode.
+func NNCellKey(pt geom.Point, k int, cell float64) (Key, geom.Rect, bool) {
+	k = max(k, 1)
+	if k > math.MaxUint16 {
+		return Key{}, geom.Rect{}, false
+	}
+	x, y, cr, ok := gridCell(pt, cell)
+	if !ok {
+		return Key{}, geom.Rect{}, false
+	}
+	return Key{kind: KindNNCell, k: uint16(k), a: uint64(x), b: uint64(y)}, cr, true
+}
+
+// gridCell returns the indices and extent of the grid cell containing pt;
+// false when pt has no cell (NaN, infinite or grid-overflowing coordinates,
+// or a cell that rounding left not containing it).
+func gridCell(pt geom.Point, cell float64) (x, y int64, cr geom.Rect, ok bool) {
+	if !(cell > 0) {
+		return 0, 0, geom.Rect{}, false
+	}
+	x, okx := cellIndex(pt.X, cell)
+	y, oky := cellIndex(pt.Y, cell)
+	if !okx || !oky {
+		return 0, 0, geom.Rect{}, false
+	}
+	cr = geom.Rect{
+		Min: geom.Point{X: float64(x) * cell, Y: float64(y) * cell},
+		Max: geom.Point{X: float64(x+1) * cell, Y: float64(y+1) * cell},
+	}
+	return x, y, cr, cr.ContainsPoint(pt)
+}
+
+// NNKey keys a k-nearest-neighbor query at its exact point: point bits plus
+// k (0 and 1 both mean single NN and share an entry). The serving tier keys
+// by cell instead (NNCellKey).
 func NNKey(pt geom.Point, k int) (Key, bool) {
 	if k <= 0 {
 		k = 1

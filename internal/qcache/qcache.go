@@ -165,14 +165,13 @@ type Config struct {
 	stripes int
 }
 
-const (
-	// numStripes is the lock-stripe count, a power of two.
-	numStripes = 16
-	// maxResultIDs caps one entry's id count; oversized results bypass the
-	// cache (storing them would evict many hot entries for one cold
-	// monster).
-	maxResultIDs = 8192
-)
+// numStripes is the lock-stripe count, a power of two.
+const numStripes = 16
+
+// MaxResultIDs caps one entry's id count; oversized results bypass the
+// cache (storing them would evict many hot entries for one cold monster).
+// A filler whose superset already exceeds it can skip the rest of the fill.
+const MaxResultIDs = 8192
 
 // DefaultCellSize is the default snapping grid pitch in map units (TIGER
 // datasets span ~10^6 units; 512 keeps a hotspot's jittered windows inside
@@ -406,7 +405,7 @@ func versEq(a, b []uint64) bool {
 // and the store is dropped — caching a result that mixes shard states would
 // poison later hits. Oversized results are dropped too.
 func (c *Cache) Put(k Key, pre, post *View, ids []uint32, segs []geom.Segment, dists []float64) {
-	if len(ids) > maxResultIDs {
+	if len(ids) > MaxResultIDs {
 		c.bypasses.Add(1)
 		c.m.bypasses.Inc()
 		return

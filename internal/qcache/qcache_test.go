@@ -145,6 +145,35 @@ func TestNNKey(t *testing.T) {
 	}
 }
 
+func TestNNCellKey(t *testing.T) {
+	p, q := geom.Point{X: 101, Y: -2.25}, geom.Point{X: 199.5, Y: -99}
+	kp, cell, ok := NNCellKey(p, 0, 100)
+	if !ok || cell != (geom.Rect{Min: geom.Point{X: 100, Y: -100}, Max: geom.Point{X: 200, Y: 0}}) {
+		t.Fatalf("NN cell key of %v: ok=%v cell %v", p, ok, cell)
+	}
+	if kq, _, _ := NNCellKey(q, 1, 100); kq != kp {
+		t.Fatal("two points of one cell at k=0 and k=1 must share an entry")
+	}
+	if k5, _, _ := NNCellKey(p, 5, 100); k5 == kp {
+		t.Fatal("different k must not collide")
+	}
+	if kx, _, _ := NNCellKey(geom.Point{X: 200, Y: -2.25}, 1, 100); kx == kp {
+		t.Fatal("a point on the next cell's edge belongs to the next cell")
+	}
+	if kc, _, _ := PointKey(p, 100); kc == kp {
+		t.Fatal("the k-NN and point key spaces must not collide")
+	}
+	if _, _, ok := NNCellKey(geom.Point{X: math.NaN()}, 1, 100); ok {
+		t.Fatal("NaN point should be uncacheable")
+	}
+	if _, _, ok := NNCellKey(p, 1<<17, 100); ok {
+		t.Fatal("oversized k should be uncacheable")
+	}
+	if _, _, ok := NNCellKey(p, 1, 0); ok {
+		t.Fatal("a zero cell should be uncacheable")
+	}
+}
+
 type fakeSource struct {
 	vers   []uint64
 	bounds []geom.Rect
@@ -272,7 +301,7 @@ func TestCacheOversizeBypass(t *testing.T) {
 	k, snap, _ := RangeKey(rect(10, 10, 90, 90), c.CellSize(), false)
 	var v View
 	BuildView(src, snap, &v)
-	c.Put(k, &v, &v, make([]uint32, maxResultIDs+1), make([]geom.Segment, maxResultIDs+1), nil)
+	c.Put(k, &v, &v, make([]uint32, MaxResultIDs+1), make([]geom.Segment, MaxResultIDs+1), nil)
 	if st := c.Stats(); st.Entries != 0 || st.Bypasses != 1 {
 		t.Fatalf("oversize result must bypass: %+v", st)
 	}

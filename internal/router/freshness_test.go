@@ -220,8 +220,8 @@ func TestRouterMutableQuickEquivalence(t *testing.T) {
 			t.Fatalf("step %d knn: %d neighbors, truth %d", step, len(gotN), len(wantN))
 		}
 		for i := range gotN {
-			if gotN[i].Dist != wantN[i].Dist {
-				t.Fatalf("step %d knn rank %d: dist %v, truth %v", step, i, gotN[i].Dist, wantN[i].Dist)
+			if gotN[i] != wantN[i] {
+				t.Fatalf("step %d knn rank %d: %+v, truth %+v", step, i, gotN[i], wantN[i])
 			}
 		}
 	}

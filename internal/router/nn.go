@@ -21,9 +21,9 @@ import (
 	"mobispatial/internal/shard"
 )
 
-// KNearestAppendUntil answers one cluster-wide k-NN query, ascending by
-// distance: a batch of one, its legs ModeNeighbors items. A k the wire's
-// 16-bit field cannot carry is refused, never truncated.
+// KNearestAppendUntil answers one cluster-wide k-NN query in the
+// rtree.Neighbor.Before order: a batch of one, its legs ModeNeighbors items.
+// A k the wire's 16-bit field cannot carry is refused, never truncated.
 func (r *Router) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, _ *shard.Scratch, deadline time.Time) ([]rtree.Neighbor, error) {
 	if k <= 0 {
 		return dst, nil
@@ -182,16 +182,17 @@ func (r *Router) KNearestAppend(dst []rtree.Neighbor, pt geom.Point, k int, sc *
 	return dst, true
 }
 
-// mergeNeighbors merges two ascending neighbor lists into the best k,
-// deduplicating by id (the same item reported by two replicas carries the
-// same exact distance, so duplicates are adjacent within an equal-distance
-// run). tmp is the caller's reusable merge buffer.
+// mergeNeighbors merges two neighbor lists, each in the (distance, id)
+// order every backend answers in (rtree.Neighbor.Before), into the best k in
+// that order, deduplicating by id (the same item reported by two replicas
+// carries the same exact distance, so duplicates are adjacent within an
+// equal-distance run). tmp is the caller's reusable merge buffer.
 func mergeNeighbors(a, b []proto.Neighbor, k int, tmp *[]proto.Neighbor) []proto.Neighbor {
 	out := (*tmp)[:0]
 	i, j := 0, 0
 	for len(out) < k && (i < len(a) || j < len(b)) {
 		var nb proto.Neighbor
-		if j >= len(b) || (i < len(a) && a[i].Dist <= b[j].Dist) {
+		if j >= len(b) || (i < len(a) && !before(b[j], a[i])) {
 			nb = a[i]
 			i++
 		} else {
@@ -205,6 +206,11 @@ func mergeNeighbors(a, b []proto.Neighbor, k int, tmp *[]proto.Neighbor) []proto
 	}
 	*tmp = out
 	return append(a[:0], out...)
+}
+
+// before is rtree.Neighbor.Before on the wire's neighbor type.
+func before(a, b proto.Neighbor) bool {
+	return rtree.Neighbor{ID: a.ID, Dist: a.Dist}.Before(rtree.Neighbor{ID: b.ID, Dist: b.Dist})
 }
 
 // dupNeighbor reports whether nb's id already sits in the merged tail's

@@ -185,29 +185,19 @@ func nearest1(r *Router, pt geom.Point) (shard.NearestResult, error) {
 	return shard.NearestOf(nbs), err
 }
 
-// checkNN verifies a k-NN answer against the monolithic truth without
-// over-constraining tie resolution: the distance sequence must match the
-// truth rank by rank, every returned id must genuinely sit at its claimed
-// distance, and no id may repeat. Any id satisfying those is a legitimate
-// member of its equal-distance group, so the check is exact even when k
-// cuts inside a tie.
+// checkNN verifies a k-NN answer against the monolithic truth under the
+// one tie contract (rtree.Neighbor.Before): rank by rank the same id at the
+// same distance — where k cuts an equal-distance group both sides keep its
+// smallest ids — and every id genuinely at its claimed distance.
 func checkNN(t *testing.T, label string, ds *dataset.Dataset, pt geom.Point, got, want []rtree.Neighbor) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: got %d neighbors, want %d", label, len(got), len(want))
 	}
-	seen := make(map[uint32]bool, len(got))
 	for i := range got {
-		if got[i].Dist != want[i].Dist {
-			t.Fatalf("%s: rank %d dist %v, want %v", label, i, got[i].Dist, want[i].Dist)
+		if got[i] != want[i] {
+			t.Fatalf("%s: rank %d is %+v, want %+v", label, i, got[i], want[i])
 		}
-		if i > 0 && got[i].Dist < got[i-1].Dist {
-			t.Fatalf("%s: rank %d dist %v below rank %d dist %v", label, i, got[i].Dist, i-1, got[i-1].Dist)
-		}
-		if seen[got[i].ID] {
-			t.Fatalf("%s: id %d repeated", label, got[i].ID)
-		}
-		seen[got[i].ID] = true
 		if d := ds.Seg(got[i].ID).DistToPoint(pt); d != got[i].Dist {
 			t.Fatalf("%s: id %d true dist %v, reported %v", label, got[i].ID, d, got[i].Dist)
 		}

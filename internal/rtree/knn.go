@@ -18,13 +18,32 @@ type Neighbor struct {
 	Dist float64
 }
 
-// neighborHeap is a max-heap on distance (the worst of the current best-k
-// sits on top). The sift routines are the container/heap algorithm on the
-// concrete type — heap.Push boxes every Neighbor into an interface{}, which
-// would put an allocation in the middle of the zero-alloc query path.
+// Before is the one total order every serving k-NN answers in: by distance,
+// equal distances by id. A k-NN answer is the k smallest neighbors under it,
+// so equal-distance items cut by k resolve the same way in every engine —
+// one tree, a sharded or mutable pool, a router's merge, a cached entry.
+func (a Neighbor) Before(b Neighbor) bool {
+	return a.Dist < b.Dist || a.Dist == b.Dist && a.ID < b.ID
+}
+
+// neighborHeap is a max-heap in the Before order (the worst of the current
+// best-k sits on top). The sift routines are the container/heap algorithm
+// on the concrete type — heap.Push boxes every Neighbor into an
+// interface{}, which would put an allocation in the middle of the zero-alloc
+// query path.
 type neighborHeap []Neighbor
 
-func (h neighborHeap) less(i, j int) bool { return h[i].Dist > h[j].Dist }
+func (h neighborHeap) less(i, j int) bool { return h[j].Before(h[i]) }
+
+// admits reports whether nb belongs among the best k held so far: while
+// fewer than k are held any finite distance does, after that only a
+// neighbor Before the current k-th.
+func (h neighborHeap) admits(k int, nb Neighbor) bool {
+	if len(h) < k {
+		return nb.Dist < math.Inf(1)
+	}
+	return nb.Before(h[0])
+}
 
 func (h *neighborHeap) push(nb Neighbor) {
 	*h = append(*h, nb)
@@ -71,9 +90,11 @@ func (h neighborHeap) down(i0, n int) {
 	}
 }
 
-// KNearest returns the k items nearest to p in ascending distance order
-// (fewer if the tree holds fewer than k items). dist supplies exact item
-// distances exactly as in Nearest.
+// KNearest returns the k items nearest to p in the Before order (fewer if
+// the tree holds fewer than k items). dist supplies exact item
+// distances exactly as in Nearest. A traced walk (rec not ops.Null) admits
+// by distance alone, as the simulator always has, so where k cuts an
+// equal-distance run its ids need not be the smallest.
 func (t *Tree) KNearest(p geom.Point, k int, dist DistFunc, rec ops.Recorder) []Neighbor {
 	if t.root < 0 || k <= 0 {
 		return nil
@@ -126,8 +147,17 @@ func (sc *NNScratch) KNNLen() int { return len(sc.heap) }
 // whole shard — whose lower bound exceeds it cannot contribute.
 func (sc *NNScratch) KNNBound(k int) float64 { return knnBound(&sc.heap, k) }
 
-// DrainKNNAppend appends the accumulated neighbors to dst in ascending
-// distance order and empties the accumulator.
+// KNNWorst returns the accumulator's k-th best neighbor in the Before order,
+// and false while fewer than k are known.
+func (sc *NNScratch) KNNWorst(k int) (Neighbor, bool) {
+	if len(sc.heap) < k || k <= 0 {
+		return Neighbor{}, false
+	}
+	return sc.heap[0], true
+}
+
+// DrainKNNAppend appends the accumulated neighbors to dst in the Before
+// order and empties the accumulator.
 func (sc *NNScratch) DrainKNNAppend(dst []Neighbor) []Neighbor {
 	start := len(dst)
 	n := len(sc.heap)
@@ -147,7 +177,7 @@ func (sc *NNScratch) DrainKNNAppend(dst []Neighbor) []Neighbor {
 // offering the handful of overlay items (and skipping tombstoned ids) —
 // the merged answer is what one tree over the union would have produced.
 func (sc *NNScratch) KNNOffer(k int, nb Neighbor) {
-	if k <= 0 || nb.Dist >= knnBound(&sc.heap, k) {
+	if k <= 0 || !sc.heap.admits(k, nb) {
 		return
 	}
 	sc.heap.push(nb)
@@ -208,8 +238,12 @@ func (t *Tree) knn(n *node, p geom.Point, k int, dist DistFunc, skip func(uint32
 			default:
 				d = e.Seg().DistToPoint(p)
 			}
-			if d < knnBound(best, k) {
-				best.push(Neighbor{ID: e.ID, Dist: d})
+			// Untraced, admission is the Before order; a traced walk keeps
+			// its strict-distance rule, so the simulator's op stream stays
+			// what it was.
+			nb := Neighbor{ID: e.ID, Dist: d}
+			if traced && d < knnBound(best, k) || !traced && best.admits(k, nb) {
+				best.push(nb)
 				if traced {
 					rec.Op(ops.OpHeapOp, 1)
 				}

@@ -22,24 +22,46 @@
 //     is MBR-contains-point alone, and both predicates imply MBR∩cell for any
 //     point inside the cell. eps is applied here, at refinement, which is why
 //     it is not in the key.
-//   - KindNN stores the exact k-nearest answer (ids, distances, geometry)
-//     for the exact point: no refinement at all. One entry serves every
-//     unbounded k-NN at that point and k — a client query in ids or data
+//   - KindNNCell stores the k-NN candidates of the grid cell C holding the
+//     query point (fillNN). With c the cell's centre, r its half-diagonal
+//     and D the k-th distance from c, any p in C has its k-th distance
+//     D_k(p) ≤ D + |p−c| ≤ D + r, so each of p's k nearest has an MBR
+//     meeting C.Expand(D + r) and lies within D + 2r of c: the entry is
+//     the filter window over C.Expand(D + r), trimmed to distance D + 2r
+//     from c, sorted by that distance. refineNN walks it in order,
+//     computing each candidate's distance to p exactly as the engine
+//     does (unless its MBR alone is beyond the k-th best), and stops once distance-to-c − |p−c| — a lower bound on every
+//     later candidate's distance to p — is strictly above the k-th best.
+//     The answer is the k smallest (distance, id), the order every engine
+//     answers in (rtree.Neighbor.Before), so a hit equals re-execution ids
+//     and all. Every bound is widened by nnTolerance, so float rounding can
+//     only grow the window or delay the stop. One entry serves every
+//     unbounded k-NN in the cell at that k — a client query in ids or data
 //     mode and a router's unbounded leg (ModeNeighbors) alike; a leg bounded
-//     by the router's running k-th distance bypasses the cache.
+//     by the router's running k-th distance bypasses the cache. A pool
+//     with fewer than k items, or a window holding more than
+//     qcache.MaxResultIDs candidates, stores no entry: that query takes the
+//     engine's own k-NN.
 //
 // Every stored entry also carries its geometry, for version consistency: the
 // entry is valid at one version vector, and segments resolved through the
-// pool at hit time could belong to a later write than the ids do.
+// pool at hit time could belong to a later write than the ids do. A fill
+// whose views before and after disagree raced a write and is not stored. A
+// window fill still answers its own query — it is one engine call, refined
+// exactly — but a k-NN cell fill is two (the k-NN from the centre, then the
+// window its distance sizes), which a write between them can leave
+// inconsistent, so its query takes the engine's own k-NN instead.
 package serve
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"mobispatial/internal/geom"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/qcache"
+	"mobispatial/internal/rtree"
 )
 
 // nnRegion is the validity region of a nearest-neighbor query: NN searches
@@ -116,7 +138,7 @@ func (s *Server) runQueryCached(q *proto.QueryMsg, sc *reqScratch, deadline time
 		s.qc.Bypass()
 		return nil, nil, false, nil
 	}
-	if err := s.lookupOrFill(key, super, q.Point, 0, sc, deadline); err != nil {
+	if _, err := s.lookupOrFill(key, super, super, 0, sc, deadline); err != nil {
 		return nil, nil, true, err
 	}
 	eps := q.Eps
@@ -145,32 +167,36 @@ func putEntry(it *proto.BatchItem, mode proto.Mode, ids []uint32, segs []geom.Se
 	}
 }
 
-// lookupOrFill is the shared hit/miss engine: build the pre view, probe the
-// cache, and on a miss execute the superset, revalidate, and store. On a nil
-// return sc.cids/csegs/cdists hold the superset payload.
-func (s *Server) lookupOrFill(key qcache.Key, region geom.Rect, pt geom.Point, k int, sc *reqScratch, deadline time.Time) error {
+// lookupOrFill is the shared hit/miss engine: build the pre view over the
+// validity region, probe the cache, and on a miss gather the entry for
+// super, revalidate, and store. true means sc.cids/csegs/cdists hold an
+// entry that answers the query. false (with a nil error) happens only to a
+// k-NN cell, and sends its query to the engine's k-NN: the fill declined,
+// or it raced a write (see the file comment).
+func (s *Server) lookupOrFill(key qcache.Key, region, super geom.Rect, k int, sc *reqScratch, deadline time.Time) (bool, error) {
 	qcache.BuildView(s.caps.view, region, &sc.pre)
 	var hit bool
 	sc.cids, sc.csegs, sc.cdists, hit = s.qc.Get(key, &sc.pre, sc.cids[:0], sc.csegs[:0], sc.cdists[:0])
 	if hit {
 		s.noteHit()
-		return nil
+		return true, nil
 	}
 	start := time.Now()
-	if err := s.runSuperset(key, region, pt, k, sc, deadline); err != nil {
-		return err
+	if filled, err := s.runSuperset(key, super, k, sc, deadline); !filled {
+		return false, err
 	}
 	s.noteMiss(time.Since(start))
 	qcache.BuildView(s.caps.view, region, &sc.post)
 	s.qc.Put(key, &sc.pre, &sc.post, sc.cids, sc.csegs, sc.cdists)
-	return nil
+	return key.Kind() != qcache.KindNNCell || sc.pre.Equal(&sc.post), nil
 }
 
 // runSuperset executes the snapped superset query into sc.cids/csegs/cdists
-// through the engine. An engine error fails the fill instead of silently
+// through the engine; false means no entry (an engine error, or a k-NN cell
+// fillNN declined). An engine error fails the fill instead of silently
 // storing a partial answer — a cache poisoned with a degraded result would
 // keep serving it after the cluster recovered.
-func (s *Server) runSuperset(key qcache.Key, super geom.Rect, pt geom.Point, k int, sc *reqScratch, deadline time.Time) error {
+func (s *Server) runSuperset(key qcache.Key, super geom.Rect, k int, sc *reqScratch, deadline time.Time) (bool, error) {
 	sc.cids, sc.csegs, sc.cdists = sc.cids[:0], sc.csegs[:0], sc.cdists[:0]
 	var err error
 	switch key.Kind() {
@@ -178,23 +204,128 @@ func (s *Server) runSuperset(key qcache.Key, super geom.Rect, pt geom.Point, k i
 		sc.cids, err = s.eng.RangeAppendUntil(sc.cids, super, deadline)
 	case qcache.KindRangeFilter, qcache.KindCell:
 		sc.cids, err = s.eng.FilterRangeAppendUntil(sc.cids, super, deadline)
-	case qcache.KindNN:
-		sc.nbs, err = s.knn(sc.nbs[:0], pt, k, 0, sc, deadline)
-		for _, nb := range sc.nbs {
-			sc.cids = append(sc.cids, nb.ID)
-			sc.cdists = append(sc.cdists, nb.Dist)
-		}
+	case qcache.KindNNCell:
+		return s.fillNN(super, k, sc, deadline)
 	}
 	if err != nil {
-		return err
+		return false, err
 	}
-	if key.Kind() != qcache.KindNN {
-		sc.cids = sc.order.sortIDs(sc.cids)
-	}
+	sc.cids = sc.order.sortIDs(sc.cids)
 	for _, id := range sc.cids {
 		sc.csegs = append(sc.csegs, s.cfg.Pool.SegOf(id))
 	}
-	return nil
+	return true, nil
+}
+
+// nnCandidate is one item of a k-NN cell entry while fillNN sorts it.
+type nnCandidate struct {
+	nb  rtree.Neighbor // id and distance to the cell's centre
+	seg geom.Segment
+}
+
+// nnTolerance is the slack every k-NN cell bound is widened by: far above
+// the rounding of any distance up to reach computed near c (relative to
+// both the distance and the coordinates' magnitude), so rounding can only
+// grow a candidate window or delay an early stop, never cut a true
+// neighbor.
+func nnTolerance(c geom.Point, reach float64) float64 {
+	return 1e-9 * (reach + math.Abs(c.X) + math.Abs(c.Y))
+}
+
+// fillNN gathers the k-NN entry of cell into sc.cids/csegs/cdists: every
+// item that can be among the k nearest of a point in the cell, with its
+// distance to the cell's centre, nearest the centre first (see the file
+// comment). It declines — false, one bypass — when the pool holds fewer
+// than k items or the candidate window more than an entry may.
+func (s *Server) fillNN(cell geom.Rect, k int, sc *reqScratch, deadline time.Time) (bool, error) {
+	c := cell.Center()
+	r := c.Dist(cell.Max)
+	var err error
+	if sc.nbs, err = s.knn(sc.nbs[:0], c, k, 0, sc, deadline); err != nil {
+		return false, err
+	}
+	if len(sc.nbs) < k {
+		s.qc.Bypass()
+		return false, nil
+	}
+	d := sc.nbs[k-1].Dist
+	tol := nnTolerance(c, d+2*r)
+	if sc.cids, err = s.eng.FilterRangeAppendUntil(sc.cids, cell.Expand(d+r+tol), deadline); err != nil {
+		return false, err
+	}
+	if len(sc.cids) > qcache.MaxResultIDs {
+		s.qc.Bypass()
+		return false, nil
+	}
+	sc.cand = sc.cand[:0]
+	for _, id := range sc.cids {
+		seg := s.cfg.Pool.SegOf(id)
+		if dc := seg.DistToPoint(c); dc <= d+2*r+tol {
+			sc.cand = append(sc.cand, nnCandidate{nb: rtree.Neighbor{ID: id, Dist: dc}, seg: seg})
+		}
+	}
+	slices.SortFunc(sc.cand, func(a, b nnCandidate) int {
+		switch {
+		case a.nb.Before(b.nb):
+			return -1
+		case b.nb.Before(a.nb):
+			return 1
+		}
+		return 0
+	})
+	sc.cids = sc.cids[:0]
+	for _, cd := range sc.cand {
+		sc.cids = append(sc.cids, cd.nb.ID)
+		sc.csegs = append(sc.csegs, cd.seg)
+		sc.cdists = append(sc.cdists, cd.nb.Dist)
+	}
+	return true, nil
+}
+
+// refineNN answers a k-NN at p from the entry of the cell holding it, in
+// place: ids/segs/dists arrive nearest the cell's centre first, with
+// distances to the centre, and leave as p's k smallest (distance to p, id),
+// in that order. The front of the slices holds the best so far, sorted;
+// a candidate is read before its slot can be written, since the front
+// grows at most one slot per candidate.
+func refineNN(p geom.Point, cell geom.Rect, k int, ids []uint32, segs []geom.Segment, dists []float64) ([]uint32, []geom.Segment, []float64) {
+	if len(ids) == 0 {
+		return ids, segs, dists
+	}
+	c := cell.Center()
+	pc := p.Dist(c)
+	tol := nnTolerance(c, dists[len(dists)-1]+pc)
+	n := 0
+	for i := range ids {
+		// Every later candidate is at least dists[i] from c, so at least
+		// dists[i] − |p−c| from p: once that is past the k-th best, none can
+		// enter or tie.
+		if n == k {
+			if dists[i]-pc-tol > dists[k-1] {
+				break
+			}
+			// The box lower-bounds the segment's distance: one beyond the
+			// k-th best cannot enter or tie, and costs no square root.
+			if bound := dists[k-1] + tol; boxDistSq(segMBR(segs[i]), p) > bound*bound {
+				continue
+			}
+		}
+		nb, seg := rtree.Neighbor{ID: ids[i], Dist: segs[i].DistToPoint(p)}, segs[i]
+		if n == k && !nb.Before(rtree.Neighbor{ID: ids[k-1], Dist: dists[k-1]}) {
+			continue
+		}
+		j := n
+		if n < k {
+			n++
+		} else {
+			j = k - 1 // the k-th drops out
+		}
+		for ; j > 0 && nb.Before(rtree.Neighbor{ID: ids[j-1], Dist: dists[j-1]}); j-- {
+			ids[j], segs[j], dists[j] = ids[j-1], segs[j-1], dists[j-1]
+		}
+		ids[j], segs[j], dists[j] = nb.ID, seg, nb.Dist
+	}
+	return ids[:n], segs[:n], dists[:n]
 }
 
 // segMBR is Segment.MBR with plain comparisons. math.Min/Max carry NaN/±0
@@ -209,6 +340,13 @@ func segMBR(sg geom.Segment) geom.Rect {
 		r.Min.Y, r.Max.Y = r.Max.Y, r.Min.Y
 	}
 	return r
+}
+
+// boxDistSq is the squared distance from p to box r (zero inside it).
+func boxDistSq(r geom.Rect, p geom.Point) float64 {
+	dx := max(r.Min.X-p.X, p.X-r.Max.X, 0)
+	dy := max(r.Min.Y-p.Y, p.Y-r.Max.Y, 0)
+	return dx*dx + dy*dy
 }
 
 // refineCached filters the superset payload down to the exact query in

@@ -187,7 +187,9 @@ func TestCachedEquivalenceUnderWrites(t *testing.T) {
 
 // TestCachedQueryZeroAlloc pins the warm cache-hit path — view build, probe,
 // copy-out, refinement, reply build — at zero heap allocations, same
-// contract as the uncached hot path.
+// contract as the uncached hot path. The k-NN rows are cell hits at k = 1
+// and 8 in ids, data and neighbors mode: the entries are filled from one
+// point of the cell and read from another.
 func TestCachedQueryZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -198,33 +200,45 @@ func TestCachedQueryZeroAlloc(t *testing.T) {
 		Min: geom.Point{X: center.X - 400, Y: center.Y - 400},
 		Max: geom.Point{X: center.X + 400, Y: center.Y + 400},
 	}
-	queries := []*proto.QueryMsg{
-		{ID: 1, Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w},
-		{ID: 2, Kind: proto.KindRange, Mode: proto.ModeData, Window: w},
-		{ID: 3, Kind: proto.KindRange, Mode: proto.ModeFilter, Window: w},
-		{ID: 4, Kind: proto.KindPoint, Mode: proto.ModeIDs, Point: center},
-		{ID: 5, Kind: proto.KindNN, Mode: proto.ModeIDs, Point: center},
-		{ID: 6, Kind: proto.KindNN, Mode: proto.ModeIDs, Point: center, K: 8},
+	_, cell, ok := qcache.NNCellKey(center, 1, srv.qc.CellSize())
+	if !ok {
+		t.Fatal("the centre has no grid cell")
+	}
+	fill := geom.Point{X: cell.Min.X + 0.2*cell.Width(), Y: cell.Min.Y + 0.3*cell.Height()}
+	read := geom.Point{X: cell.Min.X + 0.9*cell.Width(), Y: cell.Min.Y + 0.7*cell.Height()}
+	windows := []proto.Request{
+		&proto.QueryMsg{ID: 1, Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w},
+		&proto.QueryMsg{ID: 2, Kind: proto.KindRange, Mode: proto.ModeData, Window: w},
+		&proto.QueryMsg{ID: 3, Kind: proto.KindRange, Mode: proto.ModeFilter, Window: w},
+		&proto.QueryMsg{ID: 4, Kind: proto.KindPoint, Mode: proto.ModeIDs, Point: center},
+	}
+	nn := func(pt geom.Point) []proto.Request {
+		var out []proto.Request
+		for _, k := range []uint16{1, 8} {
+			out = append(out,
+				&proto.QueryMsg{ID: 5, Kind: proto.KindNN, Mode: proto.ModeIDs, Point: pt, K: k},
+				&proto.QueryMsg{ID: 6, Kind: proto.KindNN, Mode: proto.ModeData, Point: pt, K: k},
+				&proto.BatchQueryMsg{ID: 7, Queries: []proto.QueryMsg{{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: pt, K: k}}})
+		}
+		return out
 	}
 	sc := srv.getScratch()
-	for i := 0; i < 2; i++ { // fill every entry, then confirm the hit path
-		for _, q := range queries {
-			if _, bad := srv.executeQuery(q, sc, time.Time{}).(*proto.ErrorMsg); bad {
-				t.Fatal("warmup query failed")
+	run := func(reqs []proto.Request) {
+		for _, req := range reqs {
+			if resp, bad := srv.execute(req, sc, time.Time{}).(*proto.ErrorMsg); bad {
+				t.Fatalf("%+v answered %+v", req, resp)
 			}
 		}
 	}
-	if n := testing.AllocsPerRun(200, func() {
-		for _, q := range queries {
-			if _, bad := srv.executeQuery(q, sc, time.Time{}).(*proto.ErrorMsg); bad {
-				t.Fatal("query failed")
-			}
-		}
-	}); n != 0 {
-		t.Fatalf("warm cache-hit executeQuery: %.2f allocs/op over %d queries, want 0", n, len(queries))
+	run(append(windows, nn(fill)...)) // fill every entry
+	queries := append(windows, nn(read)...)
+	run(queries) // warm the scratch on the hit path
+	before := srv.CacheStats()
+	if n := testing.AllocsPerRun(200, func() { run(queries) }); n != 0 {
+		t.Fatalf("warm cache-hit execute: %.2f allocs/op over %d queries, want 0", n, len(queries))
 	}
-	if st := srv.CacheStats(); st.Hits == 0 {
-		t.Fatalf("alloc loop never hit the cache: %+v", st)
+	if st := srv.CacheStats(); st.Misses != before.Misses || st.Hits == before.Hits {
+		t.Fatalf("alloc loop missed the cache: before %+v, after %+v", before, st)
 	}
 }
 
@@ -355,26 +369,16 @@ func zipfWindows(seed int64, ds *dataset.Dataset, n, hotspots int, s, half float
 
 // zipfQueries is the full mixed read workload of a mobile hotspot: half the
 // clients browse a map window, a quarter resolve the segments at their
-// position, a quarter ask for the 8 nearest segments from one of a few
-// shared anchor points (clients at the same junction ask from the same
-// snapped position, so NN keys repeat the way real hotspot traffic does).
+// position, a quarter ask for the 8 nearest segments from theirs. Every
+// query's position is its hotspot jittered on its own, whatever the kind:
+// no two clients stand on exactly the same spot.
 func zipfQueries(seed int64, ds *dataset.Dataset, n, hotspots int, s, half float64) []proto.QueryMsg {
 	rng := rand.New(rand.NewSource(seed))
 	centers := zipfHotspots(rng, ds, hotspots)
-	anchors := make([][4]geom.Point, hotspots)
-	for i := range anchors {
-		for j := range anchors[i] {
-			anchors[i][j] = geom.Point{
-				X: centers[i].X + (rng.Float64()*2-1)*60,
-				Y: centers[i].Y + (rng.Float64()*2-1)*60,
-			}
-		}
-	}
 	z := rand.NewZipf(rng, s, 1, uint64(hotspots-1))
 	out := make([]proto.QueryMsg, n)
 	for i := range out {
-		h := int(z.Uint64())
-		c := centers[h]
+		c := centers[z.Uint64()]
 		cx := c.X + (rng.Float64()*2-1)*60
 		cy := c.Y + (rng.Float64()*2-1)*60
 		switch rng.Intn(4) {
@@ -386,7 +390,7 @@ func zipfQueries(seed int64, ds *dataset.Dataset, n, hotspots int, s, half float
 		case 2:
 			out[i] = proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeIDs, Point: geom.Point{X: cx, Y: cy}}
 		default:
-			out[i] = proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeIDs, Point: anchors[h][rng.Intn(4)], K: 8}
+			out[i] = proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeIDs, Point: geom.Point{X: cx, Y: cy}, K: 8}
 		}
 	}
 	return out
@@ -416,11 +420,13 @@ func benchDataset(b testing.TB) *dataset.Dataset {
 	return ds
 }
 
-// BenchmarkZipfCached is the acceptance benchmark: data-mode range queries
-// over a Zipf hotspot distribution against a mutable pool, cache off vs on.
+// BenchmarkZipfCached is the acceptance benchmark: the zipfQueries mix over
+// a Zipf hotspot distribution against a mutable pool, cache off vs on.
 // The uncached path pays the index walk plus a per-record geometry resolve
 // through the pool's id table; a hit pays a striped-LRU copy-out and an
-// in-place refinement. results/BENCH_qcache.json records the ratio.
+// in-place refinement. The queries cycle, so exact repeats hit even without
+// cell keys; results/BENCH_qcache.json records an earlier ratio (one CPU,
+// k-NN from fixed anchor points).
 func BenchmarkZipfCached(b *testing.B) {
 	run := func(b *testing.B, withCache bool) {
 		ds := benchDataset(b)

@@ -368,11 +368,13 @@ type reqScratch struct {
 	ackMsg  proto.UpdateAckMsg
 	// Cache-path state: the pre/post validity views and the superset
 	// payload buffers (ids + geometry + NN distances) the cache copies out
-	// into on a hit and the miss path executes into before storing.
+	// into on a hit and the miss path executes into before storing; cand
+	// is where a k-NN cell fill sorts its candidates.
 	pre, post qcache.View
 	cids      []uint32
 	csegs     []geom.Segment
 	cdists    []float64
+	cand      []nnCandidate
 	// order sorts engine answers into the order contract (order.go).
 	order idSorter
 }
@@ -1157,7 +1159,7 @@ func (s *Server) runQuery(q *proto.QueryMsg, dst []uint32, deadline time.Time) (
 // fills all make it: a local pool's bounded walk, or a distributed pool's
 // k-NN, which drops the bound (a router has no bounded surface, and the
 // bound is only a pruning hint). bound 0 means none. The answer is appended
-// to dst, ascending by distance.
+// to dst in the rtree.Neighbor.Before order: nearest first, ties by id.
 func (s *Server) knn(dst []rtree.Neighbor, pt geom.Point, k int, bound float64, sc *reqScratch, deadline time.Time) ([]rtree.Neighbor, error) {
 	if l, ok := s.eng.(localEngine); ok {
 		dst, _ = l.KNearestBoundedAppend(dst, pt, k, bound, &sc.psc)
@@ -1221,8 +1223,8 @@ func (s *Server) readWindow(q *proto.QueryMsg, sc *reqScratch, it *proto.BatchIt
 
 // readNN is read's k-NN branch, a router's leg included: a ModeNeighbors
 // item, whose Eps is the router's running k-th distance (0 = none yet). An
-// unbounded k-NN reads the cache entry when the cache is on; anything else
-// makes the one engine call.
+// unbounded k-NN refines from its cell's cache entry when the cache is on
+// and has one; anything else makes the one engine call.
 func (s *Server) readNN(q *proto.QueryMsg, sc *reqScratch, it *proto.BatchItem, deadline time.Time) error {
 	k := max(int(q.K), 1)
 	if err := s.checkK(k); err != nil {
@@ -1236,14 +1238,15 @@ func (s *Server) readNN(q *proto.QueryMsg, sc *reqScratch, it *proto.BatchItem, 
 		// Only unbounded k-NN are cacheable: the router's running bound is
 		// not part of the key space, and a bounded answer is a truncation no
 		// later query could safely refine from.
-		if key, ok := qcache.NNKey(q.Point, k); ok && bound == 0 {
-			if err := s.lookupOrFill(key, nnRegion, q.Point, k, sc, deadline); err != nil {
-				return err
-			}
-			putEntry(it, q.Mode, sc.cids, sc.csegs, sc.cdists)
+		if key, cell, ok := qcache.NNCellKey(q.Point, k, s.qc.CellSize()); !ok || bound != 0 {
+			s.qc.Bypass()
+		} else if cached, err := s.lookupOrFill(key, nnRegion, cell, k, sc, deadline); err != nil {
+			return err
+		} else if cached {
+			ids, segs, dists := refineNN(q.Point, cell, k, sc.cids, sc.csegs, sc.cdists)
+			putEntry(it, q.Mode, ids, segs, dists)
 			return nil
 		}
-		s.qc.Bypass()
 	}
 	var err error
 	if sc.nbs, err = s.knn(sc.nbs[:0], q.Point, k, bound, sc, deadline); err != nil {

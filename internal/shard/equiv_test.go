@@ -29,21 +29,22 @@ func scanIDs(ds *dataset.Dataset, match func(geom.Segment) bool) []uint32 {
 	return ids
 }
 
-// scanNearest returns the k smallest segment distances to pt, ascending.
-func scanNearest(ds *dataset.Dataset, pt geom.Point, k int) []float64 {
+// scanNearest returns the k smallest (distance, id) neighbors of pt in the
+// rtree.Neighbor.Before order, the one tie order every engine answers in.
+func scanNearest(ds *dataset.Dataset, pt geom.Point, k int) []rtree.Neighbor {
 	if k <= 0 {
 		return nil
 	}
-	var best []float64
-	for _, s := range ds.Segments {
-		d := s.DistToPoint(pt)
-		if len(best) == k && d >= best[k-1] {
+	var best []rtree.Neighbor
+	for id, s := range ds.Segments {
+		nb := rtree.Neighbor{ID: uint32(id), Dist: s.DistToPoint(pt)}
+		if len(best) == k && !nb.Before(best[k-1]) {
 			continue
 		}
-		i := sort.SearchFloat64s(best, d)
-		best = append(best, 0)
+		i := sort.Search(len(best), func(i int) bool { return nb.Before(best[i]) })
+		best = append(best, rtree.Neighbor{})
 		copy(best[i+1:], best[i:])
-		best[i] = d
+		best[i] = nb
 		if len(best) > k {
 			best = best[:k]
 		}
@@ -62,9 +63,9 @@ type queries struct {
 
 // checkAgainstScan asks every query of qs of every pool and compares with
 // the linear scan: filter and exact range/point answers as id sets, NN and
-// k-NN answers as distance sequences (tie ids may differ between shard
-// counts; each reported id must still be at its reported distance, once).
-// It reports the first divergence and returns whether there was none.
+// k-NN answers as identical (distance, id) sequences — where k cuts an
+// equal-distance run, every shard count keeps the smallest ids. It reports
+// the first divergence and returns whether there was none.
 func checkAgainstScan(t *testing.T, ds *dataset.Dataset, pools []*Pool, qs queries) bool {
 	t.Helper()
 	fail := func(p *Pool, format string, args ...any) bool {
@@ -116,16 +117,16 @@ func checkAgainstScan(t *testing.T, ds *dataset.Dataset, pools []*Pool, qs queri
 			if res := p.NearestWith(pt, nil); res.OK {
 				one = []rtree.Neighbor{{ID: res.ID, Dist: res.Dist}}
 			}
-			if !sameDistances(ds, pt, one, want1) {
+			if !sameNeighbors(one, want1) {
 				return fail(p, "Nearest %v: %+v, scan %v", pt, one, want1)
 			}
 			// 1-NN is k-NN at k = 1, whether or not qs.ks asks for it.
-			if k1, _ := p.KNearestAppend(nil, pt, 1, nil); !sameDistances(ds, pt, k1, want1) {
+			if k1, _ := p.KNearestAppend(nil, pt, 1, nil); !sameNeighbors(k1, want1) {
 				return fail(p, "KNearest(k=1) %v: %+v, Nearest %+v", pt, k1, one)
 			}
 			for _, k := range qs.ks {
 				nbs, supported := p.KNearestAppend(nil, pt, k, nil)
-				if wk := want[:min(max(k, 0), len(want))]; !supported || !sameDistances(ds, pt, nbs, wk) {
+				if wk := want[:min(max(k, 0), len(want))]; !supported || !sameNeighbors(nbs, wk) {
 					return fail(p, "KNearest(k=%d) %v: %d neighbors, scan %d", k, pt, len(nbs), len(wk))
 				}
 			}
@@ -134,19 +135,16 @@ func checkAgainstScan(t *testing.T, ds *dataset.Dataset, pools []*Pool, qs queri
 	return true
 }
 
-// sameDistances reports whether a k-NN answer is the scan's: the same
-// distances in the same ascending order, every id distinct and honestly at
-// its reported distance.
-func sameDistances(ds *dataset.Dataset, pt geom.Point, got []rtree.Neighbor, want []float64) bool {
+// sameNeighbors reports whether a k-NN answer is the scan's, id for id and
+// distance for distance.
+func sameNeighbors(got, want []rtree.Neighbor) bool {
 	if len(got) != len(want) {
 		return false
 	}
-	seen := make(map[uint32]bool, len(got))
-	for i, nb := range got {
-		if nb.Dist != want[i] || seen[nb.ID] || ds.Seg(nb.ID).DistToPoint(pt) != nb.Dist {
+	for i := range got {
+		if got[i] != want[i] {
 			return false
 		}
-		seen[nb.ID] = true
 	}
 	return true
 }

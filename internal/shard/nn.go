@@ -26,8 +26,8 @@ func (p *Pool) NearestWith(pt geom.Point, sc *Scratch) NearestResult {
 	return NearestOf(nbs)
 }
 
-// KNearestAppend appends one k-NN answer to dst in ascending distance
-// order, reusing sc when non-nil. The bool is the executor contract's
+// KNearestAppend appends one k-NN answer to dst in the
+// rtree.Neighbor.Before order, reusing sc when non-nil. The bool is the executor contract's
 // "access method supports k-NN" and is always true here: every shard is a
 // packed R-tree.
 func (p *Pool) KNearestAppend(dst []rtree.Neighbor, pt geom.Point, k int, sc *Scratch) ([]rtree.Neighbor, bool) {
