@@ -281,6 +281,16 @@ func (r Rect) MinDist(p Point) float64 {
 	return math.Hypot(dx, dy)
 }
 
+// MinDistSq is MinDist squared without math.Hypot: dx² + dy² from the same
+// per-axis gaps, within a few ulps of MinDist(p)² (it overflows to +Inf
+// where MinDist is still finite). A caller pruning on it must allow for
+// that rounding.
+func (r Rect) MinDistSq(p Point) float64 {
+	dx := axisDist(p.X, r.Min.X, r.Max.X)
+	dy := axisDist(p.Y, r.Min.Y, r.Max.Y)
+	return dx*dx + dy*dy
+}
+
 // MinMaxDist returns the MINMAXDIST metric of Roussopoulos et al.: the
 // minimum over the rectangle's faces of the maximum distance from p to that
 // face. Any rectangle that bounds at least one data object is guaranteed to

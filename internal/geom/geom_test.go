@@ -202,6 +202,9 @@ func TestMinDist(t *testing.T) {
 		if got := r.MinDist(c.p); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("MinDist(%v) = %g, want %g", c.p, got, c.want)
 		}
+		if got := r.MinDistSq(c.p); got != c.want*c.want {
+			t.Errorf("MinDistSq(%v) = %g, want %g", c.p, got, c.want*c.want)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"math"
+
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
 )
@@ -17,6 +19,14 @@ import (
 // window contains. Result order is part of the contract — replies, cached
 // results and wire bytes are compared byte for byte against the
 // instrumented walk's.
+//
+// k-NN has a kernel of its own (collectKNN), run by every untraced k-NN: a
+// depth-first branch-and-bound over squared MINDIST, with no math.Hypot,
+// that picks each next child by a selection scan instead of sorting the
+// node. Its pruning is conservative — the k-th distance squared is widened
+// by a relative 1e-12 (knnSlack) before anything is dropped — and its
+// admission is the traced walk's exact distance under Neighbor.Before, so
+// its answers are bit-identical: the first k of a flat (distance, id) sort.
 
 // untraced reports whether rec discards everything, which is what selects
 // the kernel; there is no option.
@@ -25,8 +35,8 @@ func untraced(rec ops.Recorder) bool {
 	return null
 }
 
-// nilIfNull hands the NN walks a nil recorder for an untraced query: they
-// test it once per node instead of calling into a no-op per entry.
+// nilIfNull hands the 1-NN walk a nil recorder for an untraced query: it
+// tests it once per node instead of calling into a no-op per entry.
 func nilIfNull(rec ops.Recorder) ops.Recorder {
 	if untraced(rec) {
 		return nil
@@ -167,4 +177,103 @@ func appendRun(dst []uint32, run []Item) []uint32 {
 		dst = append(dst, run[i].ID)
 	}
 	return dst
+}
+
+// knnSlack widens the k-th best distance squared before the k-NN kernel
+// prunes against it. MinDistSq and the square of the bound each sit within a
+// few ulps of the exact values, so a relative 1e-12 keeps every entry whose
+// MinDist does not exceed the bound: the kernel examines at least what the
+// traced walk's Hypot test would.
+const knnSlack = 1 + 1e-12
+
+// knnQuery is one k-NN fold through the kernel. bound is the pruning
+// distance squared and widened by knnSlack, +Inf while fewer than k
+// neighbors are held.
+type knnQuery struct {
+	p     geom.Point
+	k     int
+	dist  DistFunc
+	skip  func(uint32) bool
+	sc    *NNScratch
+	bound float64
+}
+
+// collectKNN folds the tree's k nearest items into sc's running accumulator
+// under the Before order: the k-NN kernel behind KNearestCollect and every
+// untraced KNearestAppend. A nil dist takes each item's distance from its
+// leaf (Item.Seg), leaving out the ids skip reports.
+//
+// It is a depth-first branch-and-bound over squared MINDIST. At an inner
+// node it computes every child's MinDistSq once, then repeatedly selects the
+// nearest child not yet visited (a linear scan; ties go to the lower entry
+// index), marks it visited and descends, until the nearest left is farther
+// than the bound. A leaf entry is pruned the same way, and every survivor is
+// admitted by its exact distance under Before. The accumulator then holds
+// the k smallest (distance, id) of everything offered, and the widened bound
+// never prunes an entry those could include, so the answer is the one any
+// exhaustive scan gives, bit for bit, whatever order the walk took.
+func (t *Tree) collectKNN(p geom.Point, k int, dist DistFunc, skip func(uint32) bool, sc *NNScratch) {
+	q := knnQuery{p: p, k: k, dist: dist, skip: skip, sc: sc}
+	q.tighten()
+	t.knnWalk(&t.nodes[t.root], &q)
+}
+
+// tighten recomputes q.bound from the accumulator.
+func (q *knnQuery) tighten() {
+	h := q.sc.heap
+	if len(h) < q.k {
+		q.bound = math.Inf(1)
+		return
+	}
+	q.bound = h[0].Dist * h[0].Dist * knnSlack
+}
+
+func (t *Tree) knnWalk(n *node, q *knnQuery) {
+	if n.level == 0 {
+		h := &q.sc.heap
+		for i := range n.entries {
+			e := &n.entries[i]
+			if e.MBR.MinDistSq(q.p) > q.bound {
+				continue
+			}
+			var d float64
+			switch {
+			case q.dist != nil:
+				d = q.dist(e.ID)
+			case q.skip != nil && q.skip(e.ID):
+				continue
+			default:
+				d = e.Seg().DistToPoint(q.p)
+			}
+			if h.offer(q.k, Neighbor{ID: e.ID, Dist: d}) {
+				q.tighten()
+			}
+		}
+		return
+	}
+	// The first selection rides on the pass that fills the buffer.
+	kids := q.sc.level(n.level)
+	next, nd := -1, math.Inf(1)
+	for i := range n.entries {
+		d := n.entries[i].MBR.MinDistSq(q.p)
+		kids = append(kids, branch{minDist: d, idx: i})
+		if d < nd || next < 0 {
+			next, nd = i, d
+		}
+	}
+	q.sc.keep(n.level, kids)
+	for next >= 0 && nd <= q.bound {
+		child := n.entries[kids[next].idx].ID
+		// A visited child is marked by its index, never by its distance:
+		// a child at +Inf must not come round again while the bound is
+		// still +Inf.
+		kids[next].idx = -1
+		t.knnWalk(&t.nodes[child], q)
+		next, nd = -1, math.Inf(1)
+		for i := range kids {
+			if d := kids[i].minDist; (d < nd || next < 0) && kids[i].idx >= 0 {
+				next, nd = i, d
+			}
+		}
+	}
 }

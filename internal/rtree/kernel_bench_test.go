@@ -28,12 +28,14 @@ func (discard) Store(uint64, int) {}
 //     instrumented filter followed by a refinement loop over every candidate;
 //   - point queries: AppendPoint, and the untraced point filter refined
 //     against the dataset's records, candidate by candidate;
-//   - nearest-neighbor points at k = 1 and k = 8: the leaf-distance fold
-//     (KNearestCollect), and the untraced k-NN with a DistFunc over the
-//     dataset's records.
+//   - nearest-neighbor points at k = 1 and k = 8: the kernel's leaf-distance
+//     fold (KNearestCollect), the kernel with a DistFunc over the dataset's
+//     records, and the instrumented walk with that DistFunc.
 //
 // The two "-dataset" rows are how a serving pool answered before the leaves
-// carried their segments.
+// carried their segments; the instrumented rows price the Hypot-and-sort
+// walk every serving k-NN ran before the k-NN kernel, as the instrumented
+// range rows do for range.
 func BenchmarkRangeKernel(b *testing.B) {
 	ds := dataset.PA()
 	tr, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
@@ -108,13 +110,20 @@ func BenchmarkRangeKernel(b *testing.B) {
 				nbs = sc.DrainKNNAppend(nbs[:0])
 			}
 		})
+		var p geom.Point
+		dist := func(id uint32) float64 { return ds.Seg(id).DistToPoint(p) }
 		b.Run("knn-dataset/k="+strconv.Itoa(k), func(b *testing.B) {
 			b.ReportAllocs()
-			var p geom.Point
-			dist := func(id uint32) float64 { return ds.Seg(id).DistToPoint(p) }
 			for i := 0; i < b.N; i++ {
 				p = nnPoints[i%len(nnPoints)]
 				nbs = tr.KNearestAppend(nbs[:0], p, k, dist, ops.Null{}, &sc)
+			}
+		})
+		b.Run("knn-instrumented/k="+strconv.Itoa(k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p = nnPoints[i%len(nnPoints)]
+				nbs = tr.KNearestAppend(nbs[:0], p, k, dist, discard{}, &sc)
 			}
 		})
 	}

@@ -190,6 +190,43 @@ func TestKernelStandsDownOnIrregularMBRs(t *testing.T) {
 	}
 }
 
+// TestKNNKernelZeroAlloc: a warm scratch answers k-NN at k 1, 8 and 64
+// without allocating, through KNearestAppend and a KNearestCollect fold, at
+// the default fanout and at fanout 102 (NodeBytes 2048).
+func TestKNNKernelZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	segs := randSegments(50000, 8)
+	rng := rand.New(rand.NewSource(9))
+	points := make([]geom.Point, 64)
+	for i := range points {
+		points[i] = geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+	}
+	for _, nodeBytes := range []int{0, 2048} {
+		tr := buildTest(t, segs, Config{NodeBytes: nodeBytes})
+		for _, k := range []int{1, 8, 64} {
+			var sc NNScratch
+			var nbs []Neighbor
+			i := 0
+			run := func() {
+				p := points[i%len(points)]
+				i++
+				nbs = tr.KNearestAppend(nbs[:0], p, k, nil, ops.Null{}, &sc)
+				sc.ResetKNN()
+				tr.KNearestCollect(p, k, nil, &sc)
+				nbs = sc.DrainKNNAppend(nbs[:0])
+			}
+			for range points {
+				run()
+			}
+			if n := testing.AllocsPerRun(200, run); n != 0 {
+				t.Errorf("node=%d k=%d: %.1f allocs per warm k-NN, want 0", nodeBytes, k, n)
+			}
+		}
+	}
+}
+
 // TestInstrumentedStreamPinned fixes the op and access counts the
 // instrumented walks emit for one seeded query set. The numbers were
 // recorded from the commit before the serving kernel existed: the

@@ -11,6 +11,11 @@ import (
 // lists as future work (§7). The algorithm generalizes the Roussopoulos
 // branch-and-bound: a max-heap keeps the k best exact distances found so
 // far, and subtrees are pruned against the k-th best once the heap is full.
+//
+// The walk in this file (knn) is the traced model only: it runs when a
+// recorder is attached, and its op stream is what the simulator prices.
+// Every untraced k-NN runs the serving kernel (collectKNN, kernel.go) into
+// the same heap and the same accumulator API defined here.
 
 // Neighbor is one k-NN result.
 type Neighbor struct {
@@ -43,6 +48,22 @@ func (h neighborHeap) admits(k int, nb Neighbor) bool {
 		return nb.Dist < math.Inf(1)
 	}
 	return nb.Before(h[0])
+}
+
+// offer folds nb into a heap of the best k if it admits nb: a push while
+// fewer than k are held, else nb replaces the k-th best on top. It reports
+// whether nb went in.
+func (h *neighborHeap) offer(k int, nb Neighbor) bool {
+	if !h.admits(k, nb) {
+		return false
+	}
+	if len(*h) < k {
+		h.push(nb)
+	} else {
+		(*h)[0] = nb
+		h.down(0, len(*h))
+	}
+	return true
 }
 
 func (h *neighborHeap) push(nb Neighbor) {
@@ -92,9 +113,11 @@ func (h neighborHeap) down(i0, n int) {
 
 // KNearest returns the k items nearest to p in the Before order (fewer if
 // the tree holds fewer than k items). dist supplies exact item
-// distances exactly as in Nearest. A traced walk (rec not ops.Null) admits
-// by distance alone, as the simulator always has, so where k cuts an
-// equal-distance run its ids need not be the smallest.
+// distances exactly as in Nearest. An untraced query (rec is ops.Null) runs
+// the serving kernel, where a nil dist takes each item's distance from its
+// leaf (Item.Seg). A traced walk needs dist and admits by distance alone, as
+// the simulator always has, so where k cuts an equal-distance run its ids
+// need not be the smallest.
 func (t *Tree) KNearest(p geom.Point, k int, dist DistFunc, rec ops.Recorder) []Neighbor {
 	if t.root < 0 || k <= 0 {
 		return nil
@@ -103,29 +126,22 @@ func (t *Tree) KNearest(p geom.Point, k int, dist DistFunc, rec ops.Recorder) []
 }
 
 // KNearestAppend is KNearest appending into dst with an optional
-// caller-owned scratch — the allocation-free k-NN path. The traversal is
-// shared with KNearest, so answers (ties included) are identical.
+// caller-owned scratch — the allocation-free k-NN path. It empties sc's
+// running accumulator first, so it does not fold into earlier calls.
 func (t *Tree) KNearestAppend(dst []Neighbor, p geom.Point, k int, dist DistFunc, rec ops.Recorder, sc *NNScratch) []Neighbor {
 	if t.root < 0 || k <= 0 {
 		return dst
 	}
-	var best neighborHeap
-	if sc != nil {
-		best = sc.heap[:0]
+	if sc == nil {
+		sc = new(NNScratch)
 	}
-	t.knn(&t.nodes[t.root], p, k, dist, nil, nilIfNull(rec), sc, &best)
-	start := len(dst)
-	n := len(best)
-	for i := 0; i < n; i++ {
-		dst = append(dst, Neighbor{})
+	sc.ResetKNN()
+	if untraced(rec) {
+		t.collectKNN(p, k, dist, nil, sc)
+	} else {
+		t.knn(&t.nodes[t.root], p, k, dist, rec, sc)
 	}
-	for i := start + n - 1; i >= start; i-- {
-		dst[i] = best.pop()
-	}
-	if sc != nil {
-		sc.heap = best[:0]
-	}
-	return dst
+	return sc.DrainKNNAppend(dst)
 }
 
 // The running-accumulator API. A sharded index answers one k-NN query by
@@ -133,7 +149,7 @@ func (t *Tree) KNearestAppend(dst []Neighbor, p geom.Point, k int, dist DistFunc
 // distance travels from shard to shard, pruning inside every later tree.
 // KNearestAppend under ops.Null is ResetKNN + one KNearestCollect +
 // DrainKNNAppend wherever dist is the distance to the segment each leaf
-// carries: single-tree and cross-tree answers share one traversal.
+// carries: single-tree and cross-tree answers share one kernel.
 
 // ResetKNN empties sc's running k-NN accumulator. Call once before a
 // sequence of KNearestCollect folds.
@@ -177,12 +193,8 @@ func (sc *NNScratch) DrainKNNAppend(dst []Neighbor) []Neighbor {
 // offering the handful of overlay items (and skipping tombstoned ids) —
 // the merged answer is what one tree over the union would have produced.
 func (sc *NNScratch) KNNOffer(k int, nb Neighbor) {
-	if k <= 0 || !sc.heap.admits(k, nb) {
-		return
-	}
-	sc.heap.push(nb)
-	if len(sc.heap) > k {
-		sc.heap.pop()
+	if k > 0 {
+		sc.heap.offer(k, nb)
 	}
 }
 
@@ -197,9 +209,7 @@ func (t *Tree) KNearestCollect(p geom.Point, k int, skip func(id uint32) bool, s
 	if t.root < 0 || k <= 0 {
 		return
 	}
-	heap := sc.heap
-	t.knn(&t.nodes[t.root], p, k, nil, skip, nil, sc, &heap)
-	sc.heap = heap
+	t.collectKNN(p, k, nil, skip, sc)
 }
 
 // bound returns the pruning distance: the k-th best so far, or +Inf while
@@ -211,76 +221,46 @@ func knnBound(best *neighborHeap, k int) float64 {
 	return (*best)[0].Dist
 }
 
-// knn is the k-NN descent; rec is nil for an untraced query, as in nearest.
-// A nil dist takes each item's distance from its leaf (KNearestCollect),
-// leaving out the ids skip reports.
-func (t *Tree) knn(n *node, p geom.Point, k int, dist DistFunc, skip func(uint32) bool, rec ops.Recorder, sc *NNScratch, best *neighborHeap) {
-	traced := rec != nil
-	if traced {
-		t.visitNode(n, rec)
-	}
+// knn is the simulator's k-NN descent, traced into rec: every entry
+// scanned, every MINDIST and heap operation recorded, children visited in
+// sorted MINDIST order, and a neighbor admitted only when strictly closer
+// than the k-th best. Its op stream is what the machine models price, so it
+// stays as recorded; untraced queries take collectKNN instead.
+func (t *Tree) knn(n *node, p geom.Point, k int, dist DistFunc, rec ops.Recorder, sc *NNScratch) {
+	best := &sc.heap
+	t.visitNode(n, rec)
 	if n.level == 0 {
 		for i := range n.entries {
-			if traced {
-				t.scanEntry(n, i, rec)
-				rec.Op(ops.OpDistCalc, 1)
-			}
+			t.scanEntry(n, i, rec)
+			rec.Op(ops.OpDistCalc, 1)
 			e := &n.entries[i]
 			if e.MBR.MinDist(p) > knnBound(best, k) {
 				continue
 			}
-			var d float64
-			switch {
-			case dist != nil:
-				d = dist(e.ID)
-			case skip != nil && skip(e.ID):
-				continue
-			default:
-				d = e.Seg().DistToPoint(p)
-			}
-			// Untraced, admission is the Before order; a traced walk keeps
-			// its strict-distance rule, so the simulator's op stream stays
-			// what it was.
-			nb := Neighbor{ID: e.ID, Dist: d}
-			if traced && d < knnBound(best, k) || !traced && best.admits(k, nb) {
-				best.push(nb)
-				if traced {
-					rec.Op(ops.OpHeapOp, 1)
-				}
+			if d := dist(e.ID); d < knnBound(best, k) {
+				best.push(Neighbor{ID: e.ID, Dist: d})
+				rec.Op(ops.OpHeapOp, 1)
 				if len(*best) > k {
 					best.pop()
-					if traced {
-						rec.Op(ops.OpHeapOp, 1)
-					}
+					rec.Op(ops.OpHeapOp, 1)
 				}
 			}
 		}
 		return
 	}
-	var branches []branch
-	if sc != nil {
-		branches = sc.level(n.level)
-	} else {
-		branches = make([]branch, 0, len(n.entries))
-	}
+	branches := sc.level(n.level)
 	for i := range n.entries {
-		if traced {
-			t.scanEntry(n, i, rec)
-			rec.Op(ops.OpDistCalc, 1)
-		}
+		t.scanEntry(n, i, rec)
+		rec.Op(ops.OpDistCalc, 1)
 		branches = append(branches, branch{minDist: n.entries[i].MBR.MinDist(p), idx: i})
 	}
-	if sc != nil {
-		sc.keep(n.level, branches)
-	}
+	sc.keep(n.level, branches)
 	sortBranches(branches)
-	if traced {
-		rec.Op(ops.OpHeapOp, len(branches))
-	}
+	rec.Op(ops.OpHeapOp, len(branches))
 	for _, br := range branches {
 		if br.minDist > knnBound(best, k) {
 			break // MINDIST-ordered: all later branches prune too
 		}
-		t.knn(&t.nodes[n.entries[br.idx].ID], p, k, dist, skip, rec, sc, best)
+		t.knn(&t.nodes[n.entries[br.idx].ID], p, k, dist, rec, sc)
 	}
 }

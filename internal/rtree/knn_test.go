@@ -3,6 +3,7 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -10,6 +11,10 @@ import (
 	"mobispatial/internal/ops"
 )
 
+// TestKNearestMatchesBruteForce: the untraced k-NN answers exactly the first
+// k of a (distance, id) sort of every item. The traced walk admits by
+// distance alone, so on a tie cut by k its ids may differ: it must match the
+// sort's distances, each at its own id's distance.
 func TestKNearestMatchesBruteForce(t *testing.T) {
 	segs := randSegments(2000, 40)
 	tr := buildTest(t, segs, Config{})
@@ -18,28 +23,22 @@ func TestKNearestMatchesBruteForce(t *testing.T) {
 		p := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
 		k := 1 + rng.Intn(20)
 		df := func(id uint32) float64 { return segs[id].DistToPoint(p) }
-		got := tr.KNearest(p, k, df, ops.Null{})
-		if len(got) != k {
-			t.Fatalf("query %d: got %d neighbors, want %d", q, len(got), k)
-		}
-		// Brute force.
-		dists := make([]float64, len(segs))
+		all := make([]Neighbor, len(segs))
 		for i, s := range segs {
-			dists[i] = s.DistToPoint(p)
+			all[i] = Neighbor{ID: uint32(i), Dist: s.DistToPoint(p)}
 		}
-		sort.Float64s(dists)
-		for i, nb := range got {
-			if math.Abs(nb.Dist-dists[i]) > 1e-9 {
-				t.Fatalf("query %d k=%d: neighbor %d dist %g, want %g", q, k, i, nb.Dist, dists[i])
-			}
-			if got := segs[nb.ID].DistToPoint(p); math.Abs(got-nb.Dist) > 1e-9 {
-				t.Fatalf("neighbor id/dist mismatch")
-			}
+		sort.Slice(all, func(i, j int) bool { return all[i].Before(all[j]) })
+		want := all[:k]
+		if got := tr.KNearest(p, k, df, ops.Null{}); !slices.Equal(got, want) {
+			t.Fatalf("query %d k=%d: untraced\n got  %v\n want %v", q, k, got, want)
 		}
-		// Ascending order.
-		for i := 1; i < len(got); i++ {
-			if got[i].Dist < got[i-1].Dist {
-				t.Fatalf("results not sorted at %d", i)
+		traced := tr.KNearest(p, k, df, &ops.Counts{})
+		if len(traced) != k {
+			t.Fatalf("query %d: traced walk found %d neighbors, want %d", q, len(traced), k)
+		}
+		for i, nb := range traced {
+			if nb.Dist != want[i].Dist || nb.Dist != df(nb.ID) {
+				t.Fatalf("query %d k=%d: traced neighbor %d is %+v, want distance %g", q, k, i, nb, want[i].Dist)
 			}
 		}
 	}

@@ -8,9 +8,9 @@
 // all traversals emit their operation and memory-reference streams to an
 // ops.Recorder, which is how the cycle/energy machine models observe the
 // execution (see internal/ops). Passing ops.Null{} runs the index as a plain
-// spatial library: range and point searches then take the serving kernel
-// (kernel.go) and the NN walks skip their recorder calls — same answers in
-// the same order, nothing recorded.
+// spatial library: range, point and k-NN searches then take the serving
+// kernels (kernel.go) and the 1-NN walk skips its recorder calls — same
+// answers in the same order, nothing recorded.
 //
 // The instrumented walks are the paper's two phases: they filter on MBRs,
 // and refinement against the data records is the caller's (a DistFunc for
@@ -451,8 +451,8 @@ func (t *Tree) NearestWithin(p geom.Point, bound float64, dist DistFunc, rec ops
 
 // branch is one child under consideration during the NN descent.
 type branch struct {
-	minDist float64
-	idx     int // entry index within the node
+	minDist float64 // squared in the k-NN kernel
+	idx     int     // entry index within the node
 }
 
 // NNScratch holds reusable traversal state for the nearest-neighbor
