@@ -98,9 +98,60 @@ func TestOverlayPathZeroAlloc(t *testing.T) {
 		p.ApplyMove(uint32(rng.Intn(p.Dataset().Len())), randomSeg(rng, p.Dataset().Extent))
 	}
 	measureQueries(t, "frozen + live overlay", p, 0)
-	for _, s := range p.shards {
-		if s.frozen != nil {
-			s.finishCompact(s.frozen)
+	for _, f := range frozen {
+		for _, s := range p.shards {
+			if s.lr.current().frozen == f {
+				s.finishCompact(f)
+			}
+		}
+	}
+}
+
+// TestWarmMoveZeroAlloc: the moving workload's write — an id already in its
+// shard's live overlay moved again within that shard — allocates nothing,
+// however the write is published to readers.
+func TestWarmMoveZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	p := testPool(t, 1500, 4)
+	ds := p.Dataset()
+	type vehicle struct {
+		id  uint32
+		seg geom.Segment
+	}
+	var fleet []vehicle
+	for j := 0; j < 16; j++ {
+		id := uint32(j * (ds.Len() / 16))
+		fleet = append(fleet, vehicle{id, ds.Seg(id)}, vehicle{uint32(ds.Len() + j), ds.Seg(id + 1)})
+	}
+	nudge := func(i int) {
+		v := fleet[i%len(fleet)]
+		if (i/len(fleet))%2 == 1 {
+			v.seg.A.X += 1e-3
+			v.seg.B.X += 1e-3
+		}
+		if _, existed, owned, err := p.ApplyMove(v.id, v.seg); err != nil || !owned || i >= len(fleet) && !existed {
+			t.Fatalf("move %d: existed=%v owned=%v err=%v", v.id, existed, owned, err)
+		}
+	}
+	for i := 0; i < 4*len(fleet); i++ {
+		nudge(i)
+	}
+	owners := make([]*mshard, len(fleet))
+	for i, v := range fleet {
+		owners[i] = p.ids.owner(v.id)
+	}
+	i := 0
+	if got := testing.AllocsPerRun(200, func() {
+		nudge(i)
+		i++
+	}); got != 0 {
+		t.Errorf("a warm same-shard move made %v allocs, want 0", got)
+	}
+	for j, v := range fleet {
+		if p.ids.owner(v.id) != owners[j] {
+			t.Fatalf("id %d changed shards: the moves are not same-shard", v.id)
 		}
 	}
 }

@@ -8,9 +8,11 @@ import (
 )
 
 // Compaction folds a shard's overlay back into a freshly bulk-loaded packed
-// base in three phases, blocking writers only for the two map swaps:
+// base in three phases, blocking writers only for the two publishes. Both
+// publish through the shard's left-right pair like a write, so no reader
+// waits for either:
 //
-//  1. Freeze (write lock): detach the live overlay — its segments and
+//  1. Freeze (writer lock): detach the live overlay — its segments and
 //     tombstones — as an immutable frozenView and install fresh empty live
 //     ones. Readers now merge three layers; writers keep landing in the new
 //     live overlay.
@@ -18,8 +20,8 @@ import (
 //     items minus frozen tombstones and superseded ids, plus the frozen
 //     overlay's items. Both inputs are immutable, so queries and writes
 //     proceed concurrently.
-//  3. Swap (write lock): publish the new baseView through the atomic
-//     pointer, drop the frozen layer, bump the epoch.
+//  3. Swap (writer lock): publish the new baseView, drop the frozen layer,
+//     bump the epoch.
 //
 // A delete that arrives during phase 2 lands in the new live tombstone set,
 // which masks the new base after the swap — so the rebuild never loses a
@@ -43,26 +45,26 @@ func (s *mshard) compact() bool {
 	return f != nil && s.finishCompact(f)
 }
 
-// freeze runs phase 1: under the write lock the live overlay — segments and
-// tombstones — becomes the shard's immutable frozen layer above a fresh
-// empty live overlay. It returns nil when there is nothing to compact or a
-// freeze is already outstanding (a concurrent compaction owns it). Split
-// from finishCompact so tests can hold the three-layer state open and query
-// through it deterministically.
+// freeze runs phase 1: under the writer lock the live overlay — segments
+// and tombstones — becomes the shard's immutable frozen layer above a fresh
+// empty live overlay, published and levelled, so both copies share the
+// frozen layer when it returns. It returns nil when there is nothing to
+// compact or a freeze is already outstanding (a concurrent compaction owns
+// it). Split from finishCompact
+// so tests can hold the three-layer state open and query through it
+// deterministically.
 func (s *mshard) freeze() *frozenView {
 	if s.pend.Load() == 0 {
 		return nil // nothing to fold: skip the lock
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.frozen != nil || s.segs.len()+len(s.tombs) == 0 {
+	if l := s.lr.current(); l.frozen != nil || l.segs.len()+len(l.tombs) == 0 {
 		return nil
 	}
-	f := &frozenView{segs: s.segs, tombs: s.tombs}
-	s.frozen = f
-	s.segs = newOverlay()
-	s.tombs = map[uint32]struct{}{}
-	return f
+	c := s.lr.publish(change{kind: changeFreeze})
+	s.lr.level()
+	return c.frozen
 }
 
 // mergedItems is the phase 2 fold, without the tree build: the old base's
@@ -112,12 +114,14 @@ func (s *mshard) finishCompact(f *frozenView) bool {
 		return false
 	}
 
-	// Phase 3: swap.
+	// Phase 3: swap. The fast path's pointer moves first: pend is nonzero
+	// until pendChanged finds both copies holding nv and nothing above it.
 	s.mu.Lock()
 	s.base.Store(nv)
-	s.frozen = nil
+	s.lr.publish(change{kind: changeSwap, base: nv})
+	s.lr.level() // no copy keeps the old base alive
 	s.epoch.Add(1)
-	s.pendChangedLocked()
+	s.pendChanged()
 	if s.pend.Load() > 0 {
 		// Live writes arrived during the rebuild; their age restarts at
 		// the swap (a bounded understatement of true staleness).

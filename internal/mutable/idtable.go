@@ -14,9 +14,9 @@ import (
 // follows the LIVE inserted ids, never the largest id seen; they always read
 // as written.
 //
-// The written bit is monotone: a write sets it under its shard's write lock
-// before it changes any overlay (upsertLocked, removeLocked), and nothing
-// clears it. Hence the invariant every read path leans on, stated here once
+// The written bit is monotone: a write sets it under its shard's writer
+// lock before it changes any overlay (upsert, remove), and nothing clears
+// it. Hence the invariant every read path leans on, stated here once
 // and checked by TestWrittenBitInvariant:
 //
 //	no overlay (segs), tombstone set, frozen layer or base `over` map of

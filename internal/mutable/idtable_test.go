@@ -155,19 +155,20 @@ func TestReadsTakeNoPoolLock(t *testing.T) {
 	<-finished
 }
 
-// namedIDs walks every shard under its lock and returns the ids any overlay,
-// tombstone set, frozen layer or base over map names.
+// namedIDs walks every shard under its writer lock and returns the ids any
+// overlay, tombstone set, frozen layer or base over map names.
 func namedIDs(p *Pool) []uint32 {
 	var out []uint32
 	for _, s := range p.shards {
-		s.mu.RLock()
-		for _, e := range s.segs.ents {
+		s.mu.Lock()
+		l := s.lr.current()
+		for _, e := range l.segs.ents {
 			out = append(out, e.id)
 		}
-		for id := range s.tombs {
+		for id := range l.tombs {
 			out = append(out, id)
 		}
-		if f := s.frozen; f != nil {
+		if f := l.frozen; f != nil {
 			for _, e := range f.segs.ents {
 				out = append(out, e.id)
 			}
@@ -175,10 +176,10 @@ func namedIDs(p *Pool) []uint32 {
 				out = append(out, id)
 			}
 		}
-		for id := range s.base.Load().over {
+		for id := range l.base.over {
 			out = append(out, id)
 		}
-		s.mu.RUnlock()
+		s.mu.Unlock()
 	}
 	return out
 }
@@ -189,13 +190,14 @@ func namedIDs(p *Pool) []uint32 {
 // packed. It describes the first violation, "" when there is none.
 func overGap(p *Pool) string {
 	for i, s := range p.shards {
-		s.mu.RLock()
-		bv := s.base.Load()
+		s.mu.Lock()
+		l := s.lr.current()
+		bv := l.base
 		msg := ""
 		packed := map[uint32]bool{}
 		for _, it := range bv.tree.PackOrder() {
 			packed[it.ID] = true
-			if !p.ids.written(it.ID) || s.maskBase(it.ID) {
+			if !p.ids.written(it.ID) || s.maskBase(l, it.ID) {
 				continue
 			}
 			if seg, ok := bv.over[it.ID]; !ok || seg != it.Seg() {
@@ -207,7 +209,7 @@ func overGap(p *Pool) string {
 				msg = fmt.Sprintf("shard %d: over names id %d, which its base does not pack", i, id)
 			}
 		}
-		s.mu.RUnlock()
+		s.mu.Unlock()
 		if msg != "" {
 			return msg
 		}
@@ -246,7 +248,8 @@ func ownerGap(p *Pool) string {
 	}
 	copies := map[uint32]int{}
 	for i, s := range p.shards {
-		s.mu.RLock()
+		s.mu.Lock()
+		l := s.lr.current()
 		msg := ""
 		visible := func(id uint32) {
 			copies[id]++
@@ -254,22 +257,22 @@ func ownerGap(p *Pool) string {
 				msg = fmt.Sprintf("id %d is visible in shard %d, which does not own it", id, i)
 			}
 		}
-		for _, e := range s.segs.ents {
+		for _, e := range l.segs.ents {
 			visible(e.id)
 		}
-		if f := s.frozen; f != nil {
+		if f := l.frozen; f != nil {
 			for _, e := range f.segs.ents {
-				if !s.maskFrozen(e.id) {
+				if !l.maskFrozen(e.id) {
 					visible(e.id)
 				}
 			}
 		}
-		for _, it := range s.base.Load().tree.PackOrder() {
-			if !s.maskBase(it.ID) {
+		for _, it := range l.base.tree.PackOrder() {
+			if !s.maskBase(l, it.ID) {
 				visible(it.ID)
 			}
 		}
-		s.mu.RUnlock()
+		s.mu.Unlock()
 		if msg != "" {
 			return msg
 		}

@@ -23,9 +23,9 @@
 //
 // Each mechanism has one implementation. The four append queries are thin
 // callers of one shard walker (scan, read.go), which per shard picks the
-// lock-free packed arm or the read-locked three-layer merge. Compaction is
-// one freeze, one fold (mergedItems) and one swap-in of a rebuilt base
-// (finishCompact).
+// packed arm or the three-layer merge over the copy of the shard's read
+// state it enters (leftright.go). Compaction is one freeze, one fold
+// (mergedItems) and one swap-in of a rebuilt base (finishCompact).
 //
 // Per-id state is one dense table (idtable.go): owner and a monotone
 // "ever written" bit per dataset id, a small side map for inserted ids. A
@@ -40,9 +40,11 @@
 // per-id linearizable writes, SegOf — is one table, DESIGN.md §15. The
 // mechanisms behind it: writes to one id are serialized by the ownership
 // decision under omu; a read observes every write acknowledged before the
-// read began, because writers publish under the shard write lock that readers
-// with a non-empty overlay take in read mode, and the empty-overlay fast path
-// is only reachable after a compaction that folded every acknowledged write.
+// read began, because a writer acks only after publishing the write — every
+// read that starts afterwards enters a copy of the shard's read state that
+// holds it (leftright.go) — and the empty-overlay fast path is only
+// reachable after a compaction that folded every acknowledged write. A read waits for no writer: it takes no lock
+// but settled's last attempt (omu) and locate's retries.
 // Multi-shard walks are not snapshot-isolated — a write concurrent with the
 // walk may or may not be observed — and a walk that overlapped a cross-shard
 // transfer re-derives the transferred ids before it answers (read.go).
@@ -357,9 +359,10 @@ func (p *Pool) Epoch(i int) uint64 { return p.shards[i].epoch.Load() }
 func (p *Pool) Pending(i int) int { return int(p.shards[i].pend.Load()) }
 
 // Version returns shard i's monotone write-version counter — the result
-// cache's validity signal (qcache.Source). It advances under the shard
-// write lock, before the write is acknowledged, on every overlay mutation
-// and on every compaction epoch swap.
+// cache's validity signal (qcache.Source). It advances under the shard's
+// writer lock, once the change is published and before the write is
+// acknowledged, on every overlay mutation and on every compaction epoch
+// swap.
 func (p *Pool) Version(i int) uint64 { return p.shards[i].version.Load() }
 
 // ShardBounds returns shard i's current extent (qcache.Source): base bounds
@@ -426,10 +429,10 @@ func (p *Pool) SegOf(id uint32) geom.Segment {
 // never-written id has only its dataset geometry (idTable). A written one is
 // looked up in the shard the table names; "not there" is never an answer —
 // the id was transferred after the owner was read — so the owner is re-read
-// and the look-up repeated, under the shard lock this time, which waits out
-// a writer still installing the copy. A reader that loses segOfChases rounds
-// to a ping-ponging mover settles it under omu, where no ownership can
-// change. The cost follows the raced transfers
+// and the look-up repeated, under the shard's writer lock this time, which
+// waits out a writer still installing the copy. A reader that loses
+// segOfChases rounds to a ping-ponging mover settles it under omu, where no
+// ownership can change. The cost follows the raced transfers
 // (mutable_segof_retries_total), not the reads.
 func (p *Pool) locate(id uint32) (geom.Segment, bool) {
 	if !p.ids.written(id) {

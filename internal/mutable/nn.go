@@ -29,6 +29,7 @@ import (
 // that brought no scratch, live there too.
 type nnState struct {
 	sh   *mshard
+	l    *layers
 	pt   geom.Point
 	mask func(id uint32) bool
 
@@ -39,7 +40,7 @@ type nnState struct {
 
 func newNNState() *nnState {
 	st := &nnState{}
-	st.mask = func(id uint32) bool { return st.sh.maskBase(id) }
+	st.mask = func(id uint32) bool { return st.sh.maskBase(st.l, id) }
 	return st
 }
 
@@ -88,7 +89,7 @@ func (p *Pool) KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int,
 		dst, ok = p.settleNN(dst[:from], x0, len(p.shards), nnsc, pt, k, bound)
 		return ok
 	})
-	st.sh = nil
+	st.sh, st.l = nil, nil
 	p.nnPool.Put(st)
 	return dst, true
 }
@@ -96,34 +97,31 @@ func (p *Pool) KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int,
 // knnInto is the per-shard step: fold s's k nearest into the accumulator.
 // The base is pruned against the bounds of the view actually searched (the
 // visit order was computed from a possibly older one): it is skipped when
-// its min-distance exceeds the running k-th best or the external bound. The
-// overlay is offered regardless.
+// its min-distance exceeds the running k-th best or the external bound. A
+// shard with pending writes is read from the copy it enters (leftright.go),
+// and its overlay is offered regardless.
 func (s *mshard) knnInto(st *nnState, nnsc *rtree.NNScratch, k int, bound float64) {
-	masked := s.pend.Load() != 0
-	if masked {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-	}
-	bv := s.base.Load()
-	if bv.bounds.MinDist(st.pt) <= min(bound, nnsc.KNNBound(k)) {
-		var skip func(uint32) bool
-		if masked {
-			st.sh, skip = s, st.mask
+	if s.pend.Load() == 0 {
+		if bv := s.base.Load(); bv.bounds.MinDist(st.pt) <= min(bound, nnsc.KNNBound(k)) {
+			bv.tree.KNearestCollect(st.pt, k, nil, nnsc)
 		}
-		bv.tree.KNearestCollect(st.pt, k, skip, nnsc)
-	}
-	if !masked {
 		return
 	}
-	if f := s.frozen; f != nil {
+	l, t := s.lr.enter()
+	defer s.lr.leave(t)
+	if bv := l.base; bv.bounds.MinDist(st.pt) <= min(bound, nnsc.KNNBound(k)) {
+		st.sh, st.l = s, l
+		bv.tree.KNearestCollect(st.pt, k, st.mask, nnsc)
+	}
+	if f := l.frozen; f != nil {
 		for _, e := range f.segs.ents {
-			if s.maskFrozen(e.id) {
+			if l.maskFrozen(e.id) {
 				continue
 			}
 			nnsc.KNNOffer(k, rtree.Neighbor{ID: e.id, Dist: e.seg.DistToPoint(st.pt)})
 		}
 	}
-	for _, e := range s.segs.ents {
+	for _, e := range l.segs.ents {
 		nnsc.KNNOffer(k, rtree.Neighbor{ID: e.id, Dist: e.seg.DistToPoint(st.pt)})
 	}
 }

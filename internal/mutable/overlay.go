@@ -49,6 +49,12 @@ func (o *overlay) put(id uint32, seg geom.Segment) bool {
 	return false
 }
 
+// reset empties the overlay in place, keeping its storage.
+func (o *overlay) reset() {
+	o.ents = o.ents[:0]
+	clear(o.at)
+}
+
 // del removes id and reports whether it was present.
 func (o *overlay) del(id uint32) bool {
 	i, ok := o.at[id]

@@ -10,11 +10,13 @@ import (
 // Query surface. The four append queries run one shard walker (scan). A
 // shard with an empty overlay (pend == 0) answers on the packed base through
 // a lock-free atomic load — the identical zero-alloc path a read-only pool
-// runs. A shard with pending updates takes its read lock and merges three
-// layers (searchLocked), each answering from the geometry it holds: the base
-// from its leaves, an overlay from its entries. The merge allocates nothing
-// beyond the caller's dst growth: masks are map lookups and answers are
-// compacted in place.
+// runs. A shard with pending updates is entered through its left-right pair
+// (leftright.go), which never waits for the shard's writer, and the copy
+// entered merges three layers (searchLayers), each answering from the
+// geometry it holds: the base from its leaves, an overlay from its entries.
+// The merge allocates nothing beyond the caller's dst growth: masks are map
+// lookups and answers are compacted in place. No read takes a lock, save
+// the last attempt of settled and locate's retries.
 //
 // A multi-shard walk is not a snapshot: it can race a cross-shard transfer of
 // one id — an object moving over a cut, or a delete followed by a re-insert
@@ -44,13 +46,15 @@ const (
 // settled runs read — one walk of the shards, resolved against the counter
 // value x0 read before it — until it reports its answer settled. The last
 // attempt holds omu: transfers keep it for their whole bracket, so the
-// counter is even and still, and the walk settles trivially.
+// counter is even and still, and the walk settles trivially. It is the one
+// lock a walk can take, counted in mutable_read_fallbacks_total.
 func (p *Pool) settled(read func(x0 uint64) bool) {
 	for try := 0; try < maxRewalks; try++ {
 		if read(p.xfers.Load()) {
 			return
 		}
 	}
+	p.m.readFallbacks.Inc()
 	p.omu.Lock()
 	defer p.omu.Unlock()
 	read(p.xfers.Load())
@@ -159,8 +163,8 @@ func (p *Pool) PointAppend(dst []uint32, pt geom.Point, eps float64) []uint32 {
 }
 
 // scan is the one shard walker behind the four append queries: per shard it
-// takes the lock-free packed arm (pend == 0) or the read-locked three-layer
-// merge, and finally resolves the walk against the transfers that raced it
+// takes the packed arm (pend == 0) or the three-layer merge over the copy it
+// enters, and finally resolves the walk against the transfers that raced it
 // (settle). Every layer answers from the geometry it holds — the base from
 // its leaves (searchBase), an overlay from its entries (searchOverlay) — so
 // an exact query is refined where it is filtered. The query-kind and
@@ -180,9 +184,9 @@ func (p *Pool) scan(dst []uint32, q *query) []uint32 {
 				}
 				continue
 			}
-			s.mu.RLock()
-			dst = s.searchLocked(dst, q)
-			s.mu.RUnlock()
+			l, t := s.lr.enter()
+			dst = s.searchLayers(dst, q, l)
+			s.lr.leave(t)
 		}
 		dst, ok = p.settle(dst, from, x0, len(p.shards), q)
 		return ok
@@ -215,7 +219,7 @@ func (q *query) touches(b geom.Rect) bool {
 // exact query refined from the segments the leaves carry. Every base item's
 // leaf holds its live segment (mergedItems packs each with it) unless an
 // overlay above masks the id, so a shard with pending writes drops the
-// masked ids afterwards (searchLocked).
+// masked ids afterwards (searchLayers).
 func (q *query) searchBase(dst []uint32, bv *baseView) []uint32 {
 	switch {
 	case q.point && q.exact:
@@ -251,35 +255,36 @@ func (q *query) searchOverlay(dst []uint32, o *overlay) []uint32 {
 	return dst
 }
 
-// searchLocked merges the answers of a shard with pending writes into dst,
-// each layer answering from the geometry it holds: the base (when the query
-// touches its bounds) filtered through maskBase, the frozen overlay (if a
-// compaction is in flight) through maskFrozen, and the live overlay, which
-// is never masked. A mask depends on the id alone, so dropping the masked
-// ids after the refinement keeps exactly what dropping them before would;
-// survivors are compacted in place over the region each layer appended.
-func (s *mshard) searchLocked(dst []uint32, q *query) []uint32 {
-	if bv := s.base.Load(); q.touches(bv.bounds) {
+// searchLayers merges the answers of copy l of a shard with pending writes
+// into dst, each layer answering from the geometry it holds: the base (when
+// the query touches its bounds) filtered through maskBase, the frozen
+// overlay (if a compaction is in flight) through maskFrozen, and the live
+// overlay, which is never masked. A mask depends on the id alone, so
+// dropping the masked ids after the refinement keeps exactly what dropping
+// them before would; survivors are compacted in place over the region each
+// layer appended.
+func (s *mshard) searchLayers(dst []uint32, q *query, l *layers) []uint32 {
+	if bv := l.base; q.touches(bv.bounds) {
 		n := len(dst)
 		dst = q.searchBase(dst, bv)
 		kept := dst[:n]
 		for _, id := range dst[n:] {
-			if !s.maskBase(id) {
+			if !s.maskBase(l, id) {
 				kept = append(kept, id)
 			}
 		}
 		dst = kept
 	}
-	if f := s.frozen; f != nil {
+	if f := l.frozen; f != nil {
 		n := len(dst)
 		dst = q.searchOverlay(dst, &f.segs)
 		kept := dst[:n]
 		for _, id := range dst[n:] {
-			if !s.maskFrozen(id) {
+			if !l.maskFrozen(id) {
 				kept = append(kept, id)
 			}
 		}
 		dst = kept
 	}
-	return q.searchOverlay(dst, &s.segs)
+	return q.searchOverlay(dst, &l.segs)
 }

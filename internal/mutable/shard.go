@@ -15,10 +15,11 @@ import (
 )
 
 // baseView is one immutable generation of a shard's packed base. Readers
-// load it through an atomic pointer; the compactor publishes a fresh one and
-// never mutates a published view, so the empty-overlay fast path needs no
-// lock at all. The base's items are tree.PackOrder(). It keeps no membership
-// set: whether an id is visible is the id table's owner (Pool.ids).
+// load it through an atomic pointer or the copy of the read state they
+// entered; the compactor publishes a fresh one and never mutates a
+// published view, so the empty-overlay fast path needs nothing but the
+// load. The base's items are tree.PackOrder(). It keeps no membership set:
+// whether an id is visible is the id table's owner (Pool.ids).
 type baseView struct {
 	tree *rtree.Tree
 	// over carries the geometry of every written id the base packs: the
@@ -31,7 +32,8 @@ type baseView struct {
 
 // frozenView is the overlay detached at the start of a compaction: the
 // compactor folds it into the next base while fresh writes keep landing in
-// the live overlay above it. It is immutable once published.
+// the live overlay above it. It is immutable once published, and both
+// copies of the shard's read state share it.
 type frozenView struct {
 	segs  overlay
 	tombs map[uint32]struct{}
@@ -51,7 +53,9 @@ func newBaseView(items []rtree.Item, over map[uint32]geom.Segment) (*baseView, e
 
 // mshard is one updatable shard: packed base + live overlay + optional
 // frozen overlay mid-compaction. Each overlay layer is one overlay value
-// (its written segments) and a tombstone set.
+// (its written segments) and a tombstone set. The three are its read state,
+// held twice as a left-right pair (leftright.go): readers never lock, and
+// writers, serialized by mu, change both copies.
 //
 // Layering invariant: an id the pool's table (Pool.ids) names this shard
 // as owner of is visible here exactly once — live overlay (segs), else
@@ -69,19 +73,22 @@ type mshard struct {
 	rg int
 
 	epoch atomic.Uint64
-	// version counts every visible-state change: it advances (under the
-	// write lock, before the write's ack) on every overlay mutation and on
-	// every compaction epoch swap. The result cache (internal/qcache) keys
-	// entry validity on it: equal version ⇒ identical visible contents.
-	// Epoch alone would not do — an insert+delete pair can return the
-	// overlay to empty with the epoch unchanged, and a result computed
-	// mid-pair must not be served afterwards.
+	// version counts every visible-state change: it advances (under mu,
+	// after the change is published and before the write's ack) on every
+	// overlay mutation and on every compaction epoch swap. The result cache
+	// (internal/qcache) keys entry validity on it: equal version ⇒ identical
+	// visible contents. Epoch alone would not do — an insert+delete pair
+	// can return the overlay to empty with the epoch unchanged, and a
+	// result computed mid-pair must not be served afterwards.
 	version atomic.Uint64
-	base    atomic.Pointer[baseView]
+	// base is the newest packed base: what the lock-free fast path reads
+	// (pend == 0, when both copies hold only it) and what a compaction
+	// folds.
+	base atomic.Pointer[baseView]
 	// pend is the total overlay size (live + frozen). Zero is the
-	// lock-free fast-path ticket: it only transitions 0→nonzero under
-	// the write lock, and back to zero when a compaction folds the last
-	// overlay entry.
+	// lock-free fast-path ticket: it only transitions 0→nonzero once a
+	// write is published, and back to zero when a compaction folds the
+	// last overlay entry.
 	pend atomic.Int64
 	// pendSince is the unix-nano arrival of the oldest unfolded write
 	// (approximate across a compaction swap); 0 when the overlay is
@@ -93,10 +100,11 @@ type mshard struct {
 	// lock-free.
 	count atomic.Int64
 
-	mu     sync.RWMutex
-	segs   overlay
-	tombs  map[uint32]struct{}
-	frozen *frozenView
+	// mu serializes the shard's writers: writes, a compaction's freeze and
+	// its swap. No read takes it, save locate's bounded retry, which waits
+	// out a writer still installing an id.
+	mu sync.Mutex
+	lr leftRight
 }
 
 // newMShard builds shard idx of cluster range rg over items (copied).
@@ -105,62 +113,61 @@ func newMShard(p *Pool, idx, rg int, items []rtree.Item) (*mshard, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mutable: shard %d base: %w", idx, err)
 	}
-	s := &mshard{pl: p, idx: idx, rg: rg, segs: newOverlay(), tombs: map[uint32]struct{}{}}
+	s := &mshard{pl: p, idx: idx, rg: rg}
+	s.lr.copies = [2]layers{newLayers(bv), newLayers(bv)}
 	s.base.Store(bv)
 	return s, nil
 }
 
-// ---- overlay mutation (s.mu held in write mode) ----
+// ---- overlay mutation (s.mu held) ----
 
-// upsertLocked installs seg as id's live geometry.
-func (s *mshard) upsertLocked(id uint32, seg geom.Segment) {
+// upsert installs seg as id's live geometry.
+func (s *mshard) upsert(id uint32, seg geom.Segment) {
 	s.pl.ids.markWritten(id)
-	s.segs.put(id, seg)
-	delete(s.tombs, id)
-	s.pendChangedLocked()
+	s.lr.publish(change{kind: changeUpsert, id: id, seg: seg})
+	s.pendChanged()
 }
 
-// removeLocked deletes the visible id from the shard. It always tombstones:
-// a stale base or frozen copy may be masked only by the live entry it drops
+// remove deletes the visible id from the shard. It always tombstones: a
+// stale base or frozen copy may be masked only by the live entry it drops
 // (the id left, came back and leaves again), and a tombstone over a layer
 // that packs nothing costs one pending entry until the next fold drops it.
-func (s *mshard) removeLocked(id uint32) {
+func (s *mshard) remove(id uint32) {
 	s.pl.ids.markWritten(id)
-	s.segs.del(id)
-	s.tombs[id] = struct{}{}
-	s.pendChangedLocked()
+	s.lr.publish(change{kind: changeRemove, id: id})
+	s.pendChanged()
 }
 
-func (s *mshard) pendChangedLocked() {
-	s.version.Add(1)
-	n := s.segs.len() + len(s.tombs)
-	if f := s.frozen; f != nil {
-		n += f.size()
-	}
+// pendChanged follows a publish: the pending count first, then the version.
+// A reader that sees the new version therefore sees a pending count that
+// sends it to the published copy, never to a base the write is not in.
+func (s *mshard) pendChanged() {
+	n := s.lr.current().size()
 	s.pend.Store(int64(n))
 	if n == 0 {
 		s.pendSince.Store(0)
 	} else if s.pendSince.Load() == 0 {
 		s.pendSince.Store(time.Now().UnixNano())
 	}
+	s.version.Add(1)
 }
 
-// ---- read-side masks and geometry (s.mu held, read mode suffices) ----
+// ---- read side (a copy entered through s.lr) ----
 
-// maskBase reports whether a base entry for id is stale: some overlay layer
-// above the base owns a newer version or a tombstone. No layer names a
-// never-written id (idTable).
-func (s *mshard) maskBase(id uint32) bool {
+// maskBase reports whether a base entry for id is stale in l: some overlay
+// layer above the base owns a newer version or a tombstone. No layer names
+// a never-written id (idTable).
+func (s *mshard) maskBase(l *layers, id uint32) bool {
 	if !s.pl.ids.written(id) {
 		return false
 	}
-	if s.segs.has(id) {
+	if l.segs.has(id) {
 		return true
 	}
-	if _, ok := s.tombs[id]; ok {
+	if _, ok := l.tombs[id]; ok {
 		return true
 	}
-	if f := s.frozen; f != nil {
+	if f := l.frozen; f != nil {
 		if f.segs.has(id) {
 			return true
 		}
@@ -169,36 +176,6 @@ func (s *mshard) maskBase(id uint32) bool {
 		}
 	}
 	return false
-}
-
-// maskFrozen reports whether a frozen-overlay entry for id is shadowed by
-// the live overlay.
-func (s *mshard) maskFrozen(id uint32) bool {
-	if s.segs.has(id) {
-		return true
-	}
-	_, ok := s.tombs[id]
-	return ok
-}
-
-// findLocked is the one layered look-up: id's geometry when id is visible in
-// this shard, the layers read newest first, a tombstone ending the search.
-func (s *mshard) findLocked(bv *baseView, id uint32) (geom.Segment, bool) {
-	if seg, ok := s.segs.get(id); ok {
-		return seg, true
-	}
-	if _, dead := s.tombs[id]; dead {
-		return geom.Segment{}, false
-	}
-	if f := s.frozen; f != nil {
-		if seg, ok := f.segs.get(id); ok {
-			return seg, true
-		}
-		if _, dead := f.tombs[id]; dead {
-			return geom.Segment{}, false
-		}
-	}
-	return bv.find(id)
 }
 
 // find resolves a written id's geometry in this base: false when id is not
@@ -210,17 +187,25 @@ func (bv *baseView) find(id uint32) (geom.Segment, bool) {
 	return seg, ok
 }
 
-// find is findLocked for a caller holding no lock. A shard with an empty
-// overlay answers from its base without one, unless the caller insists:
-// SegOf's retries do, because taking the lock is what waits out a writer
-// still installing the id.
+// find is the shard's look-up of id: its geometry when id is visible here.
+// It takes no lock — a shard with an empty overlay answers from its base,
+// one with pending writes from the copy it enters — unless the caller
+// insists: locate's retries do, because taking mu is what waits out a
+// writer still installing the id (a cross-shard move names the new owner
+// before it publishes the copy).
 func (s *mshard) find(id uint32, locked bool) (geom.Segment, bool) {
-	if !locked && s.pend.Load() == 0 {
+	if locked {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.lr.current().find(id)
+	}
+	if s.pend.Load() == 0 {
 		return s.base.Load().find(id)
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.findLocked(s.base.Load(), id)
+	l, t := s.lr.enter()
+	seg, ok := l.find(id)
+	s.lr.leave(t)
+	return seg, ok
 }
 
 // boundsNow returns the shard's current extent: base bounds plus any
@@ -229,17 +214,9 @@ func (s *mshard) boundsNow() geom.Rect {
 	if s.pend.Load() == 0 {
 		return s.base.Load().bounds
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := s.base.Load().bounds
-	if f := s.frozen; f != nil {
-		for _, e := range f.segs.ents {
-			out = out.Union(e.mbr)
-		}
-	}
-	for _, e := range s.segs.ents {
-		out = out.Union(e.mbr)
-	}
+	l, t := s.lr.enter()
+	out := l.bounds()
+	s.lr.leave(t)
 	return out
 }
 
@@ -290,10 +267,10 @@ func (p *Pool) ApplyMove(id uint32, seg geom.Segment) (epoch uint64, existed, ow
 
 	if old != nil && old != target {
 		// Cross-shard move: drop the old copy and install the new one
-		// under both locks, acquired in ascending shard order, inside one
-		// transfer bracket. The new owner is published only once its lock
-		// is held, so a SegOf that reads it waits for the copy instead of
-		// missing it.
+		// under both writer locks, acquired in ascending shard order,
+		// inside one transfer bracket. The new owner is published only
+		// once its lock is held, so a SegOf that reads it and misses waits
+		// for the copy on its locked retry.
 		a, b := old, target
 		if a.idx > b.idx {
 			a, b = b, a
@@ -304,8 +281,8 @@ func (p *Pool) ApplyMove(id uint32, seg geom.Segment) (epoch uint64, existed, ow
 		old.count.Add(-1)
 		target.count.Add(1)
 		p.beginXfer(id)
-		old.removeLocked(id)
-		target.upsertLocked(id, seg)
+		old.remove(id)
+		target.upsert(id, seg)
 		p.wrote(old, target)
 		epoch = target.epoch.Load()
 		old.mu.Unlock()
@@ -322,7 +299,7 @@ func (p *Pool) ApplyMove(id uint32, seg geom.Segment) (epoch uint64, existed, ow
 		target.count.Add(1)
 	}
 	p.omu.Unlock()
-	target.upsertLocked(id, seg)
+	target.upsert(id, seg)
 	p.wrote(target, target)
 	epoch = target.epoch.Load()
 	target.mu.Unlock()
@@ -354,7 +331,7 @@ func (p *Pool) evict(id uint32, sh *mshard) uint64 {
 	sh.count.Add(-1)
 	sh.mu.Lock()
 	p.beginXfer(id)
-	sh.removeLocked(id)
+	sh.remove(id)
 	p.wrote(sh, sh)
 	epoch := sh.epoch.Load()
 	sh.mu.Unlock()
@@ -401,6 +378,9 @@ type poolMetrics struct {
 	compactErrs *obs.Counter
 	// segofRetries counts SegOf look-ups that raced a transfer of their id.
 	segofRetries *obs.Counter
+	// readFallbacks counts walks that lost maxRewalks attempts to raced
+	// transfers and took the one lock left on the read path, omu (settled).
+	readFallbacks *obs.Counter
 
 	// Per-shard gauges, indexed like Pool.shards; nil without a hub.
 	epochG []*obs.Gauge
@@ -430,6 +410,7 @@ func newPoolMetrics(h *obs.Hub, nShards int) *poolMetrics {
 	m.compactions = h.Reg.Counter("mutable_compactions_total")
 	m.compactErrs = h.Reg.Counter("mutable_compact_errors_total")
 	m.segofRetries = h.Reg.Counter("mutable_segof_retries_total")
+	m.readFallbacks = h.Reg.Counter("mutable_read_fallbacks_total")
 	for i := 0; i < nShards; i++ {
 		lbl := fmt.Sprintf("%d", i)
 		m.epochG = append(m.epochG, h.Reg.Gauge(obs.Name("mutable_epoch", "shard", lbl)))
