@@ -50,7 +50,7 @@ func TestServingImportGraph(t *testing.T) {
 		{"server-prices-no-energy", "./internal/serve", false, []string{"nic", "energy"},
 			"the server has no energy budget in the paper (§5.3); a device's Joules are counted one directory down, in the client"},
 		{"server-owns-no-geometry", "./internal/serve", false, []string{"dataset"},
-			"a record's geometry is the pool's (Executor.SegOf) or the shipped leaf's (rtree.Item.Seg); the server keeps no second copy of the map"},
+			"a record's geometry is the segment the pool's walk matched (engine.SearchAppendUntil, rtree.Neighbor.Seg) or the shipped leaf's (rtree.Item.Seg); the server keeps no second copy of the map"},
 	} {
 		t.Run(g.name, func(t *testing.T) {
 			args := []string{"list", "-f", `{{join .Imports "\n"}}`, g.pkg}

@@ -16,7 +16,7 @@ import (
 
 func warmQueries(p *Pool, ids []uint32, nbs []rtree.Neighbor, sc *shard.Scratch, w geom.Rect, pt geom.Point) {
 	for i := 0; i < 32; i++ {
-		ids = p.FilterRangeAppend(ids[:0], w)
+		ids = filterRange(p, ids[:0], w)
 		ids = p.RangeAppend(ids[:0], w)
 		ids = p.RangeAppend(ids[:0], p.Bounds())
 		ids = p.PointAppend(ids[:0], pt, 2.0)
@@ -35,7 +35,7 @@ func measureQueries(t *testing.T, name string, p *Pool, want float64) {
 	warmQueries(p, ids, nbs, sc, w, pt)
 	all := p.Bounds()
 	if got := testing.AllocsPerRun(100, func() {
-		ids = p.FilterRangeAppend(ids[:0], w)
+		ids = filterRange(p, ids[:0], w)
 		// The clean arm is the tree's kernel fused with a refinement
 		// closure: w straddles MBRs (the closure runs), the whole extent
 		// contains every base (one run per shard). Neither may allocate.

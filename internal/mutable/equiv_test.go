@@ -154,7 +154,7 @@ func agreesWithFresh(t *testing.T, seed int64, rng *rand.Rand, p *Pool, model ma
 	ext := ds.Extent
 	for q := 0; q < 6; q++ {
 		w := randomWindow(rng, ext)
-		if !sameIDSet(ref.tree.AppendSearch(nil, w, ops.Null{}), p.FilterRangeAppend(nil, w)) {
+		if !sameIDSet(ref.tree.AppendSearch(nil, w, ops.Null{}), filterRange(p, nil, w)) {
 			t.Errorf("seed %d: FilterRange mismatch on %v", seed, w)
 			return false
 		}
@@ -165,7 +165,7 @@ func agreesWithFresh(t *testing.T, seed int64, rng *rand.Rand, p *Pool, model ma
 		}
 
 		pt := randomLivePoint(rng, ext, model)
-		if !sameIDSet(ref.tree.AppendSearchPoint(nil, pt, ops.Null{}), p.FilterPointAppend(nil, pt)) {
+		if !sameIDSet(ref.tree.AppendSearchPoint(nil, pt, ops.Null{}), filterPoint(p, nil, pt)) {
 			t.Errorf("seed %d: FilterPoint mismatch at %v", seed, pt)
 			return false
 		}

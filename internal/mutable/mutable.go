@@ -37,7 +37,8 @@
 // base keeps a membership set.
 //
 // Consistency model: what a caller may rely on — scan and k-NN contents,
-// per-id linearizable writes, SegOf — is one table, DESIGN.md §15. The
+// the records they return, per-id linearizable writes — is one table,
+// DESIGN.md §15. The
 // mechanisms behind it: writes to one id are serialized by the ownership
 // decision under omu; a read observes every write acknowledged before the
 // read began, because a writer acks only after publishing the write — every
@@ -151,10 +152,10 @@ func hiOf(cuts []uint64, i int) uint64 {
 }
 
 // Pool is an updatable sharded spatial index. It implements the serving
-// tier's executor surface (range/point/NN queries, plus SegOf for data-mode
-// responses over ids the base dataset has never heard of), its Updatable
-// surface (ApplyMove/ApplyDelete), its live summary (SummaryRanges), and
-// the result cache's validity view (qcache.Source).
+// tier's executor surface (range/point/NN queries, whose records — the
+// segments each walk matched, beside its ids — answer data mode), its
+// Updatable surface (ApplyMove/ApplyDelete), its live summary
+// (SummaryRanges), and the result cache's validity view (qcache.Source).
 type Pool struct {
 	ds *dataset.Dataset
 	q  *hilbert.Quantizer
@@ -192,7 +193,7 @@ type Pool struct {
 	// change only under it, and the shard locks a write needs are acquired,
 	// in ascending shard order, before it is released — so shard contents
 	// can never disagree with the table. No read takes it
-	// (TestReadsTakeNoPoolLock); SegOf does only after losing a bounded
+	// (TestReadsTakeNoPoolLock); locate does only after losing a bounded
 	// chase of one id to its mover.
 	omu sync.Mutex
 
@@ -409,10 +410,10 @@ func clampItems(n int64) uint32 {
 
 // SegOf returns the live geometry of id, falling back to the base dataset
 // for original ids the pool no longer tracks and to the zero Segment for
-// unknown ids. This is the serving tier's data-mode resolver: inserted ids
-// sit at or above Dataset.Len(), where Dataset.Seg would be out of range.
-// For an id live throughout the call the result is a geometry the id held at
-// some instant during the call (DESIGN.md §15).
+// unknown ids. It is a look-up for benchmarks and tests only: no reply path
+// calls it, since a walk hands back the segment it matched (SearchAppend,
+// rtree.Neighbor.Seg). For an id live throughout the call the result is a
+// geometry the id held at some instant during the call (DESIGN.md §15).
 func (p *Pool) SegOf(id uint32) geom.Segment {
 	if !p.ids.written(id) {
 		return p.ds.Seg(id)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mobispatial/internal/geom"
+	"mobispatial/internal/proto"
 	"mobispatial/internal/shard"
 )
 
@@ -73,7 +74,7 @@ func TestInsertDeleteMoveBasics(t *testing.T) {
 	if p.Len() != base {
 		t.Fatalf("Len=%d after delete, want %d", p.Len(), base)
 	}
-	if containsID(p.FilterRangeAppend(nil, seg2.MBR()), id) {
+	if containsID(filterRange(p, nil, seg2.MBR()), id) {
 		t.Fatalf("deleted id %d still in candidates", id)
 	}
 }
@@ -220,4 +221,14 @@ func containsID(ids []uint32, id uint32) bool {
 		}
 	}
 	return false
+}
+
+// filterRange and filterPoint are the MBR-filter answers of a window and a
+// point: the candidates a router's leg and a cache fill ask SearchAppend for.
+func filterRange(p *Pool, dst []uint32, w geom.Rect) []uint32 {
+	return p.SearchAppend(dst, nil, proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeFilter, Window: w})
+}
+
+func filterPoint(p *Pool, dst []uint32, pt geom.Point) []uint32 {
+	return p.SearchAppend(dst, nil, proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeFilter, Point: pt})
 }

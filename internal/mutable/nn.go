@@ -19,9 +19,13 @@ import (
 // which takes each item's distance from the segment its leaf carries and,
 // on a shard with pending writes, leaves out the masked (stale) ids. The
 // overlay layers — bounded by the compaction threshold — are scanned
-// directly and offered through the accumulator's admit rule whether or not
-// the base was pruned (their objects may lie outside the base bounds), so
-// the merged answer is what one tree over the union would have produced.
+// directly whether or not the base was pruned (their objects may lie
+// outside the base bounds): an entry whose MBR the running k-th best rules
+// out is skipped as the base kernel skips a leaf entry, and every other is
+// offered through the accumulator's admit rule, so the merged answer is what
+// one tree over the union would have produced. Every neighbor carries the
+// segment its distance was computed from: a leaf's, an entry's, or the one
+// settleNN re-checked.
 //
 // nnState is pooled so the warm path allocates nothing: the mask closure is
 // built once per state and re-aimed at the current shard through the
@@ -114,15 +118,22 @@ func (s *mshard) knnInto(st *nnState, nnsc *rtree.NNScratch, k int, bound float6
 		bv.tree.KNearestCollect(st.pt, k, st.mask, nnsc)
 	}
 	if f := l.frozen; f != nil {
-		for _, e := range f.segs.ents {
-			if l.maskFrozen(e.id) {
-				continue
-			}
-			nnsc.KNNOffer(k, rtree.Neighbor{ID: e.id, Dist: e.seg.DistToPoint(st.pt)})
-		}
+		offerOverlay(nnsc, k, st.pt, &f.segs, l.maskFrozen)
 	}
-	for _, e := range l.segs.ents {
-		nnsc.KNNOffer(k, rtree.Neighbor{ID: e.id, Dist: e.seg.DistToPoint(st.pt)})
+	offerOverlay(nnsc, k, st.pt, &l.segs, nil)
+}
+
+// offerOverlay offers o's entries at pt to the accumulator, leaving out the
+// ids masked reports (nil masks none). An entry whose MBR's MINDIST squared
+// exceeds the accumulator's widened bound could not be admitted, and is
+// skipped without a distance.
+func offerOverlay(nnsc *rtree.NNScratch, k int, pt geom.Point, o *overlay, masked func(id uint32) bool) {
+	for i := range o.ents {
+		e := &o.ents[i]
+		if e.mbr.MinDistSq(pt) > nnsc.KNNPruneSq(k) || masked != nil && masked(e.id) {
+			continue
+		}
+		nnsc.KNNOffer(k, rtree.Neighbor{ID: e.id, Dist: e.seg.DistToPoint(pt), Seg: e.seg})
 	}
 }
 
@@ -162,7 +173,7 @@ func (p *Pool) settleNN(dst []rtree.Neighbor, x0 uint64, nShards int, nnsc *rtre
 			continue
 		}
 		if seg, held := p.locate(id); held {
-			nnsc.KNNOffer(k, rtree.Neighbor{ID: id, Dist: seg.DistToPoint(pt)})
+			nnsc.KNNOffer(k, rtree.Neighbor{ID: id, Dist: seg.DistToPoint(pt), Seg: seg})
 		}
 	}
 	settled, now := nnsc.KNNWorst(k)

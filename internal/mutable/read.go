@@ -4,18 +4,19 @@ import (
 	"slices"
 
 	"mobispatial/internal/geom"
-	"mobispatial/internal/ops"
+	"mobispatial/internal/proto"
 )
 
-// Query surface. The four append queries run one shard walker (scan). A
+// Query surface. Every append query runs one shard walker (scan). A
 // shard with an empty overlay (pend == 0) answers on the packed base through
 // a lock-free atomic load — the identical zero-alloc path a read-only pool
 // runs. A shard with pending updates is entered through its left-right pair
 // (leftright.go), which never waits for the shard's writer, and the copy
 // entered merges three layers (searchLayers), each answering from the
-// geometry it holds: the base from its leaves, an overlay from its entries.
-// The merge allocates nothing beyond the caller's dst growth: masks are map
-// lookups and answers are compacted in place. No read takes a lock, save
+// geometry it holds: the base from its leaves, an overlay from its entries —
+// and, asked for records, handing that geometry back beside each id. The
+// merge allocates nothing beyond the caller's dst and segment growth: masks
+// are map lookups and answers are compacted in place. No read takes a lock, save
 // the last attempt of settled and locate's retries.
 //
 // A multi-shard walk is not a snapshot: it can race a cross-shard transfer of
@@ -31,7 +32,7 @@ import (
 // Pool.xferRing (raced), keeps the first sighting of each (the object was
 // there, matching, when that shard was read), drops any other, and looks up
 // the ones it did not sight at all (locate), adding each that is held and
-// matches the query. A burst that outruns the ring, or a slot already lapped,
+// matches the query, at the geometry locate found. A burst that outruns the ring, or a slot already lapped,
 // cannot be named: the walk runs again, maxRewalks times at most and then
 // once more under omu, where no transfer can start (settled). What a caller
 // may rely on is the contract table in DESIGN.md §15.
@@ -89,9 +90,9 @@ func (p *Pool) raced(buf *[xferRingSize]uint32, x0 uint64) ([]uint32, bool) {
 	return slices.Compact(ids), true
 }
 
-// settle resolves a scan's walk, appended to dst[from:], against the
-// transfers that raced it; false means walk again.
-func (p *Pool) settle(dst []uint32, from int, x0 uint64, nShards int, q *query) ([]uint32, bool) {
+// settle resolves a scan's walk, appended to dst[from:] (and beside it to
+// segs), against the transfers that raced it; false means walk again.
+func (p *Pool) settle(dst []uint32, segs *[]geom.Segment, from int, x0 uint64, nShards int, q *query) ([]uint32, bool) {
 	if p.quiet(x0, nShards) {
 		return dst, true
 	}
@@ -107,27 +108,60 @@ func (p *Pool) settle(dst []uint32, from int, x0 uint64, nShards int, q *query) 
 		mask |= 1 << (id & 63)
 	}
 	var seen [xferRingSize]bool
-	kept := dst[:from]
-	for _, id := range dst[from:] {
-		if mask&(1<<(id&63)) != 0 {
-			if i, hit := slices.BinarySearch(ids, id); hit {
-				if seen[i] {
+	k := from
+	for i := from; i < len(dst); i++ {
+		if id := dst[i]; mask&(1<<(id&63)) != 0 {
+			if j, hit := slices.BinarySearch(ids, id); hit {
+				if seen[j] {
 					continue
 				}
-				seen[i] = true
+				seen[j] = true
 			}
 		}
-		kept = append(kept, id)
+		move(dst, segs, k, i)
+		k++
 	}
+	dst = cut(dst, segs, k)
 	for i, id := range ids {
 		if seen[i] {
 			continue
 		}
 		if seg, held := p.locate(id); held && q.matches(seg) {
-			kept = append(kept, id)
+			dst = add(dst, segs, id, seg)
 		}
 	}
-	return kept, true
+	return dst, true
+}
+
+// add appends one hit to dst, and its segment to segs when segs is non-nil.
+func add(dst []uint32, segs *[]geom.Segment, id uint32, seg geom.Segment) []uint32 {
+	if segs != nil {
+		*segs = append(*segs, seg)
+	}
+	return append(dst, id)
+}
+
+// move and cut compact a walk's answer in place: move copies hit i to slot
+// k, with its segment when segs is non-nil, and cut keeps the first k hits.
+// A walk grows segs beside dst, so the tail of segs holds the segments of
+// dst's tail.
+func move(dst []uint32, segs *[]geom.Segment, k, i int) {
+	if k == i {
+		return
+	}
+	dst[k] = dst[i]
+	if segs != nil {
+		sg := *segs
+		off := len(sg) - len(dst)
+		sg[off+k] = sg[off+i]
+	}
+}
+
+func cut(dst []uint32, segs *[]geom.Segment, k int) []uint32 {
+	if segs != nil {
+		*segs = (*segs)[:len(*segs)-(len(dst)-k)]
+	}
+	return dst[:k]
 }
 
 // query describes one append query: a window or a point, filter-only or
@@ -140,29 +174,29 @@ type query struct {
 	exact bool // refine the candidates; otherwise MBR filter only
 }
 
-// FilterRangeAppend appends the MBR-filter (candidate) answer of a window
-// query to dst.
-func (p *Pool) FilterRangeAppend(dst []uint32, w geom.Rect) []uint32 {
-	return p.scan(dst, &query{w: w})
-}
-
-// FilterPointAppend appends the MBR-filter answer of a point query to dst.
-func (p *Pool) FilterPointAppend(dst []uint32, pt geom.Point) []uint32 {
-	return p.scan(dst, &query{pt: pt, point: true})
+// SearchAppend appends the answer of window or point query q to dst — the
+// MBR-filter candidates when q.Mode filters, the exact answer otherwise —
+// and, when segs is non-nil, beside each id the segment the walk matched it
+// at: the entry or leaf it read, or the geometry a raced id was re-checked
+// at (settle). That is a geometry the object held at some instant during
+// the call, at which it matched q (DESIGN.md §15).
+func (p *Pool) SearchAppend(dst []uint32, segs *[]geom.Segment, q proto.QueryMsg) []uint32 {
+	return p.scan(dst, segs, &query{w: q.Window, pt: q.Point, eps: q.PointEps(),
+		point: q.Kind == proto.KindPoint, exact: !q.Mode.Filters()})
 }
 
 // RangeAppend appends the exact answer of a window query to dst: the ids
 // whose live segment meets w.
 func (p *Pool) RangeAppend(dst []uint32, w geom.Rect) []uint32 {
-	return p.scan(dst, &query{w: w, exact: true})
+	return p.scan(dst, nil, &query{w: w, exact: true})
 }
 
 // PointAppend appends the exact answer of a point query to dst.
 func (p *Pool) PointAppend(dst []uint32, pt geom.Point, eps float64) []uint32 {
-	return p.scan(dst, &query{pt: pt, eps: eps, point: true, exact: true})
+	return p.scan(dst, nil, &query{pt: pt, eps: eps, point: true, exact: true})
 }
 
-// scan is the one shard walker behind the four append queries: per shard it
+// scan is the one shard walker behind the append queries: per shard it
 // takes the packed arm (pend == 0) or the three-layer merge over the copy it
 // enters, and finally resolves the walk against the transfers that raced it
 // (settle). Every layer answers from the geometry it holds — the base from
@@ -172,23 +206,31 @@ func (p *Pool) PointAppend(dst []uint32, pt geom.Point, eps float64) []uint32 {
 //
 // A base whose bounds miss the query holds no candidate and is not searched.
 // The overlays are: their objects may sit anywhere in the shard's key range,
-// outside the bounds of the base they will be folded into.
-func (p *Pool) scan(dst []uint32, q *query) []uint32 {
-	from := len(dst)
+// outside the bounds of the base they will be folded into. When segs is
+// non-nil every layer appends the segment it matched beside each id, and
+// the masks and settle keep the two in step.
+func (p *Pool) scan(dst []uint32, segs *[]geom.Segment, q *query) []uint32 {
+	from, sfrom := len(dst), 0
+	if segs != nil {
+		sfrom = len(*segs)
+	}
 	p.settled(func(x0 uint64) (ok bool) {
 		dst = dst[:from]
+		if segs != nil {
+			*segs = (*segs)[:sfrom]
+		}
 		for _, s := range p.shards {
 			if s.pend.Load() == 0 {
 				if bv := s.base.Load(); q.touches(bv.bounds) {
-					dst = q.searchBase(dst, bv)
+					dst = q.searchBase(dst, segs, bv)
 				}
 				continue
 			}
 			l, t := s.lr.enter()
-			dst = s.searchLayers(dst, q, l)
+			dst = s.searchLayers(dst, segs, q, l)
 			s.lr.leave(t)
 		}
-		dst, ok = p.settle(dst, from, x0, len(p.shards), q)
+		dst, ok = p.settle(dst, segs, from, x0, len(p.shards), q)
 		return ok
 	})
 	return dst
@@ -220,28 +262,27 @@ func (q *query) touches(b geom.Rect) bool {
 // leaf holds its live segment (mergedItems packs each with it) unless an
 // overlay above masks the id, so a shard with pending writes drops the
 // masked ids afterwards (searchLayers).
-func (q *query) searchBase(dst []uint32, bv *baseView) []uint32 {
+func (q *query) searchBase(dst []uint32, segs *[]geom.Segment, bv *baseView) []uint32 {
 	switch {
 	case q.point && q.exact:
-		return bv.tree.AppendPoint(dst, q.pt, q.eps)
+		return bv.tree.AppendPoint(dst, segs, q.pt, q.eps)
 	case q.point:
-		return bv.tree.AppendSearchPoint(dst, q.pt, ops.Null{})
-	case q.exact:
-		return bv.tree.AppendRange(dst, q.w)
+		return bv.tree.AppendRange(dst, segs, geom.Rect{Min: q.pt, Max: q.pt}, false)
 	default:
-		return bv.tree.AppendSearch(dst, q.w, ops.Null{})
+		return bv.tree.AppendRange(dst, segs, q.w, q.exact)
 	}
 }
 
-// searchOverlay appends the ids of o's entries that answer q: each entry is
-// filtered on the MBR it stores and, for an exact query, refined on its
-// segment. One loop per query shape keeps the predicates inline.
-func (q *query) searchOverlay(dst []uint32, o *overlay) []uint32 {
+// searchOverlay appends the ids of o's entries that answer q (and their
+// segments to segs when it is non-nil): each entry is filtered on the MBR
+// it stores and, for an exact query, refined on its segment. One loop per
+// query shape keeps the predicates inline.
+func (q *query) searchOverlay(dst []uint32, segs *[]geom.Segment, o *overlay) []uint32 {
 	if q.point {
 		for i := range o.ents {
 			e := &o.ents[i]
 			if e.mbr.ContainsPoint(q.pt) && (!q.exact || e.seg.ContainsPoint(q.pt, q.eps)) {
-				dst = append(dst, e.id)
+				dst = add(dst, segs, e.id, e.seg)
 			}
 		}
 		return dst
@@ -249,7 +290,7 @@ func (q *query) searchOverlay(dst []uint32, o *overlay) []uint32 {
 	for i := range o.ents {
 		e := &o.ents[i]
 		if e.mbr.Intersects(q.w) && (!q.exact || e.seg.IntersectsRect(q.w)) {
-			dst = append(dst, e.id)
+			dst = add(dst, segs, e.id, e.seg)
 		}
 	}
 	return dst
@@ -262,29 +303,29 @@ func (q *query) searchOverlay(dst []uint32, o *overlay) []uint32 {
 // overlay, which is never masked. A mask depends on the id alone, so
 // dropping the masked ids after the refinement keeps exactly what dropping
 // them before would; survivors are compacted in place over the region each
-// layer appended.
-func (s *mshard) searchLayers(dst []uint32, q *query, l *layers) []uint32 {
+// layer appended, their segments with them.
+func (s *mshard) searchLayers(dst []uint32, segs *[]geom.Segment, q *query, l *layers) []uint32 {
 	if bv := l.base; q.touches(bv.bounds) {
-		n := len(dst)
-		dst = q.searchBase(dst, bv)
-		kept := dst[:n]
-		for _, id := range dst[n:] {
-			if !s.maskBase(l, id) {
-				kept = append(kept, id)
+		k := len(dst)
+		dst = q.searchBase(dst, segs, bv)
+		for i := k; i < len(dst); i++ {
+			if !s.maskBase(l, dst[i]) {
+				move(dst, segs, k, i)
+				k++
 			}
 		}
-		dst = kept
+		dst = cut(dst, segs, k)
 	}
 	if f := l.frozen; f != nil {
-		n := len(dst)
-		dst = q.searchOverlay(dst, &f.segs)
-		kept := dst[:n]
-		for _, id := range dst[n:] {
-			if !l.maskFrozen(id) {
-				kept = append(kept, id)
+		k := len(dst)
+		dst = q.searchOverlay(dst, segs, &f.segs)
+		for i := k; i < len(dst); i++ {
+			if !l.maskFrozen(dst[i]) {
+				move(dst, segs, k, i)
+				k++
 			}
 		}
-		dst = kept
+		dst = cut(dst, segs, k)
 	}
-	return q.searchOverlay(dst, &l.segs)
+	return q.searchOverlay(dst, segs, &l.segs)
 }

@@ -167,7 +167,7 @@ func TestPartitionedPoolEvictsForeignWrites(t *testing.T) {
 	if p.Len() != n-1 || p.ids.owner(mover) != nil {
 		t.Fatalf("moved-out object still held: Len %d -> %d", n, p.Len())
 	}
-	if containsID(p.FilterRangeAppend(nil, foreign.MBR()), mover) {
+	if containsID(filterRange(p, nil, foreign.MBR()), mover) {
 		t.Fatal("moved-out object still visible")
 	}
 	rows, num := p.SummaryRanges(nil)

@@ -144,7 +144,7 @@ func TestDedupRaced(t *testing.T) {
 			c.race(p, x0)
 		}
 		dst := append(slices.Clone(prefix), answer...)
-		got, ok := p.settle(dst, len(prefix), x0, c.nShards, q)
+		got, ok := p.settle(dst, nil, len(prefix), x0, c.nShards, q)
 		if p.xfers.Load()&1 == 1 {
 			p.xfers.Add(1) // close the bracket the case left open
 		}
@@ -168,7 +168,10 @@ func TestDedupRaced(t *testing.T) {
 	// everything past the k-th otherwise — so a second sighting that pushed a
 	// neighbor out of a full accumulator costs a re-walk.
 	pt := ds.Seg(7).A
-	at := func(id uint32) rtree.Neighbor { return rtree.Neighbor{ID: id, Dist: p.SegOf(id).DistToPoint(pt)} }
+	at := func(id uint32) rtree.Neighbor {
+		seg := p.SegOf(id)
+		return rtree.Neighbor{ID: id, Dist: seg.DistToPoint(pt), Seg: seg}
+	}
 	inf := math.Inf(1)
 	for _, c := range []struct {
 		name     string
@@ -356,7 +359,7 @@ func scanPingPong(t *testing.T) {
 	var walks [3]atomic.Int64
 	for r, scan := range [2]func(dst []uint32) []uint32{
 		func(dst []uint32) []uint32 { return p.RangeAppend(dst, full) },
-		func(dst []uint32) []uint32 { return p.FilterRangeAppend(dst, full) },
+		func(dst []uint32) []uint32 { return filterRange(p, dst, full) },
 	} {
 		ids := make([]uint32, 0, 2048)
 		seen := make([]bool, away+1)

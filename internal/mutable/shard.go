@@ -269,7 +269,7 @@ func (p *Pool) ApplyMove(id uint32, seg geom.Segment) (epoch uint64, existed, ow
 		// Cross-shard move: drop the old copy and install the new one
 		// under both writer locks, acquired in ascending shard order,
 		// inside one transfer bracket. The new owner is published only
-		// once its lock is held, so a SegOf that reads it and misses waits
+		// once its lock is held, so a locate that reads it and misses waits
 		// for the copy on its locked retry.
 		a, b := old, target
 		if a.idx > b.idx {
@@ -376,7 +376,8 @@ type poolMetrics struct {
 	notOwned    *obs.Counter
 	compactions *obs.Counter
 	compactErrs *obs.Counter
-	// segofRetries counts SegOf look-ups that raced a transfer of their id.
+	// segofRetries counts locate look-ups (a walk's settle, SegOf) that
+	// raced a transfer of their id.
 	segofRetries *obs.Counter
 	// readFallbacks counts walks that lost maxRewalks attempts to raced
 	// transfers and took the one lock left on the read path, omu (settled).

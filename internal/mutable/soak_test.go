@@ -157,7 +157,7 @@ func TestUpdateSoak(t *testing.T) {
 		Min: geom.Point{X: ds.Extent.Min.X - 200, Y: ds.Extent.Min.Y - 200},
 		Max: geom.Point{X: ds.Extent.Max.X + 200, Y: ds.Extent.Max.Y + 200},
 	}
-	got := p.FilterRangeAppend(nil, full)
+	got := filterRange(p, nil, full)
 	if len(got) != len(model) {
 		t.Fatalf("full-extent candidates: %d, want %d", len(got), len(model))
 	}

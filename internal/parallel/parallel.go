@@ -5,6 +5,8 @@
 package parallel
 
 import (
+	"fmt"
+
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/shard"
@@ -16,8 +18,13 @@ type (
 	NearestResult = shard.NearestResult
 )
 
-// New is shard.Over: one shard over the given tree. workers is ignored; the
-// engine's width is GOMAXPROCS, what 0 always meant here.
+// New is shard.Over: one shard over the given tree, which carries the
+// geometry; ds must be the dataset it was built from, and only its presence
+// is checked. workers is ignored: the engine's width is GOMAXPROCS, what 0
+// always meant here.
 func New(ds *dataset.Dataset, tree *rtree.Tree, workers int) (*Pool, error) {
-	return shard.Over(ds, tree)
+	if ds == nil {
+		return nil, fmt.Errorf("parallel: nil dataset")
+	}
+	return shard.Over(tree)
 }

@@ -67,7 +67,7 @@ func TestFrameDecodeZeroAlloc(t *testing.T) {
 		&BatchReplyMsg{ID: 5, Items: []BatchItem{
 			{IDs: []uint32{1, 2, 3}},
 			{Recs: []Record{{ID: 9, Seg: geom.Segment{A: geom.Point{X: 1, Y: 1}, B: geom.Point{X: 2, Y: 2}}}}},
-			{Nbrs: []Neighbor{{ID: 4, Dist: 0.5}, {ID: 7, Dist: 3}}},
+			{}, // an empty answer
 		}},
 	} {
 		f, err := AppendFrame(nil, m)

@@ -85,24 +85,23 @@ func (m *BatchQueryMsg) decodePayload(b []byte) error {
 	return d.finish("batch-query")
 }
 
-// BatchItem is one sub-answer of a batch reply. Exactly one of the four
-// shapes is meaningful: an error (Err != 0), records (data-mode answers),
-// neighbors (neighbors-mode answers, nearest first), or ids (everything
-// else — an empty answer is an empty id list).
+// BatchItem is one sub-answer of a batch reply. Exactly one of the three
+// shapes is meaningful: an error (Err != 0), records (the answer of a
+// data-mode or candidates-mode query), or ids (everything else — an empty
+// answer is an empty id list).
 type BatchItem struct {
 	IDs  []uint32
 	Recs []Record
-	Nbrs []Neighbor
 	Err  ErrCode
 	Text string
 }
 
-// Batch item payload tags.
+// Batch item payload tags. 3 is reserved: it was a neighbor list, and a
+// decoder refuses it as an unknown tag.
 const (
 	batchTagIDs  = 0
 	batchTagRecs = 1
 	batchTagErr  = 2
-	batchTagNbrs = 3
 )
 
 // tag picks the deterministic wire shape of an item from its contents, so
@@ -113,8 +112,6 @@ func (it *BatchItem) tag() uint8 {
 		return batchTagErr
 	case len(it.Recs) > 0:
 		return batchTagRecs
-	case len(it.Nbrs) > 0:
-		return batchTagNbrs
 	default:
 		return batchTagIDs
 	}
@@ -147,16 +144,10 @@ func (m *BatchReplyMsg) Validate() error {
 	}
 	for i := range m.Items {
 		it := &m.Items[i]
-		shapes := 0
-		for _, n := range [...]int{len(it.IDs), len(it.Recs), len(it.Nbrs)} {
-			if n > 0 {
-				shapes++
-			}
-		}
-		if shapes > 1 {
+		if len(it.IDs) > 0 && len(it.Recs) > 0 {
 			return fmt.Errorf("proto: batch item %d has more than one result shape", i)
 		}
-		if it.Err != 0 && shapes > 0 {
+		if it.Err != 0 && len(it.IDs)+len(it.Recs) > 0 {
 			return fmt.Errorf("proto: batch item %d has both an error and results", i)
 		}
 		if len(it.Text) > MaxErrorText {
@@ -166,9 +157,6 @@ func (m *BatchReplyMsg) Validate() error {
 			return fmt.Errorf("proto: batch item %d has error text without a code", i)
 		}
 		if err := validateRecords("batch item", it.Recs); err != nil {
-			return err
-		}
-		if err := validateNeighbors("batch item", it.Nbrs); err != nil {
 			return err
 		}
 	}
@@ -190,8 +178,6 @@ func (m *BatchReplyMsg) appendPayload(b []byte) []byte {
 			b = append(b, it.Text...)
 		case batchTagRecs:
 			b = appendRecords(b, it.Recs)
-		case batchTagNbrs:
-			b = appendNeighbors(b, it.Nbrs)
 		default:
 			b = appendIDs(b, it.IDs)
 		}
@@ -217,7 +203,6 @@ func (m *BatchReplyMsg) decodePayload(b []byte) error {
 		it := &items[i]
 		it.IDs = it.IDs[:0]
 		it.Recs = it.Recs[:0]
-		it.Nbrs = it.Nbrs[:0]
 		it.Err = 0
 		it.Text = ""
 		switch tag := d.u8(); tag {
@@ -230,8 +215,6 @@ func (m *BatchReplyMsg) decodePayload(b []byte) error {
 			}
 		case batchTagRecs:
 			it.Recs = d.appendRecords(it.Recs)
-		case batchTagNbrs:
-			it.Nbrs = d.appendNeighborsN(it.Nbrs, int(d.u32()))
 		case batchTagIDs:
 			it.IDs = d.appendIDs(it.IDs)
 		default:

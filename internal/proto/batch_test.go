@@ -59,7 +59,7 @@ func TestBatchFrameAmortizesHeaders(t *testing.T) {
 func TestBatchReplyDecodeReusesItems(t *testing.T) {
 	first := &BatchReplyMsg{ID: 1, Items: []BatchItem{
 		{IDs: []uint32{1, 2, 3, 4, 5}},
-		{Nbrs: []Neighbor{{ID: 4, Dist: 1.5}, {ID: 6, Dist: 2}}}, // must not survive into second's empty item
+		{Recs: []Record{{ID: 4, Seg: geom.Segment{B: geom.Point{X: 1, Y: 1}}}}}, // must not survive into second's empty item
 		{Err: CodeDeadline, Text: "late"},
 		{Recs: []Record{{ID: 7, Seg: geom.Segment{A: geom.Point{X: 1, Y: 1}, B: geom.Point{X: 2, Y: 2}}}}},
 	}}

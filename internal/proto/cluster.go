@@ -1,20 +1,20 @@
 // cluster.go extends the wire catalogue with the distributed serving tier's
-// messages: the router↔backend handshake, and the neighbor list a k-NN leg
-// is answered with. A coordinator (internal/router) fetches each backend's
-// summary — the Hilbert key ranges it holds — at registration, then fans
-// client queries to the owning backends. A single range or point query's leg
+// handshake. A coordinator (internal/router) fetches each backend's summary
+// — the Hilbert key ranges it holds — at registration, then fans client
+// queries to the owning backends. An id-mode range or point query's leg
 // rides MsgQuery, the frame the client sent; every other leg is a
-// MsgBatchQuery. A k-NN leg is a KindNN item in ModeNeighbors, which carries
-// what the cross-server best-first visit needs: the running k-th-neighbor
-// bound in the item's Eps (so a later server prunes against earlier
-// servers' answers) and exact per-neighbor distances in the reply item (so
-// the router merges legs without re-deriving geometry).
+// MsgBatchQuery item, and every leg that asks for records — a data-mode
+// window or point, a filter window a router-tier cache fills from
+// (ModeCandidates), a k-NN — is answered with the records its backend's walk
+// matched, which the router merges by id. A k-NN leg is a KindNN item in
+// ModeCandidates: the running k-th-neighbor bound rides in its Eps (so a
+// later server prunes against earlier servers' answers), and the router
+// recomputes each record's distance with the one DistToPoint every engine
+// uses, so its merge is bit-identical to a single engine's answer.
 package proto
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"mobispatial/internal/geom"
 )
@@ -36,58 +36,6 @@ const CodeUnavailable ErrCode = 6
 
 // MaxSummaryRanges bounds the ranges one summary may carry.
 const MaxSummaryRanges = 4096
-
-// Neighbor is one (k-)NN answer on the wire: the object id and its exact
-// distance to the query point. The wire form of rtree.Neighbor.
-type Neighbor struct {
-	ID   uint32
-	Dist float64
-}
-
-// wireNeighborBytes is the encoded size of one Neighbor.
-const wireNeighborBytes = 4 + 8
-
-// validateNeighbors checks a neighbor list fits a frame and carries only
-// real distances.
-func validateNeighbors(what string, nbs []Neighbor) error {
-	if n := len(nbs); n > (MaxFramePayload-8)/wireNeighborBytes {
-		return fmt.Errorf("proto: %s of %d neighbors exceeds frame limit", what, n)
-	}
-	for i, nb := range nbs {
-		if math.IsNaN(nb.Dist) || nb.Dist < 0 {
-			return fmt.Errorf("proto: %s neighbor %d has bad distance %v", what, i, nb.Dist)
-		}
-	}
-	return nil
-}
-
-func appendNeighbors(b []byte, nbs []Neighbor) []byte {
-	b = appendU32(b, uint32(len(nbs)))
-	for _, nb := range nbs {
-		b = appendU32(b, nb.ID)
-		b = appendF64(b, nb.Dist)
-	}
-	return b
-}
-
-// appendNeighborsN appends n decoded neighbors to dst, reusing its capacity,
-// with the same bounds discipline as appendIDs.
-func (d *decoder) appendNeighborsN(dst []Neighbor, n int) []Neighbor {
-	if d.err != nil || n <= 0 {
-		if n < 0 && d.err == nil {
-			d.err = fmt.Errorf("negative neighbor count %d", n)
-		}
-		return dst
-	}
-	if !d.need(n * wireNeighborBytes) {
-		return dst
-	}
-	dst = slices.Grow(dst, n)
-	for i := 0; i < n; i++ {
-		dst = append(dst, Neighbor{ID: d.u32(), Dist: d.f64()})
-	}
-	return dst
-}
 
 // SummaryReqMsg asks a backend for its partition summary. Servers answer it
 // like a stats request — bypassing admission control — so a router can

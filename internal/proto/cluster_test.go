@@ -8,13 +8,13 @@ import (
 )
 
 // TestNNQueryReleaseReuse pins the pooled k-NN leg cycle: a router's leg is
-// a one-item ModeNeighbors batch acquired from the pool, its bound rides in
-// Eps through encode and decode, and the reply's neighbor slice capacity
+// a one-item ModeCandidates batch acquired from the pool, its bound rides in
+// Eps through encode and decode, and the reply's record slice capacity
 // survives a release.
 func TestNNQueryReleaseReuse(t *testing.T) {
 	q := AcquireBatchQuery()
 	q.ID = 5
-	q.Queries = append(q.Queries, QueryMsg{Kind: KindNN, Mode: ModeNeighbors, Point: geom.Point{X: 1, Y: 2}, K: 3, Eps: 7.5})
+	q.Queries = append(q.Queries, QueryMsg{Kind: KindNN, Mode: ModeCandidates, Point: geom.Point{X: 1, Y: 2}, K: 3, Eps: 7.5})
 	var buf bytes.Buffer
 	if _, err := WriteMessage(&buf, q); err != nil {
 		t.Fatalf("write: %v", err)
@@ -36,14 +36,14 @@ func TestNNQueryReleaseReuse(t *testing.T) {
 		t.Fatalf("release left a batch behind: %+v", q2)
 	}
 
-	r := &BatchReplyMsg{ID: 5, Items: []BatchItem{{Nbrs: make([]Neighbor, 2, 16)}}}
-	r.Items[0].Nbrs[0], r.Items[0].Nbrs[1] = Neighbor{ID: 1, Dist: 2}, Neighbor{ID: 4, Dist: 3}
+	r := &BatchReplyMsg{ID: 5, Items: []BatchItem{{Recs: make([]Record, 2, 16)}}}
+	r.Items[0].Recs[0], r.Items[0].Recs[1] = Record{ID: 1}, Record{ID: 4}
 	ReleaseMessage(r)
 	if r.ID != 0 || len(r.Items) != 0 {
 		t.Fatalf("release left state behind: %+v", r)
 	}
-	if it := r.Items[:1][0]; len(it.Nbrs) != 0 || cap(it.Nbrs) != 16 {
-		t.Fatalf("release dropped the neighbor capacity or kept the answer: len %d cap %d", len(it.Nbrs), cap(it.Nbrs))
+	if it := r.Items[:1][0]; len(it.Recs) != 0 || cap(it.Recs) != 16 {
+		t.Fatalf("release dropped the record capacity or kept the answer: len %d cap %d", len(it.Recs), cap(it.Recs))
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"mobispatial/internal/geom"
 )
 
 // FuzzReadMessage throws arbitrary bytes at the frame decoder. The decoder
@@ -69,18 +71,31 @@ func FuzzReadMessage(f *testing.F) {
 		ack[len(ack)-1] = 0xF0 // unknown flag bits
 		f.Add(ack)
 	}
-	// A batch reply's neighbors item whose distance carries NaN bits: the
-	// decoder must refuse it, or it would not re-encode.
-	if nbrs, err := AppendFrame(nil, &BatchReplyMsg{ID: 1, Items: []BatchItem{{Nbrs: []Neighbor{{ID: 2, Dist: 1}}}}}); err == nil {
-		for i := len(nbrs) - 8; i < len(nbrs); i++ {
-			nbrs[i] = 0xFF
-		}
-		f.Add(nbrs)
+	// A router's records legs: a candidates item of every kind, and the reply
+	// whose items carry the records its backend's walks matched, one of them
+	// with NaN bits in its last coordinate, which the decoder must refuse.
+	if frame, err := AppendFrame(nil, &BatchQueryMsg{ID: 1, Queries: []QueryMsg{
+		{Kind: KindRange, Mode: ModeCandidates, Window: geom.Rect{Max: geom.Point{X: 4, Y: 4}}},
+		{Kind: KindPoint, Mode: ModeCandidates, Point: geom.Point{X: 1, Y: 2}},
+		{Kind: KindNN, Mode: ModeCandidates, K: 2, Point: geom.Point{X: 3, Y: 1}},
+	}}); err == nil {
+		f.Add(frame)
 	}
-	// A router's bounded k-NN leg, the bound in a neighbors item's Eps, and
+	if recs, err := AppendFrame(nil, &BatchReplyMsg{ID: 1, Items: []BatchItem{
+		{Recs: []Record{{ID: 4, Seg: geom.Segment{B: geom.Point{X: 1, Y: 1}}}, {ID: 5, Seg: geom.Segment{A: geom.Point{X: 1, Y: 1}, B: geom.Point{X: 2}}}}},
+		{Recs: []Record{{ID: 9, Seg: geom.Segment{A: geom.Point{X: 3}, B: geom.Point{X: 3, Y: 3}}}}},
+	}}); err == nil {
+		f.Add(recs)
+		nan := append([]byte(nil), recs...)
+		for i := len(nan) - 8; i < len(nan); i++ {
+			nan[i] = 0xFF
+		}
+		f.Add(nan)
+	}
+	// A router's bounded k-NN leg, the bound in a candidates item's Eps, and
 	// its twin whose Eps carries +Inf bits: the decoder must refuse the
 	// second, or the bound would not re-encode as a finite hint.
-	leg := &BatchQueryMsg{ID: 1, Queries: []QueryMsg{{Kind: KindNN, Mode: ModeNeighbors, K: 8, Eps: 12.5}}}
+	leg := &BatchQueryMsg{ID: 1, Queries: []QueryMsg{{Kind: KindNN, Mode: ModeCandidates, K: 8, Eps: 12.5}}}
 	if frame, err := AppendFrame(nil, leg); err == nil {
 		f.Add(frame)
 		inf := append([]byte(nil), frame...)

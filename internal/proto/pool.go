@@ -139,12 +139,11 @@ func ReleaseMessage(m Message) {
 func trimBatchItems(items []BatchItem) bool {
 	for i := range items {
 		it := &items[i]
-		if cap(it.IDs) > maxPooledIDs || cap(it.Recs) > maxPooledRecords || cap(it.Nbrs) > maxPooledIDs {
+		if cap(it.IDs) > maxPooledIDs || cap(it.Recs) > maxPooledRecords {
 			return false
 		}
 		it.IDs = it.IDs[:0]
 		it.Recs = it.Recs[:0]
-		it.Nbrs = it.Nbrs[:0]
 		it.Err = 0
 		it.Text = ""
 	}

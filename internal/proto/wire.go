@@ -154,11 +154,21 @@ const (
 	// ModeFilter: the server filters only and returns candidate ids — the
 	// server half of filter-server/refine-client.
 	ModeFilter
-	// ModeNeighbors: the server answers a k-NN query with (id, exact
-	// distance) pairs, nearest first — a router's k-NN leg, with its running
-	// bound in Eps. Valid on KindNN only, and answered only as a batch item.
-	ModeNeighbors
+	// ModeCandidates: the server answers with records of what a router
+	// merges and refines itself — a router's records leg, answered only as a
+	// batch item. On KindNN it is the k nearest, nearest first, with the
+	// router's running bound in Eps; on a window or point it is the
+	// MBR-filter candidates, ascending by id.
+	ModeCandidates
 )
+
+// Filters reports whether a window or point query in mode m asks for the
+// MBR-filter candidates instead of the exact answer.
+func (m Mode) Filters() bool { return m == ModeFilter || m == ModeCandidates }
+
+// Records reports whether an answer in mode m carries records (id and
+// segment) instead of ids.
+func (m Mode) Records() bool { return m == ModeData || m == ModeCandidates }
 
 // String implements fmt.Stringer.
 func (m Mode) String() string {
@@ -169,8 +179,8 @@ func (m Mode) String() string {
 		return "ids"
 	case ModeFilter:
 		return "filter"
-	case ModeNeighbors:
-		return "neighbors"
+	case ModeCandidates:
+		return "candidates"
 	}
 	return fmt.Sprintf("Mode(%d)", uint8(m))
 }
@@ -280,7 +290,7 @@ type QueryMsg struct {
 	// Window is the query window (range kind).
 	Window geom.Rect
 	// Eps is the point-incidence tolerance in map units; 0 means
-	// DefaultPointEps. On a KindNN query in ModeNeighbors it is the router's
+	// DefaultPointEps. On a KindNN query in ModeCandidates it is the router's
 	// running k-th-neighbor distance instead: the backend may prune any
 	// subtree whose lower bound exceeds it, and 0 means unbounded. It is a
 	// pruning hint only — a reply may include neighbors farther than it.
@@ -290,6 +300,15 @@ type QueryMsg struct {
 	// TimeoutMicros caps the server-side processing time in microseconds;
 	// 0, like any budget at or above DefaultTimeout, means DefaultTimeout.
 	TimeoutMicros uint32
+}
+
+// PointEps is the incidence tolerance a point query is answered under: Eps,
+// or DefaultPointEps when it is 0.
+func (m *QueryMsg) PointEps() float64 {
+	if m.Eps <= 0 {
+		return DefaultPointEps
+	}
+	return m.Eps
 }
 
 // Type implements Message.
@@ -303,14 +322,11 @@ func (m *QueryMsg) Validate() error {
 	if m.Kind > KindNN {
 		return fmt.Errorf("proto: bad query kind %d", m.Kind)
 	}
-	if m.Mode > ModeNeighbors {
+	if m.Mode > ModeCandidates {
 		return fmt.Errorf("proto: bad query mode %d", m.Mode)
 	}
 	if m.Kind == KindNN && m.Mode == ModeFilter {
 		return fmt.Errorf("proto: NN query has no filter-only mode")
-	}
-	if m.Kind != KindNN && m.Mode == ModeNeighbors {
-		return fmt.Errorf("proto: neighbors mode on a non-NN query")
 	}
 	if m.Eps < 0 || math.IsNaN(m.Eps) || math.IsInf(m.Eps, 0) {
 		return fmt.Errorf("proto: bad eps %v", m.Eps)
@@ -338,7 +354,7 @@ func (m *QueryMsg) Validate() error {
 //
 // flags holds the kind in bits 0-1 and the mode in bits 2-3. Eps travels only
 // when it is set and means something: on a point query, and on a k-NN leg in
-// ModeNeighbors, where it is the router's bound. The timeout travels only
+// ModeCandidates, where it is the router's bound. The timeout travels only
 // when it is tighter than DefaultTimeout.
 const (
 	flagModeShift  = 2
@@ -351,7 +367,7 @@ const (
 
 // epsOnWire reports whether a query of this kind and mode carries Eps.
 func epsOnWire(kind uint8, mode Mode) bool {
-	return kind == KindPoint || kind == KindNN && mode == ModeNeighbors
+	return kind == KindPoint || kind == KindNN && mode == ModeCandidates
 }
 
 func (m *QueryMsg) appendPayload(b []byte) []byte {

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -75,17 +74,21 @@ func allMessages() []Message {
 				Window: geom.Rect{Min: geom.Point{X: 1, Y: 2}, Max: geom.Point{X: 3, Y: 4}}},
 			{ID: 2, Kind: KindPoint, Mode: ModeData, Point: geom.Point{X: 9, Y: 9}, Eps: 0.5},
 			{ID: 3, Kind: KindNN, Mode: ModeIDs, K: 3, Point: geom.Point{X: -1, Y: -2}},
-			{ID: 4, Kind: KindNN, Mode: ModeNeighbors, K: 8, Point: geom.Point{X: 5, Y: 6}},
+			{ID: 4, Kind: KindNN, Mode: ModeCandidates, K: 8, Point: geom.Point{X: 5, Y: 6}},
+			{ID: 5, Kind: KindRange, Mode: ModeCandidates,
+				Window: geom.Rect{Min: geom.Point{X: 1, Y: 2}, Max: geom.Point{X: 3, Y: 4}}},
+			{ID: 6, Kind: KindPoint, Mode: ModeCandidates, Point: geom.Point{X: 9, Y: 9}},
 		}},
 		&BatchReplyMsg{ID: 20, Items: []BatchItem{
 			{IDs: []uint32{5, 6, 7}},
 			{Recs: []Record{{ID: 8, Seg: geom.Segment{A: geom.Point{X: 1, Y: 1}, B: geom.Point{X: 2, Y: 2}}}}},
 			{Err: CodeBadRequest, Text: "k too large"},
 			{}, // an empty answer is an empty id list
-			{Nbrs: []Neighbor{{ID: 3, Dist: 0}, {ID: 11, Dist: 4.75}}},
+			{Recs: []Record{{ID: 11, Seg: geom.Segment{A: geom.Point{X: 5, Y: 6}, B: geom.Point{X: 7, Y: 6}}},
+				{ID: 3, Seg: geom.Segment{A: geom.Point{X: 9, Y: 9}, B: geom.Point{X: 9, Y: 9}}}}}, // nearest first
 		}},
 		&BatchQueryMsg{ID: 21, TimeoutMicros: 100_000, Queries: []QueryMsg{ // a bounded k-NN leg
-			{Kind: KindNN, Mode: ModeNeighbors, K: 8, Point: geom.Point{X: 3.5, Y: -7}, Eps: 123.25},
+			{Kind: KindNN, Mode: ModeCandidates, K: 8, Point: geom.Point{X: 3.5, Y: -7}, Eps: 123.25},
 		}},
 		&SummaryReqMsg{ID: 24},
 		&SummaryMsg{ID: 24, NumRanges: 3,
@@ -167,7 +170,7 @@ func wireEqual(a, b Message) bool {
 		for i := range x.Items {
 			xi, yi := &x.Items[i], &y.Items[i]
 			if xi.Err != yi.Err || xi.Text != yi.Text || !slicesEqual(xi.IDs, yi.IDs) ||
-				!recordsEqual(xi.Recs, yi.Recs) || !slices.Equal(xi.Nbrs, yi.Nbrs) {
+				!recordsEqual(xi.Recs, yi.Recs) {
 				return false
 			}
 		}
@@ -244,9 +247,7 @@ func TestWireValidateRejects(t *testing.T) {
 		&QueryMsg{ID: 1, Kind: 9},
 		&QueryMsg{ID: 1, Kind: KindPoint, Mode: 9},
 		&QueryMsg{ID: 1, Kind: KindNN, Mode: ModeFilter, Point: geom.Point{}},
-		&QueryMsg{ID: 1, Kind: KindPoint, Mode: ModeNeighbors},
-		&QueryMsg{ID: 1, Kind: KindRange, Mode: ModeNeighbors, Window: geom.Rect{Max: geom.Point{X: 1, Y: 1}}},
-		&QueryMsg{ID: 1, Kind: KindNN, Mode: ModeNeighbors + 1},
+		&QueryMsg{ID: 1, Kind: KindNN, Mode: ModeCandidates + 1},
 		&QueryMsg{ID: 1, Kind: KindRange, Window: geom.EmptyRect()},
 		&QueryMsg{ID: 1, Kind: KindPoint, Point: geom.Point{X: math.NaN()}},
 		&QueryMsg{ID: 1, Kind: KindPoint, Eps: math.Inf(1)},
@@ -267,15 +268,12 @@ func TestWireValidateRejects(t *testing.T) {
 		&BatchReplyMsg{ID: 1},
 		&BatchReplyMsg{ID: 1, Items: []BatchItem{{IDs: []uint32{1}, Recs: []Record{{ID: 2}}}}},
 		&BatchReplyMsg{ID: 1, Items: []BatchItem{{Err: CodeInternal, IDs: []uint32{1}}}},
-		&BatchReplyMsg{ID: 1, Items: []BatchItem{{IDs: []uint32{1}, Nbrs: []Neighbor{{ID: 2}}}}},
-		&BatchReplyMsg{ID: 1, Items: []BatchItem{{Err: CodeInternal, Nbrs: []Neighbor{{ID: 2}}}}},
-		&BatchReplyMsg{ID: 1, Items: []BatchItem{{Nbrs: []Neighbor{{ID: 2, Dist: math.NaN()}}}}},
+		&BatchReplyMsg{ID: 1, Items: []BatchItem{{Err: CodeInternal, Recs: []Record{{ID: 2}}}}},
 		&BatchReplyMsg{ID: 1, Items: []BatchItem{{Text: "orphan text"}}},
 		&BatchReplyMsg{ID: 1, Items: []BatchItem{
 			{Recs: []Record{{Seg: geom.Segment{A: geom.Point{X: math.NaN()}}}}}}},
-		&BatchQueryMsg{ID: 1, Queries: []QueryMsg{{Kind: KindNN, Mode: ModeNeighbors, Eps: math.NaN()}}},
-		&BatchQueryMsg{ID: 1, Queries: []QueryMsg{{Kind: KindNN, Mode: ModeNeighbors, Eps: -1}}},
-		&BatchReplyMsg{ID: 1, Items: []BatchItem{{Nbrs: []Neighbor{{ID: 2, Dist: -0.5}}}}},
+		&BatchQueryMsg{ID: 1, Queries: []QueryMsg{{Kind: KindNN, Mode: ModeCandidates, Eps: math.NaN()}}},
+		&BatchQueryMsg{ID: 1, Queries: []QueryMsg{{Kind: KindNN, Mode: ModeCandidates, Eps: -1}}},
 		&SummaryMsg{ID: 1, NumRanges: 2, Ranges: []RangeInfo{{Index: 2}}},
 		&SummaryMsg{ID: 1, NumRanges: 1, Ranges: []RangeInfo{{Index: 0, Lo: 9, Hi: 3}}},
 		&SummaryMsg{ID: 1, NumRanges: 1, Ranges: []RangeInfo{
@@ -383,10 +381,10 @@ func TestWireFrameLayout(t *testing.T) {
 			{KindPoint | byte(ModeIDs)<<2}, // no timeout: the default travels as none
 			one, two,
 		}},
-		{"neighbors leg", &QueryMsg{ID: 7, Kind: KindNN, Mode: ModeNeighbors, Point: geom.Point{X: 1, Y: 2}, K: 8, Eps: 10}, [][]byte{
+		{"candidates k-NN leg", &QueryMsg{ID: 7, Kind: KindNN, Mode: ModeCandidates, Point: geom.Point{X: 1, Y: 2}, K: 8, Eps: 10}, [][]byte{
 			{27, byte(MsgQuery)},
 			{7},
-			{KindNN | byte(ModeNeighbors)<<2 | flagHasEps},
+			{KindNN | byte(ModeCandidates)<<2 | flagHasEps},
 			one, two, {8}, // point, K
 			ten, // the router's bound
 		}},
@@ -522,7 +520,7 @@ func TestWireRejectsHandBuiltFrames(t *testing.T) {
 		"a full-cap run":           frameOf(MsgIDList, id, epoch, []byte{64}, []byte{0, 63}),
 		"a second record flagged":  frameOf(MsgDataList, id, epoch, []byte{2}, []byte{40}, pt, pt, []byte{5}, pt),
 		"eps on a point query":     frameOf(MsgQuery, id, []byte{KindPoint | flagHasEps}, pt, f64(1)),
-		"eps on a neighbors k-NN":  frameOf(MsgQuery, id, []byte{KindNN | byte(ModeNeighbors)<<2 | flagHasEps}, pt, []byte{1}, f64(1)),
+		"eps on a candidates k-NN": frameOf(MsgQuery, id, []byte{KindNN | byte(ModeCandidates)<<2 | flagHasEps}, pt, []byte{1}, f64(1)),
 		"a batched query with a timeout": frameOf(MsgBatchQuery, id, []byte{0}, []byte{1},
 			id, []byte{KindPoint | flagHasTimeout}, pt, []byte{9}),
 		"request id at the top of uint32": frameOf(MsgQuery, uv(math.MaxUint32), []byte{KindPoint}, pt),
@@ -565,7 +563,8 @@ func TestQueryCarriesOnlyItsKindsFields(t *testing.T) {
 		{QueryMsg{Kind: KindRange, Mode: ModeIDs, Window: w, Point: pt, K: 4, Eps: 3}, QueryMsg{Kind: KindRange, Mode: ModeIDs, Window: w}},
 		{QueryMsg{Kind: KindPoint, Mode: ModeData, Point: pt, Window: w, K: 4, Eps: 3}, QueryMsg{Kind: KindPoint, Mode: ModeData, Point: pt, Eps: 3}},
 		{QueryMsg{Kind: KindNN, Mode: ModeData, Point: pt, Window: w, K: 4, Eps: 3}, QueryMsg{Kind: KindNN, Mode: ModeData, Point: pt, K: 4}},
-		{QueryMsg{Kind: KindNN, Mode: ModeNeighbors, Point: pt, Window: w, K: 4, Eps: 3}, QueryMsg{Kind: KindNN, Mode: ModeNeighbors, Point: pt, K: 4, Eps: 3}},
+		{QueryMsg{Kind: KindNN, Mode: ModeCandidates, Point: pt, Window: w, K: 4, Eps: 3}, QueryMsg{Kind: KindNN, Mode: ModeCandidates, Point: pt, K: 4, Eps: 3}},
+		{QueryMsg{Kind: KindRange, Mode: ModeCandidates, Window: w, Point: pt, K: 4, Eps: 3}, QueryMsg{Kind: KindRange, Mode: ModeCandidates, Window: w}},
 	} {
 		full, err := AppendFrame(nil, &c.full)
 		if err != nil {
@@ -634,6 +633,36 @@ func TestEveryMessageTypeIsNamed(t *testing.T) {
 	}
 	if accepted != 16 {
 		t.Errorf("%d message types decode, want the catalogue's 16", accepted)
+	}
+}
+
+// TestEveryModeIsNamed: the query modes are the catalogue's 4, each named,
+// and the router's records leg, ModeCandidates, keeps wire value 3 on every
+// query kind (a range, a point and a k-NN validate in it).
+func TestEveryModeIsNamed(t *testing.T) {
+	w := geom.Rect{Max: geom.Point{X: 1, Y: 1}}
+	accepted := 0
+	for i := 0; i < 256; i++ {
+		m := Mode(i)
+		if (&QueryMsg{Kind: KindRange, Mode: m, Window: w}).Validate() != nil {
+			continue
+		}
+		accepted++
+		if strings.HasPrefix(m.String(), "Mode(") {
+			t.Errorf("mode %d has no name", i)
+		}
+	}
+	if accepted != 4 {
+		t.Errorf("%d modes validate, want the catalogue's 4", accepted)
+	}
+	if ModeCandidates != 3 {
+		t.Errorf("ModeCandidates travels as %d, want 3", ModeCandidates)
+	}
+	for _, q := range []QueryMsg{{Kind: KindPoint}, {Kind: KindRange, Window: w}, {Kind: KindNN, K: 4}} {
+		q.Mode = ModeCandidates
+		if err := q.Validate(); err != nil {
+			t.Errorf("a kind %d candidates query: %v", q.Kind, err)
+		}
 	}
 }
 

@@ -17,10 +17,11 @@ import (
 	"mobispatial/internal/proto"
 )
 
-// RunQueryBatch implements serve.BatchExecutor: items[i] answers qs[i], in
-// id space only (record materialization stays with the serve layer), or
-// with neighbors for a ModeNeighbors sub-query. Slots arriving with Err
-// pre-set were rejected by the server and are skipped.
+// RunQueryBatch implements serve.BatchExecutor: items[i] answers qs[i] by
+// its mode — records, merged by id from the ones the backends' walks
+// matched (a k-NN nearest first), for a ModeData or ModeCandidates
+// sub-query, ids otherwise. Slots arriving with Err pre-set were rejected
+// by the server and are skipped.
 func (r *Router) RunQueryBatch(qs []proto.QueryMsg, items []proto.BatchItem, deadline time.Time) {
 	r.metrics.batches.Inc()
 	r.metrics.batchQueries.Add(uint64(len(qs)))

@@ -93,7 +93,7 @@ func BenchmarkRouterBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := range items {
-			items[j] = proto.BatchItem{IDs: items[j].IDs[:0], Nbrs: items[j].Nbrs[:0]}
+			items[j] = proto.BatchItem{IDs: items[j].IDs[:0], Recs: items[j].Recs[:0]}
 		}
 		r.RunQueryBatch(batches[i%len(batches)], items, time.Time{})
 		for j := range items {

@@ -3,10 +3,13 @@
 // sub-query's nearest range) → cover (one healthy holder per range, grouped
 // into one leg per backend) → legs (concurrent, first on the caller) →
 // failover (a failed leg's ranges go back to the next cover round) → merge
-// (a linear merge of ascending answers where two legs answer one sub-query;
-// a k-NN sub-query goes on from its first answer in nn.go). A single query
-// is a batch of one; only the frame a leg travels in differs, and every k-NN
-// leg is a batch item.
+// (a linear merge by id of ascending answers where two legs answer one
+// sub-query; a k-NN sub-query goes on from its first answer in nn.go). A
+// single query is a batch of one; only the frame a leg travels in differs:
+// an id-mode window or point leg may ride MsgQuery, and every leg that
+// answers records — a data-mode or candidates-mode sub-query, every k-NN —
+// is a batch item. The records a call answers are the ones its backends'
+// walks matched; the router looks no geometry up.
 package router
 
 import (
@@ -49,36 +52,36 @@ const (
 // reply.
 type readLeg struct {
 	qis   []int32          // slot → sub-query index
-	qs    []proto.QueryMsg // slot → leg query (ModeData rewritten to ModeIDs, k-NN to ModeNeighbors)
-	ids   []uint32         // the slots' id answers, concatenated
-	nbrs  []proto.Neighbor // the k-NN slots' answers, concatenated
+	qs    []proto.QueryMsg // slot → leg query (a k-NN as ModeCandidates)
+	ids   []uint32         // the id slots' answers, concatenated
+	recs  []proto.Record   // the records slots' answers, concatenated
 	ends  []int32          // slot s answers ids[ends[s-1]:ends[s]]
-	nends []int32          // and nbrs[nends[s-1]:nends[s]]
+	rends []int32          // and recs[rends[s-1]:rends[s]]
 	code  []proto.ErrCode  // slot → backend-reported error, 0 = none
 }
 
 // reset empties the leg for a new round, keeping every slice's capacity.
 func (lg *readLeg) reset() {
 	*lg = readLeg{
-		qis: lg.qis[:0], qs: lg.qs[:0], ids: lg.ids[:0], nbrs: lg.nbrs[:0],
-		ends: lg.ends[:0], nends: lg.nends[:0], code: lg.code[:0],
+		qis: lg.qis[:0], qs: lg.qs[:0], ids: lg.ids[:0], recs: lg.recs[:0],
+		ends: lg.ends[:0], rends: lg.rends[:0], code: lg.code[:0],
 	}
 }
 
-// answer returns slot s's ids and neighbors.
-func (lg *readLeg) answer(s int) ([]uint32, []proto.Neighbor) {
-	lo, nlo := int32(0), int32(0)
+// answer returns slot s's ids and records.
+func (lg *readLeg) answer(s int) ([]uint32, []proto.Record) {
+	lo, rlo := int32(0), int32(0)
 	if s > 0 {
-		lo, nlo = lg.ends[s-1], lg.nends[s-1]
+		lo, rlo = lg.ends[s-1], lg.rends[s-1]
 	}
-	return lg.ids[lo:lg.ends[s]], lg.nbrs[nlo:lg.nends[s]]
+	return lg.ids[lo:lg.ends[s]], lg.recs[rlo:lg.rends[s]]
 }
 
-// legSender ships one readLeg to its backend and fills ids, nbrs, ends,
-// nends and code.
+// legSender ships one readLeg to its backend and fills ids, recs, ends,
+// rends and code.
 type legSender func(cc *client.Client, lg *readLeg, deadline time.Time) error
 
-// sendQuery ships a single range or point query's leg as MsgQuery.
+// sendQuery ships a single id-mode range or point query's leg as MsgQuery.
 func sendQuery(cc *client.Client, lg *readLeg, deadline time.Time) error {
 	q := &lg.qs[0]
 	var err error
@@ -87,16 +90,16 @@ func sendQuery(cc *client.Client, lg *readLeg, deadline time.Time) error {
 	} else {
 		lg.ids, err = cc.PointAppendUntil(lg.ids, q.Point, q.Eps, q.Mode, deadline)
 	}
-	lg.ends, lg.nends, lg.code = append(lg.ends, int32(len(lg.ids))), append(lg.nends, 0), append(lg.code, 0)
+	lg.ends, lg.rends, lg.code = append(lg.ends, int32(len(lg.ids))), append(lg.rends, 0), append(lg.code, 0)
 	return err
 }
 
 // sendBatch ships a leg as one MsgBatchQuery, however many sub-queries the
-// backend answers: a client batch's leg, and every k-NN leg.
+// backend answers: a client batch's leg, and every leg that answers records.
 func sendBatch(cc *client.Client, lg *readLeg, deadline time.Time) error {
 	return cc.QueryBatchVisit(lg.qs, deadline, func(_ int, it *proto.BatchItem) {
-		lg.ids, lg.nbrs = append(lg.ids, it.IDs...), append(lg.nbrs, it.Nbrs...) // it aliases the pooled reply
-		lg.ends, lg.nends = append(lg.ends, int32(len(lg.ids))), append(lg.nends, int32(len(lg.nbrs)))
+		lg.ids, lg.recs = append(lg.ids, it.IDs...), append(lg.recs, it.Recs...) // it aliases the pooled reply
+		lg.ends, lg.rends = append(lg.ends, int32(len(lg.ids))), append(lg.rends, int32(len(lg.recs)))
 		lg.code = append(lg.code, it.Err)
 	})
 }
@@ -107,21 +110,23 @@ func shipRead(r *Router, sc *fanScratch, li int) error {
 	return sc.send(r.clients[sc.sel[li]], &sc.legs[li], r.legDeadline(sc.deadline))
 }
 
-// route answers the sub-queries of qs into items, ids only (neighbors for a
-// ModeNeighbors sub-query), and returns the number of legs it took. A slot
-// arriving with Err set was rejected by the serve layer and is left alone.
-// A k-NN sub-query plans one range, its nearest: the slot asks that range's
-// holder for the unbounded k nearest of its whole pool (ModeNeighbors, which
-// only a batch frame carries: a call holding a k-NN sends with sendBatch), in
-// a leg the round is already sending when a holder has one. After the rounds,
-// the best-first visit (nn.go) goes on from each such answer on the calling
-// goroutine, and takes no leg when the answer proves itself: every range
-// its backend does not hold lies beyond the k-th distance.
+// route answers the sub-queries of qs into items by mode — records for a
+// ModeData or ModeCandidates sub-query, ids otherwise — and returns the
+// number of legs it took. A slot arriving with Err set was rejected by the
+// serve layer and is left alone. A records slot asks its backend in the
+// sub-query's own mode (only a batch frame carries one: a call holding one
+// sends with sendBatch). A k-NN sub-query plans one range, its nearest: the
+// slot asks that range's holder for the unbounded k nearest records of its
+// whole pool (ModeCandidates), in a leg the round is already sending when a
+// holder has one. After the rounds, the best-first visit (nn.go) goes on
+// from each such answer on the calling goroutine, and takes no leg when the
+// answer proves itself: every range its backend does not hold lies beyond
+// the k-th distance.
 //
 // Correctness of the merge: a backend answers a leg query over its whole
 // local pool, so one leg answers every range the backend holds, and two
-// backends sharing a range may both report its items — mergeIDs collapses
-// the overlap. Completeness: every item matching a
+// backends sharing a range may both report its items — merge collapses the
+// overlap by id. Completeness: every item matching a
 // sub-query lies in some range whose MBR intersects its window, that range
 // is in the needed set, and the sub-query completes only when each needed
 // range was covered by a successful leg of one of its holders. A sub-query
@@ -160,24 +165,27 @@ func (r *Router) route(sc *fanScratch, qs []proto.QueryMsg, items []proto.BatchI
 		r.runLegs(sc, shipRead)
 		nLegs += len(sc.sel)
 
-		// A slot that answered contributes its ids (a k-NN slot: its
-		// neighbors, held in the item until the visit goes on) and closes
-		// the ranges its backend covered for that sub-query; one that did
-		// not — the leg died, or the backend failed that slot — puts the
-		// backend out for the rest of the call and hands the ranges to the
-		// next round.
+		// A slot that answered contributes its answer (a k-NN slot: its
+		// records, held in the item until the visit goes on) and closes the
+		// ranges its backend covered for that sub-query; one that did not —
+		// the leg died, or the backend failed that slot — puts the backend
+		// out for the rest of the call and hands the ranges to the next
+		// round.
 		failover := false
 		for li, b := range sc.sel {
 			lg := &sc.legs[li]
 			for s, qi := range lg.qis {
 				state := uncovered
 				if sc.errs[li] == nil && lg.code[s] == 0 {
-					ids, nbrs := lg.answer(s)
-					if qs[qi].Kind == proto.KindNN {
-						items[qi].Nbrs = append(items[qi].Nbrs[:0], nbrs...)
+					ids, recs := lg.answer(s)
+					switch it := &items[qi]; {
+					case qs[qi].Kind == proto.KindNN:
+						it.Recs = append(it.Recs[:0], recs...)
 						sc.nnStarts = append(sc.nnStarts, nnStart{qi: qi, b: b})
-					} else {
-						items[qi].IDs = mergeIDs(items[qi].IDs, ids)
+					case qs[qi].Mode.Records():
+						it.Recs = merge(it.Recs, recs, recordID)
+					default:
+						it.IDs = merge(it.IDs, ids, idOf)
 					}
 					state = answered
 				} else {
@@ -202,25 +210,31 @@ func (r *Router) route(sc *fanScratch, qs []proto.QueryMsg, items []proto.BatchI
 	return nLegs
 }
 
-// mergeIDs adds one leg's answer to a sub-query's. Both are ascending, each id
-// once — every backend answers in that order — and so is the result: a
-// linear merge, from the back so it needs no second buffer, that keeps one
-// copy of an id two backends sharing a range both report.
-func mergeIDs(ids, leg []uint32) []uint32 {
-	if len(ids) == 0 || len(leg) == 0 {
-		return append(ids, leg...)
+// merge adds one leg's answer — ids, or records keyed by their ids — to a
+// sub-query's. Both are ascending by id, each id once — every backend
+// answers in that order — and so is the result: a linear merge, from the
+// back so it needs no second buffer, that keeps one copy of an id two
+// backends sharing a range both report.
+func merge[T any](out, leg []T, id func(T) uint32) []T {
+	if len(out) == 0 || len(leg) == 0 {
+		return append(out, leg...)
 	}
-	i, j := len(ids)-1, len(leg)-1
-	ids = append(ids, leg...)
-	for k := len(ids) - 1; j >= 0; k-- {
-		if i >= 0 && ids[i] > leg[j] {
-			ids[k], i = ids[i], i-1
+	i, j := len(out)-1, len(leg)-1
+	out = append(out, leg...)
+	for k := len(out) - 1; j >= 0; k-- {
+		if i >= 0 && id(out[i]) > id(leg[j]) {
+			out[k], i = out[i], i-1
 		} else {
-			ids[k], j = leg[j], j-1
+			out[k], j = leg[j], j-1
 		}
 	}
-	return slices.Compact(ids)
+	return slices.CompactFunc(out, func(a, b T) bool { return id(a) == id(b) })
 }
+
+// idOf and recordID are merge's keys: an id is its own, a record's is its
+// object's.
+func idOf(id uint32) uint32            { return id }
+func recordID(rec proto.Record) uint32 { return rec.ID }
 
 // cover assigns every uncovered range of every live sub-query to a usable
 // holder and groups the assignments into this round's legs, sc.sel and
@@ -246,7 +260,7 @@ func (r *Router) cover(t *table, sc *fanScratch, qs []proto.QueryMsg, items []pr
 				for x := lo; x < hi; x++ {
 					sc.covered[x] = answered
 				}
-				items[i].IDs = items[i].IDs[:0]
+				items[i].IDs, items[i].Recs = items[i].IDs[:0], items[i].Recs[:0]
 				items[i].Err, items[i].Text = proto.CodeOf(errUnavailable(int(sc.needed[j])))
 				r.metrics.unroutable.Inc()
 				break
@@ -326,14 +340,12 @@ func (sc *fanScratch) addSlot(b, qi int32, q *proto.QueryMsg) {
 		return
 	}
 	lg.qis, lg.qs = append(lg.qis, qi), append(lg.qs, *q)
-	switch lq := &lg.qs[len(lg.qs)-1]; {
-	case lq.Kind == proto.KindNN:
-		// The visit goes on by distance. A first leg is unbounded: a
-		// client's Eps means nothing on a k-NN, and read as a bound it would
-		// truncate the answer that closes the backend's ranges.
-		lq.Mode, lq.Eps = proto.ModeNeighbors, 0
-	case lq.Mode == proto.ModeData:
-		lq.Mode = proto.ModeIDs // backends answer legs in id space
+	if lq := &lg.qs[len(lg.qs)-1]; lq.Kind == proto.KindNN {
+		// The visit goes on by distance, from records. A first leg is
+		// unbounded: a client's Eps means nothing on a k-NN, and read as a
+		// bound it would truncate the answer that closes the backend's
+		// ranges.
+		lq.Mode, lq.Eps = proto.ModeCandidates, 0
 	}
 }
 
@@ -351,7 +363,7 @@ func pointWindow(pt geom.Point, eps float64) geom.Rect {
 // routeOne answers one query as a batch of one into sc.item[0], its legs
 // sent by send, and returns the error the item carries.
 func (r *Router) routeOne(sc *fanScratch, q proto.QueryMsg, deadline time.Time, send legSender) error {
-	sc.q[0], sc.item[0] = q, proto.BatchItem{IDs: sc.item[0].IDs[:0], Nbrs: sc.item[0].Nbrs[:0]}
+	sc.q[0], sc.item[0] = q, proto.BatchItem{IDs: sc.item[0].IDs[:0], Recs: sc.item[0].Recs[:0]}
 	nLegs := r.route(sc, sc.q[:], sc.item[:], r.deadlineOr(deadline), send)
 	r.metrics.fanout.Observe(float64(nLegs))
 	if it := &sc.item[0]; it.Err != 0 {
@@ -360,60 +372,59 @@ func (r *Router) routeOne(sc *fanScratch, q proto.QueryMsg, deadline time.Time, 
 	return nil
 }
 
-// fanOne answers one range or point query, its legs MsgQuery, appending the
-// ids to dst.
-func (r *Router) fanOne(dst []uint32, q proto.QueryMsg, deadline time.Time) ([]uint32, error) {
+// The serve engine surface: the forms the serve layer drives on a Router.
+
+// SearchAppendUntil answers a window or point query across the cluster —
+// the MBR-filter candidates when q.Mode filters, the exact answer otherwise
+// — appending ids to dst and, when segs is non-nil, beside each the segment
+// its backend's walk matched it at. A records call asks its legs for
+// records (ModeData for an exact query, ModeCandidates for a filter) and
+// merges them by id; an id call's legs ride MsgQuery in ModeIDs or
+// ModeFilter.
+func (r *Router) SearchAppendUntil(dst []uint32, segs *[]geom.Segment, q proto.QueryMsg, deadline time.Time) ([]uint32, error) {
+	lq := proto.QueryMsg{Kind: q.Kind, Mode: proto.ModeIDs, Point: q.Point, Window: q.Window, Eps: q.Eps}
+	send := sendQuery
+	switch filter := q.Mode.Filters(); {
+	case segs == nil && filter:
+		lq.Mode = proto.ModeFilter
+	case segs != nil && filter:
+		lq.Mode, send = proto.ModeCandidates, sendBatch
+	case segs != nil:
+		lq.Mode, send = proto.ModeData, sendBatch
+	}
 	sc := r.getScratch()
 	defer r.putScratch(sc)
-	if err := r.routeOne(sc, q, deadline, sendQuery); err != nil {
+	if err := r.routeOne(sc, lq, deadline, send); err != nil {
 		return dst, err
 	}
-	return append(dst, sc.item[0].IDs...), nil
+	it := &sc.item[0]
+	dst = append(dst, it.IDs...)
+	for _, rec := range it.Recs {
+		dst, *segs = append(dst, rec.ID), append(*segs, rec.Seg)
+	}
+	return dst, nil
 }
 
-// The serve.DeadlineExecutor surface — the only forms the serve layer
-// drives on a Router.
-
-// RangeAppendUntil answers a refined window query across the cluster.
+// RangeAppendUntil answers a refined window query across the cluster, in
+// ids. The server never calls it; the benchmark ladder times a router
+// through it.
 func (r *Router) RangeAppendUntil(dst []uint32, w geom.Rect, deadline time.Time) ([]uint32, error) {
-	return r.fanOne(dst, proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w}, deadline)
-}
-
-// FilterRangeAppendUntil answers a filter (candidate-set) window query.
-func (r *Router) FilterRangeAppendUntil(dst []uint32, w geom.Rect, deadline time.Time) ([]uint32, error) {
-	return r.fanOne(dst, proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeFilter, Window: w}, deadline)
+	return r.SearchAppendUntil(dst, nil, proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w}, deadline)
 }
 
 // PointAppendUntil answers a refined point query with tolerance eps (0 =
-// proto.DefaultPointEps).
+// proto.DefaultPointEps), in ids; like RangeAppendUntil, a benchmark form.
 func (r *Router) PointAppendUntil(dst []uint32, pt geom.Point, eps float64, deadline time.Time) ([]uint32, error) {
-	return r.fanOne(dst, proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeIDs, Point: pt, Eps: eps}, deadline)
+	return r.SearchAppendUntil(dst, nil, proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeIDs, Point: pt, Eps: eps}, deadline)
 }
 
-// FilterPointAppendUntil answers a filter point query.
-func (r *Router) FilterPointAppendUntil(dst []uint32, pt geom.Point, deadline time.Time) ([]uint32, error) {
-	return r.fanOne(dst, proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeFilter, Point: pt}, deadline)
-}
-
-// The plain serve.Executor surface: these four and NearestWith/KNearestAppend
+// The plain serve.Executor surface: these two and NearestWith/KNearestAppend
 // in nn.go. They have no error channel, so a fan-out failure is swallowed
 // (`dst, _ =`) and degrades to the empty or partial answer. Nothing in
 // internal/serve can reach them — a Server drives a Router only through the
-// deadline forms above, and serve.New rejects a fan-out pool that lacks them —
+// engine surface above, and serve.New rejects a fan-out pool that lacks it —
 // they are kept only so a Router satisfies serve.Executor, the type of
 // serve.Config.Pool and of the bench ladder's executor rungs.
-
-// FilterRangeAppend implements serve.Executor.
-func (r *Router) FilterRangeAppend(dst []uint32, w geom.Rect) []uint32 {
-	dst, _ = r.FilterRangeAppendUntil(dst, w, time.Time{})
-	return dst
-}
-
-// FilterPointAppend implements serve.Executor.
-func (r *Router) FilterPointAppend(dst []uint32, pt geom.Point) []uint32 {
-	dst, _ = r.FilterPointAppendUntil(dst, pt, time.Time{})
-	return dst
-}
 
 // RangeAppend implements serve.Executor.
 func (r *Router) RangeAppend(dst []uint32, w geom.Rect) []uint32 {

@@ -300,8 +300,8 @@ func TestRouterNNDivergentAsksEveryHolder(t *testing.T) {
 
 // clusterMixBatch draws a 16-query batch of the benchmark's cluster mix:
 // each sub-query centred on a random segment's midpoint, 50 % points at the
-// default tolerance, 30 % 2 km windows and 20 % 8-NN, every other 8-NN asking
-// for neighbors (a router fronted as a backend) instead of ids.
+// default tolerance, 30 % 2 km windows and 20 % 8-NN in data mode, every
+// other one asking for candidates (a router fronted as a backend) instead.
 func clusterMixBatch(rng *rand.Rand, ds *dataset.Dataset) []proto.QueryMsg {
 	qs := make([]proto.QueryMsg, 16)
 	nn := 0
@@ -315,7 +315,7 @@ func clusterMixBatch(rng *rand.Rand, ds *dataset.Dataset) []proto.QueryMsg {
 		default:
 			qs[i] = proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeData, Point: p, K: 8}
 			if nn++; nn%2 == 0 {
-				qs[i].Mode = proto.ModeNeighbors
+				qs[i].Mode = proto.ModeCandidates
 			}
 		}
 	}
@@ -323,11 +323,10 @@ func clusterMixBatch(rng *rand.Rand, ds *dataset.Dataset) []proto.QueryMsg {
 }
 
 // runMixBatch answers one cluster-mix batch through RunQueryBatch and checks
-// every item against the flat oracle: ids for points and windows, ids and
-// distances rank by rank for a k-NN.
-func runMixBatch(t *testing.T, label string, r *Router, rng *rand.Rand, pool *shard.Pool) {
+// every item against the flat oracle: ids for points and windows, records —
+// ids, distances and segments — rank by rank for a k-NN.
+func runMixBatch(t *testing.T, label string, r *Router, rng *rand.Rand, ds *dataset.Dataset, pool *shard.Pool) {
 	t.Helper()
-	ds := r.Dataset()
 	qs := clusterMixBatch(rng, ds)
 	items := make([]proto.BatchItem, len(qs))
 	r.RunQueryBatch(qs, items, time.Time{})
@@ -342,15 +341,12 @@ func runMixBatch(t *testing.T, label string, r *Router, rng *rand.Rand, pool *sh
 		case proto.KindRange:
 			sameIDs(t, label+" window", it.IDs, pool.RangeAppend(nil, q.Window))
 		default:
+			if len(it.IDs) > 0 {
+				t.Fatalf("%s item %d: a %v k-NN answered ids", label, i, q.Mode)
+			}
 			var got []rtree.Neighbor
-			for _, nb := range it.Nbrs {
-				got = append(got, rtree.Neighbor{ID: nb.ID, Dist: nb.Dist})
-			}
-			for _, id := range it.IDs {
-				got = append(got, rtree.Neighbor{ID: id, Dist: ds.Seg(id).DistToPoint(q.Point)})
-			}
-			if q.Mode == proto.ModeNeighbors && len(it.IDs) > 0 {
-				t.Fatalf("%s item %d: a neighbors-mode k-NN answered ids", label, i)
+			for _, rec := range it.Recs {
+				got = append(got, neighborOf(rec, q.Point))
 			}
 			want, _ := pool.KNearestAppend(nil, q.Point, int(q.K), nil)
 			checkNN(t, label+" knn", ds, q.Point, got, want)
@@ -377,7 +373,7 @@ func TestRouterBatchNNLegs(t *testing.T) {
 		rng := rand.New(rand.NewSource(26))
 		const batches = 300
 		for i := 0; i < batches; i++ {
-			runMixBatch(t, "healthy", r, rng, pool)
+			runMixBatch(t, "healthy", r, rng, ds, pool)
 		}
 		legs := sum(lc.since())
 		mean := float64(legs) / batches
@@ -402,7 +398,7 @@ func TestRouterBatchNNLegs(t *testing.T) {
 			if i == 50 {
 				tc.servers[1].Close()
 			}
-			runMixBatch(t, "kill", r, rng, pool)
+			runMixBatch(t, "kill", r, rng, ds, pool)
 		}
 		if v := hub.Reg.Counter("router_failover_total").Value(); v == 0 {
 			t.Fatal("the killed backend never failed a leg; the test exercised nothing")
@@ -436,11 +432,11 @@ func TestRouterBatchNNLegs(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatal("breaker never tripped during the forced outage")
 			}
-			runMixBatch(t, "breaker tripping", r, rng, pool)
+			runMixBatch(t, "breaker tripping", r, rng, ds, pool)
 		}
 		lc.since()
 		for i := 0; i < 100; i++ {
-			runMixBatch(t, "breaker open", r, rng, pool)
+			runMixBatch(t, "breaker open", r, rng, ds, pool)
 		}
 		if legs := lc.since(); legs[victim] != 0 {
 			t.Fatalf("the open-breaker backend took %d legs: %v", legs[victim], legs)
@@ -478,7 +474,7 @@ func TestRouterBatchNNLegs(t *testing.T) {
 
 		lc.since()
 		for i := 0; i < 20; i++ {
-			qs := []proto.QueryMsg{{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: seg.A, K: 16}}
+			qs := []proto.QueryMsg{{Kind: proto.KindNN, Mode: proto.ModeCandidates, Point: seg.A, K: 16}}
 			items := make([]proto.BatchItem, 1)
 			r.RunQueryBatch(qs, items, time.Time{})
 			if items[0].Err != 0 {
@@ -487,8 +483,8 @@ func TestRouterBatchNNLegs(t *testing.T) {
 			if !r.snap().divergent[rg] {
 				t.Fatalf("range %d stopped being divergent mid-test", rg)
 			}
-			if !slices.Contains(items[0].Nbrs, proto.Neighbor{ID: id, Dist: 0}) {
-				t.Fatalf("batch %d: id %d, which only replica %d holds, is not among the 16 nearest of its own endpoint: %v", i, id, lone, items[0].Nbrs)
+			if !slices.Contains(items[0].Recs, proto.Record{ID: id, Seg: seg}) {
+				t.Fatalf("batch %d: id %d, which only replica %d holds, is not among the 16 nearest of its own endpoint: %v", i, id, lone, items[0].Recs)
 			}
 			legs := lc.since()
 			for _, b := range r.snap().holders[rg] {
@@ -504,7 +500,7 @@ func TestRouterBatchNNLegs(t *testing.T) {
 // built as. Two routers over one R = 2 cluster of three backends, both fresh
 // so their replica rotations start alike, take 300 seeded points × k ∈ {1,
 // 8, 64}: one through KNearestAppendUntil, the other as a one-item
-// ModeNeighbors RunQueryBatch. Both equal the flat oracle rank by rank, and
+// ModeCandidates RunQueryBatch. Both equal the flat oracle rank by rank, and
 // every query takes the same legs on every backend on both. A client's
 // KindNN item whose Eps would truncate the answer, were it read as a bound,
 // still gets the exact k nearest.
@@ -535,13 +531,13 @@ func TestRouterSingleKNNIsBatchOfOne(t *testing.T) {
 			checkNN(t, "single", ds, pt, got, want)
 
 			items[0] = proto.BatchItem{}
-			batch.RunQueryBatch([]proto.QueryMsg{{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: pt, K: uint16(k)}}, items, time.Time{})
+			batch.RunQueryBatch([]proto.QueryMsg{{Kind: proto.KindNN, Mode: proto.ModeCandidates, Point: pt, K: uint16(k)}}, items, time.Time{})
 			if items[0].Err != 0 {
 				t.Fatalf("pt %d k %d: batch of one: code %d (%s)", i, k, items[0].Err, items[0].Text)
 			}
 			got = got[:0]
-			for _, nb := range items[0].Nbrs {
-				got = append(got, rtree.Neighbor{ID: nb.ID, Dist: nb.Dist})
+			for _, rec := range items[0].Recs {
+				got = append(got, neighborOf(rec, pt))
 			}
 			checkNN(t, "batch of one", ds, pt, got, want)
 
@@ -560,7 +556,7 @@ func TestRouterSingleKNNIsBatchOfOne(t *testing.T) {
 		}
 		var got []rtree.Neighbor
 		for _, id := range items[0].IDs {
-			got = append(got, rtree.Neighbor{ID: id, Dist: ds.Seg(id).DistToPoint(pt)})
+			got = append(got, neighborOf(proto.Record{ID: id, Seg: ds.Seg(id)}, pt))
 		}
 		want, _ := pool.KNearestAppend(nil, pt, 8, nil)
 		checkNN(t, "k-NN with a client Eps", ds, pt, got, want)

@@ -6,7 +6,11 @@
 // the running bound so the backend prunes whole shards against it, and the
 // loop stops when the nearest range still open cannot beat the k-th best.
 // Every query reaches it through route: a k-NN's first leg is a slot of the
-// round, and the visit goes on from that answer (finishNN).
+// round, and the visit goes on from that answer (finishNN). Every leg answers
+// records, nearest first (ModeCandidates); the router recomputes each one's
+// distance with the DistToPoint its backend's walk used, so the merged
+// answer is the one a single engine over the union gives, bit for bit, and
+// its records are the ones the walks matched.
 package router
 
 import (
@@ -22,8 +26,9 @@ import (
 )
 
 // KNearestAppendUntil answers one cluster-wide k-NN query in the
-// rtree.Neighbor.Before order: a batch of one, its legs ModeNeighbors items.
-// A k the wire's 16-bit field cannot carry is refused, never truncated.
+// rtree.Neighbor.Before order: a batch of one, its legs ModeCandidates
+// items. A k the wire's 16-bit field cannot carry is refused, never
+// truncated.
 func (r *Router) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, _ *shard.Scratch, deadline time.Time) ([]rtree.Neighbor, error) {
 	if k <= 0 {
 		return dst, nil
@@ -33,38 +38,49 @@ func (r *Router) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int,
 	}
 	fs := r.getScratch()
 	defer r.putScratch(fs)
-	q := proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: pt, K: uint16(k)}
+	q := proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeCandidates, Point: pt, K: uint16(k)}
 	if err := r.routeOne(fs, q, deadline, sendBatch); err != nil {
 		return dst, err
 	}
-	for _, nb := range fs.item[0].Nbrs {
-		dst = append(dst, rtree.Neighbor{ID: nb.ID, Dist: nb.Dist})
+	for _, rec := range fs.item[0].Recs {
+		dst = append(dst, neighborOf(rec, pt))
 	}
 	return dst, nil
 }
 
+// neighborOf is record rec as a neighbor of pt: its distance computed from
+// its segment exactly as every engine computes it.
+func neighborOf(rec proto.Record, pt geom.Point) rtree.Neighbor {
+	return rtree.Neighbor{ID: rec.ID, Dist: rec.Seg.DistToPoint(pt), Seg: rec.Seg}
+}
+
 // finishNN completes a k-NN sub-query q — of a client batch, or a single
 // k-NN as a batch of one — whose first leg, to backend b, left its k nearest
-// over b's whole pool in it.Nbrs: the visit goes on from that state — b
-// answered, the ranges it holds closed, the call's failed backends still out
-// — and ends without a leg when every range b does not hold lies beyond the
-// k-th distance. The answer replaces it.Nbrs: ids nearest first, or the
-// neighbors themselves for a ModeNeighbors q. It returns the legs the visit
-// took.
+// records over b's whole pool in it.Recs: the visit goes on from that state
+// — b answered, the ranges it holds closed, the call's failed backends still
+// out — and ends without a leg when every range b does not hold lies beyond
+// the k-th distance. The answer replaces it.Recs, nearest first: records for
+// a records mode (ModeData, ModeCandidates), ids otherwise. It returns the
+// legs the visit took.
 func (r *Router) finishNN(sc *fanScratch, t *routing, q *proto.QueryMsg, it *proto.BatchItem, b int32, deadline time.Time) int {
 	k := max(int(q.K), 1)
-	sc.sel, sc.acc, sc.open = sc.sel[:0], append(sc.acc[:0], it.Nbrs[:min(len(it.Nbrs), k)]...), sc.open[:0]
+	sc.sel, sc.acc, sc.open = sc.sel[:0], sc.acc[:0], sc.open[:0]
+	for _, rec := range it.Recs[:min(len(it.Recs), k)] {
+		sc.acc = append(sc.acc, neighborOf(rec, q.Point))
+	}
 	for range t.numRanges {
 		sc.open = append(sc.open, true) // nothing answered, nothing pruned yet
 	}
 	sc.answeredBy(t, b)
 	legs, err := r.knn(sc, t, q.Point, k, deadline)
-	it.Nbrs = it.Nbrs[:0]
+	it.Recs = it.Recs[:0]
 	switch {
 	case err != nil:
 		it.Err, it.Text = proto.CodeOf(err)
-	case q.Mode == proto.ModeNeighbors:
-		it.Nbrs = append(it.Nbrs, sc.acc...)
+	case q.Mode.Records():
+		for _, nb := range sc.acc {
+			it.Recs = append(it.Recs, proto.Record{ID: nb.ID, Seg: nb.Seg})
+		}
 	default:
 		for _, nb := range sc.acc {
 			it.IDs = append(it.IDs, nb.ID)
@@ -105,14 +121,14 @@ func (r *Router) knn(fs *fanScratch, t *routing, pt geom.Point, k int, deadline 
 	}
 	fs.order = shard.OrderByMinDist(fs.order[:0], fs.eff, pt)
 
-	// leg asks backend b under the running bound — one ModeNeighbors item,
+	// leg asks backend b under the running bound — one ModeCandidates item,
 	// the bound in its Eps (0 = none yet) — and merges its answer.
 	legs := 0
 	lg := &fs.nnLeg
 	leg := func(b int32) bool {
 		legs++
 		lg.reset()
-		lg.qs = append(lg.qs, proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: pt, K: uint16(k)})
+		lg.qs = append(lg.qs, proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeCandidates, Point: pt, K: uint16(k)})
 		if len(fs.acc) == k {
 			lg.qs[0].Eps = fs.acc[k-1].Dist
 		}
@@ -125,8 +141,8 @@ func (r *Router) knn(fs *fanScratch, t *routing, pt geom.Point, k int, deadline 
 			return false
 		}
 		fs.answeredBy(t, b)
-		_, nbrs := lg.answer(0)
-		fs.acc = mergeNeighbors(fs.acc, nbrs, k, &fs.nbrTmp)
+		_, recs := lg.answer(0)
+		fs.acc = mergeNeighbors(fs.acc, recs, pt, k, &fs.nbrTmp)
 		return true
 	}
 	for _, sd := range fs.order {
@@ -182,44 +198,35 @@ func (r *Router) KNearestAppend(dst []rtree.Neighbor, pt geom.Point, k int, sc *
 	return dst, true
 }
 
-// mergeNeighbors merges two neighbor lists, each in the (distance, id)
-// order every backend answers in (rtree.Neighbor.Before), into the best k in
-// that order, deduplicating by id (the same item reported by two replicas
-// carries the same exact distance, so duplicates are adjacent within an
-// equal-distance run). tmp is the caller's reusable merge buffer.
-func mergeNeighbors(a, b []proto.Neighbor, k int, tmp *[]proto.Neighbor) []proto.Neighbor {
+// mergeNeighbors merges a leg's records, nearest pt first, into the running
+// best-k a, in the (distance, id) order every backend answers in
+// (rtree.Neighbor.Before), each record's distance recomputed as its backend
+// computed it. An id two replicas both report at one distance is kept once.
+// tmp is the caller's reusable merge buffer.
+func mergeNeighbors(a []rtree.Neighbor, b []proto.Record, pt geom.Point, k int, tmp *[]rtree.Neighbor) []rtree.Neighbor {
 	out := (*tmp)[:0]
 	i, j := 0, 0
 	for len(out) < k && (i < len(a) || j < len(b)) {
-		var nb proto.Neighbor
-		if j >= len(b) || (i < len(a) && !before(b[j], a[i])) {
+		var nb rtree.Neighbor
+		if j < len(b) {
+			nb = neighborOf(b[j], pt)
+		}
+		if j >= len(b) || (i < len(a) && !nb.Before(a[i])) {
 			nb = a[i]
 			i++
 		} else {
-			nb = b[j]
 			j++
 		}
-		if dupNeighbor(out, nb) {
-			continue
+		// Replicas agreeing on an item report it at one distance, so a
+		// repeat sits in the merged tail's equal-distance run.
+		dup := false
+		for x := len(out) - 1; x >= 0 && out[x].Dist == nb.Dist && !dup; x-- {
+			dup = out[x].ID == nb.ID
 		}
-		out = append(out, nb)
+		if !dup {
+			out = append(out, nb)
+		}
 	}
 	*tmp = out
 	return append(a[:0], out...)
-}
-
-// before is rtree.Neighbor.Before on the wire's neighbor type.
-func before(a, b proto.Neighbor) bool {
-	return rtree.Neighbor{ID: a.ID, Dist: a.Dist}.Before(rtree.Neighbor{ID: b.ID, Dist: b.Dist})
-}
-
-// dupNeighbor reports whether nb's id already sits in the merged tail's
-// equal-distance run.
-func dupNeighbor(out []proto.Neighbor, nb proto.Neighbor) bool {
-	for x := len(out) - 1; x >= 0 && out[x].Dist == nb.Dist; x-- {
-		if out[x].ID == nb.ID {
-			return true
-		}
-	}
-	return false
 }

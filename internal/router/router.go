@@ -77,6 +77,7 @@ import (
 	"mobispatial/internal/hilbert"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
+	"mobispatial/internal/rtree"
 	"mobispatial/internal/serve/client"
 	"mobispatial/internal/shard"
 )
@@ -86,9 +87,9 @@ type Config struct {
 	// Backends are the shard servers' addresses; the slice index is the
 	// backend id everywhere in this package. Required, at least one.
 	Backends []string
-	// Dataset is the full deterministic dataset (ids are cluster-global, so
-	// the router resolves record geometry locally instead of shipping it
-	// from backends). Required.
+	// Dataset is the full deterministic dataset the backends partitioned.
+	// The router reads only its item bounds, which fix the write-routing
+	// quantizer; records come from the backends' walks. Required.
 	Dataset *dataset.Dataset
 	// ConnsPerBackend caps pooled connections (and outstanding legs) per
 	// backend; defaults to 4.
@@ -148,7 +149,6 @@ func (c *Config) fill() error {
 // callers; per-call state lives in a pooled fanScratch.
 type Router struct {
 	cfg     Config
-	ds      *dataset.Dataset
 	clients []*client.Client // one pooled client per backend
 	// state is the one snapshot a query routes by (see routing). Readers
 	// load it once per call; register, the refresh loop and the write path
@@ -175,12 +175,6 @@ type Router struct {
 	wq *hilbert.Quantizer
 	// all lists every backend id — the legs of every write (write.go).
 	all []int32
-	// liveMu guards live, the geometry of the last write this router acked
-	// per object — how SegOf resolves data-mode records the base dataset
-	// has never heard of (or whose position has moved). No write consults
-	// it: where an object was is what the backends answer.
-	liveMu sync.RWMutex
-	live   map[uint32]geom.Segment
 
 	stopc     chan struct{}
 	probeWG   sync.WaitGroup
@@ -227,11 +221,9 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:     cfg,
-		ds:      cfg.Dataset,
 		metrics: newRouterMetrics(cfg.Obs, cfg.Backends),
 		stopc:   make(chan struct{}),
 		wq:      shard.QuantizerFor(shard.BoundsOf(cfg.Dataset.Items()), 0),
-		live:    make(map[uint32]geom.Segment),
 	}
 	for b := range cfg.Backends {
 		r.all = append(r.all, int32(b))
@@ -525,9 +517,6 @@ func (r *Router) Close() error {
 // connection pools, so the product is the honest fan-out capacity.
 func (r *Router) Workers() int { return r.cfg.ConnsPerBackend * len(r.clients) }
 
-// Dataset returns the cluster's dataset (for ModeData record resolution).
-func (r *Router) Dataset() *dataset.Dataset { return r.ds }
-
 // BackendHealthy reports whether backend b's circuit breaker admits
 // traffic.
 func (r *Router) BackendHealthy(b int) bool {
@@ -576,8 +565,8 @@ type fanScratch struct {
 	eff      []geom.Rect        // NN: every range's effective extent
 	order    []shard.IndexDist  // NN visit order: ranges by ascending MINDIST
 	nnLeg    readLeg            // NN: the visit's one-slot continuation leg
-	nbrTmp   []proto.Neighbor   // NN merge temp
-	acc      []proto.Neighbor   // NN running best-k
+	nbrTmp   []rtree.Neighbor   // NN merge temp
+	acc      []rtree.Neighbor   // NN running best-k
 }
 
 // nnStart is a batch k-NN sub-query (index qi) whose first leg backend b

@@ -227,12 +227,31 @@ func TestRouterRangeEquivalence(t *testing.T) {
 		}
 		sameIDs(t, "range", got, pool.RangeAppend(nil, w))
 
-		got, err = r.FilterRangeAppendUntil(nil, w, time.Time{})
+		got, err = r.SearchAppendUntil(nil, nil, proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeFilter, Window: w}, time.Time{})
 		if err != nil {
 			t.Fatalf("filter range %d: %v", i, err)
 		}
 		sameIDs(t, "filter range", got, pool.FilterRangeAppend(nil, w))
+		sameIDs(t, "range records", searchRecords(t, r, ds, proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeData, Window: w}), pool.RangeAppend(nil, w))
+		sameIDs(t, "filter records", searchRecords(t, r, ds, proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeCandidates, Window: w}), pool.FilterRangeAppend(nil, w))
 	}
+}
+
+// searchRecords asks r for q's records and fails unless every record carries
+// its object's segment; it returns the ids.
+func searchRecords(t *testing.T, r *Router, ds *dataset.Dataset, q proto.QueryMsg) []uint32 {
+	t.Helper()
+	var segs []geom.Segment
+	ids, err := r.SearchAppendUntil(nil, &segs, q, time.Time{})
+	if err != nil || len(segs) != len(ids) {
+		t.Fatalf("%v records of a kind %d query: %d ids, %d segments, %v", q.Mode, q.Kind, len(ids), len(segs), err)
+	}
+	for i, id := range ids {
+		if segs[i] != ds.Seg(id) {
+			t.Fatalf("%v record %d carries %v, its segment is %v", q.Mode, id, segs[i], ds.Seg(id))
+		}
+	}
+	return ids
 }
 
 func TestRouterPointEquivalence(t *testing.T) {
@@ -264,11 +283,13 @@ func TestRouterPointEquivalence(t *testing.T) {
 		}
 		sameIDs(t, "point eps", got, pool.PointAppend(nil, pt, 25))
 
-		got, err = r.FilterPointAppendUntil(nil, pt, time.Time{})
+		got, err = r.SearchAppendUntil(nil, nil, proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeFilter, Point: pt}, time.Time{})
 		if err != nil {
 			t.Fatalf("filter point %d: %v", i, err)
 		}
 		sameIDs(t, "filter point", got, pool.FilterPointAppend(nil, pt))
+		sameIDs(t, "point records", searchRecords(t, r, ds, proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeData, Point: pt, Eps: 25}), pool.PointAppend(nil, pt, 25))
+		sameIDs(t, "filter point records", searchRecords(t, r, ds, proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeCandidates, Point: pt}), pool.FilterPointAppend(nil, pt))
 	}
 }
 
@@ -673,7 +694,7 @@ func TestBuildTableValidation(t *testing.T) {
 
 // TestMergeIDs: joining two backends' ascending answers keeps the result
 // ascending with one copy of every id either reported, whichever side holds
-// the smaller ids.
+// the smaller ids; records merge by their ids the same way.
 func TestMergeIDs(t *testing.T) {
 	for _, c := range []struct{ a, b, want []uint32 }{
 		{nil, []uint32{4, 9}, []uint32{4, 9}},
@@ -684,8 +705,18 @@ func TestMergeIDs(t *testing.T) {
 		{[]uint32{5, 6, 7}, []uint32{5, 6, 7}, []uint32{5, 6, 7}},
 		{[]uint32{0, math.MaxUint32}, []uint32{0, 1, math.MaxUint32}, []uint32{0, 1, math.MaxUint32}},
 	} {
-		if got := mergeIDs(slices.Clone(c.a), c.b); !slices.Equal(got, c.want) {
-			t.Errorf("mergeIDs(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		if got := merge(slices.Clone(c.a), c.b, idOf); !slices.Equal(got, c.want) {
+			t.Errorf("merge(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+		recs := func(ids []uint32) []proto.Record {
+			var out []proto.Record
+			for _, id := range ids {
+				out = append(out, proto.Record{ID: id, Seg: geom.Segment{A: geom.Point{X: float64(id)}}})
+			}
+			return out
+		}
+		if got := merge(recs(c.a), recs(c.b), recordID); !slices.Equal(got, recs(c.want)) {
+			t.Errorf("merge of records %v, %v = %v, want %v", c.a, c.b, got, recs(c.want))
 		}
 	}
 }

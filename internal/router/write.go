@@ -39,8 +39,7 @@ import (
 )
 
 // Router implements serve.Updatable, so cmd/mqrouter's serve.Server accepts
-// update messages without any extra wiring; SegOf below resolves the live
-// geometry its data-mode responses carry.
+// update messages without any extra wiring.
 
 // ApplyMove upserts id at seg through write: an object's first position
 // and every later one. On success the write enters the freshness plane
@@ -54,19 +53,6 @@ func (r *Router) ApplyMove(id uint32, seg geom.Segment) (uint64, bool, bool, err
 // succeeds with Existed=false once every backend has said so.
 func (r *Router) ApplyDelete(id uint32) (uint64, bool, bool, error) {
 	return r.write(writeOp{del: true, id: id})
-}
-
-// SegOf implements serve.Executor's geometry look-up: the geometry of the
-// last write this router acked for id wins over the base dataset; an unknown
-// id beyond the dataset resolves to the zero segment rather than a panic.
-func (r *Router) SegOf(id uint32) geom.Segment {
-	r.liveMu.RLock()
-	seg, ok := r.live[id]
-	r.liveMu.RUnlock()
-	if !ok && int(id) < r.ds.Len() {
-		seg = r.ds.Seg(id)
-	}
-	return seg
 }
 
 // writeOp is the write every leg of one write call carries: a move of
@@ -161,12 +147,5 @@ func (r *Router) write(w writeOp) (uint64, bool, bool, error) {
 				verb, w.id, answered, len(sc.sel), why, lastErr),
 		}
 	}
-	r.liveMu.Lock()
-	if target < 0 {
-		delete(r.live, w.id)
-	} else {
-		r.live[w.id] = w.seg
-	}
-	r.liveMu.Unlock()
 	return epoch, existed, owned, nil
 }

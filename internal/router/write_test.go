@@ -3,6 +3,7 @@ package router
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -137,8 +138,8 @@ func TestRouterWriteReplication(t *testing.T) {
 	legsPerWrite("insert")
 	rgA := rangeOf(segA)
 	onlyOn("insert", segA, rgA)
-	if got := r.SegOf(id); got != segA {
-		t.Fatalf("router SegOf after insert: %v, want %v", got, segA)
+	if got, ok := routedRecord(t, r, id, segA.MBR()); !ok || got != segA {
+		t.Fatalf("routed record after insert: %v (found %v), want %v", got, ok, segA)
 	}
 
 	// Move across a range boundary.
@@ -163,9 +164,24 @@ func TestRouterWriteReplication(t *testing.T) {
 		t.Fatalf("re-delete: existed=%v err=%v", existed, err)
 	}
 	legsPerWrite("re-delete")
-	if got := r.SegOf(id); got != (geom.Segment{}) {
-		t.Fatalf("router SegOf after delete: %v, want zero", got)
+	if got, ok := routedRecord(t, r, id, segB.MBR()); ok {
+		t.Fatalf("routed record after delete: %v, want none", got)
 	}
+}
+
+// routedRecord reads window w through r in data mode and returns the
+// segment its record of id carries, false when the answer has none.
+func routedRecord(t *testing.T, r *Router, id uint32, w geom.Rect) (geom.Segment, bool) {
+	t.Helper()
+	var segs []geom.Segment
+	ids, err := r.SearchAppendUntil(nil, &segs, proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeData, Window: w}, time.Time{})
+	if err != nil {
+		t.Fatalf("data-mode read of %v: %v", w, err)
+	}
+	if i := slices.Index(ids, id); i >= 0 {
+		return segs[i], true
+	}
+	return geom.Segment{}, false
 }
 
 // TestReplicasAgreeAfterQuiescence is DESIGN §15's replica-agreement row:
@@ -344,12 +360,9 @@ func TestRouterWriteUnavailable(t *testing.T) {
 // answer A's move that they had a copy — so the next read of W through A
 // must not find X.
 //
-// The router-tier cache refines a stored window by the router's SegOf, which
-// for an object is where this router last put it (or its dataset geometry).
-// So for A's cached answer to hold X at all, A must have put X inside W
-// first: at P, beyond the map's right edge, where no range's items reach and
-// whose range is not j. After B's move and A's refresh, nothing but the
-// holders' answers ties X to range j.
+// A first puts X at P, beyond the map's right edge, where no range's items
+// reach and whose range is not j, so that after B's move and A's refresh
+// nothing but the holders' answers ties X to range j.
 func TestRouterWriteInvalidatesAcrossRouters(t *testing.T) {
 	ds := clusterDataset(t)
 	tc, _, cuts := startMutableCluster(t, ds, 3, 2)

@@ -16,9 +16,12 @@ import (
 // leaf level. The exact queries (AppendRange, AppendPoint, KNearestCollect)
 // refine from the segment each leaf entry carries, so the only memory they
 // touch is the tree's; a range query skips the test for every MBR the
-// window contains. Result order is part of the contract — replies, cached
-// results and wire bytes are compared byte for byte against the
-// instrumented walk's.
+// window contains. Every walk hands back, beside each id, the segment of the
+// leaf it matched when the caller asks for it (a non-nil segs, or
+// Neighbor.Seg): a record is the geometry the walk chose, never a second
+// look-up. Result order is part of the contract — replies, cached results
+// and wire bytes are compared byte for byte against the instrumented
+// walk's.
 //
 // k-NN has a kernel of its own (collectKNN), run by every untraced k-NN: a
 // depth-first branch-and-bound over squared MINDIST, with no math.Hypot,
@@ -44,54 +47,55 @@ func nilIfNull(rec ops.Recorder) ops.Recorder {
 	return rec
 }
 
-// AppendRange appends the exact answer of a window query to dst: every item
-// whose segment (Item.Seg) meets w, in the traversal order of Search.
+// AppendRange appends to dst the items a window query selects, in the
+// traversal order of Search: with refine, every item whose segment
+// (Item.Seg) meets w; without, every item whose MBR does (the filtering step
+// alone). When segs is non-nil each selected item's segment is appended to
+// it too, beside its id.
 //
 // The refinement runs on the leaf entry the walk is already scanning, and
 // only for an MBR that straddles the window's edge: an item MBR inside w
 // bounds a segment inside w, so the item is appended without a test. The
 // tree must therefore be built from SegItem items.
-func (t *Tree) AppendRange(dst []uint32, w geom.Rect) []uint32 {
-	return t.appendRange(dst, w, true)
-}
-
-// appendRange is the kernel behind AppendRange (refine) and an untraced
-// AppendSearch (the filtering step alone).
-func (t *Tree) appendRange(dst []uint32, w geom.Rect, refine bool) []uint32 {
+func (t *Tree) AppendRange(dst []uint32, segs *[]geom.Segment, w geom.Rect, refine bool) []uint32 {
 	// The negated form also turns away a window with a NaN coordinate,
 	// which intersects nothing.
 	if t.root < 0 || !(w.Min.X <= w.Max.X && w.Min.Y <= w.Max.Y) {
 		return dst
 	}
 	if !t.plain {
-		if !refine {
-			t.search(&t.nodes[t.root], w, ops.Null{}, &dst)
-			return dst
-		}
-		return t.refWalk(dst, &t.nodes[t.root], &w)
+		return t.refWalk(dst, segs, &t.nodes[t.root], &w, refine)
 	}
 	if inside(&w, &t.bounds) {
-		return appendRun(dst, t.leaves)
+		return appendRun(dst, segs, t.leaves)
 	}
 	span := 1 // leaf slots under one entry of the root
 	for l := 1; l < t.height; l++ {
 		span *= t.cfg.fanout()
 	}
-	return t.rangeWalk(dst, &t.nodes[t.root], 0, span, &w, refine)
+	return t.rangeWalk(dst, segs, &t.nodes[t.root], 0, span, &w, refine)
+}
+
+// hit appends leaf entry e to dst, and its segment to segs when asked.
+func hit(dst []uint32, segs *[]geom.Segment, e *Item) []uint32 {
+	if segs != nil {
+		*segs = append(*segs, e.Seg())
+	}
+	return append(dst, e.ID)
 }
 
 // refWalk answers AppendRange on a tree holding an empty or NaN item MBR,
 // which passes raw compares that Rect.Intersects rejects: Search's filter at
-// every level, and the segment test on every candidate.
-func (t *Tree) refWalk(dst []uint32, n *node, w *geom.Rect) []uint32 {
+// every level, and with refine the segment test on every candidate.
+func (t *Tree) refWalk(dst []uint32, segs *[]geom.Segment, n *node, w *geom.Rect, refine bool) []uint32 {
 	for i := range n.entries {
 		e := &n.entries[i]
 		switch {
 		case !w.Intersects(e.MBR):
 		case n.level > 0:
-			dst = t.refWalk(dst, &t.nodes[e.ID], w)
-		case e.Seg().IntersectsRect(*w):
-			dst = append(dst, e.ID)
+			dst = t.refWalk(dst, segs, &t.nodes[e.ID], w, refine)
+		case !refine || e.Seg().IntersectsRect(*w):
+			dst = hit(dst, segs, e)
 		}
 	}
 	return dst
@@ -99,12 +103,12 @@ func (t *Tree) refWalk(dst []uint32, n *node, w *geom.Rect) []uint32 {
 
 // rangeWalk is the kernel's traversal of node n, whose first entry covers
 // the leaf slots from first and whose every entry covers span of them.
-func (t *Tree) rangeWalk(dst []uint32, n *node, first, span int, w *geom.Rect, refine bool) []uint32 {
+func (t *Tree) rangeWalk(dst []uint32, segs *[]geom.Segment, n *node, first, span int, w *geom.Rect, refine bool) []uint32 {
 	if n.level == 0 {
 		for i := range n.entries {
 			e := &n.entries[i]
 			if overlaps(w, &e.MBR) && (!refine || inside(w, &e.MBR) || e.Seg().IntersectsRect(*w)) {
-				dst = append(dst, e.ID)
+				dst = hit(dst, segs, e)
 			}
 		}
 		return dst
@@ -119,41 +123,42 @@ func (t *Tree) rangeWalk(dst []uint32, n *node, first, span int, w *geom.Rect, r
 			// Every leaf under a contained subtree is a hit, and packed
 			// levels keep those leaves contiguous; the last node of a
 			// level may be ragged, hence the clip.
-			dst = appendRun(dst, t.leaves[lo:min(lo+span, t.nitems)])
+			dst = appendRun(dst, segs, t.leaves[lo:min(lo+span, t.nitems)])
 			continue
 		}
-		dst = t.rangeWalk(dst, &t.nodes[e.ID], lo, span/t.cfg.fanout(), w, refine)
+		dst = t.rangeWalk(dst, segs, &t.nodes[e.ID], lo, span/t.cfg.fanout(), w, refine)
 	}
 	return dst
 }
 
 // AppendPoint appends the exact answer of a point query to dst: every item
 // whose segment passes within eps of pt, in the traversal order of
-// SearchPoint. Every item whose MBR contains pt is tested against the
-// segment its leaf carries — there is no containment short-cut, so eps
-// keeps its meaning. Rect.ContainsPoint agrees with Rect.Intersects on a
-// degenerate window whatever the item MBRs, so no tree needs a reference
-// walk here.
-func (t *Tree) AppendPoint(dst []uint32, pt geom.Point, eps float64) []uint32 {
+// SearchPoint, with each one's segment appended to segs when segs is
+// non-nil. Every item whose MBR contains pt is tested against the segment
+// its leaf carries — there is no containment short-cut, so eps keeps its
+// meaning. Rect.ContainsPoint agrees with Rect.Intersects on a degenerate
+// window whatever the item MBRs, so no tree needs a reference walk here.
+// The filtering step alone is AppendRange over the degenerate window.
+func (t *Tree) AppendPoint(dst []uint32, segs *[]geom.Segment, pt geom.Point, eps float64) []uint32 {
 	if t.root < 0 {
 		return dst
 	}
-	return t.pointWalk(dst, &t.nodes[t.root], pt, eps)
+	return t.pointWalk(dst, segs, &t.nodes[t.root], pt, eps)
 }
 
-func (t *Tree) pointWalk(dst []uint32, n *node, pt geom.Point, eps float64) []uint32 {
+func (t *Tree) pointWalk(dst []uint32, segs *[]geom.Segment, n *node, pt geom.Point, eps float64) []uint32 {
 	if n.level == 0 {
 		for i := range n.entries {
 			e := &n.entries[i]
 			if e.MBR.ContainsPoint(pt) && e.Seg().ContainsPoint(pt, eps) {
-				dst = append(dst, e.ID)
+				dst = hit(dst, segs, e)
 			}
 		}
 		return dst
 	}
 	for i := range n.entries {
 		if e := &n.entries[i]; e.MBR.ContainsPoint(pt) {
-			dst = t.pointWalk(dst, &t.nodes[e.ID], pt, eps)
+			dst = t.pointWalk(dst, segs, &t.nodes[e.ID], pt, eps)
 		}
 	}
 	return dst
@@ -172,9 +177,9 @@ func inside(w, r *geom.Rect) bool {
 		w.Min.Y <= r.Min.Y && r.Max.Y <= w.Max.Y
 }
 
-func appendRun(dst []uint32, run []Item) []uint32 {
+func appendRun(dst []uint32, segs *[]geom.Segment, run []Item) []uint32 {
 	for i := range run {
-		dst = append(dst, run[i].ID)
+		dst = hit(dst, segs, &run[i])
 	}
 	return dst
 }
@@ -220,12 +225,23 @@ func (t *Tree) collectKNN(p geom.Point, k int, dist DistFunc, skip func(uint32) 
 
 // tighten recomputes q.bound from the accumulator.
 func (q *knnQuery) tighten() {
-	h := q.sc.heap
+	h := q.sc.heap.ents
 	if len(h) < q.k {
 		q.bound = math.Inf(1)
 		return
 	}
 	q.bound = h[0].Dist * h[0].Dist * knnSlack
+}
+
+// KNNPruneSq is the accumulator's pruning bound in the kernel's terms: the
+// k-th best distance squared, widened by knnSlack, or +Inf while fewer than
+// k neighbors are held. A candidate whose MINDIST squared exceeds it cannot
+// be admitted, so a caller offering its own candidates (KNNOffer) may skip
+// it unexamined.
+func (sc *NNScratch) KNNPruneSq(k int) float64 {
+	q := knnQuery{k: k, sc: sc}
+	q.tighten()
+	return q.bound
 }
 
 func (t *Tree) knnWalk(n *node, q *knnQuery) {
@@ -236,6 +252,7 @@ func (t *Tree) knnWalk(n *node, q *knnQuery) {
 			if e.MBR.MinDistSq(q.p) > q.bound {
 				continue
 			}
+			seg := e.Seg()
 			var d float64
 			switch {
 			case q.dist != nil:
@@ -243,9 +260,10 @@ func (t *Tree) knnWalk(n *node, q *knnQuery) {
 			case q.skip != nil && q.skip(e.ID):
 				continue
 			default:
-				d = e.Seg().DistToPoint(q.p)
+				d = seg.DistToPoint(q.p)
 			}
-			if h.offer(q.k, Neighbor{ID: e.ID, Dist: d}) {
+			if h.admits(q.k, e.ID, d) {
+				h.put(q.k, &Neighbor{ID: e.ID, Dist: d, Seg: seg})
 				q.tighten()
 			}
 		}

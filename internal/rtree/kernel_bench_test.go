@@ -56,7 +56,7 @@ func BenchmarkRangeKernel(b *testing.B) {
 	b.Run("kernel-fused", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ids = tr.AppendRange(ids[:0], windows[i%len(windows)])
+			ids = tr.AppendRange(ids[:0], nil, windows[i%len(windows)], true)
 		}
 	})
 	b.Run("instrumented-filter", func(b *testing.B) {
@@ -82,7 +82,7 @@ func BenchmarkRangeKernel(b *testing.B) {
 	b.Run("point-kernel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ids = tr.AppendPoint(ids[:0], points[i%len(points)], eps)
+			ids = tr.AppendPoint(ids[:0], nil, points[i%len(points)], eps)
 		}
 	})
 	b.Run("point-dataset", func(b *testing.B) {

@@ -71,7 +71,8 @@ func kernelWindows(segs []geom.Segment, bounds geom.Rect, n int, seed int64) []g
 // walk's ids as a sequence; refined from the leaves (AppendRange) it returns
 // that sequence filtered by the exact segment–window test; and the point
 // kernel (AppendPoint at the window's centre) returns the instrumented point
-// walk's sequence filtered by incidence within eps.
+// walk's sequence filtered by incidence within eps. Asked for records, every
+// walk returns the same ids with each one's own segment beside it.
 func TestKernelMatchesInstrumentedWalk(t *testing.T) {
 	fanout := Config{NodeBytes: DefaultNodeBytes}.fanout()
 	sizes := []struct{ items, windows int }{
@@ -85,6 +86,7 @@ func TestKernelMatchesInstrumentedWalk(t *testing.T) {
 			tr := buildTest(t, segs, Config{Packing: pk})
 			name := fmt.Sprintf("n=%d/packing=%d", sz.items, pk)
 			var ref, got, fused, want []uint32
+			var recs []geom.Segment
 			for qi, w := range kernelWindows(segs, tr.Bounds(), sz.windows, int64(pk)+7) {
 				total++
 				ref = tr.AppendSearch(ref[:0], w, &ops.Counts{})
@@ -92,8 +94,12 @@ func TestKernelMatchesInstrumentedWalk(t *testing.T) {
 				if !equalU32(got, ref) {
 					t.Fatalf("%s window %d %v: filter kernel %d ids, instrumented %d (or order differs)", name, qi, w, len(got), len(ref))
 				}
+				recs = recs[:0]
+				got = tr.AppendRange(got[:0], &recs, w, false)
+				checkRecords(t, name+" filter", segs, ref, got, recs)
 
-				fused = tr.AppendRange(fused[:0], w)
+				recs = recs[:0]
+				fused = tr.AppendRange(fused[:0], &recs, w, true)
 				want = want[:0]
 				for _, id := range ref {
 					if segs[id].IntersectsRect(w) {
@@ -103,6 +109,7 @@ func TestKernelMatchesInstrumentedWalk(t *testing.T) {
 				if !equalU32(fused, want) {
 					t.Fatalf("%s window %d %v: refined kernel %d ids, refined instrumented walk %d (or order differs)", name, qi, w, len(fused), len(want))
 				}
+				checkRecords(t, name+" range", segs, want, fused, recs)
 
 				pt := w.Center()
 				ref = tr.AppendSearchPoint(ref[:0], pt, &ops.Counts{})
@@ -112,14 +119,31 @@ func TestKernelMatchesInstrumentedWalk(t *testing.T) {
 						want = append(want, id)
 					}
 				}
-				if got = tr.AppendPoint(got[:0], pt, kernelEps); !equalU32(got, want) {
+				if got = tr.AppendPoint(got[:0], nil, pt, kernelEps); !equalU32(got, want) {
 					t.Fatalf("%s window %d: point kernel at %v %d ids, refined instrumented walk %d (or order differs)", name, qi, pt, len(got), len(want))
 				}
+				recs = recs[:0]
+				got = tr.AppendPoint(got[:0], &recs, pt, kernelEps)
+				checkRecords(t, name+" point", segs, want, got, recs)
 			}
 		}
 	}
 	if total < 2000 {
 		t.Fatalf("only %d windows exercised, want >= 2000", total)
+	}
+}
+
+// checkRecords fails unless a records walk answered the ids of its id-only
+// twin, each beside its own segment.
+func checkRecords(t *testing.T, what string, segs []geom.Segment, want, ids []uint32, recs []geom.Segment) {
+	t.Helper()
+	if !equalU32(ids, want) || len(recs) != len(ids) {
+		t.Fatalf("%s: records walk %d ids and %d segments, id walk %d ids", what, len(ids), len(recs), len(want))
+	}
+	for i, id := range ids {
+		if recs[i] != segs[id] {
+			t.Fatalf("%s: id %d carries %v, its segment is %v", what, id, recs[i], segs[id])
+		}
 	}
 }
 
@@ -138,8 +162,8 @@ func TestKernelAppendsAfterPrefix(t *testing.T) {
 		got, want []uint32
 	}{
 		{"filter", tr.AppendSearch(slices.Clone(prefix), w, ops.Null{}), tr.AppendSearch(nil, w, &ops.Counts{})},
-		{"range", tr.AppendRange(slices.Clone(prefix), w), tr.AppendRange(nil, w)},
-		{"point", tr.AppendPoint(slices.Clone(prefix), segs[9].A, 0), tr.AppendPoint(nil, segs[9].A, 0)},
+		{"range", tr.AppendRange(slices.Clone(prefix), nil, w, true), tr.AppendRange(nil, nil, w, true)},
+		{"point", tr.AppendPoint(slices.Clone(prefix), nil, segs[9].A, 0), tr.AppendPoint(nil, nil, segs[9].A, 0)},
 	} {
 		if len(c.want) == 0 || !equalU32(c.got[:3], prefix) || !equalU32(c.got[3:], c.want) {
 			t.Fatalf("%s: prefix or answer disturbed: %d ids after a 3-id prefix, want %d", c.name, len(c.got)-3, len(c.want))
@@ -163,20 +187,31 @@ func TestKernelStandsDownOnIrregularMBRs(t *testing.T) {
 	if tr.plain {
 		t.Fatal("tree with an inverted and a NaN item MBR reported plain")
 	}
+	leafSegs := make([]geom.Segment, len(items))
+	for i, it := range items {
+		leafSegs[i] = it.Seg()
+	}
+	var recs []geom.Segment
 	for qi, w := range kernelWindows(segs, tr.Bounds(), 300, 3) {
 		ref := tr.AppendSearch(nil, w, &ops.Counts{})
 		if got := tr.AppendSearch(nil, w, ops.Null{}); !equalU32(got, ref) {
 			t.Fatalf("window %d %v: %d ids, instrumented walk %d", qi, w, len(got), len(ref))
 		}
+		recs = recs[:0]
+		got := tr.AppendRange(nil, &recs, w, false)
+		checkRecords(t, "irregular filter", leafSegs, ref, got, recs)
 		var want []uint32
 		for _, id := range ref {
 			if items[id].Seg().IntersectsRect(w) {
 				want = append(want, id)
 			}
 		}
-		if got := tr.AppendRange(nil, w); !equalU32(got, want) {
+		if got := tr.AppendRange(nil, nil, w, true); !equalU32(got, want) {
 			t.Fatalf("window %d %v: refined %d ids, want %d", qi, w, len(got), len(want))
 		}
+		recs = recs[:0]
+		got = tr.AppendRange(nil, &recs, w, true)
+		checkRecords(t, "irregular range", leafSegs, want, got, recs)
 		pt := w.Min
 		want = want[:0]
 		for _, id := range tr.AppendSearchPoint(nil, pt, &ops.Counts{}) {
@@ -184,7 +219,7 @@ func TestKernelStandsDownOnIrregularMBRs(t *testing.T) {
 				want = append(want, id)
 			}
 		}
-		if got := tr.AppendPoint(nil, pt, kernelEps); !equalU32(got, want) {
+		if got := tr.AppendPoint(nil, nil, pt, kernelEps); !equalU32(got, want) {
 			t.Fatalf("window %d: point kernel at %v %d ids, want %d", qi, pt, len(got), len(want))
 		}
 	}

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math"
+	"slices"
 
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
@@ -17,10 +18,13 @@ import (
 // Every untraced k-NN runs the serving kernel (collectKNN, kernel.go) into
 // the same heap and the same accumulator API defined here.
 
-// Neighbor is one k-NN result.
+// Neighbor is one k-NN result: the item, its exact distance, and the
+// segment its leaf carries — the geometry the distance was computed from,
+// which a data-mode answer ships as the record.
 type Neighbor struct {
 	ID   uint32
 	Dist float64
+	Seg  geom.Segment
 }
 
 // Before is the one total order every serving k-NN answers in: by distance,
@@ -35,64 +39,75 @@ func (a Neighbor) Before(b Neighbor) bool {
 // best-k sits on top). The sift routines are the container/heap algorithm
 // on the concrete type — heap.Push boxes every Neighbor into an
 // interface{}, which would put an allocation in the middle of the zero-alloc
-// query path.
-type neighborHeap []Neighbor
+// query path. An entry holds a neighbor's id and distance and the arena
+// slot of its segment, so a sift moves sixteen bytes, not a whole Neighbor:
+// the k entries own slots 0..k-1, and a neighbor that replaces the top takes
+// the slot of the one it evicts.
+type neighborHeap struct {
+	ents []heapEnt
+	segs []geom.Segment
+}
 
-func (h neighborHeap) less(i, j int) bool { return h[j].Before(h[i]) }
+type heapEnt struct {
+	ID   uint32
+	slot uint32
+	Dist float64
+}
 
-// admits reports whether nb belongs among the best k held so far: while
-// fewer than k are held any finite distance does, after that only a
-// neighbor Before the current k-th.
-func (h neighborHeap) admits(k int, nb Neighbor) bool {
-	if len(h) < k {
-		return nb.Dist < math.Inf(1)
+func (h *neighborHeap) less(i, j int) bool {
+	a, b := &h.ents[j], &h.ents[i]
+	return a.Dist < b.Dist || a.Dist == b.Dist && a.ID < b.ID
+}
+
+// admits reports whether the neighbor id at distance d belongs among the
+// best k held so far: while fewer than k are held any finite distance does,
+// after that only a neighbor Before the current k-th.
+func (h *neighborHeap) admits(k int, id uint32, d float64) bool {
+	if len(h.ents) < k {
+		return d < math.Inf(1)
 	}
-	return nb.Before(h[0])
+	top := &h.ents[0]
+	return d < top.Dist || d == top.Dist && id < top.ID
 }
 
-// offer folds nb into a heap of the best k if it admits nb: a push while
-// fewer than k are held, else nb replaces the k-th best on top. It reports
-// whether nb went in.
-func (h *neighborHeap) offer(k int, nb Neighbor) bool {
-	if !h.admits(k, nb) {
-		return false
+// put folds nb in unconditionally: a push while fewer than k are held, else
+// nb replaces the k-th best on top.
+func (h *neighborHeap) put(k int, nb *Neighbor) {
+	if n := len(h.ents); n < k {
+		h.segs = append(h.segs[:n], nb.Seg)
+		h.ents = append(h.ents, heapEnt{ID: nb.ID, slot: uint32(n), Dist: nb.Dist})
+		h.up(n)
+		return
 	}
-	if len(*h) < k {
-		h.push(nb)
-	} else {
-		(*h)[0] = nb
-		h.down(0, len(*h))
-	}
-	return true
+	top := &h.ents[0]
+	h.segs[top.slot] = nb.Seg
+	top.ID, top.Dist = nb.ID, nb.Dist
+	h.down(0, len(h.ents))
 }
 
-func (h *neighborHeap) push(nb Neighbor) {
-	*h = append(*h, nb)
-	h.up(len(*h) - 1)
+// pop removes the k-th best and returns it; its segment stays in the arena
+// until the next put.
+func (h *neighborHeap) pop() heapEnt {
+	n := len(h.ents) - 1
+	h.ents[0], h.ents[n] = h.ents[n], h.ents[0]
+	h.down(0, n)
+	e := h.ents[n]
+	h.ents = h.ents[:n]
+	return e
 }
 
-func (h *neighborHeap) pop() Neighbor {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old.down(0, n)
-	nb := old[n]
-	*h = old[:n]
-	return nb
-}
-
-func (h neighborHeap) up(j int) {
+func (h *neighborHeap) up(j int) {
 	for j > 0 {
 		i := (j - 1) / 2 // parent
 		if !h.less(j, i) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h.ents[i], h.ents[j] = h.ents[j], h.ents[i]
 		j = i
 	}
 }
 
-func (h neighborHeap) down(i0, n int) {
+func (h *neighborHeap) down(i0, n int) {
 	i := i0
 	for {
 		j1 := 2*i + 1
@@ -106,7 +121,7 @@ func (h neighborHeap) down(i0, n int) {
 		if !h.less(j, i) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h.ents[i], h.ents[j] = h.ents[j], h.ents[i]
 		i = j
 	}
 }
@@ -153,10 +168,10 @@ func (t *Tree) KNearestAppend(dst []Neighbor, p geom.Point, k int, dist DistFunc
 
 // ResetKNN empties sc's running k-NN accumulator. Call once before a
 // sequence of KNearestCollect folds.
-func (sc *NNScratch) ResetKNN() { sc.heap = sc.heap[:0] }
+func (sc *NNScratch) ResetKNN() { sc.heap.ents = sc.heap.ents[:0] }
 
 // KNNLen returns the number of neighbors currently accumulated.
-func (sc *NNScratch) KNNLen() int { return len(sc.heap) }
+func (sc *NNScratch) KNNLen() int { return len(sc.heap.ents) }
 
 // KNNBound returns the accumulator's pruning distance: the k-th best so
 // far, or +Inf while fewer than k neighbors are known. A subtree — or a
@@ -166,24 +181,22 @@ func (sc *NNScratch) KNNBound(k int) float64 { return knnBound(&sc.heap, k) }
 // KNNWorst returns the accumulator's k-th best neighbor in the Before order,
 // and false while fewer than k are known.
 func (sc *NNScratch) KNNWorst(k int) (Neighbor, bool) {
-	if len(sc.heap) < k || k <= 0 {
+	if len(sc.heap.ents) < k || k <= 0 {
 		return Neighbor{}, false
 	}
-	return sc.heap[0], true
+	e := &sc.heap.ents[0]
+	return Neighbor{ID: e.ID, Dist: e.Dist, Seg: sc.heap.segs[e.slot]}, true
 }
 
 // DrainKNNAppend appends the accumulated neighbors to dst in the Before
 // order and empties the accumulator.
 func (sc *NNScratch) DrainKNNAppend(dst []Neighbor) []Neighbor {
-	start := len(dst)
-	n := len(sc.heap)
-	for i := 0; i < n; i++ {
-		dst = append(dst, Neighbor{})
-	}
+	start, n := len(dst), len(sc.heap.ents)
+	dst = slices.Grow(dst, n)[:start+n]
 	for i := start + n - 1; i >= start; i-- {
-		dst[i] = sc.heap.pop()
+		e := sc.heap.pop()
+		dst[i] = Neighbor{ID: e.ID, Dist: e.Dist, Seg: sc.heap.segs[e.slot]}
 	}
-	sc.heap = sc.heap[:0]
 	return dst
 }
 
@@ -193,8 +206,8 @@ func (sc *NNScratch) DrainKNNAppend(dst []Neighbor) []Neighbor {
 // offering the handful of overlay items (and skipping tombstoned ids) —
 // the merged answer is what one tree over the union would have produced.
 func (sc *NNScratch) KNNOffer(k int, nb Neighbor) {
-	if k > 0 {
-		sc.heap.offer(k, nb)
+	if k > 0 && sc.heap.admits(k, nb.ID, nb.Dist) {
+		sc.heap.put(k, &nb)
 	}
 }
 
@@ -215,10 +228,10 @@ func (t *Tree) KNearestCollect(p geom.Point, k int, skip func(id uint32) bool, s
 // bound returns the pruning distance: the k-th best so far, or +Inf while
 // fewer than k neighbors are known.
 func knnBound(best *neighborHeap, k int) float64 {
-	if len(*best) < k {
+	if len(best.ents) < k {
 		return math.Inf(1)
 	}
-	return (*best)[0].Dist
+	return best.ents[0].Dist
 }
 
 // knn is the simulator's k-NN descent, traced into rec: every entry
@@ -238,12 +251,13 @@ func (t *Tree) knn(n *node, p geom.Point, k int, dist DistFunc, rec ops.Recorder
 				continue
 			}
 			if d := dist(e.ID); d < knnBound(best, k) {
-				best.push(Neighbor{ID: e.ID, Dist: d})
+				// A push, and a pop of the k-th best when the heap was full:
+				// the evicted neighbor is the top, farther than d.
 				rec.Op(ops.OpHeapOp, 1)
-				if len(*best) > k {
-					best.pop()
+				if len(best.ents) == k {
 					rec.Op(ops.OpHeapOp, 1)
 				}
+				best.put(k, &Neighbor{ID: e.ID, Dist: d, Seg: e.Seg()})
 			}
 		}
 		return

@@ -12,7 +12,7 @@ import (
 )
 
 // TestKNearestMatchesBruteForce: the untraced k-NN answers exactly the first
-// k of a (distance, id) sort of every item. The traced walk admits by
+// k of a (distance, id) sort of every item, each with its segment. The traced walk admits by
 // distance alone, so on a tie cut by k its ids may differ: it must match the
 // sort's distances, each at its own id's distance.
 func TestKNearestMatchesBruteForce(t *testing.T) {
@@ -25,7 +25,7 @@ func TestKNearestMatchesBruteForce(t *testing.T) {
 		df := func(id uint32) float64 { return segs[id].DistToPoint(p) }
 		all := make([]Neighbor, len(segs))
 		for i, s := range segs {
-			all[i] = Neighbor{ID: uint32(i), Dist: s.DistToPoint(p)}
+			all[i] = Neighbor{ID: uint32(i), Dist: s.DistToPoint(p), Seg: s}
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i].Before(all[j]) })
 		want := all[:k]
@@ -37,7 +37,7 @@ func TestKNearestMatchesBruteForce(t *testing.T) {
 			t.Fatalf("query %d: traced walk found %d neighbors, want %d", q, len(traced), k)
 		}
 		for i, nb := range traced {
-			if nb.Dist != want[i].Dist || nb.Dist != df(nb.ID) {
+			if nb.Dist != want[i].Dist || nb.Dist != df(nb.ID) || nb.Seg != segs[nb.ID] {
 				t.Fatalf("query %d k=%d: traced neighbor %d is %+v, want distance %g", q, k, i, nb, want[i].Dist)
 			}
 		}

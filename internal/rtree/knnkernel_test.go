@@ -20,7 +20,7 @@ func flatKNN(items []rtree.Item, k int, dist func(rtree.Item) float64, skip func
 	var all []rtree.Neighbor
 	for _, it := range items {
 		if d := dist(it); d < math.Inf(1) && (skip == nil || !skip(it.ID)) {
-			all = append(all, rtree.Neighbor{ID: it.ID, Dist: d})
+			all = append(all, rtree.Neighbor{ID: it.ID, Dist: d, Seg: it.Seg()})
 		}
 	}
 	slices.SortFunc(all, func(a, b rtree.Neighbor) int {
@@ -210,7 +210,7 @@ func TestKNNKernelMatchesFlatOracle(t *testing.T) {
 
 					sc.ResetKNN()
 					for _, it := range offered {
-						sc.KNNOffer(k, rtree.Neighbor{ID: it.ID, Dist: it.Seg().DistToPoint(p)})
+						sc.KNNOffer(k, rtree.Neighbor{ID: it.ID, Dist: it.Seg().DistToPoint(p), Seg: it.Seg()})
 					}
 					trA.KNearestCollect(p, k, nil, &sc)
 					trB.KNearestCollect(p, k, nil, &sc)

@@ -366,7 +366,7 @@ func (t *Tree) AppendSearch(dst []uint32, window geom.Rect, rec ops.Recorder) []
 		return dst
 	}
 	if untraced(rec) {
-		return t.appendRange(dst, window, false)
+		return t.AppendRange(dst, nil, window, false)
 	}
 	t.search(&t.nodes[t.root], window, rec, &dst)
 	return dst

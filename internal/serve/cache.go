@@ -4,7 +4,9 @@
 // (internal/qcache) before walking the index. Keys are cell-snapped: the
 // cache stores the result over the snapped superset window and this file
 // refines it down to the exact query on the way out, so a hit is
-// indistinguishable from re-execution.
+// indistinguishable from re-execution. An entry's segments are the ones the
+// fill's walks matched — the engine hands them back beside the ids — so a
+// hit and a miss both answer records no look-up produced.
 //
 // Soundness of each refinement, against the uncached executor:
 //
@@ -37,20 +39,20 @@
 //     and all. Every bound is widened by nnTolerance, so float rounding can
 //     only grow the window or delay the stop. One entry serves every
 //     unbounded k-NN in the cell at that k — a client query in ids or data
-//     mode and a router's unbounded leg (ModeNeighbors) alike; a leg bounded
+//     mode and a router's unbounded leg (ModeCandidates) alike; a leg bounded
 //     by the router's running k-th distance bypasses the cache. A pool
 //     with fewer than k items, or a window holding more than
 //     qcache.MaxResultIDs candidates, stores no entry: that query takes the
 //     engine's own k-NN.
 //
-// Every stored entry also carries its geometry, for version consistency: the
-// entry is valid at one version vector, and segments resolved through the
-// pool at hit time could belong to a later write than the ids do. A fill
-// whose views before and after disagree raced a write and is not stored. A
-// window fill still answers its own query — it is one engine call, refined
-// exactly — but a k-NN cell fill is two (the k-NN from the centre, then the
-// window its distance sizes), which a write between them can leave
-// inconsistent, so its query takes the engine's own k-NN instead.
+// Every stored entry carries its geometry, for version consistency: the
+// entry is valid at one version vector, and its records are the ones its
+// ids were matched at. A fill whose views before and after disagree raced a
+// write and is not stored. A window fill still answers its own query — it
+// is one engine call, refined exactly — but a k-NN cell fill is two (the
+// k-NN from the centre, then the window its distance sizes), which a write
+// between them can leave inconsistent, so its query takes the engine's own
+// k-NN instead.
 package serve
 
 import (
@@ -128,7 +130,7 @@ func (s *Server) runQueryCached(q *proto.QueryMsg, sc *reqScratch, deadline time
 	)
 	switch q.Kind {
 	case proto.KindRange:
-		key, super, ok = qcache.RangeKey(q.Window, cell, q.Mode == proto.ModeFilter)
+		key, super, ok = qcache.RangeKey(q.Window, cell, q.Mode.Filters())
 	case proto.KindPoint:
 		key, super, ok = qcache.PointKey(q.Point, cell)
 	default:
@@ -141,29 +143,27 @@ func (s *Server) runQueryCached(q *proto.QueryMsg, sc *reqScratch, deadline time
 	if _, err := s.lookupOrFill(key, super, super, 0, sc, deadline); err != nil {
 		return nil, nil, true, err
 	}
-	eps := q.Eps
-	if eps <= 0 {
-		eps = DefaultPointEps
-	}
-	ids, segs = refineCached(key.Kind(), q, eps, sc.cids, sc.csegs)
+	ids, segs = refineCached(key.Kind(), q, q.PointEps(), sc.cids, sc.csegs)
 	return ids, segs, true, nil
 }
 
-// putEntry shapes a cached answer into it by mode: records keep the entry's
-// geometry, valid at the version its ids were (no per-id SegOf on the hit
-// path), and neighbors its distances.
-func putEntry(it *proto.BatchItem, mode proto.Mode, ids []uint32, segs []geom.Segment, dists []float64) {
-	switch mode {
-	case proto.ModeData:
-		for i, id := range ids {
-			it.Recs = append(it.Recs, proto.Record{ID: id, Seg: segs[i]})
+// putEntry is the one way an answer becomes a reply item: records (ModeData,
+// ModeCandidates) pair each id with the segment the engine or the cache
+// entry returned beside it, every other mode takes the ids. With order set,
+// the answer is an engine walk's, in tree order, and is put into the order
+// contract on the way (order.go); a cache entry and a k-NN answer arrive in
+// theirs.
+func putEntry(it *proto.BatchItem, mode proto.Mode, ids []uint32, segs []geom.Segment, order *idSorter) {
+	switch {
+	case !mode.Records():
+		if order != nil {
+			ids = order.sortIDs(ids)
 		}
-	case proto.ModeNeighbors:
-		for i, id := range ids {
-			it.Nbrs = append(it.Nbrs, proto.Neighbor{ID: id, Dist: dists[i]})
-		}
-	default:
 		it.IDs = append(it.IDs, ids...)
+	case order != nil:
+		it.Recs = order.appendRecords(it.Recs, ids, segs)
+	default:
+		it.Recs = appendInOrder(it.Recs, ids, segs)
 	}
 }
 
@@ -192,35 +192,29 @@ func (s *Server) lookupOrFill(key qcache.Key, region, super geom.Rect, k int, sc
 }
 
 // runSuperset executes the snapped superset query into sc.cids/csegs/cdists
-// through the engine; false means no entry (an engine error, or a k-NN cell
-// fillNN declined). An engine error fails the fill instead of silently
-// storing a partial answer — a cache poisoned with a degraded result would
-// keep serving it after the cluster recovered.
+// through the engine, records and all; false means no entry (an engine
+// error, or a k-NN cell fillNN declined). An engine error fails the fill
+// instead of silently storing a partial answer — a cache poisoned with a
+// degraded result would keep serving it after the cluster recovered.
 func (s *Server) runSuperset(key qcache.Key, super geom.Rect, k int, sc *reqScratch, deadline time.Time) (bool, error) {
-	sc.cids, sc.csegs, sc.cdists = sc.cids[:0], sc.csegs[:0], sc.cdists[:0]
-	var err error
-	switch key.Kind() {
-	case qcache.KindRange:
-		sc.cids, err = s.eng.RangeAppendUntil(sc.cids, super, deadline)
-	case qcache.KindRangeFilter, qcache.KindCell:
-		sc.cids, err = s.eng.FilterRangeAppendUntil(sc.cids, super, deadline)
-	case qcache.KindNNCell:
+	sc.cdists = sc.cdists[:0]
+	if key.Kind() == qcache.KindNNCell {
 		return s.fillNN(super, k, sc, deadline)
 	}
-	if err != nil {
+	q := proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeCandidates, Window: super}
+	if key.Kind() == qcache.KindRange {
+		q.Mode = proto.ModeData
+	}
+	if err := s.search(&q, sc, deadline); err != nil {
 		return false, err
 	}
-	sc.cids = sc.order.sortIDs(sc.cids)
-	for _, id := range sc.cids {
-		sc.csegs = append(sc.csegs, s.cfg.Pool.SegOf(id))
+	// The entry is stored in the order contract, records with their ids.
+	sc.recs = sc.order.appendRecords(sc.recs[:0], sc.cids, sc.csegs)
+	sc.cids, sc.csegs = sc.cids[:0], sc.csegs[:0]
+	for _, rec := range sc.recs {
+		sc.cids, sc.csegs = append(sc.cids, rec.ID), append(sc.csegs, rec.Seg)
 	}
 	return true, nil
-}
-
-// nnCandidate is one item of a k-NN cell entry while fillNN sorts it.
-type nnCandidate struct {
-	nb  rtree.Neighbor // id and distance to the cell's centre
-	seg geom.Segment
 }
 
 // nnTolerance is the slack every k-NN cell bound is widened by: far above
@@ -250,47 +244,48 @@ func (s *Server) fillNN(cell geom.Rect, k int, sc *reqScratch, deadline time.Tim
 	}
 	d := sc.nbs[k-1].Dist
 	tol := nnTolerance(c, d+2*r)
-	if sc.cids, err = s.eng.FilterRangeAppendUntil(sc.cids, cell.Expand(d+r+tol), deadline); err != nil {
+	q := proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeCandidates, Window: cell.Expand(d + r + tol)}
+	sc.csegs = sc.csegs[:0]
+	if sc.cids, err = s.eng.SearchAppendUntil(sc.cids[:0], &sc.csegs, q, deadline); err != nil {
 		return false, err
 	}
 	if len(sc.cids) > qcache.MaxResultIDs {
 		s.qc.Bypass()
 		return false, nil
 	}
-	sc.cand = sc.cand[:0]
-	for _, id := range sc.cids {
-		seg := s.cfg.Pool.SegOf(id)
-		if dc := seg.DistToPoint(c); dc <= d+2*r+tol {
-			sc.cand = append(sc.cand, nnCandidate{nb: rtree.Neighbor{ID: id, Dist: dc}, seg: seg})
+	sc.nbs = sc.nbs[:0]
+	for i, id := range sc.cids {
+		if dc := sc.csegs[i].DistToPoint(c); dc <= d+2*r+tol {
+			sc.nbs = append(sc.nbs, rtree.Neighbor{ID: id, Dist: dc, Seg: sc.csegs[i]})
 		}
 	}
-	slices.SortFunc(sc.cand, func(a, b nnCandidate) int {
+	slices.SortFunc(sc.nbs, func(a, b rtree.Neighbor) int {
 		switch {
-		case a.nb.Before(b.nb):
+		case a.Before(b):
 			return -1
-		case b.nb.Before(a.nb):
+		case b.Before(a):
 			return 1
 		}
 		return 0
 	})
-	sc.cids = sc.cids[:0]
-	for _, cd := range sc.cand {
-		sc.cids = append(sc.cids, cd.nb.ID)
-		sc.csegs = append(sc.csegs, cd.seg)
-		sc.cdists = append(sc.cdists, cd.nb.Dist)
+	sc.cids, sc.csegs = sc.cids[:0], sc.csegs[:0]
+	for _, nb := range sc.nbs {
+		sc.cids = append(sc.cids, nb.ID)
+		sc.csegs = append(sc.csegs, nb.Seg)
+		sc.cdists = append(sc.cdists, nb.Dist)
 	}
 	return true, nil
 }
 
 // refineNN answers a k-NN at p from the entry of the cell holding it, in
 // place: ids/segs/dists arrive nearest the cell's centre first, with
-// distances to the centre, and leave as p's k smallest (distance to p, id),
-// in that order. The front of the slices holds the best so far, sorted;
-// a candidate is read before its slot can be written, since the front
-// grows at most one slot per candidate.
-func refineNN(p geom.Point, cell geom.Rect, k int, ids []uint32, segs []geom.Segment, dists []float64) ([]uint32, []geom.Segment, []float64) {
+// distances to the centre, and ids/segs leave as p's k smallest (distance
+// to p, id), in that order. The front of the slices holds the best so far,
+// sorted; a candidate is read before its slot can be written, since the
+// front grows at most one slot per candidate.
+func refineNN(p geom.Point, cell geom.Rect, k int, ids []uint32, segs []geom.Segment, dists []float64) ([]uint32, []geom.Segment) {
 	if len(ids) == 0 {
-		return ids, segs, dists
+		return ids, segs
 	}
 	c := cell.Center()
 	pc := p.Dist(c)
@@ -325,7 +320,7 @@ func refineNN(p geom.Point, cell geom.Rect, k int, ids []uint32, segs []geom.Seg
 		}
 		ids[j], segs[j], dists[j] = nb.ID, seg, nb.Dist
 	}
-	return ids[:n], segs[:n], dists[:n]
+	return ids[:n], segs[:n]
 }
 
 // segMBR is Segment.MBR with plain comparisons. math.Min/Max carry NaN/±0
@@ -390,7 +385,7 @@ func refineCached(kind qcache.Kind, q *proto.QueryMsg, eps float64, ids []uint32
 			// Exact incidence in the uncached path's order: the tree search
 			// filters by MBR∋pt, then distance ≤ eps refines — unless the
 			// query only wants the MBR filter.
-			if q.Mode == proto.ModeFilter || sg.ContainsPoint(pt, eps) {
+			if q.Mode.Filters() || sg.ContainsPoint(pt, eps) {
 				ids[n], segs[n] = ids[i], sg
 				n++
 			}

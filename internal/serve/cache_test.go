@@ -218,7 +218,7 @@ func TestCachedQueryZeroAlloc(t *testing.T) {
 			out = append(out,
 				&proto.QueryMsg{ID: 5, Kind: proto.KindNN, Mode: proto.ModeIDs, Point: pt, K: k},
 				&proto.QueryMsg{ID: 6, Kind: proto.KindNN, Mode: proto.ModeData, Point: pt, K: k},
-				&proto.BatchQueryMsg{ID: 7, Queries: []proto.QueryMsg{{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: pt, K: k}}})
+				&proto.BatchQueryMsg{ID: 7, Queries: []proto.QueryMsg{{Kind: proto.KindNN, Mode: proto.ModeCandidates, Point: pt, K: k}}})
 		}
 		return out
 	}

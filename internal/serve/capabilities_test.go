@@ -58,11 +58,11 @@ func monolithicMutable(t testing.TB, ds *dataset.Dataset, shards int) *mutable.P
 // TestPoolCapabilities builds every pool kind a Server can front and pins
 // the capability struct New resolves for each — the DESIGN.md pool ×
 // capability table, as a test — that each answers one k-NN the same way on
-// every read shape (checkNeighborsMode), and that its summary rows cover what
+// every read shape (checkCandidatesMode), and that its summary rows cover what
 // the pool holds. A local pool without the bounded k-NN walk is refused.
 func TestPoolCapabilities(t *testing.T) {
 	ds, tree := testDataset(t)
-	one, err := shard.Over(ds, tree)
+	one, err := shard.Over(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestPoolCapabilities(t *testing.T) {
 		if _, local := srv.eng.(localEngine); local == tc.want.distributed {
 			t.Errorf("%s: engine %T, distributed=%v", tc.name, srv.eng, tc.want.distributed)
 		}
-		checkNeighborsMode(t, tc.name, srv, ds)
+		checkCandidatesMode(t, tc.name, srv, ds)
 		if !tc.want.distributed {
 			checkSummaryRows(t, tc.name, srv, ds.Len())
 		}
@@ -152,22 +152,37 @@ func checkSummaryRows(t *testing.T, name string, srv *Server, n int) {
 	}
 }
 
-// checkNeighborsMode: every pool kind answers one k-NN the same four ways at
-// K 0, 1 and 8 — a single KindNN query in ids mode, the same in data mode, a
-// ModeNeighbors batch item (unbounded, and bounded by its own k-th distance
-// in Eps) and the engine's k-NN: the same ids in the same distance order,
-// records carrying the test dataset's geometry, and the 1-NN the first of
-// the 8-NN.
-// Each shape is asked twice, so a cached server answers a miss and then a
-// hit, and both must equal the engine's uncached answer. A lone MsgQuery in
-// neighbors mode is refused.
-func checkNeighborsMode(t *testing.T, name string, srv *Server, ds *dataset.Dataset) {
+// checkCandidatesMode: every pool kind answers one k-NN the same four ways
+// at K 0, 1 and 8 — a single KindNN query in ids mode, the same in data
+// mode, a ModeCandidates batch item (unbounded, and bounded by its own k-th
+// distance in Eps) and the engine's k-NN: the same ids in the same distance
+// order, records carrying the test dataset's geometry, and the 1-NN the
+// first of the 8-NN. A window around the point, and a point at a corner of
+// the nearest segment's MBR, answer their records the same way: data mode
+// the exact ids', candidates mode the filter ids', each record the test
+// dataset's segment; some of them must hold candidates their exact answer
+// does not. Each shape is asked twice, so a cached
+// server answers a miss and then a hit, and both must equal the engine's
+// uncached answer. A lone MsgQuery in candidates mode is refused.
+func checkCandidatesMode(t *testing.T, name string, srv *Server, ds *dataset.Dataset) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	ext := ds.Extent
 	var before qcache.Stats
 	if srv.qc != nil {
 		before = srv.CacheStats()
+	}
+	widened := 0 // windows and points whose filter answer holds more than the exact one
+	sameRecords := func(label string, recs []proto.Record, ids []uint32) {
+		t.Helper()
+		if len(recs) != len(ids) {
+			t.Fatalf("%s: %d records, %d ids", label, len(recs), len(ids))
+		}
+		for j, rec := range recs {
+			if rec.ID != ids[j] || rec.Seg != ds.Seg(rec.ID) {
+				t.Fatalf("%s: record %d is %+v, want id %d at %v", label, j, rec, ids[j], ds.Seg(ids[j]))
+			}
+		}
 	}
 	rng := rand.New(rand.NewSource(31))
 	for i := 0; i < 8; i++ {
@@ -191,37 +206,57 @@ func checkNeighborsMode(t *testing.T, name string, srv *Server, ds *dataset.Data
 					t.Fatalf("%s: %d ids and %d records, the engine found %d", label, len(ids.IDs), len(data.Recs), len(nbs))
 				}
 				for j, nb := range nbs {
-					if rec := data.Recs[j]; ids.IDs[j] != nb.ID || rec.ID != nb.ID || rec.Seg != ds.Seg(nb.ID) || rec.Seg.DistToPoint(pt) != nb.Dist {
+					if rec := data.Recs[j]; ids.IDs[j] != nb.ID || rec.ID != nb.ID || rec.Seg != ds.Seg(nb.ID) || rec.Seg != nb.Seg || rec.Seg.DistToPoint(pt) != nb.Dist {
 						t.Fatalf("%s: rank %d id %d, record %+v; the engine found %+v", label, j, ids.IDs[j], rec, nb)
 					}
 				}
 				for _, bound := range []float64{0, nbs[len(nbs)-1].Dist} {
-					item := askQuery(t, label, srv, proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: pt, K: k, Eps: bound}, deadline)
-					if len(item.Nbrs) != len(nbs) || len(item.IDs) != 0 {
-						t.Fatalf("%s: neighbors-mode item (bound %v) %+v, the engine found %v", label, bound, item, nbs)
+					item := askQuery(t, label, srv, proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeCandidates, Point: pt, K: k, Eps: bound}, deadline)
+					if len(item.IDs) != 0 {
+						t.Fatalf("%s: candidates-mode item (bound %v) answered ids %v", label, bound, item.IDs)
 					}
-					for j, nb := range nbs {
-						if item.Nbrs[j] != (proto.Neighbor{ID: nb.ID, Dist: nb.Dist}) {
-							t.Fatalf("%s: neighbors-mode item (bound %v) rank %d %+v, the engine found %+v", label, bound, j, item.Nbrs[j], nb)
-						}
-					}
+					sameRecords(fmt.Sprintf("%s: candidates-mode item (bound %v)", label, bound), item.Recs, ids.IDs)
 				}
 			}
 		}
+		// A window around the point, and a point at a corner of its nearest
+		// segment's MBR, off the segment unless it is axis-parallel.
+		corner := geom.Point{X: nearest.Seg.A.X, Y: nearest.Seg.B.Y}
+		for _, q := range []proto.QueryMsg{
+			{Kind: proto.KindRange, Window: geom.Rect{Min: pt, Max: pt}.Expand(ext.Width() / 20)},
+			{Kind: proto.KindPoint, Point: corner},
+		} {
+			for rep := 0; rep < 2; rep++ {
+				label := fmt.Sprintf("%s: point %d kind %d", name, i, q.Kind)
+				ask := func(mode proto.Mode) proto.BatchItem {
+					q.Mode = mode
+					return askQuery(t, label, srv, q, deadline)
+				}
+				exact, filter := ask(proto.ModeIDs), ask(proto.ModeFilter)
+				sameRecords(label+" data", ask(proto.ModeData).Recs, exact.IDs)
+				sameRecords(label+" candidates", ask(proto.ModeCandidates).Recs, filter.IDs)
+				if !slices.Equal(exact.IDs, filter.IDs) {
+					widened++
+				}
+			}
+		}
+	}
+	if widened == 0 {
+		t.Fatalf("%s: no window or point had candidates beyond its exact answer, so the candidates checks prove nothing", name)
 	}
 	if srv.qc != nil {
 		if st := srv.CacheStats(); st.Misses == before.Misses || st.Hits == before.Hits {
 			t.Fatalf("%s: the k-NN shapes never missed and hit the cache: %+v", name, st)
 		}
 	}
-	lone := &proto.QueryMsg{ID: 3, Kind: proto.KindNN, Mode: proto.ModeNeighbors, K: 8}
+	lone := &proto.QueryMsg{ID: 3, Kind: proto.KindNN, Mode: proto.ModeCandidates, K: 8}
 	if em, ok := srv.execute(lone, srv.getScratch(), deadline).(*proto.ErrorMsg); !ok || em.Code != proto.CodeBadRequest {
-		t.Fatalf("%s: a lone neighbors-mode query answered %+v, want bad-request", name, em)
+		t.Fatalf("%s: a lone candidates-mode query answered %+v, want bad-request", name, em)
 	}
 }
 
 // askQuery answers q through srv's request path — a single query, or a
-// one-item batch for a ModeNeighbors leg — and returns the answer as a batch
+// one-item batch for a ModeCandidates leg — and returns the answer as a batch
 // item, copied out of the scratch the reply aliases.
 func askQuery(t *testing.T, label string, srv *Server, q proto.QueryMsg, deadline time.Time) proto.BatchItem {
 	t.Helper()
@@ -233,7 +268,7 @@ func askQuery(t *testing.T, label string, srv *Server, q proto.QueryMsg, deadlin
 		it.Recs = slices.Clone(r.Records)
 	case *proto.BatchReplyMsg:
 		it = r.Items[0]
-		it.Nbrs, it.IDs = slices.Clone(it.Nbrs), slices.Clone(it.IDs)
+		it.Recs, it.IDs = slices.Clone(it.Recs), slices.Clone(it.IDs)
 	default:
 		t.Fatalf("%s: %+v answered %+v", label, q, r)
 	}
@@ -243,10 +278,10 @@ func askQuery(t *testing.T, label string, srv *Server, q proto.QueryMsg, deadlin
 	return it
 }
 
-// wrapQuery is q as a request: a lone query, or a router's k-NN leg — a
-// ModeNeighbors item — as the one-item batch it travels in.
+// wrapQuery is q as a request: a lone query, or a router's records leg — a
+// ModeCandidates item — as the one-item batch it travels in.
 func wrapQuery(q proto.QueryMsg) proto.Request {
-	if q.Mode == proto.ModeNeighbors {
+	if q.Mode == proto.ModeCandidates {
 		return &proto.BatchQueryMsg{ID: 4, Queries: []proto.QueryMsg{q}}
 	}
 	return &q
@@ -261,8 +296,8 @@ func (batchOnlyPool) RunQueryBatch([]proto.QueryMsg, []proto.BatchItem, time.Tim
 // routes batches) must bring the fallible surface; New refuses to fall back
 // to Executor methods that would swallow a failed leg.
 func TestNewRejectsFanOutWithoutDeadlineSurface(t *testing.T) {
-	ds, tree := testDataset(t)
-	par, err := shard.Over(ds, tree)
+	_, tree := testDataset(t)
+	par, err := shard.Over(tree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func (c *Client) PointAppendUntil(dst []uint32, pt geom.Point, eps float64, mode
 }
 
 // QueryBatchVisit sends one batch leg — a sub-slice of a client batch the
-// router grouped onto this backend, or one k-NN leg in ModeNeighbors with
+// router grouped onto this backend, or one k-NN leg in ModeCandidates with
 // the router's running bound in Eps — and visits each item's answer in order:
 // visit(i, item), where i indexes qs. The item aliases the pooled reply and
 // is valid only during the visit call; the caller copies what it keeps. ID

@@ -70,11 +70,11 @@ func wholeMap(t testing.TB, ds *dataset.Dataset) *client.Shipment {
 
 // faultClient builds a client dialing through inj, with the breaker and
 // (optionally) the whole map as its local state.
-func faultClient(t testing.TB, addr string, inj *faultlink.Injector, pool *shard.Pool, withFallback bool) *client.Client {
+func faultClient(t testing.TB, addr string, inj *faultlink.Injector, ds *dataset.Dataset, withFallback bool) *client.Client {
 	t.Helper()
 	cfg := faultConfig(addr, inj)
 	if withFallback {
-		cfg.Shipment = wholeMap(t, pool.Dataset())
+		cfg.Shipment = wholeMap(t, ds)
 	}
 	c, err := client.New(cfg)
 	if err != nil {
@@ -150,7 +150,7 @@ func TestFaultSoak(t *testing.T) {
 		prof := prof
 		t.Run(name, func(t *testing.T) {
 			inj := faultlink.New(prof)
-			c := faultClient(t, addr, inj, pool, true)
+			c := faultClient(t, addr, inj, ds, true)
 
 			var wg sync.WaitGroup
 			for g := 0; g < 4; g++ {
@@ -216,7 +216,7 @@ func TestFaultSoak(t *testing.T) {
 func TestFaultOutageFallbackCompletes(t *testing.T) {
 	ds, pool, addr := faultWorld(t)
 	inj := faultlink.New(faultlink.Profile{Seed: 3})
-	c := faultClient(t, addr, inj, pool, true)
+	c := faultClient(t, addr, inj, ds, true)
 	inj.ForceOutage(true)
 
 	var sc shard.Scratch
@@ -362,9 +362,9 @@ func TestFaultDegradedIsOneLedger(t *testing.T) {
 // returns, the breaker re-closes within roughly one probe interval and
 // queries go back to the server.
 func TestFaultBreakerRecovery(t *testing.T) {
-	ds, pool, addr := faultWorld(t)
+	ds, _, addr := faultWorld(t)
 	inj := faultlink.New(faultlink.Profile{Seed: 5})
-	c := faultClient(t, addr, inj, pool, true)
+	c := faultClient(t, addr, inj, ds, true)
 
 	// Trip the breaker under a forced outage.
 	inj.ForceOutage(true)
@@ -407,9 +407,9 @@ func TestFaultBreakerRecovery(t *testing.T) {
 // without a fallback, a dead link means fast clean errors — ErrBreakerOpen
 // in microseconds once tripped — never a hang and never a success.
 func TestFaultNoFallbackFailsFast(t *testing.T) {
-	ds, pool, addr := faultWorld(t)
+	ds, _, addr := faultWorld(t)
 	inj := faultlink.New(faultlink.Profile{Seed: 9})
-	c := faultClient(t, addr, inj, pool, false)
+	c := faultClient(t, addr, inj, ds, false)
 	inj.ForceOutage(true)
 
 	// First queries burn real attempts until the threshold trips the breaker.
@@ -487,9 +487,9 @@ func TestFaultBatchResultsSurviveRelease(t *testing.T) {
 // BenchmarkBreakerCleanPath prices the breaker's overhead on a healthy
 // link: the allow/onSuccess gate added to every round trip.
 func BenchmarkBreakerCleanPath(b *testing.B) {
-	ds, pool, addr := faultWorld(b)
+	ds, _, addr := faultWorld(b)
 	inj := faultlink.New(faultlink.Profile{Seed: 1})
-	c := faultClient(b, addr, inj, pool, true)
+	c := faultClient(b, addr, inj, ds, true)
 	p := ds.Seg(0).A
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -504,9 +504,9 @@ func BenchmarkBreakerCleanPath(b *testing.B) {
 // served from the whole-map shipment — the paper's fully-client scheme as a
 // resilience path.
 func BenchmarkDegradedLocal(b *testing.B) {
-	ds, pool, addr := faultWorld(b)
+	ds, _, addr := faultWorld(b)
 	inj := faultlink.New(faultlink.Profile{Seed: 1})
-	c := faultClient(b, addr, inj, pool, true)
+	c := faultClient(b, addr, inj, ds, true)
 	inj.ForceOutage(true)
 	p := ds.Seg(0).A
 	// Trip the breaker so the steady state is pure fail-fast + fallback.

@@ -140,7 +140,7 @@ func executeOn(t *testing.T, c *client.Client, p *client.Planner, q core.Query) 
 // server's. Uncovered geometry still crosses the wire.
 func TestSemanticCacheServesLocally(t *testing.T) {
 	ds, tree := semanticDataset(t)
-	pool, err := shard.Over(ds, tree)
+	pool, err := shard.Over(tree)
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}

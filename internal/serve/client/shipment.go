@@ -109,9 +109,9 @@ func (s *Shipment) Answer(q scheme.Query, eps float64) ([]proto.Record, error) {
 	var ids []uint32
 	switch q.Kind {
 	case scheme.PointQuery:
-		ids = s.Tree.AppendPoint(nil, q.Point, eps)
+		ids = s.Tree.AppendPoint(nil, nil, q.Point, eps)
 	case scheme.RangeQuery:
-		ids = s.Tree.AppendRange(nil, q.Window)
+		ids = s.Tree.AppendRange(nil, nil, q.Window, true)
 	case scheme.NNQuery:
 		// One NN walk, as on the server: 1-NN is k-NN at k = 1.
 		var sc rtree.NNScratch

@@ -10,15 +10,17 @@ import (
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
+	"mobispatial/internal/rtree"
 	"mobispatial/internal/shard"
 )
 
-// askNN sends one raw k-NN leg — a one-item ModeNeighbors batch, the bound
-// in Eps — and decodes the reply item.
-func askNN(t *testing.T, nc net.Conn, id uint32, pt geom.Point, k uint16, bound float64) proto.BatchItem {
+// askNN sends one raw k-NN leg — a one-item ModeCandidates batch, the bound
+// in Eps — and decodes the reply item: its records, nearest first, as
+// neighbors of pt (the distance recomputed as a router does), or its error.
+func askNN(t *testing.T, nc net.Conn, id uint32, pt geom.Point, k uint16, bound float64) ([]rtree.Neighbor, proto.ErrCode) {
 	t.Helper()
 	leg := &proto.BatchQueryMsg{ID: id, Queries: []proto.QueryMsg{
-		{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: pt, K: k, Eps: bound},
+		{Kind: proto.KindNN, Mode: proto.ModeCandidates, Point: pt, K: k, Eps: bound},
 	}}
 	if _, err := proto.WriteMessage(nc, leg); err != nil {
 		t.Fatalf("write nn leg: %v", err)
@@ -35,10 +37,13 @@ func askNN(t *testing.T, nc net.Conn, id uint32, pt geom.Point, k uint16, bound 
 	if br.ID != id || len(br.Items) != 1 {
 		t.Fatalf("nn reply id %d with %d items, want id %d with 1", br.ID, len(br.Items), id)
 	}
-	it := br.Items[0]
-	it.Nbrs = append([]proto.Neighbor(nil), it.Nbrs...)
+	var nbs []rtree.Neighbor
+	for _, rec := range br.Items[0].Recs {
+		nbs = append(nbs, rtree.Neighbor{ID: rec.ID, Dist: rec.Seg.DistToPoint(pt), Seg: rec.Seg})
+	}
+	code := br.Items[0].Err
 	proto.ReleaseMessage(msg)
-	return it
+	return nbs, code
 }
 
 // TestNNLegMatchesPool answers k-NN legs on a sharded server and checks them
@@ -74,16 +79,16 @@ func TestNNLegMatchesPool(t *testing.T) {
 		want, _ := pool.KNearestAppend(nil, pt, k, nil)
 
 		before := pruned.Value()
-		got := askNN(t, nc, uint32(100+i), pt, uint16(k), 0)
+		got, code := askNN(t, nc, uint32(100+i), pt, uint16(k), 0)
 		prunedFree += pruned.Value() - before
-		if got.Err != 0 || len(got.Nbrs) != len(want) {
-			t.Fatalf("k=%d: got %d neighbors (code %d), want %d", k, len(got.Nbrs), got.Err, len(want))
+		if code != 0 || len(got) != len(want) {
+			t.Fatalf("k=%d: got %d neighbors (code %d), want %d", k, len(got), code, len(want))
 		}
-		for j, nb := range got.Nbrs {
-			if nb.ID != want[j].ID || nb.Dist != want[j].Dist {
+		for j, nb := range got {
+			if nb != want[j] {
 				t.Fatalf("neighbor %d: got %+v want %+v", j, nb, want[j])
 			}
-			if j > 0 && nb.Dist < got.Nbrs[j-1].Dist {
+			if j > 0 && nb.Dist < got[j-1].Dist {
 				t.Fatalf("neighbors not ascending at %d", j)
 			}
 		}
@@ -92,14 +97,14 @@ func TestNNLegMatchesPool(t *testing.T) {
 		// below it is kept, rank for rank.
 		bound := want[len(want)-1].Dist / 2
 		before = pruned.Value()
-		bounded := askNN(t, nc, uint32(1000+i), pt, uint16(k), bound)
+		bounded, _ := askNN(t, nc, uint32(1000+i), pt, uint16(k), bound)
 		prunedBounded += pruned.Value() - before
 		for j, nb := range want {
 			if nb.Dist >= bound {
 				break
 			}
-			if j >= len(bounded.Nbrs) || bounded.Nbrs[j] != (proto.Neighbor{ID: nb.ID, Dist: nb.Dist}) {
-				t.Fatalf("bounded leg lost neighbor %+v: got %+v", nb, bounded.Nbrs)
+			if j >= len(bounded) || bounded[j] != nb {
+				t.Fatalf("bounded leg lost neighbor %+v: got %+v", nb, bounded)
 			}
 		}
 	}
@@ -110,10 +115,10 @@ func TestNNLegMatchesPool(t *testing.T) {
 
 	// K=0 means single nearest.
 	pt := ext.Center()
-	got := askNN(t, nc, 9999, pt, 0, 0)
+	got, _ := askNN(t, nc, 9999, pt, 0, 0)
 	if nn := pool.NearestWith(pt, nil); nn.OK {
-		if len(got.Nbrs) != 1 || got.Nbrs[0].ID != nn.ID || got.Nbrs[0].Dist != nn.Dist {
-			t.Fatalf("k=0 leg: got %+v want %+v", got.Nbrs, nn)
+		if len(got) != 1 || got[0].ID != nn.ID || got[0].Dist != nn.Dist {
+			t.Fatalf("k=0 leg: got %+v want %+v", got, nn)
 		}
 	}
 }
@@ -127,8 +132,8 @@ func TestNNLegRejectsOversizeK(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if it := askNN(t, nc, 5, geom.Point{X: 1, Y: 1}, maxKNN+1, 0); it.Err != proto.CodeBadRequest {
-		t.Fatalf("got item code %v (%s), want bad-request", it.Err, it.Text)
+	if _, code := askNN(t, nc, 5, geom.Point{X: 1, Y: 1}, maxKNN+1, 0); code != proto.CodeBadRequest {
+		t.Fatalf("got item code %v, want bad-request", code)
 	}
 }
 
@@ -195,22 +200,25 @@ func TestSummaryReply(t *testing.T) {
 	}
 }
 
-// panicPool wraps a local pool with one query kind that panics — the fault
-// model for TestPanicContainment.
+// panicPool wraps a local pool with one query kind that panics — a filter
+// point query — the fault model for TestPanicContainment.
 type panicPool struct {
 	localPool
 }
 
-func (p *panicPool) FilterPointAppend(dst []uint32, pt geom.Point) []uint32 {
-	panic("injected executor fault")
+func (p *panicPool) SearchAppend(dst []uint32, segs *[]geom.Segment, q proto.QueryMsg) []uint32 {
+	if q.Kind == proto.KindPoint && q.Mode.Filters() {
+		panic("injected executor fault")
+	}
+	return p.localPool.SearchAppend(dst, segs, q)
 }
 
 // TestPanicContainment drives a panicking query and checks the request is
 // answered CodeInternal, the server survives, and later queries (which
 // reuse the scratch pool) still answer correctly.
 func TestPanicContainment(t *testing.T) {
-	ds, tree := testDataset(t)
-	pool, err := shard.Over(ds, tree)
+	_, tree := testDataset(t)
+	pool, err := shard.Over(tree)
 	if err != nil {
 		t.Fatal(err)
 	}

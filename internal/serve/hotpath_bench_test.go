@@ -29,8 +29,8 @@ func BenchmarkServeHotPath(b *testing.B) {
 		{"range-ids", &proto.QueryMsg{ID: 7, Kind: proto.KindRange, Mode: proto.ModeIDs, Window: w}},
 		{"nn-data-k1", &proto.QueryMsg{ID: 7, Kind: proto.KindNN, Mode: proto.ModeData, Point: center, K: 1}},
 		{"nn-data-k8", &proto.QueryMsg{ID: 7, Kind: proto.KindNN, Mode: proto.ModeData, Point: center, K: 8}},
-		{"neighbors-item", &proto.BatchQueryMsg{ID: 7, Queries: []proto.QueryMsg{
-			{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: center, K: 8}}}},
+		{"candidates-item", &proto.BatchQueryMsg{ID: 7, Queries: []proto.QueryMsg{
+			{Kind: proto.KindNN, Mode: proto.ModeCandidates, Point: center, K: 8}}}},
 	}
 	for _, row := range rows {
 		b.Run(row.name, func(b *testing.B) {

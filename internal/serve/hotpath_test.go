@@ -18,7 +18,7 @@ import (
 func hotPathServers(t *testing.T) (geom.Rect, map[string]*Server) {
 	t.Helper()
 	ds, tree := testDataset(t)
-	frozen, err := shard.Over(ds, tree)
+	frozen, err := shard.Over(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +122,8 @@ func TestExecuteBatchZeroAlloc(t *testing.T) {
 				proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeData, Window: hotWindow(off)},
 				proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeFilter, Point: off},
 				proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeData, Point: off, K: 8},
-				proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: center, K: 8},
-				proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeNeighbors, Point: center, K: 8, Eps: nbs[7].Dist})
+				proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeCandidates, Point: center, K: 8},
+				proto.QueryMsg{Kind: proto.KindNN, Mode: proto.ModeCandidates, Point: center, K: 8, Eps: nbs[7].Dist})
 			if len(mixed.Queries) != 16 {
 				t.Fatalf("mixed batch holds %d queries, want 16", len(mixed.Queries))
 			}

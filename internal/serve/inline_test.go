@@ -190,8 +190,8 @@ func (c *countedConn) SetReadDeadline(t time.Time) error {
 // then sets exactly one, the poke that ends its reader.
 func TestIdleConnectionSetsNoReadDeadline(t *testing.T) {
 	t.Parallel()
-	ds, tree := testDataset(t)
-	pool, err := shard.Over(ds, tree)
+	_, tree := testDataset(t)
+	pool, err := shard.Over(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,8 +325,8 @@ func TestLoneInlineBurstSpawned(t *testing.T) {
 // the decision and expects the same accounting from both: the handler exists
 // once, and this is the test that fails if that stops being true.
 func TestBothBranchesKeepTheContract(t *testing.T) {
-	ds, tree := testDataset(t)
-	pool, err := shard.Over(ds, tree)
+	_, tree := testDataset(t)
+	pool, err := shard.Over(tree)
 	if err != nil {
 		t.Fatal(err)
 	}

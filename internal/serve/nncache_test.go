@@ -70,15 +70,15 @@ func checkCachedNN(t *testing.T, ds *dataset.Dataset, pool Executor, cell float6
 	asked := 0
 	for i, pt := range pts {
 		for _, k := range []uint16{1, 2, 8, 16} {
-			for _, mode := range []proto.Mode{proto.ModeIDs, proto.ModeData, proto.ModeNeighbors} {
+			for _, mode := range []proto.Mode{proto.ModeIDs, proto.ModeData, proto.ModeCandidates} {
 				label := fmt.Sprintf("point %d %v k=%d mode=%d", i, pt, k, mode)
 				q := proto.QueryMsg{ID: 1, Kind: proto.KindNN, Mode: mode, Point: pt, K: k}
 				got := askQuery(t, label, cached, q, deadline)
 				want := askQuery(t, label, uncached, q, deadline)
-				if len(want.IDs)+len(want.Recs)+len(want.Nbrs) != int(k) {
+				if len(want.IDs)+len(want.Recs) != int(k) {
 					t.Fatalf("%s: the uncached server answered %+v", label, want)
 				}
-				if !slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.Recs, want.Recs) || !slices.Equal(got.Nbrs, want.Nbrs) {
+				if !slices.Equal(got.IDs, want.IDs) || !slices.Equal(got.Recs, want.Recs) {
 					t.Fatalf("%s: cached %+v, uncached %+v", label, got, want)
 				}
 				asked++

@@ -3,13 +3,18 @@
 // nearest first. The id order is what makes the wire's run coding pay
 // (proto/lists.go): a street's segments are numbered in order, so a sorted
 // answer is a few runs of consecutive ids. An engine walk reports ids in tree
-// order, so read sorts each engine answer once; a cache entry is stored
+// order, so read sorts each engine answer once — a records answer as it
+// builds the records, each placed at its id's rank; a cache entry is stored
 // sorted, and its refinement keeps the order, so a hit needs no sort.
 package serve
 
 import (
 	"math/bits"
 	"slices"
+	"sort"
+
+	"mobispatial/internal/geom"
+	"mobispatial/internal/proto"
 )
 
 const (
@@ -23,12 +28,15 @@ const (
 	bitmapIDs = 1 << 22
 )
 
-// idSorter is sortIDs' state, held in the request scratch. words has bit
-// id%64 of word id/64 set for every id of the list being sorted, and sum bit
-// w%64 of word w/64 set for every non-zero words[w]; both are all zero
-// between calls, and grow to the largest id seen, once.
+// idSorter is the state of sortIDs and appendRecords, held in the request
+// scratch. words has bit id%64 of word id/64 set for every id of the list
+// being sorted, and sum bit w%64 of word w/64 set for every non-zero
+// words[w]; both are all zero between calls, and grow to the largest id
+// seen, once. rank[w] is, while records are placed, the number of ids below
+// word w's.
 type idSorter struct {
 	words, sum []uint64
+	rank       []uint32
 }
 
 // sortIDs sorts ids ascending and drops repeats, in place and without
@@ -54,21 +62,11 @@ func (s *idSorter) sortIDs(ids []uint32) []uint32 {
 		}
 		return slices.Compact(ids)
 	}
-	words, sum := s.words, s.sum
-	for i, v := range ids {
-		w := int(v >> 6)
-		if w >= len(words) {
-			if v >= bitmapIDs {
-				s.unset(ids[:i])
-				slices.Sort(ids)
-				return slices.Compact(ids)
-			}
-			s.grow(w)
-			words, sum = s.words, s.sum
-		}
-		words[w] |= 1 << (v & 63)
-		sum[w>>6] |= 1 << (w & 63)
+	if !s.mark(ids) {
+		slices.Sort(ids)
+		return slices.Compact(ids)
 	}
+	words, sum := s.words, s.sum
 	k := 0
 	for si, sw := range sum {
 		if sw == 0 {
@@ -88,11 +86,103 @@ func (s *idSorter) sortIDs(ids []uint32) []uint32 {
 	return ids[:k]
 }
 
+// mark sets every id in the bitmap; false, the bitmap all zero again, when
+// an id lies past it.
+func (s *idSorter) mark(ids []uint32) bool {
+	words, sum := s.words, s.sum
+	for i, v := range ids {
+		w := int(v >> 6)
+		if w >= len(words) {
+			if v >= bitmapIDs {
+				s.unset(ids[:i])
+				return false
+			}
+			s.grow(w)
+			words, sum = s.words, s.sum
+		}
+		words[w] |= 1 << (v & 63)
+		sum[w>>6] |= 1 << (w & 63)
+	}
+	return true
+}
+
+// appendRecords appends to dst the records ids[i] at segs[i] ascending by
+// id, each id once at the segment of its first sighting, without allocating
+// once warm: the order contract for a records answer. The ids are marked in
+// the bitmap as sortIDs marks them, each marked word's rank is counted, and
+// every record is written straight to its id's rank in dst — the ids before
+// its word plus the bits below it in the word — so the records are built
+// and sorted in one pass. A list holding an id past the bitmap is sorted in
+// place by comparison first.
+func (s *idSorter) appendRecords(dst []proto.Record, ids []uint32, segs []geom.Segment) []proto.Record {
+	i := 1
+	for i < len(ids) && ids[i] > ids[i-1] {
+		i++
+	}
+	if i >= len(ids) {
+		return appendInOrder(dst, ids, segs)
+	}
+	if !s.mark(ids) {
+		sort.Stable(records{ids, segs})
+		return appendInOrder(dst, ids, segs)
+	}
+	words, sum, rank := s.words, s.sum, s.rank
+	k := uint32(0)
+	for si, sw := range sum {
+		for ; sw != 0; sw &= sw - 1 {
+			w := si<<6 | bits.TrailingZeros64(sw)
+			rank[w] = k
+			k += uint32(bits.OnesCount64(words[w]))
+		}
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, int(k))[:n+int(k)]
+	out := dst[n:]
+	for i := len(ids) - 1; i >= 0; i-- { // backwards: the first sighting lands last
+		v := ids[i]
+		w := v >> 6
+		out[rank[w]+uint32(bits.OnesCount64(words[w]&(1<<(v&63)-1)))] = proto.Record{ID: v, Seg: segs[i]}
+	}
+	for si, sw := range sum {
+		sum[si] = 0
+		for ; sw != 0; sw &= sw - 1 {
+			words[si<<6|bits.TrailingZeros64(sw)] = 0
+		}
+	}
+	return dst
+}
+
+// appendInOrder appends the records ids[i] at segs[i] to dst as they come,
+// a repeat of the id before it dropped.
+func appendInOrder(dst []proto.Record, ids []uint32, segs []geom.Segment) []proto.Record {
+	dst, segs = slices.Grow(dst, len(ids)), segs[:len(ids)]
+	for i, id := range ids {
+		if i == 0 || id != ids[i-1] {
+			dst = append(dst, proto.Record{ID: id, Seg: segs[i]})
+		}
+	}
+	return dst
+}
+
+// records sorts ids with the segments beside them.
+type records struct {
+	ids  []uint32
+	segs []geom.Segment
+}
+
+func (r records) Len() int           { return len(r.ids) }
+func (r records) Less(i, j int) bool { return r.ids[i] < r.ids[j] }
+func (r records) Swap(i, j int) {
+	r.ids[i], r.ids[j] = r.ids[j], r.ids[i]
+	r.segs[i], r.segs[j] = r.segs[j], r.segs[i]
+}
+
 // grow makes the bitmap hold word w, keeping it all zero.
 func (s *idSorter) grow(w int) {
 	n := min(max(w+1, 2*len(s.words)), bitmapIDs>>6)
 	s.words = append(s.words, make([]uint64, n-len(s.words))...)
 	s.sum = append(s.sum, make([]uint64, (n+63)/64-len(s.sum))...)
+	s.rank = append(s.rank, make([]uint32, n-len(s.rank))...)
 }
 
 // unset clears the bits of ids, returning the bitmap to all zero.

@@ -16,7 +16,9 @@ import (
 // TestSortIDs holds the sorter to a comparison sort with repeats dropped, on
 // lists that take each path: already ascending, short, the bitmap at several
 // densities, repeats, and ids past the bitmap's bound, after which the bitmap
-// must be clean for the next list.
+// must be clean for the next list. Built into records (appendRecords), the
+// same lists come out in the same id order, each id beside its own segment
+// — a repeated id's first sighting — after whatever dst held.
 func TestSortIDs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var s idSorter
@@ -25,6 +27,24 @@ func TestSortIDs(t *testing.T) {
 		want := ascending(ids)
 		if got := s.sortIDs(slices.Clone(ids)); !slices.Equal(got, want) {
 			t.Fatalf("%s (%d ids): got %v, want %v", name, len(ids), got, want)
+		}
+		segs := make([]geom.Segment, len(ids))
+		first := make(map[uint32]geom.Segment)
+		for i, id := range ids {
+			segs[i] = geom.Segment{A: geom.Point{X: float64(i)}}
+			if _, seen := first[id]; !seen {
+				first[id] = segs[i]
+			}
+		}
+		prefix := proto.Record{ID: 1 << 31}
+		recs := s.appendRecords([]proto.Record{prefix}, slices.Clone(ids), segs)
+		if len(recs) != len(want)+1 || recs[0] != prefix {
+			t.Fatalf("%s (%d records): %d records after the prefix %v, want %d", name, len(ids), len(recs)-1, recs[0], len(want))
+		}
+		for i, rec := range recs[1:] {
+			if rec.ID != want[i] || rec.Seg != first[rec.ID] {
+				t.Fatalf("%s (%d records): record %d is %+v, want id %d at its first sighting %v", name, len(ids), i, rec, want[i], first[want[i]])
+			}
 		}
 	}
 	for _, n := range []int{0, 1, 2, insertionMax, insertionMax + 1, 100, 813, 5000} {
@@ -54,20 +74,24 @@ func seqIDs(first uint32, n int) []uint32 {
 	return out
 }
 
-// TestSortIDsZeroAlloc: a warm sort allocates nothing.
+// TestSortIDsZeroAlloc: a warm sort allocates nothing, of ids or records.
 func TestSortIDsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
 	rng := rand.New(rand.NewSource(4))
 	src := make([]uint32, 2000)
+	srcSegs := make([]geom.Segment, len(src))
 	for i := range src {
 		src[i] = uint32(rng.Intn(139_006))
+		srcSegs[i].A.X = float64(i)
 	}
 	var s idSorter
 	work := make([]uint32, len(src))
+	var recs []proto.Record
 	if n := testing.AllocsPerRun(100, func() {
 		work = s.sortIDs(append(work[:0], src...))
+		recs = s.appendRecords(recs[:0], append(work[:0], src...), srcSegs)
 	}); n != 0 {
 		t.Fatalf("warm sort: %.1f allocs, want 0", n)
 	}
@@ -177,7 +201,7 @@ func TestAnswerOrderContract(t *testing.T) {
 	wins = append(wins, ext) // every range of the map
 
 	t.Run("frozen", func(t *testing.T) {
-		pool, err := shard.Over(ds, tree)
+		pool, err := shard.Over(tree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +227,7 @@ func TestAnswerOrderContract(t *testing.T) {
 		check(t, c, wins, pts)
 	})
 	t.Run("qcache", func(t *testing.T) {
-		pool, err := shard.Over(ds, tree)
+		pool, err := shard.Over(tree)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -72,41 +72,48 @@ const DefaultPointEps = proto.DefaultPointEps
 // of concurrent callers, and the append methods must honor the
 // zero-allocation contract: write into dst's spare capacity, return the
 // extended slice. Workers is the width the server sizes its admission window
-// from (MaxInFlight defaults to 4× it). SegOf is the geometry of id as the
-// pool holds it, the zero Segment for an id it has never heard of: data-mode
-// records and cache fills take their geometry from it, so the server owns no
-// copy of the map. KNearestAppend's bool is always true
+// from (MaxInFlight defaults to 4× it). KNearestAppend's bool is always true
 // (every pool's access method has k-NN) and the server does not read it; the
 // signature stays because bench/ drives pools through it.
 //
-// The server itself never calls the query methods directly: New wraps a
-// local pool once so that every pool — local or distributed — is driven
-// through DeadlineExecutor, and a local pool's k-NN through its bounded walk
-// (localPool).
+// The server itself never calls these methods: New wraps a local pool once
+// so that every pool — local or distributed — is driven through the engine
+// surface, which hands back records beside ids (localPool). The server owns
+// no copy of the map and looks up no geometry: a data-mode record or a cache
+// entry's segment is the one the pool's walk matched.
 type Executor interface {
 	Workers() int
-	SegOf(id uint32) geom.Segment
-	FilterRangeAppend(dst []uint32, w geom.Rect) []uint32
-	FilterPointAppend(dst []uint32, pt geom.Point) []uint32
 	RangeAppend(dst []uint32, w geom.Rect) []uint32
 	PointAppend(dst []uint32, pt geom.Point, eps float64) []uint32
 	NearestWith(pt geom.Point, sc *shard.Scratch) shard.NearestResult
 	KNearestAppend(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch) ([]rtree.Neighbor, bool)
 }
 
-// DeadlineExecutor is the one fallible, deadline-taking query surface the
-// request path drives. A distributed pool (internal/router) implements it
-// itself: a leg can find no healthy replica, and the request deadline must
-// cap the slowest backend leg rather than being re-applied per hop. A local
-// pool never fails and never blocks on a peer, so New adapts it (localEngine:
-// the deadline is ignored, the error is nil). Returned errors map onto wire
-// codes via their ErrCode() method when they carry one (proto.CodeOf).
+// engine is the one fallible, deadline-taking query surface the request path
+// drives. SearchAppendUntil answers a window or point query — the MBR-filter
+// candidates when q.Mode filters, the exact answer otherwise — appending
+// ids to dst and, when segs is non-nil, beside each the segment the walk
+// matched it at; KNearestAppendUntil's neighbors carry theirs (Seg). Every
+// reply and cache entry is built from those (putEntry). A distributed pool
+// (internal/router) implements it itself: a leg can find no healthy replica,
+// and the request deadline must cap the slowest backend leg rather than
+// being re-applied per hop. A local pool never fails and never blocks on a
+// peer, so New adapts it (localEngine: the deadline is ignored, the error is
+// nil). Returned errors map onto wire codes via their ErrCode() method when
+// they carry one (proto.CodeOf).
+type engine interface {
+	SearchAppendUntil(dst []uint32, segs *[]geom.Segment, q proto.QueryMsg, deadline time.Time) ([]uint32, error)
+	KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch, deadline time.Time) ([]rtree.Neighbor, error)
+}
+
+// DeadlineExecutor is the surface a distributed pool brings, and having it
+// is what makes a pool distributed: the engine, plus the id-only window
+// forms the benchmark ladder times a router through (the server never calls
+// them).
 type DeadlineExecutor interface {
-	FilterRangeAppendUntil(dst []uint32, w geom.Rect, deadline time.Time) ([]uint32, error)
-	FilterPointAppendUntil(dst []uint32, pt geom.Point, deadline time.Time) ([]uint32, error)
+	engine
 	RangeAppendUntil(dst []uint32, w geom.Rect, deadline time.Time) ([]uint32, error)
 	PointAppendUntil(dst []uint32, pt geom.Point, eps float64, deadline time.Time) ([]uint32, error)
-	KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch, deadline time.Time) ([]rtree.Neighbor, error)
 }
 
 // Updatable is the optional live-update surface behind MsgMove and MsgDelete
@@ -117,7 +124,7 @@ type DeadlineExecutor interface {
 // anchor: the write folds into base epoch+1 or later), whether a previous
 // version of the object was visible, and whether the executor owns the
 // object's position (false when a replicated write merely cleared a stale
-// copy). The pool's Executor.SegOf reflects its writes. A pool without this
+// copy); the reads after the write's return see it. A pool without this
 // surface answers update messages with CodeUnsupported.
 type Updatable interface {
 	ApplyMove(id uint32, seg geom.Segment) (epoch uint64, existed, owned bool, err error)
@@ -140,12 +147,11 @@ type LiveSummary interface {
 // adds (the Router implements it): one call answers every sub-query of a
 // MsgBatchQuery, letting the executor group sub-queries by owning backend
 // and issue one wire leg per backend instead of one full fan-out per
-// sub-query. items[i] answers qs[i]: the executor appends ids into the
-// slot's (already reset) IDs slice — neighbors into Nbrs for a
-// ModeNeighbors slot — or sets Err/Text; slots arriving with Err already set
-// were rejected by the server and must be skipped. Record materialization
-// for data-mode queries stays with the server, so executors always answer
-// in id space.
+// sub-query. items[i] answers qs[i] by its mode, into the slot's (already
+// reset) slices: records into Recs for a ModeData or ModeCandidates slot,
+// ids into IDs otherwise — or sets Err/Text; slots arriving with Err already
+// set were rejected by the server and must be skipped. Records are the ones
+// the backends' walks matched, merged by id (k-NN: nearest first).
 type BatchExecutor interface {
 	RunQueryBatch(qs []proto.QueryMsg, items []proto.BatchItem, deadline time.Time)
 }
@@ -175,34 +181,25 @@ type capabilities struct {
 }
 
 // localPool is what New requires of a pool that is not distributed: the
-// Executor surface and the bounded k-NN walk, which a router's k-NN leg
-// prunes with (the running k-th distance in its Eps). Both local pools have
-// it on one schedule: shard.Pool and mutable.Pool skip whole shards the bound
-// rules out, a lone shard included. The bound is a hint, never a filter.
+// Executor surface, the records walk (SearchAppend: the engine's window
+// method without a deadline) and the bounded k-NN walk, which a router's
+// k-NN leg prunes with (the running k-th distance in its Eps). Both local
+// pools have the bounded walk on one schedule: shard.Pool and mutable.Pool
+// skip whole shards the bound rules out, a lone shard included. The bound
+// is a hint, never a filter.
 type localPool interface {
 	Executor
+	SearchAppend(dst []uint32, segs *[]geom.Segment, q proto.QueryMsg) []uint32
 	KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int, bound float64, sc *shard.Scratch) ([]rtree.Neighbor, bool)
 }
 
-// localEngine adapts a local pool to DeadlineExecutor: a local index walk
-// never blocks on a peer and never fails, so every method ignores the
-// deadline and returns a nil error.
+// localEngine adapts a local pool to the engine: a local index walk never
+// blocks on a peer and never fails, so every method ignores the deadline
+// and returns a nil error.
 type localEngine struct{ localPool }
 
-func (l localEngine) FilterRangeAppendUntil(dst []uint32, w geom.Rect, _ time.Time) ([]uint32, error) {
-	return l.FilterRangeAppend(dst, w), nil
-}
-
-func (l localEngine) FilterPointAppendUntil(dst []uint32, pt geom.Point, _ time.Time) ([]uint32, error) {
-	return l.FilterPointAppend(dst, pt), nil
-}
-
-func (l localEngine) RangeAppendUntil(dst []uint32, w geom.Rect, _ time.Time) ([]uint32, error) {
-	return l.RangeAppend(dst, w), nil
-}
-
-func (l localEngine) PointAppendUntil(dst []uint32, pt geom.Point, eps float64, _ time.Time) ([]uint32, error) {
-	return l.PointAppend(dst, pt, eps), nil
+func (l localEngine) SearchAppendUntil(dst []uint32, segs *[]geom.Segment, q proto.QueryMsg, _ time.Time) ([]uint32, error) {
+	return l.SearchAppend(dst, segs, q), nil
 }
 
 func (l localEngine) KNearestAppendUntil(dst []rtree.Neighbor, pt geom.Point, k int, sc *shard.Scratch, _ time.Time) ([]rtree.Neighbor, error) {
@@ -225,8 +222,8 @@ func unsupported(text string) error { return &codedError{proto.CodeUnsupported, 
 type Config struct {
 	// Pool executes the queries; required. DESIGN.md's pool × capability
 	// table lists what each of the three pool kinds adds to Executor. A pool
-	// that is not a DeadlineExecutor must have the bounded k-NN walk
-	// (localPool).
+	// that is not a DeadlineExecutor must have the records walk and the
+	// bounded k-NN walk (localPool).
 	Pool Executor
 	// Master enables MsgShipmentReq (Fig. 2 subset extraction); nil
 	// disables shipments with CodeUnsupported.
@@ -319,7 +316,7 @@ type Server struct {
 	start time.Time
 	// eng is the one query surface the request path drives: the pool's own
 	// DeadlineExecutor when it is distributed, localEngine{pool} otherwise.
-	eng  DeadlineExecutor
+	eng  engine
 	caps capabilities
 	// summary is the precomputed MsgSummaryReq reply (ID filled per request;
 	// Ranges shared read-only across replies). A pool with a live summary
@@ -366,16 +363,17 @@ type reqScratch struct {
 	dataMsg proto.DataListMsg
 	batch   proto.BatchReplyMsg
 	ackMsg  proto.UpdateAckMsg
-	// Cache-path state: the pre/post validity views and the superset
-	// payload buffers (ids + geometry + NN distances) the cache copies out
-	// into on a hit and the miss path executes into before storing; cand
-	// is where a k-NN cell fill sorts its candidates.
+	// The answer in the making, ids and beside them (records) segments: an
+	// engine walk appends here, a cache hit copies its entry out here, a
+	// miss fills the entry here before storing it (with NN distances in
+	// cdists). The pre/post validity views bracket a fill.
 	pre, post qcache.View
 	cids      []uint32
 	csegs     []geom.Segment
 	cdists    []float64
-	cand      []nnCandidate
-	// order sorts engine answers into the order contract (order.go).
+	// recs is where a fill puts its entry in order (order.go) before
+	// storing it; order sorts engine answers into the order contract.
+	recs  []proto.Record
 	order idSorter
 }
 
@@ -391,7 +389,7 @@ func (s *Server) getScratch() *reqScratch {
 }
 
 func (s *Server) putScratch(sc *reqScratch) {
-	if cap(sc.cids) > maxScratchIDs || cap(sc.csegs) > maxScratchIDs || cap(sc.cdists) > maxScratchIDs || oversized(&sc.item) {
+	if cap(sc.cids) > maxScratchIDs || cap(sc.csegs) > maxScratchIDs || cap(sc.cdists) > maxScratchIDs || cap(sc.recs) > maxScratchIDs || oversized(&sc.item) {
 		return
 	}
 	items := sc.batch.Items[:cap(sc.batch.Items)]
@@ -404,12 +402,12 @@ func (s *Server) putScratch(sc *reqScratch) {
 }
 
 func oversized(it *proto.BatchItem) bool {
-	return cap(it.IDs) > maxScratchIDs || cap(it.Recs) > maxScratchRecords || cap(it.Nbrs) > maxScratchRecords
+	return cap(it.IDs) > maxScratchIDs || cap(it.Recs) > maxScratchRecords
 }
 
 // resetItem empties one answer slot, keeping its slices' capacity.
 func resetItem(it *proto.BatchItem) {
-	it.IDs, it.Recs, it.Nbrs, it.Err, it.Text = it.IDs[:0], it.Recs[:0], it.Nbrs[:0], 0, ""
+	it.IDs, it.Recs, it.Err, it.Text = it.IDs[:0], it.Recs[:0], 0, ""
 }
 
 // serveMetrics holds the obs handles the hot path uses, resolved once at New
@@ -438,9 +436,10 @@ type serveMetrics struct {
 	// frames they carried — their ratio is the flush-coalescing factor.
 	writes      *obs.Counter
 	writeFrames *obs.Counter
-	// nnLegHist covers a router's k-NN legs (ModeNeighbors batch items),
-	// kept apart from execHist so the per-kind client-query histograms stay
-	// comparable across deployments.
+	// nnLegHist covers a router's candidates legs (ModeCandidates batch
+	// items: its k-NN legs and, on a router-tier cache's filter fills, its
+	// window legs), kept apart from execHist so the per-kind client-query
+	// histograms stay comparable across deployments.
 	nnLegHist *obs.Histogram
 	// updateHist[kind] is the execution-time histogram of one update verb
 	// (move, delete).
@@ -945,8 +944,8 @@ func (s *Server) observeExec(req proto.Message, sec float64) {
 }
 
 func (s *Server) observeExecQuery(q *proto.QueryMsg, sec float64) {
-	if q.Mode == proto.ModeNeighbors {
-		s.metrics.nnLegHist.Observe(sec) // a router's NN leg
+	if q.Mode == proto.ModeCandidates {
+		s.metrics.nnLegHist.Observe(sec) // a router's leg
 		return
 	}
 	if int(q.Kind) < 3 && int(q.Mode) < 3 {
@@ -1133,26 +1132,20 @@ func (s *Server) executeUpdate(req proto.Message, sc *reqScratch) proto.Message 
 	return &sc.ackMsg
 }
 
-// runQuery appends the ids a point or range query matches to dst through the
-// engine; on error dst is not to be used.
-func (s *Server) runQuery(q *proto.QueryMsg, dst []uint32, deadline time.Time) ([]uint32, error) {
-	switch q.Kind {
-	case proto.KindPoint:
-		if q.Mode == proto.ModeFilter {
-			return s.eng.FilterPointAppendUntil(dst, q.Point, deadline)
-		}
-		eps := q.Eps
-		if eps <= 0 {
-			eps = DefaultPointEps
-		}
-		return s.eng.PointAppendUntil(dst, q.Point, eps, deadline)
-	case proto.KindRange:
-		if q.Mode == proto.ModeFilter {
-			return s.eng.FilterRangeAppendUntil(dst, q.Window, deadline)
-		}
-		return s.eng.RangeAppendUntil(dst, q.Window, deadline)
+// search answers a point or range query through the engine into sc.cids —
+// and, for a records mode, beside them the segments the walk matched into
+// sc.csegs — in the engine's order.
+func (s *Server) search(q *proto.QueryMsg, sc *reqScratch, deadline time.Time) error {
+	if q.Kind != proto.KindPoint && q.Kind != proto.KindRange {
+		return badRequest("unknown query kind")
 	}
-	return dst, badRequest("unknown query kind")
+	var segs *[]geom.Segment
+	if sc.csegs = sc.csegs[:0]; q.Mode.Records() {
+		segs = &sc.csegs
+	}
+	var err error
+	sc.cids, err = s.eng.SearchAppendUntil(sc.cids[:0], segs, *q, deadline)
+	return err
 }
 
 // knn is the server's one k-NN call — client queries, router legs and cache
@@ -1168,19 +1161,12 @@ func (s *Server) knn(dst []rtree.Neighbor, pt geom.Point, k int, bound float64, 
 	return s.eng.KNearestAppendUntil(dst, pt, k, &sc.psc, deadline)
 }
 
-// materialize turns the item's ids into data-mode records.
-func (s *Server) materialize(it *proto.BatchItem) {
-	for _, id := range it.IDs {
-		it.Recs = append(it.Recs, proto.Record{ID: id, Seg: s.cfg.Pool.SegOf(id)})
-	}
-	it.IDs = it.IDs[:0]
-}
-
 // read answers one query into it, which arrives reset: the one read path the
-// single-query and batch paths share. The answer is ids, records or
-// neighbors by q's mode; a failure leaves the slices empty and its code in
-// it.Err/Text. The request deadline rides into the engine so a fanned-out
-// query caps its slowest leg (a local engine ignores it).
+// single-query and batch paths share. The answer is ids or records by q's
+// mode, built by putEntry from what the engine or a cache entry returned; a
+// failure leaves the slices empty and its code in it.Err/Text. The request
+// deadline rides into the engine so a fanned-out query caps its slowest leg
+// (a local engine ignores it).
 func (s *Server) read(q *proto.QueryMsg, sc *reqScratch, it *proto.BatchItem, deadline time.Time) {
 	var err error
 	if q.Kind == proto.KindNN {
@@ -1188,14 +1174,9 @@ func (s *Server) read(q *proto.QueryMsg, sc *reqScratch, it *proto.BatchItem, de
 	} else {
 		err = s.readWindow(q, sc, it, deadline)
 	}
-	switch {
-	case err != nil:
+	if err != nil {
 		resetItem(it)
 		it.Err, it.Text = proto.CodeOf(err)
-	case q.Mode == proto.ModeData:
-		// Ids the engine answered become records here; a cache entry's
-		// records arrived with the entry's geometry.
-		s.materialize(it)
 	}
 }
 
@@ -1213,15 +1194,14 @@ func (s *Server) readWindow(q *proto.QueryMsg, sc *reqScratch, it *proto.BatchIt
 			return nil
 		}
 	}
-	var err error
-	if it.IDs, err = s.runQuery(q, it.IDs, deadline); err != nil {
+	if err := s.search(q, sc, deadline); err != nil {
 		return err
 	}
-	it.IDs = sc.order.sortIDs(it.IDs)
+	putEntry(it, q.Mode, sc.cids, sc.csegs, &sc.order)
 	return nil
 }
 
-// readNN is read's k-NN branch, a router's leg included: a ModeNeighbors
+// readNN is read's k-NN branch, a router's leg included: a ModeCandidates
 // item, whose Eps is the router's running k-th distance (0 = none yet). An
 // unbounded k-NN refines from its cell's cache entry when the cache is on
 // and has one; anything else makes the one engine call.
@@ -1231,7 +1211,7 @@ func (s *Server) readNN(q *proto.QueryMsg, sc *reqScratch, it *proto.BatchItem, 
 		return err
 	}
 	var bound float64 // a client query's Eps means nothing to a k-NN
-	if q.Mode == proto.ModeNeighbors {
+	if q.Mode == proto.ModeCandidates {
 		bound = q.Eps
 	}
 	if s.qc != nil {
@@ -1243,8 +1223,8 @@ func (s *Server) readNN(q *proto.QueryMsg, sc *reqScratch, it *proto.BatchItem, 
 		} else if cached, err := s.lookupOrFill(key, nnRegion, cell, k, sc, deadline); err != nil {
 			return err
 		} else if cached {
-			ids, segs, dists := refineNN(q.Point, cell, k, sc.cids, sc.csegs, sc.cdists)
-			putEntry(it, q.Mode, ids, segs, dists)
+			ids, segs := refineNN(q.Point, cell, k, sc.cids, sc.csegs, sc.cdists)
+			putEntry(it, q.Mode, ids, segs, nil)
 			return nil
 		}
 	}
@@ -1252,23 +1232,20 @@ func (s *Server) readNN(q *proto.QueryMsg, sc *reqScratch, it *proto.BatchItem, 
 	if sc.nbs, err = s.knn(sc.nbs[:0], q.Point, k, bound, sc, deadline); err != nil {
 		return err
 	}
+	sc.cids, sc.csegs = sc.cids[:0], sc.csegs[:0]
 	for _, nb := range sc.nbs {
-		if q.Mode == proto.ModeNeighbors {
-			it.Nbrs = append(it.Nbrs, proto.Neighbor{ID: nb.ID, Dist: nb.Dist})
-		} else {
-			it.IDs = append(it.IDs, nb.ID)
-		}
+		sc.cids, sc.csegs = append(sc.cids, nb.ID), append(sc.csegs, nb.Seg)
 	}
+	putEntry(it, q.Mode, sc.cids, sc.csegs, nil)
 	return nil
 }
 
 // executeQuery answers one query — read into the scratch's item — as an id
 // list or a data list aliasing the item's slices.
 func (s *Server) executeQuery(q *proto.QueryMsg, sc *reqScratch, deadline time.Time) proto.Message {
-	if q.Mode == proto.ModeNeighbors {
-		// A router's NN leg is a batch item; no single-query reply carries
-		// distances.
-		return errorReply(q.ID, badRequest("neighbors mode is answered only inside a batch"))
+	if q.Mode == proto.ModeCandidates {
+		// A router's records leg is a batch item.
+		return errorReply(q.ID, badRequest("candidates mode is answered only inside a batch"))
 	}
 	it := &sc.item
 	resetItem(it)
@@ -1333,10 +1310,9 @@ func (s *Server) executeBatch(m *proto.BatchQueryMsg, sc *reqScratch, deadline t
 }
 
 // executeBatchGrouped is the locality-aware batch path: the pool's
-// BatchExecutor answers every sub-query in id space (grouping them by owning
-// backend under the hood), then data-mode items materialize their records
-// here. Per-item k limits are enforced before the handoff; pre-set Err slots
-// are the executor's contract to skip.
+// BatchExecutor answers every sub-query, records included (grouping them by
+// owning backend under the hood). Per-item k limits are enforced before the
+// handoff; pre-set Err slots are the executor's contract to skip.
 func (s *Server) executeBatchGrouped(m *proto.BatchQueryMsg, sc *reqScratch, deadline time.Time) proto.Message {
 	items := batchItems(sc, len(m.Queries))
 	for i := range m.Queries {
@@ -1353,12 +1329,7 @@ func (s *Server) executeBatchGrouped(m *proto.BatchQueryMsg, sc *reqScratch, dea
 		per = time.Since(start).Seconds() / float64(len(m.Queries))
 	}
 	for i := range m.Queries {
-		q := &m.Queries[i]
-		it := &items[i]
-		if it.Err == 0 && q.Mode == proto.ModeData {
-			s.materialize(it)
-		}
-		s.observeExecQuery(q, per)
+		s.observeExecQuery(&m.Queries[i], per)
 	}
 	return s.batchReply(m, sc, items)
 }

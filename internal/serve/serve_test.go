@@ -85,7 +85,7 @@ func startServer(t testing.TB, cfg Config) (*Server, string) {
 func testWorld(t testing.TB, mutate func(*Config)) (*dataset.Dataset, *shard.Pool, *Server, string) {
 	t.Helper()
 	ds, tree := testDataset(t)
-	pool, err := shard.Over(ds, tree)
+	pool, err := shard.Over(tree)
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}

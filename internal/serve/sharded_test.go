@@ -110,7 +110,7 @@ func TestShardedServeContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := shard.Over(ds, tree)
+	mono, err := shard.Over(tree)
 	if err != nil {
 		t.Fatal(err)
 	}

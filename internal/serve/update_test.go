@@ -98,7 +98,7 @@ func TestUpdateRoundTrip(t *testing.T) {
 // messages with CodeUnsupported instead of crashing or hanging.
 func TestUpdateUnsupported(t *testing.T) {
 	ds, tree := testDataset(t)
-	pool, err := shard.Over(ds, tree)
+	pool, err := shard.Over(tree)
 	if err != nil {
 		t.Fatal(err)
 	}

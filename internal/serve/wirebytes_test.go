@@ -42,7 +42,7 @@ func TestStaticMixWireBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := shard.Over(ds, tree)
+	pool, err := shard.Over(tree)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func BenchmarkShardKNN(b *testing.B) {
 	points := dataset.NNQueries(ds, 64, 78)
 
 	b.Run("monolithic", func(b *testing.B) {
-		mono, err := Over(ds, tree)
+		mono, err := Over(tree)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func BenchmarkShardKNN(b *testing.B) {
 func BenchmarkNearest(b *testing.B) {
 	ds, tree := benchFixture(b)
 	points := dataset.NNQueries(ds, 64, 78)
-	one, err := Over(ds, tree)
+	one, err := Over(tree)
 	if err != nil {
 		b.Fatal(err)
 	}

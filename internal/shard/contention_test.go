@@ -19,7 +19,7 @@ func TestConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mono, err := Over(ds, tree)
+	mono, err := Over(tree)
 	if err != nil {
 		t.Fatal(err)
 	}

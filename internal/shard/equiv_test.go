@@ -10,6 +10,7 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
+	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
 )
 
@@ -37,7 +38,7 @@ func scanNearest(ds *dataset.Dataset, pt geom.Point, k int) []rtree.Neighbor {
 	}
 	var best []rtree.Neighbor
 	for id, s := range ds.Segments {
-		nb := rtree.Neighbor{ID: uint32(id), Dist: s.DistToPoint(pt)}
+		nb := rtree.Neighbor{ID: uint32(id), Dist: s.DistToPoint(pt), Seg: s}
 		if len(best) == k && !nb.Before(best[k-1]) {
 			continue
 		}
@@ -62,10 +63,12 @@ type queries struct {
 }
 
 // checkAgainstScan asks every query of qs of every pool and compares with
-// the linear scan: filter and exact range/point answers as id sets, NN and
-// k-NN answers as identical (distance, id) sequences — where k cuts an
-// equal-distance run, every shard count keeps the smallest ids. It reports
-// the first divergence and returns whether there was none.
+// the linear scan: filter and exact range/point answers as id sets, their
+// records (SearchAppend with segments) as the same ids each beside its own
+// segment, NN and k-NN answers as identical (distance, id, segment)
+// sequences — where k cuts an equal-distance run, every shard count keeps
+// the smallest ids. It reports the first divergence and returns whether
+// there was none.
 func checkAgainstScan(t *testing.T, ds *dataset.Dataset, pools []*Pool, qs queries) bool {
 	t.Helper()
 	fail := func(p *Pool, format string, args ...any) bool {
@@ -82,6 +85,17 @@ func checkAgainstScan(t *testing.T, ds *dataset.Dataset, pools []*Pool, qs queri
 			}
 			if got := p.RangeAppend(nil, w); !sameIDSet(got, exact) {
 				return fail(p, "Range %v: %d ids, scan %d", w, len(got), len(exact))
+			}
+			for _, mode := range []proto.Mode{proto.ModeData, proto.ModeCandidates} {
+				var segs []geom.Segment
+				q := proto.QueryMsg{Kind: proto.KindRange, Mode: mode, Window: w}
+				got, want := p.SearchAppend(nil, &segs, q), exact
+				if mode.Filters() {
+					want = filter
+				}
+				if !sameIDSet(got, want) || !carriesOwnSegs(ds, got, segs) {
+					return fail(p, "%v records of %v: %d ids and %d segments, scan %d", mode, w, len(got), len(segs), len(want))
+				}
 			}
 		}
 	}
@@ -115,7 +129,7 @@ func checkAgainstScan(t *testing.T, ds *dataset.Dataset, pools []*Pool, qs queri
 		for _, p := range pools {
 			var one []rtree.Neighbor
 			if res := p.NearestWith(pt, nil); res.OK {
-				one = []rtree.Neighbor{{ID: res.ID, Dist: res.Dist}}
+				one = []rtree.Neighbor{{ID: res.ID, Dist: res.Dist, Seg: ds.Seg(res.ID)}}
 			}
 			if !sameNeighbors(one, want1) {
 				return fail(p, "Nearest %v: %+v, scan %v", pt, one, want1)
@@ -130,6 +144,20 @@ func checkAgainstScan(t *testing.T, ds *dataset.Dataset, pools []*Pool, qs queri
 					return fail(p, "KNearest(k=%d) %v: %d neighbors, scan %d", k, pt, len(nbs), len(wk))
 				}
 			}
+		}
+	}
+	return true
+}
+
+// carriesOwnSegs reports whether segs lies beside ids, each the segment of
+// its own id.
+func carriesOwnSegs(ds *dataset.Dataset, ids []uint32, segs []geom.Segment) bool {
+	if len(segs) != len(ids) {
+		return false
+	}
+	for i, id := range ids {
+		if segs[i] != ds.Seg(id) {
+			return false
 		}
 	}
 	return true
@@ -164,7 +192,7 @@ func TestEngineMatchesLinearScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := Over(ds, tree)
+	one, err := Over(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +228,7 @@ func TestEquivalenceQuick(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		one, err := Over(ds, tree)
+		one, err := Over(tree)
 		if err != nil {
 			t.Fatal(err)
 		}

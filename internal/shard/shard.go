@@ -44,19 +44,19 @@ type Config struct {
 	Obs *obs.Registry
 	// Items, when non-nil, is the item subset to index instead of the full
 	// ds.Items() — how a partitioned backend (cmd/mqserve -partition)
-	// builds its pool over only the Hilbert ranges it holds. Every item id
-	// must be valid in ds (ids stay cluster-global so record lookups work
-	// unchanged on a subset), and every item must carry its segment
-	// (rtree.SegItem, as ds.Items and PartitionHilbert's ranges of it do):
-	// the trees refine from their leaves. The slice is sorted in place.
+	// builds its pool over only the Hilbert ranges it holds. Ids stay
+	// cluster-global, and every item must carry its segment (rtree.SegItem,
+	// as ds.Items and PartitionHilbert's ranges of it do): the trees refine
+	// from their leaves and answer records from them. The slice is sorted in
+	// place.
 	Items []rtree.Item
 }
 
 // Pool is the frozen query executor over one dataset. The shards are
 // immutable once built, so all query methods are safe for any number of
-// concurrent callers.
+// concurrent callers. The pool keeps no dataset: every answer, records
+// included, comes from the trees' leaves.
 type Pool struct {
-	ds *dataset.Dataset
 	// trees[i] is shard i's packed R-tree over one contiguous Hilbert run
 	// of items; mbrs[i] is its MBR summary, the participant-selection and
 	// MINDIST-ordering predicate.
@@ -94,21 +94,23 @@ func New(ds *dataset.Dataset, cfg Config) (*Pool, error) {
 		}
 		trees[i] = tree
 	}
-	return newPool(ds, trees, bounds, cfg.Obs), nil
+	return newPool(trees, bounds, cfg.Obs), nil
 }
 
 // Over is the engine with one shard: the given tree, not a copy of it. The
 // unsharded server runs on it so that queries and shipments (which carve
-// sub-indexes from the master tree) share one index in memory.
-func Over(ds *dataset.Dataset, tree *rtree.Tree) (*Pool, error) {
-	if ds == nil || tree == nil {
-		return nil, fmt.Errorf("shard: nil dataset or index")
+// sub-indexes from the master tree) share one index in memory. The tree
+// must be built from SegItem items, as every serving tree is: the pool
+// answers records from its leaves.
+func Over(tree *rtree.Tree) (*Pool, error) {
+	if tree == nil {
+		return nil, fmt.Errorf("shard: nil index")
 	}
-	return newPool(ds, []*rtree.Tree{tree}, tree.Bounds(), nil), nil
+	return newPool([]*rtree.Tree{tree}, tree.Bounds(), nil), nil
 }
 
-func newPool(ds *dataset.Dataset, trees []*rtree.Tree, bounds geom.Rect, reg *obs.Registry) *Pool {
-	p := &Pool{ds: ds, trees: trees, bounds: bounds, metrics: newMetrics(reg)}
+func newPool(trees []*rtree.Tree, bounds geom.Rect, reg *obs.Registry) *Pool {
+	p := &Pool{trees: trees, bounds: bounds, metrics: newMetrics(reg)}
 	for _, t := range trees {
 		p.mbrs = append(p.mbrs, t.Bounds())
 	}
@@ -124,19 +126,6 @@ func (p *Pool) Close() {}
 // Workers returns GOMAXPROCS — the width the server sizes its admission
 // window from.
 func (p *Pool) Workers() int { return runtime.GOMAXPROCS(0) }
-
-// Dataset returns the pool's dataset.
-func (p *Pool) Dataset() *dataset.Dataset { return p.ds }
-
-// SegOf returns the geometry of id, the zero Segment for an id outside the
-// pool's dataset (the frozen pool takes no writes, so the dataset is its
-// geometry).
-func (p *Pool) SegOf(id uint32) geom.Segment {
-	if int(id) >= p.ds.Len() {
-		return geom.Segment{}
-	}
-	return p.ds.Seg(id)
-}
 
 // Shards returns the shard count.
 func (p *Pool) Shards() int { return len(p.trees) }

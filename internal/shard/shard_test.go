@@ -36,17 +36,6 @@ func TestNewValidation(t *testing.T) {
 	if p.Workers() < 1 {
 		t.Error("no workers")
 	}
-	if p.Dataset() != ds {
-		t.Error("Dataset() mismatch")
-	}
-	for _, id := range []uint32{0, uint32(ds.Len() - 1)} {
-		if got := p.SegOf(id); got != ds.Seg(id) {
-			t.Errorf("SegOf(%d) = %v, want %v", id, got, ds.Seg(id))
-		}
-	}
-	if got := p.SegOf(uint32(ds.Len())); got != (geom.Segment{}) {
-		t.Errorf("SegOf past the dataset = %v, want the zero Segment", got)
-	}
 }
 
 // TestPartitionComplete: the shards partition the item set — every id appears

@@ -162,7 +162,7 @@ func (c Server) Build() (_ *Stack, err error) {
 		pool = s.Mutable
 	default:
 		if n == 0 && c.Shards <= 0 {
-			s.Frozen, err = shard.Over(c.Dataset, s.Master)
+			s.Frozen, err = shard.Over(s.Master)
 		} else {
 			s.Frozen, err = shard.New(c.Dataset, shard.Config{Shards: c.Shards, Items: held.Items(), Obs: s.Hub.Reg})
 		}
