@@ -53,7 +53,7 @@ func TestFastPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	p := testPool(t, 1500, 4)
+	p, _ := testPool(t, 1500, 4)
 	measureQueries(t, "empty overlay", p, 0)
 }
 
@@ -61,17 +61,17 @@ func TestOverlayPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	p := testPool(t, 1500, 4)
+	p, ds := testPool(t, 1500, 4)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 200; i++ {
-		id := uint32(rng.Intn(p.Dataset().Len() + 50))
+		id := uint32(rng.Intn(ds.Len() + 50))
 		switch rng.Intn(3) {
 		case 0:
-			p.ApplyMove(id, randomSeg(rng, p.Dataset().Extent))
+			p.ApplyMove(id, randomSeg(rng, ds.Extent))
 		case 1:
 			p.ApplyDelete(id)
 		case 2:
-			p.ApplyMove(id, randomSeg(rng, p.Dataset().Extent))
+			p.ApplyMove(id, randomSeg(rng, ds.Extent))
 		}
 	}
 	pending := false
@@ -95,7 +95,7 @@ func TestOverlayPathZeroAlloc(t *testing.T) {
 	}
 	// Fresh writes above the frozen layer keep all three layers non-trivial.
 	for i := 0; i < 40; i++ {
-		p.ApplyMove(uint32(rng.Intn(p.Dataset().Len())), randomSeg(rng, p.Dataset().Extent))
+		p.ApplyMove(uint32(rng.Intn(ds.Len())), randomSeg(rng, ds.Extent))
 	}
 	measureQueries(t, "frozen + live overlay", p, 0)
 	for _, f := range frozen {
@@ -114,8 +114,7 @@ func TestWarmMoveZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
 	}
-	p := testPool(t, 1500, 4)
-	ds := p.Dataset()
+	p, ds := testPool(t, 1500, 4)
 	type vehicle struct {
 		id  uint32
 		seg geom.Segment

@@ -3,7 +3,6 @@ package mutable
 import (
 	"time"
 
-	"mobispatial/internal/geom"
 	"mobispatial/internal/rtree"
 )
 
@@ -20,8 +19,8 @@ import (
 //     items minus frozen tombstones and superseded ids, plus the frozen
 //     overlay's items. Both inputs are immutable, so queries and writes
 //     proceed concurrently.
-//  3. Swap (writer lock): publish the new baseView, drop the frozen layer,
-//     bump the epoch.
+//  3. Swap (writer lock): publish the new baseView, stamp the slots of the
+//     ids it packs, drop the frozen layer, bump the epoch.
 //
 // A delete that arrives during phase 2 lands in the new live tombstone set,
 // which masks the new base after the swap — so the rebuild never loses a
@@ -71,12 +70,10 @@ func (s *mshard) freeze() *frozenView {
 // items minus frozen tombstones and superseded ids, plus the frozen
 // overlay's items. Both inputs are immutable; the result is the shard's
 // visible-beneath-the-live-overlay contents, each item carrying its live
-// segment, with over carrying the geometry of every written id among them:
-// each one an overlay folded, now or earlier.
-func mergedItems(old *baseView, f *frozenView) ([]rtree.Item, map[uint32]geom.Segment) {
+// segment.
+func mergedItems(old *baseView, f *frozenView) []rtree.Item {
 	base := old.tree.PackOrder()
 	items := make([]rtree.Item, 0, len(base)+f.segs.len())
-	over := make(map[uint32]geom.Segment, len(old.over)+f.segs.len())
 	// The base is walked from its middle round: pack order is all but the
 	// order the rebuild will sort into, and on one sorted run pdqsort tries
 	// an insertion-sort repair at every level that the overlay's few strays
@@ -91,21 +88,16 @@ func mergedItems(old *baseView, f *frozenView) ([]rtree.Item, map[uint32]geom.Se
 			continue // moved
 		}
 		items = append(items, it)
-		if seg, ok := old.over[it.ID]; ok {
-			over[it.ID] = seg
-		}
 	}
 	for _, e := range f.segs.ents {
 		items = append(items, rtree.SegItem(e.seg, e.id))
-		over[e.id] = e.seg
 	}
-	return items, over
+	return items
 }
 
 // finishCompact runs phases 2 and 3 over a frozen overlay.
 func (s *mshard) finishCompact(f *frozenView) bool {
-	items, over := mergedItems(s.base.Load(), f)
-	nv, err := newBaseView(items, over)
+	nv, err := newBaseView(mergedItems(s.base.Load(), f))
 	if err != nil {
 		// Cannot happen with a config that built the initial base; if it
 		// somehow does, leave the frozen layer in place — reads remain
@@ -116,10 +108,13 @@ func (s *mshard) finishCompact(f *frozenView) bool {
 
 	// Phase 3: swap. The fast path's pointer moves first: pend is nonzero
 	// until pendChanged finds both copies holding nv and nothing above it.
+	// The slots follow before the lock drops: a look-up that read nv before
+	// its stamp misses, and retries under the lock (locate).
 	s.mu.Lock()
 	s.base.Store(nv)
 	s.lr.publish(change{kind: changeSwap, base: nv})
 	s.lr.level() // no copy keeps the old base alive
+	s.pl.ids.stamp(s, nv.tree.PackOrder())
 	s.epoch.Add(1)
 	s.pendChanged()
 	if s.pend.Load() > 0 {

@@ -2,6 +2,7 @@ package mutable
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -20,8 +21,11 @@ import (
 // throughout the call, a geometry the id held during the call — against the
 // worst case for it: an inserted id and a moved dataset id bouncing between
 // two shards while readers resolve them, with the compactor folding every
-// 2 ms. Each id only ever rests at posA or posB, so any other answer (the
+// 2 ms. Each mover only ever rests at posA or posB, so any other answer (the
 // zero segment of a missed look-up, the dataset's stale geometry) is wrong.
+// Beside them a never-written bystander sits in the base of a shard the
+// movers keep folding, so every swap restamps its slot under the probes;
+// it must always read its own dataset segment.
 func TestSegOfAgainstPingPongMover(t *testing.T) {
 	t.Run("static", segOfPingPong)
 }
@@ -29,7 +33,9 @@ func TestSegOfAgainstPingPongMover(t *testing.T) {
 func segOfPingPong(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	ds := randomDataset(rng, 800)
-	p, err := NewFromDataset(ds, 4, Config{CompactInterval: 2 * time.Millisecond, compactThreshold: 32, Obs: obs.NewHub()})
+	// The age trigger is what folds the movers' shards: two ids never fill
+	// an overlay to the size trigger.
+	p, err := NewFromDataset(ds, 4, Config{CompactInterval: 2 * time.Millisecond, CompactMaxAge: time.Millisecond, compactThreshold: 32, Obs: obs.NewHub()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,6 +52,13 @@ func segOfPingPong(t *testing.T) {
 	for _, it := range first[1:] {
 		if seg := ds.Seg(it.ID); seg != posA && seg != posB {
 			moved = it.ID
+			break
+		}
+	}
+	var bystander uint32
+	for _, it := range first[1:] {
+		if it.ID != moved && ds.Seg(it.ID) != posA {
+			bystander = it.ID
 			break
 		}
 	}
@@ -85,6 +98,12 @@ func segOfPingPong(t *testing.T) {
 			defer wg.Done()
 			for !done() {
 				for i := 0; i < 256; i++ {
+					if i%3 == 2 {
+						if got, want := p.SegOf(bystander), ds.Seg(bystander); got != want && wrong.Add(1) == 1 {
+							t.Errorf("SegOf(%d) = %v, want its dataset segment %v", bystander, got, want)
+						}
+						continue
+					}
 					id := ids[i&1]
 					if got := p.SegOf(id); got != posA && got != posB {
 						if wrong.Add(1) == 1 {
@@ -100,8 +119,12 @@ func segOfPingPong(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	t.Logf("%d wrong of %d probes (%d retried); %d transfers",
-		wrong.Load(), probes.Load(), p.m.segofRetries.Value(), p.xfers.Load())
+	t.Logf("%d wrong of %d probes (%d retried); %d transfers, %d folds of the bystander's shard",
+		wrong.Load(), probes.Load(), p.m.segofRetries.Value(), p.xfers.Load(), shards[0].epoch.Load())
+	if p.ids.written(bystander) || p.ids.owner(bystander) != shards[0] || shards[0].epoch.Load() < 2 {
+		t.Fatalf("bystander %d: written %v, left shard 0 %v, %d folds under the probes",
+			bystander, p.ids.written(bystander), p.ids.owner(bystander) != shards[0], shards[0].epoch.Load())
+	}
 	if wrong.Load() != 0 {
 		t.Fatalf("%d of %d SegOf answers were no position the id ever held", wrong.Load(), probes.Load())
 	}
@@ -111,8 +134,7 @@ func segOfPingPong(t *testing.T) {
 // still completes — over a never-written id, a written dataset id, an
 // inserted id, and shards with a non-empty overlay.
 func TestReadsTakeNoPoolLock(t *testing.T) {
-	p := testPool(t, 600, 4)
-	ds := p.Dataset()
+	p, ds := testPool(t, 600, 4)
 	inserted, writtenID, untouched := uint32(ds.Len()+3), uint32(5), uint32(6)
 	seg := geom.Segment{A: geom.Point{X: 300, Y: 300}, B: geom.Point{X: 340, Y: 320}}
 	for _, id := range []uint32{inserted, writtenID} {
@@ -156,7 +178,7 @@ func TestReadsTakeNoPoolLock(t *testing.T) {
 }
 
 // namedIDs walks every shard under its writer lock and returns the ids any
-// overlay, tombstone set, frozen layer or base over map names.
+// overlay, tombstone set or frozen layer names.
 func namedIDs(p *Pool) []uint32 {
 	var out []uint32
 	for _, s := range p.shards {
@@ -176,37 +198,26 @@ func namedIDs(p *Pool) []uint32 {
 				out = append(out, id)
 			}
 		}
-		for id := range l.base.over {
-			out = append(out, id)
-		}
 		s.mu.Unlock()
 	}
 	return out
 }
 
-// overGap checks, in every shard's base, the invariant baseView.find leans
-// on: each packed id that is written and that no overlay above masks is a
-// key of over, holding the segment its leaf carries, and each key of over is
-// packed. It describes the first violation, "" when there is none.
-func overGap(p *Pool) string {
+// slotGap checks, in every shard's base, the invariant baseView.find leans
+// on: each id the shard owns and packs unmasked, written or not, has a slot
+// naming the shard and the id's position in the base's pack order. It
+// describes the first violation, "" when there is none.
+func slotGap(p *Pool) string {
 	for i, s := range p.shards {
 		s.mu.Lock()
 		l := s.lr.current()
-		bv := l.base
 		msg := ""
-		packed := map[uint32]bool{}
-		for _, it := range bv.tree.PackOrder() {
-			packed[it.ID] = true
-			if !p.ids.written(it.ID) || s.maskBase(l, it.ID) {
+		for pos, it := range l.base.tree.PackOrder() {
+			if p.ids.owner(it.ID) != s || s.maskBase(l, it.ID) {
 				continue
 			}
-			if seg, ok := bv.over[it.ID]; !ok || seg != it.Seg() {
-				msg = fmt.Sprintf("shard %d packs written id %d unmasked with over = %v, %v; leaf %v", i, it.ID, seg, ok, it.Seg())
-			}
-		}
-		for id := range bv.over {
-			if !packed[id] {
-				msg = fmt.Sprintf("shard %d: over names id %d, which its base does not pack", i, id)
+			if at := s.pos(it.ID); at != uint32(pos) && msg == "" {
+				msg = fmt.Sprintf("shard %d packs owned id %d unmasked at %d, its slot says %d", i, it.ID, pos, at)
 			}
 		}
 		s.mu.Unlock()
@@ -224,7 +235,7 @@ func overGap(p *Pool) string {
 // It describes the first violation, "" when there is none.
 func ownerGap(p *Pool) string {
 	owners := map[uint32]*mshard{}
-	for id := range p.ids.owners {
+	for id := range p.ids.slots {
 		if s := p.ids.owner(uint32(id)); s != nil {
 			owners[uint32(id)] = s
 		}
@@ -232,8 +243,8 @@ func ownerGap(p *Pool) string {
 	for i := range p.ids.side {
 		st := &p.ids.side[i]
 		st.mu.RLock()
-		for id, s := range st.m {
-			owners[id] = s
+		for id, w := range st.m {
+			owners[id] = p.ids.shards[w>>32]
 		}
 		st.mu.RUnlock()
 	}
@@ -292,9 +303,10 @@ func ownerGap(p *Pool) string {
 // the read paths take on it changes no answer: with the overlays pending and
 // after they are folded, every query kind equals the flat ledger of the
 // writes (agreesWithFresh) and SegOf returns the ledger's geometry for every
-// live id. Each base's over map holds every written id it packs unmasked
-// (overGap), which is all a look-up in the base reads, and each owned id is
-// visible exactly once, in its owner (ownerGap), which is all a write reads.
+// live id. Each id a base packs unmasked, owned by that shard, has a slot
+// naming the shard and its pack position (slotGap), which is all a look-up
+// in the base reads, and each owned id is visible exactly once, in its owner
+// (ownerGap), which is all a write reads.
 func TestWrittenBitInvariant(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6}
 	if testing.Short() {
@@ -320,7 +332,7 @@ func TestWrittenBitInvariant(t *testing.T) {
 					return false
 				}
 			}
-			for _, gap := range []func(*Pool) string{overGap, ownerGap} {
+			for _, gap := range []func(*Pool) string{slotGap, ownerGap} {
 				if msg := gap(p); msg != "" {
 					t.Errorf("seed %d %s: %s", seed, tag, msg)
 					return false
@@ -411,7 +423,7 @@ func liveHeap() int64 {
 // TestIDTableBoundedByLiveIDs: the table's memory follows the live ids, not
 // the largest id a client sent.
 func TestIDTableBoundedByLiveIDs(t *testing.T) {
-	p := testPool(t, 400, 4)
+	p, _ := testPool(t, 400, 4)
 	seg := geom.Segment{A: geom.Point{X: 500, Y: 500}, B: geom.Point{X: 540, Y: 520}}
 	far := []uint32{1 << 31}
 	for id := uint32(0xFFFFFFF0); id != 0; id++ {
@@ -474,7 +486,8 @@ func TestPoolHeapBudget(t *testing.T) {
 }
 
 // TestIDTable pins the table's own arithmetic: the pre-set tail bits, the
-// dense/side boundary, and a stripe map released once it empties.
+// slot word's owner index and full 32-bit position, the dense/side
+// boundary, and a stripe map released once it empties.
 func TestIDTable(t *testing.T) {
 	for _, n := range []int{0, 1, 31, 32, 33, 100} {
 		tb := newIDTable(n)
@@ -483,17 +496,18 @@ func TestIDTable(t *testing.T) {
 				t.Fatalf("n=%d: fresh written(%d) = %v, want %v", n, id, got, want)
 			}
 		}
-		s := &mshard{}
+		s := &mshard{idx: 1}
+		tb.shards = []*mshard{nil, {}, s}
 		ids := []uint32{0, uint32(n), uint32(n) + sideStripes, 1 << 31, ^uint32(0)}
 		slices.Sort(ids)
 		ids = slices.Compact(ids)
-		for _, id := range ids {
+		for i, id := range ids {
 			tb.markWritten(id)
-			tb.setOwner(id, s)
+			tb.set(id, s, math.MaxUint32-i)
 		}
-		for _, id := range ids {
-			if !tb.written(id) || tb.owner(id) != s {
-				t.Fatalf("n=%d: id %d: written=%v owner set=%v", n, id, tb.written(id), tb.owner(id) == s)
+		for i, id := range ids {
+			if pos := uint32(tb.word(id)); !tb.written(id) || tb.owner(id) != s || pos != math.MaxUint32-uint32(i) {
+				t.Fatalf("n=%d: id %d: written=%v owner set=%v pos %d", n, id, tb.written(id), tb.owner(id) == s, pos)
 			}
 			tb.setOwner(id, nil)
 			if tb.owner(id) != nil {

@@ -14,10 +14,10 @@ import (
 // rebuilt base's carried-over leaves are checked too), fresh ids inserted
 // and a few ids deleted.
 func TestLeavesCarryTheirSegments(t *testing.T) {
-	p := testPool(t, 3000, 4)
+	p, ds := testPool(t, 3000, 4)
 	rng := rand.New(rand.NewSource(11))
 	ext := geom.Rect{Max: geom.Point{X: 2000, Y: 2000}}
-	n := uint32(p.Dataset().Len())
+	n := uint32(ds.Len())
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 200; i++ {
 			if _, _, _, err := p.ApplyMove(uint32(rng.Intn(int(n))), randomSeg(rng, ext)); err != nil {

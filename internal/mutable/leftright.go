@@ -67,8 +67,9 @@ func (l *layers) maskFrozen(id uint32) bool {
 }
 
 // find is the one layered look-up: id's geometry when id is visible in this
-// copy, the layers read newest first, a tombstone ending the search.
-func (l *layers) find(id uint32) (geom.Segment, bool) {
+// copy, the layers read newest first, a tombstone ending the search, the
+// base at position pos (baseView.find).
+func (l *layers) find(id, pos uint32) (geom.Segment, bool) {
 	if seg, ok := l.segs.get(id); ok {
 		return seg, true
 	}
@@ -83,7 +84,7 @@ func (l *layers) find(id uint32) (geom.Segment, bool) {
 			return geom.Segment{}, false
 		}
 	}
-	return l.base.find(id)
+	return l.base.find(id, pos)
 }
 
 // bounds is the copy's extent: its base's bounds plus the overlay geometry.

@@ -73,10 +73,7 @@ func TestDirtyReadsNeverWaitForWriter(t *testing.T) {
 	go func() {
 		defer close(finished)
 		for _, id := range append(frozenIDs, liveIDs...) {
-			want, live := model[id]
-			if !live && id < uint32(ds.Len()) {
-				want = ds.Seg(id) // SegOf's fallback for a deleted dataset id
-			}
+			want := model[id] // the zero segment for a deleted id
 			if got := p.SegOf(id); got != want {
 				t.Errorf("SegOf(%d) = %v, want %v", id, got, want)
 			}
@@ -114,8 +111,8 @@ func TestDirtyReadsNeverWaitForWriter(t *testing.T) {
 // trips the runtime's concurrent map access check, or, under -race, is
 // reported as a race.
 func TestLeftRightCopiesStayWhole(t *testing.T) {
-	p := testPool(t, 400, 1)
-	s, ext := p.shards[0], p.Dataset().Extent
+	p, ds := testPool(t, 400, 1)
+	s, ext := p.shards[0], ds.Extent
 	whole := func(l *layers) string {
 		for _, o := range []*overlay{&l.segs, frozenSegs(l)} {
 			if len(o.ents) != len(o.at) {
@@ -163,7 +160,7 @@ func TestLeftRightCopiesStayWhole(t *testing.T) {
 		writes = 2_000
 	}
 	for w := 1; w <= writes || reads.Load() < int64(writes); w++ {
-		id := uint32(rng.Intn(p.Dataset().Len() + 64))
+		id := uint32(rng.Intn(ds.Len() + 64))
 		switch {
 		case w%500 == 0:
 			s.compact()

@@ -27,14 +27,14 @@
 // state it enters (leftright.go). Compaction is one freeze, one fold
 // (mergedItems) and one swap-in of a rebuilt base (finishCompact).
 //
-// Per-id state is one dense table (idtable.go): owner and a monotone
-// "ever written" bit per dataset id, a small side map for inserted ids. A
-// never-written id resolves to its dataset geometry with no lock and no hash
-// on every read path, a written one with one atomic load of its owner; no
-// read takes a pool-wide lock. The owner is also every write's answer to
-// "was the object here": an owned id has exactly one visible copy, in its
-// owner (mshard's layering invariant), so no write reads a layer and no
-// base keeps a membership set.
+// Per-id state is one dense table (idtable.go): a slot — owner and position
+// in the owner's base — and a monotone "ever written" bit per packed id, a
+// small side map for inserted ids. The pool keeps no other copy of the map:
+// a base-resident id, written or not, is read from its owner's leaves at its
+// slot, one atomic load and one leaf compare; no read takes a pool-wide
+// lock. The owner is also every write's answer to "was the object here": an
+// owned id has exactly one visible copy, in its owner (mshard's layering
+// invariant), so no write reads a layer and no base keeps a membership set.
 //
 // Consistency model: what a caller may rely on — scan and k-NN contents,
 // the records they return, per-id linearizable writes — is one table,
@@ -76,16 +76,14 @@ import (
 
 // Config configures an updatable pool.
 type Config struct {
-	// Dataset supplies the canonical geometry of ids below Dataset.Len().
-	// Required.
-	Dataset *dataset.Dataset
-
 	// Ranges are the pool's shards, one updatable shard each, in
 	// any order. A shard sits in the cluster range its Lo keys into
 	// (shard.RangeForKey over Cuts), and the cluster ranges some shard sits
 	// in are the ones this pool holds: a cluster backend passes its replica
 	// subset, a monolithic pool any Hilbert runs of the whole map. Each
-	// range's Items seed the shard's packed base. Required and non-empty.
+	// range's Items seed the shard's packed base; their ids are dense, as a
+	// generated dataset's are, since the id table is sized to the largest.
+	// Required and non-empty.
 	Ranges []shard.Range
 
 	// Cuts are the Lo keys of every range in the *cluster-wide*
@@ -157,8 +155,7 @@ func hiOf(cuts []uint64, i int) uint64 {
 // Updatable surface (ApplyMove/ApplyDelete), its live summary
 // (SummaryRanges), and the result cache's validity view (qcache.Source).
 type Pool struct {
-	ds *dataset.Dataset
-	q  *hilbert.Quantizer
+	q *hilbert.Quantizer
 
 	// What the pool keeps of its Config: the scalars its background loops
 	// read, and a copy of the cluster cuts. None of the caller's slices is
@@ -186,7 +183,7 @@ type Pool struct {
 	shardCuts []uint64
 	shards    []*mshard
 
-	// ids is the per-id table: owner and written bit (idtable.go).
+	// ids is the per-id table: slot and written bit (idtable.go).
 	ids *idTable
 
 	// omu serializes the ownership decision of every write: ids' owners
@@ -225,11 +222,8 @@ type Pool struct {
 
 // New builds an updatable pool over cfg.Ranges. The range Items seed the
 // packed bases (the trees copy them) and Cuts is cloned, so none of the
-// caller's slices is retained. Items carry dataset ids at dataset geometry.
+// caller's slices is retained.
 func New(cfg Config) (*Pool, error) {
-	if cfg.Dataset == nil {
-		return nil, fmt.Errorf("mutable: nil dataset")
-	}
 	if len(cfg.Ranges) == 0 {
 		return nil, fmt.Errorf("mutable: no ranges")
 	}
@@ -245,16 +239,21 @@ func New(cfg Config) (*Pool, error) {
 		return nil, fmt.Errorf("mutable: empty partition bounds")
 	}
 	cfg.fill()
+	n := 0
+	for _, r := range cfg.Ranges {
+		for _, it := range r.Items {
+			n = max(n, int(it.ID)+1)
+		}
+	}
 
 	p := &Pool{
-		ds:               cfg.Dataset,
 		q:                shard.QuantizerFor(cfg.Bounds, hilbert.Order),
 		compactInterval:  cfg.CompactInterval,
 		compactMaxAge:    cfg.CompactMaxAge,
 		compactThreshold: cfg.compactThreshold,
 		cuts:             slices.Clone(cfg.Cuts),
 		writes:           make([]atomic.Uint64, len(cfg.Cuts)),
-		ids:              newIDTable(cfg.Dataset.Len()),
+		ids:              newIDTable(n),
 		stopc:            make(chan struct{}),
 	}
 	p.nnPool.New = func() any { return newNNState() }
@@ -273,14 +272,12 @@ func New(cfg Config) (*Pool, error) {
 		}
 		p.shardCuts = append(p.shardCuts, lo)
 		p.shards = append(p.shards, s)
-		for _, it := range r.Items {
-			if int(it.ID) >= p.ds.Len() {
-				return nil, fmt.Errorf("mutable: range %d item id %d outside the dataset", r.Index, it.ID)
-			}
-			p.ids.setOwner(it.ID, s)
+		for pos, it := range s.base.Load().tree.PackOrder() {
+			p.ids.set(it.ID, s, pos)
 		}
 		s.count.Store(int64(len(r.Items)))
 	}
+	p.ids.shards = append([]*mshard{nil}, p.shards...)
 	p.m = newPoolMetrics(cfg.Obs, len(p.shards))
 
 	if cfg.CompactInterval > 0 {
@@ -296,7 +293,8 @@ const DefaultShards = 4
 
 // NewFromDataset builds a monolithic updatable pool: one cluster range, the
 // whole key space, Hilbert-partitioned into nShards local shards
-// (DefaultShards when <= 0), so every write is owned locally.
+// (DefaultShards when <= 0), so every write is owned locally. The pool
+// keeps nothing of ds but its items, in the shards' leaves.
 func NewFromDataset(ds *dataset.Dataset, nShards int, cfg Config) (*Pool, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("mutable: nil dataset")
@@ -308,7 +306,6 @@ func NewFromDataset(ds *dataset.Dataset, nShards int, cfg Config) (*Pool, error)
 	if len(ranges) == 0 {
 		return nil, fmt.Errorf("mutable: dataset partitioned into zero ranges")
 	}
-	cfg.Dataset = ds
 	cfg.Ranges = ranges
 	cfg.Cuts = []uint64{0}
 	cfg.Bounds = bounds
@@ -326,9 +323,6 @@ func (p *Pool) Close() {
 // Workers returns GOMAXPROCS — the width the server sizes its admission
 // window from, as shard.Pool.Workers does.
 func (p *Pool) Workers() int { return runtime.GOMAXPROCS(0) }
-
-// Dataset returns the base dataset (canonical geometry of original ids).
-func (p *Pool) Dataset() *dataset.Dataset { return p.ds }
 
 // NumShards returns the local shard count, fixed at New.
 func (p *Pool) NumShards() int { return len(p.shards) }
@@ -408,37 +402,29 @@ func clampItems(n int64) uint32 {
 	return uint32(n)
 }
 
-// SegOf returns the live geometry of id, falling back to the base dataset
-// for original ids the pool no longer tracks and to the zero Segment for
-// unknown ids. It is a look-up for benchmarks and tests only: no reply path
-// calls it, since a walk hands back the segment it matched (SearchAppend,
-// rtree.Neighbor.Seg). For an id live throughout the call the result is a
-// geometry the id held at some instant during the call (DESIGN.md §15).
+// SegOf returns the live geometry of id, the zero Segment when the pool
+// does not hold it. It is a look-up for benchmarks and tests only: no reply
+// path calls it, since a walk hands back the segment it matched
+// (SearchAppend, rtree.Neighbor.Seg). For an id live throughout the call the
+// result is a geometry the id held at some instant during the call
+// (DESIGN.md §15).
 func (p *Pool) SegOf(id uint32) geom.Segment {
-	if !p.ids.written(id) {
-		return p.ds.Seg(id)
-	}
-	seg, held := p.locate(id)
-	if !held && int(id) < p.ds.Len() {
-		return p.ds.Seg(id)
-	}
+	seg, _ := p.locate(id)
 	return seg
 }
 
 // locate is the one per-id look-up: the geometry id holds at some instant
-// during the call, false when at some instant the pool did not hold it. A
-// never-written id has only its dataset geometry (idTable). A written one is
-// looked up in the shard the table names; "not there" is never an answer —
-// the id was transferred after the owner was read — so the owner is re-read
-// and the look-up repeated, under the shard's writer lock this time, which
-// waits out a writer still installing the copy. A reader that loses
-// segOfChases rounds to a ping-ponging mover settles it under omu, where no
-// ownership can change. The cost follows the raced transfers
-// (mutable_segof_retries_total), not the reads.
+// during the call, false when at some instant the pool did not hold it. The
+// id is looked up in the shard the table names — a base-resident one in
+// the leaf at its slot, written or not; "not there" is never an answer —
+// the id was transferred after the owner was read, or the base swapped
+// before its slots were restamped — so the owner is re-read and the look-up
+// repeated, under the shard's writer lock this time, which waits out a
+// writer still installing the copy or a swap still stamping. A reader that
+// loses segOfChases rounds to a ping-ponging mover settles it under omu,
+// where no ownership can change. The cost follows the raced transfers and
+// swaps (mutable_segof_retries_total), not the reads.
 func (p *Pool) locate(id uint32) (geom.Segment, bool) {
-	if !p.ids.written(id) {
-		return p.ds.Seg(id), p.ids.owner(id) != nil
-	}
 	for try := 0; try < segOfChases; try++ {
 		s := p.ids.owner(id)
 		if s == nil {

@@ -4,12 +4,15 @@ import (
 	"math/rand"
 	"testing"
 
+	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/shard"
 )
 
-func testPool(t *testing.T, n, shards int) *Pool {
+// testPool builds a monolithic pool over an n-segment random dataset, which
+// it returns beside the pool: the pool keeps only the items.
+func testPool(t *testing.T, n, shards int) (*Pool, *dataset.Dataset) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	ds := randomDataset(rng, n)
@@ -18,20 +21,20 @@ func testPool(t *testing.T, n, shards int) *Pool {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	return p
+	return p, ds
 }
 
 // TestNewFromDatasetDefaultShards: a shard count of 0 is the pool's own
 // default, as it is for shard.New.
 func TestNewFromDatasetDefaultShards(t *testing.T) {
-	if p := testPool(t, 120, 0); p.NumShards() != DefaultShards {
+	if p, _ := testPool(t, 120, 0); p.NumShards() != DefaultShards {
 		t.Errorf("NewFromDataset(ds, 0, …).NumShards() = %d, want DefaultShards %d", p.NumShards(), DefaultShards)
 	}
 }
 
 func TestInsertDeleteMoveBasics(t *testing.T) {
-	p := testPool(t, 120, 3)
-	base := p.Dataset().Len()
+	p, ds := testPool(t, 120, 3)
+	base := ds.Len()
 	id := uint32(base) // first never-seen id
 	seg := geom.Segment{A: geom.Point{X: 100, Y: 100}, B: geom.Point{X: 140, Y: 120}}
 
@@ -80,18 +83,18 @@ func TestInsertDeleteMoveBasics(t *testing.T) {
 }
 
 func TestCompactionFoldsOverlayAndBumpsEpoch(t *testing.T) {
-	p := testPool(t, 200, 2)
+	p, ds := testPool(t, 200, 2)
 	rng := rand.New(rand.NewSource(11))
-	base := p.Dataset().Len()
+	base := ds.Len()
 	for i := 0; i < 60; i++ {
 		id := uint32(rng.Intn(base + 20))
 		switch rng.Intn(3) {
 		case 0:
-			p.ApplyMove(id, randomSeg(rng, p.Dataset().Extent))
+			p.ApplyMove(id, randomSeg(rng, ds.Extent))
 		case 1:
 			p.ApplyDelete(id)
 		case 2:
-			p.ApplyMove(id, randomSeg(rng, p.Dataset().Extent))
+			p.ApplyMove(id, randomSeg(rng, ds.Extent))
 		}
 	}
 	w := geom.Rect{Min: geom.Point{X: 0, Y: 0}, Max: geom.Point{X: 2200, Y: 2200}}
@@ -141,7 +144,7 @@ func TestPartitionedOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	cuts, bounds := h.Cuts, h.Bounds
-	p, err := New(Config{Dataset: ds, Ranges: h.Ranges, Cuts: cuts, Bounds: bounds, CompactInterval: -1})
+	p, err := New(Config{Ranges: h.Ranges, Cuts: cuts, Bounds: bounds, CompactInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +205,14 @@ func TestPartitionedOwnership(t *testing.T) {
 }
 
 func TestSegOfFallsBackToDataset(t *testing.T) {
-	p := testPool(t, 80, 2)
+	p, ds := testPool(t, 80, 2)
 	for id := uint32(0); id < 10; id++ {
-		if got, want := p.SegOf(id), p.Dataset().Seg(id); got != want {
+		if got, want := p.SegOf(id), ds.Seg(id); got != want {
 			t.Fatalf("SegOf(%d)=%v, want dataset seg %v", id, got, want)
 		}
 	}
 	// Unknown high id resolves to the zero segment, not a panic.
-	if got := p.SegOf(uint32(p.Dataset().Len() + 999)); got != (geom.Segment{}) {
+	if got := p.SegOf(uint32(ds.Len() + 999)); got != (geom.Segment{}) {
 		t.Fatalf("SegOf(unknown)=%v, want zero segment", got)
 	}
 }

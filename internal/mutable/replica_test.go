@@ -31,7 +31,7 @@ func clusterBackend(t testing.TB, ds *dataset.Dataset, be, n, replicas int, hub 
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(Config{Dataset: ds, Ranges: held.Ranges, Cuts: held.Cuts, Bounds: held.Bounds, CompactInterval: -1, Obs: hub})
+	p, err := New(Config{Ranges: held.Ranges, Cuts: held.Cuts, Bounds: held.Bounds, CompactInterval: -1, Obs: hub})
 	if err != nil {
 		t.Fatal(err)
 	}

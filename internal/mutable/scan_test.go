@@ -52,8 +52,7 @@ func settleRef(ans, xfers []uint32, restorable func(uint32) bool) []uint32 {
 // a quiescent pool with hand-made brackets (or hand-written slots) stands in
 // for the writers that raced a walk.
 func TestDedupRaced(t *testing.T) {
-	p := testPool(t, 64, 4)
-	ds := p.Dataset()
+	p, ds := testPool(t, 64, 4)
 	far := geom.Segment{A: geom.Point{X: 9000, Y: 9000}, B: geom.Point{X: 9010, Y: 9010}}
 	const deleted, movedAway, missing = 12, 5, 33
 	if _, existed, _, err := p.ApplyDelete(deleted); err != nil || !existed {
@@ -262,7 +261,9 @@ func cutBetween(p *Pool, a, b geom.Point, gap float64) (geom.Point, geom.Point) 
 func scanPingPong(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	ds := randomDataset(rng, 800)
-	p, err := NewFromDataset(ds, 4, Config{CompactInterval: 2 * time.Millisecond, compactThreshold: 32})
+	// The age trigger is what folds the movers' shards: three ids never
+	// fill an overlay to the size trigger.
+	p, err := NewFromDataset(ds, 4, Config{CompactInterval: 2 * time.Millisecond, CompactMaxAge: time.Millisecond, compactThreshold: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,6 +413,9 @@ func scanPingPong(t *testing.T) {
 		}
 	})
 	wg.Wait()
-	t.Logf("%d RangeAppend and %d FilterRangeAppend scans, %d k-NN rounds; %d transfers",
-		walks[0].Load(), walks[1].Load(), walks[2].Load(), p.xfers.Load()/2)
+	t.Logf("%d RangeAppend and %d FilterRangeAppend scans, %d k-NN rounds; %d transfers; %d folds of the first shard",
+		walks[0].Load(), walks[1].Load(), walks[2].Load(), p.xfers.Load()/2, shards[0].epoch.Load())
+	if shards[0].epoch.Load() < 2 {
+		t.Fatalf("the first shard folded %d times under the walks", shards[0].epoch.Load())
+	}
 }

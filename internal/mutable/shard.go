@@ -18,15 +18,12 @@ import (
 // load it through an atomic pointer or the copy of the read state they
 // entered; the compactor publishes a fresh one and never mutates a
 // published view, so the empty-overlay fast path needs nothing but the
-// load. The base's items are tree.PackOrder(). It keeps no membership set:
-// whether an id is visible is the id table's owner (Pool.ids).
+// load. The base's items are tree.PackOrder(), each leaf carrying its
+// segment. It keeps no membership set and no geometry beside its leaves:
+// whether an id is visible is the id table's owner, and where the base packs
+// it the owner's slot (Pool.ids).
 type baseView struct {
-	tree *rtree.Tree
-	// over carries the geometry of every written id the base packs: the
-	// ids folded in from an overlay by this or an earlier compaction. A
-	// packed id absent here was never written (or is masked by a newer
-	// overlay entry or tombstone), so its leaf holds its dataset segment.
-	over   map[uint32]geom.Segment
+	tree   *rtree.Tree
 	bounds geom.Rect
 }
 
@@ -42,13 +39,13 @@ type frozenView struct {
 func (f *frozenView) size() int { return f.segs.len() + len(f.tombs) }
 
 // newBaseView bulk-loads items into one packed base generation (the tree
-// copies them); over carries the geometry of every written id among items.
-func newBaseView(items []rtree.Item, over map[uint32]geom.Segment) (*baseView, error) {
+// copies them).
+func newBaseView(items []rtree.Item) (*baseView, error) {
 	tree, err := rtree.Build(items, rtree.Config{}, ops.Null{})
 	if err != nil {
 		return nil, err
 	}
-	return &baseView{tree: tree, over: over, bounds: tree.Bounds()}, nil
+	return &baseView{tree: tree, bounds: tree.Bounds()}, nil
 }
 
 // mshard is one updatable shard: packed base + live overlay + optional
@@ -109,7 +106,7 @@ type mshard struct {
 
 // newMShard builds shard idx of cluster range rg over items (copied).
 func newMShard(p *Pool, idx, rg int, items []rtree.Item) (*mshard, error) {
-	bv, err := newBaseView(items, nil)
+	bv, err := newBaseView(items)
 	if err != nil {
 		return nil, fmt.Errorf("mutable: shard %d base: %w", idx, err)
 	}
@@ -178,13 +175,13 @@ func (s *mshard) maskBase(l *layers, id uint32) bool {
 	return false
 }
 
-// find resolves a written id's geometry in this base: false when id is not
-// packed into it, or is packed but masked by an overlay above. A written id
-// the base packs unmasked is a key of over (mergedItems puts every one
-// there); a never-written id is not asked about (locate).
-func (bv *baseView) find(id uint32) (geom.Segment, bool) {
-	seg, ok := bv.over[id]
-	return seg, ok
+// find reads id's geometry from the leaf at position pos, its slot: false
+// when that leaf holds another id. The caller's layers mask a stale copy.
+func (bv *baseView) find(id, pos uint32) (geom.Segment, bool) {
+	if lv := bv.tree.PackOrder(); int(pos) < len(lv) && lv[pos].ID == id {
+		return lv[pos].Seg(), true
+	}
+	return geom.Segment{}, false
 }
 
 // find is the shard's look-up of id: its geometry when id is visible here.
@@ -192,21 +189,26 @@ func (bv *baseView) find(id uint32) (geom.Segment, bool) {
 // one with pending writes from the copy it enters — unless the caller
 // insists: locate's retries do, because taking mu is what waits out a
 // writer still installing the id (a cross-shard move names the new owner
-// before it publishes the copy).
+// before it publishes the copy) and a swap still stamping its base's slots.
 func (s *mshard) find(id uint32, locked bool) (geom.Segment, bool) {
 	if locked {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return s.lr.current().find(id)
+		return s.lr.current().find(id, s.pos(id))
 	}
 	if s.pend.Load() == 0 {
-		return s.base.Load().find(id)
+		return s.base.Load().find(id, s.pos(id))
 	}
 	l, t := s.lr.enter()
-	seg, ok := l.find(id)
+	seg, ok := l.find(id, s.pos(id))
 	s.lr.leave(t)
 	return seg, ok
 }
+
+// pos is id's slot position. The copy a look-up reads is one state of the
+// shard, whose layers mask any copy of an id it did not own then, so a slot
+// read at another instant can miss (a retry) but never misread.
+func (s *mshard) pos(id uint32) uint32 { return uint32(s.pl.ids.word(id)) }
 
 // boundsNow returns the shard's current extent: base bounds plus any
 // overlay geometry.
@@ -325,11 +327,12 @@ func (p *Pool) ApplyDelete(id uint32) (epoch uint64, existed, owned bool, err er
 // evict removes id from its owning shard sh, as a transfer: the id may
 // re-enter through another shard while a walk that saw it here is still
 // running. It is called with omu held and releases it, and returns sh's
-// epoch.
+// epoch. The owner is cleared under sh's writer lock, as every owner
+// change away from a shard is, so a swap's stamp never races it.
 func (p *Pool) evict(id uint32, sh *mshard) uint64 {
+	sh.mu.Lock()
 	p.ids.setOwner(id, nil)
 	sh.count.Add(-1)
-	sh.mu.Lock()
 	p.beginXfer(id)
 	sh.remove(id)
 	p.wrote(sh, sh)

@@ -88,8 +88,9 @@ type Config struct {
 	// backend id everywhere in this package. Required, at least one.
 	Backends []string
 	// Dataset is the full deterministic dataset the backends partitioned.
-	// The router reads only its item bounds, which fix the write-routing
-	// quantizer; records come from the backends' walks. Required.
+	// New reads only its item bounds, which fix the write-routing
+	// quantizer, and keeps no reference to it; records come from the
+	// backends' walks. Required.
 	Dataset *dataset.Dataset
 	// ConnsPerBackend caps pooled connections (and outstanding legs) per
 	// backend; defaults to 4.
@@ -225,6 +226,7 @@ func New(cfg Config) (*Router, error) {
 		stopc:   make(chan struct{}),
 		wq:      shard.QuantizerFor(shard.BoundsOf(cfg.Dataset.Items()), 0),
 	}
+	r.cfg.Dataset = nil // the quantizer is all the router keeps of the map
 	for b := range cfg.Backends {
 		r.all = append(r.all, int32(b))
 	}

@@ -42,7 +42,6 @@ func startMutableCluster(t testing.TB, ds *dataset.Dataset, nBackends, replicas 
 func (tc *testCluster) serveMutable(t testing.TB, held shard.Held) *mutable.Pool {
 	t.Helper()
 	pool, err := mutable.New(mutable.Config{
-		Dataset:         tc.ds,
 		Ranges:          held.Ranges,
 		Cuts:            held.Cuts,
 		Bounds:          held.Bounds,

@@ -35,7 +35,7 @@ func partitionedMutable(t testing.TB, ds *dataset.Dataset, be, n, replicas int) 
 	t.Helper()
 	held := hold(t, ds, be, n, replicas)
 	pool, err := mutable.New(mutable.Config{
-		Dataset: ds, Ranges: held.Ranges, Cuts: held.Cuts, Bounds: held.Bounds, CompactInterval: -1,
+		Ranges: held.Ranges, Cuts: held.Cuts, Bounds: held.Bounds, CompactInterval: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

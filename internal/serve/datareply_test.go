@@ -6,7 +6,6 @@ import (
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
-	"mobispatial/internal/mutable"
 	"mobispatial/internal/proto"
 )
 
@@ -84,8 +83,9 @@ func TestDataRangeOverlayZeroAlloc(t *testing.T) {
 	}
 	run()
 	recs, inserted := it.Recs, 0
+	ds, _ := testDataset(t)
 	for _, r := range recs {
-		if int(r.ID) >= srv.cfg.Pool.(*mutable.Pool).Dataset().Len() {
+		if int(r.ID) >= ds.Len() {
 			inserted++
 		}
 	}

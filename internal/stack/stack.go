@@ -150,7 +150,7 @@ func (c Server) Build() (_ *Stack, err error) {
 	case c.Mutable:
 		cfg := mutable.Config{Obs: s.Hub}
 		if n > 0 {
-			cfg.Dataset, cfg.Ranges, cfg.Cuts, cfg.Bounds = c.Dataset, held.Ranges, held.Cuts, held.Bounds
+			cfg.Ranges, cfg.Cuts, cfg.Bounds = held.Ranges, held.Cuts, held.Bounds
 			s.Mutable, err = mutable.New(cfg)
 		} else {
 			s.Mutable, err = mutable.NewFromDataset(c.Dataset, c.Shards, cfg)

@@ -17,9 +17,12 @@ import (
 	"mobispatial/internal/shard"
 )
 
+// builder is a stack config: Server or Router.
+type builder interface{ Build() (*Stack, error) }
+
 // build builds cfg's stack, serves it on a loopback port and dials it. It
 // returns the stack, its address, and whether it answers a shipment request.
-func build(t *testing.T, cfg interface{ Build() (*Stack, error) }, ds *dataset.Dataset) (*Stack, string, *client.Client, bool) {
+func build(t *testing.T, cfg builder, ds *dataset.Dataset) (*Stack, string, *client.Client, bool) {
 	t.Helper()
 	st, err := cfg.Build()
 	if err != nil {
@@ -153,4 +156,63 @@ func TestPartitionedStackPinsNoMap(t *testing.T) {
 			mp.Close()
 		}
 	}
+}
+
+// TestServerStackPinsNoDataset: a built stack keeps no reference to the
+// dataset it was built from — every serving pool answers from its trees'
+// leaves, and a router keeps only the write quantizer it derived from the
+// map's bounds — so once the caller drops the dataset, a few collections
+// free it while the stack lives on.
+func TestServerStackPinsNoDataset(t *testing.T) {
+	nyc := dataset.NYC()
+	_, backend, _, _ := build(t, Server{Dataset: nyc}, nyc)
+	for _, c := range []struct {
+		name string
+		cfg  func(*dataset.Dataset) builder
+	}{
+		{"mutable", func(ds *dataset.Dataset) builder {
+			return Server{Dataset: ds, Mutable: true}
+		}},
+		{"mutable partitioned", func(ds *dataset.Dataset) builder {
+			return Server{Dataset: ds, Mutable: true, Partition: "0/3", Replicas: 2}
+		}},
+		{"frozen shards", func(ds *dataset.Dataset) builder {
+			return Server{Dataset: ds, Shards: 4}
+		}},
+		{"frozen master", func(ds *dataset.Dataset) builder {
+			return Server{Dataset: ds}
+		}},
+		{"router", func(ds *dataset.Dataset) builder {
+			return Router{Dataset: ds, Backends: []string{backend}}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			freed := make(chan struct{})
+			st := buildDropping(t, c.cfg, freed)
+			defer st.Close()
+			for round := 0; round < 10; round++ {
+				runtime.GC()
+				select {
+				case <-freed:
+					return
+				case <-time.After(20 * time.Millisecond):
+				}
+			}
+			t.Errorf("the dataset outlived 10 collections: the built stack pins it")
+		})
+	}
+}
+
+// buildDropping generates a dataset that closes freed when it is collected,
+// builds cfg's stack over it and returns the stack, keeping no reference to
+// the dataset itself.
+func buildDropping(t *testing.T, cfg func(*dataset.Dataset) builder, freed chan struct{}) *Stack {
+	t.Helper()
+	ds := dataset.NYC()
+	runtime.SetFinalizer(ds, func(*dataset.Dataset) { close(freed) })
+	st, err := cfg(ds).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
