@@ -42,8 +42,8 @@
 //	-hotspots    zipf: number of hotspot centres (default 64)
 //	-moving      moving objects: vehicles drive shortest-path routes on the
 //	             road network derived from the dataset, each step a MsgMove
-//	             write, interleaved with reads near the vehicle (the server
-//	             must be updatable: mqserve -mutable, or a router over such)
+//	             write, interleaved with reads near the vehicle (every
+//	             mqserve takes writes, and so does a router over them)
 //	-vehicles    moving: vehicle count (default 64)
 //	-readfrac    moving: mean reads issued per move (default 1.0)
 //	-readback    moving: after every acked move, immediately range-read the

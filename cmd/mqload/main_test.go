@@ -58,17 +58,18 @@ func field(t *testing.T, report string, re *regexp.Regexp, group int) int {
 
 // TestEveryWorkloadRunsToOneReport drives each point source and issuer —
 // and the combinations that used to be refused — through run() against the
-// three kinds of in-process target mqload is pointed at: a static server
-// (which ships sub-indexes to the planner), an updatable server, and a
-// router with live refresh over two updatable Hilbert-partitioned backends.
+// three kinds of in-process target mqload is pointed at: a server no
+// workload writes to (which ships sub-indexes to the planner), one the
+// moving workloads write to, and a router with live refresh over two
+// Hilbert-partitioned backends.
 // It checks the one report format.
 func TestEveryWorkloadRunsToOneReport(t *testing.T) {
 	ds := dataset.NYC()
 	static := serveOn(t, stack.Server{Dataset: ds})
-	updatable := serveOn(t, stack.Server{Dataset: ds, Mutable: true})
+	updatable := serveOn(t, stack.Server{Dataset: ds})
 	routed := serveOn(t, stack.Router{Dataset: ds, Refresh: 20 * time.Millisecond, Backends: []string{
-		serveOn(t, stack.Server{Dataset: ds, Partition: "0/2", Replicas: 1, Mutable: true}),
-		serveOn(t, stack.Server{Dataset: ds, Partition: "1/2", Replicas: 1, Mutable: true}),
+		serveOn(t, stack.Server{Dataset: ds, Partition: "0/2", Replicas: 1}),
+		serveOn(t, stack.Server{Dataset: ds, Partition: "1/2", Replicas: 1}),
 	}})
 	for _, tc := range []struct {
 		name, addr, args string

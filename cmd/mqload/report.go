@@ -241,7 +241,7 @@ func printCacheReport(out io.Writer, pre, post serverSnap) {
 // printMutableReport summarizes the server's update subsystem over this run:
 // write volume by kind, compactions, and the per-shard epoch/pending/
 // staleness gauges folded to their extremes. Silent when the snapshot has no
-// mutable_* gauges (server not started with -mutable, or a router).
+// mutable_* gauges (a router).
 func printMutableReport(out io.Writer, pre, post serverSnap) {
 	shards := 0
 	var maxEpoch, pending, maxStale float64

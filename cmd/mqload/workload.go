@@ -291,7 +291,7 @@ func (wl *workload) placeFleet(out io.Writer, vehicles, conns int, readFrac floa
 		v := &vehicle{id: uint32(wl.ds.Len() + i), node: f.comp[rng.Intn(len(f.comp))]}
 		ack, err := wl.c.Move(v.id, v.advance(f, wl.ds, rng))
 		if err != nil {
-			return fmt.Errorf("placing vehicle %d (is the server running -mutable?): %w", v.id, err)
+			return fmt.Errorf("placing vehicle %d: %w", v.id, err)
 		}
 		v.lastEpoch = ack.Epoch
 		f.vehs = append(f.vehs, v)

@@ -35,9 +35,8 @@
 // loop re-polls summaries and epoch-swaps the routing snapshot, and every
 // write routed through this router widens the routing predicates
 // immediately — so objects inserted or moved outside their range's
-// registered MBR stay visible to range, point, and NN queries. When the
-// backends run -mutable, live writes route too: every write goes to every
-// backend (the target range's holders apply it, the rest evict stale
+// registered MBR stay visible to range, point, and NN queries. Live writes
+// route too: every write goes to every backend (the target range's holders apply it, the rest evict stale
 // copies; internal/router/write.go), and the end-of-run report counts
 // routed writes and replica divergence.
 package main

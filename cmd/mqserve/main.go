@@ -1,8 +1,11 @@
 // Command mqserve runs the networked spatial-query server: the repository's
 // simulated "server" machine made real — a TCP service answering point,
 // range, and NN queries against packed R-trees (each query runs on the
-// goroutine that admitted it; -inflight is the concurrency control), and
-// shipping budgeted sub-indexes to memory-limited clients.
+// goroutine that admitted it; -inflight is the concurrency control), taking
+// live moves and deletes, and shipping budgeted sub-indexes to
+// memory-limited clients. One updatable pool does all three: a write is
+// overlaid on the packed base and folded in by epoch-swapped compactions,
+// and a shipment is cut from the same pool the reads answer from.
 //
 // Usage:
 //
@@ -12,11 +15,10 @@
 //
 //	-addr       listen address (default :7070)
 //	-dataset    pa | nyc (default pa)
-//	-shards     spatial shards of the frozen engine: N > 0 = N Hilbert runs,
-//	            one packed R-tree each, a query walking only the shards its
-//	            window or point touches; 0 = one shard over the master tree
-//	            (the one shipments are carved from), or with -partition the
-//	            engine's default count over the held ranges
+//	-shards     spatial shards of the pool: N Hilbert runs, one packed
+//	            R-tree each, a query walking only the shards its window or
+//	            point touches (0 = 4); refused with -partition, where the
+//	            pool keeps one shard per held range for its life
 //	-inflight   admission-control cap on concurrent requests (0 = 4x
 //	            GOMAXPROCS)
 //	-obs        observability HTTP address serving /metrics (Prometheus),
@@ -27,20 +29,11 @@
 //	-replicas   R-way replication under rotation placement (needs
 //	            -partition, 1 <= R <= N; backend i also holds ranges
 //	            i-1..i-R+1 mod N)
-//	-mutable    updatable pool: accepts live MsgMove/MsgDelete (a move is
-//	            the one upsert, an object's first write included),
-//	            overlaying a list of writes on the packed base and folding it
-//	            in with epoch-swapped compactions (monolithic or with
-//	            -partition; -shards sets the monolithic shard count, and is
-//	            refused with -partition, where the pool keeps one shard per
-//	            held range for its life)
 //	-qcache     result-cache budget in MB (0 = caching off): hotspot query
 //	            results are cached under cell-snapped keys and invalidated
 //	            by shard version, so repeated nearby queries skip the index
-//	            walk entirely (works with -partition too: a mutable cluster
-//	            backend invalidates by per-shard write version, a frozen
-//	            one caches against a static view; the server refuses the
-//	            flag only for a pool with no validity view at all)
+//	            walk entirely (with -partition too: entries are invalidated
+//	            by the write versions of the shards they read)
 //	-qcell      result-cache snapping grid pitch in map units (with -qcache)
 //	-fault      faultlink profile injected on the listener (e.g.
 //	            "outage=30s+10s" or a preset name; "" = no faults)
@@ -78,12 +71,11 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("mqserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":7070", "listen address")
 	dsName := fs.String("dataset", "pa", "dataset: pa | nyc")
-	shards := fs.Int("shards", 0, "spatial shards (0 = one shard over the master tree)")
+	shards := fs.Int("shards", 0, "spatial shards of the pool (0 = 4; refused with -partition)")
 	inflight := fs.Int("inflight", 0, "max concurrent requests (0 = 4x GOMAXPROCS)")
 	obsAddr := fs.String("obs", "", "observability HTTP address (\"\" = disabled)")
 	partition := fs.String("partition", "", "i/N: cluster backend i of N Hilbert ranges (\"\" = whole dataset)")
 	replicas := fs.Int("replicas", 1, "R-way replication under rotation placement (needs -partition, 1 <= R <= N)")
-	mut := fs.Bool("mutable", false, "updatable pool accepting live moves and deletes")
 	qcacheMB := fs.Int("qcache", 0, "result-cache budget in MB (0 = off)")
 	qcell := fs.Float64("qcell", qcache.DefaultCellSize, "result-cache snapping grid pitch in map units")
 	fault := fs.String("fault", "", "faultlink profile injected on the listener (\"\" = none)")
@@ -96,7 +88,7 @@ func run(args []string) error {
 		return fmt.Errorf("-replicas %d needs -partition: replication places cluster ranges", *replicas)
 	}
 	cfg := stack.Server{
-		Shards: *shards, Partition: *partition, Replicas: *replicas, Mutable: *mut,
+		Shards: *shards, Partition: *partition, Replicas: *replicas,
 		QCacheMB: *qcacheMB, QCell: *qcell, InFlight: *inflight,
 	}
 	if err := cfg.Check(); err != nil {
@@ -113,19 +105,11 @@ func run(args []string) error {
 	}
 	defer st.Close()
 	srv, hub, qc := st.Server, st.Hub, st.Cache
-	if len(st.Ranges) > 0 {
-		segs := 0
-		for _, rg := range st.Ranges {
-			segs += int(rg.Items)
-		}
-		fmt.Printf("mqserve: backend %s holds %d of %d ranges (%d segments, R=%d, mutable=%v)\n",
-			*partition, len(st.Ranges), st.NumRanges, segs, *replicas, *mut)
+	if *partition != "" {
+		rows, n := st.Pool.SummaryRanges(nil)
+		fmt.Printf("mqserve: backend %s holds %d of %d ranges (R=%d)\n", *partition, len(rows), n, *replicas)
 	}
-	if mp := st.Mutable; mp != nil {
-		fmt.Printf("mqserve: mutable pool, %d updatable shards over %d segments\n", mp.NumShards(), mp.Len())
-	} else {
-		fmt.Printf("mqserve: frozen pool, %d segments in %d shard(s)\n", st.Frozen.Len(), st.Frozen.Shards())
-	}
+	fmt.Printf("mqserve: pool of %d updatable shards over %d segments\n", st.Pool.NumShards(), st.Pool.Len())
 	if qc != nil {
 		fmt.Printf("mqserve: result cache %d MB, %.0f-unit cells\n", qc.MaxBytes()>>20, qc.CellSize())
 	}

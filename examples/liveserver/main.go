@@ -51,7 +51,8 @@ func main() {
 		Min: geom.Point{X: center.X - 2000, Y: center.Y - 2000},
 		Max: geom.Point{X: center.X + 2000, Y: center.Y + 2000},
 	}
-	budget := ds.Len()*ds.RecordBytes + st.Master.IndexBytes() + 1<<20
+	// A packed index costs less than a record per item.
+	budget := 2*ds.Len()*ds.RecordBytes + 1<<20
 	if err := p.FetchShipment(window, budget, ds.RecordBytes); err != nil {
 		log.Fatal(err)
 	}

@@ -250,6 +250,32 @@ func TestOneFrozenEngine(t *testing.T) {
 	})
 }
 
+// TestNoServingStackBuildsTheFrozenEngine: every mqserve answers, takes
+// writes and cuts shipments from one mutable.Pool (internal/stack). The
+// frozen engine stays only because bench/ (a pinned path) builds it, so no
+// product file outside internal/shard and the internal/parallel aliases may
+// construct one: a call to shard.New or shard.Over elsewhere is a second
+// engine, and a second index of the map, growing back into a serving stack.
+func TestNoServingStackBuildsTheFrozenEngine(t *testing.T) {
+	productGoFiles(t, ".", func(path string, f *ast.File) {
+		if pkg := filepath.Dir(path); pkg == "internal/shard" || pkg == "internal/parallel" {
+			return
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "shard" && (sel.Sel.Name == "New" || sel.Sel.Name == "Over") {
+					t.Errorf("%s calls shard.%s: a serving stack builds its one pool with mutable (internal/stack)", path, sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	})
+}
+
 // TestItemsAreBuiltBySegItem: outside internal/rtree, rtree.SegItem is the
 // only way non-test code builds an rtree.Item. The serving kernel refines
 // range, point and k-NN queries from the segment a leaf carries, so an item

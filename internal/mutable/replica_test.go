@@ -22,7 +22,7 @@ import (
 )
 
 // clusterBackend builds backend be of an n-range cluster at R=replicas the
-// way mqserve -partition be/n -replicas R -mutable does: one shard per held
+// way mqserve -partition be/n -replicas R does: one shard per held
 // range, keyed by the cluster-wide cuts. hub (nil for none) takes its
 // mutable_* metrics.
 func clusterBackend(t testing.TB, ds *dataset.Dataset, be, n, replicas int, hub *obs.Hub) *Pool {

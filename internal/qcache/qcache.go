@@ -133,21 +133,6 @@ func HintOf(src Source) uint64 {
 	return h
 }
 
-// Unwritten reports whether src has never taken a write (every version
-// zero). The serving tier only stamps epoch hints on shipments while this
-// holds: a shipment is cut from the master tree, which is the frozen seed
-// state — once writes land, the master no longer reflects the live index
-// and shipped sub-indexes must not claim currency.
-func Unwritten(src Source) bool {
-	n := src.NumShards()
-	for i := 0; i < n; i++ {
-		if src.Version(i) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Config parameterizes a Cache.
 type Config struct {
 	// MaxBytes caps the total payload bytes across all stripes; defaults

@@ -365,11 +365,8 @@ func TestCacheGetCopiesOut(t *testing.T) {
 	}
 }
 
-func TestHintOfAndUnwritten(t *testing.T) {
+func TestHintOf(t *testing.T) {
 	src := &fakeSource{vers: []uint64{0, 0}, bounds: []geom.Rect{rect(0, 0, 1, 1), rect(0, 0, 1, 1)}}
-	if !Unwritten(src) {
-		t.Fatal("all-zero versions must report unwritten")
-	}
 	h0 := HintOf(src)
 	if h0 == 0 {
 		t.Fatal("hint must never be zero")
@@ -378,9 +375,6 @@ func TestHintOfAndUnwritten(t *testing.T) {
 		t.Fatal("hint must be deterministic")
 	}
 	src.vers[1] = 1
-	if Unwritten(src) {
-		t.Fatal("a write must clear unwritten")
-	}
 	if HintOf(src) == h0 {
 		t.Fatal("a version bump must change the hint")
 	}

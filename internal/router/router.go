@@ -469,6 +469,17 @@ func (r *Router) Version(i int) uint64 {
 // re-execution would ask.
 func (r *Router) ShardBounds(i int) geom.Rect { return r.snap().eff(i) }
 
+// Bounds is the cluster's extent: the union of the ranges' registered MBRs
+// and of the writes routed into them since. A shipment cut through the
+// router grows its margin over it, and an empty window centres on it.
+func (r *Router) Bounds() geom.Rect {
+	s, out := r.snap(), geom.EmptyRect()
+	for rg, mbr := range s.rangeMBR {
+		out = out.Union(mbr).Union(s.grow[rg])
+	}
+	return out
+}
+
 // everythingRect is the all-covering routing predicate used where a range's
 // true extent cannot be trusted.
 var everythingRect = geom.Rect{

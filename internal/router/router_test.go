@@ -79,6 +79,16 @@ func hold(t testing.TB, p shard.Partition, b, replicas int) shard.Held {
 	return h
 }
 
+// heldItems concatenates the held ranges' items, what shard.Config.Items
+// takes (and sorts in place).
+func heldItems(h shard.Held) []rtree.Item {
+	var items []rtree.Item
+	for _, rg := range h.Ranges {
+		items = append(items, rg.Items...)
+	}
+	return items
+}
+
 // listen serves cfg on a loopback port until the test ends.
 func listen(t testing.TB, cfg serve.Config) (*serve.Server, string) {
 	t.Helper()
@@ -122,7 +132,7 @@ func startCluster(t testing.TB, ds *dataset.Dataset, nBackends, replicas int) *t
 	tc := &testCluster{ds: ds, ranges: part.Ranges}
 	for b := 0; b < nBackends; b++ {
 		held := hold(t, part, b, replicas)
-		pool, err := shard.New(ds, shard.Config{Shards: 4, Items: held.Items()})
+		pool, err := shard.New(ds, shard.Config{Shards: 4, Items: heldItems(held)})
 		if err != nil {
 			t.Fatalf("backend %d pool: %v", b, err)
 		}
@@ -527,7 +537,7 @@ func TestRouterDeadlineCapsStalledLeg(t *testing.T) {
 	// Backend 0 is real and holds range 0; backend 1 claims range 1 but
 	// stalls every query.
 	held := hold(t, part, 0, 1)
-	pool, err := shard.New(ds, shard.Config{Shards: 2, Items: held.Items()})
+	pool, err := shard.New(ds, shard.Config{Shards: 2, Items: heldItems(held)})
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}

@@ -28,7 +28,7 @@ func hold(t testing.TB, ds *dataset.Dataset, be, n, replicas int) shard.Held {
 }
 
 // partitionedMutable builds cluster backend be of n at R=replicas the way
-// cmd/mqserve -partition -mutable does: one updatable shard per held Hilbert
+// cmd/mqserve -partition does: one updatable shard per held Hilbert
 // range to start with, keyed by the cluster-wide cuts. It returns the pool
 // and the range rows the backend registers with.
 func partitionedMutable(t testing.TB, ds *dataset.Dataset, be, n, replicas int) (*mutable.Pool, []proto.RangeInfo) {
@@ -44,7 +44,7 @@ func partitionedMutable(t testing.TB, ds *dataset.Dataset, be, n, replicas int) 
 	return pool, held.Rows()
 }
 
-// monolithicMutable builds the pool cmd/mqserve -mutable [-shards n] does.
+// monolithicMutable builds the pool cmd/mqserve [-shards n] does.
 func monolithicMutable(t testing.TB, ds *dataset.Dataset, shards int) *mutable.Pool {
 	t.Helper()
 	pool, err := mutable.NewFromDataset(ds, shards, mutable.Config{CompactInterval: -1})

@@ -18,6 +18,7 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/faultlink"
 	"mobispatial/internal/geom"
+	"mobispatial/internal/mutable"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/serve/client"
@@ -26,7 +27,7 @@ import (
 
 // faultWorld builds a dataset, its worker pool, and a live server, returning
 // the pool (for local fallbacks and ground-truth answers) and the address.
-func faultWorld(t testing.TB) (*dataset.Dataset, *shard.Pool, string) {
+func faultWorld(t testing.TB) (*dataset.Dataset, *mutable.Pool, string) {
 	t.Helper()
 	ds, err := dataset.Generate(dataset.GenConfig{
 		Name:           "fault-soak",
@@ -45,7 +46,7 @@ func faultWorld(t testing.TB) (*dataset.Dataset, *shard.Pool, string) {
 		t.Fatalf("generate: %v", err)
 	}
 	st, addr := mqserve(t, ds)
-	return ds, st.Frozen, addr
+	return ds, st.Pool, addr
 }
 
 // wholeMap is the all-client scheme's local state: every record of ds in a

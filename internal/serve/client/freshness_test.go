@@ -344,19 +344,22 @@ func fetchWhole(t *testing.T, p *client.Planner, ds *dataset.Dataset) {
 func TestPlannerNeverLocalFromStaleShipment(t *testing.T) {
 	const newID = 500000
 
-	// A shipment cut from an already-written server claims no currency
-	// (epoch 0): every covered Execute is fully-server and equals the raw
-	// calls, new object included.
-	t.Run("epoch-0 shipment", func(t *testing.T) {
+	// A shipment cut after a write is cut from the written index: it
+	// carries the hint read before the cut, holds the written object, and a
+	// covered Execute answers at the client with what the raw calls return.
+	t.Run("a shipment cut after a write", func(t *testing.T) {
 		ds, c, p, other := mutableWorld(t, time.Minute)
 		if _, err := other.Move(newID, centerSegment(ds)); err != nil {
 			t.Fatalf("insert: %v", err)
 		}
 		fetchWhole(t, p, ds)
-		if e := p.Shipment().Epoch; e != 0 {
-			t.Fatalf("shipment from a written server carries epoch %#x", e)
-		}
 		center, window := ds.Extent.Center(), centerWindow(ds, 100)
+		if e := p.Shipment().Epoch; e == 0 {
+			t.Fatal("a shipment cut after a write carries epoch 0")
+		}
+		if recs, err := p.Shipment().Answer(core.Point(center), 0); err != nil || !slices.Contains(recordIDs(recs), newID) {
+			t.Fatalf("the shipment lacks the written id %d (%v)", newID, err)
+		}
 		wantPt, err := c.Point(center, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -366,13 +369,13 @@ func TestPlannerNeverLocalFromStaleShipment(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
-			plan, got, _ := executeOn(t, c, p, core.Point(center))
-			if plan != client.PlanServerData || !slices.Equal(got, recordIDs(wantPt)) || !slices.Contains(got, newID) {
-				t.Fatalf("point: plan %v, ids %v; want fully-server and the server's %v", plan, got, recordIDs(wantPt))
+			plan, got, wire := executeOn(t, c, p, core.Point(center))
+			if plan != client.PlanLocal || wire != 0 || !slices.Equal(got, recordIDs(wantPt)) || !slices.Contains(got, newID) {
+				t.Fatalf("point: plan %v over %d exchanges, ids %v; want fully-client and the server's %v", plan, wire, got, recordIDs(wantPt))
 			}
-			plan, got, _ = executeOn(t, c, p, core.Range(window))
-			if plan != client.PlanServerData || !slices.Equal(got, recordIDs(wantRg)) || !slices.Contains(got, newID) {
-				t.Fatalf("range: plan %v, %d ids; want fully-server and the server's %d", plan, len(got), len(wantRg))
+			plan, got, wire = executeOn(t, c, p, core.Range(window))
+			if plan != client.PlanLocal || wire != 0 || !slices.Equal(got, recordIDs(wantRg)) || !slices.Contains(got, newID) {
+				t.Fatalf("range: plan %v over %d exchanges, %d ids; want fully-client and the server's %d", plan, wire, len(got), len(wantRg))
 			}
 		}
 	})
@@ -422,10 +425,10 @@ func TestOwnWriteRetiresShipment(t *testing.T) {
 	if plan != client.PlanServerData || !slices.Contains(got, newID) {
 		t.Fatalf("first execute after own write: plan %v, ids %v; want fully-server with id %d", plan, got, newID)
 	}
-	// A re-fetch is the reset path — but the server has been written to, so
-	// the new shipment claims no currency either.
+	// A re-fetch is the reset path: the new shipment is cut after the write,
+	// so it answers at the client again, the written object included.
 	fetchWhole(t, p, ds)
-	if plan, _, _ := executeOn(t, c, p, q); plan != client.PlanServerData {
-		t.Fatalf("after re-fetch from a written server: plan %v, want fully-server", plan)
+	if plan, got, wire := executeOn(t, c, p, q); plan != client.PlanLocal || wire != 0 || !slices.Contains(got, newID) {
+		t.Fatalf("after re-fetch: plan %v over %d exchanges, ids %v; want fully-client with id %d", plan, wire, got, newID)
 	}
 }

@@ -12,9 +12,9 @@
 //
 // "Link up" is what the exchange found (breaker open, or a transient failure
 // that outlived its retries), never a guess made beforehand. Fresh: every
-// server reply stamps the index's epoch hint (0 = no validity view; on a
-// shipment, also "the index was already written to when this was cut"), and a
-// shipment may answer by choice only while its epoch is non-zero, equals the
+// server reply stamps the index's epoch hint (0 = no validity view; a
+// shipment carries the hint read before it was cut), and a shipment may
+// answer by choice only while its epoch is non-zero, equals the
 // latest hint, that hint is younger than localMaxAge, and no write has been
 // observed since. A degraded answer needs no such proof: stale beats nothing.
 package client

@@ -9,13 +9,15 @@ import (
 	"mobispatial/internal/core"
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
+	"mobispatial/internal/ops"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/serve/client"
 	"mobispatial/internal/sim"
 )
 
-// plannerWorld builds a dataset, a live server, a client, and a planner
-// whose shipment covers the dataset center generously.
+// plannerWorld builds a dataset, a live server, a client, a planner whose
+// shipment covers the dataset center generously, and the simulator's packed
+// tree over the dataset.
 func plannerWorld(t testing.TB) (*dataset.Dataset, *rtree.Tree, *client.Client, *client.Planner) {
 	t.Helper()
 	ds, err := dataset.Generate(dataset.GenConfig{
@@ -34,7 +36,7 @@ func plannerWorld(t testing.TB) (*dataset.Dataset, *rtree.Tree, *client.Client, 
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	st, addr := mqserve(t, ds)
+	_, addr := mqserve(t, ds)
 
 	// The server is static, so the shipment stays provably fresh for as long
 	// as the bound lets it; stretch the bound past any one test (some run the
@@ -57,7 +59,11 @@ func plannerWorld(t testing.TB) (*dataset.Dataset, *rtree.Tree, *client.Client, 
 	if err := p.FetchShipment(window, 8000*(ds.RecordBytes+rtree.EntryBytes)+1<<20, ds.RecordBytes); err != nil {
 		t.Fatalf("shipment: %v", err)
 	}
-	return ds, st.Master, c, p
+	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return ds, tree, c, p
 }
 
 // TestPlannerSchemeChoice is the acceptance test: with a covered shipment

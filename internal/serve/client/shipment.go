@@ -1,7 +1,9 @@
 package client
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"mobispatial/internal/geom"
@@ -11,24 +13,26 @@ import (
 	"mobispatial/internal/scheme"
 )
 
-// Shipment is the client-resident outcome of a Fig. 2 shipment: the shipped
-// records plus a locally rebuilt packed sub-index. Queries whose geometry
-// falls inside Coverage can be answered entirely at the client — the
-// fully-client scheme made real.
+// Shipment is the client-resident outcome of a Fig. 2 shipment: a packed
+// sub-index rebuilt over the shipped records, whose leaves are the one copy
+// of them. Queries whose geometry falls inside Coverage can be answered
+// entirely at the client — the fully-client scheme made real.
 type Shipment struct {
 	// Coverage is the server's guarantee rectangle; empty means no
 	// guarantee (the answer alone overflowed the budget).
 	Coverage geom.Rect
-	// Epoch is the server's index epoch hint at shipment time; 0 when the
-	// server gave none (distributed pools, an index already written to) or
-	// the caller built the shipment itself. Only a non-zero epoch can be
+	// Epoch is the server's index epoch hint read before the shipment was
+	// cut; 0 when the server gave none (a pool with no validity view) or the
+	// caller built the shipment itself. Only a non-zero epoch can be
 	// compared against later reply hints, so only such a shipment is ever
 	// answered from by choice (local.go).
 	Epoch uint64
-	// Tree is the packed R-tree rebuilt over the shipped records.
+	// Tree is the packed R-tree rebuilt over the shipped records; its leaves
+	// carry each record's segment.
 	Tree *rtree.Tree
-	// segs maps record id → geometry for local refinement.
-	segs map[uint32]geom.Segment
+	// byID lists the pack positions of Tree's leaves in ascending id order:
+	// records resolves a server's id list through it at 4 B a record.
+	byID []uint32
 }
 
 // FetchShipment requests a shipment covering window under budgetBytes of
@@ -68,20 +72,24 @@ func NewShipment(sm *proto.ShipmentMsg) (*Shipment, error) {
 		return nil, fmt.Errorf("client: empty shipment")
 	}
 	items := make([]rtree.Item, len(sm.Records))
-	segs := make(map[uint32]geom.Segment, len(sm.Records))
 	for i, r := range sm.Records {
 		items[i] = rtree.SegItem(r.Seg, r.ID)
-		segs[r.ID] = r.Seg
 	}
 	tree, err := rtree.Build(items, rtree.Config{}, ops.Null{})
 	if err != nil {
 		return nil, fmt.Errorf("client: rebuilding shipped sub-index: %w", err)
 	}
-	return &Shipment{Coverage: sm.Coverage, Epoch: sm.Epoch, Tree: tree, segs: segs}, nil
+	leaves := tree.PackOrder()
+	byID := make([]uint32, len(leaves))
+	for i := range byID {
+		byID[i] = uint32(i)
+	}
+	slices.SortFunc(byID, func(a, b uint32) int { return cmp.Compare(leaves[a].ID, leaves[b].ID) })
+	return &Shipment{Coverage: sm.Coverage, Epoch: sm.Epoch, Tree: tree, byID: byID}, nil
 }
 
 // Len returns the number of shipped records.
-func (s *Shipment) Len() int { return len(s.segs) }
+func (s *Shipment) Len() int { return s.Tree.Len() }
 
 // Covers reports whether the shipment's guarantee extends to q: range
 // windows must be contained in Coverage; point and NN queries need their
@@ -107,24 +115,25 @@ func (s *Shipment) Answer(q scheme.Query, eps float64) ([]proto.Record, error) {
 		eps = scheme.PointEps
 	}
 	var ids []uint32
+	var segs []geom.Segment
 	switch q.Kind {
 	case scheme.PointQuery:
-		ids = s.Tree.AppendPoint(nil, nil, q.Point, eps)
+		ids = s.Tree.AppendPoint(nil, &segs, q.Point, eps)
 	case scheme.RangeQuery:
-		ids = s.Tree.AppendRange(nil, nil, q.Window, true)
+		ids = s.Tree.AppendRange(nil, &segs, q.Window, true)
 	case scheme.NNQuery:
 		// One NN walk, as on the server: 1-NN is k-NN at k = 1.
 		var sc rtree.NNScratch
 		s.Tree.KNearestCollect(q.Point, max(q.K, 1), nil, &sc)
 		for _, nb := range sc.DrainKNNAppend(nil) {
-			ids = append(ids, nb.ID)
+			ids, segs = append(ids, nb.ID), append(segs, nb.Seg)
 		}
 	default:
 		return nil, fmt.Errorf("client: unknown query kind %v", q.Kind)
 	}
 	recs := make([]proto.Record, len(ids))
 	for i, id := range ids {
-		recs[i] = proto.Record{ID: id, Seg: s.segs[id]}
+		recs[i] = proto.Record{ID: id, Seg: segs[i]}
 	}
 	return recs, nil
 }
@@ -132,13 +141,14 @@ func (s *Shipment) Answer(q scheme.Query, eps float64) ([]proto.Record, error) {
 // records materializes a server id list from the shipped records; ok is
 // false when an id was not shipped.
 func (s *Shipment) records(ids []uint32) (recs []proto.Record, ok bool) {
+	leaves := s.Tree.PackOrder()
 	recs = make([]proto.Record, len(ids))
 	for i, id := range ids {
-		seg, shipped := s.segs[id]
+		j, shipped := slices.BinarySearchFunc(s.byID, id, func(pos, id uint32) int { return cmp.Compare(leaves[pos].ID, id) })
 		if !shipped {
 			return nil, false
 		}
-		recs[i] = proto.Record{ID: id, Seg: seg}
+		recs[i] = proto.Record{ID: id, Seg: leaves[s.byID[j]].Seg()}
 	}
 	return recs, true
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // TestDataRecordsUnderChurn is DESIGN §15's data-mode records row at the
-// serving tier. Over a -mutable pool (four shards, compacting every few
+// serving tier. Over a mutable pool (four shards, compacting every few
 // milliseconds) one object ping-pongs between two corners of the map that
 // fall in different shards, and another is deleted and re-inserted at
 // alternating corners, while readers ask data-mode windows, points and

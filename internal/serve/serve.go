@@ -46,13 +46,13 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
-	"mobispatial/internal/ops"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/qcache"
 	"mobispatial/internal/rtree"
@@ -65,8 +65,8 @@ const DefaultPointEps = proto.DefaultPointEps
 
 // Executor is the in-process query surface a pool offers: the append-first
 // methods shared by *shard.Pool (the frozen engine: S >= 1 packed trees
-// walked inline; S = 1 over the master tree is the unsharded server),
-// *mutable.Pool (updatable shards) and *router.Router (the cluster). A
+// walked inline; only bench/ serves it), *mutable.Pool (updatable shards:
+// what every mqserve runs) and *router.Router (the cluster). A
 // query runs on the goroutine that calls it; the server's admission window
 // is the only concurrency control. Every method must be safe for any number
 // of concurrent callers, and the append methods must honor the
@@ -225,8 +225,9 @@ type Config struct {
 	// that is not a DeadlineExecutor must have the records walk and the
 	// bounded k-NN walk (localPool).
 	Pool Executor
-	// Master enables MsgShipmentReq (Fig. 2 subset extraction); nil
-	// disables shipments with CodeUnsupported.
+	// Master is ignored: every server cuts shipments from Pool. It stays
+	// only because bench/ (a pinned path) sets it, and the benchmark
+	// re-anchor (ROADMAP item 1a-i) deletes it.
 	Master *rtree.Tree
 	// MaxInFlight bounds concurrently executing requests across all
 	// connections; defaults to 4× the pool width.
@@ -1099,7 +1100,7 @@ func (s *Server) execute(req proto.Request, sc *reqScratch, deadline time.Time) 
 	case *proto.BatchQueryMsg:
 		return s.executeBatch(m, sc, deadline)
 	case *proto.ShipmentReqMsg:
-		return s.executeShipment(m)
+		return s.executeShipment(m, sc, deadline)
 	case *proto.MoveMsg, *proto.DeleteMsg:
 		return s.executeUpdate(req, sc)
 	}
@@ -1334,38 +1335,88 @@ func (s *Server) executeBatchGrouped(m *proto.BatchQueryMsg, sc *reqScratch, dea
 	return s.batchReply(m, sc, items)
 }
 
-func (s *Server) executeShipment(m *proto.ShipmentReqMsg) proto.Message {
-	if s.cfg.Master == nil {
-		return errorReply(m.ID, unsupported("server has no master index for shipments"))
-	}
-	if int(m.BudgetBytes) > maxShipmentBudget {
+// executeShipment cuts a Fig. 2 shipment from the engine the reads answer
+// from: data-mode range reads of the window grown by a doubling margin,
+// until a read overflows the budget's capacity or spans the pool, then a
+// bisection of the margin over the last read's records. Every record that
+// meets the chosen rectangle ships, so that rectangle is the coverage. The
+// epoch hint is read before the first read: a write that lands during the
+// cut makes the first later reply's hint differ, which retires the shipment.
+func (s *Server) executeShipment(m *proto.ShipmentReqMsg, sc *reqScratch, deadline time.Time) proto.Message {
+	// The client rebuilds a packed tree at rtree.Config{} over what ships.
+	capacity := rtree.Budget{Bytes: int(m.BudgetBytes), RecordBytes: int(m.RecordBytes)}.
+		CapacityItems(rtree.DefaultNodeBytes, (rtree.DefaultNodeBytes-rtree.HeaderBytes)/rtree.EntryBytes)
+	bounds := poolBounds(s.cfg.Pool)
+	switch {
+	case int(m.BudgetBytes) > maxShipmentBudget:
 		return errorReply(m.ID, badRequest("budget %d exceeds limit %d", m.BudgetBytes, maxShipmentBudget))
+	case capacity < 1:
+		return errorReply(m.ID, badRequest("budget %d bytes holds no %d-byte record", m.BudgetBytes, m.RecordBytes))
+	case bounds.IsEmpty():
+		return errorReply(m.ID, unsupported("the index is empty"))
 	}
-	window := m.Window
-	if window.IsEmpty() {
-		// An empty window centers the shipment on the dataset.
-		c := s.cfg.Master.Bounds().Center()
-		window = geom.Rect{Min: c, Max: c}
+	epoch := s.epochHint()
+	base := m.Window
+	if base.IsEmpty() { // an empty window centers the shipment on the index
+		base = geom.Rect{Min: bounds.Center(), Max: bounds.Center()}
 	}
-	ship, err := s.cfg.Master.ExtractSubset(window, rtree.Budget{
-		Bytes:       int(m.BudgetBytes),
-		RecordBytes: int(m.RecordBytes),
-	}, ops.Null{})
-	if err != nil {
-		return errorReply(m.ID, badRequest("%v", err))
+	step := max(bounds.Width(), bounds.Height(), 1) / 1024
+	q := proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeData}
+	lo, d := -1.0, 0.0 // the largest margin read that fit (-1: none), the last read's
+	for {
+		q.Window = base.Expand(d)
+		if err := s.search(&q, sc, deadline); err != nil {
+			return errorReply(m.ID, err)
+		}
+		if len(sc.cids) > capacity {
+			break
+		}
+		if q.Window.ContainsRect(bounds) {
+			return s.shipment(m.ID, epoch, bounds, sc)
+		}
+		lo, d = d, max(2*d, step)
 	}
-	recs := make([]proto.Record, len(ship.Items))
-	for i, it := range ship.Items {
-		recs[i] = proto.Record{ID: it.ID, Seg: it.Seg()}
+	ship := s.shipment(m.ID, epoch, geom.EmptyRect(), sc)
+	meeting := func(w geom.Rect) (n int) {
+		for _, r := range ship.Records {
+			if r.Seg.IntersectsRect(w) {
+				n++
+			}
+		}
+		return n
 	}
+	if lo >= 0 {
+		// Every record that meets a smaller margin's rectangle met the last
+		// read's, so the bisection counts in memory.
+		for hi, i := d, 0; i < 24; i++ {
+			if mid := (lo + hi) / 2; meeting(base.Expand(mid)) <= capacity {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		// lo's rectangle can be empty (one step went from no record to too
+		// many), or over capacity after a write between two reads; the last
+		// read then ships as if it were the window.
+		cov := base.Expand(lo)
+		if n := meeting(cov); n > 0 && n <= capacity {
+			ship.Coverage = cov
+			ship.Records = slices.DeleteFunc(ship.Records, func(r proto.Record) bool { return !r.Seg.IntersectsRect(cov) })
+			return ship
+		}
+	}
+	// The answer itself does not fit: ship the middle of it by id, with no
+	// coverage guarantee; the client keeps asking the server.
+	if extra := len(ship.Records) - capacity; extra > 0 {
+		ship.Records = ship.Records[extra/2 : extra/2+capacity]
+	}
+	return ship
+}
+
+// shipment builds a shipment reply of the last read's records, ascending by
+// id, in the scratch.
+func (s *Server) shipment(id uint32, epoch uint64, cov geom.Rect, sc *reqScratch) *proto.ShipmentMsg {
+	sc.recs = sc.order.appendRecords(sc.recs[:0], sc.cids, sc.csegs)
 	s.metrics.shipments.Inc()
-	// A shipment is cut from the master tree — the frozen seed state. It may
-	// claim currency (carry a non-zero epoch hint the client's semantic cache
-	// can validate against) only while the live index has never been written:
-	// after the first write the master no longer reflects the live index.
-	var epoch uint64
-	if v := s.caps.view; v != nil && qcache.Unwritten(v) {
-		epoch = qcache.HintOf(v)
-	}
-	return &proto.ShipmentMsg{ID: m.ID, Epoch: epoch, Coverage: ship.Coverage, Records: recs}
+	return &proto.ShipmentMsg{ID: id, Epoch: epoch, Coverage: cov, Records: sc.recs}
 }

@@ -218,16 +218,6 @@ func (h Held) Len() int {
 	return n
 }
 
-// Items returns the held ranges' items, concatenated into a new slice (what
-// Config.Items takes, and sorts in place); nil when nothing is held.
-func (h Held) Items() []rtree.Item {
-	var items []rtree.Item
-	for _, rg := range h.Ranges {
-		items = append(items, rg.Items...)
-	}
-	return items
-}
-
 // Rows returns the summary rows the backend registers with, primary first.
 func (h Held) Rows() []proto.RangeInfo {
 	var rows []proto.RangeInfo

@@ -1,8 +1,9 @@
 // Package stack assembles the two serving processes: what one mqserve runs
-// (master tree, pool, result cache, server) and what one mqrouter runs
+// (one updatable pool, result cache, server) and what one mqrouter runs
 // (router, result cache, server). Every answer to the paper's question a
-// process gives — bare server, cached, mutable, one of N partitioned
-// backends, a router in front of them — is one of these configurations.
+// process gives — bare server, cached, one of N partitioned backends, a
+// router in front of them — is one of these configurations, and every one
+// takes writes and cuts shipments from the index it answers from.
 //
 // A config field is the command's flag of the same meaning, resolved;
 // deployment settings (listen addresses, -obs, -fault, signals) stay with
@@ -21,11 +22,8 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/mutable"
 	"mobispatial/internal/obs"
-	"mobispatial/internal/ops"
-	"mobispatial/internal/proto"
 	"mobispatial/internal/qcache"
 	"mobispatial/internal/router"
-	"mobispatial/internal/rtree"
 	"mobispatial/internal/serve"
 	"mobispatial/internal/shard"
 )
@@ -33,16 +31,15 @@ import (
 // Server is mqserve's stack: one process answering from a local pool.
 type Server struct {
 	Dataset *dataset.Dataset // -dataset
-	// Shards is -shards: the frozen pool's shard count (0 = one shard over
-	// the master tree, or shard.DefaultShards over a partition), or the
-	// monolithic mutable pool's (0 = mutable.DefaultShards).
+	// Shards is -shards: the monolithic pool's shard count (0 =
+	// mutable.DefaultShards). A partitioned pool has one shard per held
+	// range, so Shards must be 0 with a partition.
 	Shards int
 	// Partition is -partition "i/N" ("" = the whole map), placed at
 	// Replicas (-replicas) ranges per backend; Replicas is read only with a
 	// partition.
 	Partition string
 	Replicas  int
-	Mutable   bool    // -mutable
 	QCacheMB  int     // -qcache (0 = no result cache)
 	QCell     float64 // -qcell
 	InFlight  int     // -inflight
@@ -61,23 +58,17 @@ type Router struct {
 }
 
 // Stack is one built process: the server (not yet listening) and what it
-// was built from. Exactly one of Frozen, Mutable and Router is set.
+// was built from. Exactly one of Pool and Router is set.
 type Stack struct {
 	Server *serve.Server
 	Hub    *obs.Hub
 	Cache  *qcache.Cache // nil without a -qcache budget
 
-	Master *rtree.Tree // the whole-map tree shipments are cut from; nil for a router
-	// Ranges are the summary rows a partitioned backend advertises, primary
-	// first, and NumRanges the cluster's range count; both zero otherwise.
-	// The held items stay with the pool: a shard.Held would pin the whole
-	// cut map for the process's life.
-	Ranges    []proto.RangeInfo
-	NumRanges int
-
-	Frozen  *shard.Pool
-	Mutable *mutable.Pool
-	Router  *router.Router
+	// Pool advertises the summary rows itself (SummaryRanges), one per
+	// held range. The held items stay with it: a shard.Held would pin the
+	// whole cut map for the process's life.
+	Pool   *mutable.Pool
+	Router *router.Router
 
 	closers []func()
 }
@@ -112,14 +103,14 @@ func (c Server) placement() (backend, n int, err error) {
 	if err := shard.CheckHold(backend, n, c.Replicas); err != nil {
 		return 0, 0, fmt.Errorf("bad -partition %s with -replicas %d: %w", c.Partition, c.Replicas, err)
 	}
-	if c.Mutable && c.Shards != 0 {
-		return 0, 0, fmt.Errorf("-shards %d with -mutable -partition: a partitioned mutable pool has one shard per held range", c.Shards)
+	if c.Shards != 0 {
+		return 0, 0, fmt.Errorf("-shards %d with -partition: a partitioned pool has one shard per held range", c.Shards)
 	}
 	return backend, n, nil
 }
 
-// Build assembles the stack: the master tree over the whole map, the pool
-// (mutable or frozen, over the held ranges when partitioned), and the tail.
+// Build assembles the stack: the pool (over the held ranges when
+// partitioned, one shard each) and the tail.
 func (c Server) Build() (_ *Stack, err error) {
 	backend, n, err := c.placement()
 	if err != nil {
@@ -134,47 +125,22 @@ func (c Server) Build() (_ *Stack, err error) {
 			s.Close()
 		}
 	}()
-	if s.Master, err = rtree.Build(c.Dataset.Items(), rtree.Config{}, ops.Null{}); err != nil {
-		return nil, err
-	}
-	var held shard.Held
+	cfg := mutable.Config{Obs: s.Hub}
 	if n > 0 {
+		var held shard.Held
 		if held, err = shard.Cut(c.Dataset.Items(), n).Hold(backend, c.Replicas); err != nil {
 			return nil, fmt.Errorf("-partition %s: %w", c.Partition, err)
 		}
-		s.Ranges, s.NumRanges = held.Rows(), len(held.Cuts)
+		cfg.Ranges, cfg.Cuts, cfg.Bounds = held.Ranges, held.Cuts, held.Bounds
+		s.Pool, err = mutable.New(cfg)
+	} else {
+		s.Pool, err = mutable.NewFromDataset(c.Dataset, c.Shards, cfg)
 	}
-
-	var pool serve.Executor
-	switch {
-	case c.Mutable:
-		cfg := mutable.Config{Obs: s.Hub}
-		if n > 0 {
-			cfg.Ranges, cfg.Cuts, cfg.Bounds = held.Ranges, held.Cuts, held.Bounds
-			s.Mutable, err = mutable.New(cfg)
-		} else {
-			s.Mutable, err = mutable.NewFromDataset(c.Dataset, c.Shards, cfg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.closers = append(s.closers, s.Mutable.Close)
-		pool = s.Mutable
-	default:
-		if n == 0 && c.Shards <= 0 {
-			s.Frozen, err = shard.Over(s.Master)
-		} else {
-			s.Frozen, err = shard.New(c.Dataset, shard.Config{Shards: c.Shards, Items: held.Items(), Obs: s.Hub.Reg})
-		}
-		if err != nil {
-			return nil, err
-		}
-		pool = s.Frozen
+	if err != nil {
+		return nil, err
 	}
-	return s.tail(serve.Config{
-		Pool: pool, Master: s.Master, MaxInFlight: c.InFlight, Obs: s.Hub,
-		Ranges: s.Ranges, NumRanges: s.NumRanges,
-	}, c.QCacheMB, c.QCell)
+	s.closers = append(s.closers, s.Pool.Close)
+	return s.tail(serve.Config{Pool: s.Pool, MaxInFlight: c.InFlight, Obs: s.Hub}, c.QCacheMB, c.QCell)
 }
 
 // Check refuses what mqrouter refuses before it generates a map.
@@ -191,8 +157,7 @@ func (c Router) Check() error {
 // Build registers a router with the backends and puts the tail in front of
 // it. The router is the server's pool, and its own result cache's validity
 // view (the cluster's per-range version vector), so a hit skips the whole
-// fan-out. Shipments need the master tree, which lives on the backends, so
-// a router serves none.
+// fan-out. A shipment through it is cut from routed data-mode reads.
 func (c Router) Build() (_ *Stack, err error) {
 	if err := c.Check(); err != nil {
 		return nil, err

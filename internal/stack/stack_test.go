@@ -11,6 +11,7 @@ import (
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
+	"mobispatial/internal/proto"
 	"mobispatial/internal/qcache"
 	"mobispatial/internal/router"
 	"mobispatial/internal/serve/client"
@@ -46,32 +47,27 @@ func build(t *testing.T, cfg builder, ds *dataset.Dataset) (*Stack, string, *cli
 
 // TestStackBuildsTheBenchWorkloads builds the four BENCHMARK.json
 // workloads' stacks from the flags each runs with (every other flag at its
-// default) and pins them to what bench/engines.go builds by hand, so that
-// moving the benchmark onto this package changes nothing it measures.
+// default): every mqserve is one updatable pool that ships. bench/engines.go
+// still builds the frozen engine (shard.Pool) by hand for static, hotspot
+// and the cluster's backends until the benchmark re-anchor (ROADMAP 1a-ii)
+// moves it onto this package, so those three rows measure a pool mqserve no
+// longer runs.
 func TestStackBuildsTheBenchWorkloads(t *testing.T) {
 	ds := dataset.PA()
 	mqserve := Server{Dataset: ds, Replicas: 1, QCell: qcache.DefaultCellSize}
 
-	// static (mqserve) and hotspot (mqserve -qcache 64): one frozen shard
-	// over the master tree, shipments on.
+	// static (mqserve), hotspot (mqserve -qcache 64) and moving (mqserve):
+	// one pool of mutable.DefaultShards shards over the whole map.
 	for _, mb := range []int{0, 64} {
 		cfg := mqserve
 		cfg.QCacheMB = mb
 		st, _, _, ships := build(t, cfg, ds)
-		if p := st.Frozen; p == nil || p.Shards() != 1 || p.Len() != ds.Len() || st.Master.Len() != ds.Len() || p.Bounds() != st.Master.Bounds() || !ships {
-			t.Errorf("-qcache %d: want one frozen shard over the %d-item master tree, shipments on", mb, ds.Len())
+		if p := st.Pool; p == nil || st.Router != nil || p.NumShards() != 4 || p.Len() != ds.Len() || !ships {
+			t.Errorf("-qcache %d: want one pool of 4 shards over %d items, shipments on", mb, ds.Len())
 		}
 		if (mb == 0) != (st.Cache == nil) || mb > 0 && (st.Cache.MaxBytes() != 64<<20 || st.Cache.CellSize() != 512) {
 			t.Errorf("-qcache %d: cache %+v, want 64 MB at 512-unit cells or none", mb, st.Cache)
 		}
-	}
-
-	// moving: mqserve -mutable.
-	cfg := mqserve
-	cfg.Mutable = true
-	st, _, _, ships := build(t, cfg, ds)
-	if p := st.Mutable; p == nil || st.Frozen != nil || p.NumShards() != 4 || p.Len() != ds.Len() || st.Cache != nil || !ships {
-		t.Errorf("moving: want a mutable pool of 4 shards over %d items, no cache, shipments on", ds.Len())
 	}
 
 	// cluster: 3 x mqserve -partition i/3 -replicas 2, then mqrouter.
@@ -86,10 +82,12 @@ func TestStackBuildsTheBenchWorkloads(t *testing.T) {
 		cfg.Partition, cfg.Replicas = fmt.Sprintf("%d/3", i), 2
 		st, addr, c, ships := build(t, cfg, ds)
 		addrs = append(addrs, addr)
-		if p := st.Frozen; p == nil || p.Shards() != shard.DefaultShards || p.Len() != held.Len() || !ships {
-			t.Errorf("backend %d: want %d frozen shards over %d items, shipments on", i, shard.DefaultShards, held.Len())
+		if p := st.Pool; p == nil || p.NumShards() != len(held.Ranges) || p.Len() != held.Len() || !ships {
+			t.Errorf("backend %d: want one shard per held range (%d) over %d items, shipments on", i, len(held.Ranges), held.Len())
 		}
-		if sm, err := c.Summary(); err != nil || sm.NumRanges != 3 || !slices.Equal(sm.Ranges, held.Rows()) {
+		// The pool's live rows run in index order, each range's Hi closing
+		// the gap to the next one's Lo.
+		if sm, err := c.Summary(); err != nil || sm.NumRanges != 3 || !slices.EqualFunc(sm.Ranges, byIndex(held.Rows()), sameRange) {
 			t.Errorf("backend %d summary %+v (%v), want 3 ranges and rows %+v", i, sm, err, held.Rows())
 		}
 	}
@@ -105,9 +103,22 @@ func TestStackBuildsTheBenchWorkloads(t *testing.T) {
 	if got := mqrouter.config(rt.Hub); !reflect.DeepEqual(got, want) {
 		t.Errorf("router config %+v, want %+v", got, want)
 	}
-	if rt.Router == nil || rt.Router.NumShards() != 3 || rt.Master != nil || rt.Cache != nil || ships {
-		t.Errorf("router: want 3 registered ranges, no master tree, no cache, no shipments")
+	if rt.Router == nil || rt.Router.NumShards() != 3 || rt.Pool != nil || rt.Cache != nil || !ships {
+		t.Errorf("router: want 3 registered ranges, no local pool, no cache, shipments on")
 	}
+}
+
+// byIndex returns the rows sorted by range index.
+func byIndex(rows []proto.RangeInfo) []proto.RangeInfo {
+	rows = slices.Clone(rows)
+	slices.SortFunc(rows, func(a, b proto.RangeInfo) int { return int(a.Index) - int(b.Index) })
+	return rows
+}
+
+// sameRange compares two summary rows on all but Hi.
+func sameRange(a, b proto.RangeInfo) bool {
+	a.Hi, b.Hi = 0, 0
+	return a == b
 }
 
 // TestCachePitchIsTheCache: a -qcell of 0 is the cache's default pitch on
@@ -133,28 +144,54 @@ func liveHeap() int64 {
 	return int64(ms.HeapAlloc)
 }
 
-// TestPartitionedStackPinsNoMap: a partitioned backend's Stack keeps the
-// rows it advertises, not the map shard.Cut sorted, so the held items live
-// on only in the pool. Dropping everything of a built stack but its server
-// frees under 1 MiB, frozen or mutable (pinning the cut map held 5.3 MiB
-// of PA's items).
+// TestPartitionedStackPinsNoMap: a partitioned backend's Stack keeps no
+// part of the map shard.Cut sorted, so the held items live on only in the
+// pool. Dropping everything of a built stack but its server
+// frees under 1 MiB (pinning the cut map held 5.3 MiB of PA's items).
 func TestPartitionedStackPinsNoMap(t *testing.T) {
 	ds := dataset.PA()
-	for _, mut := range []bool{false, true} {
-		st, err := Server{Dataset: ds, Partition: "0/3", Replicas: 2, Mutable: mut}.Build()
+	st, err := Server{Dataset: ds, Partition: "0/3", Replicas: 2}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, pool := st.Server, st.Pool
+	whole := liveHeap()
+	runtime.KeepAlive(st)
+	if pinned := whole - liveHeap(); pinned >= 1<<20 {
+		t.Errorf("the Stack pins %.2f MiB beyond its server", float64(pinned)/(1<<20))
+	}
+	srv.Close()
+	pool.Close()
+}
+
+// TestServerStackPinsNoMasterTree: a built stack holds one index of the map,
+// the pool it answers, takes writes and cuts shipments from. Built over PA
+// with the dataset kept alive, a monolithic stack's live heap is bounded
+// near its pool (~7 MiB: the shards' trees plus an 8-byte slot per id) and a
+// partitioned backend's near its share. The whole-map tree that a second
+// index added measured 5.8 MiB, so either one coming back fails.
+func TestServerStackPinsNoMasterTree(t *testing.T) {
+	ds := dataset.PA()
+	for _, c := range []struct {
+		name  string
+		cfg   Server
+		limit float64 // MiB
+	}{
+		{"monolithic", Server{Dataset: ds}, 8.5},
+		{"0/3 R=2", Server{Dataset: ds, Partition: "0/3", Replicas: 2}, 6.5},
+	} {
+		before := liveHeap()
+		st, err := c.cfg.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, mp := st.Server, st.Mutable
-		whole := liveHeap()
-		runtime.KeepAlive(st)
-		if pinned := whole - liveHeap(); pinned >= 1<<20 {
-			t.Errorf("mutable=%v: the Stack pins %.2f MiB beyond its server", mut, float64(pinned)/(1<<20))
+		mib := float64(liveHeap()-before) / (1 << 20)
+		t.Logf("%s: %.2f MiB live", c.name, mib)
+		if mib > c.limit {
+			t.Errorf("%s: the built stack holds %.2f MiB, over its %.1f MiB bound: a second index of the map is back", c.name, mib, c.limit)
 		}
-		srv.Close()
-		if mp != nil {
-			mp.Close()
-		}
+		st.Close()
+		runtime.KeepAlive(ds)
 	}
 }
 
@@ -171,16 +208,13 @@ func TestServerStackPinsNoDataset(t *testing.T) {
 		cfg  func(*dataset.Dataset) builder
 	}{
 		{"mutable", func(ds *dataset.Dataset) builder {
-			return Server{Dataset: ds, Mutable: true}
+			return Server{Dataset: ds}
 		}},
 		{"mutable partitioned", func(ds *dataset.Dataset) builder {
-			return Server{Dataset: ds, Mutable: true, Partition: "0/3", Replicas: 2}
+			return Server{Dataset: ds, Partition: "0/3", Replicas: 2}
 		}},
-		{"frozen shards", func(ds *dataset.Dataset) builder {
-			return Server{Dataset: ds, Shards: 4}
-		}},
-		{"frozen master", func(ds *dataset.Dataset) builder {
-			return Server{Dataset: ds}
+		{"shards", func(ds *dataset.Dataset) builder {
+			return Server{Dataset: ds, Shards: 8}
 		}},
 		{"router", func(ds *dataset.Dataset) builder {
 			return Router{Dataset: ds, Backends: []string{backend}}

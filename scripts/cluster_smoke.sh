@@ -8,7 +8,7 @@
 # breaker-driven failover is visible in the router counters (failovers > 0),
 # and no query was unroutable.
 #
-# Phase 2 (freshness): 3 MUTABLE backends + a router with live routing-table
+# Phase 2 (freshness): 3 fresh backends + a router with live routing-table
 # refresh and the router-tier result cache, driven by the moving-vehicles
 # workload with -readback: every acked move is immediately read back through
 # the router, so vehicles crossing Hilbert range boundaries prove that
@@ -101,18 +101,18 @@ wait 2>/dev/null || true
 
 M0=7084 M1=7085 M2=7086 MR=7172
 
-echo "== phase 2: start 3 mutable backends (R=2)"
-"$BIN/mqserve" -addr 127.0.0.1:$M0 -partition 0/3 -replicas 2 -mutable >"$LOG/mbe0.log" 2>&1 &
-"$BIN/mqserve" -addr 127.0.0.1:$M1 -partition 1/3 -replicas 2 -mutable >"$LOG/mbe1.log" 2>&1 &
-"$BIN/mqserve" -addr 127.0.0.1:$M2 -partition 2/3 -replicas 2 -mutable >"$LOG/mbe2.log" 2>&1 &
-wait_for "$LOG/mbe0.log" "mutable backend 0"
-wait_for "$LOG/mbe1.log" "mutable backend 1"
-wait_for "$LOG/mbe2.log" "mutable backend 2"
+echo "== phase 2: start 3 fresh backends (R=2)"
+"$BIN/mqserve" -addr 127.0.0.1:$M0 -partition 0/3 -replicas 2 >"$LOG/mbe0.log" 2>&1 &
+"$BIN/mqserve" -addr 127.0.0.1:$M1 -partition 1/3 -replicas 2 >"$LOG/mbe1.log" 2>&1 &
+"$BIN/mqserve" -addr 127.0.0.1:$M2 -partition 2/3 -replicas 2 >"$LOG/mbe2.log" 2>&1 &
+wait_for "$LOG/mbe0.log" "phase-2 backend 0"
+wait_for "$LOG/mbe1.log" "phase-2 backend 1"
+wait_for "$LOG/mbe2.log" "phase-2 backend 2"
 
 echo "== start router (live refresh + result cache)"
 "$BIN/mqrouter" -addr 127.0.0.1:$MR -refresh 50ms -qcache 32 \
   -backends 127.0.0.1:$M0,127.0.0.1:$M1,127.0.0.1:$M2 >"$LOG/mrouter.log" 2>&1 &
-wait_for "$LOG/mrouter.log" "mutable-tier router"
+wait_for "$LOG/mrouter.log" "phase-2 router"
 
 echo "== moving vehicles through the router with read-back ($MOVE_DURATION)"
 "$BIN/mqload" -addr 127.0.0.1:$MR -moving -readback -vehicles 16 -conns 8 \
@@ -128,7 +128,7 @@ fail=0
 [ "$missed" = "0" ] || { echo "FAIL: $missed acked moves invisible to reads (want 0: routing must track writes)"; fail=1; }
 [ "$werrs" = "0" ] || { echo "FAIL: $werrs write or read errors"; fail=1; }
 if [ "$fail" -ne 0 ]; then
-  echo "-- mutable router log tail --"; tail -5 "$LOG/mrouter.log"
+  echo "-- phase-2 router log tail --"; tail -5 "$LOG/mrouter.log"
   exit 1
 fi
 echo "PASS: every acked move across the cluster was immediately readable"
