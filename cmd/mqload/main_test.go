@@ -125,6 +125,26 @@ func TestEveryWorkloadRunsToOneReport(t *testing.T) {
 	}
 }
 
+// TestShardReportAgainstMqserve: the shard report reads what a built
+// mqserve exports — an updatable pool's per-shard gauges — so against
+// mqserve -shards 16 it names 16 shards, and it prints no fan-out line, which
+// only a pool that counts its fan-out has.
+func TestShardReportAgainstMqserve(t *testing.T) {
+	addr := serveOn(t, stack.Server{Dataset: dataset.NYC(), Shards: 16})
+	var out bytes.Buffer
+	args := []string{"-addr", addr, "-dataset", "nyc", "-conns", "2", "-duration", "200ms", "-warmup", "20ms", "-serverstats"}
+	if err := run(args, &out); err != nil {
+		t.Fatalf("run %v: %v\n%s", args, err, out.String())
+	}
+	report := out.String()
+	if !strings.Contains(report, "  shards    16 shards\n") {
+		t.Errorf("report does not name the 16 shards:\n%s", report)
+	}
+	if strings.Contains(report, "fan-out") {
+		t.Errorf("report prints a fan-out the pool does not count:\n%s", report)
+	}
+}
+
 // TestRefusals: the two flag pairs that stay refused say why.
 func TestRefusals(t *testing.T) {
 	for args, reason := range map[string]string{

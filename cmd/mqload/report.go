@@ -203,16 +203,16 @@ func printRouterReport(out io.Writer, pre, post serverSnap) {
 	})
 }
 
-// printShardReport summarizes the server's shard-walk behavior over this run
-// when the server runs a sharded pool (shard_count gauge present). Fan-out
-// is the mean number of shards a range/point query touched after MBR
-// pruning; visited/pruned are the best-first NN scheduling outcomes.
+// printShardReport summarizes the server's shards over this run: how many
+// (shardCount), and, where the pool counts them — the frozen shard.Pool
+// does, an updatable pool does not — the mean number of shards a range/point
+// query touched after MBR pruning and the best-first NN scheduling outcomes.
 func printShardReport(out io.Writer, pre, post serverSnap) {
-	shards := post.Gauge("shard_count")
-	if shards <= 0 {
+	shards := shardCount(post.Snapshot)
+	if shards == 0 {
 		return
 	}
-	fmt.Fprintf(out, "  shards    %.0f shards\n", shards)
+	fmt.Fprintf(out, "  shards    %d shards\n", shards)
 	if queries := delta(pre, post, "shard_inline_total"); queries > 0 {
 		fmt.Fprintf(out, "            range/point: %.0f queries, mean fan-out %.2f shards\n",
 			queries, delta(pre, post, "shard_fanout_shards_total")/queries)
@@ -221,6 +221,15 @@ func printShardReport(out io.Writer, pre, post serverSnap) {
 		fmt.Fprintf(out, "            nn/k-nn:     %.0f queries, mean %.2f shards visited, %.2f pruned\n", nn,
 			delta(pre, post, "shard_nn_shards_visited_total")/nn, delta(pre, post, "shard_nn_shards_pruned_total")/nn)
 	}
+}
+
+// shardCount is a server's shard count: the frozen pool's shard_count
+// gauge, or one per mutable_epoch gauge an updatable pool registers for
+// each of its shards; 0 for a router, which holds none.
+func shardCount(s obs.Snapshot) int {
+	n := int(s.Gauge("shard_count"))
+	s.EachGauge("mutable_epoch", "shard", func(string, float64) { n++ })
+	return n
 }
 
 // printCacheReport summarizes the server's result cache over this run when

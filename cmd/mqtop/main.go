@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -95,15 +96,14 @@ func run(args []string) error {
 
 // render draws one frame. haveDelta enables the rate column once a previous
 // snapshot exists.
-func render(w *os.File, addr string, c *client.Client, uptimeMicros uint64, snap, prev obs.Snapshot, dt time.Duration, haveDelta bool) {
+func render(w io.Writer, addr string, c *client.Client, uptimeMicros uint64, snap, prev obs.Snapshot, dt time.Duration, haveDelta bool) {
 	link := c.Link()
-	// A sharded server exports the shard_count gauge and a router exports
-	// router_backends; surface whichever is present in the header so one
-	// glance says which tier and execution mode is running. Unknown metric
+	// A server's shards (shardCount) and a router's router_backends go in
+	// the header so one glance says which tier is running. Unknown metric
 	// names — a newer server's snapshot — still render generically below.
 	sharding := ""
-	if v := snap.Gauge("shard_count"); v > 0 {
-		sharding += fmt.Sprintf("  shards %.0f", v)
+	if n := shardCount(snap); n > 0 {
+		sharding += fmt.Sprintf("  shards %d", n)
 	}
 	if v := snap.Gauge("router_backends"); v > 0 {
 		sharding += fmt.Sprintf("  router %.0f backends", v)
@@ -164,6 +164,15 @@ func render(w *os.File, addr string, c *client.Client, uptimeMicros uint64, snap
 			trimName(h.Name), h.Count, histVal(h.Name, h.Mean), histVal(h.Name, h.P50),
 			histVal(h.Name, h.P95), histVal(h.Name, h.P99))
 	}
+}
+
+// shardCount is a server's shard count: the frozen pool's shard_count
+// gauge, or one per mutable_epoch gauge an updatable pool registers for
+// each of its shards; 0 for a router, which holds none.
+func shardCount(s obs.Snapshot) int {
+	n := int(s.Gauge("shard_count"))
+	s.EachGauge("mutable_epoch", "shard", func(string, float64) { n++ })
+	return n
 }
 
 // mutableLine folds the per-shard mutable_epoch / mutable_pending /

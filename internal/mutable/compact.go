@@ -20,7 +20,8 @@ import (
 //     overlay's items. Both inputs are immutable, so queries and writes
 //     proceed concurrently.
 //  3. Swap (writer lock): publish the new baseView, stamp the slots of the
-//     ids it packs, drop the frozen layer, bump the epoch.
+//     ids it packs, drop the frozen layer, bump the epoch. The version
+//     stays: the fold changes no answer.
 //
 // A delete that arrives during phase 2 lands in the new live tombstone set,
 // which masks the new base after the swap — so the rebuild never loses a
@@ -107,7 +108,7 @@ func (s *mshard) finishCompact(f *frozenView) bool {
 	}
 
 	// Phase 3: swap. The fast path's pointer moves first: pend is nonzero
-	// until pendChanged finds both copies holding nv and nothing above it.
+	// until publishPend finds both copies holding nv and nothing above it.
 	// The slots follow before the lock drops: a look-up that read nv before
 	// its stamp misses, and retries under the lock (locate).
 	s.mu.Lock()
@@ -116,7 +117,7 @@ func (s *mshard) finishCompact(f *frozenView) bool {
 	s.lr.level() // no copy keeps the old base alive
 	s.pl.ids.stamp(s, nv.tree.PackOrder())
 	s.epoch.Add(1)
-	s.pendChanged()
+	s.publishPend()
 	if s.pend.Load() > 0 {
 		// Live writes arrived during the rebuild; their age restarts at
 		// the swap (a bounded understatement of true staleness).

@@ -354,10 +354,10 @@ func (p *Pool) Epoch(i int) uint64 { return p.shards[i].epoch.Load() }
 func (p *Pool) Pending(i int) int { return int(p.shards[i].pend.Load()) }
 
 // Version returns shard i's monotone write-version counter — the result
-// cache's validity signal (qcache.Source). It advances under the shard's
-// writer lock, once the change is published and before the write is
-// acknowledged, on every overlay mutation and on every compaction epoch
-// swap.
+// cache's validity signal (qcache.Source). It advances on every
+// visible-state change: under the shard's writer lock, once the change is
+// published and before the write is acknowledged, on every overlay
+// mutation. A compaction epoch swap changes no answer and leaves it alone.
 func (p *Pool) Version(i int) uint64 { return p.shards[i].version.Load() }
 
 // ShardBounds returns shard i's current extent (qcache.Source): base bounds

@@ -7,6 +7,7 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/proto"
+	"mobispatial/internal/qcache"
 	"mobispatial/internal/shard"
 )
 
@@ -129,6 +130,40 @@ func TestCompactionFoldsOverlayAndBumpsEpoch(t *testing.T) {
 	nnAfter := p.NearestWith(geom.Point{X: 500, Y: 500}, nil)
 	if nnBefore.OK != nnAfter.OK || nnBefore.Dist != nnAfter.Dist {
 		t.Fatalf("NN answer changed across compaction: %+v -> %+v", nnBefore, nnAfter)
+	}
+}
+
+// TestFoldKeepsVersionAndHint: a fold changes no answer, so a ForceCompact
+// with no write in between swaps epochs but moves no shard's version, and so
+// not the epoch hint replies carry either; the next write moves both.
+func TestFoldKeepsVersionAndHint(t *testing.T) {
+	p, ds := testPool(t, 200, 2)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20; i++ {
+		p.ApplyMove(uint32(rng.Intn(ds.Len()+20)), randomSeg(rng, ds.Extent))
+	}
+	vers := make([]uint64, p.NumShards())
+	epochs := uint64(0)
+	for i := range vers {
+		vers[i], epochs = p.Version(i), epochs+p.Epoch(i)
+	}
+	hint := qcache.HintOf(p)
+	p.ForceCompact()
+	for i := range vers {
+		epochs -= p.Epoch(i)
+		if p.Version(i) != vers[i] {
+			t.Errorf("shard %d: the fold moved the version %d → %d", i, vers[i], p.Version(i))
+		}
+	}
+	if epochs == 0 {
+		t.Fatal("ForceCompact swapped no epoch")
+	}
+	if h := qcache.HintOf(p); h != hint {
+		t.Errorf("the fold moved the epoch hint %#x → %#x", hint, h)
+	}
+	p.ApplyMove(0, randomSeg(rng, ds.Extent))
+	if qcache.HintOf(p) == hint {
+		t.Error("a write after the fold left the epoch hint unchanged")
 	}
 }
 

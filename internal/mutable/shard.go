@@ -72,7 +72,9 @@ type mshard struct {
 	epoch atomic.Uint64
 	// version counts every visible-state change: it advances (under mu,
 	// after the change is published and before the write's ack) on every
-	// overlay mutation and on every compaction epoch swap. The result cache
+	// overlay mutation. A compaction swap is no such change — the fold
+	// moves what is visible from overlay to base, and every answer stays as
+	// it was — so it leaves version alone. The result cache
 	// (internal/qcache) keys entry validity on it: equal version ⇒ identical
 	// visible contents. Epoch alone would not do — an insert+delete pair
 	// can return the overlay to empty with the epoch unchanged, and a
@@ -135,10 +137,19 @@ func (s *mshard) remove(id uint32) {
 	s.pendChanged()
 }
 
-// pendChanged follows a publish: the pending count first, then the version.
-// A reader that sees the new version therefore sees a pending count that
-// sends it to the published copy, never to a base the write is not in.
+// pendChanged follows a write's publish: the pending count first, then the
+// version. A reader that sees the new version therefore sees a pending count
+// that sends it to the published copy, never to a base the write is not in.
 func (s *mshard) pendChanged() {
+	s.publishPend()
+	s.version.Add(1)
+}
+
+// publishPend stores the pending count of the published copy and keeps the
+// age of the oldest unfolded write with it. A compaction swap ends with it
+// alone: a fold changes no answer, so it leaves the version, and every cache
+// entry and shipment checked against it, as they were.
+func (s *mshard) publishPend() {
 	n := s.lr.current().size()
 	s.pend.Store(int64(n))
 	if n == 0 {
@@ -146,7 +157,6 @@ func (s *mshard) pendChanged() {
 	} else if s.pendSince.Load() == 0 {
 		s.pendSince.Store(time.Now().UnixNano())
 	}
-	s.version.Add(1)
 }
 
 // ---- read side (a copy entered through s.lr) ----

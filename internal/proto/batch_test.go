@@ -27,7 +27,7 @@ func testBatchQuery(n int) *BatchQueryMsg {
 // TestBatchFrameAmortizesHeaders pins the batching arithmetic the energy
 // model relies on: a batch of N queries costs one frame, and its payload
 // grows by exactly one encoded query per query — a range query's one-byte
-// id, flags byte and window, 34 bytes.
+// id, flags byte and window.
 func TestBatchFrameAmortizesHeaders(t *testing.T) {
 	one, err := AppendFrame(nil, testBatchQuery(1))
 	if err != nil {
@@ -37,7 +37,11 @@ func TestBatchFrameAmortizesHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(sixteen)-headerLen(sixteen)-len(one)+headerLen(one), 15*(1+1+32); got != want {
+	want := 0
+	for _, q := range testBatchQuery(16).Queries[1:] {
+		want += 1 + 1 + len(appendRect(nil, q.Window))
+	}
+	if got := len(sixteen) - headerLen(sixteen) - len(one) + headerLen(one); got != want {
 		t.Fatalf("batch growth: got %d bytes per 15 queries, want %d", got, want)
 	}
 	// One query message alone costs a full frame header; in a batch of 16 the

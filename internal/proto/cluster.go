@@ -79,8 +79,9 @@ type RangeInfo struct {
 	MBR     geom.Rect
 }
 
-// summaryRowBytes is the encoded size of one RangeInfo.
-const summaryRowBytes = 4 + 4 + 8 + 8 + 8 + 32
+// minSummaryRowBytes is the shortest encoded RangeInfo: its fixed fields,
+// the MBR's Min and a Max equal to it.
+const minSummaryRowBytes = 4 + 4 + 8 + 8 + 8 + 16 + 1
 
 // SummaryMsg is a backend's partition summary. A monolithic (unpartitioned)
 // server reports NumRanges=1 with a single range covering everything. On the
@@ -141,22 +142,20 @@ func (m *SummaryMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
 	m.ID = d.uv32()
 	m.NumRanges = d.u32()
-	n := int(d.u32())
-	if rest := len(d.b) - d.off; d.err == nil && n*summaryRowBytes != rest {
-		return fmt.Errorf("proto: summary range count %d does not match %d payload bytes", n, rest)
+	n := d.u32()
+	if rest := uint32(len(d.b) - d.off); d.err == nil && (n > MaxSummaryRanges || n*minSummaryRowBytes > rest) {
+		return fmt.Errorf("proto: summary range count %d does not fit %d payload bytes", n, rest)
 	}
 	m.Ranges = m.Ranges[:0]
-	if d.err == nil && d.need(n*summaryRowBytes) {
-		for i := 0; i < n; i++ {
-			m.Ranges = append(m.Ranges, RangeInfo{
-				Index:   d.u32(),
-				Items:   d.u32(),
-				Lo:      d.u64(),
-				Hi:      d.u64(),
-				Version: d.u64(),
-				MBR:     d.rect(),
-			})
-		}
+	for i := 0; i < int(n) && d.err == nil; i++ {
+		m.Ranges = append(m.Ranges, RangeInfo{
+			Index:   d.u32(),
+			Items:   d.u32(),
+			Lo:      d.u64(),
+			Hi:      d.u64(),
+			Version: d.u64(),
+			MBR:     d.rect(),
+		})
 	}
 	return d.finish("summary")
 }

@@ -108,6 +108,20 @@ func FuzzReadMessage(f *testing.F) {
 		retired[headerLen(frame)-1] = 12
 		f.Add(retired)
 	}
+	// Frames whose coordinates are coded against nearby points on real
+	// geometry: a PA window's data list, a move along its first street, and
+	// the window itself.
+	if l := paWindowLists(f, 1)[0]; len(l) > 0 {
+		for _, m := range []Message{
+			&DataListMsg{ID: 2, Records: l[:min(len(l), 12)]},
+			&MoveMsg{ID: 3, ObjID: 9, Seg: l[0].Seg},
+			&QueryMsg{ID: 4, Kind: KindRange, Mode: ModeData, Window: l[0].Seg.MBR().Expand(500)},
+		} {
+			if frame, err := AppendFrame(nil, m); err == nil {
+				f.Add(frame)
+			}
+		}
+	}
 	// Hand-built frames each decoder must refuse: lying counts, ids and
 	// record ids leaving uint32, an over-cap run, a first record flagged as
 	// sharing, unknown query flag bits, eps on a kind that carries none, and

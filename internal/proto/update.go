@@ -102,7 +102,7 @@ func (m *MoveMsg) appendPayload(b []byte) []byte {
 	b = appendUvarint(b, m.ID)
 	b = appendUvarint(b, m.ObjID)
 	b = appendPoint(b, m.Seg.A)
-	b = appendPoint(b, m.Seg.B)
+	b = appendXOR(b, m.Seg.B, m.Seg.A)
 	return appendUvarint(b, wireTimeout(m.TimeoutMicros))
 }
 
@@ -110,7 +110,8 @@ func (m *MoveMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
 	m.ID = d.uv32()
 	m.ObjID = d.uv32()
-	m.Seg = geom.Segment{A: d.point(), B: d.point()}
+	m.Seg.A = d.point()
+	m.Seg.B = d.xorPoint(m.Seg.A)
 	m.TimeoutMicros = d.timeout()
 	return d.finish("move")
 }

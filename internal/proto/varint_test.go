@@ -40,9 +40,11 @@ func TestVarintFieldsRoundTrip(t *testing.T) {
 				vlen(v) + 1 + 16 + vlen(uint32(k)) + hasTimeout},
 			{&DeleteMsg{ID: v, ObjID: v, TimeoutMicros: v}, 2*vlen(v) + max(hasTimeout, 1)},
 			{&MoveMsg{ID: v, ObjID: v, Seg: geom.Segment{A: pt, B: pt}, TimeoutMicros: v},
-				2*vlen(v) + 32 + max(hasTimeout, 1)},
+				2*vlen(v) + 16 + 1 + max(hasTimeout, 1)}, // B equals A: one count byte
+
 			{&ShipmentReqMsg{ID: v, Window: geom.Rect{Max: pt}, BudgetBytes: 1, RecordBytes: 16, TimeoutMicros: v},
-				vlen(v) + 32 + 8 + max(hasTimeout, 1)},
+				vlen(v) + 16 + 1 + 16 + 8 + max(hasTimeout, 1)}, // Max differs from Min in every byte
+
 			{&BatchQueryMsg{ID: v, TimeoutMicros: v, Queries: make([]QueryMsg, count)},
 				vlen(v) + max(hasTimeout, 1) + vlen(uint32(count)) + count*(1+1+16)},
 			{&BatchReplyMsg{ID: v, Items: make([]BatchItem, count)},

@@ -5,7 +5,10 @@
 //
 //	uvarint payload length (1–4 bytes) | uint8 message type | payload
 //
-// Fixed-width integers are big-endian; floats are IEEE-754 bit patterns.
+// Fixed-width integers are big-endian; floats are IEEE-754 bit patterns,
+// except a point that follows a nearby one on the wire — a rect's Max after
+// its Min, a segment's B after its A — which travels XOR-coded against it
+// (coord.go).
 // Every message opens with its request id, a uvarint, so a connection can
 // pipeline requests and match responses arriving out of order. A field that
 // counts rather than measures — the request id, an object id, a k, a batch
@@ -925,7 +928,9 @@ func appendF64(b []byte, v float64) []byte {
 	return binary.BigEndian.AppendUint64(b, math.Float64bits(v))
 }
 func appendPoint(b []byte, p geom.Point) []byte { return appendF64(appendF64(b, p.X), p.Y) }
-func appendRect(b []byte, r geom.Rect) []byte   { return appendPoint(appendPoint(b, r.Min), r.Max) }
+
+// appendRect appends r's Min raw and its Max coded against it (coord.go).
+func appendRect(b []byte, r geom.Rect) []byte { return appendXOR(appendPoint(b, r.Min), r.Max, r.Min) }
 
 func checkPoint(p geom.Point) error {
 	if math.IsNaN(p.X) || math.IsNaN(p.Y) || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
@@ -1051,7 +1056,11 @@ func (d *decoder) f64() float64 {
 }
 
 func (d *decoder) point() geom.Point { return geom.Point{X: d.f64(), Y: d.f64()} }
-func (d *decoder) rect() geom.Rect   { return geom.Rect{Min: d.point(), Max: d.point()} }
+
+func (d *decoder) rect() geom.Rect {
+	lo := d.point()
+	return geom.Rect{Min: lo, Max: d.xorPoint(lo)}
+}
 
 func (d *decoder) bytes(n int) []byte {
 	if n < 0 || !d.need(n) {

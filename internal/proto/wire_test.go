@@ -216,6 +216,11 @@ func recordsEqual(a, b []Record) bool {
 	return true
 }
 
+// samePoint is bit identity, so -0 and +0 stay apart.
+func samePoint(a, b geom.Point) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
+}
+
 // TestWireSequence streams several frames through one buffer and reads them
 // back in order — the pipelining case.
 func TestWireSequence(t *testing.T) {
@@ -388,11 +393,13 @@ func TestWireFrameLayout(t *testing.T) {
 			one, two, {8}, // point, K
 			ten, // the router's bound
 		}},
-		{"move", &MoveMsg{ID: 1, ObjID: 200, Seg: geom.Segment{A: geom.Point{X: 1, Y: 2}, B: geom.Point{X: 2, Y: 1}}}, [][]byte{
-			{36, byte(MsgMove)},
+		{"move", &MoveMsg{ID: 1, ObjID: 200, Seg: geom.Segment{A: geom.Point{X: 1, Y: 2}, B: geom.Point{X: 1.5, Y: 2}}}, [][]byte{
+			{28, byte(MsgMove)},
 			{1}, {0xC8, 0x01}, // request id, object id 200
-			one, two, two, one,
-			{0}, // no timeout
+			one, two, // A
+			{0x07},                   // B against A: seven X bytes, no Y bytes
+			{0, 0, 0, 0, 0, 0, 0x08}, // bits(1.5) XOR bits(1), low byte first
+			{0},                      // no timeout
 		}},
 		{"update ack", &UpdateAckMsg{ID: 1, ObjID: 200, Epoch: 3, Existed: true}, [][]byte{
 			{10, byte(MsgUpdateAck)},
@@ -413,14 +420,17 @@ func TestWireFrameLayout(t *testing.T) {
 			{ID: 10, Seg: geom.Segment{A: geom.Point{}, B: geom.Point{X: 1}}},
 			{ID: 11, Seg: geom.Segment{A: geom.Point{X: 1}, B: geom.Point{X: 1, Y: 2}}},
 		}}, [][]byte{
-			{60, byte(MsgDataList)},
+			{31, byte(MsgDataList)},
 			{1},
-			{0, 0, 0, 0, 0, 0, 0, 0}, // epoch
-			{2},                      // count
-			{40},                     // id delta +10 zigzagged to 20, shifted; A follows
-			f64(0), f64(0), one, f64(0),
-			{5},      // id delta +1 zigzagged to 2, shifted, low bit: A is the last B
-			one, two, // B only
+			{0, 0, 0, 0, 0, 0, 0, 0},       // epoch
+			{2},                            // count
+			{40},                           // id delta +10 zigzagged to 20, shifted; A follows
+			{0x00},                         // A against the zero point: no bytes
+			{0x08},                         // B against A: eight X bytes, no Y bytes
+			{0, 0, 0, 0, 0, 0, 0xF0, 0x3F}, // bits(1), low byte first
+			{5},                            // id delta +1 zigzagged to 2, shifted, low bit: A is the last B
+			{0x80},                         // B only, against A: no X bytes, eight Y bytes
+			{0, 0, 0, 0, 0, 0, 0, 0x40},    // bits(2)
 		}},
 	}
 	for _, c := range cases {
@@ -459,7 +469,8 @@ func uv(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 // takes them as seeds.
 func rejectedFrames() map[string][]byte {
 	id, epoch := []byte{1}, make([]byte, 8)
-	pt, win := append(f64(1), f64(2)...), append(append(f64(0), f64(0)...), append(f64(5), f64(5)...)...)
+	pt, win := append(f64(1), f64(2)...), appendRect(nil, geom.Rect{Max: geom.Point{X: 5, Y: 5}})
+	inf := appendXOR(nil, geom.Point{X: math.Inf(1), Y: 2}, geom.Point{})
 	varint := func(v int64) []byte { return binary.AppendVarint(nil, v) }
 	return map[string][]byte{
 		"id count beyond the payload":   frameOf(MsgIDList, id, epoch, []byte{200, 1}, varint(0), []byte{63}),
@@ -468,10 +479,13 @@ func rejectedFrames() map[string][]byte {
 		"id run leaving uint32":         frameOf(MsgIDList, id, epoch, []byte{2}, varint(math.MaxUint32), []byte{1}),
 		"id run above the cap":          frameOf(MsgIDList, id, epoch, []byte{65}, varint(0), []byte{64}, varint(0), []byte{0}),
 		"id runs overrunning the count": frameOf(MsgIDList, id, epoch, []byte{2}, varint(0), []byte{4}),
-		"record count beyond the payload": frameOf(MsgDataList, id, epoch, []byte{2},
-			[]byte{40}, pt, pt),
-		"first record flagged shared": frameOf(MsgDataList, id, epoch, []byte{1}, []byte{21}, pt),
-		"record id leaving uint32":    frameOf(MsgDataList, id, epoch, []byte{1}, []byte{2}, pt, pt),
+		"record count beyond the payload": frameOf(MsgDataList, id, epoch, []byte{3},
+			[]byte{40, 0, 0}, []byte{2}),
+		"first record flagged shared": frameOf(MsgDataList, id, epoch, []byte{1}, []byte{21}, []byte{0}),
+		"record id leaving uint32":    frameOf(MsgDataList, id, epoch, []byte{1}, []byte{2}, []byte{0}, []byte{0}),
+		"a coordinate count above 8":  frameOf(MsgDataList, id, epoch, []byte{1}, []byte{40}, []byte{0x09}, make([]byte, 9), []byte{0}),
+		"an infinite record endpoint": frameOf(MsgDataList, id, epoch, []byte{1}, []byte{40}, inf, []byte{0}),
+		"a move's B past its payload": frameOf(MsgMove, id, id, pt, []byte{0x88}, make([]byte, 8), []byte{0}),
 		"unknown query flag bits":     frameOf(MsgQuery, id, []byte{0x40 | KindPoint}, pt),
 		"query kind 3":                frameOf(MsgQuery, id, []byte{3}, pt),
 		"eps on a range query":        frameOf(MsgQuery, id, []byte{KindRange | byte(ModeIDs)<<2 | flagHasEps}, win, f64(1)),
@@ -487,7 +501,7 @@ func rejectedFrames() map[string][]byte {
 			uv(uint64(defaultTimeoutMicros))),
 		"a flagged zero timeout":         frameOf(MsgQuery, id, []byte{KindPoint | flagHasTimeout}, pt, []byte{0}),
 		"a batch timeout at the default": frameOf(MsgBatchQuery, id, uv(uint64(defaultTimeoutMicros)), []byte{1}, id, []byte{KindPoint}, pt),
-		"a move timeout at the default":  frameOf(MsgMove, id, id, make([]byte, 32), uv(uint64(defaultTimeoutMicros))),
+		"a move timeout at the default":  frameOf(MsgMove, id, id, make([]byte, 17), uv(uint64(defaultTimeoutMicros))),
 		"an ack echoing the object id":   frameOf(MsgUpdateAck, id, id, epoch, []byte{0}),
 		// Uptime, no counters, gauges or histograms, then a tagged section.
 		"stats with a trailing section": frameOf(MsgStats, id, make([]byte, 8), []byte{0, 0, 0, 0, 0, 0},
@@ -501,7 +515,7 @@ func rejectedFrames() map[string][]byte {
 func summaryRow() []byte {
 	b := appendU32(appendU32(nil, 0), 3)          // range 0, 3 items
 	b = binaryAppendU64(binaryAppendU64(b, 0), 9) // keys [0, 9]
-	return append(b, make([]byte, 8+32)...)       // version 0, an empty MBR
+	return append(b, make([]byte, 8+17)...)       // version 0, an MBR of the zero point
 }
 
 // TestWireRejectsHandBuiltFrames: every rejected frame errors, and each is
@@ -515,12 +529,17 @@ func TestWireRejectsHandBuiltFrames(t *testing.T) {
 	}
 	id, epoch := []byte{1}, make([]byte, 8)
 	pt := append(f64(1), f64(2)...)
+	finite := appendXOR(nil, geom.Point{X: 1, Y: 2}, geom.Point{})
 	accepted := map[string][]byte{
-		"ids at the top of uint32": frameOf(MsgIDList, id, epoch, []byte{2}, binary.AppendVarint(nil, math.MaxUint32-1), []byte{1}),
-		"a full-cap run":           frameOf(MsgIDList, id, epoch, []byte{64}, []byte{0, 63}),
-		"a second record flagged":  frameOf(MsgDataList, id, epoch, []byte{2}, []byte{40}, pt, pt, []byte{5}, pt),
-		"eps on a point query":     frameOf(MsgQuery, id, []byte{KindPoint | flagHasEps}, pt, f64(1)),
-		"eps on a candidates k-NN": frameOf(MsgQuery, id, []byte{KindNN | byte(ModeCandidates)<<2 | flagHasEps}, pt, []byte{1}, f64(1)),
+		"ids at the top of uint32":        frameOf(MsgIDList, id, epoch, []byte{2}, binary.AppendVarint(nil, math.MaxUint32-1), []byte{1}),
+		"a full-cap run":                  frameOf(MsgIDList, id, epoch, []byte{64}, []byte{0, 63}),
+		"records filling the payload":     frameOf(MsgDataList, id, epoch, []byte{2}, []byte{40, 0, 0}, []byte{2, 0, 0}),
+		"a second record flagged":         frameOf(MsgDataList, id, epoch, []byte{2}, []byte{40}, finite, []byte{0}, []byte{5}, []byte{0}),
+		"a coordinate count of 8":         frameOf(MsgDataList, id, epoch, []byte{1}, []byte{40}, []byte{0x08}, make([]byte, 8), []byte{0}),
+		"a finite record endpoint":        frameOf(MsgDataList, id, epoch, []byte{1}, []byte{40}, finite, []byte{0}),
+		"a move's B at its payload's end": frameOf(MsgMove, id, id, pt, []byte{0x88}, make([]byte, 16), []byte{0}),
+		"eps on a point query":            frameOf(MsgQuery, id, []byte{KindPoint | flagHasEps}, pt, f64(1)),
+		"eps on a candidates k-NN":        frameOf(MsgQuery, id, []byte{KindNN | byte(ModeCandidates)<<2 | flagHasEps}, pt, []byte{1}, f64(1)),
 		"a batched query with a timeout": frameOf(MsgBatchQuery, id, []byte{0}, []byte{1},
 			id, []byte{KindPoint | flagHasTimeout}, pt, []byte{9}),
 		"request id at the top of uint32": frameOf(MsgQuery, uv(math.MaxUint32), []byte{KindPoint}, pt),
@@ -529,7 +548,7 @@ func TestWireRejectsHandBuiltFrames(t *testing.T) {
 		"a query timeout under the default": frameOf(MsgQuery, id, []byte{KindPoint | flagHasTimeout}, pt,
 			uv(uint64(defaultTimeoutMicros-1))),
 		"a batch timeout under the default": frameOf(MsgBatchQuery, id, uv(uint64(defaultTimeoutMicros-1)), []byte{1}, id, []byte{KindPoint}, pt),
-		"a move timeout under the default":  frameOf(MsgMove, id, id, make([]byte, 32), uv(uint64(defaultTimeoutMicros-1))),
+		"a move timeout under the default":  frameOf(MsgMove, id, id, make([]byte, 17), uv(uint64(defaultTimeoutMicros-1))),
 		"an ack":                            frameOf(MsgUpdateAck, id, epoch, []byte{0}),
 		"stats ending at its histograms":    frameOf(MsgStats, id, make([]byte, 8), []byte{0, 0, 0, 0, 0, 0}),
 		"a summary without the gap":         frameOf(MsgSummary, id, []byte{0, 0, 0, 1}, []byte{0, 0, 0, 1}, summaryRow()),

@@ -7,8 +7,9 @@
 //
 // Invalidation is epoch-based and lazy: every entry records, per
 // participating index shard, the shard's monotone version counter at store
-// time (the mutable tier bumps it on every overlay write and on every
-// compaction epoch swap — see mutable.Pool.Version). A lookup rebuilds the
+// time (the mutable tier bumps it on every visible-state change, every
+// overlay write, and not on a compaction epoch swap, which changes no answer
+// — see mutable.Pool.Version). A lookup rebuilds the
 // same (participation mask, version vector) view from the live Source and
 // serves the entry only on exact equality; a mismatched entry is deleted on
 // the spot. No write-path eviction protocol exists or is needed: a cached
@@ -22,7 +23,9 @@
 // what re-execution would. The participation mask closes the growth case: a
 // shard whose bounds grow into the query region must have taken a write, so
 // its version changed — and the mask recomputation notices the new overlap
-// even though the shard was never in the stored vector.
+// even though the shard was never in the stored vector. A fold's bounds only
+// shrink, so at an unchanged version a mask can only lose bits: a miss,
+// never a stale hit.
 package qcache
 
 import (
@@ -81,8 +84,8 @@ const participateAll = ^uint64(0)
 // BuildView snapshots src's validity view for a query over region. Per
 // shard, the version is read before the bounds: paired with the pre/post
 // equality gate on stores, version equality then proves the bounds (and so
-// the mask bit) reflect the same shard state as the versions — see the
-// package comment and DESIGN.md §16.
+// the mask bit) reflect the same visible contents as the versions — at most
+// shrunk by a fold since — see the package comment and DESIGN.md §16.
 func BuildView(src Source, region geom.Rect, v *View) {
 	v.Mask = 0
 	v.Vers = v.Vers[:0]

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -469,4 +470,59 @@ func BenchmarkZipfCached(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) { run(b, false) })
 	b.Run("on", func(b *testing.B) { run(b, true) })
+}
+
+// TestFoldKeepsCacheEntries: a compaction that folds pending writes changes
+// no answer, so it leaves the pool's versions, its epoch hint and the
+// cache's entries alone — an entry stored before the fold still hits after
+// it, with the answer the uncached server gives.
+func TestFoldKeepsCacheEntries(t *testing.T) {
+	ds, pool, cached, uncached := cachedWorld(t)
+	at := ds.Seg(0)
+	if _, _, owned, err := pool.ApplyMove(uint32(ds.Len()), at); err != nil || !owned {
+		t.Fatalf("move: owned=%v err=%v", owned, err)
+	}
+	c := at.Midpoint()
+	q := proto.QueryMsg{Kind: proto.KindRange, Mode: proto.ModeData, Window: geom.Rect{Min: c, Max: c}.Expand(300)}
+	sc := cached.getScratch()
+	runOne(t, cached, sc, q) // fills
+	hint, epochs, pending := qcache.HintOf(pool), 0, 0
+	for i := 0; i < pool.NumShards(); i++ {
+		epochs += int(pool.Epoch(i))
+		pending += pool.Pending(i)
+	}
+	if pending == 0 {
+		t.Fatal("no pending write to fold")
+	}
+	pool.ForceCompact()
+	folded := 0
+	for i := 0; i < pool.NumShards(); i++ {
+		folded += int(pool.Epoch(i))
+		if pool.Pending(i) != 0 {
+			t.Fatalf("shard %d holds %d pending entries after the fold", i, pool.Pending(i))
+		}
+	}
+	if folded == epochs {
+		t.Fatal("ForceCompact swapped no epoch")
+	}
+	if h := qcache.HintOf(pool); h != hint {
+		t.Errorf("the fold moved the epoch hint %#x → %#x", hint, h)
+	}
+	before := cached.CacheStats()
+	got, gotSegs := runOne(t, cached, sc, q)
+	if st := cached.CacheStats(); st.Hits != before.Hits+1 || st.Invalidations != before.Invalidations {
+		t.Errorf("after the fold: %d hits, %d invalidations; want %d and %d",
+			st.Hits, st.Invalidations, before.Hits+1, before.Invalidations)
+	}
+	want, wantSegs := runOne(t, uncached, uncached.getScratch(), q)
+	sortInPlace(got)
+	sortInPlace(want)
+	if !slices.Equal(got, want) || len(gotSegs) != len(wantSegs) || !slices.Contains(got, uint32(ds.Len())) {
+		t.Fatalf("the hit answered %v, the uncached server %v", got, want)
+	}
+	for id, s := range wantSegs {
+		if gotSegs[id] != s {
+			t.Fatalf("id %d: the hit answered %v, the uncached server %v", id, gotSegs[id], s)
+		}
+	}
 }

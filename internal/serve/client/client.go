@@ -522,11 +522,11 @@ func (c *Client) readResponse(wc *wireConn, id uint32) (proto.Message, int, erro
 	return resp, n, nil
 }
 
-// maxRequestID bounds request ids to two uvarint bytes. Ids cycle through
+// maxRequestID bounds request ids to one uvarint byte. Ids cycle through
 // 1..maxRequestID: a connection carries one outstanding request and is
 // dropped on any failure, so a reused id can never be matched to a stale
-// reply.
-const maxRequestID = 1<<14 - 1
+// reply — any cycle of two or more ids would do.
+const maxRequestID = 1<<7 - 1
 
 func (c *Client) id() uint32 { return (c.nextID.Add(1)-1)%maxRequestID + 1 }
 
@@ -571,8 +571,10 @@ func call[R proto.Message](c *Client, req proto.Request, deadline time.Time, que
 // query runs one query and decodes the reply for the requested mode: records
 // for ModeData, ids otherwise. It owns q (call releases it), so the
 // steady-state request path reuses one QueryMsg and one encode buffer per
-// connection instead of allocating them. Replies are NOT released — their
-// slices are handed to the caller. sp is the caller's span, nil for none.
+// connection instead of allocating them. The reply's list is detached and
+// handed to the caller, and its shell goes back to the pool, so a read
+// allocates its answer and nothing else. sp is the caller's span, nil for
+// none.
 func (c *Client) query(q *proto.QueryMsg, sp *obs.Span) ([]uint32, []proto.Record, error) {
 	if q.Mode != proto.ModeData {
 		r, err := call[*proto.IDListMsg](c, q, time.Time{}, 1, sp)
@@ -580,14 +582,20 @@ func (c *Client) query(q *proto.QueryMsg, sp *obs.Span) ([]uint32, []proto.Recor
 			return nil, nil, err
 		}
 		c.noteHint(r.Epoch)
-		return r.IDs, nil, nil
+		ids := r.IDs
+		r.IDs = nil
+		proto.ReleaseMessage(r)
+		return ids, nil, nil
 	}
 	r, err := call[*proto.DataListMsg](c, q, time.Time{}, 1, sp)
 	if err != nil {
 		return nil, nil, err
 	}
 	c.noteHint(r.Epoch)
-	return nil, r.Records, nil
+	recs := r.Records
+	r.Records = nil
+	proto.ReleaseMessage(r)
+	return nil, recs, nil
 }
 
 // localAnswer shapes a locally computed answer like the wire reply it stands

@@ -432,3 +432,49 @@ func TestOwnWriteRetiresShipment(t *testing.T) {
 		t.Fatalf("after re-fetch: plan %v over %d exchanges, ids %v; want fully-client with id %d", plan, wire, got, newID)
 	}
 }
+
+// TestFoldKeepsShipmentLocal: a compaction changes no answer, so a shipment
+// cut while writes were pending keeps answering at the client after a fold
+// of them — the replies after the fold carry the hint it was cut under.
+func TestFoldKeepsShipmentLocal(t *testing.T) {
+	ds, _ := semanticDataset(t)
+	pool, err := mutable.NewFromDataset(ds, 4, mutable.Config{CompactInterval: -1})
+	if err != nil {
+		t.Fatalf("mutable pool: %v", err)
+	}
+	t.Cleanup(pool.Close)
+	c, err := client.New(client.WithMaxAge(client.Config{Addr: startSemServer(t, serve.Config{Pool: pool}), Conns: 1}, time.Minute))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	slowLink(c)
+	p := client.NewPlanner(c)
+	const newID = 500000
+	if _, err := c.Move(newID, centerSegment(ds)); err != nil {
+		t.Fatalf("insert: %v", err)
+	}
+	fetchWhole(t, p, ds)
+	q := core.Point(ds.Extent.Center())
+	if plan, _, wire := executeOn(t, c, p, q); plan != client.PlanLocal || wire != 0 {
+		t.Fatalf("before the fold: plan %v over %d exchanges, want fully-client", plan, wire)
+	}
+	epochs := uint64(0)
+	for i := 0; i < pool.NumShards(); i++ {
+		epochs += pool.Epoch(i)
+	}
+	pool.ForceCompact()
+	for i := 0; i < pool.NumShards(); i++ {
+		epochs -= pool.Epoch(i)
+	}
+	if epochs == 0 {
+		t.Fatal("ForceCompact swapped no epoch")
+	}
+	// A raw read crosses the wire and brings the post-fold hint home.
+	if _, err := c.Range(centerWindow(ds, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if plan, got, wire := executeOn(t, c, p, q); plan != client.PlanLocal || wire != 0 || !slices.Contains(got, newID) {
+		t.Fatalf("after the fold: plan %v over %d exchanges, ids %v; want fully-client with id %d", plan, wire, got, newID)
+	}
+}

@@ -7,10 +7,10 @@ import (
 	"mobispatial/internal/proto"
 )
 
-// TestRequestIDsStayTwoBytes: request ids cycle below 2¹⁴, so however long a
-// client runs an id costs at most two bytes on the wire, is never 0 and
-// never repeats the one before it.
-func TestRequestIDsStayTwoBytes(t *testing.T) {
+// TestRequestIDsStayOneByte: request ids cycle below 2⁷, so however long a
+// client runs an id costs one byte on the wire, is never 0 and never
+// repeats the one before it.
+func TestRequestIDsStayOneByte(t *testing.T) {
 	c, err := New(Config{Addr: "127.0.0.1:1", Conns: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -28,16 +28,16 @@ func TestRequestIDsStayTwoBytes(t *testing.T) {
 	var prev uint32
 	for i := 0; i < 40000; i++ {
 		id := c.id()
-		if id == 0 || id > 16383 {
-			t.Fatalf("call %d: id %d, want 1..16383", i, id)
+		if id == 0 || id > 127 {
+			t.Fatalf("call %d: id %d, want 1..127", i, id)
 		}
 		if id == prev {
 			t.Fatalf("call %d: id %d repeats the previous one", i, id)
 		}
 		prev = id
-		if i == 20000 {
-			if extra := frameLen(id) - frameLen(1); extra > 1 {
-				t.Fatalf("id %d after %d calls takes %d bytes, want at most 2", id, i, 1+extra)
+		if i%1000 == 0 {
+			if extra := frameLen(id) - frameLen(1); extra > 0 {
+				t.Fatalf("id %d after %d calls takes %d bytes, want 1", id, i, 1+extra)
 			}
 		}
 	}

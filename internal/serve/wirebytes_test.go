@@ -6,6 +6,8 @@ import (
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/energy"
+	"mobispatial/internal/geom"
+	"mobispatial/internal/mutable"
 	"mobispatial/internal/nic"
 	"mobispatial/internal/ops"
 	"mobispatial/internal/rtree"
@@ -14,18 +16,20 @@ import (
 
 // The wire bytes per query TestStaticMixWireBytes allows.
 //
-// staticMixBytesCeiling, both directions: the 121.5 B that run-coded id
-// lists, endpoint-chained records, kind-shaped queries and varint frame
-// headers measured on this mix, plus 7 %. Fixed-width frames moved about
-// 880 B; the same codings behind fixed four-byte lengths, request ids and
-// timeouts, 135.6 B.
+// staticMixBytesCeiling, both directions: the 119.0 B that run-coded id
+// lists, endpoint-chained records, kind-shaped queries, varint frame headers,
+// one-byte request ids and windows whose Max is coded against their Min
+// measured on this mix, plus 7 %. Fixed-width frames moved about 880 B; the
+// same codings behind fixed four-byte lengths, request ids and timeouts,
+// 135.6 B; two-byte request ids and raw windows, 121.5 B.
 //
-// staticMixUplinkCeiling, client to server only: the 25.0 B the varint
-// headers and the implied default timeout measured, plus 4 %. The fixed
-// four-byte fields they replaced sent 34.2 B.
+// staticMixUplinkCeiling, client to server only: the 23.7 B measured, plus
+// 4 %. The fixed four-byte fields the varint headers and the implied
+// default timeout replaced sent 34.2 B; two-byte request ids and raw
+// windows, 25.0 B.
 const (
-	staticMixBytesCeiling  = 130
-	staticMixUplinkCeiling = 26
+	staticMixBytesCeiling  = 127
+	staticMixUplinkCeiling = 25
 )
 
 // TestStaticMixWireBytes guards the wire coding's size: a bare server over PA
@@ -83,5 +87,44 @@ func TestStaticMixWireBytes(t *testing.T) {
 	}
 	if up > staticMixUplinkCeiling {
 		t.Errorf("static mix sent %.1f bytes per query, above the %d B uplink ceiling", up, staticMixUplinkCeiling)
+	}
+}
+
+// movingRecordCeiling is the downlink bytes per record TestMovingRecordsWireBytes
+// allows: the 17.0 B that records coded against the point before them
+// measured, frame, id, epoch and count included, plus 4 %. Records of raw
+// float64 endpoints, chained where a street runs on, measured 21.0 B.
+const movingRecordCeiling = 17.7
+
+// TestMovingRecordsWireBytes guards the record coding on the moving
+// workload's read: a server over a PA mutable pool answers 1 km windows in
+// data mode, centred where vehicles drive (on a segment's midpoint), and
+// the client's received bytes per record must stay under the ceiling. The
+// records are most of that workload's wire bytes.
+func TestMovingRecordsWireBytes(t *testing.T) {
+	ds := dataset.PA()
+	pool, err := mutable.NewFromDataset(ds, 0, mutable.Config{CompactInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+	_, addr := startServer(t, Config{Pool: pool})
+	c := newClient(t, addr, 1)
+
+	rng := rand.New(rand.NewSource(1))
+	base, records := c.WireStats(), 0
+	for i := 0; i < 500; i++ {
+		mid := ds.Seg(uint32(rng.Intn(ds.Len()))).Midpoint()
+		recs, err := c.Range(geom.Rect{Min: mid, Max: mid}.Expand(500))
+		if err != nil {
+			t.Fatal(err)
+		}
+		records += len(recs)
+	}
+	rx := c.WireStats().BytesRx - base.BytesRx
+	perRecord := float64(rx) / float64(records)
+	t.Logf("moving reads: %d records in %d B, %.2f B per record (ceiling %.1f)", records, rx, perRecord, movingRecordCeiling)
+	if perRecord > movingRecordCeiling {
+		t.Errorf("%.2f received bytes per record, above the %.1f B ceiling", perRecord, movingRecordCeiling)
 	}
 }
