@@ -97,17 +97,8 @@ func run(args []string, out io.Writer) error {
 		stay, offload := in.FullyLocal(), in.Partitioned(scheme.FullyServer)
 		perf := scheme.Choose(scheme.Performance, stay, offload).Scheme == scheme.FullyServer
 		en := scheme.Choose(scheme.Energy, stay, offload).Scheme == scheme.FullyServer
-		verdict := "neither"
-		switch {
-		case perf && en:
-			verdict = "both"
-		case perf:
-			verdict = "performance"
-		case en:
-			verdict = "energy"
-		}
 		cycleRatio, energyRatio := offload.Over(stay)
-		fmt.Fprintf(out, "%8.1f M %13.3f %13.3f %12s\n", b, cycleRatio, energyRatio, verdict)
+		fmt.Fprintf(out, "%8.1f M %13.3f %13.3f %12s\n", b, cycleRatio, energyRatio, scheme.OffloadFor(perf, en))
 	}
 	fmt.Fprintln(out, "\nratios are partitioned / fully-local: below 1.0 means offloading wins (within 5 % of 1.0, only if the other ratio is below 1.0 too)")
 	return nil

@@ -1,9 +1,11 @@
 // Advisor: uses the paper's §4.1 analytic trade-off model as a library. The
 // workload is first characterized by executing it against the real index
-// with a counting recorder (no machine simulation), then the closed-form
-// model prices both sides per bandwidth and scheme.Choose says under which
-// objective — performance, energy — offloading is picked. The example then
-// validates the prediction for one point against the full simulator.
+// with a counting recorder (no machine simulation), then scheme.Prices — the
+// simulator's instruction table — turns the counts into both sides' cycles,
+// the closed-form model prices them per bandwidth, and scheme.Choose says
+// under which objective — performance, energy — offloading is picked. The
+// example then validates the prediction for one point against the full
+// simulator.
 //
 //	go run ./examples/advisor
 package main
@@ -13,18 +15,46 @@ import (
 	"log"
 
 	"mobispatial/internal/core"
-	"mobispatial/internal/cpu"
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/energy"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/ops"
-	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/scheme"
 	"mobispatial/internal/sim"
 )
 
 func main() {
+	ds, tree := world()
+	window := geom.Rect{Min: geom.Point{X: 12_000, Y: 12_000}, Max: geom.Point{X: 16_000, Y: 16_000}}
+	in, cands := offloadInputs(ds, tree, window)
+
+	fmt.Printf("query window %v: %d filter candidates\n", window, cands)
+	fmt.Printf("fully-local estimate: %.2f Mcycles\n\n", in.CFullyLocal/1e6)
+	fmt.Printf("%10s %14s %14s %12s %12s\n", "bandwidth", "cycle ratio", "energy ratio", "offload for", "")
+	for _, mbps := range []float64{1, 2, 4, 6, 8, 11, 20} {
+		in.BandwidthBps = mbps * 1e6
+		stay, offload := in.FullyLocal(), in.Partitioned(scheme.FullyServer)
+		perf := scheme.Choose(scheme.Performance, stay, offload).Scheme == scheme.FullyServer
+		en := scheme.Choose(scheme.Energy, stay, offload).Scheme == scheme.FullyServer
+		cycleRatio, energyRatio := offload.Over(stay)
+		fmt.Printf("%8.0f M %14.2f %14.2f %12s\n", mbps, cycleRatio, energyRatio, scheme.OffloadFor(perf, en))
+	}
+
+	// Validate one point with the full execution-driven simulator.
+	fmt.Println("\nvalidating the 11 Mbps prediction against the full simulator:")
+	for _, s := range []core.Scheme{core.FullyClient, core.FullyServer} {
+		r, err := simulate(ds, tree, window, s, 11e6)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  %-13v: %10.3f mJ, %12d cycles\n",
+			s, r.Energy.Total()*1e3, r.TotalClientCycles())
+	}
+}
+
+// world is the demo city and its packed R-tree.
+func world() (*dataset.Dataset, *rtree.Tree) {
 	ds, err := dataset.Generate(dataset.GenConfig{
 		Name: "advisor-demo", NumSegments: 30000, RecordBytes: 76,
 		Extent:   geom.Rect{Min: geom.Point{X: 0, Y: 0}, Max: geom.Point{X: 30_000, Y: 30_000}},
@@ -39,69 +69,37 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	return ds, tree
+}
 
-	// Characterize a downtown range query by counting its abstract
-	// operations — this is cheap (no machine model attached).
-	window := geom.Rect{Min: geom.Point{X: 12_000, Y: 12_000}, Max: geom.Point{X: 16_000, Y: 16_000}}
+// offloadInputs characterizes a range query by counting its filtering walk's
+// abstract operations — cheap, no machine model attached — and prices it
+// fully local against fully offloaded with the data replicated (the reply
+// carries the matching ids, at most one per candidate) on Table 2's client at
+// 1 km. It also returns the candidate count.
+func offloadInputs(ds *dataset.Dataset, tree *rtree.Tree, window geom.Rect) (scheme.AnalyticInputs, int) {
 	var counts ops.Counts
-	cands := tree.Search(window, &counts)
-	costs := cpu.DefaultOpCosts()
-	filterInstr := float64(counts.Ops[ops.OpMBRTest])*float64(costs[ops.OpMBRTest].Instr) +
-		float64(counts.Ops[ops.OpNodeVisit])*float64(costs[ops.OpNodeVisit].Instr)
-	refineInstr := float64(len(cands)) * float64(costs[ops.OpRefineRange].Instr)
-	// A single-issue client: cycles ≈ instructions plus a miss allowance.
-	fullyLocal := (filterInstr + refineInstr) * 1.25
+	cands := len(tree.Search(window, &counts))
+	prices := scheme.DefaultPrices()
+	in := prices.Inputs(scheme.FullyServer, &scheme.Work{
+		Kind: scheme.RangeQuery, Filter: counts,
+		Candidates: int64(cands), Hits: int64(cands), RecordBytes: ds.RecordBytes,
+	}, 1)
+	in.Client = energy.DefaultClientModel()
+	return in, cands
+}
 
-	// Offloading fully to the server with the data replicated: the uplink
-	// carries the request, the downlink the matching ids.
-	hits := len(cands) // upper bound on the reply size
-	in := scheme.AnalyticInputs{
-		CFullyLocal:  fullyLocal,
-		CLocal:       0,
-		CProtocol:    3000,
-		CW2:          (filterInstr + refineInstr) / 2.6, // server IPC
-		ServerHz:     1e9,
-		PacketTxBits: float64(proto.Packetize(proto.QueryRequestBytes).WireBytes * 8),
-		PacketRxBits: float64(proto.Packetize(proto.IDListBytes(hits)).WireBytes * 8),
-		Client:       energy.DefaultClientModel(), // Table 2 at 1 km, 125 MHz
+// simulate runs the window under s in the full simulator at the given
+// bandwidth.
+func simulate(ds *dataset.Dataset, tree *rtree.Tree, window geom.Rect, s core.Scheme, bps float64) (sim.Result, error) {
+	p := sim.DefaultParams()
+	p.BandwidthBps = bps
+	sys, err := sim.New(p)
+	if err != nil {
+		return sim.Result{}, err
 	}
-
-	fmt.Printf("query window %v: %d filter candidates\n", window, len(cands))
-	fmt.Printf("fully-local estimate: %.2f Mcycles\n\n", fullyLocal/1e6)
-	fmt.Printf("%10s %14s %14s %12s %12s\n", "bandwidth", "cycle ratio", "energy ratio", "offload for", "")
-	for _, mbps := range []float64{1, 2, 4, 6, 8, 11, 20} {
-		in.BandwidthBps = mbps * 1e6
-		stay, offload := in.FullyLocal(), in.Partitioned(scheme.FullyServer)
-		perf := scheme.Choose(scheme.Performance, stay, offload).Scheme == scheme.FullyServer
-		en := scheme.Choose(scheme.Energy, stay, offload).Scheme == scheme.FullyServer
-		verdict := "neither"
-		switch {
-		case perf && en:
-			verdict = "both"
-		case perf:
-			verdict = "performance"
-		case en:
-			verdict = "energy"
-		}
-		cycleRatio, energyRatio := offload.Over(stay)
-		fmt.Printf("%8.0f M %14.2f %14.2f %12s\n", mbps, cycleRatio, energyRatio, verdict)
+	if _, err := core.NewEngineWithTree(ds, tree, sys).Run(core.Range(window), s, core.DataAtClient); err != nil {
+		return sim.Result{}, err
 	}
-
-	// Validate one point with the full execution-driven simulator.
-	fmt.Println("\nvalidating the 11 Mbps prediction against the full simulator:")
-	for _, s := range []core.Scheme{core.FullyClient, core.FullyServer} {
-		p := sim.DefaultParams()
-		p.BandwidthBps = 11e6
-		sys, err := sim.New(p)
-		if err != nil {
-			log.Fatal(err)
-		}
-		eng := core.NewEngineWithTree(ds, tree, sys)
-		if _, err := eng.Run(core.Range(window), s, core.DataAtClient); err != nil {
-			log.Fatal(err)
-		}
-		r := sys.Result()
-		fmt.Printf("  %-13v: %10.3f mJ, %12d cycles\n",
-			s, r.Energy.Total()*1e3, r.TotalClientCycles())
-	}
+	return sys.Result(), nil
 }

@@ -1,19 +1,16 @@
 package core
 
 import (
-	"mobispatial/internal/cpu"
 	"mobispatial/internal/energy"
-	"mobispatial/internal/ops"
-	"mobispatial/internal/proto"
 	"mobispatial/internal/scheme"
 )
 
 // Adaptive work partitioning: the paper closes hoping its lessons "provide a
 // more systematic way of designing and implementing applications" (§7) —
 // this file turns the §4.1 cost model into an online, per-query policy. The
-// client estimates the query's work from the dataset's density before
-// touching the index, prices every applicable scheme with the platform
-// constants it knows (its clock, the Table 2 NIC powers, the link
+// client estimates the query's work from the index's shape before touching
+// it, prices every applicable scheme with the one cycle price list and the
+// platform constants it knows (its clock, the Table 2 NIC powers, the link
 // bandwidth), and runs the one scheme.Choose picks for energy (the rule is
 // that function's comment; DESIGN.md §5 says who else calls it).
 //
@@ -31,10 +28,16 @@ type AdaptiveStats struct {
 }
 
 // RunAdaptive executes q under the adaptive policy with the data replicated
-// at the client. NN queries always run locally (the paper's unconditional
-// finding).
+// at the client: NN queries always run locally (the paper's unconditional
+// finding); any other query runs the applicable scheme scheme.Choose picks
+// for the client's energy, each priced on the simulated platform.
 func (e *Engine) RunAdaptive(q Query, stats *AdaptiveStats) (Answer, error) {
-	s := e.chooseScheme(q)
+	s := FullyClient
+	if q.Kind != NNQuery {
+		offload := e.AnalyticInputs(FullyServer, q)
+		s = scheme.Choose(scheme.Energy, offload.FullyLocal(), offload.Partitioned(FullyServer),
+			e.AnalyticInputs(FilterClientRefineServer, q).Partitioned(FilterClientRefineServer)).Scheme
+	}
 	if stats != nil {
 		if s == FullyClient {
 			stats.KeptLocal++
@@ -45,75 +48,22 @@ func (e *Engine) RunAdaptive(q Query, stats *AdaptiveStats) (Answer, error) {
 	return e.Run(q, s, DataAtClient)
 }
 
-// chooseScheme prices the applicable schemes for q on the simulated platform
-// and returns the one scheme.Choose picks for the client's energy.
-func (e *Engine) chooseScheme(q Query) Scheme {
-	if q.Kind == NNQuery {
-		return FullyClient
-	}
-	n := e.estimateCandidates(q)
-	return scheme.Choose(scheme.Energy,
-		e.analyticInputs(FullyClient, q, n).FullyLocal(),
-		e.analyticInputs(FullyServer, q, n).Partitioned(FullyServer),
-		e.analyticInputs(FilterClientRefineServer, q, n).Partitioned(FilterClientRefineServer),
-	).Scheme
-}
-
-// estimateCandidates predicts the filtering output size from the dataset's
-// average density. Clustering makes real counts swing around this, but the
-// policy only needs the order of magnitude.
-func (e *Engine) estimateCandidates(q Query) float64 {
-	if q.Kind == PointQuery {
-		return 2 // MBRs containing a point: a couple of incident streets
-	}
-	w := q.Window.Intersection(e.DS.Extent)
-	density := float64(e.DS.Len()) / e.DS.Extent.Area()
-	n := w.Area() * density
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// analyticInputs characterizes scheme s for a query with n estimated
-// candidates in the §4.1 model's terms, on the simulated platform: its
-// clock, blocked-core draw, range to the base station and bandwidth. The
-// fully-local side is the same whatever s is; the partitioned side is s's
-// split of the work and its catalogue message sizes.
-func (e *Engine) analyticInputs(s Scheme, q Query, n float64) scheme.AnalyticInputs {
+// AnalyticInputs characterizes scheme s for q in the §4.1 model's terms on
+// the simulated platform: the work estimated from the master tree's shape
+// over the dataset's extent, priced by scheme.Prices on the simulated client
+// and server, at the platform's bandwidth, range to the base station and
+// blocked-core draw. The fully-local side is the same whatever s is.
+func (e *Engine) AnalyticInputs(s Scheme, q Query) scheme.AnalyticInputs {
 	params := e.Sys.Params()
-	costs := cpu.DefaultOpCosts()
-	refineOp := ops.OpRefineRange
-	if q.Kind == PointQuery {
-		refineOp = ops.OpRefinePoint
+	shape := scheme.Shape{Items: e.DS.Len(), Extent: e.DS.Extent, RecordBytes: e.DS.RecordBytes}
+	if e.Master != nil {
+		shape.Height, shape.Fanout = e.Master.Height(), e.Master.Fanout()
 	}
-
-	// Per-candidate client cycles: filtering share plus refinement with a
-	// record-load miss allowance.
-	filterPerCand := float64(costs[ops.OpMBRTest].Instr)*2 + 40
-	refinePerCand := float64(costs[refineOp].Instr) + 3*100
-	const serverIPC = 2.6
-
-	wire := func(payload int) float64 { return float64(proto.Packetize(payload).WireBytes * 8) }
-
-	in := scheme.AnalyticInputs{
-		BandwidthBps: params.BandwidthBps,
-		CFullyLocal:  n * (filterPerCand + refinePerCand),
-		ServerHz:     params.Server.ClockHz,
-		Client:       energy.DefaultClientModel().At(params.DistanceM),
-	}
+	prices, w := scheme.Prices{Client: params.Client, Server: params.Server}, scheme.EstimateWork(q, shape)
+	in := prices.Inputs(s, &w, 1)
+	in.BandwidthBps = params.BandwidthBps
+	in.Client = energy.DefaultClientModel().At(params.DistanceM)
 	in.Client.ClientHz = params.Client.ClockHz
 	in.Client.PBlocked = params.Energy.CPUSleepWatts
-	switch s {
-	case FullyServer:
-		in.PacketTxBits = wire(proto.QueryRequestBytes)
-		in.PacketRxBits = wire(proto.IDListBytes(int(n)))
-		in.CW2 = in.CFullyLocal / serverIPC
-	case FilterClientRefineServer:
-		in.CLocal = n * filterPerCand
-		in.PacketTxBits = wire(proto.QueryRequestBytes + proto.IDListBytes(int(n)))
-		in.PacketRxBits = wire(proto.IDListBytes(int(n)))
-		in.CW2 = n * refinePerCand / serverIPC
-	}
 	return in
 }

@@ -96,9 +96,8 @@ func TestOneCostModel(t *testing.T) {
 		e := newEngine(t, ds, mutate)
 		p := e.Sys.Params()
 		q := Range(geom.Rect{Min: geom.Point{X: 2000, Y: 2000}, Max: geom.Point{X: 5000, Y: 5000}})
-		n := e.estimateCandidates(q)
 		for _, s := range []Scheme{FullyClient, FullyServer, FilterClientRefineServer} {
-			in := e.analyticInputs(s, q, n)
+			in := e.AnalyticInputs(s, q)
 			if want := energy.DefaultClientModel().At(p.DistanceM).PTx; in.Client.PTx != want ||
 				in.Client.ClientHz != p.Client.ClockHz || in.BandwidthBps != p.BandwidthBps {
 				t.Fatalf("%v: inputs not on the simulated platform: %+v", s, in)

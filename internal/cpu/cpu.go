@@ -58,6 +58,9 @@ func DefaultOpCosts() [ops.NumOps]OpCost {
 	return t
 }
 
+// opCosts is the instruction table both machines execute.
+var opCosts = DefaultOpCosts()
+
 // Activity aggregates what a machine model observed; it is the input to the
 // energy model and the source of the cycle count.
 type Activity struct {
@@ -115,8 +118,6 @@ type ClientConfig struct {
 	DCache cache.Config
 	// MemLatency is the DRAM access latency in cycles.
 	MemLatency int
-	// OpCosts is the instruction table; zero value means DefaultOpCosts.
-	OpCosts *[ops.NumOps]OpCost
 }
 
 // DefaultClientConfig returns Table 3: single-issue 5-stage pipeline,
@@ -134,7 +135,6 @@ func DefaultClientConfig() ClientConfig {
 // Client is the SimplePower-style client model. It implements ops.Recorder.
 type Client struct {
 	cfg    ClientConfig
-	costs  [ops.NumOps]OpCost
 	icache *cache.Cache
 	dcache *cache.Cache
 	act    Activity
@@ -162,21 +162,22 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		icache: cache.New(cfg.ICache),
 		dcache: cache.New(cfg.DCache),
 	}
-	if cfg.OpCosts != nil {
-		c.costs = *cfg.OpCosts
-	} else {
-		c.costs = DefaultOpCosts()
-	}
+	c.opCodeBase = codeLayout(32)
+	return c, nil
+}
+
+// codeLayout places the op table's footprints from ops.CodeBase, each padded
+// to a lineBytes boundary so ops don't share lines.
+func codeLayout(lineBytes uint64) (base [ops.NumOps]uint64) {
 	addr := ops.CodeBase
-	for i := range c.opCodeBase {
-		c.opCodeBase[i] = addr
-		addr += uint64(c.costs[i].CodeBytes())
-		// Pad footprints to line boundaries so ops don't share lines.
-		if rem := addr % 32; rem != 0 {
-			addr += 32 - rem
+	for i := range base {
+		base[i] = addr
+		addr += uint64(opCosts[i].CodeBytes())
+		if rem := addr % lineBytes; rem != 0 {
+			addr += lineBytes - rem
 		}
 	}
-	return c, nil
+	return base
 }
 
 // Config returns the client configuration.
@@ -190,7 +191,7 @@ func (c *Client) Op(op ops.Op, n int) {
 	if n <= 0 {
 		return
 	}
-	cost := c.costs[op]
+	cost := opCosts[op]
 	instr := int64(cost.Instr) * int64(n)
 	c.act.Instructions += instr
 	// Single-issue: one cycle per instruction plus stalls added below.

@@ -30,7 +30,6 @@ type ServerConfig struct {
 	// OverlapFactor is the fraction of miss latency the out-of-order core
 	// hides (0 = fully exposed, 1 = fully hidden).
 	OverlapFactor float64
-	OpCosts       *[ops.NumOps]OpCost
 }
 
 // DefaultServerConfig returns Table 4 with a 1 GHz clock.
@@ -52,7 +51,6 @@ func DefaultServerConfig() ServerConfig {
 // and produces only cycles (plus activity for completeness).
 type Server struct {
 	cfg        ServerConfig
-	costs      [ops.NumOps]OpCost
 	icache     *cache.Cache
 	dcache     *cache.Cache
 	l2         *cache.Cache
@@ -82,19 +80,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.icache.Lower = s.l2
 	s.dcache.Lower = s.l2
-	if cfg.OpCosts != nil {
-		s.costs = *cfg.OpCosts
-	} else {
-		s.costs = DefaultOpCosts()
-	}
-	addr := ops.CodeBase
-	for i := range s.opCodeBase {
-		s.opCodeBase[i] = addr
-		addr += uint64(s.costs[i].CodeBytes())
-		if rem := addr % uint64(cfg.ICache.LineBytes); rem != 0 {
-			addr += uint64(cfg.ICache.LineBytes) - rem
-		}
-	}
+	s.opCodeBase = codeLayout(uint64(cfg.ICache.LineBytes))
 	return s, nil
 }
 
@@ -109,7 +95,7 @@ func (s *Server) Op(op ops.Op, n int) {
 	if n <= 0 {
 		return
 	}
-	cost := s.costs[op]
+	cost := opCosts[op]
 	instr := int64(cost.Instr) * int64(n)
 	s.act.Instructions += instr
 

@@ -200,8 +200,8 @@ const (
 	CodeDeadline
 	// CodeShutdown: the server is draining.
 	CodeShutdown
-	// CodeUnsupported: the operation is not available (e.g. no master
-	// index for shipments).
+	// CodeUnsupported: the operation is not available (e.g. a write to a
+	// pool that is not updatable).
 	CodeUnsupported
 	CodeInternal ErrCode = 100
 )
@@ -578,8 +578,7 @@ type ShipmentMsg struct {
 	// Epoch is the index-state fingerprint the shipment was cut under; a
 	// client may answer covered queries locally while later replies carry
 	// the same non-zero hint. Zero means the shipment carries no currency
-	// claim (older servers, or an index that has diverged from the master
-	// tree shipments are cut from).
+	// claim: the server had no validity view to stamp.
 	Epoch    uint64
 	Coverage geom.Rect
 	Records  []Record

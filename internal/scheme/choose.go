@@ -81,3 +81,18 @@ func Choose(o Objective, first Estimate, rest ...Estimate) Estimate {
 	}
 	return best
 }
+
+// OffloadFor is the advisors' "offload for" column: the objectives under
+// which Choose picked the partitioning — "both", "performance", "energy" or
+// "neither".
+func OffloadFor(performance, energy bool) string {
+	switch {
+	case performance && energy:
+		return "both"
+	case performance:
+		return "performance"
+	case energy:
+		return "energy"
+	}
+	return "neither"
+}

@@ -1,10 +1,11 @@
 // Package scheme is the vocabulary of the paper's question and the one place
 // it is answered: what a query is (§3), which work-partitioning schemes can
 // run it (§4, Table 1), what the §4.1 analytic model predicts each would cost
-// the client (AnalyticInputs → Estimate), and which one to run (Choose). It
-// knows neither platform: the simulated engine (internal/core) and the live
-// planner (internal/serve/client) each fill in AnalyticInputs in their own
-// terms, and the serving binaries link no simulator to do it.
+// the client (AnalyticInputs → Estimate), priced from a query's work with
+// the one cycle price list (EstimateWork, Prices), and which one to run
+// (Choose). It knows neither platform: the simulated engine (internal/core)
+// and the live planner (internal/serve/client) each bring their own link and
+// power table, and the serving binaries link no simulator to do it.
 package scheme
 
 import (

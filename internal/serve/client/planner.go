@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"time"
 
-	"mobispatial/internal/cpu"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
@@ -47,20 +46,11 @@ func (p Plan) String() string {
 	return fmt.Sprintf("Plan(%d)", uint8(p))
 }
 
-// What is the planner's own in its analytic inputs: per-work cycle prices
-// like the simulated Table 3/4 machines', client cycles against the server's
-// clock. The client's clock and power table are not here: a prediction is
+// prices is the one cycle price list the planner's analytic inputs are
+// priced with: internal/cpu's op table on the Table 3 client and the Table 4
+// server. The client's clock and power table are not here: a prediction is
 // priced with the same model its measurement will be (Client.energy).
-const (
-	cyclesPerNodeVisit   = 600  // one index-node visit of the filtering step (scan + MBR tests, cache effects folded in)
-	cyclesPerCandidate   = 1500 // one refinement: record decode + exact geometry predicate
-	cyclesPerResultID    = 40   // materializing one answer id locally
-	cyclesPerProtoPacket = 400  // protocol processing (§5.2), per packet
-	cyclesPerProtoByte   = 4    // and per payload byte
-)
-
-// serverHz is the server's clock rate (Table 4).
-var serverHz = cpu.DefaultServerConfig().ClockHz
+var prices = scheme.DefaultPrices()
 
 // Planner chooses and executes per-query plans for one client. It holds no
 // shipment of its own: what it plans over is the client's local state
@@ -224,82 +214,20 @@ func (p *Planner) offload(q scheme.Query, mode proto.Mode, sp *obs.Span) (ids []
 	return p.c.ask(m, sp)
 }
 
-// estimateWork predicts the filtering/refinement volume of q against the
-// shipment: node visits from the sub-tree shape, candidates from the
-// shipment's spatial density (range) or small constants (point/NN).
-func (p *Planner) estimateWork(ship *Shipment, q scheme.Query) (nodeVisits, candidates, hits float64) {
-	t := ship.Tree
-	height := float64(t.Height())
-	fanout := float64(t.Fanout())
-	n := float64(t.Len())
-
-	switch q.Kind {
-	case scheme.RangeQuery:
-		cov := ship.Coverage
-		frac := 0.0
-		if a := cov.Area(); a > 0 {
-			frac = q.Window.Intersection(cov).Area() / a
-		}
-		candidates = n * frac
-		if candidates < 1 {
-			candidates = 1
-		}
-		hits = candidates
-	default:
-		k := float64(q.K)
-		if k < 1 {
-			k = 1
-		}
-		// A point stabs a handful of leaf MBRs; NN visits a few more.
-		candidates = 4 + 2*k
-		hits = k
-	}
-	nodeVisits = height + candidates/fanout
-	return nodeVisits, candidates, hits
-}
-
 // analyticInputs builds the §4.1 model inputs for "local against the
-// shipment" versus "offload, ids back" under the measured link.
+// shipment" versus "offload, ids back" under the measured link: the work
+// estimated from the shipment's sub-tree over its coverage, priced by
+// scheme.Prices, with the measured RTT folded into the server's wait. Batched
+// (SetBatch), B queries share one request/reply exchange, so the per-query
+// bits and protocol cycles are the batch totals over B — the way
+// MsgBatchQuery amortizes them on the wire.
 func (p *Planner) analyticInputs(ship *Shipment, q scheme.Query) scheme.AnalyticInputs {
-	link := p.c.Link()
-	nodeVisits, candidates, hits := p.estimateWork(ship, q)
-
-	// Fully-local: filter + refine at the client.
-	cFullyLocal := nodeVisits*cyclesPerNodeVisit + candidates*cyclesPerCandidate
-
-	// Offloaded: the server does the same logical work at its clock; the
-	// reply carries ids only (the shipment holds the records). The
-	// client-observed wait folds the measured RTT into Cw2.
-	cw2 := cFullyLocal + link.RTT.Seconds()*serverHz
-
-	// Wire pricing. Unbatched, one query pays a full request frame and a
-	// full reply frame. Batched (SetBatch), B queries share one
-	// request/reply exchange, so the per-query bits and protocol cycles are
-	// the batch totals over B — the §4.1 model's per-exchange terms
-	// amortized exactly the way MsgBatchQuery amortizes them on the wire.
-	batch := max(p.batch, 1)
-	var tx, rx proto.Transfer
-	if batch > 1 {
-		tx = proto.Packetize(proto.BatchQueryBytes(batch))
-		rx = proto.Packetize(proto.BatchIDListBytes(batch, batch*int(hits)))
-	} else {
-		tx = proto.Packetize(proto.QueryRequestBytes)
-		rx = proto.Packetize(proto.IDListBytes(int(hits)))
-	}
-	b := float64(batch)
-	cProtocol := (float64(tx.Packets+rx.Packets)*cyclesPerProtoPacket +
-		float64(tx.PayloadBytes+rx.PayloadBytes)*cyclesPerProtoByte) / b
-	cLocal := hits * cyclesPerResultID
-
-	return scheme.AnalyticInputs{
-		BandwidthBps: link.pricingBps(),
-		CFullyLocal:  cFullyLocal,
-		CLocal:       cLocal,
-		CProtocol:    cProtocol,
-		CW2:          cw2,
-		ServerHz:     serverHz,
-		PacketTxBits: float64(tx.WireBytes*8) / b,
-		PacketRxBits: float64(rx.WireBytes*8) / b,
-		Client:       p.c.energy,
-	}
+	t, link := ship.Tree, p.c.Link()
+	w := scheme.EstimateWork(q, scheme.Shape{Items: t.Len(), Extent: ship.Coverage,
+		Height: t.Height(), Fanout: t.Fanout(), RecordBytes: ship.recordBytes})
+	in := prices.Inputs(scheme.FullyServer, &w, p.batch)
+	in.BandwidthBps = link.pricingBps()
+	in.CW2 += link.RTT.Seconds() * in.ServerHz
+	in.Client = p.c.energy
+	return in
 }

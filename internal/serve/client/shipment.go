@@ -33,6 +33,9 @@ type Shipment struct {
 	// byID lists the pack positions of Tree's leaves in ascending id order:
 	// records resolves a server's id list through it at 4 B a record.
 	byID []uint32
+	// recordBytes is the record size the shipment was requested with: what
+	// the planner prices each local refinement reading.
+	recordBytes int
 }
 
 // FetchShipment requests a shipment covering window under budgetBytes of
@@ -53,6 +56,7 @@ func (c *Client) FetchShipment(window geom.Rect, budgetBytes, recordBytes int) (
 	if err != nil {
 		return nil, err
 	}
+	ship.recordBytes = recordBytes
 	c.install(ship, asked)
 	if c.writes.Load() != writes {
 		// One of this client's own writes was acked while the shipment was
