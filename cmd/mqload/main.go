@@ -69,7 +69,7 @@
 //	             degraded mode, reported as fallback-local). With -planner
 //	             the fetched shipment replaces it, so degraded coverage is
 //	             the shipment window — where every planner query lands
-//	-serverstats append the server's side of the run: shard fan-out, result
+//	-serverstats append the server's side of the run: shard count, result
 //	             cache (hit rate and the seconds of server execution the hits
 //	             saved), update subsystem, and its full metrics snapshot
 //
@@ -82,8 +82,10 @@
 // the staleness evidence (how many writes fold into each epoch swap, from
 // the acks' epoch progression) and the read-back ledger; -batch adds the
 // modeled batched-vs-unbatched NIC energy; -planner the per-scheme breakdown
-// with the predicted-vs-actual §4.1 cost ratios, both sides priced by the one
-// client cost model (energy.ClientModel). When the target turns out
+// with the predicted-vs-charged §4.1 cost ratios (mean and p50), both sides
+// priced from one cycle price list (scheme.Prices) and one power table
+// (energy.ClientModel): the prediction from estimated work, the charge from
+// the counted walk and the frames that moved. When the target turns out
 // to be an mqrouter (its snapshot carries router_backends) the fan-out,
 // failover, and per-backend leg report follows.
 package main

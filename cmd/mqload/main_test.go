@@ -12,6 +12,7 @@ import (
 
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/nic"
+	"mobispatial/internal/obs"
 	"mobispatial/internal/serve/client"
 	"mobispatial/internal/stack"
 )
@@ -88,6 +89,9 @@ func TestEveryWorkloadRunsToOneReport(t *testing.T) {
 		{"moving batch", updatable, "-moving -batch 4 -vehicles 8", []string{"  writes    ", "  batching  "}},
 		{"moving planner", updatable, "-moving -planner -vehicles 8", []string{"  writes    ", "scheme breakdown"}},
 		{"routed uniform", routed, "", []string{"  router    2 backends"}},
+		// Before the routed writes below: a shipment cut through the router
+		// answers locally only while no write has moved its hint.
+		{"routed planner", routed, "-planner", []string{"    fully-client "}},
 		{"routed zipf batch", routed, "-zipf 1.5 -batch 8", []string{"batches: "}},
 		{"routed moving readback", routed, "-moving -readback -vehicles 8", []string{"writes: "}},
 	} {
@@ -142,6 +146,37 @@ func TestShardReportAgainstMqserve(t *testing.T) {
 	}
 	if strings.Contains(report, "fan-out") {
 		t.Errorf("report prints a fan-out the pool does not count:\n%s", report)
+	}
+}
+
+// TestSchemeReportPrintsMediansAndForcedPlans: each scheme row carries the
+// mean and the p50 of both ratio histograms, and a scheme whose plans were
+// all forced (by coverage or freshness) reads "no prediction", not a ratio
+// of 0.
+func TestSchemeReportPrintsMediansAndForcedPlans(t *testing.T) {
+	ratio := func(name string, mean, p50 float64) obs.HistValue {
+		return obs.HistValue{Name: obs.Name(name, "scheme", "fully-client"), HistSummary: obs.HistSummary{Count: 3, Mean: mean, P50: p50}}
+	}
+	snap := obs.Snapshot{
+		Counters: []obs.CounterValue{
+			{Name: obs.Name("client_plans_total", "scheme", "fully-client"), Value: 3},
+			{Name: obs.Name("client_plans_total", "scheme", "fully-server"), Value: 2},
+		},
+		Hists: []obs.HistValue{ratio("client_plan_cycle_ratio", 0.5, 0.375), ratio("client_plan_energy_ratio", 0.75, 0.625)},
+	}
+	var out bytes.Buffer
+	printSchemeReport(&out, snap)
+	report := out.String()
+	for _, want := range []string{
+		"    fully-client       3 queries  mean 0.00ms p95 0.00ms  0.000 J  pred/act cycles 0.50 p50 0.38, energy 0.75 p50 0.62\n",
+		"    fully-server       2 queries  mean 0.00ms p95 0.00ms  0.000 J  no prediction\n",
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q:\n%s", want, report)
+		}
+	}
+	if strings.Contains(report, "server-ids") {
+		t.Errorf("report prints a scheme with no plans:\n%s", report)
 	}
 }
 

@@ -114,7 +114,9 @@ func printDegradedReport(out io.Writer, d client.DegradedStats, inj *faultlink.I
 }
 
 // printSchemeReport breaks the run down per partitioning scheme: volume,
-// latency, modeled energy, and the §4.1 predicted-vs-actual cost ratios.
+// latency, charged energy, and the §4.1 predicted-vs-charged cost ratios
+// (mean and median). A scheme only coverage or freshness forced has no
+// prediction to score.
 func printSchemeReport(out io.Writer, snap obs.Snapshot) {
 	hists := map[string]obs.HistValue{}
 	for _, h := range snap.Hists {
@@ -129,10 +131,13 @@ func printSchemeReport(out io.Writer, snap obs.Snapshot) {
 		eh := hists[obs.Name("client_exec_seconds", "scheme", scheme)]
 		cr := hists[obs.Name("client_plan_cycle_ratio", "scheme", scheme)]
 		er := hists[obs.Name("client_plan_energy_ratio", "scheme", scheme)]
-		fmt.Fprintf(out, "    %-12s %7d queries  mean %s p95 %s  %.3f J  pred/act cycles %.2f energy %.2f\n",
+		pred := "no prediction"
+		if cr.Count+er.Count > 0 {
+			pred = fmt.Sprintf("pred/act cycles %.2f p50 %.2f, energy %.2f p50 %.2f", cr.Mean, cr.P50, er.Mean, er.P50)
+		}
+		fmt.Fprintf(out, "    %-12s %7d queries  mean %s p95 %s  %.3f J  %s\n",
 			scheme, n, ms(eh.Mean), ms(eh.P95),
-			snap.Gauge(obs.Name("client_energy_joules_total", "scheme", scheme)),
-			cr.Mean, er.Mean)
+			snap.Gauge(obs.Name("client_energy_joules_total", "scheme", scheme)), pred)
 	}
 }
 
@@ -151,7 +156,7 @@ func printServerReport(out io.Writer, res result, serverStats bool) error {
 	if !serverStats {
 		return nil
 	}
-	printShardReport(out, pre, post)
+	printShardReport(out, post)
 	printCacheReport(out, pre, post)
 	printMutableReport(out, pre, post)
 	printServerStats(out, post)
@@ -203,31 +208,17 @@ func printRouterReport(out io.Writer, pre, post serverSnap) {
 	})
 }
 
-// printShardReport summarizes the server's shards over this run: how many
-// (shardCount), and, where the pool counts them — the frozen shard.Pool
-// does, an updatable pool does not — the mean number of shards a range/point
-// query touched after MBR pruning and the best-first NN scheduling outcomes.
-func printShardReport(out io.Writer, pre, post serverSnap) {
-	shards := shardCount(post.Snapshot)
-	if shards == 0 {
-		return
-	}
-	fmt.Fprintf(out, "  shards    %d shards\n", shards)
-	if queries := delta(pre, post, "shard_inline_total"); queries > 0 {
-		fmt.Fprintf(out, "            range/point: %.0f queries, mean fan-out %.2f shards\n",
-			queries, delta(pre, post, "shard_fanout_shards_total")/queries)
-	}
-	if nn := delta(pre, post, "shard_nn_total"); nn > 0 {
-		fmt.Fprintf(out, "            nn/k-nn:     %.0f queries, mean %.2f shards visited, %.2f pruned\n", nn,
-			delta(pre, post, "shard_nn_shards_visited_total")/nn, delta(pre, post, "shard_nn_shards_pruned_total")/nn)
+// printShardReport names the server's shard count (shardCount).
+func printShardReport(out io.Writer, post serverSnap) {
+	if shards := shardCount(post.Snapshot); shards > 0 {
+		fmt.Fprintf(out, "  shards    %d shards\n", shards)
 	}
 }
 
-// shardCount is a server's shard count: the frozen pool's shard_count
-// gauge, or one per mutable_epoch gauge an updatable pool registers for
-// each of its shards; 0 for a router, which holds none.
+// shardCount is a server's shard count: one per mutable_epoch gauge its pool
+// registers for each of its shards; 0 for a router, which holds none.
 func shardCount(s obs.Snapshot) int {
-	n := int(s.Gauge("shard_count"))
+	n := 0
 	s.EachGauge("mutable_epoch", "shard", func(string, float64) { n++ })
 	return n
 }
@@ -286,7 +277,7 @@ func printServerStats(out io.Writer, snap serverSnap) {
 			fmt.Fprintf(out, "    %-48s n=%d mean %s p95 %s p99 %s\n",
 				h.Name, h.Count, ms(h.Mean), ms(h.P95), ms(h.P99))
 		} else {
-			// Count-valued histograms (e.g. shard_fanout): plain numbers.
+			// Count-valued histograms (e.g. router_fanout): plain numbers.
 			fmt.Fprintf(out, "    %-48s n=%d mean %.2f p95 %.2f p99 %.2f\n",
 				h.Name, h.Count, h.Mean, h.P95, h.P99)
 		}

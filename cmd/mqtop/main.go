@@ -166,11 +166,10 @@ func render(w io.Writer, addr string, c *client.Client, uptimeMicros uint64, sna
 	}
 }
 
-// shardCount is a server's shard count: the frozen pool's shard_count
-// gauge, or one per mutable_epoch gauge an updatable pool registers for
-// each of its shards; 0 for a router, which holds none.
+// shardCount is a server's shard count: one per mutable_epoch gauge its pool
+// registers for each of its shards; 0 for a router, which holds none.
 func shardCount(s obs.Snapshot) int {
-	n := int(s.Gauge("shard_count"))
+	n := 0
 	s.EachGauge("mutable_epoch", "shard", func(string, float64) { n++ })
 	return n
 }
@@ -235,7 +234,7 @@ func cacheLine(snap, prev obs.Snapshot, dt time.Duration, haveDelta bool) string
 }
 
 // histVal formats one histogram summary cell. Only names ending in _seconds
-// are durations; anything else — shard fan-out, router legs per query, and
+// are durations; anything else — router legs per query and
 // whatever future servers export — renders as a plain number instead of
 // being misread as a latency.
 func histVal(name string, v float64) string {

@@ -72,21 +72,17 @@ func world() (*dataset.Dataset, *rtree.Tree) {
 	return ds, tree
 }
 
-// offloadInputs characterizes a range query by counting its filtering walk's
-// abstract operations — cheap, no machine model attached — and prices it
-// fully local against fully offloaded with the data replicated (the reply
-// carries the matching ids, at most one per candidate) on Table 2's client at
-// 1 km. It also returns the candidate count.
+// offloadInputs characterizes a range query by counting its walk's abstract
+// operations (scheme.CountWork) — cheap, no machine model attached — and
+// prices it fully local against fully offloaded with the data replicated (the
+// reply carries the matching ids) on Table 2's client at 1 km. It also
+// returns the candidate count.
 func offloadInputs(ds *dataset.Dataset, tree *rtree.Tree, window geom.Rect) (scheme.AnalyticInputs, int) {
-	var counts ops.Counts
-	cands := len(tree.Search(window, &counts))
+	w := scheme.CountWork(scheme.Range(window), tree, ds.Seg, ds.RecordBytes)
 	prices := scheme.DefaultPrices()
-	in := prices.Inputs(scheme.FullyServer, &scheme.Work{
-		Kind: scheme.RangeQuery, Filter: counts,
-		Candidates: int64(cands), Hits: int64(cands), RecordBytes: ds.RecordBytes,
-	}, 1)
+	in := prices.Inputs(scheme.FullyServer, &w, 1)
 	in.Client = energy.DefaultClientModel()
-	return in, cands
+	return in, int(w.Candidates)
 }
 
 // simulate runs the window under s in the full simulator at the given

@@ -147,6 +147,18 @@ func (s *Span) TotalJoules() float64 {
 	return sum
 }
 
+// TotalCycles returns the span's modeled client-clock cycles.
+func (s *Span) TotalCycles() float64 {
+	if s == nil {
+		return 0
+	}
+	var sum float64
+	for _, l := range s.Laps {
+		sum += l.Cycles
+	}
+	return sum
+}
+
 // Finish closes the span now and hands it to its tracer for retention.
 func (s *Span) Finish() {
 	if s != nil {

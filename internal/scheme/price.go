@@ -1,9 +1,10 @@
 package scheme
 
 // One price list: every decider fills AnalyticInputs from a query's work —
-// estimated from the index's shape (EstimateWork) or counted by a walk — and
-// prices it with internal/cpu's op table on the Table 3 client and the
-// Table 4 server (Prices), the table the simulator's machine models execute.
+// estimated from the index's shape (EstimateWork) or counted by a walk
+// (CountWork) — and prices it with internal/cpu's op table on the Table 3
+// client and the Table 4 server (Prices), the table the simulator's machine
+// models execute. The live client charges its processor from the same list.
 
 import (
 	"math"
@@ -70,6 +71,38 @@ func EstimateWork(q Query, s Shape) Work {
 	w.Filter.Ops[ops.OpResultAppend] = cands
 	w.Filter.LoadBytes = visits * (rtree.HeaderBytes + fanout*rtree.EntryBytes)
 	w.Filter.StoreBytes = cands * proto.ObjectIDBytes
+	return w
+}
+
+// CountWork is EstimateWork's measured counterpart: q's work as internal/core's
+// engine runs it over t, counted. The instrumented walk records the
+// filtering and its candidates; a range's or point's hits are the exact
+// answer, refined from the segments t's leaves carry (t must be built from
+// rtree.SegItem items, as every serving tree is). A k-NN search has no
+// separate filtering: the walk records its descent, and its candidates are
+// the items whose distance it asked seg for. Pricing the result with Inputs
+// gives the cycles the simulator charges the same query fully at the
+// client.
+func CountWork(q Query, t *rtree.Tree, seg func(id uint32) geom.Segment, recordBytes int) Work {
+	w := Work{Kind: q.Kind, RecordBytes: recordBytes}
+	switch q.Kind {
+	case NNQuery:
+		dist := func(id uint32) float64 {
+			w.Candidates++
+			return seg(id).DistToPoint(q.Point)
+		}
+		if q.K > 1 {
+			w.Hits = int64(len(t.KNearest(q.Point, q.K, dist, &w.Filter)))
+		} else if _, _, ok := t.Nearest(q.Point, dist, &w.Filter); ok {
+			w.Hits = 1
+		}
+	case PointQuery:
+		w.Candidates = int64(len(t.SearchPoint(q.Point, &w.Filter)))
+		w.Hits = int64(len(t.AppendPoint(nil, nil, q.Point, PointEps)))
+	default:
+		w.Candidates = int64(len(t.Search(q.Window, &w.Filter)))
+		w.Hits = int64(len(t.AppendRange(nil, nil, q.Window, true)))
+	}
 	return w
 }
 

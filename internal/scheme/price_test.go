@@ -108,6 +108,61 @@ func TestEstimateReadsLikeAWalk(t *testing.T) {
 	}
 }
 
+// TestCountWorkRefinesLikeTheEngine: a counted walk is the stream
+// internal/core's engine runs — its filter the instrumented walk's counts,
+// its candidates that walk's ids, its hits the candidates whose segment
+// passes the exact test — and a k-NN's candidates are the distances the
+// descent asked for.
+func TestCountWorkRefinesLikeTheEngine(t *testing.T) {
+	ds, tree := priceWorld(t)
+	c := ds.Extent.Center()
+	window := geom.Rect{Min: c, Max: c}.Expand(1500)
+	pt := ds.Segments[11].A
+	refined := func(ids []uint32, hit func(geom.Segment) bool) (n int64) {
+		for _, id := range ids {
+			if hit(ds.Seg(id)) {
+				n++
+			}
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		q     Query
+		walk  func(*ops.Counts) []uint32
+		exact func(geom.Segment) bool
+	}{
+		{Range(window), func(c *ops.Counts) []uint32 { return tree.Search(window, c) },
+			func(s geom.Segment) bool { return s.IntersectsRect(window) }},
+		{Point(pt), func(c *ops.Counts) []uint32 { return tree.SearchPoint(pt, c) },
+			func(s geom.Segment) bool { return s.ContainsPoint(pt, PointEps) }},
+	} {
+		var want ops.Counts
+		cands := tc.walk(&want)
+		w := CountWork(tc.q, tree, ds.Seg, ds.RecordBytes)
+		if w.Filter != want || w.Candidates != int64(len(cands)) || w.RecordBytes != ds.RecordBytes {
+			t.Errorf("%v: counted %+v over %d candidates, the walk records %+v over %d", tc.q.Kind, w.Filter, w.Candidates, want, len(cands))
+		}
+		if hits := refined(cands, tc.exact); w.Hits != hits || hits == 0 {
+			t.Errorf("%v: counted %d hits, refinement keeps %d", tc.q.Kind, w.Hits, hits)
+		}
+	}
+	for _, k := range []int{1, 4} {
+		var want ops.Counts
+		var asked int64
+		dist := func(id uint32) float64 { asked++; return ds.Seg(id).DistToPoint(c) }
+		hits := 1
+		if k > 1 {
+			hits = len(tree.KNearest(c, k, dist, &want))
+		} else {
+			tree.Nearest(c, dist, &want)
+		}
+		w := CountWork(KNearest(c, k), tree, ds.Seg, ds.RecordBytes)
+		if w.Filter != want || w.Candidates != asked || w.Hits != int64(hits) {
+			t.Errorf("%d-NN: counted %d candidates, %d hits; the descent asked %d distances for %d", k, w.Candidates, w.Hits, asked, hits)
+		}
+	}
+}
+
 // TestInputsSplitTheWork: the partitioned side moves work between the
 // machines but prices it with the same table — a fully-server execution's
 // server cycles are the fully-local instructions (plus dispatch and reply

@@ -447,9 +447,9 @@ func backoffDelay(base, max time.Duration, attempt int, u float64) time.Duration
 //
 // It is also where an exchange is priced, once: here the frame bytes that
 // actually moved, the wall time they took and the link estimate they are
-// priced at are all in hand. The radio seconds computed here are what the NIC
-// ledger (Degraded().RemoteNICJoules) is charged for and what sp's wire and
-// server-wait stages receive; nothing downstream re-derives them from
+// priced at are all in hand. Those bytes at that estimate are what the NIC
+// ledger (Degraded().RemoteNICJoules) is charged for and what sp's stages are
+// priced from (attributeExchange); nothing downstream re-derives them from
 // catalogue sizes.
 func (c *Client) roundTrip(req proto.Message, deadline time.Time, sp *obs.Span) (proto.Message, error) {
 	wc, err := c.checkout()
@@ -492,8 +492,7 @@ func (c *Client) roundTrip(req proto.Message, deadline time.Time, sp *obs.Span) 
 	c.remoteNICJ.Add(remoteJ)
 	c.metrics.remoteJoules.Add(remoteJ)
 	if sp != nil {
-		c.attributeExchange(sp, elapsed.Seconds(),
-			c.energy.TxSeconds(sentBytes, bps), c.energy.TxSeconds(respBytes, bps))
+		c.attributeExchange(sp, elapsed.Seconds(), sentBytes, respBytes, bps)
 	}
 	if c.hub != nil {
 		c.metrics.rtHist.Observe(elapsed.Seconds())

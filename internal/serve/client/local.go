@@ -157,19 +157,29 @@ func degradable(err error) bool {
 	return true
 }
 
-// runLocal is the only way a query runs at the client: ship answers cq, and
-// the walk is timed, lapped into sp (nil is fine) as stage and priced with
-// the compute model. It is reached for two reasons — chosen (Planner.Execute
-// picked fully-client over a fresh shipment) and degraded (degrade, below) —
-// and the caller owns the accounting of its reason.
+// runLocal is the only way a query runs at the client: ship answers cq, the
+// answer's wall time is lapped into sp (nil is fine) as stage — latency, and
+// nothing else — and the answer is charged what the one price list says the
+// walk costs the Table 3 client: the shipment's instrumented walk counted
+// (Shipment.work) and priced fully local, as the simulator charges the
+// fully-client scheme. The charge depends on the walk alone, never on the
+// host. It is reached for two reasons — chosen (Planner.Execute picked
+// fully-client over a fresh shipment) and degraded (degrade, below) — and the
+// caller owns the accounting of its reason.
 func (c *Client) runLocal(ship *Shipment, cq scheme.Query, sp *obs.Span, stage obs.Stage) (recs []proto.Record, sec, joules float64, err error) {
 	start := time.Now()
 	recs, err = ship.Answer(cq, 0)
 	sec = time.Since(start).Seconds()
 	sp.Lap(stage, sec)
-	joules, cycles := c.energy.Compute(sec)
-	sp.Attribute(stage, joules, cycles)
-	return recs, sec, joules, err
+	if err != nil {
+		return nil, sec, 0, err
+	}
+	w := ship.work(cq)
+	in := prices.Inputs(scheme.FullyClient, &w, 1)
+	in.Client = c.energy
+	joules = in.FullyLocalJoules()
+	sp.Attribute(stage, joules, in.CFullyLocal)
+	return recs, sec, joules, nil
 }
 
 // degrade answers cq from the installed shipment after the wire failed with

@@ -5,7 +5,11 @@
 // executed query (the predicted-vs-actual partitioning error).
 package client
 
-import "mobispatial/internal/obs"
+import (
+	"mobispatial/internal/obs"
+	"mobispatial/internal/proto"
+	"mobispatial/internal/scheme"
+)
 
 // clientMetrics holds the transport-level handles, resolved once at New.
 // All handles are nil (no-op) when Config.Obs is nil.
@@ -57,14 +61,14 @@ func newClientMetrics(h *obs.Hub) clientMetrics {
 // plannerMetrics holds the per-scheme handles, indexed by Plan.
 type plannerMetrics struct {
 	// plans counts executions per scheme; execHist is end-to-end planned
-	// execution time; joules accumulates modeled client energy.
+	// execution time (latency); joules accumulates charged client energy.
 	plans    [3]*obs.Counter
 	execHist [3]*obs.Histogram
 	joules   [3]*obs.Gauge
 	// cycleRatio and energyRatio are the predicted-vs-actual partitioning
-	// error: the model's predicted seconds (Joules) over the measured
-	// seconds (modeled Joules) of the execution it chose. 1.0 = the §4.1
-	// model priced this query perfectly.
+	// error: the model's predicted client cycles (Joules) over the cycles
+	// (Joules) the execution it chose was charged. 1.0 = the §4.1 model
+	// priced this query perfectly.
 	cycleRatio  [3]*obs.Histogram
 	energyRatio [3]*obs.Histogram
 }
@@ -85,11 +89,25 @@ func newPlannerMetrics(h *obs.Hub) plannerMetrics {
 	return m
 }
 
+// dispatchCycles is an offloaded query's client work outside the protocol
+// stack, the request dispatch: what Inputs predicts as CLocal for
+// FullyServer.
+var dispatchCycles = prices.Inputs(scheme.FullyServer, &scheme.Work{}, 1).CLocal
+
 // attributeExchange laps one completed exchange into sp as roundTrip priced
-// it: txSec and rxSec of modeled radio transfer (StageWire) and the rest of
-// the measured wall time as the wait for the server (StageServerExec), each
-// at its stage price.
-func (c *Client) attributeExchange(sp *obs.Span, wallSec, txSec, rxSec float64) {
+// it. The radio's stages price the link as measured: the modeled transfer
+// of the sent and received frames at bps (StageWire) and the rest of the
+// wall time as the wait for the server (StageServerExec). The client's
+// processing of the exchange is charged from the price list, as Inputs
+// predicts CLocal + CProtocol: the request dispatch plus the protocol stack
+// over the frames that moved (StageSerialize; no seconds, it overlaps the
+// wall time above).
+func (c *Client) attributeExchange(sp *obs.Span, wallSec float64, sentBytes, respBytes int, bps float64) {
+	cycles := dispatchCycles + prices.ProtocolCycles(proto.Packetize(sentBytes), proto.Packetize(respBytes))
+	j, _ := c.energy.Compute(cycles / c.energy.ClientHz)
+	sp.Attribute(obs.StageSerialize, j, cycles)
+
+	txSec, rxSec := c.energy.TxSeconds(sentBytes, bps), c.energy.TxSeconds(respBytes, bps)
 	if wire := txSec + rxSec; wire > wallSec {
 		// The modeled transfer can exceed the measured wall time when the
 		// bandwidth estimate is stale; scale it into the budget.

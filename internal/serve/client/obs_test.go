@@ -10,7 +10,9 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
+	"mobispatial/internal/proto"
 	"mobispatial/internal/rtree"
+	"mobispatial/internal/scheme"
 	"mobispatial/internal/serve/client"
 )
 
@@ -167,33 +169,42 @@ func offloadBigRange(t *testing.T, c *client.Client, p *client.Planner, hub *obs
 	return span, stages
 }
 
-// TestPlannerSpansCarryEnergy: an offloaded execution's span must decompose
-// into plan, wire, and server-exec stages with nonzero Joules attribution.
+// TestPlannerSpansCarryEnergy: an offloaded execution's span decomposes into
+// the radio's wire and server-exec stages, charged for the measured link, and
+// the client's processing of the exchange, charged from the price list
+// (serialize). The plan and reply stages lap their seconds and are charged
+// nothing: no host second becomes a Joule.
 func TestPlannerSpansCarryEnergy(t *testing.T) {
 	ds, c, p, hub := obsWorld(t)
 	offloaded, stages := offloadBigRange(t, c, p, hub, ds.Extent.Center())
 	if offloaded.Joules <= 0 {
 		t.Errorf("span joules = %g, want > 0", offloaded.Joules)
 	}
-	for _, want := range []string{"plan", "server-exec"} {
-		st, ok := stages[want]
-		if !ok || st.Seconds <= 0 || st.Joules <= 0 {
-			t.Errorf("stage %q: present=%v seconds=%g joules=%g, want all > 0",
-				want, ok, st.Seconds, st.Joules)
-		}
+	if st, ok := stages["server-exec"]; !ok || st.Seconds <= 0 || st.Joules <= 0 {
+		t.Errorf("server-exec stage: present=%v seconds=%g joules=%g, want all > 0", ok, st.Seconds, st.Joules)
 	}
 	// The wire stage exists whenever a bandwidth estimate is available.
 	if st, ok := stages["wire"]; !ok || st.Joules <= 0 {
 		t.Errorf("wire stage: present=%v joules=%g, want > 0", ok, st.Joules)
 	}
+	if st, ok := stages["serialize"]; !ok || st.Joules <= 0 || st.Cycles <= 0 {
+		t.Errorf("serialize stage: present=%v joules=%g cycles=%g, want > 0", ok, st.Joules, st.Cycles)
+	}
+	for _, lapped := range []string{"plan", "reply"} {
+		if st, ok := stages[lapped]; !ok || st.Seconds <= 0 || st.Joules != 0 || st.Cycles != 0 {
+			t.Errorf("stage %q: present=%v seconds=%g joules=%g cycles=%g, want seconds > 0 and no charge",
+				lapped, ok, st.Seconds, st.Joules, st.Cycles)
+		}
+	}
 }
 
 // TestExchangePricedOnce: one offloaded execution is one exchange, priced in
-// one place (Client.roundTrip) from what it measured. The span's wire stage
-// and the NIC ledger both read the frame bytes that moved — WireStats' deltas,
-// 73 B up and 21+4n B down — at the link estimate in force, through the one
-// cost model; neither re-derives the exchange from the catalogue's 64 B and
-// 16+4n B, which is what the planner *predicts* with.
+// one place (Client.roundTrip) from what it measured. The span's wire and
+// serialize stages and the NIC ledger all read the frame bytes that moved —
+// WireStats' deltas, 73 B up and 21+4n B down — at the link estimate in
+// force, through the one cost model and the one price list; none re-derives
+// the exchange from the catalogue's 64 B and 16+4n B, which is what the
+// planner *predicts* with.
 func TestExchangePricedOnce(t *testing.T) {
 	ds, c, p, hub := obsWorld(t)
 	w0, j0 := c.WireStats(), c.Degraded().RemoteNICJoules
@@ -220,5 +231,14 @@ func TestExchangePricedOnce(t *testing.T) {
 	}
 	if want := em.NICExchangeJoules(tx, rx, 1, bps); !near(j1-j0, want) {
 		t.Errorf("NIC ledger charged %.6g J, the same frames price to %.6g J", j1-j0, want)
+	}
+	// The client's processing of the exchange: the dispatch and the protocol
+	// stack over those same frames, as the price list predicts CLocal +
+	// CProtocol.
+	prices := scheme.DefaultPrices()
+	wantCycles := prices.Inputs(scheme.FullyServer, &scheme.Work{}, 1).CLocal +
+		prices.ProtocolCycles(proto.Packetize(tx), proto.Packetize(rx))
+	if got := stages["serialize"].Cycles; !near(got, wantCycles) {
+		t.Errorf("serialize stage %.6g cycles, dispatch + protocol over the %d+%d B that moved is %.6g", got, tx, rx, wantCycles)
 	}
 }

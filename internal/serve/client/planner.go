@@ -47,9 +47,10 @@ func (p Plan) String() string {
 }
 
 // prices is the one cycle price list the planner's analytic inputs are
-// priced with: internal/cpu's op table on the Table 3 client and the Table 4
-// server. The client's clock and power table are not here: a prediction is
-// priced with the same model its measurement will be (Client.energy).
+// priced with, and the client's processor is charged from: internal/cpu's op
+// table on the Table 3 client and the Table 4 server. The client's clock and
+// power table are not here: a prediction is priced with the same model its
+// charge is (Client.energy).
 var prices = scheme.DefaultPrices()
 
 // Planner chooses and executes per-query plans for one client. It holds no
@@ -121,7 +122,8 @@ func (p *Planner) plan(st *localState, q scheme.Query) (plan Plan, predicted sch
 }
 
 // Execute plans and runs q, recording the execution as a span and scoring
-// the model's prediction against the measured outcome when obs is enabled.
+// the model's prediction against what the execution was charged when obs is
+// enabled.
 // An execution the link failed and the shipment answered instead comes back
 // as PlanLocal; its span reads fallback-local and it is accounted as degraded
 // operation (Client.Degraded), not as a scheme the planner chose.
@@ -132,38 +134,36 @@ func (p *Planner) Execute(q scheme.Query) (Result, error) {
 		sp = c.hub.Trace.Start(q.Kind.String())
 	}
 
-	planStart := time.Now()
+	start := time.Now()
 	st := c.local.Load()
 	plan, predicted, chosen := p.plan(st, q)
-	planSec := time.Since(planStart).Seconds()
 	sp.SetScheme(plan.String())
-	sp.Lap(obs.StagePlan, planSec)
-	j, cy := c.energy.Compute(planSec)
-	sp.Attribute(obs.StagePlan, j, cy)
+	sp.Lap(obs.StagePlan, time.Since(start).Seconds())
 
-	execStart := time.Now()
 	res, degraded, err := p.runPlan(st, plan, q, sp)
 	if degraded {
 		res.Plan = PlanLocal
 	}
-	totalSec := planSec + time.Since(execStart).Seconds()
+	execSec := time.Since(start).Seconds()
 	if err != nil {
 		sp.SetErr()
 	}
 
-	// Score and record before Finish: a finished span may be recycled.
+	// Score and record before Finish: a finished span may be recycled. The
+	// seconds are latency; the Joules and cycles are what the span was
+	// charged.
 	if !degraded {
-		actualJoules := sp.TotalJoules()
+		joules, cycles := sp.TotalJoules(), sp.TotalCycles()
 		m := &p.metrics
 		m.plans[res.Plan].Inc()
-		m.execHist[res.Plan].Observe(totalSec)
-		m.joules[res.Plan].Add(actualJoules)
+		m.execHist[res.Plan].Observe(execSec)
+		m.joules[res.Plan].Add(joules)
 		if chosen && res.Plan == plan && err == nil {
-			if totalSec > 0 {
-				m.cycleRatio[plan].Observe(predicted.Seconds / totalSec)
+			if cycles > 0 {
+				m.cycleRatio[plan].Observe(predicted.Seconds * c.energy.ClientHz / cycles)
 			}
-			if actualJoules > 0 {
-				m.energyRatio[plan].Observe(predicted.Joules / actualJoules)
+			if joules > 0 {
+				m.energyRatio[plan].Observe(predicted.Joules / joules)
 			}
 		}
 	}
@@ -172,9 +172,10 @@ func (p *Planner) Execute(q scheme.Query) (Result, error) {
 }
 
 // runPlan executes one chosen plan over the state it was chosen from,
-// clocking the span stages and pricing them with the energy model. The bool
-// reports a degraded execution: the wire failed and the shipment answered in
-// its place.
+// lapping the span stages; the local walk and the exchanges charge
+// themselves. The plan and reply stages are charged nothing: neither the
+// §4.1 model nor the simulator prices them. The bool reports a degraded
+// execution: the wire failed and the shipment answered in its place.
 func (p *Planner) runPlan(st *localState, plan Plan, q scheme.Query, sp *obs.Span) (Result, bool, error) {
 	switch plan {
 	case PlanLocal:
@@ -187,10 +188,7 @@ func (p *Planner) runPlan(st *localState, plan Plan, q scheme.Query, sp *obs.Spa
 		}
 		replyStart := time.Now()
 		recs, ok := st.ship.records(ids)
-		replySec := time.Since(replyStart).Seconds()
-		sp.Lap(obs.StageReply, replySec)
-		j, cy := p.c.energy.Compute(replySec)
-		sp.Attribute(obs.StageReply, j, cy)
+		sp.Lap(obs.StageReply, time.Since(replyStart).Seconds())
 		if ok {
 			return Result{Plan: plan, Records: recs}, degraded, nil
 		}

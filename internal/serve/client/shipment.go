@@ -145,14 +145,34 @@ func (s *Shipment) Answer(q scheme.Query, eps float64) ([]proto.Record, error) {
 // records materializes a server id list from the shipped records; ok is
 // false when an id was not shipped.
 func (s *Shipment) records(ids []uint32) (recs []proto.Record, ok bool) {
-	leaves := s.Tree.PackOrder()
 	recs = make([]proto.Record, len(ids))
 	for i, id := range ids {
-		j, shipped := slices.BinarySearchFunc(s.byID, id, func(pos, id uint32) int { return cmp.Compare(leaves[pos].ID, id) })
+		seg, shipped := s.lookup(id)
 		if !shipped {
 			return nil, false
 		}
-		recs[i] = proto.Record{ID: id, Seg: leaves[s.byID[j]].Seg()}
+		recs[i] = proto.Record{ID: id, Seg: seg}
 	}
 	return recs, true
+}
+
+// lookup is the shipped segment of id; ok is false when id was not shipped.
+func (s *Shipment) lookup(id uint32) (seg geom.Segment, ok bool) {
+	leaves := s.Tree.PackOrder()
+	j, ok := slices.BinarySearchFunc(s.byID, id, func(pos, id uint32) int { return cmp.Compare(leaves[pos].ID, id) })
+	if !ok {
+		return geom.Segment{}, false
+	}
+	return leaves[s.byID[j]].Seg(), true
+}
+
+// work counts q's walk over the shipped sub-index, a k-NN's distances taken
+// to the shipped segments: what a local answer is charged for
+// (Client.runLocal).
+func (s *Shipment) work(q scheme.Query) scheme.Work {
+	seg := func(id uint32) geom.Segment {
+		seg, _ := s.lookup(id)
+		return seg
+	}
+	return scheme.CountWork(q, s.Tree, seg, s.recordBytes)
 }

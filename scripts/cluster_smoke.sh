@@ -8,6 +8,9 @@
 # breaker-driven failover is visible in the router counters (failovers > 0),
 # and no query was unroutable.
 #
+# Then, still in phase 1, a short read-only `mqload -planner` run through the
+# same router: 0 errors and some queries answered fully at the client.
+#
 # Phase 2 (freshness): 3 fresh backends + a router with live routing-table
 # refresh and the router-tier result cache, driven by the moving-vehicles
 # workload with -readback: every acked move is immediately read back through
@@ -95,6 +98,21 @@ if [ "$fail" -ne 0 ]; then
   exit 1
 fi
 echo "PASS: outage covered by replicas with zero client-visible errors"
+
+# The outage is over and nothing has written: a shipment cut through the
+# router stays fresh, so the planner answers covered queries at the client
+# and charges them from the price list, all under $RACE.
+echo "== mqload -planner through the router (read-only, after the outage)"
+"$BIN/mqload" -addr 127.0.0.1:$RP -planner -conns 4 -duration 3s \
+  -warmup 500ms | tee "$LOG/planner.log"
+
+perrors=$(row "$LOG/planner.log" errors)
+local_answers=$(row "$LOG/planner.log" fully-client)
+
+echo "== verdict: planner errors=$perrors fully-client=$local_answers"
+[ "$perrors" = "0" ] || { echo "FAIL: $perrors planner errors"; exit 1; }
+[ -n "$local_answers" ] && [ "$local_answers" -gt 0 ] || { echo "FAIL: no planner query answered at the client"; exit 1; }
+echo "PASS: the planner answered through the router with zero errors"
 
 kill $(jobs -p) 2>/dev/null || true
 wait 2>/dev/null || true
