@@ -237,7 +237,7 @@ func run(args []string, out io.Writer) error {
 		ship, err := client.NewShipment(&proto.ShipmentMsg{
 			Coverage: geom.Rect{Min: geom.Point{X: -inf, Y: -inf}, Max: geom.Point{X: inf, Y: inf}},
 			Records:  recs,
-		})
+		}, ds.RecordBytes)
 		if err != nil {
 			return fmt.Errorf("fallback index: %w", err)
 		}

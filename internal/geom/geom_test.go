@@ -320,3 +320,65 @@ func BenchmarkDistToPoint(b *testing.B) {
 		s.DistToPoint(p)
 	}
 }
+
+// unionByMath is Union as it was written before the builtin min and max:
+// math.Min and math.Max per coordinate.
+func unionByMath(r, s Rect) Rect {
+	if r.IsEmpty() {
+		return s
+	}
+	if s.IsEmpty() {
+		return r
+	}
+	return Rect{
+		Min: Point{math.Min(r.Min.X, s.Min.X), math.Min(r.Min.Y, s.Min.Y)},
+		Max: Point{math.Max(r.Max.X, s.Max.X), math.Max(r.Max.Y, s.Max.Y)},
+	}
+}
+
+// TestUnionMatchesMathMinMax: Union equals the math.Min/math.Max form bit
+// for bit on ±0, ±Inf, subnormals and finite values, and is NaN wherever
+// that form is. Where a NaN meets the infinity on its side, that form gives
+// the infinity (math.Min(-Inf, NaN) = -Inf) and Union NaN, as the builtin
+// min and max do. Every ordered pair of the values meets as both a min and
+// a max, then random rectangles over the values meet at random.
+func TestUnionMatchesMathMinMax(t *testing.T) {
+	vals := []float64{
+		math.Inf(-1), -math.MaxFloat64, -1.5, -math.SmallestNonzeroFloat64, math.Copysign(0, -1),
+		0, math.SmallestNonzeroFloat64, 0x1p-1022 - 0x1p-1074, 0x1p-1022, 1, 1.5, math.MaxFloat64,
+		math.Inf(1), math.NaN(),
+	}
+	check := func(r, s Rect) {
+		t.Helper()
+		got, want := r.Union(s), unionByMath(r, s)
+		g := [4]float64{got.Min.X, got.Min.Y, got.Max.X, got.Max.Y}
+		w := [4]float64{want.Min.X, want.Min.Y, want.Max.X, want.Max.Y}
+		rc := [4]float64{r.Min.X, r.Min.Y, r.Max.X, r.Max.Y}
+		sc := [4]float64{s.Min.X, s.Min.Y, s.Max.X, s.Max.Y}
+		for i := range g {
+			// Both rectangles taken and a NaN among the operands: the
+			// builtins give NaN, math.Min/Max NaN or the infinity.
+			nanIn := !r.IsEmpty() && !s.IsEmpty() && (math.IsNaN(rc[i]) || math.IsNaN(sc[i]))
+			switch {
+			case math.IsNaN(w[i]) || nanIn:
+				if !math.IsNaN(g[i]) {
+					t.Fatalf("%v ∪ %v: coordinate %d is %v, want NaN (math.Min/Max give %v)", r, s, i, g[i], w[i])
+				}
+			case math.Float64bits(g[i]) != math.Float64bits(w[i]):
+				t.Fatalf("%v ∪ %v: coordinate %d is %v (%#x), math.Min/Max give %v (%#x)",
+					r, s, i, g[i], math.Float64bits(g[i]), w[i], math.Float64bits(w[i]))
+			}
+		}
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			check(Rect{Min: Point{a, b}, Max: Point{a, b}}, Rect{Min: Point{b, a}, Max: Point{b, a}})
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	pick := func() float64 { return vals[rng.Intn(len(vals))] }
+	for i := 0; i < 100000; i++ {
+		check(Rect{Min: Point{pick(), pick()}, Max: Point{pick(), pick()}},
+			Rect{Min: Point{pick(), pick()}, Max: Point{pick(), pick()}})
+	}
+}

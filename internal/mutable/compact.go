@@ -76,10 +76,12 @@ func mergedItems(old *baseView, f *frozenView) []rtree.Item {
 	base := old.tree.PackOrder()
 	items := make([]rtree.Item, 0, len(base)+f.segs.len())
 	// The base is walked from its middle round: pack order is all but the
-	// order the rebuild will sort into, and on one sorted run pdqsort tries
+	// order the rebuild will sort into, and on one sorted run the pack sort
+	// (rtree's pdqsort, sort.Sort's algorithm over (key, slot) pairs) tries
 	// an insertion-sort repair at every level that the overlay's few strays
 	// defeat only after a long walk. Two sorted halves swapped partition
-	// without the attempt — PA's four-shard fold 43-53 ms, not 55-68.
+	// without the attempt — BenchmarkFold (64 writes over PA's four shards)
+	// 21-23 ms, not 24-25.
 	for i := range base {
 		it := base[(i+len(base)/2)%len(base)]
 		if _, dead := f.tombs[it.ID]; dead {

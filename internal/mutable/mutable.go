@@ -71,6 +71,7 @@ import (
 	"mobispatial/internal/hilbert"
 	"mobispatial/internal/obs"
 	"mobispatial/internal/proto"
+	"mobispatial/internal/rtree"
 	"mobispatial/internal/shard"
 )
 
@@ -260,16 +261,23 @@ func New(cfg Config) (*Pool, error) {
 
 	ranges := slices.Clone(cfg.Ranges)
 	slices.SortStableFunc(ranges, func(a, b shard.Range) int { return cmp.Compare(a.Lo, b.Lo) })
+	runs := make([][]rtree.Item, len(ranges))
+	for i, r := range ranges {
+		runs[i] = r.Items
+	}
+	// The bases build side by side (rtree.BuildRuns); the id table is
+	// stamped below, one shard after another in shard order.
+	trees, err := rtree.BuildRuns(runs, rtree.Config{})
+	if err != nil {
+		return nil, fmt.Errorf("mutable: shard base: %w", err)
+	}
 	for i, r := range ranges {
 		g := shard.RangeForKey(p.cuts, r.Lo)
 		lo := r.Lo
 		if i == 0 || p.shards[i-1].rg != g {
 			lo = p.cuts[g] // the first shard of a held range owns its keys from the cut
 		}
-		s, err := newMShard(p, i, g, r.Items)
-		if err != nil {
-			return nil, err
-		}
+		s := newMShard(p, i, g, baseOf(trees[i]))
 		p.shardCuts = append(p.shardCuts, lo)
 		p.shards = append(p.shards, s)
 		for pos, it := range s.base.Load().tree.PackOrder() {

@@ -2,6 +2,8 @@ package mutable
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"mobispatial/internal/dataset"
@@ -269,4 +271,67 @@ func filterRange(p *Pool, dst []uint32, w geom.Rect) []uint32 {
 
 func filterPoint(p *Pool, dst []uint32, pt geom.Point) []uint32 {
 	return p.SearchAppend(dst, nil, proto.QueryMsg{Kind: proto.KindPoint, Mode: proto.ModeFilter, Point: pt})
+}
+
+// TestNewBuildsAlikeAtAnyWidth: the bases NewFromDataset builds side by
+// side, each over a sort that splits across goroutines, are the bases one
+// goroutine builds: on PA at GOMAXPROCS 1 and 4, the same shard cuts, every
+// shard the same pack order and bounds, and every id the same slot.
+func TestNewBuildsAlikeAtAnyWidth(t *testing.T) {
+	ds := dataset.PA()
+	build := func(procs int) *Pool {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		p, err := NewFromDataset(ds, 0, Config{CompactInterval: -1, CompactMaxAge: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+		return p
+	}
+	one, four := build(1), build(4)
+	if !slices.Equal(one.shardCuts, four.shardCuts) || !slices.Equal(one.cuts, four.cuts) {
+		t.Fatalf("cuts %v / %v at GOMAXPROCS 1, %v / %v at 4", one.cuts, one.shardCuts, four.cuts, four.shardCuts)
+	}
+	for i, s := range one.shards {
+		a, b := s.base.Load(), four.shards[i].base.Load()
+		if !slices.Equal(a.tree.PackOrder(), b.tree.PackOrder()) || a.bounds != b.bounds {
+			t.Errorf("shard %d packs differently at GOMAXPROCS 1 and 4", i)
+		}
+	}
+	for id := range uint32(ds.Len()) {
+		if one.ids.word(id) != four.ids.word(id) {
+			t.Fatalf("id %d: slot word %#x at GOMAXPROCS 1, %#x at 4", id, one.ids.word(id), four.ids.word(id))
+		}
+	}
+}
+
+// BenchmarkFold times one compaction of a freshly written PA pool: each
+// iteration moves 64 dataset ids 100 m off their segments, spread over the
+// map, and then ForceCompact folds every shard they landed in (PA's four
+// shards, as mqserve builds them). The fold is a merge of the old leaves
+// with the overlay and a packed rebuild, whose sort is most of it.
+func BenchmarkFold(b *testing.B) {
+	ds := dataset.PA()
+	p, err := NewFromDataset(ds, 0, Config{CompactInterval: -1, CompactMaxAge: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	const moves = 64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < moves; j++ {
+			id := uint32((j*(ds.Len()/moves) + i) % ds.Len())
+			s := ds.Seg(id)
+			s.A.X += 100
+			s.B.X += 100
+			if _, _, _, err := p.ApplyMove(id, s); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		p.ForceCompact()
+	}
 }

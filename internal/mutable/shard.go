@@ -45,7 +45,12 @@ func newBaseView(items []rtree.Item) (*baseView, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &baseView{tree: tree, bounds: tree.Bounds()}, nil
+	return baseOf(tree), nil
+}
+
+// baseOf is the base generation over a built tree.
+func baseOf(tree *rtree.Tree) *baseView {
+	return &baseView{tree: tree, bounds: tree.Bounds()}
 }
 
 // mshard is one updatable shard: packed base + live overlay + optional
@@ -106,16 +111,12 @@ type mshard struct {
 	lr leftRight
 }
 
-// newMShard builds shard idx of cluster range rg over items (copied).
-func newMShard(p *Pool, idx, rg int, items []rtree.Item) (*mshard, error) {
-	bv, err := newBaseView(items)
-	if err != nil {
-		return nil, fmt.Errorf("mutable: shard %d base: %w", idx, err)
-	}
+// newMShard makes shard idx of cluster range rg over base bv.
+func newMShard(p *Pool, idx, rg int, bv *baseView) *mshard {
 	s := &mshard{pl: p, idx: idx, rg: rg}
 	s.lr.copies = [2]layers{newLayers(bv), newLayers(bv)}
 	s.base.Store(bv)
-	return s, nil
+	return s
 }
 
 // ---- overlay mutation (s.mu held) ----

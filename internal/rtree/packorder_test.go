@@ -83,3 +83,22 @@ func TestBuildRefusesOrderAboveMax(t *testing.T) {
 		t.Fatalf("order %d refused: %v", hilbert.MaxOrder, err)
 	}
 }
+
+// BenchmarkHilbertSort sorts PA's items into pack order (keys, pair sort
+// and the in-place gather), each iteration from the dataset's own order.
+func BenchmarkHilbertSort(b *testing.B) {
+	items := dataset.PA().Items()
+	bounds := geom.EmptyRect()
+	for _, it := range items {
+		bounds = bounds.Union(it.MBR)
+	}
+	work := make([]rtree.Item, len(items))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		copy(work, items)
+		b.StartTimer()
+		rtree.HilbertSort(work, bounds, 0)
+	}
+}

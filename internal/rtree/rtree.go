@@ -22,7 +22,11 @@ package rtree
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"mobispatial/internal/geom"
 	"mobispatial/internal/hilbert"
@@ -193,24 +197,28 @@ func Build(items []Item, cfg Config, rec ops.Recorder) (*Tree, error) {
 	}
 	t.nitems = len(items)
 
-	sorted := make([]Item, len(items))
-	copy(sorted, items)
 	t.plain = true
-	for _, it := range sorted {
+	for _, it := range items {
 		t.bounds = t.bounds.Union(it.MBR)
 		if !(it.MBR.Min.X <= it.MBR.Max.X && it.MBR.Min.Y <= it.MBR.Max.Y) {
 			t.plain = false
 		}
 	}
+	var sorted []Item
 	switch cfg.Packing {
 	case PackingXSort:
+		sorted = slices.Clone(items)
 		sort.Slice(sorted, func(i, j int) bool {
 			return sorted[i].MBR.Center().X < sorted[j].MBR.Center().X
 		})
 	case PackingSTR:
+		sorted = slices.Clone(items)
 		strSort(sorted, fanout)
 	default:
-		HilbertSort(sorted, t.bounds, cfg.HilbertOrder)
+		sorted = make([]Item, len(items))
+		for i, p := range hilbertOrder(items, t.bounds, cfg.HilbertOrder) {
+			sorted[i] = items[p.slot]
+		}
 	}
 	t.leaves = sorted
 
@@ -254,6 +262,32 @@ func Build(items []Item, cfg Config, rec ops.Recorder) (*Tree, error) {
 	return t, nil
 }
 
+// BuildRuns builds one packed tree per run, each what Build(runs[i], cfg,
+// ops.Null{}) returns, side by side on up to GOMAXPROCS goroutines. Its
+// error is the first failing run's, in run order.
+func BuildRuns(runs [][]Item, cfg Config) ([]*Tree, error) {
+	trees := make([]*Tree, len(runs))
+	errs := make([]error, len(runs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(runs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(runs); i = int(next.Add(1) - 1) {
+				trees[i], errs[i] = Build(runs[i], cfg, ops.Null{})
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return trees, nil
+}
+
 // strSort orders items Sort-Tile-Recursively: x-sort, slice into vertical
 // runs of S·fanout items (S = ⌈√(n/fanout)⌉), y-sort within each run.
 func strSort(items []Item, fanout int) {
@@ -281,34 +315,36 @@ func strSort(items []Item, fanout int) {
 // HilbertSort sorts items in place by the Hilbert key of their MBR centroid,
 // quantized over bounds at the given curve order (0 means hilbert.Order;
 // above hilbert.MaxOrder it panics), and returns the keys parallel to the
-// sorted items. It is the one Hilbert recipe: Build packs with it and
-// shard.PartitionHilbert cuts ranges with it. The sort is sort.Sort, not a
-// stable one: tied keys keep the order it gives them, which the pack layout
-// of every existing tree depends on.
+// sorted items. It is the one Hilbert recipe: Build packs in its order
+// (gathering straight into its leaves, where this sorts in place) and
+// shard.PartitionHilbert cuts ranges with it. The order is sort.Sort's over
+// the keys, not a stable one: tied keys keep the order it gives them, which
+// the pack layout of every existing tree depends on. The sort runs on up to
+// GOMAXPROCS goroutines (pdqsort.go), and its order does not depend on how
+// many.
 func HilbertSort(items []Item, bounds geom.Rect, order uint) []uint64 {
+	ps := hilbertOrder(items, bounds, order)
+	keys := make([]uint64, len(ps))
+	src := slices.Clone(items)
+	for i, p := range ps {
+		keys[i], items[i] = p.key, src[p.slot]
+	}
+	return keys
+}
+
+// hilbertOrder returns the items' (key, slot) pairs in pack order.
+func hilbertOrder(items []Item, bounds geom.Rect, order uint) []keySlot {
 	if order == 0 {
 		order = hilbert.Order
 	}
 	q := hilbert.NewQuantizer(order, bounds.Min.X, bounds.Min.Y, bounds.Max.X, bounds.Max.Y)
-	keys := make([]uint64, len(items))
+	ps := make([]keySlot, len(items))
 	for i, it := range items {
 		c := it.MBR.Center()
-		keys[i] = q.Value(c.X, c.Y)
+		ps[i] = keySlot{key: q.Value(c.X, c.Y), slot: uint32(i)}
 	}
-	sort.Sort(&byKey{items: items, keys: keys})
-	return keys
-}
-
-type byKey struct {
-	items []Item
-	keys  []uint64
-}
-
-func (b *byKey) Len() int           { return len(b.items) }
-func (b *byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
-func (b *byKey) Swap(i, j int) {
-	b.items[i], b.items[j] = b.items[j], b.items[i]
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	sortPairs(ps, runtime.GOMAXPROCS(0))
+	return ps
 }
 
 // Len returns the number of indexed items.

@@ -2,6 +2,7 @@ package client
 
 import (
 	"math"
+	"net"
 	"runtime"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 )
 
 // paCharge is the whole PA map as a client shipment, requested with PA's
-// record size (as FetchShipment records it), and a client that is never
+// record size (as FetchShipment builds it), and a client that is never
 // dialed.
 func paCharge(t *testing.T) (*dataset.Dataset, *Client, *Shipment) {
 	t.Helper()
@@ -23,11 +24,10 @@ func paCharge(t *testing.T) (*dataset.Dataset, *Client, *Shipment) {
 	for i, seg := range ds.Segments {
 		recs[i] = proto.Record{ID: uint32(i), Seg: seg}
 	}
-	ship, err := NewShipment(&proto.ShipmentMsg{Coverage: ds.Extent, Records: recs})
+	ship, err := NewShipment(&proto.ShipmentMsg{Coverage: ds.Extent, Records: recs}, ds.RecordBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ship.recordBytes = ds.RecordBytes
 	c, err := New(Config{Addr: "127.0.0.1:1"})
 	if err != nil {
 		t.Fatal(err)
@@ -112,5 +112,51 @@ func TestLocalChargeIsHostIndependent(t *testing.T) {
 	j2, c2 := charge(t, c, ship, qs)
 	if j1 != j2 || c1 != c2 || j1 <= 0 {
 		t.Errorf("GOMAXPROCS 1 charged %v J / %v cycles, GOMAXPROCS 2 %v J / %v cycles", j1, c1, j2, c2)
+	}
+}
+
+// TestBuiltShipmentChargedLikeFetched: a shipment the caller builds (mqload
+// -fallback's whole map) charges its local answers exactly what the same
+// records charge when fetched from a server, record reads included.
+func TestBuiltShipmentChargedLikeFetched(t *testing.T) {
+	ds, c, built := paCharge(t)
+	msg := &proto.ShipmentMsg{Coverage: ds.Extent, Records: make([]proto.Record, ds.Len())}
+	for i, seg := range ds.Segments {
+		msg.Records[i] = proto.Record{ID: uint32(i), Seg: seg}
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	go func() {
+		nc, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		req, _, err := proto.ReadMessage(nc)
+		if err != nil {
+			return
+		}
+		reply := *msg
+		reply.ID = req.RequestID()
+		proto.WriteMessage(nc, &reply)
+	}()
+	fc, err := New(Config{Addr: lis.Addr().String(), Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fc.Close() })
+	fetched, err := fc.FetchShipment(ds.Extent, 1<<30, ds.RecordBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind, qs := range paWorkload(ds) {
+		jb, cb := charge(t, c, built, qs)
+		jf, cf := charge(t, c, fetched, qs)
+		if jb != jf || cb != cf || jb <= 0 {
+			t.Errorf("%s: a built shipment charged %v J / %v cycles, a fetched one %v J / %v cycles", kind, jb, cb, jf, cf)
+		}
 	}
 }

@@ -62,7 +62,7 @@ func wholeMap(t testing.TB, ds *dataset.Dataset) *client.Shipment {
 	ship, err := client.NewShipment(&proto.ShipmentMsg{
 		Coverage: geom.Rect{Min: geom.Point{X: -inf, Y: -inf}, Max: geom.Point{X: inf, Y: inf}},
 		Records:  recs,
-	})
+	}, ds.RecordBytes)
 	if err != nil {
 		t.Fatalf("whole-map shipment: %v", err)
 	}

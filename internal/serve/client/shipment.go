@@ -33,8 +33,8 @@ type Shipment struct {
 	// byID lists the pack positions of Tree's leaves in ascending id order:
 	// records resolves a server's id list through it at 4 B a record.
 	byID []uint32
-	// recordBytes is the record size the shipment was requested with: what
-	// the planner prices each local refinement reading.
+	// recordBytes is the record size the shipment was built with: what the
+	// planner prices each local refinement reading.
 	recordBytes int
 }
 
@@ -52,11 +52,10 @@ func (c *Client) FetchShipment(window geom.Rect, budgetBytes, recordBytes int) (
 	if err != nil {
 		return nil, err
 	}
-	ship, err := NewShipment(sm)
+	ship, err := NewShipment(sm, recordBytes)
 	if err != nil {
 		return nil, err
 	}
-	ship.recordBytes = recordBytes
 	c.install(ship, asked)
 	if c.writes.Load() != writes {
 		// One of this client's own writes was acked while the shipment was
@@ -70,8 +69,9 @@ func (c *Client) FetchShipment(window geom.Rect, budgetBytes, recordBytes int) (
 
 // NewShipment builds the client-resident shipment from its wire message:
 // the client pays the sub-index rebuild instead of shipping raw node bytes
-// (same structure — the packed build is deterministic).
-func NewShipment(sm *proto.ShipmentMsg) (*Shipment, error) {
+// (same structure — the packed build is deterministic). recordBytes is the
+// dataset's record size, what each local refinement is charged for reading.
+func NewShipment(sm *proto.ShipmentMsg, recordBytes int) (*Shipment, error) {
 	if len(sm.Records) == 0 {
 		return nil, fmt.Errorf("client: empty shipment")
 	}
@@ -89,7 +89,7 @@ func NewShipment(sm *proto.ShipmentMsg) (*Shipment, error) {
 		byID[i] = uint32(i)
 	}
 	slices.SortFunc(byID, func(a, b uint32) int { return cmp.Compare(leaves[a].ID, leaves[b].ID) })
-	return &Shipment{Coverage: sm.Coverage, Epoch: sm.Epoch, Tree: tree, byID: byID}, nil
+	return &Shipment{Coverage: sm.Coverage, Epoch: sm.Epoch, Tree: tree, byID: byID, recordBytes: recordBytes}, nil
 }
 
 // Len returns the number of shipped records.

@@ -22,7 +22,7 @@ func TestShipmentHeapPerRecord(t *testing.T) {
 		msg.Records[i] = proto.Record{ID: uint32(i), Seg: seg}
 	}
 	before := heapNow()
-	ship, err := client.NewShipment(msg)
+	ship, err := client.NewShipment(msg, ds.RecordBytes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
-	"mobispatial/internal/ops"
 	"mobispatial/internal/rtree"
 )
 
@@ -68,7 +67,7 @@ type Pool struct {
 }
 
 // New Hilbert-orders the dataset's items and builds one packed R-tree per
-// shard.
+// shard, the shards side by side (rtree.BuildRuns).
 func New(ds *dataset.Dataset, cfg Config) (*Pool, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("shard: nil dataset")
@@ -84,15 +83,15 @@ func New(ds *dataset.Dataset, cfg Config) (*Pool, error) {
 	// PartitionHilbert is the one cut recipe: the pool's local shards and
 	// the cluster tier's ranges are the same contiguous Hilbert runs.
 	ranges, bounds := PartitionHilbert(items, cfg.Shards, 0)
-	trees := make([]*rtree.Tree, len(ranges))
+	runs := make([][]rtree.Item, len(ranges))
 	for i, rg := range ranges {
-		// Every walk of these trees runs under ops.Null, so the simulated
-		// node addresses are never read and the shards may share a region.
-		tree, err := rtree.Build(rg.Items, rtree.Config{}, ops.Null{})
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		trees[i] = tree
+		runs[i] = rg.Items
+	}
+	// Every walk of these trees runs under ops.Null, so the simulated node
+	// addresses are never read and the shards may share a region.
+	trees, err := rtree.BuildRuns(runs, rtree.Config{})
+	if err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 	return newPool(trees, bounds, cfg.Obs), nil
 }

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -183,4 +185,40 @@ func sameIDSet(a, b []uint32) bool {
 		}
 	}
 	return true
+}
+
+// TestNewBuildsAlikeAtAnyWidth: the shard trees New builds side by side,
+// each over a sort that splits across goroutines, are the trees one
+// goroutine builds: on PA at GOMAXPROCS 1 and 4, the same cuts, and every
+// shard the same pack order and bounds.
+func TestNewBuildsAlikeAtAnyWidth(t *testing.T) {
+	ds := dataset.PA()
+	type built struct {
+		ranges []Range
+		pool   *Pool
+	}
+	build := func(procs int) built {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		ranges, _ := PartitionHilbert(ds.Items(), 3, 0)
+		p, err := New(ds, Config{Shards: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return built{ranges, p}
+	}
+	one, four := build(1), build(4)
+	for i := range one.ranges {
+		a, b := one.ranges[i], four.ranges[i]
+		if a.Lo != b.Lo || a.Hi != b.Hi || len(a.Items) != len(b.Items) || a.MBR != b.MBR {
+			t.Errorf("range %d: [%d, %d] %d items at GOMAXPROCS 1, [%d, %d] %d at 4", i, a.Lo, a.Hi, len(a.Items), b.Lo, b.Hi, len(b.Items))
+		}
+	}
+	if one.pool.Shards() != four.pool.Shards() {
+		t.Fatalf("%d shards at GOMAXPROCS 1, %d at 4", one.pool.Shards(), four.pool.Shards())
+	}
+	for i, tr := range one.pool.trees {
+		if !slices.Equal(tr.PackOrder(), four.pool.trees[i].PackOrder()) || one.pool.mbrs[i] != four.pool.mbrs[i] {
+			t.Errorf("shard %d packs differently at GOMAXPROCS 1 and 4", i)
+		}
+	}
 }

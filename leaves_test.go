@@ -83,7 +83,7 @@ func TestLeavesCarryTheirSegments(t *testing.T) {
 		for i, it := range ship.Items {
 			msg.Records[i] = proto.Record{ID: it.ID, Seg: ds.Seg(it.ID)}
 		}
-		cs, err := client.NewShipment(msg)
+		cs, err := client.NewShipment(msg, ds.RecordBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
