@@ -134,7 +134,7 @@ func (e *Engine) RandomUpdates(region geom.Rect, n int) []uint32 {
 	if e.Master == nil {
 		return nil
 	}
-	ids := e.Master.Search(region, ops.Null{})
+	ids := e.Master.AppendRange(nil, nil, region, false, nil)
 	if len(ids) > n {
 		ids = ids[:n]
 	}

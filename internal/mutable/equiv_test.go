@@ -182,7 +182,9 @@ func agreesWithFresh(t *testing.T, seed int64, rng *rand.Rand, p *Pool, model ma
 		}
 
 		for _, k := range []int{1, 3, len(model) + 2} {
-			want := ref.tree.KNearestAppend(nil, pt, k, ref.dist(pt), ops.Null{}, nil)
+			var sc rtree.NNScratch
+			ref.tree.KNearestCollect(pt, k, nil, &sc)
+			want := sc.DrainKNNAppend(nil)
 			gotK, ok := p.KNearestAppend(nil, pt, k, nil)
 			if !ok || !sameNeighbors(model, pt, want, gotK) {
 				t.Errorf("seed %d: KNearest(k=%d) mismatch at %v: want %d nbs, got %d nbs", seed, k, pt, len(want), len(gotK))

@@ -265,11 +265,11 @@ func (q *query) touches(b geom.Rect) bool {
 func (q *query) searchBase(dst []uint32, segs *[]geom.Segment, bv *baseView) []uint32 {
 	switch {
 	case q.point && q.exact:
-		return bv.tree.AppendPoint(dst, segs, q.pt, q.eps)
+		return bv.tree.AppendPoint(dst, segs, q.pt, q.eps, nil)
 	case q.point:
-		return bv.tree.AppendRange(dst, segs, geom.Rect{Min: q.pt, Max: q.pt}, false)
+		return bv.tree.AppendRange(dst, segs, geom.Rect{Min: q.pt, Max: q.pt}, false, nil)
 	default:
-		return bv.tree.AppendRange(dst, segs, q.w, q.exact)
+		return bv.tree.AppendRange(dst, segs, q.w, q.exact, nil)
 	}
 }
 

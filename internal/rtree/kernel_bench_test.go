@@ -29,10 +29,10 @@ func (discard) Store(uint64, int) {}
 //   - point queries: AppendPoint, and the untraced point filter refined
 //     against the dataset's records, candidate by candidate;
 //   - nearest-neighbor points at k = 1 and k = 8: the kernel's leaf-distance
-//     fold (KNearestCollect), the kernel with a DistFunc over the dataset's
-//     records, and the instrumented walk with that DistFunc.
+//     fold (KNearestCollect), and the instrumented walk with a DistFunc over
+//     the dataset's records.
 //
-// The two "-dataset" rows are how a serving pool answered before the leaves
+// The "point-dataset" row is how a serving pool answered before the leaves
 // carried their segments; the instrumented rows price the Hypot-and-sort
 // walk every serving k-NN ran before the k-NN kernel, as the instrumented
 // range rows do for range.
@@ -56,7 +56,7 @@ func BenchmarkRangeKernel(b *testing.B) {
 	b.Run("kernel-fused", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ids = tr.AppendRange(ids[:0], nil, windows[i%len(windows)], true)
+			ids = tr.AppendRange(ids[:0], nil, windows[i%len(windows)], true, nil)
 		}
 	})
 	b.Run("instrumented-filter", func(b *testing.B) {
@@ -82,7 +82,7 @@ func BenchmarkRangeKernel(b *testing.B) {
 	b.Run("point-kernel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			ids = tr.AppendPoint(ids[:0], nil, points[i%len(points)], eps)
+			ids = tr.AppendPoint(ids[:0], nil, points[i%len(points)], eps, nil)
 		}
 	})
 	b.Run("point-dataset", func(b *testing.B) {
@@ -112,13 +112,6 @@ func BenchmarkRangeKernel(b *testing.B) {
 		})
 		var p geom.Point
 		dist := func(id uint32) float64 { return ds.Seg(id).DistToPoint(p) }
-		b.Run("knn-dataset/k="+strconv.Itoa(k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p = nnPoints[i%len(nnPoints)]
-				nbs = tr.KNearestAppend(nbs[:0], p, k, dist, ops.Null{}, &sc)
-			}
-		})
 		b.Run("knn-instrumented/k="+strconv.Itoa(k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

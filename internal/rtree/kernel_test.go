@@ -67,12 +67,15 @@ func kernelWindows(segs []geom.Segment, bounds geom.Rect, n int, seed int64) []g
 
 // TestKernelMatchesInstrumentedWalk is the kernel's contract: for every
 // packing, for item counts on and off the fanout's multiples, and for
-// windows of every special shape, the untraced walk returns the instrumented
-// walk's ids as a sequence; refined from the leaves (AppendRange) it returns
-// that sequence filtered by the exact segment–window test; and the point
-// kernel (AppendPoint at the window's centre) returns the instrumented point
-// walk's sequence filtered by incidence within eps. Asked for records, every
-// walk returns the same ids with each one's own segment beside it.
+// windows of every special shape (the last node of every level, whose
+// subtree ends the leaf level ragged, among them), the untraced walk returns
+// the instrumented walk's ids as a sequence; refined from the leaves
+// (AppendRange) it returns that sequence filtered by the exact
+// segment–window test; and the point kernel (AppendPoint at the window's
+// centre) returns the instrumented point walk's sequence filtered by
+// incidence within eps. Asked for records, every walk returns the same ids
+// with each one's own segment beside it; asked for counts, every walk
+// tallies the instrumented walk's, field for field, whatever it skipped.
 func TestKernelMatchesInstrumentedWalk(t *testing.T) {
 	fanout := Config{NodeBytes: DefaultNodeBytes}.fanout()
 	sizes := []struct{ items, windows int }{
@@ -87,19 +90,23 @@ func TestKernelMatchesInstrumentedWalk(t *testing.T) {
 			name := fmt.Sprintf("n=%d/packing=%d", sz.items, pk)
 			var ref, got, fused, want []uint32
 			var recs []geom.Segment
-			for qi, w := range kernelWindows(segs, tr.Bounds(), sz.windows, int64(pk)+7) {
+			var refC, gotC ops.Counts
+			windows := append(kernelWindows(segs, tr.Bounds(), sz.windows, int64(pk)+7), lastNodeWindows(tr)...)
+			for qi, w := range windows {
 				total++
-				ref = tr.AppendSearch(ref[:0], w, &ops.Counts{})
+				refC = ops.Counts{}
+				ref = tr.AppendSearch(ref[:0], w, &refC)
 				got = tr.AppendSearch(got[:0], w, ops.Null{})
 				if !equalU32(got, ref) {
 					t.Fatalf("%s window %d %v: filter kernel %d ids, instrumented %d (or order differs)", name, qi, w, len(got), len(ref))
 				}
-				recs = recs[:0]
-				got = tr.AppendRange(got[:0], &recs, w, false)
+				recs, gotC = recs[:0], ops.Counts{}
+				got = tr.AppendRange(got[:0], &recs, w, false, &gotC)
 				checkRecords(t, name+" filter", segs, ref, got, recs)
+				checkCounts(t, fmt.Sprintf("%s window %d %v filter", name, qi, w), refC, gotC)
 
-				recs = recs[:0]
-				fused = tr.AppendRange(fused[:0], &recs, w, true)
+				recs, gotC = recs[:0], ops.Counts{}
+				fused = tr.AppendRange(fused[:0], &recs, w, true, &gotC)
 				want = want[:0]
 				for _, id := range ref {
 					if segs[id].IntersectsRect(w) {
@@ -110,26 +117,57 @@ func TestKernelMatchesInstrumentedWalk(t *testing.T) {
 					t.Fatalf("%s window %d %v: refined kernel %d ids, refined instrumented walk %d (or order differs)", name, qi, w, len(fused), len(want))
 				}
 				checkRecords(t, name+" range", segs, want, fused, recs)
+				checkCounts(t, fmt.Sprintf("%s window %d %v range", name, qi, w), refC, gotC)
 
 				pt := w.Center()
-				ref = tr.AppendSearchPoint(ref[:0], pt, &ops.Counts{})
+				refC = ops.Counts{}
+				ref = tr.AppendSearchPoint(ref[:0], pt, &refC)
 				want = want[:0]
 				for _, id := range ref {
 					if segs[id].ContainsPoint(pt, kernelEps) {
 						want = append(want, id)
 					}
 				}
-				if got = tr.AppendPoint(got[:0], nil, pt, kernelEps); !equalU32(got, want) {
+				gotC = ops.Counts{}
+				if got = tr.AppendPoint(got[:0], nil, pt, kernelEps, &gotC); !equalU32(got, want) {
 					t.Fatalf("%s window %d: point kernel at %v %d ids, refined instrumented walk %d (or order differs)", name, qi, pt, len(got), len(want))
 				}
+				checkCounts(t, fmt.Sprintf("%s window %d point %v", name, qi, pt), refC, gotC)
 				recs = recs[:0]
-				got = tr.AppendPoint(got[:0], &recs, pt, kernelEps)
+				got = tr.AppendPoint(got[:0], &recs, pt, kernelEps, nil)
 				checkRecords(t, name+" point", segs, want, got, recs)
 			}
 		}
 	}
 	if total < 2000 {
 		t.Fatalf("only %d windows exercised, want >= 2000", total)
+	}
+}
+
+// lastNodeWindows returns the MBR of the last node of every level of tr.
+// Each contains that node's subtree, which the kernel appends as one run
+// over the ragged end of the leaf level (the root's is the whole tree).
+func lastNodeWindows(tr *Tree) []geom.Rect {
+	var out []geom.Rect
+	for i := range tr.nodes {
+		if i+1 < len(tr.nodes) && tr.nodes[i+1].level == tr.nodes[i].level {
+			continue
+		}
+		mbr := geom.EmptyRect()
+		for _, e := range tr.nodes[i].entries {
+			mbr = mbr.Union(e.MBR)
+		}
+		out = append(out, mbr)
+	}
+	return out
+}
+
+// checkCounts fails unless a kernel walk tallied the instrumented walk's
+// counts, field for field.
+func checkCounts(t *testing.T, what string, want, got ops.Counts) {
+	t.Helper()
+	if got != want {
+		t.Fatalf("%s: kernel tallied\n %+v\nthe instrumented walk records\n %+v", what, got, want)
 	}
 }
 
@@ -162,8 +200,8 @@ func TestKernelAppendsAfterPrefix(t *testing.T) {
 		got, want []uint32
 	}{
 		{"filter", tr.AppendSearch(slices.Clone(prefix), w, ops.Null{}), tr.AppendSearch(nil, w, &ops.Counts{})},
-		{"range", tr.AppendRange(slices.Clone(prefix), nil, w, true), tr.AppendRange(nil, nil, w, true)},
-		{"point", tr.AppendPoint(slices.Clone(prefix), nil, segs[9].A, 0), tr.AppendPoint(nil, nil, segs[9].A, 0)},
+		{"range", tr.AppendRange(slices.Clone(prefix), nil, w, true, nil), tr.AppendRange(nil, nil, w, true, nil)},
+		{"point", tr.AppendPoint(slices.Clone(prefix), nil, segs[9].A, 0, nil), tr.AppendPoint(nil, nil, segs[9].A, 0, nil)},
 	} {
 		if len(c.want) == 0 || !equalU32(c.got[:3], prefix) || !equalU32(c.got[3:], c.want) {
 			t.Fatalf("%s: prefix or answer disturbed: %d ids after a 3-id prefix, want %d", c.name, len(c.got)-3, len(c.want))
@@ -173,8 +211,9 @@ func TestKernelAppendsAfterPrefix(t *testing.T) {
 
 // TestKernelStandsDownOnIrregularMBRs: an empty or NaN item MBR satisfies
 // raw compares that Rect.Intersects rejects, so such a tree must keep
-// answering through the reference walk, refined or not; the point kernel
-// needs no reference walk, and must agree with the instrumented one too.
+// answering through the reference walk, refined or not, and tally the
+// instrumented walk's counts; the point kernel needs no reference walk, and
+// must agree with the instrumented one too, answer and counts.
 func TestKernelStandsDownOnIrregularMBRs(t *testing.T) {
 	segs := randSegments(500, 11)
 	items := itemsOf(segs)
@@ -193,41 +232,47 @@ func TestKernelStandsDownOnIrregularMBRs(t *testing.T) {
 	}
 	var recs []geom.Segment
 	for qi, w := range kernelWindows(segs, tr.Bounds(), 300, 3) {
-		ref := tr.AppendSearch(nil, w, &ops.Counts{})
+		var refC, gotC ops.Counts
+		ref := tr.AppendSearch(nil, w, &refC)
 		if got := tr.AppendSearch(nil, w, ops.Null{}); !equalU32(got, ref) {
 			t.Fatalf("window %d %v: %d ids, instrumented walk %d", qi, w, len(got), len(ref))
 		}
 		recs = recs[:0]
-		got := tr.AppendRange(nil, &recs, w, false)
+		got := tr.AppendRange(nil, &recs, w, false, &gotC)
 		checkRecords(t, "irregular filter", leafSegs, ref, got, recs)
+		checkCounts(t, fmt.Sprintf("irregular window %d %v filter", qi, w), refC, gotC)
 		var want []uint32
 		for _, id := range ref {
 			if items[id].Seg().IntersectsRect(w) {
 				want = append(want, id)
 			}
 		}
-		if got := tr.AppendRange(nil, nil, w, true); !equalU32(got, want) {
+		if got := tr.AppendRange(nil, nil, w, true, nil); !equalU32(got, want) {
 			t.Fatalf("window %d %v: refined %d ids, want %d", qi, w, len(got), len(want))
 		}
-		recs = recs[:0]
-		got = tr.AppendRange(nil, &recs, w, true)
+		recs, gotC = recs[:0], ops.Counts{}
+		got = tr.AppendRange(nil, &recs, w, true, &gotC)
 		checkRecords(t, "irregular range", leafSegs, want, got, recs)
+		checkCounts(t, fmt.Sprintf("irregular window %d %v range", qi, w), refC, gotC)
 		pt := w.Min
 		want = want[:0]
-		for _, id := range tr.AppendSearchPoint(nil, pt, &ops.Counts{}) {
+		refC = ops.Counts{}
+		for _, id := range tr.AppendSearchPoint(nil, pt, &refC) {
 			if items[id].Seg().ContainsPoint(pt, kernelEps) {
 				want = append(want, id)
 			}
 		}
-		if got := tr.AppendPoint(nil, nil, pt, kernelEps); !equalU32(got, want) {
+		gotC = ops.Counts{}
+		if got := tr.AppendPoint(nil, nil, pt, kernelEps, &gotC); !equalU32(got, want) {
 			t.Fatalf("window %d: point kernel at %v %d ids, want %d", qi, pt, len(got), len(want))
 		}
+		checkCounts(t, fmt.Sprintf("irregular window %d point %v", qi, pt), refC, gotC)
 	}
 }
 
 // TestKNNKernelZeroAlloc: a warm scratch answers k-NN at k 1, 8 and 64
-// without allocating, through KNearestAppend and a KNearestCollect fold, at
-// the default fanout and at fanout 102 (NodeBytes 2048).
+// without allocating, through a KNearestCollect fold, at the default fanout
+// and at fanout 102 (NodeBytes 2048).
 func TestKNNKernelZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -247,7 +292,6 @@ func TestKNNKernelZeroAlloc(t *testing.T) {
 			run := func() {
 				p := points[i%len(points)]
 				i++
-				nbs = tr.KNearestAppend(nbs[:0], p, k, nil, ops.Null{}, &sc)
 				sc.ResetKNN()
 				tr.KNearestCollect(p, k, nil, &sc)
 				nbs = sc.DrainKNNAppend(nbs[:0])

@@ -13,10 +13,10 @@ import (
 // branch-and-bound: a max-heap keeps the k best exact distances found so
 // far, and subtrees are pruned against the k-th best once the heap is full.
 //
-// The walk in this file (knn) is the traced model only: it runs when a
-// recorder is attached, and its op stream is what the simulator prices.
-// Every untraced k-NN runs the serving kernel (collectKNN, kernel.go) into
-// the same heap and the same accumulator API defined here.
+// The walk in this file (knn) is the traced model only: its op stream is
+// what the simulator prices. Every serving k-NN runs the kernel
+// (KNearestCollect, kernel.go) into the same heap and the same accumulator
+// API defined here.
 
 // Neighbor is one k-NN result: the item, its exact distance, and the
 // segment its leaf carries — the geometry the distance was computed from,
@@ -126,13 +126,12 @@ func (h *neighborHeap) down(i0, n int) {
 	}
 }
 
-// KNearest returns the k items nearest to p in the Before order (fewer if
-// the tree holds fewer than k items). dist supplies exact item
-// distances exactly as in Nearest. An untraced query (rec is ops.Null) runs
-// the serving kernel, where a nil dist takes each item's distance from its
-// leaf (Item.Seg). A traced walk needs dist and admits by distance alone, as
-// the simulator always has, so where k cuts an equal-distance run its ids
-// need not be the smallest.
+// KNearest returns the k items nearest to p (fewer if the tree holds fewer
+// than k items) through the simulator's traced walk (knn), nearest first.
+// dist supplies exact item distances exactly as in Nearest. The walk admits
+// by distance alone, as the simulator always has, so where k cuts an
+// equal-distance run its ids need not be the smallest; the serving k-NN,
+// which answers in the Before order, is KNearestCollect.
 func (t *Tree) KNearest(p geom.Point, k int, dist DistFunc, rec ops.Recorder) []Neighbor {
 	if t.root < 0 || k <= 0 {
 		return nil
@@ -141,8 +140,8 @@ func (t *Tree) KNearest(p geom.Point, k int, dist DistFunc, rec ops.Recorder) []
 }
 
 // KNearestAppend is KNearest appending into dst with an optional
-// caller-owned scratch — the allocation-free k-NN path. It empties sc's
-// running accumulator first, so it does not fold into earlier calls.
+// caller-owned scratch. It empties sc's running accumulator first, so it
+// does not fold into earlier calls.
 func (t *Tree) KNearestAppend(dst []Neighbor, p geom.Point, k int, dist DistFunc, rec ops.Recorder, sc *NNScratch) []Neighbor {
 	if t.root < 0 || k <= 0 {
 		return dst
@@ -151,20 +150,15 @@ func (t *Tree) KNearestAppend(dst []Neighbor, p geom.Point, k int, dist DistFunc
 		sc = new(NNScratch)
 	}
 	sc.ResetKNN()
-	if untraced(rec) {
-		t.collectKNN(p, k, dist, nil, sc)
-	} else {
-		t.knn(&t.nodes[t.root], p, k, dist, rec, sc)
-	}
+	t.knn(&t.nodes[t.root], p, k, dist, rec, sc)
 	return sc.DrainKNNAppend(dst)
 }
 
 // The running-accumulator API. A sharded index answers one k-NN query by
 // folding several per-shard trees into one scratch-held heap: the k-th best
 // distance travels from shard to shard, pruning inside every later tree.
-// KNearestAppend under ops.Null is ResetKNN + one KNearestCollect +
-// DrainKNNAppend wherever dist is the distance to the segment each leaf
-// carries: single-tree and cross-tree answers share one kernel.
+// A single tree's answer is ResetKNN + one KNearestCollect +
+// DrainKNNAppend: single-tree and cross-tree answers share one kernel.
 
 // ResetKNN empties sc's running k-NN accumulator. Call once before a
 // sequence of KNearestCollect folds.
@@ -222,7 +216,7 @@ func (t *Tree) KNearestCollect(p geom.Point, k int, skip func(id uint32) bool, s
 	if t.root < 0 || k <= 0 {
 		return
 	}
-	t.collectKNN(p, k, nil, skip, sc)
+	t.collectKNN(p, k, skip, sc)
 }
 
 // bound returns the pruning distance: the k-th best so far, or +Inf while
@@ -238,7 +232,7 @@ func knnBound(best *neighborHeap, k int) float64 {
 // scanned, every MINDIST and heap operation recorded, children visited in
 // sorted MINDIST order, and a neighbor admitted only when strictly closer
 // than the k-th best. Its op stream is what the machine models price, so it
-// stays as recorded; untraced queries take collectKNN instead.
+// stays as recorded; serving queries take collectKNN instead.
 func (t *Tree) knn(n *node, p geom.Point, k int, dist DistFunc, rec ops.Recorder, sc *NNScratch) {
 	best := &sc.heap
 	t.visitNode(n, rec)

@@ -11,7 +11,7 @@ import (
 	"mobispatial/internal/ops"
 )
 
-// TestKNearestMatchesBruteForce: the untraced k-NN answers exactly the first
+// TestKNearestMatchesBruteForce: the k-NN kernel answers exactly the first
 // k of a (distance, id) sort of every item, each with its segment. The traced walk admits by
 // distance alone, so on a tie cut by k its ids may differ: it must match the
 // sort's distances, each at its own id's distance.
@@ -19,6 +19,7 @@ func TestKNearestMatchesBruteForce(t *testing.T) {
 	segs := randSegments(2000, 40)
 	tr := buildTest(t, segs, Config{})
 	rng := rand.New(rand.NewSource(41))
+	var sc NNScratch
 	for q := 0; q < 50; q++ {
 		p := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
 		k := 1 + rng.Intn(20)
@@ -29,8 +30,9 @@ func TestKNearestMatchesBruteForce(t *testing.T) {
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i].Before(all[j]) })
 		want := all[:k]
-		if got := tr.KNearest(p, k, df, ops.Null{}); !slices.Equal(got, want) {
-			t.Fatalf("query %d k=%d: untraced\n got  %v\n want %v", q, k, got, want)
+		tr.KNearestCollect(p, k, nil, &sc)
+		if got := sc.DrainKNNAppend(nil); !slices.Equal(got, want) {
+			t.Fatalf("query %d k=%d: kernel\n got  %v\n want %v", q, k, got, want)
 		}
 		traced := tr.KNearest(p, k, df, &ops.Counts{})
 		if len(traced) != k {

@@ -122,8 +122,8 @@ func knnPoints(items []rtree.Item, bounds geom.Rect, n int, seed int64) []geom.P
 	return append(out, geom.Point{X: 1e200, Y: -1e200})
 }
 
-// TestKNNKernelMatchesFlatOracle: every untraced k-NN — KNearestAppend with
-// and without a DistFunc, a skip mask, and a fold of two trees into an
+// TestKNNKernelMatchesFlatOracle: every k-NN through the kernel — one
+// KNearestCollect, one with a skip mask, and a fold of two trees into an
 // accumulator a flat offer pre-seeded — returns exactly the first k of a
 // (distance, id) sort of every item, ids and distances bit for bit, on PA and
 // on a tie-heavy grid world, at the default node size and at NodeBytes 2048.
@@ -178,10 +178,7 @@ func TestKNNKernelMatchesFlatOracle(t *testing.T) {
 			var sc rtree.NNScratch
 			var got []rtree.Neighbor
 			for qi, p := range knnPoints(w.items, tr.Bounds(), w.points, int64(len(w.items))) {
-				byEnd := func(it rtree.Item) float64 { return p.Dist(it.Seg().A) }
-				distFunc := func(id uint32) float64 { return p.Dist(w.items[id].Seg().A) }
 				all := flatKNN(w.items, n, segDist(p), nil)
-				allEnd := flatKNN(w.items, n, byEnd, nil)
 				allSkip := flatKNN(w.items, n, segDist(p), skip)
 				for _, k := range ks {
 					fail := func(what string, want []rtree.Neighbor) {
@@ -192,16 +189,10 @@ func TestKNNKernelMatchesFlatOracle(t *testing.T) {
 						}
 					}
 					want := all[:min(k, n)]
-					got = tr.KNearestAppend(got[:0], p, k, nil, ops.Null{}, &sc)
-					fail("leaf distances", want)
-
 					sc.ResetKNN()
 					tr.KNearestCollect(p, k, nil, &sc)
 					got = sc.DrainKNNAppend(got[:0])
 					fail("KNearestCollect", want)
-
-					got = tr.KNearestAppend(got[:0], p, k, distFunc, ops.Null{}, &sc)
-					fail("DistFunc", allEnd[:min(k, n)])
 
 					sc.ResetKNN()
 					tr.KNearestCollect(p, k, skip, &sc)
@@ -248,7 +239,9 @@ func FuzzKNNKernel(f *testing.F) {
 		p := geom.Point{X: px, Y: py}
 		k := 1 + int(kRaw)%(len(items)+3)
 		want := flatKNN(items, k, segDist(p), nil)
-		if got := tr.KNearestAppend(nil, p, k, nil, ops.Null{}, nil); firstDiff(got, want) >= 0 {
+		var sc rtree.NNScratch
+		tr.KNearestCollect(p, k, nil, &sc)
+		if got := sc.DrainKNNAppend(nil); firstDiff(got, want) >= 0 {
 			t.Fatalf("%d items, fanout %d, p=%v k=%d:\n got  %v\n want %v", len(items), 2+fanRaw%6, p, k, got, want)
 		}
 	})

@@ -5,18 +5,18 @@
 // paper considers read-only road-atlas data — so there is no insert/delete.
 //
 // Every node has a byte-exact simulated address assigned at build time, and
-// all traversals emit their operation and memory-reference streams to an
-// ops.Recorder, which is how the cycle/energy machine models observe the
-// execution (see internal/ops). Passing ops.Null{} runs the index as a plain
-// spatial library: range, point and k-NN searches then take the serving
-// kernels (kernel.go) and the 1-NN walk skips its recorder calls — same
-// answers in the same order, nothing recorded.
+// the instrumented traversals emit their operation and memory-reference
+// streams to an ops.Recorder, which is how the cycle/energy machine models
+// observe the execution (see internal/ops). They are the paper's two
+// phases: they filter on MBRs, and refinement against the data records is
+// the caller's (a DistFunc for NN).
 //
-// The instrumented walks are the paper's two phases: they filter on MBRs,
-// and refinement against the data records is the caller's (a DistFunc for
-// NN). A leaf entry also carries its segment (Item.Seg), so the serving
-// kernel's exact queries — AppendRange, AppendPoint, KNearestCollect —
-// refine from the leaf they already loaded instead of from the dataset.
+// The serving kernels (kernel.go) — AppendRange, AppendPoint,
+// KNearestCollect — answer real queries: same answers in the same order,
+// refined from the segment each leaf carries (Item.Seg) instead of from
+// the dataset. Handed an *ops.Counts, the range and point kernels also
+// tally exactly what the instrumented walk would record, so one walk
+// answers and counts.
 package rtree
 
 import (
@@ -384,6 +384,9 @@ func (t *Tree) scanEntry(n *node, i int, rec ops.Recorder) {
 	rec.Op(ops.OpMBRTest, 1)
 }
 
+// idBytes is the size of one result id as the traced walk stores it.
+const idBytes = 4
+
 // Search performs the filtering step for a range (window) query: it returns
 // the ids of all items whose MBR intersects the window, in ascending
 // traversal order. This is the first phase of range-query processing, the
@@ -402,7 +405,7 @@ func (t *Tree) AppendSearch(dst []uint32, window geom.Rect, rec ops.Recorder) []
 		return dst
 	}
 	if untraced(rec) {
-		return t.AppendRange(dst, nil, window, false)
+		return t.AppendRange(dst, nil, window, false, nil)
 	}
 	t.search(&t.nodes[t.root], window, rec, &dst)
 	return dst
@@ -417,7 +420,7 @@ func (t *Tree) search(n *node, window geom.Rect, rec ops.Recorder, out *[]uint32
 		}
 		if n.level == 0 {
 			rec.Op(ops.OpResultAppend, 1)
-			rec.Store(ops.ScratchBase+uint64(len(*out))*4, 4)
+			rec.Store(ops.ScratchBase+uint64(len(*out))*idBytes, idBytes)
 			*out = append(*out, n.entries[i].ID)
 		} else {
 			t.search(&t.nodes[n.entries[i].ID], window, rec, out)
@@ -462,27 +465,16 @@ func (t *Tree) Nearest(p geom.Point, dist DistFunc, rec ops.Recorder) (id uint32
 // NearestWith is Nearest with an optional caller-owned scratch; a nil
 // scratch allocates per call exactly as Nearest always has. Both entry
 // points share one traversal, so scratch reuse cannot change which of two
-// equidistant items wins.
+// equidistant items wins. (The serving pools answer 1-NN through
+// KNearestCollect at k = 1; this is the simulator's instrumented NN.)
 func (t *Tree) NearestWith(p geom.Point, dist DistFunc, rec ops.Recorder, sc *NNScratch) (id uint32, d float64, ok bool) {
-	return t.NearestWithin(p, math.Inf(1), dist, rec, sc)
-}
-
-// NearestWithin is NearestWith with an initial upper bound: only items
-// strictly closer than bound are considered, and subtrees whose MINDIST
-// exceeds it are pruned from the start. ok is false when no item beats the
-// bound, so a caller folding several trees can carry its best distance from
-// one into the next. (The serving pools fold shards through KNearestCollect
-// instead, 1-NN included; this remains the simulator's instrumented NN.)
-// With bound = +Inf it is exactly NearestWith.
-func (t *Tree) NearestWithin(p geom.Point, bound float64, dist DistFunc, rec ops.Recorder, sc *NNScratch) (id uint32, d float64, ok bool) {
 	if t.root < 0 {
 		return 0, 0, false
 	}
-	best := bound
+	best := math.Inf(1)
 	bestID := uint32(0)
-	found := false
-	t.nearest(&t.nodes[t.root], p, dist, nilIfNull(rec), sc, &best, &bestID, &found)
-	return bestID, best, found
+	t.nearest(&t.nodes[t.root], p, dist, nilIfNull(rec), sc, &best, &bestID)
+	return bestID, best, best < math.Inf(1)
 }
 
 // branch is one child under consideration during the NN descent.
@@ -530,7 +522,7 @@ func sortBranches(br []branch) {
 // points replace ops.Null), which skips the per-entry recorder calls; a
 // traced query emits the stream it always has.
 func (t *Tree) nearest(n *node, p geom.Point, dist DistFunc, rec ops.Recorder,
-	sc *NNScratch, best *float64, bestID *uint32, found *bool) {
+	sc *NNScratch, best *float64, bestID *uint32) {
 
 	traced := rec != nil
 	if traced {
@@ -545,15 +537,13 @@ func (t *Tree) nearest(n *node, p geom.Point, dist DistFunc, rec ops.Recorder,
 			if n.entries[i].MBR.MinDist(p) > *best {
 				continue
 			}
-			// Strictly-closer acceptance keeps NearestWithin's bound
-			// semantics exact: an item at exactly the bound is not "within"
-			// it. For the unbounded entry points best starts at +Inf, so
-			// every finite distance is accepted on first sight as before.
+			// Strictly-closer acceptance: best starts at +Inf, so the first
+			// finite distance is accepted on sight, and of two equidistant
+			// items the one the walk reaches first wins.
 			d := dist(n.entries[i].ID)
 			if d < *best {
 				*best = d
 				*bestID = n.entries[i].ID
-				*found = true
 			}
 		}
 		return
@@ -594,7 +584,7 @@ func (t *Tree) nearest(n *node, p geom.Point, dist DistFunc, rec ops.Recorder,
 		if br.minDist > *best || br.minDist > minMaxBound {
 			continue
 		}
-		t.nearest(&t.nodes[n.entries[br.idx].ID], p, dist, rec, sc, best, bestID, found)
+		t.nearest(&t.nodes[n.entries[br.idx].ID], p, dist, rec, sc, best, bestID)
 	}
 }
 

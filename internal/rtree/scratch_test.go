@@ -86,7 +86,8 @@ func TestScratchPathsMatchPlainPaths(t *testing.T) {
 }
 
 // TestScratchSearchZeroAlloc pins the warm index-walk allocation count at
-// zero for all three scratch query paths.
+// zero for all three scratch query paths: the filter, the 1-NN walk and the
+// k-NN kernel's fold.
 func TestScratchSearchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -101,7 +102,9 @@ func TestScratchSearchZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		ids = tr.AppendSearch(ids[:0], w, ops.Null{})
 		_, _, _ = tr.NearestWith(pt, df, ops.Null{}, &sc)
-		nbs = tr.KNearestAppend(nbs[:0], pt, 5, df, ops.Null{}, &sc)
+		sc.ResetKNN()
+		tr.KNearestCollect(pt, 5, nil, &sc)
+		nbs = sc.DrainKNNAppend(nbs[:0])
 	}); n != 0 {
 		t.Fatalf("warm scratch queries: %.1f allocs/op, want 0", n)
 	}

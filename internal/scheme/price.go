@@ -1,10 +1,12 @@
 package scheme
 
 // One price list: every decider fills AnalyticInputs from a query's work —
-// estimated from the index's shape (EstimateWork) or counted by a walk
-// (CountWork) — and prices it with internal/cpu's op table on the Table 3
-// client and the Table 4 server (Prices), the table the simulator's machine
-// models execute. The live client charges its processor from the same list.
+// estimated from the index's shape (EstimateWork) or counted by the walk
+// that ran (CountWork; for a live range or point answer, the kernel walk
+// that answered it) — and prices it with internal/cpu's op table on the
+// Table 3 client and the Table 4 server (Prices), the table the simulator's
+// machine models execute. The live client charges its processor from the
+// same list.
 
 import (
 	"math"
@@ -75,14 +77,15 @@ func EstimateWork(q Query, s Shape) Work {
 }
 
 // CountWork is EstimateWork's measured counterpart: q's work as internal/core's
-// engine runs it over t, counted. The instrumented walk records the
-// filtering and its candidates; a range's or point's hits are the exact
-// answer, refined from the segments t's leaves carry (t must be built from
-// rtree.SegItem items, as every serving tree is). A k-NN search has no
-// separate filtering: the walk records its descent, and its candidates are
-// the items whose distance it asked seg for. Pricing the result with Inputs
-// gives the cycles the simulator charges the same query fully at the
-// client.
+// engine runs it over t, counted. A range or point query is one kernel walk
+// (rtree.Tree.AppendRange, AppendPoint) that tallies what the instrumented
+// walk records for its filtering and refines its candidates from the
+// segments t's leaves carry (t must be built from rtree.SegItem items, as
+// every serving tree is); Kept reads its candidates and hits. A k-NN search
+// has no separate filtering: the instrumented walk records its descent, and
+// its candidates are the items whose distance it asked seg for. Pricing the
+// result with Inputs gives the cycles the simulator charges the same query
+// fully at the client.
 func CountWork(q Query, t *rtree.Tree, seg func(id uint32) geom.Segment, recordBytes int) Work {
 	w := Work{Kind: q.Kind, RecordBytes: recordBytes}
 	switch q.Kind {
@@ -97,13 +100,18 @@ func CountWork(q Query, t *rtree.Tree, seg func(id uint32) geom.Segment, recordB
 			w.Hits = 1
 		}
 	case PointQuery:
-		w.Candidates = int64(len(t.SearchPoint(q.Point, &w.Filter)))
-		w.Hits = int64(len(t.AppendPoint(nil, nil, q.Point, PointEps)))
+		w.Kept(len(t.AppendPoint(nil, nil, q.Point, PointEps, &w.Filter)))
 	default:
-		w.Candidates = int64(len(t.Search(q.Window, &w.Filter)))
-		w.Hits = int64(len(t.AppendRange(nil, nil, q.Window, true)))
+		w.Kept(len(t.AppendRange(nil, nil, q.Window, true, &w.Filter)))
 	}
 	return w
+}
+
+// Kept completes the work of a range or point kernel walk that tallied its
+// filtering into w.Filter and kept hits items: its candidates are the
+// result appends the filtering counted.
+func (w *Work) Kept(hits int) {
+	w.Candidates, w.Hits = w.Filter.Ops[ops.OpResultAppend], int64(hits)
 }
 
 // refineOps is each query kind's exact test.

@@ -112,53 +112,66 @@ func TestEstimateReadsLikeAWalk(t *testing.T) {
 // internal/core's engine runs — its filter the instrumented walk's counts,
 // its candidates that walk's ids, its hits the candidates whose segment
 // passes the exact test — and a k-NN's candidates are the distances the
-// descent asked for.
+// descent asked for. It holds on PA and on NYC, over each one's seeded
+// range, point and NN queries (the simulator's workload, seed 1).
 func TestCountWorkRefinesLikeTheEngine(t *testing.T) {
-	ds, tree := priceWorld(t)
-	c := ds.Extent.Center()
-	window := geom.Rect{Min: c, Max: c}.Expand(1500)
-	pt := ds.Segments[11].A
-	refined := func(ids []uint32, hit func(geom.Segment) bool) (n int64) {
-		for _, id := range ids {
-			if hit(ds.Seg(id)) {
-				n++
+	for _, ds := range []*dataset.Dataset{dataset.PA(), dataset.NYC()} {
+		tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type walk struct {
+			q     Query
+			walk  func(*ops.Counts) []uint32
+			exact func(geom.Segment) bool
+		}
+		var walks []walk
+		for _, r := range dataset.RangeQueries(ds, 20, 1) {
+			walks = append(walks, walk{Range(r), func(c *ops.Counts) []uint32 { return tree.Search(r, c) },
+				func(s geom.Segment) bool { return s.IntersectsRect(r) }})
+		}
+		for _, p := range dataset.PointQueries(ds, 20, 1) {
+			walks = append(walks, walk{Point(p), func(c *ops.Counts) []uint32 { return tree.SearchPoint(p, c) },
+				func(s geom.Segment) bool { return s.ContainsPoint(p, PointEps) }})
+		}
+		hitsSeen := map[QueryKind]int64{}
+		for _, tc := range walks {
+			var want ops.Counts
+			cands := tc.walk(&want)
+			w := CountWork(tc.q, tree, ds.Seg, ds.RecordBytes)
+			if w.Filter != want || w.Candidates != int64(len(cands)) || w.RecordBytes != ds.RecordBytes {
+				t.Errorf("%s %v: counted %+v over %d candidates, the walk records %+v over %d", ds.Name, tc.q.Kind, w.Filter, w.Candidates, want, len(cands))
 			}
+			var hits int64
+			for _, id := range cands {
+				if tc.exact(ds.Seg(id)) {
+					hits++
+				}
+			}
+			if w.Hits != hits {
+				t.Errorf("%s %v: counted %d hits, refinement keeps %d", ds.Name, tc.q.Kind, w.Hits, hits)
+			}
+			hitsSeen[tc.q.Kind] += hits
 		}
-		return n
-	}
-	for _, tc := range []struct {
-		q     Query
-		walk  func(*ops.Counts) []uint32
-		exact func(geom.Segment) bool
-	}{
-		{Range(window), func(c *ops.Counts) []uint32 { return tree.Search(window, c) },
-			func(s geom.Segment) bool { return s.IntersectsRect(window) }},
-		{Point(pt), func(c *ops.Counts) []uint32 { return tree.SearchPoint(pt, c) },
-			func(s geom.Segment) bool { return s.ContainsPoint(pt, PointEps) }},
-	} {
-		var want ops.Counts
-		cands := tc.walk(&want)
-		w := CountWork(tc.q, tree, ds.Seg, ds.RecordBytes)
-		if w.Filter != want || w.Candidates != int64(len(cands)) || w.RecordBytes != ds.RecordBytes {
-			t.Errorf("%v: counted %+v over %d candidates, the walk records %+v over %d", tc.q.Kind, w.Filter, w.Candidates, want, len(cands))
+		if hitsSeen[RangeQuery] == 0 || hitsSeen[PointQuery] == 0 {
+			t.Errorf("%s: the seeded queries hit nothing: %v", ds.Name, hitsSeen)
 		}
-		if hits := refined(cands, tc.exact); w.Hits != hits || hits == 0 {
-			t.Errorf("%v: counted %d hits, refinement keeps %d", tc.q.Kind, w.Hits, hits)
-		}
-	}
-	for _, k := range []int{1, 4} {
-		var want ops.Counts
-		var asked int64
-		dist := func(id uint32) float64 { asked++; return ds.Seg(id).DistToPoint(c) }
-		hits := 1
-		if k > 1 {
-			hits = len(tree.KNearest(c, k, dist, &want))
-		} else {
-			tree.Nearest(c, dist, &want)
-		}
-		w := CountWork(KNearest(c, k), tree, ds.Seg, ds.RecordBytes)
-		if w.Filter != want || w.Candidates != asked || w.Hits != int64(hits) {
-			t.Errorf("%d-NN: counted %d candidates, %d hits; the descent asked %d distances for %d", k, w.Candidates, w.Hits, asked, hits)
+		for _, c := range dataset.NNQueries(ds, 10, 1) {
+			for _, k := range []int{1, 4} {
+				var want ops.Counts
+				var asked int64
+				dist := func(id uint32) float64 { asked++; return ds.Seg(id).DistToPoint(c) }
+				hits := 1
+				if k > 1 {
+					hits = len(tree.KNearest(c, k, dist, &want))
+				} else {
+					tree.Nearest(c, dist, &want)
+				}
+				w := CountWork(KNearest(c, k), tree, ds.Seg, ds.RecordBytes)
+				if w.Filter != want || w.Candidates != asked || w.Hits != int64(hits) {
+					t.Errorf("%s %d-NN: counted %d candidates, %d hits; the descent asked %d distances for %d", ds.Name, k, w.Candidates, w.Hits, asked, hits)
+				}
+			}
 		}
 	}
 }

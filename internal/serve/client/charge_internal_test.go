@@ -17,7 +17,7 @@ import (
 // paCharge is the whole PA map as a client shipment, requested with PA's
 // record size (as FetchShipment builds it), and a client that is never
 // dialed.
-func paCharge(t *testing.T) (*dataset.Dataset, *Client, *Shipment) {
+func paCharge(t testing.TB) (*dataset.Dataset, *Client, *Shipment) {
 	t.Helper()
 	ds := dataset.PA()
 	recs := make([]proto.Record, ds.Len())
@@ -158,5 +158,32 @@ func TestBuiltShipmentChargedLikeFetched(t *testing.T) {
 		if jb != jf || cb != cf || jb <= 0 {
 			t.Errorf("%s: a built shipment charged %v J / %v cycles, a fetched one %v J / %v cycles", kind, jb, cb, jf, cf)
 		}
+	}
+}
+
+// BenchmarkLocalAnswer prices the charge: the seeded PA range and point
+// queries answered over the whole-PA shipment through runLocal (answered
+// and charged by one kernel walk) and through Shipment.Answer (answered
+// alone).
+func BenchmarkLocalAnswer(b *testing.B) {
+	ds, c, ship := paCharge(b)
+	for _, kind := range []string{"range", "point"} {
+		qs := paWorkload(ds)[kind]
+		b.Run(kind+"/charged", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := c.runLocal(ship, qs[i%len(qs)], nil, obs.StageIndexWalk); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(kind+"/uncharged", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ship.Answer(qs[i%len(qs)], 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

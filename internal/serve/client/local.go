@@ -160,21 +160,28 @@ func degradable(err error) bool {
 // runLocal is the only way a query runs at the client: ship answers cq, the
 // answer's wall time is lapped into sp (nil is fine) as stage — latency, and
 // nothing else — and the answer is charged what the one price list says the
-// walk costs the Table 3 client: the shipment's instrumented walk counted
-// (Shipment.work) and priced fully local, as the simulator charges the
-// fully-client scheme. The charge depends on the walk alone, never on the
-// host. It is reached for two reasons — chosen (Planner.Execute picked
-// fully-client over a fresh shipment) and degraded (degrade, below) — and the
-// caller owns the accounting of its reason.
+// walk costs the Table 3 client, priced fully local as the simulator charges
+// the fully-client scheme. A range or point answer is charged the counts
+// its own kernel walk tallied (Shipment.answer); a k-NN, whose kernel is not
+// the simulator's walk, the instrumented walk counted after the answer
+// (Shipment.work). The charge depends on the walk alone, never on the host.
+// It is reached for two reasons — chosen (Planner.Execute picked
+// fully-client over a fresh shipment) and degraded (degrade, below) — and
+// the caller owns the accounting of its reason.
 func (c *Client) runLocal(ship *Shipment, cq scheme.Query, sp *obs.Span, stage obs.Stage) (recs []proto.Record, sec, joules float64, err error) {
+	w := scheme.Work{Kind: cq.Kind, RecordBytes: ship.recordBytes}
 	start := time.Now()
-	recs, err = ship.Answer(cq, 0)
+	recs, err = ship.answer(cq, 0, &w.Filter)
 	sec = time.Since(start).Seconds()
 	sp.Lap(stage, sec)
 	if err != nil {
 		return nil, sec, 0, err
 	}
-	w := ship.work(cq)
+	if cq.Kind == scheme.NNQuery {
+		w = ship.work(cq)
+	} else {
+		w.Kept(len(recs))
+	}
 	in := prices.Inputs(scheme.FullyClient, &w, 1)
 	in.Client = c.energy
 	joules = in.FullyLocalJoules()

@@ -115,6 +115,14 @@ func (s *Shipment) Covers(q scheme.Query) bool {
 // scheme, refined from the segments the sub-index's leaves carry as on the
 // server. The caller is responsible for checking Covers first.
 func (s *Shipment) Answer(q scheme.Query, eps float64) ([]proto.Record, error) {
+	return s.answer(q, eps, nil)
+}
+
+// answer is Answer; a range or point walk also tallies into filter, when it
+// is non-nil, what the instrumented walk records for q: the counts
+// Client.runLocal charges. The k-NN kernel is not the simulator's walk, so
+// a k-NN counts nothing here (work counts it).
+func (s *Shipment) answer(q scheme.Query, eps float64, filter *ops.Counts) ([]proto.Record, error) {
 	if eps <= 0 {
 		eps = scheme.PointEps
 	}
@@ -122,9 +130,9 @@ func (s *Shipment) Answer(q scheme.Query, eps float64) ([]proto.Record, error) {
 	var segs []geom.Segment
 	switch q.Kind {
 	case scheme.PointQuery:
-		ids = s.Tree.AppendPoint(nil, &segs, q.Point, eps)
+		ids = s.Tree.AppendPoint(nil, &segs, q.Point, eps, filter)
 	case scheme.RangeQuery:
-		ids = s.Tree.AppendRange(nil, &segs, q.Window, true)
+		ids = s.Tree.AppendRange(nil, &segs, q.Window, true, filter)
 	case scheme.NNQuery:
 		// One NN walk, as on the server: 1-NN is k-NN at k = 1.
 		var sc rtree.NNScratch
@@ -166,9 +174,9 @@ func (s *Shipment) lookup(id uint32) (seg geom.Segment, ok bool) {
 	return leaves[s.byID[j]].Seg(), true
 }
 
-// work counts q's walk over the shipped sub-index, a k-NN's distances taken
-// to the shipped segments: what a local answer is charged for
-// (Client.runLocal).
+// work counts a k-NN's instrumented walk over the shipped sub-index, its
+// distances taken to the shipped segments: what a local k-NN answer is
+// charged for (Client.runLocal).
 func (s *Shipment) work(q scheme.Query) scheme.Work {
 	seg := func(id uint32) geom.Segment {
 		seg, _ := s.lookup(id)

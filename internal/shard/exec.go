@@ -17,7 +17,7 @@ func (p *Pool) rangeWalk(dst []uint32, segs *[]geom.Segment, w geom.Rect, refine
 			continue
 		}
 		n++
-		dst = t.AppendRange(dst, segs, w, refine)
+		dst = t.AppendRange(dst, segs, w, refine, nil)
 	}
 	p.observeFanout(n)
 	return dst
@@ -33,9 +33,9 @@ func (p *Pool) pointWalk(dst []uint32, segs *[]geom.Segment, pt geom.Point, eps 
 		}
 		n++
 		if refine {
-			dst = t.AppendPoint(dst, segs, pt, eps)
+			dst = t.AppendPoint(dst, segs, pt, eps, nil)
 		} else {
-			dst = t.AppendRange(dst, segs, geom.Rect{Min: pt, Max: pt}, false)
+			dst = t.AppendRange(dst, segs, geom.Rect{Min: pt, Max: pt}, false, nil)
 		}
 	}
 	p.observeFanout(n)
