@@ -1,6 +1,6 @@
 // drive.go is the closed loop itself: the one worker loop, the measuring and
-// stop flags, the per-worker records, and the warmup → pre-run server
-// snapshot → measure → merge sequence every workload runs through.
+// stop flags, the window's edges, the per-worker records, and the warmup →
+// pre-run snapshots → measure → merge sequence every workload runs through.
 package main
 
 import (
@@ -81,19 +81,28 @@ type result struct {
 	measured time.Duration
 	// pre is the server before measurement started — the counter baseline
 	// every server-side report prices this run against — and post the
-	// server after the run.
-	pre, post serverSnap
+	// server after the run. clientPre and clientPost are the client's
+	// registry at the two edges of the measured window.
+	pre, post             serverSnap
+	clientPre, clientPost obs.Snapshot
 }
 
 // drive runs the workload closed-loop on `conns` workers: warm up, snapshot
-// the server, measure for `duration`, stop, snapshot again, merge.
-func drive(wl *workload, conns int, warmup, duration time.Duration) result {
+// the server, open the measured window, measure for `duration`, close it,
+// stop, snapshot the server again, merge. Each window edge is taken with
+// every worker between steps and snapshots the client's registry reg, so the
+// client counters' growth across the window belongs to exactly the steps
+// the window records; an edge therefore waits out the steps in flight.
+func drive(wl *workload, reg *obs.Registry, conns int, warmup, duration time.Duration) result {
 	var (
-		measuring atomic.Bool
+		// measuring is written only by edge, under every worker's lock,
+		// and read by a worker under its own.
+		measuring bool
 		stop      atomic.Bool
 		wg        sync.WaitGroup
 	)
 	perWorker := make([][]record, conns)
+	inStep := make([]sync.Mutex, conns) // a worker holds its own across a step
 	for w := range perWorker {
 		perWorker[w] = newRecords(len(wl.series))
 		step := wl.newWorker(w)
@@ -101,23 +110,33 @@ func drive(wl *workload, conns int, warmup, duration time.Duration) result {
 			continue
 		}
 		wg.Add(1)
-		go func(recs []record) {
+		go func(recs []record, mu *sync.Mutex) {
 			defer wg.Done()
 			for !stop.Load() {
+				mu.Lock()
 				series, o := step()
-				if measuring.Load() {
+				if measuring {
 					recs[series].add(o)
 				}
+				mu.Unlock()
 			}
-		}(perWorker[w])
+		}(perWorker[w], &inStep[w])
+	}
+	edge := func(on bool) obs.Snapshot {
+		for i := range inStep {
+			inStep[i].Lock()
+			defer inStep[i].Unlock()
+		}
+		measuring = on
+		return reg.Snapshot()
 	}
 
 	time.Sleep(warmup)
 	res := result{series: newRecords(len(wl.series)), pre: pullSnap(wl.c)}
-	measuring.Store(true)
+	res.clientPre = edge(true)
 	start := time.Now()
 	time.Sleep(duration)
-	measuring.Store(false)
+	res.clientPost = edge(false)
 	res.measured = time.Since(start)
 	stop.Store(true)
 	wg.Wait()

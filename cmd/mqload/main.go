@@ -282,7 +282,7 @@ func run(args []string, out io.Writer) error {
 		// not process start (probing and index builds above take real time).
 		inj.ResetClock()
 	}
-	res := drive(wl, *conns, *warmup, *duration)
+	res := drive(wl, hub.Reg, *conns, *warmup, *duration)
 
 	fmt.Fprintf(out, "mqload: %d workers, %v measured, mix %s\n", *conns, res.measured.Round(time.Millisecond), *mixFlag)
 	printClientReport(out, wl, res)
@@ -290,7 +290,7 @@ func run(args []string, out io.Writer) error {
 		printDegradedReport(out, c.Degraded(), inj)
 	}
 	if wl.planner != nil {
-		printSchemeReport(out, hub.Reg.Snapshot())
+		printSchemeReport(out, res.clientPre, res.clientPost)
 	}
 	return printServerReport(out, res, *serverStats)
 }

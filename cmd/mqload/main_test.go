@@ -42,6 +42,7 @@ var (
 	reReadback = regexp.MustCompile(`(?m)^  readback  (\d+) acked moves read back, (\d+) missed`)
 	reRouter   = regexp.MustCompile(` (\d+) failovers, (\d+) unroutable`)
 	reRefresh  = regexp.MustCompile(`refreshes: (\d+)`)
+	rePlans    = regexp.MustCompile(`(?m)^    (?:fully-client|server-ids|fully-server) +(\d+) queries`)
 )
 
 func field(t *testing.T, report string, re *regexp.Regexp, group int) int {
@@ -72,6 +73,7 @@ func TestEveryWorkloadRunsToOneReport(t *testing.T) {
 		serveOn(t, stack.Server{Dataset: ds, Partition: "0/2", Replicas: 1}),
 		serveOn(t, stack.Server{Dataset: ds, Partition: "1/2", Replicas: 1}),
 	}})
+	const conns = 4
 	for _, tc := range []struct {
 		name, addr, args string
 		want             []string // substrings this workload's report must carry
@@ -97,7 +99,7 @@ func TestEveryWorkloadRunsToOneReport(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			args := append(strings.Fields(tc.args), "-addr", tc.addr, "-dataset", "nyc",
-				"-conns", "4", "-duration", "300ms", "-warmup", "50ms")
+				"-conns", strconv.Itoa(conns), "-duration", "300ms", "-warmup", "50ms")
 			var out bytes.Buffer
 			if err := run(args, &out); err != nil {
 				t.Fatalf("run %v: %v\n%s", args, err, out.String())
@@ -117,6 +119,18 @@ func TestEveryWorkloadRunsToOneReport(t *testing.T) {
 			if strings.Contains(tc.args, "-readback") {
 				if field(t, report, reReadback, 1) == 0 || field(t, report, reReadback, 2) != 0 {
 					t.Errorf("read-back ledger wants > 0 checked, 0 missed:\n%s", report)
+				}
+			}
+			if strings.Contains(tc.args, "-planner") && !strings.Contains(tc.args, "-moving") {
+				// Every query of the window is one plan; a worker's step
+				// straddling either edge may land on one side only.
+				queries, planned := field(t, report, reQueries, 1), 0
+				for _, m := range rePlans.FindAllStringSubmatch(report, -1) {
+					n, _ := strconv.Atoi(m[1])
+					planned += n
+				}
+				if planned < queries-conns || planned > queries+conns {
+					t.Errorf("the scheme rows sum to %d plans, the window to %d queries (±%d):\n%s", planned, queries, conns, report)
 				}
 			}
 			if tc.addr == routed {
@@ -150,26 +164,33 @@ func TestShardReportAgainstMqserve(t *testing.T) {
 }
 
 // TestSchemeReportPrintsMediansAndForcedPlans: each scheme row carries the
-// mean and the p50 of both ratio histograms, and a scheme whose plans were
-// all forced (by coverage or freshness) reads "no prediction", not a ratio
-// of 0.
+// plans and Joules of the measured window (deltas from the pre-run
+// snapshot) and the whole run's mean and p50 of both ratio histograms, and a
+// scheme whose plans were all forced (by coverage or freshness) reads "no
+// prediction", not a ratio of 0. A scheme with no plan in the window has no
+// row.
 func TestSchemeReportPrintsMediansAndForcedPlans(t *testing.T) {
 	ratio := func(name string, mean, p50 float64) obs.HistValue {
 		return obs.HistValue{Name: obs.Name(name, "scheme", "fully-client"), HistSummary: obs.HistSummary{Count: 3, Mean: mean, P50: p50}}
 	}
-	snap := obs.Snapshot{
-		Counters: []obs.CounterValue{
-			{Name: obs.Name("client_plans_total", "scheme", "fully-client"), Value: 3},
-			{Name: obs.Name("client_plans_total", "scheme", "fully-server"), Value: 2},
-		},
-		Hists: []obs.HistValue{ratio("client_plan_cycle_ratio", 0.5, 0.375), ratio("client_plan_energy_ratio", 0.75, 0.625)},
+	plans := func(scheme string, n uint64) obs.CounterValue {
+		return obs.CounterValue{Name: obs.Name("client_plans_total", "scheme", scheme), Value: n}
+	}
+	joules := func(j float64) []obs.GaugeValue {
+		return []obs.GaugeValue{{Name: obs.Name("client_energy_joules_total", "scheme", "fully-client"), Value: j}}
+	}
+	pre := obs.Snapshot{Counters: []obs.CounterValue{plans("fully-client", 4), plans("server-ids", 1)}, Gauges: joules(0.25)}
+	post := obs.Snapshot{
+		Counters: []obs.CounterValue{plans("fully-client", 7), plans("server-ids", 1), plans("fully-server", 2)},
+		Gauges:   joules(1.75),
+		Hists:    []obs.HistValue{ratio("client_plan_cycle_ratio", 0.5, 0.375), ratio("client_plan_energy_ratio", 0.75, 0.625)},
 	}
 	var out bytes.Buffer
-	printSchemeReport(&out, snap)
+	printSchemeReport(&out, pre, post)
 	report := out.String()
 	for _, want := range []string{
-		"    fully-client       3 queries  mean 0.00ms p95 0.00ms  0.000 J  pred/act cycles 0.50 p50 0.38, energy 0.75 p50 0.62\n",
-		"    fully-server       2 queries  mean 0.00ms p95 0.00ms  0.000 J  no prediction\n",
+		"    fully-client       3 queries  1.500 J  whole run: mean 0.00ms p95 0.00ms  pred/act cycles 0.50 p50 0.38, energy 0.75 p50 0.62\n",
+		"    fully-server       2 queries  0.000 J  whole run: mean 0.00ms p95 0.00ms  no prediction\n",
 	} {
 		if !strings.Contains(report, want) {
 			t.Errorf("report lacks %q:\n%s", want, report)

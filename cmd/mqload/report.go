@@ -113,18 +113,22 @@ func printDegradedReport(out io.Writer, d client.DegradedStats, inj *faultlink.I
 	}
 }
 
-// printSchemeReport breaks the run down per partitioning scheme: volume,
-// latency, charged energy, and the §4.1 predicted-vs-charged cost ratios
-// (mean and median). A scheme only coverage or freshness forced has no
-// prediction to score.
-func printSchemeReport(out io.Writer, snap obs.Snapshot) {
+// printSchemeReport breaks the measured window down per partitioning
+// scheme: volume and charged energy as the client's counter and gauge
+// deltas between pre and post, its snapshots at the window's edges. Latency
+// and the §4.1 predicted-vs-charged cost ratios (mean and median) come from
+// histograms, which hold the whole run, warm-up and drain included, and are
+// labeled so. A scheme only coverage or freshness forced has no prediction
+// to score.
+func printSchemeReport(out io.Writer, pre, post obs.Snapshot) {
 	hists := map[string]obs.HistValue{}
-	for _, h := range snap.Hists {
+	for _, h := range post.Hists {
 		hists[h.Name] = h
 	}
 	fmt.Fprintln(out, "  scheme breakdown (predicted/actual: 1.0 = the model priced it perfectly)")
 	for _, scheme := range []string{"fully-client", "server-ids", "fully-server"} {
-		n := snap.Counter(obs.Name("client_plans_total", "scheme", scheme))
+		plans, joules := obs.Name("client_plans_total", "scheme", scheme), obs.Name("client_energy_joules_total", "scheme", scheme)
+		n := post.Counter(plans) - pre.Counter(plans)
 		if n == 0 {
 			continue
 		}
@@ -135,9 +139,8 @@ func printSchemeReport(out io.Writer, snap obs.Snapshot) {
 		if cr.Count+er.Count > 0 {
 			pred = fmt.Sprintf("pred/act cycles %.2f p50 %.2f, energy %.2f p50 %.2f", cr.Mean, cr.P50, er.Mean, er.P50)
 		}
-		fmt.Fprintf(out, "    %-12s %7d queries  mean %s p95 %s  %.3f J  %s\n",
-			scheme, n, ms(eh.Mean), ms(eh.P95),
-			snap.Gauge(obs.Name("client_energy_joules_total", "scheme", scheme)), pred)
+		fmt.Fprintf(out, "    %-12s %7d queries  %.3f J  whole run: mean %s p95 %s  %s\n",
+			scheme, n, post.Gauge(joules)-pre.Gauge(joules), ms(eh.Mean), ms(eh.P95), pred)
 	}
 }
 

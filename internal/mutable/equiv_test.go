@@ -183,7 +183,7 @@ func agreesWithFresh(t *testing.T, seed int64, rng *rand.Rand, p *Pool, model ma
 
 		for _, k := range []int{1, 3, len(model) + 2} {
 			var sc rtree.NNScratch
-			ref.tree.KNearestCollect(pt, k, nil, &sc)
+			ref.tree.KNearestCollect(pt, k, nil, &sc, nil)
 			want := sc.DrainKNNAppend(nil)
 			gotK, ok := p.KNearestAppend(nil, pt, k, nil)
 			if !ok || !sameNeighbors(model, pt, want, gotK) {

@@ -107,7 +107,7 @@ func (p *Pool) KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int,
 func (s *mshard) knnInto(st *nnState, nnsc *rtree.NNScratch, k int, bound float64) {
 	if s.pend.Load() == 0 {
 		if bv := s.base.Load(); bv.bounds.MinDist(st.pt) <= min(bound, nnsc.KNNBound(k)) {
-			bv.tree.KNearestCollect(st.pt, k, nil, nnsc)
+			bv.tree.KNearestCollect(st.pt, k, nil, nnsc, nil)
 		}
 		return
 	}
@@ -115,7 +115,7 @@ func (s *mshard) knnInto(st *nnState, nnsc *rtree.NNScratch, k int, bound float6
 	defer s.lr.leave(t)
 	if bv := l.base; bv.bounds.MinDist(st.pt) <= min(bound, nnsc.KNNBound(k)) {
 		st.sh, st.l = s, l
-		bv.tree.KNearestCollect(st.pt, k, st.mask, nnsc)
+		bv.tree.KNearestCollect(st.pt, k, st.mask, nnsc, nil)
 	}
 	if f := l.frozen; f != nil {
 		offerOverlay(nnsc, k, st.pt, &f.segs, l.maskFrozen)

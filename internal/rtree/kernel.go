@@ -22,11 +22,11 @@ import (
 // results and wire bytes are compared byte for byte against the
 // instrumented walk's.
 //
-// One walk answers and counts. Handed a non-nil *ops.Counts, the range and
-// point kernels add to it exactly what the instrumented walk records for the
-// same query (tally), a skipped subtree in closed form, so a client charging
-// its own processor for a local answer prices the walk that produced it. A
-// server passes nil, which costs one test per node.
+// One walk answers and counts. Handed a non-nil *ops.Counts, every kernel
+// adds to it what the instrumented walk records for the same query (tally),
+// a skipped subtree in closed form, so a client charging its own processor
+// for a local answer prices the walk that produced it. A server passes nil,
+// which costs one test per node (and, for k-NN, per admission).
 //
 // k-NN has a kernel of its own (collectKNN), behind KNearestCollect: a
 // depth-first branch-and-bound over squared MINDIST, with no math.Hypot,
@@ -35,7 +35,10 @@ import (
 // by a relative 1e-12 (knnSlack) before anything is dropped — and its
 // admission is the traced walk's exact distance under Neighbor.Before, so
 // its answers are bit-identical: the first k of a flat (distance, id) sort.
-// It is not the simulator's MINMAXDIST walk, so it counts nothing.
+// It visits the nodes the traced k-NN walk (knn) visits, in the same MINDIST
+// order, and tallies what that walk records; the one difference is an
+// equal-distance neighbor that Before admits and the traced walk's strict <
+// refuses, two heap operations each.
 //
 // The traced entry points still hand an ops.Null recorder to the kernel
 // (untraced: AppendSearch) or skip their recorder calls for it (nilIfNull:
@@ -300,13 +303,15 @@ const knnSlack = 1 + 1e-12
 
 // knnQuery is one k-NN fold through the kernel. bound is the pruning
 // distance squared and widened by knnSlack, +Inf while fewer than k
-// neighbors are held.
+// neighbors are held; cands counts the exact distances computed.
 type knnQuery struct {
 	p     geom.Point
 	k     int
 	skip  func(uint32) bool
 	sc    *NNScratch
+	c     *ops.Counts
 	bound float64
+	cands int
 }
 
 // collectKNN folds the tree's k nearest items into sc's running accumulator
@@ -323,10 +328,25 @@ type knnQuery struct {
 // the k smallest (distance, id) of everything offered, and the widened bound
 // never prunes an entry those could include, so the answer is the one any
 // exhaustive scan gives, bit for bit, whatever order the walk took.
-func (t *Tree) collectKNN(p geom.Point, k int, skip func(uint32) bool, sc *NNScratch) {
-	q := knnQuery{p: p, k: k, skip: skip, sc: sc}
+//
+// A non-nil c receives what the traced walk records: per node a visit and a
+// header load, per entry an entry load, an MBR test and a MINDIST
+// (OpDistCalc), per inner node one heap operation an entry (the traced
+// walk's branch list), and per admission a push, plus a pop when the heap
+// was full. It returns the number of exact distances computed: the
+// candidates.
+func (t *Tree) collectKNN(p geom.Point, k int, skip func(uint32) bool, sc *NNScratch, c *ops.Counts) int {
+	q := knnQuery{p: p, k: k, skip: skip, sc: sc, c: c}
 	q.tighten()
 	t.knnWalk(&t.nodes[t.root], &q)
+	return q.cands
+}
+
+// tallyKNN adds to c what the traced walk records at a node of the given
+// number of entries, heap operations aside.
+func tallyKNN(c *ops.Counts, entries int) {
+	tally(c, 1, entries, 0)
+	c.Ops[ops.OpDistCalc] += int64(entries)
 }
 
 // tighten recomputes q.bound from the accumulator.
@@ -353,6 +373,7 @@ func (sc *NNScratch) KNNPruneSq(k int) float64 {
 func (t *Tree) knnWalk(n *node, q *knnQuery) {
 	if n.level == 0 {
 		h := &q.sc.heap
+		cands := 0
 		for i := range n.entries {
 			e := &n.entries[i]
 			if e.MBR.MinDistSq(q.p) > q.bound {
@@ -363,12 +384,27 @@ func (t *Tree) knnWalk(n *node, q *knnQuery) {
 			}
 			seg := e.Seg()
 			d := seg.DistToPoint(q.p)
+			cands++
 			if h.admits(q.k, e.ID, d) {
+				if q.c != nil {
+					q.c.Ops[ops.OpHeapOp]++ // the push
+					if len(h.ents) == q.k {
+						q.c.Ops[ops.OpHeapOp]++ // and the pop of the k-th best
+					}
+				}
 				h.put(q.k, &Neighbor{ID: e.ID, Dist: d, Seg: seg})
 				q.tighten()
 			}
 		}
+		q.cands += cands
+		if q.c != nil {
+			tallyKNN(q.c, len(n.entries))
+		}
 		return
+	}
+	if q.c != nil {
+		tallyKNN(q.c, len(n.entries))
+		q.c.Ops[ops.OpHeapOp] += int64(len(n.entries))
 	}
 	// The first selection rides on the pass that fills the buffer.
 	kids := q.sc.level(n.level)

@@ -106,7 +106,7 @@ func BenchmarkRangeKernel(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				sc.ResetKNN()
-				tr.KNearestCollect(nnPoints[i%len(nnPoints)], k, nil, &sc)
+				tr.KNearestCollect(nnPoints[i%len(nnPoints)], k, nil, &sc, nil)
 				nbs = sc.DrainKNNAppend(nbs[:0])
 			}
 		})

@@ -293,7 +293,7 @@ func TestKNNKernelZeroAlloc(t *testing.T) {
 				p := points[i%len(points)]
 				i++
 				sc.ResetKNN()
-				tr.KNearestCollect(p, k, nil, &sc)
+				tr.KNearestCollect(p, k, nil, &sc, nil)
 				nbs = sc.DrainKNNAppend(nbs[:0])
 			}
 			for range points {

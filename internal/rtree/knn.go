@@ -207,16 +207,18 @@ func (sc *NNScratch) KNNOffer(k int, nb Neighbor) {
 
 // KNearestCollect folds this tree's k nearest items into sc's running
 // accumulator, pruning against the bound the accumulator already carries —
-// the serving pools' k-NN step, untraced. An item's distance is that of the
-// segment its leaf carries (Item.Seg), and an item for which skip reports
-// true is left out as if it were not indexed; a nil skip leaves out
-// nothing. sc must be non-nil; results accumulate across calls until
-// DrainKNNAppend.
-func (t *Tree) KNearestCollect(p geom.Point, k int, skip func(id uint32) bool, sc *NNScratch) {
+// the serving pools' k-NN step. An item's distance is that of the segment
+// its leaf carries (Item.Seg), and an item for which skip reports true is
+// left out as if it were not indexed; a nil skip leaves out nothing. sc must
+// be non-nil; results accumulate across calls until DrainKNNAppend. When c
+// is non-nil it receives what the traced walk (KNearest) records for the
+// same query (see collectKNN); servers pass nil. It returns the number of
+// exact distances computed.
+func (t *Tree) KNearestCollect(p geom.Point, k int, skip func(id uint32) bool, sc *NNScratch, c *ops.Counts) int {
 	if t.root < 0 || k <= 0 {
-		return
+		return 0
 	}
-	t.collectKNN(p, k, skip, sc)
+	return t.collectKNN(p, k, skip, sc, c)
 }
 
 // bound returns the pruning distance: the k-th best so far, or +Inf while

@@ -30,7 +30,7 @@ func TestKNearestMatchesBruteForce(t *testing.T) {
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i].Before(all[j]) })
 		want := all[:k]
-		tr.KNearestCollect(p, k, nil, &sc)
+		tr.KNearestCollect(p, k, nil, &sc, nil)
 		if got := sc.DrainKNNAppend(nil); !slices.Equal(got, want) {
 			t.Fatalf("query %d k=%d: kernel\n got  %v\n want %v", q, k, got, want)
 		}

@@ -190,12 +190,12 @@ func TestKNNKernelMatchesFlatOracle(t *testing.T) {
 					}
 					want := all[:min(k, n)]
 					sc.ResetKNN()
-					tr.KNearestCollect(p, k, nil, &sc)
+					tr.KNearestCollect(p, k, nil, &sc, nil)
 					got = sc.DrainKNNAppend(got[:0])
 					fail("KNearestCollect", want)
 
 					sc.ResetKNN()
-					tr.KNearestCollect(p, k, skip, &sc)
+					tr.KNearestCollect(p, k, skip, &sc, nil)
 					got = sc.DrainKNNAppend(got[:0])
 					fail("skip", allSkip[:min(k, len(allSkip))])
 
@@ -203,12 +203,55 @@ func TestKNNKernelMatchesFlatOracle(t *testing.T) {
 					for _, it := range offered {
 						sc.KNNOffer(k, rtree.Neighbor{ID: it.ID, Dist: it.Seg().DistToPoint(p), Seg: it.Seg()})
 					}
-					trA.KNearestCollect(p, k, nil, &sc)
-					trB.KNearestCollect(p, k, nil, &sc)
+					trA.KNearestCollect(p, k, nil, &sc, nil)
+					trB.KNearestCollect(p, k, nil, &sc, nil)
 					got = sc.DrainKNNAppend(got[:0])
 					fail("pre-seeded two-tree fold", want)
 				}
 			}
+		}
+	}
+}
+
+// TestKNNKernelTalliesTheTracedWalk: handed an ops.Counts, the k-NN kernel
+// tallies what the traced walk (KNearest) records for the same query, field
+// for field, and returns as its candidates the distances that walk asked
+// for, on PA's and NYC's seeded NN queries at k 1 to 32. The one difference
+// is an equal-distance neighbor that the kernel's Before order admits and
+// the traced walk's strict < refuses, a push and a pop each: on a query
+// whose traced walk was asked for two equal distances, the kernel may count
+// a non-negative even number of heap operations more.
+func TestKNNKernelTalliesTheTracedWalk(t *testing.T) {
+	for _, ds := range []*dataset.Dataset{dataset.PA(), dataset.NYC()} {
+		tr, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sc rtree.NNScratch
+		for _, k := range []int{1, 2, 4, 8, 32} {
+			ties := 0
+			for qi, p := range dataset.NNQueries(ds, 200, 1) {
+				var want, got ops.Counts
+				asked, tied, seen := 0, false, map[float64]bool{}
+				tr.KNearest(p, k, func(id uint32) float64 {
+					d := ds.Seg(id).DistToPoint(p)
+					asked++
+					tied = tied || seen[d]
+					seen[d] = true
+					return d
+				}, &want)
+				sc.ResetKNN()
+				cands := tr.KNearestCollect(p, k, nil, &sc, &got)
+				if extra := got.Ops[ops.OpHeapOp] - want.Ops[ops.OpHeapOp]; tied && extra > 0 && extra%2 == 0 {
+					got.Ops[ops.OpHeapOp] = want.Ops[ops.OpHeapOp]
+					ties++
+				}
+				if got != want || cands != asked {
+					t.Fatalf("%s query %d %v k=%d: kernel tallied %d candidates and\n %+v\nthe traced walk asked %d distances and records\n %+v",
+						ds.Name, qi, p, k, cands, got, asked, want)
+				}
+			}
+			t.Logf("%s k=%d: %d of 200 queries admitted an equal-distance neighbor the traced walk refused", ds.Name, k, ties)
 		}
 	}
 }
@@ -240,7 +283,7 @@ func FuzzKNNKernel(f *testing.F) {
 		k := 1 + int(kRaw)%(len(items)+3)
 		want := flatKNN(items, k, segDist(p), nil)
 		var sc rtree.NNScratch
-		tr.KNearestCollect(p, k, nil, &sc)
+		tr.KNearestCollect(p, k, nil, &sc, nil)
 		if got := sc.DrainKNNAppend(nil); firstDiff(got, want) >= 0 {
 			t.Fatalf("%d items, fanout %d, p=%v k=%d:\n got  %v\n want %v", len(items), 2+fanRaw%6, p, k, got, want)
 		}

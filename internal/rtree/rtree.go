@@ -14,9 +14,8 @@
 // The serving kernels (kernel.go) — AppendRange, AppendPoint,
 // KNearestCollect — answer real queries: same answers in the same order,
 // refined from the segment each leaf carries (Item.Seg) instead of from
-// the dataset. Handed an *ops.Counts, the range and point kernels also
-// tally exactly what the instrumented walk would record, so one walk
-// answers and counts.
+// the dataset. Handed an *ops.Counts, each kernel also tallies what the
+// instrumented walk would record, so one walk answers and counts.
 package rtree
 
 import (

@@ -103,7 +103,7 @@ func TestScratchSearchZeroAlloc(t *testing.T) {
 		ids = tr.AppendSearch(ids[:0], w, ops.Null{})
 		_, _, _ = tr.NearestWith(pt, df, ops.Null{}, &sc)
 		sc.ResetKNN()
-		tr.KNearestCollect(pt, 5, nil, &sc)
+		tr.KNearestCollect(pt, 5, nil, &sc, nil)
 		nbs = sc.DrainKNNAppend(nbs[:0])
 	}); n != 0 {
 		t.Fatalf("warm scratch queries: %.1f allocs/op, want 0", n)

@@ -1,12 +1,11 @@
 package scheme
 
 // One price list: every decider fills AnalyticInputs from a query's work —
-// estimated from the index's shape (EstimateWork) or counted by the walk
-// that ran (CountWork; for a live range or point answer, the kernel walk
-// that answered it) — and prices it with internal/cpu's op table on the
-// Table 3 client and the Table 4 server (Prices), the table the simulator's
-// machine models execute. The live client charges its processor from the
-// same list.
+// estimated from the index's shape (EstimateWork) or counted by the kernel
+// walk that answers it (CountWork; a live local answer is that walk) — and
+// prices it with internal/cpu's op table on the Table 3 client and the
+// Table 4 server (Prices), the table the simulator's machine models execute.
+// The live client charges its processor from the same list.
 
 import (
 	"math"
@@ -77,41 +76,35 @@ func EstimateWork(q Query, s Shape) Work {
 }
 
 // CountWork is EstimateWork's measured counterpart: q's work as internal/core's
-// engine runs it over t, counted. A range or point query is one kernel walk
-// (rtree.Tree.AppendRange, AppendPoint) that tallies what the instrumented
-// walk records for its filtering and refines its candidates from the
-// segments t's leaves carry (t must be built from rtree.SegItem items, as
-// every serving tree is); Kept reads its candidates and hits. A k-NN search
-// has no separate filtering: the instrumented walk records its descent, and
-// its candidates are the items whose distance it asked seg for. Pricing the
-// result with Inputs gives the cycles the simulator charges the same query
-// fully at the client.
-func CountWork(q Query, t *rtree.Tree, seg func(id uint32) geom.Segment, recordBytes int) Work {
-	w := Work{Kind: q.Kind, RecordBytes: recordBytes}
+// engine runs it over t, counted by the kernel walk that answers it
+// (rtree.Tree.AppendRange, AppendPoint, KNearestCollect), which refines from
+// the segments t's leaves carry (t must be built from rtree.SegItem items, as
+// every serving tree is) and tallies what the instrumented walk records. It
+// returns that answer too: the ids the walk kept, each beside its leaf's
+// segment, a k-NN's nearest first. A range's or point's candidates are the
+// items its filtering passed on, a k-NN's the exact distances its kernel
+// computed. Pricing the work with Inputs gives the cycles the simulator
+// charges the same query fully at the client.
+func CountWork(q Query, t *rtree.Tree, recordBytes int) (w Work, ids []uint32, segs []geom.Segment) {
+	w = Work{Kind: q.Kind, RecordBytes: recordBytes}
 	switch q.Kind {
 	case NNQuery:
-		dist := func(id uint32) float64 {
-			w.Candidates++
-			return seg(id).DistToPoint(q.Point)
-		}
-		if q.K > 1 {
-			w.Hits = int64(len(t.KNearest(q.Point, q.K, dist, &w.Filter)))
-		} else if _, _, ok := t.Nearest(q.Point, dist, &w.Filter); ok {
-			w.Hits = 1
+		// One NN walk, as on the server: 1-NN is k-NN at k = 1.
+		var sc rtree.NNScratch
+		w.Candidates = int64(t.KNearestCollect(q.Point, max(q.K, 1), nil, &sc, &w.Filter))
+		for _, nb := range sc.DrainKNNAppend(nil) {
+			ids, segs = append(ids, nb.ID), append(segs, nb.Seg)
 		}
 	case PointQuery:
-		w.Kept(len(t.AppendPoint(nil, nil, q.Point, PointEps, &w.Filter)))
+		ids = t.AppendPoint(nil, &segs, q.Point, PointEps, &w.Filter)
 	default:
-		w.Kept(len(t.AppendRange(nil, nil, q.Window, true, &w.Filter)))
+		ids = t.AppendRange(nil, &segs, q.Window, true, &w.Filter)
 	}
-	return w
-}
-
-// Kept completes the work of a range or point kernel walk that tallied its
-// filtering into w.Filter and kept hits items: its candidates are the
-// result appends the filtering counted.
-func (w *Work) Kept(hits int) {
-	w.Candidates, w.Hits = w.Filter.Ops[ops.OpResultAppend], int64(hits)
+	if q.Kind != NNQuery {
+		w.Candidates = w.Filter.Ops[ops.OpResultAppend]
+	}
+	w.Hits = int64(len(ids))
+	return w, ids, segs
 }
 
 // refineOps is each query kind's exact test.

@@ -161,14 +161,19 @@ func TestBuiltShipmentChargedLikeFetched(t *testing.T) {
 	}
 }
 
-// BenchmarkLocalAnswer prices the charge: the seeded PA range and point
-// queries answered over the whole-PA shipment through runLocal (answered
-// and charged by one kernel walk) and through Shipment.Answer (answered
-// alone).
+// BenchmarkLocalAnswer prices the charge: the seeded PA range, point and
+// 1-NN queries, and the same points at k = 4 (nn4), answered over the
+// whole-PA shipment through runLocal (answered, counted, timed and priced:
+// one kernel walk) and through Shipment.Answer (answered and counted, never
+// timed or priced).
 func BenchmarkLocalAnswer(b *testing.B) {
 	ds, c, ship := paCharge(b)
-	for _, kind := range []string{"range", "point"} {
-		qs := paWorkload(ds)[kind]
+	kinds := paWorkload(ds)
+	for _, q := range kinds["nn"] {
+		kinds["nn4"] = append(kinds["nn4"], scheme.KNearest(q.Point, 4))
+	}
+	for _, kind := range []string{"range", "point", "nn", "nn4"} {
+		qs := kinds[kind]
 		b.Run(kind+"/charged", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

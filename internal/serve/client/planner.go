@@ -100,17 +100,17 @@ type Result struct {
 // to the server; a covered query over a fresh shipment is priced under the
 // measured link and chosen by scheme.Choose.
 func (p *Planner) Plan(q scheme.Query) Plan {
-	plan, _, _ := p.plan(p.c.local.Load(), q)
+	plan, _, _ := p.plan(p.c.local.Load(), q, time.Now())
 	return plan
 }
 
-// plan is Plan over one loaded state, plus the estimate it chose — the
-// prediction the observability layer scores against the measured execution.
-// chosen is false when coverage or freshness forced the plan and no
-// prediction exists. Whether the link is up is not asked here: the exchange
-// finds out, and degrades by itself.
-func (p *Planner) plan(st *localState, q scheme.Query) (plan Plan, predicted scheme.Estimate, chosen bool) {
-	if st == nil || !st.ship.Covers(q) || !st.fresh(time.Now(), p.c.cfg.maxAge) {
+// plan is Plan over one loaded state at time now, plus the estimate it
+// chose — the prediction the observability layer scores against the
+// measured execution. chosen is false when coverage or freshness forced the
+// plan and no prediction exists. Whether the link is up is not asked here:
+// the exchange finds out, and degrades by itself.
+func (p *Planner) plan(st *localState, q scheme.Query, now time.Time) (plan Plan, predicted scheme.Estimate, chosen bool) {
+	if st == nil || !st.ship.Covers(q) || !st.fresh(now, p.c.cfg.maxAge) {
 		return PlanServerData, scheme.Estimate{}, false
 	}
 	in := p.analyticInputs(st.ship, q)
@@ -136,7 +136,7 @@ func (p *Planner) Execute(q scheme.Query) (Result, error) {
 
 	start := time.Now()
 	st := c.local.Load()
-	plan, predicted, chosen := p.plan(st, q)
+	plan, predicted, chosen := p.plan(st, q, start)
 	sp.SetScheme(plan.String())
 	sp.Lap(obs.StagePlan, time.Since(start).Seconds())
 

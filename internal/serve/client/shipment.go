@@ -113,74 +113,42 @@ func (s *Shipment) Covers(q scheme.Query) bool {
 // Answer executes q fully at the client against the shipped sub-index and
 // records — filtering and refinement, exactly the paper's fully-client
 // scheme, refined from the segments the sub-index's leaves carry as on the
-// server. The caller is responsible for checking Covers first.
+// server. A point query's incidence tolerance is scheme.PointEps, the one
+// the server refines with: eps may be 0 or that value, any other is refused.
+// The caller is responsible for checking Covers first.
 func (s *Shipment) Answer(q scheme.Query, eps float64) ([]proto.Record, error) {
-	return s.answer(q, eps, nil)
+	if eps > 0 && eps != scheme.PointEps {
+		return nil, fmt.Errorf("client: a local point query refines at eps %g, not %g", scheme.PointEps, eps)
+	}
+	_, recs, err := s.answer(q)
+	return recs, err
 }
 
-// answer is Answer; a range or point walk also tallies into filter, when it
-// is non-nil, what the instrumented walk records for q: the counts
-// Client.runLocal charges. The k-NN kernel is not the simulator's walk, so
-// a k-NN counts nothing here (work counts it).
-func (s *Shipment) answer(q scheme.Query, eps float64, filter *ops.Counts) ([]proto.Record, error) {
-	if eps <= 0 {
-		eps = scheme.PointEps
+// answer is Answer, with the work its one kernel walk counted
+// (scheme.CountWork): what Client.runLocal charges.
+func (s *Shipment) answer(q scheme.Query) (scheme.Work, []proto.Record, error) {
+	if q.Kind > scheme.NNQuery {
+		return scheme.Work{}, nil, fmt.Errorf("client: unknown query kind %v", q.Kind)
 	}
-	var ids []uint32
-	var segs []geom.Segment
-	switch q.Kind {
-	case scheme.PointQuery:
-		ids = s.Tree.AppendPoint(nil, &segs, q.Point, eps, filter)
-	case scheme.RangeQuery:
-		ids = s.Tree.AppendRange(nil, &segs, q.Window, true, filter)
-	case scheme.NNQuery:
-		// One NN walk, as on the server: 1-NN is k-NN at k = 1.
-		var sc rtree.NNScratch
-		s.Tree.KNearestCollect(q.Point, max(q.K, 1), nil, &sc)
-		for _, nb := range sc.DrainKNNAppend(nil) {
-			ids, segs = append(ids, nb.ID), append(segs, nb.Seg)
-		}
-	default:
-		return nil, fmt.Errorf("client: unknown query kind %v", q.Kind)
-	}
+	w, ids, segs := scheme.CountWork(q, s.Tree, s.recordBytes)
 	recs := make([]proto.Record, len(ids))
 	for i, id := range ids {
 		recs[i] = proto.Record{ID: id, Seg: segs[i]}
 	}
-	return recs, nil
+	return w, recs, nil
 }
 
 // records materializes a server id list from the shipped records; ok is
 // false when an id was not shipped.
 func (s *Shipment) records(ids []uint32) (recs []proto.Record, ok bool) {
+	leaves := s.Tree.PackOrder()
 	recs = make([]proto.Record, len(ids))
 	for i, id := range ids {
-		seg, shipped := s.lookup(id)
+		j, shipped := slices.BinarySearchFunc(s.byID, id, func(pos, id uint32) int { return cmp.Compare(leaves[pos].ID, id) })
 		if !shipped {
 			return nil, false
 		}
-		recs[i] = proto.Record{ID: id, Seg: seg}
+		recs[i] = proto.Record{ID: id, Seg: leaves[s.byID[j]].Seg()}
 	}
 	return recs, true
-}
-
-// lookup is the shipped segment of id; ok is false when id was not shipped.
-func (s *Shipment) lookup(id uint32) (seg geom.Segment, ok bool) {
-	leaves := s.Tree.PackOrder()
-	j, ok := slices.BinarySearchFunc(s.byID, id, func(pos, id uint32) int { return cmp.Compare(leaves[pos].ID, id) })
-	if !ok {
-		return geom.Segment{}, false
-	}
-	return leaves[s.byID[j]].Seg(), true
-}
-
-// work counts a k-NN's instrumented walk over the shipped sub-index, its
-// distances taken to the shipped segments: what a local k-NN answer is
-// charged for (Client.runLocal).
-func (s *Shipment) work(q scheme.Query) scheme.Work {
-	seg := func(id uint32) geom.Segment {
-		seg, _ := s.lookup(id)
-		return seg
-	}
-	return scheme.CountWork(q, s.Tree, seg, s.recordBytes)
 }

@@ -66,7 +66,7 @@ func (p *Pool) KNearestBoundedAppend(dst []rtree.Neighbor, pt geom.Point, k int,
 			break
 		}
 		visited++
-		p.trees[sd.Index].KNearestCollect(pt, k, nil, &sc.NN)
+		p.trees[sd.Index].KNearestCollect(pt, k, nil, &sc.NN, nil)
 	}
 	p.observeNN(visited, len(sc.order)-visited)
 	return sc.NN.DrainKNNAppend(dst), true
