@@ -78,7 +78,7 @@ func world() (*dataset.Dataset, *rtree.Tree) {
 // reply carries the matching ids) on Table 2's client at 1 km. It also
 // returns the candidate count.
 func offloadInputs(ds *dataset.Dataset, tree *rtree.Tree, window geom.Rect) (scheme.AnalyticInputs, int) {
-	w, _, _ := scheme.CountWork(scheme.Range(window), tree, ds.RecordBytes)
+	w, _ := scheme.CountWork(scheme.Range(window), tree, ds.RecordBytes, nil)
 	prices := scheme.DefaultPrices()
 	in := prices.Inputs(scheme.FullyServer, &w, 1)
 	in.Client = energy.DefaultClientModel()

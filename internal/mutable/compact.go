@@ -1,9 +1,13 @@
 package mutable
 
 import (
+	"cmp"
+	"slices"
+	"sort"
 	"time"
 
 	"mobispatial/internal/rtree"
+	"mobispatial/internal/shard"
 )
 
 // Compaction folds a shard's overlay back into a freshly bulk-loaded packed
@@ -15,12 +19,12 @@ import (
 //     tombstones — as an immutable frozenView and install fresh empty live
 //     ones. Readers now merge three layers; writers keep landing in the new
 //     live overlay.
-//  2. Rebuild (no locks): bulk-load a new packed base from the old base's
-//     items minus frozen tombstones and superseded ids, plus the frozen
-//     overlay's items. Both inputs are immutable, so queries and writes
-//     proceed concurrently.
-//  3. Swap (writer lock): publish the new baseView, stamp the slots of the
-//     ids it packs, drop the frozen layer, bump the epoch. The version
+//  2. Rebuild (no locks): pack a new base from the old base's items minus
+//     frozen tombstones and superseded ids, merged with the frozen
+//     overlay's items in the pool's Hilbert frame (fold). Both inputs are
+//     immutable, so queries and writes proceed concurrently.
+//  3. Swap (writer lock): publish the new baseView, restamp the slots of
+//     the ids it moved, drop the frozen layer, bump the epoch. The version
 //     stays: the fold changes no answer.
 //
 // A delete that arrives during phase 2 lands in the new live tombstone set,
@@ -67,40 +71,60 @@ func (s *mshard) freeze() *frozenView {
 	return c.frozen
 }
 
-// mergedItems is the phase 2 fold, without the tree build: the old base's
-// items minus frozen tombstones and superseded ids, plus the frozen
-// overlay's items. Both inputs are immutable; the result is the shard's
-// visible-beneath-the-live-overlay contents, each item carrying its live
-// segment.
-func mergedItems(old *baseView, f *frozenView) []rtree.Item {
+// fold is phase 2 without the tree build: the old base's items minus frozen
+// tombstones and superseded ids, merged with the frozen overlay's items, in
+// the pool's Hilbert frame (Pool.q). The base's leaves are in that frame's
+// key order already — cut in it (shard.PartitionHilbert) and kept in it by
+// every fold — so only the overlay's w items are keyed (shard.WriteKey: a
+// segment off the map clamps for its key alone) and sorted by (key, id),
+// and each is placed after every base leaf whose key is not above its own
+// (ties go to the base), found by a binary search that keys w log n leaves
+// rather than n. The result is a stable key sort of the surviving leaves
+// followed by the overlay in id order, in O(n + w log w). Both inputs are
+// immutable; each item carries its live segment.
+func (s *mshard) fold(old *baseView, f *frozenView) []rtree.Item {
+	key := func(it *rtree.Item) uint64 { return shard.WriteKey(s.pl.q, it.MBR) }
+	ins := make([]rtree.Item, len(f.segs.ents))
+	for i, e := range f.segs.ents {
+		ins[i] = rtree.SegItem(e.seg, e.id)
+	}
+	slices.SortFunc(ins, func(a, b rtree.Item) int {
+		return cmp.Or(cmp.Compare(key(&a), key(&b)), cmp.Compare(a.ID, b.ID))
+	})
 	base := old.tree.PackOrder()
-	items := make([]rtree.Item, 0, len(base)+f.segs.len())
-	// The base is walked from its middle round: pack order is all but the
-	// order the rebuild will sort into, and on one sorted run the pack sort
-	// (rtree's pdqsort, sort.Sort's algorithm over (key, slot) pairs) tries
-	// an insertion-sort repair at every level that the overlay's few strays
-	// defeat only after a long walk. Two sorted halves swapped partition
-	// without the attempt — BenchmarkFold (64 writes over PA's four shards)
-	// 21-23 ms, not 24-25.
-	for i := range base {
-		it := base[(i+len(base)/2)%len(base)]
-		if _, dead := f.tombs[it.ID]; dead {
+	items := make([]rtree.Item, 0, len(base)+len(ins))
+	lo := 0
+	for i := range ins {
+		k := key(&ins[i])
+		at := lo + sort.Search(len(base)-lo, func(j int) bool { return key(&base[lo+j]) > k })
+		items = append(s.survivors(items, base[lo:at], f), ins[i])
+		lo = at
+	}
+	return s.survivors(items, base[lo:], f)
+}
+
+// survivors appends the leaves of run that f does not mask. No layer names
+// a never-written id (idTable), so only a written one is looked up, and the
+// leaves between two masked ones are copied as a block.
+func (s *mshard) survivors(dst, run []rtree.Item, f *frozenView) []rtree.Item {
+	from := 0
+	for i := range run {
+		id := run[i].ID
+		if !s.pl.ids.written(id) {
 			continue
 		}
-		if f.segs.has(it.ID) {
-			continue // moved
+		if _, dead := f.tombs[id]; !dead && !f.segs.has(id) {
+			continue
 		}
-		items = append(items, it)
+		dst = append(dst, run[from:i]...)
+		from = i + 1
 	}
-	for _, e := range f.segs.ents {
-		items = append(items, rtree.SegItem(e.seg, e.id))
-	}
-	return items
+	return append(dst, run[from:]...)
 }
 
 // finishCompact runs phases 2 and 3 over a frozen overlay.
 func (s *mshard) finishCompact(f *frozenView) bool {
-	nv, err := newBaseView(mergedItems(s.base.Load(), f))
+	tree, err := rtree.Pack(s.fold(s.base.Load(), f), rtree.Config{})
 	if err != nil {
 		// Cannot happen with a config that built the initial base; if it
 		// somehow does, leave the frozen layer in place — reads remain
@@ -108,6 +132,7 @@ func (s *mshard) finishCompact(f *frozenView) bool {
 		s.pl.m.compactErrs.Inc()
 		return false
 	}
+	nv := baseOf(tree)
 
 	// Phase 3: swap. The fast path's pointer moves first: pend is nonzero
 	// until publishPend finds both copies holding nv and nothing above it.

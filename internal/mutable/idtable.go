@@ -1,6 +1,7 @@
 package mutable
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -120,10 +121,12 @@ func (t *idTable) owner(id uint32) *mshard { return t.shards[t.word(id)>>32] }
 func (t *idTable) setOwner(id uint32, s *mshard) { t.set(id, s, 0) }
 
 // stamp records where base leaves (a PackOrder) of shard s packs each id s
-// owns. Caller holds s.mu, so whether s owns an id cannot change under it.
+// owns, storing only the slots that moved. Caller holds s.mu, so whether s
+// owns an id cannot change under it.
 func (t *idTable) stamp(s *mshard, leaves []rtree.Item) {
+	owner := uint64(s.idx+1) << 32
 	for pos, it := range leaves {
-		if t.owner(it.ID) == s {
+		if w := t.word(it.ID); w&^math.MaxUint32 == owner && w != owner|uint64(pos) {
 			t.set(it.ID, s, pos)
 		}
 	}

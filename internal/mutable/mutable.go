@@ -24,8 +24,9 @@
 // Each mechanism has one implementation. The four append queries are thin
 // callers of one shard walker (scan, read.go), which per shard picks the
 // packed arm or the three-layer merge over the copy of the shard's read
-// state it enters (leftright.go). Compaction is one freeze, one fold
-// (mergedItems) and one swap-in of a rebuilt base (finishCompact).
+// state it enters (leftright.go). Compaction is one freeze, one fold (a
+// merge in the pool's Hilbert frame) and one swap-in of the packed merge
+// (finishCompact).
 //
 // Per-id state is one dense table (idtable.go): a slot — owner and position
 // in the owner's base — and a monotone "ever written" bit per packed id, a
@@ -82,7 +83,10 @@ type Config struct {
 	// (shard.RangeForKey over Cuts), and the cluster ranges some shard sits
 	// in are the ones this pool holds: a cluster backend passes its replica
 	// subset, a monolithic pool any Hilbert runs of the whole map. Each
-	// range's Items seed the shard's packed base; their ids are dense, as a
+	// range's Items seed the shard's packed base, packed in the order given:
+	// the order shard.Cut leaves them, keys ascending under Bounds, which
+	// every fold keeps by merging its writes into it. A run in another order
+	// still answers exactly, but packs as given. Their ids are dense, as a
 	// generated dataset's are, since the id table is sized to the largest.
 	// Required and non-empty.
 	Ranges []shard.Range
@@ -265,9 +269,9 @@ func New(cfg Config) (*Pool, error) {
 	for i, r := range ranges {
 		runs[i] = r.Items
 	}
-	// The bases build side by side (rtree.BuildRuns); the id table is
-	// stamped below, one shard after another in shard order.
-	trees, err := rtree.BuildRuns(runs, rtree.Config{})
+	// The bases pack side by side, each in its run's order (rtree.PackRuns);
+	// the id table is stamped below, one shard after another in shard order.
+	trees, err := rtree.PackRuns(runs, rtree.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("mutable: shard base: %w", err)
 	}

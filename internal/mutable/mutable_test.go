@@ -308,8 +308,8 @@ func TestNewBuildsAlikeAtAnyWidth(t *testing.T) {
 // BenchmarkFold times one compaction of a freshly written PA pool: each
 // iteration moves 64 dataset ids 100 m off their segments, spread over the
 // map, and then ForceCompact folds every shard they landed in (PA's four
-// shards, as mqserve builds them). The fold is a merge of the old leaves
-// with the overlay and a packed rebuild, whose sort is most of it.
+// shards, as mqserve builds them). The fold merges the overlay into the old
+// leaves in the pool's frame, packs the merge and restamps the moved slots.
 func BenchmarkFold(b *testing.B) {
 	ds := dataset.PA()
 	p, err := NewFromDataset(ds, 0, Config{CompactInterval: -1, CompactMaxAge: -1})

@@ -259,7 +259,7 @@ func (q *query) touches(b geom.Rect) bool {
 
 // searchBase answers q on a packed base with the tree's serving kernel, an
 // exact query refined from the segments the leaves carry. Every base item's
-// leaf holds its live segment (mergedItems packs each with it) unless an
+// leaf holds its live segment (a fold packs each with it) unless an
 // overlay above masks the id, so a shard with pending writes drops the
 // masked ids afterwards (searchLayers).
 func (q *query) searchBase(dst []uint32, segs *[]geom.Segment, bv *baseView) []uint32 {

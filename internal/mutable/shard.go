@@ -9,7 +9,6 @@ import (
 
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
-	"mobispatial/internal/ops"
 	"mobispatial/internal/rtree"
 	"mobispatial/internal/shard"
 )
@@ -37,16 +36,6 @@ type frozenView struct {
 }
 
 func (f *frozenView) size() int { return f.segs.len() + len(f.tombs) }
-
-// newBaseView bulk-loads items into one packed base generation (the tree
-// copies them).
-func newBaseView(items []rtree.Item) (*baseView, error) {
-	tree, err := rtree.Build(items, rtree.Config{}, ops.Null{})
-	if err != nil {
-		return nil, err
-	}
-	return baseOf(tree), nil
-}
 
 // baseOf is the base generation over a built tree.
 func baseOf(tree *rtree.Tree) *baseView {

@@ -224,7 +224,7 @@ func New(cfg Config) (*Router, error) {
 		cfg:     cfg,
 		metrics: newRouterMetrics(cfg.Obs, cfg.Backends),
 		stopc:   make(chan struct{}),
-		wq:      shard.QuantizerFor(shard.BoundsOf(cfg.Dataset.Items()), 0),
+		wq:      shard.QuantizerFor(shard.BoundsOfSegments(cfg.Dataset.Segments), 0),
 	}
 	r.cfg.Dataset = nil // the quantizer is all the router keeps of the map
 	for b := range cfg.Backends {

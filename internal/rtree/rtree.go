@@ -182,26 +182,13 @@ type Tree struct {
 // charged to whichever machine performs the build — the server builds the
 // shipped sub-index in the insufficient-memory scenario (§4).
 func Build(items []Item, cfg Config, rec ops.Recorder) (*Tree, error) {
-	cfg.fill()
-	fanout := cfg.fanout()
-	if fanout < 2 {
-		return nil, fmt.Errorf("rtree: node size %dB gives fanout %d (<2)", cfg.NodeBytes, fanout)
+	t, err := newTree(cfg)
+	if err != nil || len(items) == 0 {
+		return t, err
 	}
-	if cfg.HilbertOrder > hilbert.MaxOrder {
-		return nil, fmt.Errorf("rtree: Hilbert order %d above %d", cfg.HilbertOrder, hilbert.MaxOrder)
-	}
-	t := &Tree{cfg: cfg, root: -1, bounds: geom.EmptyRect()}
-	if len(items) == 0 {
-		return t, nil
-	}
-	t.nitems = len(items)
-
-	t.plain = true
+	bounds := geom.EmptyRect()
 	for _, it := range items {
-		t.bounds = t.bounds.Union(it.MBR)
-		if !(it.MBR.Min.X <= it.MBR.Max.X && it.MBR.Min.Y <= it.MBR.Max.Y) {
-			t.plain = false
-		}
+		bounds = bounds.Union(it.MBR)
 	}
 	var sorted []Item
 	switch cfg.Packing {
@@ -212,16 +199,76 @@ func Build(items []Item, cfg Config, rec ops.Recorder) (*Tree, error) {
 		})
 	case PackingSTR:
 		sorted = slices.Clone(items)
-		strSort(sorted, fanout)
+		strSort(sorted, t.cfg.fanout())
 	default:
 		sorted = make([]Item, len(items))
-		for i, p := range hilbertOrder(items, t.bounds, cfg.HilbertOrder) {
+		for i, p := range hilbertOrder(items, bounds, t.cfg.HilbertOrder) {
 			sorted[i] = items[p.slot]
 		}
 	}
-	t.leaves = sorted
+	t.pack(sorted, rec)
+	return t, nil
+}
 
-	// Build leaves, then each upper level, packing fanout entries per node.
+// Pack bulk-loads a packed R-tree over items in the order given, which
+// becomes its pack order: no key is computed and nothing is sorted. The tree
+// keeps items as its leaf level, so the caller hands the slice over. It is
+// how a pool packs what it has already put in its Hilbert frame: a cut run
+// (PackRuns), or a fold's merge of a base with its writes.
+func Pack(items []Item, cfg Config) (*Tree, error) {
+	t, err := newTree(cfg)
+	if err == nil && len(items) > 0 {
+		t.pack(items, ops.Null{})
+	}
+	return t, err
+}
+
+// PackRuns packs one tree per run, each what Pack returns over a copy of
+// its run (so a tree owns its leaves, and no run keeps the slice it was cut
+// from alive), side by side on up to GOMAXPROCS goroutines. Its error is
+// the first failing run's, in run order.
+func PackRuns(runs [][]Item, cfg Config) ([]*Tree, error) {
+	trees := make([]*Tree, len(runs))
+	errs := make([]error, len(runs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(runs)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(runs); i = int(next.Add(1) - 1) {
+				trees[i], errs[i] = Pack(slices.Clone(runs[i]), cfg)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return trees, nil
+}
+
+// newTree checks cfg and returns an empty tree under it.
+func newTree(cfg Config) (*Tree, error) {
+	cfg.fill()
+	if fanout := cfg.fanout(); fanout < 2 {
+		return nil, fmt.Errorf("rtree: node size %dB gives fanout %d (<2)", cfg.NodeBytes, fanout)
+	}
+	if cfg.HilbertOrder > hilbert.MaxOrder {
+		return nil, fmt.Errorf("rtree: Hilbert order %d above %d", cfg.HilbertOrder, hilbert.MaxOrder)
+	}
+	return &Tree{cfg: cfg, root: -1, bounds: geom.EmptyRect()}, nil
+}
+
+// pack lays sorted out as the leaf level and builds each upper level
+// bottom-up, fanout entries a node. The pass that unions each node's MBR
+// also checks its entries are plain (an upper entry is whenever the leaves
+// are), and the root's MBR is the tree's bounds.
+func (t *Tree) pack(sorted []Item, rec ops.Recorder) {
+	fanout := t.cfg.fanout()
+	t.leaves, t.nitems, t.plain = sorted, len(sorted), true
 	level := sorted
 	rec.Op(ops.OpIndexBuildEntry, len(sorted))
 
@@ -238,7 +285,7 @@ func Build(items []Item, cfg Config, rec ops.Recorder) (*Tree, error) {
 			idx := len(t.nodes)
 			n := node{
 				level:   lvl,
-				addr:    cfg.BaseAddr + uint64(idx)*uint64(cfg.NodeBytes),
+				addr:    t.cfg.BaseAddr + uint64(idx)*uint64(t.cfg.NodeBytes),
 				entries: level[lo:hi:hi],
 			}
 			t.nodes = append(t.nodes, n)
@@ -246,6 +293,7 @@ func Build(items []Item, cfg Config, rec ops.Recorder) (*Tree, error) {
 			mbr := geom.EmptyRect()
 			for _, e := range n.entries {
 				mbr = mbr.Union(e.MBR)
+				t.plain = t.plain && e.MBR.Min.X <= e.MBR.Max.X && e.MBR.Min.Y <= e.MBR.Max.Y
 			}
 			next = append(next, entry{MBR: mbr, ID: uint32(idx)})
 		}
@@ -253,38 +301,12 @@ func Build(items []Item, cfg Config, rec ops.Recorder) (*Tree, error) {
 		t.height++
 		if nNodes == 1 {
 			t.root = int32(len(t.nodes) - 1)
-			break
+			t.bounds = next[0].MBR
+			return
 		}
 		level = next
 		lvl++
 	}
-	return t, nil
-}
-
-// BuildRuns builds one packed tree per run, each what Build(runs[i], cfg,
-// ops.Null{}) returns, side by side on up to GOMAXPROCS goroutines. Its
-// error is the first failing run's, in run order.
-func BuildRuns(runs [][]Item, cfg Config) ([]*Tree, error) {
-	trees := make([]*Tree, len(runs))
-	errs := make([]error, len(runs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(runs)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < len(runs); i = int(next.Add(1) - 1) {
-				trees[i], errs[i] = Build(runs[i], cfg, ops.Null{})
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return trees, nil
 }
 
 // strSort orders items Sort-Tile-Recursively: x-sort, slice into vertical

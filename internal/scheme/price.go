@@ -80,31 +80,51 @@ func EstimateWork(q Query, s Shape) Work {
 // (rtree.Tree.AppendRange, AppendPoint, KNearestCollect), which refines from
 // the segments t's leaves carry (t must be built from rtree.SegItem items, as
 // every serving tree is) and tallies what the instrumented walk records. It
-// returns that answer too: the ids the walk kept, each beside its leaf's
-// segment, a k-NN's nearest first. A range's or point's candidates are the
-// items its filtering passed on, a k-NN's the exact distances its kernel
+// returns that answer too: a record for each id the walk kept, beside its
+// leaf's segment, a k-NN's nearest first. A range's or point's candidates are
+// the items its filtering passed on, a k-NN's the exact distances its kernel
 // computed. Pricing the work with Inputs gives the cycles the simulator
-// charges the same query fully at the client.
-func CountWork(q Query, t *rtree.Tree, recordBytes int) (w Work, ids []uint32, segs []geom.Segment) {
+// charges the same query fully at the client. The walk runs in sc (nil: a
+// fresh one), so over a warm scratch the records are its one allocation.
+func CountWork(q Query, t *rtree.Tree, recordBytes int, sc *Scratch) (w Work, recs []proto.Record) {
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	w = Work{Kind: q.Kind, RecordBytes: recordBytes}
 	switch q.Kind {
 	case NNQuery:
 		// One NN walk, as on the server: 1-NN is k-NN at k = 1.
-		var sc rtree.NNScratch
-		w.Candidates = int64(t.KNearestCollect(q.Point, max(q.K, 1), nil, &sc, &w.Filter))
-		for _, nb := range sc.DrainKNNAppend(nil) {
-			ids, segs = append(ids, nb.ID), append(segs, nb.Seg)
+		w.Candidates = int64(t.KNearestCollect(q.Point, max(q.K, 1), nil, &sc.nn, &w.Filter))
+		sc.nbs = sc.nn.DrainKNNAppend(sc.nbs[:0])
+		recs = make([]proto.Record, len(sc.nbs))
+		for i, nb := range sc.nbs {
+			recs[i] = proto.Record{ID: nb.ID, Seg: nb.Seg}
 		}
-	case PointQuery:
-		ids = t.AppendPoint(nil, &segs, q.Point, PointEps, &w.Filter)
 	default:
-		ids = t.AppendRange(nil, &segs, q.Window, true, &w.Filter)
-	}
-	if q.Kind != NNQuery {
+		sc.segs = sc.segs[:0]
+		if q.Kind == PointQuery {
+			sc.ids = t.AppendPoint(sc.ids[:0], &sc.segs, q.Point, PointEps, &w.Filter)
+		} else {
+			sc.ids = t.AppendRange(sc.ids[:0], &sc.segs, q.Window, true, &w.Filter)
+		}
 		w.Candidates = w.Filter.Ops[ops.OpResultAppend]
+		recs = make([]proto.Record, len(sc.ids))
+		for i, id := range sc.ids {
+			recs[i] = proto.Record{ID: id, Seg: sc.segs[i]}
+		}
 	}
-	w.Hits = int64(len(ids))
-	return w, ids, segs
+	w.Hits = int64(len(recs))
+	return w, recs
+}
+
+// Scratch is what CountWork's walks reuse: the k-NN walk's branch buffers
+// and heap, and the buffers an answer is gathered in before its records are
+// made. One walk at a time; the zero value is ready.
+type Scratch struct {
+	nn   rtree.NNScratch
+	nbs  []rtree.Neighbor
+	ids  []uint32
+	segs []geom.Segment
 }
 
 // refineOps is each query kind's exact test.

@@ -143,7 +143,7 @@ func TestCountWorkRefinesLikeTheEngine(t *testing.T) {
 		for _, tc := range walks {
 			var want ops.Counts
 			cands := tc.walk(&want)
-			w, ids, segs := CountWork(tc.q, tree, ds.RecordBytes)
+			w, recs := CountWork(tc.q, tree, ds.RecordBytes, nil)
 			if w.Filter != want || w.Candidates != int64(len(cands)) || w.RecordBytes != ds.RecordBytes {
 				t.Errorf("%s %v: counted %+v over %d candidates, the walk records %+v over %d", ds.Name, tc.q.Kind, w.Filter, w.Candidates, want, len(cands))
 			}
@@ -153,13 +153,15 @@ func TestCountWorkRefinesLikeTheEngine(t *testing.T) {
 					hits = append(hits, id)
 				}
 			}
-			if w.Hits != int64(len(hits)) || !slices.Equal(ids, hits) || len(segs) != len(ids) {
-				t.Errorf("%s %v: counted %d hits, answered %d, refinement keeps %d", ds.Name, tc.q.Kind, w.Hits, len(ids), len(hits))
-			}
-			for i, id := range ids {
-				if segs[i] != ds.Seg(id) {
-					t.Errorf("%s %v: id %d answered with %v, its segment is %v", ds.Name, tc.q.Kind, id, segs[i], ds.Seg(id))
+			ids := make([]uint32, len(recs))
+			for i, r := range recs {
+				ids[i] = r.ID
+				if r.Seg != ds.Seg(r.ID) {
+					t.Errorf("%s %v: id %d answered with %v, its segment is %v", ds.Name, tc.q.Kind, r.ID, r.Seg, ds.Seg(r.ID))
 				}
+			}
+			if w.Hits != int64(len(hits)) || !slices.Equal(ids, hits) {
+				t.Errorf("%s %v: counted %d hits, answered %d, refinement keeps %d", ds.Name, tc.q.Kind, w.Hits, len(ids), len(hits))
 			}
 			hitsSeen[tc.q.Kind] += int64(len(hits))
 		}
@@ -178,12 +180,12 @@ func TestCountWorkRefinesLikeTheEngine(t *testing.T) {
 					seen[d] = true
 					return d
 				}, &want)
-				w, ids, _ := CountWork(KNearest(c, k), tree, ds.RecordBytes)
+				w, recs := CountWork(KNearest(c, k), tree, ds.RecordBytes, nil)
 				got := w.Filter
 				if extra := got.Ops[ops.OpHeapOp] - want.Ops[ops.OpHeapOp]; tied && extra > 0 && extra%2 == 0 {
 					got.Ops[ops.OpHeapOp] = want.Ops[ops.OpHeapOp]
 				}
-				if got != want || w.Candidates != asked || w.Hits != int64(len(traced)) || len(ids) != len(traced) {
+				if got != want || w.Candidates != asked || w.Hits != int64(len(traced)) || len(recs) != len(traced) {
 					t.Errorf("%s %d-NN: counted %d candidates, %d hits and\n %+v\nthe traced walk asked %d distances for %d and records\n %+v",
 						ds.Name, k, w.Candidates, w.Hits, w.Filter, asked, len(traced), want)
 				}

@@ -5,6 +5,7 @@ import (
 	"net"
 	"runtime"
 	"testing"
+	"time"
 
 	"mobispatial/internal/core"
 	"mobispatial/internal/dataset"
@@ -57,7 +58,7 @@ func charge(t *testing.T, c *Client, ship *Shipment, qs []scheme.Query) (joules,
 	t.Helper()
 	var sp obs.Span
 	for _, q := range qs {
-		if _, _, _, err := c.runLocal(ship, q, &sp, obs.StageIndexWalk); err != nil {
+		if _, _, _, err := c.runLocal(ship, q, &sp, obs.StageIndexWalk, time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -164,8 +165,9 @@ func TestBuiltShipmentChargedLikeFetched(t *testing.T) {
 // BenchmarkLocalAnswer prices the charge: the seeded PA range, point and
 // 1-NN queries, and the same points at k = 4 (nn4), answered over the
 // whole-PA shipment through runLocal (answered, counted, timed and priced:
-// one kernel walk) and through Shipment.Answer (answered and counted, never
-// timed or priced).
+// one kernel walk and the one clock reading after it; the one before is the
+// caller's) and through Shipment.Answer (answered and counted, never timed
+// or priced).
 func BenchmarkLocalAnswer(b *testing.B) {
 	ds, c, ship := paCharge(b)
 	kinds := paWorkload(ds)
@@ -176,8 +178,9 @@ func BenchmarkLocalAnswer(b *testing.B) {
 		qs := kinds[kind]
 		b.Run(kind+"/charged", func(b *testing.B) {
 			b.ReportAllocs()
+			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				if _, _, _, err := c.runLocal(ship, qs[i%len(qs)], nil, obs.StageIndexWalk); err != nil {
+				if _, _, _, err := c.runLocal(ship, qs[i%len(qs)], nil, obs.StageIndexWalk, start); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -190,5 +193,27 @@ func BenchmarkLocalAnswer(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestLocalAnswerAllocatesOnlyItsAnswer: a warm local answer of any kind
+// allocates its records and nothing else. The walk runs in a scratch the
+// shipment keeps, k-NN heap and branch buffers included, and the records
+// are made in one pass.
+func TestLocalAnswerAllocatesOnlyItsAnswer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	ds, _, ship := paCharge(t)
+	kinds := paWorkload(ds)
+	kinds["nn4"] = []scheme.Query{scheme.KNearest(kinds["nn"][0].Point, 4)}
+	for kind, qs := range kinds {
+		q := qs[0]
+		if _, err := ship.Answer(q, 0); err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { _, _ = ship.Answer(q, 0) }); allocs > 1 {
+			t.Errorf("%s: a warm local answer allocates %.0f times, want at most 1 (its records)", kind, allocs)
+		}
 	}
 }

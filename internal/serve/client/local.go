@@ -163,22 +163,23 @@ func degradable(err error) bool {
 // walk costs the Table 3 client, priced fully local as the simulator charges
 // the fully-client scheme: the counts its own kernel walk tallied
 // (Shipment.answer), one walk for every query kind. The charge depends on
-// the walk alone, never on the host. It is reached for two reasons — chosen
+// the walk alone, never on the host. The lap runs from start, the caller's
+// last clock reading, to end, the one reading taken here once the answer is
+// made, which is handed back. It is reached for two reasons — chosen
 // (Planner.Execute picked fully-client over a fresh shipment) and degraded
 // (degrade, below) — and the caller owns the accounting of its reason.
-func (c *Client) runLocal(ship *Shipment, cq scheme.Query, sp *obs.Span, stage obs.Stage) (recs []proto.Record, sec, joules float64, err error) {
-	start := time.Now()
+func (c *Client) runLocal(ship *Shipment, cq scheme.Query, sp *obs.Span, stage obs.Stage, start time.Time) (recs []proto.Record, end time.Time, joules float64, err error) {
 	w, recs, err := ship.answer(cq)
-	sec = time.Since(start).Seconds()
-	sp.Lap(stage, sec)
+	end = time.Now()
+	sp.Lap(stage, end.Sub(start).Seconds())
 	if err != nil {
-		return nil, sec, 0, err
+		return nil, end, 0, err
 	}
 	in := prices.Inputs(scheme.FullyClient, &w, 1)
 	in.Client = c.energy
 	joules = in.FullyLocalJoules()
 	sp.Attribute(stage, joules, in.CFullyLocal)
-	return recs, sec, joules, nil
+	return recs, end, joules, nil
 }
 
 // degrade answers cq from the installed shipment after the wire failed with
@@ -197,7 +198,8 @@ func (c *Client) degrade(cq scheme.Query, cause error, sp *obs.Span) ([]proto.Re
 		defer sp.Finish()
 	}
 	sp.SetScheme("fallback-local")
-	recs, sec, j, err := c.runLocal(s.ship, cq, sp, obs.StageFallback)
+	start := time.Now()
+	recs, end, j, err := c.runLocal(s.ship, cq, sp, obs.StageFallback, start)
 	if err != nil {
 		sp.SetErr()
 		c.fallbackErrs.Add(1)
@@ -206,7 +208,7 @@ func (c *Client) degrade(cq scheme.Query, cause error, sp *obs.Span) ([]proto.Re
 	c.fallbacks.Add(1)
 	c.fallbackJ.Add(j)
 	c.metrics.fallbacks.Inc()
-	c.metrics.fallbackHist.Observe(sec)
+	c.metrics.fallbackHist.Observe(end.Sub(start).Seconds())
 	c.metrics.fallbackJoules.Add(j)
 	return recs, nil
 }

@@ -138,13 +138,14 @@ func (p *Planner) Execute(q scheme.Query) (Result, error) {
 	st := c.local.Load()
 	plan, predicted, chosen := p.plan(st, q, start)
 	sp.SetScheme(plan.String())
-	sp.Lap(obs.StagePlan, time.Since(start).Seconds())
+	planned := time.Now()
+	sp.Lap(obs.StagePlan, planned.Sub(start).Seconds())
 
-	res, degraded, err := p.runPlan(st, plan, q, sp)
+	res, degraded, end, err := p.runPlan(st, plan, q, sp, planned)
 	if degraded {
 		res.Plan = PlanLocal
 	}
-	execSec := time.Since(start).Seconds()
+	execSec := end.Sub(start).Seconds()
 	if err != nil {
 		sp.SetErr()
 	}
@@ -174,23 +175,26 @@ func (p *Planner) Execute(q scheme.Query) (Result, error) {
 // runPlan executes one chosen plan over the state it was chosen from,
 // lapping the span stages; the local walk and the exchanges charge
 // themselves. The plan and reply stages are charged nothing: neither the
-// §4.1 model nor the simulator prices them. The bool reports a degraded
-// execution: the wire failed and the shipment answered in its place.
-func (p *Planner) runPlan(st *localState, plan Plan, q scheme.Query, sp *obs.Span) (Result, bool, error) {
+// §4.1 model nor the simulator prices them. start is the caller's last
+// clock reading and end the execution's last: a local answer reads the
+// clock once, after it. The bool reports a degraded execution: the wire
+// failed and the shipment answered in its place.
+func (p *Planner) runPlan(st *localState, plan Plan, q scheme.Query, sp *obs.Span, start time.Time) (Result, bool, time.Time, error) {
 	switch plan {
 	case PlanLocal:
-		recs, _, _, err := p.c.runLocal(st.ship, q, sp, obs.StageIndexWalk)
-		return Result{Plan: plan, Records: recs}, false, err
+		recs, end, _, err := p.c.runLocal(st.ship, q, sp, obs.StageIndexWalk, start)
+		return Result{Plan: plan, Records: recs}, false, end, err
 	case PlanServerIDs:
 		ids, _, degraded, err := p.offload(q, proto.ModeIDs, sp)
 		if err != nil {
-			return Result{Plan: plan}, false, err
+			return Result{Plan: plan}, false, time.Now(), err
 		}
 		replyStart := time.Now()
 		recs, ok := st.ship.records(ids)
-		sp.Lap(obs.StageReply, time.Since(replyStart).Seconds())
+		end := time.Now()
+		sp.Lap(obs.StageReply, end.Sub(replyStart).Seconds())
 		if ok {
-			return Result{Plan: plan, Records: recs}, degraded, nil
+			return Result{Plan: plan, Records: recs}, degraded, end, nil
 		}
 		// The server knows a record the shipment lacks: a write younger
 		// than the freshness bound, for which this reply's hint has just
@@ -198,7 +202,7 @@ func (p *Planner) runPlan(st *localState, plan Plan, q scheme.Query, sp *obs.Spa
 		sp.SetScheme(PlanServerData.String())
 	}
 	_, recs, degraded, err := p.offload(q, proto.ModeData, sp)
-	return Result{Plan: PlanServerData, Records: recs}, degraded, err
+	return Result{Plan: PlanServerData, Records: recs}, degraded, time.Now(), err
 }
 
 // offload sends q to the server in the given mode through Client.ask, which

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"mobispatial/internal/geom"
@@ -36,6 +37,9 @@ type Shipment struct {
 	// recordBytes is the record size the shipment was built with: what the
 	// planner prices each local refinement reading.
 	recordBytes int
+	// scratch holds the *scheme.Scratch local answers walk in, one per
+	// concurrent answer.
+	scratch sync.Pool
 }
 
 // FetchShipment requests a shipment covering window under budgetBytes of
@@ -115,7 +119,8 @@ func (s *Shipment) Covers(q scheme.Query) bool {
 // scheme, refined from the segments the sub-index's leaves carry as on the
 // server. A point query's incidence tolerance is scheme.PointEps, the one
 // the server refines with: eps may be 0 or that value, any other is refused.
-// The caller is responsible for checking Covers first.
+// The caller is responsible for checking Covers first. Over a warm shipment
+// the returned records are the answer's one allocation.
 func (s *Shipment) Answer(q scheme.Query, eps float64) ([]proto.Record, error) {
 	if eps > 0 && eps != scheme.PointEps {
 		return nil, fmt.Errorf("client: a local point query refines at eps %g, not %g", scheme.PointEps, eps)
@@ -130,11 +135,12 @@ func (s *Shipment) answer(q scheme.Query) (scheme.Work, []proto.Record, error) {
 	if q.Kind > scheme.NNQuery {
 		return scheme.Work{}, nil, fmt.Errorf("client: unknown query kind %v", q.Kind)
 	}
-	w, ids, segs := scheme.CountWork(q, s.Tree, s.recordBytes)
-	recs := make([]proto.Record, len(ids))
-	for i, id := range ids {
-		recs[i] = proto.Record{ID: id, Seg: segs[i]}
+	sc, _ := s.scratch.Get().(*scheme.Scratch)
+	if sc == nil {
+		sc = new(scheme.Scratch)
 	}
+	w, recs := scheme.CountWork(q, s.Tree, s.recordBytes, sc)
+	s.scratch.Put(sc)
 	return w, recs, nil
 }
 

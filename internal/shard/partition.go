@@ -107,6 +107,17 @@ func BoundsOf(items []rtree.Item) geom.Rect {
 	return bounds
 }
 
+// BoundsOfSegments is BoundsOf the segments' items (each one's MBR),
+// without building the items: how a router derives the write quantizer from
+// a dataset it does not index.
+func BoundsOfSegments(segs []geom.Segment) geom.Rect {
+	bounds := geom.EmptyRect()
+	for _, s := range segs {
+		bounds = bounds.Union(s.MBR())
+	}
+	return bounds
+}
+
 // RangeForKey returns the index of the range owning key under the gap-free
 // ownership rule: range i owns keys in [cuts[i], cuts[i+1]) where cuts[i] is
 // range i's Lo, the last range owns through the top of the key space, and

@@ -249,3 +249,24 @@ func neighborsEqual(a, b []rtree.Neighbor) bool {
 	}
 	return true
 }
+
+// TestBoundsOfSegmentsIsBoundsOfItems: the router keys writes under a
+// quantizer over BoundsOfSegments(ds.Segments), the backends under one over
+// BoundsOf of the items they cut, so the two must agree bit for bit: on PA,
+// on NYC, and on segments with reversed ends and signed zeros.
+func TestBoundsOfSegmentsIsBoundsOfItems(t *testing.T) {
+	odd := &dataset.Dataset{Segments: []geom.Segment{
+		{A: geom.Point{X: math.Copysign(0, -1), Y: 3}, B: geom.Point{X: 0, Y: -2}},
+		{A: geom.Point{X: 5, Y: 0}, B: geom.Point{X: -1, Y: math.Copysign(0, -1)}},
+		{A: geom.Point{X: 2, Y: 2}, B: geom.Point{X: 2, Y: 2}},
+	}}
+	bits := func(r geom.Rect) [4]uint64 {
+		return [4]uint64{math.Float64bits(r.Min.X), math.Float64bits(r.Min.Y), math.Float64bits(r.Max.X), math.Float64bits(r.Max.Y)}
+	}
+	for _, ds := range []*dataset.Dataset{dataset.PA(), dataset.NYC(), odd, {}} {
+		got, want := BoundsOfSegments(ds.Segments), BoundsOf(ds.Items())
+		if bits(got) != bits(want) {
+			t.Errorf("%d segments: BoundsOfSegments %v, BoundsOf the items %v", ds.Len(), got, want)
+		}
+	}
+}

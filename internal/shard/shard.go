@@ -66,8 +66,9 @@ type Pool struct {
 	metrics metrics
 }
 
-// New Hilbert-orders the dataset's items and builds one packed R-tree per
-// shard, the shards side by side (rtree.BuildRuns).
+// New Hilbert-orders the dataset's items and packs one R-tree per shard from
+// its cut run, in the order the cut left it, the shards side by side
+// (rtree.PackRuns): the cut's frame is the only Hilbert frame the pool uses.
 func New(ds *dataset.Dataset, cfg Config) (*Pool, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("shard: nil dataset")
@@ -89,7 +90,7 @@ func New(ds *dataset.Dataset, cfg Config) (*Pool, error) {
 	}
 	// Every walk of these trees runs under ops.Null, so the simulated node
 	// addresses are never read and the shards may share a region.
-	trees, err := rtree.BuildRuns(runs, rtree.Config{})
+	trees, err := rtree.PackRuns(runs, rtree.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("shard: %w", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 	"mobispatial/internal/obs"
+	"mobispatial/internal/rtree"
 )
 
 func fixture(t testing.TB, n int) *dataset.Dataset {
@@ -219,6 +220,35 @@ func TestNewBuildsAlikeAtAnyWidth(t *testing.T) {
 	for i, tr := range one.pool.trees {
 		if !slices.Equal(tr.PackOrder(), four.pool.trees[i].PackOrder()) || one.pool.mbrs[i] != four.pool.mbrs[i] {
 			t.Errorf("shard %d packs differently at GOMAXPROCS 1 and 4", i)
+		}
+	}
+}
+
+// TestShardTreesPackedAsCut: New packs each shard tree from its cut run in
+// the order the cut left it, so the pool's leaves in shard order are
+// PartitionHilbert's order of the items it indexes: over the whole map, and
+// over a held subset (Config.Items), which the cut sorts in the subset's
+// frame.
+func TestShardTreesPackedAsCut(t *testing.T) {
+	ds := dataset.NYC()
+	whole := ds.Items()
+	for _, held := range [][]rtree.Item{nil, whole[len(whole)/3:]} {
+		p, err := New(ds, Config{Shards: 16, Items: slices.Clone(held)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := held
+		if cut == nil {
+			cut = whole
+		}
+		runs, _ := PartitionHilbert(slices.Clone(cut), 16, 0)
+		if len(p.trees) != len(runs) {
+			t.Fatalf("%d of %d items: %d shards, %d cut runs", len(cut), len(whole), len(p.trees), len(runs))
+		}
+		for i, tr := range p.trees {
+			if !slices.Equal(tr.PackOrder(), runs[i].Items) {
+				t.Errorf("%d of %d items: shard %d's leaves are not cut run %d in cut order", len(cut), len(whole), i, i)
+			}
 		}
 	}
 }
