@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 
+	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 )
 
@@ -19,13 +21,15 @@ func TestFrameEncodeZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts differ under -race")
 	}
 	// A frame under 128 payload bytes keeps its one-byte length; the larger
-	// one is shifted up behind a two-byte length.
+	// ones are shifted up behind a two-byte length. The last is a PA range
+	// answer.
 	small := &IDListMsg{ID: 1, IDs: []uint32{10, 20, 30, 40, 50, 60, 70, 80}}
 	large := &IDListMsg{ID: 1, IDs: make([]uint32, 100)}
 	for i := range large.IDs {
 		large.IDs[i] = uint32(2 * i)
 	}
-	for _, reply := range []*IDListMsg{small, large} {
+	pa := &IDListMsg{ID: 1, IDs: answersOver(t, dataset.PA(), "PA", 1).ranges[0]}
+	for _, reply := range []*IDListMsg{small, large, pa} {
 		if n := testing.AllocsPerRun(200, func() {
 			if _, err := WriteMessage(io.Discard, reply); err != nil {
 				t.Fatal(err)
@@ -100,22 +104,26 @@ func TestFrameDecodeZeroAlloc(t *testing.T) {
 	}
 
 	// A reply the receiver keeps (the client hands IDs to its caller) decodes
-	// into a nil slice: the list is reserved once, whatever its length.
+	// into a nil slice: the list is reserved once, whatever its length — a
+	// thousand consecutive ids, and a PA range answer.
 	big := &IDListMsg{ID: 6, IDs: make([]uint32, 1000)}
 	for i := range big.IDs {
 		big.IDs[i] = uint32(i)
 	}
-	payload := big.appendPayload(nil)
-	var got IDListMsg
-	if n := testing.AllocsPerRun(200, func() {
-		got.IDs = nil
-		if err := got.decodePayload(payload); err != nil {
-			t.Fatal(err)
+	pa := &IDListMsg{ID: 6, IDs: answersOver(t, dataset.PA(), "PA", 1).ranges[0]}
+	for _, sent := range []*IDListMsg{big, pa} {
+		payload := sent.appendPayload(nil)
+		var got IDListMsg
+		if n := testing.AllocsPerRun(200, func() {
+			got.IDs = nil
+			if err := got.decodePayload(payload); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Fatalf("%d-id list into a nil slice: %.2f allocs/op, want exactly 1", len(sent.IDs), n)
 		}
-	}); n != 1 {
-		t.Fatalf("1000-id list into a nil slice: %.2f allocs/op, want exactly 1", n)
-	}
-	if len(got.IDs) != 1000 || got.IDs[999] != 999 {
-		t.Fatalf("decoded %d ids, last %d", len(got.IDs), got.IDs[len(got.IDs)-1])
+		if !slices.Equal(got.IDs, sent.IDs) {
+			t.Fatalf("%d-id list decoded to %d ids", len(sent.IDs), len(got.IDs))
+		}
 	}
 }

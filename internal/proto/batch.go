@@ -136,6 +136,19 @@ func (m *BatchReplyMsg) RequestID() uint32 { return m.ID }
 
 // Validate implements Message.
 func (m *BatchReplyMsg) Validate() error {
+	if err := m.validateItems(); err != nil {
+		return err
+	}
+	for i := range m.Items {
+		if err := validateRecords("batch item", m.Items[i].Recs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateItems is Validate less the walk of each item's records.
+func (m *BatchReplyMsg) validateItems() error {
 	if len(m.Items) == 0 {
 		return fmt.Errorf("proto: empty batch reply")
 	}
@@ -155,9 +168,6 @@ func (m *BatchReplyMsg) Validate() error {
 		}
 		if it.Err == 0 && it.Text != "" {
 			return fmt.Errorf("proto: batch item %d has error text without a code", i)
-		}
-		if err := validateRecords("batch item", it.Recs); err != nil {
-			return err
 		}
 	}
 	return nil

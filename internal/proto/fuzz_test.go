@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
 )
 
@@ -165,8 +166,11 @@ func FuzzReadMessage(f *testing.F) {
 	})
 }
 
-// FuzzIDList: any id list, in any order, survives the run coding unchanged,
-// and its encoding never exceeds maxIDBytes per id past the count.
+// FuzzIDList: any id list, in any order, survives the Rice coding
+// unchanged, and its encoding never exceeds maxIDBytes per id past the
+// count. The seeds hold single runs, runs split at the cap, lists out of
+// order with repeats, the top of uint32, a gap that escapes its Rice code,
+// and the head of a PA range answer.
 func FuzzIDList(f *testing.F) {
 	for _, ids := range [][]uint32{
 		nil,
@@ -174,6 +178,8 @@ func FuzzIDList(f *testing.F) {
 		{7, 6, 5, 5, 5, 0},
 		{0xFFFFFFFF, 0, 0xFFFFFFFF, 0xFFFFFFFE, 0xFFFFFFFF},
 		append(seq(100, 3), append(seq(40, 18), seq(4_000_000_000, 70)...)...),
+		{0, 2, 4, 6, 8, 10, 4_000_000_000},
+		answersOver(f, dataset.PA(), "PA", 1).ranges[0][:64],
 	} {
 		f.Add(appendU32s(nil, ids))
 	}

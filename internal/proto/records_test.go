@@ -1,9 +1,11 @@
 package proto
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -150,6 +152,59 @@ func TestRecordListBounds(t *testing.T) {
 		d := decoder{b: payload}
 		if got := d.count("record", 1, minRecordBytes, maxWireRecords); (d.err == nil) != c.ok || c.ok && got != c.n {
 			t.Errorf("a claim of %d records over %d bytes: count %d, err %v", c.n, len(payload), got, d.err)
+		}
+	}
+}
+
+// TestDecodedRecordsRefuseNonFinite: ReadMessage leaves a decoded message's
+// records to the record decoder, which must refuse a NaN or an infinity in
+// any record, at A or B, in X or Y, whether the record chains its A to the
+// B before it or not — in a data list, a shipment and a batch reply's
+// item. The same frames with finite coordinates are accepted.
+func TestDecodedRecordsRefuseNonFinite(t *testing.T) {
+	pt := func(x, y float64) geom.Point { return geom.Point{X: x, Y: y} }
+	recs := []Record{
+		{ID: 4, Seg: geom.Segment{A: pt(1, 2), B: pt(3, 4)}},
+		{ID: 5, Seg: geom.Segment{A: pt(3, 4), B: pt(5, 6)}}, // chained
+		{ID: 9, Seg: geom.Segment{A: pt(7, 8), B: pt(9, 10)}},
+	}
+	frames := func(rs []Record) [][]byte {
+		var out [][]byte
+		for _, m := range []Message{
+			&DataListMsg{ID: 1, Records: rs},
+			&ShipmentMsg{ID: 1, Coverage: geom.Rect{Max: pt(10, 10)}, Records: rs},
+			&BatchReplyMsg{ID: 1, Items: []BatchItem{{IDs: []uint32{1}}, {Recs: rs}}},
+		} {
+			// appendPayload, not AppendFrame: the encoder's Validate would
+			// refuse the bad coordinate before it reached the wire.
+			out = append(out, frameOf(m.Type(), m.appendPayload(nil)))
+		}
+		return out
+	}
+	for _, frame := range frames(recs) {
+		if _, _, err := ReadMessage(bytes.NewReader(frame)); err != nil {
+			t.Fatalf("finite records refused: %v", err)
+		}
+	}
+	for i := range recs {
+		for c := 0; c < 4; c++ {
+			for _, v := range []float64{math.NaN(), math.Inf(1)} {
+				bad := slices.Clone(recs)
+				p := &bad[i].Seg.A
+				if c >= 2 {
+					p = &bad[i].Seg.B
+				}
+				if c%2 == 0 {
+					p.X = v
+				} else {
+					p.Y = v
+				}
+				for _, frame := range frames(bad) {
+					if m, _, err := ReadMessage(bytes.NewReader(frame)); err == nil {
+						t.Errorf("record %d coordinate %d = %v: %v accepted", i, c, v, m.Type())
+					}
+				}
+			}
 		}
 	}
 }

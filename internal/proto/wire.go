@@ -839,11 +839,27 @@ func ReadMessage(r io.Reader) (Message, int, error) {
 		ReleaseMessage(m)
 		return nil, 0, err
 	}
-	if err := m.Validate(); err != nil {
+	if err := validDecoded(m); err != nil {
 		ReleaseMessage(m)
 		return nil, 0, err
 	}
 	return m, hdrLen + int(n), nil
+}
+
+// validDecoded is Validate for a message its decoder built. The record
+// decoder has already refused what validateRecords walks the records for —
+// a count above maxWireRecords and a non-finite coordinate — so the
+// messages that carry records skip that walk and keep every other check.
+func validDecoded(m Message) error {
+	switch m := m.(type) {
+	case *DataListMsg:
+		return nil
+	case *ShipmentMsg:
+		return checkRect(m.Coverage)
+	case *BatchReplyMsg:
+		return m.validateItems()
+	}
+	return m.Validate()
 }
 
 // readHeader reads a frame header: the payload length, a uvarint of at most

@@ -355,9 +355,9 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 }
 
 // TestWireFrameLayout pins the frame header layout and the three read
-// encodings — a kind-shaped query, a run-coded id list and an
-// endpoint-chained record list — so independent implementations can
-// interoperate.
+// encodings — a kind-shaped query, a Rice-coded id list (a single run,
+// ascending runs and runs out of order) and an endpoint-chained record
+// list — so independent implementations can interoperate.
 func TestWireFrameLayout(t *testing.T) {
 	one, two, ten := f64(1), f64(2), f64(10)
 	cases := []struct {
@@ -407,14 +407,35 @@ func TestWireFrameLayout(t *testing.T) {
 			{0, 0, 0, 0, 0, 0, 0, 3}, // epoch
 			{ackFlagExisted},
 		}},
-		{"id list", &IDListMsg{ID: 9, IDs: []uint32{5, 6, 7, 3, 100}}, [][]byte{
-			{17, byte(MsgIDList)},
+		{"single-run id list", &IDListMsg{ID: 9, IDs: []uint32{5, 6, 7}}, [][]byte{
+			{11, byte(MsgIDList)},
+			{9},
+			{0, 0, 0, 0, 0, 0, 0, 0}, // epoch
+			{3},                      // count
+			{10},                     // head: first id 5 shifted, low bit clear: one run of 3
+		}},
+		{"ascending id list", &IDListMsg{ID: 9, IDs: []uint32{5, 6, 7, 10, 11, 40}}, [][]byte{
+			{15, byte(MsgIDList)},
+			{9},
+			{0, 0, 0, 0, 0, 0, 0, 0}, // epoch
+			{6},                      // count
+			{21},                     // head: first id 5 above bits 01, a Rice list of plain gaps
+			{3},                      // gaps 2 and 28, mean 15: gap parameter 3; lengths less one 2 1 0: 0
+			// From the low bit up: length 3 as 001; gap 2 as 1 010 and
+			// length 2 as 01; gap 28 (3·8 + 4) as 0001 001 and length 1
+			// as 1; seven bits of padding.
+			{0b00101100, 0b10010001, 0b00000001},
+		}},
+		{"descending id list", &IDListMsg{ID: 9, IDs: []uint32{5, 6, 7, 3, 100}}, [][]byte{
+			{15, byte(MsgIDList)},
 			{9},
 			{0, 0, 0, 0, 0, 0, 0, 0}, // epoch
 			{5},                      // count
-			{10, 2},                  // gap +5 zigzagged, run of 3: 5 6 7
-			{9, 0},                   // gap 3-8 = -5 zigzagged, run of 1
-			{0xC0, 0x01, 0},          // gap 100-4 = 96, zigzag 192 as a two-byte varint, run of 1
+			{23},                     // head: first id 5 above bits 11, a Rice list of zigzagged gaps
+			{6},                      // gaps -5 and +96 zigzag to 9 and 192, mean 100: 6; lengths: 0
+			// Length 3 as 001; gap 9 as 1 001001, length 1 as 1; gap 192
+			// (3·64 + 0) as 0001 000000, length 1 as 1.
+			{0b10011100, 0b01000100, 0b00100000},
 		}},
 		{"data list", &DataListMsg{ID: 1, Records: []Record{
 			{ID: 10, Seg: geom.Segment{A: geom.Point{}, B: geom.Point{X: 1}}},
@@ -471,14 +492,21 @@ func rejectedFrames() map[string][]byte {
 	id, epoch := []byte{1}, make([]byte, 8)
 	pt, win := append(f64(1), f64(2)...), appendRect(nil, geom.Rect{Max: geom.Point{X: 5, Y: 5}})
 	inf := appendXOR(nil, geom.Point{X: math.Inf(1), Y: 2}, geom.Point{})
-	varint := func(v int64) []byte { return binary.AppendVarint(nil, v) }
 	return map[string][]byte{
-		"id count beyond the payload":   frameOf(MsgIDList, id, epoch, []byte{200, 1}, varint(0), []byte{63}),
-		"id gap leaving uint32":         frameOf(MsgIDList, id, epoch, []byte{1}, varint(1<<32), []byte{0}),
-		"id gap below zero":             frameOf(MsgIDList, id, epoch, []byte{1}, varint(-1), []byte{0}),
-		"id run leaving uint32":         frameOf(MsgIDList, id, epoch, []byte{2}, varint(math.MaxUint32), []byte{1}),
-		"id run above the cap":          frameOf(MsgIDList, id, epoch, []byte{65}, varint(0), []byte{64}, varint(0), []byte{0}),
-		"id runs overrunning the count": frameOf(MsgIDList, id, epoch, []byte{2}, varint(0), []byte{4}),
+		"id count beyond the payload": frameOf(MsgIDList, id, epoch, []byte{65}, []byte{10}),
+		"id run leaving uint32":       frameOf(MsgIDList, id, epoch, []byte{2}, uv(math.MaxUint32<<1)),
+		"id run above the cap":        frameOf(MsgIDList, id, epoch, []byte{65}, uv(200<<1)),
+		"a Rice run above the cap": frameOf(MsgIDList, id, epoch, []byte{66}, []byte{1}, []byte{5 << 5},
+			riceBits(riceLen(64, 5), riceGap(0, 0), riceLen(0, 5))),
+		"an id gap past uint32": frameOf(MsgIDList, id, epoch, []byte{2}, []byte{1}, []byte{0},
+			riceBits(riceLen(0, 0), riceGap(math.MaxUint32, 0), riceLen(0, 0))),
+		"id gap below zero": frameOf(MsgIDList, id, epoch, []byte{2}, []byte{3}, []byte{0},
+			riceBits(riceLen(0, 0), riceGap(3, 0), riceLen(0, 0))), // zigzag 3 is -2: 1 - 2
+		"id runs overrunning the count": frameOf(MsgIDList, id, epoch, []byte{2}, []byte{1}, []byte{0},
+			riceBits(riceLen(2, 0))),
+		"a truncated id bitstream": frameOf(MsgIDList, id, epoch, []byte{3}, []byte{1}, []byte{0}),
+		"an id parameter byte out of range": frameOf(MsgIDList, id, epoch, []byte{2}, []byte{1}, []byte{6 << 5},
+			riceBits(riceLen(0, 6), riceGap(0, 0), riceLen(0, 6))),
 		"record count beyond the payload": frameOf(MsgDataList, id, epoch, []byte{3},
 			[]byte{40, 0, 0}, []byte{2}),
 		"first record flagged shared": frameOf(MsgDataList, id, epoch, []byte{1}, []byte{21}, []byte{0}),
@@ -511,6 +539,35 @@ func rejectedFrames() map[string][]byte {
 	}
 }
 
+// riceField is one field of an id list's bitstream: a value, the Rice
+// parameter it is coded under and its raw width.
+type riceField struct {
+	v      uint64
+	k, raw uint
+}
+
+// riceGap and riceLen are the bitstream's two fields: a run's gap (none for
+// the first run) and its length less one.
+func riceGap(v uint64, k uint) riceField { return riceField{v, k, gapRawBits} }
+func riceLen(v uint64, k uint) riceField { return riceField{v, k, lenRawBits} }
+
+// riceBits packs fields into an id list's bitstream, each Rice-coded as
+// appendIDs codes it, the first in the lowest bits, padded to a byte.
+func riceBits(fields ...riceField) []byte {
+	var b []byte
+	n := 0
+	for _, f := range fields {
+		code, w := rice(f.v, f.k, f.raw)
+		for i := uint(0); i < w; i, n = i+1, n+1 {
+			if n%8 == 0 {
+				b = append(b, 0)
+			}
+			b[n/8] |= byte(code>>i&1) << (n % 8)
+		}
+	}
+	return b
+}
+
 // summaryRow is one encoded RangeInfo.
 func summaryRow() []byte {
 	b := appendU32(appendU32(nil, 0), 3)          // range 0, 3 items
@@ -531,8 +588,14 @@ func TestWireRejectsHandBuiltFrames(t *testing.T) {
 	pt := append(f64(1), f64(2)...)
 	finite := appendXOR(nil, geom.Point{X: 1, Y: 2}, geom.Point{})
 	accepted := map[string][]byte{
-		"ids at the top of uint32":        frameOf(MsgIDList, id, epoch, []byte{2}, binary.AppendVarint(nil, math.MaxUint32-1), []byte{1}),
-		"a full-cap run":                  frameOf(MsgIDList, id, epoch, []byte{64}, []byte{0, 63}),
+		"ids at the top of uint32": frameOf(MsgIDList, id, epoch, []byte{2}, uv((math.MaxUint32-1)<<1)),
+		"a full-cap run":           frameOf(MsgIDList, id, epoch, []byte{64}, []byte{0}),
+		"a full-cap Rice run": frameOf(MsgIDList, id, epoch, []byte{66}, []byte{1}, []byte{5 << 5},
+			riceBits(riceLen(63, 5), riceGap(0, 0), riceLen(1, 5))),
+		"an id gap to the top of uint32": frameOf(MsgIDList, id, epoch, []byte{2}, []byte{1}, []byte{0},
+			riceBits(riceLen(0, 0), riceGap(math.MaxUint32-1, 0), riceLen(0, 0))),
+		"the largest id parameter byte": frameOf(MsgIDList, id, epoch, []byte{2}, []byte{1}, []byte{5<<5 | 31},
+			riceBits(riceLen(0, 5), riceGap(1, 31), riceLen(0, 5))),
 		"records filling the payload":     frameOf(MsgDataList, id, epoch, []byte{2}, []byte{40, 0, 0}, []byte{2, 0, 0}),
 		"a second record flagged":         frameOf(MsgDataList, id, epoch, []byte{2}, []byte{40}, finite, []byte{0}, []byte{5}, []byte{0}),
 		"a coordinate count of 8":         frameOf(MsgDataList, id, epoch, []byte{1}, []byte{40}, []byte{0x08}, make([]byte, 8), []byte{0}),

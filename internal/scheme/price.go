@@ -196,6 +196,12 @@ func (p *Prices) ProtocolCycles(tx, rx proto.Transfer) float64 {
 		plus(run(ops.OpProtoByte, int64(payload))).plus(cost{bytes: float64(payload + wire)}))
 }
 
+// FullyLocalCycles prices w executed wholly at the client: Inputs'
+// CFullyLocal, without the exchange Inputs prices beside it.
+func (p *Prices) FullyLocalCycles(w *Work) float64 {
+	return p.client(costOf(&w.Filter).plus(w.refine()))
+}
+
 // Inputs prices w as the §4.1 model's two sides: the fully-local execution,
 // and s's split of it as internal/core's engine runs it with the data at the
 // client, so replies carry ids. FullyServer leaves the client its request
@@ -208,6 +214,9 @@ func (p *Prices) ProtocolCycles(tx, rx proto.Transfer) float64 {
 func (p *Prices) Inputs(s Scheme, w *Work, batch int) AnalyticInputs {
 	filter, refine := costOf(&w.Filter), w.refine()
 	in := AnalyticInputs{CFullyLocal: p.client(filter.plus(refine)), ServerHz: p.Server.ClockHz}
+	if s != FullyServer && s != FilterClientRefineServer {
+		return in
+	}
 	reply := proto.IDListBytes(int(w.Hits))
 	// Each end dispatches the request; the server marshals the reply.
 	client := run(ops.OpDispatch, 1)
@@ -227,8 +236,6 @@ func (p *Prices) Inputs(s Scheme, w *Work, batch int) AnalyticInputs {
 		client = client.plus(filter).plus(ids)
 		server = server.plus(refine).plus(ids)
 		tx = proto.Packetize(proto.QueryRequestBytes + proto.IDListBytes(int(w.Candidates)))
-	default:
-		return in
 	}
 	in.CLocal = p.client(client)
 	in.CW2 = p.server(server)

@@ -175,10 +175,9 @@ func (c *Client) runLocal(ship *Shipment, cq scheme.Query, sp *obs.Span, stage o
 	if err != nil {
 		return nil, end, 0, err
 	}
-	in := prices.Inputs(scheme.FullyClient, &w, 1)
-	in.Client = c.energy
-	joules = in.FullyLocalJoules()
-	sp.Attribute(stage, joules, in.CFullyLocal)
+	cycles := prices.FullyLocalCycles(&w)
+	joules, _ = c.energy.Compute(cycles / c.energy.ClientHz)
+	sp.Attribute(stage, joules, cycles)
 	return recs, end, joules, nil
 }
 
