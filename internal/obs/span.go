@@ -183,13 +183,18 @@ func (s *Span) FinishAt(end time.Time) {
 const maxExemplars = 64
 
 // Tracer retains finished spans: a ring buffer of every Kth span plus the
-// slowest span per (scheme, kind) exemplar.
+// slowest span per (scheme, kind) exemplar. Both tables own their slots and
+// copy a retained span into one, so every finished span goes back to the
+// pool and a warm tracer allocates nothing.
 type Tracer struct {
 	sampleEvery uint64
+	capacity    int
 	started     atomic.Uint64
 
-	mu        sync.Mutex
-	ring      []*Span
+	mu sync.Mutex
+	// ring grows by append to capacity slots as sampled spans arrive, so a
+	// process holds only the slots it has filled.
+	ring      []Span
 	next      int
 	finished  uint64
 	exemplars map[exemplarKey]*Span
@@ -213,7 +218,7 @@ func NewTracer(capacity, sampleEvery int) *Tracer {
 	}
 	t := &Tracer{
 		sampleEvery: uint64(sampleEvery),
-		ring:        make([]*Span, 0, capacity),
+		capacity:    capacity,
 		exemplars:   make(map[exemplarKey]*Span),
 	}
 	t.pool.New = func() any { return &Span{} }
@@ -249,9 +254,11 @@ func (t *Tracer) Started() uint64 {
 	return t.started.Load()
 }
 
-// retain decides what survives of a finished span: ring retention for every
-// Kth span, exemplar retention for per-(scheme, kind) maxima, and the pool
-// for everything else.
+// retain decides what survives of a finished span: a copy in the ring for
+// every Kth span, a copy in its (scheme, kind) exemplar slot when it is the
+// slowest yet, and the span itself back to the pool. Only the ring's first
+// lap (its growth) and a new exemplar key (its slot, at most maxExemplars
+// of them) allocate.
 func (t *Tracer) retain(s *Span) {
 	n := t.started.Load()
 	keepRing := t.sampleEvery == 1 || n%t.sampleEvery == 0
@@ -260,26 +267,23 @@ func (t *Tracer) retain(s *Span) {
 	t.finished++
 	key := exemplarKey{s.Scheme, s.Kind}
 	ex := t.exemplars[key]
-	keepExemplar := ex == nil && len(t.exemplars) < maxExemplars ||
-		ex != nil && s.TotalSeconds() > ex.TotalSeconds()
-	if keepExemplar {
-		t.exemplars[key] = s
+	if ex == nil && len(t.exemplars) < maxExemplars {
+		ex = new(Span)
+		t.exemplars[key] = ex
+		*ex = *s
+	} else if ex != nil && s.TotalSeconds() > ex.TotalSeconds() {
+		*ex = *s
 	}
 	if keepRing {
-		if len(t.ring) < cap(t.ring) {
-			t.ring = append(t.ring, s)
+		if len(t.ring) < t.capacity {
+			t.ring = append(t.ring, *s)
 		} else {
-			t.ring[t.next] = s
-			t.next = (t.next + 1) % cap(t.ring)
+			t.ring[t.next] = *s
+			t.next = (t.next + 1) % t.capacity
 		}
 	}
 	t.mu.Unlock()
-
-	if !keepRing && !keepExemplar {
-		// Evicted ring/exemplar spans are left to the GC (they may be
-		// referenced from both tables); only never-retained spans recycle.
-		t.pool.Put(s)
-	}
+	t.pool.Put(s)
 }
 
 // StageView is one stage of a span snapshot (zero stages omitted).
@@ -345,10 +349,10 @@ func (t *Tracer) Snapshot() TraceSnapshot {
 	// Ring in insertion order: oldest surviving entry first.
 	for i := 0; i < len(t.ring); i++ {
 		idx := i
-		if len(t.ring) == cap(t.ring) {
+		if len(t.ring) == t.capacity {
 			idx = (t.next + i) % len(t.ring)
 		}
-		snap.Sampled = append(snap.Sampled, viewOf(t.ring[idx], false))
+		snap.Sampled = append(snap.Sampled, viewOf(&t.ring[idx], false))
 	}
 	for _, s := range t.exemplars {
 		snap.Slowest = append(snap.Slowest, viewOf(s, true))

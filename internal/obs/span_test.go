@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -50,6 +51,55 @@ func TestSpanLifecycleZeroAlloc(t *testing.T) {
 		sp.Finish()
 	}); n != 0 {
 		t.Fatalf("Start..Finish of an unretained span: %.2f allocs/op, want 0", n)
+	}
+}
+
+// TestTracerRingZeroAlloc: a warm tracer (one lap of the ring behind it)
+// copies what it retains into slots it owns, so a span's StartAt → Lap →
+// FinishAt allocates nothing over four more laps, each span slower than the last so every one also
+// replaces its exemplar, and the server's 1-in-16 sampling keeps the ring
+// turning. The retained copies stay whole after their spans recycle.
+func TestTracerRingZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	const capacity, every = 8, 16
+	tr := NewTracer(capacity, every)
+	kinds := [...]string{"range", "point", "nn"}
+	t0 := time.Now()
+	span := func(i int) {
+		sp := tr.StartAt(kinds[i%len(kinds)], t0)
+		sp.SetScheme("server-ids")
+		sp.Lap(StageIndexWalk, float64(i+1))
+		sp.FinishAt(t0.Add(time.Duration(i+1) * time.Microsecond))
+	}
+	i := 0
+	for ; i < capacity*every; i++ { // one lap: the ring and each exemplar slot made once
+		span(i)
+	}
+	const laps = 4
+	if n := testing.AllocsPerRun(laps*capacity*every, func() {
+		span(i)
+		i++
+	}); n != 0 {
+		t.Fatalf("warm StartAt..FinishAt: %.3f allocs/op, want 0", n)
+	}
+	snap := tr.Snapshot()
+	if len(snap.Sampled) != capacity || len(snap.Slowest) != len(kinds) {
+		t.Fatalf("retained %d sampled and %d slowest, want %d and %d", len(snap.Sampled), len(snap.Slowest), capacity, len(kinds))
+	}
+	for j, v := range snap.Sampled {
+		if len(v.Stages) != 1 || math.Abs(v.Stages[0].Seconds-v.Seconds*1e6) > 1e-6 {
+			t.Fatalf("sampled span %d torn: %+v", j, v)
+		}
+		if j > 0 && v.Seconds <= snap.Sampled[j-1].Seconds {
+			t.Fatalf("ring out of order at %d: %+v", j, snap.Sampled)
+		}
+	}
+	for _, v := range snap.Slowest {
+		if v.Seconds < float64(i-len(kinds))*1e-6 {
+			t.Fatalf("exemplar %s at %g s is not its kind's slowest", v.Kind, v.Seconds)
+		}
 	}
 }
 

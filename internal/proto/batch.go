@@ -22,14 +22,18 @@ const (
 // MaxBatchQueries bounds one batch's sub-queries.
 const MaxBatchQueries = 1024
 
-// BatchQueryMsg is N queries in one frame. The per-query TimeoutMicros
-// fields are ignored; the batch-level timeout governs the whole exchange.
+// BatchQueryMsg is N queries in one frame. The per-query TimeoutMicros and
+// WantEpoch fields are ignored; the batch-level ones govern the whole
+// exchange. WantEpoch rides in the count's low bit, so a batch of up to 63
+// queries keeps a one-byte count.
 //
-//	uvarint id | uvarint timeout (0: DefaultTimeout) | uvarint count | queries
+//	uvarint id | uvarint timeout (0: DefaultTimeout) | uvarint(count<<1 | WantEpoch) | queries
 type BatchQueryMsg struct {
 	ID            uint32
 	TimeoutMicros uint32
-	Queries       []QueryMsg
+	// WantEpoch asks for an epoch-stamped reply, as on QueryMsg.
+	WantEpoch bool
+	Queries   []QueryMsg
 }
 
 // Type implements Message.
@@ -57,7 +61,11 @@ func (m *BatchQueryMsg) Validate() error {
 func (m *BatchQueryMsg) appendPayload(b []byte) []byte {
 	b = appendUvarint(b, m.ID)
 	b = appendUvarint(b, wireTimeout(m.TimeoutMicros))
-	b = appendUvarint(b, uint32(len(m.Queries)))
+	count := uint32(len(m.Queries)) << 1
+	if m.WantEpoch {
+		count |= 1
+	}
+	b = appendUvarint(b, count)
 	for i := range m.Queries {
 		b = m.Queries[i].appendPayload(b)
 	}
@@ -70,7 +78,9 @@ func (m *BatchQueryMsg) decodePayload(b []byte) error {
 	m.TimeoutMicros = d.timeout()
 	// The queries are self-delimiting and decoded in sequence; the count is
 	// checked against the shortest query before anything is reserved.
-	n := d.uv32()
+	head := d.uv32()
+	n := head >> 1
+	m.WantEpoch = head&1 != 0
 	if rest := uint32(len(d.b) - d.off); d.err == nil && (n > MaxBatchQueries || n*minQueryBytes > rest) {
 		return fmt.Errorf("proto: batch count %d does not fit %d payload bytes", n, rest)
 	}
@@ -117,13 +127,14 @@ func (it *BatchItem) tag() uint8 {
 	}
 }
 
-// BatchReplyMsg answers a BatchQueryMsg: Items[i] answers Queries[i].
+// BatchReplyMsg answers a BatchQueryMsg: Items[i] answers Queries[i]. Its
+// head is a read reply's (appendReplyHead).
 //
-//	uvarint id | u64 epoch | uvarint count | items
+//	uvarint(id<<1 | s) | u64 epoch if s | uvarint count | items
 type BatchReplyMsg struct {
 	ID uint32
-	// Epoch is the index-state fingerprint at answer time (see
-	// IDListMsg.Epoch); 0 = no epoch information.
+	// Epoch is the index-state fingerprint at answer time, stamped only when
+	// the batch asked (see IDListMsg.Epoch); 0 = no epoch information.
 	Epoch uint64
 	Items []BatchItem
 }
@@ -174,8 +185,7 @@ func (m *BatchReplyMsg) validateItems() error {
 }
 
 func (m *BatchReplyMsg) appendPayload(b []byte) []byte {
-	b = appendUvarint(b, m.ID)
-	b = binaryAppendU64(b, m.Epoch)
+	b = appendReplyHead(b, m.ID, m.Epoch)
 	b = appendUvarint(b, uint32(len(m.Items)))
 	for i := range m.Items {
 		it := &m.Items[i]
@@ -197,8 +207,7 @@ func (m *BatchReplyMsg) appendPayload(b []byte) []byte {
 
 func (m *BatchReplyMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.uv32()
-	m.Epoch = d.u64()
+	m.ID, m.Epoch = d.replyHead()
 	n := d.uv32()
 	if n > MaxBatchQueries {
 		return fmt.Errorf("proto: batch reply count %d exceeds %d", n, MaxBatchQueries)

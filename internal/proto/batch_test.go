@@ -117,7 +117,7 @@ func TestBatchRejectsCorruptFrames(t *testing.T) {
 	// Count disagreeing with the payload size.
 	h := headerLen(frame)
 	bad := append([]byte(nil), frame...)
-	bad[h+1+3] = 99 // the count, after the one-byte id and the three-byte timeout
+	bad[h+1+3] = 99 << 1 // the count, after the one-byte id and the three-byte timeout
 	if _, _, err := ReadMessage(bytes.NewReader(bad)); err == nil {
 		t.Fatal("mismatched batch count accepted")
 	}
@@ -128,13 +128,13 @@ func TestBatchRejectsCorruptFrames(t *testing.T) {
 	}
 	// Unknown item tag.
 	badTag := append([]byte(nil), reply...)
-	badTag[2+1+8+1] = 0x7F // first item tag (after the header, id, epoch and count)
+	badTag[2+1+1] = 0x7F // first item tag (after the header, the unstamped head and the count)
 	if _, _, err := ReadMessage(bytes.NewReader(badTag)); err == nil {
 		t.Fatal("unknown batch item tag accepted")
 	}
 	// Hostile id count inside an item must error, not allocate wildly.
 	badN := append([]byte(nil), reply...)
-	badN[2+1+8+1+1] = 0xFF // first item's id-count varint
+	badN[2+1+1+1] = 0xFF // first item's id-count varint
 	if _, _, err := ReadMessage(bytes.NewReader(badN)); err == nil {
 		t.Fatal("hostile batch item id count accepted")
 	}

@@ -125,8 +125,11 @@ func FuzzReadMessage(f *testing.F) {
 	}
 	// Hand-built frames each decoder must refuse: lying counts, ids and
 	// record ids leaving uint32, an over-cap run, a first record flagged as
-	// sharing, unknown query flag bits, eps on a kind that carries none, and
-	// the control frames' retired shapes (a stats tail, a summary gap).
+	// sharing, unknown query flag bits (bit 7), a reply head whose stamp bit
+	// is cut short before its 8 epoch bytes or set over a zero epoch, eps on
+	// a kind that carries none, and the control frames' retired shapes (a
+	// stats tail, a summary gap). The round-trip corpus above holds stamped
+	// and unstamped replies of every read shape, and requests that ask.
 	for _, frame := range rejectedFrames() {
 		f.Add(frame)
 	}

@@ -462,12 +462,13 @@ func validateRecords(what string, recs []Record) error {
 	if n := len(recs); n > maxWireRecords {
 		return fmt.Errorf("proto: %s of %d records exceeds frame limit", what, n)
 	}
-	for i, r := range recs {
-		if err := checkPoint(r.Seg.A); err != nil {
-			return fmt.Errorf("proto: %s record %d: %w", what, i, err)
-		}
-		if err := checkPoint(r.Seg.B); err != nil {
-			return fmt.Errorf("proto: %s record %d: %w", what, i, err)
+	for i := range recs {
+		// A coordinate is NaN or infinite exactly when its exponent bits
+		// are all ones, as the decoder tests them.
+		s := &recs[i].Seg
+		if math.Float64bits(s.A.X)&expMask == expMask || math.Float64bits(s.A.Y)&expMask == expMask ||
+			math.Float64bits(s.B.X)&expMask == expMask || math.Float64bits(s.B.Y)&expMask == expMask {
+			return fmt.Errorf("proto: %s record %d: non-finite coordinate in %v", what, i, *s)
 		}
 	}
 	return nil

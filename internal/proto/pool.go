@@ -110,6 +110,7 @@ func ReleaseMessage(m Message) {
 	case *BatchQueryMsg:
 		v.ID = 0
 		v.TimeoutMicros = 0
+		v.WantEpoch = false
 		v.Queries = v.Queries[:0]
 		batchQueryPool.Put(v)
 	case *DeleteMsg:

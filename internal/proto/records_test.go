@@ -160,7 +160,8 @@ func TestRecordListBounds(t *testing.T) {
 // records to the record decoder, which must refuse a NaN or an infinity in
 // any record, at A or B, in X or Y, whether the record chains its A to the
 // B before it or not — in a data list, a shipment and a batch reply's
-// item. The same frames with finite coordinates are accepted.
+// item. The same frames with finite coordinates are accepted, and
+// AppendFrame refuses to encode any of the bad lists.
 func TestDecodedRecordsRefuseNonFinite(t *testing.T) {
 	pt := func(x, y float64) geom.Point { return geom.Point{X: x, Y: y} }
 	recs := []Record{
@@ -168,13 +169,16 @@ func TestDecodedRecordsRefuseNonFinite(t *testing.T) {
 		{ID: 5, Seg: geom.Segment{A: pt(3, 4), B: pt(5, 6)}}, // chained
 		{ID: 9, Seg: geom.Segment{A: pt(7, 8), B: pt(9, 10)}},
 	}
-	frames := func(rs []Record) [][]byte {
-		var out [][]byte
-		for _, m := range []Message{
+	msgs := func(rs []Record) []Message {
+		return []Message{
 			&DataListMsg{ID: 1, Records: rs},
 			&ShipmentMsg{ID: 1, Coverage: geom.Rect{Max: pt(10, 10)}, Records: rs},
 			&BatchReplyMsg{ID: 1, Items: []BatchItem{{IDs: []uint32{1}}, {Recs: rs}}},
-		} {
+		}
+	}
+	frames := func(rs []Record) [][]byte {
+		var out [][]byte
+		for _, m := range msgs(rs) {
 			// appendPayload, not AppendFrame: the encoder's Validate would
 			// refuse the bad coordinate before it reached the wire.
 			out = append(out, frameOf(m.Type(), m.appendPayload(nil)))
@@ -188,7 +192,7 @@ func TestDecodedRecordsRefuseNonFinite(t *testing.T) {
 	}
 	for i := range recs {
 		for c := 0; c < 4; c++ {
-			for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 				bad := slices.Clone(recs)
 				p := &bad[i].Seg.A
 				if c >= 2 {
@@ -202,6 +206,11 @@ func TestDecodedRecordsRefuseNonFinite(t *testing.T) {
 				for _, frame := range frames(bad) {
 					if m, _, err := ReadMessage(bytes.NewReader(frame)); err == nil {
 						t.Errorf("record %d coordinate %d = %v: %v accepted", i, c, v, m.Type())
+					}
+				}
+				for _, m := range msgs(bad) {
+					if _, err := AppendFrame(nil, m); err == nil {
+						t.Errorf("record %d coordinate %d = %v: AppendFrame encoded a %v", i, c, v, m.Type())
 					}
 				}
 			}

@@ -19,10 +19,13 @@ var varintEdges = []uint32{0, 127, 128, 16_383, 16_384, math.MaxUint32}
 
 // TestVarintFieldsRoundTrip: every field that became a uvarint — request
 // ids, object ids, k, batch counts and timeouts — survives the wire at each
-// length edge and costs exactly its uvarint's bytes. A timeout at or above
+// length edge and costs exactly its uvarint's bytes (a read reply's id and a
+// batch's count shifted above their flag bit, and a stamped reply 8 more). A timeout at or above
 // DefaultTimeout comes back as 0, the budget it means.
 func TestVarintFieldsRoundTrip(t *testing.T) {
 	vlen := func(v uint32) int { return len(binary.AppendUvarint(nil, uint64(v))) }
+	// A read reply's head is the id above the stamp bit.
+	hlen := func(v uint32) int { return len(binary.AppendUvarint(nil, uint64(v)<<1)) }
 	pt := geom.Point{X: 1, Y: 2}
 	for _, v := range varintEdges {
 		k := uint16(min(v, math.MaxUint16))
@@ -46,11 +49,12 @@ func TestVarintFieldsRoundTrip(t *testing.T) {
 				vlen(v) + 16 + 1 + 16 + 8 + max(hasTimeout, 1)}, // Max differs from Min in every byte
 
 			{&BatchQueryMsg{ID: v, TimeoutMicros: v, Queries: make([]QueryMsg, count)},
-				vlen(v) + max(hasTimeout, 1) + vlen(uint32(count)) + count*(1+1+16)},
+				vlen(v) + max(hasTimeout, 1) + vlen(uint32(count)<<1) + count*(1+1+16)},
 			{&BatchReplyMsg{ID: v, Items: make([]BatchItem, count)},
-				vlen(v) + 8 + vlen(uint32(count)) + count*2},
+				hlen(v) + vlen(uint32(count)) + count*2},
 			{&UpdateAckMsg{ID: v, Epoch: 1}, vlen(v) + 8 + 1},
-			{&IDListMsg{ID: v, IDs: []uint32{v}}, vlen(v) + 8 + 1 + len(appendIDs(nil, []uint32{v})) - 1},
+			{&IDListMsg{ID: v, IDs: []uint32{v}}, hlen(v) + 1 + len(appendIDs(nil, []uint32{v})) - 1},
+			{&IDListMsg{ID: v, Epoch: 1, IDs: []uint32{v}}, hlen(v) + 8 + 1 + len(appendIDs(nil, []uint32{v})) - 1},
 			{&PingMsg{ID: v}, vlen(v) + 4},
 			{&StatsReqMsg{ID: v}, vlen(v)},
 			{&SummaryReqMsg{ID: v}, vlen(v)},

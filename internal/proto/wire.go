@@ -303,6 +303,11 @@ type QueryMsg struct {
 	// TimeoutMicros caps the server-side processing time in microseconds;
 	// 0, like any budget at or above DefaultTimeout, means DefaultTimeout.
 	TimeoutMicros uint32
+	// WantEpoch asks the server to stamp its reply with the index's epoch
+	// hint (IDListMsg.Epoch): a client holding a shipment asks, a plain
+	// reader does not, and its reply is 8 bytes shorter. Inside a batch the
+	// batch's own WantEpoch governs and this one is ignored.
+	WantEpoch bool
 }
 
 // PointEps is the incidence tolerance a point query is answered under: Eps,
@@ -355,15 +360,16 @@ func (m *QueryMsg) Validate() error {
 //	uvarint id | flags | point (point) / window (range) / point + uvarint K (NN)
 //	           | f64 eps if flagHasEps | uvarint timeout if flagHasTimeout
 //
-// flags holds the kind in bits 0-1 and the mode in bits 2-3. Eps travels only
-// when it is set and means something: on a point query, and on a k-NN leg in
-// ModeCandidates, where it is the router's bound. The timeout travels only
-// when it is tighter than DefaultTimeout.
+// flags holds the kind in bits 0-1, the mode in bits 2-3 and WantEpoch in
+// bit 6. Eps travels only when it is set and means something: on a point
+// query, and on a k-NN leg in ModeCandidates, where it is the router's bound.
+// The timeout travels only when it is tighter than DefaultTimeout.
 const (
 	flagModeShift  = 2
 	flagHasEps     = 1 << 4
 	flagHasTimeout = 1 << 5
-	flagsKnown     = flagHasTimeout<<1 - 1
+	flagWantEpoch  = 1 << 6
+	flagsKnown     = flagWantEpoch<<1 - 1
 	// minQueryBytes is the shortest query: a one-byte id, flags and a point.
 	minQueryBytes = 1 + 1 + 16
 )
@@ -383,6 +389,9 @@ func (m *QueryMsg) appendPayload(b []byte) []byte {
 	timeout := wireTimeout(m.TimeoutMicros)
 	if timeout != 0 {
 		flags |= flagHasTimeout
+	}
+	if m.WantEpoch {
+		flags |= flagWantEpoch
 	}
 	b = append(b, flags)
 	switch m.Kind {
@@ -422,6 +431,7 @@ func (d *decoder) query(m *QueryMsg) {
 		return
 	}
 	m.Kind, m.Mode = flags&3, Mode(flags>>flagModeShift&3)
+	m.WantEpoch = flags&flagWantEpoch != 0
 	switch m.Kind {
 	case KindPoint:
 		m.Point = d.point()
@@ -447,13 +457,50 @@ func (d *decoder) query(m *QueryMsg) {
 	}
 }
 
+// A read reply — an id list, a data list or a batch reply — opens with its
+// request id above a stamp bit, and the epoch follows only when the bit is
+// set:
+//
+//	uvarint(id<<1 | s) | u64 epoch if s
+//
+// The encoder sets s exactly when Epoch is non-zero (zero already means "no
+// information"), and the decoder refuses a set bit over a zero epoch, so
+// decode→encode is a fixed point. A server stamps only a reply whose request
+// asked (QueryMsg.WantEpoch, BatchQueryMsg.WantEpoch).
+func appendReplyHead(b []byte, id uint32, epoch uint64) []byte {
+	if epoch == 0 {
+		return binary.AppendUvarint(b, uint64(id)<<1)
+	}
+	return binaryAppendU64(binary.AppendUvarint(b, uint64(id)<<1|1), epoch)
+}
+
+// replyHead reads a read reply's head (appendReplyHead).
+func (d *decoder) replyHead() (id uint32, epoch uint64) {
+	head := d.uvarint()
+	switch {
+	case d.err != nil:
+		return 0, 0
+	case head>>1 > math.MaxUint32:
+		d.err = fmt.Errorf("request id %d leaves uint32", head>>1)
+		return 0, 0
+	case head&1 == 0:
+		return uint32(head >> 1), 0
+	}
+	if epoch = d.u64(); d.err == nil && epoch == 0 {
+		d.err = fmt.Errorf("stamp bit over a zero epoch")
+	}
+	return uint32(head >> 1), epoch
+}
+
 // IDListMsg carries object or candidate ids.
 type IDListMsg struct {
 	ID uint32
 	// Epoch is the server's index-state fingerprint at answer time (the
-	// qcache hint: any acknowledged write changes it). Zero means the
-	// server offers no epoch information — older servers and routers.
-	// Clients use it to validate semantically cached shipments.
+	// qcache hint: any acknowledged write changes it), stamped only when the
+	// request asked. Zero means no epoch information: the request did not
+	// ask, or the server has no validity view (a distributed pool without a
+	// version source). Clients use it to validate semantically cached
+	// shipments.
 	Epoch uint64
 	IDs   []uint32
 }
@@ -473,15 +520,12 @@ func (m *IDListMsg) Validate() error {
 }
 
 func (m *IDListMsg) appendPayload(b []byte) []byte {
-	b = appendUvarint(b, m.ID)
-	b = binaryAppendU64(b, m.Epoch)
-	return appendIDs(b, m.IDs)
+	return appendIDs(appendReplyHead(b, m.ID, m.Epoch), m.IDs)
 }
 
 func (m *IDListMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.uv32()
-	m.Epoch = d.u64()
+	m.ID, m.Epoch = d.replyHead()
 	m.IDs = d.appendIDs(m.IDs[:0])
 	return d.finish("id-list")
 }
@@ -504,15 +548,12 @@ func (m *DataListMsg) RequestID() uint32 { return m.ID }
 func (m *DataListMsg) Validate() error { return validateRecords("data list", m.Records) }
 
 func (m *DataListMsg) appendPayload(b []byte) []byte {
-	b = appendUvarint(b, m.ID)
-	b = binaryAppendU64(b, m.Epoch)
-	return appendRecords(b, m.Records)
+	return appendRecords(appendReplyHead(b, m.ID, m.Epoch), m.Records)
 }
 
 func (m *DataListMsg) decodePayload(b []byte) error {
 	d := decoder{b: b}
-	m.ID = d.uv32()
-	m.Epoch = d.u64()
+	m.ID, m.Epoch = d.replyHead()
 	m.Records = d.appendRecords(m.Records[:0])
 	return d.finish("data-list")
 }

@@ -90,6 +90,13 @@ func allMessages() []Message {
 		&BatchQueryMsg{ID: 21, TimeoutMicros: 100_000, Queries: []QueryMsg{ // a bounded k-NN leg
 			{Kind: KindNN, Mode: ModeCandidates, K: 8, Point: geom.Point{X: 3.5, Y: -7}, Eps: 123.25},
 		}},
+		// A shipment holder's reads: each asks for the stamp, and each reply
+		// carries it.
+		&QueryMsg{ID: 22, Kind: KindRange, Mode: ModeIDs, WantEpoch: true,
+			Window: geom.Rect{Min: geom.Point{X: 1, Y: 2}, Max: geom.Point{X: 3, Y: 4}}},
+		&BatchQueryMsg{ID: 23, WantEpoch: true, Queries: []QueryMsg{
+			{Kind: KindPoint, Mode: ModeIDs, Point: geom.Point{X: 9, Y: 9}}}},
+		&BatchReplyMsg{ID: 23, Epoch: 0xFEEDFACE, Items: []BatchItem{{IDs: []uint32{4, 5}}}},
 		&SummaryReqMsg{ID: 24},
 		&SummaryMsg{ID: 24, NumRanges: 3,
 			Ranges: []RangeInfo{
@@ -146,13 +153,13 @@ func wireEqual(a, b Message) bool {
 	switch x := a.(type) {
 	case *IDListMsg:
 		y := b.(*IDListMsg)
-		return x.ID == y.ID && slicesEqual(x.IDs, y.IDs)
+		return x.ID == y.ID && x.Epoch == y.Epoch && slicesEqual(x.IDs, y.IDs)
 	case *DataListMsg:
 		y := b.(*DataListMsg)
-		return x.ID == y.ID && recordsEqual(x.Records, y.Records)
+		return x.ID == y.ID && x.Epoch == y.Epoch && recordsEqual(x.Records, y.Records)
 	case *ShipmentMsg:
 		y := b.(*ShipmentMsg)
-		if x.ID != y.ID || !recordsEqual(x.Records, y.Records) {
+		if x.ID != y.ID || x.Epoch != y.Epoch || !recordsEqual(x.Records, y.Records) {
 			return false
 		}
 		if x.Coverage.IsEmpty() || y.Coverage.IsEmpty() {
@@ -164,7 +171,7 @@ func wireEqual(a, b Message) bool {
 		return x.ID == y.ID && bytes.Equal(x.Payload, y.Payload)
 	case *BatchReplyMsg:
 		y := b.(*BatchReplyMsg)
-		if x.ID != y.ID || len(x.Items) != len(y.Items) {
+		if x.ID != y.ID || x.Epoch != y.Epoch || len(x.Items) != len(y.Items) {
 			return false
 		}
 		for i := range x.Items {
@@ -177,7 +184,7 @@ func wireEqual(a, b Message) bool {
 		return true
 	case *BatchQueryMsg:
 		y := b.(*BatchQueryMsg)
-		if x.ID != y.ID || x.TimeoutMicros != y.TimeoutMicros || len(x.Queries) != len(y.Queries) {
+		if x.ID != y.ID || x.TimeoutMicros != y.TimeoutMicros || x.WantEpoch != y.WantEpoch || len(x.Queries) != len(y.Queries) {
 			return false
 		}
 		for i := range x.Queries {
@@ -322,7 +329,7 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 
 	// Inner count disagreeing with the payload length.
 	badCount := append([]byte(nil), frame...)
-	badCount[2+1+8] = 99 // id-list count varint (after the header, the id and the epoch)
+	badCount[2+1] = 99 // id-list count varint (after the header and the unstamped head)
 	if _, _, err := ReadMessage(bytes.NewReader(badCount)); err == nil {
 		t.Fatal("mismatched count accepted")
 	}
@@ -357,7 +364,8 @@ func TestWireRejectsCorruptFrames(t *testing.T) {
 // TestWireFrameLayout pins the frame header layout and the three read
 // encodings — a kind-shaped query, a Rice-coded id list (a single run,
 // ascending runs and runs out of order) and an endpoint-chained record
-// list — so independent implementations can interoperate.
+// list — and the epoch stamp (asked for by a flag bit, carried only when
+// asked), so independent implementations can interoperate.
 func TestWireFrameLayout(t *testing.T) {
 	one, two, ten := f64(1), f64(2), f64(10)
 	cases := []struct {
@@ -386,6 +394,13 @@ func TestWireFrameLayout(t *testing.T) {
 			{KindPoint | byte(ModeIDs)<<2}, // no timeout: the default travels as none
 			one, two,
 		}},
+		{"point query asking for the stamp", &QueryMsg{ID: 5, Kind: KindPoint, Mode: ModeIDs,
+			Point: geom.Point{X: 1, Y: 2}, WantEpoch: true}, [][]byte{
+			{18, byte(MsgQuery)},
+			{5},
+			{KindPoint | byte(ModeIDs)<<2 | flagWantEpoch}, // the request grows by no byte
+			one, two,
+		}},
 		{"candidates k-NN leg", &QueryMsg{ID: 7, Kind: KindNN, Mode: ModeCandidates, Point: geom.Point{X: 1, Y: 2}, K: 8, Eps: 10}, [][]byte{
 			{27, byte(MsgQuery)},
 			{7},
@@ -408,31 +423,42 @@ func TestWireFrameLayout(t *testing.T) {
 			{ackFlagExisted},
 		}},
 		{"single-run id list", &IDListMsg{ID: 9, IDs: []uint32{5, 6, 7}}, [][]byte{
+			{3, byte(MsgIDList)},
+			{18}, // reply head: request id 9 shifted, stamp bit clear: no epoch
+			{3},  // count
+			{10}, // list head: first id 5 shifted, low bit clear: one run of 3
+		}},
+		{"stamped id list", &IDListMsg{ID: 9, Epoch: 0x0102030405060708, IDs: []uint32{5, 6, 7}}, [][]byte{
 			{11, byte(MsgIDList)},
-			{9},
-			{0, 0, 0, 0, 0, 0, 0, 0}, // epoch
-			{3},                      // count
-			{10},                     // head: first id 5 shifted, low bit clear: one run of 3
+			{19},                     // reply head: request id 9 shifted, stamp bit set
+			{1, 2, 3, 4, 5, 6, 7, 8}, // the epoch, big-endian
+			{3},
+			{10},
+		}},
+		{"batch asking for the stamp", &BatchQueryMsg{ID: 4, WantEpoch: true, Queries: []QueryMsg{
+			{Kind: KindPoint, Mode: ModeIDs, Point: geom.Point{X: 1, Y: 2}}}}, [][]byte{
+			{21, byte(MsgBatchQuery)},
+			{4}, {0}, // request id, no timeout
+			{3},                                           // count 1 shifted, stamp bit set
+			{0}, {KindPoint | byte(ModeIDs)<<2}, one, two, // the query: id 0, flags, point
 		}},
 		{"ascending id list", &IDListMsg{ID: 9, IDs: []uint32{5, 6, 7, 10, 11, 40}}, [][]byte{
-			{15, byte(MsgIDList)},
-			{9},
-			{0, 0, 0, 0, 0, 0, 0, 0}, // epoch
-			{6},                      // count
-			{21},                     // head: first id 5 above bits 01, a Rice list of plain gaps
-			{3},                      // gaps 2 and 28, mean 15: gap parameter 3; lengths less one 2 1 0: 0
+			{7, byte(MsgIDList)},
+			{18}, // reply head
+			{6},  // count
+			{21}, // list head: first id 5 above bits 01, a Rice list of plain gaps
+			{3},  // gaps 2 and 28, mean 15: gap parameter 3; lengths less one 2 1 0: 0
 			// From the low bit up: length 3 as 001; gap 2 as 1 010 and
 			// length 2 as 01; gap 28 (3·8 + 4) as 0001 001 and length 1
 			// as 1; seven bits of padding.
 			{0b00101100, 0b10010001, 0b00000001},
 		}},
 		{"descending id list", &IDListMsg{ID: 9, IDs: []uint32{5, 6, 7, 3, 100}}, [][]byte{
-			{15, byte(MsgIDList)},
-			{9},
-			{0, 0, 0, 0, 0, 0, 0, 0}, // epoch
-			{5},                      // count
-			{23},                     // head: first id 5 above bits 11, a Rice list of zigzagged gaps
-			{6},                      // gaps -5 and +96 zigzag to 9 and 192, mean 100: 6; lengths: 0
+			{7, byte(MsgIDList)},
+			{18}, // reply head
+			{5},  // count
+			{23}, // list head: first id 5 above bits 11, a Rice list of zigzagged gaps
+			{6},  // gaps -5 and +96 zigzag to 9 and 192, mean 100: 6; lengths: 0
 			// Length 3 as 001; gap 9 as 1 001001, length 1 as 1; gap 192
 			// (3·64 + 0) as 0001 000000, length 1 as 1.
 			{0b10011100, 0b01000100, 0b00100000},
@@ -441,9 +467,8 @@ func TestWireFrameLayout(t *testing.T) {
 			{ID: 10, Seg: geom.Segment{A: geom.Point{}, B: geom.Point{X: 1}}},
 			{ID: 11, Seg: geom.Segment{A: geom.Point{X: 1}, B: geom.Point{X: 1, Y: 2}}},
 		}}, [][]byte{
-			{31, byte(MsgDataList)},
-			{1},
-			{0, 0, 0, 0, 0, 0, 0, 0},       // epoch
+			{23, byte(MsgDataList)},
+			{2},                            // reply head: request id 1, unstamped
 			{2},                            // count
 			{40},                           // id delta +10 zigzagged to 20, shifted; A follows
 			{0x00},                         // A against the zero point: no bytes
@@ -489,38 +514,42 @@ func uv(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 // and the shapes that would not re-encode as they arrived. FuzzReadMessage
 // takes them as seeds.
 func rejectedFrames() map[string][]byte {
-	id, epoch := []byte{1}, make([]byte, 8)
+	// head opens a read reply to request 1, unstamped.
+	id, head, epoch := []byte{1}, []byte{1 << 1}, make([]byte, 8)
 	pt, win := append(f64(1), f64(2)...), appendRect(nil, geom.Rect{Max: geom.Point{X: 5, Y: 5}})
 	inf := appendXOR(nil, geom.Point{X: math.Inf(1), Y: 2}, geom.Point{})
 	return map[string][]byte{
-		"id count beyond the payload": frameOf(MsgIDList, id, epoch, []byte{65}, []byte{10}),
-		"id run leaving uint32":       frameOf(MsgIDList, id, epoch, []byte{2}, uv(math.MaxUint32<<1)),
-		"id run above the cap":        frameOf(MsgIDList, id, epoch, []byte{65}, uv(200<<1)),
-		"a Rice run above the cap": frameOf(MsgIDList, id, epoch, []byte{66}, []byte{1}, []byte{5 << 5},
+		"id count beyond the payload": frameOf(MsgIDList, head, []byte{65}, []byte{10}),
+		"id run leaving uint32":       frameOf(MsgIDList, head, []byte{2}, uv(math.MaxUint32<<1)),
+		"id run above the cap":        frameOf(MsgIDList, head, []byte{65}, uv(200<<1)),
+		"a Rice run above the cap": frameOf(MsgIDList, head, []byte{66}, []byte{1}, []byte{5 << 5},
 			riceBits(riceLen(64, 5), riceGap(0, 0), riceLen(0, 5))),
-		"an id gap past uint32": frameOf(MsgIDList, id, epoch, []byte{2}, []byte{1}, []byte{0},
+		"an id gap past uint32": frameOf(MsgIDList, head, []byte{2}, []byte{1}, []byte{0},
 			riceBits(riceLen(0, 0), riceGap(math.MaxUint32, 0), riceLen(0, 0))),
-		"id gap below zero": frameOf(MsgIDList, id, epoch, []byte{2}, []byte{3}, []byte{0},
+		"id gap below zero": frameOf(MsgIDList, head, []byte{2}, []byte{3}, []byte{0},
 			riceBits(riceLen(0, 0), riceGap(3, 0), riceLen(0, 0))), // zigzag 3 is -2: 1 - 2
-		"id runs overrunning the count": frameOf(MsgIDList, id, epoch, []byte{2}, []byte{1}, []byte{0},
+		"id runs overrunning the count": frameOf(MsgIDList, head, []byte{2}, []byte{1}, []byte{0},
 			riceBits(riceLen(2, 0))),
-		"a truncated id bitstream": frameOf(MsgIDList, id, epoch, []byte{3}, []byte{1}, []byte{0}),
-		"an id parameter byte out of range": frameOf(MsgIDList, id, epoch, []byte{2}, []byte{1}, []byte{6 << 5},
+		"a truncated id bitstream": frameOf(MsgIDList, head, []byte{3}, []byte{1}, []byte{0}),
+		"an id parameter byte out of range": frameOf(MsgIDList, head, []byte{2}, []byte{1}, []byte{6 << 5},
 			riceBits(riceLen(0, 6), riceGap(0, 0), riceLen(0, 6))),
-		"record count beyond the payload": frameOf(MsgDataList, id, epoch, []byte{3},
+		"record count beyond the payload": frameOf(MsgDataList, head, []byte{3},
 			[]byte{40, 0, 0}, []byte{2}),
-		"first record flagged shared": frameOf(MsgDataList, id, epoch, []byte{1}, []byte{21}, []byte{0}),
-		"record id leaving uint32":    frameOf(MsgDataList, id, epoch, []byte{1}, []byte{2}, []byte{0}, []byte{0}),
-		"a coordinate count above 8":  frameOf(MsgDataList, id, epoch, []byte{1}, []byte{40}, []byte{0x09}, make([]byte, 9), []byte{0}),
-		"an infinite record endpoint": frameOf(MsgDataList, id, epoch, []byte{1}, []byte{40}, inf, []byte{0}),
-		"a move's B past its payload": frameOf(MsgMove, id, id, pt, []byte{0x88}, make([]byte, 8), []byte{0}),
-		"unknown query flag bits":     frameOf(MsgQuery, id, []byte{0x40 | KindPoint}, pt),
-		"query kind 3":                frameOf(MsgQuery, id, []byte{3}, pt),
-		"eps on a range query":        frameOf(MsgQuery, id, []byte{KindRange | byte(ModeIDs)<<2 | flagHasEps}, win, f64(1)),
-		"eps on an ids-mode k-NN":     frameOf(MsgQuery, id, []byte{KindNN | byte(ModeIDs)<<2 | flagHasEps}, pt, []byte{1}, f64(1)),
-		"eps on a batched range query": frameOf(MsgBatchQuery, id, []byte{0}, []byte{1},
+		"first record flagged shared":   frameOf(MsgDataList, head, []byte{1}, []byte{21}, []byte{0}),
+		"record id leaving uint32":      frameOf(MsgDataList, head, []byte{1}, []byte{2}, []byte{0}, []byte{0}),
+		"a coordinate count above 8":    frameOf(MsgDataList, head, []byte{1}, []byte{40}, []byte{0x09}, make([]byte, 9), []byte{0}),
+		"an infinite record endpoint":   frameOf(MsgDataList, head, []byte{1}, []byte{40}, inf, []byte{0}),
+		"a move's B past its payload":   frameOf(MsgMove, id, id, pt, []byte{0x88}, make([]byte, 8), []byte{0}),
+		"unknown query flag bits":       frameOf(MsgQuery, id, []byte{0x80 | KindPoint}, pt),
+		"a stamp bit over a zero epoch": frameOf(MsgIDList, []byte{1<<1 | 1}, epoch, []byte{0}),
+		"a stamped head cut short":      frameOf(MsgIDList, []byte{1<<1 | 1}, []byte{0, 0, 0, 7}),
+		"a reply id leaving uint32":     frameOf(MsgIDList, uv(1<<33), []byte{0}),
+		"query kind 3":                  frameOf(MsgQuery, id, []byte{3}, pt),
+		"eps on a range query":          frameOf(MsgQuery, id, []byte{KindRange | byte(ModeIDs)<<2 | flagHasEps}, win, f64(1)),
+		"eps on an ids-mode k-NN":       frameOf(MsgQuery, id, []byte{KindNN | byte(ModeIDs)<<2 | flagHasEps}, pt, []byte{1}, f64(1)),
+		"eps on a batched range query": frameOf(MsgBatchQuery, id, []byte{0}, []byte{1 << 1},
 			id, []byte{KindRange | flagHasEps}, win, f64(1)),
-		"batch count beyond the payload": frameOf(MsgBatchQuery, id, []byte{0}, []byte{9},
+		"batch count beyond the payload": frameOf(MsgBatchQuery, id, []byte{0}, []byte{9 << 1},
 			id, []byte{KindPoint}, pt),
 		"request id leaving uint32": frameOf(MsgQuery, uv(1<<32), []byte{KindPoint}, pt),
 		"object id leaving uint32":  frameOf(MsgDelete, id, uv(1<<32), []byte{0}),
@@ -528,7 +557,7 @@ func rejectedFrames() map[string][]byte {
 		"a query timeout at the default": frameOf(MsgQuery, id, []byte{KindPoint | flagHasTimeout}, pt,
 			uv(uint64(defaultTimeoutMicros))),
 		"a flagged zero timeout":         frameOf(MsgQuery, id, []byte{KindPoint | flagHasTimeout}, pt, []byte{0}),
-		"a batch timeout at the default": frameOf(MsgBatchQuery, id, uv(uint64(defaultTimeoutMicros)), []byte{1}, id, []byte{KindPoint}, pt),
+		"a batch timeout at the default": frameOf(MsgBatchQuery, id, uv(uint64(defaultTimeoutMicros)), []byte{1 << 1}, id, []byte{KindPoint}, pt),
 		"a move timeout at the default":  frameOf(MsgMove, id, id, make([]byte, 17), uv(uint64(defaultTimeoutMicros))),
 		"an ack echoing the object id":   frameOf(MsgUpdateAck, id, id, epoch, []byte{0}),
 		// Uptime, no counters, gauges or histograms, then a tagged section.
@@ -584,33 +613,38 @@ func TestWireRejectsHandBuiltFrames(t *testing.T) {
 			t.Errorf("%s: accepted as %+v", name, m)
 		}
 	}
-	id, epoch := []byte{1}, make([]byte, 8)
+	id, head, epoch := []byte{1}, []byte{1 << 1}, make([]byte, 8)
+	stamp := append([]byte{1<<1 | 1}, 0, 0, 0, 0, 0, 0, 0, 7)
 	pt := append(f64(1), f64(2)...)
 	finite := appendXOR(nil, geom.Point{X: 1, Y: 2}, geom.Point{})
 	accepted := map[string][]byte{
-		"ids at the top of uint32": frameOf(MsgIDList, id, epoch, []byte{2}, uv((math.MaxUint32-1)<<1)),
-		"a full-cap run":           frameOf(MsgIDList, id, epoch, []byte{64}, []byte{0}),
-		"a full-cap Rice run": frameOf(MsgIDList, id, epoch, []byte{66}, []byte{1}, []byte{5 << 5},
+		"ids at the top of uint32": frameOf(MsgIDList, head, []byte{2}, uv((math.MaxUint32-1)<<1)),
+		"a full-cap run":           frameOf(MsgIDList, head, []byte{64}, []byte{0}),
+		"a full-cap Rice run": frameOf(MsgIDList, head, []byte{66}, []byte{1}, []byte{5 << 5},
 			riceBits(riceLen(63, 5), riceGap(0, 0), riceLen(1, 5))),
-		"an id gap to the top of uint32": frameOf(MsgIDList, id, epoch, []byte{2}, []byte{1}, []byte{0},
+		"an id gap to the top of uint32": frameOf(MsgIDList, head, []byte{2}, []byte{1}, []byte{0},
 			riceBits(riceLen(0, 0), riceGap(math.MaxUint32-1, 0), riceLen(0, 0))),
-		"the largest id parameter byte": frameOf(MsgIDList, id, epoch, []byte{2}, []byte{1}, []byte{5<<5 | 31},
+		"the largest id parameter byte": frameOf(MsgIDList, head, []byte{2}, []byte{1}, []byte{5<<5 | 31},
 			riceBits(riceLen(0, 5), riceGap(1, 31), riceLen(0, 5))),
-		"records filling the payload":     frameOf(MsgDataList, id, epoch, []byte{2}, []byte{40, 0, 0}, []byte{2, 0, 0}),
-		"a second record flagged":         frameOf(MsgDataList, id, epoch, []byte{2}, []byte{40}, finite, []byte{0}, []byte{5}, []byte{0}),
-		"a coordinate count of 8":         frameOf(MsgDataList, id, epoch, []byte{1}, []byte{40}, []byte{0x08}, make([]byte, 8), []byte{0}),
-		"a finite record endpoint":        frameOf(MsgDataList, id, epoch, []byte{1}, []byte{40}, finite, []byte{0}),
+		"records filling the payload":     frameOf(MsgDataList, head, []byte{2}, []byte{40, 0, 0}, []byte{2, 0, 0}),
+		"a second record flagged":         frameOf(MsgDataList, head, []byte{2}, []byte{40}, finite, []byte{0}, []byte{5}, []byte{0}),
+		"a coordinate count of 8":         frameOf(MsgDataList, head, []byte{1}, []byte{40}, []byte{0x08}, make([]byte, 8), []byte{0}),
+		"a finite record endpoint":        frameOf(MsgDataList, head, []byte{1}, []byte{40}, finite, []byte{0}),
 		"a move's B at its payload's end": frameOf(MsgMove, id, id, pt, []byte{0x88}, make([]byte, 16), []byte{0}),
 		"eps on a point query":            frameOf(MsgQuery, id, []byte{KindPoint | flagHasEps}, pt, f64(1)),
 		"eps on a candidates k-NN":        frameOf(MsgQuery, id, []byte{KindNN | byte(ModeCandidates)<<2 | flagHasEps}, pt, []byte{1}, f64(1)),
-		"a batched query with a timeout": frameOf(MsgBatchQuery, id, []byte{0}, []byte{1},
+		"a stamped id list":               frameOf(MsgIDList, stamp, []byte{0}),
+		"a reply id at the top of uint32": frameOf(MsgIDList, uv(math.MaxUint32<<1), []byte{0}),
+		"a query asking for the stamp":    frameOf(MsgQuery, id, []byte{flagWantEpoch | KindPoint}, pt),
+		"a batch asking for the stamp":    frameOf(MsgBatchQuery, id, []byte{0}, []byte{1<<1 | 1}, id, []byte{KindPoint}, pt),
+		"a batched query with a timeout": frameOf(MsgBatchQuery, id, []byte{0}, []byte{1 << 1},
 			id, []byte{KindPoint | flagHasTimeout}, pt, []byte{9}),
 		"request id at the top of uint32": frameOf(MsgQuery, uv(math.MaxUint32), []byte{KindPoint}, pt),
 		"object id at the top of uint32":  frameOf(MsgDelete, id, uv(math.MaxUint32), []byte{0}),
 		"k at the top of uint16":          frameOf(MsgQuery, id, []byte{KindNN}, pt, uv(math.MaxUint16)),
 		"a query timeout under the default": frameOf(MsgQuery, id, []byte{KindPoint | flagHasTimeout}, pt,
 			uv(uint64(defaultTimeoutMicros-1))),
-		"a batch timeout under the default": frameOf(MsgBatchQuery, id, uv(uint64(defaultTimeoutMicros-1)), []byte{1}, id, []byte{KindPoint}, pt),
+		"a batch timeout under the default": frameOf(MsgBatchQuery, id, uv(uint64(defaultTimeoutMicros-1)), []byte{1 << 1}, id, []byte{KindPoint}, pt),
 		"a move timeout under the default":  frameOf(MsgMove, id, id, make([]byte, 17), uv(uint64(defaultTimeoutMicros-1))),
 		"an ack":                            frameOf(MsgUpdateAck, id, epoch, []byte{0}),
 		"stats ending at its histograms":    frameOf(MsgStats, id, make([]byte, 8), []byte{0, 0, 0, 0, 0, 0}),
@@ -626,7 +660,7 @@ func TestWireRejectsHandBuiltFrames(t *testing.T) {
 	// kept out of rejectedFrames so the fuzzer is not seeded with them.
 	batchOf := func(n int) []byte {
 		query := append(append([]byte{}, id...), append([]byte{KindPoint}, pt...)...)
-		return frameOf(MsgBatchQuery, id, []byte{0}, uv(uint64(n)), bytes.Repeat(query, n))
+		return frameOf(MsgBatchQuery, id, []byte{0}, uv(uint64(n)<<1), bytes.Repeat(query, n))
 	}
 	if _, _, err := ReadMessage(bytes.NewReader(batchOf(MaxBatchQueries + 1))); err == nil {
 		t.Errorf("a batch count above the cap: accepted")

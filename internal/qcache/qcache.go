@@ -120,8 +120,8 @@ func (v *View) Equal(o *View) bool {
 }
 
 // HintOf fingerprints src's full version vector as one non-zero uint64 —
-// the epoch hint the serving tier stamps on replies so clients can validate
-// semantically cached shipments. Any write anywhere changes the hint
+// the epoch hint the serving tier stamps on the replies that ask for it, so
+// clients can validate semantically cached shipments. Any write anywhere changes the hint
 // (conservative: cross-shard collisions aside, hint equality means "nothing
 // changed"). Zero is reserved on the wire for "no epoch information".
 func HintOf(src Source) uint64 {

@@ -82,6 +82,15 @@ func (s *Server) epochHint() uint64 {
 	return qcache.HintOf(s.caps.view)
 }
 
+// stamp is a read reply's epoch: the hint when the request asked for it,
+// else 0, which the wire does not carry.
+func (s *Server) stamp(asked bool) uint64 {
+	if !asked {
+		return 0
+	}
+	return s.epochHint()
+}
+
 // CacheStats returns the query-result cache counters; the zero Stats when
 // caching is disabled.
 func (s *Server) CacheStats() qcache.Stats {

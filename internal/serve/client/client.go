@@ -521,11 +521,12 @@ func (c *Client) readResponse(wc *wireConn, id uint32) (proto.Message, int, erro
 	return resp, n, nil
 }
 
-// maxRequestID bounds request ids to one uvarint byte. Ids cycle through
+// maxRequestID bounds request ids so that a request's id and a reply's head
+// (the id above the stamp bit) each take one uvarint byte. Ids cycle through
 // 1..maxRequestID: a connection carries one outstanding request and is
 // dropped on any failure, so a reused id can never be matched to a stale
 // reply — any cycle of two or more ids would do.
-const maxRequestID = 1<<7 - 1
+const maxRequestID = 1<<6 - 1
 
 func (c *Client) id() uint32 { return (c.nextID.Add(1)-1)%maxRequestID + 1 }
 
@@ -575,6 +576,7 @@ func call[R proto.Message](c *Client, req proto.Request, deadline time.Time, que
 // allocates its answer and nothing else. sp is the caller's span, nil for
 // none.
 func (c *Client) query(q *proto.QueryMsg, sp *obs.Span) ([]uint32, []proto.Record, error) {
+	q.WantEpoch = c.wantsHint()
 	if q.Mode != proto.ModeData {
 		r, err := call[*proto.IDListMsg](c, q, time.Time{}, 1, sp)
 		if err != nil {
@@ -712,15 +714,15 @@ type BatchResult struct {
 // locally. Per-query failures (e.g. an over-limit k) come back as per-item
 // Errs, not an exchange error.
 //
-// Ownership rule: the returned IDs and Records are copies owned by the
-// caller. The pooled BatchReplyMsg is released before QueryBatch returns, so
-// results stay valid across later exchanges (pooled reply slices would be
-// overwritten by the next decode).
+// Ownership rule: the returned IDs and Records are the caller's. Each item's
+// decoded slices are handed over and left nil in the pooled BatchReplyMsg,
+// which is released before QueryBatch returns, so no later decode writes
+// into them and results stay valid across later exchanges.
 func (c *Client) QueryBatch(qs []proto.QueryMsg) ([]BatchResult, error) {
 	if len(qs) == 0 {
 		return nil, fmt.Errorf("client: empty batch")
 	}
-	r, err := c.batchCall(qs, time.Time{})
+	r, err := c.batchCall(qs, time.Time{}, c.wantsHint())
 	if err != nil {
 		if out, ok := c.batchDegrade(qs, err); ok {
 			return out, nil
@@ -735,26 +737,28 @@ func (c *Client) QueryBatch(qs []proto.QueryMsg) ([]BatchResult, error) {
 			out[i].Err = &proto.ErrorMsg{ID: r.ID, Code: it.Err, Text: it.Text}
 			continue
 		}
-		// Copy out of the pooled reply: it.IDs and it.Recs alias
-		// r's backing arrays, which the next decode will overwrite.
+		// Detach the decoded lists, as query does for a single read: the
+		// pooled reply keeps nil in their place, never an alias.
 		if len(it.IDs) > 0 {
-			out[i].IDs = append([]uint32(nil), it.IDs...)
+			out[i].IDs, it.IDs = it.IDs, nil
 		}
 		if len(it.Recs) > 0 {
-			out[i].Records = append([]proto.Record(nil), it.Recs...)
+			out[i].Records, it.Recs = it.Recs, nil
 		}
 	}
 	proto.ReleaseMessage(r)
 	return out, nil
 }
 
-// batchCall sends qs as one MsgBatchQuery and returns the reply, one item
-// per query; the ID and TimeoutMicros fields of qs are managed here.
-func (c *Client) batchCall(qs []proto.QueryMsg, deadline time.Time) (*proto.BatchReplyMsg, error) {
+// batchCall sends qs as one MsgBatchQuery, asking for the epoch stamp when
+// wantEpoch is set, and returns the reply, one item per query; the ID and
+// TimeoutMicros fields of qs are managed here.
+func (c *Client) batchCall(qs []proto.QueryMsg, deadline time.Time, wantEpoch bool) (*proto.BatchReplyMsg, error) {
 	if len(qs) > proto.MaxBatchQueries {
 		return nil, fmt.Errorf("client: batch of %d exceeds wire limit %d", len(qs), proto.MaxBatchQueries)
 	}
 	req := proto.AcquireBatchQuery()
+	req.WantEpoch = wantEpoch
 	req.Queries = append(req.Queries[:0], qs...)
 	c.metrics.batches.Inc()
 	c.metrics.batchQueries.Add(uint64(len(qs)))

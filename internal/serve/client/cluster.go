@@ -56,7 +56,7 @@ func (c *Client) QueryBatchVisit(qs []proto.QueryMsg, deadline time.Time, visit 
 	if len(qs) == 0 {
 		return nil
 	}
-	r, err := c.batchCall(qs, deadline)
+	r, err := c.batchCall(qs, deadline, false)
 	if err != nil {
 		return err
 	}

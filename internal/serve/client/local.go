@@ -11,11 +11,12 @@
 //	yes      -       no        anyone     client    fallback-local
 //
 // "Link up" is what the exchange found (breaker open, or a transient failure
-// that outlived its retries), never a guess made beforehand. Fresh: every
-// server reply stamps the index's epoch hint (0 = no validity view; a
-// shipment carries the hint read before it was cut), and a shipment may
-// answer by choice only while its epoch is non-zero, equals the
-// latest hint, that hint is younger than localMaxAge, and no write has been
+// that outlived its retries), never a guess made beforehand. Fresh: a read
+// reply stamps the index's epoch hint when its request asked (0 = no validity
+// view; a shipment carries the hint read before it was cut), and the client
+// asks while a hint could still change what it knows (listening); a shipment
+// may answer by choice only while its epoch is non-zero, equals the latest
+// hint, that hint is younger than localMaxAge, and no write has been
 // observed since. A degraded answer needs no such proof: stale beats nothing.
 package client
 
@@ -58,6 +59,18 @@ func (s *localState) fresh(now time.Time, maxAge time.Duration) bool {
 	return s.ship.Epoch != 0 && !s.retired && s.hint == s.ship.Epoch && now.Sub(s.hintAt) < maxAge
 }
 
+// listening reports whether a reply's epoch hint could still change s: it
+// holds a shipment that claims currency and is not yet retired.
+func (s *localState) listening() bool {
+	return s != nil && s.ship.Epoch != 0 && !s.retired
+}
+
+// wantsHint reports whether the client's next read asks for the epoch stamp:
+// exactly while the hint would be heard. A plain client, a router's leg
+// client and one whose shipment retired never ask, and their replies carry
+// no stamp.
+func (c *Client) wantsHint() bool { return c.local.Load().listening() }
+
 // install makes ship the client's local state. A shipment's own epoch is the
 // first hint, as old as the shipment: cutAt is when it was asked for, the
 // zero time for one whose age nobody knows (seeded at New) — that one stays
@@ -80,7 +93,7 @@ func (c *Client) Shipment() *Shipment {
 func (c *Client) amend(f func(*localState)) {
 	for {
 		s := c.local.Load()
-		if s == nil || s.ship.Epoch == 0 || s.retired {
+		if !s.listening() {
 			return
 		}
 		next := *s

@@ -6,9 +6,12 @@ import (
 	"slices"
 	"testing"
 
+	"mobispatial/internal/dataset"
 	"mobispatial/internal/geom"
+	"mobispatial/internal/ops"
 	"mobispatial/internal/proto"
 	"mobispatial/internal/qcache"
+	"mobispatial/internal/rtree"
 	"mobispatial/internal/serve/client"
 	"mobispatial/internal/shard"
 )
@@ -72,6 +75,77 @@ func seqIDs(first uint32, n int) []uint32 {
 		out[i] = first + uint32(n-1-i)
 	}
 	return out
+}
+
+// TestSortIDsRunsProperty holds the run-at-a-time read-out to slices.Sort +
+// slices.Compact on lists built from runs of consecutive ids: runs that end
+// at a word's last bit, start at its first, cross one or more word
+// boundaries or fill whole words, runs repeated and overlapping, shuffled
+// into any order, and now and then an id past the bitmap, which sends the
+// list to the comparison sort and must leave the bitmap clean for the next.
+func TestSortIDsRunsProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var s idSorter
+	for trial := 0; trial < 3000; trial++ {
+		var ids []uint32
+		for r := rng.Intn(12); r >= 0; r-- {
+			// Starts near word edges half the time, lengths up to three words.
+			start := uint32(rng.Intn(1 << 14))
+			if rng.Intn(2) == 0 {
+				start = start&^63 + uint32(rng.Intn(3)) - 1 + 64
+			}
+			n := 1 + rng.Intn(4)
+			if rng.Intn(3) == 0 {
+				n = 1 + rng.Intn(192)
+			}
+			for i := 0; i < n; i++ {
+				ids = append(ids, start+uint32(i))
+			}
+			if rng.Intn(4) == 0 && n > 1 { // a repeat overlapping the run
+				off := rng.Intn(n)
+				ids = append(ids, ids[len(ids)-n+off:]...)
+			}
+		}
+		if rng.Intn(50) == 0 {
+			ids = append(ids, bitmapIDs+uint32(rng.Intn(1000)))
+		}
+		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+		want := ascending(ids)
+		if got := s.sortIDs(slices.Clone(ids)); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d ids): got %v, want %v", trial, len(ids), got, want)
+		}
+	}
+	for i, w := range s.words {
+		if w != 0 {
+			t.Fatalf("bitmap word %d left at %#x", i, w)
+		}
+	}
+}
+
+// BenchmarkSortIDs sorts the range answers of the paper's §5.4 windows on PA
+// as the serving kernel reports them, in tree order: the sort every range
+// answer takes before it is coded.
+func BenchmarkSortIDs(b *testing.B) {
+	ds := dataset.PA()
+	tree, err := rtree.Build(ds.Items(), rtree.Config{}, ops.Null{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var answers [][]uint32
+	total := 0
+	for _, w := range dataset.RangeQueries(ds, 200, 1) {
+		ids := tree.AppendRange(nil, nil, w, true, nil)
+		answers, total = append(answers, ids), total+len(ids)
+	}
+	var s idSorter
+	work := make([]uint32, 0, total)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src := answers[i%len(answers)]
+		s.sortIDs(append(work[:0], src...))
+	}
+	b.ReportMetric(float64(total)/float64(len(answers)), "ids/answer")
 }
 
 // TestSortIDsZeroAlloc: a warm sort allocates nothing, of ids or records.

@@ -172,7 +172,7 @@ type capabilities struct {
 	bx BatchExecutor
 	// view is the validity view result-cache entries are checked against.
 	// It is resolved even without a cache: it also feeds the epoch hints
-	// stamped on replies, which the client's semantic cache validates
+	// stamped on replies that ask, which the client's semantic cache validates
 	// shipped sub-indexes with. A pool that is its own qcache.Source (a
 	// mutable pool's shard versions, the router's cluster version vector)
 	// supplies it; any other local pool gets one frozen pseudo-shard; a
@@ -1255,10 +1255,10 @@ func (s *Server) executeQuery(q *proto.QueryMsg, sc *reqScratch, deadline time.T
 	case it.Err != 0:
 		return &proto.ErrorMsg{ID: q.ID, Code: it.Err, Text: it.Text}
 	case q.Mode == proto.ModeData:
-		sc.dataMsg = proto.DataListMsg{ID: q.ID, Epoch: s.epochHint(), Records: it.Recs}
+		sc.dataMsg = proto.DataListMsg{ID: q.ID, Epoch: s.stamp(q.WantEpoch), Records: it.Recs}
 		return &sc.dataMsg
 	}
-	sc.idMsg = proto.IDListMsg{ID: q.ID, Epoch: s.epochHint(), IDs: it.IDs}
+	sc.idMsg = proto.IDListMsg{ID: q.ID, Epoch: s.stamp(q.WantEpoch), IDs: it.IDs}
 	return &sc.idMsg
 }
 
@@ -1281,7 +1281,7 @@ func batchItems(sc *reqScratch, n int) []proto.BatchItem {
 // batchReply fills the scratch's reply shell with the answered items.
 func (s *Server) batchReply(m *proto.BatchQueryMsg, sc *reqScratch, items []proto.BatchItem) proto.Message {
 	sc.batch.ID = m.ID
-	sc.batch.Epoch = s.epochHint()
+	sc.batch.Epoch = s.stamp(m.WantEpoch)
 	sc.batch.Items = items
 	s.metrics.batches.Inc()
 	s.metrics.batchQueries.Add(uint64(len(m.Queries)))

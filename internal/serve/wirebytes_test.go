@@ -16,20 +16,22 @@ import (
 
 // The wire bytes per query TestStaticMixWireBytes allows.
 //
-// staticMixBytesCeiling, both directions: the 93.1 B that Rice-coded id
+// staticMixBytesCeiling, both directions: the 85.1 B that Rice-coded id
 // lists, endpoint-chained records, kind-shaped queries, varint frame headers,
-// one-byte request ids and windows whose Max is coded against their Min
-// measured on this mix, plus 7 %. Fixed-width frames moved about 880 B; the
-// same codings behind fixed four-byte lengths, request ids and timeouts,
-// 135.6 B; two-byte request ids and raw windows, 121.5 B; id lists in
-// byte-aligned runs (a zigzag varint gap and a length byte each), 119.0 B.
+// one-byte request ids, windows whose Max is coded against their Min and
+// replies that carry the epoch stamp only when asked measured on this mix,
+// plus 7 %. Fixed-width frames moved about 880 B; the same codings behind
+// fixed four-byte lengths, request ids and timeouts, 135.6 B; two-byte
+// request ids and raw windows, 121.5 B; id lists in byte-aligned runs (a
+// zigzag varint gap and a length byte each), 119.0 B; an 8-byte epoch on
+// every reply, 93.1 B.
 //
 // staticMixUplinkCeiling, client to server only: the 23.7 B measured, plus
 // 4 %. The fixed four-byte fields the varint headers and the implied
 // default timeout replaced sent 34.2 B; two-byte request ids and raw
 // windows, 25.0 B.
 const (
-	staticMixBytesCeiling  = 99
+	staticMixBytesCeiling  = 91
 	staticMixUplinkCeiling = 25
 )
 
@@ -93,8 +95,9 @@ func TestStaticMixWireBytes(t *testing.T) {
 
 // movingRecordCeiling is the downlink bytes per record TestMovingRecordsWireBytes
 // allows: the 17.0 B that records coded against the point before them
-// measured, frame, id, epoch and count included, plus 4 %. Records of raw
-// float64 endpoints, chained where a street runs on, measured 21.0 B.
+// measured, frame, id, an 8-byte epoch and count included, plus 4 %; a reply
+// that carries no unasked epoch reads 16.9 B. Records of raw float64
+// endpoints, chained where a street runs on, measured 21.0 B.
 const movingRecordCeiling = 17.7
 
 // TestMovingRecordsWireBytes guards the record coding on the moving
